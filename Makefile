@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt vet build bins test race race-hot crash bench profile serve-smoke route-smoke
+.PHONY: check fmt vet build bins test race race-hot crash bench bench-check profile serve-smoke route-smoke
 
 # check is the tier-1 gate: formatting, static analysis, a full build
 # (packages and both binaries), the race-enabled test suite with an
 # extra race pass over the concurrency-hot packages, the
-# crash-recovery matrix, and the multi-node router smoke test. CI and
-# pre-commit both run this.
-check: fmt vet build bins race race-hot crash route-smoke
+# crash-recovery matrix, the multi-node router smoke test, and the
+# benchmark module's own vet and tests. CI and pre-commit both run this.
+check: fmt vet build bins race race-hot crash route-smoke bench-check
 
 fmt:
 	@files=$$(gofmt -l .); \
@@ -53,11 +53,18 @@ crash:
 # BenchmarkPhaseBreakdown running every query at least 5 times and
 # writing per-phase p50/p99, the warm-cache hit ratio +
 # cached-vs-uncached medians, and the sharded-engine sweep (cluster/
-# search medians at 1/2/4 shards, merge overhead, per-shard fan-out
-# p99) from the query traces to results/bench_latest.json.
+# search medians at 1/2/4 shards, and each shard count's cluster median
+# beyond the monolith's) from the query traces to
+# results/bench_latest.json.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 	@echo "per-phase p50/p99 written to results/bench_latest.json"
+
+# bench-check vets and tests bench/, the benchmark's own module: root
+# ./... patterns skip it, so an API it imports from internal/ could
+# otherwise be deleted unnoticed.
+bench-check:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
 # profile captures a CPU profile of the warm Fig. 7(a)-style query mix
 # (BenchmarkSearchMix: Q2/Q4/Q10 over the shared LUBM instance) into

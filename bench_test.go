@@ -18,10 +18,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,7 +30,6 @@ import (
 	"sama/internal/eval"
 	"sama/internal/experiments"
 	"sama/internal/index"
-	"sama/internal/obs"
 	"sama/internal/paths"
 	"sama/internal/rdf"
 	"sama/internal/shard"
@@ -478,16 +475,16 @@ type benchDurabilityReport struct {
 }
 
 // benchShardRow is one shard count's measurement of the sharded
-// engine: cluster/search phase medians, the scatter-gather merge
-// overhead (the part of each alignment pass not attributable to its
-// slowest shard — cascade probe, global pre-rank, and the capped
-// k-way merge), and the p99 over the per-shard fan-out spans.
+// engine: cluster/search phase medians, and the merge overhead — the
+// median cluster duration beyond the monolithic engine's on the same
+// graph and query, i.e. what gathering postings and splitting reads
+// across the shards costs on top of the shared cluster builder (noise
+// can make it negative).
 type benchShardRow struct {
 	Shards          int   `json:"shards"`
 	ClusterMedianNS int64 `json:"cluster_median_ns"`
 	SearchMedianNS  int64 `json:"search_median_ns"`
 	MergeOverheadNS int64 `json:"merge_overhead_median_ns"`
-	FanoutP99NS     int64 `json:"shard_fanout_p99_ns"`
 }
 
 // benchShardReport records the sharded-engine sweep on the Fig. 7(a)
@@ -495,50 +492,10 @@ type benchShardRow struct {
 // (TestShardEquivalence); what varies is how the candidate work
 // splits across shards and what the merge costs on top.
 type benchShardReport struct {
-	Triples int             `json:"triples"`
-	Query   string          `json:"query"`
-	Rows    []benchShardRow `json:"per_shard_count"`
-}
-
-// benchClusterV2Report records the rebuilt cluster read path against
-// the legacy lane on the Fig. 7(a) configuration (LUBM, query Q4):
-// cluster phase medians old (compat pre-rank probing postings per
-// candidate, aligning the whole frontier) vs new (signature-gated
-// pre-rank, threshold-pruned alignment), plus the observed signature
-// rejection and bound-prune rates over the new lane's explain plans.
-// Answers only diverge where the legacy frontier cut was wrong — the
-// two pre-rank bugs the satellites fixed; TestClusterCompatMatchesWithoutCut
-// pins equality whenever no cut fires.
-type benchClusterV2Report struct {
-	Triples            int     `json:"triples"`
-	Query              string  `json:"query"`
-	OldClusterMedianNS int64   `json:"old_cluster_median_ns"`
-	NewClusterMedianNS int64   `json:"new_cluster_median_ns"`
-	Speedup            float64 `json:"speedup"`
-	SigRejectionRate   float64 `json:"sig_rejection_rate"`
-	BoundPruneRate     float64 `json:"bound_prune_rate"`
-}
-
-// benchSearchV2Row is one query's old-vs-new search-phase comparison:
-// the legacy SearchCompat lane against the v2 binding-vector frontier,
-// with the v2 lane's incremental reuse rate (pair evaluations skipped
-// because the parent combination's values carried over) and its peak
-// frontier size.
-type benchSearchV2Row struct {
-	Query             string  `json:"query"`
-	OldSearchMedianNS int64   `json:"old_search_median_ns"`
-	NewSearchMedianNS int64   `json:"new_search_median_ns"`
-	Speedup           float64 `json:"speedup"`
-	PsiMemoHitRate    float64 `json:"psi_memo_hit_rate"`
-	FrontierPeak      int64   `json:"frontier_peak"`
-}
-
-// benchSearchV2Report is the search_v2 section of
-// results/bench_latest.json. Answers are asserted bit-identical between
-// the lanes before any timing is reported.
-type benchSearchV2Report struct {
-	Triples int                `json:"triples"`
-	Rows    []benchSearchV2Row `json:"per_query"`
+	Triples                 int             `json:"triples"`
+	Query                   string          `json:"query"`
+	MonolithClusterMedianNS int64           `json:"monolith_cluster_median_ns"`
+	Rows                    []benchShardRow `json:"per_shard_count"`
 }
 
 // benchPhaseReport is the file schema for results/bench_latest.json.
@@ -548,8 +505,6 @@ type benchPhaseReport struct {
 	Queries    []benchPhaseRow        `json:"queries"`
 	Cache      *benchCacheReport      `json:"cache,omitempty"`
 	Parallel   *benchParallelReport   `json:"parallel,omitempty"`
-	ClusterV2  *benchClusterV2Report  `json:"cluster_v2,omitempty"`
-	SearchV2   *benchSearchV2Report   `json:"search_v2,omitempty"`
 	Shard      *benchShardReport      `json:"shard,omitempty"`
 	Durability *benchDurabilityReport `json:"durability,omitempty"`
 }
@@ -713,15 +668,6 @@ func BenchmarkPhaseBreakdown(b *testing.B) {
 	report.Parallel = pr
 	b.ReportMetric(pr.ClusterSpeedup, "parallel-cluster-speedup")
 
-	report.ClusterV2 = measureClusterV2(b)
-	b.ReportMetric(report.ClusterV2.Speedup, "cluster-v2-speedup")
-	b.ReportMetric(report.ClusterV2.SigRejectionRate, "sig-rejection-rate")
-
-	report.SearchV2 = measureSearchV2(b)
-	for _, row := range report.SearchV2.Rows {
-		b.ReportMetric(row.Speedup, row.Query+"-search-v2-speedup")
-	}
-
 	report.Shard = measureSharding(b)
 	for _, row := range report.Shard.Rows {
 		b.ReportMetric(float64(row.ClusterMedianNS), fmt.Sprintf("shard%d-cluster-ns", row.Shards))
@@ -744,229 +690,67 @@ func BenchmarkPhaseBreakdown(b *testing.B) {
 	}
 }
 
-// sumPlanAttr totals a named attribute over a plan subtree.
-func sumPlanAttr(n *obs.PlanNode, key string) int64 {
-	if n == nil {
-		return 0
-	}
-	s := n.Attrs[key]
-	for _, c := range n.Children {
-		s += sumPlanAttr(c, key)
-	}
-	return s
-}
-
-// measureClusterV2 runs the Fig. 7(a) configuration (LUBM 8k triples,
-// query Q4) through the legacy cluster lane (ClusterCompat: postings
-// probes per candidate, every frontier survivor aligned) and the
-// rebuilt one (signature pre-rank, λ-bound pruning), reading cluster
-// phase medians from the traces and the rejection/prune rates from the
-// new lane's explain plans.
-func measureClusterV2(b *testing.B) *benchClusterV2Report {
-	b.Helper()
-	const triples = 8_000
-	g := datasets.LUBM{}.Generate(triples, 1)
-	ix, err := index.Build(filepath.Join(b.TempDir(), "v2"), g, index.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ix.Close()
-	q := workload.LUBMQueries()[3] // Q4, the Fig. 7(a) query
-	rep := &benchClusterV2Report{Triples: triples, Query: q.ID}
-
-	// The legacy lane also disables the alignment memo: pre-PR engines
-	// defaulted to AlignCacheMB 0 = off, so a memo-warm compat lane would
-	// understate what the rebuild actually buys over the old defaults.
-	oldEng := core.New(ix, core.Options{ClusterCompat: true, AlignCacheMB: -1})
-	newEng := core.New(ix, core.Options{})
-	defer oldEng.Close()
-	defer newEng.Close()
-
-	const reps = 9
-	var oldCluster, newCluster []time.Duration
-	var retrieved, sigRejected, preranked, pruned int64
-	for i := 0; i < reps; i++ {
-		_, st, err := oldEng.QueryWithStats(q.Pattern, experiments.TopK)
-		if err != nil {
-			b.Fatal(err)
-		}
-		oldCluster = append(oldCluster, st.Trace.PhaseDuration("cluster"))
-	}
-	for i := 0; i < reps; i++ {
-		_, st, err := newEng.QueryWithStats(q.Pattern, experiments.TopK)
-		if err != nil {
-			b.Fatal(err)
-		}
-		newCluster = append(newCluster, st.Trace.PhaseDuration("cluster"))
-		for _, ph := range st.Plan().Phases {
-			if ph.Name != "cluster" {
-				continue
-			}
-			retrieved += sumPlanAttr(ph, "retrieved")
-			sigRejected += sumPlanAttr(ph, "sig_rejected")
-			preranked += sumPlanAttr(ph, "preranked")
-			pruned += sumPlanAttr(ph, "bound_pruned")
-		}
-	}
-	rep.OldClusterMedianNS = medianDuration(oldCluster)
-	rep.NewClusterMedianNS = medianDuration(newCluster)
-	if rep.NewClusterMedianNS > 0 {
-		rep.Speedup = float64(rep.OldClusterMedianNS) / float64(rep.NewClusterMedianNS)
-	}
-	if retrieved > 0 {
-		rep.SigRejectionRate = float64(sigRejected) / float64(retrieved)
-	}
-	if preranked > 0 {
-		rep.BoundPruneRate = float64(pruned) / float64(preranked)
-	}
-	return rep
-}
-
-// measureSearchV2 runs the Figure 6 latency subset (Q2, Q4, Q10) over a
-// search-heavy LUBM instance through the legacy SearchCompat frontier
-// and the v2 lane (precompiled pair scoring, incremental deltas, tight
-// termination bound, interned join keys), reading search-phase medians
-// from the query traces and the reuse/frontier counters from the v2
-// explain spans. The ranked answers must match bit for bit — the v2
-// lane's contract — so the comparison times identical work.
-func measureSearchV2(b *testing.B) *benchSearchV2Report {
-	b.Helper()
-	const triples = 10_000
-	g := datasets.LUBM{}.Generate(triples, 7)
-	ix, err := index.Build(filepath.Join(b.TempDir(), "sv2"), g, index.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ix.Close()
-	oldEng := core.New(ix, core.Options{SearchCompat: true})
-	newEng := core.New(ix, core.Options{})
-	defer oldEng.Close()
-	defer newEng.Close()
-
-	rep := &benchSearchV2Report{Triples: triples}
-	const reps = 11
-	for _, q := range figure6Queries() {
-		want, _, err := oldEng.QueryWithStats(q.Pattern, experiments.TopK) // warm
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, _, err := newEng.QueryWithStats(q.Pattern, experiments.TopK) // warm
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(want) != len(got) {
-			b.Fatalf("%s: v2 lane returned %d answers, compat %d", q.ID, len(got), len(want))
-		}
-		for i := range want {
-			if want[i].Score != got[i].Score || want[i].Lambda != got[i].Lambda ||
-				want[i].Psi != got[i].Psi || want[i].Degree != got[i].Degree ||
-				!reflect.DeepEqual(want[i].Subst, got[i].Subst) {
-				b.Fatalf("%s: v2 answer %d diverges from the compat lane", q.ID, i)
-			}
-		}
-		row := benchSearchV2Row{Query: q.ID}
-		var oldSearch, newSearch []time.Duration
-		var memoHits, scored int64
-		// Interleave the lanes so both see the same allocator and GC
-		// background; block-ordered reps skew whichever lane runs
-		// second when the process carries heap from earlier benchmarks.
-		for i := 0; i < reps; i++ {
-			_, st, err := oldEng.QueryWithStats(q.Pattern, experiments.TopK)
-			if err != nil {
-				b.Fatal(err)
-			}
-			oldSearch = append(oldSearch, st.Trace.PhaseDuration("search"))
-			_, st, err = newEng.QueryWithStats(q.Pattern, experiments.TopK)
-			if err != nil {
-				b.Fatal(err)
-			}
-			newSearch = append(newSearch, st.Trace.PhaseDuration("search"))
-			for _, ph := range st.Plan().Phases {
-				if ph.Name != "search" {
-					continue
-				}
-				memoHits += ph.Attrs["psi_memo_hits"]
-				scored += ph.Attrs["psi_scored"]
-				if fp := ph.Attrs["frontier_peak"]; fp > row.FrontierPeak {
-					row.FrontierPeak = fp
-				}
-			}
-		}
-		row.OldSearchMedianNS = medianDuration(oldSearch)
-		row.NewSearchMedianNS = medianDuration(newSearch)
-		if row.NewSearchMedianNS > 0 {
-			row.Speedup = float64(row.OldSearchMedianNS) / float64(row.NewSearchMedianNS)
-		}
-		if memoHits+scored > 0 {
-			row.PsiMemoHitRate = float64(memoHits) / float64(memoHits+scored)
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	return rep
-}
-
 // measureSharding runs the Fig. 7(a) configuration (LUBM, Q4) through
-// the in-process sharded engine at 1, 2 and 4 shards. Per shard count
-// it reads the cluster/search phase medians from the query traces,
-// derives the merge overhead as each alignment pass's duration beyond
-// its slowest shard[k] child span, and takes the p99 over all shard
-// fan-out spans.
+// the monolithic engine and the in-process sharded engine at 1, 2 and
+// 4 shards, reading the cluster/search phase durations from the query
+// traces. The engines take turns within each repetition, so a row's
+// merge overhead — the median of its cluster duration minus the
+// monolith's in the same repetition — is not an artefact of when in the
+// run each engine was measured.
 func measureSharding(b *testing.B) *benchShardReport {
 	b.Helper()
-	const shardTriples = 8_000
+	const (
+		shardTriples = 8_000
+		reps         = 15
+	)
 	g := datasets.LUBM{}.Generate(shardTriples, 1)
 	q := workload.LUBMQueries()[3] // Q4, the Fig. 7(a) query
 	rep := &benchShardReport{Triples: shardTriples, Query: q.ID}
-	for _, n := range []int{1, 2, 4} {
-		base := filepath.Join(b.TempDir(), fmt.Sprintf("n%d", n))
-		set, err := shard.Build(base, g, shard.Options{Shards: n})
+
+	mono, err := index.Build(filepath.Join(b.TempDir(), "mono"), g, index.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mono.Close()
+	counts := []int{1, 2, 4}
+	engines := []*core.Engine{core.New(mono, core.Options{})}
+	for _, n := range counts {
+		set, err := shard.Build(filepath.Join(b.TempDir(), fmt.Sprintf("n%d", n)), g, shard.Options{Shards: n})
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng := core.NewSharded(set, core.Options{})
-		var cluster, search, overhead, fanout []time.Duration
-		for reps := 0; reps < 5; reps++ {
+		defer set.Close()
+		engines = append(engines, core.NewSharded(set, core.Options{}))
+	}
+	cluster := make([][]time.Duration, len(engines))
+	search := make([][]time.Duration, len(engines))
+	for r := 0; r < reps; r++ {
+		for i, eng := range engines {
 			_, st, err := eng.QueryWithStats(q.Pattern, experiments.TopK)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cluster = append(cluster, st.Trace.PhaseDuration("cluster"))
-			search = append(search, st.Trace.PhaseDuration("search"))
-			for _, ph := range st.Trace.Phases {
-				if ph.Name != "cluster" {
-					continue
-				}
-				for _, al := range ph.Children {
-					var slowest time.Duration
-					seen := false
-					for _, c := range al.Children {
-						if !strings.HasPrefix(c.Name, "shard[") {
-							continue
-						}
-						seen = true
-						fanout = append(fanout, c.Duration)
-						if c.Duration > slowest {
-							slowest = c.Duration
-						}
-					}
-					if seen {
-						overhead = append(overhead, al.Duration-slowest)
-					}
-				}
-			}
+			cluster[i] = append(cluster[i], st.Trace.PhaseDuration("cluster"))
+			search[i] = append(search[i], st.Trace.PhaseDuration("search"))
 		}
+	}
+	for _, eng := range engines {
 		eng.Close()
-		if err := set.Close(); err != nil {
-			b.Fatal(err)
+	}
+	for i, n := range counts {
+		// Pair the repetitions before medianDuration sorts the samples.
+		over := make([]time.Duration, reps)
+		for r := range over {
+			over[r] = cluster[i+1][r] - cluster[0][r]
 		}
 		rep.Rows = append(rep.Rows, benchShardRow{
 			Shards:          n,
-			ClusterMedianNS: medianDuration(cluster),
-			SearchMedianNS:  medianDuration(search),
-			MergeOverheadNS: medianDuration(overhead),
-			FanoutP99NS:     durationPercentile(fanout, 99),
+			ClusterMedianNS: medianDuration(cluster[i+1]),
+			SearchMedianNS:  medianDuration(search[i+1]),
+			MergeOverheadNS: medianDuration(over),
 		})
 	}
+	rep.MonolithClusterMedianNS = medianDuration(cluster[0])
 	return rep
 }
 

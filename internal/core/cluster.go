@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -129,9 +130,6 @@ const minAlignChunk = 16
 // alignments actually run, pages touched by the batched read, the
 // shorter-path fallback, and candidates dropped by the cluster cap.
 func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs.Span) (Cluster, error) {
-	if e.set != nil {
-		return e.buildClusterSharded(ctx, qi, q, sp)
-	}
 	ids := e.retrieve(q)
 	if len(ids) == 0 {
 		return Cluster{QueryIndex: qi, Query: q}, nil
@@ -152,7 +150,8 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 	}
 
 	// Positional staging: staged[i] belongs to cands[i] no matter which
-	// worker computes it, keeping the cluster deterministic.
+	// worker computes it, keeping the cluster deterministic. Memo keys,
+	// like every ID here, are the backend's (global IDs when sharded).
 	staged := make([]ClusterItem, len(cands))
 	var miss []missCand
 	for i, c := range cands {
@@ -176,44 +175,37 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 	// least cap full-length items are staged — below that the cap is
 	// unsaturated and the shorter-path fallback could still be live —
 	// which is why pruning can only skip work the cap would discard and
-	// the ranked answers stay bit-identical.
-	prune := e.pruneEnabled()
-	wave := len(miss)
-	if prune {
-		sortMissCands(miss)
-		wave = e.opts.maxCandidates()
-		if wave < minAlignChunk {
-			wave = minAlignChunk
-		}
+	// the ranked answers are those of aligning every candidate.
+	sortMissCands(miss)
+	capN := e.opts.maxCandidates()
+	wave := capN
+	if wave < minAlignChunk {
+		wave = minAlignChunk
 	}
 	qlen := q.Length()
-	capN := e.opts.maxCandidates()
 	aligned, pruned, shortPruned := 0, 0, 0
 	var pages int64
 	var scratch []float64
 	for start := 0; start < len(miss); {
-		if prune {
-			// Short-candidate barrier: once any full-length item is
-			// staged, the shorter-path fallback below is dead and
-			// every shorter-than-query miss can be discarded outright.
-			// This arms off a single staged alignment — long before
-			// the λ-bound check below, which needs the cap saturated
-			// with full-length costs.
-			if anyFullStaged(staged, qlen) {
-				var d int
-				miss, d = dropShortMisses(miss, start)
-				shortPruned += d
-			}
-			if start >= len(miss) {
-				break
-			}
-			var kth float64
-			var ok bool
-			scratch, kth, ok = kthFullCost(staged, qlen, capN, scratch)
-			if ok && miss[start].bound > kth {
-				pruned = len(miss) - start
-				break
-			}
+		// Short-candidate barrier: once any full-length item is staged,
+		// the shorter-path fallback below is dead and every
+		// shorter-than-query miss can be discarded outright. This arms
+		// off a single staged alignment — long before the λ-bound check
+		// below, which needs the cap saturated with full-length costs.
+		if anyFullStaged(staged, qlen) {
+			var d int
+			miss, d = dropShortMisses(miss, start)
+			shortPruned += d
+		}
+		if start >= len(miss) {
+			break
+		}
+		var kth float64
+		var ok bool
+		scratch, kth, ok = kthFullCost(staged, qlen, capN, scratch)
+		if ok && miss[start].bound > kth {
+			pruned = len(miss) - start
+			break
 		}
 		end := start + wave
 		if end > len(miss) {
@@ -263,9 +255,9 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 		}
 	}
 	sortClusterItems(items)
-	if max := e.opts.maxCandidates(); len(items) > max {
-		sp.Set("cap_dropped", int64(len(items)-max))
-		items = items[:max]
+	if len(items) > capN {
+		sp.Set("cap_dropped", int64(len(items)-capN))
+		items = items[:capN]
 	}
 	return Cluster{
 		QueryIndex: qi,
@@ -305,13 +297,6 @@ type missCand struct {
 	id    index.PathID
 	bound float64
 	short bool
-}
-
-// pruneEnabled reports whether the cluster phase may stop aligning once
-// the remaining candidates' lower bounds exceed the cap'th best staged
-// cost. Compat mode computes no bounds at all, so it never prunes.
-func (e *Engine) pruneEnabled() bool {
-	return !e.opts.ClusterCompat && !e.opts.DisableClusterPruning
 }
 
 // queryConstants collects the query path's constant labels with their
@@ -393,9 +378,6 @@ func (e *Engine) pathsByAllLabelsCached(q paths.Path, labels []string) []index.P
 // invalidated an ID; the error propagates to the engine's restart loop,
 // which re-runs the query against the fresh state.
 func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]clusterCand, error) {
-	if e.opts.ClusterCompat {
-		return e.preRankCompat(ids, q), nil
-	}
 	sums, err := e.back.Summaries(ids)
 	if err != nil {
 		return nil, err
@@ -518,49 +500,36 @@ func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]clus
 	return out, nil
 }
 
-// preRankCompat is the legacy pre-rank, kept verbatim behind
-// Options.ClusterCompat for old-vs-new benchmarking: per-candidate
-// exact-containment postings probes (synonym matches charged as
-// missing), the narrow missing*64+deficit key (deficits ≥ 64 outrank a
-// missing constant), and no λ bounds, so downstream pruning never
-// fires.
-func (e *Engine) preRankCompat(ids []index.PathID, q paths.Path) []clusterCand {
-	budget := 2 * e.opts.maxCandidates()
-	if len(ids) > budget {
-		var constants []string
-		for _, n := range q.Nodes {
-			if n.IsConstant() {
-				constants = append(constants, n.Label())
+// sortClusterItems orders a cluster's items by non-decreasing cost,
+// ties by ID. Unstable sort on purpose: IDs are unique, so (cost, ID)
+// is a strict total order — stability buys nothing, pdqsort saves the
+// merge scratch, and the result does not depend on the input order (so
+// not on which shard or worker produced an item).
+func sortClusterItems(items []ClusterItem) {
+	slices.SortFunc(items, func(a, b ClusterItem) int {
+		if a.Alignment.Cost != b.Alignment.Cost {
+			if a.Alignment.Cost < b.Alignment.Cost {
+				return -1
 			}
+			return 1
 		}
-		for _, eLbl := range q.Edges {
-			if eLbl.IsConstant() {
-				constants = append(constants, eLbl.Label())
+		return cmp.Compare(a.ID, b.ID)
+	})
+}
+
+// sortMissCands orders memo misses by (λ lower bound, ID) — the
+// threshold-pruning order. Unstable for the same reason as
+// sortClusterItems.
+func sortMissCands(miss []missCand) {
+	slices.SortFunc(miss, func(a, b missCand) int {
+		if a.bound != b.bound {
+			if a.bound < b.bound {
+				return -1
 			}
+			return 1
 		}
-		qlen := q.Length()
-		keys := make(map[index.PathID]int, len(ids))
-		for _, id := range ids {
-			missing := 0
-			for _, c := range constants {
-				if !e.back.ContainsLabel(id, c) {
-					missing++
-				}
-			}
-			deficit := 0
-			if plen := e.back.PathLength(id); plen < qlen {
-				deficit = qlen - plen
-			}
-			keys[id] = missing*64 + deficit
-		}
-		sort.SliceStable(ids, func(i, j int) bool { return keys[ids[i]] < keys[ids[j]] })
-		ids = ids[:budget]
-	}
-	out := make([]clusterCand, len(ids))
-	for i, id := range ids {
-		out[i].id = id
-	}
-	return out
+		return cmp.Compare(a.id, b.id)
+	})
 }
 
 // anyFullStaged reports whether some staged item has already aligned at

@@ -56,15 +56,6 @@ func findPath(t *testing.T, ix *index.Index, pred func(paths.Path) bool) index.P
 	return 0
 }
 
-func hasCand(cands []clusterCand, id index.PathID) bool {
-	for _, c := range cands {
-		if c.id == id {
-			return true
-		}
-	}
-	return false
-}
-
 // TestPreRankDeficitCannotOutrankMissing is the regression for the old
 // promise key missing*64 + deficit: once a candidate's length deficit
 // reached 64 it outranked candidates that were actually missing a
@@ -116,19 +107,6 @@ func TestPreRankDeficitCannotOutrankMissing(t *testing.T) {
 	}
 	if cands[0].id != good {
 		t.Errorf("candidate with every constant ranked %v, want first (got %v)", good, cands[0].id)
-	}
-
-	// The compat lane preserves the legacy inversion: deficit 65 ranks
-	// past the two missing-a-constant chains and the good candidate is
-	// cut. That asymmetry is exactly what the bugfix changed.
-	ce := New(ix, Options{MaxCandidatesPerCluster: 1, ClusterCompat: true})
-	defer ce.Close()
-	compat, err := ce.preRank(append([]index.PathID(nil), ids...), q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hasCand(compat, good) {
-		t.Error("compat pre-rank kept the good candidate; legacy key regression no longer reproduces")
 	}
 }
 
@@ -187,18 +165,6 @@ func TestPreRankSynonymSurvivesCut(t *testing.T) {
 	}
 	if cands[0].id != syn {
 		t.Errorf("synonym candidate ranked %v, want first (got %v)", syn, cands[0].id)
-	}
-
-	// Legacy counting charges the synonym match as missing (key 64+1)
-	// behind both exact-miss chains (key 64), cutting it.
-	ce := New(ix, Options{MaxCandidatesPerCluster: 1, ClusterCompat: true})
-	defer ce.Close()
-	compat, err := ce.preRank(append([]index.PathID(nil), ids...), q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hasCand(compat, syn) {
-		t.Error("compat pre-rank kept the synonym candidate; legacy expansion mismatch no longer reproduces")
 	}
 }
 

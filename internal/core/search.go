@@ -1,9 +1,10 @@
 package core
 
 import (
-	"container/heap"
 	"context"
+	"math/bits"
 	"sort"
+	"sync"
 
 	"sama/internal/align"
 	"sama/internal/obs"
@@ -19,11 +20,11 @@ import (
 // score = Λ + Ψ.
 //
 // Early termination is sound: under the alignment-aware χ, χa ≤ |χ(qi,
-// qj)|, so every matched intersection-graph pair contributes ψ ≥ e.
-// Once the frontier's Λ plus that Ψ lower bound exceeds the k-th best
-// total, no unseen combination can improve the result set. k ≤ 0
-// returns every combination visited (within the MaxCombinations
-// budget).
+// qj)|, so every matched intersection-graph pair contributes ψ ≥ e
+// (pairBound tightens that per pair). Once the frontier's Λ plus that Ψ
+// lower bound exceeds the k-th best total, no unseen combination can
+// improve the result set. k ≤ 0 returns every combination visited
+// (within the MaxCombinations budget).
 func (e *Engine) Search(pre *Preprocessed, clusters []Cluster, k int) []Answer {
 	return e.SearchContext(context.Background(), pre, clusters, k)
 }
@@ -41,19 +42,160 @@ func (e *Engine) SearchContext(ctx context.Context, pre *Preprocessed, clusters 
 // searchTraced is SearchContext recording two trace phases: "search"
 // (the Λ-ordered frontier expansion plus the hash-join completion pass)
 // and "assemble" (materialising the surviving combinations into
-// answers). A nil trace records nothing.
-//
-// Two lanes produce bit-identical ranked answers (pinned by the
-// cross-engine equivalence suite): the default binding-vector lane
-// (searchv2.go) and the legacy lane below, kept behind
-// Options.SearchCompat for old-vs-new benchmarking. RawChi routes to
-// the legacy lane: the v2 scorer precompiles the alignment-aware χ
-// only.
+// answers). A nil trace records nothing. The invariants that make the
+// ranked answers a function of the clusters alone are on pairScorer.
 func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters []Cluster, k int, tr *obs.Trace) []Answer {
-	if e.opts.SearchCompat || e.opts.RawChi {
-		return e.searchCompat(ctx, pre, clusters, k, tr)
+	sp := tr.Phase("search")
+	eff, missing, missed := splitEffective(clusters)
+	basePenalty := e.missPenalty(pre, missing, missed)
+	if len(eff) == 0 {
+		sp.End()
+		return nil // nothing matched at all
 	}
-	return e.searchV2(ctx, pre, clusters, k, tr)
+
+	ps := newPairScorer(e, pre, eff)
+	psiMinU := e.par.E * float64(len(ps.pairs))
+
+	nPairVals := 2 * len(ps.pairs)
+	frontier := &comboFrontier{}
+	start := frontier.alloc(len(eff), nPairVals)
+	{
+		c := &frontier.arena[start]
+		c.lambda = ps.comboLambda(c.idx) + basePenalty
+		ps.fillPairVals(c.idx, c.pv)
+		c.psi, c.degree = ps.sumPairVals(c.pv)
+	}
+	frontier.push(start)
+	visitedSet := getU64Set()
+	defer u64SetPool.Put(visitedSet)
+	visitedSet.add(hashIdx(frontier.arena[start].idx, -1))
+
+	rl := resultList{k: k}
+
+	visited := 0
+	tieVisits := 0
+	frontierPeak := frontier.len()
+	maxVisits := e.opts.maxCombinations()
+	maxTies := e.opts.maxTieVisits()
+	cancelled := false
+	boundBreak := false
+	for frontier.len() > 0 && visited < maxVisits {
+		if ctx.Err() != nil {
+			cancelled = true
+			break
+		}
+		h := frontier.pop()
+		cLambda := frontier.arena[h].lambda
+		if w := rl.worst(); w >= 0 {
+			if cLambda+ps.psiLB > w {
+				// Tighter bound: this combo — and, pops being in
+				// non-decreasing λ, every later one — scores > w.
+				boundBreak = true
+				frontier.release(h)
+				break
+			}
+			lb := cLambda + psiMinU
+			if lb > w {
+				// Uniform bound, kept for pathological params where
+				// psiLB < psiMinU (negative E).
+				frontier.release(h)
+				break
+			}
+			if lb == w {
+				// Ties can still win on the conformity-degree
+				// tie-break; explore a bounded number of them.
+				tieVisits++
+				if tieVisits > maxTies {
+					frontier.release(h)
+					break
+				}
+			}
+		}
+		visited++
+
+		// Expand successors before handing the entry's idx to the
+		// result list. All arena access is re-indexed after alloc: the
+		// arena may grow while successors are created.
+		for ci := 0; ci < len(eff); ci++ {
+			if frontier.arena[h].idx[ci]+1 >= len(eff[ci].Items) {
+				continue
+			}
+			if !visitedSet.add(hashIdx(frontier.arena[h].idx, ci)) {
+				continue
+			}
+			nh := frontier.alloc(len(eff), nPairVals)
+			c, next := &frontier.arena[h], &frontier.arena[nh]
+			copy(next.idx, c.idx)
+			next.idx[ci]++
+			next.lambda = ps.comboLambda(next.idx) + basePenalty
+			copy(next.pv, c.pv)
+			ps.patchPairVals(next.idx, ci, next.pv)
+			next.psi, next.degree = ps.sumPairVals(next.pv)
+			frontier.push(nh)
+		}
+		if n := frontier.len(); n > frontierPeak {
+			frontierPeak = n
+		}
+
+		c := &frontier.arena[h]
+		s := scored{
+			idx:    frontier.takeIdx(h),
+			lambda: c.lambda,
+			psi:    c.psi,
+			degree: c.degree,
+			score:  c.lambda + c.psi,
+		}
+		frontier.release(h)
+		if recycled := rl.add(s); recycled != nil {
+			frontier.giveIdx(recycled)
+		}
+	}
+
+	// Join pass: the heap explores combinations in Λ order, which can
+	// leave binding-consistent combinations (the ones with solid forest
+	// edges) beyond the tie-visit horizon when clusters are large.
+	// Construct them directly — a greedy hash-join on the shared query
+	// variables — and let them compete in the ranking. Skipped on
+	// cancellation: the join pass is bounded but not free, and a
+	// cancelled query wants its prefix now.
+	joined := 0
+	if !cancelled {
+		pv := make([]float64, nPairVals)
+		for _, idx := range joinCombos(eff, ps) {
+			if !visitedSet.add(hashIdx(idx, -1)) {
+				continue
+			}
+			joined++
+			lambda := ps.comboLambda(idx) + basePenalty
+			ps.fillPairVals(idx, pv)
+			psi, degree := ps.sumPairVals(pv)
+			rl.add(scored{
+				idx: idx, lambda: lambda, psi: psi, degree: degree, score: lambda + psi,
+			})
+		}
+	}
+	sp.Set("visited", int64(visited))
+	sp.Set("joined", int64(joined))
+	sp.Set("psi_memo_hits", ps.reusedPairs)
+	sp.Set("psi_scored", ps.scoredPairs)
+	sp.Set("frontier_peak", int64(frontierPeak))
+	if boundBreak {
+		sp.Set("bound_break", 1)
+	}
+	if cancelled {
+		sp.Set("cancelled", 1)
+	}
+	sp.End()
+
+	// Materialise only the surviving combinations.
+	spA := tr.Phase("assemble")
+	answers := make([]Answer, len(rl.results))
+	for i, s := range rl.results {
+		answers[i] = e.buildAnswer(eff, s.idx, missing, s.lambda, s.psi, s.degree)
+	}
+	spA.Set("answers", int64(len(answers)))
+	spA.End()
+	return answers
 }
 
 // splitEffective separates the clusters with candidates (the frontier's
@@ -81,8 +223,7 @@ type scored struct {
 }
 
 // resultList keeps the top-k combinations sorted by (score asc, degree
-// desc). Both search lanes rank through it, so admission and eviction
-// are identical by construction.
+// desc).
 type resultList struct {
 	k       int
 	results []scored
@@ -121,336 +262,164 @@ func (rl *resultList) add(s scored) []int {
 	return nil
 }
 
-// searchCompat is the legacy search lane (see searchTraced).
-func (e *Engine) searchCompat(ctx context.Context, pre *Preprocessed, clusters []Cluster, k int, tr *obs.Trace) []Answer {
-	sp := tr.Phase("search")
-	eff, missing, missed := splitEffective(clusters)
-	basePenalty := e.missPenalty(pre, missing, missed)
-	if len(eff) == 0 {
-		sp.End()
-		return nil // nothing matched at all
-	}
-
-	sc := newComboScorer(e, pre, eff)
-	psiMin := e.par.E * float64(len(sc.pairs))
-
-	frontier := &comboHeap{}
-	start := combo{idx: make([]int, len(eff))}
-	start.lambda = e.comboLambda(eff, start.idx) + basePenalty
-	heap.Push(frontier, start)
-	// visited replaces the old string-keyed seen map: combinations are
-	// identified by a 64-bit FNV-1a hash of their index vector, so
-	// dedup costs no per-combination string allocation. Successor keys
-	// are hashed in place (hashIdx's bump argument) without
-	// materialising the candidate slice.
-	visitedSet := map[uint64]struct{}{hashIdx(start.idx, -1): {}}
-
-	// Successor index slices are recycled through a free list: a slice
-	// leaves the list when pushed on the frontier and returns when its
-	// combination is evicted from (or never makes) the top k.
-	var idxFree [][]int
-	getIdx := func() []int {
-		if n := len(idxFree); n > 0 {
-			s := idxFree[n-1]
-			idxFree = idxFree[:n-1]
-			return s
-		}
-		return make([]int, len(eff))
-	}
-
-	rl := resultList{k: k}
-
-	visited := 0
-	tieVisits := 0
-	frontierPeak := frontier.Len()
-	maxVisits := e.opts.maxCombinations()
-	maxTies := e.opts.maxTieVisits()
-	cancelled := false
-	for frontier.Len() > 0 && visited < maxVisits {
-		if ctx.Err() != nil {
-			cancelled = true
-			break
-		}
-		c := heap.Pop(frontier).(combo)
-		if w := rl.worst(); w >= 0 {
-			lb := c.lambda + psiMin
-			if lb > w {
-				// No unseen combination can reach the top k.
-				break
-			}
-			if lb == w {
-				// Ties can still win on the conformity-degree
-				// tie-break; explore a bounded number of them.
-				tieVisits++
-				if tieVisits > maxTies {
-					break
-				}
-			}
-		}
-		visited++
-
-		// Expand successors before handing c.idx to the result list —
-		// addResult may recycle the slice, and the expansion must read
-		// it. worst() is unaffected by the ordering: successors carry a
-		// lambda ≥ c.lambda, so the bound check at their own pop is
-		// what prunes them.
-		for ci := range c.idx {
-			if c.idx[ci]+1 >= len(eff[ci].Items) {
-				continue
-			}
-			h := hashIdx(c.idx, ci)
-			if _, ok := visitedSet[h]; ok {
-				continue
-			}
-			visitedSet[h] = struct{}{}
-			next := combo{idx: getIdx()}
-			copy(next.idx, c.idx)
-			next.idx[ci]++
-			next.lambda = e.comboLambda(eff, next.idx) + basePenalty
-			heap.Push(frontier, next)
-		}
-		if n := frontier.Len(); n > frontierPeak {
-			frontierPeak = n
-		}
-
-		psi, degree := sc.score(c.idx)
-		if recycled := rl.add(scored{
-			idx:    c.idx,
-			lambda: c.lambda,
-			psi:    psi,
-			degree: degree,
-			score:  c.lambda + psi,
-		}); recycled != nil {
-			idxFree = append(idxFree, recycled)
-		}
-	}
-
-	// Join pass: the heap explores combinations in Λ order, which can
-	// leave binding-consistent combinations (the ones with solid forest
-	// edges) beyond the tie-visit horizon when clusters are large.
-	// Construct them directly — a greedy hash-join on the shared query
-	// variables — and let them compete in the ranking. Skipped on
-	// cancellation: the join pass is bounded but not free, and a
-	// cancelled query wants its prefix now.
-	joined := 0
-	if !cancelled {
-		for _, idx := range e.joinCombos(eff, sc) {
-			h := hashIdx(idx, -1)
-			if _, ok := visitedSet[h]; ok {
-				continue
-			}
-			visitedSet[h] = struct{}{}
-			joined++
-			lambda := e.comboLambda(eff, idx) + basePenalty
-			psi, degree := sc.score(idx)
-			if recycled := rl.add(scored{
-				idx: idx, lambda: lambda, psi: psi, degree: degree, score: lambda + psi,
-			}); recycled != nil {
-				idxFree = append(idxFree, recycled)
-			}
-		}
-	}
-	sp.Set("visited", int64(visited))
-	sp.Set("joined", int64(joined))
-	sp.Set("psi_memo_hits", sc.hits)
-	sp.Set("frontier_peak", int64(frontierPeak))
-	if cancelled {
-		sp.Set("cancelled", 1)
-	}
-	sp.End()
-
-	// Materialise only the surviving combinations.
-	spA := tr.Phase("assemble")
-	answers := make([]Answer, len(rl.results))
-	for i, s := range rl.results {
-		answers[i] = e.buildAnswer(eff, s.idx, missing, s.lambda, s.psi, s.degree)
-	}
-	spA.Set("answers", int64(len(answers)))
-	spA.End()
-	return answers
-}
-
-// Join-pass budgets, shared by both lanes: seeds per intersection-graph
-// pair, seeds per query, and items inspected per cluster while greedily
-// extending a seed.
-const (
-	maxSeedsPerPair = 48
-	maxTotalSeeds   = 192
-	maxChecksPerCol = 512
-)
-
-// joinCompatible reports whether an item's substitution agrees with the
-// bindings accumulated so far.
-func joinCompatible(bound map[string]rdf.Term, item ClusterItem) bool {
-	for name, val := range item.Alignment.Subst {
-		if prev, ok := bound[name]; ok && prev != val {
-			return false
-		}
-	}
-	return true
-}
-
-// joinExtend completes a partial combo over the remaining clusters,
-// greedily taking the best-cost compatible item per cluster.
-func joinExtend(eff []Cluster, idx []int, have map[int]bool, bound map[string]rdf.Term) bool {
-	for ci := range eff {
-		if have[ci] {
-			continue
-		}
-		found := -1
-		checks := len(eff[ci].Items)
-		if checks > maxChecksPerCol {
-			checks = maxChecksPerCol
-		}
-		for ii := 0; ii < checks; ii++ {
-			if joinCompatible(bound, eff[ci].Items[ii]) {
-				found = ii
-				break
-			}
-		}
-		if found < 0 {
-			return false
-		}
-		idx[ci] = found
-		for name, val := range eff[ci].Items[found].Alignment.Subst {
-			if _, dup := bound[name]; !dup {
-				bound[name] = val
-			}
-		}
-	}
-	return true
-}
-
-// joinCombos builds combinations whose per-path substitutions agree on
-// the shared query variables: a hash-join over each intersection-graph
-// pair (probe one cluster's shared-variable bindings into the other's),
-// with each match greedily extended to the remaining clusters.
-func (e *Engine) joinCombos(eff []Cluster, sc *comboScorer) [][]int {
-	if len(eff) < 2 || len(sc.pairs) == 0 {
-		return nil
-	}
-	var out [][]int
-	for _, pr := range sc.pairs {
-		if len(out) >= maxTotalSeeds {
-			break
-		}
-		// Shared variables of this query-path pair.
-		var shared []string
-		for _, x := range paths.CommonNodes(pr.qi, pr.qj) {
-			if x.Kind == rdf.Var {
-				shared = append(shared, x.Value)
-			}
-		}
-		if len(shared) == 0 {
-			continue
-		}
-		bindingKey := func(item ClusterItem) (string, bool) {
-			var b []byte
-			for _, v := range shared {
-				val, ok := item.Alignment.Subst[v]
-				if !ok {
-					return "", false
-				}
-				b = append(b, val.Label()...)
-				b = append(b, 0x1f)
-			}
-			return string(b), true
-		}
-		// Build side: the smaller cluster of the pair.
-		build, probe := pr.ci, pr.cj
-		if len(eff[probe].Items) < len(eff[build].Items) {
-			build, probe = probe, build
-		}
-		index := make(map[string]int, len(eff[build].Items))
-		for ii, item := range eff[build].Items {
-			if key, ok := bindingKey(item); ok {
-				if _, dup := index[key]; !dup {
-					index[key] = ii // best-cost item wins (items sorted)
-				}
-			}
-		}
-		seeds := 0
-		for ii, item := range eff[probe].Items {
-			if seeds >= maxSeedsPerPair || len(out) >= maxTotalSeeds {
-				break
-			}
-			key, ok := bindingKey(item)
-			if !ok {
-				continue
-			}
-			jj, hit := index[key]
-			if !hit {
-				continue
-			}
-			idx := make([]int, len(eff))
-			idx[probe], idx[build] = ii, jj
-			bound := make(map[string]rdf.Term, 8)
-			for name, val := range item.Alignment.Subst {
-				bound[name] = val
-			}
-			for name, val := range eff[build].Items[jj].Alignment.Subst {
-				if _, dup := bound[name]; !dup {
-					bound[name] = val
-				}
-			}
-			if joinExtend(eff, idx, map[int]bool{probe: true, build: true}, bound) {
-				out = append(out, idx)
-				seeds++
-			}
-		}
-	}
-	return out
-}
-
-// comboScorer memoises the pairwise ψ/degree contributions: the same
-// (cluster, item) pair recurs across thousands of combinations, but its
-// conformity only depends on the two chosen items.
+// pairScorer scores combinations for the search frontier without
+// touching a map or allocating. Four invariants make the ranked answers
+// a function of the clusters alone — the same at every parallelism and
+// shard count, and equal bit for bit to the paper's formulas folded in
+// pair order (TestAnswersMatchPaperFormulas, the goldens of
+// TestEquivalenceAcrossEngines):
 //
-// The memo is addressed by a flat linear index off[pi] + ii*stride[pi]
-// + jj — collision-free by construction for any cluster size, unlike
-// the bit-packed uint64 key it replaces (pi<<40|ii<<20|jj silently
-// collided once a cluster passed 2^20 items). Small key spaces use a
-// dense value slice with a presence bitset (no hashing, no per-entry
-// allocation); spaces past denseMemoEntries fall back to a map over
-// the same linear index.
-type comboScorer struct {
-	e   *Engine
+//  1. Pair values are the floats align.PsiAligned returns. χa is
+//     evaluated from precompiled binding vectors (interned term IDs per
+//     shared variable, a containment bitmask per shared constant) that
+//     reproduce align.ChiAligned exactly, and ψ/degree go through
+//     align.PsiFromChi / align.PsiDegreeFromChi — the expressions
+//     PsiAligned evaluates. A pair may instead carry a χ function
+//     (queryPair.chi) feeding the same two primitives.
+//  2. Sums are folded in canonical order: Ψ and degree over the pairs in
+//     pair order starting from zero, λ over the clusters in cluster
+//     order. A successor's (ψ, degree) could be maintained as ψ' = ψ −
+//     old + new, but float addition is not associative: on non-dyadic
+//     pair values (χa = 3 gives ψ = E·χQ/3) the running sum drifts ulps
+//     away from the canonical fold. Instead the combo carries its
+//     per-pair values (combo.pv); a successor copies the parent's
+//     vector, re-scores only the pairs incident to the bumped cluster
+//     (the incremental part), and re-folds the sum in pair order. λ is
+//     likewise re-folded over a flat cost array.
+//  3. The termination bound only skips guaranteed rejects. psiLB = Σ_p
+//     bound_p is a sound lower bound on any combination's Ψ (see
+//     pairBound), so a popped combo with λ + psiLB > worst has score >
+//     worst — visiting it would score it and discard it; pops are in
+//     non-decreasing λ, so every later combo is also a reject and the
+//     loop can break. Combinations that tie the k-th score are never
+//     skipped: such a combo has λ + Ψ = worst and Ψ ≥ psiLB, hence λ +
+//     psiLB ≤ worst. The tie horizon (MaxTieVisits) is counted against
+//     the uniform bound E·|pairs|, after the tight check.
+//  4. The visit order is deterministic. The handle heap orders by λ
+//     alone with container/heap's sift algorithm and strict
+//     comparisons, successors push in cluster order, and the visited
+//     set keys 64-bit hashIdx values. Among equal-λ combinations the
+//     heap layout decides which are visited before the tie horizon
+//     closes, so any change to the sift, the push order or the dedup
+//     keys can move ranked answers and shows up in the goldens.
+type pairScorer struct {
+	par align.Params
 	eff []Cluster
-	// pairs are the intersection-graph edges whose two endpoints both
-	// have an effective cluster, as (effective-cluster index, query
-	// path) pairs.
-	pairs []scorerPair
-	// off and stride address pair pi's (ii, jj) block in the flat key
-	// space: key = off[pi] + ii*stride[pi] + jj.
-	off    []int
-	stride []int
-	// Dense representation (small key spaces): vals holds (ψ, degree)
-	// at 2*key, set bit key marks presence.
-	vals []float64
-	set  []uint64
-	// Sparse fallback (huge key spaces), keyed by the linear index.
-	memo map[uint64][2]float64
-	// hits counts memoised pair lookups served without re-scoring, for
-	// the search span's psi_memo_hits attribute.
-	hits int64
+	// pairs are the intersection-graph edges whose endpoints both have
+	// an effective cluster, in the deterministic order pre.IG lists them
+	// (ascending query-path index, each undirected edge once).
+	pairs []queryPair
+	// incident[ci] lists the indices of the pairs touching effective
+	// cluster ci.
+	incident [][]int32
+	// costs[ci][ii] = eff[ci].Items[ii].Cost(), flattened so λ re-sums
+	// stay on a dense array instead of chasing Alignment pointers.
+	costs [][]float64
+	// psiLB = Σ_p bound_p, the precomputed Ψ lower bound; always ≥ the
+	// uniform E·|pairs| when E ≥ 0 (each bound_p = E·χQ/χcap ≥ E).
+	psiLB float64
+	// jt is the join pass's flattened view of every item's substitution,
+	// sharing the interner the binding columns were compiled with (nil
+	// when the query cannot join: fewer than two effective clusters or
+	// no pairs).
+	jt *joinTables
+	// scoredPairs / reusedPairs count fresh pair evaluations and
+	// parent-carried values reused by successors, for the search span's
+	// psi_scored and psi_memo_hits attributes.
+	scoredPairs, reusedPairs int64
 }
 
-// denseMemoEntries bounds the dense memo: past 2^20 (ψ, degree) slots
-// (16 MiB of values) the scorer switches to the sparse map, which only
-// pays for combinations actually visited.
-const denseMemoEntries = 1 << 20
-
-type scorerPair struct {
+// queryPair is one intersection-graph edge between two effective
+// clusters, compiled for scoring.
+type queryPair struct {
 	ci, cj int
-	qi, qj paths.Path
+	// chiQ = |χ(qi, qj)|.
+	chiQ int
+	// sharedVars are the variable names of χ(qi, qj) in CommonNodes
+	// order (the join pass keys on them in this order).
+	sharedVars []string
+	// varsA[s][ii] is the interned ID of eff[ci].Items[ii]'s binding
+	// for sharedVars[s] (0 = unbound); varsB indexes eff[cj] likewise.
+	// Interned IDs are term-identity (kind-sensitive), matching the
+	// Term equality ChiAligned applies to bindings.
+	varsA, varsB [][]uint32
+	// conA[ii] has bit s set when eff[ci].Items[ii]'s path contains the
+	// s-th shared constant; conB likewise. χa's constant contribution
+	// is popcount(conA[ii] & conB[jj]). Nil when the pair shares no
+	// constant, and when chi is set.
+	conA, conB []uint64
+	// chi, when non-nil, computes the realised intersection count of two
+	// items in place of the binding vectors and masks: the raw label
+	// overlap |χ(pi, pj)| under Options.RawChi, align.ChiAligned for a
+	// pair sharing more than maxSharedConsts constants. Such a pair
+	// takes the uniform floor E as its ψ lower bound.
+	chi func(a, b *ClusterItem) int
 }
 
-func newComboScorer(e *Engine, pre *Preprocessed, eff []Cluster) *comboScorer {
+// maxSharedConsts bounds the constant-containment bitmask width. The
+// path extractor's MaxLen keeps indexed paths an order of magnitude
+// shorter than 64 nodes, but paths.Decompose does not bound query-path
+// length, so a submitted query can exceed it; such a pair is scored
+// through queryPair.chi.
+const maxSharedConsts = 64
+
+// termInterner assigns stable uint32 IDs to terms under full Term
+// equality (the equality ChiAligned applies to bindings). Keys hash by
+// Value only — one string hash instead of four — with full-term
+// verification inside the bucket, so distinct kinds sharing a label
+// still get distinct IDs.
+type termInterner struct {
+	byValue map[string][]internedTerm
+	// terms[id-1] is the term assigned id, for reverse lookups (the
+	// join pass derives label keys from term IDs).
+	terms []rdf.Term
+	n     uint32
+}
+
+type internedTerm struct {
+	t  rdf.Term
+	id uint32
+}
+
+func (in *termInterner) id(t rdf.Term) uint32 {
+	bucket := in.byValue[t.Value]
+	for _, e := range bucket {
+		if e.t == t {
+			return e.id
+		}
+	}
+	in.n++
+	in.byValue[t.Value] = append(bucket, internedTerm{t: t, id: in.n})
+	in.terms = append(in.terms, t)
+	return in.n
+}
+
+// newPairScorer precompiles the pairwise structure once per search:
+// CommonNodes(qi, qj), χQ, the shared variable list, and per-item
+// binding vectors / containment masks.
+func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 	byQueryIndex := make(map[int]int, len(eff))
 	for i, cl := range eff {
 		byQueryIndex[cl.QueryIndex] = i
 	}
-	sc := &comboScorer{e: e, eff: eff}
+	ps := &pairScorer{par: e.par, eff: eff}
+
+	// Pass 1: enumerate the pairs and the variable names each cluster
+	// must compile columns for.
+	type pairSeed struct {
+		ci, cj int
+		common []rdf.Term
+	}
+	var seeds []pairSeed
+	needVars := make([][]string, len(eff)) // deduped, per cluster
+	needVar := func(ci int, name string) {
+		for _, n := range needVars[ci] {
+			if n == name {
+				return
+			}
+		}
+		needVars[ci] = append(needVars[ci], name)
+	}
 	for qi, edges := range pre.IG {
 		ci, ok := byQueryIndex[qi]
 		if !ok {
@@ -464,71 +433,750 @@ func newComboScorer(e *Engine, pre *Preprocessed, eff []Cluster) *comboScorer {
 			if !ok {
 				continue
 			}
-			sc.pairs = append(sc.pairs, scorerPair{
-				ci: ci, cj: cj,
-				qi: pre.Paths[qi], qj: pre.Paths[edge.To],
-			})
+			common := paths.CommonNodes(pre.Paths[qi], pre.Paths[edge.To])
+			for _, x := range common {
+				if x.Kind == rdf.Var {
+					needVar(ci, x.Value)
+					needVar(cj, x.Value)
+				}
+			}
+			seeds = append(seeds, pairSeed{ci: ci, cj: cj, common: common})
 		}
 	}
-	sc.off = make([]int, len(sc.pairs))
-	sc.stride = make([]int, len(sc.pairs))
-	total := 0
-	for pi, pr := range sc.pairs {
-		sc.off[pi] = total
-		sc.stride[pi] = len(eff[pr.cj].Items)
-		total += len(eff[pr.ci].Items) * len(eff[pr.cj].Items)
-	}
-	if total <= denseMemoEntries {
-		sc.vals = make([]float64, 2*total)
-		sc.set = make([]uint64, (total+63)/64)
-	} else {
-		sc.memo = make(map[uint64][2]float64)
-	}
-	return sc
-}
 
-// score returns (Ψ, degree) for the combination.
-func (sc *comboScorer) score(idx []int) (float64, float64) {
-	var psi, degree float64
-	for pi, pr := range sc.pairs {
-		ii, jj := idx[pr.ci], idx[pr.cj]
-		key := sc.off[pi] + ii*sc.stride[pi] + jj
-		if sc.vals != nil {
-			if sc.set[key>>6]&(1<<(uint(key)&63)) != 0 {
-				sc.hits++
-				psi += sc.vals[2*key]
-				degree += sc.vals[2*key+1]
-				continue
-			}
-		} else if v, ok := sc.memo[uint64(key)]; ok {
-			sc.hits++
-			psi += v[0]
-			degree += v[1]
+	// Pass 2: compile each cluster's binding columns in one sweep over
+	// its items — iterate the (small) substitution map once per item
+	// instead of one lookup per (item, var). One interner for every
+	// binding: equal terms get equal IDs across clusters, so
+	// cross-column comparison is exact Term equality.
+	in := &termInterner{byValue: make(map[string][]internedTerm)}
+	if len(eff) >= 2 && len(seeds) > 0 {
+		ps.jt = &joinTables{
+			in:       in,
+			eff:      eff,
+			ready:    make([]bool, len(eff)),
+			off:      make([][]int32, len(eff)),
+			names:    make([][]int32, len(eff)),
+			terms:    make([][]uint32, len(eff)),
+			nameID:   make(map[string]int32),
+			labelIDs: make(map[string]uint32),
+		}
+	}
+	cols := make([]map[string][]uint32, len(eff))
+	for ci := range eff {
+		names := needVars[ci]
+		if len(names) == 0 {
 			continue
 		}
-		a := sc.eff[pr.ci].Items[ii]
-		b := sc.eff[pr.cj].Items[jj]
-		var p, d float64
-		if sc.e.opts.RawChi {
-			p = align.Psi(pr.qi, pr.qj, a.Path, b.Path, sc.e.par)
-			d = align.PsiDegree(pr.qi, pr.qj, a.Path, b.Path)
-		} else {
-			p = align.PsiAligned(pr.qi, pr.qj, a.Alignment.Subst, b.Alignment.Subst,
-				a.Path, b.Path, sc.e.par)
-			d = align.PsiDegreeAligned(pr.qi, pr.qj, a.Alignment.Subst, b.Alignment.Subst,
-				a.Path, b.Path)
+		items := eff[ci].Items
+		byName := make(map[string][]uint32, len(names))
+		flat := make([]uint32, len(names)*len(items))
+		for s, name := range names {
+			byName[name] = flat[s*len(items) : (s+1)*len(items)]
 		}
-		if sc.vals != nil {
-			sc.vals[2*key] = p
-			sc.vals[2*key+1] = d
-			sc.set[key>>6] |= 1 << (uint(key) & 63)
-		} else {
-			sc.memo[uint64(key)] = [2]float64{p, d}
+		cols[ci] = byName
+		for ii := range items {
+			for name, val := range items[ii].Alignment.Subst {
+				if col, ok := byName[name]; ok {
+					col[ii] = in.id(val)
+				}
+			}
 		}
-		psi += p
-		degree += d
+	}
+
+	// Pass 3: assemble the pairs, constant masks, and ψ lower bounds.
+	chiFns := 0
+	for _, sd := range seeds {
+		pr := queryPair{ci: sd.ci, cj: sd.cj, chiQ: len(sd.common)}
+		var consts []rdf.Term
+		for _, x := range sd.common {
+			if x.Kind == rdf.Var {
+				pr.sharedVars = append(pr.sharedVars, x.Value)
+				pr.varsA = append(pr.varsA, cols[sd.ci][x.Value])
+				pr.varsB = append(pr.varsB, cols[sd.cj][x.Value])
+			} else {
+				consts = append(consts, x)
+			}
+		}
+		switch {
+		case e.opts.RawChi:
+			pr.chi = func(a, b *ClusterItem) int {
+				return len(paths.CommonNodes(a.Path, b.Path))
+			}
+		case len(consts) > maxSharedConsts:
+			qi, qj := eff[sd.ci].Query, eff[sd.cj].Query
+			pr.chi = func(a, b *ClusterItem) int {
+				return align.ChiAligned(qi, qj, a.Alignment.Subst, b.Alignment.Subst, a.Path, b.Path)
+			}
+		}
+		if pr.chi != nil {
+			chiFns++
+		} else {
+			if len(consts) > 0 {
+				pr.conA = constMasks(eff[sd.ci].Items, consts)
+				pr.conB = constMasks(eff[sd.cj].Items, consts)
+			}
+			ps.psiLB += pairBound(&pr, e.par,
+				len(eff[sd.ci].Items), len(eff[sd.cj].Items))
+		}
+		ps.pairs = append(ps.pairs, pr)
+	}
+	if chiFns > 0 {
+		// The uniform floor E per χ-function pair, added as one product:
+		// when every pair has one (RawChi), psiLB is E·|pairs| bit for
+		// bit — the uniform bound, which is the only one raw χ admits
+		// (it can exceed χQ, so no per-pair cap holds).
+		ps.psiLB += e.par.E * float64(chiFns)
+	}
+
+	ps.incident = make([][]int32, len(eff))
+	for pi := range ps.pairs {
+		pr := &ps.pairs[pi]
+		ps.incident[pr.ci] = append(ps.incident[pr.ci], int32(pi))
+		if pr.cj != pr.ci {
+			ps.incident[pr.cj] = append(ps.incident[pr.cj], int32(pi))
+		}
+	}
+	ps.costs = make([][]float64, len(eff))
+	for ci := range eff {
+		col := make([]float64, len(eff[ci].Items))
+		for ii := range eff[ci].Items {
+			col[ii] = eff[ci].Items[ii].Cost()
+		}
+		ps.costs[ci] = col
+	}
+	return ps
+}
+
+// constMasks builds the containment bitmask column for one cluster
+// side: bit s of the ii-th mask ⇔ items[ii].Path contains consts[s].
+func constMasks(items []ClusterItem, consts []rdf.Term) []uint64 {
+	masks := make([]uint64, len(items))
+	for ii := range items {
+		var m uint64
+		for s, c := range consts {
+			if items[ii].Path.ContainsNode(c) {
+				m |= 1 << uint(s)
+			}
+		}
+		masks[ii] = m
+	}
+	return masks
+}
+
+// pairBound computes the pair's ψ lower bound: χa(ii, jj) ≤
+// min(cap_i(ii), cap_j(jj)) ≤ χcap := min(max_ii cap_i, max_jj cap_j),
+// where an item's cap counts the pair's shared variables it binds plus
+// the shared constants its path contains. ψ is non-increasing in χa
+// (ψ(0) = E·χQ ≥ E·χQ/χa for any χa ≥ 1), so ψ ≥ PsiFromChi(χQ, χcap)
+// for every item pair — the per-pair bound summed into psiLB.
+func pairBound(pr *queryPair, par align.Params, nA, nB int) float64 {
+	maxCap := func(vars [][]uint32, con []uint64, n int) int {
+		best := 0
+		for ii := 0; ii < n; ii++ {
+			c := 0
+			for s := range vars {
+				if vars[s][ii] != 0 {
+					c++
+				}
+			}
+			if con != nil {
+				c += bits.OnesCount64(con[ii])
+			}
+			if c > best {
+				best = c
+			}
+		}
+		return best
+	}
+	capA := maxCap(pr.varsA, pr.conA, nA)
+	capB := maxCap(pr.varsB, pr.conB, nB)
+	chiCap := capA
+	if capB < chiCap {
+		chiCap = capB
+	}
+	return align.PsiFromChi(pr.chiQ, chiCap, par)
+}
+
+// scorePair evaluates one pair's (ψ, degree) for the items (ii, jj) —
+// an allocation-free array comparison reproducing ChiAligned, unless
+// the pair carries its own χ function.
+func (ps *pairScorer) scorePair(pi int, ii, jj int) (float64, float64) {
+	pr := &ps.pairs[pi]
+	chiA := 0
+	if pr.chi != nil {
+		chiA = pr.chi(&ps.eff[pr.ci].Items[ii], &ps.eff[pr.cj].Items[jj])
+	} else {
+		for s := range pr.varsA {
+			a := pr.varsA[s][ii]
+			if a != 0 && a == pr.varsB[s][jj] {
+				chiA++
+			}
+		}
+		if pr.conA != nil {
+			chiA += bits.OnesCount64(pr.conA[ii] & pr.conB[jj])
+		}
+	}
+	ps.scoredPairs++
+	return align.PsiFromChi(pr.chiQ, chiA, ps.par), align.PsiDegreeFromChi(pr.chiQ, chiA)
+}
+
+// fillPairVals scores every pair of the combination into pv
+// (interleaved ψ, degree).
+func (ps *pairScorer) fillPairVals(idx []int, pv []float64) {
+	for pi := range ps.pairs {
+		pr := &ps.pairs[pi]
+		pv[2*pi], pv[2*pi+1] = ps.scorePair(pi, idx[pr.ci], idx[pr.cj])
+	}
+}
+
+// patchPairVals re-scores only the pairs incident to the bumped
+// cluster; the rest of pv carries over from the parent.
+func (ps *pairScorer) patchPairVals(idx []int, bumped int, pv []float64) {
+	for _, pi := range ps.incident[bumped] {
+		pr := &ps.pairs[pi]
+		pv[2*pi], pv[2*pi+1] = ps.scorePair(int(pi), idx[pr.ci], idx[pr.cj])
+	}
+	ps.reusedPairs += int64(len(ps.pairs) - len(ps.incident[bumped]))
+}
+
+// sumPairVals folds pv in pair order from zero — the canonical fold of
+// invariant 2.
+func (ps *pairScorer) sumPairVals(pv []float64) (psi, degree float64) {
+	for pi := range ps.pairs {
+		psi += pv[2*pi]
+		degree += pv[2*pi+1]
 	}
 	return psi, degree
+}
+
+// comboLambda folds the selected items' costs in cluster order over the
+// flat cost columns.
+func (ps *pairScorer) comboLambda(idx []int) float64 {
+	var sum float64
+	for ci, ii := range idx {
+		sum += ps.costs[ci][ii]
+	}
+	return sum
+}
+
+// comboFrontier is the Λ-ordered priority queue of the search: combos
+// live in an arena addressed by int32 handles, and the heap orders
+// handles with container/heap's exact sift algorithm (strict less on
+// λ). Pushing moves 4 bytes instead of boxing a 64-byte combo into an
+// interface (container/heap's Push(any) allocates per call), and
+// recycled handles carry their pv buffers with them.
+type comboFrontier struct {
+	arena []combo
+	free  []int32
+	heap  []int32
+	// idxBlock / pvBlock are bump-allocation pools the entries' buffers
+	// are carved from — one make per frontierBlockEntries entries
+	// instead of two per entry.
+	idxBlock []int
+	pvBlock  []float64
+}
+
+// frontierBlockEntries is how many entries' buffers one pool block
+// holds.
+const frontierBlockEntries = 128
+
+func (q *comboFrontier) len() int { return len(q.heap) }
+
+// newIdx carves an index buffer from the pool.
+func (q *comboFrontier) newIdx(nEff int) []int {
+	if len(q.idxBlock) < nEff {
+		q.idxBlock = make([]int, frontierBlockEntries*nEff)
+	}
+	idx := q.idxBlock[:nEff:nEff]
+	q.idxBlock = q.idxBlock[nEff:]
+	return idx
+}
+
+// alloc returns a handle whose entry has idx and pv buffers ready
+// (recycled or freshly carved).
+func (q *comboFrontier) alloc(nEff, nPairVals int) int32 {
+	if n := len(q.free); n > 0 {
+		h := q.free[n-1]
+		q.free = q.free[:n-1]
+		if q.arena[h].idx == nil {
+			q.arena[h].idx = q.newIdx(nEff)
+		}
+		return h
+	}
+	if len(q.pvBlock) < nPairVals {
+		q.pvBlock = make([]float64, frontierBlockEntries*nPairVals)
+	}
+	pv := q.pvBlock[:nPairVals:nPairVals]
+	q.pvBlock = q.pvBlock[nPairVals:]
+	q.arena = append(q.arena, combo{idx: q.newIdx(nEff), pv: pv})
+	return int32(len(q.arena) - 1)
+}
+
+// release returns a handle to the free list. The entry keeps its pv
+// buffer; idx has been handed off to the result list (takeIdx).
+func (q *comboFrontier) release(h int32) { q.free = append(q.free, h) }
+
+// takeIdx detaches the entry's index slice (ownership moves to the
+// result list, which recycles it independently).
+func (q *comboFrontier) takeIdx(h int32) []int {
+	idx := q.arena[h].idx
+	q.arena[h].idx = nil
+	return idx
+}
+
+// giveIdx hands a recycled index slice to a free-listed entry.
+func (q *comboFrontier) giveIdx(idx []int) {
+	for i := len(q.free) - 1; i >= 0; i-- {
+		if q.arena[q.free[i]].idx == nil {
+			q.arena[q.free[i]].idx = idx
+			return
+		}
+	}
+}
+
+func (q *comboFrontier) less(i, j int) bool {
+	return q.arena[q.heap[i]].lambda < q.arena[q.heap[j]].lambda
+}
+
+func (q *comboFrontier) swap(i, j int) { q.heap[i], q.heap[j] = q.heap[j], q.heap[i] }
+
+// push and pop are container/heap.Push / container/heap.Pop on the
+// handle slice, comparison for comparison: the heap layout, and with it
+// the pop order among equal-λ entries, is part of invariant 4.
+func (q *comboFrontier) push(h int32) {
+	q.heap = append(q.heap, h)
+	q.up(len(q.heap) - 1)
+}
+
+func (q *comboFrontier) pop() int32 {
+	n := len(q.heap) - 1
+	q.swap(0, n)
+	q.down(0, n)
+	h := q.heap[n]
+	q.heap = q.heap[:n]
+	return h
+}
+
+func (q *comboFrontier) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		j = i
+	}
+}
+
+func (q *comboFrontier) down(i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
+			j = j2
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+}
+
+// u64Set is an open-addressing membership set over the frontier's
+// 64-bit combination hashes (hashIdx), without per-insert hashing of the
+// already mixed key.
+type u64Set struct {
+	slots   []uint64
+	mask    uint64
+	n       int
+	hasZero bool
+}
+
+func newU64Set() *u64Set {
+	return &u64Set{slots: make([]uint64, 1024), mask: 1023}
+}
+
+// u64SetPool recycles visited sets across searches: a recycled set
+// keeps its grown capacity, so steady-state queries never pay the
+// rehash cascade from the initial size (clearing is a sequential
+// memclr, far cheaper than rehashing the same entries).
+var u64SetPool = sync.Pool{New: func() any { return newU64Set() }}
+
+func getU64Set() *u64Set {
+	s := u64SetPool.Get().(*u64Set)
+	clear(s.slots)
+	s.n = 0
+	s.hasZero = false
+	return s
+}
+
+// add inserts k and reports whether it was absent.
+func (s *u64Set) add(k uint64) bool {
+	if k == 0 {
+		if s.hasZero {
+			return false
+		}
+		s.hasZero = true
+		return true
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	i := k & s.mask
+	for {
+		v := s.slots[i]
+		if v == 0 {
+			s.slots[i] = k
+			s.n++
+			return true
+		}
+		if v == k {
+			return false
+		}
+		i = (i + 1) & s.mask
+	}
+}
+
+func (s *u64Set) grow() {
+	old := s.slots
+	s.slots = make([]uint64, 2*len(old))
+	s.mask = uint64(len(s.slots) - 1)
+	for _, v := range old {
+		if v == 0 {
+			continue
+		}
+		i := v & s.mask
+		for s.slots[i] != 0 {
+			i = (i + 1) & s.mask
+		}
+		s.slots[i] = v
+	}
+}
+
+// Join-pass budgets: seeds per intersection-graph pair, seeds per query,
+// and items inspected per cluster while greedily extending a seed.
+const (
+	maxSeedsPerPair = 48
+	maxTotalSeeds   = 192
+	maxChecksPerCol = 512
+)
+
+// joinTables is the join pass's compiled view of the clusters: an
+// item's full substitution flattened into parallel (name ID, term ID)
+// arrays, so the extension phase's repeated compatibility checks are
+// linear scans over small integer slices instead of map iterations.
+// Term IDs come from the scorer's interner (full Term equality); name
+// IDs from a local string interner; label IDs (the join key's
+// equivalence is Label() equality) are derived per term ID on demand.
+type joinTables struct {
+	in  *termInterner
+	eff []Cluster
+	// ready[ci] marks clusters whose arrays are filled. Clusters
+	// flatten lazily on first touch by the extension phase — seed keys
+	// never need the tables (they read the scorer's binding columns),
+	// so a query whose seeds all fail key matching flattens nothing.
+	ready []bool
+	// Per effective cluster: off[ci][ii]..off[ci][ii+1] indexes item
+	// ii's entries in names[ci]/terms[ci].
+	off   [][]int32
+	names [][]int32
+	terms [][]uint32
+	// nameID interns substitution variable names (1-based).
+	nameID map[string]int32
+	// labelOf[tid] is the interned Label() of term tid (0 = not yet
+	// derived); labelIDs interns the label strings.
+	labelOf  []uint32
+	labelIDs map[string]uint32
+	// bound is the accumulated-bindings scratch shared by the seed
+	// loop: parallel (name ID, term ID), first binding wins.
+	boundNames []int32
+	boundTerms []uint32
+}
+
+// name interns a substitution variable name (1-based).
+func (jt *joinTables) name(s string) int32 {
+	id, ok := jt.nameID[s]
+	if !ok {
+		id = int32(len(jt.nameID) + 1)
+		jt.nameID[s] = id
+	}
+	return id
+}
+
+// ensure flattens cluster ci's substitutions if pass 2 did not.
+func (jt *joinTables) ensure(ci int) {
+	if jt.ready[ci] {
+		return
+	}
+	jt.ready[ci] = true
+	items := jt.eff[ci].Items
+	off := make([]int32, len(items)+1)
+	var ns []int32
+	var ts []uint32
+	for ii := range items {
+		for name, val := range items[ii].Alignment.Subst {
+			ns = append(ns, jt.name(name))
+			ts = append(ts, jt.in.id(val))
+		}
+		off[ii+1] = int32(len(ns))
+	}
+	jt.off[ci], jt.names[ci], jt.terms[ci] = off, ns, ts
+}
+
+// label derives (and caches) the interned Label() of a term ID.
+func (jt *joinTables) label(tid uint32) uint32 {
+	if int(tid) >= len(jt.labelOf) {
+		grown := make([]uint32, jt.in.n+1)
+		copy(grown, jt.labelOf)
+		jt.labelOf = grown
+	}
+	if l := jt.labelOf[tid]; l != 0 {
+		return l
+	}
+	s := jt.in.terms[tid-1].Label()
+	l, ok := jt.labelIDs[s]
+	if !ok {
+		l = uint32(len(jt.labelIDs) + 1)
+		jt.labelIDs[s] = l
+	}
+	jt.labelOf[tid] = l
+	return l
+}
+
+// keyFromCols fills the item's label-key vector straight from the
+// scorer's binding columns (vars[s][ii] is the interned binding for the
+// pair's s-th shared variable); false when the item does not bind every
+// shared variable (column 0 ⇔ the variable is absent from the item's
+// substitution).
+func (jt *joinTables) keyFromCols(vars [][]uint32, ii int, kv []uint32) bool {
+	for s := range vars {
+		tid := vars[s][ii]
+		if tid == 0 {
+			return false
+		}
+		kv[s] = jt.label(tid)
+	}
+	return true
+}
+
+// mergeSubst folds an item's bindings into the scratch directly from
+// its substitution map (used for the two seed items — a handful per
+// seed, unlike the extension phase's hundreds of candidate checks);
+// first binding wins.
+func (jt *joinTables) mergeSubst(item ClusterItem) {
+	for name, val := range item.Alignment.Subst {
+		nid := jt.name(name)
+		dup := false
+		for _, bn := range jt.boundNames {
+			if bn == nid {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			jt.boundNames = append(jt.boundNames, nid)
+			jt.boundTerms = append(jt.boundTerms, jt.in.id(val))
+		}
+	}
+}
+
+// compatible reports whether the item's substitution agrees with the
+// accumulated bindings under full Term identity.
+func (jt *joinTables) compatible(ci, ii int) bool {
+	lo, hi := jt.off[ci][ii], jt.off[ci][ii+1]
+	names, terms := jt.names[ci], jt.terms[ci]
+	for t := lo; t < hi; t++ {
+		for b, bn := range jt.boundNames {
+			if bn == names[t] {
+				if jt.boundTerms[b] != terms[t] {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
+}
+
+// merge folds the item's bindings into the scratch, first binding wins.
+func (jt *joinTables) merge(ci, ii int) {
+	lo, hi := jt.off[ci][ii], jt.off[ci][ii+1]
+	names, terms := jt.names[ci], jt.terms[ci]
+	for t := lo; t < hi; t++ {
+		dup := false
+		for _, bn := range jt.boundNames {
+			if bn == names[t] {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			jt.boundNames = append(jt.boundNames, names[t])
+			jt.boundTerms = append(jt.boundTerms, terms[t])
+		}
+	}
+}
+
+// extend completes a partial combo over the remaining clusters,
+// greedily taking the best-cost compatible item per cluster within the
+// maxChecksPerCol budget.
+func (jt *joinTables) extend(eff []Cluster, idx []int, have []bool) bool {
+	for ci := range eff {
+		if have[ci] {
+			continue
+		}
+		jt.ensure(ci)
+		found := -1
+		checks := len(eff[ci].Items)
+		if checks > maxChecksPerCol {
+			checks = maxChecksPerCol
+		}
+		for ii := 0; ii < checks; ii++ {
+			if jt.compatible(ci, ii) {
+				found = ii
+				break
+			}
+		}
+		if found < 0 {
+			return false
+		}
+		idx[ci] = found
+		jt.merge(ci, found)
+	}
+	return true
+}
+
+// joinCombos builds combinations whose per-path substitutions agree on
+// the shared query variables: a hash-join over each intersection-graph
+// pair (probe one cluster's shared-variable bindings into the other's),
+// with each match greedily extended to the remaining clusters. It runs
+// on the scorer's precompiled pair structure: binding keys are
+// label-interned uint32 vectors hashed as integers with exact vector
+// verification on both build and probe (no per-item string assembly,
+// and hash collisions cannot merge distinct keys), and the greedy
+// extension runs on flattened substitution tables instead of per-item
+// map iteration. Join keys compare bindings by Label(), the
+// compatibility checks by full Term identity.
+func joinCombos(eff []Cluster, ps *pairScorer) [][]int {
+	if ps.jt == nil {
+		return nil
+	}
+	jt := ps.jt
+	have := make([]bool, len(eff))
+
+	var out [][]int
+	var kvArena []uint32
+	for pi := range ps.pairs {
+		if len(out) >= maxTotalSeeds {
+			break
+		}
+		pr := &ps.pairs[pi]
+		nv := len(pr.sharedVars)
+		if nv == 0 {
+			continue
+		}
+		// Build side: the smaller cluster of the pair; first item per
+		// key wins (items are cost-sorted).
+		build, probe := pr.ci, pr.cj
+		buildVars, probeVars := pr.varsA, pr.varsB
+		if len(eff[probe].Items) < len(eff[build].Items) {
+			build, probe = probe, build
+			buildVars, probeVars = probeVars, buildVars
+		}
+		type entry struct {
+			kv []uint32
+			ii int
+		}
+		buckets := make(map[uint64][]entry, len(eff[build].Items))
+		if need := nv * len(eff[build].Items); cap(kvArena) < need {
+			kvArena = make([]uint32, need)
+		}
+		for ii := range eff[build].Items {
+			kv := kvArena[ii*nv : (ii+1)*nv]
+			if !jt.keyFromCols(buildVars, ii, kv) {
+				continue
+			}
+			h := hashU32s(kv)
+			dup := false
+			for _, en := range buckets[h] {
+				if equalU32s(en.kv, kv) {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				buckets[h] = append(buckets[h], entry{kv: kv, ii: ii})
+			}
+		}
+		seeds := 0
+		kv := make([]uint32, nv)
+		for ii := range eff[probe].Items {
+			if seeds >= maxSeedsPerPair || len(out) >= maxTotalSeeds {
+				break
+			}
+			if !jt.keyFromCols(probeVars, ii, kv) {
+				continue
+			}
+			jj := -1
+			for _, en := range buckets[hashU32s(kv)] {
+				if equalU32s(en.kv, kv) {
+					jj = en.ii
+					break
+				}
+			}
+			if jj < 0 {
+				continue
+			}
+			idx := make([]int, len(eff))
+			idx[probe], idx[build] = ii, jj
+			jt.boundNames = jt.boundNames[:0]
+			jt.boundTerms = jt.boundTerms[:0]
+			jt.mergeSubst(eff[probe].Items[ii])
+			jt.mergeSubst(eff[build].Items[jj])
+			for ci := range have {
+				have[ci] = ci == probe || ci == build
+			}
+			if jt.extend(eff, idx, have) {
+				out = append(out, idx)
+				seeds++
+			}
+		}
+	}
+	return out
+}
+
+// hashU32s is 64-bit FNV-1a over the vector's little-endian bytes.
+func hashU32s(kv []uint32) uint64 {
+	const (
+		fnvOffset = 14695981039346656037
+		fnvPrime  = 1099511628211
+	)
+	h := uint64(fnvOffset)
+	for _, v := range kv {
+		h = (h ^ uint64(v&0xff)) * fnvPrime
+		h = (h ^ uint64((v>>8)&0xff)) * fnvPrime
+		h = (h ^ uint64((v>>16)&0xff)) * fnvPrime
+		h = (h ^ uint64(v>>24)) * fnvPrime
+	}
+	return h
+}
+
+func equalU32s(a, b []uint32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // missPenalty prices the query paths with empty clusters: each costs its
@@ -550,15 +1198,6 @@ func (e *Engine) missPenalty(pre *Preprocessed, missing []paths.Path, missed map
 		}
 	}
 	return pen
-}
-
-// comboLambda sums the alignment costs of the selected items.
-func (e *Engine) comboLambda(eff []Cluster, idx []int) float64 {
-	var sum float64
-	for ci, ii := range idx {
-		sum += eff[ci].Items[ii].Cost()
-	}
-	return sum
 }
 
 // buildAnswer materialises one scored combination.
@@ -584,13 +1223,10 @@ func (e *Engine) buildAnswer(eff []Cluster, idx []int, missing []paths.Path, lam
 	return ans
 }
 
-// combo is one combination of per-cluster candidate indices. The
-// legacy lane fills idx and lambda only; the v2 lane additionally
-// carries the combination's conformity sums and the per-pair (ψ,
-// degree) values they were summed from (pv, interleaved), so a
-// successor re-scores only the pairs incident to its bumped cluster.
-// Both lanes heap-order by λ alone and push successors in the same
-// cluster order, so their pop sequences are identical.
+// combo is one combination of per-cluster candidate indices, with its
+// conformity sums and the per-pair (ψ, degree) values they were summed
+// from (pv, interleaved), so a successor re-scores only the pairs
+// incident to its bumped cluster.
 type combo struct {
 	idx    []int
 	lambda float64
@@ -604,8 +1240,7 @@ type combo struct {
 // (cluster sizes are bounded well below 2^32 by maxCandidatesBound).
 // bump ≥ 0 hashes the vector with idx[bump] incremented by one — the
 // successor's identity without materialising its slice; bump < 0
-// hashes idx as is. Replaces the varint string keys the frontier's
-// seen map used to allocate per successor.
+// hashes idx as is.
 func hashIdx(idx []int, bump int) uint64 {
 	const (
 		fnvOffset = 14695981039346656037
@@ -622,18 +1257,4 @@ func hashIdx(idx []int, bump int) uint64 {
 		h = (h ^ uint64((v>>24)&0xff)) * fnvPrime
 	}
 	return h
-}
-
-type comboHeap []combo
-
-func (h comboHeap) Len() int           { return len(h) }
-func (h comboHeap) Less(i, j int) bool { return h[i].lambda < h[j].lambda }
-func (h comboHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *comboHeap) Push(x any)        { *h = append(*h, x.(combo)) }
-func (h *comboHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

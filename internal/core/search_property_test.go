@@ -6,19 +6,20 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sama/internal/align"
 	"sama/internal/index"
 	"sama/internal/rdf"
 )
 
 // TestIncrementalPairDeltasMatchScratch is the randomized property test
-// for the v2 frontier's incremental scoring: over seeded random graphs
-// and star queries, it replays random successor walks and asserts that
+// for the frontier's incremental scoring: over seeded random graphs and
+// star queries, it replays random successor walks and asserts that
 // patching only the pairs incident to the bumped cluster leaves the
 // pair-value vector bit-identical to a from-scratch fill, and that the
-// folded (λ, ψ, degree) equal the legacy comboScorer's recomputation
-// exactly — not approximately. Any divergence here would break the v2
-// lane's bit-identicality contract long before it showed up in ranked
-// answers.
+// folded (λ, ψ, degree) equal the paper's formulas — align.PsiAligned
+// and align.PsiDegreeAligned folded in pair order, the items' alignment
+// costs in cluster order — exactly, not approximately. Any divergence
+// here would show up as ulp drift in ranked scores.
 func TestIncrementalPairDeltasMatchScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	const rounds = 8
@@ -78,11 +79,7 @@ func TestIncrementalPairDeltasMatchScratch(t *testing.T) {
 			e.Close()
 			continue
 		}
-		ps, ok := newPairScorer(e, pre, eff)
-		if !ok {
-			t.Fatalf("round %d: newPairScorer declined a %d-cluster query", round, len(eff))
-		}
-		sc := newComboScorer(e, pre, eff)
+		ps := newPairScorer(e, pre, eff)
 		if len(ps.pairs) > 0 {
 			pairsSeen++
 		}
@@ -117,14 +114,21 @@ func TestIncrementalPairDeltasMatchScratch(t *testing.T) {
 						round, step, i, pv[i], scratch[i], idx)
 				}
 			}
+			chosen := make(map[int]align.PairedPath, len(eff))
+			var wantLambda float64
+			for ci, cl := range eff {
+				item := cl.Items[idx[ci]]
+				chosen[cl.QueryIndex] = align.PairedPath{Query: cl.Query, Data: item.Path, Alignment: item.Alignment}
+				wantLambda += item.Alignment.Cost
+			}
 			psi, degree := ps.sumPairVals(pv)
-			wantPsi, wantDeg := sc.score(idx)
+			wantPsi, wantDeg := paperConformity(pre, chosen, e.Params(), false)
 			if psi != wantPsi || degree != wantDeg {
-				t.Fatalf("round %d step %d: folded (ψ %v, deg %v) != legacy scorer (ψ %v, deg %v) at idx %v",
+				t.Fatalf("round %d step %d: folded (ψ %v, deg %v) != formulas (ψ %v, deg %v) at idx %v",
 					round, step, psi, degree, wantPsi, wantDeg, idx)
 			}
-			if l1, l2 := ps.comboLambda(idx), e.comboLambda(eff, idx); l1 != l2 {
-				t.Fatalf("round %d step %d: flat λ %v != legacy λ %v at idx %v", round, step, l1, l2, idx)
+			if l := ps.comboLambda(idx); l != wantLambda {
+				t.Fatalf("round %d step %d: flat λ %v != Σ alignment costs %v at idx %v", round, step, l, wantLambda, idx)
 			}
 		}
 		ix.Close()

@@ -1,0 +1,176 @@
+package core
+
+import (
+	"context"
+
+	"sama/internal/index"
+	"sama/internal/paths"
+	"sama/internal/shard"
+)
+
+// shardBackend serves the engine's backend surface over a shard set,
+// in global path IDs (shard.Set.GlobalID). Point lookups route to the
+// owning shard; posting lookups scatter to every shard and merge the
+// sorted results. NumPaths returns the exclusive global-ID bound, not
+// the path count — the global space has holes wherever shard sizes
+// differ, which Live-gated scans (fallbackScan) handle and nothing
+// else in the engine assumes away.
+//
+// buildCluster over this backend builds the cluster the monolithic
+// index would: a posting lookup is non-empty exactly when some shard's
+// is, so retrieve's cascade stops at the level the monolith stops at,
+// with the same candidates in the same ascending order; pre-rank, memo
+// keys, the bound sort, wave boundaries and prune decisions read only
+// global IDs, summaries and staged costs; and the final (cost, ID) sort
+// is a strict total order, so it does not matter which shard an item
+// came from.
+type shardBackend struct {
+	set *shard.Set
+}
+
+func (b shardBackend) Epoch() uint64             { return b.set.Epoch() }
+func (b shardBackend) NumPaths() int             { return int(b.set.MaxGlobalID()) }
+func (b shardBackend) Live(id index.PathID) bool { return b.set.LiveGlobal(id) }
+
+// Summaries splits the global IDs by owning shard, fetches each shard's
+// summaries in one batch, and scatters them back positionally. Any
+// shard reporting ErrStaleRead fails the whole batch, matching the
+// monolithic semantics: the engine restarts the query, it never ranks
+// against a torn view.
+func (b shardBackend) Summaries(ids []index.PathID) ([]index.PathSummary, error) {
+	out := make([]index.PathSummary, len(ids))
+	n := b.set.NumShards()
+	pos := make([][]int, n)
+	locals := make([][]index.PathID, n)
+	for i, id := range ids {
+		k, local := b.set.Locate(id)
+		pos[k] = append(pos[k], i)
+		locals[k] = append(locals[k], local)
+	}
+	for k := 0; k < n; k++ {
+		if len(locals[k]) == 0 {
+			continue
+		}
+		sums, err := b.set.Shard(k).Summaries(locals[k])
+		if err != nil {
+			return nil, err
+		}
+		for i, s := range sums {
+			out[pos[k][i]] = s
+		}
+	}
+	return out, nil
+}
+
+// LabelProbeMask answers from shard 0: the mask depends only on the
+// tokenizer and the thesaurus, which every shard in a set shares, so
+// any shard gives the set-wide answer.
+func (b shardBackend) LabelProbeMask(label string) uint64 {
+	return b.set.Shard(0).LabelProbeMask(label)
+}
+
+// PathsByAllLabels intersects per shard and merges: the shards
+// partition the path set, so the union of per-shard intersections is
+// exactly the global intersection.
+func (b shardBackend) PathsByAllLabels(labels []string) []index.PathID {
+	return b.gather(func(sh shard.Shard) []index.PathID { return sh.PathsByAllLabels(labels) })
+}
+
+func (b shardBackend) PathsBySink(label string) []index.PathID {
+	return b.gather(func(sh shard.Shard) []index.PathID { return sh.PathsBySink(label) })
+}
+
+func (b shardBackend) PathsByLabel(label string) []index.PathID {
+	return b.gather(func(sh shard.Shard) []index.PathID { return sh.PathsByLabel(label) })
+}
+
+// gather runs one posting lookup on every shard and merges the results
+// into ascending global-ID order — the order the monolithic index's
+// postings come back in, since GlobalID is monotone per shard.
+func (b shardBackend) gather(lookup func(shard.Shard) []index.PathID) []index.PathID {
+	lists := make([][]index.PathID, 0, b.set.NumShards())
+	for k := 0; k < b.set.NumShards(); k++ {
+		if ids := lookup(b.set.Shard(k)); len(ids) > 0 {
+			lists = append(lists, globalize(b.set, k, ids))
+		}
+	}
+	return mergeSortedIDs(lists)
+}
+
+// ReadPathsBatched splits the global IDs by owning shard, runs one
+// page-locality batched read per shard, and scatters the results back
+// positionally. Error semantics follow index.ReadPathsBatched: a
+// cancelled context returns partial results alongside the context
+// error; a stale or failed read fails the batch.
+func (b shardBackend) ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, error) {
+	out := make([]paths.Path, len(ids))
+	if len(ids) == 0 {
+		return out, nil
+	}
+	n := b.set.NumShards()
+	pos := make([][]int, n)
+	locals := make([][]index.PathID, n)
+	for i, id := range ids {
+		k, local := b.set.Locate(id)
+		pos[k] = append(pos[k], i)
+		locals[k] = append(locals[k], local)
+	}
+	var firstErr error
+	for k := 0; k < n; k++ {
+		if len(locals[k]) == 0 {
+			continue
+		}
+		ps, err := b.set.Shard(k).ReadPathsBatched(ctx, locals[k])
+		if err != nil && ctx.Err() == nil {
+			return nil, err
+		}
+		for i, p := range ps {
+			out[pos[k][i]] = p
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return out, firstErr
+}
+
+// globalize maps shard k's sorted local IDs into sorted global IDs.
+func globalize(set *shard.Set, k int, locals []index.PathID) []index.PathID {
+	out := make([]index.PathID, len(locals))
+	for i, l := range locals {
+		out[i] = set.GlobalID(k, l)
+	}
+	return out
+}
+
+// mergeSortedIDs k-way merges ascending ID lists. The lists are
+// disjoint (each shard owns a distinct residue class of the global ID
+// space), so a simple smallest-head loop suffices.
+func mergeSortedIDs(lists [][]index.PathID) []index.PathID {
+	switch len(lists) {
+	case 0:
+		return nil
+	case 1:
+		return lists[0]
+	}
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	out := make([]index.PathID, 0, total)
+	heads := make([]int, len(lists))
+	for len(out) < total {
+		best := -1
+		for li, l := range lists {
+			if heads[li] >= len(l) {
+				continue
+			}
+			if best < 0 || l[heads[li]] < lists[best][heads[best]] {
+				best = li
+			}
+		}
+		out = append(out, lists[best][heads[best]])
+		heads[best]++
+	}
+	return out
+}

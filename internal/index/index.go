@@ -769,31 +769,6 @@ func (ix *Index) Live(id PathID) bool {
 	return int(id) < len(ix.deleted) && !ix.deleted[id]
 }
 
-// PathLength returns the number of nodes of the path, from the
-// in-memory length table (no disk access). A stale ID — one captured
-// before a compaction shrank the ID space — returns 0 instead of
-// panicking; callers that need staleness surfaced as an error use
-// Summaries, which reports ErrStaleRead for the whole batch.
-func (ix *Index) PathLength(id PathID) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if int(id) >= len(ix.lens) {
-		return 0
-	}
-	return int(ix.lens[id])
-}
-
-// ContainsLabel reports whether the path contains an element whose
-// label normalises exactly to the given label, answered from the
-// in-memory compressed postings (skip-table probe plus at most one
-// block scan; no disk access). Stale IDs are safe: an ID outside the
-// current space is simply absent from every postings list.
-func (ix *Index) ContainsLabel(id PathID, label string) bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.labels.ContainsDoc(label, uint32(id))
-}
-
 // Stats returns the build statistics.
 func (ix *Index) Stats() Stats {
 	ix.mu.RLock()

@@ -245,37 +245,26 @@ func TestDropCacheGoesCold(t *testing.T) {
 	}
 }
 
-func TestPathLengthTable(t *testing.T) {
+// TestSummaryLengths pins the in-memory length table against the paths
+// on disk: every summary's Len is its path's node count.
+func TestSummaryLengths(t *testing.T) {
 	ix := buildTestIndex(t, Options{})
-	for id := 0; id < ix.NumPaths(); id++ {
-		p, err := ix.Path(PathID(id))
+	ids := make([]PathID, ix.NumPaths())
+	for i := range ids {
+		ids[i] = PathID(i)
+	}
+	sums, err := ix.Summaries(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		p, err := ix.Path(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ix.PathLength(PathID(id)); got != p.Length() {
-			t.Errorf("PathLength(%d) = %d, want %d", id, got, p.Length())
+		if got := int(sums[i].Len); got != p.Length() {
+			t.Errorf("Summaries(%d).Len = %d, want %d", id, got, p.Length())
 		}
-	}
-}
-
-func TestContainsLabel(t *testing.T) {
-	ix := buildTestIndex(t, Options{})
-	ids := ix.PathsByLabel("B1432")
-	if len(ids) == 0 {
-		t.Fatal("no candidate paths")
-	}
-	for id := 0; id < ix.NumPaths(); id++ {
-		p, err := ix.Path(PathID(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := p.ContainsLabelText("B1432")
-		if got := ix.ContainsLabel(PathID(id), "B1432"); got != want {
-			t.Errorf("ContainsLabel(%d, B1432) = %v, want %v (%s)", id, got, want, p)
-		}
-	}
-	if ix.ContainsLabel(0, "no-such-label") {
-		t.Error("absent label reported present")
 	}
 }
 

@@ -10,11 +10,9 @@ import (
 )
 
 // TestAccessorsSurviveShrunkIDSpace pins the accessor contract for IDs
-// captured before a compaction shrank the ID space. The scalar
-// accessors degrade (zero / false / not live) instead of panicking —
-// PathLength used to index straight into the length table and crash —
-// while Summaries surfaces the staleness as ErrStaleRead so the
-// engine's restart loop re-runs the query.
+// captured before a compaction shrank the ID space: Live degrades to
+// false instead of panicking, while Summaries surfaces the staleness as
+// ErrStaleRead so the engine's restart loop re-runs the query.
 func TestAccessorsSurviveShrunkIDSpace(t *testing.T) {
 	ix := buildTestIndex(t, Options{})
 
@@ -53,12 +51,6 @@ func TestAccessorsSurviveShrunkIDSpace(t *testing.T) {
 	if int(stale) < after {
 		t.Fatalf("test setup: %d still in range (%d paths)", stale, after)
 	}
-	if got := ix.PathLength(stale); got != 0 {
-		t.Errorf("PathLength(stale) = %d, want 0", got)
-	}
-	if ix.ContainsLabel(stale, "Health Care") {
-		t.Error("ContainsLabel(stale) = true, want false")
-	}
 	if ix.Live(stale) {
 		t.Error("Live(stale) = true, want false")
 	}
@@ -72,17 +64,21 @@ func TestAccessorsSurviveShrunkIDSpace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Summaries(live) err = %v", err)
 	}
-	if int(sums[0].Len) != ix.PathLength(0) {
-		t.Errorf("summary Len %d != PathLength %d", sums[0].Len, ix.PathLength(0))
+	p, err := ix.Path(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(sums[0].Len) != p.Length() {
+		t.Errorf("summary Len %d != path length %d", sums[0].Len, p.Length())
 	}
 	if sums[0].Sig == 0 {
 		t.Error("summary signature is zero for a labelled path")
 	}
 }
 
-// TestSummariesRaceCompaction hammers the summary batch and the scalar
-// accessors with pre-captured (increasingly stale) IDs while one-path
-// incremental compactions and re-enumerating inserts churn the ID
+// TestSummariesRaceCompaction hammers the summary batch with
+// pre-captured (increasingly stale) IDs while one-path incremental
+// compactions and re-enumerating inserts churn the ID
 // space. Every call must either answer or report ErrStaleRead — no
 // panic, no torn read. Run under -race (make check does) this also pins
 // the lock discipline of Summaries against the compaction swap.
@@ -113,10 +109,6 @@ func TestSummariesRaceCompaction(t *testing.T) {
 				if _, err := ix.Summaries(captured); err != nil && !errors.Is(err, ErrStaleRead) {
 					t.Errorf("Summaries: %v", err)
 					return
-				}
-				for _, id := range captured {
-					ix.PathLength(id)
-					ix.ContainsLabel(id, "Health Care")
 				}
 			}
 		}()

@@ -28,16 +28,14 @@ import (
 	"sama/internal/storage"
 )
 
-// Shard is the read surface the scatter-gather engine needs from one
+// Shard is the read surface the sharded engine needs from one
 // partition. *index.Index satisfies it; the interface exists so the
-// engine's per-shard passes do not reach past the query primitives into
+// engine's shard backend does not reach past the query primitives into
 // shard lifecycle (that is the Set's job).
 type Shard interface {
 	Epoch() uint64
 	NumPaths() int
 	Live(id index.PathID) bool
-	PathLength(id index.PathID) int
-	ContainsLabel(id index.PathID, label string) bool
 	Summaries(ids []index.PathID) ([]index.PathSummary, error)
 	LabelProbeMask(label string) uint64
 	PathsBySink(label string) []index.PathID

@@ -69,13 +69,6 @@ func (ix *Index) LookupExact(label string) []uint32 {
 	return p.AppendTo(make([]uint32, 0, p.Len()))
 }
 
-// ContainsDoc reports whether doc is indexed under the exact normalised
-// label: a skip-table binary search plus at most one block scan, with
-// no decoding or allocation.
-func (ix *Index) ContainsDoc(label string, doc uint32) bool {
-	return ix.exact[Normalize(label)].Contains(doc)
-}
-
 // Lookup returns the postings matching the label at any precision level:
 // the exact normalised label, each of its tokens, and each thesaurus
 // expansion of those tokens. The result is sorted and deduplicated.
