@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet build bins test race race-hot crash bench bench-check profile serve-smoke route-smoke
+.PHONY: check fmt vet build bins test race race-hot crash bench bench-check fuzz-smoke loc profile serve-smoke route-smoke
 
 # check is the tier-1 gate: formatting, static analysis, a full build
 # (packages and both binaries), the race-enabled test suite with an
 # extra race pass over the concurrency-hot packages, the
-# crash-recovery matrix, the multi-node router smoke test, and the
-# benchmark module's own vet and tests. CI and pre-commit both run this.
-check: fmt vet build bins race race-hot crash route-smoke bench-check
+# crash-recovery matrix, the multi-node router smoke test, the
+# benchmark module's own vet and tests, and a ten-second run of the
+# native fuzz target. CI and pre-commit both run this.
+check: fmt vet build bins race race-hot crash route-smoke bench-check fuzz-smoke
 
 fmt:
 	@files=$$(gofmt -l .); \
@@ -35,11 +36,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-hot re-runs the packages where caching, epoch invalidation,
-# request coalescing, WAL group commit, incremental compaction, the
-# event ring's subscriber fan-out and the signature pre-rank's
-# probe-mask lookups interleave — a second -count pass varies
-# goroutine scheduling beyond what one ./... sweep exercises.
+# race-hot re-runs the packages where caching, epoch invalidation, the
+# per-query-path cluster goroutines (one alignment memo and one I/O
+# tally shared by all of a query's clusters), request coalescing, WAL
+# group commit, incremental compaction, the event ring's subscriber
+# fan-out and the signature pre-rank's probe-mask lookups interleave —
+# a second -count pass varies goroutine scheduling beyond what one
+# ./... sweep exercises.
 race-hot:
 	$(GO) test -race -count=2 ./internal/cache ./internal/core ./internal/server ./internal/storage ./internal/index ./internal/obs ./internal/shard ./internal/textindex
 
@@ -65,6 +68,22 @@ bench:
 # otherwise be deleted unnoticed.
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
+# fuzz-smoke runs the path-record decoder's fuzz target for ten seconds
+# on top of its checked-in corpus (internal/index/testdata/fuzz); a
+# crasher it finds is written there and fails every later go test.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDecodePath -fuzztime 10s ./internal/index
+
+# loc prints non-test and test Go line counts per package directory —
+# the root module's and bench/'s — one line each, so a "non-test lines
+# do not grow" gate is one diff of this output.
+loc:
+	@find . -name '*.go' -not -path './.bench_build/*' -exec dirname {} \; | sort -u | while read -r d; do \
+		nt=$$(find "$$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		t=$$(find "$$d" -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-28s %6d non-test %6d test\n' "$$d" "$$nt" "$$t"; \
+	done
 
 # profile captures a CPU profile of the warm Fig. 7(a)-style query mix
 # (BenchmarkSearchMix: Q2/Q4/Q10 over the shared LUBM instance) into

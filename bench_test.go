@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -186,38 +185,6 @@ func BenchmarkSearchMix(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-// BenchmarkClusterParallel sweeps the alignment worker pool size on
-// the Figure 7(a) largest-instance configuration (8 000-triple LUBM,
-// query Q4). The cluster phase fans candidate alignments out across
-// the workers; with enough cores, latency drops as workers grow.
-func BenchmarkClusterParallel(b *testing.B) {
-	dir := b.TempDir()
-	g := datasets.LUBM{}.Generate(8_000, 1)
-	sys, err := experiments.NewSamaSystem(dir, g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	q := workload.LUBMQueries()[3]
-	seen := map[int]bool{}
-	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		b.Run("workers-"+itoa(w), func(b *testing.B) {
-			eng := core.New(sys.Index(), core.Options{Parallelism: w})
-			defer eng.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Query(q.Pattern, experiments.TopK); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -436,22 +403,6 @@ type benchCacheReport struct {
 	HitRate          float64 `json:"hit_rate"`
 }
 
-// benchParallelReport records the serial-vs-parallel comparison: the
-// same query set through a Parallelism:1 and a Parallelism:4 engine
-// over the same index, with cluster/search phase medians and the
-// cluster-phase speedup ratio. GOMAXPROCS is recorded because the
-// speedup is bounded by the cores actually available — on a single-core
-// host the ratio sits near 1.0 by construction.
-type benchParallelReport struct {
-	Workers           int     `json:"workers"`
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	SerialClusterNS   int64   `json:"serial_cluster_median_ns"`
-	ParallelClusterNS int64   `json:"parallel_cluster_median_ns"`
-	SerialSearchNS    int64   `json:"serial_search_median_ns"`
-	ParallelSearchNS  int64   `json:"parallel_search_median_ns"`
-	ClusterSpeedup    float64 `json:"cluster_speedup"`
-}
-
 // benchDurabilityReport records the durable write path's cost and the
 // recovery/compaction latencies: ingest throughput without a WAL, with
 // a WAL and one writer (every batch pays its own fsync), and with a WAL
@@ -504,7 +455,6 @@ type benchPhaseReport struct {
 	Triples    int                    `json:"triples"`
 	Queries    []benchPhaseRow        `json:"queries"`
 	Cache      *benchCacheReport      `json:"cache,omitempty"`
-	Parallel   *benchParallelReport   `json:"parallel,omitempty"`
 	Shard      *benchShardReport      `json:"shard,omitempty"`
 	Durability *benchDurabilityReport `json:"durability,omitempty"`
 }
@@ -629,44 +579,6 @@ func BenchmarkPhaseBreakdown(b *testing.B) {
 	report.Cache = cr
 	b.ReportMetric(cr.Speedup, "cache-speedup")
 	b.ReportMetric(cr.HitRate, "cache-hit-rate")
-
-	// Serial-vs-parallel measurement: the same queries through a
-	// Parallelism:1 and a Parallelism:4 engine over the same index.
-	// Answers are identical at every setting (TestParallelEquivalence);
-	// what varies is where the cluster phase's alignment work runs.
-	const parWorkers = 4
-	serialEng := core.New(sys.Index(), core.Options{Parallelism: 1})
-	parEng := core.New(sys.Index(), core.Options{Parallelism: parWorkers})
-	defer serialEng.Close()
-	defer parEng.Close()
-	measure := func(eng *core.Engine) (cluster, search []time.Duration) {
-		for rep := 0; rep < 5; rep++ {
-			for _, q := range queries {
-				_, st, err := eng.QueryWithStats(q.Pattern, experiments.TopK)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cluster = append(cluster, st.Trace.PhaseDuration("cluster"))
-				search = append(search, st.Trace.PhaseDuration("search"))
-			}
-		}
-		return cluster, search
-	}
-	sc, ss := measure(serialEng)
-	pc, ps := measure(parEng)
-	pr := &benchParallelReport{
-		Workers:           parWorkers,
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		SerialClusterNS:   medianDuration(sc),
-		ParallelClusterNS: medianDuration(pc),
-		SerialSearchNS:    medianDuration(ss),
-		ParallelSearchNS:  medianDuration(ps),
-	}
-	if pr.ParallelClusterNS > 0 {
-		pr.ClusterSpeedup = float64(pr.SerialClusterNS) / float64(pr.ParallelClusterNS)
-	}
-	report.Parallel = pr
-	b.ReportMetric(pr.ClusterSpeedup, "parallel-cluster-speedup")
 
 	report.Shard = measureSharding(b)
 	for _, row := range report.Shard.Rows {

@@ -137,7 +137,6 @@ func runQuery(args []string) error {
 	explainJSON := fs.Bool("explain-json", false, "like -explain, but print the plan as JSON (byte-identical to the server's ?explain=1 document)")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/lastqueries on this address while the query runs")
 	serve := fs.Bool("serve", false, "with -debug-addr: keep the debug server alive after the answers print, until SIGINT/SIGTERM (for a query endpoint, see samad)")
-	parallelism := fs.Int("parallelism", 0, "alignment worker pool size; answers are identical at every setting (0 = GOMAXPROCS)")
 	fs.Parse(args)
 	if *base == "" {
 		return fmt.Errorf("query: -index is required")
@@ -153,11 +152,7 @@ func runQuery(args []string) error {
 		}
 		src = string(b)
 	}
-	oo := []sama.Option{sama.WithThesaurus(sama.BenchmarkThesaurus())}
-	if *parallelism > 0 {
-		oo = append(oo, sama.WithParallelism(*parallelism))
-	}
-	db, err := sama.Open(*base, oo...)
+	db, err := sama.Open(*base, sama.WithThesaurus(sama.BenchmarkThesaurus()))
 	if err != nil {
 		return err
 	}

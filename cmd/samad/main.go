@@ -17,11 +17,10 @@
 // both receive 503 with a Retry-After hint. Per-request deadlines
 // (?timeout=, capped by -max-timeout) thread into the engine, so a
 // request that exceeds its budget gets its best-so-far answers with the
-// partial flag set. -cache-answers and -cache-align-mb enable the
-// answer cache and alignment memo (invalidated by index writes);
-// -coalesce collapses identical in-flight queries into one execution.
-// -parallelism sizes the engine's alignment worker pool (default
-// GOMAXPROCS); it changes scheduling only, never the ranked answers.
+// partial flag set. -cache-answers enables the answer cache and
+// -cache-align-mb sizes the alignment memo, which is on by default
+// (both are invalidated by index writes); -coalesce collapses identical
+// in-flight queries into one execution.
 // -wal enables the durable write path when the index is built (an
 // existing WAL-enabled index reattaches its log automatically); after a
 // crash, samad replays the pending records at startup when -data is
@@ -115,9 +114,8 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	eventLog := fs.Int("event-log", 256, "structured events kept for /debug/events")
 	eventSample := fs.Int("event-sample", 1, "keep 1-in-N sub-Warn events per subsystem (Warn+ always lands; 1 = keep all)")
 	cacheAnswers := fs.Int("cache-answers", 0, "answer cache capacity in entries; any index write invalidates it (0 = off)")
-	cacheAlignMB := fs.Int("cache-align-mb", 0, "alignment memo budget in MiB, reused across queries sharing path shapes (0 = off)")
+	cacheAlignMB := fs.Int("cache-align-mb", 0, "alignment memo budget in MiB, reused across queries sharing path shapes (0 = default 64, negative = off)")
 	coalesce := fs.Bool("coalesce", false, "collapse identical in-flight /query requests into one execution")
-	parallelism := fs.Int("parallelism", 0, "alignment worker pool size per query; answers are identical at every setting (0 = GOMAXPROCS)")
 	walDir := fs.String("wal", "", "enable the write-ahead log in this directory when building; an existing index reattaches its own WAL automatically")
 	walCheckpoint := fs.Int64("wal-checkpoint", 0, "WAL bytes that trigger an automatic checkpoint (0 = library default, -1 = manual only)")
 	route := fs.String("route", "", "comma-separated shard server URLs: run as a scatter-gather router over them instead of serving a local index")
@@ -160,11 +158,8 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	if *cacheAnswers > 0 {
 		opts = append(opts, sama.WithAnswerCache(*cacheAnswers))
 	}
-	if *cacheAlignMB > 0 {
+	if *cacheAlignMB != 0 {
 		opts = append(opts, sama.WithAlignmentCache(*cacheAlignMB))
-	}
-	if *parallelism > 0 {
-		opts = append(opts, sama.WithParallelism(*parallelism))
 	}
 	if *slow > 0 {
 		// The structured record (trace ID, per-phase context) lands in the

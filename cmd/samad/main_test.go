@@ -215,6 +215,32 @@ func TestStartupRecovery(t *testing.T) {
 	}
 }
 
+// TestAlignMemoFlag: the alignment memo is on unless -cache-align-mb is
+// negative — the default flag value selects the library default, it
+// does not switch the memo off.
+func TestAlignMemoFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want bool
+	}{
+		{nil, true},
+		{[]string{"-cache-align-mb", "-1"}, false},
+	} {
+		data, index := writeDataset(t)
+		args := append([]string{"-index", index, "-data", data, "-addr", "127.0.0.1:0"}, tc.args...)
+		d, err := startDaemon(args, log.New(new(bytes.Buffer), "", 0))
+		if err != nil {
+			t.Fatalf("startDaemon %v: %v", tc.args, err)
+		}
+		if _, ok := d.db.CacheStats()["align"]; ok != tc.want {
+			t.Errorf("flags %v: align memo present = %v, want %v", tc.args, ok, tc.want)
+		}
+		if err := d.shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}
+}
+
 func TestStartDaemonFlagErrors(t *testing.T) {
 	logger := log.New(new(bytes.Buffer), "", 0)
 	if _, err := startDaemon(nil, logger); err == nil {

@@ -4,9 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"sama/internal/align"
@@ -50,12 +48,9 @@ type Cluster struct {
 // when the sink is a variable, the first constant value occurring in q
 // scanning from the end is used instead, matching any path containing
 // that label. Query paths with no constants fall back to a bounded scan.
-// Clusters are built concurrently, one goroutine per query path, and
-// each cluster's alignment loop additionally fans out across the
-// engine's worker pool (Options.Parallelism) — the index is read-only
-// at query time, which is the parallelism §6.1 calls out (“supporting
-// parallel implementations”). One large cluster therefore no longer
-// serialises the phase on a single core.
+// Clusters are built concurrently, one goroutine per query path — the
+// index is read-only at query time, which is the parallelism §6.1 calls
+// out (“supporting parallel implementations”).
 func (e *Engine) Cluster(pre *Preprocessed) ([]Cluster, error) {
 	return e.ClusterContext(context.Background(), pre)
 }
@@ -106,25 +101,13 @@ func (e *Engine) clusterTraced(ctx context.Context, pre *Preprocessed, parent *o
 	return clusters, nil
 }
 
-// minAlignChunk is the smallest alignment chunk worth handing to a
-// pool worker; below it the claim/wake overhead exceeds the work.
-const minAlignChunk = 16
-
 // buildCluster retrieves, aligns and ranks the candidates for one query
 // path. With the alignment memo enabled, a candidate aligned against
 // this query-path shape by any earlier query skips both the disk read
 // and the alignment; memo entries are epoch-checked, so an insert (new
-// paths) or a compaction (renumbered PathIDs) orphans them all.
-//
-// Memo misses are materialised in one page-locality batched read and
-// aligned in parallel across the engine's worker pool: candidates are
-// split into contiguous chunks, each participant aligns chunks with its
-// own scratch-carrying aligner, and results land in a positional
-// staging slice — so the final stable sort sees the same sequence at
-// every Parallelism setting and the ranked cluster is identical.
-// Cancellation is cooperative per candidate: unprocessed entries stay
-// nil and are dropped, yielding the same partial best-so-far cluster
-// semantics as the serial loop.
+// paths) or a compaction (renumbered PathIDs) orphans them all. Memo
+// misses are materialised in one page-locality batched read and aligned
+// in one loop (alignMisses).
 // sp, when non-nil, receives the pass's decision counters for the
 // explain plan: candidates surviving the pre-rank cut, memo hits vs
 // alignments actually run, pages touched by the batched read, the
@@ -149,93 +132,34 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 		ref = memoRefFor(q.Key())
 	}
 
-	// Positional staging: staged[i] belongs to cands[i] no matter which
-	// worker computes it, keeping the cluster deterministic. Memo keys,
-	// like every ID here, are the backend's (global IDs when sharded).
-	staged := make([]ClusterItem, len(cands))
-	var miss []missCand
-	for i, c := range cands {
+	// Memo keys, like every ID here, are the backend's (global IDs when
+	// sharded). The staging order is immaterial: sortClusterItems below
+	// imposes a strict total order.
+	staged := make([]ClusterItem, 0, len(cands))
+	var miss []index.PathID
+	for _, id := range cands {
 		if e.alignMemo != nil {
-			if mi, ok := e.memoGet(ref, c.id, epoch); ok {
-				staged[i] = ClusterItem{ID: c.id, Path: mi.path, Alignment: mi.al}
+			if mi, ok := e.memoGet(ref, id, epoch); ok {
+				staged = append(staged, ClusterItem{ID: id, Path: mi.path, Alignment: mi.al})
 				continue
 			}
 		}
-		miss = append(miss, missCand{pos: i, id: c.id, bound: c.bound, short: c.short})
+		miss = append(miss, id)
 	}
 	sp.Set("memo_hits", int64(len(cands)-len(miss)))
-
-	// Threshold pruning: the misses are aligned cheapest-bound-first in
-	// waves of the cluster cap, and between waves the next candidate's λ
-	// lower bound is compared against the cap'th best full-length cost
-	// staged so far. Once the bound exceeds it, every remaining miss
-	// would rank past the cap (λ ≥ bound for each, and the bound-sorted
-	// order makes the check transitive), so the loop stops without
-	// reading or aligning them. The bound is only consulted once at
-	// least cap full-length items are staged — below that the cap is
-	// unsaturated and the shorter-path fallback could still be live —
-	// which is why pruning can only skip work the cap would discard and
-	// the ranked answers are those of aligning every candidate.
-	sortMissCands(miss)
-	capN := e.opts.maxCandidates()
-	wave := capN
-	if wave < minAlignChunk {
-		wave = minAlignChunk
-	}
-	qlen := q.Length()
-	aligned, pruned, shortPruned := 0, 0, 0
-	var pages int64
-	var scratch []float64
-	for start := 0; start < len(miss); {
-		// Short-candidate barrier: once any full-length item is staged,
-		// the shorter-path fallback below is dead and every
-		// shorter-than-query miss can be discarded outright. This arms
-		// off a single staged alignment — long before the λ-bound check
-		// below, which needs the cap saturated with full-length costs.
-		if anyFullStaged(staged, qlen) {
-			var d int
-			miss, d = dropShortMisses(miss, start)
-			shortPruned += d
+	if len(miss) > 0 {
+		var pages int64
+		staged, pages, err = e.alignMisses(ctx, q, miss, staged, ref, epoch)
+		if err != nil {
+			return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
 		}
-		if start >= len(miss) {
-			break
-		}
-		var kth float64
-		var ok bool
-		scratch, kth, ok = kthFullCost(staged, qlen, capN, scratch)
-		if ok && miss[start].bound > kth {
-			pruned = len(miss) - start
-			break
-		}
-		end := start + wave
-		if end > len(miss) {
-			end = len(miss)
-		}
-		wp, werr := e.alignWave(ctx, q, miss[start:end], staged, ref, epoch)
-		pages += wp
-		if werr != nil {
-			return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, werr)
-		}
-		aligned += end - start
-		start = end
-	}
-	if aligned > 0 {
 		sp.Set("batched_pages", pages)
 	}
-	sp.Set("aligned", int64(aligned))
-	if shortPruned > 0 {
-		sp.Set("short_pruned", int64(shortPruned))
-	}
-	if pruned+shortPruned > 0 {
-		sp.Set("bound_pruned", int64(pruned+shortPruned))
-	}
+	sp.Set("aligned", int64(len(miss)))
 
 	items := make([]ClusterItem, 0, len(staged))
 	var shorter []ClusterItem
 	for _, item := range staged {
-		if item.Alignment == nil {
-			continue // skipped by cancellation
-		}
 		// Figure 3 clusters only paths at least as long as the query
 		// path (insertions into q are allowed, deletions are not):
 		// cl1 holds the six 4-node paths only, while cl2 also keeps
@@ -255,7 +179,7 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 		}
 	}
 	sortClusterItems(items)
-	if len(items) > capN {
+	if capN := e.opts.maxCandidates(); len(items) > capN {
 		sp.Set("cap_dropped", int64(len(items)-capN))
 		items = items[:capN]
 	}
@@ -274,44 +198,20 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 type queryConstant struct {
 	label string
 	mask  uint64
-	node  bool
 }
 
-// clusterCand is one pre-ranked candidate: the path ID plus a sound
-// lower bound on λ(p, q). bound never exceeds the true alignment cost,
-// so "bound exceeds the cap'th best cost" proves the candidate cannot
-// enter the capped cluster. short marks a candidate whose summary
-// length falls below the query path's — one only the shorter-path
-// fallback could keep.
-type clusterCand struct {
-	id    index.PathID
-	bound float64
-	short bool
-}
-
-// missCand is a memo-missing candidate queued for materialisation: its
-// position in the staging slice, its ID, its λ lower bound, and the
-// summary's shorter-than-query flag.
-type missCand struct {
-	pos   int
-	id    index.PathID
-	bound float64
-	short bool
-}
-
-// queryConstants collects the query path's constant labels with their
-// probe masks, node and edge kinds kept apart because they price
-// differently (A vs C) in the λ lower bound.
+// queryConstants collects the query path's constant labels, nodes then
+// edges, with their probe masks.
 func (e *Engine) queryConstants(q paths.Path) []queryConstant {
 	var out []queryConstant
 	for _, n := range q.Nodes {
 		if n.IsConstant() {
-			out = append(out, queryConstant{label: n.Label(), mask: e.back.LabelProbeMask(n.Label()), node: true})
+			out = append(out, queryConstant{label: n.Label(), mask: e.back.LabelProbeMask(n.Label())})
 		}
 	}
 	for _, eLbl := range q.Edges {
 		if eLbl.IsConstant() {
-			out = append(out, queryConstant{label: eLbl.Label(), mask: e.back.LabelProbeMask(eLbl.Label()), node: false})
+			out = append(out, queryConstant{label: eLbl.Label(), mask: e.back.LabelProbeMask(eLbl.Label())})
 		}
 	}
 	return out
@@ -337,10 +237,9 @@ func (e *Engine) pathsByAllLabelsCached(q paths.Path, labels []string) []index.P
 	return inter
 }
 
-// preRank bounds the candidates that get materialised and aligned, and
-// attaches a sound λ lower bound to each survivor for the threshold
-// pruning downstream. When the index returns far more paths than the
-// cluster will keep, only the most promising are worth a disk read.
+// preRank bounds the candidates that get materialised and aligned. When
+// the index returns far more paths than the cluster will keep, only the
+// most promising are worth a disk read.
 //
 // Promise is estimated from the in-memory summaries only — one batched
 // read of (length, signature) pairs under a single lock, zero postings
@@ -350,73 +249,42 @@ func (e *Engine) pathsByAllLabelsCached(q paths.Path, labels []string) []index.P
 // the signature's error is one-sided, so a synonym-expanded candidate
 // is never charged for a constant it matches approximately. Because the
 // fingerprints are the same deterministic hash everywhere, the ranking
-// is identical at every parallelism and shard count.
+// is identical at every shard count.
 //
-// The lower bound per candidate: each definitely-missing constant node
-// forces a node mismatch or deletion (≥ A each) and each missing
-// constant edge ≥ C, while a length deficit d independently forces ≥ d
-// node and ≥ d edge deletions; a missing constant may itself be one of
-// the deleted elements, so the sound combination per kind is max, not
-// sum:
+// The ranking key orders by total missing constants first and length
+// deficit second, with the deficit field wide enough (16 bits,
+// saturated) that no deficit can outrank a missing constant.
 //
-//	bound = A·max(missingNodes, d) + C·max(missingEdges, d)
-//
-// The ranking key orders by total missing constants first and deficit
-// second, with the deficit field wide enough (16 bits, saturated) that
-// no deficit can outrank a missing constant.
-//
-// When the frontier must be cut, the exact expansion intersection
-// (every-constant leapfrog over the compressed postings) refines the
-// fingerprint counts: a candidate outside it truly misses at least one
-// constant, so a colliding signature that hid every miss is bumped back
-// to missing ≥ 1 and its bound raised to the cheapest single-miss cost.
+// The exact expansion intersection (every-constant leapfrog over the
+// compressed postings) refines the fingerprint counts: a candidate
+// outside it truly misses at least one constant, so a colliding
+// signature that hid every miss is bumped back to missing = 1.
 // Membership can only raise counts back toward the truth — collisions
-// fake containment, never absence — so the refinement keeps the bound
-// sound and the cut deterministic.
+// fake containment, never absence — so the cut stays deterministic.
 //
 // Summaries fails with index.ErrStaleRead when a concurrent compaction
 // invalidated an ID; the error propagates to the engine's restart loop,
 // which re-runs the query against the fresh state.
-func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]clusterCand, error) {
+func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]index.PathID, error) {
 	sums, err := e.back.Summaries(ids)
 	if err != nil {
 		return nil, err
 	}
-	consts := e.queryConstants(q)
 	budget := 2 * e.opts.maxCandidates()
-	cutting := len(ids) > budget
-
-	var inter []index.PathID
-	anyNode, anyEdge := false, false
-	for _, c := range consts {
-		if c.node {
-			anyNode = true
-		} else {
-			anyEdge = true
-		}
+	if len(ids) <= budget {
+		return ids, nil
 	}
-	if cutting && len(consts) > 0 {
+	consts := e.queryConstants(q)
+	var inter []index.PathID
+	if len(consts) > 0 {
 		labels := make([]string, len(consts))
 		for i, c := range consts {
 			labels[i] = c.label
 		}
 		inter = e.pathsByAllLabelsCached(q, labels)
 	}
-	// Cheapest cost of one truly-missing constant of unknown kind, used
-	// when the intersection proves a miss the fingerprints hid.
-	par := e.par
-	floor := 0.0
-	switch {
-	case anyNode && anyEdge:
-		floor = math.Min(par.A, par.C)
-	case anyNode:
-		floor = par.A
-	case anyEdge:
-		floor = par.C
-	}
 
 	qlen := q.Length()
-	cands := make([]clusterCand, len(ids))
 	keys := make([]uint64, len(ids))
 	// ids arrive ascending (postings order), so the intersection probe
 	// is a linear merge walk — one forward pointer over inter for the
@@ -426,23 +294,16 @@ func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]clus
 	ii := 0
 	var prevID index.PathID
 	for i, id := range ids {
-		missN, missE := 0, 0
+		missing := 0
 		for _, c := range consts {
 			if sums[i].Sig&c.mask == 0 {
-				if c.node {
-					missN++
-				} else {
-					missE++
-				}
+				missing++
 			}
 		}
 		deficit := 0
 		if plen := int(sums[i].Len); plen < qlen {
 			deficit = qlen - plen
 		}
-		d := float64(deficit)
-		bound := par.A*math.Max(float64(missN), d) + par.C*math.Max(float64(missE), d)
-		missing := missN + missE
 		if inter != nil && missing == 0 {
 			if id < prevID {
 				ii = 0
@@ -452,9 +313,6 @@ func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]clus
 			}
 			if ii == len(inter) || inter[ii] != id {
 				missing = 1
-				if bound < floor {
-					bound = floor
-				}
 			}
 		}
 		prevID = id
@@ -463,10 +321,6 @@ func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]clus
 			dk = 0xffff
 		}
 		keys[i] = uint64(missing)<<16 | dk
-		cands[i] = clusterCand{id: id, bound: bound, short: deficit > 0}
-	}
-	if !cutting {
-		return cands, nil
 	}
 	// Stable counting cut: the key space is tiny (missing ≤ |constants|,
 	// deficit small in practice), so bucket offsets over the distinct
@@ -488,15 +342,15 @@ func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]clus
 		offset[k] = total
 		total += counts[k]
 	}
-	out := make([]clusterCand, budget)
+	out := make([]index.PathID, budget)
 	for i, k := range keys {
 		pos := offset[k]
 		offset[k] = pos + 1
 		if pos < budget {
-			out[pos] = cands[i]
+			out[pos] = ids[i]
 		}
 	}
-	sp.Set("sig_rejected", int64(len(cands)-budget))
+	sp.Set("sig_rejected", int64(len(ids)-budget))
 	return out, nil
 }
 
@@ -504,7 +358,7 @@ func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]clus
 // ties by ID. Unstable sort on purpose: IDs are unique, so (cost, ID)
 // is a strict total order — stability buys nothing, pdqsort saves the
 // merge scratch, and the result does not depend on the input order (so
-// not on which shard or worker produced an item).
+// not on which shard produced an item or on the staging order).
 func sortClusterItems(items []ClusterItem) {
 	slices.SortFunc(items, func(a, b ClusterItem) int {
 		if a.Alignment.Cost != b.Alignment.Cost {
@@ -517,146 +371,40 @@ func sortClusterItems(items []ClusterItem) {
 	})
 }
 
-// sortMissCands orders memo misses by (λ lower bound, ID) — the
-// threshold-pruning order. Unstable for the same reason as
-// sortClusterItems.
-func sortMissCands(miss []missCand) {
-	slices.SortFunc(miss, func(a, b missCand) int {
-		if a.bound != b.bound {
-			if a.bound < b.bound {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-}
-
-// anyFullStaged reports whether some staged item has already aligned at
-// full length. One such item is enough to arm the short-candidate
-// barrier: the final assembly keeps shorter-than-query paths only when
-// NO full-length item exists (the fallback rule), and a staged
-// full-length item survives to that decision, so every
-// shorter-than-query candidate still waiting is provably discarded no
-// matter what its alignment would cost.
-func anyFullStaged(staged []ClusterItem, qlen int) bool {
-	for i := range staged {
-		if staged[i].Alignment != nil && staged[i].Path.Length() >= qlen {
-			return true
-		}
-	}
-	return false
-}
-
-// dropShortMisses compacts the shorter-than-query candidates out of
-// miss[start:], returning the filtered slice and the number dropped.
-// Callers arm it with anyFullStaged — unlike the λ-bound barrier below,
-// which needs the cap saturated with full-length costs, this one fires
-// off a single staged full-length alignment, which is what lets the
-// prune engage while the cap is still unsaturated.
-func dropShortMisses(miss []missCand, start int) ([]missCand, int) {
-	has := false
-	for _, m := range miss[start:] {
-		if m.short {
-			has = true
-			break
-		}
-	}
-	if !has {
-		return miss, 0
-	}
-	kept := miss[:start]
-	dropped := 0
-	for _, m := range miss[start:] {
-		if m.short {
-			dropped++
-			continue
-		}
-		kept = append(kept, m)
-	}
-	return kept, dropped
-}
-
-// kthFullCost returns the k-th smallest alignment cost among the staged
-// full-length items (length ≥ qlen), reusing scratch for the cost
-// collection. The bound is only usable once at least k full-length
-// items are staged: with fewer, the cap is not yet saturated and any
-// candidate can still enter the cluster; with none at all, skipping
-// candidates could also flip the shorter-path fallback — ok gates both.
-func kthFullCost(staged []ClusterItem, qlen, k int, scratch []float64) ([]float64, float64, bool) {
-	costs := scratch[:0]
-	for i := range staged {
-		if staged[i].Alignment == nil || staged[i].Path.Length() < qlen {
-			continue
-		}
-		costs = append(costs, staged[i].Alignment.Cost)
-	}
-	if len(costs) < k {
-		return costs, 0, false
-	}
-	sort.Float64s(costs)
-	return costs, costs[k-1], true
-}
-
-// alignWave materialises one bound-ordered wave of memo misses in a
-// single page-locality batched read and aligns it across the engine's
-// worker pool, staging results positionally. It returns the pages the
-// batched read touched. Cancellation mid-wave leaves the wave's
-// unmaterialised entries nil (dropped later), mirroring the serial
-// loop's partial best-so-far semantics.
-func (e *Engine) alignWave(ctx context.Context, q paths.Path, wave []missCand, staged []ClusterItem, ref memoRef, epoch uint64) (int64, error) {
+// alignMisses materialises the memo misses in a single page-locality
+// batched read and aligns them one by one, appending the results to
+// staged. It returns the pages the batched read touched. Cancellation
+// is cooperative per candidate: entries not yet aligned are left out,
+// yielding a smaller but still best-first cluster.
+func (e *Engine) alignMisses(ctx context.Context, q paths.Path, ids []index.PathID, staged []ClusterItem, ref memoRef, epoch uint64) ([]ClusterItem, int64, error) {
 	// The batched read runs under its own tally: sibling clusters share
 	// the query's tally concurrently, so a before/after diff on it would
 	// charge this span a neighbour's pages and the explain plan would
 	// stop being deterministic. The local counts are folded back into
 	// the query's tally afterwards.
-	ids := make([]index.PathID, len(wave))
-	for i, m := range wave {
-		ids[i] = m.id
-	}
 	local := &storage.IOTally{}
 	ps, err := e.back.ReadPathsBatched(storage.WithTally(ctx, local), ids)
 	pages := int64(local.BatchedPages())
 	storage.TallyFrom(ctx).Merge(local)
-	if err != nil {
-		if ctx.Err() == nil {
-			return pages, err
-		}
-		err = nil // cancelled: align what was materialised, if anything
+	if err != nil && ctx.Err() == nil {
+		return staged, pages, err
 	}
-	if ps == nil {
-		ps = make([]paths.Path, len(ids))
-	}
-	workers := e.pool.size
-	// Aim for a few chunks per worker so a straggler chunk cannot
-	// serialise the tail, with a floor that keeps tiny waves from paying
-	// coordination overhead.
-	chunk := (len(ids) + 4*workers - 1) / (4 * workers)
-	if chunk < minAlignChunk {
-		chunk = minAlignChunk
-	}
-	nchunks := (len(ids) + chunk - 1) / chunk
-	e.alignParallel(nchunks, func(al *align.GreedyAligner, c int) {
-		lo, hi := c*chunk, (c+1)*chunk
-		if hi > len(ids) {
-			hi = len(ids)
+	// On a cancelled batch read, align what was materialised, if anything.
+	al := align.NewGreedy(e.par)
+	for m, p := range ps {
+		if ctx.Err() != nil {
+			break
 		}
-		for m := lo; m < hi; m++ {
-			if ctx.Err() != nil {
-				return // unaligned entries stay nil and are dropped
-			}
-			p := ps[m]
-			if len(p.Nodes) == 0 {
-				continue // not materialised: batch read was cancelled
-			}
-			item := ClusterItem{ID: ids[m], Path: p, Alignment: al.Align(p, q)}
-			staged[wave[m].pos] = item
-			if e.alignMemo != nil {
-				e.memoPut(ref, ids[m], epoch, p, item.Alignment)
-			}
+		if len(p.Nodes) == 0 {
+			continue // not materialised: batch read was cancelled
 		}
-	})
-	return pages, nil
+		item := ClusterItem{ID: ids[m], Path: p, Alignment: al.Align(p, q)}
+		staged = append(staged, item)
+		if e.alignMemo != nil {
+			e.memoPut(ref, ids[m], epoch, p, item.Alignment)
+		}
+	}
+	return staged, pages, nil
 }
 
 // retrieve returns the candidate path IDs for one query path. The

@@ -20,7 +20,7 @@ import (
 )
 
 var update = flag.Bool("update", false,
-	"rewrite the golden files under testdata/ from the monolithic engine at Parallelism 1")
+	"rewrite the golden files under testdata/ from the monolithic engine")
 
 // fingerprint renders one answer into a line covering everything a
 // caller can observe: scores (shortest round-trip formatting, so equal
@@ -150,9 +150,8 @@ func checkGolden(t *testing.T, name, label string, got []string, writer bool) {
 
 // TestEquivalenceAcrossEngines is the equivalence suite of the cluster
 // and search phases: over the Figure 7 LUBM workload mix, every engine
-// configuration — monolith and shard sets of 1 and 4, each at
-// Parallelism 1 and 8 — must produce ranked answers and explain
-// counters byte-identical to testdata/equivalence_lubm.golden. The
+// configuration — monolith and shard sets of 1 and 4 — must produce
+// ranked answers and explain counters byte-identical to testdata/equivalence_lubm.golden. The
 // answers in that file were frozen from the align-everything cluster
 // loop and the recompute-per-visit search frontier this engine
 // replaced (DESIGN.md §13 says how), so it is an external reference,
@@ -181,23 +180,18 @@ func TestEquivalenceAcrossEngines(t *testing.T) {
 		qs = append(qs, goldenQuery{id: q.ID, q: q.Pattern})
 	}
 
-	const cap = 16
-	opts := func(par int) Options { return Options{Parallelism: par, MaxCandidatesPerCluster: cap} }
+	opts := Options{MaxCandidatesPerCluster: 16}
 	// The first entry is the one -update writes from.
 	variants := []struct {
 		name string
 		e    *Engine
 	}{
-		{"monolith par=1", New(ix, opts(1))},
-		{"monolith par=8", New(ix, opts(8))},
-		{"shards=1 par=1", NewSharded(sets[1], opts(1))},
-		{"shards=1 par=8", NewSharded(sets[1], opts(8))},
-		{"shards=4 par=1", NewSharded(sets[4], opts(1))},
-		{"shards=4 par=8", NewSharded(sets[4], opts(8))},
+		{"monolith", New(ix, opts)},
+		{"shards=1", NewSharded(sets[1], opts)},
+		{"shards=4", NewSharded(sets[4], opts)},
 	}
 	for i, v := range variants {
 		lines, _ := goldenLines(t, v.e, qs, 10)
-		v.e.Close()
 		checkGolden(t, "equivalence_lubm.golden", v.name, lines, i == 0)
 		if i > 0 {
 			continue
@@ -215,135 +209,92 @@ func TestEquivalenceAcrossEngines(t *testing.T) {
 	}
 }
 
-// findPlanAttr returns the first value of the attribute found on the
-// node or any descendant.
-func findPlanAttr(n *obs.PlanNode, key string) (int64, bool) {
-	if n == nil {
-		return 0, false
-	}
-	if v, ok := n.Attrs[key]; ok {
-		return v, true
-	}
-	for _, c := range n.Children {
-		if v, ok := findPlanAttr(c, key); ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// clusterAttrs asserts decision counters on the plan's cluster phase.
-func clusterAttrs(t *testing.T, label string, plan *obs.Plan, want map[string]int64) {
+// firstAlignAttrs returns the decision counters of the plan's align[0]
+// node, the cluster pass of the first query path.
+func firstAlignAttrs(t *testing.T, label string, plan *obs.Plan) map[string]int64 {
 	t.Helper()
-	var cluster *obs.PlanNode
 	for _, ph := range plan.Phases {
-		if ph.Name == "cluster" {
-			cluster = ph
+		if ph.Name == "cluster" && len(ph.Children) > 0 {
+			return ph.Children[0].Attrs
 		}
 	}
-	if cluster == nil {
-		t.Fatalf("%s: no cluster phase in the plan", label)
-	}
-	for key, w := range want {
-		if got, ok := findPlanAttr(cluster, key); !ok || got != w {
-			t.Errorf("%s: %s = %d (found %v), want %d", label, key, got, ok, w)
-		}
-	}
+	t.Fatalf("%s: no align[0] node in the plan", label)
+	return nil
 }
 
-// TestThresholdPruningFiresAndPreservesAnswers pins the λ-bound barrier
-// on a graph built so that it must fire: sixteen exact matches (cost 0,
-// bound 0) fill the first alignment wave, and eight decoys sharing only
-// the sink carry a λ lower bound of A+2C > 0, so the barrier proves
-// they cannot beat the cap'th best (0) and skips them. The explain plan
-// must say so (bound_pruned = 8, aligned = 16), and the ranked answers
-// must equal testdata/equivalence_prune.golden, frozen from an engine
-// that aligned all 24 — pruning only skipped work the cap discards.
-func TestThresholdPruningFiresAndPreservesAnswers(t *testing.T) {
-	g := rdf.NewGraph()
-	for i := 0; i < 16; i++ {
-		a := iri(fmt.Sprintf("A%02d", i))
-		g.AddTriple(rdf.Triple{S: a, P: iri("r"), O: iri("Hub")})
-	}
-	g.AddTriple(rdf.Triple{S: iri("Hub"), P: iri("s"), O: iri("Sink")})
-	for j := 0; j < 8; j++ {
-		d := iri(fmt.Sprintf("D%02d", j))
-		e := iri(fmt.Sprintf("E%02d", j))
-		g.AddTriple(rdf.Triple{S: d, P: iri("t"), O: e})
-		g.AddTriple(rdf.Triple{S: e, P: iri("u"), O: iri("Sink")})
-	}
-	ix, err := index.Build(filepath.Join(t.TempDir(), "prune"), g, index.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-
-	// ?v -r-> Hub -s-> Sink: one query path, sink retrieval returns all
-	// 24 paths ending at Sink. Cap 12 → budget 24: no frontier cut, two
-	// waves of max(12, minAlignChunk) = 16.
-	q := rdf.NewQueryGraph()
-	q.AddTriple(rdf.Triple{S: vr("v"), P: iri("r"), O: iri("Hub")})
-	q.AddTriple(rdf.Triple{S: iri("Hub"), P: iri("s"), O: iri("Sink")})
-
-	e := New(ix, Options{Parallelism: 1, MaxCandidatesPerCluster: 12})
-	defer e.Close()
-	lines, plans := goldenLines(t, e, []goldenQuery{{"crafted", q}}, 12)
-	checkGolden(t, "equivalence_prune.golden", "monolith", lines, true)
-	clusterAttrs(t, "monolith", plans[0], map[string]int64{"bound_pruned": 8, "aligned": 16})
-}
-
-// TestShortCandidateBarrierFiresAndPreservesAnswers pins the
-// short-candidate barrier on a graph where the λ-bound barrier cannot
-// arm: sixteen full-length exact matches and eight shorter-than-query
-// decoys, under a cap of 20. The first wave aligns the sixteen fulls
-// plus four shorts (bound order), leaving only 16 < 20 full-length
-// costs staged — the kth-cost barrier stays dark — yet one staged
-// full-length item is enough to prove the shorter-path fallback dead,
-// so the remaining four short misses are dropped unaligned. The plan
-// must show it (short_pruned = 4, aligned = 20) and the answers must
-// equal testdata/equivalence_short.golden, frozen from an engine that
-// aligned all 24, on the monolith and on a two-shard build alike.
-func TestShortCandidateBarrierFiresAndPreservesAnswers(t *testing.T) {
-	g := rdf.NewGraph()
-	for i := 0; i < 16; i++ {
-		a := iri(fmt.Sprintf("A%02d", i))
-		g.AddTriple(rdf.Triple{S: a, P: iri("r"), O: iri("Hub")})
-	}
-	g.AddTriple(rdf.Triple{S: iri("Hub"), P: iri("s"), O: iri("Sink")})
-	for j := 0; j < 8; j++ {
-		x := iri(fmt.Sprintf("X%02d", j))
-		g.AddTriple(rdf.Triple{S: x, P: iri("s"), O: iri("Sink")})
-	}
-	ix, err := index.Build(filepath.Join(t.TempDir(), "short"), g, index.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	set, err := shard.Build(filepath.Join(t.TempDir(), "shards"), g, shard.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-
-	// ?v -r-> Hub -s-> Sink (three nodes). Sink retrieval returns all 24
-	// paths; the 16 A→Hub→Sink paths bound to 0, the 8 two-node X→Sink
-	// paths carry a deficit-1 bound and sort after them.
-	q := rdf.NewQueryGraph()
-	q.AddTriple(rdf.Triple{S: vr("v"), P: iri("r"), O: iri("Hub")})
-	q.AddTriple(rdf.Triple{S: iri("Hub"), P: iri("s"), O: iri("Sink")})
-
-	opts := Options{Parallelism: 1, MaxCandidatesPerCluster: 20}
-	engines := []struct {
-		name string
-		e    *Engine
+// TestCraftedClustersMatchGoldens runs one three-node query path,
+// ?v -r-> Hub -s-> Sink, over two graphs of 24 paths ending at Sink:
+// sixteen exact matches A_i -r-> Hub -s-> Sink plus eight decoys, under
+// a cap that keeps the pre-rank from cutting (budget = 2·cap ≥ 24).
+//
+//   - prune: the decoys are full-length D_j -t-> E_j -u-> Sink (cost
+//     A+2C or more), cap 12 — the cap drops them after ranking.
+//   - short: the decoys are two-node X_j -s-> Sink, cap 20 — sixteen
+//     full-length items exist, so the shorter-path fallback stays dead
+//     and the assembly drops them.
+//
+// The golden answers were frozen from an engine that aligned all 24
+// candidates; the cluster pass must reproduce them on the monolith and
+// on a two-shard build, aligning every pre-ranked candidate the memo
+// does not already hold.
+func TestCraftedClustersMatchGoldens(t *testing.T) {
+	cases := []struct {
+		name   string
+		golden string
+		cap, k int
+		decoy  func(g *rdf.Graph, j int)
 	}{
-		{"monolith", New(ix, opts)},
-		{"sharded", NewSharded(set, opts)},
+		{"prune", "equivalence_prune.golden", 12, 12, func(g *rdf.Graph, j int) {
+			d, e := iri(fmt.Sprintf("D%02d", j)), iri(fmt.Sprintf("E%02d", j))
+			g.AddTriple(rdf.Triple{S: d, P: iri("t"), O: e})
+			g.AddTriple(rdf.Triple{S: e, P: iri("u"), O: iri("Sink")})
+		}},
+		{"short", "equivalence_short.golden", 20, 16, func(g *rdf.Graph, j int) {
+			g.AddTriple(rdf.Triple{S: iri(fmt.Sprintf("X%02d", j)), P: iri("s"), O: iri("Sink")})
+		}},
 	}
-	for i, v := range engines {
-		lines, plans := goldenLines(t, v.e, []goldenQuery{{"crafted", q}}, 16)
-		v.e.Close()
-		checkGolden(t, "equivalence_short.golden", v.name, lines, i == 0)
-		clusterAttrs(t, v.name, plans[0], map[string]int64{"short_pruned": 4, "aligned": 20, "bound_pruned": 4})
+	q := rdf.NewQueryGraph()
+	q.AddTriple(rdf.Triple{S: vr("v"), P: iri("r"), O: iri("Hub")})
+	q.AddTriple(rdf.Triple{S: iri("Hub"), P: iri("s"), O: iri("Sink")})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := rdf.NewGraph()
+			for i := 0; i < 16; i++ {
+				g.AddTriple(rdf.Triple{S: iri(fmt.Sprintf("A%02d", i)), P: iri("r"), O: iri("Hub")})
+			}
+			g.AddTriple(rdf.Triple{S: iri("Hub"), P: iri("s"), O: iri("Sink")})
+			for j := 0; j < 8; j++ {
+				tc.decoy(g, j)
+			}
+			ix, err := index.Build(filepath.Join(t.TempDir(), "mono"), g, index.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			set, err := shard.Build(filepath.Join(t.TempDir(), "shards"), g, shard.Options{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer set.Close()
+
+			opts := Options{MaxCandidatesPerCluster: tc.cap}
+			// The first entry is the one -update writes from.
+			engines := []struct {
+				name string
+				e    *Engine
+			}{
+				{"monolith", New(ix, opts)},
+				{"sharded", NewSharded(set, opts)},
+			}
+			for i, v := range engines {
+				lines, plans := goldenLines(t, v.e, []goldenQuery{{"crafted", q}}, tc.k)
+				checkGolden(t, tc.golden, v.name, lines, i == 0)
+				a := firstAlignAttrs(t, v.name, plans[0])
+				if a["aligned"] != a["preranked"]-a["memo_hits"] {
+					t.Errorf("%s: aligned = %d, want preranked − memo_hits = %d − %d",
+						v.name, a["aligned"], a["preranked"], a["memo_hits"])
+				}
+			}
+		})
 	}
 }

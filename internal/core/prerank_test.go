@@ -105,8 +105,8 @@ func TestPreRankDeficitCannotOutrankMissing(t *testing.T) {
 	if len(cands) != 2 {
 		t.Fatalf("frontier = %d candidates, want 2", len(cands))
 	}
-	if cands[0].id != good {
-		t.Errorf("candidate with every constant ranked %v, want first (got %v)", good, cands[0].id)
+	if cands[0] != good {
+		t.Errorf("candidate with every constant ranked %v, want first (got %v)", good, cands[0])
 	}
 }
 
@@ -163,8 +163,8 @@ func TestPreRankSynonymSurvivesCut(t *testing.T) {
 	if len(cands) != 2 {
 		t.Fatalf("frontier = %d candidates, want 2", len(cands))
 	}
-	if cands[0].id != syn {
-		t.Errorf("synonym candidate ranked %v, want first (got %v)", syn, cands[0].id)
+	if cands[0] != syn {
+		t.Errorf("synonym candidate ranked %v, want first (got %v)", syn, cands[0])
 	}
 }
 

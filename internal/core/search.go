@@ -264,8 +264,8 @@ func (rl *resultList) add(s scored) []int {
 
 // pairScorer scores combinations for the search frontier without
 // touching a map or allocating. Four invariants make the ranked answers
-// a function of the clusters alone — the same at every parallelism and
-// shard count, and equal bit for bit to the paper's formulas folded in
+// a function of the clusters alone — the same at every shard count,
+// and equal bit for bit to the paper's formulas folded in
 // pair order (TestAnswersMatchPaperFormulas, the goldens of
 // TestEquivalenceAcrossEngines):
 //

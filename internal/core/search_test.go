@@ -206,3 +206,23 @@ func TestWideSharedConstantsSingleSearchPhase(t *testing.T) {
 		}
 	}
 }
+
+// TestHashIdxSuccessor pins the in-place successor hashing: bumping
+// index ci must hash identically to materialising the successor vector.
+func TestHashIdxSuccessor(t *testing.T) {
+	idx := []int{0, 3, 511, 70000}
+	for ci := range idx {
+		succ := append([]int(nil), idx...)
+		succ[ci]++
+		if hashIdx(idx, ci) != hashIdx(succ, -1) {
+			t.Errorf("bump at %d hashes differently from the materialised successor", ci)
+		}
+		if hashIdx(idx, ci) == hashIdx(idx, -1) {
+			t.Errorf("bump at %d collides with the base vector", ci)
+		}
+	}
+	// Distinct vectors hash apart (spot check, not a collision proof).
+	if hashIdx([]int{1, 0}, -1) == hashIdx([]int{0, 1}, -1) {
+		t.Error("transposed vectors collide")
+	}
+}

@@ -76,7 +76,9 @@ func (d *decoder) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if d.pos+int(l) > len(d.buf) {
+	// Compared as uint64: a corrupt length can exceed int and wrap the
+	// sum negative.
+	if l > uint64(len(d.buf)-d.pos) {
 		return "", fmt.Errorf("index: truncated string at %d", d.pos)
 	}
 	s := string(d.buf[d.pos : d.pos+int(l)])
@@ -113,7 +115,9 @@ func DecodePath(buf []byte) (paths.Path, error) {
 	if err != nil {
 		return paths.Path{}, err
 	}
-	if n == 0 || n > 1<<20 {
+	// A term takes at least two bytes (kind, length), so a count beyond
+	// the buffer is corrupt — rejected before it sizes an allocation.
+	if n == 0 || n > uint64(len(buf)) {
 		return paths.Path{}, fmt.Errorf("index: implausible node count %d", n)
 	}
 	p := paths.Path{Nodes: make([]rdf.Term, n)}

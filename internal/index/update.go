@@ -6,6 +6,7 @@ import (
 	"sama/internal/paths"
 	"sama/internal/rdf"
 	"sama/internal/storage"
+	"sama/internal/textindex"
 )
 
 // AttachGraph hands a reopened index its data graph so InsertTriples
@@ -251,20 +252,36 @@ func reverseClosure(g *rdf.Graph, seeds map[rdf.NodeID]struct{}) map[rdf.NodeID]
 // tombstones in the commit phase. A read failure aborts the insert
 // instead of silently keeping a stale path alive.
 func (ix *Index) tombstoneSet(g *rdf.Graph, roots []rdf.NodeID) ([]PathID, error) {
+	// Source postings are keyed by normalised local name, which roots
+	// routinely share (…/Department3/Student29, …/Department14/Student29):
+	// each distinct key's list is read and verified once against the
+	// whole root set, not once per root on it. An insert whose reverse
+	// closure reaches a few thousand roots otherwise re-reads the same
+	// lists hundreds of times over.
+	want := make(map[rdf.Term]struct{}, len(roots))
+	for _, root := range roots {
+		want[g.Term(root)] = struct{}{}
+	}
+	done := make(map[string]struct{}, len(roots))
 	var out []PathID
 	for _, root := range roots {
-		term := g.Term(root)
-		for _, posting := range ix.sources.LookupExact(term.Label()) {
+		label := g.Term(root).Label()
+		key := textindex.Normalize(label)
+		if _, ok := done[key]; ok {
+			continue
+		}
+		done[key] = struct{}{}
+		for _, posting := range ix.sources.LookupExact(label) {
 			if ix.deleted[posting] {
 				continue
 			}
-			// Exact-label postings can collide across term kinds;
-			// verify on the stored path.
+			// Postings collide across term kinds and namespaces; verify
+			// on the stored path.
 			p, err := ix.pathLocked(PathID(posting))
 			if err != nil {
 				return nil, fmt.Errorf("index: verify tombstone for path %d: %w", posting, err)
 			}
-			if p.Source() == term {
+			if _, ok := want[p.Source()]; ok {
 				out = append(out, PathID(posting))
 			}
 		}

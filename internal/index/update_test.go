@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sama/internal/obs"
 	"sama/internal/paths"
 	"sama/internal/rdf"
 )
@@ -400,5 +401,53 @@ func TestTightBudgetUpdate(t *testing.T) {
 	}
 	if n == 0 || n > 2 {
 		t.Errorf("CarlaBunes paths after budgeted update = %d, want 1..2", n)
+	}
+}
+
+func TestInsertReadsSharedSourceListOnce(t *testing.T) {
+	// Twenty roots whose IRIs differ only in the namespace share one
+	// source-postings key ("student"), and one insert below the node
+	// they all reach affects every one of them. Verifying the key's
+	// list once costs 20 path reads; once per root would cost 400.
+	const depts = 20
+	student := func(d int) rdf.Term { return iri("http://x/dept" + itoaTest(d) + "/student") }
+	g := rdf.NewGraph()
+	for d := 0; d < depts; d++ {
+		g.AddTriple(rdf.Triple{S: student(d), P: iri("takes"), O: iri("http://x/course")})
+	}
+	ix, err := Build(filepath.Join(t.TempDir(), "shared"), g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	ix.SetMetrics(obs.NewRegistry())
+	if err := ix.InsertTriples([]rdf.Triple{
+		{S: iri("http://x/course"), P: iri("taughtBy"), O: iri("http://x/prof")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.mPathReads.Value(); got != depts {
+		t.Errorf("insert read %d paths to verify tombstones, want %d", got, depts)
+	}
+	// Every root's old path is tombstoned and its extension is live.
+	live := map[rdf.Term]string{}
+	for id := 0; id < ix.NumPaths(); id++ {
+		if !ix.Live(PathID(id)) {
+			continue
+		}
+		p, err := ix.Path(PathID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, dup := live[p.Source()]; dup {
+			t.Errorf("two live paths from %v: %q and %q", p.Source(), prev, p.String())
+		}
+		live[p.Source()] = p.String()
+	}
+	for d := 0; d < depts; d++ {
+		want := student(d).Label() + "-takes-http://x/course-taughtBy-http://x/prof"
+		if live[student(d)] != want {
+			t.Errorf("live path from dept %d = %q, want %q", d, live[student(d)], want)
+		}
 	}
 }

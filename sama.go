@@ -250,20 +250,12 @@ func WithAnswerCache(entries int) Option {
 	return func(c *config) { c.engine.AnswerCacheEntries = entries }
 }
 
-// WithParallelism bounds the engine's alignment worker pool: cluster
-// builds fan candidate alignments out over up to n workers. n ≤ 0 (the
-// default) sizes the pool to GOMAXPROCS. Parallelism only changes
-// scheduling — ranked answers are identical at every setting.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.engine.Parallelism = n }
-}
-
 // WithAlignmentCache sizes the alignment memo: per (query path, data
 // path) alignments are retained up to a byte budget of mb MiB (LRU) and
 // reused across queries sharing a path shape, skipping the disk read
 // and the edit-cost computation. Entries are epoch-checked, so answers
-// are identical with the memo on or off. The memo defaults on (32 MiB);
-// mb < 0 disables it.
+// are identical with the memo on or off. mb = 0 keeps the default
+// (on, 64 MiB); mb < 0 disables it.
 func WithAlignmentCache(mb int) Option {
 	return func(c *config) { c.engine.AlignCacheMB = mb }
 }
@@ -667,6 +659,15 @@ func (db *DB) Insert(triples []Triple) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
+	// The insert bumps the index epoch, after which no cached answer or
+	// memoised alignment can be hit again — and entries keyed by a path
+	// the insert tombstones are never probed again either, so the
+	// per-lookup epoch check alone leaves them resident until the byte
+	// budget evicts them. Drop everything, and before the insert rather
+	// than after: one that re-enumerates thousands of roots stages tens
+	// of MB, and the collector would size the heap for that on top of a
+	// memo that is already dead. A failed insert costs one refill.
+	db.engine.DropCaches()
 	return db.store.InsertTriples(triples)
 }
 
@@ -789,7 +790,7 @@ func (db *DB) CacheStats() map[string]CacheStats { return db.engine.CacheStats()
 // DebugHandler returns the debug HTTP handler tree: /metrics
 // (Prometheus text), /debug/vars (expvar plus a "sama_cache" section
 // with the answer/alignment cache counters, a "sama_align" section
-// with the worker-pool and batched-read state, and a "sama_wal" section
+// with the batched-read state, and a "sama_wal" section
 // with the write-ahead log counters and recovery status), /debug/lastqueries
 // (recent traces as JSON) and /debug/pprof/* — mountable under any
 // server or httptest.
@@ -801,9 +802,8 @@ func (db *DB) DebugHandler() http.Handler {
 		Name: "sama_align",
 		Value: func() any {
 			return struct {
-				Pool         core.ParallelStats     `json:"pool"`
 				BatchedReads index.BatchedReadStats `json:"batched_reads"`
-			}{db.engine.ParallelStats(), db.store.BatchedReads()}
+			}{db.store.BatchedReads()}
 		},
 	}, obs.DebugVar{
 		Name: "sama_wal",
@@ -891,7 +891,6 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.rt.Stop()
-	db.engine.Close()
 	return db.store.Close()
 }
 

@@ -262,6 +262,11 @@ func TestInsertIncrementally(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// The query above filled the alignment memo; the insert makes every
+	// entry stale, and drops them rather than leaving them resident.
+	if memo := db.CacheStats()["align"]; memo.Misses == 0 || memo.Entries != 0 {
+		t.Errorf("alignment memo after insert: %d entries (%d misses before it), want 0 entries", memo.Entries, memo.Misses)
+	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
