@@ -85,13 +85,14 @@ loc:
 		printf '%-28s %6d non-test %6d test\n' "$$d" "$$nt" "$$t"; \
 	done
 
-# profile captures a CPU profile of the warm Fig. 7(a)-style query mix
-# (BenchmarkSearchMix: Q2/Q4/Q10 over the shared LUBM instance) into
-# results/, keeping the test binary next to it for symbolisation.
+# profile captures a CPU profile of the search phase where it is
+# busiest (BenchmarkSearchBudgetBound: Q11/Q12 over LUBM 10 k, clustered
+# once, searched to the visit budget) into results/, keeping the test
+# binary next to it for symbolisation.
 profile:
 	@mkdir -p results
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchMix' -benchtime 20x \
-		-cpuprofile results/cpu.pprof -o results/bench.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkSearchBudgetBound' -benchtime 20x \
+		-cpuprofile results/cpu.pprof -o results/bench.test ./internal/core
 	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu.pprof"
 
 # route-smoke boots the multi-node path end-to-end: a 3-shard layout,

@@ -162,13 +162,11 @@ func BenchmarkFigure7a(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchMix is the profiling workhorse behind `make profile`:
-// the Figure 7(a)-style warm query mix (Q2, Q4, Q10 — the Figure 6
-// latency subset) through one default engine over the shared LUBM
-// instance. The engine has no answer cache, so every iteration runs
-// the cluster and search phases for real; a warm-up lap keeps index
-// page reads out of the profile. Run it with -cpuprofile to see where
-// query time goes.
+// BenchmarkSearchMix runs the Figure 7(a)-style warm query mix (Q2, Q4,
+// Q10 — the Figure 6 latency subset) through one default engine over
+// the shared LUBM instance. The engine has no answer cache, so every
+// iteration runs the cluster and search phases for real; a warm-up lap
+// keeps index page reads out of the timing.
 func BenchmarkSearchMix(b *testing.B) {
 	_, sys := systems(b)
 	eng := sys.Engine()

