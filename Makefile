@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build bins test race race-hot crash bench bench-check fuzz-smoke loc profile serve-smoke route-smoke
+.PHONY: check fmt vet build bins test race race-hot crash bench-check fuzz-smoke loc knobs profile serve-smoke route-smoke
 
 # check is the tier-1 gate: formatting, static analysis, a full build
 # (packages and both binaries), the race-enabled test suite with an
@@ -52,17 +52,6 @@ race-hot:
 crash:
 	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing' ./internal/storage ./internal/index
 
-# bench is the smoke harness: one pass over every benchmark, with
-# BenchmarkPhaseBreakdown running every query at least 5 times and
-# writing per-phase p50/p99, the warm-cache hit ratio +
-# cached-vs-uncached medians, and the sharded-engine sweep (cluster/
-# search medians at 1/2/4 shards, and each shard count's cluster median
-# beyond the monolith's) from the query traces to
-# results/bench_latest.json.
-bench:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' .
-	@echo "per-phase p50/p99 written to results/bench_latest.json"
-
 # bench-check vets and tests bench/, the benchmark's own module: root
 # ./... patterns skip it, so an API it imports from internal/ could
 # otherwise be deleted unnoticed.
@@ -83,6 +72,22 @@ loc:
 		nt=$$(find "$$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		t=$$(find "$$d" -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
 		printf '%-28s %6d non-test %6d test\n' "$$d" "$$nt" "$$t"; \
+	done
+
+# knobs prints the number of independently settable values on each
+# configuration surface — public With* options, flags of the two
+# binaries, exported fields of the three Options structs and the fields
+# of the public config they feed — one line each, so "options did not
+# grow" is one diff of this output.
+knobs:
+	@printf '%-34s %3d\n' 'sama.go With*' $$(grep -c '^func With' sama.go)
+	@printf '%-34s %3d\n' 'sama.go config fields' $$(awk '/^type config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[a-z]/{n++} END{print n+0}' sama.go)
+	@for d in cmd/samad cmd/sama; do \
+		printf '%-34s %3d\n' "$$d flags" $$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -c '= fs\.[A-Z][A-Za-z0-9]*("'); \
+	done
+	@for f in internal/core/engine.go internal/index/index.go internal/server/server.go; do \
+		printf '%-34s %3d\n' "$$(basename $$(dirname $$f)).Options exported fields" \
+			$$(awk '/^type Options struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n+0}' $$f); \
 	done
 
 # profile captures a CPU profile of the search phase where it is

@@ -110,9 +110,6 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries before cancelling them")
 	poolPages := fs.Int("pool-pages", 0, "buffer pool capacity in 8 KiB pages (0 = library default)")
 	slow := fs.Duration("slow-query", 0, "log queries slower than this threshold (0 = off)")
-	queryLog := fs.Int("query-log", 32, "recent query traces kept for /debug/lastqueries")
-	eventLog := fs.Int("event-log", 256, "structured events kept for /debug/events")
-	eventSample := fs.Int("event-sample", 1, "keep 1-in-N sub-Warn events per subsystem (Warn+ always lands; 1 = keep all)")
 	cacheAnswers := fs.Int("cache-answers", 0, "answer cache capacity in entries; any index write invalidates it (0 = off)")
 	cacheAlignMB := fs.Int("cache-align-mb", 0, "alignment memo budget in MiB, reused across queries sharing path shapes (0 = default 64, negative = off)")
 	coalesce := fs.Bool("coalesce", false, "collapse identical in-flight /query requests into one execution")
@@ -146,12 +143,7 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 		return nil, errors.New("-index is required")
 	}
 
-	opts := []sama.Option{
-		sama.WithThesaurus(sama.BenchmarkThesaurus()),
-		sama.WithQueryLogSize(*queryLog),
-		sama.WithEventLogSize(*eventLog),
-		sama.WithEventSampling(*eventSample),
-	}
+	opts := []sama.Option{sama.WithThesaurus(sama.BenchmarkThesaurus())}
 	if *poolPages > 0 {
 		opts = append(opts, sama.WithPoolPages(*poolPages))
 	}
@@ -229,7 +221,7 @@ func startRouter(route, addr string, shardTimeout time.Duration, sopts sama.Serv
 	}
 	rt := server.NewRouter(urls, server.RouterOptions{ShardTimeout: shardTimeout})
 	reg := obs.NewRegistry()
-	events := obs.NewEventLog(256)
+	events := obs.NewEventLog(obs.EventLogSize)
 	h := server.New(server.Backend{QueryWire: rt.Query, Metrics: reg, Events: events}, sopts)
 	srv, err := h.Serve(addr)
 	if err != nil {

@@ -249,6 +249,14 @@ func TestStartDaemonFlagErrors(t *testing.T) {
 	if _, err := startDaemon([]string{"-index", "/nonexistent/base"}, logger); err == nil {
 		t.Error("unreadable index accepted")
 	}
+	// The ring sizes and the event sampler are not settable any more; an
+	// old command line must fail at flag parsing, not be silently ignored.
+	for _, gone := range []string{"-query-log", "-event-log", "-event-sample"} {
+		if _, err := startDaemon([]string{"-index", "/nonexistent/base", gone, "8"}, logger); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("removed flag %s: err = %v, want a flag-parse error", gone, err)
+		}
+	}
 }
 
 // TestSignalDrain drives the daemon through realMain: wait for the

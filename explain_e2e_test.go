@@ -242,9 +242,9 @@ func TestChromeTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestRuntimeTelemetry checks the runtime/metrics collector feeds the
-// registry: goroutine and heap gauges plus the GC pause quantiles land
-// in /metrics.
+// TestRuntimeTelemetry checks a DB's registry carries the
+// runtime/metrics gauges: goroutines, heap and the GC pause quantiles
+// land in /metrics.
 func TestRuntimeTelemetry(t *testing.T) {
 	db := obsTestDB(t)
 	srv := httptest.NewServer(db.DebugHandler())

@@ -60,10 +60,9 @@ func (e *Engine) answerCacheKey(q *rdf.QueryGraph, k int) string {
 	}
 	sort.Strings(lines)
 	var b strings.Builder
-	fmt.Fprintf(&b, "k=%d p=%g,%g,%g,%g,%g raw=%t cand=%d comb=%d fall=%d tie=%d\x00",
+	fmt.Fprintf(&b, "k=%d p=%g,%g,%g,%g,%g raw=%t cand=%d comb=%d\x00",
 		k, e.par.A, e.par.B, e.par.C, e.par.D, e.par.E, e.opts.RawChi,
-		e.opts.maxCandidates(), e.opts.maxCombinations(),
-		e.opts.maxFallback(), e.opts.maxTieVisits())
+		e.opts.maxCandidates(), e.opts.maxCombinations())
 	b.WriteString(strings.Join(lines, "\n"))
 	return b.String()
 }

@@ -348,12 +348,12 @@ func TestRetrieveUnindexedConstantFallsThrough(t *testing.T) {
 // fallback scan must reach the high end of the PathID space instead of
 // re-collecting the first max IDs forever.
 func TestFallbackScanCoversIDRange(t *testing.T) {
-	e := newTestEngine(t, Options{MaxClusterFallback: 4})
+	e := newTestEngine(t, Options{})
 	n := e.idx.NumPaths()
 	if n < 8 {
 		t.Fatalf("figure-1 index has only %d paths; test needs ≥ 8", n)
 	}
-	ids := e.fallbackScan()
+	ids := e.fallbackScan(4)
 	if len(ids) != 4 {
 		t.Fatalf("fallback returned %d ids, want 4", len(ids))
 	}
@@ -367,7 +367,7 @@ func TestFallbackScanCoversIDRange(t *testing.T) {
 		t.Errorf("fallback sample max ID %d never left the low range (N=%d)", maxID, n)
 	}
 	// Deterministic for a fixed index state.
-	again := e.fallbackScan()
+	again := e.fallbackScan(4)
 	for i := range ids {
 		if again[i] != ids[i] {
 			t.Fatalf("fallback scan not deterministic: %v vs %v", again, ids)

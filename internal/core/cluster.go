@@ -437,10 +437,10 @@ func (e *Engine) retrieve(q paths.Path) []index.PathID {
 			}
 		}
 	}
-	return e.fallbackScan()
+	return e.fallbackScan(maxClusterFallback)
 }
 
-// fallbackScan collects up to MaxClusterFallback live path IDs sampled
+// fallbackScan collects up to max (> 0) live path IDs sampled
 // uniformly across the whole ID space: with stride s = ceil(N/max) it
 // takes every s-th ID starting at offset 0, then offset 1, and so on,
 // so the sample reaches the high end of the ID range even when earlier
@@ -449,8 +449,7 @@ func (e *Engine) retrieve(q paths.Path) []index.PathID {
 // never surfaces later inserts). The result is deterministic for a
 // given index state; the worst case — most paths tombstoned — visits
 // all N liveness bits, and never reads disk.
-func (e *Engine) fallbackScan() []index.PathID {
-	max := e.opts.maxFallback()
+func (e *Engine) fallbackScan(max int) []index.PathID {
 	n := e.back.NumPaths()
 	ids := make([]index.PathID, 0, max)
 	stride := (n + max - 1) / max

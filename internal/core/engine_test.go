@@ -596,26 +596,6 @@ func TestSlowQueryHook(t *testing.T) {
 	}
 }
 
-// TestOptionsClampFallback pins the options normaliser: a hand-built
-// Options with a zero or negative MaxClusterFallback must clamp to the
-// default instead of reaching fallbackScan's stride division.
-func TestOptionsClampFallback(t *testing.T) {
-	for _, raw := range []int{0, -1, -100} {
-		o := Options{MaxClusterFallback: raw}
-		if got := o.maxFallback(); got != 256 {
-			t.Errorf("maxFallback(%d) = %d, want 256", raw, got)
-		}
-	}
-	// End to end: an engine built with a negative fallback must still
-	// answer constant-free queries through the fallback scan.
-	e := newTestEngine(t, Options{MaxClusterFallback: -3})
-	defer e.Close()
-	ids := e.fallbackScan()
-	if len(ids) == 0 {
-		t.Fatal("fallback scan returned nothing under a negative MaxClusterFallback")
-	}
-}
-
 // TestOptionsClampCandidates pins the 2^20 candidate bound that keeps
 // any per-candidate index comfortably inside the scorer's flat key
 // space (and, historically, inside the 20-bit packed memo key).

@@ -77,7 +77,6 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	tieVisits := 0
 	frontierPeak := frontier.len()
 	maxVisits := e.opts.maxCombinations()
-	maxTies := e.opts.maxTieVisits()
 	cancelled := false
 	boundBreak := false
 	for frontier.len() > 0 && visited < maxVisits {
@@ -104,7 +103,7 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 				// Ties can still win on the conformity-degree
 				// tie-break; explore a bounded number of them.
 				tieVisits++
-				if tieVisits > maxTies {
+				if tieVisits > maxTieVisits {
 					break
 				}
 			}
@@ -287,7 +286,7 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 //     non-decreasing λ, so every later combo is also a reject and the
 //     loop can break. Combinations that tie the k-th score are never
 //     skipped: such a combo has λ + Ψ = worst and Ψ ≥ psiLB, hence λ +
-//     psiLB ≤ worst. The tie horizon (MaxTieVisits) is counted against
+//     psiLB ≤ worst. The tie horizon (maxTieVisits) is counted against
 //     the uniform bound E·|pairs|, after the tight check.
 //  4. The visit order is deterministic. The handle heap orders by λ
 //     alone with container/heap's sift algorithm and strict

@@ -19,11 +19,10 @@ import (
 // buildCluster over this backend builds the cluster the monolithic
 // index would: a posting lookup is non-empty exactly when some shard's
 // is, so retrieve's cascade stops at the level the monolith stops at,
-// with the same candidates in the same ascending order; pre-rank, memo
-// keys, the bound sort, wave boundaries and prune decisions read only
-// global IDs, summaries and staged costs; and the final (cost, ID) sort
-// is a strict total order, so it does not matter which shard an item
-// came from.
+// with the same candidates in the same ascending order; pre-rank and
+// memo keys read only global IDs and summaries; and the final (cost,
+// ID) sort is a strict total order, so it does not matter which shard
+// an item came from.
 type shardBackend struct {
 	set *shard.Set
 }

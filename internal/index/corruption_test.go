@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sama/internal/rdf"
@@ -52,6 +53,34 @@ func TestOpenRejectsCorruptMagic(t *testing.T) {
 	os.WriteFile(meta, raw, 0o644)
 	if _, err := Open(base, Options{}); err == nil {
 		t.Error("corrupt magic accepted")
+	}
+}
+
+// TestOpenRejectsOlderMetaVersion pins the version check: metadata
+// stamped with an earlier format version (SAMAIDX3/4 predate persisted
+// signatures) is refused with an error that names the version found and
+// says what to do about it.
+func TestOpenRejectsOlderMetaVersion(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "old")
+	meta := buildAndClose(t, base, Options{})
+	raw, err := os.ReadFile(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []byte{'3', '4'} {
+		raw[7] = v
+		if err := os.WriteFile(meta, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(base, Options{})
+		if err == nil {
+			t.Fatalf("version %q metadata accepted", v)
+		}
+		for _, want := range []string{`version '` + string(v) + `'`, "rebuild"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version %q: error %q lacks %q", v, err, want)
+			}
+		}
 	}
 }
 

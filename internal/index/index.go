@@ -493,16 +493,10 @@ func openIndex(base string, opts Options, attachWAL bool) (*Index, error) {
 	return ix, nil
 }
 
-// metaMagic is the current metadata format ("SAMAIDX5": adds the
-// per-path signature table). The two previous formats stay readable:
-// V4 (WAL watermark and directory) and V3; both predate persisted
-// signatures, so opening them derives the table from the label
-// postings (deriveSigs) instead.
-var (
-	metaMagic   = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '5'}
-	metaMagicV4 = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '4'}
-	metaMagicV3 = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '3'}
-)
+// metaMagic is the metadata format ("SAMAIDX5"), the only one readMeta
+// accepts: the last byte is the version, and an index written under
+// another one has to be rebuilt from its data.
+var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '5'}
 
 const (
 	metaFlagCompressed = 1
@@ -648,16 +642,17 @@ func (ix *Index) readMeta(thes *textindex.Thesaurus) error {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return err
 	}
-	if magic != metaMagic && magic != metaMagicV4 && magic != metaMagicV3 {
+	if magic != metaMagic {
+		if [7]byte(magic[:7]) == [7]byte(metaMagic[:7]) {
+			return fmt.Errorf("metadata format version %q is not supported (this build reads version %q): rebuild the index from its data",
+				magic[7], metaMagic[7])
+		}
 		return fmt.Errorf("bad meta magic %q", magic)
 	}
 	ru := func() (uint64, error) { return binary.ReadUvarint(r) }
 	flags, err := ru()
 	if err != nil {
 		return err
-	}
-	if magic == metaMagicV3 && flags&metaFlagWAL != 0 {
-		return fmt.Errorf("v3 metadata cannot carry a WAL flag")
 	}
 	if flags&metaFlagWAL != 0 {
 		watermark, err := ru()
@@ -708,12 +703,10 @@ func (ix *Index) readMeta(thes *textindex.Thesaurus) error {
 		}
 		ix.lens[i] = uint16(v)
 	}
-	if magic == metaMagic {
-		ix.sigs = make([]uint64, n)
-		for i := range ix.sigs {
-			if ix.sigs[i], err = ru(); err != nil {
-				return err
-			}
+	ix.sigs = make([]uint64, n)
+	for i := range ix.sigs {
+		if ix.sigs[i], err = ru(); err != nil {
+			return err
 		}
 	}
 	bitmap := make([]byte, (n+7)/8)
@@ -737,11 +730,6 @@ func (ix *Index) readMeta(thes *textindex.Thesaurus) error {
 		if ix.dict, err = ReadDictionary(r); err != nil {
 			return err
 		}
-	}
-	if ix.sigs == nil {
-		// Pre-V5 metadata: rebuild the signature table from the label
-		// postings just read — bit-identical to the persisted form.
-		ix.sigs = deriveSigs(ix.labels, int(n))
 	}
 	return nil
 }
@@ -789,21 +777,9 @@ func (ix *Index) Epoch() uint64 {
 // Path reads the path with the given ID from disk (through the buffer
 // pool).
 func (ix *Index) Path(id PathID) (paths.Path, error) {
-	return ix.PathContext(context.Background(), id)
-}
-
-// PathContext is Path with the page accesses additionally charged to
-// the context's I/O tally (see storage.WithTally), so concurrent
-// queries each see their own reads.
-func (ix *Index) PathContext(ctx context.Context, id PathID) (paths.Path, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.pathTally(storage.TallyFrom(ctx), id)
-}
-
-// pathLocked is Path for callers already holding ix.mu.
-func (ix *Index) pathLocked(id PathID) (paths.Path, error) {
-	return ix.pathTally(nil, id)
+	return ix.pathLocked(id)
 }
 
 // ErrStaleRead marks a read through a PathID that no longer refers to
@@ -815,8 +791,8 @@ func (ix *Index) pathLocked(id PathID) (paths.Path, error) {
 // does exactly that).
 var ErrStaleRead = errors.New("stale read: path IDs predate an index mutation")
 
-// pathTally reads and decodes one path, charging t. Caller holds ix.mu.
-func (ix *Index) pathTally(t *storage.IOTally, id PathID) (paths.Path, error) {
+// pathLocked is Path for callers already holding ix.mu.
+func (ix *Index) pathLocked(id PathID) (paths.Path, error) {
 	ix.mPathReads.Inc()
 	if int(id) >= len(ix.rids) {
 		return paths.Path{}, fmt.Errorf("index: path %d out of range (%d paths): %w", id, len(ix.rids), ErrStaleRead)
@@ -824,7 +800,7 @@ func (ix *Index) pathTally(t *storage.IOTally, id PathID) (paths.Path, error) {
 	if ix.deleted[id] {
 		return paths.Path{}, fmt.Errorf("index: path %d was invalidated by an update: %w", id, ErrStaleRead)
 	}
-	data, err := ix.store.ReadTally(t, ix.rids[id])
+	data, err := ix.store.Read(ix.rids[id])
 	if err != nil {
 		return paths.Path{}, fmt.Errorf("index: read path %d: %w", id, err)
 	}
@@ -851,15 +827,6 @@ func (ix *Index) PathsBySink(label string) []PathID {
 	return ix.toPathIDs(ix.sinks.Lookup(label))
 }
 
-// PathsBySinkExact returns the IDs of the live paths whose sink label
-// normalises to the given label.
-func (ix *Index) PathsBySinkExact(label string) []PathID {
-	ix.mSinkLookups.Inc()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.toPathIDs(ix.sinks.LookupExact(label))
-}
-
 // PathsByLabel returns the IDs of the live paths containing an element
 // whose label matches (exact, token, and thesaurus expansion).
 func (ix *Index) PathsByLabel(label string) []PathID {
@@ -878,21 +845,6 @@ func (ix *Index) toPathIDs(ps []uint32) []PathID {
 		}
 	}
 	return out
-}
-
-// ReadPaths materialises the given path IDs from disk.
-func (ix *Index) ReadPaths(ids []PathID) ([]paths.Path, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]paths.Path, len(ids))
-	for i, id := range ids {
-		p, err := ix.pathLocked(id)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
 }
 
 // ReadPathsBatched materialises the given path IDs in one page-locality

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -145,7 +146,7 @@ func TestPathsBySink(t *testing.T) {
 	if len(ids) == 0 {
 		t.Fatal("no paths with Health Care sink")
 	}
-	ps, err := ix.ReadPaths(ids)
+	ps, err := ix.ReadPathsBatched(context.Background(), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestPathsBySink(t *testing.T) {
 			t.Errorf("path %s does not end in Health Care", p)
 		}
 	}
-	males := ix.PathsBySinkExact("male")
+	males := ix.PathsBySink("male")
 	if len(males) != 2 {
 		t.Errorf("Male sink paths = %d, want 2", len(males))
 	}
@@ -163,7 +164,7 @@ func TestPathsBySink(t *testing.T) {
 func TestPathsByLabel(t *testing.T) {
 	ix := buildTestIndex(t, Options{})
 	ids := ix.PathsByLabel("B1432")
-	ps, _ := ix.ReadPaths(ids)
+	ps, _ := ix.ReadPathsBatched(context.Background(), ids)
 	for _, p := range ps {
 		if !p.ContainsLabelText("B1432") {
 			t.Errorf("path %s lacks B1432", p)
@@ -229,14 +230,14 @@ func TestOpenMissing(t *testing.T) {
 func TestDropCacheGoesCold(t *testing.T) {
 	ix := buildTestIndex(t, Options{PoolPages: 64})
 	ids := ix.PathsBySink("Male")
-	if _, err := ix.ReadPaths(ids); err != nil {
+	if _, err := ix.ReadPathsBatched(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.DropCache(); err != nil {
 		t.Fatal(err)
 	}
 	before := ix.PoolStats()
-	if _, err := ix.ReadPaths(ids); err != nil {
+	if _, err := ix.ReadPathsBatched(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
 	after := ix.PoolStats()

@@ -35,21 +35,6 @@ func pathSig(p paths.Path) uint64 {
 	return s
 }
 
-// deriveSigs rebuilds the signature table from the label postings: a
-// path's signature is exactly the OR of SigBit over the keys it is
-// indexed under (textindex.SigBits is defined to match), so metadata
-// written before signatures were persisted reconstructs an identical
-// table in one O(total postings) sweep at open.
-func deriveSigs(labels *textindex.Index, n int) []uint64 {
-	sigs := make([]uint64, n)
-	labels.ForEachPosting(func(key string, doc uint32) {
-		if int(doc) < n {
-			sigs[doc] |= textindex.SigBit(key)
-		}
-	})
-	return sigs
-}
-
 // Summaries returns the in-memory summaries for the given IDs under one
 // read lock. Unlike the scalar accessors it reports staleness instead
 // of degrading: an out-of-range ID (the space shrank under a

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -63,7 +64,7 @@ func TestCompressedIndexEndToEnd(t *testing.T) {
 	if len(sinkIDs) == 0 {
 		t.Fatal("no sink matches in compressed index")
 	}
-	ps, err := ix.ReadPaths(sinkIDs)
+	ps, err := ix.ReadPathsBatched(context.Background(), sinkIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +361,7 @@ func TestUpdatedIndexStillAnswersViaFlush(t *testing.T) {
 	if ix.Stats().DiskBytes <= 0 {
 		t.Error("Flush did not refresh disk stats")
 	}
-	males := ix.PathsBySinkExact("male")
+	males := ix.PathsBySink("male")
 	found := false
 	for _, id := range males {
 		p, _ := ix.Path(id)

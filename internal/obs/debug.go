@@ -114,9 +114,8 @@ func DebugMux(reg *Registry, log *QueryLog, events *EventLog, extras ...DebugVar
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(struct {
-			Events  []Event `json:"events"`
-			Sampled uint64  `json:"sampled"`
-		}{evs, events.Sampled()})
+			Events []Event `json:"events"`
+		}{evs})
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

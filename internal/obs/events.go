@@ -4,7 +4,6 @@ import (
 	"context"
 	"log/slog"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -22,15 +21,10 @@ type Event struct {
 
 // EventLog is the structured event log: a fixed-capacity newest-first
 // ring fed by per-subsystem `log/slog` loggers, with live subscribers
-// for SSE streaming. Records below Warn are subject to 1-in-N sampling
-// (per subsystem, deterministic counters) so a hot path can log per
-// operation without the ring becoming all one subsystem; Warn and above
-// always land. A nil *EventLog is valid: loggers built from it discard
-// everything at zero cost beyond the Enabled check.
+// for SSE streaming. A nil *EventLog is valid: loggers built from it
+// discard everything at zero cost beyond the Enabled check.
 type EventLog struct {
-	level   slog.LevelVar // minimum level, default Info
-	sampleN atomic.Int64  // keep 1-in-N below Warn; <=1 keeps all
-	sampled atomic.Uint64 // records dropped by sampling
+	level slog.LevelVar // minimum level, default Info
 
 	mu    sync.Mutex
 	seq   uint64 // under mu, so Seq order always matches ring order
@@ -39,21 +33,21 @@ type EventLog struct {
 	n     int
 	subs  map[int]chan Event
 	subID int
-
-	cmu      sync.Mutex
-	counters map[string]*atomic.Uint64 // per-subsystem sampling counters
 }
 
+// EventLogSize is the event ring a database or router keeps for
+// /debug/events.
+const EventLogSize = 256
+
 // NewEventLog returns a ring holding the last n events (n ≤ 0 selects
-// 256).
+// EventLogSize).
 func NewEventLog(n int) *EventLog {
 	if n <= 0 {
-		n = 256
+		n = EventLogSize
 	}
 	l := &EventLog{
-		buf:      make([]Event, n),
-		subs:     make(map[int]chan Event),
-		counters: make(map[string]*atomic.Uint64),
+		buf:  make([]Event, n),
+		subs: make(map[int]chan Event),
 	}
 	l.level.Set(slog.LevelInfo)
 	return l
@@ -64,22 +58,6 @@ func (l *EventLog) SetLevel(v slog.Level) {
 	if l != nil {
 		l.level.Set(v)
 	}
-}
-
-// SetSampling keeps 1-in-n records below Warn, per subsystem (n ≤ 1
-// keeps all). Warn and above are never sampled.
-func (l *EventLog) SetSampling(n int) {
-	if l != nil {
-		l.sampleN.Store(int64(n))
-	}
-}
-
-// Sampled returns the number of records dropped by sampling.
-func (l *EventLog) Sampled() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.sampled.Load()
 }
 
 // Logger returns a slog logger whose records land in the ring tagged
@@ -154,18 +132,6 @@ func (l *EventLog) Snapshot() []Event {
 	return out
 }
 
-// counter returns the sampling counter for a subsystem.
-func (l *EventLog) counter(subsystem string) *atomic.Uint64 {
-	l.cmu.Lock()
-	defer l.cmu.Unlock()
-	c := l.counters[subsystem]
-	if c == nil {
-		c = new(atomic.Uint64)
-		l.counters[subsystem] = c
-	}
-	return c
-}
-
 // ringHandler adapts the ring to slog.Handler. Attribute values are
 // rendered to strings at Handle time.
 type ringHandler struct {
@@ -186,13 +152,6 @@ func (h *ringHandler) Handle(_ context.Context, r slog.Record) error {
 	l := h.log
 	if l == nil {
 		return nil
-	}
-	// Sampling: below Warn, keep 1-in-N per subsystem.
-	if n := l.sampleN.Load(); n > 1 && r.Level < slog.LevelWarn {
-		if l.counter(h.subsystem).Add(1)%uint64(n) != 1 {
-			l.sampled.Add(1)
-			return nil
-		}
 	}
 	ev := Event{
 		Time:      r.Time,

@@ -51,34 +51,6 @@ func TestEventLogLevel(t *testing.T) {
 	}
 }
 
-func TestEventLogSampling(t *testing.T) {
-	l := NewEventLog(1024)
-	l.SetSampling(10)
-	log := l.Logger("wal")
-	for i := 0; i < 100; i++ {
-		log.Info("hot-path")
-	}
-	if got := len(l.Snapshot()); got != 10 {
-		t.Errorf("kept %d of 100 sampled records, want 10", got)
-	}
-	if got := l.Sampled(); got != 90 {
-		t.Errorf("Sampled() = %d, want 90", got)
-	}
-	// Warn and above are never sampled.
-	for i := 0; i < 20; i++ {
-		log.Warn("always lands")
-	}
-	warns := 0
-	for _, ev := range l.Snapshot() {
-		if ev.Level == slog.LevelWarn.String() {
-			warns++
-		}
-	}
-	if warns != 20 {
-		t.Errorf("kept %d of 20 Warn records, want all 20", warns)
-	}
-}
-
 func TestEventLogNilSafe(t *testing.T) {
 	var l *EventLog
 	log := l.Logger("anything") // must not panic, must discard
@@ -115,7 +87,6 @@ func TestEventLogWithAttrsAndGroup(t *testing.T) {
 // log satellite. Writers must never block on a slow subscriber.
 func TestEventLogConcurrency(t *testing.T) {
 	l := NewEventLog(64)
-	l.SetSampling(3)
 	ch, cancel := l.Subscribe(8) // deliberately tiny: forces drops
 	defer cancel()
 	var drained sync.WaitGroup
@@ -169,7 +140,6 @@ func TestEventLogConcurrency(t *testing.T) {
 
 func TestDebugEventsJSON(t *testing.T) {
 	l := NewEventLog(16)
-	l.SetSampling(2)
 	log := l.Logger("server")
 	for i := 0; i < 4; i++ {
 		log.Info("request", "i", i)
@@ -182,14 +152,15 @@ func TestDebugEventsJSON(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var doc struct {
-		Events  []Event `json:"events"`
-		Sampled uint64  `json:"sampled"`
+		Events []Event `json:"events"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	dec := json.NewDecoder(resp.Body)
+	dec.DisallowUnknownFields() // the document is {"events": [...]}, nothing else
+	if err := dec.Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Events) != 2 || doc.Sampled != 2 {
-		t.Fatalf("events=%d sampled=%d, want 2 kept and 2 sampled away", len(doc.Events), doc.Sampled)
+	if len(doc.Events) != 4 {
+		t.Fatalf("events=%d, want all 4 records", len(doc.Events))
 	}
 	if doc.Events[0].Seq < doc.Events[1].Seq {
 		t.Error("events not newest first")

@@ -1,17 +1,9 @@
 package obs
 
-import (
-	"runtime/metrics"
-	"sync"
-	"time"
-)
+import "runtime/metrics"
 
-// runtimeSamples are the runtime/metrics the collector polls. Gauges
-// mirror the latest sample; the two histogram-valued metrics (GC pause,
-// scheduler latency) are reduced to p50/p99/max quantile gauges — the
-// runtime publishes them as cumulative histograms whose bucket layout
-// is its own, so quantiles are the honest stable projection into the
-// registry.
+// runtimeSamples are the scalar runtime/metrics the registry exposes,
+// each as a gauge read at scrape time.
 var runtimeSamples = []struct {
 	src  string
 	name string
@@ -23,6 +15,11 @@ var runtimeSamples = []struct {
 	{"/gc/cycles/total:gc-cycles", "sama_runtime_gc_cycles_total", "Completed GC cycles."},
 }
 
+// runtimeHists are the two histogram-valued metrics (GC pause,
+// scheduler latency), reduced to p50/p99/max quantile gauges — the
+// runtime publishes them as cumulative histograms whose bucket layout
+// is its own, so quantiles are the honest stable projection into the
+// registry.
 var runtimeHists = []struct {
 	src  string
 	name string
@@ -39,96 +36,45 @@ var runtimeQuantiles = []struct {
 	{0.5, "0.5"}, {0.99, "0.99"}, {1.0, "max"},
 }
 
-// RuntimeCollector periodically polls runtime/metrics into a Registry:
-// GC pause and scheduler-latency quantiles, heap and total memory,
-// goroutine count, and GC cycles. Stop terminates the poller; the
-// gauges keep their last values.
-type RuntimeCollector struct {
-	reg      *Registry
-	samples  []metrics.Sample
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
-}
-
-// StartRuntime begins polling every interval (≤ 0 selects 10s). The
-// first poll happens synchronously so the gauges are live immediately.
-func StartRuntime(reg *Registry, interval time.Duration) *RuntimeCollector {
-	if reg == nil {
-		return nil
-	}
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	c := &RuntimeCollector{
-		reg:  reg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	for _, s := range runtimeSamples {
-		c.samples = append(c.samples, metrics.Sample{Name: s.src})
-	}
-	for _, h := range runtimeHists {
-		c.samples = append(c.samples, metrics.Sample{Name: h.src})
-	}
-	c.Poll()
-	go c.run(interval)
-	return c
-}
-
-func (c *RuntimeCollector) run(interval time.Duration) {
-	defer close(c.done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-			c.Poll()
-		}
-	}
-}
-
-// Stop terminates the poller and waits for it to exit. Idempotent.
-func (c *RuntimeCollector) Stop() {
-	if c == nil {
+// RegisterRuntime publishes the Go runtime's own measurements — GC
+// pause and scheduler-latency quantiles, heap and total memory,
+// goroutine count, GC cycles — as scrape-time gauges over
+// runtime/metrics: every scrape reads the runtime, nothing polls in
+// between. A nil registry registers nothing.
+func RegisterRuntime(r *Registry) {
+	if r == nil {
 		return
 	}
-	c.stopOnce.Do(func() { close(c.stop) })
-	<-c.done
-}
-
-// Poll reads runtime/metrics once and updates the gauges. Exported so
-// tests can force a sample without waiting for the ticker.
-func (c *RuntimeCollector) Poll() {
-	if c == nil {
-		return
+	for _, def := range runtimeSamples {
+		r.GaugeFunc(def.name, def.help, func() float64 {
+			switch v := readRuntime(def.src); v.Kind() {
+			case metrics.KindUint64:
+				return float64(v.Uint64())
+			case metrics.KindFloat64:
+				return v.Float64()
+			}
+			return 0
+		})
 	}
-	metrics.Read(c.samples)
-	for i, def := range runtimeSamples {
-		s := c.samples[i]
-		var v float64
-		switch s.Value.Kind() {
-		case metrics.KindUint64:
-			v = float64(s.Value.Uint64())
-		case metrics.KindFloat64:
-			v = s.Value.Float64()
-		default:
-			continue
-		}
-		c.reg.Gauge(def.name, def.help).Set(v)
-	}
-	for i, def := range runtimeHists {
-		s := c.samples[len(runtimeSamples)+i]
-		if s.Value.Kind() != metrics.KindFloat64Histogram {
-			continue
-		}
-		h := s.Value.Float64Histogram()
+	for _, def := range runtimeHists {
 		for _, q := range runtimeQuantiles {
-			c.reg.Gauge(def.name, def.help, "q", q.label).Set(histQuantile(h, q.q))
+			r.GaugeFunc(def.name, def.help, func() float64 {
+				v := readRuntime(def.src)
+				if v.Kind() != metrics.KindFloat64Histogram {
+					return 0
+				}
+				return histQuantile(v.Float64Histogram(), q.q)
+			}, "q", q.label)
 		}
 	}
+}
+
+// readRuntime reads one runtime/metrics sample. Each call owns its
+// sample, so concurrent scrapes never share a buffer.
+func readRuntime(src string) metrics.Value {
+	s := []metrics.Sample{{Name: src}}
+	metrics.Read(s)
+	return s[0].Value
 }
 
 // histQuantile returns the upper bound of the bucket containing the

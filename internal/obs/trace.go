@@ -253,11 +253,15 @@ type QueryLog struct {
 	n    int
 }
 
+// QueryLogSize is the trace ring a database keeps for DB.LastQueries
+// and /debug/lastqueries.
+const QueryLogSize = 32
+
 // NewQueryLog returns a ring holding the last n traces (n ≤ 0 selects
-// 32).
+// QueryLogSize).
 func NewQueryLog(n int) *QueryLog {
 	if n <= 0 {
-		n = 32
+		n = QueryLogSize
 	}
 	return &QueryLog{buf: make([]*Trace, n)}
 }

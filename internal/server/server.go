@@ -64,9 +64,6 @@ type Options struct {
 	MaxK     int
 	// MaxBodyBytes bounds the query text (default 1 MiB).
 	MaxBodyBytes int64
-	// RetryAfter is the backoff hint stamped on 503 responses (default
-	// 1s, rendered as whole seconds, minimum 1).
-	RetryAfter time.Duration
 	// Coalesce collapses identical in-flight queries (same body and k)
 	// into one execution whose result fans out to every caller; each
 	// waiter still honors its own deadline. A leader's execution is
@@ -75,6 +72,9 @@ type Options struct {
 	// Off by default.
 	Coalesce bool
 }
+
+// retryAfterSeconds is the backoff hint stamped on 503 responses.
+const retryAfterSeconds = "1"
 
 func (o Options) withDefaults() Options {
 	if o.MaxInflight <= 0 {
@@ -100,9 +100,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 1 << 20
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	return o
 }
@@ -245,11 +242,7 @@ func (h *Handler) writeJSON(w http.ResponseWriter, status int, v any) {
 // hint so well-behaved clients spread their retries.
 func (h *Handler) writeErr(w http.ResponseWriter, status int, msg string) {
 	if status == http.StatusServiceUnavailable {
-		secs := int(h.opts.RetryAfter.Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
 	h.writeJSON(w, status, client.ErrorResponse{Error: msg})
 }

@@ -39,7 +39,6 @@ type Shard interface {
 	Summaries(ids []index.PathID) ([]index.PathSummary, error)
 	LabelProbeMask(label string) uint64
 	PathsBySink(label string) []index.PathID
-	PathsBySinkExact(label string) []index.PathID
 	PathsByLabel(label string) []index.PathID
 	PathsByAllLabels(labels []string) []index.PathID
 	ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, error)

@@ -359,9 +359,6 @@ func (bp *BufferPool) Len() int {
 	return bp.lru.Len()
 }
 
-// Capacity returns the pool capacity in pages.
-func (bp *BufferPool) Capacity() int { return bp.capacity }
-
 // Close flushes and marks the pool closed (the underlying file is not
 // closed; the owner closes it).
 func (bp *BufferPool) Close() error {

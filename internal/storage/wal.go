@@ -687,13 +687,6 @@ func (w *WAL) Reset(firstLSN uint64) error {
 	return w.syncDir()
 }
 
-// NextLSN returns the LSN the next append will receive.
-func (w *WAL) NextLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nextLSN
-}
-
 // LastLSN returns the highest LSN assigned so far (0 = none).
 func (w *WAL) LastLSN() uint64 {
 	w.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 )
 
@@ -185,20 +184,6 @@ func union2(a, b []uint32, total int) []uint32 {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-func dedupSorted(ps []uint32) []uint32 {
-	if len(ps) < 2 {
-		return ps
-	}
-	slices.Sort(ps) // radix-free pdqsort on the concrete type: no comparator calls
-	out := ps[:1]
-	for _, p := range ps[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // TermCount returns the number of distinct exact keys in the index.

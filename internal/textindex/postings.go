@@ -130,23 +130,6 @@ func (p *Postings) AppendTo(dst []uint32) []uint32 {
 	return append(dst, p.tail...)
 }
 
-// ForEach calls f on every document in ascending order. Nil-safe.
-func (p *Postings) ForEach(f func(doc uint32)) {
-	if p == nil {
-		return
-	}
-	off, prev := 0, uint32(0)
-	for i := 0; i < len(p.skips)*postingsBlockLen; i++ {
-		d, m := binary.Uvarint(p.enc[off:])
-		off += m
-		prev += uint32(d)
-		f(prev)
-	}
-	for _, v := range p.tail {
-		f(v)
-	}
-}
-
 // Contains reports whether doc is in the list: a binary search over the
 // skip table picks the one block whose range covers doc, and only that
 // block's ≤ postingsBlockLen deltas are scanned. Nil-safe.
@@ -434,16 +417,4 @@ func ProbeMask(thes *Thesaurus, label string) uint64 {
 		}
 	}
 	return m
-}
-
-// ForEachPosting calls f for every (key, document) pair across both
-// precision maps, in unspecified order. The index layer derives legacy
-// metadata's signature tables from it.
-func (ix *Index) ForEachPosting(f func(key string, doc uint32)) {
-	for k, p := range ix.exact {
-		p.ForEach(func(d uint32) { f(k, d) })
-	}
-	for k, p := range ix.tokens {
-		p.ForEach(func(d uint32) { f(k, d) })
-	}
 }

@@ -142,23 +142,3 @@ func TestProbeMaskSoundness(t *testing.T) {
 		}
 	}
 }
-
-// TestSigBitsMatchesDerivation pins that computing a label's signature
-// directly agrees with deriving it from the posting maps — the property
-// that lets old metadata rebuild signature tables from the label index.
-func TestSigBitsMatchesDerivation(t *testing.T) {
-	ix := New(nil)
-	labels := []string{"FullProfessor", "Health Care", "B1432", "x", "http://ex.org#worksFor"}
-	for i, l := range labels {
-		ix.Add(l, uint32(i))
-	}
-	derived := make([]uint64, len(labels))
-	ix.ForEachPosting(func(key string, doc uint32) {
-		derived[doc] |= SigBit(key)
-	})
-	for i, l := range labels {
-		if got := SigBits(l); got != derived[i] {
-			t.Errorf("SigBits(%q) = %x, derived = %x", l, got, derived[i])
-		}
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -178,16 +179,38 @@ func TestSlowQueryLogOption(t *testing.T) {
 	}
 }
 
-// TestQueryLogSizeOption checks the ring capacity option.
-func TestQueryLogSizeOption(t *testing.T) {
-	db := obsTestDB(t, sama.WithQueryLogSize(2))
-	for i := 0; i < 5; i++ {
-		if _, err := db.QuerySPARQL(obsTestQuery, 1); err != nil {
-			t.Fatal(err)
+// TestDBOwnsNoGoroutine pins that a database is passive: opening one
+// starts no background goroutine (runtime telemetry is read at scrape
+// time, not polled), so Close has nothing to stop and the count ends
+// where it began.
+func TestDBOwnsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	// settled reports the goroutines beyond the starting count, giving
+	// ones that are merely finishing (a query's per-path cluster
+	// goroutines have signalled done but may not have exited yet) a
+	// moment to go; a goroutine the DB owns never does.
+	settled := func() int {
+		var extra int
+		for i := 0; i < 100; i++ {
+			if extra = runtime.NumGoroutine() - before; extra <= 0 {
+				return 0
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
+		return extra
 	}
-	if got := len(db.LastQueries()); got != 2 {
-		t.Errorf("LastQueries = %d traces, want 2", got)
+	db := obsTestDB(t)
+	if _, err := db.QuerySPARQL(obsTestQuery, 3); err != nil {
+		t.Fatal(err)
+	}
+	if extra := settled(); extra > 0 {
+		t.Errorf("an open DB runs %d goroutines beyond the %d before Create", extra, before)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if extra := settled(); extra > 0 {
+		t.Errorf("%d goroutines more after Close than before Create", extra)
 	}
 }
 

@@ -204,10 +204,6 @@ type config struct {
 	thesaurus       *textindex.Thesaurus
 	engine          core.Options
 	compress        bool
-	lastN           int
-	eventsN         int
-	eventSampleN    int
-	runtimeEvery    time.Duration
 	walDir          string
 	checkpointBytes int64
 	shards          int
@@ -277,29 +273,6 @@ func WithSlowQueryLog(threshold time.Duration, fn func(*Trace)) Option {
 	}
 }
 
-// WithQueryLogSize sets how many recent query traces the DB retains for
-// DB.LastQueries and the debug server's /debug/lastqueries endpoint
-// (default 32).
-func WithQueryLogSize(n int) Option { return func(c *config) { c.lastN = n } }
-
-// WithEventLogSize sets how many structured events the DB's event ring
-// retains for DB.Events and the debug server's /debug/events endpoint
-// (default 256).
-func WithEventLogSize(n int) Option { return func(c *config) { c.eventsN = n } }
-
-// WithEventSampling keeps 1-in-n sub-Warn events per subsystem in the
-// event log (Warn and Error always land). n ≤ 1 keeps everything — the
-// default.
-func WithEventSampling(n int) Option { return func(c *config) { c.eventSampleN = n } }
-
-// WithRuntimeMetrics sets how often the DB polls runtime/metrics (GC
-// pause and scheduler-latency quantiles, heap, goroutines) into its
-// registry. The default is 10s; a negative interval disables the
-// collector.
-func WithRuntimeMetrics(every time.Duration) Option {
-	return func(c *config) { c.runtimeEvery = every }
-}
-
 // WithWAL enables the durable write path: every Insert batch is framed
 // into a segmented write-ahead log in dir and fsynced (concurrent
 // inserters share fsyncs through group commit) before any index page
@@ -363,7 +336,6 @@ type DB struct {
 	reg    *obs.Registry
 	lastq  *obs.QueryLog
 	events *obs.EventLog
-	rt     *obs.RuntimeCollector
 	closed atomic.Bool
 }
 
@@ -471,28 +443,22 @@ func assembleDB(st store, set *shard.Set, c *config, newEngine func(core.Options
 			}
 		})
 	}
-	events := obs.NewEventLog(c.eventsN)
-	if c.eventSampleN > 1 {
-		events.SetSampling(c.eventSampleN)
-	}
+	obs.RegisterRuntime(reg)
+	events := obs.NewEventLog(obs.EventLogSize)
 	st.SetEvents(events)
 	engOpts := c.engine
 	engOpts.Params = c.params
 	engOpts.ParamsSet = c.paramsSet
 	engOpts.Metrics = reg
 	engOpts.Events = events
-	db := &DB{
+	return &DB{
 		store:  st,
 		set:    set,
 		engine: newEngine(engOpts),
 		reg:    reg,
-		lastq:  obs.NewQueryLog(c.lastN),
+		lastq:  obs.NewQueryLog(obs.QueryLogSize),
 		events: events,
 	}
-	if c.runtimeEvery >= 0 { // negative: collector disabled
-		db.rt = obs.StartRuntime(reg, c.runtimeEvery)
-	}
-	return db
 }
 
 // recoverQuery converts a panic escaping the engine into an error at
@@ -759,12 +725,12 @@ func (db *DB) PoolStats() PoolStats { return db.store.PoolStats() }
 // exposition (MetricsRegistry.WritePrometheus) or programmatic reads.
 func (db *DB) Metrics() *MetricsRegistry { return db.reg }
 
-// LastQueries returns the traces of the most recent queries, newest
+// LastQueries returns the traces of the 32 most recent queries, newest
 // first. The traces are read-only.
 func (db *DB) LastQueries() []*Trace { return db.lastq.Snapshot() }
 
-// Events returns the database's structured event log: recent events
-// from the engine, index, WAL, compaction and (when serving) server
+// Events returns the database's structured event log: the 256 most
+// recent events from the engine, index, WAL, compaction and (when serving) server
 // subsystems. Snapshot it for the ring, Subscribe for a live stream.
 func (db *DB) Events() *EventLog { return db.events }
 
@@ -890,7 +856,6 @@ func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
 	}
-	db.rt.Stop()
 	return db.store.Close()
 }
 
