@@ -6,7 +6,7 @@ GO ?= go
 # (packages and both binaries), the race-enabled test suite with an
 # extra race pass over the concurrency-hot packages, the
 # crash-recovery matrix, the multi-node router smoke test, the
-# benchmark module's own vet and tests, and a ten-second run of the
+# benchmark module's own vet and tests, and a ten-second run of each
 # native fuzz target. CI and pre-commit both run this.
 check: fmt vet build bins race race-hot crash route-smoke bench-check fuzz-smoke
 
@@ -58,11 +58,14 @@ crash:
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
-# fuzz-smoke runs the path-record decoder's fuzz target for ten seconds
-# on top of its checked-in corpus (internal/index/testdata/fuzz); a
-# crasher it finds is written there and fails every later go test.
+# fuzz-smoke runs each native fuzz target — the path-record decoder and
+# the compressed postings (decode ∘ encode, SeekGE, union) — for ten
+# seconds on top of its checked-in corpus (testdata/fuzz in its
+# package); a crasher it finds is written there and fails every later
+# go test.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePath -fuzztime 10s ./internal/index
+	$(GO) test -run '^$$' -fuzz FuzzPostingsSeekGE -fuzztime 10s ./internal/textindex
 
 # loc prints non-test and test Go line counts per package directory —
 # the root module's and bench/'s — one line each, so a "non-test lines
@@ -90,15 +93,19 @@ knobs:
 			$$(awk '/^type Options struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n+0}' $$f); \
 	done
 
-# profile captures a CPU profile of the search phase where it is
-# busiest (BenchmarkSearchBudgetBound: Q11/Q12 over LUBM 10 k, clustered
-# once, searched to the visit budget) into results/, keeping the test
-# binary next to it for symbolisation.
+# profile captures one CPU profile per phase into results/, keeping the
+# test binary next to them for symbolisation: the search phase where it
+# is busiest (BenchmarkSearchBudgetBound: Q11/Q12 over LUBM 10 k,
+# clustered once, searched to the visit budget) and the cluster phase
+# with nothing memoised (BenchmarkClusterColdMemo: the cluster_param
+# shapes over every department of LUBM 10 k).
 profile:
 	@mkdir -p results
 	$(GO) test -run '^$$' -bench 'BenchmarkSearchBudgetBound' -benchtime 20x \
-		-cpuprofile results/cpu.pprof -o results/bench.test ./internal/core
-	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu.pprof"
+		-cpuprofile results/cpu_search.pprof -o results/bench.test ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterColdMemo' -benchtime 10x \
+		-cpuprofile results/cpu_cluster.pprof -o results/bench.test ./internal/core
+	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,cluster}.pprof"
 
 # route-smoke boots the multi-node path end-to-end: a 3-shard layout,
 # one samad per shard directory, a samad router fronting them, the

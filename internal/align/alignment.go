@@ -74,7 +74,10 @@ func (k OpKind) String() string {
 
 // Op is one recovered operation: the query-path element it touches (Q)
 // and the data-path element involved (P), either of which may be the
-// zero Term for insertions/deletions.
+// zero Term for insertions/deletions. An Alignment does not retain its
+// operations: the aligners emit them, ordered from the sink backwards
+// (the scan direction of §4.3), into an op log the caller supplies —
+// the window tie-break and the tests are the only readers.
 type Op struct {
 	Kind OpKind
 	Q, P rdf.Term
@@ -111,9 +114,6 @@ type Alignment struct {
 	// occurrences are free labeling modifications (ω(×) = 0, as fixed in
 	// the proof of Theorem 1), so they do not contribute to Cost.
 	Subst rdf.Substitution
-	// Ops is the recovered operation sequence, ordered from the sink
-	// backwards (the scan direction of §4.3).
-	Ops []Op
 }
 
 func (al *Alignment) addCost(p Params) {
@@ -133,9 +133,9 @@ func (al *Alignment) Perfect() bool {
 		al.NodeDeletions == 0 && al.EdgeDeletions == 0
 }
 
-// record applies one operation to the counters, the op log and, for
-// binds, the substitution.
-func (al *Alignment) record(kind OpKind, q, p rdf.Term) {
+// record applies one operation to the counters and, for binds, the
+// substitution, and appends it to log when log is non-nil.
+func (al *Alignment) record(log *[]Op, kind OpKind, q, p rdf.Term) {
 	switch kind {
 	case OpBind:
 		if q.Kind == rdf.Var {
@@ -160,7 +160,9 @@ func (al *Alignment) record(kind OpKind, q, p rdf.Term) {
 	case OpEdgeContext:
 		al.ContextEdges++
 	}
-	al.Ops = append(al.Ops, Op{Kind: kind, Q: q, P: p})
+	if log != nil {
+		*log = append(*log, Op{Kind: kind, Q: q, P: p})
+	}
 }
 
 // nodeStep classifies the pairing of a data node label against a query

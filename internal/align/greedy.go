@@ -41,9 +41,8 @@ func pairCost(pp, qp pair, par Params) float64 {
 // local disagreement by preferring, in order: a zero-cost pairing, an
 // insertion/deletion that re-synchronises the scan on the next pair, and
 // finally whichever of substitution or indel is cheaper under Params.
-// A GreedyAligner carries reusable pair scratch across Align calls, so
-// it is NOT safe for concurrent use — the engine's worker pool gives
-// each worker its own instance.
+// A GreedyAligner carries reusable scratch across Align calls, so it is
+// NOT safe for concurrent use — the engine makes one per cluster build.
 type GreedyAligner struct {
 	Params Params
 	// pp, qp are backward-pair scratch reused across Align calls. The
@@ -51,6 +50,9 @@ type GreedyAligner struct {
 	// one Align computes each path's pairs exactly once instead of once
 	// per anchor.
 	pp, qp []pair
+	// ops is the op log the window tie-break records into when the
+	// caller did not ask for one.
+	ops []Op
 }
 
 // NewGreedy returns a GreedyAligner with the given parameters.
@@ -64,64 +66,63 @@ func NewGreedy(par Params) *GreedyAligner { return &GreedyAligner{Params: par} }
 // the window actually covers instead of whatever the path ends at.
 // Each anchored scan is O(|p|+|q|) and p is bounded by the indexing
 // MaxLength, keeping Align linear in practice.
-func (g *GreedyAligner) Align(p, q paths.Path) *Alignment {
+func (g *GreedyAligner) Align(p, q paths.Path) *Alignment { return g.alignOps(p, q, nil) }
+
+// alignOps is Align that also appends the returned alignment's
+// operation sequence to *log when log is non-nil.
+func (g *GreedyAligner) alignOps(p, q paths.Path, log *[]Op) *Alignment {
 	if len(p.Nodes) == 0 || len(q.Nodes) == 0 {
-		return g.alignAnchored(p, q)
+		return g.alignAnchored(p, q, log)
 	}
 	g.pp = backwardPairsInto(g.pp[:0], p)
 	g.qp = backwardPairsInto(g.qp[:0], q)
 	// Trimming p at anchor t keeps its first t+1 nodes, whose backward
 	// pairs are exactly the last t entries of the full pair sequence —
 	// each anchor reuses the one scratch fill above.
-	core := func(t int) *Alignment {
-		return g.alignPairs(p.Nodes[t], q.Sink(), g.pp[len(g.pp)-t:], g.qp)
+	core := func(t int, log *[]Op) *Alignment {
+		return g.alignPairs(p.Nodes[t], q.Sink(), g.pp[len(g.pp)-t:], g.qp, log)
 	}
 	costAt := func(t int) float64 {
 		return g.costPairs(p.Nodes[t], q.Sink(), g.pp[len(g.pp)-t:], g.qp)
 	}
-	return alignBestWindowCosted(core, costAt, p, q, g.Params)
+	return alignBestWindow(core, costAt, p, q, g.Params, log, &g.ops)
 }
 
 // alignAnchored is the sink-to-sink backward scan (allocating variant;
 // the hot path goes through Align's scratch-reusing closures).
-func (g *GreedyAligner) alignAnchored(p, q paths.Path) *Alignment {
+func (g *GreedyAligner) alignAnchored(p, q paths.Path, log *[]Op) *Alignment {
 	par := g.Params
 	if len(p.Nodes) == 0 || len(q.Nodes) == 0 {
 		// Degenerate: treat every element of the non-empty side as an
 		// insertion (p side) or deletion (q side).
 		al := &Alignment{Subst: rdf.Substitution{}}
 		for _, n := range p.Nodes {
-			al.record(OpNodeInsert, rdf.Term{}, n)
+			al.record(log, OpNodeInsert, rdf.Term{}, n)
 		}
 		for _, e := range p.Edges {
-			al.record(OpEdgeInsert, rdf.Term{}, e)
+			al.record(log, OpEdgeInsert, rdf.Term{}, e)
 		}
 		for _, n := range q.Nodes {
-			al.record(OpNodeDelete, n, rdf.Term{})
+			al.record(log, OpNodeDelete, n, rdf.Term{})
 		}
 		for _, e := range q.Edges {
-			al.record(OpEdgeDelete, e, rdf.Term{})
+			al.record(log, OpEdgeDelete, e, rdf.Term{})
 		}
 		al.addCost(par)
 		return al
 	}
-	return g.alignPairs(p.Sink(), q.Sink(), backwardPairs(p), backwardPairs(q))
+	return g.alignPairs(p.Sink(), q.Sink(), backwardPairs(p), backwardPairs(q), log)
 }
 
 // alignPairs runs the §4.3 backward scan over precomputed pair
-// sequences, anchored at the given sink labels.
-func (g *GreedyAligner) alignPairs(pSink, qSink rdf.Term, pp, qp []pair) *Alignment {
+// sequences, anchored at the given sink labels, emitting the operations
+// into log when it is non-nil.
+func (g *GreedyAligner) alignPairs(pSink, qSink rdf.Term, pp, qp []pair, log *[]Op) *Alignment {
 	par := g.Params
-	// Worst case the scan emits one op per element of each side plus the
-	// sink anchor; sizing Ops up front keeps the winner materialisation
-	// out of append's regrowth path.
-	al := &Alignment{
-		Ops:   make([]Op, 0, 2*(len(pp)+len(qp))+1),
-		Subst: rdf.Substitution{},
-	}
+	al := &Alignment{Subst: rdf.Substitution{}}
 
 	// Anchor at the sinks.
-	al.record(nodeStep(pSink, qSink), qSink, pSink)
+	al.record(log, nodeStep(pSink, qSink), qSink, pSink)
 
 	i, j := 0, 0
 	indel := par.B + par.D // cost of inserting a (edge, node) pair into q
@@ -130,20 +131,20 @@ func (g *GreedyAligner) alignPairs(pSink, qSink rdf.Term, pp, qp []pair) *Alignm
 		switch {
 		case i >= len(pp):
 			// p exhausted: the remaining query pairs are unmet.
-			al.record(OpEdgeDelete, qp[j].edge, rdf.Term{})
-			al.record(OpNodeDelete, qp[j].node, rdf.Term{})
+			al.record(log, OpEdgeDelete, qp[j].edge, rdf.Term{})
+			al.record(log, OpNodeDelete, qp[j].node, rdf.Term{})
 			j++
 		case j >= len(qp):
 			// q exhausted: the remaining data pairs lie before the
 			// query's source — free context, not insertions.
-			al.record(OpEdgeContext, rdf.Term{}, pp[i].edge)
-			al.record(OpNodeContext, rdf.Term{}, pp[i].node)
+			al.record(log, OpEdgeContext, rdf.Term{}, pp[i].edge)
+			al.record(log, OpNodeContext, rdf.Term{}, pp[i].node)
 			i++
 		default:
 			sub := pairCost(pp[i], qp[j], par)
 			if sub == 0 {
-				al.record(edgeStep(pp[i].edge, qp[j].edge), qp[j].edge, pp[i].edge)
-				al.record(nodeStep(pp[i].node, qp[j].node), qp[j].node, pp[i].node)
+				al.record(log, edgeStep(pp[i].edge, qp[j].edge), qp[j].edge, pp[i].edge)
+				al.record(log, nodeStep(pp[i].node, qp[j].node), qp[j].node, pp[i].node)
 				i++
 				j++
 				continue
@@ -164,16 +165,16 @@ func (g *GreedyAligner) alignPairs(pSink, qSink rdf.Term, pp, qp []pair) *Alignm
 			}
 			switch {
 			case insertWins:
-				al.record(OpEdgeInsert, rdf.Term{}, pp[i].edge)
-				al.record(OpNodeInsert, rdf.Term{}, pp[i].node)
+				al.record(log, OpEdgeInsert, rdf.Term{}, pp[i].edge)
+				al.record(log, OpNodeInsert, rdf.Term{}, pp[i].node)
 				i++
 			case dropWins:
-				al.record(OpEdgeDelete, qp[j].edge, rdf.Term{})
-				al.record(OpNodeDelete, qp[j].node, rdf.Term{})
+				al.record(log, OpEdgeDelete, qp[j].edge, rdf.Term{})
+				al.record(log, OpNodeDelete, qp[j].node, rdf.Term{})
 				j++
 			default:
-				al.record(edgeStep(pp[i].edge, qp[j].edge), qp[j].edge, pp[i].edge)
-				al.record(nodeStep(pp[i].node, qp[j].node), qp[j].node, pp[i].node)
+				al.record(log, edgeStep(pp[i].edge, qp[j].edge), qp[j].edge, pp[i].edge)
+				al.record(log, nodeStep(pp[i].node, qp[j].node), qp[j].node, pp[i].node)
 				i++
 				j++
 			}
@@ -185,11 +186,9 @@ func (g *GreedyAligner) alignPairs(pSink, qSink rdf.Term, pp, qp []pair) *Alignm
 
 // costPairs prices the §4.3 backward scan without materialising it: the
 // branch structure mirrors alignPairs decision for decision, but only
-// the λ contribution accumulates — no op log, no substitution map, no
+// the λ contribution accumulates — no counters, no substitution map, no
 // allocation at all. The window sweep prices every anchor with this and
-// materialises a full Alignment only for the winners, which is where
-// the aligner's time used to go (an Ops slice and a Subst map per
-// discarded anchor).
+// materialises an Alignment only for the winners.
 func (g *GreedyAligner) costPairs(pSink, qSink rdf.Term, pp, qp []pair) float64 {
 	par := g.Params
 	cost := nodeStepCost(pSink, qSink, par)
@@ -245,31 +244,32 @@ func minf(a, b float64) float64 {
 
 // alignBestWindow tries the sink-to-sink anchoring and every interior
 // anchor (query sink at position t of p; p's suffix past t is free
-// context) and returns the cheapest alignment. core(t) aligns q
+// context) and returns the cheapest alignment. core(t, log) aligns q
 // against p trimmed to its first t+1 nodes (t = len(p.Nodes)-1 is the
-// untrimmed path) — an index contract rather than a trimmed paths.Path
-// so the greedy aligner can reuse precomputed pair scratch per anchor.
+// untrimmed path), emitting its operations into log when non-nil — an
+// index contract rather than a trimmed paths.Path so the greedy aligner
+// can reuse precomputed pair scratch per anchor.
 // Ties prefer the anchor closest to p's sink, so the paper's examples
 // keep their canonical alignments. Anchors at t = 0 are skipped for
 // multi-edge queries: a one-node window cannot carry a structural
 // match.
-func alignBestWindow(core func(t int) *Alignment, p, q paths.Path, par Params) *Alignment {
-	return alignBestWindowCosted(core, func(t int) float64 { return core(t).Cost }, p, q, par)
-}
-
-// alignBestWindowCosted is alignBestWindow split into a pricing sweep
-// and a materialisation step: costAt(t) must return exactly core(t).Cost
-// without the allocation (context past the anchor is free, so the
-// trimmed scan's cost is already final). The sweep walks the same
-// anchors in the same order as the one-pass loop did — sinkward first,
-// stopping at the first free alignment — and collects the anchors that
-// tie the winning price; only those are materialised, and ties resolve
-// by window affinity with the earlier anchor winning equal scores,
-// reproducing the one-pass selection decision for decision.
-func alignBestWindowCosted(core func(t int) *Alignment, costAt func(t int) float64, p, q paths.Path, par Params) *Alignment {
+//
+// The search is a pricing sweep and a materialisation step: costAt(t)
+// must return exactly core(t).Cost without the allocation (context past
+// the anchor is free, so the trimmed scan's cost is already final). The
+// sweep walks the anchors sinkward first, stopping at the first free
+// alignment, and collects the anchors that tie the winning price; only
+// those are materialised, and ties resolve by window affinity with the
+// earlier anchor winning equal scores.
+//
+// The winner's operations are appended to *log when log is non-nil.
+// Only the tie-break reads operations itself: when anchors tie and the
+// caller passed no log, the tied windows record into *tie (scratch,
+// overwritten); an untied alignment emits nothing.
+func alignBestWindow(core func(t int, log *[]Op) *Alignment, costAt func(t int) float64, p, q paths.Path, par Params, log, tie *[]Op) *Alignment {
 	last := len(p.Nodes) - 1
 	if len(q.Nodes) == 0 || len(p.Nodes) < 2 {
-		return core(last)
+		return core(last, log)
 	}
 	minT := 1
 	if len(q.Nodes) == 1 {
@@ -289,16 +289,30 @@ func alignBestWindowCosted(core func(t int) *Alignment, costAt func(t int) float
 		}
 		bestCost, bestT, ties = c, t, ties[:0]
 	}
-	best := core(bestT)
+	ops, base := log, 0
+	if ops == nil && len(ties) > 0 {
+		*tie = (*tie)[:0]
+		ops = tie
+	}
+	if ops != nil {
+		base = len(*ops)
+	}
+	best := core(bestT, ops)
 	if len(ties) > 0 {
 		// Equal price: prefer the window whose mismatches are
 		// token-related to the query (teaches ↔ teacherOf beats
-		// teaches ↔ type).
-		bestAffinity := windowAffinity(best)
+		// teaches ↔ type). The best window's operations sit at the end
+		// of *ops from base on; each tied window records behind them
+		// and either replaces them or is dropped.
+		bestAffinity := windowAffinity((*ops)[base:])
 		for _, t := range ties {
-			alt := core(t)
-			if a := windowAffinity(alt); a > bestAffinity {
+			mark := len(*ops)
+			alt := core(t, ops)
+			if a := windowAffinity((*ops)[mark:]); a > bestAffinity {
 				best, bestT, bestAffinity = alt, t, a
+				*ops = append((*ops)[:base], (*ops)[mark:]...)
+			} else {
+				*ops = (*ops)[:mark]
 			}
 		}
 	}
@@ -306,10 +320,10 @@ func alignBestWindowCosted(core func(t int) *Alignment, costAt func(t int) float
 		// The suffix p[bestT+1:] (and its edges) lies past the query's
 		// endpoint — free context.
 		for e := bestT; e < len(p.Edges); e++ {
-			best.record(OpEdgeContext, rdf.Term{}, p.Edges[e])
+			best.record(log, OpEdgeContext, rdf.Term{}, p.Edges[e])
 		}
 		for n := bestT + 1; n < len(p.Nodes); n++ {
-			best.record(OpNodeContext, rdf.Term{}, p.Nodes[n])
+			best.record(log, OpNodeContext, rdf.Term{}, p.Nodes[n])
 		}
 		best.addCost(par)
 	}

@@ -19,22 +19,27 @@ func NewOptimal(par Params) *OptimalAligner { return &OptimalAligner{Params: par
 
 // Align implements Aligner, running the same best-window anchor search
 // as the greedy aligner with the DP core.
-func (o *OptimalAligner) Align(p, q paths.Path) *Alignment {
-	core := func(t int) *Alignment {
+func (o *OptimalAligner) Align(p, q paths.Path) *Alignment { return o.alignOps(p, q, nil) }
+
+// alignOps is Align that also appends the returned alignment's
+// operation sequence to *log when log is non-nil.
+func (o *OptimalAligner) alignOps(p, q paths.Path, log *[]Op) *Alignment {
+	core := func(t int, log *[]Op) *Alignment {
 		if t == len(p.Nodes)-1 {
-			return o.alignAnchored(p, q)
+			return o.alignAnchored(p, q, log)
 		}
 		trimmed := paths.Path{Nodes: p.Nodes[:t+1], Edges: p.Edges[:t]}
-		return o.alignAnchored(trimmed, q)
+		return o.alignAnchored(trimmed, q, log)
 	}
-	return alignBestWindow(core, p, q, o.Params)
+	var tie []Op
+	return alignBestWindow(core, func(t int) float64 { return core(t, nil).Cost }, p, q, o.Params, log, &tie)
 }
 
-func (o *OptimalAligner) alignAnchored(p, q paths.Path) *Alignment {
+func (o *OptimalAligner) alignAnchored(p, q paths.Path, log *[]Op) *Alignment {
 	par := o.Params
 	al := &Alignment{Subst: rdf.Substitution{}}
 	if len(p.Nodes) == 0 || len(q.Nodes) == 0 {
-		return NewGreedy(par).alignAnchored(p, q) // degenerate cases coincide
+		return NewGreedy(par).alignAnchored(p, q, log) // degenerate cases coincide
 	}
 	pp := backwardPairs(p)
 	qp := backwardPairs(q)
@@ -98,28 +103,28 @@ func (o *OptimalAligner) alignAnchored(p, q paths.Path) *Alignment {
 	}
 
 	// Emit ops in scan order: sink anchor first, then pairs backwards.
-	al.record(nodeStep(p.Sink(), q.Sink()), q.Sink(), p.Sink())
+	al.record(log, nodeStep(p.Sink(), q.Sink()), q.Sink(), p.Sink())
 	pi, qi := 0, 0
 	for k := len(rev) - 1; k >= 0; k-- {
 		switch rev[k].kind {
 		case 0:
-			al.record(edgeStep(pp[pi].edge, qp[qi].edge), qp[qi].edge, pp[pi].edge)
-			al.record(nodeStep(pp[pi].node, qp[qi].node), qp[qi].node, pp[pi].node)
+			al.record(log, edgeStep(pp[pi].edge, qp[qi].edge), qp[qi].edge, pp[pi].edge)
+			al.record(log, nodeStep(pp[pi].node, qp[qi].node), qp[qi].node, pp[pi].node)
 			pi++
 			qi++
 		case 1:
 			if qi == m {
 				// Query fully consumed: source-side free context.
-				al.record(OpEdgeContext, rdf.Term{}, pp[pi].edge)
-				al.record(OpNodeContext, rdf.Term{}, pp[pi].node)
+				al.record(log, OpEdgeContext, rdf.Term{}, pp[pi].edge)
+				al.record(log, OpNodeContext, rdf.Term{}, pp[pi].node)
 			} else {
-				al.record(OpEdgeInsert, rdf.Term{}, pp[pi].edge)
-				al.record(OpNodeInsert, rdf.Term{}, pp[pi].node)
+				al.record(log, OpEdgeInsert, rdf.Term{}, pp[pi].edge)
+				al.record(log, OpNodeInsert, rdf.Term{}, pp[pi].node)
 			}
 			pi++
 		case 2:
-			al.record(OpEdgeDelete, qp[qi].edge, rdf.Term{})
-			al.record(OpNodeDelete, qp[qi].node, rdf.Term{})
+			al.record(log, OpEdgeDelete, qp[qi].edge, rdf.Term{})
+			al.record(log, OpNodeDelete, qp[qi].node, rdf.Term{})
 			qi++
 		}
 	}

@@ -34,15 +34,15 @@ func tokenRelated(a, b rdf.Term) bool {
 	return false
 }
 
-// windowAffinity scores how semantically close an alignment's mismatched
-// elements are to their query counterparts: one point per mismatch whose
+// windowAffinity scores how semantically close the mismatched elements
+// of an alignment's operation sequence are to their query counterparts: one point per mismatch whose
 // labels share a stemmed token. Equal-cost window anchorings are ranked
 // by this — aligning “teaches” against “teacherOf” (related) beats
 // aligning it against “type” (unrelated) even though λ prices both as
 // one edge mismatch.
-func windowAffinity(al *Alignment) int {
+func windowAffinity(ops []Op) int {
 	score := 0
-	for _, op := range al.Ops {
+	for _, op := range ops {
 		switch op.Kind {
 		case OpEdgeMismatch, OpNodeMismatch:
 			if tokenRelated(op.Q, op.P) {

@@ -136,7 +136,6 @@ func memoSize(p paths.Path, al *align.Alignment) int {
 	for _, t := range p.Edges {
 		n += len(t.Value) + 48
 	}
-	n += len(al.Ops) * 112
 	for name, v := range al.Subst {
 		n += len(name) + len(v.Value) + 64
 	}

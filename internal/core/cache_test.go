@@ -332,7 +332,7 @@ func TestRetrieveUnindexedConstantFallsThrough(t *testing.T) {
 	if len(pre.Paths) != 1 {
 		t.Fatalf("decomposed into %d paths, want 1", len(pre.Paths))
 	}
-	if ids := e.retrieve(pre.Paths[0]); len(ids) == 0 {
+	if ids := e.retrieve(new(clusterScratch), pre.Paths[0]); len(ids) == 0 {
 		t.Fatal("retrieve dead-ended on an unindexed constant label")
 	}
 	answers, err := e.Query(q, 3)

@@ -101,6 +101,53 @@ func (e *Engine) clusterTraced(ctx context.Context, pre *Preprocessed, parent *o
 	return clusters, nil
 }
 
+// clusterScratch is the memory one buildCluster works in: everything
+// sized by the *retrieved* candidates (posting runs and their union,
+// live IDs, summaries, buckets) or by the pre-rank frontier (candidates,
+// memo misses, staged items). A build takes one from clusterScratchPool
+// and releases it on return; the Cluster it returns owns a copy of the
+// items it keeps, so nothing reads the scratch afterwards and
+// concurrent builds never share one.
+type clusterScratch struct {
+	idx     index.Scratch  // monolithic retrieval and summaries
+	shards  []shardScratch // sharded: one part per shard, merged below
+	lists   [][]index.PathID
+	merged  []index.PathID
+	sums    []index.PathSummary
+	buckets []uint32 // pre-rank: each candidate's bucket
+	counts  []int    // pre-rank: bucket sizes, then fill offsets
+	cands   []index.PathID
+	miss    []index.PathID
+	staged  []ClusterItem
+}
+
+// shardScratch is one shard's part: its retrieval memory and the local
+// IDs and result positions of a summaries batch.
+type shardScratch struct {
+	idx    index.Scratch
+	locals []index.PathID
+	pos    []int
+}
+
+var clusterScratchPool = sync.Pool{New: func() any { return new(clusterScratch) }}
+
+// perShard returns the n per-shard parts, growing the set on first use.
+func (sc *clusterScratch) perShard(n int) []shardScratch {
+	for len(sc.shards) < n {
+		sc.shards = append(sc.shards, shardScratch{})
+	}
+	return sc.shards[:n]
+}
+
+// release returns the scratch to the pool with the build's (possibly
+// regrown) staging buffers, the staged items' references to paths and
+// alignments dropped first.
+func (sc *clusterScratch) release(staged []ClusterItem, miss []index.PathID) {
+	clear(staged)
+	sc.staged, sc.miss = staged[:0], miss[:0]
+	clusterScratchPool.Put(sc)
+}
+
 // buildCluster retrieves, aligns and ranks the candidates for one query
 // path. With the alignment memo enabled, a candidate aligned against
 // this query-path shape by any earlier query skips both the disk read
@@ -113,12 +160,15 @@ func (e *Engine) clusterTraced(ctx context.Context, pre *Preprocessed, parent *o
 // alignments actually run, pages touched by the batched read, the
 // shorter-path fallback, and candidates dropped by the cluster cap.
 func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs.Span) (Cluster, error) {
-	ids := e.retrieve(q)
+	sc := clusterScratchPool.Get().(*clusterScratch)
+	staged, miss := sc.staged[:0], sc.miss[:0]
+	defer func() { sc.release(staged, miss) }()
+	ids := e.retrieve(sc, q)
 	if len(ids) == 0 {
 		return Cluster{QueryIndex: qi, Query: q}, nil
 	}
 	retrieved := len(ids)
-	cands, err := e.preRank(ids, q, sp)
+	cands, err := e.preRank(sc, ids, q, sp)
 	if err != nil {
 		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
 	}
@@ -135,8 +185,6 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 	// Memo keys, like every ID here, are the backend's (global IDs when
 	// sharded). The staging order is immaterial: sortClusterItems below
 	// imposes a strict total order.
-	staged := make([]ClusterItem, 0, len(cands))
-	var miss []index.PathID
 	for _, id := range cands {
 		if e.alignMemo != nil {
 			if mi, ok := e.memoGet(ref, id, epoch); ok {
@@ -157,26 +205,23 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 	}
 	sp.Set("aligned", int64(len(miss)))
 
-	items := make([]ClusterItem, 0, len(staged))
-	var shorter []ClusterItem
-	for _, item := range staged {
-		// Figure 3 clusters only paths at least as long as the query
-		// path (insertions into q are allowed, deletions are not):
-		// cl1 holds the six 4-node paths only, while cl2 also keeps
-		// them next to its 3-node exact matches. Shorter paths are
-		// kept as a fallback so a cluster never comes back empty
-		// when the data offers only truncated matches.
-		if item.Path.Length() < q.Length() {
-			shorter = append(shorter, item)
-			continue
+	// Figure 3 clusters only paths at least as long as the query path
+	// (insertions into q are allowed, deletions are not): cl1 holds the
+	// six 4-node paths only, while cl2 also keeps them next to its
+	// 3-node exact matches. Shorter paths are kept as a fallback so a
+	// cluster never comes back empty when the data offers only truncated
+	// matches. The full-length items are moved to the front in place.
+	full := 0
+	for i, item := range staged {
+		if item.Path.Length() >= q.Length() {
+			staged[full], staged[i] = item, staged[full]
+			full++
 		}
-		items = append(items, item)
 	}
-	if len(items) == 0 {
-		items = shorter
-		if len(shorter) > 0 {
-			sp.Set("shorter_fallback", int64(len(shorter)))
-		}
+	items := staged[:full]
+	if full == 0 && len(staged) > 0 {
+		items = staged
+		sp.Set("shorter_fallback", int64(len(staged)))
 	}
 	sortClusterItems(items)
 	if capN := e.opts.maxCandidates(); len(items) > capN {
@@ -186,7 +231,7 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 	return Cluster{
 		QueryIndex: qi,
 		Query:      q,
-		Items:      items,
+		Items:      slices.Clone(items), // the scratch keeps nothing of it
 		Retrieved:  retrieved,
 	}, nil
 }
@@ -252,8 +297,8 @@ func (e *Engine) pathsByAllLabelsCached(q paths.Path, labels []string) []index.P
 // is identical at every shard count.
 //
 // The ranking key orders by total missing constants first and length
-// deficit second, with the deficit field wide enough (16 bits,
-// saturated) that no deficit can outrank a missing constant.
+// deficit second; the candidates are bucketed by it, one bucket per
+// (missing, deficit) pair, so no deficit can outrank a missing constant.
 //
 // The exact expansion intersection (every-constant leapfrog over the
 // compressed postings) refines the fingerprint counts: a candidate
@@ -265,8 +310,8 @@ func (e *Engine) pathsByAllLabelsCached(q paths.Path, labels []string) []index.P
 // Summaries fails with index.ErrStaleRead when a concurrent compaction
 // invalidated an ID; the error propagates to the engine's restart loop,
 // which re-runs the query against the fresh state.
-func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]index.PathID, error) {
-	sums, err := e.back.Summaries(ids)
+func (e *Engine) preRank(sc *clusterScratch, ids []index.PathID, q paths.Path, sp *obs.Span) ([]index.PathID, error) {
+	sums, err := e.back.Summaries(sc, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -284,8 +329,16 @@ func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]inde
 		inter = e.pathsByAllLabelsCached(q, labels)
 	}
 
+	// A candidate's bucket is missing·(maxDeficit+1)+deficit, so bucket
+	// order is the ranking key's ascending (missing, deficit) order.
 	qlen := q.Length()
-	keys := make([]uint64, len(ids))
+	maxDeficit := min(qlen, 0xffff)
+	buckets := slices.Grow(sc.buckets[:0], len(ids))[:len(ids)]
+	sc.buckets = buckets
+	nb := (len(consts) + 1) * (maxDeficit + 1)
+	counts := slices.Grow(sc.counts[:0], nb)[:nb]
+	sc.counts = counts
+	clear(counts)
 	// ids arrive ascending (postings order), so the intersection probe
 	// is a linear merge walk — one forward pointer over inter for the
 	// whole batch instead of a binary search per candidate. The reset
@@ -302,7 +355,7 @@ func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]inde
 		}
 		deficit := 0
 		if plen := int(sums[i].Len); plen < qlen {
-			deficit = qlen - plen
+			deficit = min(qlen-plen, maxDeficit)
 		}
 		if inter != nil && missing == 0 {
 			if id < prevID {
@@ -316,36 +369,25 @@ func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]inde
 			}
 		}
 		prevID = id
-		dk := uint64(deficit)
-		if dk > 0xffff {
-			dk = 0xffff
-		}
-		keys[i] = uint64(missing)<<16 | dk
+		b := missing*(maxDeficit+1) + deficit
+		buckets[i] = uint32(b)
+		counts[b]++
 	}
-	// Stable counting cut: the key space is tiny (missing ≤ |constants|,
-	// deficit small in practice), so bucket offsets over the distinct
-	// keys replace the comparison sort — two passes over the candidates,
-	// no permutation slice. Buckets fill in input order, reproducing the
-	// stable sort's frontier element for element.
-	counts := make(map[uint64]int, 64)
-	for _, k := range keys {
-		counts[k]++
-	}
-	distinct := make([]uint64, 0, len(counts))
-	for k := range counts {
-		distinct = append(distinct, k)
-	}
-	slices.Sort(distinct)
-	offset := make(map[uint64]int, len(counts))
+	// Stable counting cut: the bucket space is tiny (missing ≤
+	// |constants|, deficit ≤ |q|), so bucket offsets replace the
+	// comparison sort — two passes over the candidates, no permutation
+	// slice. Buckets fill in input order, reproducing the stable sort's
+	// frontier element for element.
 	total := 0
-	for _, k := range distinct {
-		offset[k] = total
-		total += counts[k]
+	for b, n := range counts {
+		counts[b] = total
+		total += n
 	}
-	out := make([]index.PathID, budget)
-	for i, k := range keys {
-		pos := offset[k]
-		offset[k] = pos + 1
+	out := slices.Grow(sc.cands[:0], budget)[:budget]
+	sc.cands = out
+	for i, b := range buckets {
+		pos := counts[b]
+		counts[b] = pos + 1
 		if pos < budget {
 			out[pos] = ids[i]
 		}
@@ -407,32 +449,33 @@ func (e *Engine) alignMisses(ctx context.Context, q paths.Path, ids []index.Path
 	return staged, pages, nil
 }
 
-// retrieve returns the candidate path IDs for one query path. The
-// strategies run in order — sink postings, whole-path containment of
-// the sink or of the first constant from the end, constant edge labels,
-// and finally the bounded fallback scan — and every strategy falls
-// through to the next when it comes back empty, so a query path only
-// contributes zero candidates when the index itself has no live paths.
-func (e *Engine) retrieve(q paths.Path) []index.PathID {
+// retrieve returns the candidate path IDs for one query path, held by
+// sc. The strategies run in order — sink postings, whole-path
+// containment of the sink or of the first constant from the end,
+// constant edge labels, and finally the bounded fallback scan — and
+// every strategy falls through to the next when it comes back empty, so
+// a query path only contributes zero candidates when the index itself
+// has no live paths.
+func (e *Engine) retrieve(sc *clusterScratch, q paths.Path) []index.PathID {
 	sink := q.Sink()
 	if sink.IsConstant() {
-		if ids := e.back.PathsBySink(sink.Label()); len(ids) > 0 {
+		if ids := e.back.PathsBySink(sc, sink.Label()); len(ids) > 0 {
 			return ids
 		}
 		// No path ends at a matching sink: degrade to containment so the
 		// approximate search still has material to work with.
-		if ids := e.back.PathsByLabel(sink.Label()); len(ids) > 0 {
+		if ids := e.back.PathsByLabel(sc, sink.Label()); len(ids) > 0 {
 			return ids
 		}
 	} else if v, ok := q.FirstConstantFromEnd(); ok {
-		if ids := e.back.PathsByLabel(v.Label()); len(ids) > 0 {
+		if ids := e.back.PathsByLabel(sc, v.Label()); len(ids) > 0 {
 			return ids
 		}
 	}
 	// Constant edge labels, scanned from the sink end like the nodes.
 	for i := len(q.Edges) - 1; i >= 0; i-- {
 		if q.Edges[i].IsConstant() {
-			if ids := e.back.PathsByLabel(q.Edges[i].Label()); len(ids) > 0 {
+			if ids := e.back.PathsByLabel(sc, q.Edges[i].Label()); len(ids) > 0 {
 				return ids
 			}
 		}

@@ -98,7 +98,7 @@ func TestPreRankDeficitCannotOutrankMissing(t *testing.T) {
 	// Cap 1 → frontier budget 2 → the three candidates force a cut.
 	e := New(ix, Options{MaxCandidatesPerCluster: 1})
 	defer e.Close()
-	cands, err := e.preRank(ids, q, nil)
+	cands, err := e.preRank(new(clusterScratch), ids, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestPreRankSynonymSurvivesCut(t *testing.T) {
 
 	e := New(ix, Options{MaxCandidatesPerCluster: 1})
 	defer e.Close()
-	cands, err := e.preRank(append([]index.PathID(nil), ids...), q, nil)
+	cands, err := e.preRank(new(clusterScratch), append([]index.PathID(nil), ids...), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestPreRankRacesCompaction(t *testing.T) {
 				default:
 				}
 				ids := append([]index.PathID(nil), captured...)
-				if _, err := e.preRank(ids, q, nil); err != nil && !errors.Is(err, index.ErrStaleRead) {
+				if _, err := e.preRank(new(clusterScratch), ids, q, nil); err != nil && !errors.Is(err, index.ErrStaleRead) {
 					t.Errorf("preRank: %v", err)
 					return
 				}
@@ -235,7 +235,7 @@ func TestPreRankRacesCompaction(t *testing.T) {
 	// After the dust settles the captured IDs are definitively stale
 	// (the space shrank); the batch must say so, not panic.
 	if ix.NumPaths() < len(captured) {
-		if _, err := e.preRank(captured, q, nil); !errors.Is(err, index.ErrStaleRead) {
+		if _, err := e.preRank(new(clusterScratch), captured, q, nil); !errors.Is(err, index.ErrStaleRead) {
 			t.Errorf("preRank(stale) err = %v, want ErrStaleRead", err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"sama/internal/index"
 	"sama/internal/paths"
@@ -36,26 +37,28 @@ func (b shardBackend) Live(id index.PathID) bool { return b.set.LiveGlobal(id) }
 // shard reporting ErrStaleRead fails the whole batch, matching the
 // monolithic semantics: the engine restarts the query, it never ranks
 // against a torn view.
-func (b shardBackend) Summaries(ids []index.PathID) ([]index.PathSummary, error) {
-	out := make([]index.PathSummary, len(ids))
-	n := b.set.NumShards()
-	pos := make([][]int, n)
-	locals := make([][]index.PathID, n)
+func (b shardBackend) Summaries(sc *clusterScratch, ids []index.PathID) ([]index.PathSummary, error) {
+	shards := sc.perShard(b.set.NumShards())
+	for k := range shards {
+		shards[k].locals, shards[k].pos = shards[k].locals[:0], shards[k].pos[:0]
+	}
 	for i, id := range ids {
 		k, local := b.set.Locate(id)
-		pos[k] = append(pos[k], i)
-		locals[k] = append(locals[k], local)
+		shards[k].pos = append(shards[k].pos, i)
+		shards[k].locals = append(shards[k].locals, local)
 	}
-	for k := 0; k < n; k++ {
-		if len(locals[k]) == 0 {
+	out := slices.Grow(sc.sums[:0], len(ids))[:len(ids)]
+	sc.sums = out
+	for k := range shards {
+		if len(shards[k].locals) == 0 {
 			continue
 		}
-		sums, err := b.set.Shard(k).Summaries(locals[k])
+		sums, err := b.set.Shard(k).SummariesInto(&shards[k].idx, shards[k].locals)
 		if err != nil {
 			return nil, err
 		}
 		for i, s := range sums {
-			out[pos[k][i]] = s
+			out[shards[k].pos[i]] = s
 		}
 	}
 	return out, nil
@@ -70,30 +73,47 @@ func (b shardBackend) LabelProbeMask(label string) uint64 {
 
 // PathsByAllLabels intersects per shard and merges: the shards
 // partition the path set, so the union of per-shard intersections is
-// exactly the global intersection.
+// exactly the global intersection. The caller owns the result (it is
+// memoised), so the gather runs in a scratch of its own.
 func (b shardBackend) PathsByAllLabels(labels []string) []index.PathID {
-	return b.gather(func(sh shard.Shard) []index.PathID { return sh.PathsByAllLabels(labels) })
+	return b.gather(new(clusterScratch), func(k int, _ *index.Scratch) []index.PathID {
+		return b.set.Shard(k).PathsByAllLabels(labels)
+	})
 }
 
-func (b shardBackend) PathsBySink(label string) []index.PathID {
-	return b.gather(func(sh shard.Shard) []index.PathID { return sh.PathsBySink(label) })
+func (b shardBackend) PathsBySink(sc *clusterScratch, label string) []index.PathID {
+	return b.gather(sc, func(k int, isc *index.Scratch) []index.PathID {
+		return b.set.Shard(k).PathsBySinkInto(isc, label)
+	})
 }
 
-func (b shardBackend) PathsByLabel(label string) []index.PathID {
-	return b.gather(func(sh shard.Shard) []index.PathID { return sh.PathsByLabel(label) })
+func (b shardBackend) PathsByLabel(sc *clusterScratch, label string) []index.PathID {
+	return b.gather(sc, func(k int, isc *index.Scratch) []index.PathID {
+		return b.set.Shard(k).PathsByLabelInto(isc, label)
+	})
 }
 
-// gather runs one posting lookup on every shard and merges the results
-// into ascending global-ID order — the order the monolithic index's
-// postings come back in, since GlobalID is monotone per shard.
-func (b shardBackend) gather(lookup func(shard.Shard) []index.PathID) []index.PathID {
-	lists := make([][]index.PathID, 0, b.set.NumShards())
-	for k := 0; k < b.set.NumShards(); k++ {
-		if ids := lookup(b.set.Shard(k)); len(ids) > 0 {
-			lists = append(lists, globalize(b.set, k, ids))
+// gather runs one posting lookup on every shard, each in its own part
+// of sc, maps the results to global IDs in place and merges them into
+// ascending global-ID order — the order the monolithic index's postings
+// come back in, since GlobalID is monotone per shard.
+func (b shardBackend) gather(sc *clusterScratch, lookup func(k int, isc *index.Scratch) []index.PathID) []index.PathID {
+	shards := sc.perShard(b.set.NumShards())
+	lists := sc.lists[:0]
+	for k := range shards {
+		if ids := lookup(k, &shards[k].idx); len(ids) > 0 {
+			for i, l := range ids {
+				ids[i] = b.set.GlobalID(k, l)
+			}
+			lists = append(lists, ids)
 		}
 	}
-	return mergeSortedIDs(lists)
+	sc.lists = lists
+	if len(lists) == 1 {
+		return lists[0]
+	}
+	sc.merged = mergeSortedIDs(sc.merged[:0], lists)
+	return sc.merged
 }
 
 // ReadPathsBatched splits the global IDs by owning shard, runs one
@@ -133,32 +153,17 @@ func (b shardBackend) ReadPathsBatched(ctx context.Context, ids []index.PathID) 
 	return out, firstErr
 }
 
-// globalize maps shard k's sorted local IDs into sorted global IDs.
-func globalize(set *shard.Set, k int, locals []index.PathID) []index.PathID {
-	out := make([]index.PathID, len(locals))
-	for i, l := range locals {
-		out[i] = set.GlobalID(k, l)
-	}
-	return out
-}
-
-// mergeSortedIDs k-way merges ascending ID lists. The lists are
-// disjoint (each shard owns a distinct residue class of the global ID
-// space), so a simple smallest-head loop suffices.
-func mergeSortedIDs(lists [][]index.PathID) []index.PathID {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
+// mergeSortedIDs k-way merges ascending ID lists onto dst. The lists
+// are disjoint (each shard owns a distinct residue class of the global
+// ID space), so a simple smallest-head loop suffices.
+func mergeSortedIDs(dst []index.PathID, lists [][]index.PathID) []index.PathID {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
-	out := make([]index.PathID, 0, total)
+	dst = slices.Grow(dst, total)
 	heads := make([]int, len(lists))
-	for len(out) < total {
+	for n := 0; n < total; n++ {
 		best := -1
 		for li, l := range lists {
 			if heads[li] >= len(l) {
@@ -168,8 +173,8 @@ func mergeSortedIDs(lists [][]index.PathID) []index.PathID {
 				best = li
 			}
 		}
-		out = append(out, lists[best][heads[best]])
+		dst = append(dst, lists[best][heads[best]])
 		heads[best]++
 	}
-	return out
+	return dst
 }

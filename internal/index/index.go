@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -818,33 +819,58 @@ func (ix *Index) pathLocked(id PathID) (paths.Path, error) {
 	return p, nil
 }
 
+// Scratch is the memory the retrieval calls of one cluster build work
+// in: posting runs and their union, the live-ID list and the summaries.
+// The zero value is ready. The *Into methods return slices that alias
+// it, valid until its next use by the same method.
+type Scratch struct {
+	tx   textindex.Scratch
+	ids  []PathID
+	sums []PathSummary
+}
+
 // PathsBySink returns the IDs of the live paths whose sink matches the
-// label (exact, token, and thesaurus expansion).
+// label (exact, token, and thesaurus expansion). The caller owns the
+// result.
 func (ix *Index) PathsBySink(label string) []PathID {
+	return ix.PathsBySinkInto(new(Scratch), label)
+}
+
+// PathsBySinkInto is PathsBySink working in sc.
+func (ix *Index) PathsBySinkInto(sc *Scratch, label string) []PathID {
 	ix.mSinkLookups.Inc()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.toPathIDs(ix.sinks.Lookup(label))
+	sc.ids = ix.appendLive(sc.ids[:0], ix.sinks.LookupScratch(&sc.tx, label))
+	return sc.ids
 }
 
 // PathsByLabel returns the IDs of the live paths containing an element
-// whose label matches (exact, token, and thesaurus expansion).
+// whose label matches (exact, token, and thesaurus expansion). The
+// caller owns the result.
 func (ix *Index) PathsByLabel(label string) []PathID {
+	return ix.PathsByLabelInto(new(Scratch), label)
+}
+
+// PathsByLabelInto is PathsByLabel working in sc.
+func (ix *Index) PathsByLabelInto(sc *Scratch, label string) []PathID {
 	ix.mLabelLookups.Inc()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.toPathIDs(ix.labels.Lookup(label))
+	sc.ids = ix.appendLive(sc.ids[:0], ix.labels.LookupScratch(&sc.tx, label))
+	return sc.ids
 }
 
-// toPathIDs converts postings, filtering tombstoned paths.
-func (ix *Index) toPathIDs(ps []uint32) []PathID {
-	out := make([]PathID, 0, len(ps))
+// appendLive appends the postings to dst as path IDs, filtering
+// tombstoned paths.
+func (ix *Index) appendLive(dst []PathID, ps []uint32) []PathID {
+	dst = slices.Grow(dst, len(ps))
 	for _, p := range ps {
 		if !ix.deleted[p] {
-			out = append(out, PathID(p))
+			dst = append(dst, PathID(p))
 		}
 	}
-	return out
+	return dst
 }
 
 // ReadPathsBatched materialises the given path IDs in one page-locality

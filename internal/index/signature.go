@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 
 	"sama/internal/paths"
 	"sama/internal/textindex"
@@ -42,7 +43,13 @@ func pathSig(p paths.Path) uint64 {
 // ErrStaleRead, which the engine's restart loop turns into a re-run
 // against the fresh state.
 func (ix *Index) Summaries(ids []PathID) ([]PathSummary, error) {
-	out := make([]PathSummary, len(ids))
+	return ix.SummariesInto(new(Scratch), ids)
+}
+
+// SummariesInto is Summaries working in sc.
+func (ix *Index) SummariesInto(sc *Scratch, ids []PathID) ([]PathSummary, error) {
+	out := slices.Grow(sc.sums[:0], len(ids))[:len(ids)]
+	sc.sums = out
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	for i, id := range ids {
@@ -74,5 +81,6 @@ func (ix *Index) PathsByAllLabels(labels []string) []PathID {
 	ix.mLabelLookups.Inc()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.toPathIDs(ix.labels.LookupIntersect(labels))
+	ps := ix.labels.LookupIntersect(labels)
+	return ix.appendLive(make([]PathID, 0, len(ps)), ps)
 }

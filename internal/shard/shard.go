@@ -36,10 +36,10 @@ type Shard interface {
 	Epoch() uint64
 	NumPaths() int
 	Live(id index.PathID) bool
-	Summaries(ids []index.PathID) ([]index.PathSummary, error)
+	SummariesInto(sc *index.Scratch, ids []index.PathID) ([]index.PathSummary, error)
 	LabelProbeMask(label string) uint64
-	PathsBySink(label string) []index.PathID
-	PathsByLabel(label string) []index.PathID
+	PathsBySinkInto(sc *index.Scratch, label string) []index.PathID
+	PathsByLabelInto(sc *index.Scratch, label string) []index.PathID
 	PathsByAllLabels(labels []string) []index.PathID
 	ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, error)
 }

@@ -251,15 +251,25 @@ func (bp *BufferPool) Alloc() (PageID, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := bp.install(id, &frame{id: id}, nil); err != nil {
-		return 0, err
+	if bp.lru.Len() >= bp.capacity {
+		victim, err := bp.evict(nil)
+		if err != nil {
+			return 0, err
+		}
+		bp.lru.Remove(victim)
 	}
+	bp.frames[id] = bp.lru.PushFront(&frame{id: id})
 	return id, nil
 }
 
 // frame returns the cached frame for id, faulting it in if needed,
 // charging the access to the global counters and the tally (nil counts
 // nothing). Caller holds bp.mu.
+//
+// A miss below capacity reads into a fresh frame. At capacity it evicts
+// the LRU victim first and reads into the victim's frame, which no page
+// maps to until the read has overwritten it. If that read fails the
+// victim stays evicted and nothing is installed.
 func (bp *BufferPool) frame(id PageID, t *IOTally) (*frame, error) {
 	if el, ok := bp.frames[id]; ok {
 		bp.stats.hits.Add(1)
@@ -269,34 +279,50 @@ func (bp *BufferPool) frame(id PageID, t *IOTally) (*frame, error) {
 	}
 	bp.stats.misses.Add(1)
 	t.addMiss()
-	fr := &frame{id: id}
+	var el *list.Element // the recycled victim; nil below capacity
+	var fr *frame
+	if bp.lru.Len() < bp.capacity {
+		fr = &frame{}
+	} else {
+		var err error
+		if el, err = bp.evict(t); err != nil {
+			return nil, err
+		}
+		fr = el.Value.(*frame)
+	}
 	if err := bp.retryIO(t, func() error { return bp.file.Read(id, fr.data[:]) }); err != nil {
+		if el != nil {
+			bp.lru.Remove(el)
+		}
 		return nil, err
 	}
-	if err := bp.install(id, fr, t); err != nil {
-		return nil, err
+	fr.id = id
+	if el == nil {
+		el = bp.lru.PushFront(fr)
+	} else {
+		bp.lru.MoveToFront(el)
 	}
+	bp.frames[id] = el
 	return fr, nil
 }
 
-// install inserts a frame, evicting the LRU victim if at capacity.
-// Caller holds bp.mu.
-func (bp *BufferPool) install(id PageID, fr *frame, t *IOTally) error {
-	for bp.lru.Len() >= bp.capacity {
-		victim := bp.lru.Back()
-		vf := victim.Value.(*frame)
-		if vf.dirty {
-			if err := bp.retryIO(t, func() error { return bp.file.Write(vf.id, vf.data[:]) }); err != nil {
-				return err
-			}
-			bp.stats.flushes.Add(1)
+// evict flushes the LRU victim if it is dirty and unmaps it, returning
+// its list element — still linked, its frame clean — for the caller to
+// reuse or remove. A failed flush leaves the pool untouched. Caller
+// holds bp.mu with the pool at capacity.
+func (bp *BufferPool) evict(t *IOTally) (*list.Element, error) {
+	victim := bp.lru.Back()
+	vf := victim.Value.(*frame)
+	if vf.dirty {
+		if err := bp.retryIO(t, func() error { return bp.file.Write(vf.id, vf.data[:]) }); err != nil {
+			return nil, err
 		}
-		bp.lru.Remove(victim)
-		delete(bp.frames, vf.id)
-		bp.stats.evictions.Add(1)
+		vf.dirty = false
+		bp.stats.flushes.Add(1)
 	}
-	bp.frames[id] = bp.lru.PushFront(fr)
-	return nil
+	delete(bp.frames, vf.id)
+	bp.stats.evictions.Add(1)
+	return victim, nil
 }
 
 // Flush writes every dirty frame back to the file and syncs it.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -68,34 +69,69 @@ func (ix *Index) LookupExact(label string) []uint32 {
 	return p.AppendTo(make([]uint32, 0, p.Len()))
 }
 
+// Scratch is the memory a lookup decodes and merges into: the decoded
+// runs, the union and the merge heap. The zero value is ready; a caller
+// that keeps one looks up without allocating once it has grown.
+type Scratch struct {
+	runs  [][]uint32 // decoded runs; capacities survive across lookups
+	out   []uint32
+	pos   []int
+	heap  []int
+	lists []*Postings
+	seen  []string
+}
+
 // Lookup returns the postings matching the label at any precision level:
 // the exact normalised label, each of its tokens, and each thesaurus
-// expansion of those tokens. The result is sorted and deduplicated.
+// expansion of those tokens. The result is sorted and deduplicated, and
+// the caller owns it.
 func (ix *Index) Lookup(label string) []uint32 {
+	return ix.LookupScratch(new(Scratch), label)
+}
+
+// LookupScratch is Lookup decoding and merging into sc. The result
+// aliases sc and is valid until sc's next use.
+func (ix *Index) LookupScratch(sc *Scratch, label string) []uint32 {
 	// Each postings list decodes already sorted, so the union is a
 	// k-way merge of sorted runs rather than a concatenate-and-sort:
 	// O(N log k) with k = matching lists instead of O(N log N) over the
 	// combined length, which dominated retrieval on token-heavy labels.
-	var runs [][]uint32
+	lists := ix.expansionPostings(sc, label)
+	for len(sc.runs) < len(lists) {
+		sc.runs = append(sc.runs, nil)
+	}
+	runs := sc.runs[:len(lists)]
 	total := 0
-	gather := func(p *Postings) {
-		if n := p.Len(); n > 0 {
-			runs = append(runs, p.AppendTo(make([]uint32, 0, n)))
-			total += n
+	for i, p := range lists {
+		runs[i] = p.AppendTo(runs[i][:0])
+		total += p.Len()
+	}
+	return sc.unionRuns(runs, total)
+}
+
+// expansionPostings collects into sc the non-empty postings lists a
+// lookup for label reads, each once: the exact normalised key, then for
+// every considered token and thesaurus expansion its exact list (unless
+// the token is that key again, as it is for every single-token label)
+// and its token list.
+func (ix *Index) expansionPostings(sc *Scratch, label string) []*Postings {
+	lists, seen := sc.lists[:0], sc.seen[:0]
+	add := func(p *Postings) {
+		if p.Len() > 0 {
+			lists = append(lists, p)
 		}
 	}
-	gather(ix.exact[Normalize(label)])
-	seen := map[string]struct{}{}
+	key := Normalize(label)
+	add(ix.exact[key])
 	consider := func(tok string) {
-		if len(tok) < 2 {
+		if len(tok) < 2 || slices.Contains(seen, tok) {
 			return
 		}
-		if _, dup := seen[tok]; dup {
-			return
+		seen = append(seen, tok)
+		if tok != key {
+			add(ix.exact[tok])
 		}
-		seen[tok] = struct{}{}
-		gather(ix.exact[tok])
-		gather(ix.tokens[tok])
+		add(ix.tokens[tok])
 	}
 	for _, tok := range Tokenize(label) {
 		if ix.thes != nil {
@@ -106,27 +142,34 @@ func (ix *Index) Lookup(label string) []uint32 {
 			consider(tok)
 		}
 	}
-	return unionRuns(runs, total)
+	sc.lists, sc.seen = lists, seen
+	return lists
 }
 
 // unionRuns merges ascending runs into one ascending deduplicated
-// slice. total is the combined run length, used to size the output.
-func unionRuns(runs [][]uint32, total int) []uint32 {
+// slice held by sc (a single run is returned as is). total is the
+// combined run length, used to size the output.
+func (sc *Scratch) unionRuns(runs [][]uint32, total int) []uint32 {
 	switch len(runs) {
 	case 0:
 		return nil
 	case 1:
 		return runs[0]
-	case 2:
-		return union2(runs[0], runs[1], total)
+	}
+	out := slices.Grow(sc.out[:0], total)
+	if len(runs) == 2 {
+		sc.out = union2(out, runs[0], runs[1])
+		return sc.out
 	}
 	// Binary min-heap of run indices ordered by each run's current
 	// head; pos tracks how far each run has been consumed.
-	pos := make([]int, len(runs))
-	h := make([]int, len(runs))
-	for i := range h {
-		h[i] = i
+	pos := slices.Grow(sc.pos[:0], len(runs))[:len(runs)]
+	clear(pos)
+	h := sc.heap[:0]
+	for i := range runs {
+		h = append(h, i)
 	}
+	sc.pos, sc.heap = pos, h
 	headLess := func(a, b int) bool { return runs[a][pos[a]] < runs[b][pos[b]] }
 	siftDown := func(i int) {
 		for {
@@ -147,7 +190,6 @@ func unionRuns(runs [][]uint32, total int) []uint32 {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(i)
 	}
-	out := make([]uint32, 0, total)
 	for len(h) > 0 {
 		r := h[0]
 		v := runs[r][pos[r]]
@@ -161,12 +203,12 @@ func unionRuns(runs [][]uint32, total int) []uint32 {
 		}
 		siftDown(0)
 	}
+	sc.out = out
 	return out
 }
 
-// union2 is the two-run fast path of unionRuns.
-func union2(a, b []uint32, total int) []uint32 {
-	out := make([]uint32, 0, total)
+// union2 is the two-run fast path of unionRuns, appending to out.
+func union2(out, a, b []uint32) []uint32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

@@ -297,8 +297,9 @@ func (ix *Index) LookupIntersect(labels []string) []uint32 {
 		return nil
 	}
 	groups := make([]*unionIter, 0, len(labels))
+	var sc Scratch
 	for _, label := range labels {
-		u := newUnionIter(ix.expansionPostings(label))
+		u := newUnionIter(ix.expansionPostings(&sc, label))
 		if u.total == 0 {
 			return nil // one label matches nothing: empty intersection
 		}
@@ -326,41 +327,6 @@ outer:
 		v, ok = groups[0].SeekGE(v + 1)
 	}
 	return out
-}
-
-// expansionPostings collects the postings lists Lookup would read for
-// one label: the exact normalised key plus every considered token and
-// thesaurus expansion.
-func (ix *Index) expansionPostings(label string) []*Postings {
-	var lists []*Postings
-	add := func(p *Postings) {
-		if p.Len() > 0 {
-			lists = append(lists, p)
-		}
-	}
-	add(ix.exact[Normalize(label)])
-	seen := map[string]struct{}{}
-	consider := func(tok string) {
-		if len(tok) < 2 {
-			return
-		}
-		if _, dup := seen[tok]; dup {
-			return
-		}
-		seen[tok] = struct{}{}
-		add(ix.exact[tok])
-		add(ix.tokens[tok])
-	}
-	for _, tok := range Tokenize(label) {
-		if ix.thes != nil {
-			for _, exp := range ix.thes.Expand(tok) {
-				consider(exp)
-			}
-		} else {
-			consider(tok)
-		}
-	}
-	return lists
 }
 
 // SigBit returns the signature bit of one index key: a single bit of a

@@ -6,8 +6,10 @@
 package textindex
 
 import (
+	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // LocalName extracts the local part of an IRI-like label: the substring
@@ -33,47 +35,69 @@ func Normalize(label string) string {
 // Tokenize splits a label into lower-case tokens: the local name is
 // broken at punctuation, whitespace, digit/letter boundaries and
 // camelCase humps. "FullProfessor7" tokenises to ["full", "professor",
-// "7"], "health_care" to ["health", "care"].
+// "7"], "health_care" to ["health", "care"]. It runs for every constant
+// of every query path, so it makes one pass and returns sub-slices of
+// one lower-cased copy of the local name.
 func Tokenize(label string) []string {
 	s := LocalName(label)
-	var tokens []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			tokens = append(tokens, strings.ToLower(cur.String()))
-			cur.Reset()
+	low := strings.ToLower(s)
+	var buf [8]string // most labels have fewer tokens: one exact-size copy out
+	tokens := buf[:0]
+	// i walks s and j walks low in lock step: ToLower maps rune for
+	// rune, but the lower-case form can differ in byte length (and an
+	// invalid byte becomes a three-byte U+FFFD). start is the offset in
+	// low of the token being read, -1 between tokens.
+	start := -1
+	flush := func(j int) {
+		if start >= 0 {
+			tokens = append(tokens, low[start:j])
+			start = -1
 		}
 	}
-	runes := []rune(s)
-	for i, r := range runes {
+	var prev rune
+	for i, j := 0, 0; i < len(s); {
+		r, w, lw := rune(s[i]), 1, 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(s[i:])
+			_, lw = utf8.DecodeRuneInString(low[j:])
+		}
 		switch {
 		case unicode.IsLetter(r):
-			if cur.Len() > 0 {
-				prev := runes[i-1]
+			if start >= 0 {
 				switch {
 				case unicode.IsDigit(prev):
 					// digit→letter boundary.
-					flush()
+					flush(j)
 				case unicode.IsUpper(r):
 					// camelCase hump: upper after lower, or upper before
 					// lower within an acronym run (HTTPServer → http,
 					// server).
-					nextLower := i+1 < len(runes) && unicode.IsLower(runes[i+1])
-					if unicode.IsLower(prev) || (unicode.IsUpper(prev) && nextLower) {
-						flush()
+					next, _ := utf8.DecodeRuneInString(s[i+w:])
+					if unicode.IsLower(prev) || (unicode.IsUpper(prev) && unicode.IsLower(next)) {
+						flush(j)
 					}
 				}
 			}
-			cur.WriteRune(r)
-		case unicode.IsDigit(r):
-			if cur.Len() > 0 && !unicode.IsDigit(runes[i-1]) {
-				flush()
+			if start < 0 {
+				start = j
 			}
-			cur.WriteRune(r)
+		case unicode.IsDigit(r):
+			if start >= 0 && !unicode.IsDigit(prev) {
+				flush(j)
+			}
+			if start < 0 {
+				start = j
+			}
 		default:
-			flush()
+			flush(j)
 		}
+		prev = r
+		i += w
+		j += lw
 	}
-	flush()
-	return tokens
+	flush(len(low))
+	if len(tokens) == 0 {
+		return nil
+	}
+	return slices.Clone(tokens)
 }
