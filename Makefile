@@ -58,14 +58,15 @@ crash:
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
-# fuzz-smoke runs each native fuzz target — the path-record decoder and
-# the compressed postings (decode ∘ encode, SeekGE, union) — for ten
-# seconds on top of its checked-in corpus (testdata/fuzz in its
-# package); a crasher it finds is written there and fails every later
-# go test.
+# fuzz-smoke runs each native fuzz target — the path-record decoder,
+# the compressed postings (decode ∘ encode, SeekGE, union) and the
+# bounded leapfrog intersection — for ten seconds on top of its
+# checked-in corpus (testdata/fuzz in its package); a crasher it finds
+# is written there and fails every later go test.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePath -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz FuzzPostingsSeekGE -fuzztime 10s ./internal/textindex
+	$(GO) test -run '^$$' -fuzz FuzzIntersectAmong -fuzztime 10s ./internal/textindex
 
 # loc prints non-test and test Go line counts per package directory —
 # the root module's and bench/'s — one line each, so a "non-test lines
@@ -97,7 +98,8 @@ knobs:
 # test binary next to them for symbolisation: the search phase where it
 # is busiest (BenchmarkSearchBudgetBound: Q11/Q12 over LUBM 10 k,
 # clustered once, searched to the visit budget) and the cluster phase
-# with nothing memoised (BenchmarkClusterColdMemo: the cluster_param
+# with nothing memoised and with everything memoised
+# (BenchmarkClusterColdMemo, BenchmarkClusterWarmMemo: the cluster_param
 # shapes over every department of LUBM 10 k).
 profile:
 	@mkdir -p results
@@ -105,7 +107,9 @@ profile:
 		-cpuprofile results/cpu_search.pprof -o results/bench.test ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterColdMemo' -benchtime 10x \
 		-cpuprofile results/cpu_cluster.pprof -o results/bench.test ./internal/core
-	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,cluster}.pprof"
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterWarmMemo' -benchtime 2000x \
+		-cpuprofile results/cpu_cluster_warm.pprof -o results/bench.test ./internal/core
+	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,cluster,cluster_warm}.pprof"
 
 # route-smoke boots the multi-node path end-to-end: a 3-shard layout,
 # one samad per shard directory, a samad router fronting them, the

@@ -111,7 +111,7 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	poolPages := fs.Int("pool-pages", 0, "buffer pool capacity in 8 KiB pages (0 = library default)")
 	slow := fs.Duration("slow-query", 0, "log queries slower than this threshold (0 = off)")
 	cacheAnswers := fs.Int("cache-answers", 0, "answer cache capacity in entries; any index write invalidates it (0 = off)")
-	cacheAlignMB := fs.Int("cache-align-mb", 0, "alignment memo budget in MiB, reused across queries sharing path shapes (0 = default 64, negative = off)")
+	cacheAlignMB := fs.Int("cache-align-mb", 0, "alignment memo budget in MiB: one cached cluster per query-path shape, reused across queries sharing it (0 = default 64, negative = off)")
 	coalesce := fs.Bool("coalesce", false, "collapse identical in-flight /query requests into one execution")
 	walDir := fs.String("wal", "", "enable the write-ahead log in this directory when building; an existing index reattaches its own WAL automatically")
 	walCheckpoint := fs.Int64("wal-checkpoint", 0, "WAL bytes that trigger an automatic checkpoint (0 = library default, -1 = manual only)")

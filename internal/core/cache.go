@@ -1,14 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
 
 	"sama/internal/align"
 	"sama/internal/cache"
-	"sama/internal/index"
 	"sama/internal/obs"
 	"sama/internal/paths"
 	"sama/internal/rdf"
@@ -22,10 +20,12 @@ import (
 //     (triples rendered and sorted, so textual orderings of the same
 //     graph share an entry), k, the scoring params, and the budget
 //     options that shape the search.
-//   - The alignment memo keeps (data path, λ alignment) values keyed by
-//     query-path signature and PathID, short-circuiting both the disk
-//     read and the alignment in buildCluster when different queries
-//     decompose into the same path shape.
+//   - The alignment memo keeps whole clusters keyed by query-path
+//     signature (paths.Path.Key), short-circuiting all of buildCluster —
+//     retrieval, pre-rank, disk read and alignment — when different
+//     queries decompose into the same path shape. Params are not part of
+//     the key: the memo lives inside one engine, whose params are fixed
+//     at construction.
 //
 // Partial runs (deadline or cancellation) are deliberately never
 // cached: their answer sets depend on where the clock cut the search,
@@ -38,14 +38,35 @@ type cachedAnswer struct {
 	queryPaths int
 }
 
-// memoItem is one alignment-memo value. sig is the full query-path
-// signature the entry was stored under: memo keys carry only a 64-bit
-// fingerprint of it, so hits re-verify the signature and a fingerprint
-// collision degrades to a miss instead of a wrong alignment.
-type memoItem struct {
-	sig  string
-	path paths.Path
-	al   *align.Alignment
+// cachedCluster is one alignment-memo value: what buildCluster made of
+// one query-path shape at one epoch — the kept items, the retrieval
+// count and the decisions the explain plan reports. The pre-rank cut is
+// deterministic, so a later build of the same shape would pre-rank the
+// same candidates and keep the same items: a hit is all of them or none.
+// Shared by every later hit; read-only by contract.
+type cachedCluster struct {
+	items []ClusterItem
+	// retrieved is Cluster.Retrieved; the others are explain counters.
+	retrieved, preranked, shorterFallback, capDropped int
+}
+
+// describe sets the cluster pass's decision counters on sp: candidates
+// cut by and surviving the pre-rank, how many of the survivors this pass
+// aligned itself (all on a miss, none on a hit), the shorter-path
+// fallback, and candidates dropped by the cluster cap.
+func (cc *cachedCluster) describe(sp *obs.Span, aligned int) {
+	if cut := cc.retrieved - cc.preranked; cut > 0 {
+		sp.Set("sig_rejected", int64(cut))
+	}
+	sp.Set("preranked", int64(cc.preranked))
+	sp.Set("memo_hits", int64(cc.preranked-aligned))
+	sp.Set("aligned", int64(aligned))
+	if cc.shorterFallback > 0 {
+		sp.Set("shorter_fallback", int64(cc.shorterFallback))
+	}
+	if cc.capDropped > 0 {
+		sp.Set("cap_dropped", int64(cc.capDropped))
+	}
 }
 
 // answerCacheKey canonicalizes one query execution. Triple order must
@@ -67,67 +88,8 @@ func (e *Engine) answerCacheKey(q *rdf.QueryGraph, k int) string {
 	return b.String()
 }
 
-// memoRef addresses one cluster build's memo entries: the query-path
-// signature plus its 64-bit FNV-1a fingerprint, hashed once per build.
-// Keys embed only the fingerprint (a fixed 17-byte string), so the
-// per-candidate probe hashes 17 bytes instead of rescanning the full
-// signature; hits verify memoItem.sig against qsig before use. Params
-// are not part of the key: the memo lives inside one engine, whose
-// params are fixed at construction.
-type memoRef struct {
-	qsig string
-	pfx  uint64
-}
-
-func memoRefFor(qsig string) memoRef { return memoRef{qsig: qsig, pfx: fnv64(qsig)} }
-
-// key returns the cache key for one (query-path shape, data path)
-// pair. The leading 'a' keeps alignment keys disjoint from the
-// intersection-memo keys (interKey), which share the cache.
-func (r memoRef) key(id index.PathID) string {
-	var b [17]byte
-	b[0] = 'a'
-	binary.BigEndian.PutUint64(b[1:9], r.pfx)
-	binary.BigEndian.PutUint64(b[9:], uint64(id))
-	return string(b[:])
-}
-
-// memoGet is alignMemo.Get plus the signature check. Callers must hold
-// a non-nil alignMemo.
-func (e *Engine) memoGet(r memoRef, id index.PathID, epoch uint64) (*memoItem, bool) {
-	v, ok := e.alignMemo.Get(r.key(id), epoch)
-	if !ok {
-		return nil, false
-	}
-	mi := v.(*memoItem)
-	if mi.sig != r.qsig {
-		return nil, false
-	}
-	return mi, true
-}
-
-// memoPut stores one aligned candidate under r's fingerprint.
-func (e *Engine) memoPut(r memoRef, id index.PathID, epoch uint64, p paths.Path, al *align.Alignment) {
-	e.alignMemo.Put(r.key(id), epoch,
-		&memoItem{sig: r.qsig, path: p, al: al}, memoSize(p, al)+len(r.qsig))
-}
-
-// interKey is the cache key of one query-path shape's exact label
-// intersection (see pathsByAllLabelsCached). The leading 'i' keeps the
-// space disjoint from memoRef.key's 'a' keys.
-func interKey(qsig string) string { return "i" + qsig }
-
-// fnv64 is 64-bit FNV-1a over s.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// memoSize estimates the bytes a memo item pins, for the byte budget.
+// memoSize estimates the bytes one kept cluster item pins, for the
+// memo's byte budget.
 func memoSize(p paths.Path, al *align.Alignment) int {
 	n := 160 // struct shells
 	for _, t := range p.Nodes {

@@ -2,14 +2,21 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"sama/internal/datasets"
+	"sama/internal/index"
 	"sama/internal/obs"
+	"sama/internal/paths"
 	"sama/internal/rdf"
+	"sama/internal/textindex"
 )
 
 // hcQuery asks for everything filed under Health Care — a single query
@@ -213,27 +220,248 @@ func TestAnswerCacheConcurrentInserts(t *testing.T) {
 	}
 }
 
+// clusterLines renders clusters item by item — ID, cost, data path — so
+// two builds compare with ==.
+func clusterLines(cs []Cluster) string {
+	var b strings.Builder
+	for _, c := range cs {
+		fmt.Fprintf(&b, "cluster %d retrieved=%d\n", c.QueryIndex, c.Retrieved)
+		for _, it := range c.Items {
+			fmt.Fprintf(&b, "  %d %v %q\n", it.ID, it.Cost(), it.Path.Key())
+		}
+	}
+	return b.String()
+}
+
+// TestAlignMemoReuse pins the memo's unit: one entry per query path, and
+// a repeat served whole from it — the very items, the explain counters a
+// full hit prints, no batched read.
 func TestAlignMemoReuse(t *testing.T) {
 	e := newTestEngine(t, Options{AlignCacheMB: 4})
-	first, err := e.Query(queryQ1(), 5)
+	pre := e.Preprocess(queryQ1())
+	n := uint64(len(pre.Paths))
+	first, err := e.Cluster(pre)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := e.CacheStats()[cacheAlign]
-	if cs.Entries == 0 || cs.Misses == 0 {
-		t.Fatalf("memo not populated: %+v", cs)
+	if cs := e.CacheStats()[cacheAlign]; cs.Entries != len(pre.Paths) || cs.Misses != n || cs.Hits != 0 {
+		t.Fatalf("after one build of %d query paths: %+v, want one entry and one miss each", n, cs)
 	}
-	second, err := e.Query(queryQ1(), 5)
+	second, err := e.Cluster(pre)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs = e.CacheStats()[cacheAlign]
-	if cs.Hits == 0 {
-		t.Errorf("repeat query aligned from scratch: %+v", cs)
+	if cs := e.CacheStats()[cacheAlign]; cs.Entries != len(pre.Paths) || cs.Misses != n || cs.Hits != n {
+		t.Fatalf("after the repeat: %+v, want %d hits and nothing else moved", cs, n)
 	}
 	for i := range first {
-		if second[i].Score != first[i].Score {
-			t.Fatalf("memoised answer %d score %v != %v", i, second[i].Score, first[i].Score)
+		if second[i].Retrieved != first[i].Retrieved || len(second[i].Items) != len(first[i].Items) ||
+			&second[i].Items[0] != &first[i].Items[0] {
+			t.Errorf("cluster %d: the hit does not share the first build's items", i)
+		}
+	}
+	_, cold, err := New(e.idx, Options{}).QueryWithStats(queryQ1(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, warm, err := e.QueryWithStats(queryQ1(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := firstAlignAttrs(t, "cold", cold.Plan())
+	got := firstAlignAttrs(t, "warm", warm.Plan())
+	if want["memo_hits"] != 0 || want["aligned"] != want["preranked"] || want["batched_pages"] == 0 {
+		t.Errorf("cold align[0] = %v, want no hits, everything aligned, pages read", want)
+	}
+	if got["memo_hits"] != got["preranked"] || got["aligned"] != 0 {
+		t.Errorf("warm align[0] = %v, want memo_hits = preranked and aligned = 0", got)
+	}
+	if _, ok := got["batched_pages"]; ok {
+		t.Errorf("warm align[0] = %v, want no batched_pages", got)
+	}
+	for _, k := range []string{"preranked", "retrieved", "kept"} {
+		if got[k] != want[k] {
+			t.Errorf("warm align[0] %s = %d, cold %d", k, got[k], want[k])
+		}
+	}
+}
+
+// TestAlignMemoEpochBump: an entry freezes the candidate set, so an
+// insert between two queries of one shape must make the second a miss
+// whose cluster holds the new path.
+func TestAlignMemoEpochBump(t *testing.T) {
+	e := newTestEngine(t, Options{})
+	pre := e.Preprocess(hcQuery())
+	before, err := e.Cluster(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.idx.InsertTriples([]rdf.Triple{
+		{S: iri("B9999"), P: iri("subject"), O: lit("Health Care")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := e.Cluster(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := e.CacheStats()[cacheAlign]; cs.Hits != 0 || cs.Misses != 2 || cs.Invalidations != 1 || cs.Entries != 1 {
+		t.Errorf("memo after build, insert, build: %+v, want 2 misses, 1 invalidation, 1 entry", cs)
+	}
+	if after[0].Retrieved != before[0].Retrieved+1 {
+		t.Errorf("retrieved %d after the insert, %d before; want one more", after[0].Retrieved, before[0].Retrieved)
+	}
+	if !strings.Contains(clusterLines(after), "B9999") {
+		t.Errorf("the inserted path is missing from the rebuilt cluster:\n%s", clusterLines(after))
+	}
+}
+
+// writeAfterRetrieval lands one insert right after the first sink lookup
+// returns: the build goes on with a candidate set that predates it.
+type writeAfterRetrieval struct {
+	backend
+	once  sync.Once
+	write func()
+}
+
+func (b *writeAfterRetrieval) PathsBySink(sc *clusterScratch, label string) []index.PathID {
+	ids := b.backend.PathsBySink(sc, label)
+	b.once.Do(b.write)
+	return ids
+}
+
+// TestAlignMemoStampedBeforeRetrieval: a write racing a build makes the
+// stored entry stale, never the reverse. Stamped after retrieval, the
+// entry below would carry the post-insert epoch over pre-insert
+// candidates and the second build would hit it.
+func TestAlignMemoStampedBeforeRetrieval(t *testing.T) {
+	e := newTestEngine(t, Options{})
+	pre := e.Preprocess(hcQuery())
+	e.back = &writeAfterRetrieval{backend: e.back, write: func() {
+		if err := e.idx.InsertTriples([]rdf.Triple{
+			{S: iri("B9999"), P: iri("subject"), O: lit("Health Care")},
+		}); err != nil {
+			t.Error(err)
+		}
+	}}
+	raced, err := e.Cluster(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(clusterLines(raced), "B9999") {
+		t.Fatal("the racing build already saw the insert; the test needs it to land after retrieval")
+	}
+	next, err := e.Cluster(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(clusterLines(next), "B9999") {
+		t.Errorf("the build after the racing one was served pre-insert candidates:\n%s", clusterLines(next))
+	}
+	if cs := e.CacheStats()[cacheAlign]; cs.Hits != 0 || cs.Invalidations != 1 {
+		t.Errorf("memo: %+v, want no hit and the raced entry invalidated", cs)
+	}
+}
+
+// staleReads fails every batched read with ErrStaleRead while on.
+type staleReads struct {
+	backend
+	on bool
+}
+
+func (b *staleReads) ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, error) {
+	if b.on {
+		return nil, fmt.Errorf("injected: %w", index.ErrStaleRead)
+	}
+	return b.backend.ReadPathsBatched(ctx, ids)
+}
+
+// TestAlignMemoKeepsNothingPartial: a build under a cancelled context
+// (it aligns a prefix) and one whose batched read fails store nothing,
+// and the next clean build returns the full cluster.
+func TestAlignMemoKeepsNothingPartial(t *testing.T) {
+	e := newTestEngine(t, Options{})
+	pre := e.Preprocess(queryQ1())
+	want, err := New(e.idx, Options{AlignCacheMB: -1}).Cluster(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	partial, err := e.ClusterContext(ctx, pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clusterLines(partial) == clusterLines(want) {
+		t.Fatal("the cancelled build aligned everything; the test needs it to stop short")
+	}
+	if n := e.CacheStats()[cacheAlign].Entries; n != 0 {
+		t.Errorf("a cancelled build left %d memo entries", n)
+	}
+
+	stale := &staleReads{backend: e.back, on: true}
+	e.back = stale
+	if _, err := e.Cluster(pre); !errors.Is(err, index.ErrStaleRead) {
+		t.Fatalf("build over a failing batched read: err = %v, want ErrStaleRead", err)
+	}
+	if n := e.CacheStats()[cacheAlign].Entries; n != 0 {
+		t.Errorf("a failed build left %d memo entries", n)
+	}
+
+	stale.on = false
+	got, err := e.Cluster(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clusterLines(got) != clusterLines(want) {
+		t.Errorf("clean build after the partial ones:\n%s\nwant:\n%s", clusterLines(got), clusterLines(want))
+	}
+	if n := e.CacheStats()[cacheAlign].Entries; n != len(pre.Paths) {
+		t.Errorf("memo entries = %d after a clean build, want %d", n, len(pre.Paths))
+	}
+}
+
+// TestAlignMemoEvictionAndOff runs the cluster_param shapes twice
+// through a memo too small to hold them (1 MiB: a 64 KiB slice per shard
+// against ≈ 300 KB clusters, so every store evicts its neighbour) and
+// through an engine with the memo off: a cluster rebuilt after its
+// eviction equals the first build, and both equal the memo-less ones.
+func TestAlignMemoEvictionAndOff(t *testing.T) {
+	g := datasets.LUBM{}.Generate(4000, 3)
+	ix, err := index.Build(filepath.Join(t.TempDir(), "lubm"), g,
+		index.Options{Thesaurus: textindex.BenchmarkThesaurus(), PoolPages: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	qs := clusterParamQueries(t, g)
+	lap := func(e *Engine) []string {
+		out := make([]string, len(qs))
+		for i, gq := range qs {
+			cs, err := e.Cluster(e.Preprocess(gq.q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = clusterLines(cs)
+		}
+		return out
+	}
+	off := New(ix, Options{AlignCacheMB: -1})
+	if _, ok := off.CacheStats()[cacheAlign]; ok {
+		t.Error("AlignCacheMB < 0 still reports an align cache")
+	}
+	want := lap(off)
+
+	small := New(ix, Options{AlignCacheMB: 1})
+	first, again := lap(small), lap(small)
+	cs := small.CacheStats()[cacheAlign]
+	if cs.Evictions == 0 || cs.Misses <= uint64(cs.Entries) {
+		t.Fatalf("the small memo never evicted and rebuilt: %+v", cs)
+	}
+	for i := range qs {
+		if first[i] != want[i] || again[i] != want[i] {
+			t.Fatalf("%s: clusters differ between memo off, first build and rebuild after eviction", qs[i].id)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sama/internal/index"
 	"sama/internal/obs"
 	"sama/internal/paths"
+	"sama/internal/rdf"
 	"sama/internal/storage"
 )
 
@@ -35,7 +36,9 @@ type Cluster struct {
 	QueryIndex int
 	// Query is the query path this cluster serves.
 	Query paths.Path
-	// Items are the ranked candidates, best (lowest λ) first.
+	// Items are the ranked candidates, best (lowest λ) first. Read-only:
+	// the slice and everything it references are shared with the
+	// alignment memo and with every other query it serves.
 	Items []ClusterItem
 	// Retrieved is the number of candidate paths the index returned for
 	// this cluster before capping — the per-cluster contribution to the
@@ -103,21 +106,21 @@ func (e *Engine) clusterTraced(ctx context.Context, pre *Preprocessed, parent *o
 
 // clusterScratch is the memory one buildCluster works in: everything
 // sized by the *retrieved* candidates (posting runs and their union,
-// live IDs, summaries, buckets) or by the pre-rank frontier (candidates,
-// memo misses, staged items). A build takes one from clusterScratchPool
-// and releases it on return; the Cluster it returns owns a copy of the
-// items it keeps, so nothing reads the scratch afterwards and
-// concurrent builds never share one.
+// live IDs, summaries, buckets, fingerprint survivors) or by the
+// pre-rank frontier (candidates, staged items). A build that misses the
+// memo takes one from clusterScratchPool and releases it on return; the
+// Cluster it returns owns a copy of the items it keeps, so nothing reads
+// the scratch afterwards and concurrent builds never share one.
 type clusterScratch struct {
 	idx     index.Scratch  // monolithic retrieval and summaries
 	shards  []shardScratch // sharded: one part per shard, merged below
 	lists   [][]index.PathID
 	merged  []index.PathID
 	sums    []index.PathSummary
-	buckets []uint32 // pre-rank: each candidate's bucket
-	counts  []int    // pre-rank: bucket sizes, then fill offsets
+	buckets []uint32       // pre-rank: each candidate's bucket
+	counts  []int          // pre-rank: bucket sizes, then fill offsets
+	surv    []index.PathID // pre-rank: one deficit bucket's fingerprint survivors
 	cands   []index.PathID
-	miss    []index.PathID
 	staged  []ClusterItem
 }
 
@@ -139,71 +142,52 @@ func (sc *clusterScratch) perShard(n int) []shardScratch {
 	return sc.shards[:n]
 }
 
-// release returns the scratch to the pool with the build's (possibly
-// regrown) staging buffers, the staged items' references to paths and
-// alignments dropped first.
-func (sc *clusterScratch) release(staged []ClusterItem, miss []index.PathID) {
-	clear(staged)
-	sc.staged, sc.miss = staged[:0], miss[:0]
+// release returns the scratch to the pool, the staged items' references
+// to paths and alignments dropped first.
+func (sc *clusterScratch) release() {
+	clear(sc.staged)
 	clusterScratchPool.Put(sc)
 }
 
 // buildCluster retrieves, aligns and ranks the candidates for one query
-// path. With the alignment memo enabled, a candidate aligned against
-// this query-path shape by any earlier query skips both the disk read
-// and the alignment; memo entries are epoch-checked, so an insert (new
-// paths) or a compaction (renumbered PathIDs) orphans them all. Memo
-// misses are materialised in one page-locality batched read and aligned
-// in one loop (alignMisses).
+// path. The result is a pure function of the query path and the index
+// state, so with the alignment memo enabled it is computed once per
+// (query-path shape, epoch): a hit returns the stored cluster and
+// touches no posting, no summary and no page. Entries are epoch-checked,
+// so an insert (new paths) or a compaction (renumbered PathIDs) orphans
+// them all. A miss materialises every pre-ranked candidate in one
+// page-locality batched read and aligns them in one loop (alignAll).
 // sp, when non-nil, receives the pass's decision counters for the
-// explain plan: candidates surviving the pre-rank cut, memo hits vs
-// alignments actually run, pages touched by the batched read, the
-// shorter-path fallback, and candidates dropped by the cluster cap.
+// explain plan (cachedCluster.describe) and, on a miss, the pages the
+// batched read touched.
 func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs.Span) (Cluster, error) {
+	var key string
+	var epoch uint64
+	if e.alignMemo != nil {
+		// Epoch before the first posting is read: a write racing the build
+		// makes the entry stored below stale, never the reverse.
+		epoch, key = e.back.Epoch(), q.Key()
+		if v, ok := e.alignMemo.Get(key, epoch); ok {
+			cc := v.(*cachedCluster)
+			cc.describe(sp, 0)
+			return Cluster{QueryIndex: qi, Query: q, Items: cc.items, Retrieved: cc.retrieved}, nil
+		}
+	}
 	sc := clusterScratchPool.Get().(*clusterScratch)
-	staged, miss := sc.staged[:0], sc.miss[:0]
-	defer func() { sc.release(staged, miss) }()
+	defer sc.release()
 	ids := e.retrieve(sc, q)
 	if len(ids) == 0 {
 		return Cluster{QueryIndex: qi, Query: q}, nil
 	}
-	retrieved := len(ids)
-	cands, err := e.preRank(sc, ids, q, sp)
+	cands, err := e.preRank(sc, ids, q)
 	if err != nil {
 		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
 	}
-	sp.Set("preranked", int64(len(cands)))
-	var ref memoRef
-	var epoch uint64
-	if e.alignMemo != nil {
-		// Epoch before the reads: a write racing this loop makes the
-		// entries stored below stale, never the reverse.
-		epoch = e.back.Epoch()
-		ref = memoRefFor(q.Key())
+	cc := &cachedCluster{retrieved: len(ids), preranked: len(cands)}
+	staged, pages, err := e.alignAll(ctx, sc, q, cands)
+	if err != nil {
+		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
 	}
-
-	// Memo keys, like every ID here, are the backend's (global IDs when
-	// sharded). The staging order is immaterial: sortClusterItems below
-	// imposes a strict total order.
-	for _, id := range cands {
-		if e.alignMemo != nil {
-			if mi, ok := e.memoGet(ref, id, epoch); ok {
-				staged = append(staged, ClusterItem{ID: id, Path: mi.path, Alignment: mi.al})
-				continue
-			}
-		}
-		miss = append(miss, id)
-	}
-	sp.Set("memo_hits", int64(len(cands)-len(miss)))
-	if len(miss) > 0 {
-		var pages int64
-		staged, pages, err = e.alignMisses(ctx, q, miss, staged, ref, epoch)
-		if err != nil {
-			return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
-		}
-		sp.Set("batched_pages", pages)
-	}
-	sp.Set("aligned", int64(len(miss)))
 
 	// Figure 3 clusters only paths at least as long as the query path
 	// (insertions into q are allowed, deletions are not): cl1 holds the
@@ -219,115 +203,92 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 		}
 	}
 	items := staged[:full]
-	if full == 0 && len(staged) > 0 {
+	if full == 0 {
 		items = staged
-		sp.Set("shorter_fallback", int64(len(staged)))
+		cc.shorterFallback = len(staged)
 	}
 	sortClusterItems(items)
 	if capN := e.opts.maxCandidates(); len(items) > capN {
-		sp.Set("cap_dropped", int64(len(items)-capN))
+		cc.capDropped = len(items) - capN
 		items = items[:capN]
 	}
-	return Cluster{
-		QueryIndex: qi,
-		Query:      q,
-		Items:      slices.Clone(items), // the scratch keeps nothing of it
-		Retrieved:  retrieved,
-	}, nil
-}
-
-// queryConstant is one constant element of the query path together
-// with the signature probe mask a lookup for its label would consult
-// (exact key, tokens, and thesaurus expansions — the same precision
-// levels retrieval admits candidates under).
-type queryConstant struct {
-	label string
-	mask  uint64
+	cc.items = slices.Clone(items) // the scratch keeps nothing of it
+	cc.describe(sp, cc.preranked)
+	sp.Set("batched_pages", pages)
+	// Only a complete build is stored: a cancelled one aligned a prefix.
+	if e.alignMemo != nil && ctx.Err() == nil {
+		size := 0
+		for _, item := range cc.items {
+			size += memoSize(item.Path, item.Alignment)
+		}
+		e.alignMemo.Put(key, epoch, cc, size)
+	}
+	return Cluster{QueryIndex: qi, Query: q, Items: cc.items, Retrieved: cc.retrieved}, nil
 }
 
 // queryConstants collects the query path's constant labels, nodes then
-// edges, with their probe masks.
-func (e *Engine) queryConstants(q paths.Path) []queryConstant {
-	var out []queryConstant
-	for _, n := range q.Nodes {
-		if n.IsConstant() {
-			out = append(out, queryConstant{label: n.Label(), mask: e.back.LabelProbeMask(n.Label())})
+// edges, each with the signature probe mask a lookup for it would
+// consult (exact key, tokens, and thesaurus expansions — the same
+// precision levels retrieval admits candidates under).
+func (e *Engine) queryConstants(q paths.Path) (labels []string, masks []uint64) {
+	for _, terms := range [2][]rdf.Term{q.Nodes, q.Edges} {
+		for _, t := range terms {
+			if t.IsConstant() {
+				labels = append(labels, t.Label())
+				masks = append(masks, e.back.LabelProbeMask(t.Label()))
+			}
 		}
 	}
-	for _, eLbl := range q.Edges {
-		if eLbl.IsConstant() {
-			out = append(out, queryConstant{label: eLbl.Label(), mask: e.back.LabelProbeMask(eLbl.Label())})
-		}
-	}
-	return out
-}
-
-// pathsByAllLabelsCached returns the exact label intersection for one
-// query path, memoised per query-path shape in the alignment memo (the
-// intersection depends only on the query path's constants and the
-// index state, so the entry shares the memo's epoch validation).
-// Re-running the galloping intersect per query was the single largest
-// warm-path cost in preRank.
-func (e *Engine) pathsByAllLabelsCached(q paths.Path, labels []string) []index.PathID {
-	if e.alignMemo == nil {
-		return e.back.PathsByAllLabels(labels)
-	}
-	epoch := e.back.Epoch()
-	key := interKey(q.Key())
-	if v, ok := e.alignMemo.Get(key, epoch); ok {
-		return v.([]index.PathID)
-	}
-	inter := e.back.PathsByAllLabels(labels)
-	e.alignMemo.Put(key, epoch, inter, 48+len(key)+8*len(inter))
-	return inter
+	return labels, masks
 }
 
 // preRank bounds the candidates that get materialised and aligned. When
 // the index returns far more paths than the cluster will keep, only the
-// most promising are worth a disk read.
+// most promising are worth a disk read. ids must be ascending, as every
+// posting lookup returns them (the fallback scan's are not and need not
+// be: it runs only when a constant matches no live path, and then the
+// second step below confirms nothing).
 //
-// Promise is estimated from the in-memory summaries only — one batched
-// read of (length, signature) pairs under a single lock, zero postings
-// probes, zero disk reads. A candidate whose signature shares no bit
-// with a constant's probe mask provably lacks that label at every
-// precision level retrieval admits (exact, token, thesaurus synonym) —
-// the signature's error is one-sided, so a synonym-expanded candidate
-// is never charged for a constant it matches approximately. Because the
-// fingerprints are the same deterministic hash everywhere, the ranking
-// is identical at every shard count.
+// Promise is estimated in two steps. First from the in-memory summaries
+// only — one batched read of (length, signature) pairs under a single
+// lock, zero postings probes, zero disk reads. A candidate whose
+// signature shares no bit with a constant's probe mask provably lacks
+// that label at every precision level retrieval admits (exact, token,
+// thesaurus synonym) — the signature's error is one-sided, so a
+// synonym-expanded candidate is never charged for a constant it matches
+// approximately. Because the fingerprints are the same deterministic
+// hash everywhere, the ranking is identical at every shard count.
 //
 // The ranking key orders by total missing constants first and length
 // deficit second; the candidates are bucketed by it, one bucket per
 // (missing, deficit) pair, so no deficit can outrank a missing constant.
 //
-// The exact expansion intersection (every-constant leapfrog over the
-// compressed postings) refines the fingerprint counts: a candidate
-// outside it truly misses at least one constant, so a colliding
-// signature that hid every miss is bumped back to missing = 1.
+// Second, the fingerprint survivors (missing = 0) are confirmed against
+// the exact expansion intersection — PathsByAllLabels of the constants:
+// a survivor outside it truly misses at least one constant, so a
+// colliding signature that hid every miss is bumped back to missing = 1.
 // Membership can only raise counts back toward the truth — collisions
-// fake containment, never absence — so the cut stays deterministic.
+// fake containment, never absence — so the cut stays deterministic. The
+// survivors are confirmed deficit bucket by deficit bucket, in ID order,
+// by a leapfrog that stops at the budget: the confirmed ones sort before
+// everything else, so once budget of them are known they are the cut and
+// the rest of the intersection is never computed.
 //
 // Summaries fails with index.ErrStaleRead when a concurrent compaction
 // invalidated an ID; the error propagates to the engine's restart loop,
-// which re-runs the query against the fresh state.
-func (e *Engine) preRank(sc *clusterScratch, ids []index.PathID, q paths.Path, sp *obs.Span) ([]index.PathID, error) {
-	sums, err := e.back.Summaries(sc, ids)
-	if err != nil {
-		return nil, err
-	}
+// which re-runs the query against the fresh state. A cluster too small
+// to cut skips the call: its IDs all go to ReadPathsBatched, which makes
+// the same check.
+func (e *Engine) preRank(sc *clusterScratch, ids []index.PathID, q paths.Path) ([]index.PathID, error) {
 	budget := 2 * e.opts.maxCandidates()
 	if len(ids) <= budget {
 		return ids, nil
 	}
-	consts := e.queryConstants(q)
-	var inter []index.PathID
-	if len(consts) > 0 {
-		labels := make([]string, len(consts))
-		for i, c := range consts {
-			labels[i] = c.label
-		}
-		inter = e.pathsByAllLabelsCached(q, labels)
+	sums, err := e.back.Summaries(sc, ids)
+	if err != nil {
+		return nil, err
 	}
+	labels, masks := e.queryConstants(q)
 
 	// A candidate's bucket is missing·(maxDeficit+1)+deficit, so bucket
 	// order is the ranking key's ascending (missing, deficit) order.
@@ -335,21 +296,14 @@ func (e *Engine) preRank(sc *clusterScratch, ids []index.PathID, q paths.Path, s
 	maxDeficit := min(qlen, 0xffff)
 	buckets := slices.Grow(sc.buckets[:0], len(ids))[:len(ids)]
 	sc.buckets = buckets
-	nb := (len(consts) + 1) * (maxDeficit + 1)
+	nb := (len(masks) + 1) * (maxDeficit + 1)
 	counts := slices.Grow(sc.counts[:0], nb)[:nb]
 	sc.counts = counts
 	clear(counts)
-	// ids arrive ascending (postings order), so the intersection probe
-	// is a linear merge walk — one forward pointer over inter for the
-	// whole batch instead of a binary search per candidate. The reset
-	// guard keeps the walk correct for an unsorted caller (it never
-	// fires on the engine's own retrieval paths).
-	ii := 0
-	var prevID index.PathID
-	for i, id := range ids {
+	for i := range ids {
 		missing := 0
-		for _, c := range consts {
-			if sums[i].Sig&c.mask == 0 {
+		for _, mask := range masks {
+			if sums[i].Sig&mask == 0 {
 				missing++
 			}
 		}
@@ -357,21 +311,44 @@ func (e *Engine) preRank(sc *clusterScratch, ids []index.PathID, q paths.Path, s
 		if plen := int(sums[i].Len); plen < qlen {
 			deficit = min(qlen-plen, maxDeficit)
 		}
-		if inter != nil && missing == 0 {
-			if id < prevID {
-				ii = 0
-			}
-			for ii < len(inter) && inter[ii] < id {
-				ii++
-			}
-			if ii == len(inter) || inter[ii] != id {
-				missing = 1
-			}
-		}
-		prevID = id
 		b := missing*(maxDeficit+1) + deficit
 		buckets[i] = uint32(b)
 		counts[b]++
+	}
+	out := slices.Grow(sc.cands[:0], budget)
+	if len(labels) > 0 {
+		for d := 0; d <= maxDeficit; d++ {
+			if counts[d] == 0 {
+				continue
+			}
+			surv := sc.surv[:0]
+			for i, b := range buckets {
+				if int(b) == d {
+					surv = append(surv, ids[i])
+				}
+			}
+			sc.surv = surv
+			n := len(out)
+			out = e.back.PathsByAllLabelsAmong(sc, out, surv, labels, budget-n)
+			if len(out) == budget {
+				sc.cands = out
+				return out, nil
+			}
+			// The bucket ran out before the budget filled, so every
+			// membership in it is known: the unconfirmed move to missing = 1.
+			k := n
+			for i, b := range buckets {
+				switch {
+				case int(b) != d:
+				case k < len(out) && out[k] == ids[i]:
+					k++
+				default:
+					buckets[i] = uint32(d + maxDeficit + 1)
+					counts[d]--
+					counts[d+maxDeficit+1]++
+				}
+			}
+		}
 	}
 	// Stable counting cut: the bucket space is tiny (missing ≤
 	// |constants|, deficit ≤ |q|), so bucket offsets replace the
@@ -383,7 +360,7 @@ func (e *Engine) preRank(sc *clusterScratch, ids []index.PathID, q paths.Path, s
 		counts[b] = total
 		total += n
 	}
-	out := slices.Grow(sc.cands[:0], budget)[:budget]
+	out = out[:budget]
 	sc.cands = out
 	for i, b := range buckets {
 		pos := counts[b]
@@ -392,7 +369,6 @@ func (e *Engine) preRank(sc *clusterScratch, ids []index.PathID, q paths.Path, s
 			out[pos] = ids[i]
 		}
 	}
-	sp.Set("sig_rejected", int64(len(ids)-budget))
 	return out, nil
 }
 
@@ -413,12 +389,12 @@ func sortClusterItems(items []ClusterItem) {
 	})
 }
 
-// alignMisses materialises the memo misses in a single page-locality
-// batched read and aligns them one by one, appending the results to
-// staged. It returns the pages the batched read touched. Cancellation
-// is cooperative per candidate: entries not yet aligned are left out,
+// alignAll materialises the pre-ranked candidates in a single
+// page-locality batched read and aligns them one by one into sc.staged.
+// It returns the pages the batched read touched. Cancellation is
+// cooperative per candidate: entries not yet aligned are left out,
 // yielding a smaller but still best-first cluster.
-func (e *Engine) alignMisses(ctx context.Context, q paths.Path, ids []index.PathID, staged []ClusterItem, ref memoRef, epoch uint64) ([]ClusterItem, int64, error) {
+func (e *Engine) alignAll(ctx context.Context, sc *clusterScratch, q paths.Path, ids []index.PathID) ([]ClusterItem, int64, error) {
 	// The batched read runs under its own tally: sibling clusters share
 	// the query's tally concurrently, so a before/after diff on it would
 	// charge this span a neighbour's pages and the explain plan would
@@ -429,10 +405,11 @@ func (e *Engine) alignMisses(ctx context.Context, q paths.Path, ids []index.Path
 	pages := int64(local.BatchedPages())
 	storage.TallyFrom(ctx).Merge(local)
 	if err != nil && ctx.Err() == nil {
-		return staged, pages, err
+		return nil, pages, err
 	}
 	// On a cancelled batch read, align what was materialised, if anything.
 	al := align.NewGreedy(e.par)
+	staged := sc.staged[:0]
 	for m, p := range ps {
 		if ctx.Err() != nil {
 			break
@@ -440,12 +417,9 @@ func (e *Engine) alignMisses(ctx context.Context, q paths.Path, ids []index.Path
 		if len(p.Nodes) == 0 {
 			continue // not materialised: batch read was cancelled
 		}
-		item := ClusterItem{ID: ids[m], Path: p, Alignment: al.Align(p, q)}
-		staged = append(staged, item)
-		if e.alignMemo != nil {
-			e.memoPut(ref, ids[m], epoch, p, item.Alignment)
-		}
+		staged = append(staged, ClusterItem{ID: ids[m], Path: p, Alignment: al.Align(p, q)})
 	}
+	sc.staged = staged
 	return staged, pages, nil
 }
 

@@ -8,8 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"sama/internal/cache"
 	"sama/internal/datasets"
 	"sama/internal/index"
+	"sama/internal/obs"
 	"sama/internal/rdf"
 	"sama/internal/sparql"
 	"sama/internal/textindex"
@@ -68,13 +70,12 @@ func clusterParamQueries(tb testing.TB, g *rdf.Graph) []goldenQuery {
 	return qs
 }
 
-// BenchmarkClusterColdMemo times the cluster phase alone on the
-// cluster_param shapes over every department of LUBM 10 k, under the
-// benchmark's thesaurus and a pool a tenth of the index, with the
-// alignment memo purged at the start of every iteration — retrieval,
-// summaries, the counting cut, page reads, decode and alignment all
-// run. `make profile` profiles this benchmark.
-func BenchmarkClusterColdMemo(b *testing.B) {
+// benchClusterLaps times the cluster phase alone on the cluster_param
+// shapes over every department of LUBM 10 k, under the benchmark's
+// thesaurus and a pool a tenth of the index; one iteration is one lap
+// over the 50 queries. It reports the per-cluster time and allocations
+// next to the per-lap ones, and returns the memo's counters.
+func benchClusterLaps(b *testing.B, opts Options, beforeLap func(*Engine)) cache.Stats {
 	g := datasets.LUBM{}.Generate(10000, 1)
 	ix, err := index.Build(filepath.Join(b.TempDir(), "lubm"), g,
 		index.Options{Thesaurus: textindex.BenchmarkThesaurus(), PoolPages: 128})
@@ -82,42 +83,68 @@ func BenchmarkClusterColdMemo(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer ix.Close()
-	e := New(ix, Options{})
+	e := New(ix, opts)
 	qs := clusterParamQueries(b, g)
 	pres := make([]*Preprocessed, len(qs))
 	for i, gq := range qs {
 		pres[i] = e.Preprocess(gq.q)
 	}
-	lap := func() (retrieved int) {
-		e.DropCaches()
+	lap := func() (built, retrieved int) {
+		beforeLap(e)
 		for _, pre := range pres {
 			clusters, err := e.Cluster(pre)
 			if err != nil {
 				b.Fatal(err)
 			}
+			built += len(clusters)
 			for _, c := range clusters {
 				retrieved += c.Retrieved
 			}
 		}
-		return retrieved
+		return built, retrieved
 	}
-	retrieved := lap() // warm-up: sizes the pooled scratch
+	built, retrieved := lap() // warm-up: sizes the pooled scratch, fills the memo
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lap()
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	clusters := float64(b.N * built)
 	b.ReportMetric(float64(len(qs)), "queries")
 	b.ReportMetric(float64(retrieved)/float64(len(qs)), "retrieved/query")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/clusters, "ns/cluster")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/clusters, "allocs/cluster")
+	return e.CacheStats()[cacheAlign]
+}
+
+// BenchmarkClusterColdMemo is the cluster phase with the alignment memo
+// purged at the start of every lap — retrieval, summaries, the counting
+// cut, page reads, decode and alignment all run. `make profile` profiles
+// it and its warm sibling.
+func BenchmarkClusterColdMemo(b *testing.B) {
+	benchClusterLaps(b, Options{}, (*Engine).DropCaches)
+}
+
+// BenchmarkClusterWarmMemo is the same laps with the memo kept, and sized
+// to hold every cluster of a lap, so each build is one memo hit.
+func BenchmarkClusterWarmMemo(b *testing.B) {
+	cs := benchClusterLaps(b, Options{AlignCacheMB: 512}, func(*Engine) {})
+	if cs.Evictions > 0 || cs.Hits == 0 {
+		b.Fatalf("the warm laps were not all hits: %+v", cs)
+	}
 }
 
 // TestWarmClusterAllocatesPerKeptItem is the allocation guard of the
-// cluster scratch: a cluster over a sink with 24 000 candidates, every
-// pre-ranked one already in the memo, may allocate for the items it
-// keeps (512 × 64 B and change) — not for the candidates it retrieved.
-// The ceiling is under a quarter of the 1.3 MB a build allocated while
-// retrieval, summaries and the counting cut each made their own slices
-// and maps (58 KB now).
+// cluster memo (the name is from when a warm build still copied the items
+// it kept): a repeated cluster over a sink with 24 000 candidates is one
+// memo lookup, so it may allocate the goroutine, the result slices and
+// the memo key — 400 B in 10 objects — and nothing sized by the
+// candidates it retrieved or the 512 items it kept. The per-candidate
+// memo before it allocated 58 KB here.
 func TestWarmClusterAllocatesPerKeptItem(t *testing.T) {
 	const subjects = 24000
 	g := rdf.NewGraph()
@@ -140,17 +167,14 @@ func TestWarmClusterAllocatesPerKeptItem(t *testing.T) {
 		}
 		return clusters[0]
 	}
-	c := build() // fills the memo and sizes the scratch
+	c := build() // fills the memo
 	if c.Retrieved < subjects || len(c.Items) != 512 {
 		t.Fatalf("retrieved %d, kept %d; want ≥ %d retrieved and 512 kept", c.Retrieved, len(c.Items), subjects)
 	}
 	build()
 
-	// The cheapest of 21 builds: a build draws a fresh scratch, and
-	// regrows all of it, whenever its goroutine lands on another P than
-	// the one the last scratch was put back on, after a collection, and
-	// on a quarter of the puts under the race detector. The guard is on
-	// what a build that found a warm scratch allocates.
+	// The cheapest of 21 builds, so that a collection or a stack growth
+	// landing inside one measurement does not count.
 	const runs = 21
 	var bytes, objects uint64 = 1 << 62, 1 << 62
 	var before, after runtime.MemStats
@@ -163,20 +187,23 @@ func TestWarmClusterAllocatesPerKeptItem(t *testing.T) {
 	}
 	t.Logf("warm build: %d B, %d objects (cheapest of %d; %d retrieved, %d kept)",
 		bytes, objects, runs, c.Retrieved, len(c.Items))
-	if bytes > 300<<10 {
-		t.Errorf("warm cluster build allocates %d B; want ≤ 300 KiB (O(kept), not O(retrieved))", bytes)
+	if bytes > 4<<10 {
+		t.Errorf("warm cluster build allocates %d B; want ≤ 4 KiB (constant, not O(kept))", bytes)
 	}
-	if objects > 100 {
-		t.Errorf("warm cluster build allocates %d objects; want ≤ 100", objects)
+	if objects > 20 {
+		t.Errorf("warm cluster build allocates %d objects; want ≤ 20", objects)
 	}
 }
 
 // TestClusterScratchIsNotShared runs the cluster_param shapes from
 // eight goroutines through one engine, each in its own order, and
 // compares every ranked answer with a serial run: a pooled scratch
-// slice aliased between two concurrent builds shows up as a wrong path
-// ID. The tight cluster cap makes every large cluster take the counting
-// cut. Runs under -race via make check's race-hot pass.
+// slice aliased between two concurrent builds, or a search that wrote
+// into a cached cluster's items while seven others read them, shows up
+// as a wrong path ID (and under -race, which make check's race-hot pass
+// runs this with, as a report). The tight cluster cap makes every large
+// cluster take the counting cut; every worker runs every query, so all
+// but the first build of a shape is served from the memo.
 func TestClusterScratchIsNotShared(t *testing.T) {
 	g := datasets.LUBM{}.Generate(4000, 3)
 	ix, err := index.Build(filepath.Join(t.TempDir(), "lubm"), g,
@@ -229,4 +256,51 @@ func TestClusterScratchIsNotShared(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	if cs := e.CacheStats()[cacheAlign]; cs.Hits < cs.Misses {
+		t.Errorf("the workers did not share cached clusters: %+v", cs)
+	}
+}
+
+// TestWarmClusterTouchesNoIndex pins what a memo hit skips: a repeated
+// query performs no posting lookup (sama_index_lookups_total does not
+// move) and no batched read.
+func TestWarmClusterTouchesNoIndex(t *testing.T) {
+	reg := obs.NewRegistry()
+	ix, err := index.Build(filepath.Join(t.TempDir(), "fig1"), figure1Graph(), index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	ix.SetMetrics(reg)
+	e := New(ix, Options{})
+	lookups := func() uint64 {
+		const name, help = "sama_index_lookups_total", "Path index lookups by kind."
+		return reg.Counter(name, help, "kind", "sink").Value() + reg.Counter(name, help, "kind", "label").Value()
+	}
+	want, err := e.Query(queryQ1(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, reads := lookups(), ix.BatchedReads().Reads
+	if cold == 0 || reads == 0 {
+		t.Fatalf("the cold query made %d lookups and %d batched reads; want both > 0", cold, reads)
+	}
+	got, err := e.Query(queryQ1(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := lookups(); n != cold {
+		t.Errorf("a repeated query made %d index lookups; want 0", n-cold)
+	}
+	if n := ix.BatchedReads().Reads; n != reads {
+		t.Errorf("a repeated query made %d batched reads; want 0", n-reads)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("repeat returned %d answers, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if fingerprint(got[i]) != fingerprint(want[i]) {
+			t.Errorf("answer %d differs on the repeat:\n%s\nwant:\n%s", i, fingerprint(got[i]), fingerprint(want[i]))
+		}
+	}
 }

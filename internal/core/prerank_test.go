@@ -5,12 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
+	"sama/internal/datasets"
 	"sama/internal/index"
 	"sama/internal/paths"
 	"sama/internal/rdf"
+	"sama/internal/shard"
 	"sama/internal/textindex"
 )
 
@@ -98,7 +102,7 @@ func TestPreRankDeficitCannotOutrankMissing(t *testing.T) {
 	// Cap 1 → frontier budget 2 → the three candidates force a cut.
 	e := New(ix, Options{MaxCandidatesPerCluster: 1})
 	defer e.Close()
-	cands, err := e.preRank(new(clusterScratch), ids, q, nil)
+	cands, err := e.preRank(new(clusterScratch), ids, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +160,7 @@ func TestPreRankSynonymSurvivesCut(t *testing.T) {
 
 	e := New(ix, Options{MaxCandidatesPerCluster: 1})
 	defer e.Close()
-	cands, err := e.preRank(new(clusterScratch), append([]index.PathID(nil), ids...), q, nil)
+	cands, err := e.preRank(new(clusterScratch), append([]index.PathID(nil), ids...), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +186,9 @@ func TestPreRankRacesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
-	e := New(ix, Options{})
+	// Cap 1 → budget 2: every call cuts, so every call reads summaries (a
+	// cluster within budget leaves the staleness check to the batched read).
+	e := New(ix, Options{MaxCandidatesPerCluster: 1})
 	defer e.Close()
 
 	if err := ix.InsertTriples([]rdf.Triple{
@@ -209,7 +215,7 @@ func TestPreRankRacesCompaction(t *testing.T) {
 				default:
 				}
 				ids := append([]index.PathID(nil), captured...)
-				if _, err := e.preRank(new(clusterScratch), ids, q, nil); err != nil && !errors.Is(err, index.ErrStaleRead) {
+				if _, err := e.preRank(new(clusterScratch), ids, q); err != nil && !errors.Is(err, index.ErrStaleRead) {
 					t.Errorf("preRank: %v", err)
 					return
 				}
@@ -235,8 +241,139 @@ func TestPreRankRacesCompaction(t *testing.T) {
 	// After the dust settles the captured IDs are definitively stale
 	// (the space shrank); the batch must say so, not panic.
 	if ix.NumPaths() < len(captured) {
-		if _, err := e.preRank(new(clusterScratch), captured, q, nil); !errors.Is(err, index.ErrStaleRead) {
+		if _, err := e.preRank(new(clusterScratch), captured, q); !errors.Is(err, index.ErrStaleRead) {
 			t.Errorf("preRank(stale) err = %v, want ErrStaleRead", err)
 		}
+	}
+}
+
+// preRankRef is preRank's definition, spelled out on the monolithic
+// index: count each candidate's missing constants by fingerprint, demote
+// to missing = 1 every fingerprint survivor outside the full
+// PathsByAllLabels intersection, stable-sort by (missing, deficit) and
+// keep the first budget. It also reports how many candidates the
+// intersection confirmed and how many it demoted.
+func preRankRef(t *testing.T, ix *index.Index, ids []index.PathID, q paths.Path, budget int) (cut []index.PathID, confirmed, demoted int) {
+	t.Helper()
+	if len(ids) <= budget {
+		return ids, 0, 0
+	}
+	sums, err := ix.Summaries(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, n := range q.Nodes {
+		if n.IsConstant() {
+			labels = append(labels, n.Label())
+		}
+	}
+	for _, e := range q.Edges {
+		if e.IsConstant() {
+			labels = append(labels, e.Label())
+		}
+	}
+	inter := map[index.PathID]bool{}
+	for _, id := range ix.PathsByAllLabels(labels) {
+		inter[id] = true
+	}
+	type ranked struct {
+		id               index.PathID
+		missing, deficit int
+	}
+	rs := make([]ranked, len(ids))
+	for i, id := range ids {
+		r := ranked{id: id, deficit: max(0, q.Length()-int(sums[i].Len))}
+		for _, l := range labels {
+			if sums[i].Sig&ix.LabelProbeMask(l) == 0 {
+				r.missing++
+			}
+		}
+		switch {
+		case len(labels) == 0 || r.missing > 0:
+		case inter[id]:
+			confirmed++
+		default:
+			r.missing = 1
+			demoted++
+		}
+		rs[i] = r
+	}
+	sort.SliceStable(rs, func(i, j int) bool {
+		if rs[i].missing != rs[j].missing {
+			return rs[i].missing < rs[j].missing
+		}
+		return rs[i].deficit < rs[j].deficit
+	})
+	for _, r := range rs[:budget] {
+		cut = append(cut, r.id)
+	}
+	return cut, confirmed, demoted
+}
+
+// TestPreRankEqualsDefinition runs the two-step pre-rank — fingerprint
+// buckets, then the leapfrog that confirms survivors up to the budget —
+// against preRankRef on every query path of the five cluster_param
+// shapes over every department of LUBM 10 k under the benchmark
+// thesaurus, on the monolith and on 1, 2 and 4 shards, at the default
+// cap and at a tight one. It insists that the mix holds cuts decided by
+// the early exit, cuts where the survivors ran out first, and
+// fingerprint collisions the intersection demoted.
+func TestPreRankEqualsDefinition(t *testing.T) {
+	g := datasets.LUBM{}.Generate(10000, 1)
+	iopts := index.Options{Thesaurus: textindex.BenchmarkThesaurus()}
+	ix, err := index.Build(filepath.Join(t.TempDir(), "mono"), g, iopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	backends := map[string]func(Options) *Engine{
+		"monolith": func(o Options) *Engine { return New(ix, o) },
+	}
+	for _, n := range []int{1, 2, 4} {
+		set, err := shard.Build(filepath.Join(t.TempDir(), fmt.Sprintf("s%d", n)), g, shard.Options{Shards: n, Index: iopts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer set.Close()
+		backends[fmt.Sprintf("shards=%d", n)] = func(o Options) *Engine { return NewSharded(set, o) }
+	}
+	var early, ranOut, demotions int
+	for _, capN := range []int{0, 16} {
+		opts := Options{MaxCandidatesPerCluster: capN}
+		budget := 2 * opts.maxCandidates()
+		engines := map[string]*Engine{}
+		for name, mk := range backends {
+			engines[name] = mk(opts)
+		}
+		for _, gq := range clusterParamQueries(t, g) {
+			for qi, q := range engines["monolith"].Preprocess(gq.q).Paths {
+				ids := slices.Clone(engines["monolith"].retrieve(new(clusterScratch), q))
+				want, confirmed, demoted := preRankRef(t, ix, ids, q, budget)
+				if len(ids) > budget {
+					if confirmed >= budget {
+						early++
+					} else {
+						ranOut++
+					}
+					demotions += demoted
+				}
+				for name, e := range engines {
+					sc := new(clusterScratch)
+					got, err := e.preRank(sc, e.retrieve(sc, q), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s, cap %d, %s path %d: preRank kept %d candidates that differ from the definition's %d (confirmed %d, demoted %d)",
+							name, capN, gq.id, qi, len(got), len(want), confirmed, demoted)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("cuts: %d decided by the early exit, %d after the survivors ran out; %d demotions", early, ranOut, demotions)
+	if early == 0 || ranOut == 0 || demotions == 0 {
+		t.Errorf("the mix must exercise the early exit (%d), a survivor run-out (%d) and a demoted collision (%d)", early, ranOut, demotions)
 	}
 }

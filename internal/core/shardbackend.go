@@ -20,10 +20,10 @@ import (
 // buildCluster over this backend builds the cluster the monolithic
 // index would: a posting lookup is non-empty exactly when some shard's
 // is, so retrieve's cascade stops at the level the monolith stops at,
-// with the same candidates in the same ascending order; pre-rank and
-// memo keys read only global IDs and summaries; and the final (cost,
-// ID) sort is a strict total order, so it does not matter which shard
-// an item came from.
+// with the same candidates in the same ascending order; the pre-rank
+// reads only global IDs, summaries and the merged per-shard
+// intersections; and the final (cost, ID) sort is a strict total order,
+// so it does not matter which shard an item came from.
 type shardBackend struct {
 	set *shard.Set
 }
@@ -32,12 +32,9 @@ func (b shardBackend) Epoch() uint64             { return b.set.Epoch() }
 func (b shardBackend) NumPaths() int             { return int(b.set.MaxGlobalID()) }
 func (b shardBackend) Live(id index.PathID) bool { return b.set.LiveGlobal(id) }
 
-// Summaries splits the global IDs by owning shard, fetches each shard's
-// summaries in one batch, and scatters them back positionally. Any
-// shard reporting ErrStaleRead fails the whole batch, matching the
-// monolithic semantics: the engine restarts the query, it never ranks
-// against a torn view.
-func (b shardBackend) Summaries(sc *clusterScratch, ids []index.PathID) ([]index.PathSummary, error) {
+// split files the global IDs under their owning shards: shard k's part
+// of sc gets the local IDs and, per local ID, its position in ids.
+func (b shardBackend) split(sc *clusterScratch, ids []index.PathID) []shardScratch {
 	shards := sc.perShard(b.set.NumShards())
 	for k := range shards {
 		shards[k].locals, shards[k].pos = shards[k].locals[:0], shards[k].pos[:0]
@@ -47,6 +44,15 @@ func (b shardBackend) Summaries(sc *clusterScratch, ids []index.PathID) ([]index
 		shards[k].pos = append(shards[k].pos, i)
 		shards[k].locals = append(shards[k].locals, local)
 	}
+	return shards
+}
+
+// Summaries fetches each shard's summaries in one batch and scatters
+// them back positionally. Any shard reporting ErrStaleRead fails the
+// whole batch, matching the monolithic semantics: the engine restarts
+// the query, it never ranks against a torn view.
+func (b shardBackend) Summaries(sc *clusterScratch, ids []index.PathID) ([]index.PathSummary, error) {
+	shards := b.split(sc, ids)
 	out := slices.Grow(sc.sums[:0], len(ids))[:len(ids)]
 	sc.sums = out
 	for k := range shards {
@@ -71,14 +77,26 @@ func (b shardBackend) LabelProbeMask(label string) uint64 {
 	return b.set.Shard(0).LabelProbeMask(label)
 }
 
-// PathsByAllLabels intersects per shard and merges: the shards
-// partition the path set, so the union of per-shard intersections is
-// exactly the global intersection. The caller owns the result (it is
-// memoised), so the gather runs in a scratch of its own.
-func (b shardBackend) PathsByAllLabels(labels []string) []index.PathID {
-	return b.gather(new(clusterScratch), func(k int, _ *index.Scratch) []index.PathID {
-		return b.set.Shard(k).PathsByAllLabels(labels)
-	})
+// PathsByAllLabelsAmong asks every shard for the first limit of its
+// own candidates (filtered in place) and merges: the shards partition
+// the path set and GlobalID is monotone per shard, so the first limit
+// of the merged lists are the first limit of the global intersection.
+func (b shardBackend) PathsByAllLabelsAmong(sc *clusterScratch, dst, cands []index.PathID, labels []string, limit int) []index.PathID {
+	lists := sc.lists[:0]
+	for k, sh := range b.split(sc, cands) {
+		if len(sh.locals) == 0 {
+			continue
+		}
+		got := b.set.Shard(k).PathsByAllLabelsAmong(sh.locals[:0], sh.locals, labels, limit)
+		for i, l := range got {
+			got[i] = b.set.GlobalID(k, l)
+		}
+		lists = append(lists, got)
+	}
+	sc.lists = lists
+	n := len(dst)
+	dst = mergeSortedIDs(dst, lists)
+	return dst[:min(len(dst), n+limit)]
 }
 
 func (b shardBackend) PathsBySink(sc *clusterScratch, label string) []index.PathID {

@@ -84,3 +84,14 @@ func (ix *Index) PathsByAllLabels(labels []string) []PathID {
 	ps := ix.labels.LookupIntersect(labels)
 	return ix.appendLive(make([]PathID, 0, len(ps)), ps)
 }
+
+// PathsByAllLabelsAmong appends to dst the first limit of cands — live
+// path IDs in ascending order — that PathsByAllLabels(labels) contains,
+// without computing the rest of that intersection (see
+// textindex.IntersectAmong; dst may be cands[:0]).
+func (ix *Index) PathsByAllLabelsAmong(dst, cands []PathID, labels []string, limit int) []PathID {
+	ix.mLabelLookups.Inc()
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return textindex.IntersectAmong(ix.labels, dst, cands, labels, limit)
+}

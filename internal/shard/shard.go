@@ -40,7 +40,7 @@ type Shard interface {
 	LabelProbeMask(label string) uint64
 	PathsBySinkInto(sc *index.Scratch, label string) []index.PathID
 	PathsByLabelInto(sc *index.Scratch, label string) []index.PathID
-	PathsByAllLabels(labels []string) []index.PathID
+	PathsByAllLabelsAmong(dst, cands []index.PathID, labels []string, limit int) []index.PathID
 	ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, error)
 }
 

@@ -286,47 +286,101 @@ func (u *unionIter) SeekGE(v uint32) (uint32, bool) {
 	return best, found
 }
 
-// LookupIntersect returns the documents matched by every one of the
-// labels, each at any precision level — the same exact + token +
-// thesaurus expansion Lookup applies per label. The smallest label
-// union drives a leapfrog intersection over the others, so the cost is
-// bounded by the rarest label's postings with skip-table gallops
-// through the rest, never a full merge of each label's expansion.
-func (ix *Index) LookupIntersect(labels []string) []uint32 {
-	if len(labels) == 0 {
-		return nil
+// seeker is an ascending document stream with forward-only SeekGE: the
+// shape of a leapfrog operand.
+type seeker interface {
+	SeekGE(v uint32) (uint32, bool)
+}
+
+// sliceIter is a seeker over an ascending slice. A seek gallops from
+// the current position — doubling steps, then a binary search of the
+// last stride — so a walk costs the distance covered, not log(len) per
+// call.
+type sliceIter[T ~uint32] struct{ s []T }
+
+func (it *sliceIter[T]) SeekGE(v uint32) (uint32, bool) {
+	s, hi := it.s, 1
+	for hi < len(s) && uint32(s[hi-1]) < v {
+		hi *= 2
 	}
-	groups := make([]*unionIter, 0, len(labels))
-	var sc Scratch
-	for _, label := range labels {
-		u := newUnionIter(ix.expansionPostings(&sc, label))
-		if u.total == 0 {
-			return nil // one label matches nothing: empty intersection
-		}
-		groups = append(groups, u)
+	lo := hi / 2 // s[lo-1] < v: the loop passed it
+	hi = min(hi, len(s))
+	it.s = s[lo+sort.Search(hi-lo, func(i int) bool { return uint32(s[lo+i]) >= v }):]
+	if len(it.s) == 0 {
+		return 0, false
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].total < groups[j].total })
-	var out []uint32
-	v, ok := groups[0].SeekGE(0)
+	return uint32(it.s[0]), true
+}
+
+// leapfrog appends to dst, in ascending order, the documents of lead
+// that every stream of rest also holds, and stops once limit of them
+// are found: each disagreement seeks the lead to the larger document,
+// so the cost is bounded by the rarest operand with skip-table gallops
+// through the others, never a full merge.
+func leapfrog[T ~uint32](dst []T, lead seeker, rest []*unionIter, limit int) []T {
+	v, ok := lead.SeekGE(0)
 outer:
-	for ok {
-		for _, g := range groups[1:] {
+	for ok && limit > 0 {
+		for _, g := range rest {
 			w, o := g.SeekGE(v)
 			if !o {
 				break outer
 			}
 			if w != v {
-				v, ok = groups[0].SeekGE(w)
+				v, ok = lead.SeekGE(w)
 				continue outer
 			}
 		}
-		out = append(out, v)
+		dst = append(dst, T(v))
+		limit--
 		if v == math.MaxUint32 {
 			break
 		}
-		v, ok = groups[0].SeekGE(v + 1)
+		v, ok = lead.SeekGE(v + 1)
 	}
-	return out
+	return dst
+}
+
+// expansionUnions returns one unionIter per label — the exact + token +
+// thesaurus expansion Lookup applies to it — rarest first, or nil when
+// there are no labels or one of them matches nothing (an empty
+// intersection).
+func (ix *Index) expansionUnions(labels []string) []*unionIter {
+	var groups []*unionIter
+	var sc Scratch
+	for _, label := range labels {
+		u := newUnionIter(ix.expansionPostings(&sc, label))
+		if u.total == 0 {
+			return nil
+		}
+		groups = append(groups, u)
+	}
+	sort.Slice(groups, func(i, j int) bool { return groups[i].total < groups[j].total })
+	return groups
+}
+
+// LookupIntersect returns the documents matched by every one of the
+// labels, each at any precision level: the smallest label union leads a
+// leapfrog over the others.
+func (ix *Index) LookupIntersect(labels []string) []uint32 {
+	groups := ix.expansionUnions(labels)
+	if groups == nil {
+		return nil
+	}
+	return leapfrog[uint32](nil, groups[0], groups[1:], math.MaxInt)
+}
+
+// IntersectAmong appends to dst the first limit elements of
+// cands ∩ LookupIntersect(labels). cands must be ascending; they lead
+// the leapfrog, so nothing past the limit-th common document is looked
+// at. dst may be cands[:0]: a document is written no later than it is
+// passed.
+func IntersectAmong[T ~uint32](ix *Index, dst, cands []T, labels []string, limit int) []T {
+	groups := ix.expansionUnions(labels)
+	if groups == nil {
+		return dst
+	}
+	return leapfrog(dst, &sliceIter[T]{cands}, groups, limit)
 }
 
 // SigBit returns the signature bit of one index key: a single bit of a

@@ -1,6 +1,7 @@
 package textindex
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -141,4 +142,157 @@ func TestProbeMaskSoundness(t *testing.T) {
 			}
 		}
 	}
+}
+
+// intersectAmongRef is IntersectAmong's definition, spelled with the
+// naive per-label union: the first limit candidates every label matches.
+func intersectAmongRef(ix *Index, cands []uint32, labels []string, limit int) []uint32 {
+	out := []uint32{}
+	if len(labels) == 0 {
+		return out
+	}
+	count := map[uint32]int{}
+	for _, l := range labels {
+		for _, d := range naiveLookup(ix, l) {
+			count[d]++
+		}
+	}
+	for _, c := range cands {
+		if len(out) < limit && count[c] == len(labels) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestIntersectAmongEqualsDefinition checks the bounded leapfrog against
+// its definition — the first limit elements of cands ∩
+// LookupIntersect(labels) — on posting lists that end on a block
+// boundary, in a tail, and hold a single document, with repeated adds,
+// with and without thesaurus expansion, over random ascending candidate
+// lists of several densities and every limit in {1, 2, budget, ∞}.
+func TestIntersectAmongEqualsDefinition(t *testing.T) {
+	const docs, budget = 1500, 32
+	rng := rand.New(rand.NewSource(11))
+	for tname, thes := range map[string]*Thesaurus{"plain": nil, "thesaurus": BenchmarkThesaurus()} {
+		ix := New(thes)
+		// exact sizes: one block, two blocks, two blocks and a tail of two,
+		// one document; the rest are random thirds.
+		sized := map[string]int{"Department0": 64, "worksFor": 128, "Teacher": 130, "Dept7": 1}
+		for label, n := range sized {
+			for _, d := range rng.Perm(docs)[:n] {
+				ix.Add(label, uint32(d))
+			}
+		}
+		for d := uint32(0); d < docs; d++ {
+			for _, label := range []string{"FullProfessor", "GraduateStudent", "takesCourse", "Lecturer"} {
+				if rng.Intn(3) == 0 {
+					ix.Add(label, d)
+					ix.Add(label, d) // a repeated add is a no-op
+				}
+			}
+		}
+		probes := [][]string{
+			{"Professor"},
+			{"Professor", "worksFor"},
+			{"Professor", "Teacher", "Department"},
+			{"FullProfessor", "takesCourse", "GraduateStudent", "worksFor"},
+			{"Dept7", "Lecturer"},
+			{"Department0", "nosuchlabel"},
+			{},
+		}
+		for _, density := range []float64{0, 0.05, 0.5, 1} {
+			var cands []uint32
+			for d := uint32(0); d < docs+50; d++ {
+				if rng.Float64() < density {
+					cands = append(cands, d)
+				}
+			}
+			for _, labels := range probes {
+				all := map[uint32]bool{}
+				for _, d := range ix.LookupIntersect(labels) {
+					all[d] = true
+				}
+				for _, limit := range []int{1, 2, budget, math.MaxInt} {
+					want := intersectAmongRef(ix, cands, labels, limit)
+					got := IntersectAmong(ix, []uint32{}, cands, labels, limit)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: IntersectAmong(%d cands, %v, limit %d) = %v, want %v", tname, len(cands), labels, limit, got, want)
+					}
+					for _, d := range got {
+						if !all[d] {
+							t.Fatalf("%s: %v: %d is not in LookupIntersect", tname, labels, d)
+						}
+					}
+					// Filtering in place is part of the contract.
+					own := append([]uint32{}, cands...)
+					if got := IntersectAmong(ix, own[:0], own, labels, limit); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: in-place IntersectAmong(%v, limit %d) = %v, want %v", tname, labels, limit, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzIntersectAmong builds a candidate list and up to four label
+// posting lists from the fuzz input (the first byte gives the label
+// count and the limit; then two bytes per document gap, dealt round
+// robin, every other document of a label going under its thesaurus
+// synonym) and checks IntersectAmong, at that limit and unbounded,
+// against a map intersection filtered through the candidates.
+func FuzzIntersectAmong(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		nlabels, limit := 1+int(data[0]&3), 1+int(data[0]>>2)
+		data = data[1:]
+		thes := NewThesaurus()
+		labels := []string{"la", "lb", "lc", "ld"}[:nlabels]
+		syns := []string{"sa", "sb", "sc", "sd"}
+		for i, l := range labels {
+			thes.Add(l, syns[i])
+		}
+		ix := New(thes)
+		var cands []uint32
+		has := make([]map[uint32]bool, nlabels)
+		for i := range has {
+			has[i] = map[uint32]bool{}
+		}
+		cur := make([]uint32, nlabels+1)
+		for i := 0; i+1 < len(data); i += 2 {
+			k := (i / 2) % (nlabels + 1)
+			gap := uint32(data[i])<<8 | uint32(data[i+1])
+			if cur[k] > math.MaxUint32-gap {
+				break
+			}
+			cur[k] += gap
+			switch {
+			case k > 0 && len(has[k-1])%2 == 1:
+				ix.Add(syns[k-1], cur[k])
+				has[k-1][cur[k]] = true
+			case k > 0:
+				ix.Add(labels[k-1], cur[k])
+				has[k-1][cur[k]] = true
+			case gap > 0 || len(cands) == 0:
+				cands = append(cands, cur[0]) // strictly ascending
+			}
+		}
+		for _, lim := range []int{limit, math.MaxInt} {
+			want := []uint32{}
+			for _, c := range cands {
+				in := len(want) < lim
+				for _, h := range has {
+					in = in && h[c]
+				}
+				if in {
+					want = append(want, c)
+				}
+			}
+			if got := IntersectAmong(ix, []uint32{}, cands, labels, lim); !reflect.DeepEqual(got, want) {
+				t.Fatalf("IntersectAmong(%v, %v, limit %d) = %v, want %v", cands, labels, lim, got, want)
+			}
+		}
+	})
 }

@@ -246,12 +246,13 @@ func WithAnswerCache(entries int) Option {
 	return func(c *config) { c.engine.AnswerCacheEntries = entries }
 }
 
-// WithAlignmentCache sizes the alignment memo: per (query path, data
-// path) alignments are retained up to a byte budget of mb MiB (LRU) and
-// reused across queries sharing a path shape, skipping the disk read
-// and the edit-cost computation. Entries are epoch-checked, so answers
-// are identical with the memo on or off. mb = 0 keeps the default
-// (on, 64 MiB); mb < 0 disables it.
+// WithAlignmentCache sizes the alignment memo: one entry per query-path
+// shape — the ranked cluster of aligned data paths it produced — kept
+// up to a byte budget of mb MiB (LRU) and reused by every query that
+// decomposes into the same path, skipping retrieval, the pre-rank, the
+// disk read and the edit-cost computation. Entries are epoch-checked,
+// so answers are identical with the memo on or off. mb = 0 keeps the
+// default (on, 64 MiB); mb < 0 disables it.
 func WithAlignmentCache(mb int) Option {
 	return func(c *config) { c.engine.AlignCacheMB = mb }
 }
@@ -626,10 +627,10 @@ func (db *DB) Insert(triples []Triple) error {
 		return ErrClosed
 	}
 	// The insert bumps the index epoch, after which no cached answer or
-	// memoised alignment can be hit again — and entries keyed by a path
-	// the insert tombstones are never probed again either, so the
-	// per-lookup epoch check alone leaves them resident until the byte
-	// budget evicts them. Drop everything, and before the insert rather
+	// memoised cluster can be hit again — and an entry whose query shape
+	// never comes back is never probed again either, so the per-lookup
+	// epoch check alone leaves it resident until the byte budget evicts
+	// it. Drop everything, and before the insert rather
 	// than after: one that re-enumerates thousands of roots stages tens
 	// of MB, and the collector would size the heap for that on top of a
 	// memo that is already dead. A failed insert costs one refill.
