@@ -58,13 +58,17 @@ crash:
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
-# fuzz-smoke runs each native fuzz target — the path-record decoder,
-# the compressed postings (decode ∘ encode, SeekGE, union) and the
-# bounded leapfrog intersection — for ten seconds on top of its
-# checked-in corpus (testdata/fuzz in its package); a crasher it finds
-# is written there and fails every later go test.
+# fuzz-smoke runs each native fuzz target — the path-record decoder
+# and the dictionary reader every stored path depends on, the inline
+# codec the benchmark still times, the compressed postings (decode ∘
+# encode, SeekGE, union) and the bounded leapfrog intersection — for
+# ten seconds on top of its checked-in corpus (testdata/fuzz in its
+# package); a crasher it finds is written there and fails every later
+# go test.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDecodePath -fuzztime 10s ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePathDict$$' -fuzztime 10s ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzReadDictionary$$' -fuzztime 10s ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePath$$' -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz FuzzPostingsSeekGE -fuzztime 10s ./internal/textindex
 	$(GO) test -run '^$$' -fuzz FuzzIntersectAmong -fuzztime 10s ./internal/textindex
 

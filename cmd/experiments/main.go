@@ -264,11 +264,6 @@ func runAblation(opt options) error {
 		return err
 	}
 	all = append(all, alg...)
-	comp, err := experiments.RunAblationCompression(opt.dir, opt.triples/3, opt.seed)
-	if err != nil {
-		return err
-	}
-	all = append(all, comp...)
 	thes, err := experiments.RunAblationThesaurus(opt.dir, opt.triples/3, opt.seed)
 	if err != nil {
 		return err

@@ -1,7 +1,6 @@
 // Incremental: live index maintenance (the paper's §7 future-work
-// items realised). Builds a compressed index, answers a query, inserts
-// new statements without rebuilding, and shows the updated answers and
-// the disk savings from dictionary compression.
+// items realised). Builds an index, answers a query, inserts new
+// statements without rebuilding, and shows the updated answers.
 //
 //	go run ./examples/incremental
 package main
@@ -37,12 +36,12 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	db, err := sama.Create(filepath.Join(dir, "index"), g, sama.WithCompression())
+	db, err := sama.Create(filepath.Join(dir, "index"), g)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
-	fmt.Printf("indexed %d paths, %.1f KB on disk (dictionary-compressed)\n\n",
+	fmt.Printf("indexed %d paths, %.1f KB on disk\n\n",
 		db.Stats().Paths, float64(db.Stats().DiskBytes)/1024)
 
 	query := `SELECT ?agency ?story WHERE {

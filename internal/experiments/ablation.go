@@ -133,41 +133,6 @@ func RunAblationAligner(sys *SamaSystem, queries []workload.Query) ([]AblationRe
 	return results, nil
 }
 
-// RunAblationCompression builds the same LUBM graph with and without
-// dictionary compression, comparing disk footprint and query latency.
-func RunAblationCompression(dir string, triples int, seed int64) ([]AblationResult, error) {
-	g := datasets.LUBM{}.Generate(triples, seed)
-	q := workload.LUBMQueries()[3]
-	var out []AblationResult
-	for _, variant := range []struct {
-		name     string
-		compress bool
-	}{{"plain", false}, {"compressed", true}} {
-		idx, err := index.Build(filepath.Join(dir, "abl-"+variant.name), g, index.Options{
-			Thesaurus: textindex.BenchmarkThesaurus(),
-			Compress:  variant.compress,
-		})
-		if err != nil {
-			return nil, err
-		}
-		engine := core.New(idx, core.Options{})
-		start := time.Now()
-		if _, err := engine.Query(q.Pattern, TopK); err != nil {
-			idx.Close()
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		out = append(out,
-			AblationResult{Name: "compression", Variant: variant.name, Metric: "disk-bytes", Value: float64(idx.Stats().DiskBytes)},
-			AblationResult{Name: "compression", Variant: variant.name, Metric: "query-ms", Value: ms(elapsed)},
-		)
-		if err := idx.Close(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // RunAblationThesaurus compares how many *relevant* answers (judged by
 // binding verification) the approximate queries yield with and without
 // the WordNet-substitute thesaurus. The engine fills its answer budget

@@ -47,22 +47,6 @@ func TestAblationAligner(t *testing.T) {
 	}
 }
 
-func TestAblationCompression(t *testing.T) {
-	results, err := RunAblationCompression(t.TempDir(), 8000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk := map[string]float64{}
-	for _, r := range results {
-		if r.Metric == "disk-bytes" {
-			disk[r.Variant] = r.Value
-		}
-	}
-	if disk["compressed"] >= disk["plain"] {
-		t.Errorf("compression did not shrink LUBM: %v vs %v", disk["compressed"], disk["plain"])
-	}
-}
-
 func TestAblationThesaurus(t *testing.T) {
 	results, err := RunAblationThesaurus(t.TempDir(), 4000, 1)
 	if err != nil {

@@ -10,25 +10,23 @@ import (
 )
 
 func TestReadPathsBatchedMatchesPath(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		ix := buildTestIndex(t, Options{Compress: compress})
-		ids := make([]PathID, 0, ix.NumPaths())
-		// Reverse order, so positional results must survive the page sort.
-		for id := ix.NumPaths() - 1; id >= 0; id-- {
-			ids = append(ids, PathID(id))
-		}
-		got, err := ix.ReadPathsBatched(context.Background(), ids)
+	ix := buildTestIndex(t, Options{})
+	ids := make([]PathID, 0, ix.NumPaths())
+	// Reverse order, so positional results must survive the page sort.
+	for id := ix.NumPaths() - 1; id >= 0; id-- {
+		ids = append(ids, PathID(id))
+	}
+	got, err := ix.ReadPathsBatched(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		want, err := ix.Path(id)
 		if err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
+			t.Fatal(err)
 		}
-		for i, id := range ids {
-			want, err := ix.Path(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got[i], want) {
-				t.Errorf("compress=%v: path %d mismatch:\n got %v\nwant %v", compress, id, got[i], want)
-			}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("path %d mismatch:\n got %v\nwant %v", id, got[i], want)
 		}
 	}
 }
@@ -77,5 +75,46 @@ func TestReadPathsBatchedChargesTally(t *testing.T) {
 	st := ix.BatchedReads()
 	if st.Reads != 1 || st.Paths != uint64(len(ids)) || st.Pages == 0 {
 		t.Errorf("BatchedReads() = %+v, want 1 read, %d paths, >0 pages", st, len(ids))
+	}
+}
+
+// TestDecodePathAllocations pins what a cluster miss pays per path: the
+// record decoder makes one allocation (the term slice; the strings are
+// the dictionary's), and ReadPathsBatched adds only that, per path, to
+// what the record store's batched read allocates — plus the result and
+// RID slices, once per call.
+func TestDecodePathAllocations(t *testing.T) {
+	ix := buildTestIndex(t, Options{})
+	ids := make([]PathID, ix.NumPaths())
+	for i := range ids {
+		ids[i] = PathID(i)
+	}
+	ctx := context.Background()
+	for _, rid := range ix.rids {
+		rec, err := ix.store.Read(rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := DecodePathDict(rec, ix.dict); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 1 {
+			t.Errorf("DecodePathDict: %v allocations for the record at %v, want at most 1", n, rid)
+		}
+	}
+	read := testing.AllocsPerRun(100, func() {
+		if _, _, err := ix.store.ReadBatchTally(ctx, nil, ix.rids); err != nil {
+			t.Fatal(err)
+		}
+	})
+	batched := testing.AllocsPerRun(100, func() {
+		if _, err := ix.ReadPathsBatched(ctx, ids); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if most := read + float64(len(ids)) + 2; batched > most {
+		t.Errorf("ReadPathsBatched: %v allocations for %d paths, want at most %v (the batched read's %v, one per path, two per call)",
+			batched, len(ids), most, read)
 	}
 }

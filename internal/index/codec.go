@@ -43,8 +43,11 @@ func appendTerm(buf []byte, t rdf.Term) []byte {
 	return buf
 }
 
-// EncodePath serialises a path's labels (provenance IDs are not stored;
-// they are meaningless outside the building process).
+// EncodePath serialises a path's labels as inline strings. No index
+// stores this format: records are dictionary-interned (EncodePathDict).
+// EncodePath and DecodePath stay exported only because the frozen
+// benchmark harness (bench/trace.go, index.decode_ns_per_path) and
+// FuzzDecodePath call them.
 func EncodePath(p paths.Path) []byte {
 	buf := make([]byte, 0, 16+len(p.Nodes)*24)
 	buf = appendUvarint(buf, uint64(len(p.Nodes)))

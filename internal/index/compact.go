@@ -108,9 +108,7 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 		labels:  textindex.New(ix.thes),
 		sources: textindex.New(nil),
 		pathCfg: ix.pathCfg,
-	}
-	if ix.dict != nil {
-		next.dict = NewDictionary()
+		dict:    NewDictionary(),
 	}
 	next.store = storage.NewRecordStore(next.pool)
 	fail := func(err error) (CompactStats, error) {

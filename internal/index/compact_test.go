@@ -87,7 +87,7 @@ func TestCompactPreservesLivePaths(t *testing.T) {
 
 func TestCompactCompressedIndex(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "cmpz")
-	ix, err := Build(base, figure1Graph(), Options{Compress: true})
+	ix, err := Build(base, figure1Graph(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCompactCompressedIndex(t *testing.T) {
 	}
 	after := livePathKeys(t, ix)
 	if len(before) != len(after) {
-		t.Fatalf("compressed compaction lost paths: %d → %d", len(before), len(after))
+		t.Fatalf("compaction lost paths: %d → %d", len(before), len(after))
 	}
 	// Persisted dictionary still decodes after reopen.
 	if err := ix.Close(); err != nil {

@@ -58,8 +58,9 @@ func TestOpenRejectsCorruptMagic(t *testing.T) {
 
 // TestOpenRejectsOlderMetaVersion pins the version check: metadata
 // stamped with an earlier format version (SAMAIDX3/4 predate persisted
-// signatures) is refused with an error that names the version found and
-// says what to do about it.
+// signatures, SAMAIDX5 could hold inline-string records) is refused
+// with an error that names the version found and says what to do about
+// it.
 func TestOpenRejectsOlderMetaVersion(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "old")
 	meta := buildAndClose(t, base, Options{})
@@ -67,7 +68,7 @@ func TestOpenRejectsOlderMetaVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{'3', '4'} {
+	for _, v := range []byte{'3', '4', '5'} {
 		raw[7] = v
 		if err := os.WriteFile(meta, raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -112,7 +113,7 @@ func TestReadDictionaryErrors(t *testing.T) {
 	}
 	good := buf.Bytes()
 	// Round trip works.
-	back, err := ReadDictionary(bufio.NewReader(bytes.NewReader(good)))
+	back, err := ReadDictionary(bufio.NewReader(bytes.NewReader(good)), int64(len(good)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +131,13 @@ func TestReadDictionaryErrors(t *testing.T) {
 	}
 	// Truncations fail.
 	for _, cut := range []int{0, 2, 5, len(good) - 1} {
-		if _, err := ReadDictionary(bufio.NewReader(bytes.NewReader(good[:cut]))); err == nil {
+		if _, err := ReadDictionary(bufio.NewReader(bytes.NewReader(good[:cut])), int64(cut)); err == nil {
 			t.Errorf("truncated dictionary (%d bytes) accepted", cut)
 		}
 	}
 	// Wrong magic fails.
 	bad := append([]byte("XXXX"), good[4:]...)
-	if _, err := ReadDictionary(bufio.NewReader(bytes.NewReader(bad))); err == nil {
+	if _, err := ReadDictionary(bufio.NewReader(bytes.NewReader(bad)), int64(len(bad))); err == nil {
 		t.Error("bad dictionary magic accepted")
 	}
 }

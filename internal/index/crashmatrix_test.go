@@ -1,8 +1,11 @@
 package index
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync/atomic"
 	"testing"
 )
@@ -17,6 +20,13 @@ import (
 // torn. "Kills" are on-disk snapshots: everything visible at the kill
 // instant is copied to a fresh directory and reopened there, exactly
 // what a process killed at that instant would find on restart.
+//
+// The test batch brings a term the persisted dictionary has never seen,
+// so wherever its records reached the page file ahead of the metadata
+// they spell a dictionary ID the reopened dictionary does not hold.
+// recoverClone therefore checks, at every kill point, that nothing live
+// points at such a record — before Recover and after it — and that the
+// recovered index answers every lookup like a fresh build of its graph.
 
 // crashRig is one WAL-enabled index under crash testing plus the
 // consistent states recovery is allowed to land in.
@@ -56,8 +66,12 @@ func newCrashRig(t *testing.T, syncHook func() error) *crashRig {
 // post-insert answer state.
 func (r *crashRig) insertBatch(t *testing.T) {
 	t.Helper()
+	terms := r.ix.dict.Len()
 	if err := r.ix.InsertTriples(walTestTriples); err != nil {
 		t.Fatal(err)
+	}
+	if r.ix.dict.Len() == terms {
+		t.Fatal("the test batch interned no new term")
 	}
 	r.postKeys = livePathKeys(t, r.ix)
 }
@@ -71,10 +85,60 @@ func recoverClone(t *testing.T, base, walDir string) []string {
 		t.Fatalf("open crash snapshot: %v", err)
 	}
 	t.Cleanup(func() { re.Close() })
+	readAllLive(t, re)
 	if _, err := re.Recover(figure1Graph()); err != nil {
 		t.Fatalf("recover crash snapshot: %v", err)
 	}
-	return livePathKeys(t, re)
+	readAllLive(t, re)
+
+	fresh, err := Build(filepath.Join(t.TempDir(), "fresh"), re.Graph(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	recovered := livePathKeys(t, re)
+	if want := livePathKeys(t, fresh); !equalKeys(recovered, want) {
+		t.Fatalf("recovered index holds %d live paths, a fresh build of its graph %d", len(recovered), len(want))
+	}
+	for _, term := range fresh.dict.terms {
+		label := term.Label()
+		if got, want := pathKeys(t, re, re.PathsBySink(label)), pathKeys(t, fresh, fresh.PathsBySink(label)); !equalKeys(got, want) {
+			t.Errorf("PathsBySink(%q): recovered %v, fresh build %v", label, got, want)
+		}
+		if got, want := pathKeys(t, re, re.PathsByLabel(label)), pathKeys(t, fresh, fresh.PathsByLabel(label)); !equalKeys(got, want) {
+			t.Errorf("PathsByLabel(%q): recovered %v, fresh build %v", label, got, want)
+		}
+	}
+	return recovered
+}
+
+// readAllLive reads every live path in one batched read: each record
+// must decode against the dictionary the index holds right now.
+func readAllLive(t *testing.T, ix *Index) {
+	t.Helper()
+	var ids []PathID
+	for id := 0; id < ix.NumPaths(); id++ {
+		if ix.Live(PathID(id)) {
+			ids = append(ids, PathID(id))
+		}
+	}
+	pathKeys(t, ix, ids)
+}
+
+// pathKeys reads the given paths in one batched read and returns their
+// canonical keys, sorted.
+func pathKeys(t *testing.T, ix *Index, ids []PathID) []string {
+	t.Helper()
+	ps, err := ix.ReadPathsBatched(context.Background(), ids)
+	if err != nil {
+		t.Fatalf("batched read of %d live paths: %v", len(ids), err)
+	}
+	keys := make([]string, len(ps))
+	for i, p := range ps {
+		keys[i] = p.Key()
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func TestCrashMatrixBeforeWALAppend(t *testing.T) {
@@ -181,13 +245,39 @@ func TestCrashMatrixMidCheckpoint(t *testing.T) {
 	}
 	postB, postW := crashClone(t, r.base, r.walDir) // checkpoint complete
 
-	t.Run("after-sidecar-before-meta", func(t *testing.T) {
-		// Sidecar written, metadata still old, WAL untruncated: the
-		// record replays on top of the sidecar's triples; both paths
-		// re-derive the same answers (replay is idempotent).
+	t.Run("after-page-flush-before-sidecar", func(t *testing.T) {
+		// Pages flushed, nothing else: the batch's records are in the
+		// page file, no RID names them, and the old dictionary lacks
+		// their new term. They stay orphans; the record replays.
+		pre, err := os.ReadFile(pagesPath(preB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		post, err := os.ReadFile(pagesPath(postB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(pre, post) {
+			t.Fatal("the checkpoint flushed no page: this is not the state it claims to be")
+		}
 		dir := t.TempDir()
 		base, wal := filepath.Join(dir, "ix"), filepath.Join(dir, "wal")
-		copyTree(t, pagesPath(preB), pagesPath(base))
+		copyTree(t, pagesPath(postB), pagesPath(base))
+		copyTree(t, metaPath(preB), metaPath(base))
+		copyTree(t, sidecarPath(preB), sidecarPath(base))
+		copyTree(t, preW, wal)
+		if got := recoverClone(t, base, wal); !equalKeys(got, r.postKeys) {
+			t.Fatalf("mid-checkpoint (pages flushed) lost the batch: %d vs %d paths", len(got), len(r.postKeys))
+		}
+	})
+	t.Run("after-sidecar-before-meta", func(t *testing.T) {
+		// Pages flushed and sidecar written, metadata still old, WAL
+		// untruncated: the record replays on top of the sidecar's
+		// triples; both paths re-derive the same answers (replay is
+		// idempotent).
+		dir := t.TempDir()
+		base, wal := filepath.Join(dir, "ix"), filepath.Join(dir, "wal")
+		copyTree(t, pagesPath(postB), pagesPath(base))
 		copyTree(t, metaPath(preB), metaPath(base))
 		copyTree(t, sidecarPath(postB), sidecarPath(base))
 		copyTree(t, preW, wal)

@@ -6,18 +6,26 @@ import (
 	"fmt"
 	"io"
 
+	"sama/internal/paths"
 	"sama/internal/rdf"
+	"sama/internal/textindex"
 )
 
 // Dictionary interns RDF terms as dense uint32 IDs, the compression
 // mechanism sketched as future work in the paper's §7: benchmark path
 // sets repeat a small vocabulary of IRIs and literals millions of
-// times, so storing each path as a varint ID sequence instead of
-// repeated strings shrinks the path store severalfold (measured by
-// BenchmarkCompressionAblation).
+// times, so a path is stored as a varint ID sequence, not as repeated
+// strings, and a decoded path shares the dictionary's strings instead
+// of allocating its own.
 type Dictionary struct {
 	ids   map[rdf.Term]uint32
 	terms []rdf.Term
+	// analysed[i] is textindex.Analyse(terms[i].Label()): a prefix of
+	// terms, extended by analysedTerm as the write path asks, so a label
+	// is normalised, tokenised and fingerprinted once per term rather
+	// than once per path it occurs on. An index that is only read never
+	// fills it.
+	analysed []textindex.Analysed
 }
 
 // NewDictionary returns an empty dictionary.
@@ -53,76 +61,100 @@ func (d *Dictionary) Term(id uint32) (rdf.Term, error) {
 // Len returns the number of interned terms.
 func (d *Dictionary) Len() int { return len(d.terms) }
 
-// EncodePathDict serialises a path as varint dictionary IDs: node
-// count, node IDs, edge IDs.
-func EncodePathDict(p pathLike, d *Dictionary) []byte {
-	nodes, edges := p.pathTerms()
-	buf := make([]byte, 0, 2+5*(len(nodes)+len(edges)))
-	buf = appendUvarint(buf, uint64(len(nodes)))
-	for _, n := range nodes {
-		buf = appendUvarint(buf, uint64(d.ID(n)))
+// truncate forgets every term interned after the dictionary held n: the
+// rollback of an insert that failed while staging.
+func (d *Dictionary) truncate(n int) {
+	for _, t := range d.terms[n:] {
+		delete(d.ids, t)
 	}
-	for _, e := range edges {
-		buf = appendUvarint(buf, uint64(d.ID(e)))
+	d.terms = d.terms[:n]
+	if len(d.analysed) > n {
+		d.analysed = d.analysed[:n]
+	}
+}
+
+// analysedTerm returns the analysed label of the term with the given ID.
+func (d *Dictionary) analysedTerm(id uint32) *textindex.Analysed {
+	for uint32(len(d.analysed)) <= id {
+		d.analysed = append(d.analysed, textindex.Analyse(d.terms[len(d.analysed)].Label()))
+	}
+	return &d.analysed[id]
+}
+
+// internPath appends to ids the IDs of p's terms in record order — the
+// nodes, then the edges — interning each on first sight.
+func (d *Dictionary) internPath(ids []uint32, p paths.Path) []uint32 {
+	for _, n := range p.Nodes {
+		ids = append(ids, d.ID(n))
+	}
+	for _, e := range p.Edges {
+		ids = append(ids, d.ID(e))
+	}
+	return ids
+}
+
+// appendRecord appends the record of a path whose terms interned to ids
+// (2n−1 of them, see internPath): the node count n, then every ID, all
+// varints.
+func appendRecord(buf []byte, ids []uint32) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(ids)+1)/2)
+	for _, id := range ids {
+		buf = binary.AppendUvarint(buf, uint64(id))
 	}
 	return buf
 }
 
-// pathLike lets the codec accept paths without importing their package
-// twice; satisfied by paths.Path through the adapter below.
-type pathLike interface {
-	pathTerms() (nodes, edges []rdf.Term)
+// EncodePathDict serialises a path's labels as varint dictionary IDs —
+// node count, node IDs, edge IDs — interning terms d has not seen.
+// Provenance IDs are not stored; they are meaningless outside the
+// building process.
+func EncodePathDict(p paths.Path, d *Dictionary) []byte {
+	ids := d.internPath(make([]uint32, 0, len(p.Nodes)+len(p.Edges)), p)
+	return appendRecord(make([]byte, 0, 1+2*len(ids)), ids)
 }
 
-// dictPath adapts a node/edge pair to pathLike.
-type dictPath struct {
-	nodes, edges []rdf.Term
-}
-
-func (p dictPath) pathTerms() ([]rdf.Term, []rdf.Term) { return p.nodes, p.edges }
-
-// DecodePathDict deserialises a dictionary-encoded path.
-func DecodePathDict(buf []byte, d *Dictionary) ([]rdf.Term, []rdf.Term, error) {
-	dec := &decoder{buf: buf}
-	n, err := dec.uvarint()
-	if err != nil {
-		return nil, nil, err
+// DecodePathDict deserialises a record written by EncodePathDict. It is
+// the kernel of every cluster miss: one pass over the record and one
+// allocation, a single term slice cut into nodes and edges, whose
+// strings are the dictionary's.
+func DecodePathDict(buf []byte, d *Dictionary) (paths.Path, error) {
+	n, pos := binary.Uvarint(buf)
+	if pos <= 0 {
+		return paths.Path{}, fmt.Errorf("index: truncated node count")
 	}
-	if n == 0 || n > 1<<20 {
-		return nil, nil, fmt.Errorf("index: implausible node count %d", n)
+	// An ID takes at least one byte, so a path of more than (rest+1)/2
+	// nodes cannot be in the rest of the record: such a count is corrupt,
+	// and rejected before it sizes an allocation.
+	if n == 0 || n > uint64(len(buf)-pos+1)/2 {
+		return paths.Path{}, fmt.Errorf("index: implausible node count %d in a %d-byte record", n, len(buf))
 	}
-	nodes := make([]rdf.Term, n)
-	for i := range nodes {
-		id, err := dec.uvarint()
-		if err != nil {
-			return nil, nil, err
+	terms := make([]rdf.Term, 2*n-1)
+	for i := range terms {
+		id, w := binary.Uvarint(buf[pos:])
+		if w <= 0 {
+			return paths.Path{}, fmt.Errorf("index: truncated varint at %d", pos)
 		}
-		if nodes[i], err = d.Term(uint32(id)); err != nil {
-			return nil, nil, err
+		// Compared as uint64: narrowed first, ID 2³²+3 would read as term 3.
+		if id >= uint64(len(d.terms)) {
+			return paths.Path{}, fmt.Errorf("index: dictionary id %d out of range (%d terms)", id, len(d.terms))
 		}
+		terms[i] = d.terms[id]
+		pos += w
 	}
-	var edges []rdf.Term
+	if pos != len(buf) {
+		return paths.Path{}, fmt.Errorf("index: %d trailing bytes after path", len(buf)-pos)
+	}
+	p := paths.Path{Nodes: terms[:n:n]}
 	if n > 1 {
-		edges = make([]rdf.Term, n-1)
-		for i := range edges {
-			id, err := dec.uvarint()
-			if err != nil {
-				return nil, nil, err
-			}
-			if edges[i], err = d.Term(uint32(id)); err != nil {
-				return nil, nil, err
-			}
-		}
+		p.Edges = terms[n:]
 	}
-	if dec.pos != len(buf) {
-		return nil, nil, fmt.Errorf("index: %d trailing bytes after path", len(buf)-dec.pos)
-	}
-	return nodes, edges, nil
+	return p, nil
 }
 
 var dictMagic = [4]byte{'S', 'D', 'C', '1'}
 
-// WriteTo serialises the dictionary.
+// WriteTo serialises the dictionary: the magic, the term count, then
+// every term spelled out as appendTerm does.
 func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
@@ -131,43 +163,24 @@ func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
 		n += int64(m)
 		return err
 	}
-	if err := write(dictMagic[:]); err != nil {
-		return n, err
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	wu := func(v uint64) error {
-		return write(tmp[:binary.PutUvarint(tmp[:], v)])
-	}
-	ws := func(s string) error {
-		if err := wu(uint64(len(s))); err != nil {
-			return err
-		}
-		return write([]byte(s))
-	}
-	if err := wu(uint64(len(d.terms))); err != nil {
+	buf := binary.AppendUvarint(append([]byte(nil), dictMagic[:]...), uint64(len(d.terms)))
+	if err := write(buf); err != nil {
 		return n, err
 	}
 	for _, t := range d.terms {
-		if err := write([]byte{byte(t.Kind)}); err != nil {
+		buf = appendTerm(buf[:0], t)
+		if err := write(buf); err != nil {
 			return n, err
-		}
-		if err := ws(t.Value); err != nil {
-			return n, err
-		}
-		if t.Kind == rdf.Literal {
-			if err := ws(t.Datatype); err != nil {
-				return n, err
-			}
-			if err := ws(t.Lang); err != nil {
-				return n, err
-			}
 		}
 	}
 	return n, bw.Flush()
 }
 
-// ReadDictionary deserialises a dictionary written by WriteTo.
-func ReadDictionary(r *bufio.Reader) (*Dictionary, error) {
+// ReadDictionary deserialises a dictionary written by WriteTo from a
+// source of at most limit bytes (the metadata file's size): a term
+// count or string length beyond what that many bytes can hold is
+// corrupt, and is rejected before it sizes an allocation.
+func ReadDictionary(r *bufio.Reader, limit int64) (*Dictionary, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("index: read dictionary magic: %w", err)
@@ -179,10 +192,17 @@ func ReadDictionary(r *bufio.Reader) (*Dictionary, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A term takes at least two bytes: its kind and a length.
+	if count > uint64(limit)/2 {
+		return nil, fmt.Errorf("index: implausible dictionary size %d in %d bytes", count, limit)
+	}
 	rs := func() (string, error) {
 		l, err := binary.ReadUvarint(r)
 		if err != nil {
 			return "", err
+		}
+		if l > uint64(limit) {
+			return "", fmt.Errorf("index: implausible dictionary string length %d in %d bytes", l, limit)
 		}
 		b := make([]byte, l)
 		if _, err := io.ReadFull(r, b); err != nil {
@@ -208,7 +228,11 @@ func ReadDictionary(r *bufio.Reader) (*Dictionary, error) {
 				return nil, err
 			}
 		}
-		d.ID(t)
+		// A repeated term would take the first one's ID and shift every
+		// later ID down by one.
+		if d.ID(t) != uint32(i) {
+			return nil, fmt.Errorf("index: dictionary term %d (%s) repeats an earlier one", i, t)
+		}
 	}
 	return d, nil
 }

@@ -1,15 +1,24 @@
 package index
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
+
+	"sama/internal/paths"
+	"sama/internal/rdf"
 )
 
-// FuzzDecodePath feeds arbitrary bytes to the on-disk path decoder: it
-// must never panic, and any path it accepts must survive a re-encode
-// (compared as paths — varints have non-canonical spellings, so the
-// bytes may differ). The seed corpus under testdata/fuzz/FuzzDecodePath
-// is EncodePath of every source-to-sink path of the Figure 1 graph.
+// FuzzDecodePath feeds arbitrary bytes to the inline-string path
+// decoder: it must never panic, and any path it accepts must survive a
+// re-encode (compared as paths — varints have non-canonical spellings,
+// so the bytes may differ). The seed corpus under
+// testdata/fuzz/FuzzDecodePath is EncodePath of every source-to-sink
+// path of the Figure 1 graph.
 func FuzzDecodePath(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		p, err := DecodePath(buf)
@@ -22,6 +31,97 @@ func FuzzDecodePath(f *testing.F) {
 		}
 		if !reflect.DeepEqual(p, back) {
 			t.Fatalf("round trip changed the path:\n got %v\nwant %v", back, p)
+		}
+	})
+}
+
+// FuzzDecodePathDict feeds arbitrary bytes to the record decoder every
+// stored path goes through, against the dictionary of the Figure 1
+// graph (whose seven paths, encoded, are the seed corpus). It must
+// never panic; whether it accepts or rejects, it must not allocate more
+// than the one term slice a record of that many bytes can fill (give or
+// take a fixed slack); and a record it accepts must spell only IDs the
+// dictionary holds — read here as uint64, so an ID that only fits after
+// narrowing is caught — and survive a re-encode.
+func FuzzDecodePathDict(f *testing.F) {
+	d := NewDictionary()
+	for _, p := range paths.Enumerate(figure1Graph(), paths.DefaultConfig) {
+		f.Add(EncodePathDict(p, d))
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := DecodePathDict(buf, d)
+		runtime.ReadMemStats(&after)
+		// TotalAlloc is process-wide and the fuzz worker's own goroutines
+		// allocate too, hence the slack; a node count taken on trust sizes
+		// tens of megabytes.
+		if got, most := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+len(buf)*int(unsafe.Sizeof(rdf.Term{}))); got > most {
+			t.Fatalf("decoding %d bytes allocated %d (at most %d)", len(buf), got, most)
+		}
+		if err != nil {
+			return
+		}
+		n, pos := binary.Uvarint(buf)
+		terms := append(append([]rdf.Term(nil), p.Nodes...), p.Edges...)
+		if uint64(len(p.Nodes)) != n || uint64(len(terms)) != 2*n-1 {
+			t.Fatalf("record says %d nodes, decoded %d nodes and %d edges", n, len(p.Nodes), len(p.Edges))
+		}
+		for i, term := range terms {
+			id, w := binary.Uvarint(buf[pos:])
+			pos += w
+			if id >= uint64(d.Len()) || d.terms[id] != term {
+				t.Fatalf("term %d: record spells ID %d, decoded %v (dictionary holds %d terms)", i, id, term, d.Len())
+			}
+		}
+		back, err := DecodePathDict(EncodePathDict(p, d), d)
+		if err != nil {
+			t.Fatalf("re-encoded path does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(p, back) {
+			t.Fatalf("round trip changed the path:\n got %v\nwant %v", back, p)
+		}
+	})
+}
+
+// FuzzReadDictionary feeds arbitrary bytes to the dictionary reader: it
+// must never panic, a dictionary it accepts must hold as many terms as
+// its header says (a repeated term would silently renumber the rest),
+// and must survive WriteTo ∘ ReadDictionary byte for byte.
+func FuzzReadDictionary(f *testing.F) {
+	d := NewDictionary()
+	for _, p := range paths.Enumerate(figure1Graph(), paths.DefaultConfig) {
+		d.internPath(nil, p)
+	}
+	d.ID(rdf.NewLangLiteral("ciao", "it"))
+	d.ID(rdf.NewTypedLiteral("5", "int"))
+	var seed bytes.Buffer
+	if _, err := d.WriteTo(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadDictionary(bufio.NewReader(bytes.NewReader(data)), int64(len(data)))
+		if err != nil {
+			return
+		}
+		if count, _ := binary.Uvarint(data[len(dictMagic):]); uint64(d.Len()) != count {
+			t.Fatalf("header says %d terms, dictionary holds %d", count, d.Len())
+		}
+		var out bytes.Buffer
+		if _, err := d.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadDictionary(bufio.NewReader(bytes.NewReader(out.Bytes())), int64(out.Len()))
+		if err != nil {
+			t.Fatalf("rewritten dictionary does not read: %v", err)
+		}
+		var again bytes.Buffer
+		if _, err := back.WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), again.Bytes()) {
+			t.Fatalf("round trip changed the dictionary:\n got %q\nwant %q", again.Bytes(), out.Bytes())
 		}
 	})
 }

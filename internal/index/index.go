@@ -34,10 +34,6 @@ type Options struct {
 	// Thesaurus enables semantic label expansion (nil: exact + token
 	// matching only).
 	Thesaurus *textindex.Thesaurus
-	// Compress stores paths as dictionary-interned varint ID sequences
-	// instead of inline strings (the §7 compression mechanism). The
-	// dictionary is persisted in the metadata file.
-	Compress bool
 	// WrapIO, when set, wraps the page file's I/O before the buffer
 	// pool is created — the hook fault-injection tests use to interpose
 	// a storage.FaultInjector between the pool and the disk. The
@@ -139,8 +135,15 @@ type Index struct {
 	// cache hit can never surface answers that predate a write (or
 	// PathIDs that Compact renumbered).
 	epoch uint64
-	// dict interns terms when the index is compressed; nil otherwise.
-	dict *Dictionary
+	// dict interns the terms of every stored path: a record is a varint
+	// sequence of its IDs (see EncodePathDict). It is persisted in the
+	// metadata file, so it always covers the records that file's RIDs
+	// name. idBuf and recBuf are addPath's scratch — one path's term IDs
+	// and its record — used, like every dictionary write, under the
+	// write lock.
+	dict   *Dictionary
+	idBuf  []uint32
+	recBuf []byte
 	// graph is the indexed data graph, retained by Build (and by
 	// AttachGraph after Open) so InsertTriples can re-enumerate the
 	// affected paths.
@@ -326,9 +329,7 @@ func BuildPaths(base string, g *rdf.Graph, ps []paths.Path, opts Options) (*Inde
 		hubRooted:       len(g.Sources()) == 0,
 		walDir:          opts.WALDir,
 		checkpointBytes: opts.checkpointBytes(),
-	}
-	if opts.Compress {
-		ix.dict = NewDictionary()
+		dict:            NewDictionary(),
 	}
 	ix.store = storage.NewRecordStore(ix.pool)
 	if ix.walDir != "" {
@@ -380,43 +381,47 @@ func BuildPaths(base string, g *rdf.Graph, ps []paths.Path, opts Options) (*Inde
 	return ix, nil
 }
 
-// encodePath serialises one path for the record store.
-func (ix *Index) encodePath(p paths.Path) []byte {
-	if ix.dict != nil {
-		return EncodePathDict(dictPath{nodes: p.Nodes, edges: p.Edges}, ix.dict)
-	}
-	return EncodePath(p)
+// stagePath interns p's terms, appending their IDs to *ids (see
+// Dictionary.internPath), and appends p's record to the record store.
+// Nothing refers to either until commitPath registers the path.
+func (ix *Index) stagePath(ids *[]uint32, p paths.Path) (storage.RID, error) {
+	from := len(*ids)
+	*ids = ix.dict.internPath(*ids, p)
+	ix.recBuf = appendRecord(ix.recBuf[:0], (*ids)[from:])
+	return ix.store.Append(ix.recBuf)
 }
 
-// commitPath registers an already-appended path in the in-memory
-// tables. Pure memory: it cannot fail, which is what lets the insert
-// path stage every disk append first and commit atomically after.
-func (ix *Index) commitPath(p paths.Path, rid storage.RID) {
-	id := PathID(len(ix.rids))
+// commitPath registers an already-appended path, given as the IDs
+// stagePath interned its terms to, in the in-memory tables. Pure
+// memory: it cannot fail, which is what lets the insert path stage
+// every disk append first and commit atomically after. It is the one
+// line every registration route — build, insert, WAL replay, compaction
+// copy — maintains the summaries and postings through, reading each
+// label's analysed form from the dictionary.
+func (ix *Index) commitPath(ids []uint32, rid storage.RID) {
+	id := uint32(len(ix.rids))
 	ix.rids = append(ix.rids, rid)
 	ix.deleted = append(ix.deleted, false)
-	n := len(p.Nodes)
-	if n > 0xffff {
-		n = 0xffff
+	n := (len(ids) + 1) / 2 // nodes; the other n−1 are the edges
+	ix.lens = append(ix.lens, uint16(min(n, 0xffff)))
+	ix.sinks.AddAnalysed(ix.dict.analysedTerm(ids[n-1]), id)
+	ix.sources.AddAnalysed(ix.dict.analysedTerm(ids[0]), id)
+	var sig uint64
+	for _, term := range ids {
+		a := ix.dict.analysedTerm(term)
+		sig |= a.Sig
+		ix.labels.AddAnalysed(a, id)
 	}
-	ix.lens = append(ix.lens, uint16(n))
-	ix.sigs = append(ix.sigs, pathSig(p))
-	ix.sinks.Add(p.Sink().Label(), uint32(id))
-	ix.sources.Add(p.Source().Label(), uint32(id))
-	for _, n := range p.Nodes {
-		ix.labels.Add(n.Label(), uint32(id))
-	}
-	for _, e := range p.Edges {
-		ix.labels.Add(e.Label(), uint32(id))
-	}
+	ix.sigs = append(ix.sigs, sig)
 }
 
 func (ix *Index) addPath(p paths.Path) error {
-	rid, err := ix.store.Append(ix.encodePath(p))
+	ix.idBuf = ix.idBuf[:0]
+	rid, err := ix.stagePath(&ix.idBuf, p)
 	if err != nil {
 		return err
 	}
-	ix.commitPath(p, rid)
+	ix.commitPath(ix.idBuf, rid)
 	return nil
 }
 
@@ -494,22 +499,22 @@ func openIndex(base string, opts Options, attachWAL bool) (*Index, error) {
 	return ix, nil
 }
 
-// metaMagic is the metadata format ("SAMAIDX5"), the only one readMeta
+// metaMagic is the metadata format ("SAMAIDX6"), the only one readMeta
 // accepts: the last byte is the version, and an index written under
 // another one has to be rebuilt from its data.
-var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '5'}
+var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '6'}
 
-const (
-	metaFlagCompressed = 1
-	metaFlagWAL        = 2
-)
+const metaFlagWAL = 1
 
 // writeMeta persists the metadata atomically: the bytes go to a temp
 // file, are fsynced, and replace the old metadata with a rename — a
 // crash mid-write leaves the previous (consistent) metadata in place,
 // never a truncated one. When the index has a WAL the applied LSN
 // watermark and the WAL directory ride along, so a reopen knows where
-// replay starts and reattaches the log without being told.
+// replay starts and reattaches the log without being told. The
+// dictionary rides in the same file, behind the same rename, as the
+// RIDs whose records it decodes: no crash can pair one checkpoint's
+// RIDs with another's dictionary.
 func (ix *Index) writeMeta() error {
 	tmpPath := metaPath(ix.base) + ".tmp"
 	f, err := os.Create(tmpPath)
@@ -532,9 +537,6 @@ func (ix *Index) writeMeta() error {
 		return err
 	}
 	var flags uint64
-	if ix.dict != nil {
-		flags |= metaFlagCompressed
-	}
 	if ix.walDir != "" {
 		flags |= metaFlagWAL
 	}
@@ -597,10 +599,8 @@ func (ix *Index) writeMeta() error {
 	if _, err := ix.sources.WriteTo(w); err != nil {
 		return err
 	}
-	if ix.dict != nil {
-		if _, err := ix.dict.WriteTo(w); err != nil {
-			return err
-		}
+	if _, err := ix.dict.WriteTo(w); err != nil {
+		return err
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -727,12 +727,12 @@ func (ix *Index) readMeta(thes *textindex.Thesaurus) error {
 	if ix.sources, err = textindex.ReadFrom(r, nil); err != nil {
 		return err
 	}
-	if flags&metaFlagCompressed != 0 {
-		if ix.dict, err = ReadDictionary(r); err != nil {
-			return err
-		}
+	fi, err := f.Stat()
+	if err != nil {
+		return err
 	}
-	return nil
+	ix.dict, err = ReadDictionary(r, fi.Size())
+	return err
 }
 
 func (ix *Index) diskBytes() int64 {
@@ -805,14 +805,7 @@ func (ix *Index) pathLocked(id PathID) (paths.Path, error) {
 	if err != nil {
 		return paths.Path{}, fmt.Errorf("index: read path %d: %w", id, err)
 	}
-	if ix.dict != nil {
-		nodes, edges, err := DecodePathDict(data, ix.dict)
-		if err != nil {
-			return paths.Path{}, fmt.Errorf("index: decode path %d: %w", id, err)
-		}
-		return paths.Path{Nodes: nodes, Edges: edges}, nil
-	}
-	p, err := DecodePath(data)
+	p, err := DecodePathDict(data, ix.dict)
 	if err != nil {
 		return paths.Path{}, fmt.Errorf("index: decode path %d: %w", id, err)
 	}
@@ -917,18 +910,9 @@ func (ix *Index) ReadPathsBatched(ctx context.Context, ids []PathID) ([]paths.Pa
 		if data == nil { // not materialised (cancelled mid-batch)
 			continue
 		}
-		if ix.dict != nil {
-			nodes, edges, derr := DecodePathDict(data, ix.dict)
-			if derr != nil {
-				return nil, fmt.Errorf("index: decode path %d: %w", ids[i], derr)
-			}
-			out[i] = paths.Path{Nodes: nodes, Edges: edges}
-		} else {
-			p, derr := DecodePath(data)
-			if derr != nil {
-				return nil, fmt.Errorf("index: decode path %d: %w", ids[i], derr)
-			}
-			out[i] = p
+		var derr error
+		if out[i], derr = DecodePathDict(data, ix.dict); derr != nil {
+			return nil, fmt.Errorf("index: decode path %d: %w", ids[i], derr)
 		}
 		decoded++
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"sama/internal/paths"
 	"sama/internal/textindex"
 )
 
@@ -15,25 +14,11 @@ type PathSummary struct {
 	// Len is the path's node count (saturated at 0xffff, like lens).
 	Len uint16
 	// Sig ORs textindex.SigBits over every node and edge label of the
-	// path. sig & probeMask == 0 proves the path cannot match the
-	// probed label at any precision level (exact, token, or thesaurus
-	// expansion); a shared bit proves nothing — the error is one-sided.
+	// path (commitPath computes it). sig & probeMask == 0 proves the path
+	// cannot match the probed label at any precision level (exact, token,
+	// or thesaurus expansion); a shared bit proves nothing — the error is
+	// one-sided.
 	Sig uint64
-}
-
-// pathSig fingerprints one path: the OR of the signature bits of every
-// element label. Computed at commit time, so every registration route —
-// build, insert, WAL replay, compaction copy — maintains the table
-// through the same line in commitPath.
-func pathSig(p paths.Path) uint64 {
-	var s uint64
-	for _, n := range p.Nodes {
-		s |= textindex.SigBits(n.Label())
-	}
-	for _, e := range p.Edges {
-		s |= textindex.SigBits(e.Label())
-	}
-	return s
 }
 
 // Summaries returns the in-memory summaries for the given IDs under one

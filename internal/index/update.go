@@ -62,8 +62,9 @@ func (ix *Index) livePathsLocked() int {
 //
 // The insert is all-or-nothing with respect to the index: the affected
 // paths are staged to the record store first (a failure there leaves
-// only unreferenced bytes behind) and the in-memory tables — epoch,
-// tombstones, postings — commit last, in a phase that cannot fail. On
+// only unreferenced bytes behind, and un-interns the terms it had added
+// to the dictionary) and the in-memory tables — epoch, tombstones,
+// postings — commit last, in a phase that cannot fail. On
 // error the index answers exactly as before the call; the attached
 // graph may have absorbed the triples (graph insertion is idempotent),
 // so retrying the same batch is safe and completes the operation.
@@ -181,22 +182,28 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) error {
 	// Stage: append every new path to the record store before touching
 	// the in-memory tables. A failure here aborts with the index
 	// unchanged — the appended bytes are unreferenced orphans in an
-	// append-only store, reclaimed by the next compaction.
+	// append-only store, reclaimed by the next compaction, and the terms
+	// staging interned are forgotten again, or the next metadata write
+	// would persist a dictionary no record needs. ids holds every staged
+	// path's term IDs back to back; end is where one path's stop.
 	type stagedPath struct {
-		p   paths.Path
+		end int
 		rid storage.RID
 	}
 	var staged []stagedPath
+	var ids []uint32
+	terms := ix.dict.Len()
 	for _, root := range roots {
 		for _, p := range paths.EnumerateFrom(g, root, ix.pathCfg) {
 			if ix.assignPath != nil && !ix.assignPath(p) {
 				continue // another shard's partition
 			}
-			rid, err := ix.store.Append(ix.encodePath(p))
+			rid, err := ix.stagePath(&ids, p)
 			if err != nil {
+				ix.dict.truncate(terms)
 				return fmt.Errorf("index: stage path: %w", err)
 			}
-			staged = append(staged, stagedPath{p: p, rid: rid})
+			staged = append(staged, stagedPath{end: len(ids), rid: rid})
 		}
 	}
 
@@ -213,8 +220,10 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) error {
 			ix.deleted[id] = true
 		}
 	}
+	from := 0
 	for _, s := range staged {
-		ix.commitPath(s.p, s.rid)
+		ix.commitPath(ids[from:s.end], s.rid)
+		from = s.end
 	}
 	ix.hubRooted = len(g.Sources()) == 0
 	ix.stats.Triples = g.EdgeCount()

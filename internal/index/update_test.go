@@ -13,18 +13,20 @@ import (
 
 func TestCompressedRoundTrip(t *testing.T) {
 	d := NewDictionary()
-	nodes := []rdf.Term{iri("a"), rdf.NewVar("x"), rdf.NewLangLiteral("ciao", "it")}
-	edges := []rdf.Term{iri("p"), rdf.NewTypedLiteral("5", "int")}
-	buf := EncodePathDict(dictPath{nodes: nodes, edges: edges}, d)
-	backN, backE, err := DecodePathDict(buf, d)
+	p := paths.Path{
+		Nodes: []rdf.Term{iri("a"), rdf.NewVar("x"), rdf.NewLangLiteral("ciao", "it")},
+		Edges: []rdf.Term{iri("p"), rdf.NewTypedLiteral("5", "int")},
+	}
+	buf := EncodePathDict(p, d)
+	back, err := DecodePathDict(buf, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(nodes, backN) || !reflect.DeepEqual(edges, backE) {
-		t.Errorf("round trip mismatch: %v %v", backN, backE)
+	if !reflect.DeepEqual(p, back) {
+		t.Errorf("round trip mismatch: %v", back)
 	}
 	// Repeated terms share dictionary entries.
-	buf2 := EncodePathDict(dictPath{nodes: nodes, edges: edges}, d)
+	buf2 := EncodePathDict(p, d)
 	if d.Len() != 5 {
 		t.Errorf("dictionary grew to %d on re-encode", d.Len())
 	}
@@ -35,34 +37,37 @@ func TestCompressedRoundTrip(t *testing.T) {
 
 func TestDecodePathDictErrors(t *testing.T) {
 	d := NewDictionary()
-	good := EncodePathDict(dictPath{
-		nodes: []rdf.Term{iri("a"), iri("b")},
-		edges: []rdf.Term{iri("p")},
+	good := EncodePathDict(paths.Path{
+		Nodes: []rdf.Term{iri("a"), iri("b")},
+		Edges: []rdf.Term{iri("p")},
 	}, d)
-	for cut := 1; cut < len(good); cut++ {
-		if _, _, err := DecodePathDict(good[:cut], d); err == nil {
+	for cut := 0; cut < len(good); cut++ {
+		if _, err := DecodePathDict(good[:cut], d); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
-	if _, _, err := DecodePathDict(append(good, 9), d); err == nil {
+	if _, err := DecodePathDict(append(good, 9), d); err == nil {
 		t.Error("trailing byte accepted")
+	}
+	if _, err := DecodePathDict([]byte{0}, d); err == nil {
+		t.Error("zero-node path accepted")
 	}
 	// Unknown ID.
 	empty := NewDictionary()
-	if _, _, err := DecodePathDict(good, empty); err == nil {
+	if _, err := DecodePathDict(good, empty); err == nil {
 		t.Error("decoding against empty dictionary accepted")
 	}
 }
 
 func TestCompressedIndexEndToEnd(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "comp")
-	ix, err := Build(base, figure1Graph(), Options{Compress: true})
+	ix, err := Build(base, figure1Graph(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sinkIDs := ix.PathsBySink("Health Care")
 	if len(sinkIDs) == 0 {
-		t.Fatal("no sink matches in compressed index")
+		t.Fatal("no sink matches")
 	}
 	ps, err := ix.ReadPathsBatched(context.Background(), sinkIDs)
 	if err != nil {
@@ -70,7 +75,7 @@ func TestCompressedIndexEndToEnd(t *testing.T) {
 	}
 	for _, p := range ps {
 		if p.Sink().Label() != "Health Care" {
-			t.Errorf("compressed path sink wrong: %s", p)
+			t.Errorf("path sink wrong: %s", p)
 		}
 	}
 	if err := ix.Close(); err != nil {
@@ -87,45 +92,8 @@ func TestCompressedIndexEndToEnd(t *testing.T) {
 	}
 	for _, id := range sinkIDs {
 		if _, err := back.Path(id); err != nil {
-			t.Errorf("compressed path %d unreadable after reopen: %v", id, err)
+			t.Errorf("path %d unreadable after reopen: %v", id, err)
 		}
-	}
-}
-
-func TestCompressionShrinksPathStore(t *testing.T) {
-	g := rdf.NewGraph()
-	// Many sources funnel into one shared chain of long-named nodes, so
-	// the same long labels recur across every enumerated path — the
-	// repetition profile dictionary compression exploits (in LUBM, hub
-	// entities like universities appear on thousands of paths).
-	long := "http://example.org/a/very/long/namespace/with/many/segments#"
-	chain := []rdf.Term{iri(long + "hub")}
-	for i := 0; i < 5; i++ {
-		next := iri(long + "chainNode" + string(rune('A'+i)))
-		g.AddTriple(rdf.Triple{S: chain[len(chain)-1], P: iri(long + "leads"), O: next})
-		chain = append(chain, next)
-	}
-	g.AddTriple(rdf.Triple{S: chain[len(chain)-1], P: iri(long + "ends"), O: lit("End")})
-	for i := 0; i < 200; i++ {
-		s := iri(long + "source" + itoaTest(i))
-		g.AddTriple(rdf.Triple{S: s, P: iri(long + "feeds"), O: iri(long + "hub")})
-	}
-	plain, err := Build(filepath.Join(t.TempDir(), "plain"), g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	comp, err := Build(filepath.Join(t.TempDir(), "comp"), g, Options{Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comp.Close()
-	if comp.Stats().Paths != plain.Stats().Paths {
-		t.Fatalf("path counts differ: %d vs %d", comp.Stats().Paths, plain.Stats().Paths)
-	}
-	if comp.Stats().DiskBytes >= plain.Stats().DiskBytes {
-		t.Errorf("compression did not shrink: %d vs %d bytes",
-			comp.Stats().DiskBytes, plain.Stats().DiskBytes)
 	}
 }
 
@@ -345,7 +313,7 @@ func TestInsertTriplesHubGraphRebuilds(t *testing.T) {
 
 func TestUpdatedIndexStillAnswersViaFlush(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "upd7")
-	ix, err := Build(base, figure1Graph(), Options{Compress: true})
+	ix, err := Build(base, figure1Graph(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +338,7 @@ func TestUpdatedIndexStillAnswersViaFlush(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("compressed updated index misses new gender path")
+		t.Error("updated index misses new gender path")
 	}
 }
 

@@ -41,7 +41,8 @@ func sidecarPath(base string) string { return base + ".delta" }
 const tripleCodecVersion = 1
 
 // encodeTriples serialises one insert batch into a WAL payload. Terms
-// use the same encoding as stored paths (codec.go's appendTerm).
+// are spelled out (codec.go's appendTerm), as they are in the
+// dictionary: a record must replay against any dictionary.
 func encodeTriples(ts []rdf.Triple) []byte {
 	b := make([]byte, 0, 64*len(ts)+8)
 	b = append(b, tripleCodecVersion)
@@ -54,55 +55,12 @@ func encodeTriples(ts []rdf.Triple) []byte {
 	return b
 }
 
-type tripleDecoder struct{ b []byte }
-
-func (d *tripleDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		return 0, fmt.Errorf("index: triple codec: truncated varint")
-	}
-	d.b = d.b[n:]
-	return v, nil
-}
-
-func (d *tripleDecoder) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if uint64(len(d.b)) < n {
-		return "", fmt.Errorf("index: triple codec: truncated string")
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s, nil
-}
-
-func (d *tripleDecoder) term() (rdf.Term, error) {
-	if len(d.b) == 0 {
-		return rdf.Term{}, fmt.Errorf("index: triple codec: truncated term")
-	}
-	t := rdf.Term{Kind: rdf.TermKind(d.b[0])}
-	d.b = d.b[1:]
-	var err error
-	if t.Value, err = d.str(); err != nil {
-		return t, err
-	}
-	if t.Kind == rdf.Literal {
-		if t.Datatype, err = d.str(); err != nil {
-			return t, err
-		}
-		t.Lang, err = d.str()
-	}
-	return t, err
-}
-
 // decodeTriples parses a WAL payload back into the insert batch.
 func decodeTriples(data []byte) ([]rdf.Triple, error) {
 	if len(data) == 0 || data[0] != tripleCodecVersion {
 		return nil, fmt.Errorf("index: triple codec: unsupported version")
 	}
-	d := &tripleDecoder{b: data[1:]}
+	d := &decoder{buf: data, pos: 1}
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err

@@ -1,12 +1,14 @@
 package index
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -233,15 +235,64 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	if got := livePathKeys(t, ix); !equalKeys(got, want) {
 		t.Fatal("failed insert changed the answer surface")
 	}
+
+	// The same fault one phase later, while staging. A brand-new root
+	// has nothing to tombstone, so the insert gets as far as appending
+	// its first record — to a page the cold pool must read back — with
+	// the path's new terms already interned. The failed insert has to
+	// take them out again, or the next metadata write persists a
+	// dictionary of terms no record uses.
+	meta := func() []byte {
+		t.Helper()
+		ix.mu.Lock()
+		err := ix.writeMeta()
+		ix.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(metaPath(base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	metaBefore, terms := meta(), ix.dict.Len()
+	fresh := []rdf.Triple{{S: iri("FreshRoot"), P: iri("backs"), O: iri("FreshBill")}}
+	if err := ix.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	fi.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.Permanent})
+	err = ix.InsertTriples(fresh)
+	fi.Clear()
+	if err == nil || !strings.Contains(err.Error(), "stage path") {
+		t.Fatalf("insert of a new root under permanent read faults: err = %v, want a staging failure", err)
+	}
+	if got := ix.dict.Len(); got != terms {
+		t.Fatalf("failed insert left %d terms in the dictionary, want %d", got, terms)
+	}
+	if !bytes.Equal(meta(), metaBefore) {
+		t.Fatal("failed insert changed the metadata the next checkpoint writes")
+	}
+	if got := ix.Epoch(); got != epoch {
+		t.Fatalf("failed insert bumped the epoch: %d -> %d", epoch, got)
+	}
+
 	// The documented retry contract: the graph absorbed the triples
 	// (idempotently), so retrying the same batch completes the insert.
-	if err := ix.InsertTriples([]rdf.Triple{
-		{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("A9999")},
-	}); err != nil {
-		t.Fatalf("retry after fault cleared: %v", err)
+	for _, batch := range [][]rdf.Triple{
+		{{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("A9999")}},
+		fresh,
+	} {
+		if err := ix.InsertTriples(batch); err != nil {
+			t.Fatalf("retry after fault cleared: %v", err)
+		}
+		if got := ix.LivePaths(); got <= live {
+			t.Fatalf("retried insert added no paths (%d -> %d)", live, got)
+		}
+		live = ix.LivePaths()
 	}
-	if got := ix.LivePaths(); got <= live {
-		t.Fatalf("retried insert added no paths (%d -> %d)", live, got)
+	if got := ix.dict.Len(); got != terms+4 {
+		t.Fatalf("retried inserts interned %d terms, want 4 (A9999, FreshRoot, backs, FreshBill)", got-terms)
 	}
 }
 

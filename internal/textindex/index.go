@@ -34,17 +34,47 @@ func New(thes *Thesaurus) *Index {
 	}
 }
 
+// Analysed is everything indexing derives from one label. A caller that
+// indexes the same label under many documents analyses it once and
+// passes the result to AddAnalysed.
+type Analysed struct {
+	// Key is Normalize(label), the exact-match key.
+	Key string
+	// Tokens are the token keys: Tokenize(label) without the key itself
+	// and without single-character tokens (the "B" of "B1432"), which
+	// match far too widely to be useful and are indexed only via Key.
+	Tokens []string
+	// Sig ORs SigBit over Key and Tokens (see SigBits).
+	Sig uint64
+}
+
+// Analyse normalises, tokenises and fingerprints a label.
+func Analyse(label string) Analysed {
+	a := Analysed{Key: Normalize(label)}
+	a.Sig = SigBit(a.Key)
+	toks := Tokenize(label)
+	a.Tokens = toks[:0]
+	for _, tok := range toks {
+		if tok == a.Key || len(tok) < 2 {
+			continue
+		}
+		a.Tokens = append(a.Tokens, tok)
+		a.Sig |= SigBit(tok)
+	}
+	return a
+}
+
 // Add indexes the label under doc. The same (label, doc) pair may be
 // added repeatedly; postings are deduplicated.
 func (ix *Index) Add(label string, doc uint32) {
-	key := Normalize(label)
-	postingFor(ix.exact, key).Add(doc)
-	for _, tok := range Tokenize(label) {
-		// Single-character tokens (the "B" of "B1432") match far too
-		// widely to be useful; they are indexed only via the exact key.
-		if tok == key || len(tok) < 2 {
-			continue
-		}
+	a := Analyse(label)
+	ix.AddAnalysed(&a, doc)
+}
+
+// AddAnalysed is Add for a label already analysed.
+func (ix *Index) AddAnalysed(a *Analysed, doc uint32) {
+	postingFor(ix.exact, a.Key).Add(doc)
+	for _, tok := range a.Tokens {
 		postingFor(ix.tokens, tok).Add(doc)
 	}
 	ix.docs++

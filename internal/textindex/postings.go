@@ -403,17 +403,7 @@ func SigBit(key string) uint64 {
 // the keys Add indexes it under (the normalised exact key plus its
 // multi-character tokens), so deriving signatures from the posting maps
 // and computing them from labels agree bit for bit.
-func SigBits(label string) uint64 {
-	key := Normalize(label)
-	m := SigBit(key)
-	for _, tok := range Tokenize(label) {
-		if tok == key || len(tok) < 2 {
-			continue
-		}
-		m |= SigBit(tok)
-	}
-	return m
-}
+func SigBits(label string) uint64 { return Analyse(label).Sig }
 
 // ProbeMask returns the signature bits of every key a Lookup for label
 // would consult under the thesaurus: the normalised exact key plus each

@@ -203,7 +203,6 @@ type config struct {
 	poolPages       int
 	thesaurus       *textindex.Thesaurus
 	engine          core.Options
-	compress        bool
 	walDir          string
 	checkpointBytes int64
 	shards          int
@@ -256,12 +255,6 @@ func WithAnswerCache(entries int) Option {
 func WithAlignmentCache(mb int) Option {
 	return func(c *config) { c.engine.AlignCacheMB = mb }
 }
-
-// WithCompression stores paths as dictionary-interned ID sequences,
-// shrinking the on-disk path store on vocabularies with repeated terms
-// (the §7 compression mechanism). Only meaningful at Create time; the
-// setting persists in the index metadata.
-func WithCompression() Option { return func(c *config) { c.compress = true } }
 
 // WithSlowQueryLog installs a slow-query hook: every query whose
 // end-to-end time reaches threshold hands its full Trace to fn,
@@ -357,7 +350,6 @@ func Create(basePath string, g *Graph, opts ...Option) (*DB, error) {
 		Paths:           c.pathCfg,
 		PoolPages:       c.poolPages,
 		Thesaurus:       c.thesaurus,
-		Compress:        c.compress,
 		WALDir:          c.walDir,
 		CheckpointBytes: c.checkpointBytes,
 	}

@@ -204,41 +204,6 @@ func TestQuerySPARQLDistinct(t *testing.T) {
 	}
 }
 
-func TestCompressionOption(t *testing.T) {
-	g, err := LoadNTriples(strings.NewReader(govtrackNT))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := filepath.Join(t.TempDir(), "comp")
-	db, err := Create(base, g, WithCompression())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.QuerySPARQL(`SELECT ?x WHERE { ?x <gender> "Male" }`, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Answers) == 0 {
-		t.Fatal("compressed db found nothing")
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Compression flag persists transparently.
-	db2, err := Open(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	res2, err := db2.QuerySPARQL(`SELECT ?x WHERE { ?x <gender> "Male" }`, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Answers) != len(res.Answers) {
-		t.Errorf("answers after reopen: %d vs %d", len(res2.Answers), len(res.Answers))
-	}
-}
-
 func TestInsertIncrementally(t *testing.T) {
 	db := newTestDB(t)
 	// No female sponsors of B0532 initially.
