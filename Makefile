@@ -44,7 +44,7 @@ race:
 # a second -count pass varies goroutine scheduling beyond what one
 # ./... sweep exercises.
 race-hot:
-	$(GO) test -race -count=2 ./internal/cache ./internal/core ./internal/server ./internal/storage ./internal/index ./internal/obs ./internal/shard ./internal/textindex
+	$(GO) test -race -count=2 ./internal/cache ./internal/core ./internal/server ./internal/storage ./internal/index ./internal/obs ./internal/textindex
 
 # crash re-runs the durability suites on their own: the crash-matrix
 # kill points (torn WAL tails, mid-checkpoint and mid-compaction
@@ -115,11 +115,10 @@ profile:
 		-cpuprofile results/cpu_cluster_warm.pprof -o results/bench.test ./internal/core
 	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,cluster,cluster_warm}.pprof"
 
-# route-smoke boots the multi-node path end-to-end: a 3-shard layout,
-# one samad per shard directory, a samad router fronting them, the
-# Fig. 7 query mix through the merged top-k, and a shard kill that
-# must degrade (partial response, named in the explain plan) rather
-# than fail.
+# route-smoke boots the multi-node path end-to-end: three databases,
+# one samad over each, a samad router fronting them, the Fig. 7 query
+# mix through the merged top-k, and a member kill that must degrade
+# (partial response, named in the explain plan) rather than fail.
 route-smoke:
 	$(GO) test -count=1 -run 'TestRouterE2E' ./cmd/samad
 

@@ -62,7 +62,7 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   sama index -data <graph.nt> -index <base>     build the path index
-             [-wal <dir>] [-wal-checkpoint <bytes>] [-shards <n>]
+             [-wal <dir>] [-wal-checkpoint <bytes>]
   sama query -index <base> (-q <sparql> | -sparql <file>) [-k 10] [-cold] [-timeout 0]
              [-stats] [-explain] [-explain-json] [-debug-addr host:port] [-serve]
   sama stats -index <base>                      print index statistics
@@ -87,7 +87,6 @@ func runIndex(args []string) error {
 	maxPerRoot := fs.Int("max-paths-per-root", 4096, "path budget per source")
 	walDir := fs.String("wal", "", "enable the write-ahead log in this directory (durable inserts)")
 	walCheckpoint := fs.Int64("wal-checkpoint", 0, "WAL bytes that trigger an automatic checkpoint (0 = library default, -1 = manual only)")
-	shards := fs.Int("shards", 0, "partition the index into N shards (sharded on-disk layout; queries return identical answers)")
 	fs.Parse(args)
 	if *data == "" || *base == "" {
 		return fmt.Errorf("index: -data and -index are required")
@@ -109,17 +108,11 @@ func runIndex(args []string) error {
 			oo = append(oo, sama.WithWALCheckpoint(*walCheckpoint))
 		}
 	}
-	if *shards > 1 {
-		oo = append(oo, sama.WithShards(*shards))
-	}
 	db, err := sama.Create(*base, g, oo...)
 	if err != nil {
 		return err
 	}
 	defer db.Close()
-	if n := db.Shards(); n > 0 {
-		fmt.Fprintf(out, "sharded layout: %d shards\n", n)
-	}
 	printStats(db.Stats())
 	return nil
 }

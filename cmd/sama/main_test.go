@@ -231,32 +231,3 @@ func TestCLIErrors(t *testing.T) {
 		t.Error("stats without index accepted")
 	}
 }
-
-// TestRunIndexSharded builds a sharded layout with -shards and checks
-// that query and stats open it transparently.
-func TestRunIndexSharded(t *testing.T) {
-	buf := captureOut(t)
-	dir := t.TempDir()
-	dataFile := filepath.Join(dir, "data.nt")
-	if err := os.WriteFile(dataFile, []byte(testNT), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base := filepath.Join(dir, "idx")
-	if err := runIndex([]string{"-data", dataFile, "-index", base, "-shards", "3"}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "sharded layout: 3 shards") {
-		t.Errorf("index output missing shard count:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := runQuery([]string{"-index", base,
-		"-q", `SELECT ?x WHERE { ?x <gender> "Male" }`}); err != nil {
-		t.Fatalf("query over sharded layout: %v", err)
-	}
-	if !strings.Contains(buf.String(), "PierceDickes") {
-		t.Errorf("sharded query output missing answer:\n%s", buf.String())
-	}
-	if err := runStats([]string{"-index", base}); err != nil {
-		t.Errorf("stats over sharded layout: %v", err)
-	}
-}

@@ -11,34 +11,33 @@ import (
 	"testing"
 	"time"
 
+	"sama"
 	"sama/client"
 	"sama/internal/datasets"
-	"sama/internal/shard"
 	"sama/internal/workload"
 )
 
-// startShardFleet builds a 3-shard layout over a seeded LUBM graph and
-// starts one samad per shard directory, returning the running daemons
-// and their base URLs.
+// startShardFleet builds three whole databases, one per seeded LUBM
+// graph (the fleet's data partitions), and starts one samad over each,
+// returning the running daemons and their base URLs.
 func startShardFleet(t *testing.T) ([]*daemon, []string) {
 	t.Helper()
-	base := filepath.Join(t.TempDir(), "lubm")
-	g := datasets.LUBM{}.Generate(600, 11)
-	s, err := shard.Build(base, g, shard.Options{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	var (
 		ds   []*daemon
 		urls []string
 	)
 	for k := 0; k < 3; k++ {
-		shardBase := filepath.Join(shard.Dir(base), fmt.Sprintf("s%03d", k))
+		base := filepath.Join(dir, fmt.Sprintf("member%d", k))
+		db, err := sama.Create(base, datasets.LUBM{}.Generate(200, int64(11+k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 		logger := log.New(new(bytes.Buffer), "", 0)
-		d, err := startDaemon([]string{"-index", shardBase, "-addr", "127.0.0.1:0"}, logger)
+		d, err := startDaemon([]string{"-index", base, "-addr", "127.0.0.1:0"}, logger)
 		if err != nil {
 			t.Fatalf("shard %d daemon: %v", k, err)
 		}

@@ -324,8 +324,8 @@ type writeAfterRetrieval struct {
 	write func()
 }
 
-func (b *writeAfterRetrieval) PathsBySink(sc *clusterScratch, label string) []index.PathID {
-	ids := b.backend.PathsBySink(sc, label)
+func (b *writeAfterRetrieval) PathsBySinkInto(sc *index.Scratch, label string) []index.PathID {
+	ids := b.backend.PathsBySinkInto(sc, label)
 	b.once.Do(b.write)
 	return ids
 }

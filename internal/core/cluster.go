@@ -112,11 +112,7 @@ func (e *Engine) clusterTraced(ctx context.Context, pre *Preprocessed, parent *o
 // Cluster it returns owns a copy of the items it keeps, so nothing reads
 // the scratch afterwards and concurrent builds never share one.
 type clusterScratch struct {
-	idx     index.Scratch  // monolithic retrieval and summaries
-	shards  []shardScratch // sharded: one part per shard, merged below
-	lists   [][]index.PathID
-	merged  []index.PathID
-	sums    []index.PathSummary
+	idx     index.Scratch  // retrieval and summaries
 	buckets []uint32       // pre-rank: each candidate's bucket
 	counts  []int          // pre-rank: bucket sizes, then fill offsets
 	surv    []index.PathID // pre-rank: one deficit bucket's fingerprint survivors
@@ -124,23 +120,7 @@ type clusterScratch struct {
 	staged  []ClusterItem
 }
 
-// shardScratch is one shard's part: its retrieval memory and the local
-// IDs and result positions of a summaries batch.
-type shardScratch struct {
-	idx    index.Scratch
-	locals []index.PathID
-	pos    []int
-}
-
 var clusterScratchPool = sync.Pool{New: func() any { return new(clusterScratch) }}
-
-// perShard returns the n per-shard parts, growing the set on first use.
-func (sc *clusterScratch) perShard(n int) []shardScratch {
-	for len(sc.shards) < n {
-		sc.shards = append(sc.shards, shardScratch{})
-	}
-	return sc.shards[:n]
-}
 
 // release returns the scratch to the pool, the staged items' references
 // to paths and alignments dropped first.
@@ -256,8 +236,7 @@ func (e *Engine) queryConstants(q paths.Path) (labels []string, masks []uint64) 
 // that label at every precision level retrieval admits (exact, token,
 // thesaurus synonym) — the signature's error is one-sided, so a
 // synonym-expanded candidate is never charged for a constant it matches
-// approximately. Because the fingerprints are the same deterministic
-// hash everywhere, the ranking is identical at every shard count.
+// approximately.
 //
 // The ranking key orders by total missing constants first and length
 // deficit second; the candidates are bucketed by it, one bucket per
@@ -284,7 +263,7 @@ func (e *Engine) preRank(sc *clusterScratch, ids []index.PathID, q paths.Path) (
 	if len(ids) <= budget {
 		return ids, nil
 	}
-	sums, err := e.back.Summaries(sc, ids)
+	sums, err := e.back.SummariesInto(&sc.idx, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +308,7 @@ func (e *Engine) preRank(sc *clusterScratch, ids []index.PathID, q paths.Path) (
 			}
 			sc.surv = surv
 			n := len(out)
-			out = e.back.PathsByAllLabelsAmong(sc, out, surv, labels, budget-n)
+			out = e.back.PathsByAllLabelsAmong(out, surv, labels, budget-n)
 			if len(out) == budget {
 				sc.cands = out
 				return out, nil
@@ -375,8 +354,7 @@ func (e *Engine) preRank(sc *clusterScratch, ids []index.PathID, q paths.Path) (
 // sortClusterItems orders a cluster's items by non-decreasing cost,
 // ties by ID. Unstable sort on purpose: IDs are unique, so (cost, ID)
 // is a strict total order — stability buys nothing, pdqsort saves the
-// merge scratch, and the result does not depend on the input order (so
-// not on which shard produced an item or on the staging order).
+// merge scratch, and the result does not depend on the staging order.
 func sortClusterItems(items []ClusterItem) {
 	slices.SortFunc(items, func(a, b ClusterItem) int {
 		if a.Alignment.Cost != b.Alignment.Cost {
@@ -433,23 +411,23 @@ func (e *Engine) alignAll(ctx context.Context, sc *clusterScratch, q paths.Path,
 func (e *Engine) retrieve(sc *clusterScratch, q paths.Path) []index.PathID {
 	sink := q.Sink()
 	if sink.IsConstant() {
-		if ids := e.back.PathsBySink(sc, sink.Label()); len(ids) > 0 {
+		if ids := e.back.PathsBySinkInto(&sc.idx, sink.Label()); len(ids) > 0 {
 			return ids
 		}
 		// No path ends at a matching sink: degrade to containment so the
 		// approximate search still has material to work with.
-		if ids := e.back.PathsByLabel(sc, sink.Label()); len(ids) > 0 {
+		if ids := e.back.PathsByLabelInto(&sc.idx, sink.Label()); len(ids) > 0 {
 			return ids
 		}
 	} else if v, ok := q.FirstConstantFromEnd(); ok {
-		if ids := e.back.PathsByLabel(sc, v.Label()); len(ids) > 0 {
+		if ids := e.back.PathsByLabelInto(&sc.idx, v.Label()); len(ids) > 0 {
 			return ids
 		}
 	}
 	// Constant edge labels, scanned from the sink end like the nodes.
 	for i := len(q.Edges) - 1; i >= 0; i-- {
 		if q.Edges[i].IsConstant() {
-			if ids := e.back.PathsByLabel(sc, q.Edges[i].Label()); len(ids) > 0 {
+			if ids := e.back.PathsByLabelInto(&sc.idx, q.Edges[i].Label()); len(ids) > 0 {
 				return ids
 			}
 		}

@@ -14,12 +14,11 @@ import (
 	"sama/internal/index"
 	"sama/internal/obs"
 	"sama/internal/rdf"
-	"sama/internal/shard"
 	"sama/internal/workload"
 )
 
 var update = flag.Bool("update", false,
-	"rewrite the golden files under testdata/ from the monolithic engine")
+	"rewrite the golden files under testdata/")
 
 // fingerprint renders one answer into a line covering everything a
 // caller can observe: scores (shortest round-trip formatting, so equal
@@ -49,8 +48,8 @@ func fingerprint(a Answer) string {
 
 // planCounters renders the explain plan's decision counters — every
 // phase and its per-query-path children — on one line. batched_pages is
-// left out: it counts pages of the on-disk layout, which differs
-// between a monolithic index and a shard set holding the same paths.
+// left out: it counts pages of the on-disk layout, which a change of
+// record format or page fill moves without changing any decision.
 func planCounters(p *obs.Plan) string {
 	var b strings.Builder
 	var node func(n *obs.PlanNode)
@@ -114,12 +113,11 @@ func goldenLines(t *testing.T, e *Engine, qs []goldenQuery, k int) ([]string, []
 }
 
 // checkGolden compares the lines to testdata/<name>, reporting the
-// first diverging line. Under -update the writer configuration rewrites
-// the file first; every other configuration still compares against it.
-func checkGolden(t *testing.T, name, label string, got []string, writer bool) {
+// first diverging line. Under -update it rewrites the file first.
+func checkGolden(t *testing.T, name string, got []string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
-	if *update && writer {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -141,20 +139,19 @@ func checkGolden(t *testing.T, name, label string, got []string, writer bool) {
 			g = got[i]
 		}
 		if w != g {
-			t.Errorf("%s: %s line %d diverged:\n  got:  %s\n  want: %s", label, name, i+1, g, w)
+			t.Errorf("%s line %d diverged:\n  got:  %s\n  want: %s", name, i+1, g, w)
 			return
 		}
 	}
 }
 
 // TestEquivalenceAcrossEngines is the equivalence suite of the cluster
-// and search phases: over the Figure 7 LUBM workload mix, every engine
-// configuration — monolith and shard sets of 1 and 4 — must produce
-// ranked answers and explain counters byte-identical to testdata/equivalence_lubm.golden. The
-// answers in that file were frozen from the align-everything cluster
-// loop and the recompute-per-visit search frontier this engine
-// replaced (DESIGN.md §13 says how), so it is an external reference,
-// not a self-comparison. The tight cluster cap forces the signature
+// and search phases: over the Figure 7 LUBM workload mix the engine must
+// produce ranked answers and explain counters byte-identical to
+// testdata/equivalence_lubm.golden. The answers in that file were frozen
+// from the align-everything cluster loop and the recompute-per-visit
+// search frontier this engine replaced (DESIGN.md §13 says how), so it
+// is an external reference, not a self-comparison. The tight cluster cap forces the signature
 // frontier cut on every large cluster and keeps per-cluster frontiers
 // rich, so the cut, the search loop, the tie horizon and the join pass
 // all engage. Runs under -race via make check's race-hot pass.
@@ -165,41 +162,17 @@ func TestEquivalenceAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	sets := map[int]*shard.Set{}
-	for _, n := range []int{1, 4} {
-		s, err := shard.Build(filepath.Join(t.TempDir(), fmt.Sprintf("s%d", n)), g, shard.Options{Shards: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		sets[n] = s
-	}
 	var qs []goldenQuery
 	for _, q := range workload.LUBMQueries() {
 		qs = append(qs, goldenQuery{id: q.ID, q: q.Pattern})
 	}
 
-	opts := Options{MaxCandidatesPerCluster: 16}
-	// The first entry is the one -update writes from.
-	variants := []struct {
-		name string
-		e    *Engine
-	}{
-		{"monolith", New(ix, opts)},
-		{"shards=1", NewSharded(sets[1], opts)},
-		{"shards=4", NewSharded(sets[4], opts)},
-	}
-	for i, v := range variants {
-		lines, _ := goldenLines(t, v.e, qs, 10)
-		checkGolden(t, "equivalence_lubm.golden", v.name, lines, i == 0)
-		if i > 0 {
-			continue
-		}
-		// The suite is vacuous unless the signature gate cut a frontier
-		// somewhere in the mix.
-		if !strings.Contains(strings.Join(lines, "\n"), "sig_rejected=") {
-			t.Error("no query in the mix triggered the signature frontier cut")
-		}
+	lines, _ := goldenLines(t, New(ix, Options{MaxCandidatesPerCluster: 16}), qs, 10)
+	checkGolden(t, "equivalence_lubm.golden", lines)
+	// The suite is vacuous unless the signature gate cut a frontier
+	// somewhere in the mix.
+	if !strings.Contains(strings.Join(lines, "\n"), "sig_rejected=") {
+		t.Error("no query in the mix triggered the signature frontier cut")
 	}
 }
 
@@ -228,9 +201,8 @@ func firstAlignAttrs(t *testing.T, label string, plan *obs.Plan) map[string]int6
 //     and the assembly drops them.
 //
 // The golden answers were frozen from an engine that aligned all 24
-// candidates; the cluster pass must reproduce them on the monolith and
-// on a two-shard build, aligning every pre-ranked candidate the memo
-// does not already hold.
+// candidates; the cluster pass must reproduce them, aligning every
+// pre-ranked candidate the memo does not already hold.
 func TestCraftedClustersMatchGoldens(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -265,29 +237,14 @@ func TestCraftedClustersMatchGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ix.Close()
-			set, err := shard.Build(filepath.Join(t.TempDir(), "shards"), g, shard.Options{Shards: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer set.Close()
 
-			opts := Options{MaxCandidatesPerCluster: tc.cap}
-			// The first entry is the one -update writes from.
-			engines := []struct {
-				name string
-				e    *Engine
-			}{
-				{"monolith", New(ix, opts)},
-				{"sharded", NewSharded(set, opts)},
-			}
-			for i, v := range engines {
-				lines, plans := goldenLines(t, v.e, []goldenQuery{{"crafted", q}}, tc.k)
-				checkGolden(t, tc.golden, v.name, lines, i == 0)
-				a := firstAlignAttrs(t, v.name, plans[0])
-				if a["aligned"] != a["preranked"]-a["memo_hits"] {
-					t.Errorf("%s: aligned = %d, want preranked − memo_hits = %d − %d",
-						v.name, a["aligned"], a["preranked"], a["memo_hits"])
-				}
+			e := New(ix, Options{MaxCandidatesPerCluster: tc.cap})
+			lines, plans := goldenLines(t, e, []goldenQuery{{"crafted", q}}, tc.k)
+			checkGolden(t, tc.golden, lines)
+			a := firstAlignAttrs(t, tc.name, plans[0])
+			if a["aligned"] != a["preranked"]-a["memo_hits"] {
+				t.Errorf("aligned = %d, want preranked − memo_hits = %d − %d",
+					a["aligned"], a["preranked"], a["memo_hits"])
 			}
 		})
 	}

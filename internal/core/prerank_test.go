@@ -14,7 +14,6 @@ import (
 	"sama/internal/index"
 	"sama/internal/paths"
 	"sama/internal/rdf"
-	"sama/internal/shard"
 	"sama/internal/textindex"
 )
 
@@ -247,9 +246,9 @@ func TestPreRankRacesCompaction(t *testing.T) {
 	}
 }
 
-// preRankRef is preRank's definition, spelled out on the monolithic
-// index: count each candidate's missing constants by fingerprint, demote
-// to missing = 1 every fingerprint survivor outside the full
+// preRankRef is preRank's definition, spelled out on the index: count
+// each candidate's missing constants by fingerprint, demote to
+// missing = 1 every fingerprint survivor outside the full
 // PathsByAllLabels intersection, stable-sort by (missing, deficit) and
 // keep the first budget. It also reports how many candidates the
 // intersection confirmed and how many it demoted.
@@ -315,40 +314,25 @@ func preRankRef(t *testing.T, ix *index.Index, ids []index.PathID, q paths.Path,
 // buckets, then the leapfrog that confirms survivors up to the budget —
 // against preRankRef on every query path of the five cluster_param
 // shapes over every department of LUBM 10 k under the benchmark
-// thesaurus, on the monolith and on 1, 2 and 4 shards, at the default
-// cap and at a tight one. It insists that the mix holds cuts decided by
-// the early exit, cuts where the survivors ran out first, and
-// fingerprint collisions the intersection demoted.
+// thesaurus, at the default cap and at a tight one. It insists that the
+// mix holds cuts decided by the early exit, cuts where the survivors ran
+// out first, and fingerprint collisions the intersection demoted.
 func TestPreRankEqualsDefinition(t *testing.T) {
 	g := datasets.LUBM{}.Generate(10000, 1)
-	iopts := index.Options{Thesaurus: textindex.BenchmarkThesaurus()}
-	ix, err := index.Build(filepath.Join(t.TempDir(), "mono"), g, iopts)
+	ix, err := index.Build(filepath.Join(t.TempDir(), "lubm"), g,
+		index.Options{Thesaurus: textindex.BenchmarkThesaurus()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	backends := map[string]func(Options) *Engine{
-		"monolith": func(o Options) *Engine { return New(ix, o) },
-	}
-	for _, n := range []int{1, 2, 4} {
-		set, err := shard.Build(filepath.Join(t.TempDir(), fmt.Sprintf("s%d", n)), g, shard.Options{Shards: n, Index: iopts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer set.Close()
-		backends[fmt.Sprintf("shards=%d", n)] = func(o Options) *Engine { return NewSharded(set, o) }
-	}
 	var early, ranOut, demotions int
 	for _, capN := range []int{0, 16} {
-		opts := Options{MaxCandidatesPerCluster: capN}
-		budget := 2 * opts.maxCandidates()
-		engines := map[string]*Engine{}
-		for name, mk := range backends {
-			engines[name] = mk(opts)
-		}
+		e := New(ix, Options{MaxCandidatesPerCluster: capN})
+		budget := 2 * e.opts.maxCandidates()
 		for _, gq := range clusterParamQueries(t, g) {
-			for qi, q := range engines["monolith"].Preprocess(gq.q).Paths {
-				ids := slices.Clone(engines["monolith"].retrieve(new(clusterScratch), q))
+			for qi, q := range e.Preprocess(gq.q).Paths {
+				sc := new(clusterScratch)
+				ids := e.retrieve(sc, q)
 				want, confirmed, demoted := preRankRef(t, ix, ids, q, budget)
 				if len(ids) > budget {
 					if confirmed >= budget {
@@ -358,16 +342,13 @@ func TestPreRankEqualsDefinition(t *testing.T) {
 					}
 					demotions += demoted
 				}
-				for name, e := range engines {
-					sc := new(clusterScratch)
-					got, err := e.preRank(sc, e.retrieve(sc, q), q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s, cap %d, %s path %d: preRank kept %d candidates that differ from the definition's %d (confirmed %d, demoted %d)",
-							name, capN, gq.id, qi, len(got), len(want), confirmed, demoted)
-					}
+				got, err := e.preRank(sc, ids, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("cap %d, %s path %d: preRank kept %d candidates that differ from the definition's %d (confirmed %d, demoted %d)",
+						capN, gq.id, qi, len(got), len(want), confirmed, demoted)
 				}
 			}
 		}

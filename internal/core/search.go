@@ -257,10 +257,9 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 
 // pairScorer scores combinations for the search frontier without
 // touching a map or allocating. Four invariants make the ranked answers
-// a function of the clusters alone — the same at every shard count,
-// and equal bit for bit to the paper's formulas folded in
-// pair order (TestAnswersMatchPaperFormulas, the goldens of
-// TestEquivalenceAcrossEngines):
+// a function of the clusters alone, equal bit for bit to the paper's
+// formulas folded in pair order (TestAnswersMatchPaperFormulas, the
+// goldens of TestEquivalenceAcrossEngines):
 //
 //  1. Pair values are the floats align.PsiAligned returns. χa is
 //     evaluated from precompiled binding vectors (interned term IDs per

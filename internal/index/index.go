@@ -57,15 +57,6 @@ type Options struct {
 	// does for page I/O — the crash and group-commit tests use it to
 	// widen the commit window or snapshot the disk state mid-fsync.
 	WALSyncHook func() error
-	// AssignPath, when set, restricts the index to a partition of the
-	// path space: only paths for which it returns true are kept, both at
-	// Build time and when InsertTriples (or WAL replay) re-enumerates
-	// affected roots. A sharded deployment gives every shard the same
-	// graph and a disjoint AssignPath predicate, so each shard indexes —
-	// and, on recovery, replays — exactly its own partition. The
-	// predicate must be deterministic and stable across restarts; it is
-	// not persisted, so reopening callers must pass it again.
-	AssignPath func(p paths.Path) bool
 }
 
 func (o Options) checkpointBytes() int64 {
@@ -151,15 +142,12 @@ type Index struct {
 	pathCfg paths.Config
 	thes    *textindex.Thesaurus
 	wrapIO  func(storage.PageIO) storage.PageIO
-	// assignPath is Options.AssignPath: the partition predicate applied
-	// to every enumerated path (nil keeps everything).
-	assignPath func(p paths.Path) bool
 	// hubRooted records whether the indexed paths are rooted at hubs
 	// (the graph had no sources when they were enumerated). The insert
 	// path consults it instead of re-deriving the pre-insert source
-	// structure from the graph, which would be wrong when the same batch
-	// is applied to several shards sharing one graph — the first apply
-	// mutates the graph before the others look.
+	// structure from the graph, which would be wrong when a batch is
+	// retried after a failed apply — the failed attempt has already
+	// added its triples to the graph.
 	hubRooted bool
 	stats     Stats
 	// Durable write path state (nil/zero without a WAL): wal is the
@@ -292,24 +280,7 @@ func metaPath(base string) string  { return base + ".meta" }
 // overwritten.
 func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
 	ps := paths.Enumerate(g, opts.pathConfig())
-	if opts.AssignPath != nil {
-		kept := ps[:0]
-		for _, p := range ps {
-			if opts.AssignPath(p) {
-				kept = append(kept, p)
-			}
-		}
-		ps = kept
-	}
-	return BuildPaths(base, g, ps, opts)
-}
-
-// BuildPaths is Build over a pre-enumerated path list: exactly ps is
-// indexed, in order (no AssignPath filtering — the caller has already
-// chosen the partition). The sharded build uses it to enumerate the
-// graph once and route each path to its owning shard.
-func BuildPaths(base string, g *rdf.Graph, ps []paths.Path, opts Options) (*Index, error) {
-	start := time.Now()
+	start := time.Now() // Stats.BuildTime starts after the enumeration
 	file, err := storage.CreatePageFile(pagesPath(base))
 	if err != nil {
 		return nil, err
@@ -325,7 +296,6 @@ func BuildPaths(base string, g *rdf.Graph, ps []paths.Path, opts Options) (*Inde
 		pathCfg:         opts.pathConfig(),
 		thes:            opts.Thesaurus,
 		wrapIO:          opts.WrapIO,
-		assignPath:      opts.AssignPath,
 		hubRooted:       len(g.Sources()) == 0,
 		walDir:          opts.WALDir,
 		checkpointBytes: opts.checkpointBytes(),
@@ -478,7 +448,6 @@ func openIndex(base string, opts Options, attachWAL bool) (*Index, error) {
 		pathCfg:         opts.pathConfig(),
 		thes:            opts.Thesaurus,
 		wrapIO:          opts.WrapIO,
-		assignPath:      opts.AssignPath,
 		checkpointBytes: opts.checkpointBytes(),
 	}
 	ix.store = storage.NewRecordStore(ix.pool)

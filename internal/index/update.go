@@ -145,10 +145,10 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 func (ix *Index) applyTriplesLocked(ts []rdf.Triple) error {
 	g := ix.graph
 	// The pre-insert rooting comes from the index's own flag, not the
-	// graph: when the same batch fans out to several shards over one
-	// shared graph, the first shard's apply has already added the
-	// triples by the time the others look, so len(g.Sources()) no longer
-	// reflects the state the indexed paths were enumerated against.
+	// graph: when this batch is a retry of one whose staging failed, the
+	// failed attempt has already added the triples, so len(g.Sources())
+	// no longer reflects the state the indexed paths were enumerated
+	// against.
 	wasHubRooted := ix.hubRooted
 	preNodes := g.NodeCount()
 
@@ -195,9 +195,6 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) error {
 	terms := ix.dict.Len()
 	for _, root := range roots {
 		for _, p := range paths.EnumerateFrom(g, root, ix.pathCfg) {
-			if ix.assignPath != nil && !ix.assignPath(p) {
-				continue // another shard's partition
-			}
 			rid, err := ix.stagePath(&ids, p)
 			if err != nil {
 				ix.dict.truncate(terms)

@@ -13,9 +13,9 @@ import (
 )
 
 // Router is the multi-node scatter-gather front end (`samad -route`):
-// one query fans out to N shard servers — each a samad serving one
-// shard of a sharded layout (base.shards/sNNN), or a full replica —
-// and the ranked per-shard answers merge into one response.
+// one query fans out to N shard servers — each a samad serving a whole
+// database over its partition of the data, or a full replica — and the
+// ranked per-shard answers merge into one response.
 //
 // Availability beats completeness here: a slow or dead shard degrades
 // the answer set instead of failing the query. Its answers are simply
@@ -24,12 +24,10 @@ import (
 // failed shards. Only when every shard fails does the query error
 // (502 through the handler).
 //
-// Semantics differ from the in-process sharded engine (core.NewSharded,
-// DESIGN.md §12): that one merges *candidates* before the combination
-// search, so its answers are identical to the monolith. The router
-// merges *answers* after each shard's own search, so an answer can only
-// combine data paths co-located on one shard. The merge order is still
-// deterministic: (score, shard index, per-shard rank).
+// The router merges *answers* after each shard's own combination
+// search (DESIGN.md §12), so an answer can only combine data paths
+// co-located on one shard. The merge order is deterministic: (score,
+// shard index, per-shard rank).
 type Router struct {
 	urls    []string
 	shards  []*client.Client

@@ -56,7 +56,6 @@ import (
 	"sama/internal/rdf/ntriples"
 	"sama/internal/rdf/turtle"
 	"sama/internal/server"
-	"sama/internal/shard"
 	"sama/internal/sparql"
 	"sama/internal/storage"
 	"sama/internal/textindex"
@@ -205,7 +204,6 @@ type config struct {
 	engine          core.Options
 	walDir          string
 	checkpointBytes int64
-	shards          int
 }
 
 // WithParams sets the similarity coefficients. The coefficients are
@@ -286,46 +284,11 @@ func WithWALCheckpoint(bytes int64) Option {
 	return func(c *config) { c.checkpointBytes = bytes }
 }
 
-// WithShards partitions the path index into n self-contained shards
-// (DESIGN.md §12): Create builds a sharded on-disk layout, queries run
-// the retrieval and cluster passes per shard and merge the per-shard
-// rankings — answers are identical to the single-shard layout at every
-// n. Only meaningful at Create time; the shard count persists in the
-// layout's manifest and Open detects it without the option. n ≤ 1
-// keeps the monolithic layout (the default).
-func WithShards(n int) Option { return func(c *config) { c.shards = n } }
-
-// store is what a DB operates on: either one monolithic index or a
-// sharded set of them. Both expose the same maintenance and
-// introspection surface; only query execution differs (core.New vs
-// core.NewSharded), and the DB resolves that once at open time.
-type store interface {
-	SetMetrics(*obs.Registry)
-	SetEvents(*obs.EventLog)
-	PoolStats() storage.PoolStats
-	BatchedReads() index.BatchedReadStats
-	WALStats() (storage.WALStats, bool)
-	AttachGraph(*rdf.Graph)
-	InsertTriples([]rdf.Triple) error
-	Flush() error
-	Compact() error
-	CompactIncremental(context.Context, int) (index.CompactStats, error)
-	Checkpoint() error
-	NeedsRecovery() int
-	Recover(*rdf.Graph) (index.RecoveryStats, error)
-	LastRecovery() index.RecoveryStats
-	Stats() index.Stats
-	DropCache() error
-	Close() error
-}
-
-// DB is an opened Sama database: a disk-resident path index (monolithic
-// or sharded) plus the query engine over it. Every DB owns a metrics
-// registry and a ring of recent query traces; ServeDebug exposes both
-// over HTTP.
+// DB is an opened Sama database: a disk-resident path index plus the
+// query engine over it. Every DB owns a metrics registry and a ring of
+// recent query traces; ServeDebug exposes both over HTTP.
 type DB struct {
-	store  store
-	set    *shard.Set // non-nil for the sharded layout
+	store  *index.Index
 	engine *core.Engine
 	reg    *obs.Registry
 	lastq  *obs.QueryLog
@@ -342,68 +305,47 @@ func buildConfig(opts []Option) *config {
 }
 
 // Create indexes the data graph into files at basePath (basePath.pages
-// and basePath.meta, or basePath.shards/ under WithShards), overwriting
-// any existing index, and returns the opened database.
+// and basePath.meta), overwriting any existing index, and returns the
+// opened database.
 func Create(basePath string, g *Graph, opts ...Option) (*DB, error) {
 	c := buildConfig(opts)
-	ixOpts := index.Options{
+	idx, err := index.Build(basePath, g, index.Options{
 		Paths:           c.pathCfg,
 		PoolPages:       c.poolPages,
 		Thesaurus:       c.thesaurus,
 		WALDir:          c.walDir,
 		CheckpointBytes: c.checkpointBytes,
-	}
-	if c.shards > 1 {
-		set, err := shard.Build(basePath, g, shard.Options{Shards: c.shards, Index: ixOpts})
-		if err != nil {
-			return nil, err
-		}
-		return newShardedDB(set, c), nil
-	}
-	idx, err := index.Build(basePath, g, ixOpts)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return newDB(idx, c), nil
 }
 
-// Open loads a previously created index, monolithic or sharded — the
-// layout on disk decides, not the caller.
+// Open loads a previously created index from basePath.meta and
+// basePath.pages.
 func Open(basePath string, opts ...Option) (*DB, error) {
 	c := buildConfig(opts)
-	ixOpts := index.Options{
+	idx, err := index.Open(basePath, index.Options{
 		PoolPages:       c.poolPages,
 		Thesaurus:       c.thesaurus,
 		WALDir:          c.walDir,
 		CheckpointBytes: c.checkpointBytes,
-	}
-	if shard.IsSharded(basePath) {
-		set, err := shard.Open(basePath, shard.Options{Index: ixOpts})
-		if err != nil {
-			return nil, err
-		}
-		return newShardedDB(set, c), nil
-	}
-	idx, err := index.Open(basePath, ixOpts)
+	})
 	if err != nil {
+		// Older builds wrote a sharded layout as basePath.shards/ with no
+		// basePath.meta; name it instead of reporting a missing file.
+		if errors.Is(err, os.ErrNotExist) {
+			if _, serr := os.Stat(filepath.Join(basePath+".shards", "manifest.json")); serr == nil {
+				return nil, fmt.Errorf("sama: open %s: sharded layouts are no longer read: rebuild the index from its data with `sama index`", basePath)
+			}
+		}
 		return nil, err
 	}
 	return newDB(idx, c), nil
 }
 
-func newDB(idx *index.Index, c *config) *DB {
-	return assembleDB(idx, nil, c, func(o core.Options) *core.Engine {
-		return core.New(idx, o)
-	})
-}
-
-func newShardedDB(set *shard.Set, c *config) *DB {
-	return assembleDB(set, set, c, func(o core.Options) *core.Engine {
-		return core.NewSharded(set, o)
-	})
-}
-
-func assembleDB(st store, set *shard.Set, c *config, newEngine func(core.Options) *core.Engine) *DB {
+func newDB(st *index.Index, c *config) *DB {
 	reg := obs.NewRegistry()
 	st.SetMetrics(reg)
 	// The pool owns its counters; expose them as scrape-time funcs so
@@ -446,8 +388,7 @@ func assembleDB(st store, set *shard.Set, c *config, newEngine func(core.Options
 	engOpts.Events = events
 	return &DB{
 		store:  st,
-		set:    set,
-		engine: newEngine(engOpts),
+		engine: core.New(st, engOpts),
 		reg:    reg,
 		lastq:  obs.NewQueryLog(obs.QueryLogSize),
 		events: events,
@@ -698,17 +639,7 @@ func (db *DB) Recover(g *Graph) (RecoveryStats, error) {
 func (db *DB) WALStats() (WALStats, bool) { return db.store.WALStats() }
 
 // Stats returns the index build statistics (Table 1's measurements).
-// For a sharded database the per-shard statistics are aggregated.
 func (db *DB) Stats() IndexStats { return db.store.Stats() }
-
-// Shards reports the database's shard count: 0 for the monolithic
-// layout, N for a layout created with WithShards(N).
-func (db *DB) Shards() int {
-	if db.set == nil {
-		return 0
-	}
-	return db.set.NumShards()
-}
 
 // PoolStats returns the buffer pool counters.
 func (db *DB) PoolStats() PoolStats { return db.store.PoolStats() }

@@ -2,6 +2,7 @@ package sama
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,6 +110,68 @@ func TestOpenPersisted(t *testing.T) {
 	}
 	if len(res.Answers) == 0 {
 		t.Error("reopened db found nothing")
+	}
+}
+
+// leaveShardedLayout writes the manifest an older build's sharded layout
+// kept at base.shards/manifest.json.
+func leaveShardedLayout(t *testing.T, base string) string {
+	t.Helper()
+	dir := base + ".shards"
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "manifest.json")
+	if err := writeFile(manifest, `{"version":1,"shards":2,"partitioner":"hash"}`); err != nil {
+		t.Fatal(err)
+	}
+	return manifest
+}
+
+// TestOpenIgnoresLeftoverShardedLayout: a base.shards/ directory left
+// next to a freshly created index neither shadows it on Open nor is
+// deleted by Create.
+func TestOpenIgnoresLeftoverShardedLayout(t *testing.T) {
+	g, err := LoadNTriples(strings.NewReader(govtrackNT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "db")
+	manifest := leaveShardedLayout(t, base)
+	db, err := Create(base, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := db.Stats().Paths
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := db2.Stats().Paths; got != want || got == 0 {
+		t.Errorf("reopened index has %d paths, the fresh build had %d", got, want)
+	}
+	if _, err := os.Stat(manifest); err != nil {
+		t.Errorf("Create removed the user's %s: %v", manifest, err)
+	}
+}
+
+// TestOpenRejectsShardedLayout: a base that holds only a sharded layout
+// is refused with an error that says what it is and what to do about it.
+func TestOpenRejectsShardedLayout(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "db")
+	leaveShardedLayout(t, base)
+	_, err := Open(base)
+	if err == nil {
+		t.Fatal("a sharded layout without base.meta was opened")
+	}
+	for _, want := range []string{"sharded layouts are no longer read", "rebuild the index from its data"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q lacks %q", err, want)
+		}
 	}
 }
 
@@ -251,28 +314,39 @@ func TestInsertIncrementally(t *testing.T) {
 }
 
 func TestCompactAfterInserts(t *testing.T) {
-	db := newTestDB(t)
-	for i := 0; i < 3; i++ {
-		if err := db.Insert([]Triple{
-			{S: NewIRI("CarlaBunes"), P: NewIRI("sponsor"), O: NewIRI("X" + string(rune('0'+i)))},
-		}); err != nil {
-			t.Fatal(err)
-		}
+	compactors := map[string]func(*DB) error{
+		"full": (*DB).Compact,
+		"incremental": func(db *DB) error {
+			_, err := db.CompactIncremental(context.Background(), 0)
+			return err
+		},
 	}
-	res1, err := db.QuerySPARQL(`SELECT ?x WHERE { ?x <gender> "Male" }`, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := db.QuerySPARQL(`SELECT ?x WHERE { ?x <gender> "Male" }`, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res1.Answers) != len(res2.Answers) {
-		t.Errorf("answers changed across compaction: %d vs %d",
-			len(res1.Answers), len(res2.Answers))
+	for name, compact := range compactors {
+		t.Run(name, func(t *testing.T) {
+			db := newTestDB(t)
+			for i := 0; i < 3; i++ {
+				if err := db.Insert([]Triple{
+					{S: NewIRI("CarlaBunes"), P: NewIRI("sponsor"), O: NewIRI("X" + string(rune('0'+i)))},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res1, err := db.QuerySPARQL(`SELECT ?x WHERE { ?x <gender> "Male" }`, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := compact(db); err != nil {
+				t.Fatal(err)
+			}
+			res2, err := db.QuerySPARQL(`SELECT ?x WHERE { ?x <gender> "Male" }`, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res1.Answers) != len(res2.Answers) {
+				t.Errorf("answers changed across compaction: %d vs %d",
+					len(res1.Answers), len(res2.Answers))
+			}
+		})
 	}
 }
 
