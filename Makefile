@@ -58,19 +58,26 @@ crash:
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
-# fuzz-smoke runs each native fuzz target — the path-record decoder
-# and the dictionary reader every stored path depends on, the inline
-# codec the benchmark still times, the compressed postings (decode ∘
-# encode, SeekGE, union) and the bounded leapfrog intersection — for
-# ten seconds on top of its checked-in corpus (testdata/fuzz in its
-# package); a crasher it finds is written there and fails every later
-# go test.
+# fuzz-smoke runs each of the eight native fuzz targets — the
+# path-record decoder and the dictionary reader every stored path
+# depends on, the inline codec the benchmark still times, the compressed
+# postings (decode ∘ encode, SeekGE, union), the bounded leapfrog
+# intersection, and the three parser front-ends over the shared term
+# scanner (N-Triples: write ∘ read is a fixed point and Turtle reads the
+# same triples; Turtle: only valid triples; SPARQL: only valid patterns,
+# errors positioned inside the input) — for ten seconds on top of its
+# checked-in corpus (testdata/fuzz in its package; the parsers' seeds
+# are the rows of internal/rdf/syntax's agreement table); a crasher it
+# finds is written there and fails every later go test.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePathDict$$' -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDictionary$$' -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePath$$' -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz FuzzPostingsSeekGE -fuzztime 10s ./internal/textindex
 	$(GO) test -run '^$$' -fuzz FuzzIntersectAmong -fuzztime 10s ./internal/textindex
+	$(GO) test -run '^$$' -fuzz FuzzParseNTriples -fuzztime 10s ./internal/rdf/ntriples
+	$(GO) test -run '^$$' -fuzz FuzzParseTurtle -fuzztime 10s ./internal/rdf/turtle
+	$(GO) test -run '^$$' -fuzz FuzzParseSPARQL -fuzztime 10s ./internal/sparql
 
 # loc prints non-test and test Go line counts per package directory —
 # the root module's and bench/'s — one line each, so a "non-test lines

@@ -1,4 +1,4 @@
-// Package cache provides the sharded, epoch-validated LRU that backs
+// Package cache provides the epoch-validated LRU that backs
 // the engine's answer cache and alignment memo. The package is generic
 // on purpose: values are opaque `any`, keys are strings, and freshness
 // is expressed as a caller-supplied epoch — a monotonic counter the
@@ -12,12 +12,14 @@
 // (answer caches, where entries are roughly the same size) and a
 // maximum byte budget fed by caller-supplied size hints (alignment
 // memos, whose values vary from a few dozen bytes to kilobytes).
-// Either bound evicts least-recently-used entries first.
+// Either bound evicts least-recently-used entries first and holds to
+// the entry: there is one recency list, so nothing is evicted while the
+// cache as a whole has room.
 //
-// The cache is safe for concurrent use. It is sharded by key hash so
-// parallel cluster builds don't serialise on one mutex, and the
-// hit/miss/eviction/invalidation counters are atomics readable at any
-// rate without touching the shard locks.
+// The cache is safe for concurrent use: one mutex guards the map and
+// the list (the alignment memo is probed once per query path, the
+// answer cache once per query), and the hit/miss/eviction/invalidation
+// counters are atomics readable at any rate without taking it.
 package cache
 
 import (
@@ -25,11 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// shardCount is the fixed number of shards. 16 keeps lock contention
-// negligible for the engine's worst case (one goroutine per query path,
-// typically < 8) without wasting memory on tiny caches.
-const shardCount = 16
 
 // entryOverhead approximates the bookkeeping bytes per entry (map cell,
 // list element, entry struct) charged on top of the caller's size hint.
@@ -64,24 +61,20 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Cache is a sharded LRU keyed by string with epoch-checked freshness.
+// Cache is an LRU keyed by string with epoch-checked freshness.
 // The zero value is not usable; construct with New. A nil *Cache is
 // valid and behaves as an always-miss cache that stores nothing, so
 // callers can leave caching disabled without guarding every call site.
 type Cache struct {
-	shards [shardCount]shard
+	maxEntries int   // 0 = unbounded
+	maxBytes   int64 // 0 = unbounded
 
-	maxEntries int   // per cache, 0 = unbounded
-	maxBytes   int64 // per cache, 0 = unbounded
-
-	hits, misses, evictions, invalidations atomic.Uint64
-}
-
-type shard struct {
 	mu      sync.Mutex
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
 	bytes   int64
+
+	hits, misses, evictions, invalidations atomic.Uint64
 }
 
 type entry struct {
@@ -99,26 +92,12 @@ func New(maxEntries int, maxBytes int64) *Cache {
 	if maxEntries <= 0 && maxBytes <= 0 {
 		maxEntries = 4096
 	}
-	c := &Cache{maxEntries: maxEntries, maxBytes: maxBytes}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*list.Element)
-		c.shards[i].lru = list.New()
+	return &Cache{
+		maxEntries: maxEntries,
+		maxBytes:   maxBytes,
+		entries:    make(map[string]*list.Element),
+		lru:        list.New(),
 	}
-	return c
-}
-
-// fnv1a hashes the key for shard selection (FNV-1a, 32 bit).
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func (c *Cache) shard(key string) *shard {
-	return &c.shards[fnv1a(key)%shardCount]
 }
 
 // Get returns the cached value for key if it was stored at exactly the
@@ -128,24 +107,23 @@ func (c *Cache) Get(key string, epoch uint64) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	el, ok := sh.entries[key]
+	c.mu.Lock()
+	el, ok := c.entries[key]
 	if !ok {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		c.misses.Add(1)
 		return nil, false
 	}
 	en := el.Value.(*entry)
 	if en.epoch != epoch {
-		sh.remove(el, en)
-		sh.mu.Unlock()
+		c.remove(el, en)
+		c.mu.Unlock()
 		c.invalidations.Add(1)
 		c.misses.Add(1)
 		return nil, false
 	}
-	sh.lru.MoveToFront(el)
-	sh.mu.Unlock()
+	c.lru.MoveToFront(el)
+	c.mu.Unlock()
 	c.hits.Add(1)
 	return en.value, true
 }
@@ -160,35 +138,29 @@ func (c *Cache) Put(key string, epoch uint64, value any, size int) {
 		return
 	}
 	charged := int64(size) + int64(len(key)) + entryOverhead
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
-		sh.remove(el, el.Value.(*entry))
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.remove(el, el.Value.(*entry))
 	}
 	en := &entry{key: key, epoch: epoch, value: value, size: charged}
-	sh.entries[key] = sh.lru.PushFront(en)
-	sh.bytes += charged
-	// Evict LRU entries until this shard is within its slice of the
-	// budget. Budgets divide evenly across shards; the hash spreads keys
-	// uniformly enough that the global bound holds to within a shard.
-	maxE, maxB := c.maxEntries/shardCount, c.maxBytes/shardCount
-	if c.maxEntries > 0 && maxE < 1 {
-		maxE = 1
-	}
-	for (c.maxEntries > 0 && sh.lru.Len() > maxE) ||
-		(c.maxBytes > 0 && sh.bytes > maxB && sh.lru.Len() > 1) {
-		victim := sh.lru.Back()
-		sh.remove(victim, victim.Value.(*entry))
+	c.entries[key] = c.lru.PushFront(en)
+	c.bytes += charged
+	// Evict from the cold end until both bounds hold; the entry just
+	// stored stays even when it alone exceeds the byte budget.
+	for (c.maxEntries > 0 && c.lru.Len() > c.maxEntries) ||
+		(c.maxBytes > 0 && c.bytes > c.maxBytes && c.lru.Len() > 1) {
+		victim := c.lru.Back()
+		c.remove(victim, victim.Value.(*entry))
 		c.evictions.Add(1)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 }
 
-// remove unlinks an entry. Caller holds sh.mu.
-func (sh *shard) remove(el *list.Element, en *entry) {
-	sh.lru.Remove(el)
-	delete(sh.entries, en.key)
-	sh.bytes -= en.size
+// remove unlinks an entry. Caller holds c.mu.
+func (c *Cache) remove(el *list.Element, en *entry) {
+	c.lru.Remove(el)
+	delete(c.entries, en.key)
+	c.bytes -= en.size
 }
 
 // Len returns the number of live entries.
@@ -196,18 +168,13 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }
 
 // Stats snapshots the counters. Safe to call at any rate; the counter
-// fields are read without the shard locks, so a snapshot taken during
+// fields are read without the lock, so a snapshot taken during
 // concurrent traffic is consistent per field, not across fields.
 func (c *Cache) Stats() Stats {
 	if c == nil {
@@ -219,13 +186,9 @@ func (c *Cache) Stats() Stats {
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Entries += sh.lru.Len()
-		st.Bytes += sh.bytes
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	st.Entries, st.Bytes = c.lru.Len(), c.bytes
+	c.mu.Unlock()
 	return st
 }
 
@@ -234,12 +197,9 @@ func (c *Cache) Purge() {
 	if c == nil {
 		return
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.entries = make(map[string]*list.Element)
-		sh.lru.Init()
-		sh.bytes = 0
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.entries = make(map[string]*list.Element)
+	c.lru.Init()
+	c.bytes = 0
+	c.mu.Unlock()
 }

@@ -50,26 +50,18 @@ func TestEpochMismatchInvalidates(t *testing.T) {
 }
 
 func TestEntryBudgetEvictsLRU(t *testing.T) {
-	// All keys land in one shard only by luck, so drive a single shard
-	// deliberately: with maxEntries = shardCount each shard holds one
-	// entry, and the second insert into a shard evicts the first.
-	c := New(shardCount, 0)
-	sh := c.shard("first")
-	var second string
-	for i := 0; ; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if c.shard(k) == sh && k != "first" {
-			second = k
-			break
-		}
-	}
+	c := New(2, 0)
 	c.Put("first", 1, 1, 0)
-	c.Put(second, 1, 2, 0)
-	if _, ok := c.Get("first", 1); ok {
+	c.Put("second", 1, 2, 0)
+	c.Get("first", 1) // "second" is now the least recently used
+	c.Put("third", 1, 3, 0)
+	if _, ok := c.Get("second", 1); ok {
 		t.Fatal("LRU entry survived an over-budget insert")
 	}
-	if v, ok := c.Get(second, 1); !ok || v.(int) != 2 {
-		t.Fatal("most recent entry was evicted instead of the LRU one")
+	for key, want := range map[string]int{"first": 1, "third": 3} {
+		if v, ok := c.Get(key, 1); !ok || v.(int) != want {
+			t.Fatalf("%s was evicted instead of the LRU entry", key)
+		}
 	}
 	if st := c.Stats(); st.Evictions != 1 {
 		t.Fatalf("Evictions = %d, want 1", st.Evictions)
@@ -77,20 +69,41 @@ func TestEntryBudgetEvictsLRU(t *testing.T) {
 }
 
 func TestByteBudgetEvicts(t *testing.T) {
-	// A tight byte budget: each entry charges size + key + overhead,
-	// far over the per-shard slice, so every shard keeps at most the
-	// single most recent entry it saw (the eviction loop never drops
-	// the entry just inserted).
-	c := New(0, shardCount*32)
+	// Every entry charges size + key + overhead, far over the whole
+	// budget, so only the most recent one stays: the eviction loop
+	// never drops the entry just inserted.
+	c := New(0, 32)
 	for i := 0; i < 64; i++ {
 		c.Put(fmt.Sprintf("k%d", i), 1, i, 1024)
 	}
-	st := c.Stats()
-	if st.Entries > shardCount {
-		t.Fatalf("Entries = %d, want <= %d under the byte budget", st.Entries, shardCount)
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != 63 {
+		t.Fatalf("Entries/Evictions = %d/%d, want 1/63", st.Entries, st.Evictions)
 	}
-	if st.Evictions == 0 {
-		t.Fatal("no evictions under a byte budget 64 entries overflow")
+	if _, ok := c.Get("k63", 1); !ok {
+		t.Fatal("the entry just inserted was evicted")
+	}
+}
+
+// TestBoundsAreExact: both bounds are the cache's, not a slice of it per
+// hash bucket — the cache fills to exactly its budget and evicts one
+// entry per insert from there on.
+func TestBoundsAreExact(t *testing.T) {
+	fill := func(c *Cache) Stats {
+		for i := 0; i < 64; i++ {
+			c.Put(fmt.Sprintf("k%02d", i), 1, i, 1000)
+		}
+		return c.Stats()
+	}
+	if st := fill(New(8, 0)); st.Entries != 8 || st.Evictions != 56 {
+		t.Errorf("entry bound 8: %d entries, %d evictions; want 8, 56", st.Entries, st.Evictions)
+	}
+	const charged int64 = 1000 + int64(len("k00")) + entryOverhead
+	if st := fill(New(0, 10*charged)); st.Entries != 10 || st.Bytes != 10*charged || st.Evictions != 54 {
+		t.Errorf("byte bound of 10 entries: %d entries, %d bytes, %d evictions; want 10, %d, 54",
+			st.Entries, st.Bytes, st.Evictions, 10*charged)
+	}
+	if st := fill(New(0, 10*charged-1)); st.Entries != 9 {
+		t.Errorf("byte bound one short of 10 entries: %d entries, want 9", st.Entries)
 	}
 }
 

@@ -82,6 +82,28 @@ func TestRunFigure6Small(t *testing.T) {
 	}
 }
 
+// TestColdStartIsCold: every cold repetition of Fig. 6 must be cold.
+// After ColdStart a Run reads pages from disk and finds nothing in the
+// alignment memo — the second round as much as the first.
+func TestColdStartIsCold(t *testing.T) {
+	_, sama := smallSystems(t)
+	q := workload.LUBMQueries()[3]
+	for round := 1; round <= 2; round++ {
+		if err := sama.ColdStart(); err != nil {
+			t.Fatal(err)
+		}
+		pages, memo := sama.Index().PoolStats().Misses, sama.Engine().CacheStats()["align"].Hits
+		if _, err := sama.Run(q, TopK); err != nil {
+			t.Fatal(err)
+		}
+		pages = sama.Index().PoolStats().Misses - pages
+		memo = sama.Engine().CacheStats()["align"].Hits - memo
+		if pages == 0 || memo != 0 {
+			t.Errorf("round %d after ColdStart: %d page reads, %d memo hits; want > 0 and 0", round, pages, memo)
+		}
+	}
+}
+
 func TestRunFigure7Sweeps(t *testing.T) {
 	_, sama := smallSystems(t)
 	b, err := RunFigure7b(sama, 5, 1)

@@ -94,8 +94,12 @@ func (s *SamaSystem) Run(q workload.Query, k int) ([]RunResult, error) {
 // Graph returns the indexed data graph (retained by the index build).
 func (s *SamaSystem) Graph() *rdf.Graph { return s.idx.Graph() }
 
-// ColdStart implements System by dropping the buffer pool.
-func (s *SamaSystem) ColdStart() error { return s.idx.DropCache() }
+// ColdStart implements System by dropping the engine's alignment memo
+// and the buffer pool: the next Run reads its pages from disk again.
+func (s *SamaSystem) ColdStart() error {
+	s.engine.DropCaches()
+	return s.idx.DropCache()
+}
 
 // Close implements System.
 func (s *SamaSystem) Close() error { return s.idx.Close() }

@@ -2,20 +2,24 @@
 // interchange format, the line-based serialisation used to load the
 // benchmark datasets into the engines.
 //
-// The parser supports the full N-Triples grammar relevant to this system:
-// IRIs, blank nodes, plain / typed / language-tagged literals, numeric
-// and string escapes (\t \b \n \r \f \" \' \\ \uXXXX \UXXXXXXXX),
-// comments and blank lines. Errors carry the offending line number.
+// The reader is a streaming line reader over the shared term scanner
+// (internal/rdf/syntax): one statement per line, each term an IRIREF, a
+// blank-node label or a double-quoted literal with its @language tag or
+// ^^<datatype>, comments and blank lines skipped. The writer spells
+// every term through the scanner's encoder, so what it writes the
+// reader reads back to the same triples. Errors carry the offending
+// line number.
 package ntriples
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
-	"unicode/utf8"
 
 	"sama/internal/rdf"
+	"sama/internal/rdf/syntax"
 )
 
 // ParseError describes a syntax error at a specific line of the input.
@@ -31,6 +35,7 @@ func (e *ParseError) Error() string {
 // Reader parses N-Triples statements from an input stream.
 type Reader struct {
 	scan *bufio.Scanner
+	s    *syntax.Scanner
 	line int
 }
 
@@ -38,7 +43,7 @@ type Reader struct {
 func NewReader(r io.Reader) *Reader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	return &Reader{scan: sc}
+	return &Reader{scan: sc, s: syntax.New("")}
 }
 
 // Next returns the next triple in the stream, io.EOF at end of input, or
@@ -46,13 +51,18 @@ func NewReader(r io.Reader) *Reader {
 func (r *Reader) Next() (rdf.Triple, error) {
 	for r.scan.Scan() {
 		r.line++
-		line := strings.TrimSpace(r.scan.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		r.s.Reset(r.scan.Text())
+		if r.s.EOF() { // blank or comment-only line
 			continue
 		}
-		t, err := parseLine(line, r.line)
+		t, err := r.statement()
 		if err != nil {
-			return rdf.Triple{}, err
+			msg := err.Error()
+			var se *syntax.Error
+			if errors.As(err, &se) {
+				msg = se.Msg
+			}
+			return rdf.Triple{}, &ParseError{Line: r.line, Msg: msg}
 		}
 		return t, nil
 	}
@@ -60,6 +70,44 @@ func (r *Reader) Next() (rdf.Triple, error) {
 		return rdf.Triple{}, err
 	}
 	return rdf.Triple{}, io.EOF
+}
+
+// statement parses the line the scanner holds: subject predicate object
+// '.', nothing after it but a comment, each term in a position a data
+// graph admits.
+func (r *Reader) statement() (t rdf.Triple, err error) {
+	if t.S, err = r.term(); err != nil {
+		return t, err
+	}
+	if t.P, err = r.term(); err != nil {
+		return t, err
+	}
+	if t.O, err = r.term(); err != nil {
+		return t, err
+	}
+	if err = r.s.Expect('.'); err != nil {
+		return t, err
+	}
+	if !r.s.EOF() {
+		return t, r.s.Expected("the end of the line")
+	}
+	return t, t.Valid()
+}
+
+func (r *Reader) term() (rdf.Term, error) {
+	switch r.s.Peek() {
+	case '<':
+		iri, err := r.s.IRIRef()
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		return rdf.NewIRI(iri), nil
+	case '_':
+		return r.s.BlankLabel()
+	case '"':
+		return r.s.Literal(r.s.IRIRef)
+	}
+	return rdf.Term{}, r.s.Expected("an IRI, a blank node or a literal")
 }
 
 // ReadAll parses every triple in r until EOF.
@@ -95,264 +143,14 @@ func ReadGraph(r io.Reader) (*rdf.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := t.Valid(); err != nil {
-			return nil, &ParseError{Line: rd.line, Msg: err.Error()}
-		}
 		g.AddTriple(t)
 	}
-}
-
-type lineParser struct {
-	s    string
-	pos  int
-	line int
-}
-
-func parseLine(line string, lineno int) (rdf.Triple, error) {
-	p := &lineParser{s: line, line: lineno}
-	s, err := p.term()
-	if err != nil {
-		return rdf.Triple{}, err
-	}
-	p.skipSpace()
-	pr, err := p.term()
-	if err != nil {
-		return rdf.Triple{}, err
-	}
-	p.skipSpace()
-	o, err := p.term()
-	if err != nil {
-		return rdf.Triple{}, err
-	}
-	p.skipSpace()
-	if p.pos >= len(p.s) || p.s[p.pos] != '.' {
-		return rdf.Triple{}, p.errf("expected terminating '.'")
-	}
-	p.pos++
-	p.skipSpace()
-	if p.pos != len(p.s) {
-		return rdf.Triple{}, p.errf("trailing garbage %q", p.s[p.pos:])
-	}
-	return rdf.Triple{S: s, P: pr, O: o}, nil
-}
-
-func (p *lineParser) errf(format string, args ...any) *ParseError {
-	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *lineParser) skipSpace() {
-	for p.pos < len(p.s) && (p.s[p.pos] == ' ' || p.s[p.pos] == '\t') {
-		p.pos++
-	}
-}
-
-func (p *lineParser) term() (rdf.Term, error) {
-	if p.pos >= len(p.s) {
-		return rdf.Term{}, p.errf("unexpected end of line")
-	}
-	switch p.s[p.pos] {
-	case '<':
-		return p.iri()
-	case '_':
-		return p.blank()
-	case '"':
-		return p.literal()
-	default:
-		return rdf.Term{}, p.errf("unexpected character %q at column %d", p.s[p.pos], p.pos+1)
-	}
-}
-
-func (p *lineParser) iri() (rdf.Term, error) {
-	end := strings.IndexByte(p.s[p.pos:], '>')
-	if end < 0 {
-		return rdf.Term{}, p.errf("unterminated IRI")
-	}
-	raw := p.s[p.pos+1 : p.pos+end]
-	p.pos += end + 1
-	val, err := unescape(raw)
-	if err != nil {
-		return rdf.Term{}, p.errf("bad IRI escape: %v", err)
-	}
-	return rdf.NewIRI(val), nil
-}
-
-func (p *lineParser) blank() (rdf.Term, error) {
-	if !strings.HasPrefix(p.s[p.pos:], "_:") {
-		return rdf.Term{}, p.errf("malformed blank node")
-	}
-	start := p.pos + 2
-	i := start
-	for i < len(p.s) && p.s[i] != ' ' && p.s[i] != '\t' {
-		i++
-	}
-	if i == start {
-		return rdf.Term{}, p.errf("empty blank node label")
-	}
-	label := p.s[start:i]
-	p.pos = i
-	return rdf.NewBlank(label), nil
-}
-
-func (p *lineParser) literal() (rdf.Term, error) {
-	// Scan to the closing quote, honouring backslash escapes.
-	i := p.pos + 1
-	var b strings.Builder
-	for {
-		if i >= len(p.s) {
-			return rdf.Term{}, p.errf("unterminated literal")
-		}
-		c := p.s[i]
-		if c == '"' {
-			break
-		}
-		if c == '\\' {
-			j, r, err := unescapeAt(p.s, i)
-			if err != nil {
-				return rdf.Term{}, p.errf("bad literal escape: %v", err)
-			}
-			b.WriteRune(r)
-			i = j
-			continue
-		}
-		b.WriteByte(c)
-		i++
-	}
-	lex := b.String()
-	p.pos = i + 1
-	// Optional language tag or datatype.
-	if p.pos < len(p.s) {
-		switch {
-		case p.s[p.pos] == '@':
-			start := p.pos + 1
-			j := start
-			for j < len(p.s) && p.s[j] != ' ' && p.s[j] != '\t' {
-				j++
-			}
-			if j == start {
-				return rdf.Term{}, p.errf("empty language tag")
-			}
-			tag := p.s[start:j]
-			p.pos = j
-			return rdf.NewLangLiteral(lex, tag), nil
-		case strings.HasPrefix(p.s[p.pos:], "^^"):
-			p.pos += 2
-			if p.pos >= len(p.s) || p.s[p.pos] != '<' {
-				return rdf.Term{}, p.errf("datatype must be an IRI")
-			}
-			dt, err := p.iri()
-			if err != nil {
-				return rdf.Term{}, err
-			}
-			return rdf.NewTypedLiteral(lex, dt.Value), nil
-		}
-	}
-	return rdf.NewLiteral(lex), nil
-}
-
-// unescapeAt decodes the escape sequence starting at s[i] (which must be
-// a backslash) and returns the index just past it and the decoded rune.
-func unescapeAt(s string, i int) (int, rune, error) {
-	if i+1 >= len(s) {
-		return 0, 0, fmt.Errorf("dangling backslash")
-	}
-	switch s[i+1] {
-	case 't':
-		return i + 2, '\t', nil
-	case 'b':
-		return i + 2, '\b', nil
-	case 'n':
-		return i + 2, '\n', nil
-	case 'r':
-		return i + 2, '\r', nil
-	case 'f':
-		return i + 2, '\f', nil
-	case '"':
-		return i + 2, '"', nil
-	case '\'':
-		return i + 2, '\'', nil
-	case '\\':
-		return i + 2, '\\', nil
-	case 'u':
-		return hexRune(s, i+2, 4)
-	case 'U':
-		return hexRune(s, i+2, 8)
-	default:
-		return 0, 0, fmt.Errorf("unknown escape \\%c", s[i+1])
-	}
-}
-
-func hexRune(s string, start, width int) (int, rune, error) {
-	if start+width > len(s) {
-		return 0, 0, fmt.Errorf("truncated unicode escape")
-	}
-	var v rune
-	for _, c := range s[start : start+width] {
-		var d rune
-		switch {
-		case c >= '0' && c <= '9':
-			d = c - '0'
-		case c >= 'a' && c <= 'f':
-			d = c - 'a' + 10
-		case c >= 'A' && c <= 'F':
-			d = c - 'A' + 10
-		default:
-			return 0, 0, fmt.Errorf("bad hex digit %q", c)
-		}
-		v = v<<4 | d
-	}
-	if !utf8.ValidRune(v) {
-		return 0, 0, fmt.Errorf("escape U+%04X is not a valid rune", v)
-	}
-	return start + width, v, nil
-}
-
-// unescape decodes every escape sequence in s.
-func unescape(s string) (string, error) {
-	if !strings.ContainsRune(s, '\\') {
-		return s, nil
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] != '\\' {
-			b.WriteByte(s[i])
-			i++
-			continue
-		}
-		j, r, err := unescapeAt(s, i)
-		if err != nil {
-			return "", err
-		}
-		b.WriteRune(r)
-		i = j
-	}
-	return b.String(), nil
-}
-
-// escape encodes the characters that must be escaped inside a literal.
-func escape(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
 }
 
 // Writer serialises triples in N-Triples format.
 type Writer struct {
 	w   *bufio.Writer
+	buf []byte
 	n   int
 	err error
 }
@@ -370,7 +168,11 @@ func (w *Writer) Write(t rdf.Triple) error {
 	if err := t.Valid(); err != nil {
 		return err
 	}
-	_, w.err = fmt.Fprintf(w.w, "%s %s %s .\n", format(t.S), format(t.P), format(t.O))
+	b := append(syntax.AppendTerm(w.buf[:0], t.S), ' ')
+	b = append(syntax.AppendTerm(b, t.P), ' ')
+	b = append(syntax.AppendTerm(b, t.O), " .\n"...)
+	w.buf = b
+	_, w.err = w.w.Write(b)
 	if w.err == nil {
 		w.n++
 	}
@@ -397,27 +199,6 @@ func (w *Writer) Flush() error {
 	}
 	w.err = w.w.Flush()
 	return w.err
-}
-
-func format(t rdf.Term) string {
-	switch t.Kind {
-	case rdf.IRI:
-		return "<" + t.Value + ">"
-	case rdf.Blank:
-		return "_:" + t.Value
-	case rdf.Literal:
-		lex := `"` + escape(t.Value) + `"`
-		switch {
-		case t.Lang != "":
-			return lex + "@" + t.Lang
-		case t.Datatype != "":
-			return lex + "^^<" + t.Datatype + ">"
-		default:
-			return lex
-		}
-	default:
-		return t.String()
-	}
 }
 
 // WriteGraph serialises every edge of g to w in N-Triples format.

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"sama/internal/rdf"
+	"sama/internal/rdf/turtle"
 )
 
 func TestParseBasic(t *testing.T) {
@@ -216,4 +217,26 @@ func TestReadAllLargeInput(t *testing.T) {
 	if len(ts) != 1000 {
 		t.Errorf("parsed %d, want 1000", len(ts))
 	}
+}
+
+// FuzzParseNTriples: the reader never panics; a document it accepts
+// survives the writer triple for triple, and Turtle — whose grammar
+// contains N-Triples — reads it to the same triples.
+func FuzzParseNTriples(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc string) {
+		ts, err := ParseString(doc)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := NewWriter(&buf).WriteAll(ts); err != nil {
+			t.Fatalf("accepted triples do not serialise: %v", err)
+		}
+		if back, err := ParseString(buf.String()); err != nil || !reflect.DeepEqual(back, ts) {
+			t.Fatalf("read %v, wrote %q, read back %v (%v)", ts, buf.String(), back, err)
+		}
+		if ttl, err := turtle.ParseString(doc); err != nil || !reflect.DeepEqual(ttl, ts) {
+			t.Fatalf("N-Triples read %v, Turtle read %v (%v)", ts, ttl, err)
+		}
+	})
 }

@@ -5,26 +5,24 @@
 // boolean shorthand, the “a” keyword, predicate lists (;), object lists
 // (,) and comments. Anonymous blank nodes ([...]) and RDF collections
 // ((...)) are not supported and produce a clear error.
+//
+// The package is a document parser over the shared term scanner
+// (internal/rdf/syntax): a document is directives and statements, a
+// statement the scanner's Triples followed by '.'.
 package turtle
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 
 	"sama/internal/rdf"
+	"sama/internal/rdf/syntax"
 )
 
 // RDFType is the IRI the “a” keyword expands to.
-const RDFType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
-
-const (
-	xsdInteger = "http://www.w3.org/2001/XMLSchema#integer"
-	xsdDecimal = "http://www.w3.org/2001/XMLSchema#decimal"
-	xsdBoolean = "http://www.w3.org/2001/XMLSchema#boolean"
-)
+const RDFType = syntax.RDFType
 
 // ParseError is a Turtle syntax error with its line number.
 type ParseError struct {
@@ -43,8 +41,33 @@ func Parse(r io.Reader) ([]rdf.Triple, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{src: string(src), line: 1, prefixes: map[string]string{}}
-	return p.document()
+	text := string(src)
+	out, err := document(syntax.New(text))
+	var se *syntax.Error
+	if errors.As(err, &se) {
+		line, _ := syntax.Position(text, se.Offset)
+		return nil, &ParseError{Line: line, Msg: se.Msg}
+	}
+	return out, err
+}
+
+func document(s *syntax.Scanner) ([]rdf.Triple, error) {
+	var out []rdf.Triple
+	for !s.EOF() {
+		directive, err := s.AtDirective()
+		if !directive {
+			directive, err = s.Directive()
+		}
+		if !directive {
+			if out, err = s.Triples(s.Term, out); err == nil {
+				err = s.Expect('.')
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // ParseString parses a Turtle document held in a string.
@@ -59,508 +82,8 @@ func ReadGraph(r io.Reader) (*rdf.Graph, error) {
 		return nil, err
 	}
 	g := rdf.NewGraph()
-	for i, t := range ts {
-		if err := t.Valid(); err != nil {
-			return nil, fmt.Errorf("turtle: triple %d: %w", i, err)
-		}
+	for _, t := range ts {
 		g.AddTriple(t)
 	}
 	return g, nil
-}
-
-type parser struct {
-	src      string
-	pos      int
-	line     int
-	base     string
-	prefixes map[string]string
-}
-
-func (p *parser) errf(format string, args ...any) *ParseError {
-	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *parser) skip() {
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		switch {
-		case c == '\n':
-			p.line++
-			p.pos++
-		case c == ' ' || c == '\t' || c == '\r':
-			p.pos++
-		case c == '#':
-			for p.pos < len(p.src) && p.src[p.pos] != '\n' {
-				p.pos++
-			}
-		default:
-			return
-		}
-	}
-}
-
-func (p *parser) eof() bool {
-	p.skip()
-	return p.pos >= len(p.src)
-}
-
-func (p *parser) peek() byte {
-	if p.pos < len(p.src) {
-		return p.src[p.pos]
-	}
-	return 0
-}
-
-func (p *parser) expect(c byte) error {
-	p.skip()
-	if p.peek() != c {
-		return p.errf("expected %q", string(c))
-	}
-	p.pos++
-	return nil
-}
-
-// hasKeyword consumes a case-insensitive keyword (with or without '@').
-func (p *parser) hasKeyword(kw string) bool {
-	p.skip()
-	s := p.src[p.pos:]
-	if strings.HasPrefix(s, "@") {
-		s = s[1:]
-	}
-	if len(s) < len(kw) || !strings.EqualFold(s[:len(kw)], kw) {
-		return false
-	}
-	// Must be followed by whitespace.
-	rest := len(s) - len(kw)
-	if rest > 0 && !isSpace(s[len(kw)]) {
-		return false
-	}
-	if strings.HasPrefix(p.src[p.pos:], "@") {
-		p.pos++
-	}
-	p.pos += len(kw)
-	return true
-}
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
-
-func (p *parser) document() ([]rdf.Triple, error) {
-	var out []rdf.Triple
-	for !p.eof() {
-		switch {
-		case p.hasKeyword("prefix"):
-			if err := p.prefixDirective(); err != nil {
-				return nil, err
-			}
-		case p.hasKeyword("base"):
-			if err := p.baseDirective(); err != nil {
-				return nil, err
-			}
-		default:
-			ts, err := p.statement()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ts...)
-		}
-	}
-	return out, nil
-}
-
-func (p *parser) prefixDirective() error {
-	p.skip()
-	name, err := p.pnameNS()
-	if err != nil {
-		return err
-	}
-	p.skip()
-	iri, err := p.iriRef()
-	if err != nil {
-		return err
-	}
-	p.prefixes[name] = iri
-	// The '.' is mandatory after @prefix, optional after SPARQL PREFIX.
-	p.skip()
-	if p.peek() == '.' {
-		p.pos++
-	}
-	return nil
-}
-
-func (p *parser) baseDirective() error {
-	p.skip()
-	iri, err := p.iriRef()
-	if err != nil {
-		return err
-	}
-	p.base = iri
-	p.skip()
-	if p.peek() == '.' {
-		p.pos++
-	}
-	return nil
-}
-
-// pnameNS reads “name:” and returns name.
-func (p *parser) pnameNS() (string, error) {
-	start := p.pos
-	for p.pos < len(p.src) && p.src[p.pos] != ':' && !isSpace(p.src[p.pos]) {
-		p.pos++
-	}
-	if p.peek() != ':' {
-		return "", p.errf("expected a prefix name ending in ':'")
-	}
-	name := p.src[start:p.pos]
-	p.pos++
-	return name, nil
-}
-
-func (p *parser) statement() ([]rdf.Triple, error) {
-	subj, err := p.term(false)
-	if err != nil {
-		return nil, err
-	}
-	var out []rdf.Triple
-	for {
-		p.skip()
-		pred, err := p.predicate()
-		if err != nil {
-			return nil, err
-		}
-		for {
-			obj, err := p.term(true)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rdf.Triple{S: subj, P: pred, O: obj})
-			p.skip()
-			if p.peek() == ',' {
-				p.pos++
-				continue
-			}
-			break
-		}
-		p.skip()
-		if p.peek() == ';' {
-			p.pos++
-			p.skip()
-			// Trailing ';' before '.' is legal.
-			if p.peek() == '.' {
-				break
-			}
-			continue
-		}
-		break
-	}
-	if err := p.expect('.'); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (p *parser) predicate() (rdf.Term, error) {
-	p.skip()
-	if p.peek() == 'a' {
-		// 'a' followed by whitespace or IRI-open.
-		if p.pos+1 >= len(p.src) || isSpace(p.src[p.pos+1]) || p.src[p.pos+1] == '<' {
-			p.pos++
-			return rdf.NewIRI(RDFType), nil
-		}
-	}
-	t, err := p.term(false)
-	if err != nil {
-		return rdf.Term{}, err
-	}
-	if t.Kind != rdf.IRI {
-		return rdf.Term{}, p.errf("predicate must be an IRI, found %s", t)
-	}
-	return t, nil
-}
-
-// term parses an IRI, prefixed name, blank node or (when object) a
-// literal.
-func (p *parser) term(object bool) (rdf.Term, error) {
-	p.skip()
-	switch c := p.peek(); {
-	case c == '<':
-		iri, err := p.iriRef()
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewIRI(iri), nil
-	case c == '_':
-		return p.blank()
-	case c == '[':
-		return rdf.Term{}, p.errf("anonymous blank nodes are not supported")
-	case c == '(':
-		return rdf.Term{}, p.errf("RDF collections are not supported")
-	case c == '"' || c == '\'':
-		if !object {
-			return rdf.Term{}, p.errf("literal in subject/predicate position")
-		}
-		return p.literal()
-	case c >= '0' && c <= '9' || c == '-' || c == '+':
-		if !object {
-			return rdf.Term{}, p.errf("number in subject/predicate position")
-		}
-		return p.number()
-	default:
-		// true/false or a prefixed name.
-		if object {
-			if p.hasBareword("true") {
-				return rdf.NewTypedLiteral("true", xsdBoolean), nil
-			}
-			if p.hasBareword("false") {
-				return rdf.NewTypedLiteral("false", xsdBoolean), nil
-			}
-		}
-		return p.prefixedName()
-	}
-}
-
-func (p *parser) hasBareword(w string) bool {
-	if strings.HasPrefix(p.src[p.pos:], w) {
-		end := p.pos + len(w)
-		if end == len(p.src) || isSpace(p.src[end]) || p.src[end] == '.' ||
-			p.src[end] == ',' || p.src[end] == ';' {
-			p.pos = end
-			return true
-		}
-	}
-	return false
-}
-
-func (p *parser) iriRef() (string, error) {
-	if p.peek() != '<' {
-		return "", p.errf("expected '<'")
-	}
-	end := strings.IndexByte(p.src[p.pos:], '>')
-	if end < 0 {
-		return "", p.errf("unterminated IRI")
-	}
-	raw := p.src[p.pos+1 : p.pos+end]
-	p.pos += end + 1
-	iri, err := unescape(raw)
-	if err != nil {
-		return "", p.errf("bad IRI escape: %v", err)
-	}
-	if p.base != "" && !strings.Contains(iri, "://") && !strings.HasPrefix(iri, "urn:") {
-		iri = p.base + iri
-	}
-	return iri, nil
-}
-
-func (p *parser) blank() (rdf.Term, error) {
-	if !strings.HasPrefix(p.src[p.pos:], "_:") {
-		return rdf.Term{}, p.errf("malformed blank node")
-	}
-	p.pos += 2
-	start := p.pos
-	for p.pos < len(p.src) && isNameChar(rune(p.src[p.pos])) {
-		p.pos++
-	}
-	if p.pos == start {
-		return rdf.Term{}, p.errf("empty blank node label")
-	}
-	return rdf.NewBlank(p.src[start:p.pos]), nil
-}
-
-func isNameChar(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
-}
-
-func (p *parser) prefixedName() (rdf.Term, error) {
-	start := p.pos
-	for p.pos < len(p.src) && p.src[p.pos] != ':' && isNameChar(rune(p.src[p.pos])) {
-		p.pos++
-	}
-	if p.peek() != ':' {
-		return rdf.Term{}, p.errf("expected an RDF term, found %q",
-			snippet(p.src[start:]))
-	}
-	name := p.src[start:p.pos]
-	p.pos++
-	ns, ok := p.prefixes[name]
-	if !ok {
-		return rdf.Term{}, p.errf("undeclared prefix %q", name)
-	}
-	localStart := p.pos
-	for p.pos < len(p.src) && (isNameChar(rune(p.src[p.pos])) ||
-		p.src[p.pos] == '.' && p.pos+1 < len(p.src) && isNameChar(rune(p.src[p.pos+1]))) {
-		p.pos++
-	}
-	return rdf.NewIRI(ns + p.src[localStart:p.pos]), nil
-}
-
-func snippet(s string) string {
-	if i := strings.IndexAny(s, " \t\n"); i >= 0 {
-		s = s[:i]
-	}
-	if len(s) > 20 {
-		s = s[:20] + "…"
-	}
-	return s
-}
-
-func (p *parser) literal() (rdf.Term, error) {
-	quote := p.src[p.pos]
-	p.pos++
-	var b strings.Builder
-	for {
-		if p.pos >= len(p.src) {
-			return rdf.Term{}, p.errf("unterminated literal")
-		}
-		c := p.src[p.pos]
-		if c == quote {
-			p.pos++
-			break
-		}
-		if c == '\n' {
-			return rdf.Term{}, p.errf("newline in single-quoted literal")
-		}
-		if c == '\\' {
-			j, r, err := unescapeAt(p.src, p.pos)
-			if err != nil {
-				return rdf.Term{}, p.errf("bad escape: %v", err)
-			}
-			b.WriteRune(r)
-			p.pos = j
-			continue
-		}
-		b.WriteByte(c)
-		p.pos++
-	}
-	lex := b.String()
-	switch {
-	case p.peek() == '@':
-		p.pos++
-		start := p.pos
-		for p.pos < len(p.src) && (isNameChar(rune(p.src[p.pos]))) {
-			p.pos++
-		}
-		if p.pos == start {
-			return rdf.Term{}, p.errf("empty language tag")
-		}
-		return rdf.NewLangLiteral(lex, p.src[start:p.pos]), nil
-	case strings.HasPrefix(p.src[p.pos:], "^^"):
-		p.pos += 2
-		dt, err := p.term(false)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		if dt.Kind != rdf.IRI {
-			return rdf.Term{}, p.errf("datatype must be an IRI")
-		}
-		return rdf.NewTypedLiteral(lex, dt.Value), nil
-	default:
-		return rdf.NewLiteral(lex), nil
-	}
-}
-
-func (p *parser) number() (rdf.Term, error) {
-	start := p.pos
-	if c := p.peek(); c == '-' || c == '+' {
-		p.pos++
-	}
-	digits := 0
-	dots := 0
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		if c >= '0' && c <= '9' {
-			digits++
-			p.pos++
-			continue
-		}
-		if c == '.' && p.pos+1 < len(p.src) && p.src[p.pos+1] >= '0' && p.src[p.pos+1] <= '9' {
-			dots++
-			p.pos++
-			continue
-		}
-		break
-	}
-	if digits == 0 {
-		return rdf.Term{}, p.errf("malformed number")
-	}
-	lex := p.src[start:p.pos]
-	if dots > 0 {
-		return rdf.NewTypedLiteral(lex, xsdDecimal), nil
-	}
-	return rdf.NewTypedLiteral(lex, xsdInteger), nil
-}
-
-// unescapeAt decodes the escape starting at s[i] (a backslash).
-func unescapeAt(s string, i int) (int, rune, error) {
-	if i+1 >= len(s) {
-		return 0, 0, fmt.Errorf("dangling backslash")
-	}
-	switch s[i+1] {
-	case 't':
-		return i + 2, '\t', nil
-	case 'b':
-		return i + 2, '\b', nil
-	case 'n':
-		return i + 2, '\n', nil
-	case 'r':
-		return i + 2, '\r', nil
-	case 'f':
-		return i + 2, '\f', nil
-	case '"':
-		return i + 2, '"', nil
-	case '\'':
-		return i + 2, '\'', nil
-	case '\\':
-		return i + 2, '\\', nil
-	case 'u':
-		return hexRune(s, i+2, 4)
-	case 'U':
-		return hexRune(s, i+2, 8)
-	default:
-		return 0, 0, fmt.Errorf("unknown escape \\%c", s[i+1])
-	}
-}
-
-func hexRune(s string, start, width int) (int, rune, error) {
-	if start+width > len(s) {
-		return 0, 0, fmt.Errorf("truncated unicode escape")
-	}
-	var v rune
-	for _, c := range s[start : start+width] {
-		var d rune
-		switch {
-		case c >= '0' && c <= '9':
-			d = c - '0'
-		case c >= 'a' && c <= 'f':
-			d = c - 'a' + 10
-		case c >= 'A' && c <= 'F':
-			d = c - 'A' + 10
-		default:
-			return 0, 0, fmt.Errorf("bad hex digit %q", c)
-		}
-		v = v<<4 | d
-	}
-	if !utf8.ValidRune(v) {
-		return 0, 0, fmt.Errorf("escape U+%04X is not a valid rune", v)
-	}
-	return start + width, v, nil
-}
-
-func unescape(s string) (string, error) {
-	if !strings.ContainsRune(s, '\\') {
-		return s, nil
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] != '\\' {
-			b.WriteByte(s[i])
-			i++
-			continue
-		}
-		j, r, err := unescapeAt(s, i)
-		if err != nil {
-			return "", err
-		}
-		b.WriteRune(r)
-		i = j
-	}
-	return b.String(), nil
 }

@@ -1,11 +1,13 @@
 package turtle
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"sama/internal/rdf"
+	"sama/internal/rdf/syntax"
 )
 
 func TestParseBasicDocument(t *testing.T) {
@@ -28,7 +30,7 @@ ex:bob foaf:name "Bob"@en .
 		{S: rdf.NewIRI("http://ex.org/alice"), P: rdf.NewIRI("http://xmlns.com/foaf/0.1/knows"), O: rdf.NewIRI("http://ex.org/bob")},
 		{S: rdf.NewIRI("http://ex.org/alice"), P: rdf.NewIRI("http://xmlns.com/foaf/0.1/knows"), O: rdf.NewIRI("http://ex.org/carol")},
 		{S: rdf.NewIRI("http://ex.org/alice"), P: rdf.NewIRI("http://xmlns.com/foaf/0.1/name"), O: rdf.NewLiteral("Alice")},
-		{S: rdf.NewIRI("http://ex.org/alice"), P: rdf.NewIRI("http://xmlns.com/foaf/0.1/age"), O: rdf.NewTypedLiteral("32", xsdInteger)},
+		{S: rdf.NewIRI("http://ex.org/alice"), P: rdf.NewIRI("http://xmlns.com/foaf/0.1/age"), O: rdf.NewTypedLiteral("32", syntax.XSDInteger)},
 		{S: rdf.NewIRI("http://ex.org/bob"), P: rdf.NewIRI("http://xmlns.com/foaf/0.1/name"), O: rdf.NewLangLiteral("Bob", "en")},
 	}
 	if !reflect.DeepEqual(ts, want) {
@@ -76,10 +78,10 @@ ex:s ex:p8 "esc\t\"x\"\nnl" .
 		rdf.NewLiteral("single quoted"),
 		rdf.NewTypedLiteral("typed", "http://www.w3.org/2001/XMLSchema#string"),
 		rdf.NewTypedLiteral("typed-iri", "http://dt"),
-		rdf.NewTypedLiteral("3.14", xsdDecimal),
-		rdf.NewTypedLiteral("-7", xsdInteger),
-		rdf.NewTypedLiteral("true", xsdBoolean),
-		rdf.NewTypedLiteral("false", xsdBoolean),
+		rdf.NewTypedLiteral("3.14", syntax.XSDDecimal),
+		rdf.NewTypedLiteral("-7", syntax.XSDInteger),
+		rdf.NewTypedLiteral("true", syntax.XSDBoolean),
+		rdf.NewTypedLiteral("false", syntax.XSDBoolean),
 		rdf.NewLiteral("esc\t\"x\"\nnl"),
 	}
 	if !reflect.DeepEqual(objs, want) {
@@ -182,4 +184,24 @@ func TestParseLocalNameWithDots(t *testing.T) {
 	if ts[0].S != rdf.NewIRI("http://e/a.b") {
 		t.Errorf("dotted local name = %v", ts[0].S)
 	}
+}
+
+// FuzzParseTurtle: the parser never panics, every triple it emits is a
+// valid data triple, and an error names a line of the input.
+func FuzzParseTurtle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc string) {
+		ts, err := ParseString(doc)
+		if err != nil {
+			var pe *ParseError
+			if !errors.As(err, &pe) || pe.Line < 1 || pe.Line > strings.Count(doc, "\n")+1 {
+				t.Fatalf("error %v (%T) names no line of the input", err, err)
+			}
+			return
+		}
+		for _, tr := range ts {
+			if err := tr.Valid(); err != nil {
+				t.Fatalf("emitted %v: %v", tr, err)
+			}
+		}
+	})
 }

@@ -1,20 +1,27 @@
+// Package sparql implements a parser for the Basic Graph Pattern subset
+// of SPARQL used by the evaluation workloads: PREFIX and BASE
+// declarations, SELECT projections, WHERE blocks of triple patterns
+// (with “;” and “,” property/object lists and the “a” keyword), and
+// LIMIT. The parse result is an rdf.QueryGraph ready for the Sama engine
+// and the baseline matchers.
+//
+// Terms, directives and property lists are scanned by the shared term
+// scanner (internal/rdf/syntax), so a term means in a query what it
+// means in a Turtle or N-Triples file; this package adds variables and
+// the query's own keywords.
 package sparql
 
 import (
+	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"sama/internal/rdf"
+	"sama/internal/rdf/syntax"
 )
 
 // RDFType is the IRI the “a” keyword expands to.
-const RDFType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
-
-// XSD namespace used for bare numeric literals.
-const (
-	xsdInteger = "http://www.w3.org/2001/XMLSchema#integer"
-	xsdDecimal = "http://www.w3.org/2001/XMLSchema#decimal"
-)
+const RDFType = syntax.RDFType
 
 // Query is a parsed SPARQL query: a projection, a basic graph pattern
 // (as an rdf.QueryGraph), and an optional LIMIT.
@@ -34,13 +41,25 @@ type Query struct {
 	Prefixes map[string]string
 }
 
+// Error is a SPARQL syntax error with source position.
+type Error struct {
+	Line, Col int
+	Msg       string
+}
+
+func (e *Error) Error() string {
+	return fmt.Sprintf("sparql: line %d col %d: %s", e.Line, e.Col, e.Msg)
+}
+
 // Parse parses the SPARQL source text.
 func Parse(src string) (*Query, error) {
-	p := &parser{lex: newLexer(src), prefixes: map[string]string{}}
-	if err := p.advance(); err != nil {
-		return nil, err
+	q, err := query(syntax.New(src))
+	var se *syntax.Error
+	if errors.As(err, &se) {
+		line, col := syntax.Position(src, se.Offset)
+		return nil, &Error{Line: line, Col: col, Msg: se.Msg}
 	}
-	return p.query()
+	return q, err
 }
 
 // MustParse is Parse but panics on error; for tests and fixed workloads.
@@ -52,288 +71,79 @@ func MustParse(src string) *Query {
 	return q
 }
 
-type parser struct {
-	lex      *lexer
-	tok      token
-	prefixes map[string]string
-}
+func isVarStart(c byte) bool { return c == '?' || c == '$' }
 
-func (p *parser) advance() error {
-	t, err := p.lex.next()
-	if err != nil {
-		return err
-	}
-	p.tok = t
-	return nil
-}
-
-func (p *parser) errf(format string, args ...any) *Error {
-	return &Error{Line: p.tok.line, Col: p.tok.col, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *parser) expectPunct(s string) error {
-	if p.tok.kind != tokPunct || p.tok.text != s {
-		return p.errf("expected %q, found %s", s, p.tok)
-	}
-	return p.advance()
-}
-
-func (p *parser) query() (*Query, error) {
-	q := &Query{Prefixes: p.prefixes}
-	// Prologue.
-	for p.tok.kind == tokKeyword && (p.tok.text == "PREFIX" || p.tok.text == "BASE") {
-		kw := p.tok.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if kw == "BASE" {
-			if p.tok.kind != tokIRI {
-				return nil, p.errf("BASE expects an IRI")
-			}
-			p.prefixes[""] = p.tok.text
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if p.tok.kind != tokPrefixed || !strings.HasSuffix(p.tok.text, ":") {
-			return nil, p.errf("PREFIX expects a name ending in ':', found %s", p.tok)
-		}
-		name := strings.TrimSuffix(p.tok.text, ":")
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if p.tok.kind != tokIRI {
-			return nil, p.errf("PREFIX %s: expects an IRI", name)
-		}
-		p.prefixes[name] = p.tok.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	}
-	// SELECT clause.
-	if p.tok.kind != tokKeyword || p.tok.text != "SELECT" {
-		return nil, p.errf("expected SELECT, found %s", p.tok)
-	}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	if p.tok.kind == tokKeyword && (p.tok.text == "DISTINCT" || p.tok.text == "REDUCED") {
-		q.Distinct = p.tok.text == "DISTINCT"
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	}
-	switch {
-	case p.tok.kind == tokPunct && p.tok.text == "*":
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	case p.tok.kind == tokVar:
-		for p.tok.kind == tokVar {
-			q.Select = append(q.Select, p.tok.text)
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		return nil, p.errf("SELECT expects '*' or variables, found %s", p.tok)
-	}
-	// Optional WHERE keyword.
-	if p.tok.kind == tokKeyword && p.tok.text == "WHERE" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.expectPunct("{"); err != nil {
-		return nil, err
-	}
-	triples, err := p.triplesBlock()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectPunct("}"); err != nil {
-		return nil, err
-	}
-	// Solution modifiers.
-	for p.tok.kind == tokKeyword {
-		switch p.tok.text {
-		case "LIMIT":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if p.tok.kind != tokNumber {
-				return nil, p.errf("LIMIT expects a number")
-			}
-			n := 0
-			if _, err := fmt.Sscanf(p.tok.text, "%d", &n); err != nil || n < 0 {
-				return nil, p.errf("bad LIMIT value %q", p.tok.text)
-			}
-			q.Limit = n
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, p.errf("unsupported solution modifier %s", p.tok)
-		}
-	}
-	if p.tok.kind != tokEOF {
-		return nil, p.errf("trailing input %s", p.tok)
-	}
-	if len(triples) == 0 {
-		return nil, &Error{Line: 1, Col: 1, Msg: "empty graph pattern"}
-	}
-	q.Triples = triples
-	pattern, err := rdf.NewQueryGraphFromTriples(triples)
-	if err != nil {
-		return nil, &Error{Line: 1, Col: 1, Msg: err.Error()}
-	}
-	q.Pattern = pattern
-	// Validate projection against pattern variables.
-	for _, v := range q.Select {
-		if !pattern.HasVar(v) {
-			return nil, &Error{Line: 1, Col: 1, Msg: fmt.Sprintf("projected variable ?%s not in pattern", v)}
-		}
-	}
-	return q, nil
-}
-
-// triplesBlock parses triple patterns with '.' separators and ';'/','
-// property/object lists until '}' is reached.
-func (p *parser) triplesBlock() ([]rdf.Triple, error) {
-	var out []rdf.Triple
+func query(s *syntax.Scanner) (*Query, error) {
 	for {
-		if p.tok.kind == tokPunct && p.tok.text == "}" {
-			return out, nil
-		}
-		if p.tok.kind == tokEOF {
-			return nil, p.errf("unterminated graph pattern")
-		}
-		subj, err := p.term(false)
-		if err != nil {
+		if directive, err := s.Directive(); err != nil {
 			return nil, err
+		} else if !directive {
+			break
 		}
-		for { // property list
-			pred, err := p.term(true)
+	}
+	q := &Query{Prefixes: s.Prefixes()}
+	// A pattern term is the scanner's Turtle term or a variable.
+	term := func() (rdf.Term, error) {
+		if isVarStart(s.Peek()) {
+			return s.Var()
+		}
+		return s.Term()
+	}
+	if !s.Keyword("SELECT") {
+		return nil, s.Expected("SELECT")
+	}
+	if q.Distinct = s.Keyword("DISTINCT"); !q.Distinct {
+		s.Keyword("REDUCED")
+	}
+	if !s.Eat('*') {
+		for isVarStart(s.Peek()) {
+			v, err := s.Var()
 			if err != nil {
 				return nil, err
 			}
-			for { // object list
-				obj, err := p.term(false)
-				if err != nil {
-					return nil, err
-				}
-				tr := rdf.Triple{S: subj, P: pred, O: obj}
-				if err := tr.ValidQuery(); err != nil {
-					return nil, p.errf("%v", err)
-				}
-				out = append(out, tr)
-				if p.tok.kind == tokPunct && p.tok.text == "," {
-					if err := p.advance(); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				break
-			}
-			if p.tok.kind == tokPunct && p.tok.text == ";" {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				// allow trailing ';' before '.' or '}'
-				if p.tok.kind == tokPunct && (p.tok.text == "." || p.tok.text == "}") {
-					break
-				}
-				continue
-			}
-			break
+			q.Select = append(q.Select, v.Value)
 		}
-		if p.tok.kind == tokPunct && p.tok.text == "." {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+		if q.Select == nil {
+			return nil, s.Expected("'*' or variables after SELECT")
 		}
 	}
-}
-
-// term parses one RDF term of a triple pattern. predicate restricts to
-// the forms legal in predicate position.
-func (p *parser) term(predicate bool) (rdf.Term, error) {
-	t := p.tok
-	switch t.kind {
-	case tokIRI:
-		if err := p.advance(); err != nil {
-			return rdf.Term{}, err
+	s.Keyword("WHERE")
+	if err := s.Expect('{'); err != nil {
+		return nil, err
+	}
+	for !s.Eat('}') {
+		var err error
+		if q.Triples, err = s.Triples(term, q.Triples); err != nil {
+			return nil, err
 		}
-		return rdf.NewIRI(t.text), nil
-	case tokPrefixed:
-		iri, err := p.expand(t.text)
+		if !s.Eat('.') && s.Peek() != '}' {
+			return nil, s.Expected("'.' or '}'")
+		}
+	}
+	for s.Keyword("LIMIT") {
+		n, err := s.Number()
 		if err != nil {
-			return rdf.Term{}, err
+			return nil, err
 		}
-		if err := p.advance(); err != nil {
-			return rdf.Term{}, err
+		if q.Limit, err = strconv.Atoi(n.Value); err != nil || q.Limit < 0 {
+			return nil, s.Errf(s.Offset()-len(n.Value), "bad LIMIT value %q", n.Value)
 		}
-		return rdf.NewIRI(iri), nil
-	case tokVar:
-		if err := p.advance(); err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewVar(t.text), nil
-	case tokA:
-		if !predicate {
-			return rdf.Term{}, p.errf("'a' is only valid as a predicate")
-		}
-		if err := p.advance(); err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewIRI(RDFType), nil
-	case tokLiteral:
-		if predicate {
-			return rdf.Term{}, p.errf("literal %q cannot be a predicate", t.text)
-		}
-		if err := p.advance(); err != nil {
-			return rdf.Term{}, err
-		}
-		switch {
-		case t.lang != "":
-			return rdf.NewLangLiteral(t.text, t.lang), nil
-		case t.dt != "":
-			dt := t.dt
-			if strings.Contains(dt, ":") && !strings.Contains(dt, "://") {
-				expanded, err := p.expand(dt)
-				if err != nil {
-					return rdf.Term{}, err
-				}
-				dt = expanded
-			}
-			return rdf.NewTypedLiteral(t.text, dt), nil
-		default:
-			return rdf.NewLiteral(t.text), nil
-		}
-	case tokNumber:
-		if predicate {
-			return rdf.Term{}, p.errf("number %q cannot be a predicate", t.text)
-		}
-		if err := p.advance(); err != nil {
-			return rdf.Term{}, err
-		}
-		dt := xsdInteger
-		if strings.Contains(t.text, ".") {
-			dt = xsdDecimal
-		}
-		return rdf.NewTypedLiteral(t.text, dt), nil
-	default:
-		return rdf.Term{}, p.errf("expected an RDF term, found %s", t)
 	}
-}
-
-func (p *parser) expand(prefixed string) (string, error) {
-	j := strings.IndexByte(prefixed, ':')
-	ns, local := prefixed[:j], prefixed[j+1:]
-	base, ok := p.prefixes[ns]
-	if !ok {
-		return "", p.errf("undeclared prefix %q", ns)
+	if !s.EOF() {
+		return nil, s.Expected("LIMIT or the end of the query")
 	}
-	return base + local, nil
+	if len(q.Triples) == 0 {
+		return nil, s.Errf(0, "empty graph pattern")
+	}
+	pattern, err := rdf.NewQueryGraphFromTriples(q.Triples)
+	if err != nil {
+		return nil, s.Errf(0, "%v", err)
+	}
+	q.Pattern = pattern
+	for _, v := range q.Select {
+		if !pattern.HasVar(v) {
+			return nil, s.Errf(0, "projected variable ?%s not in pattern", v)
+		}
+	}
+	return q, nil
 }

@@ -1,11 +1,13 @@
 package sparql
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"sama/internal/rdf"
+	"sama/internal/rdf/syntax"
 )
 
 func TestParseQ1(t *testing.T) {
@@ -88,7 +90,7 @@ SELECT ?x WHERE {
 	if q.Triples[1].O != rdf.NewIRI("http://ex.org/alice") || q.Triples[2].O != rdf.NewIRI("http://ex.org/bob") {
 		t.Errorf("object list wrong: %v, %v", q.Triples[1].O, q.Triples[2].O)
 	}
-	if q.Triples[3].O != rdf.NewTypedLiteral("42", xsdInteger) {
+	if q.Triples[3].O != rdf.NewTypedLiteral("42", syntax.XSDInteger) {
 		t.Errorf("numeric literal = %v", q.Triples[3].O)
 	}
 }
@@ -118,7 +120,7 @@ SELECT ?x WHERE {
 		rdf.NewLangLiteral("tagged", "en"),
 		rdf.NewTypedLiteral("typed", "http://dt"),
 		rdf.NewTypedLiteral("prefixed-typed", "http://www.w3.org/2001/XMLSchema#string"),
-		rdf.NewTypedLiteral("3.14", xsdDecimal),
+		rdf.NewTypedLiteral("3.14", syntax.XSDDecimal),
 		rdf.NewLiteral("esc\t\"q\"\nnl"),
 	}
 	if !reflect.DeepEqual(objs, want) {
@@ -213,12 +215,45 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("not sparql")
 }
 
+// TestParseBase pins BASE to its W3C meaning: it resolves relative
+// IRIREFs and declares no prefix.
 func TestParseBase(t *testing.T) {
-	q, err := Parse(`BASE <http://base.org/> SELECT ?s WHERE { ?s :p :o }`)
+	q, err := Parse(`BASE <http://base.org/> PREFIX : <http://ex.org/> SELECT ?s WHERE { ?s <p> :o ; <http://abs.org/q> <ub:r> }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Triples[0].P != rdf.NewIRI("http://base.org/p") {
-		t.Errorf("BASE expansion wrong: %v", q.Triples[0].P)
+	want := []rdf.Triple{
+		{S: rdf.NewVar("s"), P: rdf.NewIRI("http://base.org/p"), O: rdf.NewIRI("http://ex.org/o")},
+		{S: rdf.NewVar("s"), P: rdf.NewIRI("http://abs.org/q"), O: rdf.NewIRI("ub:r")},
 	}
+	if !reflect.DeepEqual(q.Triples, want) {
+		t.Errorf("triples = %v\nwant %v", q.Triples, want)
+	}
+	if _, err := Parse(`BASE <http://base.org/> SELECT ?s WHERE { ?s :p :o }`); err == nil {
+		t.Error("BASE declared the empty prefix")
+	}
+}
+
+// FuzzParseSPARQL: the parser never panics, every pattern triple is a
+// valid query triple, and an error is positioned inside the input.
+func FuzzParseSPARQL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := Parse(src)
+		if err != nil {
+			var se *Error
+			if !errors.As(err, &se) {
+				t.Fatalf("error %v is a %T", err, err)
+			}
+			lines := strings.Split(src, "\n")
+			if se.Line < 1 || se.Line > len(lines) || se.Col < 1 || se.Col > len(lines[se.Line-1])+1 {
+				t.Fatalf("error %v is not positioned inside the input", err)
+			}
+			return
+		}
+		for _, tr := range q.Triples {
+			if err := tr.ValidQuery(); err != nil {
+				t.Fatalf("pattern triple %v: %v", tr, err)
+			}
+		}
+	})
 }

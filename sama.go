@@ -729,14 +729,13 @@ func (db *DB) ServeDebug(addr string) (*DebugServer, error) {
 func (db *DB) Handler(opts ServerOptions) *QueryHandler {
 	return server.New(server.Backend{
 		Query: func(ctx context.Context, src string, k int) (*server.QueryOutcome, error) {
-			// Classify parse failures before execution so the server can
-			// answer 400 instead of 500. The engine reparses; query
-			// texts are tiny and the index work dwarfs the second pass.
-			if _, err := sparql.Parse(src); err != nil {
-				return nil, &server.BadRequestError{Err: err}
-			}
 			res, err := db.QuerySPARQLContext(ctx, src, k)
 			if err != nil {
+				// A syntax error is the client's: 400, not 500.
+				var syntaxErr *sparql.Error
+				if errors.As(err, &syntaxErr) {
+					err = &server.BadRequestError{Err: err}
+				}
 				return nil, err
 			}
 			return &server.QueryOutcome{
