@@ -39,8 +39,8 @@ race:
 # race-hot re-runs the packages where caching, epoch invalidation, the
 # per-query-path cluster goroutines (one alignment memo and one I/O
 # tally shared by all of a query's clusters), request coalescing, WAL
-# group commit, incremental compaction, the event ring's subscriber
-# fan-out and the signature pre-rank's probe-mask lookups interleave —
+# group commit, incremental compaction, the event ring's concurrent
+# writers and the signature pre-rank's probe-mask lookups interleave —
 # a second -count pass varies goroutine scheduling beyond what one
 # ./... sweep exercises.
 race-hot:

@@ -120,21 +120,18 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	sopts := sama.ServerOptions{
+		MaxInflight:    *maxInflight,
+		MaxQueue:       queueOption(*maxQueue),
+		QueueTimeout:   *queueTimeout,
+		MaxTimeout:     *maxTimeout,
+		DefaultTimeout: *defaultTimeout,
+		DefaultK:       *defaultK,
+		MaxK:           *maxK,
+	}
 	if *route != "" {
 		if *index != "" {
 			return nil, errors.New("-route and -index are mutually exclusive: a router holds no local index")
-		}
-		sopts := sama.ServerOptions{
-			MaxInflight:    *maxInflight,
-			QueueTimeout:   *queueTimeout,
-			MaxTimeout:     *maxTimeout,
-			DefaultTimeout: *defaultTimeout,
-			DefaultK:       *defaultK,
-			MaxK:           *maxK,
-		}
-		if *maxQueue >= 0 {
-			sopts.MaxQueue = *maxQueue
-			sopts.MaxQueueSet = true
 		}
 		return startRouter(*route, *addr, *shardTimeout, sopts, *drainTimeout, logger)
 	}
@@ -176,27 +173,24 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 		return nil, err
 	}
 
-	sopts := sama.ServerOptions{
-		MaxInflight:    *maxInflight,
-		QueueTimeout:   *queueTimeout,
-		MaxTimeout:     *maxTimeout,
-		DefaultTimeout: *defaultTimeout,
-		DefaultK:       *defaultK,
-		MaxK:           *maxK,
-		Coalesce:       *coalesce,
-	}
-	if *maxQueue >= 0 {
-		sopts.MaxQueue = *maxQueue
-		sopts.MaxQueueSet = true
-	}
+	sopts.Coalesce = *coalesce
 	srv, err := db.Serve(*addr, sopts)
 	if err != nil {
 		db.Close()
 		return nil, err
 	}
 	logger.Printf("serving on http://%s/ (index %s, max-inflight %d, max-queue %d)",
-		srv.Addr(), *index, sopts.MaxInflight, sopts.MaxQueue)
+		srv.Addr(), *index, sopts.MaxInflight, *maxQueue)
 	return &daemon{db: db, srv: srv, drainTimeout: *drainTimeout, logger: logger}, nil
+}
+
+// queueOption maps the -max-queue flag (-1 = default, 0 = no queue) onto
+// ServerOptions.MaxQueue (0 = default, negative = no queue).
+func queueOption(flag int) int {
+	if flag == 0 {
+		return -1
+	}
+	return max(flag, 0)
 }
 
 // startRouter runs samad in multi-node router mode: no local index,
@@ -222,7 +216,12 @@ func startRouter(route, addr string, shardTimeout time.Duration, sopts sama.Serv
 	rt := server.NewRouter(urls, server.RouterOptions{ShardTimeout: shardTimeout})
 	reg := obs.NewRegistry()
 	events := obs.NewEventLog(obs.EventLogSize)
-	h := server.New(server.Backend{QueryWire: rt.Query, Metrics: reg, Events: events}, sopts)
+	h := server.New(server.Backend{
+		QueryWire: rt.Query,
+		Debug:     obs.DebugMux(reg, nil, events),
+		Metrics:   reg,
+		Events:    events,
+	}, sopts)
 	srv, err := h.Serve(addr)
 	if err != nil {
 		return nil, err

@@ -259,6 +259,16 @@ func TestStartDaemonFlagErrors(t *testing.T) {
 	}
 }
 
+// TestQueueOption: -max-queue -1 keeps the default queue (MaxQueue 0),
+// 0 means no queue (MaxQueue negative), a positive bound passes through.
+func TestQueueOption(t *testing.T) {
+	for flag, want := range map[int]int{-1: 0, 0: -1, 3: 3} {
+		if got := queueOption(flag); got != want {
+			t.Errorf("queueOption(%d) = %d, want %d", flag, got, want)
+		}
+	}
+}
+
 // TestSignalDrain drives the daemon through realMain: wait for the
 // serving line, run one query, send SIGTERM, and expect a clean drain.
 func TestSignalDrain(t *testing.T) {

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"net/http"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -141,5 +143,43 @@ func TestRouterE2E(t *testing.T) {
 	var se *client.StatusError
 	if !errors.As(err, &se) || se.Code != 502 {
 		t.Fatalf("all shards dead: err = %v, want HTTP 502", err)
+	}
+}
+
+// TestRouterServesDebug: a router records request metrics and events,
+// so it must serve them — after one routed query, /metrics counts it and
+// /debug/events answers.
+func TestRouterServesDebug(t *testing.T) {
+	_, urls := startShardFleet(t)
+	router, err := startDaemon([]string{"-route", strings.Join(urls, ","), "-addr", "127.0.0.1:0"},
+		log.New(new(bytes.Buffer), "", 0))
+	if err != nil {
+		t.Fatalf("router daemon: %v", err)
+	}
+	defer router.shutdown()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	base := "http://" + router.srv.Addr()
+	if _, err := client.New(base).Query(ctx, workload.LUBMQueries()[0].SPARQL, client.QueryOptions{K: 5}); err != nil {
+		t.Fatalf("routed query: %v", err)
+	}
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, `sama_server_requests_total{code="200"} 1`+"\n") {
+		t.Errorf("router /metrics: status %d, want 200 with one 200 response counted:\n%.2000s", code, body)
+	}
+	if code, _ := get("/debug/events"); code != http.StatusOK {
+		t.Errorf("router /debug/events: status %d, want 200", code)
 	}
 }

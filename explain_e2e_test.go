@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -167,50 +166,6 @@ func TestExplainCacheHit(t *testing.T) {
 	}
 }
 
-var exemplarRe = regexp.MustCompile(`sama_query_seconds_bucket\{[^}]*\} \d+ # \{trace_id="([^"]+)"\} `)
-
-// TestExemplarResolvesToTrace is the acceptance check for the
-// metrics↔trace linkage: scraped as OpenMetrics, the exemplar trace ID
-// on the query latency histogram must name a trace that
-// /debug/lastqueries actually holds. The classic 0.0.4 exposition has
-// no exemplar syntax, so the default scrape must stay exemplar-free —
-// a '#' after the sample value would break standard Prometheus scrapes.
-func TestExemplarResolvesToTrace(t *testing.T) {
-	db := obsTestDB(t)
-	if _, err := db.QuerySPARQL(obsTestQuery, 5); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(db.DebugHandler())
-	defer srv.Close()
-
-	classic := httpGet(t, srv.Client(), srv.URL+"/metrics")
-	if strings.Contains(classic, "# {") {
-		t.Errorf("classic /metrics scrape carries exemplars:\n%.2000s", classic)
-	}
-
-	metrics := httpGetAccept(t, srv.Client(), srv.URL+"/metrics",
-		"application/openmetrics-text; version=1.0.0")
-	if !strings.HasSuffix(metrics, "# EOF\n") {
-		t.Errorf("OpenMetrics scrape lacks the # EOF trailer:\n%.2000s", metrics)
-	}
-	m := exemplarRe.FindStringSubmatch(metrics)
-	if m == nil {
-		t.Fatalf("no exemplar on sama_query_seconds buckets:\n%.2000s", metrics)
-	}
-	traceID := m[1]
-
-	var traces []*sama.Trace
-	if err := json.Unmarshal([]byte(httpGet(t, srv.Client(), srv.URL+"/debug/lastqueries")), &traces); err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range traces {
-		if tr.ID == traceID {
-			return
-		}
-	}
-	t.Errorf("exemplar trace %q not found in /debug/lastqueries", traceID)
-}
-
 // TestChromeTraceEndpoint checks the ?format=chrome export end to end:
 // valid Chrome trace JSON whose events reference the recorded query.
 func TestChromeTraceEndpoint(t *testing.T) {
@@ -238,25 +193,6 @@ func TestChromeTraceEndpoint(t *testing.T) {
 	for _, want := range []string{"query", "decompose", "cluster", "search", "assemble"} {
 		if !names[want] {
 			t.Errorf("chrome export missing %q event (have %v)", want, names)
-		}
-	}
-}
-
-// TestRuntimeTelemetry checks a DB's registry carries the
-// runtime/metrics gauges: goroutines, heap and the GC pause quantiles
-// land in /metrics.
-func TestRuntimeTelemetry(t *testing.T) {
-	db := obsTestDB(t)
-	srv := httptest.NewServer(db.DebugHandler())
-	defer srv.Close()
-	body := httpGet(t, srv.Client(), srv.URL+"/metrics")
-	for _, want := range []string{
-		"sama_runtime_goroutines",
-		"sama_runtime_heap_objects_bytes",
-		"sama_runtime_gc_pause_seconds",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %s", want)
 		}
 	}
 }

@@ -115,10 +115,10 @@ const (
 //
 //	sama_cache_hits_total{cache}           lookups served from the cache
 //	sama_cache_misses_total{cache}         lookups that found nothing
-//	sama_cache_evictions_total{cache}      entries dropped for capacity
 //	sama_cache_invalidations_total{cache}  entries dropped on epoch mismatch
 //	sama_cache_entries{cache}              live entries
-//	sama_cache_bytes{cache}                charged bytes of live entries
+//
+// Evictions and charged bytes stay in CacheStats.
 func registerCacheMetrics(reg *obs.Registry, name string, c *cache.Cache) {
 	if reg == nil || c == nil {
 		return
@@ -129,23 +129,17 @@ func registerCacheMetrics(reg *obs.Registry, name string, c *cache.Cache) {
 	reg.CounterFunc("sama_cache_misses_total",
 		"Cache lookups that found nothing (stale entries included).",
 		func() uint64 { return c.Stats().Misses }, "cache", name)
-	reg.CounterFunc("sama_cache_evictions_total",
-		"Cache entries dropped to stay within budget.",
-		func() uint64 { return c.Stats().Evictions }, "cache", name)
 	reg.CounterFunc("sama_cache_invalidations_total",
 		"Cache entries dropped because the index epoch moved.",
 		func() uint64 { return c.Stats().Invalidations }, "cache", name)
 	reg.GaugeFunc("sama_cache_entries",
 		"Live cache entries.",
 		func() float64 { return float64(c.Stats().Entries) }, "cache", name)
-	reg.GaugeFunc("sama_cache_bytes",
-		"Charged bytes of the live cache entries.",
-		func() float64 { return float64(c.Stats().Bytes) }, "cache", name)
 }
 
 // CacheStats snapshots the engine's cache counters, keyed "answer" and
 // "align". Disabled caches are omitted; with caching off entirely the
-// map is empty. The /debug/vars cache section serves this.
+// map is empty.
 func (e *Engine) CacheStats() map[string]cache.Stats {
 	out := map[string]cache.Stats{}
 	if e.ansCache != nil {

@@ -503,11 +503,6 @@ func TestIOAttributionConcurrent(t *testing.T) {
 	if _, err := e.Query(queryQ1(), 5); err != nil {
 		t.Fatal(err)
 	}
-	// Cluster builds materialise candidates through ReadPathsBatched, so
-	// this test also pins the batched path's tally attribution.
-	if bs := e.idx.BatchedReads(); bs.Reads == 0 || bs.Paths == 0 || bs.Pages == 0 {
-		t.Fatalf("warm-up query did not exercise batched reads: %+v", bs)
-	}
 	_, st, err := e.QueryWithStats(queryQ1(), 5)
 	if err != nil {
 		t.Fatal(err)
@@ -515,6 +510,11 @@ func TestIOAttributionConcurrent(t *testing.T) {
 	solo := st.Trace.IO.PageReads
 	if solo == 0 {
 		t.Fatal("solo query read no pages")
+	}
+	// Cluster builds materialise candidates through ReadPathsBatched, so
+	// this test also pins the batched path's tally attribution.
+	if st.Trace.IO.BatchedPages == 0 {
+		t.Fatalf("solo query did not exercise batched reads: %+v", st.Trace.IO)
 	}
 
 	const workers = 8

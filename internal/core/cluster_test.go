@@ -262,8 +262,8 @@ func TestClusterScratchIsNotShared(t *testing.T) {
 }
 
 // TestWarmClusterTouchesNoIndex pins what a memo hit skips: a repeated
-// query performs no posting lookup (sama_index_lookups_total does not
-// move) and no batched read.
+// query performs no posting lookup and decodes no path: neither
+// sama_index_lookups_total nor sama_index_path_reads_total moves.
 func TestWarmClusterTouchesNoIndex(t *testing.T) {
 	reg := obs.NewRegistry()
 	ix, err := index.Build(filepath.Join(t.TempDir(), "fig1"), figure1Graph(), index.Options{})
@@ -277,13 +277,14 @@ func TestWarmClusterTouchesNoIndex(t *testing.T) {
 		const name, help = "sama_index_lookups_total", "Path index lookups by kind."
 		return reg.Counter(name, help, "kind", "sink").Value() + reg.Counter(name, help, "kind", "label").Value()
 	}
+	pathReads := reg.Counter("sama_index_path_reads_total", "")
 	want, err := e.Query(queryQ1(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, reads := lookups(), ix.BatchedReads().Reads
+	cold, reads := lookups(), pathReads.Value()
 	if cold == 0 || reads == 0 {
-		t.Fatalf("the cold query made %d lookups and %d batched reads; want both > 0", cold, reads)
+		t.Fatalf("the cold query made %d lookups and read %d paths; want both > 0", cold, reads)
 	}
 	got, err := e.Query(queryQ1(), 5)
 	if err != nil {
@@ -292,8 +293,8 @@ func TestWarmClusterTouchesNoIndex(t *testing.T) {
 	if n := lookups(); n != cold {
 		t.Errorf("a repeated query made %d index lookups; want 0", n-cold)
 	}
-	if n := ix.BatchedReads().Reads; n != reads {
-		t.Errorf("a repeated query made %d batched reads; want 0", n-reads)
+	if n := pathReads.Value(); n != reads {
+		t.Errorf("a repeated query read %d paths; want 0", n-reads)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("repeat returned %d answers, want %d", len(got), len(want))

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sama/internal/obs"
 	"sama/internal/storage"
 )
 
@@ -60,6 +61,8 @@ func TestReadPathsBatchedCancelled(t *testing.T) {
 
 func TestReadPathsBatchedChargesTally(t *testing.T) {
 	ix := buildTestIndex(t, Options{})
+	reg := obs.NewRegistry()
+	ix.SetMetrics(reg)
 	ids := make([]PathID, ix.NumPaths())
 	for i := range ids {
 		ids[i] = PathID(i)
@@ -69,12 +72,13 @@ func TestReadPathsBatchedChargesTally(t *testing.T) {
 	if _, err := ix.ReadPathsBatched(ctx, ids); err != nil {
 		t.Fatal(err)
 	}
-	if tally.Hits()+tally.Misses() == 0 {
-		t.Error("batched read charged nothing to the context tally")
+	if tally.Hits()+tally.Misses() == 0 || tally.BatchedPages() == 0 {
+		t.Errorf("batched read charged %d page accesses and %d batched pages to the context tally; want both > 0",
+			tally.Hits()+tally.Misses(), tally.BatchedPages())
 	}
-	st := ix.BatchedReads()
-	if st.Reads != 1 || st.Paths != uint64(len(ids)) || st.Pages == 0 {
-		t.Errorf("BatchedReads() = %+v, want 1 read, %d paths, >0 pages", st, len(ids))
+	// Each decoded path is counted once.
+	if n := reg.Counter("sama_index_path_reads_total", "").Value(); n != uint64(len(ids)) {
+		t.Errorf("sama_index_path_reads_total = %d, want %d", n, len(ids))
 	}
 }
 

@@ -164,7 +164,6 @@ type Index struct {
 	sinceCheckpoint []rdf.Triple
 	pending         []walPending
 	recoverNeeded   bool
-	lastRecovery    RecoveryStats
 	// compacting serialises CompactIncremental runs without holding
 	// ix.mu across the whole pass.
 	compacting atomic.Bool
@@ -173,34 +172,11 @@ type Index struct {
 	mSinkLookups  *obs.Counter
 	mLabelLookups *obs.Counter
 	mPathReads    *obs.Counter
-	// Batched-read counters live on the index (not the registry) so the
-	// /debug/vars extras can read them even when metrics are disabled;
-	// SetMetrics mirrors them into the registry as CounterFuncs.
-	batchedReads atomic.Uint64 // ReadPathsBatched calls
-	batchedPaths atomic.Uint64 // paths materialised through batched reads
-	batchedPages atomic.Uint64 // distinct first-chunk pages visited
 	// Structured event loggers, wired by SetEvents; nil until then (the
 	// logging sites guard for nil).
 	logIndex   *slog.Logger
 	logWAL     *slog.Logger
 	logCompact *slog.Logger
-}
-
-// BatchedReadStats is a snapshot of the page-locality batched read
-// counters, exposed on /debug/vars by the database handle.
-type BatchedReadStats struct {
-	Reads uint64 `json:"reads"` // ReadPathsBatched calls
-	Paths uint64 `json:"paths"` // paths materialised
-	Pages uint64 `json:"pages"` // distinct first-chunk pages visited
-}
-
-// BatchedReads returns the batched-read counters.
-func (ix *Index) BatchedReads() BatchedReadStats {
-	return BatchedReadStats{
-		Reads: ix.batchedReads.Load(),
-		Paths: ix.batchedPaths.Load(),
-		Pages: ix.batchedPages.Load(),
-	}
 }
 
 // SetMetrics registers the index's instrumentation in reg: lookup and
@@ -217,15 +193,6 @@ func (ix *Index) SetMetrics(reg *obs.Registry) {
 		"Path index lookups by kind.", "kind", "label")
 	ix.mPathReads = reg.Counter("sama_index_path_reads_total",
 		"Paths materialised from disk (through the buffer pool).")
-	reg.CounterFunc("sama_index_batched_reads_total",
-		"Page-locality batched read calls (ReadPathsBatched).",
-		ix.batchedReads.Load)
-	reg.CounterFunc("sama_index_batched_read_paths_total",
-		"Paths materialised through batched reads.",
-		ix.batchedPaths.Load)
-	reg.CounterFunc("sama_index_batched_read_pages_total",
-		"Distinct first-chunk pages visited by batched reads.",
-		ix.batchedPages.Load)
 	reg.GaugeFunc("sama_index_paths",
 		"Indexed paths, tombstoned included.",
 		func() float64 { return float64(ix.NumPaths()) })
@@ -236,23 +203,6 @@ func (ix *Index) SetMetrics(reg *obs.Registry) {
 			defer ix.mu.RUnlock()
 			return float64(ix.diskBytes())
 		})
-	// The WAL is opened before the registry is attached, so the group-
-	// commit histogram is wired here, late, through the batch hook.
-	ix.mu.RLock()
-	wal := ix.wal
-	ix.mu.RUnlock()
-	if wal != nil {
-		batchHist := reg.Histogram("sama_wal_group_commit_batch",
-			"Records sharing one WAL group-commit flush.",
-			[]float64{1, 2, 4, 8, 16, 32, 64})
-		batchBytes := reg.Histogram("sama_wal_group_commit_bytes",
-			"Framed bytes written per WAL group-commit flush.",
-			[]float64{256, 1024, 4096, 16384, 65536, 262144, 1048576})
-		wal.SetOnBatch(func(records, bytes int) {
-			batchHist.Observe(float64(records))
-			batchBytes.Observe(float64(bytes))
-		})
-	}
 }
 
 // SetEvents attaches the structured event log: index, wal, and compact
@@ -886,9 +836,6 @@ func (ix *Index) ReadPathsBatched(ctx context.Context, ids []PathID) ([]paths.Pa
 		decoded++
 	}
 	ix.mPathReads.Add(uint64(decoded))
-	ix.batchedReads.Add(1)
-	ix.batchedPaths.Add(uint64(decoded))
-	ix.batchedPages.Add(uint64(npages))
 	storage.TallyFrom(ctx).AddBatchedPages(uint64(npages))
 	return out, err
 }

@@ -402,7 +402,6 @@ func (ix *Index) Recover(g *rdf.Graph) (RecoveryStats, error) {
 		}
 	}
 	rs.Replay = time.Since(start)
-	ix.lastRecovery = rs
 	if ix.logWAL != nil {
 		ix.logWAL.Info("recovery replayed",
 			"records", rs.Records,
@@ -412,14 +411,6 @@ func (ix *Index) Recover(g *rdf.Graph) (RecoveryStats, error) {
 			"replay", rs.Replay)
 	}
 	return rs, nil
-}
-
-// LastRecovery returns the stats of the most recent Recover call (zero
-// value if none ran).
-func (ix *Index) LastRecovery() RecoveryStats {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.lastRecovery
 }
 
 // WALStats returns a snapshot of the WAL counters; ok is false when

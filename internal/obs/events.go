@@ -20,19 +20,17 @@ type Event struct {
 }
 
 // EventLog is the structured event log: a fixed-capacity newest-first
-// ring fed by per-subsystem `log/slog` loggers, with live subscribers
-// for SSE streaming. A nil *EventLog is valid: loggers built from it
-// discard everything at zero cost beyond the Enabled check.
+// ring fed by per-subsystem `log/slog` loggers. A nil *EventLog is
+// valid: loggers built from it discard everything at zero cost beyond
+// the Enabled check.
 type EventLog struct {
 	level slog.LevelVar // minimum level, default Info
 
-	mu    sync.Mutex
-	seq   uint64 // under mu, so Seq order always matches ring order
-	buf   []Event
-	next  int
-	n     int
-	subs  map[int]chan Event
-	subID int
+	mu   sync.Mutex
+	seq  uint64 // under mu, so Seq order always matches ring order
+	buf  []Event
+	next int
+	n    int
 }
 
 // EventLogSize is the event ring a database or router keeps for
@@ -45,10 +43,7 @@ func NewEventLog(n int) *EventLog {
 	if n <= 0 {
 		n = EventLogSize
 	}
-	l := &EventLog{
-		buf:  make([]Event, n),
-		subs: make(map[int]chan Event),
-	}
+	l := &EventLog{buf: make([]Event, n)}
 	l.level.Set(slog.LevelInfo)
 	return l
 }
@@ -66,40 +61,9 @@ func (l *EventLog) Logger(subsystem string) *slog.Logger {
 	return slog.New(&ringHandler{log: l, subsystem: subsystem})
 }
 
-// Subscribe registers a live listener; events published after the call
-// are sent to the returned channel. A slow subscriber loses events
-// (non-blocking send) rather than stalling writers. cancel must be
-// called to release the subscription; the channel is closed by cancel.
-func (l *EventLog) Subscribe(buffer int) (<-chan Event, func()) {
-	if l == nil {
-		ch := make(chan Event)
-		close(ch)
-		return ch, func() {}
-	}
-	if buffer <= 0 {
-		buffer = 64
-	}
-	ch := make(chan Event, buffer)
-	l.mu.Lock()
-	id := l.subID
-	l.subID++
-	l.subs[id] = ch
-	l.mu.Unlock()
-	var once sync.Once
-	return ch, func() {
-		once.Do(func() {
-			l.mu.Lock()
-			delete(l.subs, id)
-			l.mu.Unlock()
-			close(ch)
-		})
-	}
-}
-
-// publish appends the event to the ring and fans it out to live
-// subscribers. Seq is assigned under the same lock that orders ring
-// inserts and subscriber sends, so consumers never observe sequence
-// numbers that disagree with publication order.
+// publish appends the event to the ring. Seq is assigned under the
+// same lock that orders ring inserts, so sequence numbers never
+// disagree with ring order.
 func (l *EventLog) publish(ev Event) {
 	l.mu.Lock()
 	l.seq++
@@ -108,12 +72,6 @@ func (l *EventLog) publish(ev Event) {
 	l.next = (l.next + 1) % len(l.buf)
 	if l.n < len(l.buf) {
 		l.n++
-	}
-	for _, ch := range l.subs {
-		select {
-		case ch <- ev:
-		default: // slow subscriber: drop rather than block the writer
-		}
 	}
 	l.mu.Unlock()
 }

@@ -1,16 +1,12 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestEventLogRingNewestFirst(t *testing.T) {
@@ -59,11 +55,6 @@ func TestEventLogNilSafe(t *testing.T) {
 	if evs := l.Snapshot(); evs != nil {
 		t.Errorf("nil log snapshot = %v, want nil", evs)
 	}
-	ch, cancel := l.Subscribe(1)
-	cancel()
-	if _, ok := <-ch; ok {
-		t.Error("nil log subscription delivered an event")
-	}
 }
 
 func TestEventLogWithAttrsAndGroup(t *testing.T) {
@@ -83,25 +74,9 @@ func TestEventLogWithAttrsAndGroup(t *testing.T) {
 }
 
 // TestEventLogConcurrency hammers the ring from concurrent writers while
-// snapshots and a live subscriber run — the -race guard for the event
-// log satellite. Writers must never block on a slow subscriber.
+// snapshots run — the -race guard for the event log.
 func TestEventLogConcurrency(t *testing.T) {
 	l := NewEventLog(64)
-	ch, cancel := l.Subscribe(8) // deliberately tiny: forces drops
-	defer cancel()
-	var drained sync.WaitGroup
-	drained.Add(1)
-	stop := make(chan struct{})
-	go func() {
-		defer drained.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ch:
-			}
-		}
-	}()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -122,8 +97,6 @@ func TestEventLogConcurrency(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	close(stop)
-	drained.Wait()
 	evs := l.Snapshot()
 	if len(evs) != 64 {
 		t.Errorf("ring not full after 1600 writes: %d", len(evs))
@@ -165,100 +138,4 @@ func TestDebugEventsJSON(t *testing.T) {
 	if doc.Events[0].Seq < doc.Events[1].Seq {
 		t.Error("events not newest first")
 	}
-}
-
-// TestDebugEventsSSE subscribes over /debug/events?stream=1 and checks
-// that events published after the subscription arrive as SSE data
-// frames, concurrently with more ring writers (the -race guard for the
-// streaming path).
-func TestDebugEventsSSE(t *testing.T) {
-	l := NewEventLog(32)
-	srv := httptest.NewServer(DebugMux(nil, nil, l))
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/debug/events?stream=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			log := l.Logger("engine")
-			for i := 0; i < 25; i++ {
-				log.Info("live", "w", w, "i", i)
-			}
-		}(w)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	got := 0
-	deadline := time.After(5 * time.Second)
-	lines := make(chan string)
-	go func() {
-		defer close(lines)
-		for sc.Scan() {
-			lines <- sc.Text()
-		}
-	}()
-scan:
-	for got < 10 {
-		select {
-		case line, ok := <-lines:
-			if !ok {
-				break scan
-			}
-			if !strings.HasPrefix(line, "data: ") {
-				continue
-			}
-			var ev Event
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-				t.Fatalf("bad SSE frame %q: %v", line, err)
-			}
-			if ev.Subsystem != "engine" || ev.Message != "live" {
-				t.Fatalf("unexpected event %+v", ev)
-			}
-			got++
-		case <-deadline:
-			t.Fatalf("timed out after %d events", got)
-		}
-	}
-	wg.Wait()
-	if got < 10 {
-		t.Fatalf("received %d streamed events, want ≥ 10", got)
-	}
-}
-
-// TestDebugEventsSSENoFlusher covers the 501 path for writers that
-// cannot stream.
-func TestDebugEventsSSENoFlusher(t *testing.T) {
-	l := NewEventLog(4)
-	rec := &noFlushRecorder{header: make(http.Header)}
-	req := httptest.NewRequest("GET", "/debug/events?stream=1", nil)
-	DebugMux(nil, nil, l).ServeHTTP(rec, req)
-	if rec.status != http.StatusNotImplemented {
-		t.Errorf("status = %d, want 501", rec.status)
-	}
-}
-
-// noFlushRecorder is a ResponseWriter without http.Flusher.
-type noFlushRecorder struct {
-	header http.Header
-	status int
-	body   strings.Builder
-}
-
-func (r *noFlushRecorder) Header() http.Header { return r.header }
-func (r *noFlushRecorder) WriteHeader(s int)   { r.status = s }
-func (r *noFlushRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.body.Write(b)
 }

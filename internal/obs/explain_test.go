@@ -198,67 +198,3 @@ func TestChromeTraceLanesUnique(t *testing.T) {
 		t.Fatalf("expected 4 distinct child lanes, got %d: %v", len(lanes), lanes)
 	}
 }
-
-func TestHistogramExemplar(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("t_seconds", "test.", []float64{0.1, 1})
-	h.ObserveExemplar(0.05, "cafe0001-000001")
-	h.ObserveExemplar(0.5, "cafe0001-000002")
-	h.ObserveExemplar(0.06, "cafe0001-000003") // replaces the first bucket's exemplar
-	h.ObserveExemplar(99, "")                  // empty ID: plain observe, no exemplar
-	var buf bytes.Buffer
-	reg.WriteOpenMetrics(&buf)
-	out := buf.String()
-	if !strings.Contains(out, `t_seconds_bucket{le="0.1"} 2 # {trace_id="cafe0001-000003"} 0.06`) {
-		t.Errorf("first bucket exemplar wrong:\n%s", out)
-	}
-	if !strings.Contains(out, `t_seconds_bucket{le="1"} 3 # {trace_id="cafe0001-000002"} 0.5`) {
-		t.Errorf("second bucket exemplar wrong:\n%s", out)
-	}
-	if strings.Contains(out, `le="+Inf"} 4 #`) {
-		t.Errorf("overflow bucket has an exemplar despite the empty trace ID:\n%s", out)
-	}
-	if !strings.HasSuffix(out, "# EOF\n") {
-		t.Errorf("OpenMetrics exposition lacks the # EOF trailer:\n%s", out)
-	}
-	if h.Count() != 4 {
-		t.Errorf("Count = %d, want 4", h.Count())
-	}
-	// The classic 0.0.4 format has no exemplar syntax — a '#' after the
-	// sample value would make standard Prometheus scrapes fail to parse.
-	buf.Reset()
-	reg.WritePrometheus(&buf)
-	classic := buf.String()
-	if strings.Contains(classic, "# {") {
-		t.Errorf("classic exposition carries exemplars:\n%s", classic)
-	}
-	if strings.Contains(classic, "# EOF") {
-		t.Errorf("classic exposition carries the OpenMetrics trailer:\n%s", classic)
-	}
-}
-
-func TestOpenMetricsCounterTotalSuffix(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("t_ops_total", "already suffixed.").Add(2)
-	reg.Counter("t_retries", "bare name.").Add(3)
-	var buf bytes.Buffer
-	reg.WriteOpenMetrics(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE t_ops counter\n", "t_ops_total 2\n",
-		"# TYPE t_retries counter\n", "t_retries_total 3\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("OpenMetrics output missing %q:\n%s", want, out)
-		}
-	}
-	// Classic exposition keeps the registered names verbatim.
-	buf.Reset()
-	reg.WritePrometheus(&buf)
-	classic := buf.String()
-	for _, want := range []string{"t_ops_total 2\n", "t_retries 3\n"} {
-		if !strings.Contains(classic, want) {
-			t.Errorf("classic output missing %q:\n%s", want, classic)
-		}
-	}
-}

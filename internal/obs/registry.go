@@ -95,27 +95,12 @@ type Histogram struct {
 	bounds []float64       // ascending upper bounds
 	counts []atomic.Uint64 // len(bounds)+1; last is the overflow bucket
 	sum    atomic.Uint64   // float64 bits
-	// exemplars holds, per bucket, the most recent observation made via
-	// ObserveExemplar: the value and the trace ID that produced it.
-	exemplars []atomic.Pointer[exemplar]
-}
-
-// exemplar links one observation to the trace that produced it, so a
-// scrape of /metrics can point at the matching entry in
-// /debug/lastqueries.
-type exemplar struct {
-	value   float64
-	traceID string
 }
 
 func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
-	return &Histogram{
-		bounds:    bs,
-		counts:    make([]atomic.Uint64, len(bs)+1),
-		exemplars: make([]atomic.Pointer[exemplar], len(bs)+1),
-	}
+	return &Histogram{bounds: bs, counts: make([]atomic.Uint64, len(bs)+1)}
 }
 
 // Observe records one value.
@@ -126,25 +111,6 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound ≥ v
 	h.counts[i].Add(1)
 	addFloat(&h.sum, v)
-}
-
-// ObserveExemplar records one value and stamps it as the receiving
-// bucket's exemplar, keyed by the trace ID that produced it. Exemplars
-// are rendered only by the OpenMetrics exposition (WriteOpenMetrics,
-// `... # {trace_id="..."} value`) — the classic 0.0.4 text format has
-// no exemplar syntax and its parsers reject a '#' after the sample
-// value, so WritePrometheus never emits them. An empty traceID
-// degrades to a plain Observe.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	addFloat(&h.sum, v)
-	if traceID != "" {
-		h.exemplars[i].Store(&exemplar{value: v, traceID: traceID})
-	}
 }
 
 // Count returns the total number of observations.
@@ -355,23 +321,8 @@ type famSnapshot struct {
 
 // WritePrometheus writes every metric in the classic Prometheus text
 // exposition format (version 0.0.4), families sorted by name and series
-// by label set, so the output is deterministic. The classic format has
-// no exemplar syntax (a '#' after the sample value is a parse error),
-// so exemplars are omitted — scrape with an OpenMetrics Accept header
-// (or call WriteOpenMetrics) to get them.
+// by label set, so the output is deterministic.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.writeExposition(w, false)
-}
-
-// WriteOpenMetrics writes every metric in the OpenMetrics 1.0 text
-// exposition format: counter samples carry the mandatory `_total`
-// suffix, histogram bucket lines carry exemplars recorded via
-// ObserveExemplar, and the document is terminated by `# EOF`.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	return r.writeExposition(w, true)
-}
-
-func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
 	r.mu.Lock()
 	fams := make([]famSnapshot, 0, len(r.families))
 	for _, f := range r.families {
@@ -390,35 +341,24 @@ func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
 
 	var b strings.Builder
 	for _, f := range fams {
-		// OpenMetrics names the counter *family* without the `_total`
-		// suffix its samples must carry; the classic format uses the
-		// registered name verbatim for both.
-		famName, sampleName := f.name, f.name
-		if openMetrics && (f.kind == kindCounter || f.kind == kindCounterFunc) {
-			famName = strings.TrimSuffix(f.name, "_total")
-			sampleName = famName + "_total"
-		}
 		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", famName, strings.ReplaceAll(f.help, "\n", " "))
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
 		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", famName, kindName(f.kind))
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, kindName(f.kind))
 		for _, s := range f.series {
 			switch f.kind {
 			case kindCounter:
-				fmt.Fprintf(&b, "%s%s %d\n", sampleName, braced(s.labels), s.ctr.Value())
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, braced(s.labels), s.ctr.Value())
 			case kindCounterFunc:
-				fmt.Fprintf(&b, "%s%s %d\n", sampleName, braced(s.labels), s.cfn())
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, braced(s.labels), s.cfn())
 			case kindGauge:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, braced(s.labels), formatFloat(s.gauge.Value()))
 			case kindGaugeFunc:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, braced(s.labels), formatFloat(s.gfn()))
 			case kindHistogram:
-				writeHistogram(&b, f.name, s, openMetrics)
+				writeHistogram(&b, f.name, s)
 			}
 		}
-	}
-	if openMetrics {
-		b.WriteString("# EOF\n")
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
@@ -440,30 +380,16 @@ func withLE(labels, le string) string {
 	return "{" + labels + `,le="` + le + `"}`
 }
 
-func writeHistogram(b *strings.Builder, name string, s *series, exemplars bool) {
+func writeHistogram(b *strings.Builder, name string, s *series) {
 	h := s.hist
 	var cum uint64
 	counts := h.BucketCounts()
 	for i, bound := range h.bounds {
 		cum += counts[i]
-		fmt.Fprintf(b, "%s_bucket%s %d%s\n", name, withLE(s.labels, formatFloat(bound)), cum, exemplarSuffix(h, i, exemplars))
+		fmt.Fprintf(b, "%s_bucket%s %d\n", name, withLE(s.labels, formatFloat(bound)), cum)
 	}
 	cum += counts[len(counts)-1]
-	fmt.Fprintf(b, "%s_bucket%s %d%s\n", name, withLE(s.labels, "+Inf"), cum, exemplarSuffix(h, len(counts)-1, exemplars))
+	fmt.Fprintf(b, "%s_bucket%s %d\n", name, withLE(s.labels, "+Inf"), cum)
 	fmt.Fprintf(b, "%s_sum%s %s\n", name, braced(s.labels), formatFloat(h.Sum()))
 	fmt.Fprintf(b, "%s_count%s %d\n", name, braced(s.labels), cum)
-}
-
-// exemplarSuffix renders bucket i's exemplar, if any, in OpenMetrics
-// exemplar syntax. The classic text format (enabled=false) has no
-// exemplar syntax, so the suffix is always empty there.
-func exemplarSuffix(h *Histogram, i int, enabled bool) string {
-	if !enabled {
-		return ""
-	}
-	ex := h.exemplars[i].Load()
-	if ex == nil {
-		return ""
-	}
-	return fmt.Sprintf(" # {trace_id=%q} %s", ex.traceID, formatFloat(ex.value))
 }

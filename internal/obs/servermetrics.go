@@ -11,9 +11,6 @@ package obs
 //	sama_server_admitted_total       counter    requests that got a slot
 //	sama_server_shed_total{reason}   counter    requests refused with 503
 //	sama_server_requests_total{code} counter    responses by HTTP status
-//	sama_server_drains_total         counter    graceful drains started
-//	sama_server_drain_cancelled_total counter   in-flight queries cancelled at
-//	                                            the drain deadline
 //	sama_server_coalesced_total{outcome} counter requests through the
 //	                                            coalescing layer, by outcome
 //	sama_server_inflight             gauge      queries executing now
@@ -31,11 +28,6 @@ type ServerMetrics struct {
 	QueueSeconds *Histogram
 	// Admitted counts requests granted an execution slot.
 	Admitted *Counter
-	// Drains counts graceful drains started (normally 1 per process).
-	Drains *Counter
-	// DrainCancelled counts in-flight queries reclaimed by context
-	// cancellation when the drain deadline fired before they finished.
-	DrainCancelled *Counter
 }
 
 // Shed reasons, the values of sama_server_shed_total's reason label.
@@ -67,10 +59,6 @@ func NewServerMetrics(reg *Registry) *ServerMetrics {
 			"Time spent waiting for an execution slot.", nil),
 		Admitted: reg.Counter("sama_server_admitted_total",
 			"Requests granted an execution slot."),
-		Drains: reg.Counter("sama_server_drains_total",
-			"Graceful drains started."),
-		DrainCancelled: reg.Counter("sama_server_drain_cancelled_total",
-			"In-flight queries cancelled at the drain deadline."),
 	}
 }
 

@@ -98,7 +98,7 @@ type IOStats struct {
 // a slow-query hook).
 type Trace struct {
 	// ID identifies the trace within this process: a per-process random
-	// prefix plus a sequence number. It is what /metrics exemplars and
+	// prefix plus a sequence number. It is what slow-query events and
 	// the Chrome-trace export use to cross-reference a trace in
 	// /debug/lastqueries. IDs are unique per process, not globally.
 	ID string `json:"trace_id"`

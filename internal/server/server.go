@@ -43,13 +43,10 @@ type Options struct {
 	// MaxInflight bounds concurrent query execution (default
 	// GOMAXPROCS).
 	MaxInflight int
-	// MaxQueue bounds the FIFO wait queue behind the execution slots
-	// (default 2×MaxInflight; 0 is honoured as "no queue" when
-	// MaxQueueSet is true).
+	// MaxQueue bounds the FIFO wait queue behind the execution slots: 0
+	// takes the default (2×MaxInflight), a negative value means no queue
+	// (shed the moment execution is saturated).
 	MaxQueue int
-	// MaxQueueSet distinguishes an explicit MaxQueue of 0 (shed the
-	// moment execution is saturated) from an unset field.
-	MaxQueueSet bool
 	// QueueTimeout is how long a request may wait for a slot before it
 	// is shed (default 2s).
 	QueueTimeout time.Duration
@@ -80,7 +77,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxQueue <= 0 && !o.MaxQueueSet {
+	if o.MaxQueue == 0 {
 		o.MaxQueue = 2 * o.MaxInflight
 	}
 	if o.QueueTimeout <= 0 {
@@ -378,18 +375,10 @@ func (h *Handler) execute(r *http.Request, src string, k int, timeout time.Durat
 	// server's straggler reclamation at the drain deadline.
 	ctx, cancel := context.WithTimeout(base, timeout)
 	defer cancel()
-	var done atomic.Bool
-	unregister := context.AfterFunc(h.stopCtx, func() {
-		if !done.Load() {
-			h.met.DrainCancelled.Inc()
-		}
-		cancel()
-	})
-	defer unregister()
+	defer context.AfterFunc(h.stopCtx, cancel)()
 
 	if h.backend.QueryWire != nil {
 		wire, err := h.backend.QueryWire(ctx, src, k, explain)
-		done.Store(true)
 		if wire != nil {
 			// Stamped before the outcome is published (and possibly
 			// shared with coalesced waiters), never after.
@@ -398,7 +387,6 @@ func (h *Handler) execute(r *http.Request, src string, k int, timeout time.Durat
 		return outcome{wire: wire, err: err, queueWait: queueWait}
 	}
 	out, err := h.backend.Query(ctx, src, k)
-	done.Store(true)
 	return outcome{out: out, err: err, queueWait: queueWait}
 }
 
@@ -547,11 +535,8 @@ const stragglerGrace = 2 * time.Second
 // channel closes when the last in-flight query releases its slot.
 // Idempotent.
 func (h *Handler) Drain() <-chan struct{} {
-	if !h.draining.Swap(true) {
-		h.met.Drains.Inc()
-		if h.log != nil {
-			h.log.Info("drain started", "inflight", h.Inflight())
-		}
+	if !h.draining.Swap(true) && h.log != nil {
+		h.log.Info("drain started", "inflight", h.Inflight())
 	}
 	return h.adm.drain()
 }

@@ -175,7 +175,7 @@ func TestOverloadSheds(t *testing.T) {
 			}
 		},
 	}, Options{
-		MaxInflight: 2, MaxQueue: 2, MaxQueueSet: true,
+		MaxInflight: 2, MaxQueue: 2,
 		QueueTimeout: 10 * time.Second, DefaultTimeout: 30 * time.Second,
 	})
 	ts := httptest.NewServer(h)
@@ -281,7 +281,7 @@ func TestQueueTimeoutSheds(t *testing.T) {
 			}
 			return testOutcome(false), nil
 		},
-	}, Options{MaxInflight: 1, MaxQueue: 1, MaxQueueSet: true, QueueTimeout: 30 * time.Millisecond})
+	}, Options{MaxInflight: 1, MaxQueue: 1, QueueTimeout: 30 * time.Millisecond})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	defer close(gate) // unblock the blocker before ts.Close waits on it
@@ -292,6 +292,48 @@ func TestQueueTimeoutSheds(t *testing.T) {
 	_, err := c.Query(context.Background(), "queued", client.QueryOptions{})
 	if !client.IsOverloaded(err) {
 		t.Fatalf("queued query = %v, want 503 after queue timeout", err)
+	}
+}
+
+// TestNoQueueShedsWhenSaturated: MaxQueue 0 takes the default queue,
+// a negative MaxQueue means none — with the one slot busy, the next
+// request is shed at once as queue_full instead of waiting.
+func TestNoQueueShedsWhenSaturated(t *testing.T) {
+	for _, tc := range []struct{ maxQueue, want int }{{0, 4}, {3, 3}, {-1, 0}} {
+		if got := New(Backend{Query: func(context.Context, string, int) (*QueryOutcome, error) { return nil, nil }},
+			Options{MaxInflight: 2, MaxQueue: tc.maxQueue}).adm.maxQueue; got != tc.want {
+			t.Errorf("MaxQueue %d: queue bound %d, want %d", tc.maxQueue, got, tc.want)
+		}
+	}
+
+	gate := make(chan struct{})
+	reg := obs.NewRegistry()
+	h := New(Backend{
+		Metrics: reg,
+		Query: func(ctx context.Context, src string, k int) (*QueryOutcome, error) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+			}
+			return testOutcome(false), nil
+		},
+	}, Options{MaxInflight: 1, MaxQueue: -1, QueueTimeout: 10 * time.Second})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	defer close(gate) // unblock the blocker before ts.Close waits on it
+	c := client.New(ts.URL)
+
+	go c.Query(context.Background(), "blocker", client.QueryOptions{})
+	waitFor(t, func() bool { return h.Inflight() == 1 })
+	start := time.Now()
+	if _, err := c.Query(context.Background(), "shed", client.QueryOptions{}); !client.IsOverloaded(err) {
+		t.Fatalf("second query = %v, want 503", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("shed after %v: the request queued", waited)
+	}
+	if v := reg.Counter("sama_server_shed_total", "", "reason", obs.ShedQueueFull).Value(); v != 1 {
+		t.Errorf("shed_total{queue_full} = %d, want 1", v)
 	}
 }
 
@@ -360,9 +402,6 @@ func TestDrainReturnsInflightResults(t *testing.T) {
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if v := h.met.DrainCancelled.Value(); v != 2 {
-		t.Errorf("drain_cancelled_total = %d, want 2", v)
-	}
 }
 
 // TestShutdownRacesInflight hammers the server with queries while a
@@ -380,7 +419,7 @@ func TestShutdownRacesInflight(t *testing.T) {
 				return testOutcome(true), nil
 			}
 		},
-	}, Options{MaxInflight: 4, MaxQueue: 4, MaxQueueSet: true, QueueTimeout: 100 * time.Millisecond})
+	}, Options{MaxInflight: 4, MaxQueue: 4, QueueTimeout: 100 * time.Millisecond})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	c := client.New(ts.URL)

@@ -152,11 +152,6 @@ type WAL struct {
 	err    error // sticky poison after a failed write or sync
 	closed bool
 
-	// onBatch, when set, observes each successfully committed group-
-	// commit batch: the number of records that shared the flush and the
-	// framed bytes written. Called by the flush leader outside w.mu.
-	onBatch func(records, bytes int)
-
 	stats struct {
 		appends       uint64
 		syncs         uint64
@@ -438,15 +433,11 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 		batch := w.buf
 		waiters := w.waiters
 		batchLast := w.nextLSN - 1
-		onBatch := w.onBatch
 		w.buf = nil
 		w.waiters = nil
 		w.mu.Unlock()
 
 		err := w.commit(batch)
-		if err == nil && onBatch != nil {
-			onBatch(len(waiters), len(batch))
-		}
 
 		for _, c := range waiters {
 			c <- err
@@ -711,15 +702,6 @@ func (w *WAL) sizeLocked() int64 {
 
 // Dir returns the log's directory.
 func (w *WAL) Dir() string { return w.dir }
-
-// SetOnBatch installs the group-commit batch observer. The WAL is
-// opened before the metrics registry is attached, so the hook is set
-// late; it applies to batches whose leader is elected after the call.
-func (w *WAL) SetOnBatch(fn func(records, bytes int)) {
-	w.mu.Lock()
-	w.onBatch = fn
-	w.mu.Unlock()
-}
 
 // Stats returns a snapshot of the log's counters.
 func (w *WAL) Stats() WALStats {

@@ -6,11 +6,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,9 +184,9 @@ func TestSlowQueryLogOption(t *testing.T) {
 }
 
 // TestDBOwnsNoGoroutine pins that a database is passive: opening one
-// starts no background goroutine (runtime telemetry is read at scrape
-// time, not polled), so Close has nothing to stop and the count ends
-// where it began.
+// starts no background goroutine (every metric is read at scrape time,
+// not polled), so Close has nothing to stop and the count ends where it
+// began.
 func TestDBOwnsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	// settled reports the goroutines beyond the starting count, giving
@@ -259,23 +263,161 @@ func TestPoolStatsDuringConcurrentQueries(t *testing.T) {
 	}
 }
 
-func httpGet(t *testing.T, c *http.Client, url string) string {
-	t.Helper()
-	return httpGetAccept(t, c, url, "")
+// TestMetricsReferenceMatchesRegistry pins the README's metrics
+// reference to the registry: a session that touches every family — a
+// query, a deadline-expired query, a WAL insert, a coalesced pair and one
+// shed under MaxInflight 1 with no queue — must leave /metrics with
+// exactly the families the table lists, each with the table's type and
+// label names.
+func TestMetricsReferenceMatchesRegistry(t *testing.T) {
+	want := readmeMetrics(t)
+
+	// The slow-query hook runs inside the engine call, so holding it
+	// holds the one execution slot.
+	var hold atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	db := obsTestDB(t, sama.WithWAL(filepath.Join(t.TempDir(), "wal")), sama.WithAnswerCache(8),
+		sama.WithSlowQueryLog(time.Nanosecond, func(*sama.Trace) {
+			if hold.CompareAndSwap(true, false) {
+				entered <- struct{}{}
+				<-release
+			}
+		}))
+	if err := db.Insert([]sama.Triple{{S: sama.NewIRI("NewSen"), P: sama.NewIRI("sponsor"), O: sama.NewIRI("A0056")}}); err != nil {
+		t.Fatal(err)
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	if res, err := db.QuerySPARQLContext(expired, obsTestQuery, 5); err != nil || !res.Partial {
+		t.Fatalf("deadline-expired query: partial=%v err=%v", res != nil && res.Partial, err)
+	}
+
+	srv := httptest.NewServer(db.Handler(sama.ServerOptions{MaxInflight: 1, MaxQueue: -1, Coalesce: true}))
+	defer srv.Close()
+	post := func(src string) int {
+		resp, err := srv.Client().Post(srv.URL+"/query?k=5", "application/sparql-query", strings.NewReader(src))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	hold.Store(true)
+	codes := make(chan int, 2)
+	go func() { codes <- post(obsTestQuery) }() // the leader, held in the hook
+	<-entered
+	go func() { codes <- post(obsTestQuery) }() // rides the leader's flight
+	if code := post(`SELECT ?x WHERE { ?x <gender> "Male" }`); code != http.StatusServiceUnavailable {
+		t.Errorf("a distinct query with the slot held and no queue: status %d, want 503", code)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("coalesced query: status %d, want 200", code)
+		}
+	}
+
+	got := scrapeFamilies(t, httpGet(t, srv.Client(), srv.URL+"/metrics"))
+	for name, w := range want {
+		g, ok := got[name]
+		switch {
+		case !ok:
+			t.Errorf("README lists %s; /metrics has no such family", name)
+		case g.kind != w.kind || !slices.Equal(g.labels, w.labels):
+			t.Errorf("%s: /metrics has %s %v, README says %s %v", name, g.kind, g.labels, w.kind, w.labels)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("/metrics has %s; the README's metrics reference does not list it", name)
+		}
+	}
 }
 
-// httpGetAccept is httpGet with an Accept header — used to scrape
-// /metrics in the OpenMetrics format, which is where exemplars live.
-func httpGetAccept(t *testing.T, c *http.Client, url, accept string) string {
+// metricFamily is one family's type and sorted label names.
+type metricFamily struct {
+	kind   string
+	labels []string
+}
+
+var (
+	readmeRow  = regexp.MustCompile("^\\| `(sama_[a-z_]+)` \\| ([a-z]+) \\| ([^|]*) \\|")
+	readmeCode = regexp.MustCompile("`([a-z_]+)`")
+	labelName  = regexp.MustCompile(`([a-z_]+)="`)
+	typeLine   = regexp.MustCompile(`^# TYPE (\S+) (\S+)$`)
+)
+
+// readmeMetrics parses the README's "Metrics reference" table.
+func readmeMetrics(t *testing.T) map[string]metricFamily {
 	t.Helper()
-	req, err := http.NewRequest("GET", url, nil)
+	b, err := os.ReadFile("README.md")
 	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
+		t.Fatal(err)
 	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
+	_, table, ok := strings.Cut(string(b), "### Metrics reference\n")
+	if !ok {
+		t.Fatal("README.md has no Metrics reference section")
 	}
-	resp, err := c.Do(req)
+	table, _, _ = strings.Cut(table, "\n#")
+	out := map[string]metricFamily{}
+	for _, line := range strings.Split(table, "\n") {
+		m := readmeRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		var labels []string
+		for _, l := range readmeCode.FindAllStringSubmatch(m[3], -1) {
+			labels = append(labels, l[1])
+		}
+		slices.Sort(labels)
+		out[m[1]] = metricFamily{kind: m[2], labels: labels}
+	}
+	if len(out) == 0 {
+		t.Fatal("README.md's Metrics reference lists no family")
+	}
+	return out
+}
+
+// scrapeFamilies maps each family of a classic text exposition to its
+// type and the label names its samples carry (le excepted).
+func scrapeFamilies(t *testing.T, body string) map[string]metricFamily {
+	t.Helper()
+	out := map[string]metricFamily{}
+	for _, line := range strings.Split(body, "\n") {
+		if m := typeLine.FindStringSubmatch(line); m != nil {
+			out[m[1]] = metricFamily{kind: m[2]}
+		}
+	}
+	for _, line := range strings.Split(body, "\n") {
+		m := sampleLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		name, _, _ := strings.Cut(m[1], "{")
+		if _, ok := out[name]; !ok {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				name = strings.TrimSuffix(name, suffix)
+			}
+		}
+		f, ok := out[name]
+		if !ok {
+			t.Fatalf("sample %q has no # TYPE line", line)
+		}
+		for _, l := range labelName.FindAllStringSubmatch(m[1], -1) {
+			if l[1] != "le" && !slices.Contains(f.labels, l[1]) {
+				f.labels = append(f.labels, l[1])
+			}
+		}
+		slices.Sort(f.labels)
+		out[name] = f
+	}
+	return out
+}
+
+func httpGet(t *testing.T, c *http.Client, url string) string {
+	t.Helper()
+	resp, err := c.Get(url)
 	if err != nil {
 		t.Fatalf("GET %s: %v", url, err)
 	}
@@ -295,8 +437,7 @@ var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*(?:\{[^}]*\})?) (
 // checkPrometheusText validates every line of a classic (0.0.4) text
 // exposition: either a HELP/TYPE comment or a bare `name{labels} value`
 // sample. The classic grammar allows nothing after the value but an
-// integer timestamp — in particular no OpenMetrics exemplar suffix,
-// which would abort a standard Prometheus scrape.
+// integer timestamp.
 func checkPrometheusText(t *testing.T, body string) {
 	t.Helper()
 	if body == "" {

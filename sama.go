@@ -126,8 +126,7 @@ type (
 	MetricsRegistry = obs.Registry
 	// DebugServer is a running debug HTTP server (DB.ServeDebug).
 	DebugServer = obs.DebugServer
-	// CacheStats snapshots one cache's counters (DB.CacheStats,
-	// /debug/vars "sama_cache" section).
+	// CacheStats snapshots one cache's counters (DB.CacheStats).
 	CacheStats = cache.Stats
 	// ServerOptions configure the network query server (DB.Handler,
 	// DB.Serve): concurrency limit, wait-queue bound, queue timeout,
@@ -141,8 +140,7 @@ type (
 	// QueryServer is a running network query server (DB.Serve), wrapping
 	// a QueryHandler in an http.Server with hardened timeouts.
 	QueryServer = server.Server
-	// WALStats snapshots the write-ahead log's counters (DB.WALStats,
-	// /debug/vars "sama_wal" section).
+	// WALStats snapshots the write-ahead log's counters (DB.WALStats).
 	WALStats = storage.WALStats
 	// RecoveryStats reports what DB.Recover replayed: sidecar triples,
 	// pending WAL records and whether a torn tail was repaired.
@@ -348,8 +346,9 @@ func Open(basePath string, opts ...Option) (*DB, error) {
 func newDB(st *index.Index, c *config) *DB {
 	reg := obs.NewRegistry()
 	st.SetMetrics(reg)
-	// The pool owns its counters; expose them as scrape-time funcs so
-	// /metrics never double-counts.
+	// The pool and the WAL own their counters; expose them as
+	// scrape-time funcs so /metrics never double-counts. Flushes,
+	// retries, rotations and checkpoints stay in PoolStats/WALStats.
 	pool := func(get func(storage.PoolStats) uint64) func() uint64 {
 		return func() uint64 { return get(st.PoolStats()) }
 	}
@@ -359,26 +358,21 @@ func newDB(st *index.Index, c *config) *DB {
 		pool(func(s storage.PoolStats) uint64 { return s.Misses }))
 	reg.CounterFunc("sama_pool_evictions_total", "Buffer pool frame evictions.",
 		pool(func(s storage.PoolStats) uint64 { return s.Evictions }))
-	reg.CounterFunc("sama_pool_flushes_total", "Dirty frames written back.",
-		pool(func(s storage.PoolStats) uint64 { return s.Flushes }))
-	reg.CounterFunc("sama_pool_retries_total", "Transient I/O retry attempts.",
-		pool(func(s storage.PoolStats) uint64 { return s.Retries }))
 	if _, ok := st.WALStats(); ok {
-		obs.RegisterWAL(reg, func() obs.WALSnapshot {
-			ws, _ := st.WALStats()
-			return obs.WALSnapshot{
-				Appends:       ws.Appends,
-				Syncs:         ws.Syncs,
-				Batches:       ws.Batches,
-				Bytes:         ws.Bytes,
-				AppendedBytes: ws.AppendedBytes,
-				Segments:      ws.Segments,
-				Rotations:     ws.Rotations,
-				Checkpoints:   ws.Checkpoints,
-			}
-		})
+		wal := func(get func(storage.WALStats) uint64) func() uint64 {
+			return func() uint64 { ws, _ := st.WALStats(); return get(ws) }
+		}
+		reg.CounterFunc("sama_wal_appends_total", "WAL records appended.",
+			wal(func(s storage.WALStats) uint64 { return s.Appends }))
+		reg.CounterFunc("sama_wal_syncs_total", "WAL commit fsyncs.",
+			wal(func(s storage.WALStats) uint64 { return s.Syncs }))
+		reg.CounterFunc("sama_wal_batches_total", "WAL group-commit batches flushed; appends/batches is the batching factor.",
+			wal(func(s storage.WALStats) uint64 { return s.Batches }))
+		reg.CounterFunc("sama_wal_appended_bytes_total", "Bytes ever framed into the WAL, across checkpoints.",
+			wal(func(s storage.WALStats) uint64 { return s.AppendedBytes }))
+		reg.GaugeFunc("sama_wal_segments", "Live WAL segment files.",
+			func() float64 { ws, _ := st.WALStats(); return float64(ws.Segments) })
 	}
-	obs.RegisterRuntime(reg)
 	events := obs.NewEventLog(obs.EventLogSize)
 	st.SetEvents(events)
 	engOpts := c.engine
@@ -654,8 +648,8 @@ func (db *DB) Metrics() *MetricsRegistry { return db.reg }
 func (db *DB) LastQueries() []*Trace { return db.lastq.Snapshot() }
 
 // Events returns the database's structured event log: the 256 most
-// recent events from the engine, index, WAL, compaction and (when serving) server
-// subsystems. Snapshot it for the ring, Subscribe for a live stream.
+// recent events from the engine, index, WAL, compaction and (when
+// serving) server subsystems. Snapshot returns the ring, newest first.
 func (db *DB) Events() *EventLog { return db.events }
 
 // Explain answers the SPARQL query like QuerySPARQLContext and
@@ -678,35 +672,13 @@ func (db *DB) Explain(ctx context.Context, src string, k int) (*Result, *Plan, e
 func (db *DB) CacheStats() map[string]CacheStats { return db.engine.CacheStats() }
 
 // DebugHandler returns the debug HTTP handler tree: /metrics
-// (Prometheus text), /debug/vars (expvar plus a "sama_cache" section
-// with the answer/alignment cache counters, a "sama_align" section
-// with the batched-read state, and a "sama_wal" section
-// with the write-ahead log counters and recovery status), /debug/lastqueries
-// (recent traces as JSON) and /debug/pprof/* — mountable under any
-// server or httptest.
+// (Prometheus text), /debug/vars (the stdlib expvar document),
+// /debug/lastqueries (recent traces as JSON), /debug/events (the event
+// ring) and /debug/pprof/* — mountable under any server or httptest.
+// Cache and WAL counters not on /metrics are read with CacheStats,
+// WALStats and NeedsRecovery.
 func (db *DB) DebugHandler() http.Handler {
-	return obs.DebugMux(db.reg, db.lastq, db.events, obs.DebugVar{
-		Name:  "sama_cache",
-		Value: func() any { return db.engine.CacheStats() },
-	}, obs.DebugVar{
-		Name: "sama_align",
-		Value: func() any {
-			return struct {
-				BatchedReads index.BatchedReadStats `json:"batched_reads"`
-			}{db.store.BatchedReads()}
-		},
-	}, obs.DebugVar{
-		Name: "sama_wal",
-		Value: func() any {
-			st, ok := db.store.WALStats()
-			return struct {
-				Enabled       bool                `json:"enabled"`
-				Stats         storage.WALStats    `json:"stats"`
-				NeedsRecovery int                 `json:"needs_recovery"`
-				LastRecovery  index.RecoveryStats `json:"last_recovery"`
-			}{ok, st, db.store.NeedsRecovery(), db.store.LastRecovery()}
-		},
-	})
+	return obs.DebugMux(db.reg, db.lastq, db.events)
 }
 
 // ServeDebug starts the debug HTTP server on addr (port 0 picks a free
@@ -719,8 +691,7 @@ func (db *DB) ServeDebug(addr string) (*DebugServer, error) {
 // Handler returns the network query server handler over this database:
 // POST /query (SPARQL text in, JSON ranked answers + per-phase stats
 // out, with ?k= and ?timeout= honoured up to the server caps), GET
-// /healthz and /readyz, and the debug tree (/metrics, /debug/pprof,
-// /debug/vars, /debug/lastqueries). Admission control bounds concurrent
+// /healthz and /readyz, and the debug tree (DebugHandler). Admission control bounds concurrent
 // execution at opts.MaxInflight with a bounded FIFO wait queue;
 // requests beyond both are shed with 503 + Retry-After. Request
 // deadlines thread into the engine's context checkpoints, so a request

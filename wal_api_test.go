@@ -2,6 +2,7 @@ package sama
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"path/filepath"
@@ -101,8 +102,8 @@ func TestWALPublicAPI(t *testing.T) {
 	}
 }
 
-// TestWALObservability: the WAL counters surface in both /metrics and
-// the /debug/vars sama_wal section.
+// TestWALObservability: the WAL counters surface on /metrics, equal to
+// WALStats, and the recovery state is read from NeedsRecovery.
 func TestWALObservability(t *testing.T) {
 	dir := t.TempDir()
 	g, err := LoadNTriples(strings.NewReader(govtrackNT))
@@ -121,20 +122,31 @@ func TestWALObservability(t *testing.T) {
 	}
 	srv := httptest.NewServer(db.DebugHandler())
 	defer srv.Close()
-	for path, wants := range map[string][]string{
-		"/metrics":    {"sama_wal_appends_total 1", "sama_wal_syncs_total", "sama_wal_segments 1"},
-		"/debug/vars": {`"sama_wal"`, `"enabled":true`, `"needs_recovery":-1`},
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	st, ok := db.WALStats()
+	if !ok {
+		t.Fatal("WALStats: no WAL on a WithWAL database")
+	}
+	for _, want := range []string{
+		fmt.Sprintf("sama_wal_appends_total %d\n", st.Appends),
+		fmt.Sprintf("sama_wal_syncs_total %d\n", st.Syncs),
+		fmt.Sprintf("sama_wal_batches_total %d\n", st.Batches),
+		fmt.Sprintf("sama_wal_appended_bytes_total %d\n", st.AppendedBytes),
+		fmt.Sprintf("sama_wal_segments %d\n", st.Segments),
 	} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics missing %q:\n%.2000s", want, body)
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		for _, want := range wants {
-			if !strings.Contains(string(body), want) {
-				t.Errorf("%s missing %q:\n%.2000s", path, want, body)
-			}
-		}
+	}
+	if st.Appends != 1 {
+		t.Errorf("WALStats.Appends = %d, want 1", st.Appends)
+	}
+	if n := db.NeedsRecovery(); n != -1 {
+		t.Errorf("NeedsRecovery = %d, want -1", n)
 	}
 }
