@@ -37,14 +37,16 @@ race:
 	$(GO) test -race ./...
 
 # race-hot re-runs the packages where caching, epoch invalidation, the
-# per-query-path cluster goroutines (one alignment memo and one I/O
-# tally shared by all of a query's clusters), request coalescing, WAL
-# group commit, incremental compaction, the event ring's concurrent
-# writers and the signature pre-rank's probe-mask lookups interleave —
-# a second -count pass varies goroutine scheduling beyond what one
-# ./... sweep exercises.
+# per-query-path cluster goroutines (one alignment memo, one I/O tally
+# and one index View shared by all of a query's clusters), request
+# coalescing, WAL group commit, incremental compaction, the event ring's
+# concurrent writers and the signature pre-rank's probe-mask lookups
+# interleave — a second -count pass varies goroutine scheduling beyond
+# what one ./... sweep exercises. A read lock taken again inside a View
+# with a writer queued hangs instead of failing, so the timeout turns
+# such a deadlock into a failure well before go test's own ten minutes.
 race-hot:
-	$(GO) test -race -count=2 ./internal/cache ./internal/core ./internal/server ./internal/storage ./internal/index ./internal/obs ./internal/textindex
+	$(GO) test -race -count=2 -timeout 5m ./internal/cache ./internal/core ./internal/server ./internal/storage ./internal/index ./internal/obs ./internal/textindex
 
 # crash re-runs the durability suites on their own: the crash-matrix
 # kill points (torn WAL tails, mid-checkpoint and mid-compaction
@@ -58,11 +60,13 @@ crash:
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
-# fuzz-smoke runs each of the eight native fuzz targets — the
+# fuzz-smoke runs each of the nine native fuzz targets — the
 # path-record decoder and the dictionary reader every stored path
-# depends on, the inline codec the benchmark still times, the compressed
-# postings (decode ∘ encode, SeekGE, union), the bounded leapfrog
-# intersection, and the three parser front-ends over the shared term
+# depends on, the inline codec the benchmark still times, the WAL's
+# segment scan (a lone segment opens to its well-formed prefix, an older
+# damaged one fails the open), the compressed postings (decode ∘ encode,
+# SeekGE, union), the bounded leapfrog intersection, and the three
+# parser front-ends over the shared term
 # scanner (N-Triples: write ∘ read is a fixed point and Turtle reads the
 # same triples; Turtle: only valid triples; SPARQL: only valid patterns,
 # errors positioned inside the input) — for ten seconds on top of its
@@ -73,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePathDict$$' -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDictionary$$' -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePath$$' -fuzztime 10s ./internal/index
+	$(GO) test -run '^$$' -fuzz FuzzOpenWAL -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzPostingsSeekGE -fuzztime 10s ./internal/textindex
 	$(GO) test -run '^$$' -fuzz FuzzIntersectAmong -fuzztime 10s ./internal/textindex
 	$(GO) test -run '^$$' -fuzz FuzzParseNTriples -fuzztime 10s ./internal/rdf/ntriples

@@ -65,20 +65,20 @@ type IOStats struct {
 
 // ExplainPlan is the deterministic explain plan returned when the
 // request asked for one (?explain=1 / QueryOptions.Explain). Its JSON
-// shape mirrors the engine's plan exactly — field for field, tag for
-// tag — so the document a client receives is byte-identical to what
-// `sama query -explain -json` prints locally for the same query.
+// mirrors the engine's plan tag for tag, so a client receives the very
+// bytes `sama query -explain -json` prints locally for the same query.
 type ExplainPlan struct {
 	Version int    `json:"version"`
 	Query   string `json:"query,omitempty"`
 	// Source is "cache" when the answer cache served the query whole
 	// (no retrieval, alignment, or search ran), else "engine".
-	Source     string         `json:"source"`
-	Answers    int            `json:"answers"`
-	Partial    bool           `json:"partial,omitempty"`
-	StopReason string         `json:"stop_reason,omitempty"`
-	Restarts   int            `json:"restarts,omitempty"`
-	Phases     []*ExplainNode `json:"phases"`
+	Source     string `json:"source"`
+	Answers    int    `json:"answers"`
+	Partial    bool   `json:"partial,omitempty"`
+	StopReason string `json:"stop_reason,omitempty"`
+	// Restarts is always 0; it stays only because bench/ (frozen) reads it.
+	Restarts int            `json:"restarts,omitempty"`
+	Phases   []*ExplainNode `json:"phases"`
 }
 
 // ExplainNode is one span of the plan tree: its name and integer

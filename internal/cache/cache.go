@@ -129,10 +129,14 @@ func (c *Cache) Get(key string, epoch uint64) (any, bool) {
 }
 
 // Put stores value under key at the given epoch, replacing any previous
-// entry for key. size is the caller's estimate of the value's bytes
-// (ignored when the cache has no byte budget); the per-entry overhead
-// and key length are charged on top. The value must be treated as
-// read-only by everyone from here on: hits share it across goroutines.
+// entry for key stored at the same or an older epoch. An entry stored
+// at a newer epoch stays: epochs only grow, so it is the fresher value,
+// and a slow computation finishing after a faster one that started
+// after a write must not overwrite it. size is the caller's estimate of
+// the value's bytes (ignored when the cache has no byte budget); the
+// per-entry overhead and key length are charged on top. The value must
+// be treated as read-only by everyone from here on: hits share it
+// across goroutines.
 func (c *Cache) Put(key string, epoch uint64, value any, size int) {
 	if c == nil {
 		return
@@ -140,7 +144,12 @@ func (c *Cache) Put(key string, epoch uint64, value any, size int) {
 	charged := int64(size) + int64(len(key)) + entryOverhead
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
-		c.remove(el, el.Value.(*entry))
+		en := el.Value.(*entry)
+		if en.epoch > epoch {
+			c.mu.Unlock()
+			return
+		}
+		c.remove(el, en)
 	}
 	en := &entry{key: key, epoch: epoch, value: value, size: charged}
 	c.entries[key] = c.lru.PushFront(en)

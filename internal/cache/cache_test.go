@@ -49,6 +49,18 @@ func TestEpochMismatchInvalidates(t *testing.T) {
 	}
 }
 
+// TestPutKeepsNewerEpoch: a Put at an older epoch — a slow computation
+// finishing after a faster one that started after a write — must not
+// replace the entry stored at the newer epoch.
+func TestPutKeepsNewerEpoch(t *testing.T) {
+	c := New(8, 0)
+	c.Put("a", 2, "new", 0)
+	c.Put("a", 1, "old", 0)
+	if v, ok := c.Get("a", 2); !ok || v.(string) != "new" {
+		t.Fatalf("Get(a,2) = %v, %v; want new, true", v, ok)
+	}
+}
+
 func TestEntryBudgetEvictsLRU(t *testing.T) {
 	c := New(2, 0)
 	c.Put("first", 1, 1, 0)

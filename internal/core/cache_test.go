@@ -316,62 +316,71 @@ func TestAlignMemoEpochBump(t *testing.T) {
 	}
 }
 
-// writeAfterRetrieval lands one insert right after the first sink lookup
-// returns: the build goes on with a candidate set that predates it.
-type writeAfterRetrieval struct {
+// onSinkLookup runs fn at every sink lookup, before the lookup itself.
+type onSinkLookup struct {
 	backend
-	once  sync.Once
-	write func()
+	fn func()
 }
 
-func (b *writeAfterRetrieval) PathsBySinkInto(sc *index.Scratch, label string) []index.PathID {
-	ids := b.backend.PathsBySinkInto(sc, label)
-	b.once.Do(b.write)
-	return ids
+func (b onSinkLookup) PathsBySinkInto(sc *index.Scratch, label string) []index.PathID {
+	b.fn()
+	return b.backend.PathsBySinkInto(sc, label)
 }
 
-// TestAlignMemoStampedBeforeRetrieval: a write racing a build makes the
-// stored entry stale, never the reverse. Stamped after retrieval, the
-// entry below would carry the post-insert epoch over pre-insert
-// candidates and the second build would hit it.
-func TestAlignMemoStampedBeforeRetrieval(t *testing.T) {
+// TestInsertWaitsForClusterPhase: an insert started from inside a
+// cluster build queues on the index lock until the build's View ends —
+// the build neither deadlocks nor sees it — and the next build misses
+// the memo entry the first one stored and sees the insert.
+func TestInsertWaitsForClusterPhase(t *testing.T) {
 	e := newTestEngine(t, Options{})
 	pre := e.Preprocess(hcQuery())
-	e.back = &writeAfterRetrieval{backend: e.back, write: func() {
-		if err := e.idx.InsertTriples([]rdf.Triple{
-			{S: iri("B9999"), P: iri("subject"), O: lit("Health Care")},
-		}); err != nil {
-			t.Error(err)
-		}
-	}}
+	var once sync.Once
+	inserted := make(chan error, 1)
+	e.wrap = func(r backend) backend {
+		return onSinkLookup{backend: r, fn: func() {
+			once.Do(func() {
+				go func() {
+					inserted <- e.idx.InsertTriples([]rdf.Triple{
+						{S: iri("B9999"), P: iri("subject"), O: lit("Health Care")},
+					})
+				}()
+				time.Sleep(20 * time.Millisecond) // the writer queues on the lock
+			})
+		}}
+	}
 	raced, err := e.Cluster(pre)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(clusterLines(raced), "B9999") {
-		t.Fatal("the racing build already saw the insert; the test needs it to land after retrieval")
+		t.Fatal("the build saw an insert that started inside its View")
+	}
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
 	}
 	next, err := e.Cluster(pre)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(clusterLines(next), "B9999") {
-		t.Errorf("the build after the racing one was served pre-insert candidates:\n%s", clusterLines(next))
+		t.Errorf("the build after the insert was served pre-insert candidates:\n%s", clusterLines(next))
 	}
 	if cs := e.CacheStats()[cacheAlign]; cs.Hits != 0 || cs.Invalidations != 1 {
-		t.Errorf("memo: %+v, want no hit and the raced entry invalidated", cs)
+		t.Errorf("memo: %+v, want no hit and the first build's entry invalidated", cs)
 	}
 }
 
-// staleReads fails every batched read with ErrStaleRead while on.
-type staleReads struct {
+// failingReads fails every batched read with errInjected while on.
+type failingReads struct {
 	backend
-	on bool
+	on *bool
 }
 
-func (b *staleReads) ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, error) {
-	if b.on {
-		return nil, fmt.Errorf("injected: %w", index.ErrStaleRead)
+var errInjected = errors.New("injected read failure")
+
+func (b failingReads) ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, error) {
+	if *b.on {
+		return nil, errInjected
 	}
 	return b.backend.ReadPathsBatched(ctx, ids)
 }
@@ -400,16 +409,16 @@ func TestAlignMemoKeepsNothingPartial(t *testing.T) {
 		t.Errorf("a cancelled build left %d memo entries", n)
 	}
 
-	stale := &staleReads{backend: e.back, on: true}
-	e.back = stale
-	if _, err := e.Cluster(pre); !errors.Is(err, index.ErrStaleRead) {
-		t.Fatalf("build over a failing batched read: err = %v, want ErrStaleRead", err)
+	failing := true
+	e.wrap = func(r backend) backend { return failingReads{backend: r, on: &failing} }
+	if _, err := e.Cluster(pre); !errors.Is(err, errInjected) {
+		t.Fatalf("build over a failing batched read: err = %v, want the injected error", err)
 	}
 	if n := e.CacheStats()[cacheAlign].Entries; n != 0 {
 		t.Errorf("a failed build left %d memo entries", n)
 	}
 
-	stale.on = false
+	failing = false
 	got, err := e.Cluster(pre)
 	if err != nil {
 		t.Fatal(err)
@@ -560,7 +569,7 @@ func TestRetrieveUnindexedConstantFallsThrough(t *testing.T) {
 	if len(pre.Paths) != 1 {
 		t.Fatalf("decomposed into %d paths, want 1", len(pre.Paths))
 	}
-	if ids := e.retrieve(new(clusterScratch), pre.Paths[0]); len(ids) == 0 {
+	if ids := inView(e, func(r backend) []index.PathID { return retrieve(r, new(clusterScratch), pre.Paths[0]) }); len(ids) == 0 {
 		t.Fatal("retrieve dead-ended on an unindexed constant label")
 	}
 	answers, err := e.Query(q, 3)
@@ -581,7 +590,8 @@ func TestFallbackScanCoversIDRange(t *testing.T) {
 	if n < 8 {
 		t.Fatalf("figure-1 index has only %d paths; test needs ≥ 8", n)
 	}
-	ids := e.fallbackScan(4)
+	scan := func(r backend) []index.PathID { return fallbackScan(r, 4) }
+	ids := inView(e, scan)
 	if len(ids) != 4 {
 		t.Fatalf("fallback returned %d ids, want 4", len(ids))
 	}
@@ -595,7 +605,7 @@ func TestFallbackScanCoversIDRange(t *testing.T) {
 		t.Errorf("fallback sample max ID %d never left the low range (N=%d)", maxID, n)
 	}
 	// Deterministic for a fixed index state.
-	again := e.fallbackScan(4)
+	again := inView(e, scan)
 	for i := range ids {
 		if again[i] != ids[i] {
 			t.Fatalf("fallback scan not deterministic: %v vs %v", again, ids)

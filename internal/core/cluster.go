@@ -62,17 +62,22 @@ func (e *Engine) Cluster(pre *Preprocessed) ([]Cluster, error) {
 // loop checks the context per candidate and stops early on
 // cancellation, keeping the candidates aligned so far (a smaller but
 // still best-first cluster). A panic in a cluster goroutine is
-// recovered into an error instead of crashing the process.
-func (e *Engine) ClusterContext(ctx context.Context, pre *Preprocessed) ([]Cluster, error) {
-	return e.clusterTraced(ctx, pre, nil)
+// recovered into an error instead of crashing the process. All clusters
+// are read inside one index View.
+func (e *Engine) ClusterContext(ctx context.Context, pre *Preprocessed) (clusters []Cluster, err error) {
+	err = e.view(func(r backend) error {
+		clusters, err = e.clusterTraced(ctx, r, pre, nil)
+		return err
+	})
+	return clusters, err
 }
 
-// clusterTraced is ClusterContext recording one child span per query
-// path under parent (the "cluster" phase span). The spans are created
-// up front, in query-path order, so the trace is deterministic even
-// though the alignment passes run concurrently; a nil parent records
-// nothing.
-func (e *Engine) clusterTraced(ctx context.Context, pre *Preprocessed, parent *obs.Span) ([]Cluster, error) {
+// clusterTraced builds every cluster through r, recording one child
+// span per query path under parent (the "cluster" phase span). The
+// spans are created up front, in query-path order, so the trace is
+// deterministic even though the alignment passes run concurrently; a
+// nil parent records nothing.
+func (e *Engine) clusterTraced(ctx context.Context, r backend, pre *Preprocessed, parent *obs.Span) ([]Cluster, error) {
 	clusters := make([]Cluster, len(pre.Paths))
 	errs := make([]error, len(pre.Paths))
 	spans := make([]*obs.Span, len(pre.Paths))
@@ -90,7 +95,7 @@ func (e *Engine) clusterTraced(ctx context.Context, pre *Preprocessed, parent *o
 					errs[qi] = fmt.Errorf("core: clustering query path %d panicked: %v", qi, r)
 				}
 			}()
-			clusters[qi], errs[qi] = e.buildCluster(ctx, qi, pre.Paths[qi], spans[qi])
+			clusters[qi], errs[qi] = e.buildCluster(ctx, r, qi, pre.Paths[qi], spans[qi])
 			spans[qi].Set("retrieved", int64(clusters[qi].Retrieved))
 			spans[qi].Set("kept", int64(len(clusters[qi].Items)))
 		}(qi)
@@ -130,24 +135,21 @@ func (sc *clusterScratch) release() {
 }
 
 // buildCluster retrieves, aligns and ranks the candidates for one query
-// path. The result is a pure function of the query path and the index
-// state, so with the alignment memo enabled it is computed once per
-// (query-path shape, epoch): a hit returns the stored cluster and
-// touches no posting, no summary and no page. Entries are epoch-checked,
-// so an insert (new paths) or a compaction (renumbered PathIDs) orphans
-// them all. A miss materialises every pre-ranked candidate in one
-// page-locality batched read and aligns them in one loop (alignAll).
-// sp, when non-nil, receives the pass's decision counters for the
-// explain plan (cachedCluster.describe) and, on a miss, the pages the
-// batched read touched.
-func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs.Span) (Cluster, error) {
+// path through r. The result is a pure function of the query path and
+// the index state r reads, so with the alignment memo enabled it is
+// computed once per (query-path shape, epoch): a hit returns the stored
+// cluster and touches no posting, no summary and no page. Entries carry
+// r's epoch, so an insert (new paths) or a compaction (renumbered
+// PathIDs) orphans them all. A miss materialises every pre-ranked
+// candidate in one page-locality batched read and aligns them in one
+// loop (alignAll). sp, when non-nil, receives the pass's decision
+// counters for the explain plan (cachedCluster.describe) and, on a
+// miss, the pages the batched read touched.
+func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Path, sp *obs.Span) (Cluster, error) {
 	var key string
-	var epoch uint64
 	if e.alignMemo != nil {
-		// Epoch before the first posting is read: a write racing the build
-		// makes the entry stored below stale, never the reverse.
-		epoch, key = e.back.Epoch(), q.Key()
-		if v, ok := e.alignMemo.Get(key, epoch); ok {
+		key = q.Key()
+		if v, ok := e.alignMemo.Get(key, r.Epoch()); ok {
 			cc := v.(*cachedCluster)
 			cc.describe(sp, 0)
 			return Cluster{QueryIndex: qi, Query: q, Items: cc.items, Retrieved: cc.retrieved}, nil
@@ -155,16 +157,16 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 	}
 	sc := clusterScratchPool.Get().(*clusterScratch)
 	defer sc.release()
-	ids := e.retrieve(sc, q)
+	ids := retrieve(r, sc, q)
 	if len(ids) == 0 {
 		return Cluster{QueryIndex: qi, Query: q}, nil
 	}
-	cands, err := e.preRank(sc, ids, q)
+	cands, err := e.preRank(r, sc, ids, q)
 	if err != nil {
 		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
 	}
 	cc := &cachedCluster{retrieved: len(ids), preranked: len(cands)}
-	staged, pages, err := e.alignAll(ctx, sc, q, cands)
+	staged, pages, err := e.alignAll(ctx, r, sc, q, cands)
 	if err != nil {
 		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
 	}
@@ -201,7 +203,7 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 		for _, item := range cc.items {
 			size += memoSize(item.Path, item.Alignment)
 		}
-		e.alignMemo.Put(key, epoch, cc, size)
+		e.alignMemo.Put(key, r.Epoch(), cc, size)
 	}
 	return Cluster{QueryIndex: qi, Query: q, Items: cc.items, Retrieved: cc.retrieved}, nil
 }
@@ -210,12 +212,12 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 // edges, each with the signature probe mask a lookup for it would
 // consult (exact key, tokens, and thesaurus expansions — the same
 // precision levels retrieval admits candidates under).
-func (e *Engine) queryConstants(q paths.Path) (labels []string, masks []uint64) {
+func queryConstants(r backend, q paths.Path) (labels []string, masks []uint64) {
 	for _, terms := range [2][]rdf.Term{q.Nodes, q.Edges} {
 		for _, t := range terms {
 			if t.IsConstant() {
 				labels = append(labels, t.Label())
-				masks = append(masks, e.back.LabelProbeMask(t.Label()))
+				masks = append(masks, r.LabelProbeMask(t.Label()))
 			}
 		}
 	}
@@ -252,22 +254,16 @@ func (e *Engine) queryConstants(q paths.Path) (labels []string, masks []uint64) 
 // by a leapfrog that stops at the budget: the confirmed ones sort before
 // everything else, so once budget of them are known they are the cut and
 // the rest of the intersection is never computed.
-//
-// Summaries fails with index.ErrStaleRead when a concurrent compaction
-// invalidated an ID; the error propagates to the engine's restart loop,
-// which re-runs the query against the fresh state. A cluster too small
-// to cut skips the call: its IDs all go to ReadPathsBatched, which makes
-// the same check.
-func (e *Engine) preRank(sc *clusterScratch, ids []index.PathID, q paths.Path) ([]index.PathID, error) {
+func (e *Engine) preRank(r backend, sc *clusterScratch, ids []index.PathID, q paths.Path) ([]index.PathID, error) {
 	budget := 2 * e.opts.maxCandidates()
 	if len(ids) <= budget {
 		return ids, nil
 	}
-	sums, err := e.back.SummariesInto(&sc.idx, ids)
+	sums, err := r.SummariesInto(&sc.idx, ids)
 	if err != nil {
 		return nil, err
 	}
-	labels, masks := e.queryConstants(q)
+	labels, masks := queryConstants(r, q)
 
 	// A candidate's bucket is missing·(maxDeficit+1)+deficit, so bucket
 	// order is the ranking key's ascending (missing, deficit) order.
@@ -308,7 +304,7 @@ func (e *Engine) preRank(sc *clusterScratch, ids []index.PathID, q paths.Path) (
 			}
 			sc.surv = surv
 			n := len(out)
-			out = e.back.PathsByAllLabelsAmong(out, surv, labels, budget-n)
+			out = r.PathsByAllLabelsAmong(out, surv, labels, budget-n)
 			if len(out) == budget {
 				sc.cands = out
 				return out, nil
@@ -372,14 +368,14 @@ func sortClusterItems(items []ClusterItem) {
 // It returns the pages the batched read touched. Cancellation is
 // cooperative per candidate: entries not yet aligned are left out,
 // yielding a smaller but still best-first cluster.
-func (e *Engine) alignAll(ctx context.Context, sc *clusterScratch, q paths.Path, ids []index.PathID) ([]ClusterItem, int64, error) {
+func (e *Engine) alignAll(ctx context.Context, r backend, sc *clusterScratch, q paths.Path, ids []index.PathID) ([]ClusterItem, int64, error) {
 	// The batched read runs under its own tally: sibling clusters share
 	// the query's tally concurrently, so a before/after diff on it would
 	// charge this span a neighbour's pages and the explain plan would
 	// stop being deterministic. The local counts are folded back into
 	// the query's tally afterwards.
 	local := &storage.IOTally{}
-	ps, err := e.back.ReadPathsBatched(storage.WithTally(ctx, local), ids)
+	ps, err := r.ReadPathsBatched(storage.WithTally(ctx, local), ids)
 	pages := int64(local.BatchedPages())
 	storage.TallyFrom(ctx).Merge(local)
 	if err != nil && ctx.Err() == nil {
@@ -408,31 +404,31 @@ func (e *Engine) alignAll(ctx context.Context, sc *clusterScratch, q paths.Path,
 // every strategy falls through to the next when it comes back empty, so
 // a query path only contributes zero candidates when the index itself
 // has no live paths.
-func (e *Engine) retrieve(sc *clusterScratch, q paths.Path) []index.PathID {
+func retrieve(r backend, sc *clusterScratch, q paths.Path) []index.PathID {
 	sink := q.Sink()
 	if sink.IsConstant() {
-		if ids := e.back.PathsBySinkInto(&sc.idx, sink.Label()); len(ids) > 0 {
+		if ids := r.PathsBySinkInto(&sc.idx, sink.Label()); len(ids) > 0 {
 			return ids
 		}
 		// No path ends at a matching sink: degrade to containment so the
 		// approximate search still has material to work with.
-		if ids := e.back.PathsByLabelInto(&sc.idx, sink.Label()); len(ids) > 0 {
+		if ids := r.PathsByLabelInto(&sc.idx, sink.Label()); len(ids) > 0 {
 			return ids
 		}
 	} else if v, ok := q.FirstConstantFromEnd(); ok {
-		if ids := e.back.PathsByLabelInto(&sc.idx, v.Label()); len(ids) > 0 {
+		if ids := r.PathsByLabelInto(&sc.idx, v.Label()); len(ids) > 0 {
 			return ids
 		}
 	}
 	// Constant edge labels, scanned from the sink end like the nodes.
 	for i := len(q.Edges) - 1; i >= 0; i-- {
 		if q.Edges[i].IsConstant() {
-			if ids := e.back.PathsByLabelInto(&sc.idx, q.Edges[i].Label()); len(ids) > 0 {
+			if ids := r.PathsByLabelInto(&sc.idx, q.Edges[i].Label()); len(ids) > 0 {
 				return ids
 			}
 		}
 	}
-	return e.fallbackScan(maxClusterFallback)
+	return fallbackScan(r, maxClusterFallback)
 }
 
 // fallbackScan collects up to max (> 0) live path IDs sampled
@@ -444,8 +440,8 @@ func (e *Engine) retrieve(sc *clusterScratch, q paths.Path) []index.PathID {
 // never surfaces later inserts). The result is deterministic for a
 // given index state; the worst case — most paths tombstoned — visits
 // all N liveness bits, and never reads disk.
-func (e *Engine) fallbackScan(max int) []index.PathID {
-	n := e.back.NumPaths()
+func fallbackScan(r backend, max int) []index.PathID {
+	n := r.NumPaths()
 	ids := make([]index.PathID, 0, max)
 	stride := (n + max - 1) / max
 	if stride < 1 {
@@ -453,7 +449,7 @@ func (e *Engine) fallbackScan(max int) []index.PathID {
 	}
 	for start := 0; start < stride && len(ids) < max; start++ {
 		for i := start; i < n && len(ids) < max; i += stride {
-			if e.back.Live(index.PathID(i)) {
+			if r.Live(index.PathID(i)) {
 				ids = append(ids, index.PathID(i))
 			}
 		}

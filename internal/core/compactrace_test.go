@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -19,8 +18,8 @@ import (
 // query: no error, and a non-empty ranked answer list whose top
 // answer names a senator — an in-flight query sees either the
 // pre-compaction state or the post-swap state, never a torn one.
-// Run under -race (make check does) this also proves the epoch
-// snapshot discipline has no data races.
+// Run under -race (make check does) this also proves the one-View
+// cluster phase has no data races.
 func TestConcurrentQueryDuringCompaction(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "cr")
 	ix, err := index.Build(base, figure1Graph(), index.Options{})
@@ -52,15 +51,6 @@ func TestConcurrentQueryDuringCompaction(t *testing.T) {
 				default:
 				}
 				answers, err := e.Query(q, 3)
-				if errors.Is(err, index.ErrStaleRead) {
-					// The writer invalidates the very paths these
-					// queries retrieve; on a single-core box under
-					// race instrumentation it can win the race often
-					// enough to exhaust the engine's bounded retry
-					// budget. Surfacing ErrStaleRead then is the
-					// documented contract, not a torn read.
-					continue
-				}
 				if err != nil {
 					fail("reader %d: %v", w, err)
 					return

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"sama/internal/datasets"
@@ -42,6 +39,28 @@ func allIDs(t *testing.T, ix *index.Index) []index.PathID {
 		}
 	}
 	return ids
+}
+
+// inView returns what fn reads through the reader of one View of e's
+// index.
+func inView[T any](e *Engine, fn func(backend) T) T {
+	var out T
+	e.view(func(r backend) error { out = fn(r); return nil })
+	return out
+}
+
+// preRankIn runs preRank on the reader of one View of e's index.
+func preRankIn(t *testing.T, e *Engine, sc *clusterScratch, ids []index.PathID, q paths.Path) []index.PathID {
+	t.Helper()
+	var cands []index.PathID
+	err := e.view(func(r backend) (err error) {
+		cands, err = e.preRank(r, sc, ids, q)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cands
 }
 
 func findPath(t *testing.T, ix *index.Index, pred func(paths.Path) bool) index.PathID {
@@ -101,10 +120,7 @@ func TestPreRankDeficitCannotOutrankMissing(t *testing.T) {
 	// Cap 1 → frontier budget 2 → the three candidates force a cut.
 	e := New(ix, Options{MaxCandidatesPerCluster: 1})
 	defer e.Close()
-	cands, err := e.preRank(new(clusterScratch), ids, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cands := preRankIn(t, e, new(clusterScratch), ids, q)
 	if len(cands) != 2 {
 		t.Fatalf("frontier = %d candidates, want 2", len(cands))
 	}
@@ -159,90 +175,12 @@ func TestPreRankSynonymSurvivesCut(t *testing.T) {
 
 	e := New(ix, Options{MaxCandidatesPerCluster: 1})
 	defer e.Close()
-	cands, err := e.preRank(new(clusterScratch), append([]index.PathID(nil), ids...), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cands := preRankIn(t, e, new(clusterScratch), append([]index.PathID(nil), ids...), q)
 	if len(cands) != 2 {
 		t.Fatalf("frontier = %d candidates, want 2", len(cands))
 	}
 	if cands[0] != syn {
 		t.Errorf("synonym candidate ranked %v, want first (got %v)", syn, cands[0])
-	}
-}
-
-// TestPreRankRacesCompaction races the signature pre-rank (with IDs
-// captured before the mutation) against re-enumerating inserts and
-// one-path incremental compactions. Every call must either rank or
-// report index.ErrStaleRead — the error the engine's restart loop
-// absorbs — and never panic on an ID the shrunken tables no longer
-// cover. Run under -race (make check does) this pins the Summaries
-// lock discipline against the compaction swap.
-func TestPreRankRacesCompaction(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "fig1")
-	ix, err := index.Build(base, figure1Graph(), index.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ix.Close() })
-	// Cap 1 → budget 2: every call cuts, so every call reads summaries (a
-	// cluster within budget leaves the staleness check to the batched read).
-	e := New(ix, Options{MaxCandidatesPerCluster: 1})
-	defer e.Close()
-
-	if err := ix.InsertTriples([]rdf.Triple{
-		{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("A9000")},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	captured := make([]index.PathID, ix.NumPaths())
-	for i := range captured {
-		captured[i] = index.PathID(i)
-	}
-	q := e.Preprocess(queryQ1()).Paths[0]
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				ids := append([]index.PathID(nil), captured...)
-				if _, err := e.preRank(new(clusterScratch), ids, q); err != nil && !errors.Is(err, index.ErrStaleRead) {
-					t.Errorf("preRank: %v", err)
-					return
-				}
-			}
-		}()
-	}
-
-	for i := 0; i < 6; i++ {
-		if err := ix.InsertTriples([]rdf.Triple{
-			{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("A9001")},
-		}); err != nil {
-			t.Errorf("insert: %v", err)
-			break
-		}
-		if _, err := ix.CompactIncremental(context.Background(), 1); err != nil {
-			t.Errorf("compaction %d: %v", i, err)
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	// After the dust settles the captured IDs are definitively stale
-	// (the space shrank); the batch must say so, not panic.
-	if ix.NumPaths() < len(captured) {
-		if _, err := e.preRank(new(clusterScratch), captured, q); !errors.Is(err, index.ErrStaleRead) {
-			t.Errorf("preRank(stale) err = %v, want ErrStaleRead", err)
-		}
 	}
 }
 
@@ -272,6 +210,13 @@ func preRankRef(t *testing.T, ix *index.Index, ids []index.PathID, q paths.Path,
 			labels = append(labels, e.Label())
 		}
 	}
+	masks := make([]uint64, len(labels))
+	ix.View(func(r index.Reader) error {
+		for i, l := range labels {
+			masks[i] = r.LabelProbeMask(l)
+		}
+		return nil
+	})
 	inter := map[index.PathID]bool{}
 	for _, id := range ix.PathsByAllLabels(labels) {
 		inter[id] = true
@@ -283,8 +228,8 @@ func preRankRef(t *testing.T, ix *index.Index, ids []index.PathID, q paths.Path,
 	rs := make([]ranked, len(ids))
 	for i, id := range ids {
 		r := ranked{id: id, deficit: max(0, q.Length()-int(sums[i].Len))}
-		for _, l := range labels {
-			if sums[i].Sig&ix.LabelProbeMask(l) == 0 {
+		for _, mask := range masks {
+			if sums[i].Sig&mask == 0 {
 				r.missing++
 			}
 		}
@@ -332,7 +277,7 @@ func TestPreRankEqualsDefinition(t *testing.T) {
 		for _, gq := range clusterParamQueries(t, g) {
 			for qi, q := range e.Preprocess(gq.q).Paths {
 				sc := new(clusterScratch)
-				ids := e.retrieve(sc, q)
+				ids := inView(e, func(r backend) []index.PathID { return retrieve(r, sc, q) })
 				want, confirmed, demoted := preRankRef(t, ix, ids, q, budget)
 				if len(ids) > budget {
 					if confirmed >= budget {
@@ -342,10 +287,7 @@ func TestPreRankEqualsDefinition(t *testing.T) {
 					}
 					demotions += demoted
 				}
-				got, err := e.preRank(sc, ids, q)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := preRankIn(t, e, sc, ids, q)
 				if !slices.Equal(got, want) {
 					t.Fatalf("cap %d, %s path %d: preRank kept %d candidates that differ from the definition's %d (confirmed %d, demoted %d)",
 						capN, gq.id, qi, len(got), len(want), confirmed, demoted)

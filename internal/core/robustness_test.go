@@ -126,12 +126,12 @@ func TestSearchContextMidCancelPrefix(t *testing.T) {
 }
 
 func TestClusterContextRecoversPanic(t *testing.T) {
-	good := newTestEngine(t, Options{})
-	pre := good.Preprocess(queryQ1())
-	// An engine with no index panics on the first retrieval; the
-	// goroutine recovery must turn that into an error, not a crash.
-	bad := New(nil, Options{})
-	_, err := bad.ClusterContext(context.Background(), pre)
+	e := newTestEngine(t, Options{})
+	pre := e.Preprocess(queryQ1())
+	// A nil reader panics on the first read; the goroutine recovery must
+	// turn that into an error, not a crash.
+	e.wrap = func(backend) backend { return nil }
+	_, err := e.ClusterContext(context.Background(), pre)
 	if err == nil {
 		t.Fatal("expected an error from a panicking cluster goroutine")
 	}

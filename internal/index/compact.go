@@ -56,9 +56,10 @@ func (ix *Index) Compact() error {
 // CompactIncremental rewrites the index in bounded steps while queries
 // and writes proceed. The bulk of the copy runs under short read locks
 // — batch live paths are materialised per step, the lock released
-// between steps — so in-flight queries keep reading the consistent
-// pre-compaction state (their epoch snapshot) throughout. Only the
-// final phase takes the write lock: paths appended by writes that
+// between steps — so queries keep reading the pre-compaction state
+// throughout. Only the final phase takes the write lock, which waits
+// for every open View (a query's cluster phase) to end, so no query
+// reads across the swap: paths appended by writes that
 // raced the copy are carried over, paths tombstoned during it are
 // re-tombstoned in the new files, the files are swapped (rename), and
 // the epoch bumps — invalidating every cache entry that names an old

@@ -92,10 +92,11 @@ type Stats struct {
 }
 
 // Index is the opened, queryable path index. It is safe for concurrent
-// use: queries take a read lock over the in-memory tables, while
-// InsertTriples, Compact, Flush and Close serialise behind a write
-// lock (page I/O is additionally serialised by the buffer pool's own
-// lock).
+// use: a query's cluster phase reads one consistent state through the
+// Reader of one View, which holds the read lock for the whole phase,
+// while InsertTriples, Compact, Checkpoint, Flush and Close serialise
+// behind the write lock and wait for open Views (page I/O is
+// additionally serialised by the buffer pool's own lock).
 type Index struct {
 	mu    sync.RWMutex
 	base  string
@@ -662,19 +663,52 @@ func (ix *Index) diskBytes() int64 {
 	return total
 }
 
-// NumPaths returns the number of indexed paths, tombstoned included
-// (IDs run from 0 to NumPaths-1; check Live before reading).
-func (ix *Index) NumPaths() int {
+// View runs fn with the read lock held for the whole call, so every
+// read fn makes through its Reader sees one index state: inserts, the
+// compaction swap, checkpoints and Close wait until fn returns. Nothing
+// fn calls may call a locking *Index method: Go read locks do not
+// nest, and a writer queued between the two acquisitions would
+// deadlock both.
+func (ix *Index) View(fn func(Reader) error) error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.rids)
+	return fn(Reader{ix})
 }
 
-// Live reports whether the path ID refers to a non-tombstoned path.
-func (ix *Index) Live(id PathID) bool {
+// Reader reads the state one View holds still. Its methods take no
+// lock, so a Reader is valid only inside its View's callback.
+type Reader struct{ ix *Index }
+
+// locked runs one Reader call under the read lock: the locking
+// accessors on *Index are each one such call.
+func locked[T any](ix *Index, read func(Reader) T) T {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return int(id) < len(ix.deleted) && !ix.deleted[id]
+	return read(Reader{ix})
+}
+
+// NumPaths returns the number of indexed paths, tombstoned included
+// (IDs run from 0 to NumPaths-1; check Live before reading).
+func (r Reader) NumPaths() int { return len(r.ix.rids) }
+
+// NumPaths is Reader.NumPaths under its own read lock.
+func (ix *Index) NumPaths() int { return locked(ix, Reader.NumPaths) }
+
+// Live reports whether the path ID refers to a non-tombstoned path.
+func (r Reader) Live(id PathID) bool { return int(id) < len(r.ix.deleted) && !r.ix.deleted[id] }
+
+// Live is Reader.Live under its own read lock.
+func (ix *Index) Live(id PathID) bool {
+	return locked(ix, func(r Reader) bool { return r.Live(id) })
+}
+
+// checkLive rejects an ID that is out of range or tombstoned. The
+// caller holds ix.mu.
+func (ix *Index) checkLive(id PathID) error {
+	if !(Reader{ix}).Live(id) {
+		return fmt.Errorf("index: path %d is out of range (%d paths) or tombstoned", id, len(ix.rids))
+	}
+	return nil
 }
 
 // Stats returns the build statistics.
@@ -684,15 +718,14 @@ func (ix *Index) Stats() Stats {
 	return ix.stats
 }
 
-// Epoch returns the index's mutation counter (see the epoch field).
-// Capture it before a computation whose result will be cached: a write
-// landing mid-computation bumps the epoch, which marks the cached
-// entry stale the moment it is stored.
-func (ix *Index) Epoch() uint64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.epoch
-}
+// Epoch returns the index's mutation counter (see the epoch field). It
+// is the same for every read of one View, so a result computed inside
+// the View is stored against it: a write after the View bumps the
+// epoch, which marks the stored entry stale.
+func (r Reader) Epoch() uint64 { return r.ix.epoch }
+
+// Epoch is Reader.Epoch under its own read lock.
+func (ix *Index) Epoch() uint64 { return locked(ix, Reader.Epoch) }
 
 // Path reads the path with the given ID from disk (through the buffer
 // pool).
@@ -702,23 +735,11 @@ func (ix *Index) Path(id PathID) (paths.Path, error) {
 	return ix.pathLocked(id)
 }
 
-// ErrStaleRead marks a read through a PathID that no longer refers to
-// a live path — the index was mutated (an insert tombstoned it, or a
-// compaction renumbered the ID space) after the caller captured the
-// ID under an earlier read lock. The ID set is stale as a whole, not
-// just the one entry: callers should re-run their lookup against the
-// current state rather than skip the path (the engine's query loop
-// does exactly that).
-var ErrStaleRead = errors.New("stale read: path IDs predate an index mutation")
-
 // pathLocked is Path for callers already holding ix.mu.
 func (ix *Index) pathLocked(id PathID) (paths.Path, error) {
 	ix.mPathReads.Inc()
-	if int(id) >= len(ix.rids) {
-		return paths.Path{}, fmt.Errorf("index: path %d out of range (%d paths): %w", id, len(ix.rids), ErrStaleRead)
-	}
-	if ix.deleted[id] {
-		return paths.Path{}, fmt.Errorf("index: path %d was invalidated by an update: %w", id, ErrStaleRead)
+	if err := ix.checkLive(id); err != nil {
+		return paths.Path{}, err
 	}
 	data, err := ix.store.Read(ix.rids[id])
 	if err != nil {
@@ -741,36 +762,33 @@ type Scratch struct {
 	sums []PathSummary
 }
 
-// PathsBySink returns the IDs of the live paths whose sink matches the
-// label (exact, token, and thesaurus expansion). The caller owns the
-// result.
-func (ix *Index) PathsBySink(label string) []PathID {
-	return ix.PathsBySinkInto(new(Scratch), label)
-}
-
-// PathsBySinkInto is PathsBySink working in sc.
-func (ix *Index) PathsBySinkInto(sc *Scratch, label string) []PathID {
-	ix.mSinkLookups.Inc()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	sc.ids = ix.appendLive(sc.ids[:0], ix.sinks.LookupScratch(&sc.tx, label))
+// PathsBySinkInto returns the IDs of the live paths whose sink matches
+// the label (exact, token, and thesaurus expansion), in sc.
+func (r Reader) PathsBySinkInto(sc *Scratch, label string) []PathID {
+	r.ix.mSinkLookups.Inc()
+	sc.ids = r.ix.appendLive(sc.ids[:0], r.ix.sinks.LookupScratch(&sc.tx, label))
 	return sc.ids
 }
 
-// PathsByLabel returns the IDs of the live paths containing an element
-// whose label matches (exact, token, and thesaurus expansion). The
+// PathsBySink is Reader.PathsBySinkInto under its own read lock; the
+// caller owns the result.
+func (ix *Index) PathsBySink(label string) []PathID {
+	return locked(ix, func(r Reader) []PathID { return r.PathsBySinkInto(new(Scratch), label) })
+}
+
+// PathsByLabelInto returns the IDs of the live paths containing an
+// element whose label matches (exact, token, and thesaurus expansion),
+// in sc.
+func (r Reader) PathsByLabelInto(sc *Scratch, label string) []PathID {
+	r.ix.mLabelLookups.Inc()
+	sc.ids = r.ix.appendLive(sc.ids[:0], r.ix.labels.LookupScratch(&sc.tx, label))
+	return sc.ids
+}
+
+// PathsByLabel is Reader.PathsByLabelInto under its own read lock; the
 // caller owns the result.
 func (ix *Index) PathsByLabel(label string) []PathID {
-	return ix.PathsByLabelInto(new(Scratch), label)
-}
-
-// PathsByLabelInto is PathsByLabel working in sc.
-func (ix *Index) PathsByLabelInto(sc *Scratch, label string) []PathID {
-	ix.mLabelLookups.Inc()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	sc.ids = ix.appendLive(sc.ids[:0], ix.labels.LookupScratch(&sc.tx, label))
-	return sc.ids
+	return locked(ix, func(r Reader) []PathID { return r.PathsByLabelInto(new(Scratch), label) })
 }
 
 // appendLive appends the postings to dst as path IDs, filtering
@@ -795,23 +813,17 @@ func (ix *Index) appendLive(dst []PathID, ps []uint32) []PathID {
 // cancelled mid-batch the context error is returned alongside partial
 // results — paths not yet materialised are left zero (len(Nodes) == 0),
 // which is distinguishable because an indexed path always has at least
-// one node. Out-of-range and tombstoned IDs fail the whole batch with
-// ErrStaleRead, as they indicate the caller holds stale IDs across an
-// index mutation.
-func (ix *Index) ReadPathsBatched(ctx context.Context, ids []PathID) ([]paths.Path, error) {
+// one node. An out-of-range or tombstoned ID fails the whole batch.
+func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) ([]paths.Path, error) {
+	ix := r.ix
 	out := make([]paths.Path, len(ids))
 	if len(ids) == 0 {
 		return out, nil
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	rids := make([]storage.RID, len(ids))
 	for i, id := range ids {
-		if int(id) >= len(ix.rids) {
-			return nil, fmt.Errorf("index: path %d out of range (%d paths): %w", id, len(ix.rids), ErrStaleRead)
-		}
-		if ix.deleted[id] {
-			return nil, fmt.Errorf("index: path %d was invalidated by an update: %w", id, ErrStaleRead)
+		if err := ix.checkLive(id); err != nil {
+			return nil, err
 		}
 		rids[i] = ix.rids[id]
 	}
@@ -838,6 +850,15 @@ func (ix *Index) ReadPathsBatched(ctx context.Context, ids []PathID) ([]paths.Pa
 	ix.mPathReads.Add(uint64(decoded))
 	storage.TallyFrom(ctx).AddBatchedPages(uint64(npages))
 	return out, err
+}
+
+// ReadPathsBatched is Reader.ReadPathsBatched under its own read lock.
+func (ix *Index) ReadPathsBatched(ctx context.Context, ids []PathID) (ps []paths.Path, err error) {
+	err = ix.View(func(r Reader) error {
+		ps, err = r.ReadPathsBatched(ctx, ids)
+		return err
+	})
+	return ps, err
 }
 
 // DropCache empties the buffer pool, returning the index to the

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"fmt"
 	"slices"
 
 	"sama/internal/textindex"
@@ -21,40 +20,36 @@ type PathSummary struct {
 	Sig uint64
 }
 
-// Summaries returns the in-memory summaries for the given IDs under one
-// read lock. Unlike the scalar accessors it reports staleness instead
-// of degrading: an out-of-range ID (the space shrank under a
-// compaction) or a tombstoned one fails the whole batch with
-// ErrStaleRead, which the engine's restart loop turns into a re-run
-// against the fresh state.
-func (ix *Index) Summaries(ids []PathID) ([]PathSummary, error) {
-	return ix.SummariesInto(new(Scratch), ids)
-}
-
-// SummariesInto is Summaries working in sc.
-func (ix *Index) SummariesInto(sc *Scratch, ids []PathID) ([]PathSummary, error) {
+// SummariesInto returns the in-memory summaries for the given IDs, in
+// sc. An out-of-range or tombstoned ID fails the whole batch.
+func (r Reader) SummariesInto(sc *Scratch, ids []PathID) ([]PathSummary, error) {
 	out := slices.Grow(sc.sums[:0], len(ids))[:len(ids)]
 	sc.sums = out
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	for i, id := range ids {
-		if int(id) >= len(ix.lens) {
-			return nil, fmt.Errorf("index: path %d out of range (%d paths): %w", id, len(ix.lens), ErrStaleRead)
+		if err := r.ix.checkLive(id); err != nil {
+			return nil, err
 		}
-		if ix.deleted[id] {
-			return nil, fmt.Errorf("index: path %d was invalidated by an update: %w", id, ErrStaleRead)
-		}
-		out[i] = PathSummary{Len: ix.lens[id], Sig: ix.sigs[id]}
+		out[i] = PathSummary{Len: r.ix.lens[id], Sig: r.ix.sigs[id]}
 	}
 	return out, nil
+}
+
+// Summaries is Reader.SummariesInto under its own read lock; the caller
+// owns the result.
+func (ix *Index) Summaries(ids []PathID) (sums []PathSummary, err error) {
+	err = ix.View(func(r Reader) error {
+		sums, err = r.SummariesInto(new(Scratch), ids)
+		return err
+	})
+	return sums, err
 }
 
 // LabelProbeMask returns the signature bits a lookup for label would
 // consult under this index's thesaurus (see textindex.ProbeMask). A
 // path whose summary signature shares no bit with the mask cannot be
 // returned by PathsByLabel(label).
-func (ix *Index) LabelProbeMask(label string) uint64 {
-	return textindex.ProbeMask(ix.thes, label)
+func (r Reader) LabelProbeMask(label string) uint64 {
+	return textindex.ProbeMask(r.ix.thes, label)
 }
 
 // PathsByAllLabels returns the IDs of the live paths containing ALL of
@@ -64,19 +59,17 @@ func (ix *Index) LabelProbeMask(label string) uint64 {
 // the per-label expansions.
 func (ix *Index) PathsByAllLabels(labels []string) []PathID {
 	ix.mLabelLookups.Inc()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ps := ix.labels.LookupIntersect(labels)
-	return ix.appendLive(make([]PathID, 0, len(ps)), ps)
+	return locked(ix, func(Reader) []PathID {
+		ps := ix.labels.LookupIntersect(labels)
+		return ix.appendLive(make([]PathID, 0, len(ps)), ps)
+	})
 }
 
 // PathsByAllLabelsAmong appends to dst the first limit of cands — live
 // path IDs in ascending order — that PathsByAllLabels(labels) contains,
 // without computing the rest of that intersection (see
 // textindex.IntersectAmong; dst may be cands[:0]).
-func (ix *Index) PathsByAllLabelsAmong(dst, cands []PathID, labels []string, limit int) []PathID {
-	ix.mLabelLookups.Inc()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return textindex.IntersectAmong(ix.labels, dst, cands, labels, limit)
+func (r Reader) PathsByAllLabelsAmong(dst, cands []PathID, labels []string, limit int) []PathID {
+	r.ix.mLabelLookups.Inc()
+	return textindex.IntersectAmong(r.ix.labels, dst, cands, labels, limit)
 }

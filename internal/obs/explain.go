@@ -30,7 +30,6 @@ type Plan struct {
 	Answers    int         `json:"answers"`
 	Partial    bool        `json:"partial,omitempty"`
 	StopReason string      `json:"stop_reason,omitempty"`
-	Restarts   int         `json:"restarts,omitempty"`
 	Phases     []*PlanNode `json:"phases"`
 }
 
@@ -55,7 +54,6 @@ func BuildPlan(tr *Trace) *Plan {
 		Answers:    tr.Answers,
 		Partial:    tr.Partial,
 		StopReason: tr.StopReason,
-		Restarts:   tr.Restarts,
 	}
 	if tr.CacheHit {
 		p.Source = "cache"
@@ -89,9 +87,6 @@ func (p *Plan) WriteText(w io.Writer) {
 		return
 	}
 	fmt.Fprintf(w, "plan v%d source=%s answers=%d", p.Version, p.Source, p.Answers)
-	if p.Restarts > 0 {
-		fmt.Fprintf(w, " restarts=%d", p.Restarts)
-	}
 	if p.Partial {
 		fmt.Fprintf(w, " partial=%q", p.StopReason)
 	}

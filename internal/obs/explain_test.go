@@ -104,12 +104,11 @@ func TestBuildPlanCacheHit(t *testing.T) {
 
 func TestPlanWriteTextGolden(t *testing.T) {
 	tr := explainTestTrace()
-	tr.Restarts = 2
 	tr.Partial = true
 	tr.StopReason = "deadline exceeded"
 	var buf bytes.Buffer
 	BuildPlan(tr).WriteText(&buf)
-	want := `plan v1 source=engine answers=5 restarts=2 partial="deadline exceeded"
+	want := `plan v1 source=engine answers=5 partial="deadline exceeded"
   decompose query_paths=2
   cluster kept=11 retrieved=13
     align[0] aligned=7 batched_pages=3 kept=7 memo_hits=0 preranked=7 retrieved=9

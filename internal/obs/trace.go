@@ -123,9 +123,6 @@ type Trace struct {
 	// retrieval, alignment, or search ran and the I/O attribution is
 	// legitimately zero.
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// Restarts counts ErrStaleRead retries absorbed before this
-	// (successful) execution; its spans cover only the final attempt.
-	Restarts int `json:"restarts,omitempty"`
 
 	mu sync.Mutex
 }
@@ -233,9 +230,6 @@ func (t *Trace) WriteTable(w io.Writer) {
 	detail := fmt.Sprintf("answers=%d", t.Answers)
 	if t.CacheHit {
 		detail += " (served from answer cache)"
-	}
-	if t.Restarts > 0 {
-		detail += fmt.Sprintf(" restarts=%d", t.Restarts)
 	}
 	if t.Partial {
 		detail += fmt.Sprintf(" partial=%q", t.StopReason)

@@ -506,7 +506,6 @@ func planToWire(p *obs.Plan) *client.ExplainPlan {
 		Answers:    p.Answers,
 		Partial:    p.Partial,
 		StopReason: p.StopReason,
-		Restarts:   p.Restarts,
 		Phases:     planNodesToWire(p.Phases),
 	}
 }

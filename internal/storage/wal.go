@@ -254,11 +254,11 @@ func (w *WAL) scan() error {
 	return nil
 }
 
-// scanSegment validates one segment file. For the newest segment a
-// trailing partial or CRC-failing record is treated as a torn tail and
-// truncated off; anywhere else it is corruption. Returns the segment
-// entry (nil if the file was an unreadable torn tail and was removed)
-// and the highest LSN it holds (0 if none).
+// scanSegment validates one segment file. For the newest segment a bad
+// header (LSNs start at 1, so one opening at 0 is bad too) or a trailing
+// partial or CRC-failing record is a torn tail, removed or truncated
+// off; anywhere else it is corruption. Returns the segment entry (nil if
+// the header was bad) and the highest LSN it holds (0 if none).
 func (w *WAL) scanSegment(index uint64, last bool) (*walSegment, uint64, error) {
 	path := filepath.Join(w.dir, walSegName(index))
 	f, err := os.Open(path)
@@ -285,7 +285,7 @@ func (w *WAL) scanSegment(index uint64, last bool) (*walSegment, uint64, error) 
 		return nil, 0, fmt.Errorf("%w: segment %d bad magic", ErrWALCorrupt, index)
 	}
 	firstLSN := binary.LittleEndian.Uint64(hdr[8:16])
-	if crc32.ChecksumIEEE(hdr[8:16]) != binary.LittleEndian.Uint32(hdr[16:20]) {
+	if firstLSN == 0 || crc32.ChecksumIEEE(hdr[8:16]) != binary.LittleEndian.Uint32(hdr[16:20]) {
 		if last {
 			w.stats.tornRepaired = true
 			return nil, 0, os.Remove(path)

@@ -2,10 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -469,4 +472,144 @@ func TestWALCloseWaitsForInFlightCommit(t *testing.T) {
 	if string(got[1]) != "racing-close" {
 		t.Fatalf("record acknowledged before Close missing: %v", got)
 	}
+}
+
+// encodeSegment is a segment file opening at first and holding payloads
+// at consecutive LSNs, framed the way Append frames them.
+func encodeSegment(first uint64, payloads ...[]byte) []byte {
+	seg := binary.LittleEndian.AppendUint64(walMagic[:], first)
+	seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(seg[8:16]))
+	for i, p := range payloads {
+		lsn := binary.LittleEndian.AppendUint64(nil, first+uint64(i))
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(p)))
+		seg = append(seg, lsn...)
+		seg = binary.LittleEndian.AppendUint32(seg, crc32.Update(crc32.ChecksumIEEE(lsn), crc32.IEEETable, p))
+		seg = append(seg, p...)
+	}
+	return seg
+}
+
+// walFrames reads seg by the segment format's definition: the magic, a
+// first LSN other than 0 under the header CRC, then frames whose length
+// is at most walMaxRecord, whose LSNs run on from the first LSN and
+// whose CRC holds. It returns the payloads of the longest well-formed
+// prefix, the LSN a record after them would take, and whether those
+// frames end exactly where seg does.
+func walFrames(seg []byte) (recs [][]byte, next uint64, whole bool) {
+	if len(seg) < walSegHdrSize || [8]byte(seg[:8]) != walMagic {
+		return nil, 0, false
+	}
+	next = binary.LittleEndian.Uint64(seg[8:16])
+	if next == 0 || crc32.ChecksumIEEE(seg[8:16]) != binary.LittleEndian.Uint32(seg[16:20]) {
+		return nil, 0, false
+	}
+	rest := seg[walSegHdrSize:]
+	for len(rest) >= walRecHdrSize {
+		n := binary.LittleEndian.Uint32(rest[0:4])
+		if n > walMaxRecord || uint64(n) > uint64(len(rest)-walRecHdrSize) ||
+			binary.LittleEndian.Uint64(rest[4:12]) != next {
+			return recs, next, false
+		}
+		p := rest[walRecHdrSize : walRecHdrSize+int(n)]
+		if crc32.Update(crc32.ChecksumIEEE(rest[4:12]), crc32.IEEETable, p) != binary.LittleEndian.Uint32(rest[12:16]) {
+			return recs, next, false
+		}
+		recs = append(recs, p)
+		next++
+		rest = rest[walRecHdrSize+int(n):]
+	}
+	return recs, next, len(rest) == 0
+}
+
+// replayAll returns every record Replay(0) streams, in order, failing
+// when two consecutive LSNs are not adjacent.
+func replayAll(t *testing.T, w *WAL) [][]byte {
+	t.Helper()
+	var got [][]byte
+	var prev uint64
+	err := w.Replay(0, func(lsn uint64, payload []byte) error {
+		if len(got) > 0 && lsn != prev+1 {
+			t.Fatalf("replay jumped from LSN %d to %d", prev, lsn)
+		}
+		prev = lsn
+		got = append(got, append([]byte(nil), payload...))
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	return got
+}
+
+func equalRecords(a, b [][]byte) bool {
+	return slices.EqualFunc(a, b, bytes.Equal)
+}
+
+// FuzzOpenWAL writes the input as the log's first segment. Alone, it is
+// the newest segment, so any damage is a torn tail: OpenWAL succeeds,
+// Replay returns exactly the longest well-formed prefix walFrames finds,
+// a reopen returns it again, and a record appended after opening
+// survives the next reopen. Followed by a valid second segment (next
+// set), the input is an older segment, so anything short of wholly
+// well-formed must fail the open with ErrWALCorrupt. The checked-in
+// corpus is a valid three-record segment and one with a flipped payload
+// byte, each both ways, and every cut inside the valid one's last
+// record, alone.
+func FuzzOpenWAL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seg []byte, next bool) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walSegName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, nextLSN, whole := walFrames(seg)
+		open := func() *WAL {
+			t.Helper()
+			w, err := OpenWAL(dir, WALOptions{NoSync: true})
+			if err != nil {
+				t.Fatalf("OpenWAL: %v", err)
+			}
+			return w
+		}
+		if next {
+			tail := []byte("second segment")
+			if err := os.WriteFile(filepath.Join(dir, walSegName(2)), encodeSegment(nextLSN, tail), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if !whole {
+				w, err := OpenWAL(dir, WALOptions{NoSync: true})
+				if err == nil {
+					w.Close()
+				}
+				if !errors.Is(err, ErrWALCorrupt) {
+					t.Fatalf("OpenWAL over a damaged older segment: err = %v, want ErrWALCorrupt", err)
+				}
+				return
+			}
+			w := open()
+			defer w.Close()
+			if got := replayAll(t, w); !equalRecords(got, append(want, tail)) {
+				t.Fatalf("replayed %q, want %q", got, append(want, tail))
+			}
+			return
+		}
+		w := open()
+		if got := replayAll(t, w); !equalRecords(got, want) {
+			t.Fatalf("replayed %q, want the well-formed prefix %q", got, want)
+		}
+		w.Close()
+		w = open()
+		if got := replayAll(t, w); !equalRecords(got, want) {
+			t.Fatalf("reopened: replayed %q, want %q", got, want)
+		}
+		appended := []byte("appended")
+		if _, err := w.Append(appended); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		w.Close()
+		w = open()
+		defer w.Close()
+		if got := replayAll(t, w); !equalRecords(got, append(want, appended)) {
+			t.Fatalf("after an append and a reopen: replayed %q, want %q", got, append(want, appended))
+		}
+	})
 }

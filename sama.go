@@ -656,7 +656,7 @@ func (db *DB) Events() *EventLog { return db.events }
 // additionally reduces the execution's trace to its deterministic
 // explain plan: per-phase decision counters (candidates retrieved,
 // pre-ranked and kept, memo hits vs alignments run, batched pages
-// read, restarts) without timings. The same plan is rendered by `sama
+// read) without timings. The same plan is rendered by `sama
 // query -explain` and returned by the server's ?explain=1.
 func (db *DB) Explain(ctx context.Context, src string, k int) (*Result, *Plan, error) {
 	res, err := db.QuerySPARQLContext(ctx, src, k)
