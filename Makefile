@@ -50,9 +50,11 @@ race-hot:
 
 # crash re-runs the durability suites on their own: the crash-matrix
 # kill points (torn WAL tails, mid-checkpoint and mid-compaction
-# kills), WAL recovery, and the compaction swap's crash window.
+# kills), WAL recovery, the compaction swap's crash window, and an
+# insert stream equal to a rebuild with one batch re-applied, as replay
+# re-applies it.
 crash:
-	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing' ./internal/storage ./internal/index
+	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertEqualsRebuild' ./internal/storage ./internal/index
 
 # bench-check vets and tests bench/, the benchmark's own module: root
 # ./... patterns skip it, so an API it imports from internal/ could

@@ -3,10 +3,12 @@
 // on purpose: values are opaque `any`, keys are strings, and freshness
 // is expressed as a caller-supplied epoch — a monotonic counter the
 // owner bumps on every mutation of the underlying data. An entry
-// stores the epoch it was computed at; a lookup presenting a different
-// epoch treats the entry as stale, removes it, and reports a miss.
-// That single rule is the whole invalidation story: a hit can never
-// return a value computed before the last write.
+// stores the epoch it was computed at, and a lookup presenting a
+// different epoch treats the entry as stale: Get removes it and reports
+// a miss, and Renew hands it to the caller, which either re-confirms it
+// against the current data (served and stored again, a hit) or refuses
+// it (removed, a miss). So a hit can never return a value computed
+// before the last write that its caller has not re-confirmed since.
 //
 // Capacity is bounded two ways, each optional: a maximum entry count
 // (answer caches, where entries are roughly the same size) and a
@@ -34,7 +36,7 @@ const entryOverhead = 96
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	// Hits counts lookups that returned a fresh value.
+	// Hits counts lookups that returned a fresh or re-confirmed value.
 	Hits uint64 `json:"hits"`
 	// Misses counts lookups that found nothing (stale entries included:
 	// an invalidation is also a miss).
@@ -42,8 +44,9 @@ type Stats struct {
 	// Evictions counts entries dropped to stay within the entry or byte
 	// budget.
 	Evictions uint64 `json:"evictions"`
-	// Invalidations counts entries dropped because their epoch no longer
-	// matched the caller's.
+	// Invalidations counts stale entries dropped because their inputs
+	// changed: every stale entry Get finds, and those Renew's caller
+	// refuses.
 	Invalidations uint64 `json:"invalidations"`
 	// Entries is the number of live entries.
 	Entries int `json:"entries"`
@@ -126,6 +129,50 @@ func (c *Cache) Get(key string, epoch uint64) (any, bool) {
 	c.mu.Unlock()
 	c.hits.Add(1)
 	return en.value, true
+}
+
+// Renew is Get for a value its caller can re-confirm. A fresh entry is
+// returned and counted as a hit, a missing one as a miss, as Get does.
+// An entry stored at another epoch is not dropped outright: renew gets
+// its value, called without the cache's lock held, and returns the
+// value to serve in its place with its size, or false when the old
+// value no longer holds. A renewed value is stored at epoch (as Put
+// stores it) and counts as a hit; a refused one is dropped and counts
+// as one invalidation and a miss.
+func (c *Cache) Renew(key string, epoch uint64, renew func(stale any) (value any, size int, ok bool)) (any, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	el, ok := c.entries[key]
+	if !ok {
+		c.mu.Unlock()
+		c.misses.Add(1)
+		return nil, false
+	}
+	en := el.Value.(*entry)
+	if en.epoch == epoch {
+		c.lru.MoveToFront(el)
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return en.value, true
+	}
+	c.mu.Unlock()
+	if v, size, ok := renew(en.value); ok {
+		c.Put(key, epoch, v, size)
+		c.hits.Add(1)
+		return v, true
+	}
+	c.mu.Lock()
+	// Dropped unless replaced meanwhile; an entry from a newer epoch than
+	// the caller's is the fresher value and stays, as in Put.
+	if el, ok := c.entries[key]; ok && el.Value == en && en.epoch < epoch {
+		c.remove(el, en)
+	}
+	c.mu.Unlock()
+	c.invalidations.Add(1)
+	c.misses.Add(1)
+	return nil, false
 }
 
 // Put stores value under key at the given epoch, replacing any previous

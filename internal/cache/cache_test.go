@@ -49,6 +49,48 @@ func TestEpochMismatchInvalidates(t *testing.T) {
 	}
 }
 
+// TestRenew: a fresh entry is a hit without consulting renew; a stale
+// one re-confirmed is served, stored at the new epoch and counted as a
+// hit; a stale one refused is dropped and counted as one invalidation
+// and a miss; a missing one is a miss.
+func TestRenew(t *testing.T) {
+	c := New(8, 0)
+	calls := 0
+	renewTo := func(v any, ok bool) func(any) (any, int, bool) {
+		return func(stale any) (any, int, bool) {
+			calls++
+			if stale.(string) != "va" {
+				t.Errorf("renew got %v, want the stale value va", stale)
+			}
+			return v, 0, ok
+		}
+	}
+	if _, ok := c.Renew("a", 1, renewTo(nil, false)); ok || calls != 0 {
+		t.Fatalf("Renew on an empty cache: ok=%v after %d renew calls", ok, calls)
+	}
+	c.Put("a", 1, "va", 0)
+	if v, ok := c.Renew("a", 1, renewTo(nil, false)); !ok || v.(string) != "va" || calls != 0 {
+		t.Fatalf("fresh Renew = %v, %v after %d renew calls; want va, true, none", v, ok, calls)
+	}
+	if v, ok := c.Renew("a", 2, renewTo("va2", true)); !ok || v.(string) != "va2" || calls != 1 {
+		t.Fatalf("re-confirming Renew = %v, %v; want va2, true", v, ok)
+	}
+	if v, ok := c.Get("a", 2); !ok || v.(string) != "va2" {
+		t.Fatalf("re-confirmed value not stored at the new epoch: %v, %v", v, ok)
+	}
+	c.Put("a", 3, "va", 0)
+	if _, ok := c.Renew("a", 4, renewTo(nil, false)); ok || calls != 2 {
+		t.Fatalf("refusing Renew: ok=%v after %d renew calls", ok, calls)
+	}
+	if c.Len() != 0 {
+		t.Fatal("a refused stale entry stayed")
+	}
+	st := c.Stats()
+	if st.Hits != 3 || st.Misses != 2 || st.Invalidations != 1 {
+		t.Fatalf("hits/misses/invalidations = %d/%d/%d, want 3/2/1", st.Hits, st.Misses, st.Invalidations)
+	}
+}
+
 // TestPutKeepsNewerEpoch: a Put at an older epoch — a slow computation
 // finishing after a faster one that started after a write — must not
 // replace the entry stored at the newer epoch.

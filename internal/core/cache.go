@@ -5,10 +5,9 @@ import (
 	"sort"
 	"strings"
 
-	"sama/internal/align"
 	"sama/internal/cache"
+	"sama/internal/index"
 	"sama/internal/obs"
-	"sama/internal/paths"
 	"sama/internal/rdf"
 )
 
@@ -23,9 +22,10 @@ import (
 //   - The alignment memo keeps whole clusters keyed by query-path
 //     signature (paths.Path.Key), short-circuiting all of buildCluster —
 //     retrieval, pre-rank, disk read and alignment — when different
-//     queries decompose into the same path shape. Params are not part of
-//     the key: the memo lives inside one engine, whose params are fixed
-//     at construction.
+//     queries decompose into the same path shape, and all but retrieval
+//     and the pre-rank when a write since left the cluster's cut as it
+//     was. Params are not part of the key: the memo lives inside one
+//     engine, whose params are fixed at construction.
 //
 // Partial runs (deadline or cancellation) are deliberately never
 // cached: their answer sets depend on where the clock cut the search,
@@ -43,9 +43,18 @@ type cachedAnswer struct {
 // count and the decisions the explain plan reports. The pre-rank cut is
 // deterministic, so a later build of the same shape would pre-rank the
 // same candidates and keep the same items: a hit is all of them or none.
-// Shared by every later hit; read-only by contract.
+// Everything but retrieved is a function of the records the cut names,
+// so an entry whose cut a later epoch re-derives unchanged, within its
+// layout, still holds (see buildCluster). Shared by every later hit;
+// read-only by contract.
 type cachedCluster struct {
 	items []ClusterItem
+	// cut is the pre-ranked candidates the items were aligned from,
+	// ascending, and layout the index layout their IDs belong to.
+	cut    []index.PathID
+	layout uint64
+	// size is the entry's charge to the memo's byte budget.
+	size int
 	// retrieved is Cluster.Retrieved; the others are explain counters.
 	retrieved, preranked, shorterFallback, capDropped int
 }
@@ -88,18 +97,22 @@ func (e *Engine) answerCacheKey(q *rdf.QueryGraph, k int) string {
 	return b.String()
 }
 
-// memoSize estimates the bytes one kept cluster item pins, for the
-// memo's byte budget.
-func memoSize(p paths.Path, al *align.Alignment) int {
-	n := 160 // struct shells
-	for _, t := range p.Nodes {
-		n += len(t.Value) + 48
-	}
-	for _, t := range p.Edges {
-		n += len(t.Value) + 48
-	}
-	for name, v := range al.Subst {
-		n += len(name) + len(v.Value) + 64
+// memoSize estimates the bytes one cluster pins, for the memo's byte
+// budget: 4 per ID of its cut, and per kept item its path and
+// alignment.
+func memoSize(cc *cachedCluster) int {
+	n := 4 * len(cc.cut)
+	for _, item := range cc.items {
+		n += 160 // struct shells
+		for _, t := range item.Path.Nodes {
+			n += len(t.Value) + 48
+		}
+		for _, t := range item.Path.Edges {
+			n += len(t.Value) + 48
+		}
+		for name, v := range item.Alignment.Subst {
+			n += len(name) + len(v.Value) + 64
+		}
 	}
 	return n
 }
@@ -115,7 +128,7 @@ const (
 //
 //	sama_cache_hits_total{cache}           lookups served from the cache
 //	sama_cache_misses_total{cache}         lookups that found nothing
-//	sama_cache_invalidations_total{cache}  entries dropped on epoch mismatch
+//	sama_cache_invalidations_total{cache}  stale entries whose inputs changed
 //	sama_cache_entries{cache}              live entries
 //
 // Evictions and charged bytes stay in CacheStats.
@@ -127,10 +140,10 @@ func registerCacheMetrics(reg *obs.Registry, name string, c *cache.Cache) {
 		"Cache lookups served from the cache.",
 		func() uint64 { return c.Stats().Hits }, "cache", name)
 	reg.CounterFunc("sama_cache_misses_total",
-		"Cache lookups that found nothing (stale entries included).",
+		"Cache lookups that found nothing (stale entries not re-confirmed included).",
 		func() uint64 { return c.Stats().Misses }, "cache", name)
 	reg.CounterFunc("sama_cache_invalidations_total",
-		"Cache entries dropped because the index epoch moved.",
+		"Stale cache entries dropped because their inputs changed.",
 		func() uint64 { return c.Stats().Invalidations }, "cache", name)
 	reg.GaugeFunc("sama_cache_entries",
 		"Live cache entries.",

@@ -138,35 +138,45 @@ func (sc *clusterScratch) release() {
 // path through r. The result is a pure function of the query path and
 // the index state r reads, so with the alignment memo enabled it is
 // computed once per (query-path shape, epoch): a hit returns the stored
-// cluster and touches no posting, no summary and no page. Entries carry
-// r's epoch, so an insert (new paths) or a compaction (renumbered
-// PathIDs) orphans them all. A miss materialises every pre-ranked
-// candidate in one page-locality batched read and aligns them in one
-// loop (alignAll). sp, when non-nil, receives the pass's decision
-// counters for the explain plan (cachedCluster.describe) and, on a
-// miss, the pages the batched read touched.
+// cluster and touches no posting, no summary and no page. An entry
+// stored at an older epoch, within r's layout, is re-confirmed rather
+// than rebuilt: retrieval and the pre-rank run again, and if the cut
+// they derive is the entry's, its items are served and stored again at
+// r's epoch with the new retrieval count (the plan reads as a hit's).
+// That is exact: the items are a function of the cut's records alone —
+// alignment, the full-length filter, the (cost, ID) sort and the cap
+// read nothing else — and within one layout no ID's record changes.
+// Otherwise the cut just derived is materialised in one page-locality
+// batched read and aligned in one loop (alignAll). sp, when non-nil,
+// receives the pass's decision counters for the explain plan
+// (cachedCluster.describe) and, when it aligned, the pages the batched
+// read touched.
 func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Path, sp *obs.Span) (Cluster, error) {
 	var key string
+	var pk clusterPick
+	defer pk.release()
 	if e.alignMemo != nil {
 		key = q.Key()
-		if v, ok := e.alignMemo.Get(key, r.Epoch()); ok {
+		v, ok := e.alignMemo.Renew(key, r.Epoch(), func(stale any) (any, int, bool) {
+			return e.reconfirm(r, q, &pk, stale.(*cachedCluster))
+		})
+		if ok {
 			cc := v.(*cachedCluster)
 			cc.describe(sp, 0)
 			return Cluster{QueryIndex: qi, Query: q, Items: cc.items, Retrieved: cc.retrieved}, nil
 		}
 	}
-	sc := clusterScratchPool.Get().(*clusterScratch)
-	defer sc.release()
-	ids := retrieve(r, sc, q)
-	if len(ids) == 0 {
+	if pk.sc == nil {
+		e.pick(r, q, &pk)
+	}
+	if len(pk.ids) == 0 {
 		return Cluster{QueryIndex: qi, Query: q}, nil
 	}
-	cands, err := e.preRank(r, sc, ids, q)
-	if err != nil {
-		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
+	if pk.err != nil {
+		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, pk.err)
 	}
-	cc := &cachedCluster{retrieved: len(ids), preranked: len(cands)}
-	staged, pages, err := e.alignAll(ctx, r, sc, q, cands)
+	cc := &cachedCluster{retrieved: len(pk.ids), preranked: len(pk.cut), layout: r.Layout()}
+	staged, pages, err := e.alignAll(ctx, r, pk.sc, q, pk.cut)
 	if err != nil {
 		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
 	}
@@ -199,13 +209,57 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 	sp.Set("batched_pages", pages)
 	// Only a complete build is stored: a cancelled one aligned a prefix.
 	if e.alignMemo != nil && ctx.Err() == nil {
-		size := 0
-		for _, item := range cc.items {
-			size += memoSize(item.Path, item.Alignment)
-		}
-		e.alignMemo.Put(key, r.Epoch(), cc, size)
+		cc.cut = slices.Clone(pk.cut)
+		cc.size = memoSize(cc)
+		e.alignMemo.Put(key, r.Epoch(), cc, cc.size)
 	}
 	return Cluster{QueryIndex: qi, Query: q, Items: cc.items, Retrieved: cc.retrieved}, nil
+}
+
+// clusterPick is what retrieval and the pre-rank make of one query
+// path, in the scratch they ran in: the candidates retrieved and the
+// cut of them that gets aligned, ascending. A stale memo entry is
+// re-confirmed against it and a build aligns it, so they run once.
+type clusterPick struct {
+	sc       *clusterScratch
+	ids, cut []index.PathID
+	err      error
+}
+
+// pick runs retrieval and the pre-rank for q into pk, in a scratch
+// from the pool.
+func (e *Engine) pick(r backend, q paths.Path, pk *clusterPick) {
+	pk.sc = clusterScratchPool.Get().(*clusterScratch)
+	if pk.ids = retrieve(r, pk.sc, q); len(pk.ids) > 0 {
+		pk.cut, pk.err = e.preRank(r, pk.sc, pk.ids, q)
+		// Ascending, so that equal cuts compare equal; alignAll's result
+		// does not depend on the order (sortClusterItems).
+		slices.Sort(pk.cut)
+	}
+}
+
+// release returns pk's scratch, if it took one, to the pool.
+func (pk *clusterPick) release() {
+	if pk.sc != nil {
+		pk.sc.release()
+	}
+}
+
+// reconfirm is the alignment memo's renew step for a stale entry (see
+// buildCluster): within the entry's layout it picks q's cut again, and
+// if the cut is the entry's it returns the entry with the new retrieval
+// count, to be served and stored at the current epoch.
+func (e *Engine) reconfirm(r backend, q paths.Path, pk *clusterPick, stale *cachedCluster) (any, int, bool) {
+	if stale.layout != r.Layout() {
+		return nil, 0, false
+	}
+	e.pick(r, q, pk)
+	if pk.err != nil || !slices.Equal(pk.cut, stale.cut) {
+		return nil, 0, false
+	}
+	renewed := *stale
+	renewed.retrieved = len(pk.ids)
+	return &renewed, renewed.size, true
 }
 
 // queryConstants collects the query path's constant labels, nodes then

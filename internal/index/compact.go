@@ -62,8 +62,8 @@ func (ix *Index) Compact() error {
 // reads across the swap: paths appended by writes that
 // raced the copy are carried over, paths tombstoned during it are
 // re-tombstoned in the new files, the files are swapped (rename), and
-// the epoch bumps — invalidating every cache entry that names an old
-// PathID. With a WAL the swap doubles as a checkpoint: the new
+// the epoch and the layout bump — invalidating every cache entry that
+// names an old PathID. With a WAL the swap doubles as a checkpoint: the new
 // metadata carries the applied watermark and the log's applied prefix
 // is reclaimed.
 //
@@ -236,9 +236,10 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	// delete-the-temporaries cleanup is no longer enough. adopt swaps
 	// the reopened state in field by field: ix.mu is held and must not
 	// be overwritten, and the WAL handle, graph, and watermark survive
-	// the swap. The epoch bump rides along — compaction renumbers
-	// PathIDs, so any cache entry naming one is garbage now (and when a
-	// failure reopens the ORIGINAL files the bump is merely redundant).
+	// the swap. The epoch and layout bumps ride along — compaction
+	// renumbers PathIDs, so any cache entry naming one is garbage now
+	// (and when a failure reopens the ORIGINAL files the bumps are merely
+	// redundant).
 	adopt := func(re *Index) {
 		ix.file = re.file
 		ix.pool = re.pool
@@ -254,6 +255,7 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 		ix.stats = re.stats
 		ix.stats.DiskBytes = ix.diskBytes()
 		ix.epoch++
+		ix.layout++
 	}
 	// closeFail keeps the stays-usable contract on post-close failures
 	// by rolling the swap FORWARD, not back: the new files were fully

@@ -38,9 +38,11 @@ func TestCompactPreservesLivePaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	// Create tombstones through a few updates.
+	// Create tombstones through a few updates: the second gives the sink
+	// the first created an out-edge, which extends Carla's path to it.
 	for _, tr := range []rdf.Triple{
 		{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("A8000")},
+		{S: iri("A8000"), P: iri("aTo"), O: iri("B0532")},
 		{S: iri("JeffRyser"), P: iri("sponsor"), O: iri("A8001")},
 	} {
 		if err := ix.InsertTriples([]rdf.Triple{tr}); err != nil {

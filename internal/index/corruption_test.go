@@ -149,11 +149,15 @@ func TestTombstoneBitmapPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tombstone by inserting (Carla gets re-enumerated).
-	if err := ix.InsertTriples([]rdf.Triple{
+	// Tombstone by inserting: Carla gets a path to a new sink, and an
+	// out-edge on that sink then extends the path.
+	for _, tr := range []rdf.Triple{
 		{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("A9999")},
-	}); err != nil {
-		t.Fatal(err)
+		{S: iri("A9999"), P: iri("aTo"), O: iri("B0532")},
+	} {
+		if err := ix.InsertTriples([]rdf.Triple{tr}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var dead []PathID
 	for id := 0; id < ix.NumPaths(); id++ {

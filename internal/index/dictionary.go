@@ -93,6 +93,23 @@ func (d *Dictionary) internPath(ids []uint32, p paths.Path) []uint32 {
 	return ids
 }
 
+// lookupPath is internPath for a path that must not intern: it appends
+// p's term IDs to ids, or returns ids as given and false at the first
+// term the dictionary does not hold.
+func (d *Dictionary) lookupPath(ids []uint32, p paths.Path) ([]uint32, bool) {
+	from := len(ids)
+	for _, terms := range [2][]rdf.Term{p.Nodes, p.Edges} {
+		for _, t := range terms {
+			id, ok := d.ids[t]
+			if !ok {
+				return ids[:from], false
+			}
+			ids = append(ids, id)
+		}
+	}
+	return ids, true
+}
+
 // appendRecord appends the record of a path whose terms interned to ids
 // (2n−1 of them, see internPath): the node count n, then every ID, all
 // varints.

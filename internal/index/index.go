@@ -122,11 +122,18 @@ type Index struct {
 	// record store is append-only, so their bytes stay until a rebuild.
 	deleted []bool
 	// epoch counts the mutations applied to this index: InsertTriples
-	// and Compact bump it under ix.mu. Caches key their entries by the
-	// epoch they were computed at and reject them on mismatch, so a
-	// cache hit can never surface answers that predate a write (or
-	// PathIDs that Compact renumbered).
+	// and Compact bump it under ix.mu, at commit. Caches key their
+	// entries by the epoch they were computed at and treat them as stale
+	// on mismatch, so a cache hit can never surface answers that predate
+	// a write (or PathIDs that Compact renumbered) unless the cache
+	// re-confirmed them against the current state.
 	epoch uint64
+	// layout counts the renumberings of PathIDs: only the compaction swap
+	// bumps it. Within one layout an ID names one record for good — the
+	// record store is append-only and an insert keeps the ID of a path it
+	// re-enumerates unchanged — so a value computed from the records of
+	// some IDs can outlive an epoch, but not a layout.
+	layout uint64
 	// dict interns the terms of every stored path: a record is a varint
 	// sequence of its IDs (see EncodePathDict). It is persisted in the
 	// metadata file, so it always covers the records that file's RIDs
@@ -727,6 +734,11 @@ func (r Reader) Epoch() uint64 { return r.ix.epoch }
 // Epoch is Reader.Epoch under its own read lock.
 func (ix *Index) Epoch() uint64 { return locked(ix, Reader.Epoch) }
 
+// Layout returns the index's renumbering counter (see the layout
+// field): while it holds, every live ID reads the record, summary and
+// postings it was committed with.
+func (r Reader) Layout() uint64 { return r.ix.layout }
+
 // Path reads the path with the given ID from disk (through the buffer
 // pool).
 func (ix *Index) Path(id PathID) (paths.Path, error) {
@@ -737,19 +749,29 @@ func (ix *Index) Path(id PathID) (paths.Path, error) {
 
 // pathLocked is Path for callers already holding ix.mu.
 func (ix *Index) pathLocked(id PathID) (paths.Path, error) {
-	ix.mPathReads.Inc()
-	if err := ix.checkLive(id); err != nil {
-		return paths.Path{}, err
-	}
-	data, err := ix.store.Read(ix.rids[id])
+	data, err := ix.recordLocked(id)
 	if err != nil {
-		return paths.Path{}, fmt.Errorf("index: read path %d: %w", id, err)
+		return paths.Path{}, err
 	}
 	p, err := DecodePathDict(data, ix.dict)
 	if err != nil {
 		return paths.Path{}, fmt.Errorf("index: decode path %d: %w", id, err)
 	}
 	return p, nil
+}
+
+// recordLocked reads the record of a live path, counted as a path read,
+// for callers already holding ix.mu.
+func (ix *Index) recordLocked(id PathID) ([]byte, error) {
+	ix.mPathReads.Inc()
+	if err := ix.checkLive(id); err != nil {
+		return nil, err
+	}
+	data, err := ix.store.Read(ix.rids[id])
+	if err != nil {
+		return nil, fmt.Errorf("index: read path %d: %w", id, err)
+	}
+	return data, nil
 }
 
 // Scratch is the memory the retrieval calls of one cluster build work

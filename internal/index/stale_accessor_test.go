@@ -15,11 +15,15 @@ import (
 func TestAccessorsSurviveShrunkIDSpace(t *testing.T) {
 	ix := buildTestIndex(t, Options{})
 
-	// Re-enumerating CarlaBunes tombstones its old paths.
-	if err := ix.InsertTriples([]rdf.Triple{
+	// An out-edge on the sink the first insert gave CarlaBunes extends
+	// her path to it, which tombstones the old one.
+	for _, tr := range []rdf.Triple{
 		{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("A9999")},
-	}); err != nil {
-		t.Fatal(err)
+		{S: iri("A9999"), P: iri("aTo"), O: iri("B0532")},
+	} {
+		if err := ix.InsertTriples([]rdf.Triple{tr}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := ix.NumPaths()
 
@@ -114,8 +118,11 @@ func TestSummariesRaceCompaction(t *testing.T) {
 	}
 
 	for i := 0; i < 6; i++ {
+		// Each insert gives the sink of Carla's newest path an out-edge,
+		// so the path is re-indexed under a new ID and the old one
+		// tombstoned.
 		if err := ix.InsertTriples([]rdf.Triple{
-			{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("A9001")},
+			{S: iri("A900" + itoaTest(i)), P: iri("aTo"), O: iri("A900" + itoaTest(i+1))},
 		}); err != nil {
 			t.Errorf("insert: %v", err)
 			break

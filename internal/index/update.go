@@ -1,7 +1,10 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"sama/internal/paths"
 	"sama/internal/rdf"
@@ -53,12 +56,17 @@ func (ix *Index) livePathsLocked() int {
 //  2. compute the reverse closure of the new subjects — every node that
 //     can reach one of them — and intersect it with the graph's path
 //     roots, adding roots created by the new triples themselves;
-//  3. tombstone every indexed path starting at an affected root (the
-//     record store is append-only; the bytes remain until a compaction);
-//  4. re-enumerate and index the paths from the affected roots.
+//  3. re-enumerate the paths from the affected roots; one whose record
+//     equals that of an indexed path starting at an affected root is
+//     that path, unchanged, and keeps its ID;
+//  4. index the other re-enumerated paths and tombstone the indexed
+//     paths nothing matched, among them those of a root a new triple
+//     points at, which is a root no more (the record store is
+//     append-only; their bytes remain until a compaction).
 //
-// Sourceless (hub-rooted) graphs fall back to a full re-enumeration:
-// hub promotion is a global property, so any edge can move the roots.
+// Sourceless (hub-rooted) graphs fall back to a full re-enumeration,
+// every path re-indexed under a new ID: hub promotion is a global
+// property, so any edge can move the roots.
 //
 // The insert is all-or-nothing with respect to the index: the affected
 // paths are staged to the record store first (a failure there leaves
@@ -138,10 +146,11 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 
 // applyTriplesLocked performs one insert batch under ix.mu. The graph
 // mutation comes first (idempotent, infallible), then everything that
-// can fail — the tombstone scan and the record-store staging — and
-// only then the in-memory commit, which cannot fail. WAL replay calls
-// this too: re-applying a batch re-tombstones and re-enumerates the
-// same roots, so replay is idempotent at the answer level.
+// can fail — reading the affected roots' indexed paths and the
+// record-store staging — and only then the in-memory commit, which
+// cannot fail. WAL replay calls this too: re-applying a batch
+// re-enumerates the same roots into the same records, so it keeps every
+// ID and stages nothing.
 func (ix *Index) applyTriplesLocked(ts []rdf.Triple) error {
 	g := ix.graph
 	// The pre-insert rooting comes from the index's own flag, not the
@@ -159,7 +168,7 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) error {
 	}
 
 	var roots []rdf.NodeID
-	var tombs []PathID
+	var old oldPaths
 	tombAll := false
 	if wasHubRooted || len(g.Sources()) == 0 {
 		// Hub-rooted before or after: recompute everything.
@@ -173,19 +182,30 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) error {
 				roots = append(roots, r)
 			}
 		}
+		// A batch object with out-edges may have been a root: it has an
+		// in-edge now, so it is none, and the paths it started are stale.
+		// They are read with the roots' and, since no path re-enumerated
+		// below starts there, matched by none: tombstoned.
+		starts := slices.Clip(roots)
+		for _, t := range ts {
+			if o := g.NodeByTerm(t.O); g.OutDegree(o) > 0 {
+				starts = append(starts, o)
+			}
+		}
 		var err error
-		if tombs, err = ix.tombstoneSet(g, roots); err != nil {
+		if old, err = ix.oldPathsFrom(g, starts); err != nil {
 			return err
 		}
 	}
 
 	// Stage: append every new path to the record store before touching
-	// the in-memory tables. A failure here aborts with the index
-	// unchanged — the appended bytes are unreferenced orphans in an
-	// append-only store, reclaimed by the next compaction, and the terms
-	// staging interned are forgotten again, or the next metadata write
-	// would persist a dictionary no record needs. ids holds every staged
-	// path's term IDs back to back; end is where one path's stop.
+	// the in-memory tables; a path old holds unchanged is not new. A
+	// failure here aborts with the index unchanged — the appended bytes
+	// are unreferenced orphans in an append-only store, reclaimed by the
+	// next compaction, and the terms staging interned are forgotten
+	// again, or the next metadata write would persist a dictionary no
+	// record needs. ids holds every staged path's term IDs back to back;
+	// end is where one path's stop.
 	type stagedPath struct {
 		end int
 		rid storage.RID
@@ -195,6 +215,9 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) error {
 	terms := ix.dict.Len()
 	for _, root := range roots {
 		for _, p := range paths.EnumerateFrom(g, root, ix.pathCfg) {
+			if ix.unchanged(&old, p) {
+				continue
+			}
 			rid, err := ix.stagePath(&ids, p)
 			if err != nil {
 				ix.dict.truncate(terms)
@@ -213,8 +236,10 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) error {
 			ix.deleted[id] = true
 		}
 	} else {
-		for _, id := range tombs {
-			ix.deleted[id] = true
+		for i, id := range old.ids {
+			if !old.kept[i] {
+				ix.deleted[id] = true
+			}
 		}
 	}
 	from := 0
@@ -253,46 +278,126 @@ func reverseClosure(g *rdf.Graph, seeds map[rdf.NodeID]struct{}) map[rdf.NodeID]
 	return out
 }
 
-// tombstoneSet returns the live paths whose source term matches one of
-// the roots, without mutating anything — the caller applies the
-// tombstones in the commit phase. A read failure aborts the insert
-// instead of silently keeping a stale path alive.
-func (ix *Index) tombstoneSet(g *rdf.Graph, roots []rdf.NodeID) ([]PathID, error) {
+// oldPaths is the multiset an insert matches its re-enumerated paths
+// against: the live paths starting at a node the insert affects, with
+// their records. A re-enumerated path whose record equals an unmatched
+// one's is that path, unchanged: it keeps the ID (kept) and is not
+// staged. The paths left unmatched are the ones the insert tombstones.
+// Each record matches at most once, so the live records after the
+// commit are the re-enumeration's, duplicates included.
+type oldPaths struct {
+	ids  []PathID
+	kept []bool
+	// recs holds the records back to back, ids[i]'s ending at ends[i];
+	// byRec maps a record not matched yet (a substring of recs, so that
+	// no key is a separate allocation) to its holder's position.
+	recs  string
+	ends  []int
+	byRec map[string]int
+}
+
+// rec returns ids[i]'s record.
+func (o *oldPaths) rec(i int) string {
+	lo := 0
+	if i > 0 {
+		lo = o.ends[i-1]
+	}
+	return o.recs[lo:o.ends[i]]
+}
+
+// match marks the unmatched old path whose record is rec as kept, if
+// there is one.
+func (o *oldPaths) match(rec []byte) bool {
+	i, ok := o.byRec[string(rec)]
+	if ok {
+		o.kept[i] = true
+		delete(o.byRec, o.rec(i))
+	}
+	return ok
+}
+
+// unchanged reports whether p is an indexed path of old, byte for byte,
+// which then keeps its ID. p is encoded through dictionary lookups that
+// intern nothing: a path with a term the dictionary lacks cannot match.
+func (ix *Index) unchanged(old *oldPaths, p paths.Path) bool {
+	if len(old.byRec) == 0 {
+		return false
+	}
+	ids, ok := ix.dict.lookupPath(ix.idBuf[:0], p)
+	ix.idBuf = ids
+	if !ok {
+		return false
+	}
+	ix.recBuf = appendRecord(ix.recBuf[:0], ids)
+	return old.match(ix.recBuf)
+}
+
+// oldPathsFrom returns the live paths whose source term is one of the
+// starts', with their records, without mutating anything — the caller
+// applies the tombstones in the commit phase. A read failure aborts the
+// insert instead of silently keeping a stale path alive.
+func (ix *Index) oldPathsFrom(g *rdf.Graph, starts []rdf.NodeID) (oldPaths, error) {
+	var old oldPaths
 	// Source postings are keyed by normalised local name, which roots
 	// routinely share (…/Department3/Student29, …/Department14/Student29):
 	// each distinct key's list is read and verified once against the
-	// whole root set, not once per root on it. An insert whose reverse
+	// whole start set, not once per start on it. An insert whose reverse
 	// closure reaches a few thousand roots otherwise re-reads the same
-	// lists hundreds of times over.
-	want := make(map[rdf.Term]struct{}, len(roots))
-	for _, root := range roots {
-		want[g.Term(root)] = struct{}{}
-	}
-	done := make(map[string]struct{}, len(roots))
-	var out []PathID
-	for _, root := range roots {
-		label := g.Term(root).Label()
-		key := textindex.Normalize(label)
-		if _, ok := done[key]; ok {
+	// lists hundreds of times over. A node whose term the dictionary
+	// lacks starts no indexed path.
+	want := make(map[uint32]struct{}, len(starts))
+	done := make(map[string]struct{}, len(starts))
+	var labels []string // one per distinct key
+	for _, n := range starts {
+		id, ok := ix.dict.Lookup(g.Term(n))
+		if !ok {
 			continue
 		}
-		done[key] = struct{}{}
+		want[id] = struct{}{}
+		label := g.Term(n).Label()
+		key := textindex.Normalize(label)
+		if _, seen := done[key]; !seen {
+			done[key] = struct{}{}
+			labels = append(labels, label)
+		}
+	}
+	var recs []byte
+	for _, label := range labels {
 		for _, posting := range ix.sources.LookupExact(label) {
 			if ix.deleted[posting] {
 				continue
 			}
 			// Postings collide across term kinds and namespaces; verify
-			// on the stored path.
-			p, err := ix.pathLocked(PathID(posting))
+			// on the stored record.
+			rec, err := ix.recordLocked(PathID(posting))
 			if err != nil {
-				return nil, fmt.Errorf("index: verify tombstone for path %d: %w", posting, err)
+				return old, fmt.Errorf("index: verify tombstone for path %d: %w", posting, err)
 			}
-			if _, ok := want[p.Source()]; ok {
-				out = append(out, PathID(posting))
+			// A record is its node count, then the source's term ID.
+			_, w := binary.Uvarint(rec)
+			source, sw := uint64(0), 0
+			if w > 0 {
+				source, sw = binary.Uvarint(rec[w:])
+			}
+			if w <= 0 || sw <= 0 {
+				return old, fmt.Errorf("index: verify tombstone for path %d: truncated record", posting)
+			}
+			if _, ok := want[uint32(source)]; ok && source <= math.MaxUint32 {
+				old.ids = append(old.ids, PathID(posting))
+				recs = append(recs, rec...)
+				old.ends = append(old.ends, len(recs))
 			}
 		}
 	}
-	return out, nil
+	old.recs = string(recs)
+	old.kept = make([]bool, len(old.ids))
+	old.byRec = make(map[string]int, len(old.ids))
+	for i := range old.ids {
+		if _, dup := old.byRec[old.rec(i)]; !dup {
+			old.byRec[old.rec(i)] = i
+		}
+	}
+	return old, nil
 }
 
 // Flush persists the metadata (postings, tombstones, statistics) and

@@ -2,10 +2,12 @@ package index
 
 import (
 	"context"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"sama/internal/datasets"
 	"sama/internal/obs"
 	"sama/internal/paths"
 	"sama/internal/rdf"
@@ -370,6 +372,71 @@ func TestTightBudgetUpdate(t *testing.T) {
 	}
 	if n == 0 || n > 2 {
 		t.Errorf("CarlaBunes paths after budgeted update = %d, want 1..2", n)
+	}
+}
+
+// TestInsertEqualsRebuild: after a stream of LUBM insert batches of
+// random sizes the live paths are, as a multiset of records, the paths
+// a fresh Build over the same graph indexes: among other things, a root
+// that a new triple points at starts no path any more. One batch re-applies an
+// earlier one — what WAL replay does — and must change nothing: every
+// path it re-enumerates is unchanged, so it keeps its ID, nothing is
+// staged and nothing is tombstoned.
+func TestInsertEqualsRebuild(t *testing.T) {
+	ts := datasets.LUBM{}.Generate(8000, 5).Triples()
+	const base = 6000
+	g := rdf.NewGraph()
+	for _, tr := range ts[:base] {
+		g.AddTriple(tr)
+	}
+	ix, err := Build(filepath.Join(t.TempDir(), "ins"), g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	rng := rand.New(rand.NewSource(5))
+	var batches [][]rdf.Triple
+	for lo := base; lo < len(ts); {
+		hi := min(lo+20+rng.Intn(100), len(ts))
+		batches = append(batches, ts[lo:hi])
+		lo = hi
+	}
+	replay := 3 + rng.Intn(len(batches)-3) // re-applies batch replay-3 after batch replay-1
+	tombstoned := false
+	for i, batch := range batches {
+		if i == replay {
+			paths, live := ix.NumPaths(), ix.LivePaths()
+			if err := ix.InsertTriples(batches[i-3]); err != nil {
+				t.Fatal(err)
+			}
+			if ix.NumPaths() != paths || ix.LivePaths() != live {
+				t.Fatalf("re-applying batch %d: %d paths, %d live; want %d and %d unchanged",
+					i-3, ix.NumPaths(), ix.LivePaths(), paths, live)
+			}
+		}
+		if err := ix.InsertTriples(batch); err != nil {
+			t.Fatal(err)
+		}
+		tombstoned = tombstoned || ix.LivePaths() < ix.NumPaths()
+	}
+	fresh, err := Build(filepath.Join(t.TempDir(), "fresh"), ix.Graph().Clone(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	got, want := livePathKeys(t, ix), livePathKeys(t, fresh)
+	if !equalKeys(got, want) {
+		t.Errorf("after %d batches: %d live paths, a fresh build has %d", len(batches), len(got), len(want))
+		for i := 0; i < len(got) && i < len(want); i++ {
+			if got[i] != want[i] {
+				t.Fatalf("first difference at %d:\n  insert: %q\n  build:  %q", i, got[i], want[i])
+			}
+		}
+	}
+	// Every tombstone here is a root an object became: batches whose new
+	// triples hang below indexed roots.
+	if !tombstoned {
+		t.Error("no batch changed an indexed path; the test needs some to")
 	}
 }
 

@@ -21,9 +21,9 @@ import (
 // The invariant everything here maintains: at any instant the on-disk
 // state (pages + metadata checkpoint) plus the WAL suffix after the
 // metadata's applied watermark replays to an index answering exactly
-// like one that never crashed. Replay is idempotent at the answer
-// level — re-applying a batch re-tombstones and re-enumerates the same
-// roots — so the watermark may lag the truth safely.
+// like one that never crashed. Replay is idempotent — re-applying a
+// batch re-enumerates the same roots into the same records, which keep
+// their IDs — so the watermark may lag the truth safely.
 
 // ErrNeedsRecovery is returned by InsertTriples on a WAL-enabled index
 // that was reopened but not yet recovered (see Recover).

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -211,7 +212,7 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	live := ix.LivePaths()
 
 	// Insert a new edge out of an existing root: the update must verify
-	// (read) that root's current paths to tombstone them. With a cold
+	// (read) that root's current paths to keep or tombstone them. With a cold
 	// cache and permanent read faults that verification cannot succeed,
 	// so the insert fails mid-way — exactly the partial-failure window
 	// the old code left half-applied (epoch bumped, errors ignored).
@@ -293,6 +294,102 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	}
 	if got := ix.dict.Len(); got != terms+4 {
 		t.Fatalf("retried inserts interned %d terms, want 4 (A9999, FreshRoot, backs, FreshBill)", got-terms)
+	}
+
+	t.Run("mixed", testInsertAllOrNothingMixed)
+}
+
+// testInsertAllOrNothingMixed fails, while staging, a batch that keeps
+// some re-enumerated paths, changes another and adds new ones: the kept
+// IDs and the tombstones stay as found, and the retry keeps exactly the
+// unchanged paths' IDs.
+func testInsertAllOrNothingMixed(t *testing.T) {
+	// Filler roots after Figure 1's put the page open for appends past
+	// the page holding JeffRyser's and F0's records, so the fault below
+	// fails the append without failing the reads that verify them.
+	g := figure1Graph()
+	for i := 0; i < 1000; i++ {
+		g.AddTriple(rdf.Triple{S: iri(fmt.Sprintf("F%d", i)), P: iri("p"), O: iri(fmt.Sprintf("G%d", i))})
+	}
+	var fi *storage.FaultInjector
+	ix, err := Build(filepath.Join(t.TempDir(), "mixed"), g, Options{
+		WrapIO: func(io storage.PageIO) storage.PageIO {
+			fi = storage.NewFaultInjector(io)
+			return fi
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	idsFrom := func(source string) []PathID {
+		t.Helper()
+		var out []PathID
+		for id := 0; id < ix.NumPaths(); id++ {
+			if !ix.Live(PathID(id)) {
+				continue
+			}
+			p, err := ix.Path(PathID(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Source() == iri(source) {
+				out = append(out, PathID(id))
+			}
+		}
+		return out
+	}
+	jeff, f0 := idsFrom("JeffRyser"), idsFrom("F0")
+	appendPage := ix.rids[len(ix.rids)-1].Page
+	for _, id := range append(slices.Clone(jeff), f0...) {
+		if ix.rids[id].Page == appendPage {
+			t.Fatalf("path %d is on the append page %d; the test needs it elsewhere", id, appendPage)
+		}
+	}
+	want, epoch, paths, live := livePathKeys(t, ix), ix.Epoch(), ix.NumPaths(), ix.LivePaths()
+
+	// Jeff's two paths re-enumerate unchanged and gain a third; F0's path
+	// is extended by an out-edge on its sink G0.
+	batch := []rdf.Triple{
+		{S: iri("JeffRyser"), P: iri("sponsor"), O: iri("A7777")},
+		{S: iri("G0"), P: iri("q"), O: iri("H0")},
+	}
+	if err := ix.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	terms := ix.dict.Len()
+	fi.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.Permanent, Page: appendPage})
+	err = ix.InsertTriples(batch)
+	fi.Clear()
+	if err == nil || !strings.Contains(err.Error(), "stage path") {
+		t.Fatalf("mixed insert under a fault on the append page: err = %v, want a staging failure", err)
+	}
+	if ix.Epoch() != epoch || ix.NumPaths() != paths || ix.LivePaths() != live || ix.dict.Len() != terms {
+		t.Fatalf("failed insert changed the index: epoch %d→%d, paths %d→%d, live %d→%d, terms %d→%d",
+			epoch, ix.Epoch(), paths, ix.NumPaths(), live, ix.LivePaths(), terms, ix.dict.Len())
+	}
+	if !equalKeys(livePathKeys(t, ix), want) {
+		t.Fatal("failed insert changed the answer surface")
+	}
+
+	if err := ix.InsertTriples(batch); err != nil {
+		t.Fatalf("retry after fault cleared: %v", err)
+	}
+	if got := ix.NumPaths() - paths; got != 2 {
+		t.Errorf("retry staged %d paths, want 2 (Jeff's new one and F0's extension)", got)
+	}
+	if got := ix.LivePaths() - live; got != 1 {
+		t.Errorf("retry added %d live paths, want 1", got)
+	}
+	for _, id := range jeff {
+		if !ix.Live(id) {
+			t.Errorf("JeffRyser's unchanged path %d lost its ID", id)
+		}
+	}
+	for _, id := range f0 {
+		if ix.Live(id) {
+			t.Errorf("F0's changed path %d is still live", id)
+		}
 	}
 }
 

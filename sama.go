@@ -245,9 +245,11 @@ func WithAnswerCache(entries int) Option {
 // shape — the ranked cluster of aligned data paths it produced — kept
 // up to a byte budget of mb MiB (LRU) and reused by every query that
 // decomposes into the same path, skipping retrieval, the pre-rank, the
-// disk read and the edit-cost computation. Entries are epoch-checked,
-// so answers are identical with the memo on or off. mb = 0 keeps the
-// default (on, 64 MiB); mb < 0 disables it.
+// disk read and the edit-cost computation. Entries are epoch-checked:
+// after an Insert an entry is re-confirmed by re-running retrieval and
+// the pre-rank, and served again only if their cut is the one it
+// aligned, so answers are identical with the memo on or off. mb = 0
+// keeps the default (on, 64 MiB); mb < 0 disables it.
 func WithAlignmentCache(mb int) Option {
 	return func(c *config) { c.engine.AlignCacheMB = mb }
 }
@@ -553,15 +555,9 @@ func (db *DB) Insert(triples []Triple) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	// The insert bumps the index epoch, after which no cached answer or
-	// memoised cluster can be hit again — and an entry whose query shape
-	// never comes back is never probed again either, so the per-lookup
-	// epoch check alone leaves it resident until the byte budget evicts
-	// it. Drop everything, and before the insert rather
-	// than after: one that re-enumerates thousands of roots stages tens
-	// of MB, and the collector would size the heap for that on top of a
-	// memo that is already dead. A failed insert costs one refill.
-	db.engine.DropCaches()
+	// The insert bumps the index epoch. Cached answers are stale from
+	// then on; a memoised cluster is re-confirmed by its next lookup,
+	// which serves it again if its pre-rank cut is unchanged.
 	return db.store.InsertTriples(triples)
 }
 

@@ -284,18 +284,36 @@ func TestInsertIncrementally(t *testing.T) {
 	if exactBefore != 0 {
 		t.Fatalf("unexpected exact answers before insert: %d", exactBefore)
 	}
-	if err := db.Insert([]Triple{
+	inserted := []Triple{
 		{S: NewIRI("MariaVance"), P: NewIRI("sponsor"), O: NewIRI("B0532")},
 		{S: NewIRI("MariaVance"), P: NewIRI("gender"), O: NewLiteral("Female")},
-	}); err != nil {
+	}
+	if err := db.Insert(inserted); err != nil {
 		t.Fatal(err)
 	}
-	// The query above filled the alignment memo; the insert makes every
-	// entry stale, and drops them rather than leaving them resident.
-	if memo := db.CacheStats()["align"]; memo.Misses == 0 || memo.Entries != 0 {
-		t.Errorf("alignment memo after insert: %d entries (%d misses before it), want 0 entries", memo.Entries, memo.Misses)
-	}
 	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The query above filled the alignment memo and the insert left it
+	// resident: what the next query makes of it must be what a database
+	// created with the inserted triples answers.
+	if memo := db.CacheStats()["align"]; memo.Entries == 0 {
+		t.Fatal("no memo entry survived the insert; the test needs the query before it to leave some")
+	}
+	g, err := LoadNTriples(strings.NewReader(govtrackNT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range inserted {
+		g.AddTriple(tr)
+	}
+	fresh, err := Create(filepath.Join(t.TempDir(), "fresh"), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	want, err := fresh.QuerySPARQL(q, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
 	res, err = db.QuerySPARQL(q, 5)
@@ -304,6 +322,14 @@ func TestInsertIncrementally(t *testing.T) {
 	}
 	if len(res.Answers) == 0 {
 		t.Fatal("no answers after insert")
+	}
+	if len(res.Answers) != len(want.Answers) {
+		t.Fatalf("%d answers after the insert, a fresh database gives %d", len(res.Answers), len(want.Answers))
+	}
+	for i := range want.Answers {
+		if got, w := res.Answers[i].String(), want.Answers[i].String(); got != w {
+			t.Errorf("answer %d after the insert:\n%s\na fresh database's:\n%s", i, got, w)
+		}
 	}
 	// The new sponsor must be the best answer: her paths align with only
 	// the surplus-suffix penalty, while everyone else mismatches gender
