@@ -50,11 +50,13 @@ race-hot:
 
 # crash re-runs the durability suites on their own: the crash-matrix
 # kill points (torn WAL tails, mid-checkpoint and mid-compaction
-# kills), WAL recovery, the compaction swap's crash window, and an
-# insert stream equal to a rebuild with one batch re-applied, as replay
-# re-applies it.
+# kills), each recovered by Open alone; WAL replay; the compaction
+# swap's crash window; a failed insert that leaves the graph the
+# metadata persists as it was; a reopen that keeps earlier inserts,
+# with a WAL and without; and an insert stream equal to a rebuild with
+# one batch re-applied, as replay re-applies it.
 crash:
-	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertEqualsRebuild' ./internal/storage ./internal/index
+	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestReopenKeepsEarlierInserts|TestInsertEqualsRebuild' ./internal/storage ./internal/index
 
 # bench-check vets and tests bench/, the benchmark's own module: root
 # ./... patterns skip it, so an API it imports from internal/ could
@@ -62,9 +64,11 @@ crash:
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
-# fuzz-smoke runs each of the nine native fuzz targets — the
-# path-record decoder and the dictionary reader every stored path
-# depends on, the inline codec the benchmark still times, the WAL's
+# fuzz-smoke runs each of the ten native fuzz targets — the
+# path-record decoder, the dictionary reader and the metadata decoder
+# (counts checked against the file size, an accepted file re-encodes to
+# itself) every stored path depends on, the inline codec the benchmark
+# still times, the WAL's
 # segment scan (a lone segment opens to its well-formed prefix, an older
 # damaged one fails the open), the compressed postings (decode ∘ encode,
 # SeekGE, union), the bounded leapfrog intersection, and the three
@@ -78,6 +82,7 @@ bench-check:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePathDict$$' -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDictionary$$' -fuzztime 10s ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMeta$$' -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePath$$' -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz FuzzOpenWAL -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzPostingsSeekGE -fuzztime 10s ./internal/textindex

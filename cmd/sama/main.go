@@ -43,8 +43,6 @@ func main() {
 		err = runQuery(os.Args[2:])
 	case "stats":
 		err = runStats(os.Args[2:])
-	case "recover":
-		err = runRecover(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 		return
@@ -66,12 +64,11 @@ func usage() {
   sama query -index <base> (-q <sparql> | -sparql <file>) [-k 10] [-cold] [-timeout 0]
              [-stats] [-explain] [-explain-json] [-debug-addr host:port] [-serve]
   sama stats -index <base>                      print index statistics
-  sama recover -index <base> -data <graph.nt>   replay the write-ahead log
 
 -wal enables the durable write path: inserts are acknowledged only
-after the batch is fsynced to a write-ahead log in <dir>, and a crash
-replays the log on the next open. After a crash, run "sama recover"
-with the original data file before querying or inserting.
+after the batch is fsynced to a write-ahead log in <dir>, and after a
+crash the next open of the index (query, stats, samad) replays the log
+before it answers.
 
 -serve keeps the -debug-addr server (and the process) alive after the
 answers print, until SIGINT/SIGTERM; without it the debug server dies
@@ -150,9 +147,6 @@ func runQuery(args []string) error {
 		return err
 	}
 	defer db.Close()
-	if n := db.NeedsRecovery(); n > 0 {
-		return fmt.Errorf("query: %d write-ahead log records are pending from a crash; run\n  sama recover -index %s -data <graph file>\nfirst, or answers would miss acknowledged inserts", n, *base)
-	}
 	if *debugAddr != "" {
 		dbg, err := db.ServeDebug(*debugAddr)
 		if err != nil {
@@ -246,44 +240,6 @@ func runStats(args []string) error {
 	}
 	defer db.Close()
 	printStats(db.Stats())
-	return nil
-}
-
-// runRecover replays a WAL-enabled index's pending log records after a
-// crash: the data graph is rebuilt from the original file plus the
-// delta sidecar, the acknowledged-but-unindexed batches are re-applied,
-// and a checkpoint makes the result durable.
-func runRecover(args []string) error {
-	fs := flag.NewFlagSet("recover", flag.ExitOnError)
-	base := fs.String("index", "", "index base path (required)")
-	data := fs.String("data", "", "the RDF file the index was built from (required)")
-	fs.Parse(args)
-	if *base == "" || *data == "" {
-		return fmt.Errorf("recover: -index and -data are required")
-	}
-	db, err := sama.Open(*base, sama.WithThesaurus(sama.BenchmarkThesaurus()))
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-	if db.NeedsRecovery() < 0 {
-		fmt.Fprintln(out, "index has no write-ahead log; nothing to recover")
-		return nil
-	}
-	g, err := sama.LoadGraphFile(*data)
-	if err != nil {
-		return err
-	}
-	rs, err := db.Recover(g)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "replayed %d records (%d triples) in %v\n",
-		rs.Records, rs.Triples, rs.Replay.Round(time.Microsecond))
-	fmt.Fprintf(out, "sidecar triples merged: %d\n", rs.SidecarTriples)
-	if rs.TornTailRepaired {
-		fmt.Fprintln(out, "torn log tail truncated (unacknowledged batch discarded)")
-	}
 	return nil
 }
 

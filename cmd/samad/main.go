@@ -23,8 +23,8 @@
 // in-flight queries into one execution.
 // -wal enables the durable write path when the index is built (an
 // existing WAL-enabled index reattaches its log automatically); after a
-// crash, samad replays the pending records at startup when -data is
-// given, and refuses to serve stale answers when it is not.
+// crash, opening the index replays the log before samad serves, and the
+// replay is logged. -data is only read to build an absent index.
 // SIGINT/SIGTERM starts a graceful drain: the server
 // stops admitting, finishes in-flight queries up to -drain-timeout,
 // then cancels the stragglers (their clients still receive partial
@@ -168,9 +168,9 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := recoverIfNeeded(db, *data, logger); err != nil {
-		db.Close()
-		return nil, err
+	if rs := db.Recovery(); rs.Records > 0 || rs.TornTailRepaired {
+		logger.Printf("wal recovery: replayed %d records (%d triples) in %v, torn tail repaired: %v",
+			rs.Records, rs.Triples, rs.Replay.Round(time.Microsecond), rs.TornTailRepaired)
 	}
 
 	sopts.Coalesce = *coalesce
@@ -255,37 +255,6 @@ func openOrBuild(index, data string, opts []sama.Option, logger *log.Logger) (*s
 		return nil, fmt.Errorf("opening index %s: %w (pass -data to build it)", index, err)
 	}
 	return db, nil
-}
-
-// recoverIfNeeded replays a WAL-enabled index's pending records before
-// the daemon starts serving: answers from an unrecovered index would
-// miss inserts that were acknowledged before the crash. Replay needs
-// the data graph, so pending records without -data refuse to start.
-func recoverIfNeeded(db *sama.DB, data string, logger *log.Logger) error {
-	n := db.NeedsRecovery()
-	if n < 0 {
-		return nil
-	}
-	if data == "" {
-		if n > 0 {
-			return fmt.Errorf("%d write-ahead log records are pending from a crash; pass -data so samad can replay them", n)
-		}
-		// Nothing pending: serving reads is safe without the graph.
-		return nil
-	}
-	g, err := sama.LoadGraphFile(data)
-	if err != nil {
-		return err
-	}
-	rs, err := db.Recover(g)
-	if err != nil {
-		return fmt.Errorf("wal recovery: %w", err)
-	}
-	if rs.Records > 0 || rs.TornTailRepaired {
-		logger.Printf("wal recovery: replayed %d records (%d triples) in %v, sidecar %d triples, torn tail repaired: %v",
-			rs.Records, rs.Triples, rs.Replay.Round(time.Microsecond), rs.SidecarTriples, rs.TornTailRepaired)
-	}
-	return nil
 }
 
 // shutdown drains the server within the drain deadline, then closes the

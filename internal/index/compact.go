@@ -89,10 +89,6 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	defer ix.compacting.Store(false)
 
 	ix.mu.RLock()
-	if ix.recoverNeeded {
-		ix.mu.RUnlock()
-		return cs, ErrNeedsRecovery
-	}
 	startLen := len(ix.rids)
 	ix.mu.RUnlock()
 
@@ -107,7 +103,7 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 		pool:    storage.NewBufferPool(wrapPageIO(file, ix.wrapIO), 0),
 		sinks:   textindex.New(ix.thes),
 		labels:  textindex.New(ix.thes),
-		sources: textindex.New(nil),
+		sources: make(map[uint32][]PathID),
 		pathCfg: ix.pathCfg,
 		dict:    NewDictionary(),
 	}
@@ -201,27 +197,6 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	// crash right after the swap recovers against the compacted files.
 	next.walDir = ix.walDir
 	next.applied.watermark = ix.applied.watermark
-	if ix.wal != nil {
-		// Checkpoint discipline: the sidecar must cover everything the
-		// new metadata reflects before the WAL prefix is reclaimed. The
-		// swap is also where the sidecar stops growing: instead of
-		// appending yet another frame, the accumulated frames plus the
-		// since-checkpoint delta are deduplicated (graph insertion is
-		// idempotent, so repeated triples across frames carry nothing)
-		// and rewritten as one frame via an atomic rename. Recovery then
-		// re-reads O(distinct inserted triples), not O(appends over the
-		// database's lifetime). Both sidecar versions hold the same
-		// logical delta, so a crash on either side of the rename is safe.
-		side, err := loadSidecar(sidecarPath(ix.base))
-		if err != nil {
-			return fail(err)
-		}
-		merged := dedupTriples(append(side, ix.sinceCheckpoint...))
-		if err := rewriteSidecar(sidecarPath(ix.base), merged); err != nil {
-			return fail(err)
-		}
-		ix.sinceCheckpoint = nil
-	}
 	if err := next.pool.Flush(); err != nil {
 		return fail(err)
 	}
@@ -235,8 +210,8 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	// Past this point the old handles are being torn down, so fail's
 	// delete-the-temporaries cleanup is no longer enough. adopt swaps
 	// the reopened state in field by field: ix.mu is held and must not
-	// be overwritten, and the WAL handle, graph, and watermark survive
-	// the swap. The epoch and layout bumps ride along — compaction
+	// be overwritten, and the WAL handle and watermark survive the
+	// swap. The epoch and layout bumps ride along — compaction
 	// renumbers PathIDs, so any cache entry naming one is garbage now
 	// (and when a failure reopens the ORIGINAL files the bumps are merely
 	// redundant).
@@ -252,6 +227,7 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 		ix.sources = re.sources
 		ix.deleted = re.deleted
 		ix.dict = re.dict
+		ix.graph = re.graph
 		ix.stats = re.stats
 		ix.stats.DiskBytes = ix.diskBytes()
 		ix.epoch++
@@ -272,14 +248,16 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 			return cs, fmt.Errorf("%w (reopening the index files failed too: %v; the index is closed)", cause, rerr)
 		}
 		adopt(re)
-		if ix.wal != nil && re.applied.watermark < ix.applied.watermark {
+		if ix.wal != nil && re.applied.watermark < ix.applied.last() {
 			// The roll-forward fell back to the originals and their meta
 			// predates records the in-memory state had applied. Those
 			// records are still in the WAL — the checkpoint that would
-			// reclaim them never ran — so inherit the on-disk watermark
-			// and flag recovery rather than serve the stale view.
-			ix.applied = re.applied
-			ix.recoverNeeded = true
+			// reclaim them never ran — so replay them, as Open would.
+			if _, err := ix.replayLocked(re.applied.watermark+1, ix.applied.last()); err != nil {
+				ix.pool.Close()
+				ix.file.Close()
+				return cs, fmt.Errorf("%w (replaying the log onto the original files failed too: %v; the index is closed)", cause, err)
+			}
 		}
 		return cs, cause
 	}

@@ -24,9 +24,9 @@ import (
 // The test batch brings a term the persisted dictionary has never seen,
 // so wherever its records reached the page file ahead of the metadata
 // they spell a dictionary ID the reopened dictionary does not hold.
-// recoverClone therefore checks, at every kill point, that nothing live
-// points at such a record — before Recover and after it — and that the
-// recovered index answers every lookup like a fresh build of its graph.
+// recoverClone therefore checks, at every kill point, that Open alone
+// recovers: nothing live points at such a record, and the reopened
+// index answers every lookup like a fresh build of its reopened graph.
 
 // crashRig is one WAL-enabled index under crash testing plus the
 // consistent states recovery is allowed to land in.
@@ -76,8 +76,8 @@ func (r *crashRig) insertBatch(t *testing.T) {
 	r.postKeys = livePathKeys(t, r.ix)
 }
 
-// recoverClone reopens a crash snapshot and runs recovery, returning
-// the recovered answer state.
+// recoverClone opens a crash snapshot, which recovers it, returning the
+// recovered answer state.
 func recoverClone(t *testing.T, base, walDir string) []string {
 	t.Helper()
 	re, err := Open(base, Options{WALDir: walDir, CheckpointBytes: -1})
@@ -85,10 +85,6 @@ func recoverClone(t *testing.T, base, walDir string) []string {
 		t.Fatalf("open crash snapshot: %v", err)
 	}
 	t.Cleanup(func() { re.Close() })
-	readAllLive(t, re)
-	if _, err := re.Recover(figure1Graph()); err != nil {
-		t.Fatalf("recover crash snapshot: %v", err)
-	}
 	readAllLive(t, re)
 
 	fresh, err := Build(filepath.Join(t.TempDir(), "fresh"), re.Graph(), Options{})
@@ -230,22 +226,21 @@ func TestCrashMatrixAfterAcknowledgedInsert(t *testing.T) {
 }
 
 func TestCrashMatrixMidCheckpoint(t *testing.T) {
-	// The checkpoint's on-disk protocol is: (1) flush pages, (2) append
-	// + fsync the sidecar, (3) atomically replace the metadata, (4)
-	// truncate the WAL. A kill between any two steps must recover to
-	// the post-insert state — the batch was acknowledged long before.
-	// The two observable intermediate states are reconstructed by
-	// mixing the files of a pre-checkpoint and a post-checkpoint
-	// snapshot.
+	// The checkpoint's on-disk protocol is: (1) flush pages, (2)
+	// atomically replace the metadata, (3) truncate the WAL. A kill
+	// between any two steps must recover to the post-insert state — the
+	// batch was acknowledged long before. The two observable
+	// intermediate states are reconstructed by mixing the files of a
+	// pre-checkpoint and a post-checkpoint snapshot.
 	r := newCrashRig(t, nil)
 	r.insertBatch(t)
 	preB, preW := crashClone(t, r.base, r.walDir) // checkpoint not started
 	if err := r.ix.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	postB, postW := crashClone(t, r.base, r.walDir) // checkpoint complete
+	postB, _ := crashClone(t, r.base, r.walDir) // checkpoint complete
 
-	t.Run("after-page-flush-before-sidecar", func(t *testing.T) {
+	t.Run("after-page-flush-before-meta", func(t *testing.T) {
 		// Pages flushed, nothing else: the batch's records are in the
 		// page file, no RID names them, and the old dictionary lacks
 		// their new term. They stay orphans; the record replays.
@@ -264,25 +259,9 @@ func TestCrashMatrixMidCheckpoint(t *testing.T) {
 		base, wal := filepath.Join(dir, "ix"), filepath.Join(dir, "wal")
 		copyTree(t, pagesPath(postB), pagesPath(base))
 		copyTree(t, metaPath(preB), metaPath(base))
-		copyTree(t, sidecarPath(preB), sidecarPath(base))
 		copyTree(t, preW, wal)
 		if got := recoverClone(t, base, wal); !equalKeys(got, r.postKeys) {
 			t.Fatalf("mid-checkpoint (pages flushed) lost the batch: %d vs %d paths", len(got), len(r.postKeys))
-		}
-	})
-	t.Run("after-sidecar-before-meta", func(t *testing.T) {
-		// Pages flushed and sidecar written, metadata still old, WAL
-		// untruncated: the record replays on top of the sidecar's
-		// triples; both paths re-derive the same answers (replay is
-		// idempotent).
-		dir := t.TempDir()
-		base, wal := filepath.Join(dir, "ix"), filepath.Join(dir, "wal")
-		copyTree(t, pagesPath(postB), pagesPath(base))
-		copyTree(t, metaPath(preB), metaPath(base))
-		copyTree(t, sidecarPath(postB), sidecarPath(base))
-		copyTree(t, preW, wal)
-		if got := recoverClone(t, base, wal); !equalKeys(got, r.postKeys) {
-			t.Fatalf("mid-checkpoint (sidecar flushed) lost the batch: %d vs %d paths", len(got), len(r.postKeys))
 		}
 	})
 	t.Run("after-meta-before-truncate", func(t *testing.T) {
@@ -292,13 +271,11 @@ func TestCrashMatrixMidCheckpoint(t *testing.T) {
 		base, wal := filepath.Join(dir, "ix"), filepath.Join(dir, "wal")
 		copyTree(t, pagesPath(postB), pagesPath(base))
 		copyTree(t, metaPath(postB), metaPath(base))
-		copyTree(t, sidecarPath(postB), sidecarPath(base))
 		copyTree(t, preW, wal) // the untruncated, pre-checkpoint log
 		if got := recoverClone(t, base, wal); !equalKeys(got, r.postKeys) {
 			t.Fatalf("mid-checkpoint (meta committed) diverged: %d vs %d paths", len(got), len(r.postKeys))
 		}
 	})
-	_ = postW
 }
 
 func TestCrashMatrixMidCompaction(t *testing.T) {
@@ -353,7 +330,7 @@ func TestCrashMatrixMidCompaction(t *testing.T) {
 	})
 }
 
-// TestCrashMatrixTornTailMetrics: the recovery stats report the torn
+// TestCrashMatrixTornTailMetrics: what Open replayed reports the torn
 // tail repair so operators can see silent data-loss-free repairs.
 func TestCrashMatrixTornTailMetrics(t *testing.T) {
 	r := newCrashRig(t, nil)
@@ -379,12 +356,8 @@ func TestCrashMatrixTornTailMetrics(t *testing.T) {
 	if !ok || !st.TornTailRepaired {
 		t.Fatalf("torn tail repair not reported: ok=%v stats=%+v", ok, st)
 	}
-	rs, err := re.Recover(figure1Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rs.TornTailRepaired {
-		t.Error("RecoveryStats does not report the torn tail repair")
+	if rs := re.Recovery(); !rs.TornTailRepaired || rs.Records != 0 {
+		t.Errorf("Recovery() = %+v, want the torn tail repaired and nothing replayed", rs)
 	}
 	if got := livePathKeys(t, re); !equalKeys(got, r.preKeys) {
 		t.Fatalf("torn batch half-applied: %d vs %d paths", len(got), len(r.preKeys))

@@ -11,7 +11,7 @@ import (
 // crashedWALIndex builds a 2 000-triple LUBM index with a WAL, inserts
 // 40 batches of 25 unseen triples without ever checkpointing, and
 // abandons the handle — every batch is pending in the log — returning
-// the index reopened and recovered, with the replay statistics.
+// the index reopened, which replays them, with the replay statistics.
 func crashedWALIndex(b *testing.B) (*Index, RecoveryStats) {
 	b.Helper()
 	const baseTriples, batchSize, batches = 2_000, 25, 40
@@ -33,11 +33,7 @@ func crashedWALIndex(b *testing.B) (*Index, RecoveryStats) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rs, err := re.Recover(datasets.LUBM{}.Generate(baseTriples, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return re, rs
+	return re, re.Recovery()
 }
 
 // BenchmarkRecoveryReplay times the crash-recovery replay of 40 pending

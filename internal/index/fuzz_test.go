@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -122,6 +124,71 @@ func FuzzReadDictionary(f *testing.F) {
 		}
 		if !bytes.Equal(out.Bytes(), again.Bytes()) {
 			t.Fatalf("round trip changed the dictionary:\n got %q\nwant %q", again.Bytes(), out.Bytes())
+		}
+	})
+}
+
+// FuzzReadMeta feeds arbitrary bytes to the metadata decoder Open runs,
+// seeded with the metadata of a Figure 1 build, after one insert, without
+// a WAL and with one. It must never panic; whether it accepts or
+// rejects, it must not allocate more than a fixed multiple of the input
+// (give or take a fixed slack), whatever counts the input claims; and
+// metadata it accepts must survive encode ∘ decode byte for byte.
+func FuzzReadMeta(f *testing.F) {
+	for _, wal := range []bool{false, true} {
+		dir := f.TempDir()
+		base, opts := filepath.Join(dir, "ix"), Options{}
+		if wal {
+			opts.WALDir = filepath.Join(dir, "wal")
+		}
+		ix, err := Build(base, figure1Graph(), opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := ix.InsertTriples(walTestTriples); err != nil {
+			f.Fatal(err)
+		}
+		if err := ix.Close(); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(metaPath(base))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	decode := func(data []byte) (*Index, error) {
+		ix := new(Index)
+		return ix, ix.decodeMeta(bufio.NewReader(bytes.NewReader(data)), int64(len(data)), nil)
+	}
+	encode := func(t *testing.T, ix *Index) []byte {
+		var buf bytes.Buffer
+		if err := ix.encodeMeta(bufio.NewWriter(&buf)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix, err := decode(data)
+		runtime.ReadMemStats(&after)
+		// TotalAlloc is process-wide, hence the slack; the multiple covers
+		// a graph node, which takes one byte of input and a few hundred of
+		// memory. A count taken on trust sizes gigabytes.
+		if got, most := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+1024*len(data)); got > most {
+			t.Fatalf("decoding %d bytes allocated %d (at most %d)", len(data), got, most)
+		}
+		if err != nil {
+			return
+		}
+		once := encode(t, ix)
+		back, err := decode(once)
+		if err != nil {
+			t.Fatalf("re-encoded metadata does not decode: %v", err)
+		}
+		if again := encode(t, back); !bytes.Equal(once, again) {
+			t.Fatalf("round trip changed the metadata:\n got %q\nwant %q", again, once)
 		}
 	})
 }

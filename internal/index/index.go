@@ -42,9 +42,9 @@ type Options struct {
 	// WALDir enables the durable write path: inserts are logged to a
 	// segmented write-ahead log in this directory (group-committed,
 	// fsynced) before any page is touched, and Open replays the log's
-	// unapplied suffix through Recover. An index built with a WAL
-	// records the directory in its metadata, so later Opens reattach
-	// it even when the option is left empty.
+	// unapplied suffix. An index built with a WAL records the directory
+	// in its metadata, so later Opens reattach it even when the option
+	// is left empty.
 	WALDir string
 	// WALSegmentBytes is the WAL segment rotation threshold
 	// (0: storage.DefaultWALSegmentBytes).
@@ -112,12 +112,13 @@ type Index struct {
 	// (lens, sigs) pairs through Summaries and never probes postings.
 	sigs []uint64
 	// sinks matches query sinks against path sinks; labels matches any
-	// constant label against the paths containing it; sources matches
-	// path source labels (used by incremental updates to find the paths
-	// a mutation invalidates).
-	sinks   *textindex.Index
-	labels  *textindex.Index
-	sources *textindex.Index
+	// constant label against the paths containing it.
+	sinks  *textindex.Index
+	labels *textindex.Index
+	// sources maps a source term's dictionary ID to the paths starting
+	// there, tombstoned included, ascending: an insert reads the paths of
+	// the roots it affects through it.
+	sources map[uint32][]PathID
 	// deleted tombstones paths invalidated by incremental updates; the
 	// record store is append-only, so their bytes stay until a rebuild.
 	deleted []bool
@@ -143,35 +144,23 @@ type Index struct {
 	dict   *Dictionary
 	idBuf  []uint32
 	recBuf []byte
-	// graph is the indexed data graph, retained by Build (and by
-	// AttachGraph after Open) so InsertTriples can re-enumerate the
-	// affected paths.
+	// graph is the indexed data graph, which InsertTriples re-enumerates
+	// the affected paths of: Build retains the one it indexed, and the
+	// metadata carries it, in the dictionary's term IDs, for Open.
 	graph   *rdf.Graph
 	pathCfg paths.Config
 	thes    *textindex.Thesaurus
 	wrapIO  func(storage.PageIO) storage.PageIO
-	// hubRooted records whether the indexed paths are rooted at hubs
-	// (the graph had no sources when they were enumerated). The insert
-	// path consults it instead of re-deriving the pre-insert source
-	// structure from the graph, which would be wrong when a batch is
-	// retried after a failed apply — the failed attempt has already
-	// added its triples to the graph.
-	hubRooted bool
-	stats     Stats
+	stats   Stats
 	// Durable write path state (nil/zero without a WAL): wal is the
 	// log, walDir its directory (persisted in the metadata), applied
 	// tracks the contiguous-applied LSN watermark the checkpoint
-	// truncates at, sinceCheckpoint accumulates the triples applied
-	// since the last checkpoint for the delta sidecar, pending holds
-	// records decoded at Open that Recover has not replayed yet, and
-	// recoverNeeded blocks inserts until Recover runs.
+	// truncates at, and recovery is what Open replayed.
 	wal             *storage.WAL
 	walDir          string
 	checkpointBytes int64
 	applied         lsnTracker
-	sinceCheckpoint []rdf.Triple
-	pending         []walPending
-	recoverNeeded   bool
+	recovery        RecoveryStats
 	// compacting serialises CompactIncremental runs without holding
 	// ix.mu across the whole pass.
 	compacting atomic.Bool
@@ -214,7 +203,7 @@ func (ix *Index) SetMetrics(reg *obs.Registry) {
 }
 
 // SetEvents attaches the structured event log: index, wal, and compact
-// subsystem loggers for checkpoints, recovery, and compaction progress.
+// subsystem loggers for inserts, checkpoints and compaction progress.
 // Call before the index starts serving, like SetMetrics.
 func (ix *Index) SetEvents(events *obs.EventLog) {
 	ix.logIndex = events.Logger("index")
@@ -249,20 +238,19 @@ func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
 		pool:            storage.NewBufferPool(wrapPageIO(file, opts.WrapIO), opts.PoolPages),
 		sinks:           textindex.New(opts.Thesaurus),
 		labels:          textindex.New(opts.Thesaurus),
-		sources:         textindex.New(nil),
+		sources:         make(map[uint32][]PathID),
 		graph:           g,
 		pathCfg:         opts.pathConfig(),
 		thes:            opts.Thesaurus,
 		wrapIO:          opts.WrapIO,
-		hubRooted:       len(g.Sources()) == 0,
 		walDir:          opts.WALDir,
 		checkpointBytes: opts.checkpointBytes(),
 		dict:            NewDictionary(),
 	}
 	ix.store = storage.NewRecordStore(ix.pool)
 	if ix.walDir != "" {
-		// A fresh build restarts history: any older log or sidecar
-		// describes an index these files just replaced.
+		// A fresh build restarts history: any older log describes an
+		// index these files just replaced.
 		w, err := storage.OpenWAL(ix.walDir, storage.WALOptions{
 			SegmentBytes: opts.WALSegmentBytes,
 			SyncHook:     opts.WALSyncHook,
@@ -276,7 +264,6 @@ func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
 			file.Close()
 			return nil, err
 		}
-		os.Remove(sidecarPath(base))
 		ix.wal = w
 	}
 
@@ -333,7 +320,7 @@ func (ix *Index) commitPath(ids []uint32, rid storage.RID) {
 	n := (len(ids) + 1) / 2 // nodes; the other n−1 are the edges
 	ix.lens = append(ix.lens, uint16(min(n, 0xffff)))
 	ix.sinks.AddAnalysed(ix.dict.analysedTerm(ids[n-1]), id)
-	ix.sources.AddAnalysed(ix.dict.analysedTerm(ids[0]), id)
+	ix.sources[ids[0]] = append(ix.sources[ids[0]], PathID(id))
 	var sig uint64
 	for _, term := range ids {
 		a := ix.dict.analysedTerm(term)
@@ -355,11 +342,11 @@ func (ix *Index) addPath(p paths.Path) error {
 
 // Open loads an index previously written by Build. The pages stay on
 // disk (reads go through a fresh, cold buffer pool); the lookup tables
-// are loaded into memory. If the metadata records a WAL (or
-// opts.WALDir names one), the log is scanned — a torn tail is
-// truncated, never replayed — and records after the applied watermark
-// are queued for Recover; InsertTriples refuses to run until Recover
-// hands the index its graph. Temporary files from a crashed compaction
+// and the data graph are loaded into memory. If the metadata records a
+// WAL (or opts.WALDir names one), the log is scanned — a torn tail is
+// truncated, never replayed — the records after the applied watermark
+// are applied in LSN order, and a checkpoint makes them durable; if any
+// of that fails, so does Open. Temporary files from a crashed compaction
 // are resolved first: a swap that reached its commit point is
 // completed, anything earlier is discarded.
 func Open(base string, opts Options) (*Index, error) {
@@ -390,10 +377,10 @@ func recoverCompactSwap(base string) {
 }
 
 // openIndex is Open minus the crash-leftover cleanup, with the WAL
-// attachment optional: CompactIncremental reopens the swapped files
-// through it with attachWAL=false, because the index's WAL handle is
-// already open and stays valid across the swap (opening the log twice
-// would double-own the segment files).
+// attachment and its replay optional: CompactIncremental reopens the
+// swapped files through it with attachWAL=false, because the index's
+// WAL handle is already open and stays valid across the swap (opening
+// the log twice would double-own the segment files).
 func openIndex(base string, opts Options, attachWAL bool) (*Index, error) {
 	file, err := storage.OpenPageFile(pagesPath(base))
 	if err != nil {
@@ -426,86 +413,92 @@ func openIndex(base string, opts Options, attachWAL bool) (*Index, error) {
 	return ix, nil
 }
 
-// metaMagic is the metadata format ("SAMAIDX6"), the only one readMeta
+// metaMagic is the metadata format ("SAMAIDX7"), the only one readMeta
 // accepts: the last byte is the version, and an index written under
 // another one has to be rebuilt from its data.
-var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '6'}
+var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '7'}
 
 const metaFlagWAL = 1
 
 // writeMeta persists the metadata atomically: the bytes go to a temp
 // file, are fsynced, and replace the old metadata with a rename — a
 // crash mid-write leaves the previous (consistent) metadata in place,
-// never a truncated one. When the index has a WAL the applied LSN
-// watermark and the WAL directory ride along, so a reopen knows where
-// replay starts and reattaches the log without being told. The
-// dictionary rides in the same file, behind the same rename, as the
-// RIDs whose records it decodes: no crash can pair one checkpoint's
-// RIDs with another's dictionary.
+// never a truncated one.
 func (ix *Index) writeMeta() error {
 	tmpPath := metaPath(ix.base) + ".tmp"
 	f, err := os.Create(tmpPath)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if f != nil {
-			f.Close()
-			os.Remove(tmpPath)
-		}
-	}()
-	w := bufio.NewWriter(f)
-	if _, err := w.Write(metaMagic[:]); err != nil {
+	if err := ix.encodeMeta(bufio.NewWriter(f)); err != nil {
+		f.Close()
+		os.Remove(tmpPath)
 		return err
 	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmpPath)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmpPath)
+		return err
+	}
+	if err := os.Rename(tmpPath, metaPath(ix.base)); err != nil {
+		os.Remove(tmpPath)
+		return err
+	}
+	return syncDirOf(metaPath(ix.base))
+}
+
+// encodeMeta writes the metadata to w and flushes it. When the index
+// has a WAL the applied LSN watermark and the WAL directory ride along,
+// so a reopen knows where replay starts and reattaches the log without
+// being told. The dictionary and the data graph ride in the same file,
+// behind the same rename, as the RIDs whose records the dictionary
+// decodes: no crash can pair one checkpoint's RIDs with another's
+// dictionary, or the paths of one graph with another graph.
+func (ix *Index) encodeMeta(w *bufio.Writer) error {
+	// Every graph term is interned first, so the graph can be written in
+	// dictionary IDs: a term no live path uses — an edge past MaxPerRoot,
+	// a cycle no source reaches, any term after a compaction — too.
+	g := ix.graph
+	nodeTerms := make([]uint32, g.NodeCount())
+	for n := range nodeTerms {
+		nodeTerms[n] = ix.dict.ID(g.Term(rdf.NodeID(n)))
+	}
+	edgeLabels := make([]uint32, g.EdgeCount())
+	for e := range edgeLabels {
+		edgeLabels[e] = ix.dict.ID(g.Edge(rdf.EdgeID(e)).Label)
+	}
+	// A bufio.Writer keeps its first error and reports it from Flush, so
+	// the writes below need no checks of their own.
 	var tmp [binary.MaxVarintLen64]byte
-	wu := func(v uint64) error {
-		_, err := w.Write(tmp[:binary.PutUvarint(tmp[:], v)])
-		return err
-	}
-	var flags uint64
+	wu := func(v uint64) { w.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
+	w.Write(metaMagic[:])
 	if ix.walDir != "" {
-		flags |= metaFlagWAL
-	}
-	if err := wu(flags); err != nil {
-		return err
-	}
-	if ix.walDir != "" {
-		if err := wu(ix.applied.watermark); err != nil {
-			return err
-		}
-		if err := wu(uint64(len(ix.walDir))); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(ix.walDir); err != nil {
-			return err
-		}
+		wu(metaFlagWAL)
+		wu(ix.applied.watermark)
+		wu(uint64(len(ix.walDir)))
+		w.WriteString(ix.walDir)
+	} else {
+		wu(0)
 	}
 	for _, v := range []uint64{
 		uint64(ix.stats.Triples), uint64(ix.stats.HV), uint64(ix.stats.HE),
 		uint64(ix.stats.Paths), uint64(ix.stats.BuildTime),
 	} {
-		if err := wu(v); err != nil {
-			return err
-		}
+		wu(v)
 	}
-	if err := wu(uint64(len(ix.rids))); err != nil {
-		return err
-	}
+	wu(uint64(len(ix.rids)))
 	for _, rid := range ix.rids {
-		if err := wu(rid.Pack()); err != nil {
-			return err
-		}
+		wu(rid.Pack())
 	}
 	for _, l := range ix.lens {
-		if err := wu(uint64(l)); err != nil {
-			return err
-		}
+		wu(uint64(l))
 	}
 	for _, s := range ix.sigs {
-		if err := wu(s); err != nil {
-			return err
-		}
+		wu(s)
 	}
 	// Tombstone bitmap, one byte per 8 paths.
 	bitmap := make([]byte, (len(ix.deleted)+7)/8)
@@ -514,38 +507,43 @@ func (ix *Index) writeMeta() error {
 			bitmap[i/8] |= 1 << (i % 8)
 		}
 	}
-	if _, err := w.Write(bitmap); err != nil {
-		return err
+	w.Write(bitmap)
+	ix.sinks.WriteTo(w)
+	ix.labels.WriteTo(w)
+	ix.dict.WriteTo(w)
+	// Source postings: per source term, ascending, its ID's delta from
+	// the previous one, its path count and the path IDs' deltas.
+	terms := make([]uint32, 0, len(ix.sources))
+	for term := range ix.sources {
+		terms = append(terms, term)
 	}
-	if _, err := ix.sinks.WriteTo(w); err != nil {
-		return err
+	slices.Sort(terms)
+	wu(uint64(len(terms)))
+	prev := uint32(0)
+	for _, term := range terms {
+		wu(uint64(term - prev))
+		prev = term
+		wu(uint64(len(ix.sources[term])))
+		last := PathID(0)
+		for _, id := range ix.sources[term] {
+			wu(uint64(id - last))
+			last = id
+		}
 	}
-	if _, err := ix.labels.WriteTo(w); err != nil {
-		return err
+	// The graph: every node's term in node-ID order, then every edge as
+	// (from, label, to) in edge-ID order, so a reopen has the same IDs.
+	wu(uint64(len(nodeTerms)))
+	for _, term := range nodeTerms {
+		wu(uint64(term))
 	}
-	if _, err := ix.sources.WriteTo(w); err != nil {
-		return err
+	wu(uint64(len(edgeLabels)))
+	for e, label := range edgeLabels {
+		edge := g.Edge(rdf.EdgeID(e))
+		wu(uint64(edge.From))
+		wu(uint64(label))
+		wu(uint64(edge.To))
 	}
-	if _, err := ix.dict.WriteTo(w); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		f = nil
-		os.Remove(tmpPath)
-		return err
-	}
-	f = nil
-	if err := os.Rename(tmpPath, metaPath(ix.base)); err != nil {
-		os.Remove(tmpPath)
-		return err
-	}
-	return syncDirOf(metaPath(ix.base))
+	return w.Flush()
 }
 
 // syncDirOf fsyncs the directory containing path, making a rename into
@@ -565,7 +563,18 @@ func (ix *Index) readMeta(thes *textindex.Thesaurus) error {
 		return err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	return ix.decodeMeta(bufio.NewReader(f), fi.Size(), thes)
+}
+
+// decodeMeta reads metadata written by encodeMeta from a source of at
+// most limit bytes: every count is checked against what that many bytes
+// can hold before it sizes an allocation, as ReadDictionary does, and
+// every ID against what it names.
+func (ix *Index) decodeMeta(r *bufio.Reader, limit int64, thes *textindex.Thesaurus) error {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return err
@@ -577,89 +586,164 @@ func (ix *Index) readMeta(thes *textindex.Thesaurus) error {
 		}
 		return fmt.Errorf("bad meta magic %q", magic)
 	}
-	ru := func() (uint64, error) { return binary.ReadUvarint(r) }
-	flags, err := ru()
-	if err != nil {
-		return err
-	}
-	if flags&metaFlagWAL != 0 {
-		watermark, err := ru()
-		if err != nil {
-			return err
-		}
-		n, err := ru()
-		if err != nil {
-			return err
-		}
-		dir := make([]byte, n)
-		if _, err := io.ReadFull(r, dir); err != nil {
-			return err
-		}
-		ix.applied.watermark = watermark
+	m := &metaReader{r: r, limit: limit}
+	if m.uvarint()&metaFlagWAL != 0 {
+		ix.applied.watermark = m.uvarint()
+		dir := make([]byte, m.count(1, "WAL directory byte"))
+		m.read(dir)
 		ix.walDir = string(dir)
 	}
-	vals := make([]uint64, 5)
-	for i := range vals {
-		if vals[i], err = ru(); err != nil {
-			return err
-		}
-	}
 	ix.stats = Stats{
-		Triples:   int(vals[0]),
-		HV:        int(vals[1]),
-		HE:        int(vals[2]),
-		Paths:     int(vals[3]),
-		BuildTime: time.Duration(vals[4]),
+		Triples:   int(m.uvarint()),
+		HV:        int(m.uvarint()),
+		HE:        int(m.uvarint()),
+		Paths:     int(m.uvarint()),
+		BuildTime: time.Duration(m.uvarint()),
 	}
-	n, err := ru()
-	if err != nil {
-		return err
-	}
+	// A path takes at least three bytes: its RID, length and signature.
+	n := m.count(3, "path")
 	ix.rids = make([]storage.RID, n)
 	for i := range ix.rids {
-		v, err := ru()
-		if err != nil {
-			return err
-		}
-		ix.rids[i] = storage.UnpackRID(v)
+		ix.rids[i] = storage.UnpackRID(m.uvarint())
 	}
 	ix.lens = make([]uint16, n)
 	for i := range ix.lens {
-		v, err := ru()
-		if err != nil {
-			return err
-		}
-		ix.lens[i] = uint16(v)
+		ix.lens[i] = uint16(m.uvarint())
 	}
 	ix.sigs = make([]uint64, n)
 	for i := range ix.sigs {
-		if ix.sigs[i], err = ru(); err != nil {
-			return err
-		}
+		ix.sigs[i] = m.uvarint()
 	}
 	bitmap := make([]byte, (n+7)/8)
-	if _, err := io.ReadFull(r, bitmap); err != nil {
-		return err
-	}
+	m.read(bitmap)
 	ix.deleted = make([]bool, n)
 	for i := range ix.deleted {
 		ix.deleted[i] = bitmap[i/8]&(1<<(i%8)) != 0
 	}
-	if ix.sinks, err = textindex.ReadFrom(r, thes); err != nil {
+	if m.err != nil {
+		return m.err
+	}
+	var err error
+	if ix.sinks, err = textindex.ReadFrom(r, thes, limit); err != nil {
 		return err
 	}
-	if ix.labels, err = textindex.ReadFrom(r, thes); err != nil {
+	if ix.labels, err = textindex.ReadFrom(r, thes, limit); err != nil {
 		return err
 	}
-	if ix.sources, err = textindex.ReadFrom(r, nil); err != nil {
+	if ix.dict, err = ReadDictionary(r, limit); err != nil {
 		return err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		return err
+	ix.sources = m.sources(n, ix.dict)
+	ix.graph = m.graph(ix.dict)
+	return m.err
+}
+
+// metaReader reads the varint sections of the metadata. It keeps the
+// first error, after which every read yields zero: a section's loop
+// runs to its (checked) count without checks of its own, and the error
+// is reported once, at the end.
+type metaReader struct {
+	r     *bufio.Reader
+	limit int64
+	err   error
+}
+
+func (m *metaReader) fail(format string, args ...any) {
+	if m.err == nil {
+		m.err = fmt.Errorf(format, args...)
 	}
-	ix.dict, err = ReadDictionary(r, fi.Size())
-	return err
+}
+
+func (m *metaReader) uvarint() uint64 {
+	if m.err != nil {
+		return 0
+	}
+	v, err := binary.ReadUvarint(m.r)
+	m.err = err
+	return v
+}
+
+func (m *metaReader) read(b []byte) {
+	if m.err == nil {
+		_, m.err = io.ReadFull(m.r, b)
+	}
+}
+
+// count reads the count of a section whose items each take at least
+// size bytes, failing it if the metadata cannot hold that many.
+func (m *metaReader) count(size uint64, what string) int {
+	n := m.uvarint()
+	if n > uint64(m.limit)/size {
+		m.fail("implausible %s count %d in %d bytes", what, n, m.limit)
+		return 0
+	}
+	return int(n)
+}
+
+// id reads the next of a strictly ascending run of delta-coded IDs below
+// bound, given the previous one (first: there is none).
+func (m *metaReader) id(prev uint64, first bool, bound int, what string) uint64 {
+	d := m.uvarint()
+	if (d == 0 && !first) || d >= uint64(bound) || prev+d >= uint64(bound) {
+		m.fail("%s %d+%d out of order or out of range (%d)", what, prev, d, bound)
+		return 0
+	}
+	return prev + d
+}
+
+// term reads a dictionary ID and returns its term. The ID is compared
+// as read: narrowed first, ID 2³²+3 would read as term 3.
+func (m *metaReader) term(d *Dictionary) rdf.Term {
+	id := m.uvarint()
+	if id >= uint64(d.Len()) {
+		m.fail("dictionary id %d out of range (%d terms)", id, d.Len())
+		return rdf.Term{}
+	}
+	return d.terms[id]
+}
+
+// sources reads the source postings written by encodeMeta.
+func (m *metaReader) sources(npaths int, d *Dictionary) map[uint32][]PathID {
+	k := m.count(2, "source")
+	sources := make(map[uint32][]PathID, k)
+	term := uint64(0)
+	for i := 0; i < k && m.err == nil; i++ {
+		term = m.id(term, i == 0, d.Len(), "source term")
+		ids := make([]PathID, m.count(1, "source path"))
+		if len(ids) == 0 {
+			m.fail("source term %d starts no path", term)
+		}
+		id := uint64(0)
+		for j := range ids {
+			id = m.id(id, j == 0, npaths, "source path")
+			ids[j] = PathID(id)
+		}
+		sources[uint32(term)] = ids
+	}
+	return sources
+}
+
+// graph reads the data graph written by encodeMeta, rebuilding it with
+// the node and edge IDs it was written with.
+func (m *metaReader) graph(d *Dictionary) *rdf.Graph {
+	g := rdf.NewGraph()
+	nodes := m.count(1, "node")
+	for i := 0; i < nodes && m.err == nil; i++ {
+		if t := m.term(d); m.err == nil && g.AddNode(t) != rdf.NodeID(i) {
+			m.fail("graph node %d (%s) repeats an earlier one", i, t)
+		}
+	}
+	edges := m.count(3, "edge")
+	for i := 0; i < edges && m.err == nil; i++ {
+		from, label, to := m.uvarint(), m.term(d), m.uvarint()
+		if from >= uint64(nodes) || to >= uint64(nodes) {
+			m.fail("graph edge %d joins nodes %d and %d of %d", i, from, to, nodes)
+		}
+		if m.err == nil && g.AddEdge(rdf.NodeID(from), rdf.NodeID(to), label) != rdf.EdgeID(i) {
+			m.fail("graph edge %d repeats an earlier one", i)
+		}
+	}
+	return g
 }
 
 func (ix *Index) diskBytes() int64 {
@@ -894,17 +978,14 @@ func (ix *Index) PoolStats() storage.PoolStats { return ix.pool.Stats() }
 // With a WAL this is a full checkpoint first, so a clean shutdown
 // reopens with nothing to replay; if the checkpoint fails (a poisoned
 // sync, say) the metadata is NOT advanced — the WAL keeps the records
-// and the next open recovers them. Close is idempotent: a second call
+// and the next Open replays them. Close is idempotent: a second call
 // closes already-closed files, which the storage layer reports as
 // success.
 func (ix *Index) Close() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	var firstErr error
 	if ix.wal != nil {
-		if len(ix.pending) == 0 {
-			firstErr = ix.checkpointLocked()
-		}
+		firstErr := ix.checkpointLocked()
 		if err := ix.wal.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -1,28 +1,15 @@
 package index
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 
 	"sama/internal/paths"
 	"sama/internal/rdf"
 	"sama/internal/storage"
-	"sama/internal/textindex"
 )
 
-// AttachGraph hands a reopened index its data graph so InsertTriples
-// can re-enumerate paths. Build retains the graph automatically; Open
-// cannot, because the graph is not persisted with the index.
-func (ix *Index) AttachGraph(g *rdf.Graph) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.graph = g
-	ix.hubRooted = len(g.Sources()) == 0
-}
-
-// Graph returns the attached data graph, or nil.
+// Graph returns the indexed data graph.
 func (ix *Index) Graph() *rdf.Graph {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -52,7 +39,7 @@ func (ix *Index) livePathsLocked() int {
 // to s, so exactly the paths whose root reaches s are affected. The
 // procedure:
 //
-//  1. add the triples to the attached graph;
+//  1. add the triples to the data graph;
 //  2. compute the reverse closure of the new subjects — every node that
 //     can reach one of them — and intersect it with the graph's path
 //     roots, adding roots created by the new triples themselves;
@@ -73,9 +60,9 @@ func (ix *Index) livePathsLocked() int {
 // only unreferenced bytes behind, and un-interns the terms it had added
 // to the dictionary) and the in-memory tables — epoch, tombstones,
 // postings — commit last, in a phase that cannot fail. On
-// error the index answers exactly as before the call; the attached
-// graph may have absorbed the triples (graph insertion is idempotent),
-// so retrying the same batch is safe and completes the operation.
+// error the index answers exactly as before the call, and the data graph
+// is undone to what it was, so the next metadata write cannot persist a
+// graph the index does not match.
 //
 // With a WAL the batch is logged and fsynced before any page is
 // touched. Concurrent inserters meet in the log's group commit and
@@ -95,15 +82,7 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 	}
 	ix.mu.RLock()
 	wal := ix.wal
-	recoverNeeded := ix.recoverNeeded
-	attached := ix.graph != nil
 	ix.mu.RUnlock()
-	if recoverNeeded {
-		return ErrNeedsRecovery
-	}
-	if !attached {
-		return fmt.Errorf("index: no graph attached (Build retains it; after Open call AttachGraph or Recover)")
-	}
 	// Log outside the index lock so concurrent inserts actually batch:
 	// while one insert holds ix.mu applying, the others are appending,
 	// and the WAL's flush leader commits them with a single fsync.
@@ -122,15 +101,12 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 		// and an unmarked LSN would stall the watermark (and therefore
 		// WAL truncation) forever.
 		ix.applied.mark(lsn)
-		if err == nil {
-			ix.sinceCheckpoint = append(ix.sinceCheckpoint, ts...)
-			if ix.checkpointBytes > 0 && wal.Size() >= ix.checkpointBytes {
-				if cerr := ix.checkpointLocked(); cerr != nil {
-					if ix.logWAL != nil {
-						ix.logWAL.Error("auto checkpoint failed", "err", cerr)
-					}
-					return fmt.Errorf("index: auto checkpoint: %w", cerr)
+		if err == nil && ix.checkpointBytes > 0 && wal.Size() >= ix.checkpointBytes {
+			if cerr := ix.checkpointLocked(); cerr != nil {
+				if ix.logWAL != nil {
+					ix.logWAL.Error("auto checkpoint failed", "err", cerr)
 				}
+				return fmt.Errorf("index: auto checkpoint: %w", cerr)
 			}
 		}
 	}
@@ -145,20 +121,21 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 }
 
 // applyTriplesLocked performs one insert batch under ix.mu. The graph
-// mutation comes first (idempotent, infallible), then everything that
-// can fail — reading the affected roots' indexed paths and the
-// record-store staging — and only then the in-memory commit, which
-// cannot fail. WAL replay calls this too: re-applying a batch
+// mutation comes first, then everything that can fail — reading the
+// affected roots' indexed paths and the record-store staging — and only
+// then the in-memory commit, which cannot fail; a failure undoes the
+// graph mutation. WAL replay calls this too: re-applying a batch
 // re-enumerates the same roots into the same records, so it keeps every
 // ID and stages nothing.
-func (ix *Index) applyTriplesLocked(ts []rdf.Triple) error {
+func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 	g := ix.graph
-	// The pre-insert rooting comes from the index's own flag, not the
-	// graph: when this batch is a retry of one whose staging failed, the
-	// failed attempt has already added the triples, so len(g.Sources())
-	// no longer reflects the state the indexed paths were enumerated
-	// against.
-	wasHubRooted := ix.hubRooted
+	wasHubRooted := len(g.Sources()) == 0
+	mark := g.Mark()
+	defer func() {
+		if err != nil {
+			g.Undo(mark)
+		}
+	}()
 	preNodes := g.NodeCount()
 
 	subjects := make(map[rdf.NodeID]struct{})
@@ -192,7 +169,6 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) error {
 				starts = append(starts, o)
 			}
 		}
-		var err error
 		if old, err = ix.oldPathsFrom(g, starts); err != nil {
 			return err
 		}
@@ -247,7 +223,6 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) error {
 		ix.commitPath(ids[from:s.end], s.rid)
 		from = s.end
 	}
-	ix.hubRooted = len(g.Sources()) == 0
 	ix.stats.Triples = g.EdgeCount()
 	ix.stats.HV = g.NodeCount()
 	ix.stats.Paths = ix.livePathsLocked()
@@ -335,58 +310,29 @@ func (ix *Index) unchanged(old *oldPaths, p paths.Path) bool {
 // oldPathsFrom returns the live paths whose source term is one of the
 // starts', with their records, without mutating anything — the caller
 // applies the tombstones in the commit phase. A read failure aborts the
-// insert instead of silently keeping a stale path alive.
+// insert instead of silently keeping a stale path alive. A node whose
+// term the dictionary lacks starts no indexed path.
 func (ix *Index) oldPathsFrom(g *rdf.Graph, starts []rdf.NodeID) (oldPaths, error) {
 	var old oldPaths
-	// Source postings are keyed by normalised local name, which roots
-	// routinely share (…/Department3/Student29, …/Department14/Student29):
-	// each distinct key's list is read and verified once against the
-	// whole start set, not once per start on it. An insert whose reverse
-	// closure reaches a few thousand roots otherwise re-reads the same
-	// lists hundreds of times over. A node whose term the dictionary
-	// lacks starts no indexed path.
-	want := make(map[uint32]struct{}, len(starts))
-	done := make(map[string]struct{}, len(starts))
-	var labels []string // one per distinct key
+	var recs []byte
+	read := make(map[uint32]bool, len(starts))
 	for _, n := range starts {
-		id, ok := ix.dict.Lookup(g.Term(n))
-		if !ok {
+		term, ok := ix.dict.Lookup(g.Term(n))
+		if !ok || read[term] {
 			continue
 		}
-		want[id] = struct{}{}
-		label := g.Term(n).Label()
-		key := textindex.Normalize(label)
-		if _, seen := done[key]; !seen {
-			done[key] = struct{}{}
-			labels = append(labels, label)
-		}
-	}
-	var recs []byte
-	for _, label := range labels {
-		for _, posting := range ix.sources.LookupExact(label) {
-			if ix.deleted[posting] {
+		read[term] = true
+		for _, id := range ix.sources[term] {
+			if ix.deleted[id] {
 				continue
 			}
-			// Postings collide across term kinds and namespaces; verify
-			// on the stored record.
-			rec, err := ix.recordLocked(PathID(posting))
+			rec, err := ix.recordLocked(id)
 			if err != nil {
-				return old, fmt.Errorf("index: verify tombstone for path %d: %w", posting, err)
+				return old, fmt.Errorf("index: verify tombstone for path %d: %w", id, err)
 			}
-			// A record is its node count, then the source's term ID.
-			_, w := binary.Uvarint(rec)
-			source, sw := uint64(0), 0
-			if w > 0 {
-				source, sw = binary.Uvarint(rec[w:])
-			}
-			if w <= 0 || sw <= 0 {
-				return old, fmt.Errorf("index: verify tombstone for path %d: truncated record", posting)
-			}
-			if _, ok := want[uint32(source)]; ok && source <= math.MaxUint32 {
-				old.ids = append(old.ids, PathID(posting))
-				recs = append(recs, rec...)
-				old.ends = append(old.ends, len(recs))
-			}
+			old.ids = append(old.ids, id)
+			recs = append(recs, rec...)
+			old.ends = append(old.ends, len(recs))
 		}
 	}
 	old.recs = string(recs)

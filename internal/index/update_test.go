@@ -236,32 +236,67 @@ func TestInsertTriplesPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestInsertTriplesRequiresGraph(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "upd4")
-	g := figure1Graph()
-	ix, err := Build(base, g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix.Close()
-	back, err := Open(base, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	err = back.InsertTriples([]rdf.Triple{{S: iri("x"), P: iri("p"), O: iri("y")}})
-	if err == nil {
-		t.Error("InsertTriples without graph accepted")
-	}
-	// AttachGraph recovers the capability.
-	back.AttachGraph(g)
-	if back.Graph() != g {
-		t.Error("Graph accessor wrong")
-	}
-	if err := back.InsertTriples([]rdf.Triple{
-		{S: iri("x"), P: iri("p"), O: iri("CarlaBunes")},
-	}); err != nil {
-		t.Errorf("InsertTriples after AttachGraph: %v", err)
+// TestReopenKeepsEarlierInserts: Build, insert T, Close, Open, insert U
+// on T's subject. The reopened index has the graph T went into, so T's
+// path stays and the live paths are a rebuild's of the final graph —
+// without a WAL, and with one on a crash clone taken once U is
+// acknowledged, so U lives only in the log.
+func TestReopenKeepsEarlierInserts(t *testing.T) {
+	tT := rdf.Triple{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("Z0001")}
+	tU := rdf.Triple{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("Z0002")}
+	for _, name := range []string{"no-wal", "wal-crash"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			base, walDir := filepath.Join(dir, "ix"), ""
+			if name == "wal-crash" {
+				walDir = filepath.Join(dir, "wal")
+			}
+			ix, err := Build(base, figure1Graph(), Options{WALDir: walDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.InsertTriples([]rdf.Triple{tT}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(base, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := re.InsertTriples([]rdf.Triple{tU}); err != nil {
+				t.Fatalf("insert after reopen: %v", err)
+			}
+			if walDir != "" {
+				cb, cw := crashClone(t, base, walDir)
+				re.Close()
+				if re, err = Open(cb, Options{WALDir: cw}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer re.Close()
+			ends := 0
+			for _, id := range re.PathsBySink("Z0001") {
+				if p, err := re.Path(id); err == nil && p.Sink() == iri("Z0001") {
+					ends++
+				}
+			}
+			if ends != 1 {
+				t.Errorf("%d live paths end at Z0001, want 1", ends)
+			}
+			final := figure1Graph()
+			final.AddTriple(tT)
+			final.AddTriple(tU)
+			ref, err := Build(filepath.Join(dir, "ref"), final, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Close()
+			if got, want := livePathKeys(t, re), livePathKeys(t, ref); !equalKeys(got, want) {
+				t.Errorf("reopened index holds %d live paths, a build of the final graph %d", len(got), len(want))
+			}
+		})
 	}
 }
 
@@ -442,9 +477,10 @@ func TestInsertEqualsRebuild(t *testing.T) {
 
 func TestInsertReadsSharedSourceListOnce(t *testing.T) {
 	// Twenty roots whose IRIs differ only in the namespace share one
-	// source-postings key ("student"), and one insert below the node
-	// they all reach affects every one of them. Verifying the key's
-	// list once costs 20 path reads; once per root would cost 400.
+	// normalised label ("student"), and one insert below the node they
+	// all reach affects every one of them. Source postings are keyed by
+	// term, so each root's path is read once: 20 path reads, where a
+	// label-keyed list read once per root would cost 400.
 	const depts = 20
 	student := func(d int) rdf.Term { return iri("http://x/dept" + itoaTest(d) + "/student") }
 	g := rdf.NewGraph()

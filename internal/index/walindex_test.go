@@ -2,8 +2,6 @@ package index
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -59,8 +57,8 @@ func copyTree(t *testing.T, src, dst string) {
 }
 
 // crashClone snapshots a WAL-enabled index's on-disk state (pages,
-// meta, sidecar, WAL dir) into a fresh directory, as a kill at this
-// instant would leave it.
+// meta, WAL dir) into a fresh directory, as a kill at this instant would
+// leave it.
 func crashClone(t *testing.T, base, walDir string) (cloneBase, cloneWAL string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -68,7 +66,6 @@ func crashClone(t *testing.T, base, walDir string) (cloneBase, cloneWAL string) 
 	cloneWAL = filepath.Join(dir, "wal")
 	copyTree(t, pagesPath(base), pagesPath(cloneBase))
 	copyTree(t, metaPath(base), metaPath(cloneBase))
-	copyTree(t, sidecarPath(base), sidecarPath(cloneBase))
 	copyTree(t, walDir, cloneWAL)
 	return cloneBase, cloneWAL
 }
@@ -91,7 +88,7 @@ var walTestTriples = []rdf.Triple{
 }
 
 // TestWALDurabilityAcrossCrash: an insert acknowledged by a WAL-enabled
-// index survives a kill with no flush — reopen + Recover replays it.
+// index survives a kill with no flush — Open replays it.
 func TestWALDurabilityAcrossCrash(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "ix")
@@ -114,24 +111,13 @@ func TestWALDurabilityAcrossCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if n := re.NeedsRecovery(); n != 1 {
-		t.Fatalf("NeedsRecovery = %d, want 1 pending record", n)
-	}
-	// Writes are refused until the graph is recovered.
-	if err := re.InsertTriples(walTestTriples); !errors.Is(err, ErrNeedsRecovery) {
-		t.Fatalf("insert before Recover: err=%v, want ErrNeedsRecovery", err)
-	}
-	rs, err := re.Recover(figure1Graph())
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if rs.Records != 1 || rs.Triples != len(walTestTriples) {
+	if rs := re.Recovery(); rs.Records != 1 || rs.Triples != len(walTestTriples) {
 		t.Fatalf("recovery stats = %+v, want 1 record / %d triples", rs, len(walTestTriples))
 	}
 	if got := livePathKeys(t, re); !equalKeys(got, want) {
 		t.Fatalf("answers after crash+recover diverge:\n got %d paths\nwant %d paths", len(got), len(want))
 	}
-	// Recovered index accepts writes again.
+	// The reopened index accepts writes.
 	if err := re.InsertTriples([]rdf.Triple{
 		{S: iri("Another"), P: iri("sponsor"), O: iri("A0056")},
 	}); err != nil {
@@ -140,7 +126,7 @@ func TestWALDurabilityAcrossCrash(t *testing.T) {
 }
 
 // TestWALCleanCloseNeedsNoReplay: a checkpointed (cleanly closed) index
-// reopens with zero pending records, and Recover is a cheap attach.
+// reopens with nothing to replay, its graph holding the inserts.
 func TestWALCleanCloseNeedsNoReplay(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "ix")
@@ -163,37 +149,30 @@ func TestWALCleanCloseNeedsNoReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if n := re.NeedsRecovery(); n != 0 {
-		t.Fatalf("NeedsRecovery = %d, want 0 after clean close", n)
-	}
-	rs, err := re.Recover(figure1Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Records != 0 {
+	if rs := re.Recovery(); rs.Records != 0 {
 		t.Fatalf("replayed %d records after clean close, want 0", rs.Records)
 	}
-	// The sidecar restored the inserted triples to the graph.
-	if rs.SidecarTriples != len(walTestTriples) {
-		t.Fatalf("sidecar triples = %d, want %d", rs.SidecarTriples, len(walTestTriples))
+	if got, want := re.Graph().EdgeCount(), figure1Graph().EdgeCount()+len(walTestTriples); got != want {
+		t.Fatalf("reopened graph has %d edges, want %d", got, want)
 	}
 	if got := livePathKeys(t, re); !equalKeys(got, want) {
 		t.Fatal("answers after clean close + reopen diverge")
 	}
-	// The recovered graph is complete: inserting more triples that hang
-	// off the sidecar-restored ones works.
+	// The reopened graph is complete: inserting more triples that hang
+	// off the inserted ones works.
 	if err := re.InsertTriples([]rdf.Triple{
-		{S: iri("Third"), P: iri("sponsor"), O: iri("B1432")},
+		{S: iri("Third"), P: iri("sponsor"), O: iri("NewSenator")},
 	}); err != nil {
-		t.Fatalf("insert after sidecar recovery: %v", err)
+		t.Fatalf("insert after reopen: %v", err)
 	}
 }
 
-// TestInsertTriplesAllOrNothing is the satellite regression test: a
-// mid-insert storage fault must leave the index answering exactly as
-// before — no half-applied tombstones, no phantom paths, no epoch bump.
-// Pre-fix, InsertTriples bumped the epoch and tombstoned in place
-// before the failing append, so this test fails on the old code.
+// TestInsertTriplesAllOrNothing: a mid-insert storage fault must leave
+// the index answering exactly as before — no half-applied tombstones, no
+// phantom paths, no epoch bump — and the data graph as it was, so that
+// the metadata written next, which carries the graph, still matches the
+// paths: reopened, the index inserts like a rebuild without the failed
+// batch.
 func TestInsertTriplesAllOrNothing(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "ix")
 	var fi *storage.FaultInjector
@@ -210,6 +189,7 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	want := livePathKeys(t, ix)
 	epoch := ix.Epoch()
 	live := ix.LivePaths()
+	graph := graphOrder(ix.Graph())
 
 	// Insert a new edge out of an existing root: the update must verify
 	// (read) that root's current paths to keep or tombstone them. With a cold
@@ -235,6 +215,9 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	}
 	if got := livePathKeys(t, ix); !equalKeys(got, want) {
 		t.Fatal("failed insert changed the answer surface")
+	}
+	if got := graphOrder(ix.Graph()); got != graph {
+		t.Fatalf("failed insert changed the graph:\n%s\nwant\n%s", got, graph)
 	}
 
 	// The same fault one phase later, while staging. A brand-new root
@@ -277,9 +260,43 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	if got := ix.Epoch(); got != epoch {
 		t.Fatalf("failed insert bumped the epoch: %d -> %d", epoch, got)
 	}
+	if got := graphOrder(ix.Graph()); got != graph {
+		t.Fatalf("failed staging changed the graph:\n%s\nwant\n%s", got, graph)
+	}
 
-	// The documented retry contract: the graph absorbed the triples
-	// (idempotently), so retrying the same batch completes the insert.
+	// Flushed and reopened (a copy: ix stays open), the index holds
+	// neither failed batch, and an insert on the failed batch's subject
+	// lands as it would on a rebuild of the graph without it.
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	reBase := filepath.Join(t.TempDir(), "reopened")
+	copyTree(t, pagesPath(base), pagesPath(reBase))
+	copyTree(t, metaPath(base), metaPath(reBase))
+	re, err := Open(reBase, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	more := []rdf.Triple{{S: iri("FreshRoot"), P: iri("backs"), O: iri("OtherBill")}}
+	if err := re.InsertTriples(more); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := figure1Graph()
+	rebuilt.AddTriple(more[0])
+	ref, err := Build(filepath.Join(t.TempDir(), "ref"), rebuilt, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if got, want := livePathKeys(t, re), livePathKeys(t, ref); !equalKeys(got, want) {
+		t.Fatalf("reopened index after a failed insert: %d live paths, a rebuild without the batch %d", len(got), len(want))
+	}
+	if got, want := graphOrder(re.Graph()), graphOrder(rebuilt); got != want {
+		t.Fatalf("reopened graph:\n%s\nwant\n%s", got, want)
+	}
+
+	// Retrying a failed batch once the fault is gone completes it.
 	for _, batch := range [][]rdf.Triple{
 		{{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("A9999")}},
 		fresh,
@@ -347,6 +364,7 @@ func testInsertAllOrNothingMixed(t *testing.T) {
 		}
 	}
 	want, epoch, paths, live := livePathKeys(t, ix), ix.Epoch(), ix.NumPaths(), ix.LivePaths()
+	graph := graphOrder(ix.Graph())
 
 	// Jeff's two paths re-enumerate unchanged and gain a third; F0's path
 	// is extended by an out-edge on its sink G0.
@@ -371,6 +389,9 @@ func testInsertAllOrNothingMixed(t *testing.T) {
 	if !equalKeys(livePathKeys(t, ix), want) {
 		t.Fatal("failed insert changed the answer surface")
 	}
+	if graphOrder(ix.Graph()) != graph {
+		t.Fatal("failed insert changed the graph")
+	}
 
 	if err := ix.InsertTriples(batch); err != nil {
 		t.Fatalf("retry after fault cleared: %v", err)
@@ -391,6 +412,21 @@ func testInsertAllOrNothingMixed(t *testing.T) {
 			t.Errorf("F0's changed path %d is still live", id)
 		}
 	}
+}
+
+// graphOrder renders a graph's nodes in ID order, each with its
+// out-edges in Out order, and its edge count.
+func graphOrder(g *rdf.Graph) string {
+	var b strings.Builder
+	for n := rdf.NodeID(0); int(n) < g.NodeCount(); n++ {
+		fmt.Fprintf(&b, "%d %v:", n, g.Term(n))
+		for _, e := range g.Out(n) {
+			fmt.Fprintf(&b, " %d %v→%d", e, g.Edge(e).Label, g.Edge(e).To)
+		}
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "%d edges", g.EdgeCount())
+	return b.String()
 }
 
 // TestWALGroupCommitThroughIndex: concurrent InsertTriples share WAL
@@ -494,9 +530,6 @@ func TestWALAutoCheckpointTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if _, err := re.Recover(figure1Graph()); err != nil {
-		t.Fatal(err)
-	}
 	if got := livePathKeys(t, re); !equalKeys(got, want) {
 		t.Fatal("answers after checkpointed crash diverge")
 	}
@@ -651,75 +684,5 @@ func TestWALCheckpointDuringInsertCommit(t *testing.T) {
 	// And a now-quiescent checkpoint reclaims the log as usual.
 	if err := ix.Checkpoint(); err != nil {
 		t.Fatalf("quiescent checkpoint: %v", err)
-	}
-}
-
-// TestCompactRewritesSidecar: the delta sidecar must not grow without
-// bound. Each checkpoint appends a frame, but a compaction rewrites
-// the accumulated frames as one deduplicated frame — so the file
-// shrinks, and recovery re-reads distinct triples, not every append
-// ever made.
-func TestCompactRewritesSidecar(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "ix")
-	walDir := filepath.Join(dir, "wal")
-	ix, err := Build(base, figure1Graph(), Options{WALDir: walDir, CheckpointBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	// Two checkpointed batches sharing a triple: the sidecar holds two
-	// frames carrying four entries, one of them a duplicate.
-	if err := ix.InsertTriples(walTestTriples); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.InsertTriples([]rdf.Triple{
-		walTestTriples[0],
-		{S: iri("NewSenator"), P: iri("sponsor"), O: iri("A0056")},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(sidecarPath(base))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := info.Size()
-
-	if _, err := ix.CompactIncremental(context.Background(), 0); err != nil {
-		t.Fatal(err)
-	}
-	info, err = os.Stat(sidecarPath(base))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() >= before {
-		t.Errorf("compaction did not shrink the sidecar: %d -> %d bytes", before, info.Size())
-	}
-	want := livePathKeys(t, ix)
-
-	// The rewritten sidecar still satisfies the recovery invariant, and
-	// carries exactly the distinct inserted triples.
-	cb, cw := crashClone(t, base, walDir)
-	ix.Close()
-	re, err := Open(cb, Options{WALDir: cw})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	rs, err := re.Recover(figure1Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.SidecarTriples != 3 {
-		t.Errorf("sidecar triples after rewrite = %d, want 3 distinct", rs.SidecarTriples)
-	}
-	if got := livePathKeys(t, re); !equalKeys(got, want) {
-		t.Fatalf("answers diverge after compact+crash+recover: %d vs %d paths", len(got), len(want))
 	}
 }

@@ -102,6 +102,32 @@ func (g *Graph) AddTriple(t Triple) EdgeID {
 	return g.AddEdge(s, o, t.P)
 }
 
+// Mark is a point in a graph's history that Undo returns it to.
+type Mark struct{ nodes, edges int }
+
+// Mark returns the graph's current point in its history.
+func (g *Graph) Mark() Mark { return Mark{len(g.nodes), len(g.edges)} }
+
+// Undo removes every node and edge added since m was taken, so the graph
+// equals what it was then: IDs, Out and In order and both lookups. A
+// graph only grows, so this is truncating its tails: an edge is the
+// last of its Out and In lists once every later edge is gone.
+func (g *Graph) Undo(m Mark) {
+	for i := len(g.edges) - 1; i >= m.edges; i-- {
+		e := g.edges[i]
+		delete(g.edgeSet, edgeKey{e.From, e.To, e.Label})
+		g.out[e.From] = g.out[e.From][:len(g.out[e.From])-1]
+		g.in[e.To] = g.in[e.To][:len(g.in[e.To])-1]
+	}
+	clear(g.edges[m.edges:])
+	g.edges = g.edges[:m.edges]
+	for _, t := range g.nodes[m.nodes:] {
+		delete(g.nodeIdx, t)
+	}
+	clear(g.nodes[m.nodes:])
+	g.nodes, g.out, g.in = g.nodes[:m.nodes], g.out[:m.nodes], g.in[:m.nodes]
+}
+
 // NodeCount returns the number of nodes.
 func (g *Graph) NodeCount() int { return len(g.nodes) }
 

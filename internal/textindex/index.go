@@ -89,16 +89,6 @@ func postingFor(m map[string]*Postings, key string) *Postings {
 	return p
 }
 
-// LookupExact returns the postings of the normalised label, decoded
-// into a fresh slice the caller owns (nil when the key is absent).
-func (ix *Index) LookupExact(label string) []uint32 {
-	p := ix.exact[Normalize(label)]
-	if p.Len() == 0 {
-		return nil
-	}
-	return p.AppendTo(make([]uint32, 0, p.Len()))
-}
-
 // Scratch is the memory a lookup decodes and merges into: the decoded
 // runs, the union and the merge heap. The zero value is ready; a caller
 // that keeps one looks up without allocating once it has grown.
@@ -325,9 +315,11 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadFrom deserialises an index written by WriteTo; the thesaurus is
-// attached by the caller via New.
-func ReadFrom(r io.Reader, thes *Thesaurus) (*Index, error) {
+// ReadFrom deserialises an index written by WriteTo from a source of at
+// most limit bytes: a key count or key length beyond what that many
+// bytes can hold is corrupt, and is rejected before it sizes an
+// allocation. The thesaurus is attached by the caller via New.
+func ReadFrom(r io.Reader, thes *Thesaurus, limit int64) (*Index, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -341,11 +333,18 @@ func ReadFrom(r io.Reader, thes *Thesaurus) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A key takes at least two bytes: its length and its posting count.
+		if nkeys > uint64(limit)/2 {
+			return nil, fmt.Errorf("implausible key count %d in %d bytes", nkeys, limit)
+		}
 		m := make(map[string]*Postings, nkeys)
 		for i := uint64(0); i < nkeys; i++ {
 			klen, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, err
+			}
+			if klen > uint64(limit) {
+				return nil, fmt.Errorf("implausible key length %d in %d bytes", klen, limit)
 			}
 			kb := make([]byte, klen)
 			if _, err := io.ReadFull(br, kb); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -115,9 +116,9 @@ func TestIndexExactLookup(t *testing.T) {
 	ix.Add("http://ex.org#Professor", 1)
 	ix.Add("Professor", 2)
 	ix.Add("Student", 3)
-	got := ix.LookupExact("professor")
+	got := ix.Lookup("professor")
 	if !reflect.DeepEqual(got, []uint32{1, 2}) {
-		t.Errorf("LookupExact = %v", got)
+		t.Errorf("Lookup = %v", got)
 	}
 	if ix.TermCount() != 2 {
 		t.Errorf("TermCount = %d, want 2", ix.TermCount())
@@ -160,7 +161,7 @@ func TestIndexPostingsDedup(t *testing.T) {
 		ix.Add("same", 7)
 	}
 	ix.Add("same", 3) // out of order insert
-	if got := ix.LookupExact("same"); !reflect.DeepEqual(got, []uint32{3, 7}) {
+	if got := ix.Lookup("same"); !reflect.DeepEqual(got, []uint32{3, 7}) {
 		t.Errorf("postings = %v, want [3 7]", got)
 	}
 }
@@ -215,7 +216,7 @@ func TestIndexSerialisationRoundTrip(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFrom(&buf, th)
+	back, err := ReadFrom(&buf, th, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +232,21 @@ func TestIndexSerialisationRoundTrip(t *testing.T) {
 }
 
 func TestReadFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadFrom(bytes.NewReader([]byte("nope")), nil); err == nil {
+	if _, err := ReadFrom(bytes.NewReader([]byte("nope")), nil, 4); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadFrom(bytes.NewReader(nil), nil); err == nil {
+	if _, err := ReadFrom(bytes.NewReader(nil), nil, 0); err == nil {
 		t.Error("empty stream accepted")
+	}
+	// A key count or key length taken on trust would size gigabytes.
+	for _, tail := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff, 0x0f},    // 2³² keys
+		{1, 0xff, 0xff, 0xff, 0xff, 0x0f}, // one key of 2³² bytes
+	} {
+		data := append([]byte("STX1"), tail...)
+		if _, err := ReadFrom(bytes.NewReader(data), nil, int64(len(data))); err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Errorf("stream %q: err = %v, want an implausible size", data, err)
+		}
 	}
 }
 

@@ -27,8 +27,9 @@
 //		fmt.Println(a.Score, a.Bindings(res.Vars))
 //	}
 //
-// The index persists on disk: later processes call sama.Open with the
-// same base path. All path reads go through a buffer pool; DropCache
+// The index persists on disk, data graph included: later processes call
+// sama.Open with the same base path, and can query and Insert at once.
+// All path reads go through a buffer pool; DropCache
 // returns the store to a cold state (used by the paper's cold-cache
 // experiments).
 package sama
@@ -142,8 +143,9 @@ type (
 	QueryServer = server.Server
 	// WALStats snapshots the write-ahead log's counters (DB.WALStats).
 	WALStats = storage.WALStats
-	// RecoveryStats reports what DB.Recover replayed: sidecar triples,
-	// pending WAL records and whether a torn tail was repaired.
+	// RecoveryStats reports what Open replayed from the write-ahead log
+	// (DB.Recovery): records, triples, whether a torn tail was repaired,
+	// and how long it took.
 	RecoveryStats = index.RecoveryStats
 	// CompactStats reports what an incremental compaction did,
 	// including every lock-hold pause it induced on concurrent work.
@@ -162,14 +164,6 @@ const (
 
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("sama: database is closed")
-
-// ErrNeedsRecovery is returned on a WAL-enabled database reopened
-// after a crash, before Recover runs: Insert always (the log must be
-// replayed before new writes), and queries whenever the log holds
-// acknowledged batches the index files do not reflect yet — serving
-// reads then would silently miss durable pre-crash writes. Call
-// Recover with the data graph first.
-var ErrNeedsRecovery = index.ErrNeedsRecovery
 
 // Term constructors, re-exported.
 var (
@@ -270,8 +264,8 @@ func WithSlowQueryLog(threshold time.Duration, fn func(*Trace)) Option {
 // inserters share fsyncs through group commit) before any index page
 // is touched, so acknowledged writes survive a crash. A database
 // created with a WAL records dir in its metadata; later Opens reattach
-// the log without the option, and after a crash Insert refuses to run
-// until Recover replays the unapplied records. Checkpoints (automatic
+// the log without the option and, after a crash, replay the records it
+// holds past the last checkpoint before returning. Checkpoints (automatic
 // by size, or explicit via Checkpoint/Flush/Close) truncate the
 // applied prefix of the log.
 func WithWAL(dir string) Option { return func(c *config) { c.walDir = dir } }
@@ -323,7 +317,9 @@ func Create(basePath string, g *Graph, opts ...Option) (*DB, error) {
 }
 
 // Open loads a previously created index from basePath.meta and
-// basePath.pages.
+// basePath.pages. With a write-ahead log, the batches it holds past the
+// last checkpoint are replayed first (DB.Recovery reports them); if the
+// replay fails, so does Open.
 func Open(basePath string, opts ...Option) (*DB, error) {
 	c := buildConfig(opts)
 	idx, err := index.Open(basePath, index.Options{
@@ -426,12 +422,6 @@ func (db *DB) QueryContext(ctx context.Context, q *QueryGraph, k int) (answers [
 	if db.closed.Load() {
 		return nil, QueryStats{}, ErrClosed
 	}
-	// Refuse to serve while acknowledged pre-crash writes are pending:
-	// the index would answer without them. (After a clean shutdown
-	// NeedsRecovery is 0 — the files are complete — and reads proceed.)
-	if db.store.NeedsRecovery() > 0 {
-		return nil, QueryStats{}, ErrNeedsRecovery
-	}
 	defer recoverQuery(&err, "query graph")
 	answers, stats, err = db.engine.QueryWithStatsContext(ctx, q, k)
 	db.logTrace(stats.Trace, "graph query")
@@ -482,9 +472,6 @@ func (db *DB) QuerySPARQL(src string, k int) (*Result, error) {
 func (db *DB) QuerySPARQLContext(ctx context.Context, src string, k int) (res *Result, err error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
-	}
-	if db.store.NeedsRecovery() > 0 { // see QueryContext
-		return nil, ErrNeedsRecovery
 	}
 	defer recoverQuery(&err, describeQuery(src))
 	parsed, err := sparql.Parse(src)
@@ -548,9 +535,9 @@ func dedupeByProjection(answers []Answer, vars []string, k int) []Answer {
 
 // Insert adds statements to the database incrementally: the data graph
 // grows and only the affected index paths are re-enumerated (the §7
-// index-update mechanism). Create retains the graph automatically;
-// after Open, attach it first with AttachGraph. Call Flush (or Close)
-// to persist the updated metadata.
+// index-update mechanism). Call Flush (or Close) to persist the updated
+// metadata and graph; with a WAL the batch is durable when Insert
+// returns.
 func (db *DB) Insert(triples []Triple) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -560,10 +547,6 @@ func (db *DB) Insert(triples []Triple) error {
 	// which serves it again if its pre-rank cut is unchanged.
 	return db.store.InsertTriples(triples)
 }
-
-// AttachGraph hands a reopened database its data graph, enabling
-// Insert after Open.
-func (db *DB) AttachGraph(g *Graph) { db.store.AttachGraph(g) }
 
 // Flush persists dirty pages and metadata without closing.
 func (db *DB) Flush() error {
@@ -595,8 +578,9 @@ func (db *DB) CompactIncremental(ctx context.Context, batchSize int) (CompactSta
 	return db.store.CompactIncremental(ctx, batchSize)
 }
 
-// Checkpoint persists the indexed state (pages, sidecar, metadata) and
-// truncates the write-ahead log up to it. A no-op without a WAL.
+// Checkpoint persists the indexed state (pages, then the metadata with
+// the data graph) and truncates the write-ahead log up to it. A no-op
+// without a WAL.
 func (db *DB) Checkpoint() error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -604,25 +588,9 @@ func (db *DB) Checkpoint() error {
 	return db.store.Checkpoint()
 }
 
-// NeedsRecovery reports how many acknowledged-but-unapplied WAL batches
-// a reopened database is holding: 0 after a clean shutdown, -1 without a
-// WAL. When positive, queries and inserts fail with ErrNeedsRecovery
-// until Recover replays the log. At 0 the index files are complete, so
-// queries serve normally, but Insert still fails with ErrNeedsRecovery
-// until Recover reattaches the data graph.
-func (db *DB) NeedsRecovery() int { return db.store.NeedsRecovery() }
-
-// Recover replays the write-ahead log's pending batches into the index
-// and attaches g as the database's data graph (like AttachGraph). The
-// graph must be the one the sidecar reconstructs — Open's source graph
-// plus the sidecar's inserts; Recover applies the WAL's tail on top and
-// checkpoints. Safe to call when nothing is pending.
-func (db *DB) Recover(g *Graph) (RecoveryStats, error) {
-	if db.closed.Load() {
-		return RecoveryStats{}, ErrClosed
-	}
-	return db.store.Recover(g)
-}
+// Recovery reports what Open replayed from the write-ahead log: zero
+// after a clean shutdown or without a WAL.
+func (db *DB) Recovery() RecoveryStats { return db.store.Recovery() }
 
 // WALStats returns the write-ahead log's counters; ok is false when the
 // database was opened without a WAL.
@@ -672,7 +640,7 @@ func (db *DB) CacheStats() map[string]CacheStats { return db.engine.CacheStats()
 // /debug/lastqueries (recent traces as JSON), /debug/events (the event
 // ring) and /debug/pprof/* — mountable under any server or httptest.
 // Cache and WAL counters not on /metrics are read with CacheStats,
-// WALStats and NeedsRecovery.
+// WALStats and Recovery.
 func (db *DB) DebugHandler() http.Handler {
 	return obs.DebugMux(db.reg, db.lastq, db.events)
 }

@@ -1,7 +1,6 @@
 package sama
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -12,8 +11,9 @@ import (
 
 // TestWALPublicAPI drives the durable write path through the public
 // surface: Create with WithWAL, a durable insert, a simulated crash
-// (the handle is abandoned without Close or Flush), then Open →
-// NeedsRecovery → Recover → the acknowledged insert answers queries.
+// (the handle is abandoned without Close or Flush), then Open alone
+// replays the log: the acknowledged insert answers queries, and the
+// reopened database takes further inserts.
 func TestWALPublicAPI(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "db")
@@ -27,9 +27,6 @@ func TestWALPublicAPI(t *testing.T) {
 	}
 	if st, ok := db.WALStats(); !ok {
 		t.Fatalf("WALStats: no WAL on a WithWAL database (%+v)", st)
-	}
-	if db.NeedsRecovery() != -1 {
-		t.Fatalf("NeedsRecovery on a live database = %d, want -1", db.NeedsRecovery())
 	}
 	if err := db.Insert([]Triple{{
 		S: NewIRI("NewSen"), P: NewIRI("sponsor"), O: NewIRI("A0056"),
@@ -48,33 +45,8 @@ func TestWALPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if n := re.NeedsRecovery(); n != 1 {
-		t.Fatalf("NeedsRecovery after crash = %d, want 1", n)
-	}
-	// Writes are refused until the log is replayed.
-	if err := re.Insert([]Triple{{
-		S: NewIRI("x"), P: NewIRI("y"), O: NewIRI("z"),
-	}}); err == nil {
-		t.Fatal("insert on an unrecovered database succeeded")
-	}
-	// So are queries: with acknowledged batches pending, answering from
-	// the flushed files alone would silently drop the durable insert.
-	if _, err := re.QuerySPARQL(`SELECT ?x WHERE { ?x <sponsor> <A0056> }`, 10); !errors.Is(err, ErrNeedsRecovery) {
-		t.Fatalf("query on an unrecovered database: err=%v, want ErrNeedsRecovery", err)
-	}
-	g2, err := LoadNTriples(strings.NewReader(govtrackNT))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := re.Recover(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Records != 1 || rs.Triples != 1 {
-		t.Fatalf("RecoveryStats = %+v, want 1 record / 1 triple", rs)
-	}
-	if re.NeedsRecovery() != -1 {
-		t.Fatalf("NeedsRecovery after Recover = %d, want -1", re.NeedsRecovery())
+	if rs := re.Recovery(); rs.Records != 1 || rs.Triples != 1 {
+		t.Fatalf("Recovery() = %+v, want 1 record / 1 triple", rs)
 	}
 	res, err := re.QuerySPARQL(`SELECT ?x WHERE { ?x <sponsor> <A0056> }`, 10)
 	if err != nil {
@@ -90,8 +62,8 @@ func TestWALPublicAPI(t *testing.T) {
 		t.Fatalf("recovered insert missing from answers: %v", res.Answers)
 	}
 
-	// Recovery is re-entrant for further writes, and checkpoints reclaim
-	// the replayed prefix.
+	// The reopened database takes further writes, and checkpoints
+	// reclaim the log.
 	if err := re.Insert([]Triple{{
 		S: NewIRI("NewSen"), P: NewIRI("gender"), O: NewLiteral("Male"),
 	}}); err != nil {
@@ -103,7 +75,7 @@ func TestWALPublicAPI(t *testing.T) {
 }
 
 // TestWALObservability: the WAL counters surface on /metrics, equal to
-// WALStats, and the recovery state is read from NeedsRecovery.
+// WALStats, and a created database reports no replay.
 func TestWALObservability(t *testing.T) {
 	dir := t.TempDir()
 	g, err := LoadNTriples(strings.NewReader(govtrackNT))
@@ -146,7 +118,7 @@ func TestWALObservability(t *testing.T) {
 	if st.Appends != 1 {
 		t.Errorf("WALStats.Appends = %d, want 1", st.Appends)
 	}
-	if n := db.NeedsRecovery(); n != -1 {
-		t.Errorf("NeedsRecovery = %d, want -1", n)
+	if rs := db.Recovery(); rs != (RecoveryStats{}) {
+		t.Errorf("Recovery() = %+v on a created database, want zero", rs)
 	}
 }
