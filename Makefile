@@ -120,19 +120,23 @@ knobs:
 # profile captures one CPU profile per phase into results/, keeping the
 # test binary next to them for symbolisation: the search phase where it
 # is busiest (BenchmarkSearchBudgetBound: Q11/Q12 over LUBM 10 k,
-# clustered once, searched to the visit budget) and the cluster phase
-# with nothing memoised and with everything memoised
-# (BenchmarkClusterColdMemo, BenchmarkClusterWarmMemo: the cluster_param
-# shapes over every department of LUBM 10 k).
+# clustered once, searched to the visit budget) and on the small
+# lattices (BenchmarkSearchMix: Q1–Q10, the cluster_param and
+# read_after_write shapes), and the cluster phase with nothing memoised
+# and with everything memoised (BenchmarkClusterColdMemo,
+# BenchmarkClusterWarmMemo: the cluster_param shapes over every
+# department of LUBM 10 k).
 profile:
 	@mkdir -p results
 	$(GO) test -run '^$$' -bench 'BenchmarkSearchBudgetBound' -benchtime 20x \
 		-cpuprofile results/cpu_search.pprof -o results/bench.test ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkSearchMix' -benchtime 200x \
+		-cpuprofile results/cpu_search_mix.pprof -o results/bench.test ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterColdMemo' -benchtime 10x \
 		-cpuprofile results/cpu_cluster.pprof -o results/bench.test ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterWarmMemo' -benchtime 2000x \
 		-cpuprofile results/cpu_cluster_warm.pprof -o results/bench.test ./internal/core
-	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,cluster,cluster_warm}.pprof"
+	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,cluster,cluster_warm}.pprof"
 
 # route-smoke boots the multi-node path end-to-end: three databases,
 # one samad over each, a samad router fronting them, the Fig. 7 query

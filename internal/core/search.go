@@ -63,15 +63,18 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	defer u64SetPool.Put(visitedSet)
 	start := frontier.alloc()
 	clear(frontier.vec(start)) // the all-best combination
-	frontier.lambda[start] = ps.comboLambda(frontier.vec(start)) + basePenalty
-	frontier.push(start)
-	visitedSet.add(hashIdx(frontier.vec(start), -1))
+	frontier.push(ps.comboLambda(frontier.vec(start))+basePenalty, start)
+	visitedSet.add(comboKey(frontier.vec(start)))
 
 	rl := resultList{k: k}
 	// pv is the search's one pair-value vector: the heap orders by λ
 	// alone, so a combination's Ψ is scored when it is popped (or built
 	// by the join pass), never for one that is only pushed.
 	pv := make([]float64, 2*len(ps.pairs))
+	// terms[ci] is the popped combination's key term of cluster ci;
+	// fresh[ci] says its ci-successor entered the visited set.
+	terms := make([]uint64, len(eff))
+	fresh := make([]bool, len(eff))
 
 	visited := 0
 	tieVisits := 0
@@ -84,8 +87,7 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 			cancelled = true
 			break
 		}
-		h := frontier.pop()
-		cLambda := frontier.lambda[h]
+		cLambda, h := frontier.pop()
 		if w := rl.worst(); w >= 0 {
 			if cLambda+ps.psiLB > w {
 				// Tighter bound: this combo — and, pops being in
@@ -110,22 +112,30 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 		}
 		visited++
 
-		// The slabs may grow while successors are allocated, so every
+		// A successor's key is its parent's with one cluster's term
+		// swapped. All successors are offered to the visited set, in
+		// cluster order, before any is pushed: the set's table is
+		// megabytes, and back-to-back probes overlap their cache misses.
+		key := uint64(0)
+		for ci, ii := range frontier.vec(h) {
+			terms[ci] = keyTerm(ci, ii)
+			key += terms[ci]
+		}
+		for ci, ii := range frontier.vec(h) {
+			fresh[ci] = int(ii)+1 < len(eff[ci].Items) &&
+				visitedSet.add(key-terms[ci]+keyTerm(ci, ii+1))
+		}
+		// The slab may grow while successors are allocated, so every
 		// vector is re-sliced from its handle after alloc.
 		for ci := range eff {
-			cur := frontier.vec(h)
-			if int(cur[ci])+1 >= len(eff[ci].Items) {
-				continue
-			}
-			if !visitedSet.add(hashIdx(cur, ci)) {
+			if !fresh[ci] {
 				continue
 			}
 			nh := frontier.alloc()
 			next := frontier.vec(nh)
 			copy(next, frontier.vec(h))
 			next[ci]++
-			frontier.lambda[nh] = ps.comboLambda(next) + basePenalty
-			frontier.push(nh)
+			frontier.push(ps.comboLambda(next)+basePenalty, nh)
 		}
 		if n := frontier.len(); n > frontierPeak {
 			frontierPeak = n
@@ -152,7 +162,7 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	joined := 0
 	if !cancelled {
 		for _, idx := range joinCombos(eff, ps) {
-			if !visitedSet.add(hashIdx(idx, -1)) {
+			if !visitedSet.add(comboKey(idx)) {
 				continue
 			}
 			joined++
@@ -264,10 +274,11 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 //  1. Pair values are the floats align.PsiAligned returns. χa is
 //     evaluated from precompiled binding vectors (interned term IDs per
 //     shared variable, a containment bitmask per shared constant) that
-//     reproduce align.ChiAligned exactly, and ψ/degree go through
-//     align.PsiFromChi / align.PsiDegreeFromChi — the expressions
-//     PsiAligned evaluates. A pair may instead carry a χ function
-//     (queryPair.chi) feeding the same two primitives.
+//     reproduce align.ChiAligned exactly, and ψ/degree are read from
+//     per-pair tables filled by align.PsiFromChi /
+//     align.PsiDegreeFromChi for χa = 0…χQ — the expressions
+//     PsiAligned evaluates, evaluated once. A pair may instead carry a
+//     χ function (queryPair.chi) feeding the two primitives directly.
 //  2. Sums are folded in canonical order: Ψ and degree over the pairs in
 //     pair order starting from zero (fillPairVals into one scratch
 //     vector, then sumPairVals), λ over the clusters in cluster order
@@ -287,10 +298,10 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 //     skipped: such a combo has λ + Ψ = worst and Ψ ≥ psiLB, hence λ +
 //     psiLB ≤ worst. The tie horizon (maxTieVisits) is counted against
 //     the uniform bound E·|pairs|, after the tight check.
-//  4. The visit order is deterministic. The handle heap orders by λ
-//     alone with container/heap's sift algorithm and strict
+//  4. The visit order is deterministic. The (λ, handle) heap orders by
+//     λ alone with container/heap's sift algorithm and strict
 //     comparisons, successors push in cluster order, and the visited
-//     set keys 64-bit hashIdx values. Among equal-λ combinations the
+//     set keys 64-bit comboKey values. Among equal-λ combinations the
 //     heap layout decides which are visited before the tie horizon
 //     closes, so any change to the sift, the push order or the dedup
 //     keys can move ranked answers and shows up in the goldens.
@@ -339,6 +350,10 @@ type queryPair struct {
 	// pair sharing more than maxSharedConsts constants. Such a pair
 	// takes the uniform floor E as its ψ lower bound.
 	chi func(a, b *ClusterItem) int
+	// psiTab[χa] and degTab[χa] are PsiFromChi(χQ, χa) and
+	// PsiDegreeFromChi(χQ, χa) for χa = 0…χQ; nil when chi is set (raw
+	// χ can exceed χQ).
+	psiTab, degTab []float64
 }
 
 // maxSharedConsts bounds the constant-containment bitmask width. The
@@ -436,16 +451,7 @@ func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 	// cross-column comparison is exact Term equality.
 	in := &termInterner{byValue: make(map[string][]internedTerm)}
 	if len(eff) >= 2 && len(seeds) > 0 {
-		ps.jt = &joinTables{
-			in:       in,
-			eff:      eff,
-			ready:    make([]bool, len(eff)),
-			off:      make([][]int32, len(eff)),
-			names:    make([][]int32, len(eff)),
-			terms:    make([][]uint32, len(eff)),
-			nameID:   make(map[string]int32),
-			labelIDs: make(map[string]uint32),
-		}
+		ps.jt = newJoinTables(in, eff)
 	}
 	cols := make([]map[string][]uint32, len(eff))
 	for ci := range eff {
@@ -497,6 +503,12 @@ func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 		if pr.chi != nil {
 			chiFns++
 		} else {
+			pr.psiTab = make([]float64, pr.chiQ+1)
+			pr.degTab = make([]float64, pr.chiQ+1)
+			for chiA := range pr.psiTab {
+				pr.psiTab[chiA] = align.PsiFromChi(pr.chiQ, chiA, e.par)
+				pr.degTab[chiA] = align.PsiDegreeFromChi(pr.chiQ, chiA)
+			}
 			if len(consts) > 0 {
 				pr.conA = constMasks(eff[sd.ci].Items, consts)
 				pr.conB = constMasks(eff[sd.cj].Items, consts)
@@ -575,34 +587,29 @@ func pairBound(pr *queryPair, par align.Params, nA, nB int) float64 {
 	return align.PsiFromChi(pr.chiQ, chiCap, par)
 }
 
-// scorePair evaluates one pair's (ψ, degree) for the items (ii, jj) —
-// an allocation-free array comparison reproducing ChiAligned, unless
-// the pair carries its own χ function.
-func (ps *pairScorer) scorePair(pi int, ii, jj uint32) (float64, float64) {
-	pr := &ps.pairs[pi]
-	chiA := 0
-	if pr.chi != nil {
-		chiA = pr.chi(&ps.eff[pr.ci].Items[ii], &ps.eff[pr.cj].Items[jj])
-	} else {
+// fillPairVals scores every pair of the combination into pv
+// (interleaved ψ, degree): per pair an allocation-free array comparison
+// reproducing ChiAligned and two table reads, unless the pair carries
+// its own χ function.
+func (ps *pairScorer) fillPairVals(idx []uint32, pv []float64) {
+	for pi := range ps.pairs {
+		pr := &ps.pairs[pi]
+		ii, jj := idx[pr.ci], idx[pr.cj]
+		if pr.chi != nil {
+			chiA := pr.chi(&ps.eff[pr.ci].Items[ii], &ps.eff[pr.cj].Items[jj])
+			pv[2*pi], pv[2*pi+1] = align.PsiFromChi(pr.chiQ, chiA, ps.par), align.PsiDegreeFromChi(pr.chiQ, chiA)
+			continue
+		}
+		chiA := 0
 		for s := range pr.varsA {
-			a := pr.varsA[s][ii]
-			if a != 0 && a == pr.varsB[s][jj] {
+			if a := pr.varsA[s][ii]; a != 0 && a == pr.varsB[s][jj] {
 				chiA++
 			}
 		}
 		if pr.conA != nil {
 			chiA += bits.OnesCount64(pr.conA[ii] & pr.conB[jj])
 		}
-	}
-	return align.PsiFromChi(pr.chiQ, chiA, ps.par), align.PsiDegreeFromChi(pr.chiQ, chiA)
-}
-
-// fillPairVals scores every pair of the combination into pv
-// (interleaved ψ, degree).
-func (ps *pairScorer) fillPairVals(idx []uint32, pv []float64) {
-	for pi := range ps.pairs {
-		pr := &ps.pairs[pi]
-		pv[2*pi], pv[2*pi+1] = ps.scorePair(pi, idx[pr.ci], idx[pr.cj])
+		pv[2*pi], pv[2*pi+1] = pr.psiTab[chiA], pr.degTab[chiA]
 	}
 }
 
@@ -627,18 +634,23 @@ func (ps *pairScorer) comboLambda(idx []uint32) float64 {
 }
 
 // comboFrontier is the Λ-ordered priority queue of the search, held in
-// flat pointer-free slabs: handle h's index vector is
-// idx[h*stride:(h+1)*stride] and its Λ is lambda[h]. The heap orders
-// int32 handles with container/heap's exact sift algorithm (strict less
-// on λ), so a push moves 4 bytes, the collector has nothing to scan,
-// and a recycled frontier (frontierPool) makes a steady-state search
-// allocation-free up to the slabs' high-water mark.
+// flat pointer-free slices: handle h's index vector is
+// idx[h*stride:(h+1)*stride], and the heap holds (λ, handle) entries
+// ordered with container/heap's exact sift algorithm (strict less on
+// λ), so a comparison reads the two entries it compares and nothing
+// else, the collector has nothing to scan, and a recycled frontier
+// (frontierPool) makes a steady-state search allocation-free up to the
+// slices' high-water mark.
 type comboFrontier struct {
 	stride int
 	idx    []uint32
-	lambda []float64
 	free   []int32
-	heap   []int32
+	heap   []frontierEntry
+}
+
+type frontierEntry struct {
+	lam float64
+	h   int32
 }
 
 // frontierPool recycles frontiers across searches, as u64SetPool does
@@ -649,7 +661,7 @@ var frontierPool = sync.Pool{New: func() any { return new(comboFrontier) }}
 func getFrontier(stride int) *comboFrontier {
 	q := frontierPool.Get().(*comboFrontier)
 	q.stride = stride
-	q.idx, q.lambda, q.free, q.heap = q.idx[:0], q.lambda[:0], q.free[:0], q.heap[:0]
+	q.idx, q.free, q.heap = q.idx[:0], q.free[:0], q.heap[:0]
 	return q
 }
 
@@ -663,43 +675,41 @@ func (q *comboFrontier) vec(h int32) []uint32 {
 }
 
 // alloc returns a handle — a released one, or a fresh one at the end
-// of the slabs. Either way its vector and λ hold stale values (the
-// slabs are recycled) until the caller overwrites them.
+// of the slab. Either way its vector holds stale values (the slab is
+// recycled) until the caller overwrites it.
 func (q *comboFrontier) alloc() int32 {
 	if n := len(q.free); n > 0 {
 		h := q.free[n-1]
 		q.free = q.free[:n-1]
 		return h
 	}
-	q.lambda = append(q.lambda, 0)
+	h := int32(len(q.idx) / q.stride)
 	q.idx = slices.Grow(q.idx, q.stride)[:len(q.idx)+q.stride]
-	return int32(len(q.lambda) - 1)
+	return h
 }
 
 // release returns a popped handle to the free list.
 func (q *comboFrontier) release(h int32) { q.free = append(q.free, h) }
 
-func (q *comboFrontier) less(i, j int) bool {
-	return q.lambda[q.heap[i]] < q.lambda[q.heap[j]]
-}
+func (q *comboFrontier) less(i, j int) bool { return q.heap[i].lam < q.heap[j].lam }
 
 func (q *comboFrontier) swap(i, j int) { q.heap[i], q.heap[j] = q.heap[j], q.heap[i] }
 
 // push and pop are container/heap.Push / container/heap.Pop on the
-// handle slice, comparison for comparison: the heap layout, and with it
+// entry slice, comparison for comparison: the heap layout, and with it
 // the pop order among equal-λ entries, is part of invariant 4.
-func (q *comboFrontier) push(h int32) {
-	q.heap = append(q.heap, h)
+func (q *comboFrontier) push(lam float64, h int32) {
+	q.heap = append(q.heap, frontierEntry{lam: lam, h: h})
 	q.up(len(q.heap) - 1)
 }
 
-func (q *comboFrontier) pop() int32 {
+func (q *comboFrontier) pop() (lam float64, h int32) {
 	n := len(q.heap) - 1
 	q.swap(0, n)
 	q.down(0, n)
-	h := q.heap[n]
+	top := q.heap[n]
 	q.heap = q.heap[:n]
-	return h
+	return top.lam, top.h
 }
 
 func (q *comboFrontier) up(j int) {
@@ -733,7 +743,7 @@ func (q *comboFrontier) down(i0, n int) {
 }
 
 // u64Set is an open-addressing membership set over the frontier's
-// 64-bit combination hashes (hashIdx), without per-insert hashing of the
+// 64-bit combination keys (comboKey), without per-insert hashing of the
 // already mixed key.
 type u64Set struct {
 	slots   []uint64
@@ -811,27 +821,25 @@ const (
 	maxChecksPerCol = 512
 )
 
-// joinTables is the join pass's compiled view of the clusters: an
-// item's full substitution flattened into parallel (name ID, term ID)
-// arrays, so the extension phase's repeated compatibility checks are
-// linear scans over small integer slices instead of map iterations.
-// Term IDs come from the scorer's interner (full Term equality); name
-// IDs from a local string interner; label IDs (the join key's
-// equivalence is Label() equality) are derived per term ID on demand.
+// joinTables is the join pass's compiled view of the clusters: per
+// cluster, every item's bindings of shared variables flattened into
+// parallel (name ID, term ID) arrays and a bitset index over them, so
+// the extension phase's compatibility check is a few word-wide ANDs
+// instead of a scan per item. Term IDs come from the scorer's interner
+// (full Term equality); label IDs (the join key's equivalence is
+// Label() equality) are derived per term ID on demand.
 type joinTables struct {
 	in  *termInterner
 	eff []Cluster
-	// ready[ci] marks clusters whose arrays are filled. Clusters
-	// flatten lazily on first touch by the extension phase — seed keys
-	// never need the tables (they read the scorer's binding columns),
-	// so a query whose seeds all fail key matching flattens nothing.
-	ready []bool
-	// Per effective cluster: off[ci][ii]..off[ci][ii+1] indexes item
-	// ii's entries in names[ci]/terms[ci].
-	off   [][]int32
-	names [][]int32
-	terms [][]uint32
-	// nameID interns substitution variable names (1-based).
+	// cols[ci] is built lazily, the first time a seed is extended into
+	// the cluster — seed keys never need it (they read the scorer's
+	// binding columns), so a query whose seeds all fail key matching, or
+	// that has no cluster outside a seed's pair, flattens nothing.
+	cols []joinCol
+	// nameID numbers (from 1) the variables that two or more effective
+	// query paths have. An item's substitution binds only its own query
+	// path's variables, so a binding of any other variable can never
+	// meet a binding from another cluster: the tables leave it out.
 	nameID map[string]int32
 	// labelOf[tid] is the interned Label() of term tid (0 = not yet
 	// derived); labelIDs interns the label strings.
@@ -841,36 +849,111 @@ type joinTables struct {
 	// loop: parallel (name ID, term ID), first binding wins.
 	boundNames []int32
 	boundTerms []uint32
+	// rowOffs is firstCompatible's scratch: the offsets of the rows it
+	// intersects.
+	rowOffs []int
 }
 
-// name interns a substitution variable name (1-based).
-func (jt *joinTables) name(s string) int32 {
-	id, ok := jt.nameID[s]
-	if !ok {
-		id = int32(len(jt.nameID) + 1)
-		jt.nameID[s] = id
+// joinCol is one cluster's flattened substitutions and compatibility
+// index. off[ii]..off[ii+1] indexes item ii's entries in names/terms.
+// The index covers the first n = min(len(Items), maxChecksPerCol)
+// items — the ones extend may take — nw = ⌈n/64⌉ words per row, bit ii
+// of a row standing for item ii:
+//   - row name−1, for every shared variable, holds the items that do
+//     not bind it;
+//   - keys are the distinct name<<32|term bindings of the n items,
+//     ascending, and keys[i]'s row is len(nameID)+i: the items that
+//     bind the name to that term or not at all.
+type joinCol struct {
+	off   []int32
+	names []int32
+	terms []uint32
+
+	nw   int
+	keys []uint64
+	rows []uint64
+}
+
+func newJoinTables(in *termInterner, eff []Cluster) *joinTables {
+	jt := &joinTables{
+		in:       in,
+		eff:      eff,
+		cols:     make([]joinCol, len(eff)),
+		nameID:   make(map[string]int32),
+		labelIDs: make(map[string]uint32),
 	}
-	return id
+	first := make(map[string]int) // variable → 1 + the first cluster whose path has it
+	for ci := range eff {
+		for _, terms := range [2][]rdf.Term{eff[ci].Query.Nodes, eff[ci].Query.Edges} {
+			for _, x := range terms {
+				if x.Kind != rdf.Var {
+					continue
+				}
+				switch f := first[x.Value]; {
+				case f == 0:
+					first[x.Value] = ci + 1
+				case f != ci+1 && jt.nameID[x.Value] == 0:
+					jt.nameID[x.Value] = int32(len(jt.nameID) + 1)
+				}
+			}
+		}
+	}
+	return jt
 }
 
-// ensure flattens cluster ci's substitutions if pass 2 did not.
+// ensure builds cluster ci's joinCol unless it is built.
 func (jt *joinTables) ensure(ci int) {
-	if jt.ready[ci] {
+	col := &jt.cols[ci]
+	if col.off != nil {
 		return
 	}
-	jt.ready[ci] = true
 	items := jt.eff[ci].Items
-	off := make([]int32, len(items)+1)
-	var ns []int32
-	var ts []uint32
+	col.off = make([]int32, len(items)+1)
 	for ii := range items {
 		for name, val := range items[ii].Alignment.Subst {
-			ns = append(ns, jt.name(name))
-			ts = append(ts, jt.in.id(val))
+			if nid := jt.nameID[name]; nid != 0 {
+				col.names = append(col.names, nid)
+				col.terms = append(col.terms, jt.in.id(val))
+			}
 		}
-		off[ii+1] = int32(len(ns))
+		col.off[ii+1] = int32(len(col.names))
 	}
-	jt.off[ci], jt.names[ci], jt.terms[ci] = off, ns, ts
+
+	n, shared := min(len(items), maxChecksPerCol), len(jt.nameID)
+	col.nw = (n + 63) / 64
+	key := func(t int32) uint64 { return uint64(col.names[t])<<32 | uint64(col.terms[t]) }
+	col.keys = make([]uint64, col.off[n])
+	for t := range col.keys {
+		col.keys[t] = key(int32(t))
+	}
+	slices.Sort(col.keys)
+	col.keys = slices.Compact(col.keys)
+	col.rows = make([]uint64, (shared+len(col.keys))*col.nw)
+	row := func(r int) []uint64 { return col.rows[r*col.nw : (r+1)*col.nw] }
+	// Absent rows: every item below n, less the name's binders.
+	for r := 0; r < shared; r++ {
+		for w := range row(r) {
+			row(r)[w] = ^uint64(0)
+			if rem := n - 64*w; rem < 64 {
+				row(r)[w] = 1<<rem - 1
+			}
+		}
+	}
+	for ii := 0; ii < n; ii++ {
+		for t := col.off[ii]; t < col.off[ii+1]; t++ {
+			row(int(col.names[t]) - 1)[ii/64] &^= 1 << (ii % 64)
+		}
+	}
+	// Key rows: the name's absent row plus the key's binders.
+	for i, k := range col.keys {
+		copy(row(shared+i), row(int(k>>32)-1))
+	}
+	for ii := 0; ii < n; ii++ {
+		for t := col.off[ii]; t < col.off[ii+1]; t++ {
+			i, _ := slices.BinarySearch(col.keys, key(t))
+			row(shared + i)[ii/64] |= 1 << (ii % 64)
+		}
+	}
 }
 
 // label derives (and caches) the interned Label() of a term ID.
@@ -909,60 +992,54 @@ func (jt *joinTables) keyFromCols(vars [][]uint32, ii int, kv []uint32) bool {
 	return true
 }
 
-// mergeSubst folds an item's bindings into the scratch directly from
-// its substitution map (used for the two seed items — a handful per
-// seed, unlike the extension phase's hundreds of candidate checks);
-// first binding wins.
+// mergeSubst folds a seed item's shared-variable bindings into the
+// scratch straight from its substitution map, so the two clusters of a
+// seed are flattened only if an extension needs them; first binding
+// wins.
 func (jt *joinTables) mergeSubst(item ClusterItem) {
 	for name, val := range item.Alignment.Subst {
-		nid := jt.name(name)
-		dup := false
-		for _, bn := range jt.boundNames {
-			if bn == nid {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if nid := jt.nameID[name]; nid != 0 && !slices.Contains(jt.boundNames, nid) {
 			jt.boundNames = append(jt.boundNames, nid)
 			jt.boundTerms = append(jt.boundTerms, jt.in.id(val))
 		}
 	}
 }
 
-// compatible reports whether the item's substitution agrees with the
-// accumulated bindings under full Term identity.
-func (jt *joinTables) compatible(ci, ii int) bool {
-	lo, hi := jt.off[ci][ii], jt.off[ci][ii+1]
-	names, terms := jt.names[ci], jt.terms[ci]
-	for t := lo; t < hi; t++ {
-		for b, bn := range jt.boundNames {
-			if bn == names[t] {
-				if jt.boundTerms[b] != terms[t] {
-					return false
-				}
-				break
-			}
+// firstCompatible returns the first of cluster ci's first
+// maxChecksPerCol items whose substitution agrees with the accumulated
+// bindings under full Term identity, or -1: the lowest set bit of the
+// intersection of one row per bound name — the name's key row when
+// some item binds it to the bound term, its absent row otherwise.
+func (jt *joinTables) firstCompatible(ci int) int {
+	col := &jt.cols[ci]
+	offs := jt.rowOffs[:0]
+	for b, bn := range jt.boundNames {
+		r := int(bn) - 1
+		if i, ok := slices.BinarySearch(col.keys, uint64(bn)<<32|uint64(jt.boundTerms[b])); ok {
+			r = len(jt.nameID) + i
+		}
+		offs = append(offs, r*col.nw)
+	}
+	jt.rowOffs = offs
+	for w := 0; w < col.nw; w++ {
+		acc := ^uint64(0)
+		for _, o := range offs {
+			acc &= col.rows[o+w]
+		}
+		if acc != 0 {
+			return 64*w + bits.TrailingZeros64(acc)
 		}
 	}
-	return true
+	return -1
 }
 
 // merge folds the item's bindings into the scratch, first binding wins.
 func (jt *joinTables) merge(ci, ii int) {
-	lo, hi := jt.off[ci][ii], jt.off[ci][ii+1]
-	names, terms := jt.names[ci], jt.terms[ci]
-	for t := lo; t < hi; t++ {
-		dup := false
-		for _, bn := range jt.boundNames {
-			if bn == names[t] {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			jt.boundNames = append(jt.boundNames, names[t])
-			jt.boundTerms = append(jt.boundTerms, terms[t])
+	col := &jt.cols[ci]
+	for t := col.off[ii]; t < col.off[ii+1]; t++ {
+		if !slices.Contains(jt.boundNames, col.names[t]) {
+			jt.boundNames = append(jt.boundNames, col.names[t])
+			jt.boundTerms = append(jt.boundTerms, col.terms[t])
 		}
 	}
 }
@@ -976,17 +1053,7 @@ func (jt *joinTables) extend(eff []Cluster, idx []uint32, have []bool) bool {
 			continue
 		}
 		jt.ensure(ci)
-		found := -1
-		checks := len(eff[ci].Items)
-		if checks > maxChecksPerCol {
-			checks = maxChecksPerCol
-		}
-		for ii := 0; ii < checks; ii++ {
-			if jt.compatible(ci, ii) {
-				found = ii
-				break
-			}
-		}
+		found := jt.firstCompatible(ci)
 		if found < 0 {
 			return false
 		}
@@ -1001,21 +1068,24 @@ func (jt *joinTables) extend(eff []Cluster, idx []uint32, have []bool) bool {
 // pair (probe one cluster's shared-variable bindings into the other's),
 // with each match greedily extended to the remaining clusters. It runs
 // on the scorer's precompiled pair structure: binding keys are
-// label-interned uint32 vectors hashed as integers with exact vector
+// label-interned uint32 vectors keyed by comboKey with exact vector
 // verification on both build and probe (no per-item string assembly,
-// and hash collisions cannot merge distinct keys), and the greedy
-// extension runs on flattened substitution tables instead of per-item
-// map iteration. Join keys compare bindings by Label(), the
-// compatibility checks by full Term identity.
+// and key collisions cannot merge distinct keys), and the greedy
+// extension runs on the clusters' bitset indexes (firstCompatible)
+// into one scratch vector, copied out only when it succeeds. Join keys
+// compare bindings by Label(), the compatibility checks by full Term
+// identity.
 func joinCombos(eff []Cluster, ps *pairScorer) [][]uint32 {
 	if ps.jt == nil {
 		return nil
 	}
 	jt := ps.jt
 	have := make([]bool, len(eff))
+	idx := make([]uint32, len(eff))
 
 	var out [][]uint32
 	var kvArena []uint32
+	var next []int32
 	for pi := range ps.pairs {
 		if len(out) >= maxTotalSeeds {
 			break
@@ -1033,29 +1103,29 @@ func joinCombos(eff []Cluster, ps *pairScorer) [][]uint32 {
 			build, probe = probe, build
 			buildVars, probeVars = probeVars, buildVars
 		}
-		type entry struct {
-			kv []uint32
-			ii int
+		// head[comboKey] is 1 + the build item heading the chain of
+		// distinct label keys with that comboKey; next links the chain.
+		nb := len(eff[build].Items)
+		head := make(map[uint64]int32, nb)
+		if len(kvArena) < nv*nb {
+			kvArena = make([]uint32, nv*nb)
 		}
-		buckets := make(map[uint64][]entry, len(eff[build].Items))
-		if need := nv * len(eff[build].Items); cap(kvArena) < need {
-			kvArena = make([]uint32, need)
+		if len(next) < nb {
+			next = make([]int32, nb)
 		}
-		for ii := range eff[build].Items {
-			kv := kvArena[ii*nv : (ii+1)*nv]
-			if !jt.keyFromCols(buildVars, ii, kv) {
-				continue
-			}
-			h := hashIdx(kv, -1)
-			dup := false
-			for _, en := range buckets[h] {
-				if slices.Equal(en.kv, kv) {
-					dup = true
-					break
+		find := func(kv []uint32) int {
+			for e := head[comboKey(kv)]; e != 0; e = next[e-1] {
+				if slices.Equal(kvArena[int(e-1)*nv:int(e)*nv], kv) {
+					return int(e - 1)
 				}
 			}
-			if !dup {
-				buckets[h] = append(buckets[h], entry{kv: kv, ii: ii})
+			return -1
+		}
+		for ii := 0; ii < nb; ii++ {
+			kv := kvArena[ii*nv : (ii+1)*nv]
+			if jt.keyFromCols(buildVars, ii, kv) && find(kv) < 0 {
+				h := comboKey(kv)
+				next[ii], head[h] = head[h], int32(ii+1)
 			}
 		}
 		seeds := 0
@@ -1067,17 +1137,10 @@ func joinCombos(eff []Cluster, ps *pairScorer) [][]uint32 {
 			if !jt.keyFromCols(probeVars, ii, kv) {
 				continue
 			}
-			jj := -1
-			for _, en := range buckets[hashIdx(kv, -1)] {
-				if slices.Equal(en.kv, kv) {
-					jj = en.ii
-					break
-				}
-			}
+			jj := find(kv)
 			if jj < 0 {
 				continue
 			}
-			idx := make([]uint32, len(eff))
 			idx[probe], idx[build] = uint32(ii), uint32(jj)
 			jt.boundNames = jt.boundNames[:0]
 			jt.boundTerms = jt.boundTerms[:0]
@@ -1087,7 +1150,7 @@ func joinCombos(eff []Cluster, ps *pairScorer) [][]uint32 {
 				have[ci] = ci == probe || ci == build
 			}
 			if jt.extend(eff, idx, have) {
-				out = append(out, idx)
+				out = append(out, slices.Clone(idx))
 				seeds++
 			}
 		}
@@ -1139,27 +1202,26 @@ func (e *Engine) buildAnswer(eff []Cluster, idx []uint32, missing []paths.Path, 
 	return ans
 }
 
-// hashIdx is the 64-bit FNV-1a hash of a uint32 vector, each element
-// fed as four little-endian bytes. The visited set identifies a
-// combination by the hash of its index vector (cluster sizes are
-// bounded well below 2^32 by maxCandidatesBound); the join pass buckets
-// label-key vectors by it. bump ≥ 0 hashes the vector with v[bump]
-// incremented by one — a successor's identity without materialising
-// its vector; bump < 0 hashes v as is.
-func hashIdx(v []uint32, bump int) uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
+// comboKey is the 64-bit identity of a uint32 vector: the wrapping sum
+// of keyTerm(i, v[i]) over its positions. The visited set identifies a
+// combination by the key of its index vector; the join pass buckets
+// label-key vectors by it. Being a sum, a successor's key is its
+// parent's minus the bumped cluster's old term plus its new one — O(1)
+// per successor instead of a pass over the vector.
+func comboKey(v []uint32) uint64 {
+	var k uint64
 	for i, x := range v {
-		if i == bump {
-			x++
-		}
-		h = (h ^ uint64(x&0xff)) * fnvPrime
-		h = (h ^ uint64((x>>8)&0xff)) * fnvPrime
-		h = (h ^ uint64((x>>16)&0xff)) * fnvPrime
-		h = (h ^ uint64(x>>24)) * fnvPrime
+		k += keyTerm(i, x)
 	}
-	return h
+	return k
+}
+
+// keyTerm mixes (position, value) with the splitmix64 finalizer — a
+// bijection on the packed word, so distinct pairs give distinct terms.
+func keyTerm(i int, x uint32) uint64 {
+	z := uint64(i)<<32 | uint64(x)
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
