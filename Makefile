@@ -53,10 +53,13 @@ race-hot:
 # kills), each recovered by Open alone; WAL replay; the compaction
 # swap's crash window; a failed insert that leaves the graph the
 # metadata persists as it was; a reopen that keeps earlier inserts,
-# with a WAL and without; and an insert stream equal to a rebuild with
-# one batch re-applied, as replay re-applies it.
+# with a WAL and without; an insert stream equal to a rebuild with one
+# batch re-applied, as replay re-applies it; and, across insert streams
+# and a compaction, the alignment memo against an engine without it and
+# each stale entry's re-confirmation, decided from what the inserts
+# changed, against retrieval and the pre-rank run again.
 crash:
-	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestReopenKeepsEarlierInserts|TestInsertEqualsRebuild' ./internal/storage ./internal/index
+	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestReopenKeepsEarlierInserts|TestInsertEqualsRebuild|TestAlignMemoExactUnderWrites|TestReconfirmFromChangesEqualsRepick' ./internal/storage ./internal/index ./internal/core
 
 # bench-check vets and tests bench/, the benchmark's own module: root
 # ./... patterns skip it, so an API it imports from internal/ could
@@ -125,7 +128,9 @@ knobs:
 # read_after_write shapes), and the cluster phase with nothing memoised
 # and with everything memoised (BenchmarkClusterColdMemo,
 # BenchmarkClusterWarmMemo: the cluster_param shapes over every
-# department of LUBM 10 k).
+# department of LUBM 10 k), and with every memo entry made stale by an
+# insert (BenchmarkClusterAfterInsert: read_after_write's Q1–Q10 over
+# LUBM 10 k, one 50-triple insert per lap).
 profile:
 	@mkdir -p results
 	$(GO) test -run '^$$' -bench 'BenchmarkSearchBudgetBound' -benchtime 20x \
@@ -136,7 +141,9 @@ profile:
 		-cpuprofile results/cpu_cluster.pprof -o results/bench.test ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterWarmMemo' -benchtime 2000x \
 		-cpuprofile results/cpu_cluster_warm.pprof -o results/bench.test ./internal/core
-	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,cluster,cluster_warm}.pprof"
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterAfterInsert' -benchtime 200x \
+		-cpuprofile results/cpu_cluster_after_insert.pprof -o results/bench.test ./internal/core
+	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,cluster,cluster_warm,cluster_after_insert}.pprof"
 
 # route-smoke boots the multi-node path end-to-end: three databases,
 # one samad over each, a samad router fronting them, the Fig. 7 query

@@ -22,10 +22,10 @@ import (
 //   - The alignment memo keeps whole clusters keyed by query-path
 //     signature (paths.Path.Key), short-circuiting all of buildCluster —
 //     retrieval, pre-rank, disk read and alignment — when different
-//     queries decompose into the same path shape, and all but retrieval
-//     and the pre-rank when a write since left the cluster's cut as it
-//     was. Params are not part of the key: the memo lives inside one
-//     engine, whose params are fixed at construction.
+//     queries decompose into the same path shape, and when the writes
+//     since left the cluster's cut as it was, which is decided from
+//     what they changed. Params are not part of the key: the memo lives
+//     inside one engine, whose params are fixed at construction.
 //
 // Partial runs (deadline or cancellation) are deliberately never
 // cached: their answer sets depend on where the clock cut the search,
@@ -44,7 +44,7 @@ type cachedAnswer struct {
 // deterministic, so a later build of the same shape would pre-rank the
 // same candidates and keep the same items: a hit is all of them or none.
 // Everything but retrieved is a function of the records the cut names,
-// so an entry whose cut a later epoch re-derives unchanged, within its
+// so an entry whose cut a later epoch would pick again, within its
 // layout, still holds (see buildCluster). Shared by every later hit;
 // read-only by contract.
 type cachedCluster struct {
@@ -53,6 +53,12 @@ type cachedCluster struct {
 	// ascending, and layout the index layout their IDs belong to.
 	cut    []index.PathID
 	layout uint64
+	// mark is the index watermark the cut was last confirmed at, step the
+	// retrieval cascade step its candidates came from, and boundary the
+	// pre-rank bucket of its last candidate: what reconfirm decides from.
+	mark     index.Watermark
+	step     int
+	boundary int
 	// size is the entry's charge to the memo's byte budget.
 	size int
 	// retrieved is Cluster.Retrieved; the others are explain counters.

@@ -569,7 +569,10 @@ func TestRetrieveUnindexedConstantFallsThrough(t *testing.T) {
 	if len(pre.Paths) != 1 {
 		t.Fatalf("decomposed into %d paths, want 1", len(pre.Paths))
 	}
-	if ids := inView(e, func(r backend) []index.PathID { return retrieve(r, new(clusterScratch), pre.Paths[0]) }); len(ids) == 0 {
+	if ids := inView(e, func(r backend) []index.PathID {
+		ids, _ := retrieve(r, new(clusterScratch), pre.Paths[0])
+		return ids
+	}); len(ids) == 0 {
 		t.Fatal("retrieve dead-ended on an unindexed constant label")
 	}
 	answers, err := e.Query(q, 3)

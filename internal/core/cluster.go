@@ -139,26 +139,24 @@ func (sc *clusterScratch) release() {
 // the index state r reads, so with the alignment memo enabled it is
 // computed once per (query-path shape, epoch): a hit returns the stored
 // cluster and touches no posting, no summary and no page. An entry
-// stored at an older epoch, within r's layout, is re-confirmed rather
-// than rebuilt: retrieval and the pre-rank run again, and if the cut
-// they derive is the entry's, its items are served and stored again at
-// r's epoch with the new retrieval count (the plan reads as a hit's).
-// That is exact: the items are a function of the cut's records alone —
+// stored at an older epoch is re-confirmed rather than rebuilt when the
+// writes since leave the cut retrieval and the pre-rank would pick as
+// the entry's (reconfirm): its items are served and stored again at r's
+// epoch with the new retrieval count (the plan reads as a hit's). That
+// is exact: the items are a function of the cut's records alone —
 // alignment, the full-length filter, the (cost, ID) sort and the cap
 // read nothing else — and within one layout no ID's record changes.
-// Otherwise the cut just derived is materialised in one page-locality
-// batched read and aligned in one loop (alignAll). sp, when non-nil,
-// receives the pass's decision counters for the explain plan
-// (cachedCluster.describe) and, when it aligned, the pages the batched
-// read touched.
+// Otherwise retrieval and the pre-rank pick the cut, which is
+// materialised in one page-locality batched read and aligned in one
+// loop (alignAll). sp, when non-nil, receives the pass's decision
+// counters for the explain plan (cachedCluster.describe) and, when it
+// aligned, the pages the batched read touched.
 func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Path, sp *obs.Span) (Cluster, error) {
 	var key string
-	var pk clusterPick
-	defer pk.release()
 	if e.alignMemo != nil {
 		key = q.Key()
 		v, ok := e.alignMemo.Renew(key, r.Epoch(), func(stale any) (any, int, bool) {
-			return e.reconfirm(r, q, &pk, stale.(*cachedCluster))
+			return e.reconfirm(r, q, stale.(*cachedCluster))
 		})
 		if ok {
 			cc := v.(*cachedCluster)
@@ -166,17 +164,22 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 			return Cluster{QueryIndex: qi, Query: q, Items: cc.items, Retrieved: cc.retrieved}, nil
 		}
 	}
-	if pk.sc == nil {
-		e.pick(r, q, &pk)
-	}
-	if len(pk.ids) == 0 {
+	sc := clusterScratchPool.Get().(*clusterScratch)
+	defer sc.release()
+	ids, step := retrieve(r, sc, q)
+	if len(ids) == 0 {
 		return Cluster{QueryIndex: qi, Query: q}, nil
 	}
-	if pk.err != nil {
-		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, pk.err)
+	cut, boundary, err := e.preRank(r, sc, ids, q)
+	if err != nil {
+		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
 	}
-	cc := &cachedCluster{retrieved: len(pk.ids), preranked: len(pk.cut), layout: r.Layout()}
-	staged, pages, err := e.alignAll(ctx, r, pk.sc, q, pk.cut)
+	// Ascending, for reconfirm's binary search; alignAll's result does not
+	// depend on the order (sortClusterItems).
+	slices.Sort(cut)
+	cc := &cachedCluster{retrieved: len(ids), preranked: len(cut), layout: r.Layout(),
+		mark: r.Watermark(), step: step, boundary: boundary}
+	staged, pages, err := e.alignAll(ctx, r, sc, q, cut)
 	if err != nil {
 		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
 	}
@@ -209,57 +212,86 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 	sp.Set("batched_pages", pages)
 	// Only a complete build is stored: a cancelled one aligned a prefix.
 	if e.alignMemo != nil && ctx.Err() == nil {
-		cc.cut = slices.Clone(pk.cut)
+		cc.cut = slices.Clone(cut)
 		cc.size = memoSize(cc)
 		e.alignMemo.Put(key, r.Epoch(), cc, cc.size)
 	}
 	return Cluster{QueryIndex: qi, Query: q, Items: cc.items, Retrieved: cc.retrieved}, nil
 }
 
-// clusterPick is what retrieval and the pre-rank make of one query
-// path, in the scratch they ran in: the candidates retrieved and the
-// cut of them that gets aligned, ascending. A stale memo entry is
-// re-confirmed against it and a build aligns it, so they run once.
-type clusterPick struct {
-	sc       *clusterScratch
-	ids, cut []index.PathID
-	err      error
-}
-
-// pick runs retrieval and the pre-rank for q into pk, in a scratch
-// from the pool.
-func (e *Engine) pick(r backend, q paths.Path, pk *clusterPick) {
-	pk.sc = clusterScratchPool.Get().(*clusterScratch)
-	if pk.ids = retrieve(r, pk.sc, q); len(pk.ids) > 0 {
-		pk.cut, pk.err = e.preRank(r, pk.sc, pk.ids, q)
-		// Ascending, so that equal cuts compare equal; alignAll's result
-		// does not depend on the order (sortClusterItems).
-		slices.Sort(pk.cut)
-	}
-}
-
-// release returns pk's scratch, if it took one, to the pool.
-func (pk *clusterPick) release() {
-	if pk.sc != nil {
-		pk.sc.release()
-	}
-}
-
 // reconfirm is the alignment memo's renew step for a stale entry (see
-// buildCluster): within the entry's layout it picks q's cut again, and
-// if the cut is the entry's it returns the entry with the new retrieval
-// count, to be served and stored at the current epoch.
-func (e *Engine) reconfirm(r backend, q paths.Path, pk *clusterPick, stale *cachedCluster) (any, int, bool) {
-	if stale.layout != r.Layout() {
+// buildCluster). It reads only what the writes since the entry's
+// watermark changed — the paths committed since, whose IDs are above
+// every ID the entry names, and the tombstones logged since — and
+// decides as retrieval and the pre-rank run again would: the entry is
+// served, with the new retrieval count and watermark, exactly when they
+// would pick its cut (DESIGN §8, "Why re-confirmation is exact"). It
+// refuses an entry of another layout or of the fallback scan, and one
+// with more tombstones to read than it has candidates, for which a
+// re-pick costs no more.
+func (e *Engine) reconfirm(r backend, q paths.Path, stale *cachedCluster) (any, int, bool) {
+	steps := cascade(q)
+	now := r.Watermark()
+	if stale.layout != r.Layout() || stale.step == len(steps) || now.Tombs-stale.mark.Tombs > stale.retrieved {
 		return nil, 0, false
 	}
-	e.pick(r, q, pk)
-	if pk.err != nil || !slices.Equal(pk.cut, stale.cut) {
+	from := index.PathID(stale.mark.Paths)
+	var fresh []index.PathID
+	// Retrieval would now stop at an earlier step that gained a live path.
+	for _, st := range steps[:stale.step] {
+		fresh = r.PostingsFrom(fresh[:0], st.field, st.label, from)
+		if slices.ContainsFunc(fresh, r.Live) {
+			return nil, 0, false
+		}
+	}
+	// The step's candidates gained the live paths committed since and
+	// lost the older ones tombstoned since.
+	st := steps[stale.step]
+	fresh = slices.DeleteFunc(r.PostingsFrom(fresh[:0], st.field, st.label, from),
+		func(id index.PathID) bool { return !r.Live(id) })
+	dead := r.TombstonedSince(stale.mark, st.field, st.label)
+	n, _ := slices.BinarySearch(dead, from)
+	dead = dead[:n]
+	retrieved := stale.retrieved + len(fresh) - len(dead)
+	inCut := func(id index.PathID) bool { _, ok := slices.BinarySearch(stale.cut, id); return ok }
+	if min(retrieved, 2*e.opts.maxCandidates()) != len(stale.cut) || slices.ContainsFunc(dead, inCut) ||
+		!e.rankAfter(r, q, fresh, stale.boundary) {
 		return nil, 0, false
 	}
 	renewed := *stale
-	renewed.retrieved = len(pk.ids)
+	renewed.retrieved, renewed.mark = retrieved, now
 	return &renewed, renewed.size, true
+}
+
+// rankAfter reports whether every one of ids — live paths committed
+// since a cut was picked, ascending — ranks after the cut's last
+// candidate, whose pre-rank bucket is boundary: the ID breaks bucket
+// ties and theirs are above every ID of the cut, so a bucket no lower
+// than the boundary does. A bucket comes from the summary, a missing = 0
+// one confirmed by the constants' intersection, as preRank does it.
+func (e *Engine) rankAfter(r backend, q paths.Path, ids []index.PathID, boundary int) bool {
+	if len(ids) == 0 || boundary == 0 {
+		return true
+	}
+	sums, err := r.SummariesInto(new(index.Scratch), ids)
+	if err != nil {
+		return false
+	}
+	labels, masks := queryConstants(r, q)
+	qlen := q.Length()
+	maxDeficit := min(qlen, 0xffff)
+	var unsure []index.PathID
+	for i, id := range ids {
+		b := bucket(sums[i], masks, qlen, maxDeficit)
+		switch {
+		case b >= boundary:
+		case b > maxDeficit || len(labels) == 0 || b+maxDeficit+1 < boundary:
+			return false // below the boundary, confirmed or demoted
+		default:
+			unsure = append(unsure, id) // below it only if confirmed
+		}
+	}
+	return len(unsure) == 0 || len(r.PathsByAllLabelsAmong(nil, unsure, labels, 1)) == 0
 }
 
 // queryConstants collects the query path's constant labels, nodes then
@@ -280,7 +312,10 @@ func queryConstants(r backend, q paths.Path) (labels []string, masks []uint64) {
 
 // preRank bounds the candidates that get materialised and aligned. When
 // the index returns far more paths than the cluster will keep, only the
-// most promising are worth a disk read. ids must be ascending, as every
+// most promising are worth a disk read. It returns them with the bucket
+// of the last (see below): a candidate that ranks below it changes the
+// cut (rankAfter). A candidate set of exactly the budget is ranked too,
+// so that its boundary is known. ids must be ascending, as every
 // posting lookup returns them (the fallback scan's are not and need not
 // be: it runs only when a constant matches no live path, and then the
 // second step below confirms nothing).
@@ -308,19 +343,17 @@ func queryConstants(r backend, q paths.Path) (labels []string, masks []uint64) {
 // by a leapfrog that stops at the budget: the confirmed ones sort before
 // everything else, so once budget of them are known they are the cut and
 // the rest of the intersection is never computed.
-func (e *Engine) preRank(r backend, sc *clusterScratch, ids []index.PathID, q paths.Path) ([]index.PathID, error) {
+func (e *Engine) preRank(r backend, sc *clusterScratch, ids []index.PathID, q paths.Path) (cut []index.PathID, boundary int, err error) {
 	budget := 2 * e.opts.maxCandidates()
-	if len(ids) <= budget {
-		return ids, nil
+	if len(ids) < budget {
+		return ids, 0, nil
 	}
 	sums, err := r.SummariesInto(&sc.idx, ids)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	labels, masks := queryConstants(r, q)
 
-	// A candidate's bucket is missing·(maxDeficit+1)+deficit, so bucket
-	// order is the ranking key's ascending (missing, deficit) order.
 	qlen := q.Length()
 	maxDeficit := min(qlen, 0xffff)
 	buckets := slices.Grow(sc.buckets[:0], len(ids))[:len(ids)]
@@ -330,17 +363,7 @@ func (e *Engine) preRank(r backend, sc *clusterScratch, ids []index.PathID, q pa
 	sc.counts = counts
 	clear(counts)
 	for i := range ids {
-		missing := 0
-		for _, mask := range masks {
-			if sums[i].Sig&mask == 0 {
-				missing++
-			}
-		}
-		deficit := 0
-		if plen := int(sums[i].Len); plen < qlen {
-			deficit = min(qlen-plen, maxDeficit)
-		}
-		b := missing*(maxDeficit+1) + deficit
+		b := bucket(sums[i], masks, qlen, maxDeficit)
 		buckets[i] = uint32(b)
 		counts[b]++
 	}
@@ -361,7 +384,7 @@ func (e *Engine) preRank(r backend, sc *clusterScratch, ids []index.PathID, q pa
 			out = r.PathsByAllLabelsAmong(out, surv, labels, budget-n)
 			if len(out) == budget {
 				sc.cands = out
-				return out, nil
+				return out, d, nil
 			}
 			// The bucket ran out before the budget filled, so every
 			// membership in it is known: the unconfirmed move to missing = 1.
@@ -386,6 +409,9 @@ func (e *Engine) preRank(r backend, sc *clusterScratch, ids []index.PathID, q pa
 	// frontier element for element.
 	total := 0
 	for b, n := range counts {
+		if total < budget && total+n >= budget {
+			boundary = b
+		}
 		counts[b] = total
 		total += n
 	}
@@ -398,7 +424,25 @@ func (e *Engine) preRank(r backend, sc *clusterScratch, ids []index.PathID, q pa
 			out[pos] = ids[i]
 		}
 	}
-	return out, nil
+	return out, boundary, nil
+}
+
+// bucket is a candidate's pre-rank bucket by its summary alone:
+// missing·(maxDeficit+1)+deficit, so that bucket order is the ranking
+// key's ascending (missing, deficit) order. The intersection may still
+// demote a missing = 0 bucket by maxDeficit+1 (preRank).
+func bucket(s index.PathSummary, masks []uint64, qlen, maxDeficit int) int {
+	missing := 0
+	for _, mask := range masks {
+		if s.Sig&mask == 0 {
+			missing++
+		}
+	}
+	deficit := 0
+	if plen := int(s.Len); plen < qlen {
+		deficit = min(qlen-plen, maxDeficit)
+	}
+	return missing*(maxDeficit+1) + deficit
 }
 
 // sortClusterItems orders a cluster's items by non-decreasing cost,
@@ -451,38 +495,52 @@ func (e *Engine) alignAll(ctx context.Context, r backend, sc *clusterScratch, q 
 	return staged, pages, nil
 }
 
-// retrieve returns the candidate path IDs for one query path, held by
-// sc. The strategies run in order — sink postings, whole-path
-// containment of the sink or of the first constant from the end,
-// constant edge labels, and finally the bounded fallback scan — and
-// every strategy falls through to the next when it comes back empty, so
-// a query path only contributes zero candidates when the index itself
-// has no live paths.
-func retrieve(r backend, sc *clusterScratch, q paths.Path) []index.PathID {
-	sink := q.Sink()
-	if sink.IsConstant() {
-		if ids := r.PathsBySinkInto(&sc.idx, sink.Label()); len(ids) > 0 {
-			return ids
-		}
-		// No path ends at a matching sink: degrade to containment so the
-		// approximate search still has material to work with.
-		if ids := r.PathsByLabelInto(&sc.idx, sink.Label()); len(ids) > 0 {
-			return ids
-		}
+// retrievalStep is one step of retrieve's cascade: the live paths whose
+// sink, or any of whose labels, matches one of the query path's
+// constants.
+type retrievalStep struct {
+	field index.Field
+	label string
+}
+
+// cascade returns q's retrieval steps in the order retrieve tries them:
+// sink postings, then whole-path containment of the sink — no path ends
+// at a matching sink, so degrade to containment and the approximate
+// search still has material to work with — or, for a variable sink, of
+// the first constant from the end, then the constant edge labels,
+// scanned from the sink end like the nodes.
+func cascade(q paths.Path) []retrievalStep {
+	var steps []retrievalStep
+	if sink := q.Sink(); sink.IsConstant() {
+		steps = append(steps, retrievalStep{index.Sinks, sink.Label()}, retrievalStep{index.Labels, sink.Label()})
 	} else if v, ok := q.FirstConstantFromEnd(); ok {
-		if ids := r.PathsByLabelInto(&sc.idx, v.Label()); len(ids) > 0 {
-			return ids
-		}
+		steps = append(steps, retrievalStep{index.Labels, v.Label()})
 	}
-	// Constant edge labels, scanned from the sink end like the nodes.
 	for i := len(q.Edges) - 1; i >= 0; i-- {
 		if q.Edges[i].IsConstant() {
-			if ids := r.PathsByLabelInto(&sc.idx, q.Edges[i].Label()); len(ids) > 0 {
-				return ids
-			}
+			steps = append(steps, retrievalStep{index.Labels, q.Edges[i].Label()})
 		}
 	}
-	return fallbackScan(r, maxClusterFallback)
+	return steps
+}
+
+// retrieve returns the candidate path IDs for one query path, held by
+// sc, and the cascade step that found them. Every step falls through to
+// the next when it comes back empty, and the last resort is the bounded
+// fallback scan (step len(cascade(q))), so a query path only contributes
+// zero candidates when the index itself has no live paths.
+func retrieve(r backend, sc *clusterScratch, q paths.Path) ([]index.PathID, int) {
+	steps := cascade(q)
+	for i, st := range steps {
+		lookup := r.PathsByLabelInto
+		if st.field == index.Sinks {
+			lookup = r.PathsBySinkInto
+		}
+		if ids := lookup(&sc.idx, st.label); len(ids) > 0 {
+			return ids, i
+		}
+	}
+	return fallbackScan(r, maxClusterFallback), len(steps)
 }
 
 // fallbackScan collects up to max (> 0) live path IDs sampled

@@ -15,6 +15,7 @@ import (
 	"sama/internal/rdf"
 	"sama/internal/sparql"
 	"sama/internal/textindex"
+	"sama/internal/workload"
 )
 
 // clusterParamShapes are the five department-bound query shapes of the
@@ -136,6 +137,77 @@ func BenchmarkClusterWarmMemo(b *testing.B) {
 	if cs.Evictions > 0 || cs.Hits == 0 {
 		b.Fatalf("the warm laps were not all hits: %+v", cs)
 	}
+}
+
+// BenchmarkClusterAfterInsert is read_after_write's shape on the cluster
+// phase: LUBM 10 k under the benchmark thesaurus with Q1–Q10 clustered
+// once, then per lap one 50-triple insert from the rest of the generated
+// stream, outside the timer, and Q1–Q10 clustered again, so that every
+// memo entry is stale and decided by reconfirm. It reports the
+// candidates retrieved per query and, per lap, the entries re-confirmed
+// and the ones re-aligned. The stream holds 400 batches; a longer run
+// re-applies them from the start, which changes no path.
+func BenchmarkClusterAfterInsert(b *testing.B) {
+	const base, batch = 10000, 50
+	ts := datasets.LUBM{}.Generate(base+400*batch, 1).Triples()
+	g := rdf.NewGraph()
+	for _, tr := range ts[:base] {
+		g.AddTriple(tr)
+	}
+	ix, err := index.Build(filepath.Join(b.TempDir(), "lubm"), g,
+		index.Options{Thesaurus: textindex.BenchmarkThesaurus()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	e := New(ix, Options{})
+	var pres []*Preprocessed
+	keys, npaths := map[string]bool{}, 0
+	for _, q := range workload.LUBMQueries()[:10] {
+		pre := e.Preprocess(q.Pattern)
+		pres = append(pres, pre)
+		for _, p := range pre.Paths {
+			keys[p.Key()] = true
+		}
+		npaths += len(pre.Paths)
+	}
+	lap := func() (retrieved int) {
+		for _, pre := range pres {
+			clusters, err := e.Cluster(pre)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, c := range clusters {
+				retrieved += c.Retrieved
+			}
+		}
+		return retrieved
+	}
+	lap()
+	stream := ts[base:]
+	batches := len(stream) / batch
+	before := e.CacheStats()[cacheAlign]
+	retrieved := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		lo := i % batches * batch
+		if err := ix.InsertTriples(stream[lo : lo+batch]); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		retrieved += lap()
+	}
+	b.StopTimer()
+	after := e.CacheStats()[cacheAlign]
+	laps := float64(b.N)
+	// An insert leaves every entry stale, so a lap's first lookup of each
+	// key is decided by reconfirm and its other lookups are fresh hits.
+	reconfirmed := float64(after.Hits-before.Hits) - laps*float64(npaths-len(keys))
+	b.ReportMetric(float64(retrieved)/(laps*float64(len(pres))), "retrieved/query")
+	b.ReportMetric(reconfirmed/laps, "reconfirmed/lap")
+	b.ReportMetric(float64(after.Invalidations-before.Invalidations)/laps, "realigned/lap")
 }
 
 // TestWarmClusterAllocatesPerKeptItem is the allocation guard of the

@@ -54,7 +54,7 @@ func preRankIn(t *testing.T, e *Engine, sc *clusterScratch, ids []index.PathID, 
 	t.Helper()
 	var cands []index.PathID
 	err := e.view(func(r backend) (err error) {
-		cands, err = e.preRank(r, sc, ids, q)
+		cands, _, err = e.preRank(r, sc, ids, q)
 		return err
 	})
 	if err != nil {
@@ -192,7 +192,7 @@ func TestPreRankSynonymSurvivesCut(t *testing.T) {
 // intersection confirmed and how many it demoted.
 func preRankRef(t *testing.T, ix *index.Index, ids []index.PathID, q paths.Path, budget int) (cut []index.PathID, confirmed, demoted int) {
 	t.Helper()
-	if len(ids) <= budget {
+	if len(ids) < budget {
 		return ids, 0, 0
 	}
 	sums, err := ix.Summaries(ids)
@@ -277,7 +277,10 @@ func TestPreRankEqualsDefinition(t *testing.T) {
 		for _, gq := range clusterParamQueries(t, g) {
 			for qi, q := range e.Preprocess(gq.q).Paths {
 				sc := new(clusterScratch)
-				ids := inView(e, func(r backend) []index.PathID { return retrieve(r, sc, q) })
+				ids := inView(e, func(r backend) []index.PathID {
+					ids, _ := retrieve(r, sc, q)
+					return ids
+				})
 				want, confirmed, demoted := preRankRef(t, ix, ids, q, budget)
 				if len(ids) > budget {
 					if confirmed >= budget {

@@ -226,6 +226,7 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 		ix.labels = re.labels
 		ix.sources = re.sources
 		ix.deleted = re.deleted
+		ix.tombs = re.tombs
 		ix.dict = re.dict
 		ix.graph = re.graph
 		ix.stats = re.stats

@@ -122,6 +122,10 @@ type Index struct {
 	// deleted tombstones paths invalidated by incremental updates; the
 	// record store is append-only, so their bytes stay until a rebuild.
 	deleted []bool
+	// tombs logs, in order, the IDs inserts tombstoned in this layout (see
+	// Watermark). It is not persisted: a reopened index starts a log of
+	// its own, and no memo outlives the Index it was built over.
+	tombs []PathID
 	// epoch counts the mutations applied to this index: InsertTriples
 	// and Compact bump it under ix.mu, at commit. Caches key their
 	// entries by the epoch they were computed at and treat them as stale
@@ -129,11 +133,13 @@ type Index struct {
 	// a write (or PathIDs that Compact renumbered) unless the cache
 	// re-confirmed them against the current state.
 	epoch uint64
-	// layout counts the renumberings of PathIDs: only the compaction swap
-	// bumps it. Within one layout an ID names one record for good — the
-	// record store is append-only and an insert keeps the ID of a path it
-	// re-enumerates unchanged — so a value computed from the records of
-	// some IDs can outlive an epoch, but not a layout.
+	// layout counts the renumberings of PathIDs: the compaction swap bumps
+	// it, and so does a hub-rooted insert, which re-indexes every path
+	// under a new ID. Within one layout an ID names one record for good —
+	// the record store is append-only and an insert keeps the ID of a path
+	// it re-enumerates unchanged — so a value computed from the records of
+	// some IDs can outlive an epoch, but not a layout. Each bump empties
+	// the tombstone log.
 	layout uint64
 	// dict interns the terms of every stored path: a record is a varint
 	// sequence of its IDs (see EncodePathDict). It is persisted in the
@@ -819,8 +825,8 @@ func (r Reader) Epoch() uint64 { return r.ix.epoch }
 func (ix *Index) Epoch() uint64 { return locked(ix, Reader.Epoch) }
 
 // Layout returns the index's renumbering counter (see the layout
-// field): while it holds, every live ID reads the record, summary and
-// postings it was committed with.
+// field): while it holds, every ID reads the record, summary and
+// postings it was committed with, tombstoned or not.
 func (r Reader) Layout() uint64 { return r.ix.layout }
 
 // Path reads the path with the given ID from disk (through the buffer

@@ -7,6 +7,7 @@ import (
 	"sama/internal/paths"
 	"sama/internal/rdf"
 	"sama/internal/storage"
+	"sama/internal/textindex"
 )
 
 // Graph returns the indexed data graph.
@@ -52,8 +53,8 @@ func (ix *Index) livePathsLocked() int {
 //     append-only; their bytes remain until a compaction).
 //
 // Sourceless (hub-rooted) graphs fall back to a full re-enumeration,
-// every path re-indexed under a new ID: hub promotion is a global
-// property, so any edge can move the roots.
+// every path re-indexed under a new ID in a new layout: hub promotion is
+// a global property, so any edge can move the roots.
 //
 // The insert is all-or-nothing with respect to the index: the affected
 // paths are staged to the record store first (a failure there leaves
@@ -208,13 +209,18 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 	// change.
 	ix.epoch++
 	if tombAll {
+		// Every path gets a new ID: a new layout, not a log of the whole
+		// index.
 		for id := range ix.deleted {
 			ix.deleted[id] = true
 		}
+		ix.layout++
+		ix.tombs = nil
 	} else {
 		for i, id := range old.ids {
 			if !old.kept[i] {
 				ix.deleted[id] = true
+				ix.tombs = append(ix.tombs, id)
 			}
 		}
 	}
@@ -228,6 +234,49 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 	ix.stats.Paths = ix.livePathsLocked()
 	ix.stats.HE = g.EdgeCount() + ix.stats.Paths
 	return nil
+}
+
+// Watermark is a point in one layout's insert history: the path count
+// and the tombstone log's length. Within the layout, the paths committed
+// since a watermark are exactly the IDs from Paths up, each above every
+// ID it names, and the paths tombstoned since are the log from Tombs on.
+type Watermark struct{ Paths, Tombs int }
+
+// Watermark returns the present point of the layout's insert history.
+func (r Reader) Watermark() Watermark { return Watermark{len(r.ix.rids), len(r.ix.tombs)} }
+
+// Field selects one of the two label postings: path sinks, or every
+// label on a path.
+type Field uint8
+
+const (
+	Sinks Field = iota
+	Labels
+)
+
+func (ix *Index) postings(f Field) *textindex.Index {
+	if f == Sinks {
+		return ix.sinks
+	}
+	return ix.labels
+}
+
+// PostingsFrom appends to dst, ascending, the IDs from up whose f
+// postings match label (exact, token, and thesaurus expansion),
+// tombstoned ones included. With from a watermark's Paths that is what
+// the inserts since added to the lookup; it costs a seek per list and
+// per match, not the lists' length.
+func (r Reader) PostingsFrom(dst []PathID, f Field, label string, from PathID) []PathID {
+	return textindex.LookupFrom(r.ix.postings(f), dst, label, uint32(from))
+}
+
+// TombstonedSince returns, ascending, the IDs tombstoned since w whose f
+// postings match label: postings keep a tombstoned ID until the
+// compaction swap. w must be of the current layout.
+func (r Reader) TombstonedSince(w Watermark, f Field, label string) []PathID {
+	ids := slices.Clone(r.ix.tombs[w.Tombs:])
+	slices.Sort(ids)
+	return textindex.IntersectAmong(r.ix.postings(f), ids[:0], ids, []string{label}, len(ids))
 }
 
 // reverseClosure returns every node that can reach one of the seeds

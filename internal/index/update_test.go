@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sama/internal/datasets"
@@ -473,6 +474,105 @@ func TestInsertEqualsRebuild(t *testing.T) {
 	if !tombstoned {
 		t.Error("no batch changed an indexed path; the test needs some to")
 	}
+}
+
+// TestInsertDeltaInvariants pins what re-confirming a stale memo entry
+// reads of the inserts since its watermark: an insert's new IDs are
+// exactly [old NumPaths, new NumPaths), all live; the log since the
+// watermark is exactly the paths live before it and dead after, each
+// once; a tombstoned path still matches its postings; a kept path's
+// summary is unchanged; and the compaction swap empties the log and
+// bumps the layout.
+func TestInsertDeltaInvariants(t *testing.T) {
+	ts := datasets.LUBM{}.Generate(8000, 5).Triples()
+	const base, batch = 6000, 50
+	g := rdf.NewGraph()
+	for _, tr := range ts[:base] {
+		g.AddTriple(tr)
+	}
+	ix, err := Build(filepath.Join(t.TempDir(), "delta"), g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	view := func(fn func(Reader)) { ix.View(func(r Reader) error { fn(r); return nil }) }
+	summary := func(r Reader, id PathID) PathSummary {
+		sums, err := r.SummariesInto(new(Scratch), []PathID{id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sums[0]
+	}
+	// sinks holds every path's sink label, read while it was live.
+	sinks := map[PathID]string{}
+	readSinks := func(from int) {
+		for id := PathID(from); int(id) < ix.NumPaths(); id++ {
+			p, err := ix.Path(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sinks[id] = p.Sink().Label()
+		}
+	}
+	readSinks(0) // a fresh build has no tombstone
+	logged := 0
+	for lo := base; lo+batch <= len(ts); lo += batch {
+		var w0 Watermark
+		live := map[PathID]PathSummary{}
+		view(func(r Reader) {
+			w0 = r.Watermark()
+			for id := PathID(0); int(id) < w0.Paths; id++ {
+				if r.Live(id) {
+					live[id] = summary(r, id)
+				}
+			}
+		})
+		if err := ix.InsertTriples(ts[lo : lo+batch]); err != nil {
+			t.Fatal(err)
+		}
+		readSinks(w0.Paths)
+		view(func(r Reader) {
+			w1 := r.Watermark()
+			for id := PathID(w0.Paths); int(id) < w1.Paths; id++ {
+				got := r.PostingsFrom(nil, Sinks, sinks[id], PathID(w0.Paths))
+				if !r.Live(id) || !slices.Contains(got, id) || got[0] < PathID(w0.Paths) {
+					t.Fatalf("new path %d: live %v; its sink's postings from %d are %v", id, r.Live(id), w0.Paths, got)
+				}
+			}
+			died := map[PathID]bool{}
+			for _, id := range r.ix.tombs[w0.Tombs:w1.Tombs] {
+				if _, was := live[id]; !was || died[id] || r.Live(id) {
+					t.Fatalf("logged %d: live before %v, logged before %v, live now %v", id, was, died[id], r.Live(id))
+				}
+				died[id] = true
+				if got := r.TombstonedSince(w0, Sinks, sinks[id]); !slices.Contains(got, id) {
+					t.Fatalf("tombstoned %d is not among its sink's tombstones since the insert: %v", id, got)
+				}
+			}
+			for id, sum := range live {
+				if !r.Live(id) && !died[id] {
+					t.Fatalf("path %d died without a log entry", id)
+				}
+				if r.Live(id) && summary(r, id) != sum {
+					t.Fatalf("kept path %d's summary changed from %+v to %+v", id, sum, summary(r, id))
+				}
+			}
+			logged += len(died)
+		})
+	}
+	if logged == 0 {
+		t.Fatal("no insert tombstoned a path; the test needs some to")
+	}
+	var layout uint64
+	view(func(r Reader) { layout = r.Layout() })
+	if _, err := ix.CompactIncremental(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	view(func(r Reader) {
+		if w := r.Watermark(); w.Tombs != 0 || r.Layout() != layout+1 {
+			t.Errorf("after the compaction: %d tombstones logged, layout %d; want none and %d", w.Tombs, r.Layout(), layout+1)
+		}
+	})
 }
 
 func TestInsertReadsSharedSourceListOnce(t *testing.T) {

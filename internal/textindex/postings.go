@@ -383,6 +383,21 @@ func IntersectAmong[T ~uint32](ix *Index, dst, cands []T, labels []string, limit
 	return leapfrog(dst, &sliceIter[T]{cands}, groups, limit)
 }
 
+// LookupFrom appends to dst, ascending, the documents of Lookup(label)
+// that are ≥ from: the expansion's lists merge through one SeekGE each
+// per document returned, so the lists' prefix below from is skipped by
+// the skip table, never decoded.
+func LookupFrom[T ~uint32](ix *Index, dst []T, label string, from uint32) []T {
+	u := newUnionIter(ix.expansionPostings(new(Scratch), label))
+	for v, ok := u.SeekGE(from); ok; v, ok = u.SeekGE(v + 1) {
+		dst = append(dst, T(v))
+		if v == math.MaxUint32 {
+			break
+		}
+	}
+	return dst
+}
+
 // SigBit returns the signature bit of one index key: a single bit of a
 // 64-bit fingerprint, chosen by FNV-1a. Per-path signatures OR the bits
 // of every key the path is indexed under; probe masks OR the bits of

@@ -119,6 +119,38 @@ func TestLookupIntersect(t *testing.T) {
 	}
 }
 
+// TestLookupFromEqualsDefinition checks LookupFrom against Lookup's
+// documents at or above from, for every from up to past the end — block
+// boundaries, inside blocks, the tail — with thesaurus expansion merging
+// several lists.
+func TestLookupFromEqualsDefinition(t *testing.T) {
+	th := NewThesaurus()
+	th.Add("professor", "teacher")
+	ix := New(th)
+	rng := rand.New(rand.NewSource(3))
+	for doc := uint32(0); doc < 700; doc++ {
+		for _, l := range []string{"FullProfessor", "Teacher", "worksFor"} {
+			if rng.Intn(2) == 0 {
+				ix.Add(l, doc)
+			}
+		}
+	}
+	for _, label := range []string{"Professor", "worksFor", "nosuchlabel"} {
+		all := ix.Lookup(label)
+		for from := uint32(0); from <= 710; from++ {
+			var want []uint32
+			for _, d := range all {
+				if d >= from {
+					want = append(want, d)
+				}
+			}
+			if got := LookupFrom[uint32](ix, nil, label, from); !reflect.DeepEqual(got, want) {
+				t.Fatalf("LookupFrom(%q, %d) = %v, want %v", label, from, got, want)
+			}
+		}
+	}
+}
+
 // TestProbeMaskSoundness pins the one-sided error direction the
 // signature-gated pre-rank depends on: whenever Lookup(query) returns a
 // document, that document's SigBits (over the label it was indexed
