@@ -36,7 +36,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-hot re-runs the packages where caching, epoch invalidation, the
+# race-hot re-runs the packages where the alignment memo's
+# re-confirmation of entries an insert made stale, the
 # per-query-path cluster goroutines (one alignment memo, one I/O tally
 # and one index View shared by all of a query's clusters), request
 # coalescing, WAL group commit, incremental compaction, the event ring's
@@ -57,9 +58,11 @@ race-hot:
 # batch re-applied, as replay re-applies it; and, across insert streams
 # and a compaction, the alignment memo against an engine without it and
 # each stale entry's re-confirmation, decided from what the inserts
-# changed, against retrieval and the pre-rank run again.
+# changed, against retrieval and the pre-rank run again; and readers
+# racing a writer through that re-confirmation, which must never serve
+# an answer set older than the inserts they saw complete.
 crash:
-	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestReopenKeepsEarlierInserts|TestInsertEqualsRebuild|TestAlignMemoExactUnderWrites|TestReconfirmFromChangesEqualsRepick' ./internal/storage ./internal/index ./internal/core
+	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestReopenKeepsEarlierInserts|TestInsertEqualsRebuild|TestAlignMemoExactUnderWrites|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers' ./internal/storage ./internal/index ./internal/core
 
 # bench-check vets and tests bench/, the benchmark's own module: root
 # ./... patterns skip it, so an API it imports from internal/ could

@@ -70,8 +70,8 @@ type IOStats struct {
 type ExplainPlan struct {
 	Version int    `json:"version"`
 	Query   string `json:"query,omitempty"`
-	// Source is "cache" when the answer cache served the query whole
-	// (no retrieval, alignment, or search ran), else "engine".
+	// Source is "engine" for a plan one engine built, "router" for the
+	// merged plan of a router fanning the query out.
 	Source     string `json:"source"`
 	Answers    int    `json:"answers"`
 	Partial    bool   `json:"partial,omitempty"`

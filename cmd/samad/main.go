@@ -17,10 +17,9 @@
 // both receive 503 with a Retry-After hint. Per-request deadlines
 // (?timeout=, capped by -max-timeout) thread into the engine, so a
 // request that exceeds its budget gets its best-so-far answers with the
-// partial flag set. -cache-answers enables the answer cache and
-// -cache-align-mb sizes the alignment memo, which is on by default
-// (both are invalidated by index writes); -coalesce collapses identical
-// in-flight queries into one execution.
+// partial flag set. -cache-align-mb sizes the alignment memo, which is
+// on by default and re-confirms an entry an index write made stale;
+// -coalesce collapses identical in-flight queries into one execution.
 // -wal enables the durable write path when the index is built (an
 // existing WAL-enabled index reattaches its log automatically); after a
 // crash, opening the index replays the log before samad serves, and the
@@ -110,7 +109,6 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries before cancelling them")
 	poolPages := fs.Int("pool-pages", 0, "buffer pool capacity in 8 KiB pages (0 = library default)")
 	slow := fs.Duration("slow-query", 0, "log queries slower than this threshold (0 = off)")
-	cacheAnswers := fs.Int("cache-answers", 0, "answer cache capacity in entries; any index write invalidates it (0 = off)")
 	cacheAlignMB := fs.Int("cache-align-mb", 0, "alignment memo budget in MiB: one cached cluster per query-path shape, reused across queries sharing it (0 = default 64, negative = off)")
 	coalesce := fs.Bool("coalesce", false, "collapse identical in-flight /query requests into one execution")
 	walDir := fs.String("wal", "", "enable the write-ahead log in this directory when building; an existing index reattaches its own WAL automatically")
@@ -143,9 +141,6 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	opts := []sama.Option{sama.WithThesaurus(sama.BenchmarkThesaurus())}
 	if *poolPages > 0 {
 		opts = append(opts, sama.WithPoolPages(*poolPages))
-	}
-	if *cacheAnswers > 0 {
-		opts = append(opts, sama.WithAnswerCache(*cacheAnswers))
 	}
 	if *cacheAlignMB != 0 {
 		opts = append(opts, sama.WithAlignmentCache(*cacheAlignMB))

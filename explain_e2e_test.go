@@ -134,38 +134,6 @@ func TestExplainCLIServerParity(t *testing.T) {
 	}
 }
 
-// TestExplainCacheHit is the regression test for the cache-hit labeling
-// bug: a query served whole from the answer cache must explain itself
-// as source=cache with a cache phase, not as an engine run whose
-// cluster phase silently vanished.
-func TestExplainCacheHit(t *testing.T) {
-	db := obsTestDB(t, sama.WithAnswerCache(8))
-	ctx := context.Background()
-	if _, p, err := db.Explain(ctx, obsTestQuery, 5); err != nil {
-		t.Fatal(err)
-	} else if p.Source != "engine" {
-		t.Fatalf("cold run Source = %q, want engine", p.Source)
-	}
-	_, p, err := db.Explain(ctx, obsTestQuery, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Source != "cache" {
-		t.Fatalf("warm run Source = %q, want cache", p.Source)
-	}
-	if len(p.Phases) != 1 || p.Phases[0].Name != "cache" {
-		t.Fatalf("warm run phases = %+v, want a single cache phase", p.Phases)
-	}
-	if p.Phases[0].Attrs["answers"] != int64(p.Answers) {
-		t.Errorf("cache phase answers attr = %d, plan answers = %d", p.Phases[0].Attrs["answers"], p.Answers)
-	}
-	var text bytes.Buffer
-	p.WriteText(&text)
-	if !strings.Contains(text.String(), "served from the answer cache") {
-		t.Errorf("cache-hit rendering lacks the cache note:\n%s", text.String())
-	}
-}
-
 // TestChromeTraceEndpoint checks the ?format=chrome export end to end:
 // valid Chrome trace JSON whose events reference the recorded query.
 func TestChromeTraceEndpoint(t *testing.T) {

@@ -1,27 +1,25 @@
-// Package cache provides the epoch-validated LRU that backs
-// the engine's answer cache and alignment memo. The package is generic
-// on purpose: values are opaque `any`, keys are strings, and freshness
-// is expressed as a caller-supplied epoch — a monotonic counter the
-// owner bumps on every mutation of the underlying data. An entry
-// stores the epoch it was computed at, and a lookup presenting a
-// different epoch treats the entry as stale: Get removes it and reports
-// a miss, and Renew hands it to the caller, which either re-confirms it
-// against the current data (served and stored again, a hit) or refuses
-// it (removed, a miss). So a hit can never return a value computed
-// before the last write that its caller has not re-confirmed since.
+// Package cache provides the epoch-validated LRU that backs the
+// engine's alignment memo. The package is generic on purpose: values are
+// opaque `any`, keys are strings, and freshness is expressed as a
+// caller-supplied epoch — a monotonic counter the owner bumps on every
+// mutation of the underlying data. An entry stores the epoch it was
+// computed at, and a lookup presenting a different epoch treats the
+// entry as stale: Renew hands it to the caller, which either
+// re-confirms it against the current data (served and stored again, a
+// hit) or refuses it (removed, a miss). So a hit can never return a
+// value computed before the last write that its caller has not
+// re-confirmed since.
 //
-// Capacity is bounded two ways, each optional: a maximum entry count
-// (answer caches, where entries are roughly the same size) and a
-// maximum byte budget fed by caller-supplied size hints (alignment
-// memos, whose values vary from a few dozen bytes to kilobytes).
-// Either bound evicts least-recently-used entries first and holds to
-// the entry: there is one recency list, so nothing is evicted while the
-// cache as a whole has room.
+// Capacity is a byte budget fed by caller-supplied size hints (memo
+// values vary from a few dozen bytes to hundreds of kilobytes). It
+// evicts least-recently-used entries first and holds to the entry:
+// there is one recency list, so nothing is evicted while the cache as a
+// whole has room.
 //
 // The cache is safe for concurrent use: one mutex guards the map and
-// the list (the alignment memo is probed once per query path, the
-// answer cache once per query), and the hit/miss/eviction/invalidation
-// counters are atomics readable at any rate without taking it.
+// the list (the memo is probed once per query path), and the
+// hit/miss/eviction/invalidation counters are atomics readable at any
+// rate without taking it.
 package cache
 
 import (
@@ -41,12 +39,10 @@ type Stats struct {
 	// Misses counts lookups that found nothing (stale entries included:
 	// an invalidation is also a miss).
 	Misses uint64 `json:"misses"`
-	// Evictions counts entries dropped to stay within the entry or byte
-	// budget.
+	// Evictions counts entries dropped to stay within the byte budget.
 	Evictions uint64 `json:"evictions"`
 	// Invalidations counts stale entries dropped because their inputs
-	// changed: every stale entry Get finds, and those Renew's caller
-	// refuses.
+	// changed: those Renew's caller refuses.
 	Invalidations uint64 `json:"invalidations"`
 	// Entries is the number of live entries.
 	Entries int `json:"entries"`
@@ -69,8 +65,7 @@ func (s Stats) HitRate() float64 {
 // valid and behaves as an always-miss cache that stores nothing, so
 // callers can leave caching disabled without guarding every call site.
 type Cache struct {
-	maxEntries int   // 0 = unbounded
-	maxBytes   int64 // 0 = unbounded
+	maxBytes int64
 
 	mu      sync.Mutex
 	entries map[string]*list.Element
@@ -87,53 +82,18 @@ type entry struct {
 	size  int64
 }
 
-// New returns a cache bounded by maxEntries entries and maxBytes
-// charged bytes; either bound may be 0 for "unbounded in that
-// dimension", but not both — an unbounded cache is a leak, so New
-// falls back to a 4096-entry bound when neither is set.
-func New(maxEntries int, maxBytes int64) *Cache {
-	if maxEntries <= 0 && maxBytes <= 0 {
-		maxEntries = 4096
-	}
+// New returns a cache bounded by maxBytes charged bytes.
+func New(maxBytes int64) *Cache {
 	return &Cache{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		entries:    make(map[string]*list.Element),
-		lru:        list.New(),
+		maxBytes: maxBytes,
+		entries:  make(map[string]*list.Element),
+		lru:      list.New(),
 	}
 }
 
-// Get returns the cached value for key if it was stored at exactly the
-// given epoch. A stale entry (any other epoch) is removed and counted
-// as an invalidation plus a miss.
-func (c *Cache) Get(key string, epoch uint64) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	en := el.Value.(*entry)
-	if en.epoch != epoch {
-		c.remove(el, en)
-		c.mu.Unlock()
-		c.invalidations.Add(1)
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.mu.Unlock()
-	c.hits.Add(1)
-	return en.value, true
-}
-
-// Renew is Get for a value its caller can re-confirm. A fresh entry is
-// returned and counted as a hit, a missing one as a miss, as Get does.
-// An entry stored at another epoch is not dropped outright: renew gets
+// Renew looks key up at epoch. A fresh entry (stored at epoch) is
+// returned and counted as a hit, a missing one as a miss. An entry
+// stored at another epoch is not dropped outright: renew gets
 // its value, called without the cache's lock held, and returns the
 // value to serve in its place with its size, or false when the old
 // value no longer holds. A renewed value is stored at epoch (as Put
@@ -180,10 +140,9 @@ func (c *Cache) Renew(key string, epoch uint64, renew func(stale any) (value any
 // at a newer epoch stays: epochs only grow, so it is the fresher value,
 // and a slow computation finishing after a faster one that started
 // after a write must not overwrite it. size is the caller's estimate of
-// the value's bytes (ignored when the cache has no byte budget); the
-// per-entry overhead and key length are charged on top. The value must
-// be treated as read-only by everyone from here on: hits share it
-// across goroutines.
+// the value's bytes; the per-entry overhead and key length are charged
+// on top. The value must be treated as read-only by everyone from here
+// on: hits share it across goroutines.
 func (c *Cache) Put(key string, epoch uint64, value any, size int) {
 	if c == nil {
 		return
@@ -201,10 +160,9 @@ func (c *Cache) Put(key string, epoch uint64, value any, size int) {
 	en := &entry{key: key, epoch: epoch, value: value, size: charged}
 	c.entries[key] = c.lru.PushFront(en)
 	c.bytes += charged
-	// Evict from the cold end until both bounds hold; the entry just
-	// stored stays even when it alone exceeds the byte budget.
-	for (c.maxEntries > 0 && c.lru.Len() > c.maxEntries) ||
-		(c.maxBytes > 0 && c.bytes > c.maxBytes && c.lru.Len() > 1) {
+	// Evict from the cold end until the budget holds; the entry just
+	// stored stays even when it alone exceeds it.
+	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
 		victim := c.lru.Back()
 		c.remove(victim, victim.Value.(*entry))
 		c.evictions.Add(1)
@@ -217,16 +175,6 @@ func (c *Cache) remove(el *list.Element, en *entry) {
 	c.lru.Remove(el)
 	delete(c.entries, en.key)
 	c.bytes -= en.size
-}
-
-// Len returns the number of live entries.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }
 
 // Stats snapshots the counters. Safe to call at any rate; the counter

@@ -1,42 +1,24 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"sama/internal/cache"
 	"sama/internal/index"
 	"sama/internal/obs"
-	"sama/internal/rdf"
 )
 
-// The engine's two cache levels, both epoch-validated against the index
-// (see internal/cache and DESIGN.md §8):
+// The engine's one cache level, epoch-validated against the index (see
+// internal/cache and DESIGN.md §8): the alignment memo keeps whole
+// clusters keyed by query-path signature (paths.Path.Key),
+// short-circuiting all of buildCluster — retrieval, pre-rank, disk read
+// and alignment — when different queries decompose into the same path
+// shape, and when the writes since left the cluster's cut as it was,
+// which is decided from what they changed. Params are not part of the
+// key: the memo lives inside one engine, whose params are fixed at
+// construction.
 //
-//   - The answer cache keeps complete query results. Its key
-//     canonicalizes everything the result depends on: the query graph
-//     (triples rendered and sorted, so textual orderings of the same
-//     graph share an entry), k, the scoring params, and the budget
-//     options that shape the search.
-//   - The alignment memo keeps whole clusters keyed by query-path
-//     signature (paths.Path.Key), short-circuiting all of buildCluster —
-//     retrieval, pre-rank, disk read and alignment — when different
-//     queries decompose into the same path shape, and when the writes
-//     since left the cluster's cut as it was, which is decided from
-//     what they changed. Params are not part of the key: the memo lives
-//     inside one engine, whose params are fixed at construction.
-//
-// Partial runs (deadline or cancellation) are deliberately never
-// cached: their answer sets depend on where the clock cut the search,
-// not just on the inputs.
-
-// cachedAnswer is one answer-cache value. The answers and everything
-// they reference are shared by every later hit; read-only by contract.
-type cachedAnswer struct {
-	answers    []Answer
-	queryPaths int
-}
+// Partial builds (deadline or cancellation) are deliberately never
+// memoised: what they aligned depends on where the clock cut them, not
+// just on the inputs.
 
 // cachedCluster is one alignment-memo value: what buildCluster made of
 // one query-path shape at one epoch — the kept items, the retrieval
@@ -84,25 +66,6 @@ func (cc *cachedCluster) describe(sp *obs.Span, aligned int) {
 	}
 }
 
-// answerCacheKey canonicalizes one query execution. Triple order must
-// not matter (the same graph can be written in any order), so the
-// rendered triples are sorted; term kinds are distinguished by
-// Term.String (IRI vs literal vs variable).
-func (e *Engine) answerCacheKey(q *rdf.QueryGraph, k int) string {
-	ts := q.Triples()
-	lines := make([]string, len(ts))
-	for i, t := range ts {
-		lines[i] = t.S.String() + " " + t.P.String() + " " + t.O.String()
-	}
-	sort.Strings(lines)
-	var b strings.Builder
-	fmt.Fprintf(&b, "k=%d p=%g,%g,%g,%g,%g raw=%t cand=%d comb=%d\x00",
-		k, e.par.A, e.par.B, e.par.C, e.par.D, e.par.E, e.opts.RawChi,
-		e.opts.maxCandidates(), e.opts.maxCombinations())
-	b.WriteString(strings.Join(lines, "\n"))
-	return b.String()
-}
-
 // memoSize estimates the bytes one cluster pins, for the memo's byte
 // budget: 4 per ID of its cut, and per kept item its path and
 // alignment.
@@ -123,11 +86,9 @@ func memoSize(cc *cachedCluster) int {
 	return n
 }
 
-// cacheName is the value of the metric families' cache label.
-const (
-	cacheAnswer = "answer"
-	cacheAlign  = "align"
-)
+// cacheAlign is the memo's value of the metric families' cache label
+// and its key in CacheStats.
+const cacheAlign = "align"
 
 // registerCacheMetrics exposes one cache's counters in reg, evaluated
 // at scrape time:
@@ -156,14 +117,10 @@ func registerCacheMetrics(reg *obs.Registry, name string, c *cache.Cache) {
 		func() float64 { return float64(c.Stats().Entries) }, "cache", name)
 }
 
-// CacheStats snapshots the engine's cache counters, keyed "answer" and
-// "align". Disabled caches are omitted; with caching off entirely the
-// map is empty.
+// CacheStats snapshots the alignment memo's counters under the key
+// "align"; with the memo off the map is empty.
 func (e *Engine) CacheStats() map[string]cache.Stats {
 	out := map[string]cache.Stats{}
-	if e.ansCache != nil {
-		out[cacheAnswer] = e.ansCache.Stats()
-	}
 	if e.alignMemo != nil {
 		out[cacheAlign] = e.alignMemo.Stats()
 	}

@@ -27,7 +27,7 @@ func TestConcurrentQueryDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
-	e := New(ix, Options{AnswerCacheEntries: 16})
+	e := New(ix, Options{})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -23,9 +23,8 @@ const PlanVersion = 1
 type Plan struct {
 	Version int    `json:"version"`
 	Query   string `json:"query,omitempty"`
-	// Source is "cache" when the answer cache served the query whole
-	// (no retrieval, alignment, or search ran — the zero I/O
-	// attribution is real, not missing), else "engine".
+	// Source is "engine" for a plan one engine built, "router" for the
+	// merged plan of a router fanning the query out.
 	Source     string      `json:"source"`
 	Answers    int         `json:"answers"`
 	Partial    bool        `json:"partial,omitempty"`
@@ -54,9 +53,6 @@ func BuildPlan(tr *Trace) *Plan {
 		Answers:    tr.Answers,
 		Partial:    tr.Partial,
 		StopReason: tr.StopReason,
-	}
-	if tr.CacheHit {
-		p.Source = "cache"
 	}
 	p.Phases = make([]*PlanNode, 0, len(tr.Phases))
 	for _, s := range tr.Phases {
@@ -91,9 +87,6 @@ func (p *Plan) WriteText(w io.Writer) {
 		fmt.Fprintf(w, " partial=%q", p.StopReason)
 	}
 	fmt.Fprintln(w)
-	if p.Source == "cache" {
-		fmt.Fprintln(w, "  (served from the answer cache; no retrieval, alignment, or search ran)")
-	}
 	var walk func(n *PlanNode, depth int)
 	walk = func(n *PlanNode, depth int) {
 		for i := 0; i <= depth; i++ {

@@ -54,7 +54,7 @@ func TestBuildPlanDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Errorf("plans differ across identical executions:\n%s\n%s", a, b)
 	}
-	for _, banned := range []string{"duration", "offset", "trace_id", "begin", "total", "page_reads", "cache_hit"} {
+	for _, banned := range []string{"duration", "offset", "trace_id", "begin", "total", "page_reads"} {
 		if strings.Contains(string(a), banned) {
 			t.Errorf("plan JSON leaks nondeterministic field %q:\n%s", banned, a)
 		}
@@ -77,28 +77,6 @@ func TestBuildPlanShape(t *testing.T) {
 	}
 	if BuildPlan(nil) != nil {
 		t.Error("BuildPlan(nil) != nil")
-	}
-}
-
-func TestBuildPlanCacheHit(t *testing.T) {
-	tr := NewTrace()
-	tr.CacheHit = true
-	tr.Answers = 3
-	sp := tr.Phase("cache")
-	sp.Set("answers", 3)
-	sp.End()
-	tr.Finish()
-	p := BuildPlan(tr)
-	if p.Source != "cache" {
-		t.Errorf("Source = %q, want cache", p.Source)
-	}
-	var buf bytes.Buffer
-	p.WriteText(&buf)
-	if !strings.Contains(buf.String(), "served from the answer cache") {
-		t.Errorf("cache-hit text missing the cache note:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "source=cache") {
-		t.Errorf("cache-hit header wrong:\n%s", buf.String())
 	}
 }
 

@@ -119,10 +119,6 @@ type Trace struct {
 	StopReason string `json:"stop_reason,omitempty"`
 	// Answers is the number of answers returned.
 	Answers int `json:"answers"`
-	// CacheHit marks a query served whole from the answer cache: no
-	// retrieval, alignment, or search ran and the I/O attribution is
-	// legitimately zero.
-	CacheHit bool `json:"cache_hit,omitempty"`
 
 	mu sync.Mutex
 }
@@ -228,9 +224,6 @@ func (t *Trace) WriteTable(w io.Writer) {
 	fmt.Fprintf(tw, "io\t\treads=%d hits=%d misses=%d retries=%d batched_pages=%d\n",
 		t.IO.PageReads, t.IO.CacheHits, t.IO.CacheMisses, t.IO.Retries, t.IO.BatchedPages)
 	detail := fmt.Sprintf("answers=%d", t.Answers)
-	if t.CacheHit {
-		detail += " (served from answer cache)"
-	}
 	if t.Partial {
 		detail += fmt.Sprintf(" partial=%q", t.StopReason)
 	}

@@ -276,7 +276,7 @@ func TestMetricsReferenceMatchesRegistry(t *testing.T) {
 	// holds the one execution slot.
 	var hold atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
-	db := obsTestDB(t, sama.WithWAL(filepath.Join(t.TempDir(), "wal")), sama.WithAnswerCache(8),
+	db := obsTestDB(t, sama.WithWAL(filepath.Join(t.TempDir(), "wal")),
 		sama.WithSlowQueryLog(time.Nanosecond, func(*sama.Trace) {
 			if hold.CompareAndSwap(true, false) {
 				entered <- struct{}{}

@@ -226,24 +226,16 @@ func WithSearchBudget(maxCandidatesPerCluster, maxCombinations int) Option {
 	}
 }
 
-// WithAnswerCache enables the answer cache: completed query results
-// are retained (up to entries of them, LRU) and served again without
-// re-running the engine when the identical query arrives at the same
-// index epoch. Any write to the index invalidates every cached answer.
-// entries ≤ 0 leaves the cache disabled (the default).
-func WithAnswerCache(entries int) Option {
-	return func(c *config) { c.engine.AnswerCacheEntries = entries }
-}
-
 // WithAlignmentCache sizes the alignment memo: one entry per query-path
 // shape — the ranked cluster of aligned data paths it produced — kept
 // up to a byte budget of mb MiB (LRU) and reused by every query that
 // decomposes into the same path, skipping retrieval, the pre-rank, the
 // disk read and the edit-cost computation. Entries are epoch-checked:
-// after an Insert an entry is re-confirmed by re-running retrieval and
-// the pre-rank, and served again only if their cut is the one it
-// aligned, so answers are identical with the memo on or off. mb = 0
-// keeps the default (on, 64 MiB); mb < 0 disables it.
+// after an Insert a stale entry is decided from the paths added and
+// tombstoned since the watermark it was confirmed at, and served again
+// only if retrieval and the pre-rank would now pick the cut it aligned,
+// so answers are identical with the memo on or off. mb = 0 keeps the
+// default (on, 64 MiB); mb < 0 disables it.
 func WithAlignmentCache(mb int) Option {
 	return func(c *config) { c.engine.AlignCacheMB = mb }
 }
@@ -542,9 +534,9 @@ func (db *DB) Insert(triples []Triple) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	// The insert bumps the index epoch. Cached answers are stale from
-	// then on; a memoised cluster is re-confirmed by its next lookup,
-	// which serves it again if its pre-rank cut is unchanged.
+	// The insert bumps the index epoch. A memoised cluster is
+	// re-confirmed by its next lookup from what the insert changed, and
+	// served again if its pre-rank cut is unchanged.
 	return db.store.InsertTriples(triples)
 }
 
@@ -630,9 +622,9 @@ func (db *DB) Explain(ctx context.Context, src string, k int) (*Result, *Plan, e
 	return res, res.Stats.Plan(), nil
 }
 
-// CacheStats returns a live snapshot of the enabled caches' counters,
-// keyed "answer" and "align". Disabled caches are absent from the map;
-// with no cache enabled the map is empty.
+// CacheStats returns a live snapshot of the alignment memo's counters
+// under the key "align"; with the memo off (WithAlignmentCache(-1)) the
+// map is empty.
 func (db *DB) CacheStats() map[string]CacheStats { return db.engine.CacheStats() }
 
 // DebugHandler returns the debug HTTP handler tree: /metrics
@@ -696,9 +688,8 @@ func (db *DB) Serve(addr string, opts ServerOptions) (*QueryServer, error) {
 	return db.Handler(opts).Serve(addr)
 }
 
-// DropCache empties the buffer pool and the engine's in-memory caches
-// (the answer cache and the alignment memo), returning the database to
-// a genuinely cold state.
+// DropCache empties the buffer pool and the alignment memo, returning
+// the database to a genuinely cold state.
 func (db *DB) DropCache() error {
 	if db.closed.Load() {
 		return ErrClosed
