@@ -52,7 +52,9 @@ race-hot:
 # crash re-runs the durability suites on their own: the crash-matrix
 # kill points (torn WAL tails, mid-checkpoint and mid-compaction
 # kills), each recovered by Open alone; WAL replay; the compaction
-# swap's crash window; a failed insert that leaves the graph the
+# swap's crash window, and a copy that cannot read a record, which
+# leaves the original files as they were; a failed insert (its staging
+# or its read of the affected roots' paths) that leaves the graph the
 # metadata persists as it was; a reopen that keeps earlier inserts,
 # with a WAL and without; an insert stream equal to a rebuild with one
 # batch re-applied, as replay re-applies it; and, across insert streams
@@ -70,11 +72,12 @@ crash:
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
-# fuzz-smoke runs each of the ten native fuzz targets — the
+# fuzz-smoke runs each of the eleven native fuzz targets — the
 # path-record decoder, the dictionary reader and the metadata decoder
 # (counts checked against the file size, an accepted file re-encodes to
-# itself) every stored path depends on, the inline codec the benchmark
-# still times, the WAL's
+# itself) every stored path depends on, the record store's one read
+# over a crafted page (no panic, no endless chain, well-formed records
+# round-trip), the inline codec the benchmark still times, the WAL's
 # segment scan (a lone segment opens to its well-formed prefix, an older
 # damaged one fails the open), the compressed postings (decode ∘ encode,
 # SeekGE, union), the bounded leapfrog intersection, and the three
@@ -91,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMeta$$' -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePath$$' -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz FuzzOpenWAL -fuzztime 10s ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordRead$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzPostingsSeekGE -fuzztime 10s ./internal/textindex
 	$(GO) test -run '^$$' -fuzz FuzzIntersectAmong -fuzztime 10s ./internal/textindex
 	$(GO) test -run '^$$' -fuzz FuzzParseNTriples -fuzztime 10s ./internal/rdf/ntriples

@@ -59,7 +59,8 @@ type IOStats struct {
 	CacheMisses uint64 `json:"cache_misses"`
 	Retries     uint64 `json:"retries"`
 	// BatchedPages counts pages touched through the engine's
-	// page-locality batched reads (a subset of PageReads).
+	// page-locality batched reads; it equals PageReads, since the engine
+	// reads every page that way.
 	BatchedPages uint64 `json:"batched_pages"`
 }
 

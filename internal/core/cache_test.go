@@ -265,9 +265,9 @@ type failingReads struct {
 
 var errInjected = errors.New("injected read failure")
 
-func (b failingReads) ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, error) {
+func (b failingReads) ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, int, error) {
 	if *b.on {
-		return nil, errInjected
+		return nil, 0, errInjected
 	}
 	return b.backend.ReadPathsBatched(ctx, ids)
 }

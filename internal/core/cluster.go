@@ -12,7 +12,6 @@ import (
 	"sama/internal/obs"
 	"sama/internal/paths"
 	"sama/internal/rdf"
-	"sama/internal/storage"
 )
 
 // ClusterItem is one candidate data path inside a cluster, with its
@@ -209,7 +208,7 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 	}
 	cc.items = slices.Clone(items) // the scratch keeps nothing of it
 	cc.describe(sp, cc.preranked)
-	sp.Set("batched_pages", pages)
+	sp.Set("batched_pages", int64(pages))
 	// Only a complete build is stored: a cancelled one aligned a prefix.
 	if e.alignMemo != nil && ctx.Err() == nil {
 		cc.cut = slices.Clone(cut)
@@ -463,19 +462,13 @@ func sortClusterItems(items []ClusterItem) {
 
 // alignAll materialises the pre-ranked candidates in a single
 // page-locality batched read and aligns them one by one into sc.staged.
-// It returns the pages the batched read touched. Cancellation is
+// It returns the pages the read counted itself visiting: a diff of the
+// query's tally, which sibling clusters charge concurrently, would make
+// the plan's batched_pages nondeterministic. Cancellation is
 // cooperative per candidate: entries not yet aligned are left out,
 // yielding a smaller but still best-first cluster.
-func (e *Engine) alignAll(ctx context.Context, r backend, sc *clusterScratch, q paths.Path, ids []index.PathID) ([]ClusterItem, int64, error) {
-	// The batched read runs under its own tally: sibling clusters share
-	// the query's tally concurrently, so a before/after diff on it would
-	// charge this span a neighbour's pages and the explain plan would
-	// stop being deterministic. The local counts are folded back into
-	// the query's tally afterwards.
-	local := &storage.IOTally{}
-	ps, err := r.ReadPathsBatched(storage.WithTally(ctx, local), ids)
-	pages := int64(local.BatchedPages())
-	storage.TallyFrom(ctx).Merge(local)
+func (e *Engine) alignAll(ctx context.Context, r backend, sc *clusterScratch, q paths.Path, ids []index.PathID) ([]ClusterItem, int, error) {
+	ps, pages, err := r.ReadPathsBatched(ctx, ids)
 	if err != nil && ctx.Err() == nil {
 		return nil, pages, err
 	}

@@ -164,7 +164,7 @@ type backend interface {
 	PathsByAllLabelsAmong(dst, cands []index.PathID, labels []string, limit int) []index.PathID
 	PostingsFrom(dst []index.PathID, f index.Field, label string, from index.PathID) []index.PathID
 	TombstonedSince(w index.Watermark, f index.Field, label string) []index.PathID
-	ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, error)
+	ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, int, error)
 }
 
 // Engine answers approximate queries over one opened path index.
@@ -352,12 +352,15 @@ func (e *Engine) QueryWithStatsContext(ctx context.Context, q *rdf.QueryGraph, k
 	finish := func(answers []Answer, err error) ([]Answer, QueryStats, error) {
 		st.Elapsed = time.Since(tr.Begin)
 		tr.Total = st.Elapsed
+		// A query reads pages only through the batched read, so every
+		// page read is a batched page.
+		reads := tally.Hits() + tally.Misses()
 		tr.IO = obs.IOStats{
-			PageReads:    tally.Hits() + tally.Misses(),
+			PageReads:    reads,
 			CacheHits:    tally.Hits(),
 			CacheMisses:  tally.Misses(),
 			Retries:      tally.Retries(),
-			BatchedPages: tally.BatchedPages(),
+			BatchedPages: reads,
 		}
 		tr.Answers = len(answers)
 		tr.Partial = st.Partial

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -65,13 +66,14 @@ func preRankIn(t *testing.T, e *Engine, sc *clusterScratch, ids []index.PathID, 
 
 func findPath(t *testing.T, ix *index.Index, pred func(paths.Path) bool) index.PathID {
 	t.Helper()
-	for _, id := range allIDs(t, ix) {
-		p, err := ix.Path(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	ids := allIDs(t, ix)
+	ps, err := ix.ReadPathsBatched(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range ps {
 		if pred(p) {
-			return id
+			return ids[i]
 		}
 	}
 	t.Fatal("no path matches predicate")
@@ -157,14 +159,15 @@ func TestPreRankSynonymSurvivesCut(t *testing.T) {
 
 	syn := findPath(t, ix, func(p paths.Path) bool { return p.ContainsLabelText("Teacher") })
 	// Keep only the synonym path and the two 3-node chains as candidates.
+	all := allIDs(t, ix)
+	ps, err := ix.ReadPathsBatched(context.Background(), all)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ids []index.PathID
-	for _, id := range allIDs(t, ix) {
-		p, err := ix.Path(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id == syn || p.Length() == 3 {
-			ids = append(ids, id)
+	for i, p := range ps {
+		if all[i] == syn || p.Length() == 3 {
+			ids = append(ids, all[i])
 		}
 	}
 	if len(ids) != 3 {

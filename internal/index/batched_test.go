@@ -3,15 +3,21 @@ package index
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"sama/internal/obs"
+	"sama/internal/paths"
 	"sama/internal/storage"
 )
 
+// TestReadPathsBatchedMatchesPath reads every path back and compares it
+// with the path Build indexed under that ID: the enumeration, in order.
 func TestReadPathsBatchedMatchesPath(t *testing.T) {
 	ix := buildTestIndex(t, Options{})
+	want := paths.Enumerate(figure1Graph(), paths.DefaultConfig)
+	if len(want) != ix.NumPaths() {
+		t.Fatalf("%d paths indexed, %d enumerated", ix.NumPaths(), len(want))
+	}
 	ids := make([]PathID, 0, ix.NumPaths())
 	// Reverse order, so positional results must survive the page sort.
 	for id := ix.NumPaths() - 1; id >= 0; id-- {
@@ -22,12 +28,8 @@ func TestReadPathsBatchedMatchesPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		want, err := ix.Path(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("path %d mismatch:\n got %v\nwant %v", id, got[i], want)
+		if got[i].Key() != want[id].Key() {
+			t.Errorf("path %d mismatch:\n got %v\nwant %v", id, got[i], want[id])
 		}
 	}
 }
@@ -69,12 +71,16 @@ func TestReadPathsBatchedChargesTally(t *testing.T) {
 	}
 	var tally storage.IOTally
 	ctx := storage.WithTally(context.Background(), &tally)
-	if _, err := ix.ReadPathsBatched(ctx, ids); err != nil {
+	var pages int
+	if err := ix.View(func(r Reader) (err error) {
+		_, pages, err = r.ReadPathsBatched(ctx, ids)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if tally.Hits()+tally.Misses() == 0 || tally.BatchedPages() == 0 {
-		t.Errorf("batched read charged %d page accesses and %d batched pages to the context tally; want both > 0",
-			tally.Hits()+tally.Misses(), tally.BatchedPages())
+	if pages == 0 || tally.Hits()+tally.Misses() != uint64(pages) {
+		t.Errorf("batched read visited %d pages and charged %d page accesses to the context tally; want as many, > 0",
+			pages, tally.Hits()+tally.Misses())
 	}
 	// Each decoded path is counted once.
 	if n := reg.Counter("sama_index_path_reads_total", "").Value(); n != uint64(len(ids)) {
@@ -94,11 +100,12 @@ func TestDecodePathAllocations(t *testing.T) {
 		ids[i] = PathID(i)
 	}
 	ctx := context.Background()
-	for _, rid := range ix.rids {
-		rec, err := ix.store.Read(rid)
-		if err != nil {
-			t.Fatal(err)
-		}
+	recs, _, err := ix.store.Read(ctx, ix.rids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		rid := ix.rids[i]
 		if n := testing.AllocsPerRun(100, func() {
 			if _, err := DecodePathDict(rec, ix.dict); err != nil {
 				t.Fatal(err)
@@ -108,7 +115,7 @@ func TestDecodePathAllocations(t *testing.T) {
 		}
 	}
 	read := testing.AllocsPerRun(100, func() {
-		if _, _, err := ix.store.ReadBatchTally(ctx, nil, ix.rids); err != nil {
+		if _, _, err := ix.store.Read(ctx, ix.rids); err != nil {
 			t.Fatal(err)
 		}
 	})

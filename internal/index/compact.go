@@ -116,46 +116,39 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 		return cs, err
 	}
 
-	// Phase 1 — concurrent bounded copy. Each step materialises up to
-	// `batch` live paths under a read lock, then appends them to the
-	// new files with no lock held. `copied` maps the new index's dense
-	// IDs (its append order) back to the old IDs, so the final phase
+	// Phase 1 — concurrent bounded copy. Each step reads up to `batch`
+	// live paths in one batched read under a read lock, then appends them
+	// to the new files with no lock held. `copied` maps the new index's
+	// dense IDs (its append order) back to the old IDs, so the final phase
 	// can re-tombstone paths deleted while the copy ran.
-	var copied []PathID
+	var copied, live []PathID
+	copyPaths := func(ids []PathID, ps []paths.Path) error {
+		for i, p := range ps {
+			if err := next.addPath(p); err != nil {
+				return fmt.Errorf("index: compact: rewrite path %d: %w", ids[i], err)
+			}
+		}
+		copied = append(copied, ids...)
+		return nil
+	}
 	for lo := 0; lo < startLen; lo += batch {
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
-		hi := lo + batch
-		if hi > startLen {
-			hi = startLen
-		}
-		type pathCopy struct {
-			id PathID
-			p  paths.Path
-		}
-		var got []pathCopy
+		var ps []paths.Path
 		held := time.Now()
-		ix.mu.RLock()
-		for id := lo; id < hi; id++ {
-			if ix.deleted[id] {
-				continue
-			}
-			p, err := ix.pathLocked(PathID(id))
-			if err != nil {
-				ix.mu.RUnlock()
-				return fail(fmt.Errorf("index: compact: read path %d: %w", id, err))
-			}
-			got = append(got, pathCopy{id: PathID(id), p: p})
-		}
-		ix.mu.RUnlock()
+		err := ix.View(func(r Reader) (err error) {
+			live = r.liveIn(live[:0], lo, min(lo+batch, startLen))
+			ps, _, err = r.ReadPathsBatched(ctx, live)
+			return err
+		})
 		cs.pause(time.Since(held))
 		cs.Batches++
-		for _, pc := range got {
-			if err := next.addPath(pc.p); err != nil {
-				return fail(fmt.Errorf("index: compact: rewrite path %d: %w", pc.id, err))
-			}
-			copied = append(copied, pc.id)
+		if err != nil {
+			return fail(fmt.Errorf("index: compact: %w", err))
+		}
+		if err := copyPaths(live, ps); err != nil {
+			return fail(err)
 		}
 	}
 	cs.Copied = len(copied)
@@ -170,20 +163,15 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 		cs.pause(time.Since(held))
 		cs.Elapsed = time.Since(start)
 	}()
-	for id := startLen; id < len(ix.rids); id++ {
-		if ix.deleted[id] {
-			continue
-		}
-		p, err := ix.pathLocked(PathID(id))
-		if err != nil {
-			return fail(fmt.Errorf("index: compact: read delta path %d: %w", id, err))
-		}
-		if err := next.addPath(p); err != nil {
-			return fail(fmt.Errorf("index: compact: rewrite delta path %d: %w", id, err))
-		}
-		copied = append(copied, PathID(id))
-		cs.DeltaCopied++
+	delta := Reader{ix}.liveIn(nil, startLen, len(ix.rids))
+	ps, _, err := Reader{ix}.ReadPathsBatched(ctx, delta)
+	if err != nil {
+		return fail(fmt.Errorf("index: compact: delta: %w", err))
 	}
+	if err := copyPaths(delta, ps); err != nil {
+		return fail(err)
+	}
+	cs.DeltaCopied = len(delta)
 	for j, oldID := range copied {
 		if ix.deleted[oldID] {
 			next.deleted[j] = true

@@ -21,7 +21,7 @@ func livePathKeys(t *testing.T, ix *Index) []string {
 		if !ix.Live(PathID(id)) {
 			continue
 		}
-		p, err := ix.Path(PathID(id))
+		p, err := pathByID(ix, PathID(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,5 +446,83 @@ func TestCompactIncrementalPostCloseFailureReopens(t *testing.T) {
 		{S: iri("PostFail"), P: iri("sponsor"), O: iri("B1432")},
 	}); err != nil {
 		t.Fatalf("insert after recovered failure: %v", err)
+	}
+}
+
+// TestCompactIncrementalReadFaultKeepsOriginal: a permanent read fault
+// on a page holding a record the copy phase reads fails the compaction
+// before the swap, with the original files byte for byte as they were,
+// no temporaries left behind, and the index still answering; once the
+// fault clears, a retry compacts.
+func TestCompactIncrementalReadFaultKeepsOriginal(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "rfault")
+	// Only the original page file is wrapped: the compaction's own file
+	// reuses its page IDs.
+	var fi *storage.FaultInjector
+	ix, err := Build(base, figure1Graph(), Options{
+		WrapIO: func(io storage.PageIO) storage.PageIO {
+			if fi != nil {
+				return io
+			}
+			fi = storage.NewFaultInjector(io)
+			return fi
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if err := ix.InsertTriples([]rdf.Triple{{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("A8000")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	files := func() string {
+		t.Helper()
+		pages, err := os.ReadFile(pagesPath(base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, err := os.ReadFile(metaPath(base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(pages) + string(meta)
+	}
+	want, keys := files(), livePathKeys(t, ix)
+	var page storage.PageID
+	for id := range ix.rids {
+		if ix.Live(PathID(id)) {
+			page = ix.rids[id].Page
+			break
+		}
+	}
+	if err := ix.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+
+	fi.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.Permanent, Page: page})
+	_, err = ix.CompactIncremental(context.Background(), 2)
+	fi.Clear()
+	if err == nil || !strings.Contains(err.Error(), "index: compact") {
+		t.Fatalf("compaction with an unreadable record page: err = %v, want a failed copy", err)
+	}
+	if files() != want {
+		t.Fatal("failed compaction changed the original files")
+	}
+	for _, tmp := range []string{pagesPath(base + ".compact"), metaPath(base + ".compact")} {
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Errorf("failed compaction left %s behind (%v)", tmp, err)
+		}
+	}
+	if got := livePathKeys(t, ix); !equalKeys(got, keys) {
+		t.Fatal("index answers differently after the failed compaction")
+	}
+	if _, err := ix.CompactIncremental(context.Background(), 2); err != nil {
+		t.Fatalf("compaction after the fault cleared: %v", err)
+	}
+	if got := livePathKeys(t, ix); !equalKeys(got, keys) {
+		t.Fatal("retried compaction changed the answer surface")
 	}
 }

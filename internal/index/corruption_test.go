@@ -181,7 +181,7 @@ func TestTombstoneBitmapPersistence(t *testing.T) {
 		if back.Live(id) {
 			t.Errorf("tombstone %d lost across reopen", id)
 		}
-		if _, err := back.Path(id); err == nil {
+		if _, err := pathByID(back, id); err == nil {
 			t.Errorf("tombstoned path %d readable", id)
 		}
 	}

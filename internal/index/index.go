@@ -799,6 +799,16 @@ func (ix *Index) Live(id PathID) bool {
 	return locked(ix, func(r Reader) bool { return r.Live(id) })
 }
 
+// liveIn appends to dst the live IDs in [lo, hi).
+func (r Reader) liveIn(dst []PathID, lo, hi int) []PathID {
+	for id := PathID(lo); int(id) < hi; id++ {
+		if r.Live(id) {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
 // checkLive rejects an ID that is out of range or tombstoned. The
 // caller holds ix.mu.
 func (ix *Index) checkLive(id PathID) error {
@@ -828,41 +838,6 @@ func (ix *Index) Epoch() uint64 { return locked(ix, Reader.Epoch) }
 // field): while it holds, every ID reads the record, summary and
 // postings it was committed with, tombstoned or not.
 func (r Reader) Layout() uint64 { return r.ix.layout }
-
-// Path reads the path with the given ID from disk (through the buffer
-// pool).
-func (ix *Index) Path(id PathID) (paths.Path, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.pathLocked(id)
-}
-
-// pathLocked is Path for callers already holding ix.mu.
-func (ix *Index) pathLocked(id PathID) (paths.Path, error) {
-	data, err := ix.recordLocked(id)
-	if err != nil {
-		return paths.Path{}, err
-	}
-	p, err := DecodePathDict(data, ix.dict)
-	if err != nil {
-		return paths.Path{}, fmt.Errorf("index: decode path %d: %w", id, err)
-	}
-	return p, nil
-}
-
-// recordLocked reads the record of a live path, counted as a path read,
-// for callers already holding ix.mu.
-func (ix *Index) recordLocked(id PathID) ([]byte, error) {
-	ix.mPathReads.Inc()
-	if err := ix.checkLive(id); err != nil {
-		return nil, err
-	}
-	data, err := ix.store.Read(ix.rids[id])
-	if err != nil {
-		return nil, fmt.Errorf("index: read path %d: %w", id, err)
-	}
-	return data, nil
-}
 
 // Scratch is the memory the retrieval calls of one cluster build work
 // in: posting runs and their union, the live-ID list and the summaries.
@@ -915,59 +890,70 @@ func (ix *Index) appendLive(dst []PathID, ps []uint32) []PathID {
 	return dst
 }
 
-// ReadPathsBatched materialises the given path IDs in one page-locality
-// pass: the backing record IDs are sorted by page and each page is read
-// once through a buffer-pool multi-get, instead of re-faulting (and
-// re-locking) per candidate as Path does. Page accesses are charged to
-// the context's I/O tally exactly as the per-path reads are.
-//
-// Results are positional: out[i] is the path for ids[i]. If ctx is
-// cancelled mid-batch the context error is returned alongside partial
-// results — paths not yet materialised are left zero (len(Nodes) == 0),
-// which is distinguishable because an indexed path always has at least
-// one node. An out-of-range or tombstoned ID fails the whole batch.
-func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) ([]paths.Path, error) {
-	ix := r.ix
-	out := make([]paths.Path, len(ids))
-	if len(ids) == 0 {
-		return out, nil
-	}
+// records reads the records of the given live paths, counted as path
+// reads, in one storage.Read: the index's one way from page to record,
+// run under the caller's lock. Results are positional, and on a
+// cancelled ctx the records not read are nil beside the context error
+// (see storage.Read); the int result is the pages visited. An
+// out-of-range or tombstoned ID, or a record that fails to read, fails
+// the whole call with an error naming the path.
+func (ix *Index) records(ctx context.Context, ids []PathID) ([][]byte, int, error) {
 	rids := make([]storage.RID, len(ids))
 	for i, id := range ids {
 		if err := ix.checkLive(id); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		rids[i] = ix.rids[id]
 	}
-	bufs, npages, err := ix.store.ReadBatchTally(ctx, storage.TallyFrom(ctx), rids)
-	if bufs == nil {
-		// Name the failing path, matching the per-path read's errors.
+	recs, pages, err := ix.store.Read(ctx, rids)
+	if recs == nil {
 		var re *storage.RecordError
 		if errors.As(err, &re) {
-			return nil, fmt.Errorf("index: read path %d: %w", ids[re.Index], re.Err)
+			return nil, pages, fmt.Errorf("index: read path %d: %w", ids[re.Index], re.Err)
 		}
-		return nil, fmt.Errorf("index: batched read: %w", err)
+		return nil, pages, fmt.Errorf("index: read paths: %w", err)
 	}
-	decoded := 0
-	for i, data := range bufs {
-		if data == nil { // not materialised (cancelled mid-batch)
+	read := 0
+	for _, rec := range recs {
+		if rec != nil {
+			read++
+		}
+	}
+	ix.mPathReads.Add(uint64(read))
+	return recs, pages, err
+}
+
+// ReadPathsBatched materialises the given path IDs in one page-locality
+// read (see records) and returns the pages it visited, whose accesses
+// are charged to the context's I/O tally.
+//
+// Results are positional: out[i] is the path for ids[i]. If ctx is
+// cancelled mid-read the context error is returned alongside partial
+// results — paths not yet materialised are left zero (len(Nodes) == 0),
+// which is distinguishable because an indexed path always has at least
+// one node. An out-of-range or tombstoned ID fails the whole batch.
+func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) ([]paths.Path, int, error) {
+	recs, pages, err := r.ix.records(ctx, ids)
+	if recs == nil {
+		return nil, pages, err
+	}
+	out := make([]paths.Path, len(ids))
+	for i, rec := range recs {
+		if rec == nil { // not read: cancelled mid-read
 			continue
 		}
 		var derr error
-		if out[i], derr = DecodePathDict(data, ix.dict); derr != nil {
-			return nil, fmt.Errorf("index: decode path %d: %w", ids[i], derr)
+		if out[i], derr = DecodePathDict(rec, r.ix.dict); derr != nil {
+			return nil, pages, fmt.Errorf("index: decode path %d: %w", ids[i], derr)
 		}
-		decoded++
 	}
-	ix.mPathReads.Add(uint64(decoded))
-	storage.TallyFrom(ctx).AddBatchedPages(uint64(npages))
-	return out, err
+	return out, pages, err
 }
 
 // ReadPathsBatched is Reader.ReadPathsBatched under its own read lock.
 func (ix *Index) ReadPathsBatched(ctx context.Context, ids []PathID) (ps []paths.Path, err error) {
 	err = ix.View(func(r Reader) error {
-		ps, err = r.ReadPathsBatched(ctx, ids)
+		ps, _, err = r.ReadPathsBatched(ctx, ids)
 		return err
 	})
 	return ps, err

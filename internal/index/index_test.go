@@ -101,6 +101,15 @@ func buildTestIndex(t *testing.T, opts Options) *Index {
 	return ix
 }
 
+// pathByID reads one path through the index's one read.
+func pathByID(ix *Index, id PathID) (paths.Path, error) {
+	ps, err := ix.ReadPathsBatched(context.Background(), []PathID{id})
+	if err != nil {
+		return paths.Path{}, err
+	}
+	return ps[0], nil
+}
+
 func TestBuildStats(t *testing.T) {
 	ix := buildTestIndex(t, Options{})
 	st := ix.Stats()
@@ -127,7 +136,7 @@ func TestBuildStats(t *testing.T) {
 func TestPathRoundTripThroughDisk(t *testing.T) {
 	ix := buildTestIndex(t, Options{})
 	for id := 0; id < ix.NumPaths(); id++ {
-		p, err := ix.Path(PathID(id))
+		p, err := pathByID(ix, PathID(id))
 		if err != nil {
 			t.Fatalf("path %d: %v", id, err)
 		}
@@ -135,7 +144,7 @@ func TestPathRoundTripThroughDisk(t *testing.T) {
 			t.Errorf("path %d too short: %s", id, p)
 		}
 	}
-	if _, err := ix.Path(PathID(ix.NumPaths())); err == nil {
+	if _, err := pathByID(ix, PathID(ix.NumPaths())); err == nil {
 		t.Error("out-of-range path accepted")
 	}
 }
@@ -215,7 +224,7 @@ func TestOpenRoundTrip(t *testing.T) {
 	}
 	// Paths readable from disk after reopen.
 	for _, id := range wantSink {
-		if _, err := opened.Path(id); err != nil {
+		if _, err := pathByID(opened, id); err != nil {
 			t.Errorf("path %d unreadable after reopen: %v", id, err)
 		}
 	}
@@ -259,7 +268,7 @@ func TestSummaryLengths(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		p, err := ix.Path(id)
+		p, err := pathByID(ix, id)
 		if err != nil {
 			t.Fatal(err)
 		}

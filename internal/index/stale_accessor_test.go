@@ -67,7 +67,7 @@ func TestAccessorsSurviveShrunkIDSpace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Summaries(live) err = %v", err)
 	}
-	p, err := ix.Path(0)
+	p, err := pathByID(ix, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

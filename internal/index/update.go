@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -357,13 +358,13 @@ func (ix *Index) unchanged(old *oldPaths, p paths.Path) bool {
 }
 
 // oldPathsFrom returns the live paths whose source term is one of the
-// starts', with their records, without mutating anything — the caller
-// applies the tombstones in the commit phase. A read failure aborts the
-// insert instead of silently keeping a stale path alive. A node whose
-// term the dictionary lacks starts no indexed path.
+// starts', with their records read in one batched read, without
+// mutating anything — the caller applies the tombstones in the commit
+// phase. A read failure aborts the insert instead of silently keeping a
+// stale path alive. A node whose term the dictionary lacks starts no
+// indexed path.
 func (ix *Index) oldPathsFrom(g *rdf.Graph, starts []rdf.NodeID) (oldPaths, error) {
 	var old oldPaths
-	var recs []byte
 	read := make(map[uint32]bool, len(starts))
 	for _, n := range starts {
 		term, ok := ix.dict.Lookup(g.Term(n))
@@ -372,19 +373,22 @@ func (ix *Index) oldPathsFrom(g *rdf.Graph, starts []rdf.NodeID) (oldPaths, erro
 		}
 		read[term] = true
 		for _, id := range ix.sources[term] {
-			if ix.deleted[id] {
-				continue
+			if !ix.deleted[id] {
+				old.ids = append(old.ids, id)
 			}
-			rec, err := ix.recordLocked(id)
-			if err != nil {
-				return old, fmt.Errorf("index: verify tombstone for path %d: %w", id, err)
-			}
-			old.ids = append(old.ids, id)
-			recs = append(recs, rec...)
-			old.ends = append(old.ends, len(recs))
 		}
 	}
-	old.recs = string(recs)
+	recs, _, err := ix.records(context.TODO(), old.ids)
+	if err != nil {
+		return old, fmt.Errorf("index: read the affected roots' paths: %w", err)
+	}
+	var all []byte
+	old.ends = make([]int, len(recs))
+	for i, rec := range recs {
+		all = append(all, rec...)
+		old.ends[i] = len(all)
+	}
+	old.recs = string(all)
 	old.kept = make([]bool, len(old.ids))
 	old.byRec = make(map[string]int, len(old.ids))
 	for i := range old.ids {

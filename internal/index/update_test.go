@@ -94,7 +94,7 @@ func TestCompressedIndexEndToEnd(t *testing.T) {
 		t.Errorf("sink IDs after reopen = %v, want %v", got, sinkIDs)
 	}
 	for _, id := range sinkIDs {
-		if _, err := back.Path(id); err != nil {
+		if _, err := pathByID(back, id); err != nil {
 			t.Errorf("path %d unreadable after reopen: %v", id, err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestInsertTriplesIncremental(t *testing.T) {
 	// The new chain must be retrievable end-to-end.
 	found := false
 	for _, id := range ix.PathsBySink("Health Care") {
-		p, err := ix.Path(id)
+		p, err := pathByID(ix, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestInsertTriplesIncremental(t *testing.T) {
 		if !ix.Live(PathID(id)) {
 			continue
 		}
-		p, err := ix.Path(PathID(id))
+		p, err := pathByID(ix, PathID(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestInsertTriplesNewSource(t *testing.T) {
 	if len(ids) == 0 {
 		t.Fatal("paths from new source not indexed")
 	}
-	p, err := ix.Path(ids[0])
+	p, err := pathByID(ix, ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestReopenKeepsEarlierInserts(t *testing.T) {
 			defer re.Close()
 			ends := 0
 			for _, id := range re.PathsBySink("Z0001") {
-				if p, err := re.Path(id); err == nil && p.Sink() == iri("Z0001") {
+				if p, err := pathByID(re, id); err == nil && p.Sink() == iri("Z0001") {
 					ends++
 				}
 			}
@@ -339,7 +339,7 @@ func TestInsertTriplesHubGraphRebuilds(t *testing.T) {
 		if !ix.Live(PathID(id)) {
 			continue
 		}
-		p, err := ix.Path(PathID(id))
+		p, err := pathByID(ix, PathID(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func TestUpdatedIndexStillAnswersViaFlush(t *testing.T) {
 	males := ix.PathsBySink("male")
 	found := false
 	for _, id := range males {
-		p, _ := ix.Path(id)
+		p, _ := pathByID(ix, id)
 		if p.Source() == iri("NewPerson") {
 			found = true
 		}
@@ -401,7 +401,7 @@ func TestTightBudgetUpdate(t *testing.T) {
 		if !ix.Live(PathID(id)) {
 			continue
 		}
-		p, _ := ix.Path(PathID(id))
+		p, _ := pathByID(ix, PathID(id))
 		if p.Source() == iri("CarlaBunes") {
 			n++
 		}
@@ -507,7 +507,7 @@ func TestInsertDeltaInvariants(t *testing.T) {
 	sinks := map[PathID]string{}
 	readSinks := func(from int) {
 		for id := PathID(from); int(id) < ix.NumPaths(); id++ {
-			p, err := ix.Path(id)
+			p, err := pathByID(ix, id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -607,7 +607,7 @@ func TestInsertReadsSharedSourceListOnce(t *testing.T) {
 		if !ix.Live(PathID(id)) {
 			continue
 		}
-		p, err := ix.Path(PathID(id))
+		p, err := pathByID(ix, PathID(id))
 		if err != nil {
 			t.Fatal(err)
 		}

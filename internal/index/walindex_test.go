@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -314,6 +315,67 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	}
 
 	t.Run("mixed", testInsertAllOrNothingMixed)
+	t.Run("affected-root-page", testInsertAllOrNothingAffectedRootPage)
+}
+
+// testInsertAllOrNothingAffectedRootPage fails the batched read of the
+// affected roots' indexed paths with a permanent fault on the one page
+// holding a root's record: the insert fails before staging, and the
+// graph, records, postings and tombstones are as found.
+func testInsertAllOrNothingAffectedRootPage(t *testing.T) {
+	var fi *storage.FaultInjector
+	ix, err := Build(filepath.Join(t.TempDir(), "ix"), figure1Graph(), Options{
+		WrapIO: func(io storage.PageIO) storage.PageIO {
+			fi = storage.NewFaultInjector(io)
+			return fi
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	page := storage.PageID(0)
+	for id := 0; id < ix.NumPaths() && page == 0; id++ {
+		if p, err := pathByID(ix, PathID(id)); err != nil {
+			t.Fatal(err)
+		} else if p.Source() == iri("CarlaBunes") {
+			page = ix.rids[id].Page
+		}
+	}
+	if page == 0 {
+		t.Fatal("no indexed path starts at CarlaBunes")
+	}
+	// state is everything the metadata persists — records, summaries,
+	// tombstones, postings, dictionary, graph — plus the in-memory log.
+	state := func() string {
+		t.Helper()
+		var b bytes.Buffer
+		ix.mu.Lock()
+		err := ix.encodeMeta(bufio.NewWriter(&b))
+		tombs := len(ix.tombs)
+		ix.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x tombs=%d epoch=%d", b.Bytes(), tombs, ix.Epoch())
+	}
+	want, keys := state(), livePathKeys(t, ix)
+
+	if err := ix.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	fi.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.Permanent, Page: page})
+	err = ix.InsertTriples([]rdf.Triple{{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("A7777")}})
+	fi.Clear()
+	if err == nil || !strings.Contains(err.Error(), "affected roots") {
+		t.Fatalf("insert with the affected root's page unreadable: err = %v, want a failed read of its paths", err)
+	}
+	if state() != want {
+		t.Fatal("failed insert changed the records, postings, tombstones or graph")
+	}
+	if got := livePathKeys(t, ix); !equalKeys(got, keys) {
+		t.Fatal("failed insert changed the answer surface")
+	}
 }
 
 // testInsertAllOrNothingMixed fails, while staging, a batch that keeps
@@ -346,7 +408,7 @@ func testInsertAllOrNothingMixed(t *testing.T) {
 			if !ix.Live(PathID(id)) {
 				continue
 			}
-			p, err := ix.Path(PathID(id))
+			p, err := pathByID(ix, PathID(id))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -87,7 +87,8 @@ type IOStats struct {
 	// pool's retry policy during the query.
 	Retries uint64 `json:"retries"`
 	// BatchedPages counts pages touched through page-locality batched
-	// reads (a subset of PageReads).
+	// reads: the engine reads every page that way, so it equals
+	// PageReads.
 	BatchedPages uint64 `json:"batched_pages"`
 }
 
@@ -163,20 +164,6 @@ func (t *Trace) Finish() {
 		return
 	}
 	t.Total = time.Since(t.Begin)
-}
-
-// PhaseDuration returns the duration of the named top-level phase, or 0
-// if the phase was never entered.
-func (t *Trace) PhaseDuration(name string) time.Duration {
-	if t == nil {
-		return 0
-	}
-	for _, s := range t.Phases {
-		if s.Name == name {
-			return s.Duration
-		}
-	}
-	return 0
 }
 
 // attrString renders a span's attributes as sorted k=v pairs.

@@ -59,9 +59,6 @@ func NewRouter(urls []string, opts RouterOptions) *Router {
 	return rt
 }
 
-// Shards reports the fan-out width.
-func (rt *Router) Shards() int { return len(rt.shards) }
-
 // GatewayError marks a backend failure as an upstream outage (every
 // shard unreachable), mapping to HTTP 502 instead of 500.
 type GatewayError struct{ Err error }

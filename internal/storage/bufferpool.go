@@ -3,7 +3,6 @@ package storage
 import (
 	"container/list"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,14 +37,6 @@ func (c *poolCounters) snapshot() PoolStats {
 		Flushes:   c.flushes.Load(),
 		Retries:   c.retries.Load(),
 	}
-}
-
-func (c *poolCounters) reset() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
-	c.flushes.Store(0)
-	c.retries.Store(0)
 }
 
 // HitRate returns hits / (hits + misses), or 0 with no traffic.
@@ -139,41 +130,9 @@ func (bp *BufferPool) retryIO(t *IOTally, op func() error) error {
 	return err
 }
 
-// Get copies page id into buf (PageSize long), loading it through the
-// cache.
-func (bp *BufferPool) Get(id PageID, buf []byte) error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if bp.closed {
-		return ErrClosed
-	}
-	fr, err := bp.frame(id, nil)
-	if err != nil {
-		return err
-	}
-	copy(buf[:PageSize], fr.data[:])
-	return nil
-}
-
-// Put stores buf as the content of page id, through the cache (the write
-// is deferred until eviction or Flush).
-func (bp *BufferPool) Put(id PageID, buf []byte) error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if bp.closed {
-		return ErrClosed
-	}
-	fr, err := bp.frame(id, nil)
-	if err != nil {
-		return err
-	}
-	copy(fr.data[:], buf[:PageSize])
-	fr.dirty = true
-	return nil
-}
-
-// Update applies fn to the cached content of page id and marks it dirty.
-// It avoids the double copy of Get+Put for read-modify-write cycles.
+// Update applies fn to the cached content of page id and marks it
+// dirty. If fn fails, nothing is marked: fn must then have left the page
+// as it found it.
 func (bp *BufferPool) Update(id PageID, fn func(page []byte) error) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -191,37 +150,14 @@ func (bp *BufferPool) Update(id PageID, fn func(page []byte) error) error {
 	return nil
 }
 
-// View applies fn to a read-only view of page id. fn must not retain the
-// slice.
-func (bp *BufferPool) View(id PageID, fn func(page []byte) error) error {
-	return bp.ViewTally(nil, id, fn)
-}
-
-// ViewTally is View with the page access additionally charged to the
-// per-operation tally (nil counts nothing). The query read path uses it
-// so concurrent queries can each report their own I/O instead of a
-// slice of the global counters.
-func (bp *BufferPool) ViewTally(t *IOTally, id PageID, fn func(page []byte) error) error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if bp.closed {
-		return ErrClosed
-	}
-	fr, err := bp.frame(id, t)
-	if err != nil {
-		return err
-	}
-	return fn(fr.data[:])
-}
-
-// ViewBatchTally applies fn to read-only views of the given pages, in
-// order, under a single lock acquisition — the batched-read fast path:
-// one lock round-trip and one LRU pass per page group instead of one
-// per record. Accesses are charged to the global counters and to t
-// (nil counts nothing). fn must not retain the page slice; any data it
-// needs after the call must be copied out. An fn error aborts the batch
-// and is returned verbatim.
-func (bp *BufferPool) ViewBatchTally(t *IOTally, ids []PageID, fn func(i int, page []byte) error) error {
+// View is the pool's one read: it applies fn to read-only views of the
+// given pages, in order, under a single lock acquisition — one lock
+// round trip and one LRU pass per page group instead of one per record.
+// Accesses are charged to the global counters and to t (nil counts
+// nothing). fn must not retain the page slice; any data it needs after
+// the call must be copied out. An fn error aborts the pass and is
+// returned verbatim.
+func (bp *BufferPool) View(t *IOTally, ids []PageID, fn func(i int, page []byte) error) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if bp.closed {
@@ -373,18 +309,6 @@ func (bp *BufferPool) Stats() PoolStats {
 	return bp.stats.snapshot()
 }
 
-// ResetStats zeroes the counters (e.g. between experiment runs).
-func (bp *BufferPool) ResetStats() {
-	bp.stats.reset()
-}
-
-// Len returns the number of cached frames.
-func (bp *BufferPool) Len() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return bp.lru.Len()
-}
-
 // Close flushes and marks the pool closed (the underlying file is not
 // closed; the owner closes it).
 func (bp *BufferPool) Close() error {
@@ -396,12 +320,4 @@ func (bp *BufferPool) Close() error {
 	err := bp.flushLocked()
 	bp.closed = true
 	return err
-}
-
-// String summarises the pool state.
-func (bp *BufferPool) String() string {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return fmt.Sprintf("pool{%d/%d pages, hit rate %.2f}",
-		bp.lru.Len(), bp.capacity, bp.stats.snapshot().HitRate())
 }

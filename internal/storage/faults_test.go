@@ -29,17 +29,17 @@ func TestFaultInjectorTransientReadIsRetried(t *testing.T) {
 	}
 	var page [PageSize]byte
 	copy(page[:], "payload")
-	if err := bp.Put(id, page[:]); err != nil {
+	if err := putPage(bp, id, page[:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := bp.DropCache(); err != nil { // force the next Get to hit the disk
+	if err := bp.DropCache(); err != nil { // force the next read to hit the disk
 		t.Fatal(err)
 	}
 	fi.Inject(Fault{Op: OpRead, Kind: Transient}) // fail the next read once
 
 	var got [PageSize]byte
-	if err := bp.Get(id, got[:]); err != nil {
-		t.Fatalf("Get after transient fault: %v", err)
+	if err := getPage(bp, id, got[:]); err != nil {
+		t.Fatalf("read after transient fault: %v", err)
 	}
 	if !bytes.Equal(got[:7], []byte("payload")) {
 		t.Errorf("page content lost across retry: %q", got[:7])
@@ -65,7 +65,7 @@ func TestFaultInjectorTransientBeyondRetriesSurfaces(t *testing.T) {
 	fi.Inject(Fault{Op: OpRead, Kind: Transient, Times: 10})
 
 	var got [PageSize]byte
-	err = bp.Get(id, got[:])
+	err = getPage(bp, id, got[:])
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("err = %v, want ErrTransient after retries exhausted", err)
 	}
@@ -83,7 +83,7 @@ func TestFaultInjectorPermanentReadNamesPage(t *testing.T) {
 	fi.Inject(Fault{Op: OpRead, Kind: Permanent, Page: id})
 
 	var got [PageSize]byte
-	err = bp.Get(id, got[:])
+	err = getPage(bp, id, got[:])
 	if !errors.Is(err, ErrPermanent) {
 		t.Fatalf("err = %v, want ErrPermanent", err)
 	}
@@ -91,8 +91,8 @@ func TestFaultInjectorPermanentReadNamesPage(t *testing.T) {
 		t.Errorf("error %q does not name the page", err)
 	}
 	// Permanent faults keep failing; retries must not absorb them.
-	if err := bp.Get(id, got[:]); !errors.Is(err, ErrPermanent) {
-		t.Fatalf("second Get = %v, want ErrPermanent", err)
+	if err := getPage(bp, id, got[:]); !errors.Is(err, ErrPermanent) {
+		t.Fatalf("second read = %v, want ErrPermanent", err)
 	}
 }
 
@@ -114,13 +114,13 @@ func TestFaultInjectorFailsNthIO(t *testing.T) {
 	fi.Inject(Fault{Op: OpRead, Kind: Transient, AfterN: 1})
 
 	var buf [PageSize]byte
-	if err := bp.Get(ids[0], buf[:]); err != nil {
+	if err := getPage(bp, ids[0], buf[:]); err != nil {
 		t.Fatalf("1st read: %v", err)
 	}
-	if err := bp.Get(ids[1], buf[:]); !errors.Is(err, ErrTransient) {
+	if err := getPage(bp, ids[1], buf[:]); !errors.Is(err, ErrTransient) {
 		t.Fatalf("2nd read = %v, want ErrTransient", err)
 	}
-	if err := bp.Get(ids[2], buf[:]); err != nil {
+	if err := getPage(bp, ids[2], buf[:]); err != nil {
 		t.Fatalf("3rd read: %v", err)
 	}
 }
@@ -178,8 +178,8 @@ func TestFaultInjectorCountersAndClear(t *testing.T) {
 	fi.Inject(Fault{Op: OpRead, Kind: Permanent})
 	fi.Clear()
 	var buf [PageSize]byte
-	if err := bp.Get(id, buf[:]); err != nil {
-		t.Fatalf("Get after Clear: %v", err)
+	if err := getPage(bp, id, buf[:]); err != nil {
+		t.Fatalf("read after Clear: %v", err)
 	}
 	if fi.Reads() == 0 {
 		t.Error("Reads counter not advancing")

@@ -18,7 +18,6 @@ import (
 // A nil *IOTally is valid and counts nothing.
 type IOTally struct {
 	hits, misses, retries atomic.Uint64
-	batchedPages          atomic.Uint64
 }
 
 func (t *IOTally) addHit() {
@@ -62,35 +61,6 @@ func (t *IOTally) Retries() uint64 {
 		return 0
 	}
 	return t.retries.Load()
-}
-
-// AddBatchedPages charges n distinct pages touched through a batched
-// (page-locality) read. The pages are already counted in hits/misses;
-// this tracks how much of the operation's traffic went through the
-// batched path, for explain-plan attribution.
-func (t *IOTally) AddBatchedPages(n uint64) {
-	if t != nil {
-		t.batchedPages.Add(n)
-	}
-}
-
-// BatchedPages returns the pages read through batched multi-gets.
-func (t *IOTally) BatchedPages() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.batchedPages.Load()
-}
-
-// Merge adds o's counts into t. Either side may be nil.
-func (t *IOTally) Merge(o *IOTally) {
-	if t == nil || o == nil {
-		return
-	}
-	t.hits.Add(o.hits.Load())
-	t.misses.Add(o.misses.Load())
-	t.retries.Add(o.retries.Load())
-	t.batchedPages.Add(o.batchedPages.Load())
 }
 
 // tallyKey is the context key carrying an *IOTally.

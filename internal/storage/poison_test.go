@@ -128,7 +128,7 @@ func TestRecordStoreSealCurrentPage(t *testing.T) {
 		rid  RID
 		want string
 	}{{r1, "first"}, {r2, "second"}} {
-		got, err := rs.Read(c.rid)
+		got, err := readOne(rs, c.rid)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,12 @@
 package storage
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // RID is a record identifier: the page and slot of the record's first
@@ -40,10 +41,9 @@ func (r RID) String() string { return fmt.Sprintf("rid(%d:%d)", r.Page, r.Slot) 
 // terminates the chain. Records larger than one page's free space are
 // split into chunks across pages (overflow chaining).
 const (
-	pageHdrSize   = 4
-	slotSize      = 4
-	chunkHdrSize  = 6
-	minChunkSpace = slotSize + chunkHdrSize + 16 // don't bother with less
+	pageHdrSize  = 4
+	slotSize     = 4
+	chunkHdrSize = 6
 )
 
 func pageSlotCount(p []byte) uint16   { return binary.LittleEndian.Uint16(p[0:2]) }
@@ -60,18 +60,6 @@ func setSlotEntry(p []byte, slot, off, length uint16) {
 	base := pageHdrSize + int(slot)*slotSize
 	binary.LittleEndian.PutUint16(p[base:base+2], off)
 	binary.LittleEndian.PutUint16(p[base+2:base+4], length)
-}
-
-// pageFree returns the free bytes available for one more slot + data on
-// an initialised page.
-func pageFree(p []byte) int {
-	slots := int(pageSlotCount(p))
-	freeEnd := int(pageFreeEnd(p))
-	used := pageHdrSize + slots*slotSize
-	if freeEnd < used {
-		return 0
-	}
-	return freeEnd - used
 }
 
 // RecordStore stores variable-length byte records in slotted pages
@@ -132,44 +120,41 @@ func (rs *RecordStore) split(data []byte) [][]byte {
 	return chunks
 }
 
+// errPageFull is putChunk's answer when the chunk does not fit the page.
+var errPageFull = errors.New("storage: chunk does not fit the page")
+
 // appendChunk writes one chunk with its link header, on the current page
 // if it fits, else on a fresh page.
 func (rs *RecordStore) appendChunk(payload []byte, next RID) (RID, error) {
-	need := chunkHdrSize + len(payload) + slotSize
 	if rs.current != 0 {
-		var fits bool
-		err := rs.pool.View(rs.current, func(p []byte) error {
-			fits = pageFree(p) >= need
-			return nil
-		})
-		if err != nil {
-			return RID{}, err
-		}
-		if !fits {
-			rs.current = 0
+		rid, err := rs.putChunk(rs.current, false, payload, next)
+		if !errors.Is(err, errPageFull) {
+			return rid, err
 		}
 	}
-	if rs.current == 0 {
-		id, err := rs.pool.Alloc()
-		if err != nil {
-			return RID{}, err
-		}
-		if err := rs.pool.Update(id, func(p []byte) error {
-			setSlotCount(p, 0)
-			setFreeEnd(p, PageSize)
-			return nil
-		}); err != nil {
-			return RID{}, err
-		}
-		rs.current = id
+	id, err := rs.pool.Alloc()
+	if err != nil {
+		return RID{}, err
 	}
+	rs.current = id
+	return rs.putChunk(id, true, payload, next)
+}
+
+// putChunk writes one chunk into a free slot of page, which holds no
+// slot yet if it is fresh. A chunk that does not fit fails with
+// errPageFull, and then, as on any error of Update's function, the page
+// is left as it was and not marked dirty.
+func (rs *RecordStore) putChunk(page PageID, fresh bool, payload []byte, next RID) (RID, error) {
 	var rid RID
-	err := rs.pool.Update(rs.current, func(p []byte) error {
-		slot := pageSlotCount(p)
+	err := rs.pool.Update(page, func(p []byte) error {
+		slot, freeEnd := pageSlotCount(p), int(pageFreeEnd(p))
+		if fresh {
+			slot, freeEnd = 0, PageSize
+		}
 		total := chunkHdrSize + len(payload)
-		off := int(pageFreeEnd(p)) - total
+		off := freeEnd - total
 		if off < pageHdrSize+int(slot+1)*slotSize {
-			return fmt.Errorf("storage: internal: chunk of %d bytes does not fit page", total)
+			return errPageFull
 		}
 		binary.LittleEndian.PutUint32(p[off:off+4], uint32(next.Page))
 		binary.LittleEndian.PutUint16(p[off+4:off+6], next.Slot)
@@ -177,28 +162,40 @@ func (rs *RecordStore) appendChunk(payload []byte, next RID) (RID, error) {
 		setSlotEntry(p, slot, uint16(off), uint16(total))
 		setSlotCount(p, slot+1)
 		setFreeEnd(p, uint16(off))
-		rid = RID{Page: rs.current, Slot: slot}
+		rid = RID{Page: page, Slot: slot}
 		return nil
 	})
-	if err != nil {
-		return RID{}, err
+	return rid, err
+}
+
+// chunkAt returns the payload and link of rid's chunk on its page p. It
+// trusts no byte of the page: a slot past the slot count or whose table
+// entry lies beyond the page, and a slot entry whose chunk does not fit
+// the page, are errors.
+func chunkAt(p []byte, rid RID) (payload []byte, next RID, err error) {
+	if n := pageSlotCount(p); rid.Slot >= n {
+		return nil, RID{}, fmt.Errorf("storage: %v: slot beyond slot count %d", rid, n)
 	}
-	return rid, nil
+	if pageHdrSize+(int(rid.Slot)+1)*slotSize > PageSize {
+		return nil, RID{}, fmt.Errorf("storage: %v: slot table entry beyond the page", rid)
+	}
+	off, length := slotEntry(p, rid.Slot)
+	if int(off)+int(length) > PageSize || length < chunkHdrSize {
+		return nil, RID{}, fmt.Errorf("storage: %v: corrupt slot entry", rid)
+	}
+	c := p[off : off+length]
+	next = RID{Page: PageID(binary.LittleEndian.Uint32(c[0:4])), Slot: binary.LittleEndian.Uint16(c[4:6])}
+	return c[chunkHdrSize:], next, nil
 }
 
-// Read returns the record stored at rid.
-func (rs *RecordStore) Read(rid RID) ([]byte, error) {
-	return rs.ReadTally(nil, rid)
-}
-
-// errBatchStop aborts a ViewBatchTally pass early without surfacing a
-// storage error; the caller translates it back into the context error.
+// errBatchStop aborts a View pass early without surfacing a storage
+// error; Read translates it back into the context error.
 var errBatchStop = errors.New("storage: batch read stopped")
 
-// RecordError attributes a batch-read failure to one input record, so
-// callers holding higher-level names for the records (the index knows
-// which PathID each RID backs) can report which one failed instead of
-// an anonymous whole-batch error.
+// RecordError attributes a read failure to one input record, so callers
+// holding higher-level names for the records (the index knows which
+// PathID each RID backs) can report which one failed instead of an
+// anonymous whole-batch error.
 type RecordError struct {
 	// Index is the record's position in the input RID slice.
 	Index int
@@ -214,150 +211,108 @@ func (e *RecordError) Error() string {
 
 func (e *RecordError) Unwrap() error { return e.Err }
 
-// ReadBatchTally reads several records in one page-locality pass: the
-// RIDs are sorted by (page, slot), each distinct page is visited once
-// through a single buffer-pool batch view, and every first chunk
-// resident on it is copied out under that one lock acquisition.
-// Overflow chains (records spanning pages) are completed afterwards
-// with per-record reads — the common case of one-chunk records never
-// touches a page twice.
+// Read reads the records at rids in page-locality rounds. A round sorts
+// the chunks it reads by (page, slot), visits each distinct page once
+// through one pool View, and copies out every chunk resident on it under
+// that one lock acquisition. The first round reads every record's first
+// chunk; a record spanning pages (overflow chaining) continues in the
+// next round at the chunk its link names, so a one-chunk record — the
+// common case — is one page visit. Page accesses are charged to the
+// context's tally (TallyFrom).
 //
-// Results are returned in input order. The int result is the number of
-// distinct first-chunk pages visited. If ctx is cancelled mid-batch,
-// records not yet fully materialised are left nil in the result and
-// the context error is returned alongside the partial results; a nil
-// entry therefore means "not read", while a non-nil empty slice is a
-// genuinely empty record. Page accesses are charged to t (nil counts
-// nothing).
-func (rs *RecordStore) ReadBatchTally(ctx context.Context, t *IOTally, rids []RID) ([][]byte, int, error) {
+// Results are in input order; duplicates are read once per occurrence.
+// The int result is the number of page visits over all rounds. Append
+// writes a record's tail first and each earlier chunk on a page it
+// allocates after the one the chunk links to, so a chain descends in
+// page ID: a link that does not is corrupt — which bounds every chain
+// and fails any that revisits a page — as is a slot the page cannot
+// hold. Either fails the read with a *RecordError, as does a page the
+// pool cannot read, and the results are then nil. If
+// ctx is cancelled between two pages or rounds, the records not yet
+// fully read are left nil and the context error is returned alongside
+// the others; a nil entry therefore means "not read", while a non-nil
+// empty slice is a genuinely empty record.
+func (rs *RecordStore) Read(ctx context.Context, rids []RID) ([][]byte, int, error) {
 	out := make([][]byte, len(rids))
-	if len(rids) == 0 {
-		return out, 0, nil
-	}
-
-	type ent struct {
-		idx  int // position in rids / out
-		rid  RID
-		next RID // overflow link recorded during the batch pass
-		read bool
-	}
-	ents := make([]ent, len(rids))
+	todo := make([]chunkRead, len(rids))
 	for i, rid := range rids {
-		ents[i] = ent{idx: i, rid: rid}
+		todo[i] = chunkRead{idx: i, rid: rid}
 	}
-	sort.Slice(ents, func(a, b int) bool {
-		if ents[a].rid.Page != ents[b].rid.Page {
-			return ents[a].rid.Page < ents[b].rid.Page
-		}
-		return ents[a].rid.Slot < ents[b].rid.Slot
-	})
-
-	pages := make([]PageID, 0, len(ents))
-	for _, e := range ents {
-		if n := len(pages); n == 0 || pages[n-1] != e.rid.Page {
-			pages = append(pages, e.rid.Page)
-		}
-	}
-
-	// One pass over the distinct pages: pin each once, copy out every
-	// first chunk resident on it. The payload copies happen under the
-	// pool lock because frames may be rewritten after it is released.
-	cur := 0
-	npages := 0
-	err := rs.pool.ViewBatchTally(t, pages, func(i int, p []byte) error {
+	t := TallyFrom(ctx)
+	var pages []PageID
+	visits := 0
+	for len(todo) > 0 {
 		if ctx.Err() != nil {
-			return errBatchStop
+			return unread(out, todo), visits, ctx.Err()
 		}
-		npages++
-		nslots := pageSlotCount(p)
-		for cur < len(ents) && ents[cur].rid.Page == pages[i] {
-			e := &ents[cur]
-			cur++
-			if e.rid.Slot >= nslots {
-				return &RecordError{Index: e.idx, RID: e.rid,
-					Err: fmt.Errorf("storage: %v: slot beyond slot count %d", e.rid, nslots)}
+		slices.SortFunc(todo, func(a, b chunkRead) int { return cmp.Compare(a.rid.Pack(), b.rid.Pack()) })
+		pages = pages[:0]
+		for _, c := range todo {
+			if n := len(pages); n == 0 || pages[n-1] != c.rid.Page {
+				pages = append(pages, c.rid.Page)
 			}
-			off, length := slotEntry(p, e.rid.Slot)
-			if int(off)+int(length) > PageSize || length < chunkHdrSize {
-				return &RecordError{Index: e.idx, RID: e.rid,
-					Err: fmt.Errorf("storage: %v: corrupt slot entry", e.rid)}
-			}
-			chunk := p[off : off+length]
-			e.next = RID{
-				Page: PageID(binary.LittleEndian.Uint32(chunk[0:4])),
-				Slot: binary.LittleEndian.Uint16(chunk[4:6]),
-			}
-			payload := make([]byte, len(chunk)-chunkHdrSize)
-			copy(payload, chunk[chunkHdrSize:])
-			out[e.idx] = payload
-			e.read = true
 		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errBatchStop) {
-		// A page fault surfaces from the pool before fn sees the page;
-		// attribute it to the first unprocessed record, which is the
-		// head of the failing page's group.
-		var re *RecordError
-		if !errors.As(err, &re) && cur < len(ents) {
-			err = &RecordError{Index: ents[cur].idx, RID: ents[cur].rid, Err: err}
-		}
-		return nil, npages, err
-	}
-	stopped := errors.Is(err, errBatchStop)
-
-	// Complete overflow chains. A record interrupted mid-chain would be
-	// silently truncated, so on cancellation incomplete entries are
-	// reset to nil rather than returned partial.
-	for i := range ents {
-		e := &ents[i]
-		if !e.read || e.next.IsZero() {
-			continue
-		}
-		if stopped || ctx.Err() != nil {
-			stopped = true
-			out[e.idx] = nil
-			continue
-		}
-		rest, rerr := rs.ReadTally(t, e.next)
-		if rerr != nil {
-			return nil, npages, &RecordError{Index: e.idx, RID: e.rid, Err: rerr}
-		}
-		out[e.idx] = append(out[e.idx], rest...)
-	}
-	if stopped {
-		return out, npages, ctx.Err()
-	}
-	return out, npages, nil
-}
-
-// ReadTally is Read with the page accesses charged to the
-// per-operation tally (nil counts nothing).
-func (rs *RecordStore) ReadTally(t *IOTally, rid RID) ([]byte, error) {
-	var out []byte
-	for !rid.IsZero() {
-		var next RID
-		err := rs.pool.ViewTally(t, rid.Page, func(p []byte) error {
-			nslots := pageSlotCount(p)
-			if rid.Slot >= nslots {
-				return fmt.Errorf("storage: %v: slot beyond slot count %d", rid, nslots)
+		// The payload copies happen under the pool lock, because frames
+		// may be rewritten after it is released.
+		var next []chunkRead
+		cur := 0
+		err := rs.pool.View(t, pages, func(i int, p []byte) error {
+			if ctx.Err() != nil {
+				return errBatchStop
 			}
-			off, length := slotEntry(p, rid.Slot)
-			if int(off)+int(length) > PageSize || length < chunkHdrSize {
-				return fmt.Errorf("storage: %v: corrupt slot entry", rid)
+			visits++
+			for ; cur < len(todo) && todo[cur].rid.Page == pages[i]; cur++ {
+				c := todo[cur]
+				payload, link, err := chunkAt(p, c.rid)
+				if err == nil && !link.IsZero() && link.Page >= c.rid.Page {
+					err = fmt.Errorf("storage: %v: chain links up to page %d", c.rid, link.Page)
+				}
+				if err != nil {
+					return &RecordError{Index: c.idx, RID: rids[c.idx], Err: err}
+				}
+				if out[c.idx] == nil { // a first chunk
+					out[c.idx] = make([]byte, len(payload))
+					copy(out[c.idx], payload)
+				} else {
+					out[c.idx] = append(out[c.idx], payload...)
+				}
+				if !link.IsZero() {
+					next = append(next, chunkRead{idx: c.idx, rid: link})
+				}
 			}
-			chunk := p[off : off+length]
-			next = RID{
-				Page: PageID(binary.LittleEndian.Uint32(chunk[0:4])),
-				Slot: binary.LittleEndian.Uint16(chunk[4:6]),
-			}
-			out = append(out, chunk[chunkHdrSize:]...)
 			return nil
 		})
-		if err != nil {
-			return nil, err
+		if errors.Is(err, errBatchStop) {
+			// A record interrupted mid-chain would be silently truncated:
+			// everything this round did not finish reads as not read.
+			unread(out, todo[cur:])
+			return unread(out, next), visits, ctx.Err()
 		}
-		rid = next
+		if err != nil {
+			// A page fault surfaces from the pool before fn sees the page;
+			// attribute it to the first unread chunk's record, the head of
+			// the failing page's group.
+			var re *RecordError
+			if !errors.As(err, &re) && cur < len(todo) {
+				err = &RecordError{Index: todo[cur].idx, RID: rids[todo[cur].idx], Err: err}
+			}
+			return nil, visits, err
+		}
+		todo = next
 	}
-	return out, nil
+	return out, visits, nil
+}
+
+// chunkRead is the next chunk Read reads of record idx.
+type chunkRead struct {
+	idx int
+	rid RID
+}
+
+// unread resets to nil the results of the records cs are chunks of.
+func unread(out [][]byte, cs []chunkRead) [][]byte {
+	for _, c := range cs {
+		out[c.idx] = nil
+	}
+	return out
 }

@@ -47,7 +47,7 @@ func stampedPool(t *testing.T, capacity, n int) (*FaultInjector, *BufferPool, []
 			t.Fatal(err)
 		}
 		stampPage(buf[:], id, 0)
-		if err := bp.Put(id, buf[:]); err != nil {
+		if err := putPage(bp, id, buf[:]); err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = id
@@ -55,12 +55,23 @@ func stampedPool(t *testing.T, capacity, n int) (*FaultInjector, *BufferPool, []
 	if err := bp.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	bp.ResetStats()
 	return fi, bp, ids
 }
 
 func viewStamp(bp *BufferPool, id PageID, version byte) error {
-	return bp.View(id, func(page []byte) error { return checkStamp(page, id, version) })
+	return bp.View(nil, []PageID{id}, func(_ int, page []byte) error { return checkStamp(page, id, version) })
+}
+
+// statsSince returns the pool counters accumulated since base.
+func statsSince(bp *BufferPool, base PoolStats) PoolStats {
+	s := bp.Stats()
+	return PoolStats{
+		Hits:      s.Hits - base.Hits,
+		Misses:    s.Misses - base.Misses,
+		Evictions: s.Evictions - base.Evictions,
+		Flushes:   s.Flushes - base.Flushes,
+		Retries:   s.Retries - base.Retries,
+	}
 }
 
 // TestPoolRecyclesVictimFrameAcrossReadFaults drives the miss that
@@ -84,7 +95,7 @@ func TestPoolRecyclesVictimFrameAcrossReadFaults(t *testing.T) {
 				aVersion = 1
 				var buf [PageSize]byte
 				stampPage(buf[:], a, aVersion)
-				if err := bp.Put(a, buf[:]); err != nil {
+				if err := putPage(bp, a, buf[:]); err != nil {
 					t.Fatal(err)
 				}
 			} else if err := viewStamp(bp, a, 0); err != nil {
@@ -93,7 +104,7 @@ func TestPoolRecyclesVictimFrameAcrossReadFaults(t *testing.T) {
 			if err := viewStamp(bp, b, 0); err != nil { // a is now the LRU victim
 				t.Fatal(err)
 			}
-			bp.ResetStats()
+			base := bp.Stats()
 
 			// The pool is full: the miss on c evicts a, then the read fails.
 			fi.Inject(Fault{Op: OpRead, Kind: Permanent, Page: c, Times: 1})
@@ -104,10 +115,10 @@ func TestPoolRecyclesVictimFrameAcrossReadFaults(t *testing.T) {
 			if dirty {
 				want.Flushes = 1
 			}
-			if got := bp.Stats(); got != want {
+			if got := statsSince(bp, base); got != want {
 				t.Errorf("after the failed read: stats %+v, want %+v", got, want)
 			}
-			if n := bp.Len(); n != 1 {
+			if n := cachedPages(bp); n != 1 {
 				t.Errorf("after the failed read: %d frames cached, want 1 (victim gone, nothing installed)", n)
 			}
 
@@ -123,10 +134,10 @@ func TestPoolRecyclesVictimFrameAcrossReadFaults(t *testing.T) {
 				t.Errorf("retry of the failed page: %v", err)
 			}
 			want = PoolStats{Hits: 1, Misses: 3, Evictions: 2, Flushes: want.Flushes}
-			if got := bp.Stats(); got != want {
+			if got := statsSince(bp, base); got != want {
 				t.Errorf("after the re-reads: stats %+v, want %+v", got, want)
 			}
-			if n := bp.Len(); n != 2 {
+			if n := cachedPages(bp); n != 2 {
 				t.Errorf("%d frames cached, want 2", n)
 			}
 
@@ -136,7 +147,7 @@ func TestPoolRecyclesVictimFrameAcrossReadFaults(t *testing.T) {
 			if err := viewStamp(bp, d, 0); err != nil {
 				t.Errorf("transient fault retried into the recycled frame: %v", err)
 			}
-			if r := bp.Stats().Retries; r != 2 {
+			if r := statsSince(bp, base).Retries; r != 2 {
 				t.Errorf("Retries = %d, want 2", r)
 			}
 			if err := viewStamp(bp, b, 0); err != nil {
@@ -146,7 +157,7 @@ func TestPoolRecyclesVictimFrameAcrossReadFaults(t *testing.T) {
 			if err := bp.DropCache(); err != nil {
 				t.Fatalf("DropCache: %v", err)
 			}
-			if n := bp.Len(); n != 0 {
+			if n := cachedPages(bp); n != 0 {
 				t.Errorf("%d frames cached after DropCache", n)
 			}
 			if err := viewStamp(bp, a, aVersion); err != nil {
@@ -169,14 +180,14 @@ func TestPoolDirtyVictimFlushFailureKeepsVictim(t *testing.T) {
 	fi, bp, ids := stampedPool(t, 1, 2)
 	var buf [PageSize]byte
 	stampPage(buf[:], ids[0], 1)
-	if err := bp.Put(ids[0], buf[:]); err != nil {
+	if err := putPage(bp, ids[0], buf[:]); err != nil {
 		t.Fatal(err)
 	}
 	fi.Inject(Fault{Op: OpWrite, Kind: Permanent, Page: ids[0], Times: 1})
 	if err := viewStamp(bp, ids[1], 0); !errors.Is(err, ErrPermanent) {
 		t.Fatalf("miss behind a failing flush = %v, want ErrPermanent", err)
 	}
-	if n := bp.Len(); n != 1 {
+	if n := cachedPages(bp); n != 1 {
 		t.Fatalf("%d frames cached, want the dirty victim still there", n)
 	}
 	if err := viewStamp(bp, ids[0], 1); err != nil {
@@ -196,6 +207,7 @@ func TestPoolDirtyVictimFlushFailureKeepsVictim(t *testing.T) {
 // the page it asked for. Runs under -race via make check.
 func TestPoolRecycledFramesUnderConcurrentReaders(t *testing.T) {
 	_, bp, ids := stampedPool(t, 4, 64)
+	base := bp.Stats()
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -212,11 +224,11 @@ func TestPoolRecycledFramesUnderConcurrentReaders(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	st := bp.Stats()
+	st := statsSince(bp, base)
 	if st.Hits+st.Misses != 4*2000 || st.Evictions == 0 {
 		t.Errorf("stats %+v: want 8000 accesses and evictions", st)
 	}
-	if n := bp.Len(); n != 4 {
+	if n := cachedPages(bp); n != 4 {
 		t.Errorf("%d frames cached, want 4", n)
 	}
 }
@@ -228,7 +240,7 @@ func TestPoolMissAtCapacityAllocatesNoFrame(t *testing.T) {
 	_, bp, ids := stampedPool(t, 2, 6)
 	sweep := func() {
 		for _, id := range ids {
-			if err := bp.View(id, func([]byte) error { return nil }); err != nil {
+			if err := bp.View(nil, []PageID{id}, func(int, []byte) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -17,6 +18,38 @@ func newTestFile(t *testing.T) *PageFile {
 	}
 	t.Cleanup(func() { pf.Close() })
 	return pf
+}
+
+// getPage copies page id into buf through the pool's one read.
+func getPage(bp *BufferPool, id PageID, buf []byte) error {
+	return bp.View(nil, []PageID{id}, func(_ int, p []byte) error {
+		copy(buf, p)
+		return nil
+	})
+}
+
+// putPage overwrites page id with buf through the pool.
+func putPage(bp *BufferPool, id PageID, buf []byte) error {
+	return bp.Update(id, func(p []byte) error {
+		copy(p, buf)
+		return nil
+	})
+}
+
+// cachedPages returns the number of frames the pool holds.
+func cachedPages(bp *BufferPool) int {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return bp.lru.Len()
+}
+
+// readOne reads the record at rid alone.
+func readOne(rs *RecordStore, rid RID) ([]byte, error) {
+	recs, _, err := rs.Read(context.Background(), []RID{rid})
+	if err != nil {
+		return nil, err
+	}
+	return recs[0], nil
 }
 
 func TestPageFileAllocReadWrite(t *testing.T) {
@@ -130,11 +163,11 @@ func TestBufferPoolHitMiss(t *testing.T) {
 	}
 	var buf [PageSize]byte
 	copy(buf[:], "cached")
-	if err := bp.Put(id, buf[:]); err != nil {
+	if err := putPage(bp, id, buf[:]); err != nil {
 		t.Fatal(err)
 	}
 	var back [PageSize]byte
-	if err := bp.Get(id, back[:]); err != nil {
+	if err := getPage(bp, id, back[:]); err != nil {
 		t.Fatal(err)
 	}
 	if string(back[:6]) != "cached" {
@@ -160,13 +193,13 @@ func TestBufferPoolEvictionWritesDirty(t *testing.T) {
 		}
 		var buf [PageSize]byte
 		buf[0] = byte(i + 1)
-		if err := bp.Put(id, buf[:]); err != nil {
+		if err := putPage(bp, id, buf[:]); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
-	if bp.Len() > 2 {
-		t.Errorf("pool over capacity: %d", bp.Len())
+	if cachedPages(bp) > 2 {
+		t.Errorf("pool over capacity: %d", cachedPages(bp))
 	}
 	if bp.Stats().Evictions == 0 {
 		t.Error("expected evictions")
@@ -174,7 +207,7 @@ func TestBufferPoolEvictionWritesDirty(t *testing.T) {
 	// Every page must read back its content (dirty evictions flushed).
 	for i, id := range ids {
 		var back [PageSize]byte
-		if err := bp.Get(id, back[:]); err != nil {
+		if err := getPage(bp, id, back[:]); err != nil {
 			t.Fatal(err)
 		}
 		if back[0] != byte(i+1) {
@@ -189,23 +222,23 @@ func TestBufferPoolDropCache(t *testing.T) {
 	id, _ := bp.Alloc()
 	var buf [PageSize]byte
 	buf[0] = 42
-	bp.Put(id, buf[:])
+	putPage(bp, id, buf[:])
 	if err := bp.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	if bp.Len() != 0 {
-		t.Errorf("pool not empty after DropCache: %d", bp.Len())
+	if cachedPages(bp) != 0 {
+		t.Errorf("pool not empty after DropCache: %d", cachedPages(bp))
 	}
-	bp.ResetStats()
+	before := bp.Stats()
 	var back [PageSize]byte
-	if err := bp.Get(id, back[:]); err != nil {
+	if err := getPage(bp, id, back[:]); err != nil {
 		t.Fatal(err)
 	}
 	if back[0] != 42 {
 		t.Error("dirty page lost by DropCache")
 	}
-	if st := bp.Stats(); st.Misses != 1 || st.Hits != 0 {
-		t.Errorf("cold read stats = %+v, want 1 miss", st)
+	if st := bp.Stats(); st.Misses-before.Misses != 1 || st.Hits != before.Hits {
+		t.Errorf("cold read stats = %+v after %+v, want 1 miss", st, before)
 	}
 }
 
@@ -220,7 +253,7 @@ func TestBufferPoolFlushPersists(t *testing.T) {
 	id, _ := bp.Alloc()
 	var buf [PageSize]byte
 	buf[7] = 99
-	bp.Put(id, buf[:])
+	putPage(bp, id, buf[:])
 	if err := bp.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +288,8 @@ func TestBufferPoolConcurrentAccess(t *testing.T) {
 			var buf [PageSize]byte
 			for i := 0; i < 50; i++ {
 				id := ids[(w+i)%len(ids)]
-				if err := bp.Get(id, buf[:]); err != nil {
-					t.Errorf("Get: %v", err)
+				if err := getPage(bp, id, buf[:]); err != nil {
+					t.Errorf("View: %v", err)
 					return
 				}
 			}
@@ -275,11 +308,8 @@ func TestBufferPoolClose(t *testing.T) {
 		t.Errorf("second Close = %v", err)
 	}
 	var buf [PageSize]byte
-	if err := bp.Get(1, buf[:]); err != ErrClosed {
-		t.Errorf("Get after close = %v", err)
-	}
-	if bp.String() == "" {
-		t.Error("String empty")
+	if err := getPage(bp, 1, buf[:]); err != ErrClosed {
+		t.Errorf("View after close = %v", err)
 	}
 }
 
@@ -299,7 +329,7 @@ func TestRecordStoreSmallRecords(t *testing.T) {
 		want = append(want, data)
 	}
 	for i, rid := range rids {
-		got, err := rs.Read(rid)
+		got, err := readOne(rs, rid)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -322,7 +352,7 @@ func TestRecordStoreOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rs.Read(rid)
+	got, err := readOne(rs, rid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +364,7 @@ func TestRecordStoreOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := rs.Read(rid2); string(got) != "after" {
+	if got, _ := readOne(rs, rid2); string(got) != "after" {
 		t.Error("small record after overflow broken")
 	}
 }
@@ -347,7 +377,7 @@ func TestRecordStoreEmptyRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rs.Read(rid)
+	got, err := readOne(rs, rid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +408,7 @@ func TestRecordStorePersistsAcrossReopen(t *testing.T) {
 	}
 	defer pf2.Close()
 	rs2 := NewRecordStore(NewBufferPool(pf2, 8))
-	got, err := rs2.Read(rid)
+	got, err := readOne(rs2, rid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,10 +420,10 @@ func TestRecordStorePersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := rs2.Read(rid); string(got) != "durable record" {
+	if got, _ := readOne(rs2, rid); string(got) != "durable record" {
 		t.Error("old record damaged by post-reopen append")
 	}
-	if got, _ := rs2.Read(rid2); string(got) != "second" {
+	if got, _ := readOne(rs2, rid2); string(got) != "second" {
 		t.Error("new record wrong")
 	}
 }
@@ -403,7 +433,7 @@ func TestRecordStoreRejectsCorruptRID(t *testing.T) {
 	bp := NewBufferPool(pf, 4)
 	rs := NewRecordStore(bp)
 	rid, _ := rs.Append([]byte("x"))
-	if _, err := rs.Read(RID{Page: rid.Page, Slot: 99}); err == nil {
+	if _, err := readOne(rs, RID{Page: rid.Page, Slot: 99}); err == nil {
 		t.Error("out-of-range slot accepted")
 	}
 }
@@ -433,7 +463,7 @@ func TestRecordStoreRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := rs.Read(rid)
+		got, err := readOne(rs, rid)
 		if err != nil {
 			return false
 		}
@@ -456,7 +486,7 @@ func TestPoolStatsHitRate(t *testing.T) {
 // TestBufferPoolStatsSnapshotDuringTraffic hammers the pool from reader
 // goroutines while another goroutine snapshots Stats continuously. The
 // counters are atomics, so under -race this proves stats reads need no
-// pool lock, and the final snapshot must balance: every Get is either a
+// pool lock, and the final snapshot must balance: every page view is either a
 // hit or a miss.
 func TestBufferPoolStatsSnapshotDuringTraffic(t *testing.T) {
 	pf := newTestFile(t)
@@ -491,8 +521,8 @@ func TestBufferPoolStatsSnapshotDuringTraffic(t *testing.T) {
 			defer wg.Done()
 			var buf [PageSize]byte
 			for i := 0; i < iters; i++ {
-				if err := bp.Get(ids[(w*7+i)%len(ids)], buf[:]); err != nil {
-					t.Errorf("Get: %v", err)
+				if err := getPage(bp, ids[(w*7+i)%len(ids)], buf[:]); err != nil {
+					t.Errorf("View: %v", err)
 					return
 				}
 			}
@@ -503,13 +533,9 @@ func TestBufferPoolStatsSnapshotDuringTraffic(t *testing.T) {
 	snaps.Wait()
 	st := bp.Stats()
 	// Alloc installs frames without counting hits or misses, so traffic
-	// is exactly the workers' Gets.
+	// is exactly the workers' page views.
 	if st.Hits+st.Misses != workers*iters {
 		t.Errorf("hits(%d)+misses(%d) = %d, want %d",
 			st.Hits, st.Misses, st.Hits+st.Misses, workers*iters)
-	}
-	bp.ResetStats()
-	if got := bp.Stats(); got != (PoolStats{}) {
-		t.Errorf("ResetStats left %+v", got)
 	}
 }
