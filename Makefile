@@ -39,10 +39,11 @@ race:
 # race-hot re-runs the packages where the alignment memo's
 # re-confirmation of entries an insert made stale, the
 # per-query-path cluster goroutines (one alignment memo, one I/O tally
-# and one index View shared by all of a query's clusters), request
-# coalescing, WAL group commit, incremental compaction, the event ring's
-# concurrent writers and the signature pre-rank's probe-mask lookups
-# interleave — a second -count pass varies goroutine scheduling beyond
+# and one index View shared by all of a query's clusters), admission
+# against client disconnects, WAL group commit, incremental compaction,
+# the event ring's concurrent writers and the signature pre-rank's
+# probe-mask lookups interleave — a second -count pass varies goroutine
+# scheduling beyond
 # what one ./... sweep exercises. A read lock taken again inside a View
 # with a writer queued hangs instead of failing, so the timeout turns
 # such a deadlock into a failure well before go test's own ten minutes.
@@ -114,8 +115,8 @@ loc:
 # knobs prints the number of independently settable values on each
 # configuration surface — public With* options, flags of the two
 # binaries, exported fields of the three Options structs and the fields
-# of the public config they feed — one line each, so "options did not
-# grow" is one diff of this output.
+# of the public config they feed, and the Go client's exported fields —
+# one line each, so "options did not grow" is one diff of this output.
 knobs:
 	@printf '%-34s %3d\n' 'sama.go With*' $$(grep -c '^func With' sama.go)
 	@printf '%-34s %3d\n' 'sama.go config fields' $$(awk '/^type config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[a-z]/{n++} END{print n+0}' sama.go)
@@ -126,6 +127,8 @@ knobs:
 		printf '%-34s %3d\n' "$$(basename $$(dirname $$f)).Options exported fields" \
 			$$(awk '/^type Options struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n+0}' $$f); \
 	done
+	@printf '%-34s %3d\n' 'client.Client exported fields' \
+		$$(awk '/^type Client struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n+0}' client/client.go)
 
 # profile captures one CPU profile per phase into results/, keeping the
 # test binary next to them for symbolisation: the search phase where it

@@ -164,26 +164,7 @@ type Client struct {
 	base string
 	// HTTP is the underlying client; nil uses http.DefaultClient.
 	HTTP *http.Client
-	// RetryShed opts Query into one bounded retry of shed requests:
-	// on a 503 (overload or drain) the client sleeps for the server's
-	// Retry-After hint — capped at RetryShedMaxWait, defaulting to
-	// RetryShedDefaultWait when the server sent none — and reissues the
-	// request once. A second 503 is returned as-is; the retry never
-	// outlives ctx. Off by default: shedding exists to move load away
-	// from a saturated server, so blind client-side retries must be a
-	// deliberate choice.
-	RetryShed bool
 }
-
-// Retry-After handling bounds for RetryShed.
-const (
-	// RetryShedDefaultWait is slept before the retry when the 503
-	// carried no (or a zero) Retry-After hint.
-	RetryShedDefaultWait = 50 * time.Millisecond
-	// RetryShedMaxWait caps the honored Retry-After, so a pathological
-	// hint cannot park the caller for minutes.
-	RetryShedMaxWait = 5 * time.Second
-)
 
 // New returns a client for the server at baseURL (e.g.
 // "http://localhost:8094").
@@ -198,37 +179,12 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// Query answers a SPARQL query. Non-200 responses come back as a
-// *StatusError; a 200 with Partial set is not an error (the answers are
-// the best found within the deadline). With RetryShed set, one 503 is
-// absorbed by waiting out its Retry-After hint and retrying.
+// Query answers a SPARQL query in one request. Non-200 responses come
+// back as a *StatusError; a 200 with Partial set is not an error (the
+// answers are the best found within the deadline). A shed request is
+// not retried: IsOverloaded reports it, and its RetryAfter says how
+// long the server asks the caller to back off.
 func (c *Client) Query(ctx context.Context, sparql string, opts QueryOptions) (*QueryResponse, error) {
-	resp, err := c.doQuery(ctx, sparql, opts)
-	if err == nil || !c.RetryShed || !IsOverloaded(err) {
-		return resp, err
-	}
-	var se *StatusError
-	errors.As(err, &se)
-	wait := se.RetryAfter
-	if wait <= 0 {
-		wait = RetryShedDefaultWait
-	}
-	if wait > RetryShedMaxWait {
-		wait = RetryShedMaxWait
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		// The caller's deadline beat the backoff; the shed response is
-		// the more informative error.
-		return nil, err
-	case <-timer.C:
-	}
-	return c.doQuery(ctx, sparql, opts)
-}
-
-func (c *Client) doQuery(ctx context.Context, sparql string, opts QueryOptions) (*QueryResponse, error) {
 	q := url.Values{}
 	if opts.K > 0 {
 		q.Set("k", strconv.Itoa(opts.K))

@@ -70,9 +70,9 @@ after the batch is fsynced to a write-ahead log in <dir>, and after a
 crash the next open of the index (query, stats, samad) replays the log
 before it answers.
 
--serve keeps the -debug-addr server (and the process) alive after the
-answers print, until SIGINT/SIGTERM; without it the debug server dies
-with the query. For a long-lived query endpoint use samad instead.
+-debug-addr serves samad's endpoints (/metrics, /debug/, /query) while
+the query runs; -serve keeps that server (and the process) alive after
+the answers print, until SIGINT/SIGTERM. For a long-lived endpoint, use samad.
 `)
 }
 
@@ -125,7 +125,7 @@ func runQuery(args []string) error {
 	stats := fs.Bool("stats", false, "print the per-phase trace table after the answers")
 	explain := fs.Bool("explain", false, "print the deterministic explain plan after the answers")
 	explainJSON := fs.Bool("explain-json", false, "like -explain, but print the plan as JSON (byte-identical to the server's ?explain=1 document)")
-	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/lastqueries on this address while the query runs")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/ (vars, pprof, lastqueries, events) and /query on this address while the query runs")
 	serve := fs.Bool("serve", false, "with -debug-addr: keep the debug server alive after the answers print, until SIGINT/SIGTERM (for a query endpoint, see samad)")
 	fs.Parse(args)
 	if *base == "" {
@@ -148,12 +148,12 @@ func runQuery(args []string) error {
 	}
 	defer db.Close()
 	if *debugAddr != "" {
-		dbg, err := db.ServeDebug(*debugAddr)
+		srv, err := db.Serve(*debugAddr, sama.ServerOptions{})
 		if err != nil {
 			return err
 		}
-		defer dbg.Close()
-		fmt.Fprintf(out, "debug server on http://%s/ (metrics, pprof, lastqueries)\n", dbg.Addr())
+		defer srv.Close()
+		fmt.Fprintf(out, "debug server on http://%s/ (metrics, pprof, lastqueries)\n", srv.Addr())
 	}
 	if *cold {
 		if err := db.DropCache(); err != nil {

@@ -17,11 +17,11 @@
 // both receive 503 with a Retry-After hint. Per-request deadlines
 // (?timeout=, capped by -max-timeout) thread into the engine, so a
 // request that exceeds its budget gets its best-so-far answers with the
-// partial flag set. -cache-align-mb sizes the alignment memo, which is
-// on by default and re-confirms an entry an index write made stale;
-// -coalesce collapses identical in-flight queries into one execution.
-// -wal enables the durable write path when the index is built (an
-// existing WAL-enabled index reattaches its log automatically); after a
+// partial flag set; a client that disconnects cancels its query.
+// -cache-align-mb sizes the alignment memo, which is on by default and
+// re-confirms an entry an index write made stale. -wal enables the
+// durable write path when the index is built (an existing WAL-enabled
+// index reattaches its log automatically); after a
 // crash, opening the index replays the log before samad serves, and the
 // replay is logged. -data is only read to build an absent index.
 // SIGINT/SIGTERM starts a graceful drain: the server
@@ -110,7 +110,6 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	poolPages := fs.Int("pool-pages", 0, "buffer pool capacity in 8 KiB pages (0 = library default)")
 	slow := fs.Duration("slow-query", 0, "log queries slower than this threshold (0 = off)")
 	cacheAlignMB := fs.Int("cache-align-mb", 0, "alignment memo budget in MiB: one cached cluster per query-path shape, reused across queries sharing it (0 = default 64, negative = off)")
-	coalesce := fs.Bool("coalesce", false, "collapse identical in-flight /query requests into one execution")
 	walDir := fs.String("wal", "", "enable the write-ahead log in this directory when building; an existing index reattaches its own WAL automatically")
 	walCheckpoint := fs.Int64("wal-checkpoint", 0, "WAL bytes that trigger an automatic checkpoint (0 = library default, -1 = manual only)")
 	route := fs.String("route", "", "comma-separated shard server URLs: run as a scatter-gather router over them instead of serving a local index")
@@ -168,14 +167,14 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 			rs.Records, rs.Triples, rs.Replay.Round(time.Microsecond), rs.TornTailRepaired)
 	}
 
-	sopts.Coalesce = *coalesce
 	srv, err := db.Serve(*addr, sopts)
 	if err != nil {
 		db.Close()
 		return nil, err
 	}
+	inflight, queue := srv.Handler().Limits()
 	logger.Printf("serving on http://%s/ (index %s, max-inflight %d, max-queue %d)",
-		srv.Addr(), *index, sopts.MaxInflight, *maxQueue)
+		srv.Addr(), *index, inflight, queue)
 	return &daemon{db: db, srv: srv, drainTimeout: *drainTimeout, logger: logger}, nil
 }
 

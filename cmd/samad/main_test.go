@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"log"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -220,6 +222,34 @@ func TestAlignMemoFlag(t *testing.T) {
 		}
 		if _, ok := d.db.CacheStats()["align"]; ok != tc.want {
 			t.Errorf("flags %v: align memo present = %v, want %v", tc.args, ok, tc.want)
+		}
+		if err := d.shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}
+}
+
+// TestStartupLineReportsEffectiveLimits: the serving line names the
+// admission bounds the handler enforces, not the flags' sentinels —
+// with default flags GOMAXPROCS slots and a queue twice that.
+func TestStartupLineReportsEffectiveLimits(t *testing.T) {
+	n := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, fmt.Sprintf("max-inflight %d, max-queue %d)", n, 2*n)},
+		{[]string{"-max-inflight", "3", "-max-queue", "0"}, "max-inflight 3, max-queue 0)"},
+	} {
+		data, index := writeDataset(t)
+		var logs bytes.Buffer
+		args := append([]string{"-index", index, "-data", data, "-addr", "127.0.0.1:0"}, tc.args...)
+		d, err := startDaemon(args, log.New(&logs, "", 0))
+		if err != nil {
+			t.Fatalf("startDaemon %v: %v", tc.args, err)
+		}
+		if !strings.Contains(logs.String(), tc.want) {
+			t.Errorf("flags %v: serving line lacks %q:\n%s", tc.args, tc.want, logs.String())
 		}
 		if err := d.shutdown(); err != nil {
 			t.Errorf("shutdown: %v", err)

@@ -145,7 +145,7 @@ func TestReconfirmFromChangesEqualsRepick(t *testing.T) {
 		name:  "a compaction between build and lookup",
 		graph: kinds("kind", 2),
 		query: one(vr("s"), iri("kind"), iri("Thing")),
-		write: func(ix *index.Index) error { return ix.Compact() },
+		write: func(ix *index.Index) error { _, err := ix.CompactIncremental(context.Background(), 0); return err },
 		want:  decidedRefused,
 	}, {
 		// Three roots become none; the cluster has two candidates.

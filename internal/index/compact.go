@@ -45,16 +45,9 @@ func (cs *CompactStats) pause(d time.Duration) {
 	}
 }
 
-// Compact rewrites the index files keeping only live paths, reclaiming
-// the space held by tombstoned records. It is CompactIncremental with
-// the default batch size; see there for the concurrency contract.
-func (ix *Index) Compact() error {
-	_, err := ix.CompactIncremental(context.Background(), 0)
-	return err
-}
-
-// CompactIncremental rewrites the index in bounded steps while queries
-// and writes proceed. The bulk of the copy runs under short read locks
+// CompactIncremental rewrites the index files keeping only live paths,
+// reclaiming the space held by tombstoned records. It works in bounded
+// steps while queries and writes proceed. The bulk of the copy runs under short read locks
 // — batch live paths are materialised per step, the lock released
 // between steps — so queries keep reading the pre-compaction state
 // throughout. Only the final phase takes the write lock, which waits

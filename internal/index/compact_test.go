@@ -56,7 +56,7 @@ func TestCompactPreservesLivePaths(t *testing.T) {
 	beforeSize := ix.Stats().DiskBytes
 	total := ix.NumPaths()
 
-	if err := ix.Compact(); err != nil {
+	if _, err := ix.CompactIncremental(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	after := livePathKeys(t, ix)
@@ -100,7 +100,7 @@ func TestCompactCompressedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := livePathKeys(t, ix)
-	if err := ix.Compact(); err != nil {
+	if _, err := ix.CompactIncremental(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	after := livePathKeys(t, ix)
@@ -302,7 +302,7 @@ func TestCompactSwapCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Compact(); err != nil {
+	if _, err := re.CompactIncremental(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	postSlots := re.NumPaths()

@@ -313,7 +313,7 @@ func TestCrashMatrixMidCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.ix.Compact(); err != nil {
+		if _, err := r.ix.CompactIncremental(context.Background(), 0); err != nil {
 			t.Fatal(err)
 		}
 		want := livePathKeys(t, r.ix)

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 )
 
 // DebugMux builds the debug HTTP handler tree:
@@ -80,35 +78,3 @@ func DebugMux(reg *Registry, log *QueryLog, events *EventLog) *http.ServeMux {
 	})
 	return mux
 }
-
-// DebugServer is a running debug HTTP server.
-type DebugServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// ServeDebug starts handler on addr (e.g. "localhost:6060"; port 0
-// picks a free port) in a background goroutine and returns the running
-// server. Header-read and idle timeouts are set so a slow-loris client
-// cannot pin listener goroutines; there is deliberately no write
-// timeout, because /debug/pprof/profile and /debug/pprof/trace stream
-// for their full sampling window.
-func ServeDebug(addr string, handler http.Handler) (*DebugServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: debug server: %w", err)
-	}
-	srv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go srv.Serve(ln)
-	return &DebugServer{ln: ln, srv: srv}, nil
-}
-
-// Addr returns the server's bound address (useful with port 0).
-func (s *DebugServer) Addr() string { return s.ln.Addr().String() }
-
-// Close shuts the server down immediately.
-func (s *DebugServer) Close() error { return s.srv.Close() }

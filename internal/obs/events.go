@@ -20,12 +20,10 @@ type Event struct {
 }
 
 // EventLog is the structured event log: a fixed-capacity newest-first
-// ring fed by per-subsystem `log/slog` loggers. A nil *EventLog is
-// valid: loggers built from it discard everything at zero cost beyond
-// the Enabled check.
+// ring fed by per-subsystem `log/slog` loggers, recording Info and
+// above. A nil *EventLog is valid: loggers built from it discard
+// everything at zero cost beyond the Enabled check.
 type EventLog struct {
-	level slog.LevelVar // minimum level, default Info
-
 	mu   sync.Mutex
 	seq  uint64 // under mu, so Seq order always matches ring order
 	buf  []Event
@@ -43,16 +41,7 @@ func NewEventLog(n int) *EventLog {
 	if n <= 0 {
 		n = EventLogSize
 	}
-	l := &EventLog{buf: make([]Event, n)}
-	l.level.Set(slog.LevelInfo)
-	return l
-}
-
-// SetLevel sets the minimum level recorded (default Info).
-func (l *EventLog) SetLevel(v slog.Level) {
-	if l != nil {
-		l.level.Set(v)
-	}
+	return &EventLog{buf: make([]Event, n)}
 }
 
 // Logger returns a slog logger whose records land in the ring tagged
@@ -100,10 +89,7 @@ type ringHandler struct {
 }
 
 func (h *ringHandler) Enabled(_ context.Context, level slog.Level) bool {
-	if h.log == nil {
-		return false
-	}
-	return level >= h.log.level.Level()
+	return h.log != nil && level >= slog.LevelInfo
 }
 
 func (h *ringHandler) Handle(_ context.Context, r slog.Record) error {

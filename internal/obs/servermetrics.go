@@ -11,8 +11,6 @@ package obs
 //	sama_server_admitted_total       counter    requests that got a slot
 //	sama_server_shed_total{reason}   counter    requests refused with 503
 //	sama_server_requests_total{code} counter    responses by HTTP status
-//	sama_server_coalesced_total{outcome} counter requests through the
-//	                                            coalescing layer, by outcome
 //	sama_server_inflight             gauge      queries executing now
 //	sama_server_queued               gauge      requests waiting for a slot
 //
@@ -60,30 +58,6 @@ func NewServerMetrics(reg *Registry) *ServerMetrics {
 		Admitted: reg.Counter("sama_server_admitted_total",
 			"Requests granted an execution slot."),
 	}
-}
-
-// Coalesce outcomes, the values of sama_server_coalesced_total's
-// outcome label.
-const (
-	// CoalesceLeader: the request found no identical in-flight query and
-	// executed for itself (and any waiters that joined it).
-	CoalesceLeader = "leader"
-	// CoalesceShared: the request rode an identical in-flight execution
-	// and received its result.
-	CoalesceShared = "shared"
-	// CoalesceWaitExpired: the request's own deadline fired while it
-	// waited for the shared execution.
-	CoalesceWaitExpired = "wait_expired"
-)
-
-// Coalesced returns the coalescing counter for one outcome (see the
-// Coalesce* constants).
-func (m *ServerMetrics) Coalesced(outcome string) *Counter {
-	if m == nil || m.reg == nil {
-		return nil
-	}
-	return m.reg.Counter("sama_server_coalesced_total",
-		"Requests through the request-coalescing layer, by outcome.", "outcome", outcome)
 }
 
 // Shed returns the shed counter for one reason (see the Shed*

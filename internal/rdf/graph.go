@@ -80,7 +80,7 @@ func (g *Graph) AddNode(term Term) NodeID {
 }
 
 // AddEdge inserts a directed edge from → to with the given label and
-// returns its ID. Duplicate (from, to, label) edges are coalesced.
+// returns its ID; a duplicate (from, to, label) gets the existing ID.
 func (g *Graph) AddEdge(from, to NodeID, label Term) EdgeID {
 	k := edgeKey{from, to, label}
 	if id, ok := g.edgeSet[k]; ok {

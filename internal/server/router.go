@@ -66,10 +66,6 @@ type GatewayError struct{ Err error }
 func (e *GatewayError) Error() string { return e.Err.Error() }
 func (e *GatewayError) Unwrap() error { return e.Err }
 
-// clientResponse keeps the outcome struct (coalesce.go) free of the
-// wire-package import.
-type clientResponse = client.QueryResponse
-
 // shardReply is one shard's contribution to a merged query.
 type shardReply struct {
 	resp    *client.QueryResponse

@@ -61,13 +61,6 @@ type Options struct {
 	MaxK     int
 	// MaxBodyBytes bounds the query text (default 1 MiB).
 	MaxBodyBytes int64
-	// Coalesce collapses identical in-flight queries (same body and k)
-	// into one execution whose result fans out to every caller; each
-	// waiter still honors its own deadline. A leader's execution is
-	// detached from its client's disconnect (waiters may be riding it),
-	// so it runs to its timeout, the drain deadline, or completion.
-	// Off by default.
-	Coalesce bool
 }
 
 // retryAfterSeconds is the backoff hint stamped on 503 responses.
@@ -150,8 +143,6 @@ type Handler struct {
 	backend Backend
 	met     *obs.ServerMetrics
 	log     *slog.Logger
-	// co is the request-coalescing layer; nil unless Options.Coalesce.
-	co *coalescer
 
 	// stopCtx is cancelled by CancelInflight to reclaim queries that
 	// outlive the drain deadline.
@@ -173,9 +164,6 @@ func New(b Backend, opts Options) *Handler {
 		backend: b,
 		met:     obs.NewServerMetrics(b.Metrics),
 		log:     b.Events.Logger("server"),
-	}
-	if opts.Coalesce {
-		h.co = newCoalescer()
 	}
 	h.stopCtx, h.stopCancel = context.WithCancel(context.Background())
 	h.met.SetAdmissionFuncs(
@@ -306,114 +294,60 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if h.co != nil {
-		key := coalesceKey(src, k)
-		f, leader := h.co.join(key)
-		if !leader {
-			h.waitFlight(w, r, f, timeout, start, explain)
-			return
-		}
-		h.met.Coalesced(obs.CoalesceLeader).Inc()
-		res := h.execute(r, src, k, timeout, explain)
-		h.co.finish(key, f, res)
-		h.renderOutcome(w, res, res.queueWait, explain)
-		if res.shedErr == nil {
-			h.met.RequestSeconds.Observe(time.Since(start).Seconds())
-		}
+	// Admission: get an execution slot or degrade with an honest 503.
+	admit := time.Now()
+	if err := h.adm.acquire(r.Context(), h.opts.QueueTimeout); err != nil {
+		h.shed(w, err)
 		return
 	}
-
-	res := h.execute(r, src, k, timeout, explain)
-	h.renderOutcome(w, res, res.queueWait, explain)
-	if res.shedErr == nil {
-		h.met.RequestSeconds.Observe(time.Since(start).Seconds())
-	}
-}
-
-// waitFlight rides an identical in-flight execution: the waiter gets
-// the shared outcome, or — if its own deadline fires first — a 503 with
-// the usual Retry-After hint. The waiter never touches admission; its
-// reported queue wait is the time spent riding.
-func (h *Handler) waitFlight(w http.ResponseWriter, r *http.Request, f *flight, timeout time.Duration, start time.Time, explain bool) {
-	wctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	select {
-	case <-f.done:
-		h.met.Coalesced(obs.CoalesceShared).Inc()
-		h.renderOutcome(w, f.res, time.Since(start), explain)
-	case <-wctx.Done():
-		h.met.Coalesced(obs.CoalesceWaitExpired).Inc()
-		h.writeErr(w, http.StatusServiceUnavailable,
-			"deadline expired while waiting for an identical in-flight query")
-	}
-}
-
-// execute runs admission and the backend query, reporting the result as
-// an outcome instead of writing it, so coalescing can fan one outcome
-// out to several responses. With coalescing on, both the slot wait and
-// the execution are detached from the requesting client's disconnect:
-// waiters may be riding this flight, so only the request timeout, the
-// queue timeout and the drain deadline bound it.
-func (h *Handler) execute(r *http.Request, src string, k int, timeout time.Duration, explain bool) outcome {
-	start := time.Now()
-	base := r.Context()
-	if h.co != nil {
-		base = context.WithoutCancel(base)
-	}
-
-	// Admission: get an execution slot or degrade with an honest 503.
-	if err := h.adm.acquire(base, h.opts.QueueTimeout); err != nil {
-		return outcome{shedErr: err}
-	}
-	defer h.adm.release()
-	queueWait := time.Since(start)
+	queueWait := time.Since(admit)
 	h.met.Admitted.Inc()
 	h.met.QueueSeconds.Observe(queueWait.Seconds())
 
-	// The query context combines the client's disconnect signal (unless
-	// detached for coalescing), the per-request deadline, and the
-	// server's straggler reclamation at the drain deadline.
-	ctx, cancel := context.WithTimeout(base, timeout)
+	resp, err := h.run(r.Context(), src, k, timeout, queueWait, explain)
+	h.writeResult(w, resp, err)
+	h.met.RequestSeconds.Observe(time.Since(start).Seconds())
+}
+
+// run executes one admitted query and releases its slot before the
+// response is written. The query context combines the client's
+// disconnect signal, the per-request deadline, and the server's
+// straggler reclamation at the drain deadline.
+func (h *Handler) run(ctx context.Context, src string, k int, timeout, queueWait time.Duration, explain bool) (*client.QueryResponse, error) {
+	defer h.adm.release()
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	defer context.AfterFunc(h.stopCtx, cancel)()
 
 	if h.backend.QueryWire != nil {
-		wire, err := h.backend.QueryWire(ctx, src, k, explain)
-		if wire != nil {
-			// Stamped before the outcome is published (and possibly
-			// shared with coalesced waiters), never after.
-			wire.Stats.QueueNS = queueWait.Nanoseconds()
+		resp, err := h.backend.QueryWire(ctx, src, k, explain)
+		if resp != nil {
+			resp.Stats.QueueNS = queueWait.Nanoseconds()
 		}
-		return outcome{wire: wire, err: err, queueWait: queueWait}
+		return resp, err
 	}
 	out, err := h.backend.Query(ctx, src, k)
-	return outcome{out: out, err: err, queueWait: queueWait}
+	if err != nil {
+		return nil, err
+	}
+	return toWire(out, queueWait, explain), nil
 }
 
-// renderOutcome writes one execution outcome as the HTTP response.
-// queueWait is per response: the leader's slot wait, or a waiter's time
-// riding the flight. explain is per response too: a coalesced waiter
-// that asked for a plan gets one off the shared trace, while the leader
-// that didn't ask stays plan-free.
-func (h *Handler) renderOutcome(w http.ResponseWriter, res outcome, queueWait time.Duration, explain bool) {
+// writeResult writes an execution's answers, or maps its failure to a
+// status: 400 for the caller's fault, 502 for an upstream outage, 500
+// otherwise.
+func (h *Handler) writeResult(w http.ResponseWriter, resp *client.QueryResponse, err error) {
+	var bad *BadRequestError
+	var gw *GatewayError
 	switch {
-	case res.shedErr != nil:
-		h.shed(w, res.shedErr)
-	case res.err != nil:
-		var bad *BadRequestError
-		var gw *GatewayError
-		switch {
-		case errors.As(res.err, &bad):
-			h.writeErr(w, http.StatusBadRequest, bad.Error())
-		case errors.As(res.err, &gw):
-			h.writeErr(w, http.StatusBadGateway, gw.Error())
-		default:
-			h.writeErr(w, http.StatusInternalServerError, res.err.Error())
-		}
-	case res.wire != nil:
-		h.writeJSON(w, http.StatusOK, res.wire)
+	case err == nil:
+		h.writeJSON(w, http.StatusOK, resp)
+	case errors.As(err, &bad):
+		h.writeErr(w, http.StatusBadRequest, bad.Error())
+	case errors.As(err, &gw):
+		h.writeErr(w, http.StatusBadGateway, gw.Error())
 	default:
-		h.writeJSON(w, http.StatusOK, toWire(res.out, queueWait, explain))
+		h.writeErr(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
@@ -552,6 +486,12 @@ func (h *Handler) Draining() bool { return h.draining.Load() }
 func (h *Handler) Inflight() int {
 	r, _ := h.adm.counts()
 	return r
+}
+
+// Limits reports the admission bounds the handler enforces once every
+// default is applied: execution slots and wait-queue length.
+func (h *Handler) Limits() (maxInflight, maxQueue int) {
+	return h.adm.maxInflight, h.adm.maxQueue
 }
 
 // Shutdown drains gracefully: it stops admitting, waits for in-flight

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -335,6 +336,46 @@ func TestNoQueueShedsWhenSaturated(t *testing.T) {
 	if v := reg.Counter("sama_server_shed_total", "", "reason", obs.ShedQueueFull).Value(); v != 1 {
 		t.Errorf("shed_total{queue_full} = %d, want 1", v)
 	}
+}
+
+// TestClientDisconnectCancelsQuery: a client that goes away after its
+// query started cancels the backend's context — not its deadline, which
+// is a minute off — and the execution slot comes back.
+func TestClientDisconnectCancelsQuery(t *testing.T) {
+	started := make(chan struct{})
+	stopped := make(chan error, 1)
+	h := New(Backend{
+		Query: func(ctx context.Context, src string, k int) (*QueryOutcome, error) {
+			close(started)
+			<-ctx.Done()
+			stopped <- ctx.Err()
+			return testOutcome(true), nil
+		},
+	}, Options{MaxInflight: 1, DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := client.New(ts.URL).Query(ctx, "q", client.QueryOptions{})
+		done <- err
+	}()
+	<-started
+	cancel()
+	select {
+	case err := <-stopped:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("backend context ended with %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("backend context still live after the client disconnected")
+	}
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("client error = %v, want context.Canceled", err)
+	}
+	waitFor(t, func() bool { return h.Inflight() == 0 })
 }
 
 // TestDrainReturnsInflightResults: shutdown during in-flight queries

@@ -149,10 +149,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeDebugListens exercises the real listener path of ServeDebug.
-func TestServeDebugListens(t *testing.T) {
+// TestServeMountsDebugRoutes: the query server's one listener also
+// serves the debug tree, so nothing needs a second listener for it.
+func TestServeMountsDebugRoutes(t *testing.T) {
 	db := obsTestDB(t)
-	srv, err := db.ServeDebug("127.0.0.1:0")
+	srv, err := db.Serve("127.0.0.1:0", sama.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +161,9 @@ func TestServeDebugListens(t *testing.T) {
 	body := httpGet(t, http.DefaultClient, "http://"+srv.Addr()+"/metrics")
 	if !strings.Contains(body, "sama_pool_hits_total") {
 		t.Errorf("metrics body missing pool counters:\n%.300s", body)
+	}
+	if body := httpGet(t, http.DefaultClient, "http://"+srv.Addr()+"/debug/events"); !strings.Contains(body, `"events"`) {
+		t.Errorf("/debug/events is not the event document:\n%.300s", body)
 	}
 }
 
@@ -265,8 +269,8 @@ func TestPoolStatsDuringConcurrentQueries(t *testing.T) {
 
 // TestMetricsReferenceMatchesRegistry pins the README's metrics
 // reference to the registry: a session that touches every family — a
-// query, a deadline-expired query, a WAL insert, a coalesced pair and one
-// shed under MaxInflight 1 with no queue — must leave /metrics with
+// query, a deadline-expired query, a WAL insert and one shed under
+// MaxInflight 1 with no queue — must leave /metrics with
 // exactly the families the table lists, each with the table's type and
 // label names.
 func TestMetricsReferenceMatchesRegistry(t *testing.T) {
@@ -292,7 +296,7 @@ func TestMetricsReferenceMatchesRegistry(t *testing.T) {
 		t.Fatalf("deadline-expired query: partial=%v err=%v", res != nil && res.Partial, err)
 	}
 
-	srv := httptest.NewServer(db.Handler(sama.ServerOptions{MaxInflight: 1, MaxQueue: -1, Coalesce: true}))
+	srv := httptest.NewServer(db.Handler(sama.ServerOptions{MaxInflight: 1, MaxQueue: -1}))
 	defer srv.Close()
 	post := func(src string) int {
 		resp, err := srv.Client().Post(srv.URL+"/query?k=5", "application/sparql-query", strings.NewReader(src))
@@ -304,18 +308,15 @@ func TestMetricsReferenceMatchesRegistry(t *testing.T) {
 		return resp.StatusCode
 	}
 	hold.Store(true)
-	codes := make(chan int, 2)
-	go func() { codes <- post(obsTestQuery) }() // the leader, held in the hook
+	held := make(chan int, 1)
+	go func() { held <- post(obsTestQuery) }() // holds the one slot in the hook
 	<-entered
-	go func() { codes <- post(obsTestQuery) }() // rides the leader's flight
 	if code := post(`SELECT ?x WHERE { ?x <gender> "Male" }`); code != http.StatusServiceUnavailable {
-		t.Errorf("a distinct query with the slot held and no queue: status %d, want 503", code)
+		t.Errorf("a query with the slot held and no queue: status %d, want 503", code)
 	}
 	close(release)
-	for i := 0; i < 2; i++ {
-		if code := <-codes; code != http.StatusOK {
-			t.Errorf("coalesced query: status %d, want 200", code)
-		}
+	if code := <-held; code != http.StatusOK {
+		t.Errorf("held query: status %d, want 200", code)
 	}
 
 	got := scrapeFamilies(t, httpGet(t, srv.Client(), srv.URL+"/metrics"))

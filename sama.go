@@ -123,10 +123,8 @@ type (
 	TraceIO = obs.IOStats
 	// MetricsRegistry is the per-DB metrics registry: atomic counters,
 	// gauges and fixed-bucket histograms with Prometheus text
-	// exposition (DB.Metrics, served at /metrics by the debug server).
+	// exposition (DB.Metrics, served at /metrics by DB.DebugHandler).
 	MetricsRegistry = obs.Registry
-	// DebugServer is a running debug HTTP server (DB.ServeDebug).
-	DebugServer = obs.DebugServer
 	// CacheStats snapshots one cache's counters (DB.CacheStats).
 	CacheStats = cache.Stats
 	// ServerOptions configure the network query server (DB.Handler,
@@ -272,7 +270,7 @@ func WithWALCheckpoint(bytes int64) Option {
 
 // DB is an opened Sama database: a disk-resident path index plus the
 // query engine over it. Every DB owns a metrics registry and a ring of
-// recent query traces; ServeDebug exposes both over HTTP.
+// recent query traces; DebugHandler exposes both over HTTP.
 type DB struct {
 	store  *index.Index
 	engine *core.Engine
@@ -548,18 +546,9 @@ func (db *DB) Flush() error {
 	return db.store.Flush()
 }
 
-// Compact rewrites the index files keeping only live paths, reclaiming
-// the space tombstoned by Insert. The database must be the files' sole
-// user during compaction.
-func (db *DB) Compact() error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	return db.store.Compact()
-}
-
-// CompactIncremental is Compact in bounded steps: live paths are copied
-// in batches of batchSize (0 means a default), and the index stays open
+// CompactIncremental rewrites the index files keeping only live paths,
+// reclaiming the space tombstoned by Insert. Live paths are copied in
+// batches of batchSize (0 means a default), and the index stays open
 // for queries and inserts between steps — each pause is one short
 // reader-lock hold instead of a full-rewrite stall. The returned stats
 // report the batch count, pause distribution and the worst pause.
@@ -631,17 +620,10 @@ func (db *DB) CacheStats() map[string]CacheStats { return db.engine.CacheStats()
 // (Prometheus text), /debug/vars (the stdlib expvar document),
 // /debug/lastqueries (recent traces as JSON), /debug/events (the event
 // ring) and /debug/pprof/* — mountable under any server or httptest.
-// Cache and WAL counters not on /metrics are read with CacheStats,
-// WALStats and Recovery.
+// DB.Serve mounts it beside /query. Cache and WAL counters not on
+// /metrics are read with CacheStats, WALStats and Recovery.
 func (db *DB) DebugHandler() http.Handler {
 	return obs.DebugMux(db.reg, db.lastq, db.events)
-}
-
-// ServeDebug starts the debug HTTP server on addr (port 0 picks a free
-// port; the bound address is DebugServer.Addr). The caller closes the
-// returned server; closing the DB does not stop it.
-func (db *DB) ServeDebug(addr string) (*DebugServer, error) {
-	return obs.ServeDebug(addr, db.DebugHandler())
 }
 
 // Handler returns the network query server handler over this database:
