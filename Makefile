@@ -40,13 +40,13 @@ race:
 # re-confirmation of entries an insert made stale, the
 # per-query-path cluster goroutines (one alignment memo, one I/O tally
 # and one index View shared by all of a query's clusters), admission
-# against client disconnects, WAL group commit, incremental compaction,
-# the event ring's concurrent writers and the signature pre-rank's
-# probe-mask lookups interleave — a second -count pass varies goroutine
-# scheduling beyond
-# what one ./... sweep exercises. A read lock taken again inside a View
-# with a writer queued hangs instead of failing, so the timeout turns
-# such a deadlock into a failure well before go test's own ten minutes.
+# against client disconnects, the writer lock inserts, checkpoints and
+# incremental compaction share, the event ring's concurrent writers
+# and the signature pre-rank's probe-mask lookups interleave — a
+# second -count pass varies goroutine scheduling beyond what one ./...
+# sweep exercises. A read lock taken again inside a View with a writer
+# queued hangs instead of failing, so the timeout turns such a
+# deadlock into a failure well before go test's own ten minutes.
 race-hot:
 	$(GO) test -race -count=2 -timeout 5m ./internal/cache ./internal/core ./internal/server ./internal/storage ./internal/index ./internal/obs ./internal/textindex
 
@@ -56,16 +56,18 @@ race-hot:
 # swap's crash window, and a copy that cannot read a record, which
 # leaves the original files as they were; a failed insert (its staging
 # or its read of the affected roots' paths) that leaves the graph the
-# metadata persists as it was; a reopen that keeps earlier inserts,
-# with a WAL and without; an insert stream equal to a rebuild with one
-# batch re-applied, as replay re-applies it; and, across insert streams
-# and a compaction, the alignment memo against an engine without it and
-# each stale entry's re-confirmation, decided from what the inserts
-# changed, against retrieval and the pre-rank run again; and readers
-# racing a writer through that re-confirmation, which must never serve
-# an answer set older than the inserts they saw complete.
+# metadata persists as it was; inserts racing Close, each of which
+# lands whole before it or fails with nothing logged; a reopen that
+# keeps earlier inserts, with a WAL and without; an insert stream equal
+# to a rebuild with one batch re-applied, as replay re-applies it; and,
+# across insert streams and a compaction, the alignment memo against an
+# engine without it and each stale entry's re-confirmation, decided
+# from what the inserts changed, against retrieval and the pre-rank run
+# again; and readers racing a writer through that re-confirmation,
+# which must never serve an answer set older than the inserts they saw
+# complete.
 crash:
-	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestReopenKeepsEarlierInserts|TestInsertEqualsRebuild|TestAlignMemoExactUnderWrites|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers' ./internal/storage ./internal/index ./internal/core
+	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestReopenKeepsEarlierInserts|TestInsertEqualsRebuild|TestAlignMemoExactUnderWrites|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers' ./internal/storage ./internal/index ./internal/core
 
 # bench-check vets and tests bench/, the benchmark's own module: root
 # ./... patterns skip it, so an API it imports from internal/ could

@@ -493,8 +493,10 @@ func TestParamsValid(t *testing.T) {
 	if !DefaultParams.Valid() {
 		t.Error("DefaultParams invalid")
 	}
-	if (Params{A: -1}).Valid() {
-		t.Error("negative weight accepted")
+	for _, bad := range []Params{{A: -1}, {C: math.NaN()}, {E: math.Inf(1)}} {
+		if bad.Valid() {
+			t.Errorf("%+v accepted", bad)
+		}
 	}
 }
 

@@ -13,6 +13,8 @@
 // always, with equality on all of the paper's worked examples.
 package align
 
+import "math"
+
 // Params holds the weights of relevance ω assigned to the basic update
 // operations of a transformation τ (Definition 4 and Equation 1).
 //
@@ -47,7 +49,9 @@ type Params struct {
 var DefaultParams = Params{A: 1, B: 0.5, C: 2, D: 1, E: 1}
 
 // Valid reports whether the parameters are usable: all weights must be
-// non-negative and mismatches must not be cheaper than free.
+// finite and non-negative, so mismatches are never cheaper than free.
+// NaN fails every comparison, so it is rejected too.
 func (p Params) Valid() bool {
-	return p.A >= 0 && p.B >= 0 && p.C >= 0 && p.D >= 0 && p.E >= 0
+	ok := func(w float64) bool { return w >= 0 && !math.IsInf(w, 1) }
+	return ok(p.A) && ok(p.B) && ok(p.C) && ok(p.D) && ok(p.E)
 }

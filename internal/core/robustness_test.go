@@ -140,20 +140,18 @@ func TestClusterContextRecoversPanic(t *testing.T) {
 	}
 }
 
-func TestOptionsParamsSetZero(t *testing.T) {
-	// Without ParamsSet, an all-zero Params silently selects the
-	// defaults (backwards-compatible behaviour).
+func TestOptionsZeroParamsAreDefault(t *testing.T) {
+	// A zero Params means DefaultParams, in the options and the engine.
 	if got := (Options{}).params(); got != align.DefaultParams {
 		t.Errorf("zero Params => %+v, want DefaultParams", got)
 	}
-	// With ParamsSet, the all-zero coefficients are used verbatim — the
-	// explicit ablation escape hatch.
-	if got := (Options{ParamsSet: true}).params(); got != (align.Params{}) {
-		t.Errorf("ParamsSet zero Params => %+v, want zero", got)
+	if got := New(nil, Options{}).Params(); got != align.DefaultParams {
+		t.Errorf("engine params = %+v, want DefaultParams", got)
 	}
-	e := New(nil, Options{ParamsSet: true})
-	if e.Params() != (align.Params{}) {
-		t.Errorf("engine params = %+v, want zero", e.Params())
+	// Any other Params is used as given.
+	p := align.Params{A: 2, B: 1, C: 4, D: 2, E: 1}
+	if got := New(nil, Options{Params: p}).Params(); got != p {
+		t.Errorf("engine params = %+v, want %+v", got, p)
 	}
 }
 

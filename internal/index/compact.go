@@ -16,18 +16,16 @@ import (
 const DefaultCompactBatch = 1024
 
 // CompactStats reports what an incremental compaction did. Pauses is
-// the distribution the write path cares about: every entry is one
-// interval the compaction held an index lock (read locks for the batch
-// copies, the write lock for the final swap), which is exactly how
-// long concurrent queries or inserts could have been stalled.
+// the distribution queries care about: every entry is one interval the
+// compaction held an index lock (read locks for the batch copies, the
+// write lock for the final swap), which is exactly how long a
+// concurrent query could have been stalled. Writers wait for the whole
+// compaction instead (Elapsed).
 type CompactStats struct {
 	// Live is the number of paths in the compacted index.
 	Live int `json:"live"`
-	// Copied is the number of paths copied by the concurrent batch
-	// phase; DeltaCopied were appended by writes racing the compaction
-	// and copied under the final write lock.
-	Copied      int `json:"copied"`
-	DeltaCopied int `json:"delta_copied"`
+	// Copied is the number of paths the batch steps copied.
+	Copied int `json:"copied"`
 	// Batches is the number of bounded copy steps.
 	Batches int `json:"batches"`
 	// Pauses are the individual lock-hold durations; MaxPause is their
@@ -46,22 +44,20 @@ func (cs *CompactStats) pause(d time.Duration) {
 }
 
 // CompactIncremental rewrites the index files keeping only live paths,
-// reclaiming the space held by tombstoned records. It works in bounded
-// steps while queries and writes proceed. The bulk of the copy runs under short read locks
-// — batch live paths are materialised per step, the lock released
-// between steps — so queries keep reading the pre-compaction state
-// throughout. Only the final phase takes the write lock, which waits
-// for every open View (a query's cluster phase) to end, so no query
-// reads across the swap: paths appended by writes that
-// raced the copy are carried over, paths tombstoned during it are
-// re-tombstoned in the new files, the files are swapped (rename), and
+// reclaiming the space held by tombstoned records. It holds the writer
+// lock throughout, so inserts and checkpoints wait for it and nothing
+// changes the paths it copies. The copy works in bounded steps under
+// short read locks — batch live paths are materialised per step, the
+// lock released between steps — so queries keep reading the
+// pre-compaction state throughout. Only the final swap takes the write
+// lock, which waits for every open View (a query's cluster phase) to
+// end, so no query reads across it: the files are swapped (rename), and
 // the epoch and the layout bump — invalidating every cache entry that
-// names an old PathID. With a WAL the swap doubles as a checkpoint: the new
-// metadata carries the applied watermark and the log's applied prefix
-// is reclaimed.
+// names an old PathID. With a WAL the swap doubles as a checkpoint: the
+// new metadata carries the applied watermark and the log's applied
+// prefix is reclaimed.
 //
-// batch ≤ 0 selects DefaultCompactBatch. One compaction runs at a
-// time; a second concurrent call fails immediately. On a failure
+// batch ≤ 0 selects DefaultCompactBatch. On a failure
 // before the final swap starts closing the old file handles, the
 // original files remain intact and the index is untouched. A failure
 // during the swap itself (closing the old pool or pages file, either
@@ -76,14 +72,11 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	if batch <= 0 {
 		batch = DefaultCompactBatch
 	}
-	if !ix.compacting.CompareAndSwap(false, true) {
-		return cs, fmt.Errorf("index: compaction already in progress")
-	}
-	defer ix.compacting.Store(false)
-
-	ix.mu.RLock()
-	startLen := len(ix.rids)
-	ix.mu.RUnlock()
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	// Only writers change the index, so under the writer lock its path
+	// count holds still.
+	n := len(ix.rids)
 
 	tmpBase := ix.base + ".compact"
 	file, err := storage.CreatePageFile(pagesPath(tmpBase))
@@ -109,29 +102,18 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 		return cs, err
 	}
 
-	// Phase 1 — concurrent bounded copy. Each step reads up to `batch`
-	// live paths in one batched read under a read lock, then appends them
-	// to the new files with no lock held. `copied` maps the new index's
-	// dense IDs (its append order) back to the old IDs, so the final phase
-	// can re-tombstone paths deleted while the copy ran.
-	var copied, live []PathID
-	copyPaths := func(ids []PathID, ps []paths.Path) error {
-		for i, p := range ps {
-			if err := next.addPath(p); err != nil {
-				return fmt.Errorf("index: compact: rewrite path %d: %w", ids[i], err)
-			}
-		}
-		copied = append(copied, ids...)
-		return nil
-	}
-	for lo := 0; lo < startLen; lo += batch {
+	// The copy: each step reads up to `batch` live paths in one batched
+	// read under a read lock, then appends them to the new files with no
+	// index lock held.
+	var live []PathID
+	for lo := 0; lo < n; lo += batch {
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
 		var ps []paths.Path
 		held := time.Now()
 		err := ix.View(func(r Reader) (err error) {
-			live = r.liveIn(live[:0], lo, min(lo+batch, startLen))
+			live = r.liveIn(live[:0], lo, min(lo+batch, n))
 			ps, _, err = r.ReadPathsBatched(ctx, live)
 			return err
 		})
@@ -140,15 +122,16 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 		if err != nil {
 			return fail(fmt.Errorf("index: compact: %w", err))
 		}
-		if err := copyPaths(live, ps); err != nil {
-			return fail(err)
+		for i, p := range ps {
+			if err := next.addPath(p); err != nil {
+				return fail(fmt.Errorf("index: compact: rewrite path %d: %w", live[i], err))
+			}
 		}
+		cs.Copied += len(live)
 	}
-	cs.Copied = len(copied)
 
-	// Phase 2 — the swap, under the write lock: carry over the delta
-	// (paths appended during phase 1), re-tombstone what was deleted
-	// under us, persist, and adopt the new files.
+	// The swap, under the write lock: persist the new files and adopt
+	// them.
 	held := time.Now()
 	ix.mu.Lock()
 	defer func() {
@@ -156,20 +139,6 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 		cs.pause(time.Since(held))
 		cs.Elapsed = time.Since(start)
 	}()
-	delta := Reader{ix}.liveIn(nil, startLen, len(ix.rids))
-	ps, _, err := Reader{ix}.ReadPathsBatched(ctx, delta)
-	if err != nil {
-		return fail(fmt.Errorf("index: compact: delta: %w", err))
-	}
-	if err := copyPaths(delta, ps); err != nil {
-		return fail(err)
-	}
-	cs.DeltaCopied = len(delta)
-	for j, oldID := range copied {
-		if ix.deleted[oldID] {
-			next.deleted[j] = true
-		}
-	}
 	next.graph = ix.graph
 	next.stats = ix.stats
 	next.stats.Paths = next.livePathsLocked()
@@ -177,7 +146,7 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	// The new metadata must carry the WAL linkage and watermark, so a
 	// crash right after the swap recovers against the compacted files.
 	next.walDir = ix.walDir
-	next.applied.watermark = ix.applied.watermark
+	next.applied = ix.applied
 	if err := next.pool.Flush(); err != nil {
 		return fail(err)
 	}
@@ -218,10 +187,10 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	// closeFail keeps the stays-usable contract on post-close failures
 	// by rolling the swap FORWARD, not back: the new files were fully
 	// written and synced before teardown began, so completing the
-	// renames preserves everything — including writes that raced the
-	// copy, which the original files' meta (last durably written on a
-	// previous flush) may predate. Only if the roll-forward rename
-	// fails too does recoverCompactSwap fall back to the originals.
+	// renames preserves everything — including inserts since the last
+	// checkpoint, which the original files' meta may predate. Only if
+	// the roll-forward rename fails too does recoverCompactSwap fall back
+	// to the originals.
 	closeFail := func(cause error) (CompactStats, error) {
 		os.Rename(pagesPath(tmpBase), pagesPath(ix.base))
 		recoverCompactSwap(ix.base)
@@ -230,12 +199,12 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 			return cs, fmt.Errorf("%w (reopening the index files failed too: %v; the index is closed)", cause, rerr)
 		}
 		adopt(re)
-		if ix.wal != nil && re.applied.watermark < ix.applied.last() {
+		if ix.wal != nil && re.applied < ix.applied {
 			// The roll-forward fell back to the originals and their meta
 			// predates records the in-memory state had applied. Those
 			// records are still in the WAL — the checkpoint that would
 			// reclaim them never ran — so replay them, as Open would.
-			if _, err := ix.replayLocked(re.applied.watermark+1, ix.applied.last()); err != nil {
+			if _, err := ix.replayLocked(re.applied+1, ix.applied); err != nil {
 				ix.pool.Close()
 				ix.file.Close()
 				return cs, fmt.Errorf("%w (replaying the log onto the original files failed too: %v; the index is closed)", cause, err)
@@ -268,7 +237,7 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	adopt(reopened)
 	cs.Live = ix.livePathsLocked()
 	if ix.wal != nil {
-		if err := ix.wal.Checkpoint(ix.applied.watermark); err != nil {
+		if err := ix.wal.Checkpoint(ix.applied); err != nil {
 			return cs, fmt.Errorf("index: compact: wal checkpoint: %w", err)
 		}
 		ix.store.SealCurrentPage()
@@ -276,7 +245,6 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	if ix.logCompact != nil {
 		ix.logCompact.Info("compaction swapped",
 			"copied", cs.Copied,
-			"delta_copied", cs.DeltaCopied,
 			"live", cs.Live,
 			"batches", cs.Batches,
 			"max_pause", cs.MaxPause,

@@ -12,7 +12,7 @@ import (
 
 // The crash matrix kills a WAL-enabled index at every stage of the
 // write path — before the WAL append, mid-append (torn record), during
-// the group-commit fsync, after the acknowledged insert, at both
+// the commit fsync, after the acknowledged insert, at both
 // half-checkpoint states, and mid-compaction — and asserts the
 // recovered index answers queries exactly as a consistent state would:
 // the post-insert state wherever the insert was acknowledged, either
@@ -188,7 +188,7 @@ func TestCrashMatrixDuringWALAppend(t *testing.T) {
 	}
 }
 
-func TestCrashMatrixDuringGroupCommitFsync(t *testing.T) {
+func TestCrashMatrixDuringCommitFsync(t *testing.T) {
 	// Kill during the fsync: the record bytes are fully written but not
 	// yet acknowledged. Recovery may land on either side of the batch —
 	// both are consistent — but never between.

@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sama/internal/obs"
@@ -39,12 +38,11 @@ type Options struct {
 	// a storage.FaultInjector between the pool and the disk. The
 	// wrapper persists across Compact.
 	WrapIO func(storage.PageIO) storage.PageIO
-	// WALDir enables the durable write path: inserts are logged to a
-	// segmented write-ahead log in this directory (group-committed,
-	// fsynced) before any page is touched, and Open replays the log's
-	// unapplied suffix. An index built with a WAL records the directory
-	// in its metadata, so later Opens reattach it even when the option
-	// is left empty.
+	// WALDir enables the durable write path: each insert is logged to a
+	// segmented write-ahead log in this directory, and fsynced, before
+	// any page is touched, and Open replays the log's unapplied suffix.
+	// An index built with a WAL records the directory in its metadata,
+	// so later Opens reattach it even when the option is left empty.
 	WALDir string
 	// WALSegmentBytes is the WAL segment rotation threshold
 	// (0: storage.DefaultWALSegmentBytes).
@@ -54,8 +52,8 @@ type Options struct {
 	// negative: only explicit Checkpoint/Flush/Close checkpoint).
 	CheckpointBytes int64
 	// WALSyncHook interposes on the WAL's commit fsync, like WrapIO
-	// does for page I/O — the crash and group-commit tests use it to
-	// widen the commit window or snapshot the disk state mid-fsync.
+	// does for page I/O — the crash tests use it to snapshot the disk
+	// state mid-fsync.
 	WALSyncHook func() error
 }
 
@@ -93,11 +91,18 @@ type Stats struct {
 
 // Index is the opened, queryable path index. It is safe for concurrent
 // use: a query's cluster phase reads one consistent state through the
-// Reader of one View, which holds the read lock for the whole phase,
-// while InsertTriples, Compact, Checkpoint, Flush and Close serialise
-// behind the write lock and wait for open Views (page I/O is
-// additionally serialised by the buffer pool's own lock).
+// Reader of one View, which holds the read lock for the whole phase.
+// The writers — InsertTriples, CompactIncremental, Checkpoint, Flush
+// and Close — run one at a time under the writer lock, and each takes
+// the write lock, which waits for open Views, only to mutate (page I/O
+// is additionally serialised by the buffer pool's own lock).
 type Index struct {
+	// wmu is the writer lock, taken before mu and held for a writer's
+	// whole call: an insert's WAL append and apply, a checkpoint, a
+	// whole compaction, Close. Records are therefore applied in LSN
+	// order, and no append is in flight during a checkpoint or a swap.
+	// Queries never take it, so they never wait for an fsync.
+	wmu   sync.Mutex
 	mu    sync.RWMutex
 	base  string
 	file  *storage.PageFile
@@ -160,16 +165,14 @@ type Index struct {
 	stats   Stats
 	// Durable write path state (nil/zero without a WAL): wal is the
 	// log, walDir its directory (persisted in the metadata), applied
-	// tracks the contiguous-applied LSN watermark the checkpoint
-	// truncates at, and recovery is what Open replayed.
+	// the LSN of the last record applied — every one below it is too —
+	// which the checkpoint truncates at, and recovery is what Open
+	// replayed.
 	wal             *storage.WAL
 	walDir          string
 	checkpointBytes int64
-	applied         lsnTracker
+	applied         uint64
 	recovery        RecoveryStats
-	// compacting serialises CompactIncremental runs without holding
-	// ix.mu across the whole pass.
-	compacting atomic.Bool
 	// Observability counters, wired by SetMetrics; nil-safe no-ops
 	// until then (obs handles are nil-safe by contract).
 	mSinkLookups  *obs.Counter
@@ -484,7 +487,7 @@ func (ix *Index) encodeMeta(w *bufio.Writer) error {
 	w.Write(metaMagic[:])
 	if ix.walDir != "" {
 		wu(metaFlagWAL)
-		wu(ix.applied.watermark)
+		wu(ix.applied)
 		wu(uint64(len(ix.walDir)))
 		w.WriteString(ix.walDir)
 	} else {
@@ -594,7 +597,7 @@ func (ix *Index) decodeMeta(r *bufio.Reader, limit int64, thes *textindex.Thesau
 	}
 	m := &metaReader{r: r, limit: limit}
 	if m.uvarint()&metaFlagWAL != 0 {
-		ix.applied.watermark = m.uvarint()
+		ix.applied = m.uvarint()
 		dir := make([]byte, m.count(1, "WAL directory byte"))
 		m.read(dir)
 		ix.walDir = string(dir)
@@ -974,6 +977,8 @@ func (ix *Index) PoolStats() storage.PoolStats { return ix.pool.Stats() }
 // closes already-closed files, which the storage layer reports as
 // success.
 func (ix *Index) Close() error {
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.wal != nil {

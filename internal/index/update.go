@@ -67,11 +67,13 @@ func (ix *Index) livePathsLocked() int {
 // graph the index does not match.
 //
 // With a WAL the batch is logged and fsynced before any page is
-// touched. Concurrent inserters meet in the log's group commit and
-// share one fsync. A batch whose log record is durable but whose apply
-// failed is in commit limbo: the caller saw an error and the index
-// skipped it, but a crash before the next checkpoint will replay it —
-// like a timed-out commit, it may land anyway.
+// touched. The insert holds the writer lock across the append and the
+// apply, so concurrent inserters take turns, each paying its own fsync,
+// and an insert racing Close either lands whole before it or fails
+// with nothing logged. A batch whose log record is durable but whose
+// apply failed is in commit limbo: the caller saw an error and the
+// index skipped it, but a crash before the next checkpoint will replay
+// it — like a timed-out commit, it may land anyway.
 func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 	if len(ts) == 0 {
 		return nil
@@ -82,28 +84,25 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 			return fmt.Errorf("index: triple %d: %w", i, err)
 		}
 	}
-	ix.mu.RLock()
-	wal := ix.wal
-	ix.mu.RUnlock()
-	// Log outside the index lock so concurrent inserts actually batch:
-	// while one insert holds ix.mu applying, the others are appending,
-	// and the WAL's flush leader commits them with a single fsync.
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	// Log outside the index lock, so queries do not wait for the fsync.
 	var lsn uint64
-	if wal != nil {
+	if ix.wal != nil {
 		var err error
-		if lsn, err = wal.Append(encodeTriples(ts)); err != nil {
+		if lsn, err = ix.wal.Append(encodeTriples(ts)); err != nil {
 			return fmt.Errorf("index: wal append: %w", err)
 		}
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	err := ix.applyTriplesLocked(ts)
-	if wal != nil {
-		// Mark even a failed apply: the record is durable regardless,
-		// and an unmarked LSN would stall the watermark (and therefore
-		// WAL truncation) forever.
-		ix.applied.mark(lsn)
-		if err == nil && ix.checkpointBytes > 0 && wal.Size() >= ix.checkpointBytes {
+	if ix.wal != nil {
+		// Count even a failed apply as applied: the record is durable
+		// regardless, and the checkpoint's metadata must not hold the
+		// log's truncation back on it forever.
+		ix.applied = lsn
+		if err == nil && ix.checkpointBytes > 0 && ix.wal.Size() >= ix.checkpointBytes {
 			if cerr := ix.checkpointLocked(); cerr != nil {
 				if ix.logWAL != nil {
 					ix.logWAL.Error("auto checkpoint failed", "err", cerr)
@@ -402,6 +401,8 @@ func (ix *Index) oldPathsFrom(g *rdf.Graph, starts []rdf.NodeID) (oldPaths, erro
 // watermark becomes durable and the log's applied prefix is reclaimed.
 // Close also flushes.
 func (ix *Index) Flush() error {
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.wal != nil {

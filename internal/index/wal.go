@@ -10,8 +10,8 @@ import (
 )
 
 // This file holds the index side of the durable write path: the triple
-// batch codec the WAL records use, the applied-LSN watermark tracker,
-// the checkpoint protocol, and the replay Open runs.
+// batch codec the WAL records use, the checkpoint protocol, and the
+// replay Open runs.
 //
 // The invariant everything here maintains: at any instant the on-disk
 // state (pages + metadata checkpoint, which carries the data graph) plus
@@ -72,47 +72,6 @@ func decodeTriples(data []byte) ([]rdf.Triple, error) {
 	return ts, nil
 }
 
-// ---- applied-LSN tracking ----------------------------------------------
-
-// lsnTracker maintains the contiguous-applied watermark: the highest
-// LSN such that every record at or below it has been applied. Group
-// commit hands records to appliers in LSN order, but the index lock is
-// acquired per-insert, so applies can complete out of order; the
-// tracker holds the stragglers until the prefix is contiguous. The
-// checkpoint truncates the WAL at the watermark, never past a record
-// still in flight.
-type lsnTracker struct {
-	watermark uint64
-	done      map[uint64]struct{}
-}
-
-func (t *lsnTracker) mark(lsn uint64) {
-	if lsn <= t.watermark {
-		return
-	}
-	if t.done == nil {
-		t.done = make(map[uint64]struct{})
-	}
-	t.done[lsn] = struct{}{}
-	for {
-		if _, ok := t.done[t.watermark+1]; !ok {
-			return
-		}
-		delete(t.done, t.watermark+1)
-		t.watermark++
-	}
-}
-
-// last returns the highest LSN marked applied: the watermark, or a
-// straggler past it.
-func (t *lsnTracker) last() uint64 {
-	last := t.watermark
-	for lsn := range t.done {
-		last = max(last, lsn)
-	}
-	return last
-}
-
 // ---- checkpoint --------------------------------------------------------
 
 // checkpointLocked makes the applied watermark durable and reclaims
@@ -140,13 +99,13 @@ func (ix *Index) checkpointLocked() error {
 	if err := ix.writeMeta(); err != nil {
 		return fmt.Errorf("index: checkpoint meta: %w", err)
 	}
-	if err := ix.wal.Checkpoint(ix.applied.watermark); err != nil {
+	if err := ix.wal.Checkpoint(ix.applied); err != nil {
 		return fmt.Errorf("index: checkpoint wal: %w", err)
 	}
 	ix.store.SealCurrentPage()
 	if ix.logWAL != nil {
 		ix.logWAL.Info("checkpoint",
-			"applied_lsn", ix.applied.watermark,
+			"applied_lsn", ix.applied,
 			"wal_bytes", ix.wal.Size())
 	}
 	return nil
@@ -155,6 +114,8 @@ func (ix *Index) checkpointLocked() error {
 // Checkpoint forces a checkpoint: pages and metadata are made durable
 // and the WAL's applied prefix is reclaimed. A no-op without a WAL.
 func (ix *Index) Checkpoint() error {
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	return ix.checkpointLocked()
@@ -202,7 +163,7 @@ func (ix *Index) WALStats() (st storage.WALStats, ok bool) {
 func (ix *Index) openWAL(opts Options) error {
 	w, err := storage.OpenWAL(ix.walDir, storage.WALOptions{
 		SegmentBytes: opts.WALSegmentBytes,
-		MinNextLSN:   ix.applied.watermark + 1,
+		MinNextLSN:   ix.applied + 1,
 		SyncHook:     opts.WALSyncHook,
 	})
 	if err != nil {
@@ -210,7 +171,7 @@ func (ix *Index) openWAL(opts Options) error {
 	}
 	start := time.Now()
 	ix.wal = w
-	rs, err := ix.replayLocked(ix.applied.watermark+1, w.LastLSN())
+	rs, err := ix.replayLocked(ix.applied+1, w.LastLSN())
 	if err == nil && rs.Records > 0 {
 		err = ix.checkpointLocked()
 	}
@@ -228,8 +189,9 @@ func (ix *Index) openWAL(opts Options) error {
 var errReplayDone = errors.New("replay done")
 
 // replayLocked re-applies the logged batches with LSNs in [from, to],
-// in LSN order, marking each applied. It reads no record past to, so a
-// commit in flight beyond it cannot be mistaken for a torn one.
+// in LSN order, marking each applied. It reads no record past to, so
+// one a failed append left half-written beyond it is not mistaken for
+// corruption.
 func (ix *Index) replayLocked(from, to uint64) (RecoveryStats, error) {
 	var rs RecoveryStats
 	err := ix.wal.Replay(from, func(lsn uint64, payload []byte) error {
@@ -243,7 +205,7 @@ func (ix *Index) replayLocked(from, to uint64) (RecoveryStats, error) {
 		if err := ix.applyTriplesLocked(ts); err != nil {
 			return fmt.Errorf("index: replay lsn %d: %w", lsn, err)
 		}
-		ix.applied.mark(lsn)
+		ix.applied = lsn
 		rs.Records++
 		rs.Triples += len(ts)
 		if lsn == to {

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -491,66 +492,6 @@ func graphOrder(g *rdf.Graph) string {
 	return b.String()
 }
 
-// TestWALGroupCommitThroughIndex: concurrent InsertTriples share WAL
-// fsyncs through group commit.
-func TestWALGroupCommitThroughIndex(t *testing.T) {
-	dir := t.TempDir()
-	// Batching needs appends to overlap a commit in flight, and on a
-	// fast filesystem the fsync window is too narrow for the scheduler
-	// to hit reliably (under -race goroutines serialise aggressively).
-	// The sync hook widens every commit by a fraction of a millisecond,
-	// so followers pile into the leader's next batch deterministically.
-	ix, err := Build(filepath.Join(dir, "ix"), figure1Graph(), Options{
-		WALDir:      filepath.Join(dir, "wal"),
-		WALSyncHook: func() error { time.Sleep(200 * time.Microsecond); return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-
-	const writers, rounds = 8, 20
-	total := 0
-	for r := 0; r < rounds; r++ {
-		var wg sync.WaitGroup
-		errs := make([]error, writers)
-		for i := 0; i < writers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for j := 0; j < 10; j++ {
-					errs[i] = ix.InsertTriples([]rdf.Triple{{
-						S: iri(fmt.Sprintf("Sen%d_%d_%d", r, i, j)),
-						P: iri("sponsor"),
-						O: iri("A0056"),
-					}})
-					if errs[i] != nil {
-						return
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("round %d writer %d: %v", r, i, err)
-			}
-		}
-		total += writers * 10
-		st, ok := ix.WALStats()
-		if !ok {
-			t.Fatal("no WAL stats on a WAL-enabled index")
-		}
-		if st.Appends != uint64(total) {
-			t.Fatalf("appends = %d, want %d", st.Appends, total)
-		}
-		if st.Syncs < st.Appends {
-			return // at least one group commit batched >1 append
-		}
-	}
-	t.Fatalf("no group commit batching across %d concurrent appends", total)
-}
-
 // TestWALAutoCheckpointTruncates: inserts past CheckpointBytes trigger
 // a checkpoint that shrinks the WAL and survives reopen without replay.
 func TestWALAutoCheckpointTruncates(t *testing.T) {
@@ -625,24 +566,18 @@ func TestTripleCodecRoundtrip(t *testing.T) {
 	}
 }
 
-// TestWALAutoCheckpointConcurrentInserts is the regression test for the
-// checkpoint/group-commit race: InsertTriples appends to the WAL
-// outside the index lock by design, so the auto-checkpoint (which runs
-// under it) routinely overlaps another inserter's in-flight commit.
-// Pre-fix, storage.WAL.Checkpoint refused with "checkpoint during an
-// in-flight commit" and durably-logged, fully-applied inserts returned
-// spurious errors once the WAL crossed CheckpointBytes.
+// TestWALAutoCheckpointConcurrentInserts: concurrent inserters that
+// each trigger the auto-checkpoint all succeed, and every record is
+// appended — the writer lock runs each insert's append, apply and
+// checkpoint as one turn, so a checkpoint never meets another
+// inserter's commit.
 func TestWALAutoCheckpointConcurrentInserts(t *testing.T) {
 	dir := t.TempDir()
 	ix, err := Build(filepath.Join(dir, "ix"), figure1Graph(), Options{
 		WALDir:          filepath.Join(dir, "wal"),
 		WALSegmentBytes: 256,
-		// Checkpoint after every applied insert: the widest possible
-		// overlap with the other writers' appends.
+		// Checkpoint after every applied insert.
 		CheckpointBytes: 1,
-		// Widen each commit so overlaps happen deterministically even on
-		// a fast filesystem (same trick as the group-commit test).
-		WALSyncHook: func() error { time.Sleep(200 * time.Microsecond); return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -679,23 +614,25 @@ func TestWALAutoCheckpointConcurrentInserts(t *testing.T) {
 		t.Fatalf("appends = %d, want %d", st.Appends, writers*inserts)
 	}
 	if st.Checkpoints == 0 {
-		t.Fatal("no checkpoint fired; the race was never exercised")
+		t.Fatal("no checkpoint fired")
 	}
 }
 
-// TestWALCheckpointDuringInsertCommit pins the race deterministically:
-// a checkpoint (under the index write lock) runs while another
-// inserter's group commit is mid-flush (outside it, by design).
-// Pre-fix the checkpoint errored instead of skipping the in-flight
-// tail.
+// TestWALCheckpointDuringInsertCommit: a checkpoint called while an
+// insert's WAL commit is mid-fsync waits for the insert — the two share
+// the writer lock — and then checkpoints it too, so a crash right after
+// has nothing to replay. Queries read on meanwhile: they never wait for
+// an fsync.
 func TestWALCheckpointDuringInsertCommit(t *testing.T) {
 	dir := t.TempDir()
+	base := filepath.Join(dir, "ix")
+	walDir := filepath.Join(dir, "wal")
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var gate sync.Mutex
 	gated := false
-	ix, err := Build(filepath.Join(dir, "ix"), figure1Graph(), Options{
-		WALDir:          filepath.Join(dir, "wal"),
+	ix, err := Build(base, figure1Graph(), Options{
+		WALDir:          walDir,
 		CheckpointBytes: -1, // explicit checkpoints only
 		WALSyncHook: func() error {
 			gate.Lock()
@@ -726,10 +663,17 @@ func TestWALCheckpointDuringInsertCommit(t *testing.T) {
 			{S: iri("MidFlush"), P: iri("sponsor"), O: iri("A0056")},
 		})
 	}()
-	<-entered // the insert's WAL commit is now mid-flush
+	<-entered // the insert's WAL commit is now mid-fsync
 
-	if err := ix.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint during a concurrent insert's commit: %v", err)
+	if got := ix.LivePaths(); got != liveBefore {
+		t.Fatalf("a query mid-fsync read %d live paths, want %d", got, liveBefore)
+	}
+	checkpointed := make(chan error, 1)
+	go func() { checkpointed <- ix.Checkpoint() }()
+	select {
+	case err := <-checkpointed:
+		t.Fatalf("Checkpoint returned (%v) while an insert's commit was mid-fsync", err)
+	case <-time.After(20 * time.Millisecond):
 	}
 
 	gate.Lock()
@@ -737,14 +681,89 @@ func TestWALCheckpointDuringInsertCommit(t *testing.T) {
 	gate.Unlock()
 	close(release)
 	if err := <-inserted; err != nil {
-		t.Fatalf("insert spanning the checkpoint: %v", err)
+		t.Fatalf("insert the checkpoint waited for: %v", err)
 	}
-	// The mid-flush insert landed (new paths rooted at MidFlush).
+	if err := <-checkpointed; err != nil {
+		t.Fatalf("checkpoint after the insert: %v", err)
+	}
 	if got := ix.LivePaths(); got <= liveBefore {
-		t.Fatalf("mid-flush insert added no paths (%d -> %d)", liveBefore, got)
+		t.Fatalf("mid-fsync insert added no paths (%d -> %d)", liveBefore, got)
 	}
-	// And a now-quiescent checkpoint reclaims the log as usual.
-	if err := ix.Checkpoint(); err != nil {
-		t.Fatalf("quiescent checkpoint: %v", err)
+	want := livePathKeys(t, ix)
+
+	cb, cw := crashClone(t, base, walDir)
+	re, err := Open(cb, Options{WALDir: cw})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer re.Close()
+	if rs := re.Recovery(); rs.Records != 0 {
+		t.Fatalf("replayed %d records after the checkpoint, want 0", rs.Records)
+	}
+	if got := livePathKeys(t, re); !equalKeys(got, want) {
+		t.Fatal("answers after the checkpoint + crash diverge")
+	}
+}
+
+// TestInsertRacingCloseIsAllOrNothing: inserts racing Close either land
+// whole before it — durable, present after a reopen — or fail with
+// nothing logged, absent after it. None hangs, and none is left in
+// commit limbo: appended, failed, and replayed on the reopen anyway.
+func TestInsertRacingCloseIsAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "ix")
+	ix, err := Build(base, figure1Graph(), Options{WALDir: filepath.Join(dir, "wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, inserts = 6, 20
+	subject := func(i, j int) string { return fmt.Sprintf("CloseRacer%d_%d", i, j) }
+	ok := make([][]bool, writers)
+	var landed atomic.Int32
+	var wg sync.WaitGroup
+	for i := range ok {
+		ok[i] = make([]bool, inserts)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := range ok[i] {
+				ok[i][j] = ix.InsertTriples([]rdf.Triple{{
+					S: iri(subject(i, j)), P: iri("sponsor"), O: iri("A0056"),
+				}}) == nil
+				if ok[i][j] {
+					landed.Add(1)
+				}
+			}
+		}(i)
+	}
+	// Close once the inserts are under way.
+	for landed.Load() < writers {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatalf("Close racing inserts: %v", err)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("an insert racing Close hung")
+	}
+
+	re, err := Open(base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	g := re.Graph()
+	for i := range ok {
+		for j, acked := range ok[i] {
+			present := g.NodeByTerm(iri(subject(i, j))) != rdf.InvalidNode
+			if present != acked {
+				t.Errorf("insert %s: returned nil = %v, present after reopen = %v", subject(i, j), acked, present)
+			}
+		}
+	}
+	t.Logf("%d of %d inserts landed before Close", landed.Load(), writers*inserts)
 }

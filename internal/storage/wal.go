@@ -18,10 +18,9 @@ import (
 // (and fsynced) before any page is touched, so a crash at any point
 // leaves the pages+metadata checkpoint plus a replayable suffix of
 // records; Open replays the suffix and the index converges to the
-// pre-crash state. Concurrent appenders are batched into group commits:
-// one appender becomes the flush leader, writes every record buffered
-// so far and issues a single fsync for the whole batch while followers
-// wait on their commit channels.
+// pre-crash state. Each Append frames, writes and fsyncs its record
+// under the log's mutex: the index holds one writer at a time, so no
+// two appends ever have a sync to share.
 //
 // Torn tails — a crash mid-append leaves a half-written record at the
 // end of the newest segment — are detected by the CRC/length framing
@@ -61,21 +60,21 @@ const (
 // WALOptions configure OpenWAL.
 type WALOptions struct {
 	// SegmentBytes is the rotation threshold: once a segment reaches
-	// it, the next batch opens a fresh segment (0 = 4 MiB).
+	// it, the next append opens a fresh segment (0 = 4 MiB).
 	SegmentBytes int64
 	// MinNextLSN forces the next assigned LSN to be at least this
 	// value. The index passes appliedLSN+1 so that a WAL directory
 	// that was deleted out from under a checkpointed index can never
 	// re-issue an LSN the metadata already claims to have applied.
 	MinNextLSN uint64
-	// NoSync skips the fsync on commit. Only for benchmarks that want
-	// the framing overhead without the disk stall; never in production.
+	// NoSync skips the fsync on commit. FuzzOpenWAL sets it, to run
+	// many opens per second; never in production.
 	NoSync bool
 	// SyncHook, when set, runs immediately before each commit fsync
-	// (even with NoSync). Tests use it to widen the group-commit window
-	// deterministically and to snapshot the on-disk state "during" the
+	// (even with NoSync), under the log's mutex, so it must not call
+	// the log. Tests use it to snapshot the on-disk state "during" the
 	// fsync for crash-matrix kill points; an error from the hook fails
-	// the batch exactly like a sync failure, poisoning the log.
+	// the append exactly like a sync failure, poisoning the log.
 	SyncHook func() error
 }
 
@@ -90,12 +89,9 @@ func (o WALOptions) segmentBytes() int64 {
 type WALStats struct {
 	// Appends is the number of records appended.
 	Appends uint64 `json:"appends"`
-	// Syncs is the number of fsyncs issued by commit batches. With
-	// group commit Appends/Syncs > 1 under concurrent writers.
+	// Syncs is the number of commit fsyncs: one per append (none with
+	// NoSync).
 	Syncs uint64 `json:"syncs"`
-	// Batches is the number of group-commit batches flushed (equal to
-	// Syncs unless NoSync).
-	Batches uint64 `json:"batches"`
 	// Bytes is the total size of the live segment files.
 	Bytes int64 `json:"bytes"`
 	// AppendedBytes counts every byte ever written, across checkpoints.
@@ -112,10 +108,6 @@ type WALStats struct {
 	TornTailRepaired bool `json:"torn_tail_repaired"`
 	// LastLSN is the highest LSN assigned so far (0 = none).
 	LastLSN uint64 `json:"last_lsn"`
-	// BatchingFactor is Appends/Batches — the mean number of records
-	// sharing one group-commit flush. 1.0 means no batching (every
-	// append paid its own fsync); 0 when nothing has been flushed yet.
-	BatchingFactor float64 `json:"batching_factor"`
 }
 
 // walSegment is one live segment file, oldest first in WAL.segments.
@@ -126,7 +118,7 @@ type walSegment struct {
 }
 
 // WAL is a segmented write-ahead log. It is safe for concurrent use;
-// concurrent Appends share fsyncs through group commit.
+// Append holds the log's mutex across its write and fsync.
 type WAL struct {
 	mu       sync.Mutex
 	dir      string
@@ -134,20 +126,7 @@ type WAL struct {
 	f        *os.File // newest segment, open for append
 	segments []walSegment
 
-	nextLSN    uint64
-	writtenLSN uint64 // highest LSN durably written
-
-	// Group-commit state: records are framed into buf under mu; the
-	// first appender to find no flush in progress becomes the leader,
-	// steals buf+waiters, and writes+syncs outside the lock. flushDone
-	// is broadcast each time a leader retires (flushing goes false), so
-	// Close and Reset can wait out an in-flight commit. Invariant under
-	// mu: a non-empty buf implies flushing (the appender that buffered
-	// first became the leader, or an existing leader will drain it).
-	buf       []byte
-	waiters   []chan error
-	flushing  bool
-	flushDone *sync.Cond
+	nextLSN uint64 // the LSN the next appended record gets
 
 	err    error // sticky poison after a failed write or sync
 	closed bool
@@ -155,7 +134,6 @@ type WAL struct {
 	stats struct {
 		appends       uint64
 		syncs         uint64
-		batches       uint64
 		appendedBytes uint64
 		rotations     uint64
 		checkpoints   uint64
@@ -176,7 +154,6 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 		return nil, fmt.Errorf("storage: wal dir: %w", err)
 	}
 	w := &WAL{dir: dir, opts: opts}
-	w.flushDone = sync.NewCond(&w.mu)
 	if err := w.scan(); err != nil {
 		return nil, err
 	}
@@ -246,9 +223,6 @@ func (w *WAL) scan() error {
 			// A rotated-but-empty tail opens at the LSN it will
 			// receive next.
 			w.nextLSN = seg.firstLSN
-		}
-		if maxLSN > w.writtenLSN {
-			w.writtenLSN = maxLSN
 		}
 	}
 	return nil
@@ -386,28 +360,23 @@ func (w *WAL) newSegmentLocked(firstLSN uint64) error {
 	return nil
 }
 
-// Append logs one record and returns its LSN once the record — and
-// every record batched with it — is durably on disk. Concurrent
-// appenders share fsyncs: the first one in becomes the flush leader
-// and commits the whole buffered batch with a single sync while the
-// rest wait. An error poisons the log (see ErrWALPoisoned).
+// Append logs one record and returns its LSN once it is durably on
+// disk: the record is framed, written and fsynced under the log's
+// mutex, and the tail rotates once it reaches the segment bound. An
+// error poisons the log (see ErrWALPoisoned).
 func (w *WAL) Append(payload []byte) (uint64, error) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return 0, ErrClosed
 	}
 	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return 0, err
+		return 0, w.err
 	}
 	if len(payload) > walMaxRecord {
-		w.mu.Unlock()
 		return 0, fmt.Errorf("storage: wal record of %d bytes exceeds the %d byte bound", len(payload), walMaxRecord)
 	}
 	lsn := w.nextLSN
-	w.nextLSN++
 	var rh [walRecHdrSize]byte
 	binary.LittleEndian.PutUint32(rh[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(rh[4:12], lsn)
@@ -415,82 +384,24 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	h.Write(rh[4:12])
 	h.Write(payload)
 	binary.LittleEndian.PutUint32(rh[12:16], h.Sum32())
-	w.buf = append(w.buf, rh[:]...)
-	w.buf = append(w.buf, payload...)
+	if err := w.commit(append(rh[:], payload...)); err != nil {
+		w.err = fmt.Errorf("%w: %v", ErrWALPoisoned, err)
+		return 0, w.err
+	}
+	w.nextLSN++
 	w.stats.appends++
-	ch := make(chan error, 1)
-	w.waiters = append(w.waiters, ch)
-
-	if w.flushing {
-		// A leader is already committing; it (or a successor) will
-		// flush this record in a later batch.
-		w.mu.Unlock()
-		return lsn, <-ch
-	}
-	w.flushing = true
-	var result error
-	for {
-		batch := w.buf
-		waiters := w.waiters
-		batchLast := w.nextLSN - 1
-		w.buf = nil
-		w.waiters = nil
-		w.mu.Unlock()
-
-		err := w.commit(batch)
-
-		for _, c := range waiters {
-			c <- err
-		}
-		// The leader's own outcome is in its channel too; drain it so
-		// no goroutine blocks on a buffered-but-unread send.
-		w.mu.Lock()
-		if err != nil {
+	if w.segments[len(w.segments)-1].size >= w.opts.segmentBytes() {
+		if err := w.rotateLocked(); err != nil {
 			w.err = fmt.Errorf("%w: %v", ErrWALPoisoned, err)
-			// Fail everything that queued behind the broken batch.
-			for _, c := range w.waiters {
-				c <- w.err
-			}
-			w.buf, w.waiters = nil, nil
-			w.flushing = false
-			w.flushDone.Broadcast()
-			w.mu.Unlock()
-			result = <-ch
-			return lsn, result
 		}
-		if batchLast > w.writtenLSN {
-			w.writtenLSN = batchLast
-		}
-		if tail := &w.segments[len(w.segments)-1]; tail.size >= w.opts.segmentBytes() {
-			if rerr := w.rotateLocked(); rerr != nil {
-				w.err = fmt.Errorf("%w: %v", ErrWALPoisoned, rerr)
-			}
-		}
-		if len(w.buf) == 0 || w.err != nil {
-			for _, c := range w.waiters { // only on poison
-				if w.err != nil {
-					c <- w.err
-				}
-			}
-			if w.err != nil {
-				w.buf, w.waiters = nil, nil
-			}
-			w.flushing = false
-			w.flushDone.Broadcast()
-			w.mu.Unlock()
-			result = <-ch
-			return lsn, result
-		}
-		// More records arrived while we were syncing: lead their batch
-		// too, so their fsync is shared as well.
 	}
+	return lsn, nil
 }
 
-// commit writes one framed batch to the tail segment and syncs it.
-// Runs outside w.mu; only the flush leader calls it, so the file
-// handle is stable.
-func (w *WAL) commit(batch []byte) error {
-	if _, err := w.f.Write(batch); err != nil {
+// commit writes one framed record to the tail segment and syncs it.
+// Caller holds w.mu.
+func (w *WAL) commit(rec []byte) error {
+	if _, err := w.f.Write(rec); err != nil {
 		return fmt.Errorf("storage: wal write: %w", err)
 	}
 	if h := w.opts.SyncHook; h != nil {
@@ -502,21 +413,16 @@ func (w *WAL) commit(batch []byte) error {
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("storage: wal sync: %w", err)
 		}
-		w.mu.Lock()
 		w.stats.syncs++
-		w.mu.Unlock()
 	}
-	w.mu.Lock()
-	w.stats.batches++
-	w.stats.appendedBytes += uint64(len(batch))
-	w.segments[len(w.segments)-1].size += int64(len(batch))
-	w.mu.Unlock()
+	w.stats.appendedBytes += uint64(len(rec))
+	w.segments[len(w.segments)-1].size += int64(len(rec))
 	return nil
 }
 
 // rotateLocked opens a fresh tail segment. Caller holds w.mu.
 func (w *WAL) rotateLocked() error {
-	if err := w.newSegmentLocked(w.writtenLSN + 1); err != nil {
+	if err := w.newSegmentLocked(w.nextLSN); err != nil {
 		return err
 	}
 	w.stats.rotations++
@@ -586,14 +492,6 @@ func (w *WAL) replaySegment(seg walSegment, from uint64, fn func(uint64, []byte)
 // that only hold such records. If the tail segment itself is fully
 // applied it is rotated out and removed, so a long-checkpointed log
 // occupies one near-empty segment.
-//
-// Checkpoint is safe to call while a group commit is in flight: the
-// index appends outside its own write lock (so concurrent inserts can
-// batch) but checkpoints under it, so the two routinely overlap. The
-// flush leader only ever touches the tail segment, so fully-applied
-// non-tail segments are reclaimed regardless; the rotate-out-the-tail
-// step is skipped while a commit is running and simply happens at the
-// next quiescent checkpoint.
 func (w *WAL) Checkpoint(applied uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -603,7 +501,6 @@ func (w *WAL) Checkpoint(applied uint64) error {
 	if w.err != nil {
 		return w.err
 	}
-	inFlight := w.flushing || len(w.buf) > 0
 	// Segment i is disposable if everything it holds is <= applied,
 	// i.e. the next segment starts at applied+1 or earlier.
 	removed := false
@@ -613,7 +510,7 @@ func (w *WAL) Checkpoint(applied uint64) error {
 		}
 		removed = true
 	}
-	if !inFlight && len(w.segments) == 1 && w.writtenLSN <= applied && w.segments[0].size > walSegHdrSize {
+	if len(w.segments) == 1 && w.nextLSN-1 <= applied && w.segments[0].size > walSegHdrSize {
 		// The tail itself is fully applied: rotate a fresh segment in
 		// and drop the old tail.
 		if err := w.rotateLocked(); err != nil {
@@ -652,11 +549,6 @@ func (w *WAL) Reset(firstLSN uint64) error {
 	if w.closed {
 		return ErrClosed
 	}
-	// Wait out any in-flight commit: the leader owns the file handle
-	// until its batch retires (buf non-empty implies a leader exists).
-	for w.flushing {
-		w.flushDone.Wait()
-	}
 	if firstLSN == 0 {
 		firstLSN = 1
 	}
@@ -670,7 +562,6 @@ func (w *WAL) Reset(firstLSN uint64) error {
 		w.f = nil
 	}
 	w.nextLSN = firstLSN
-	w.writtenLSN = firstLSN - 1
 	w.err = nil
 	if err := w.newSegmentLocked(firstLSN); err != nil {
 		return err
@@ -707,14 +598,9 @@ func (w *WAL) Dir() string { return w.dir }
 func (w *WAL) Stats() WALStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var bf float64
-	if w.stats.batches > 0 {
-		bf = float64(w.stats.appends) / float64(w.stats.batches)
-	}
 	return WALStats{
 		Appends:          w.stats.appends,
 		Syncs:            w.stats.syncs,
-		Batches:          w.stats.batches,
 		Bytes:            w.sizeLocked(),
 		AppendedBytes:    w.stats.appendedBytes,
 		Segments:         len(w.segments),
@@ -722,24 +608,18 @@ func (w *WAL) Stats() WALStats {
 		Checkpoints:      w.stats.checkpoints,
 		TornTailRepaired: w.stats.tornRepaired,
 		LastLSN:          w.nextLSN - 1,
-		BatchingFactor:   bf,
 	}
 }
 
 // Close closes the log. Records already acknowledged stay durable;
 // Close never needs to flush because Append only returns after its
-// batch is synced. A group commit in flight is waited out first — the
-// leader owns the file handle until its batch retires — so appends
-// racing a Close either complete durably or observe the closed log.
-// Close is idempotent.
+// record is synced, and an append racing a Close either completes
+// first or observes the closed log. Close is idempotent.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return nil
-	}
-	for w.flushing {
-		w.flushDone.Wait()
 	}
 	w.closed = true
 	if w.f != nil {

@@ -9,9 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 )
 
 func openTestWAL(t *testing.T, dir string, opts WALOptions) *WAL {
@@ -237,54 +235,6 @@ func TestWALCorruptionBeforeTailFailsOpen(t *testing.T) {
 	}
 }
 
-func TestWALGroupCommitSharesSyncs(t *testing.T) {
-	dir := t.TempDir()
-	// Widen the commit window so followers deterministically pile into
-	// the in-flight leader's next batch; on a fast filesystem the bare
-	// fsync can be too quick for any append to overlap it.
-	w := openTestWAL(t, dir, WALOptions{
-		SyncHook: func() error { time.Sleep(200 * time.Microsecond); return nil },
-	})
-	defer w.Close()
-
-	const writers = 16
-	const perWriter = 25
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < perWriter; j++ {
-				if _, err := w.Append([]byte(fmt.Sprintf("w%d-%d", i, j))); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("writer %d: %v", i, err)
-		}
-	}
-	st := w.Stats()
-	if st.Appends != writers*perWriter {
-		t.Fatalf("appends = %d, want %d", st.Appends, writers*perWriter)
-	}
-	if st.Syncs >= st.Appends {
-		t.Fatalf("group commit did not batch: %d syncs for %d appends", st.Syncs, st.Appends)
-	}
-	// Every record survived, in order, with the right LSN set.
-	got := collectWAL(t, w, 0)
-	if uint64(len(got)) != st.Appends {
-		t.Fatalf("replayed %d records, want %d", len(got), st.Appends)
-	}
-	t.Logf("group commit: %d appends, %d syncs (%.1fx batching)",
-		st.Appends, st.Syncs, float64(st.Appends)/float64(st.Syncs))
-}
-
 func TestWALMinNextLSN(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir, WALOptions{MinNextLSN: 100})
@@ -334,143 +284,6 @@ func TestWALPoisonedAfterSyncFailure(t *testing.T) {
 	}
 	if err := w.Checkpoint(1); !errors.Is(err, ErrWALPoisoned) {
 		t.Fatalf("checkpoint after poison: err=%v, want ErrWALPoisoned", err)
-	}
-}
-
-// TestWALCheckpointDuringInFlightCommit: the index appends outside its
-// write lock (so concurrent inserts batch) but checkpoints under it, so
-// Checkpoint routinely overlaps a group commit mid-flush. It must not
-// error — pre-fix it refused with "checkpoint during an in-flight
-// commit", failing durably-applied inserts once the auto-checkpoint
-// threshold was crossed — and it must still reclaim fully-applied
-// non-tail segments, while never touching the tail the leader writes.
-func TestWALCheckpointDuringInFlightCommit(t *testing.T) {
-	dir := t.TempDir()
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var gate sync.Mutex
-	gated := false
-	w := openTestWAL(t, dir, WALOptions{
-		// Rotate after every batch so reclaimable segments pile up.
-		SegmentBytes: 1,
-		SyncHook: func() error {
-			gate.Lock()
-			g := gated
-			gate.Unlock()
-			if g {
-				entered <- struct{}{}
-				<-release
-			}
-			return nil
-		},
-	})
-	defer w.Close()
-
-	var applied uint64
-	for i := 0; i < 3; i++ {
-		lsn, err := w.Append([]byte(fmt.Sprintf("applied-%d", i)))
-		if err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
-		applied = lsn
-	}
-	segsBefore := w.Stats().Segments
-	if segsBefore < 2 {
-		t.Fatalf("rotation produced %d segments, need reclaimable ones", segsBefore)
-	}
-
-	gate.Lock()
-	gated = true
-	gate.Unlock()
-	done := make(chan error, 1)
-	go func() {
-		_, err := w.Append([]byte("in-flight"))
-		done <- err
-	}()
-	<-entered // the commit is now mid-flush, before its fsync
-
-	if err := w.Checkpoint(applied); err != nil {
-		t.Fatalf("Checkpoint during an in-flight commit: %v", err)
-	}
-	if st := w.Stats(); st.Segments >= segsBefore {
-		t.Errorf("in-flight checkpoint reclaimed nothing: %d -> %d segments", segsBefore, st.Segments)
-	}
-
-	gate.Lock()
-	gated = false
-	gate.Unlock()
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("append spanning the checkpoint: %v", err)
-	}
-	// The in-flight record survived the concurrent reclaim.
-	got := collectWAL(t, w, applied+1)
-	if string(got[applied+1]) != "in-flight" {
-		t.Fatalf("in-flight record lost: replayed %q", got)
-	}
-	// A quiescent checkpoint still rotates the fully-applied tail out.
-	if err := w.Checkpoint(w.LastLSN()); err != nil {
-		t.Fatalf("quiescent Checkpoint: %v", err)
-	}
-	if st := w.Stats(); st.Segments != 1 || st.Bytes != walSegHdrSize {
-		t.Errorf("quiescent checkpoint left %d segments / %d bytes, want 1 near-empty segment", st.Segments, st.Bytes)
-	}
-}
-
-// TestWALCloseWaitsForInFlightCommit: Close overlapping a group commit
-// waits for the leader to retire instead of erroring — the leader owns
-// the file handle until its batch is durable.
-func TestWALCloseWaitsForInFlightCommit(t *testing.T) {
-	dir := t.TempDir()
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var gate sync.Mutex
-	gated := false
-	w := openTestWAL(t, dir, WALOptions{SyncHook: func() error {
-		gate.Lock()
-		g := gated
-		gate.Unlock()
-		if g {
-			entered <- struct{}{}
-			<-release
-		}
-		return nil
-	}})
-
-	gate.Lock()
-	gated = true
-	gate.Unlock()
-	appended := make(chan error, 1)
-	go func() {
-		_, err := w.Append([]byte("racing-close"))
-		appended <- err
-	}()
-	<-entered
-
-	closed := make(chan error, 1)
-	go func() { closed <- w.Close() }()
-	select {
-	case err := <-closed:
-		t.Fatalf("Close returned (%v) while a commit was mid-flush", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	gate.Lock()
-	gated = false
-	gate.Unlock()
-	close(release)
-	if err := <-appended; err != nil {
-		t.Fatalf("append racing Close: %v", err)
-	}
-	if err := <-closed; err != nil {
-		t.Fatalf("Close after the commit retired: %v", err)
-	}
-	// The acknowledged record is on disk for the next open.
-	re := openTestWAL(t, dir, WALOptions{})
-	defer re.Close()
-	got := collectWAL(t, re, 0)
-	if string(got[1]) != "racing-close" {
-		t.Fatalf("record acknowledged before Close missing: %v", got)
 	}
 }
 

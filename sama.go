@@ -186,8 +186,6 @@ var (
 type Option func(*config)
 
 type config struct {
-	params          Params
-	paramsSet       bool
 	pathCfg         paths.Config
 	poolPages       int
 	thesaurus       *textindex.Thesaurus
@@ -196,15 +194,10 @@ type config struct {
 	checkpointBytes int64
 }
 
-// WithParams sets the similarity coefficients. The coefficients are
-// used verbatim — an all-zero Params deliberately zeroes every
-// coefficient (for ablations) instead of falling back to DefaultParams.
-func WithParams(p Params) Option {
-	return func(c *config) {
-		c.params = p
-		c.paramsSet = true
-	}
-}
+// WithParams sets the similarity coefficients. Every weight must be
+// finite and non-negative, or Create and Open fail; an all-zero Params
+// selects DefaultParams.
+func WithParams(p Params) Option { return func(c *config) { c.engine.Params = p } }
 
 // WithPathConfig bounds the path enumeration at indexing time.
 func WithPathConfig(pc PathConfig) Option { return func(c *config) { c.pathCfg = pc } }
@@ -250,14 +243,14 @@ func WithSlowQueryLog(threshold time.Duration, fn func(*Trace)) Option {
 }
 
 // WithWAL enables the durable write path: every Insert batch is framed
-// into a segmented write-ahead log in dir and fsynced (concurrent
-// inserters share fsyncs through group commit) before any index page
-// is touched, so acknowledged writes survive a crash. A database
-// created with a WAL records dir in its metadata; later Opens reattach
-// the log without the option and, after a crash, replay the records it
-// holds past the last checkpoint before returning. Checkpoints (automatic
-// by size, or explicit via Checkpoint/Flush/Close) truncate the
-// applied prefix of the log.
+// into a segmented write-ahead log in dir and fsynced before any index
+// page is touched, so acknowledged writes survive a crash. Inserts run
+// one at a time, each paying its own fsync; queries do not wait for it.
+// A database created with a WAL records dir in its metadata; later
+// Opens reattach the log without the option and, after a crash, replay
+// the records it holds past the last checkpoint before returning.
+// Checkpoints (automatic by size, or explicit via Checkpoint/Flush/
+// Close) truncate the applied prefix of the log.
 func WithWAL(dir string) Option { return func(c *config) { c.walDir = dir } }
 
 // WithWALCheckpoint sets the automatic checkpoint threshold: once the
@@ -280,19 +273,25 @@ type DB struct {
 	closed atomic.Bool
 }
 
-func buildConfig(opts []Option) *config {
+func buildConfig(opts []Option) (*config, error) {
 	c := &config{}
 	for _, o := range opts {
 		o(c)
 	}
-	return c
+	if p := c.engine.Params; !p.Valid() {
+		return nil, fmt.Errorf("sama: invalid Params %+v: every weight must be finite and non-negative", p)
+	}
+	return c, nil
 }
 
 // Create indexes the data graph into files at basePath (basePath.pages
 // and basePath.meta), overwriting any existing index, and returns the
 // opened database.
 func Create(basePath string, g *Graph, opts ...Option) (*DB, error) {
-	c := buildConfig(opts)
+	c, err := buildConfig(opts)
+	if err != nil {
+		return nil, err
+	}
 	idx, err := index.Build(basePath, g, index.Options{
 		Paths:           c.pathCfg,
 		PoolPages:       c.poolPages,
@@ -311,7 +310,10 @@ func Create(basePath string, g *Graph, opts ...Option) (*DB, error) {
 // last checkpoint are replayed first (DB.Recovery reports them); if the
 // replay fails, so does Open.
 func Open(basePath string, opts ...Option) (*DB, error) {
-	c := buildConfig(opts)
+	c, err := buildConfig(opts)
+	if err != nil {
+		return nil, err
+	}
 	idx, err := index.Open(basePath, index.Options{
 		PoolPages:       c.poolPages,
 		Thesaurus:       c.thesaurus,
@@ -354,8 +356,6 @@ func newDB(st *index.Index, c *config) *DB {
 			wal(func(s storage.WALStats) uint64 { return s.Appends }))
 		reg.CounterFunc("sama_wal_syncs_total", "WAL commit fsyncs.",
 			wal(func(s storage.WALStats) uint64 { return s.Syncs }))
-		reg.CounterFunc("sama_wal_batches_total", "WAL group-commit batches flushed; appends/batches is the batching factor.",
-			wal(func(s storage.WALStats) uint64 { return s.Batches }))
 		reg.CounterFunc("sama_wal_appended_bytes_total", "Bytes ever framed into the WAL, across checkpoints.",
 			wal(func(s storage.WALStats) uint64 { return s.AppendedBytes }))
 		reg.GaugeFunc("sama_wal_segments", "Live WAL segment files.",
@@ -364,8 +364,6 @@ func newDB(st *index.Index, c *config) *DB {
 	events := obs.NewEventLog(obs.EventLogSize)
 	st.SetEvents(events)
 	engOpts := c.engine
-	engOpts.Params = c.params
-	engOpts.ParamsSet = c.paramsSet
 	engOpts.Metrics = reg
 	engOpts.Events = events
 	return &DB{
@@ -387,11 +385,12 @@ func recoverQuery(err *error, desc string) {
 }
 
 // describeQuery renders a bounded description of a query for error
-// messages.
+// messages, cut on a rune boundary: ToValidUTF8 drops the bytes of a
+// rune the cut splits (and any invalid bytes the query had).
 func describeQuery(src string) string {
 	src = strings.Join(strings.Fields(src), " ")
 	if len(src) > 120 {
-		src = src[:120] + "…"
+		src = strings.ToValidUTF8(src[:120], "") + "…"
 	}
 	return fmt.Sprintf("query %q", src)
 }
@@ -548,10 +547,10 @@ func (db *DB) Flush() error {
 
 // CompactIncremental rewrites the index files keeping only live paths,
 // reclaiming the space tombstoned by Insert. Live paths are copied in
-// batches of batchSize (0 means a default), and the index stays open
-// for queries and inserts between steps — each pause is one short
-// reader-lock hold instead of a full-rewrite stall. The returned stats
-// report the batch count, pause distribution and the worst pause.
+// batches of batchSize (0 means a default); queries run between steps,
+// each pause one short reader-lock hold, while Insert, Checkpoint and
+// Flush wait for the whole compaction. The returned stats report the
+// batch count, pause distribution and the worst pause.
 func (db *DB) CompactIncremental(ctx context.Context, batchSize int) (CompactStats, error) {
 	if db.closed.Load() {
 		return CompactStats{}, ErrClosed

@@ -3,10 +3,13 @@ package sama
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 const govtrackNT = `
@@ -228,6 +231,61 @@ func TestOptionsApply(t *testing.T) {
 	}
 	if len(res.Answers) == 0 {
 		t.Error("thesaurus option not applied")
+	}
+}
+
+func TestInvalidParamsRejected(t *testing.T) {
+	g, err := LoadNTriples(strings.NewReader(govtrackNT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "db")
+	db, err := Create(base, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		p    Params
+	}{
+		{"negative", Params{A: -1, B: 0.5, C: 2, D: 1, E: 1}},
+		{"NaN", Params{A: 1, B: math.NaN(), C: 2, D: 1, E: 1}},
+		{"+Inf", Params{A: 1, B: 0.5, C: 2, D: 1, E: math.Inf(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if db, err := Create(filepath.Join(t.TempDir(), "db"), g, WithParams(tc.p)); err == nil {
+				db.Close()
+				t.Errorf("Create accepted %+v", tc.p)
+			}
+			if db, err := Open(base, WithParams(tc.p)); err == nil {
+				db.Close()
+				t.Errorf("Open accepted %+v", tc.p)
+			}
+		})
+	}
+}
+
+func TestDescribeQueryCutsOnRuneBoundary(t *testing.T) {
+	// The literal's "é" takes bytes 119 and 120: a cut at byte 120
+	// would split it.
+	src := `SELECT ?x WHERE { ?x <name> "` + strings.Repeat("a", 90) + `é" }`
+	if i := strings.Index(src, "é"); i != 119 {
+		t.Fatalf("é starts at byte %d, want 119", i)
+	}
+	desc := describeQuery(src)
+	quoted, ok := strings.CutPrefix(desc, "query ")
+	if !ok {
+		t.Fatalf("description %q lacks the query prefix", desc)
+	}
+	got, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !utf8.ValidString(got) || !strings.HasSuffix(got, "a…") {
+		t.Errorf("description %q is not cut before the é", got)
 	}
 }
 

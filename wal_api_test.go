@@ -107,7 +107,6 @@ func TestWALObservability(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("sama_wal_appends_total %d\n", st.Appends),
 		fmt.Sprintf("sama_wal_syncs_total %d\n", st.Syncs),
-		fmt.Sprintf("sama_wal_batches_total %d\n", st.Batches),
 		fmt.Sprintf("sama_wal_appended_bytes_total %d\n", st.AppendedBytes),
 		fmt.Sprintf("sama_wal_segments %d\n", st.Segments),
 	} {
