@@ -51,8 +51,11 @@ race-hot:
 	$(GO) test -race -count=2 -timeout 5m ./internal/cache ./internal/core ./internal/server ./internal/storage ./internal/index ./internal/obs ./internal/textindex
 
 # crash re-runs the durability suites on their own: the crash-matrix
-# kill points (torn WAL tails, mid-checkpoint and mid-compaction
-# kills), each recovered by Open alone; WAL replay; the compaction
+# kill points (torn WAL tails, mid-checkpoint kills, including inside
+# the log's rewrite to a fresh header, and mid-compaction kills), each
+# recovered by Open alone; the WAL file's scan (a torn tail truncated,
+# a damaged record before a well-formed one refused), its whole-log
+# checkpoint and its replay up to the last acknowledged LSN; the compaction
 # swap's crash window, and a copy that cannot read a record, which
 # leaves the original files as they were; a failed insert (its staging
 # or its read of the affected roots' paths) that leaves the graph the
@@ -81,8 +84,9 @@ bench-check:
 # itself) every stored path depends on, the record store's one read
 # over a crafted page (no panic, no endless chain, well-formed records
 # round-trip), the inline codec the benchmark still times, the WAL's
-# segment scan (a lone segment opens to its well-formed prefix, an older
-# damaged one fails the open), the compressed postings (decode ∘ encode,
+# open scan (damage with a well-formed next record after it fails the
+# open and leaves the file as it was, any other opens to the
+# well-formed prefix), the compressed postings (decode ∘ encode,
 # SeekGE, union), the bounded leapfrog intersection, and the three
 # parser front-ends over the shared term
 # scanner (N-Triples: write ∘ read is a fixed point and Turtle reads the

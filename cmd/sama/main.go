@@ -60,7 +60,7 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   sama index -data <graph.nt> -index <base>     build the path index
-             [-wal <dir>] [-wal-checkpoint <bytes>]
+             [-wal <dir>]
   sama query -index <base> (-q <sparql> | -sparql <file>) [-k 10] [-cold] [-timeout 0]
              [-stats] [-explain] [-explain-json] [-debug-addr host:port] [-serve]
   sama stats -index <base>                      print index statistics
@@ -83,7 +83,6 @@ func runIndex(args []string) error {
 	maxLen := fs.Int("max-path-length", 12, "maximum nodes per indexed path")
 	maxPerRoot := fs.Int("max-paths-per-root", 4096, "path budget per source")
 	walDir := fs.String("wal", "", "enable the write-ahead log in this directory (durable inserts)")
-	walCheckpoint := fs.Int64("wal-checkpoint", 0, "WAL bytes that trigger an automatic checkpoint (0 = library default, -1 = manual only)")
 	fs.Parse(args)
 	if *data == "" || *base == "" {
 		return fmt.Errorf("index: -data and -index are required")
@@ -101,9 +100,6 @@ func runIndex(args []string) error {
 	}
 	if *walDir != "" {
 		oo = append(oo, sama.WithWAL(*walDir))
-		if *walCheckpoint != 0 {
-			oo = append(oo, sama.WithWALCheckpoint(*walCheckpoint))
-		}
 	}
 	db, err := sama.Create(*base, g, oo...)
 	if err != nil {

@@ -160,7 +160,7 @@ func TestRunIndexWithWALAndRecover(t *testing.T) {
 	}
 	base := filepath.Join(dir, "idx")
 	walDir := filepath.Join(dir, "wal")
-	if err := runIndex([]string{"-data", dataFile, "-index", base, "-wal", walDir, "-wal-checkpoint", "-1"}); err != nil {
+	if err := runIndex([]string{"-data", dataFile, "-index", base, "-wal", walDir}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -176,6 +176,34 @@ func TestRunIndexWithWALAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No Close, no Flush: the process "dies" here.
+
+	// The batch is left for the next open to replay: a copy of the
+	// crashed files replays it.
+	copyDir := t.TempDir()
+	for _, f := range [][2]string{
+		{base + ".meta", filepath.Join(copyDir, "idx.meta")},
+		{base + ".pages", filepath.Join(copyDir, "idx.pages")},
+		{filepath.Join(walDir, "wal.log"), filepath.Join(copyDir, "wal", "wal.log")},
+	} {
+		b, err := os.ReadFile(f[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(f[1]), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(f[1], b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp, err := sama.Open(filepath.Join(copyDir, "idx"), sama.WithWAL(filepath.Join(copyDir, "wal")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := cp.Recovery(); rs.Records == 0 {
+		t.Fatalf("a copy of the crashed files replayed nothing (%+v): the insert was checkpointed", rs)
+	}
+	cp.Close()
 
 	buf := captureOut(t)
 	if err := runQuery([]string{"-index", base, "-q", `SELECT ?x WHERE { ?x <sponsor> <A0056> }`}); err != nil {

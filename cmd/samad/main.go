@@ -111,7 +111,6 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	slow := fs.Duration("slow-query", 0, "log queries slower than this threshold (0 = off)")
 	cacheAlignMB := fs.Int("cache-align-mb", 0, "alignment memo budget in MiB: one cached cluster per query-path shape, reused across queries sharing it (0 = default 64, negative = off)")
 	walDir := fs.String("wal", "", "enable the write-ahead log in this directory when building; an existing index reattaches its own WAL automatically")
-	walCheckpoint := fs.Int64("wal-checkpoint", 0, "WAL bytes that trigger an automatic checkpoint (0 = library default, -1 = manual only)")
 	route := fs.String("route", "", "comma-separated shard server URLs: run as a scatter-gather router over them instead of serving a local index")
 	shardTimeout := fs.Duration("shard-timeout", 10*time.Second, "router mode: per-shard request deadline; a shard missing it degrades the answer set instead of failing the query")
 	if err := fs.Parse(args); err != nil {
@@ -154,9 +153,6 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	}
 	if *walDir != "" {
 		opts = append(opts, sama.WithWAL(*walDir))
-	}
-	if *walCheckpoint != 0 {
-		opts = append(opts, sama.WithWALCheckpoint(*walCheckpoint))
 	}
 	db, err := openOrBuild(*index, *data, opts, logger)
 	if err != nil {

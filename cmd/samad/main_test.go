@@ -156,7 +156,7 @@ func TestStartupRecovery(t *testing.T) {
 	walDir := filepath.Join(filepath.Dir(index), "wal")
 	logger := log.New(new(bytes.Buffer), "", 0)
 	d, err := startDaemon([]string{"-index", index, "-data", data,
-		"-addr", "127.0.0.1:0", "-wal", walDir, "-wal-checkpoint", "-1"}, logger)
+		"-addr", "127.0.0.1:0", "-wal", walDir}, logger)
 	if err != nil {
 		t.Fatalf("first start: %v", err)
 	}

@@ -54,8 +54,7 @@ func (cs *CompactStats) pause(d time.Duration) {
 // end, so no query reads across it: the files are swapped (rename), and
 // the epoch and the layout bump — invalidating every cache entry that
 // names an old PathID. With a WAL the swap doubles as a checkpoint: the
-// new metadata carries the applied watermark and the log's applied
-// prefix is reclaimed.
+// new metadata carries the applied watermark and the log is discarded.
 //
 // batch ≤ 0 selects DefaultCompactBatch. On a failure
 // before the final swap starts closing the old file handles, the
@@ -204,7 +203,7 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 			// predates records the in-memory state had applied. Those
 			// records are still in the WAL — the checkpoint that would
 			// reclaim them never ran — so replay them, as Open would.
-			if _, err := ix.replayLocked(re.applied+1, ix.applied); err != nil {
+			if _, err := ix.replayLocked(re.applied + 1); err != nil {
 				ix.pool.Close()
 				ix.file.Close()
 				return cs, fmt.Errorf("%w (replaying the log onto the original files failed too: %v; the index is closed)", cause, err)

@@ -8,16 +8,18 @@ import (
 	"sort"
 	"sync/atomic"
 	"testing"
+
+	"sama/internal/rdf"
 )
 
 // The crash matrix kills a WAL-enabled index at every stage of the
 // write path — before the WAL append, mid-append (torn record), during
 // the commit fsync, after the acknowledged insert, at both
-// half-checkpoint states, and mid-compaction — and asserts the
-// recovered index answers queries exactly as a consistent state would:
-// the post-insert state wherever the insert was acknowledged, either
-// consistent state where it was still in flight, and never anything
-// torn. "Kills" are on-disk snapshots: everything visible at the kill
+// half-checkpoint states, inside the checkpoint's log rewrite, and
+// mid-compaction — and asserts the recovered index answers queries
+// exactly as a consistent state would: the post-insert state wherever
+// the insert was acknowledged, either consistent state where it was
+// still in flight, and never anything torn. "Kills" are on-disk snapshots: everything visible at the kill
 // instant is copied to a fresh directory and reopened there, exactly
 // what a process killed at that instant would find on restart.
 //
@@ -40,7 +42,7 @@ type crashRig struct {
 // newCrashRig builds a figure-1 index with a WAL (manual checkpoints
 // only, so the test controls exactly what is on disk) and records the
 // pre-insert answer state. syncHook, when non-nil, interposes on every
-// WAL commit fsync.
+// WAL fsync.
 func newCrashRig(t *testing.T, syncHook func() error) *crashRig {
 	t.Helper()
 	dir := t.TempDir()
@@ -76,9 +78,19 @@ func (r *crashRig) insertBatch(t *testing.T) {
 	r.postKeys = livePathKeys(t, r.ix)
 }
 
+// walFile is the log's name in its directory.
+const walFile = "wal.log"
+
 // recoverClone opens a crash snapshot, which recovers it, returning the
 // recovered answer state.
 func recoverClone(t *testing.T, base, walDir string) []string {
+	t.Helper()
+	return livePathKeys(t, recoverCloneIndex(t, base, walDir))
+}
+
+// recoverCloneIndex is recoverClone returning the recovered index,
+// which stays open until the test ends.
+func recoverCloneIndex(t *testing.T, base, walDir string) *Index {
 	t.Helper()
 	re, err := Open(base, Options{WALDir: walDir, CheckpointBytes: -1})
 	if err != nil {
@@ -92,8 +104,7 @@ func recoverClone(t *testing.T, base, walDir string) []string {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	recovered := livePathKeys(t, re)
-	if want := livePathKeys(t, fresh); !equalKeys(recovered, want) {
+	if recovered, want := livePathKeys(t, re), livePathKeys(t, fresh); !equalKeys(recovered, want) {
 		t.Fatalf("recovered index holds %d live paths, a fresh build of its graph %d", len(recovered), len(want))
 	}
 	for _, term := range fresh.dict.terms {
@@ -105,7 +116,7 @@ func recoverClone(t *testing.T, base, walDir string) []string {
 			t.Errorf("PathsByLabel(%q): recovered %v, fresh build %v", label, got, want)
 		}
 	}
-	return recovered
+	return re
 }
 
 // readAllLive reads every live path in one batched read: each record
@@ -150,7 +161,7 @@ func TestCrashMatrixBeforeWALAppend(t *testing.T) {
 func TestCrashMatrixDuringWALAppend(t *testing.T) {
 	// Kill mid-append: snapshot while the record bytes are being
 	// written (inside the commit, pre-fsync), then tear the tail of the
-	// snapshot's newest segment — the on-disk picture of a crash that
+	// snapshot's log — the on-disk picture of a crash that
 	// caught the kernel mid-write. The unacknowledged batch must be
 	// truncated away, never half-replayed.
 	var snapBase, snapWAL string
@@ -168,18 +179,14 @@ func TestCrashMatrixDuringWALAppend(t *testing.T) {
 	if snapBase == "" {
 		t.Fatal("sync hook never fired")
 	}
-	// Tear: chop a few bytes off the newest segment so the record's
-	// frame is incomplete.
-	segs, err := filepath.Glob(filepath.Join(snapWAL, "wal-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no WAL segments in snapshot: %v", err)
-	}
-	last := segs[len(segs)-1]
-	info, err := os.Stat(last)
+	// Tear: chop a few bytes off the log so the record's frame is
+	// incomplete.
+	log := filepath.Join(snapWAL, walFile)
+	info, err := os.Stat(log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(last, info.Size()-3); err != nil {
+	if err := os.Truncate(log, info.Size()-3); err != nil {
 		t.Fatal(err)
 	}
 	got := recoverClone(t, snapBase, snapWAL)
@@ -227,11 +234,11 @@ func TestCrashMatrixAfterAcknowledgedInsert(t *testing.T) {
 
 func TestCrashMatrixMidCheckpoint(t *testing.T) {
 	// The checkpoint's on-disk protocol is: (1) flush pages, (2)
-	// atomically replace the metadata, (3) truncate the WAL. A kill
-	// between any two steps must recover to the post-insert state — the
-	// batch was acknowledged long before. The two observable
-	// intermediate states are reconstructed by mixing the files of a
-	// pre-checkpoint and a post-checkpoint snapshot.
+	// atomically replace the metadata, (3) replace the WAL with a fresh
+	// header. A kill between any two steps must recover to the
+	// post-insert state — the batch was acknowledged long before. The
+	// two observable intermediate states are reconstructed by mixing the
+	// files of a pre-checkpoint and a post-checkpoint snapshot.
 	r := newCrashRig(t, nil)
 	r.insertBatch(t)
 	preB, preW := crashClone(t, r.base, r.walDir) // checkpoint not started
@@ -265,8 +272,8 @@ func TestCrashMatrixMidCheckpoint(t *testing.T) {
 		}
 	})
 	t.Run("after-meta-before-truncate", func(t *testing.T) {
-		// Metadata committed, WAL truncation lost: records at or below
-		// the watermark are skipped on replay, not applied twice.
+		// Metadata committed, the log's rewrite lost: records at or
+		// below the watermark are skipped on replay, not applied twice.
 		dir := t.TempDir()
 		base, wal := filepath.Join(dir, "ix"), filepath.Join(dir, "wal")
 		copyTree(t, pagesPath(postB), pagesPath(base))
@@ -276,6 +283,82 @@ func TestCrashMatrixMidCheckpoint(t *testing.T) {
 			t.Fatalf("mid-checkpoint (meta committed) diverged: %d vs %d paths", len(got), len(r.postKeys))
 		}
 	})
+}
+
+func TestCrashMatrixDuringLogRewrite(t *testing.T) {
+	// Kill inside the checkpoint's last step, after the metadata commit:
+	// the fresh header is written to a temporary and fsynced, then
+	// renamed over the log. The kill leaves the old log beside a
+	// temporary in any state of being written, or the new log. Each
+	// must recover the post-insert state, and the next insert must get
+	// the LSN after the applied one.
+	var snapBase, snapWAL string
+	var armed atomic.Bool
+	var r *crashRig
+	hook := func() error {
+		if armed.CompareAndSwap(true, false) {
+			snapBase, snapWAL = crashClone(t, r.base, r.walDir)
+		}
+		return nil
+	}
+	r = newCrashRig(t, hook)
+	r.insertBatch(t)
+	applied := r.ix.applied
+	armed.Store(true)
+	if err := r.ix.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if snapBase == "" {
+		t.Fatal("the checkpoint's log rewrite never synced")
+	}
+	postB, postW := crashClone(t, r.base, r.walDir)
+	tmp, err := os.ReadFile(filepath.Join(snapWAL, walFile+".tmp"))
+	if err != nil || len(tmp) == 0 {
+		t.Fatalf("no fresh header in the temporary at the kill point (err=%v)", err)
+	}
+	for _, c := range []struct {
+		name      string
+		base, wal string
+		tmp       []byte // the temporary's contents; nil = none
+	}{
+		{"old-log", snapBase, snapWAL, nil},
+		{"old-log-empty-temporary", snapBase, snapWAL, []byte{}},
+		{"old-log-short-temporary", snapBase, snapWAL, tmp[:len(tmp)/2]},
+		{"old-log-whole-temporary", snapBase, snapWAL, tmp},
+		{"new-log", postB, postW, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base, wal := filepath.Join(dir, "ix"), filepath.Join(dir, "wal")
+			copyTree(t, pagesPath(c.base), pagesPath(base))
+			copyTree(t, metaPath(c.base), metaPath(base))
+			if err := os.Mkdir(wal, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			copyTree(t, filepath.Join(c.wal, walFile), filepath.Join(wal, walFile))
+			if c.tmp != nil {
+				if err := os.WriteFile(filepath.Join(wal, walFile+".tmp"), c.tmp, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			re := recoverCloneIndex(t, base, wal)
+			if got := livePathKeys(t, re); !equalKeys(got, r.postKeys) {
+				t.Fatalf("recovered %d paths, want the post-insert %d", len(got), len(r.postKeys))
+			}
+			if rs := re.Recovery(); rs.Records != 0 {
+				t.Errorf("replayed %d records the metadata had applied", rs.Records)
+			}
+			if err := re.InsertTriples([]rdf.Triple{{S: iri("AfterRewrite"), P: iri("sponsor"), O: iri("A0056")}}); err != nil {
+				t.Fatal(err)
+			}
+			if st, _ := re.WALStats(); st.LastLSN != applied+1 {
+				t.Fatalf("the next insert got LSN %d, want %d", st.LastLSN, applied+1)
+			}
+			if names, _ := filepath.Glob(filepath.Join(wal, "*")); len(names) != 1 {
+				t.Errorf("WAL directory holds %v after recovery, want only the log", names)
+			}
+		})
+	}
 }
 
 func TestCrashMatrixMidCompaction(t *testing.T) {
@@ -336,15 +419,12 @@ func TestCrashMatrixTornTailMetrics(t *testing.T) {
 	r := newCrashRig(t, nil)
 	r.insertBatch(t)
 	cb, cw := crashClone(t, r.base, r.walDir)
-	segs, _ := filepath.Glob(filepath.Join(cw, "wal-*.log"))
-	if len(segs) == 0 {
-		t.Fatal("no segments")
-	}
-	info, err := os.Stat(segs[len(segs)-1])
+	log := filepath.Join(cw, walFile)
+	info, err := os.Stat(log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(segs[len(segs)-1], info.Size()-2); err != nil {
+	if err := os.Truncate(log, info.Size()-2); err != nil {
 		t.Fatal(err)
 	}
 	re, err := Open(cb, Options{WALDir: cw})

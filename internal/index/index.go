@@ -38,22 +38,19 @@ type Options struct {
 	// a storage.FaultInjector between the pool and the disk. The
 	// wrapper persists across Compact.
 	WrapIO func(storage.PageIO) storage.PageIO
-	// WALDir enables the durable write path: each insert is logged to a
-	// segmented write-ahead log in this directory, and fsynced, before
+	// WALDir enables the durable write path: each insert is logged to
+	// the write-ahead log file in this directory, and fsynced, before
 	// any page is touched, and Open replays the log's unapplied suffix.
 	// An index built with a WAL records the directory in its metadata,
 	// so later Opens reattach it even when the option is left empty.
 	WALDir string
-	// WALSegmentBytes is the WAL segment rotation threshold
-	// (0: storage.DefaultWALSegmentBytes).
-	WALSegmentBytes int64
 	// CheckpointBytes triggers an automatic checkpoint after an insert
 	// once the WAL reaches this size (0: DefaultCheckpointBytes;
 	// negative: only explicit Checkpoint/Flush/Close checkpoint).
 	CheckpointBytes int64
-	// WALSyncHook interposes on the WAL's commit fsync, like WrapIO
-	// does for page I/O — the crash tests use it to snapshot the disk
-	// state mid-fsync.
+	// WALSyncHook interposes on the WAL's fsyncs (an append's commit,
+	// a checkpoint's fresh header), like WrapIO does for page I/O — the
+	// crash tests use it to snapshot the disk state mid-fsync.
 	WALSyncHook func() error
 }
 
@@ -165,8 +162,9 @@ type Index struct {
 	stats   Stats
 	// Durable write path state (nil/zero without a WAL): wal is the
 	// log, walDir its directory (persisted in the metadata), applied
-	// the LSN of the last record applied — every one below it is too —
-	// which the checkpoint truncates at, and recovery is what Open
+	// the LSN of the last record applied — every one below it is too,
+	// and under the writer lock it is the log's last LSN, so a
+	// checkpoint discards the whole log — and recovery is what Open
 	// replayed.
 	wal             *storage.WAL
 	walDir          string
@@ -260,10 +258,7 @@ func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
 	if ix.walDir != "" {
 		// A fresh build restarts history: any older log describes an
 		// index these files just replaced.
-		w, err := storage.OpenWAL(ix.walDir, storage.WALOptions{
-			SegmentBytes: opts.WALSegmentBytes,
-			SyncHook:     opts.WALSyncHook,
-		})
+		w, err := storage.OpenWAL(ix.walDir, storage.WALOptions{SyncHook: opts.WALSyncHook})
 		if err != nil {
 			file.Close()
 			return nil, err
@@ -389,7 +384,7 @@ func recoverCompactSwap(base string) {
 // attachment and its replay optional: CompactIncremental reopens the
 // swapped files through it with attachWAL=false, because the index's
 // WAL handle is already open and stays valid across the swap (opening
-// the log twice would double-own the segment files).
+// the log twice would double-own the log file).
 func openIndex(base string, opts Options, attachWAL bool) (*Index, error) {
 	file, err := storage.OpenPageFile(pagesPath(base))
 	if err != nil {

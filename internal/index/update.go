@@ -99,8 +99,8 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 	err := ix.applyTriplesLocked(ts)
 	if ix.wal != nil {
 		// Count even a failed apply as applied: the record is durable
-		// regardless, and the checkpoint's metadata must not hold the
-		// log's truncation back on it forever.
+		// regardless, and a checkpoint discards the whole log, so its
+		// watermark must reach the last record.
 		ix.applied = lsn
 		if err == nil && ix.checkpointBytes > 0 && ix.wal.Size() >= ix.checkpointBytes {
 			if cerr := ix.checkpointLocked(); cerr != nil {
@@ -398,7 +398,7 @@ func (ix *Index) oldPathsFrom(g *rdf.Graph, starts []rdf.NodeID) (oldPaths, erro
 
 // Flush persists the metadata (postings, tombstones, statistics) and
 // the dirty pages. With a WAL this is a full checkpoint: the applied
-// watermark becomes durable and the log's applied prefix is reclaimed.
+// watermark becomes durable and the log is discarded.
 // Close also flushes.
 func (ix *Index) Flush() error {
 	ix.wmu.Lock()

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -74,21 +73,22 @@ func decodeTriples(data []byte) ([]rdf.Triple, error) {
 
 // ---- checkpoint --------------------------------------------------------
 
-// checkpointLocked makes the applied watermark durable and reclaims
-// the WAL prefix below it. The order is load-bearing:
+// checkpointLocked makes the applied watermark durable and discards the
+// log, every record of which it covers. The order is load-bearing:
 //
 //  1. flush the buffer pool (pages reach the disk, fsynced);
 //  2. write the metadata (temp file + fsync + rename), which records
 //     the watermark and the data graph: this is the atomic commit point
 //     of the checkpoint;
-//  3. truncate the WAL below the watermark;
+//  3. rewrite the WAL to a fresh header at the next LSN;
 //  4. seal the record store's current page, so pages holding only
 //     checkpointed (no longer replayable) records are never rewritten —
 //     a torn page write can then only hit records the WAL can restore.
 //
 // A crash between any two steps is safe: before 2 the old metadata
-// still pairs with the untruncated WAL; after 2 the new metadata pairs
-// with a WAL whose stale prefix is skipped by the watermark.
+// still pairs with the old log; after 2 the new metadata pairs with
+// either the old log, whose records the watermark skips, or the fresh
+// one.
 func (ix *Index) checkpointLocked() error {
 	if ix.wal == nil {
 		return nil
@@ -112,7 +112,7 @@ func (ix *Index) checkpointLocked() error {
 }
 
 // Checkpoint forces a checkpoint: pages and metadata are made durable
-// and the WAL's applied prefix is reclaimed. A no-op without a WAL.
+// and the WAL's records are discarded. A no-op without a WAL.
 func (ix *Index) Checkpoint() error {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
@@ -155,23 +155,22 @@ func (ix *Index) WALStats() (st storage.WALStats, ok bool) {
 	return w.Stats(), true
 }
 
-// openWAL attaches the log during Open and replays it: the segments are
-// scanned (a torn tail is truncated, never replayed), LSN continuity
-// with the metadata's watermark is enforced, the records past the
-// watermark are applied to the metadata's graph in LSN order, and a
-// checkpoint makes the result durable.
+// openWAL attaches the log during Open and replays it: the log is
+// scanned (a torn tail is truncated, never replayed), its LSNs are
+// kept above the metadata's watermark, the records past the watermark
+// are applied to the metadata's graph in LSN order, and a checkpoint
+// makes the result durable.
 func (ix *Index) openWAL(opts Options) error {
 	w, err := storage.OpenWAL(ix.walDir, storage.WALOptions{
-		SegmentBytes: opts.WALSegmentBytes,
-		MinNextLSN:   ix.applied + 1,
-		SyncHook:     opts.WALSyncHook,
+		MinNextLSN: ix.applied + 1,
+		SyncHook:   opts.WALSyncHook,
 	})
 	if err != nil {
 		return err
 	}
 	start := time.Now()
 	ix.wal = w
-	rs, err := ix.replayLocked(ix.applied+1, w.LastLSN())
+	rs, err := ix.replayLocked(ix.applied + 1)
 	if err == nil && rs.Records > 0 {
 		err = ix.checkpointLocked()
 	}
@@ -185,19 +184,11 @@ func (ix *Index) openWAL(opts Options) error {
 	return nil
 }
 
-// errReplayDone stops a replay at its last record.
-var errReplayDone = errors.New("replay done")
-
-// replayLocked re-applies the logged batches with LSNs in [from, to],
-// in LSN order, marking each applied. It reads no record past to, so
-// one a failed append left half-written beyond it is not mistaken for
-// corruption.
-func (ix *Index) replayLocked(from, to uint64) (RecoveryStats, error) {
+// replayLocked re-applies the logged batches from LSN from to the
+// log's last acknowledged one, in LSN order, marking each applied.
+func (ix *Index) replayLocked(from uint64) (RecoveryStats, error) {
 	var rs RecoveryStats
 	err := ix.wal.Replay(from, func(lsn uint64, payload []byte) error {
-		if lsn > to {
-			return errReplayDone
-		}
 		ts, err := decodeTriples(payload)
 		if err != nil {
 			return fmt.Errorf("%w: record %d: %v", storage.ErrWALCorrupt, lsn, err)
@@ -208,13 +199,7 @@ func (ix *Index) replayLocked(from, to uint64) (RecoveryStats, error) {
 		ix.applied = lsn
 		rs.Records++
 		rs.Triples += len(ts)
-		if lsn == to {
-			return errReplayDone
-		}
 		return nil
 	})
-	if errors.Is(err, errReplayDone) {
-		err = nil
-	}
 	return rs, err
 }

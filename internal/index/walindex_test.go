@@ -500,7 +500,6 @@ func TestWALAutoCheckpointTruncates(t *testing.T) {
 	walDir := filepath.Join(dir, "wal")
 	ix, err := Build(base, figure1Graph(), Options{
 		WALDir:          walDir,
-		WALSegmentBytes: 512,
 		CheckpointBytes: 2048,
 	})
 	if err != nil {
@@ -574,8 +573,7 @@ func TestTripleCodecRoundtrip(t *testing.T) {
 func TestWALAutoCheckpointConcurrentInserts(t *testing.T) {
 	dir := t.TempDir()
 	ix, err := Build(filepath.Join(dir, "ix"), figure1Graph(), Options{
-		WALDir:          filepath.Join(dir, "wal"),
-		WALSegmentBytes: 256,
+		WALDir: filepath.Join(dir, "wal"),
 		// Checkpoint after every applied insert.
 		CheckpointBytes: 1,
 	})

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -84,10 +85,9 @@ func TestWALAppendReplayRoundtrip(t *testing.T) {
 	}
 }
 
-func TestWALSegmentRotationAndCheckpoint(t *testing.T) {
+func TestWALCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	// Small segments so a handful of records rotates several times.
-	w := openTestWAL(t, dir, WALOptions{SegmentBytes: 256})
+	w := openTestWAL(t, dir, WALOptions{})
 	payload := bytes.Repeat([]byte("x"), 64)
 	var last uint64
 	for i := 0; i < 20; i++ {
@@ -97,34 +97,33 @@ func TestWALSegmentRotationAndCheckpoint(t *testing.T) {
 		}
 		last = lsn
 	}
-	st := w.Stats()
-	if st.Segments < 3 {
-		t.Fatalf("expected rotation to leave >=3 segments, got %d", st.Segments)
+
+	// A checkpoint that would discard unapplied records is refused and
+	// leaves the file as it was.
+	path := filepath.Join(dir, walFile)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Rotations == 0 {
-		t.Fatal("expected rotations > 0")
+	if err := w.Checkpoint(last - 1); err == nil {
+		t.Fatal("Checkpoint(applied < LastLSN) succeeded")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused checkpoint touched the log (err=%v)", err)
+	}
+	if got := collectWAL(t, w, 0); len(got) != int(last) {
+		t.Fatalf("after a refused checkpoint: %d records, want %d", len(got), last)
 	}
 
-	// Checkpoint halfway: early segments disappear, later records survive.
-	if err := w.Checkpoint(last / 2); err != nil {
+	// Checkpoint everything: the whole log is discarded.
+	if err := w.Checkpoint(last); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	got := collectWAL(t, w, 0)
-	for lsn := last/2 + 1; lsn <= last; lsn++ {
-		if got[lsn] == nil {
-			t.Fatalf("lsn %d dropped by checkpoint", lsn)
-		}
-	}
-
-	// Checkpoint everything: the log shrinks to one empty segment.
-	if err := w.Checkpoint(last); err != nil {
-		t.Fatalf("Checkpoint(all): %v", err)
-	}
 	if got := collectWAL(t, w, 0); len(got) != 0 {
-		t.Fatalf("after full checkpoint: %d records remain", len(got))
+		t.Fatalf("after checkpoint: %d records remain", len(got))
 	}
-	if st := w.Stats(); st.Segments != 1 {
-		t.Fatalf("after full checkpoint: %d segments, want 1", st.Segments)
+	if st := w.Stats(); st.Bytes != walHdrSize || st.Checkpoints != 1 {
+		t.Fatalf("after checkpoint: %d bytes and %d checkpoints, want %d and 1", st.Bytes, st.Checkpoints, walHdrSize)
 	}
 	// LSNs keep increasing across the checkpoint.
 	if lsn, err := w.Append([]byte("post")); err != nil || lsn != last+1 {
@@ -132,11 +131,17 @@ func TestWALSegmentRotationAndCheckpoint(t *testing.T) {
 	}
 	w.Close()
 
-	// Reopen after full checkpoint: LSN continuity preserved.
-	w2 := openTestWAL(t, dir, WALOptions{SegmentBytes: 256})
+	// ... and across a reopen.
+	w2 := openTestWAL(t, dir, WALOptions{})
 	defer w2.Close()
+	if got := collectWAL(t, w2, 0); len(got) != 1 || got[last+1] == nil {
+		t.Fatalf("after reopen: replayed %d records, want only LSN %d", len(got), last+1)
+	}
 	if lsn, err := w2.Append([]byte("post2")); err != nil || lsn != last+2 {
 		t.Fatalf("append after reopen: lsn=%d err=%v, want %d", lsn, err, last+2)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
+		t.Fatalf("WAL directory holds %v, want only %s", names, walFile)
 	}
 }
 
@@ -159,7 +164,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 			}
 			w.Close()
 
-			seg := filepath.Join(dir, walSegName(1))
+			seg := filepath.Join(dir, walFile)
 			info, err := os.Stat(seg)
 			if err != nil {
 				t.Fatal(err)
@@ -206,41 +211,163 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestWALCorruptionBeforeTailFailsOpen: a damaged record with a
+// well-formed record after it is not a torn tail: the records after it
+// were acknowledged, so the open fails and leaves the file as it was.
 func TestWALCorruptionBeforeTailFailsOpen(t *testing.T) {
 	dir := t.TempDir()
-	w := openTestWAL(t, dir, WALOptions{SegmentBytes: 128})
-	payload := bytes.Repeat([]byte("y"), 64)
-	for i := 0; i < 8; i++ {
-		if _, err := w.Append(payload); err != nil {
+	w := openTestWAL(t, dir, WALOptions{})
+	for i := 0; i < 10; i++ {
+		if _, err := w.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	if w.Stats().Segments < 2 {
-		t.Fatal("test needs >= 2 segments")
-	}
 	w.Close()
 
-	// Damage the FIRST segment: this is not a torn tail, it is data loss.
-	seg := filepath.Join(dir, walSegName(1))
-	data, err := os.ReadFile(seg)
+	// Flip one payload byte of LSN 3.
+	path := filepath.Join(dir, walFile)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[walSegHdrSize+walRecHdrSize] ^= 0xff
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
+	recSize := walRecHdrSize + len("rec-0")
+	data[walHdrSize+2*recSize+walRecHdrSize] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWAL(dir, WALOptions{}); !errors.Is(err, ErrWALCorrupt) {
-		t.Fatalf("open over non-tail corruption: err=%v, want ErrWALCorrupt", err)
+	if w, err := OpenWAL(dir, WALOptions{}); !errors.Is(err, ErrWALCorrupt) {
+		if err == nil {
+			t.Logf("replayed %d records, last LSN %d", len(collectWAL(t, w, 0)), w.LastLSN())
+			w.Close()
+		}
+		t.Fatalf("open over a damaged record 3 of 10: err=%v, want ErrWALCorrupt", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("the failed open changed the log (err=%v)", err)
+	}
+}
+
+// TestWALTornHeader: a header that is short or fails its check is a
+// torn create or rewrite when nothing follows it — the open replaces
+// it — and corruption when anything does. A temporary a crash left
+// mid-rewrite is removed.
+func TestWALTornHeader(t *testing.T) {
+	valid := encodeLog(7, []byte("rec"))
+	bad := slices.Clone(valid)
+	bad[walHdrSize-1] ^= 1 // the header checksum
+	for _, c := range []struct {
+		name    string
+		log     []byte
+		corrupt bool
+	}{
+		{"empty", nil, false},
+		{"short", valid[:11], false},
+		{"bad-checksum", bad[:walHdrSize], false},
+		{"bad-checksum-then-record", bad, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, walFile)
+			if err := os.WriteFile(path, c.log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, walTmp), valid[:5], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, err := OpenWAL(dir, WALOptions{MinNextLSN: 5})
+			if c.corrupt {
+				if !errors.Is(err, ErrWALCorrupt) {
+					t.Fatalf("OpenWAL: err=%v, want ErrWALCorrupt", err)
+				}
+				if after, _ := os.ReadFile(path); !bytes.Equal(after, c.log) {
+					t.Fatal("the failed open changed the log")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("OpenWAL: %v", err)
+			}
+			defer w.Close()
+			if !w.Stats().TornTailRepaired {
+				t.Error("torn header not reported as repaired")
+			}
+			if _, err := os.Stat(filepath.Join(dir, walTmp)); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("stray temporary survived the open: %v", err)
+			}
+			if lsn, err := w.Append([]byte("a")); err != nil || lsn != 5 {
+				t.Fatalf("append after repair: lsn=%d err=%v, want 5", lsn, err)
+			}
+		})
+	}
+}
+
+// TestWALRefusesSegmentedLayout: a directory holding an earlier build's
+// segment files fails the open, naming one, and is left alone.
+func TestWALRefusesSegmentedLayout(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "wal-00000001.log")
+	old := encodeLog(1, []byte("unapplied"))
+	if err := os.WriteFile(seg, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWAL(dir, WALOptions{})
+	if err == nil {
+		w.Close()
+		t.Fatal("OpenWAL over a segmented log succeeded")
+	}
+	if !strings.Contains(err.Error(), seg) {
+		t.Errorf("error %q does not name %s", err, seg)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); !slices.Equal(names, []string{seg}) {
+		t.Errorf("WAL directory holds %v after the refused open, want only %s", names, seg)
+	}
+	if after, _ := os.ReadFile(seg); !bytes.Equal(after, old) {
+		t.Error("the refused open changed the segment file")
+	}
+}
+
+// TestWALReplayStopsAtLastLSN: an append that fails after its frame was
+// fully written is not acknowledged, so Replay never streams it.
+func TestWALReplayStopsAtLastLSN(t *testing.T) {
+	fail := false
+	w := openTestWAL(t, t.TempDir(), WALOptions{SyncHook: func() error {
+		if fail {
+			return errors.New("injected sync failure")
+		}
+		return nil
+	}})
+	defer w.Close()
+	if lsn, err := w.Append([]byte("one")); err != nil || lsn != 1 {
+		t.Fatalf("first append: lsn=%d err=%v", lsn, err)
+	}
+	fail = true
+	if _, err := w.Append([]byte("two")); !errors.Is(err, ErrWALPoisoned) {
+		t.Fatalf("second append: err=%v, want ErrWALPoisoned", err)
+	}
+	if got := collectWAL(t, w, 0); len(got) != 1 || got[1] == nil {
+		t.Fatalf("Replay(0) streamed %d records, want only LSN 1", len(got))
 	}
 }
 
 func TestWALMinNextLSN(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir, WALOptions{MinNextLSN: 100})
-	defer w.Close()
 	if lsn, err := w.Append([]byte("a")); err != nil || lsn != 100 {
 		t.Fatalf("lsn=%d err=%v, want 100", lsn, err)
+	}
+	w.Close()
+
+	// A log whose records all lie below the floor restarts at the floor,
+	// and what is appended there survives a reopen.
+	w = openTestWAL(t, dir, WALOptions{MinNextLSN: 200})
+	if lsn, err := w.Append([]byte("b")); err != nil || lsn != 200 {
+		t.Fatalf("lsn=%d err=%v, want 200", lsn, err)
+	}
+	w.Close()
+	w = openTestWAL(t, dir, WALOptions{})
+	defer w.Close()
+	if got := collectWAL(t, w, 0); len(got) != 1 || !bytes.Equal(got[200], []byte("b")) {
+		t.Fatalf("after reopen: replayed %d records, want only LSN 200", len(got))
 	}
 }
 
@@ -270,7 +397,7 @@ func TestWALPoisonedAfterSyncFailure(t *testing.T) {
 	if _, err := w.Append([]byte("ok")); err != nil {
 		t.Fatal(err)
 	}
-	// Close the segment file behind the WAL's back: the next commit's
+	// Close the log file behind the WAL's back: the next commit's
 	// write/sync fails like a dying disk would.
 	w.mu.Lock()
 	w.f.Close()
@@ -287,51 +414,69 @@ func TestWALPoisonedAfterSyncFailure(t *testing.T) {
 	}
 }
 
-// encodeSegment is a segment file opening at first and holding payloads
-// at consecutive LSNs, framed the way Append frames them.
-func encodeSegment(first uint64, payloads ...[]byte) []byte {
-	seg := binary.LittleEndian.AppendUint64(walMagic[:], first)
-	seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(seg[8:16]))
-	for i, p := range payloads {
-		lsn := binary.LittleEndian.AppendUint64(nil, first+uint64(i))
-		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(p)))
-		seg = append(seg, lsn...)
-		seg = binary.LittleEndian.AppendUint32(seg, crc32.Update(crc32.ChecksumIEEE(lsn), crc32.IEEETable, p))
-		seg = append(seg, p...)
-	}
-	return seg
+// appendFrame frames payload at lsn the way Append does.
+func appendFrame(log []byte, lsn uint64, payload []byte) []byte {
+	l := binary.LittleEndian.AppendUint64(nil, lsn)
+	log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
+	log = append(log, l...)
+	log = binary.LittleEndian.AppendUint32(log, crc32.Update(crc32.ChecksumIEEE(l), crc32.IEEETable, payload))
+	return append(log, payload...)
 }
 
-// walFrames reads seg by the segment format's definition: the magic, a
-// first LSN other than 0 under the header CRC, then frames whose length
+// encodeLog is a log opening at first and holding payloads at
+// consecutive LSNs.
+func encodeLog(first uint64, payloads ...[]byte) []byte {
+	log := binary.LittleEndian.AppendUint64(walMagic[:], first)
+	log = binary.LittleEndian.AppendUint32(log, crc32.ChecksumIEEE(log[8:16]))
+	for i, p := range payloads {
+		log = appendFrame(log, first+uint64(i), p)
+	}
+	return log
+}
+
+// walFrames reads log by the format's definition: a header (the magic,
+// a first LSN other than 0, the header CRC), then frames whose length
 // is at most walMaxRecord, whose LSNs run on from the first LSN and
 // whose CRC holds. It returns the payloads of the longest well-formed
-// prefix, the LSN a record after them would take, and whether those
-// frames end exactly where seg does.
-func walFrames(seg []byte) (recs [][]byte, next uint64, whole bool) {
-	if len(seg) < walSegHdrSize || [8]byte(seg[:8]) != walMagic {
-		return nil, 0, false
+// prefix and the LSN a record after them would take (0 if the header is
+// bad); whole reports that those frames end exactly where log does, and
+// next that a well-formed frame carrying the LSN after that one starts
+// where the first bad frame's declared length ends.
+func walFrames(log []byte) (recs [][]byte, lsn uint64, whole, next bool) {
+	if len(log) < walHdrSize || [8]byte(log[:8]) != walMagic {
+		return nil, 0, false, false
 	}
-	next = binary.LittleEndian.Uint64(seg[8:16])
-	if next == 0 || crc32.ChecksumIEEE(seg[8:16]) != binary.LittleEndian.Uint32(seg[16:20]) {
-		return nil, 0, false
+	lsn = binary.LittleEndian.Uint64(log[8:16])
+	if lsn == 0 || crc32.ChecksumIEEE(log[8:16]) != binary.LittleEndian.Uint32(log[16:20]) {
+		return nil, 0, false, false
 	}
-	rest := seg[walSegHdrSize:]
-	for len(rest) >= walRecHdrSize {
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		if n > walMaxRecord || uint64(n) > uint64(len(rest)-walRecHdrSize) ||
-			binary.LittleEndian.Uint64(rest[4:12]) != next {
-			return recs, next, false
+	// frame returns the payload of the frame rest starts with and the
+	// length its header declares, or ok=false if it is not well-formed.
+	frame := func(rest []byte, lsn uint64) (p []byte, n uint64, ok bool) {
+		if len(rest) < walRecHdrSize {
+			return nil, 0, false
 		}
-		p := rest[walRecHdrSize : walRecHdrSize+int(n)]
-		if crc32.Update(crc32.ChecksumIEEE(rest[4:12]), crc32.IEEETable, p) != binary.LittleEndian.Uint32(rest[12:16]) {
-			return recs, next, false
+		n = uint64(binary.LittleEndian.Uint32(rest[0:4]))
+		if n > walMaxRecord || n > uint64(len(rest)-walRecHdrSize) || binary.LittleEndian.Uint64(rest[4:12]) != lsn {
+			return nil, n, false
+		}
+		p = rest[walRecHdrSize : walRecHdrSize+n]
+		return p, n, crc32.Update(crc32.ChecksumIEEE(rest[4:12]), crc32.IEEETable, p) == binary.LittleEndian.Uint32(rest[12:16])
+	}
+	rest := log[walHdrSize:]
+	for len(rest) > 0 {
+		p, n, ok := frame(rest, lsn)
+		if !ok {
+			if len(rest) >= walRecHdrSize && walRecHdrSize+n <= uint64(len(rest)) {
+				_, _, next = frame(rest[walRecHdrSize+n:], lsn+1)
+			}
+			return recs, lsn, false, next
 		}
 		recs = append(recs, p)
-		next++
-		rest = rest[walRecHdrSize+int(n):]
+		lsn++
+		rest = rest[walRecHdrSize+n:]
 	}
-	return recs, next, len(rest) == 0
+	return recs, lsn, true, false
 }
 
 // replayAll returns every record Replay(0) streams, in order, failing
@@ -358,23 +503,39 @@ func equalRecords(a, b [][]byte) bool {
 	return slices.EqualFunc(a, b, bytes.Equal)
 }
 
-// FuzzOpenWAL writes the input as the log's first segment. Alone, it is
-// the newest segment, so any damage is a torn tail: OpenWAL succeeds,
-// Replay returns exactly the longest well-formed prefix walFrames finds,
-// a reopen returns it again, and a record appended after opening
-// survives the next reopen. Followed by a valid second segment (next
-// set), the input is an older segment, so anything short of wholly
-// well-formed must fail the open with ErrWALCorrupt. The checked-in
-// corpus is a valid three-record segment and one with a flipped payload
-// byte, each both ways, and every cut inside the valid one's last
-// record, alone.
+// FuzzOpenWAL writes the input as the log file, followed, when next is
+// set, by one well-formed frame: it carries the LSN after the input's
+// well-formed prefix if the input is whole, and the one after the first
+// bad frame's otherwise, so it can make that frame damage rather than a
+// tear. walFrames judges the result. A bad header must fail the open
+// with ErrWALCorrupt if anything follows it, and otherwise open to an
+// empty log; damage with a well-formed next frame after it must fail
+// the open with ErrWALCorrupt and leave the file as it was; any other
+// damage is a torn tail: OpenWAL succeeds, Replay returns exactly the
+// well-formed prefix, a reopen returns it again, and a record appended
+// after opening survives the next reopen. The checked-in corpus is a
+// valid three-record log and one with a flipped payload byte in its
+// last record, each both ways, every cut inside the valid one's last
+// record, and a flipped byte in the middle record's payload (corrupt)
+// and in the last record's LSN (torn).
 func FuzzOpenWAL(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seg []byte, next bool) {
+	f.Fuzz(func(t *testing.T, log []byte, next bool) {
+		if next {
+			_, lsn, whole, _ := walFrames(log)
+			if !whole {
+				lsn++
+			}
+			log = appendFrame(slices.Clone(log), lsn, []byte("next frame"))
+		}
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, walSegName(1)), seg, 0o644); err != nil {
+		path := filepath.Join(dir, walFile)
+		if err := os.WriteFile(path, log, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want, nextLSN, whole := walFrames(seg)
+		want, lsn, whole, corrupt := walFrames(log)
+		if lsn == 0 { // bad header
+			corrupt = len(log) > walHdrSize
+		}
 		open := func() *WAL {
 			t.Helper()
 			w, err := OpenWAL(dir, WALOptions{NoSync: true})
@@ -383,31 +544,25 @@ func FuzzOpenWAL(f *testing.F) {
 			}
 			return w
 		}
-		if next {
-			tail := []byte("second segment")
-			if err := os.WriteFile(filepath.Join(dir, walSegName(2)), encodeSegment(nextLSN, tail), 0o644); err != nil {
-				t.Fatal(err)
+		if corrupt {
+			w, err := OpenWAL(dir, WALOptions{NoSync: true})
+			if err == nil {
+				w.Close()
 			}
-			if !whole {
-				w, err := OpenWAL(dir, WALOptions{NoSync: true})
-				if err == nil {
-					w.Close()
-				}
-				if !errors.Is(err, ErrWALCorrupt) {
-					t.Fatalf("OpenWAL over a damaged older segment: err = %v, want ErrWALCorrupt", err)
-				}
-				return
+			if !errors.Is(err, ErrWALCorrupt) {
+				t.Fatalf("OpenWAL over damage before the tail: err = %v, want ErrWALCorrupt", err)
 			}
-			w := open()
-			defer w.Close()
-			if got := replayAll(t, w); !equalRecords(got, append(want, tail)) {
-				t.Fatalf("replayed %q, want %q", got, append(want, tail))
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, log) {
+				t.Fatalf("the failed open changed the log (err=%v)", err)
 			}
 			return
 		}
 		w := open()
 		if got := replayAll(t, w); !equalRecords(got, want) {
 			t.Fatalf("replayed %q, want the well-formed prefix %q", got, want)
+		}
+		if torn := w.Stats().TornTailRepaired; torn == whole {
+			t.Fatalf("TornTailRepaired = %v for a log whose frames end where it does: %v", torn, whole)
 		}
 		w.Close()
 		w = open()

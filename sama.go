@@ -186,12 +186,11 @@ var (
 type Option func(*config)
 
 type config struct {
-	pathCfg         paths.Config
-	poolPages       int
-	thesaurus       *textindex.Thesaurus
-	engine          core.Options
-	walDir          string
-	checkpointBytes int64
+	pathCfg   paths.Config
+	poolPages int
+	thesaurus *textindex.Thesaurus
+	engine    core.Options
+	walDir    string
 }
 
 // WithParams sets the similarity coefficients. Every weight must be
@@ -243,23 +242,15 @@ func WithSlowQueryLog(threshold time.Duration, fn func(*Trace)) Option {
 }
 
 // WithWAL enables the durable write path: every Insert batch is framed
-// into a segmented write-ahead log in dir and fsynced before any index
-// page is touched, so acknowledged writes survive a crash. Inserts run
-// one at a time, each paying its own fsync; queries do not wait for it.
-// A database created with a WAL records dir in its metadata; later
-// Opens reattach the log without the option and, after a crash, replay
-// the records it holds past the last checkpoint before returning.
-// Checkpoints (automatic by size, or explicit via Checkpoint/Flush/
-// Close) truncate the applied prefix of the log.
+// into a write-ahead log file in dir and fsynced before any index page
+// is touched, so acknowledged writes survive a crash. Inserts run one
+// at a time, each paying its own fsync; queries do not wait for it. A
+// database created with a WAL records dir in its metadata; later Opens
+// reattach the log without the option and, after a crash, replay the
+// records it holds past the last checkpoint before returning.
+// Checkpoints (once the log reaches 16 MiB after an insert, or explicit
+// via Checkpoint/Flush/Close) discard the whole log.
 func WithWAL(dir string) Option { return func(c *config) { c.walDir = dir } }
-
-// WithWALCheckpoint sets the automatic checkpoint threshold: once the
-// log reaches bytes after an insert, the index checkpoints and
-// truncates it. 0 keeps the default (16 MiB); negative disables
-// automatic checkpoints (only Checkpoint, Flush and Close truncate).
-func WithWALCheckpoint(bytes int64) Option {
-	return func(c *config) { c.checkpointBytes = bytes }
-}
 
 // DB is an opened Sama database: a disk-resident path index plus the
 // query engine over it. Every DB owns a metrics registry and a ring of
@@ -293,11 +284,10 @@ func Create(basePath string, g *Graph, opts ...Option) (*DB, error) {
 		return nil, err
 	}
 	idx, err := index.Build(basePath, g, index.Options{
-		Paths:           c.pathCfg,
-		PoolPages:       c.poolPages,
-		Thesaurus:       c.thesaurus,
-		WALDir:          c.walDir,
-		CheckpointBytes: c.checkpointBytes,
+		Paths:     c.pathCfg,
+		PoolPages: c.poolPages,
+		Thesaurus: c.thesaurus,
+		WALDir:    c.walDir,
 	})
 	if err != nil {
 		return nil, err
@@ -315,10 +305,9 @@ func Open(basePath string, opts ...Option) (*DB, error) {
 		return nil, err
 	}
 	idx, err := index.Open(basePath, index.Options{
-		PoolPages:       c.poolPages,
-		Thesaurus:       c.thesaurus,
-		WALDir:          c.walDir,
-		CheckpointBytes: c.checkpointBytes,
+		PoolPages: c.poolPages,
+		Thesaurus: c.thesaurus,
+		WALDir:    c.walDir,
 	})
 	if err != nil {
 		// Older builds wrote a sharded layout as basePath.shards/ with no
@@ -338,7 +327,7 @@ func newDB(st *index.Index, c *config) *DB {
 	st.SetMetrics(reg)
 	// The pool and the WAL own their counters; expose them as
 	// scrape-time funcs so /metrics never double-counts. Flushes,
-	// retries, rotations and checkpoints stay in PoolStats/WALStats.
+	// retries, checkpoints and the log's size stay in PoolStats/WALStats.
 	pool := func(get func(storage.PoolStats) uint64) func() uint64 {
 		return func() uint64 { return get(st.PoolStats()) }
 	}
@@ -358,8 +347,6 @@ func newDB(st *index.Index, c *config) *DB {
 			wal(func(s storage.WALStats) uint64 { return s.Syncs }))
 		reg.CounterFunc("sama_wal_appended_bytes_total", "Bytes ever framed into the WAL, across checkpoints.",
 			wal(func(s storage.WALStats) uint64 { return s.AppendedBytes }))
-		reg.GaugeFunc("sama_wal_segments", "Live WAL segment files.",
-			func() float64 { ws, _ := st.WALStats(); return float64(ws.Segments) })
 	}
 	events := obs.NewEventLog(obs.EventLogSize)
 	st.SetEvents(events)

@@ -21,7 +21,7 @@ func TestWALPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Create(base, g, WithWAL(filepath.Join(dir, "wal")), WithWALCheckpoint(-1))
+	db, err := Create(base, g, WithWAL(filepath.Join(dir, "wal")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,8 @@ func TestWALPublicAPI(t *testing.T) {
 }
 
 // TestWALObservability: the WAL counters surface on /metrics, equal to
-// WALStats, and a created database reports no replay.
+// WALStats, with no segment gauge (the log is one file), and a created
+// database reports no replay.
 func TestWALObservability(t *testing.T) {
 	dir := t.TempDir()
 	g, err := LoadNTriples(strings.NewReader(govtrackNT))
@@ -108,11 +109,13 @@ func TestWALObservability(t *testing.T) {
 		fmt.Sprintf("sama_wal_appends_total %d\n", st.Appends),
 		fmt.Sprintf("sama_wal_syncs_total %d\n", st.Syncs),
 		fmt.Sprintf("sama_wal_appended_bytes_total %d\n", st.AppendedBytes),
-		fmt.Sprintf("sama_wal_segments %d\n", st.Segments),
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q:\n%.2000s", want, body)
 		}
+	}
+	if strings.Contains(string(body), "sama_wal_segments") {
+		t.Errorf("/metrics still exports sama_wal_segments:\n%.2000s", body)
 	}
 	if st.Appends != 1 {
 		t.Errorf("WALStats.Appends = %d, want 1", st.Appends)
