@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet build bins test race race-hot crash bench-check fuzz-smoke loc knobs profile serve-smoke route-smoke
+.PHONY: check fmt vet build bins test race race-hot crash bench-check fuzz-smoke loc knobs profile serve-smoke
 
 # check is the tier-1 gate: formatting, static analysis, a full build
 # (packages and both binaries), the race-enabled test suite with an
 # extra race pass over the concurrency-hot packages, the
-# crash-recovery matrix, the multi-node router smoke test, the
-# benchmark module's own vet and tests, and a ten-second run of each
-# native fuzz target. CI and pre-commit both run this.
-check: fmt vet build bins race race-hot crash route-smoke bench-check fuzz-smoke
+# crash-recovery matrix, the benchmark module's own vet and tests, and
+# a ten-second run of each native fuzz target. CI and pre-commit both
+# run this.
+check: fmt vet build bins race race-hot crash bench-check fuzz-smoke
 
 fmt:
 	@files=$$(gofmt -l .); \
@@ -160,13 +160,6 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterAfterInsert' -benchtime 200x \
 		-cpuprofile results/cpu_cluster_after_insert.pprof -o results/bench.test ./internal/core
 	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,cluster,cluster_warm,cluster_after_insert}.pprof"
-
-# route-smoke boots the multi-node path end-to-end: three databases,
-# one samad over each, a samad router fronting them, the Fig. 7 query
-# mix through the merged top-k, and a member kill that must degrade
-# (partial response, named in the explain plan) rather than fail.
-route-smoke:
-	$(GO) test -count=1 -run 'TestRouterE2E' ./cmd/samad
 
 # serve-smoke boots samad end-to-end: random port, example dataset
 # indexed on the fly, one query through the Go client, /readyz and

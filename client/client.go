@@ -69,11 +69,8 @@ type IOStats struct {
 // mirrors the engine's plan tag for tag, so a client receives the very
 // bytes `sama query -explain -json` prints locally for the same query.
 type ExplainPlan struct {
-	Version int    `json:"version"`
-	Query   string `json:"query,omitempty"`
-	// Source is "engine" for a plan one engine built, "router" for the
-	// merged plan of a router fanning the query out.
-	Source     string `json:"source"`
+	Version    int    `json:"version"`
+	Query      string `json:"query,omitempty"`
 	Answers    int    `json:"answers"`
 	Partial    bool   `json:"partial,omitempty"`
 	StopReason string `json:"stop_reason,omitempty"`

@@ -38,13 +38,10 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"sama"
-	"sama/internal/obs"
-	"sama/internal/server"
 )
 
 func main() {
@@ -111,25 +108,8 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	slow := fs.Duration("slow-query", 0, "log queries slower than this threshold (0 = off)")
 	cacheAlignMB := fs.Int("cache-align-mb", 0, "alignment memo budget in MiB: one cached cluster per query-path shape, reused across queries sharing it (0 = default 64, negative = off)")
 	walDir := fs.String("wal", "", "enable the write-ahead log in this directory when building; an existing index reattaches its own WAL automatically")
-	route := fs.String("route", "", "comma-separated shard server URLs: run as a scatter-gather router over them instead of serving a local index")
-	shardTimeout := fs.Duration("shard-timeout", 10*time.Second, "router mode: per-shard request deadline; a shard missing it degrades the answer set instead of failing the query")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	sopts := sama.ServerOptions{
-		MaxInflight:    *maxInflight,
-		MaxQueue:       queueOption(*maxQueue),
-		QueueTimeout:   *queueTimeout,
-		MaxTimeout:     *maxTimeout,
-		DefaultTimeout: *defaultTimeout,
-		DefaultK:       *defaultK,
-		MaxK:           *maxK,
-	}
-	if *route != "" {
-		if *index != "" {
-			return nil, errors.New("-route and -index are mutually exclusive: a router holds no local index")
-		}
-		return startRouter(*route, *addr, *shardTimeout, sopts, *drainTimeout, logger)
 	}
 	if *index == "" {
 		fs.Usage()
@@ -163,7 +143,15 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 			rs.Records, rs.Triples, rs.Replay.Round(time.Microsecond), rs.TornTailRepaired)
 	}
 
-	srv, err := db.Serve(*addr, sopts)
+	srv, err := db.Serve(*addr, sama.ServerOptions{
+		MaxInflight:    *maxInflight,
+		MaxQueue:       queueOption(*maxQueue),
+		QueueTimeout:   *queueTimeout,
+		MaxTimeout:     *maxTimeout,
+		DefaultTimeout: *defaultTimeout,
+		DefaultK:       *defaultK,
+		MaxK:           *maxK,
+	})
 	if err != nil {
 		db.Close()
 		return nil, err
@@ -181,44 +169,6 @@ func queueOption(flag int) int {
 		return -1
 	}
 	return max(flag, 0)
-}
-
-// startRouter runs samad in multi-node router mode: no local index,
-// every query fans out to the shard servers and the ranked answers
-// merge (DESIGN.md §12). A dead or slow shard degrades responses to
-// partial instead of failing them; /metrics and /debug/events report
-// the router's own admission and shed counters.
-func startRouter(route, addr string, shardTimeout time.Duration, sopts sama.ServerOptions, drainTimeout time.Duration, logger *log.Logger) (*daemon, error) {
-	var urls []string
-	for _, u := range strings.Split(route, ",") {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			continue
-		}
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
-		}
-		urls = append(urls, u)
-	}
-	if len(urls) == 0 {
-		return nil, errors.New("-route names no shard servers")
-	}
-	rt := server.NewRouter(urls, server.RouterOptions{ShardTimeout: shardTimeout})
-	reg := obs.NewRegistry()
-	events := obs.NewEventLog(obs.EventLogSize)
-	h := server.New(server.Backend{
-		QueryWire: rt.Query,
-		Debug:     obs.DebugMux(reg, nil, events),
-		Metrics:   reg,
-		Events:    events,
-	}, sopts)
-	srv, err := h.Serve(addr)
-	if err != nil {
-		return nil, err
-	}
-	logger.Printf("routing on http://%s/ to %d shards: %s (shard-timeout %v)",
-		srv.Addr(), len(urls), strings.Join(urls, ", "), shardTimeout)
-	return &daemon{srv: srv, drainTimeout: drainTimeout, logger: logger}, nil
 }
 
 // openOrBuild opens the index, building it from -data first when the
@@ -248,15 +198,13 @@ func openOrBuild(index, data string, opts []sama.Option, logger *log.Logger) (*s
 }
 
 // shutdown drains the server within the drain deadline, then closes the
-// database (routers have none).
+// database.
 func (d *daemon) shutdown() error {
 	ctx, cancel := context.WithTimeout(context.Background(), d.drainTimeout)
 	defer cancel()
 	err := d.srv.Shutdown(ctx)
-	if d.db != nil {
-		if cerr := d.db.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := d.db.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -31,8 +31,7 @@ type EventLog struct {
 	n    int
 }
 
-// EventLogSize is the event ring a database or router keeps for
-// /debug/events.
+// EventLogSize is the event ring a database keeps for /debug/events.
 const EventLogSize = 256
 
 // NewEventLog returns a ring holding the last n events (n ≤ 0 selects

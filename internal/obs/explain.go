@@ -7,7 +7,7 @@ import (
 
 // PlanVersion is bumped whenever the plan schema changes shape, so
 // stored plans (golden files, clients) can detect a mismatch.
-const PlanVersion = 1
+const PlanVersion = 2
 
 // Plan is the deterministic explain plan of one query execution: the
 // trace's span tree reduced to its decision counters. Everything
@@ -21,11 +21,8 @@ const PlanVersion = 1
 // JSON encoding is deterministic: struct fields marshal in order and Go
 // marshals the Attrs maps with sorted keys.
 type Plan struct {
-	Version int    `json:"version"`
-	Query   string `json:"query,omitempty"`
-	// Source is "engine" for a plan one engine built, "router" for the
-	// merged plan of a router fanning the query out.
-	Source     string      `json:"source"`
+	Version    int         `json:"version"`
+	Query      string      `json:"query,omitempty"`
 	Answers    int         `json:"answers"`
 	Partial    bool        `json:"partial,omitempty"`
 	StopReason string      `json:"stop_reason,omitempty"`
@@ -49,7 +46,6 @@ func BuildPlan(tr *Trace) *Plan {
 	p := &Plan{
 		Version:    PlanVersion,
 		Query:      tr.Query,
-		Source:     "engine",
 		Answers:    tr.Answers,
 		Partial:    tr.Partial,
 		StopReason: tr.StopReason,
@@ -82,7 +78,7 @@ func (p *Plan) WriteText(w io.Writer) {
 	if p == nil {
 		return
 	}
-	fmt.Fprintf(w, "plan v%d source=%s answers=%d", p.Version, p.Source, p.Answers)
+	fmt.Fprintf(w, "plan v%d answers=%d", p.Version, p.Answers)
 	if p.Partial {
 		fmt.Fprintf(w, " partial=%q", p.StopReason)
 	}

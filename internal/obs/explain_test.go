@@ -63,7 +63,7 @@ func TestBuildPlanDeterministic(t *testing.T) {
 
 func TestBuildPlanShape(t *testing.T) {
 	p := BuildPlan(explainTestTrace())
-	if p.Version != PlanVersion || p.Source != "engine" || p.Answers != 5 {
+	if p.Version != PlanVersion || p.Answers != 5 {
 		t.Fatalf("plan header = %+v", p)
 	}
 	if len(p.Phases) != 4 || p.Phases[1].Name != "cluster" {
@@ -86,7 +86,7 @@ func TestPlanWriteTextGolden(t *testing.T) {
 	tr.StopReason = "deadline exceeded"
 	var buf bytes.Buffer
 	BuildPlan(tr).WriteText(&buf)
-	want := `plan v1 source=engine answers=5 partial="deadline exceeded"
+	want := `plan v2 answers=5 partial="deadline exceeded"
   decompose query_paths=2
   cluster kept=11 retrieved=13
     align[0] aligned=7 batched_pages=3 kept=7 memo_hits=0 preranked=7 retrieved=9

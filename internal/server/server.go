@@ -114,15 +114,8 @@ func (e *BadRequestError) Unwrap() error { return e.Err }
 // Backend is the handler's view of the database.
 type Backend struct {
 	// Query executes one SPARQL query under ctx. Wrapping a parse
-	// failure in *BadRequestError turns it into a 400. Required unless
-	// QueryWire is set.
+	// failure in *BadRequestError turns it into a 400. Required.
 	Query func(ctx context.Context, src string, k int) (*QueryOutcome, error)
-	// QueryWire, when set, replaces Query: it returns the wire response
-	// directly instead of an engine outcome. Router mode uses it — the
-	// document was merged from shard responses, so there is no local
-	// engine result to convert. A *GatewayError maps to 502, a
-	// *BadRequestError to 400.
-	QueryWire func(ctx context.Context, src string, k int, explain bool) (*client.QueryResponse, error)
 	// Debug, when set, is mounted at /metrics and /debug/ (the
 	// database's DebugHandler).
 	Debug http.Handler
@@ -151,11 +144,11 @@ type Handler struct {
 	draining   atomic.Bool
 }
 
-// New builds the handler. A Backend with neither Query nor QueryWire
-// is a programming error and panics.
+// New builds the handler. A Backend without Query is a programming
+// error and panics.
 func New(b Backend, opts Options) *Handler {
-	if b.Query == nil && b.QueryWire == nil {
-		panic("server: Backend.Query or Backend.QueryWire is required")
+	if b.Query == nil {
+		panic("server: Backend.Query is required")
 	}
 	opts = opts.withDefaults()
 	h := &Handler{
@@ -319,13 +312,6 @@ func (h *Handler) run(ctx context.Context, src string, k int, timeout, queueWait
 	defer cancel()
 	defer context.AfterFunc(h.stopCtx, cancel)()
 
-	if h.backend.QueryWire != nil {
-		resp, err := h.backend.QueryWire(ctx, src, k, explain)
-		if resp != nil {
-			resp.Stats.QueueNS = queueWait.Nanoseconds()
-		}
-		return resp, err
-	}
 	out, err := h.backend.Query(ctx, src, k)
 	if err != nil {
 		return nil, err
@@ -334,18 +320,14 @@ func (h *Handler) run(ctx context.Context, src string, k int, timeout, queueWait
 }
 
 // writeResult writes an execution's answers, or maps its failure to a
-// status: 400 for the caller's fault, 502 for an upstream outage, 500
-// otherwise.
+// status: 400 for the caller's fault, 500 otherwise.
 func (h *Handler) writeResult(w http.ResponseWriter, resp *client.QueryResponse, err error) {
 	var bad *BadRequestError
-	var gw *GatewayError
 	switch {
 	case err == nil:
 		h.writeJSON(w, http.StatusOK, resp)
 	case errors.As(err, &bad):
 		h.writeErr(w, http.StatusBadRequest, bad.Error())
-	case errors.As(err, &gw):
-		h.writeErr(w, http.StatusBadGateway, gw.Error())
 	default:
 		h.writeErr(w, http.StatusInternalServerError, err.Error())
 	}
@@ -436,7 +418,6 @@ func planToWire(p *obs.Plan) *client.ExplainPlan {
 	return &client.ExplainPlan{
 		Version:    p.Version,
 		Query:      p.Query,
-		Source:     p.Source,
 		Answers:    p.Answers,
 		Partial:    p.Partial,
 		StopReason: p.StopReason,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -86,8 +87,11 @@ func TestQueryEndpointBasic(t *testing.T) {
 func TestQueryValidation(t *testing.T) {
 	h := New(Backend{
 		Query: func(ctx context.Context, src string, k int) (*QueryOutcome, error) {
-			if src == "bad" {
+			switch src {
+			case "bad":
 				return nil, &BadRequestError{Err: fmt.Errorf("parse error at 1")}
+			case "broken":
+				return nil, errors.New("index unreadable")
 			}
 			return testOutcome(false), nil
 		},
@@ -126,6 +130,18 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if resp := post("/query", "bad"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("backend BadRequestError = %d, want 400", resp.StatusCode)
+	}
+	// Any other backend failure is a 500 whose JSON body carries the
+	// backend's message.
+	resp, err := http.Post(ts.URL+"/query", "application/sparql-query", strings.NewReader("broken"))
+	if err != nil {
+		t.Fatalf("POST broken: %v", err)
+	}
+	var er client.ErrorResponse
+	derr := json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || derr != nil || er.Error != "index unreadable" {
+		t.Errorf("backend error = %d %+v (decode: %v), want 500 with its message", resp.StatusCode, er, derr)
 	}
 	if resp := post("/query", "q"); resp.StatusCode != http.StatusOK {
 		t.Errorf("valid query = %d, want 200", resp.StatusCode)
