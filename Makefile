@@ -41,8 +41,9 @@ race:
 # per-query-path cluster goroutines (one alignment memo, one I/O tally
 # and one index View shared by all of a query's clusters), admission
 # against client disconnects, the writer lock inserts, checkpoints and
-# incremental compaction share, the event ring's concurrent writers
-# and the signature pre-rank's probe-mask lookups interleave — a
+# incremental compaction share, the registry's and the trace ring's
+# concurrent writers and the signature pre-rank's probe-mask lookups
+# interleave — a
 # second -count pass varies goroutine scheduling beyond what one ./...
 # sweep exercises. A read lock taken again inside a View with a writer
 # queued hangs instead of failing, so the timeout turns such a
@@ -121,8 +122,9 @@ loc:
 # knobs prints the number of independently settable values on each
 # configuration surface — public With* options, flags of the two
 # binaries, exported fields of the three Options structs and the fields
-# of the public config they feed, and the Go client's exported fields —
-# one line each, so "options did not grow" is one diff of this output.
+# of the public config they feed, the Go client's exported fields, and
+# the HTTP routes the debug mux and the query server register — one
+# line each, so "options did not grow" is one diff of this output.
 knobs:
 	@printf '%-34s %3d\n' 'sama.go With*' $$(grep -c '^func With' sama.go)
 	@printf '%-34s %3d\n' 'sama.go config fields' $$(awk '/^type config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[a-z]/{n++} END{print n+0}' sama.go)
@@ -135,6 +137,7 @@ knobs:
 	done
 	@printf '%-34s %3d\n' 'client.Client exported fields' \
 		$$(awk '/^type Client struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n+0}' client/client.go)
+	@printf '%-34s %3d\n' 'HTTP routes' $$(cat internal/obs/debug.go internal/server/server.go | grep -c 'mux\.Handle')
 
 # profile captures one CPU profile per phase into results/, keeping the
 # test binary next to them for symbolisation: the search phase where it

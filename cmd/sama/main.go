@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"sama"
@@ -62,7 +60,7 @@ func usage() {
   sama index -data <graph.nt> -index <base>     build the path index
              [-wal <dir>]
   sama query -index <base> (-q <sparql> | -sparql <file>) [-k 10] [-cold] [-timeout 0]
-             [-stats] [-explain] [-explain-json] [-debug-addr host:port] [-serve]
+             [-stats] [-explain] [-explain-json]
   sama stats -index <base>                      print index statistics
 
 -wal enables the durable write path: inserts are acknowledged only
@@ -70,9 +68,7 @@ after the batch is fsynced to a write-ahead log in <dir>, and after a
 crash the next open of the index (query, stats, samad) replays the log
 before it answers.
 
--debug-addr serves samad's endpoints (/metrics, /debug/, /query) while
-the query runs; -serve keeps that server (and the process) alive after
-the answers print, until SIGINT/SIGTERM. For a long-lived endpoint, use samad.
+For an HTTP endpoint (/query, /metrics, /debug/), use samad.
 `)
 }
 
@@ -121,8 +117,6 @@ func runQuery(args []string) error {
 	stats := fs.Bool("stats", false, "print the per-phase trace table after the answers")
 	explain := fs.Bool("explain", false, "print the deterministic explain plan after the answers")
 	explainJSON := fs.Bool("explain-json", false, "like -explain, but print the plan as JSON (byte-identical to the server's ?explain=1 document)")
-	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/ (vars, pprof, lastqueries, events) and /query on this address while the query runs")
-	serve := fs.Bool("serve", false, "with -debug-addr: keep the debug server alive after the answers print, until SIGINT/SIGTERM (for a query endpoint, see samad)")
 	fs.Parse(args)
 	if *base == "" {
 		return fmt.Errorf("query: -index is required")
@@ -143,14 +137,6 @@ func runQuery(args []string) error {
 		return err
 	}
 	defer db.Close()
-	if *debugAddr != "" {
-		srv, err := db.Serve(*debugAddr, sama.ServerOptions{})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(out, "debug server on http://%s/ (metrics, pprof, lastqueries)\n", srv.Addr())
-	}
 	if *cold {
 		if err := db.DropCache(); err != nil {
 			return err
@@ -206,19 +192,6 @@ func runQuery(args []string) error {
 		} else {
 			plan.WriteText(out)
 		}
-	}
-	if *serve {
-		if *debugAddr == "" {
-			return fmt.Errorf("query: -serve requires -debug-addr")
-		}
-		// Without -serve the debug server only lives while the query
-		// runs — hold it (and the open DB behind its metrics) until a
-		// termination signal.
-		fmt.Fprintln(out, "holding debug server open (Ctrl-C to exit)")
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sig)
-		<-sig
 	}
 	return nil
 }

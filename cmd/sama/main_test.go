@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -122,28 +119,6 @@ func TestRunQueryStatsTable(t *testing.T) {
 	}
 	if !strings.Contains(table, "io") || !strings.Contains(table, "reads=") {
 		t.Errorf("io attribution row missing:\n%s", table)
-	}
-}
-
-func TestRunQueryDebugAddr(t *testing.T) {
-	_, base := setupIndexed(t)
-	buf := captureOut(t)
-	err := runQuery([]string{"-index", base, "-debug-addr", "127.0.0.1:0",
-		"-q", `SELECT ?x WHERE { ?x <gender> "Male" }`})
-	if err != nil {
-		t.Fatalf("query -debug-addr: %v", err)
-	}
-	var addr string
-	if _, err := fmt.Sscanf(buf.String(), "debug server on http://%s", &addr); err != nil {
-		t.Fatalf("no debug server line in output: %v\n%s", err, buf.String())
-	}
-	addr = strings.TrimSuffix(addr, "/")
-	// The server is closed when runQuery returns; a later scrape must
-	// fail — proves the CLI does not leak the listener.
-	if resp, err := http.Get("http://" + addr + "/metrics"); err == nil {
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		t.Errorf("debug server still listening after runQuery:\n%.200s", b)
 	}
 }
 

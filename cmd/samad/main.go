@@ -17,7 +17,10 @@
 // both receive 503 with a Retry-After hint. Per-request deadlines
 // (?timeout=, capped by -max-timeout) thread into the engine, so a
 // request that exceeds its budget gets its best-so-far answers with the
-// partial flag set; a client that disconnects cancels its query.
+// partial flag set; a client that disconnects cancels its query. Every
+// query's latency is in /metrics (sama_query_seconds) and its trace in
+// /debug/lastqueries; every shed is counted by reason
+// (sama_server_shed_total).
 // -cache-align-mb sizes the alignment memo, which is on by default and
 // re-confirms an entry an index write made stale. -wal enables the
 // durable write path when the index is built (an existing WAL-enabled
@@ -105,7 +108,6 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	maxK := fs.Int("max-k", 1000, "cap on the per-request ?k parameter")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries before cancelling them")
 	poolPages := fs.Int("pool-pages", 0, "buffer pool capacity in 8 KiB pages (0 = library default)")
-	slow := fs.Duration("slow-query", 0, "log queries slower than this threshold (0 = off)")
 	cacheAlignMB := fs.Int("cache-align-mb", 0, "alignment memo budget in MiB: one cached cluster per query-path shape, reused across queries sharing it (0 = default 64, negative = off)")
 	walDir := fs.String("wal", "", "enable the write-ahead log in this directory when building; an existing index reattaches its own WAL automatically")
 	if err := fs.Parse(args); err != nil {
@@ -122,14 +124,6 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	}
 	if *cacheAlignMB != 0 {
 		opts = append(opts, sama.WithAlignmentCache(*cacheAlignMB))
-	}
-	if *slow > 0 {
-		// The structured record (trace ID, per-phase context) lands in the
-		// event log for /debug/events; the stderr line is the operator's
-		// pointer into it.
-		opts = append(opts, sama.WithSlowQueryLog(*slow, func(tr *sama.Trace) {
-			logger.Printf("slow query %s (trace %s): %v (partial=%v) — details at /debug/events and /debug/lastqueries", tr.Query, tr.ID, tr.Total, tr.Partial)
-		}))
 	}
 	if *walDir != "" {
 		opts = append(opts, sama.WithWAL(*walDir))

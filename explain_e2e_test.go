@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"sama"
 )
@@ -162,30 +161,5 @@ func TestChromeTraceEndpoint(t *testing.T) {
 		if !names[want] {
 			t.Errorf("chrome export missing %q event (have %v)", want, names)
 		}
-	}
-}
-
-// TestDBEvents checks the public event surface: engine events (here the
-// slow-query record) land in DB.Events and on /debug/events.
-func TestDBEvents(t *testing.T) {
-	db := obsTestDB(t, sama.WithSlowQueryLog(time.Nanosecond, nil))
-	if _, err := db.QuerySPARQL(obsTestQuery, 3); err != nil {
-		t.Fatal(err)
-	}
-	var slow *sama.Event
-	for _, ev := range db.Events().Snapshot() {
-		if ev.Subsystem == "engine" && ev.Message == "slow query" {
-			slow = &ev
-			break
-		}
-	}
-	if slow == nil {
-		t.Fatal("no slow-query event in DB.Events()")
-	}
-	if slow.Level != "WARN" {
-		t.Errorf("slow query level = %q, want WARN", slow.Level)
-	}
-	if slow.Attrs["trace_id"] == "" {
-		t.Errorf("slow query event lacks trace_id: %v", slow.Attrs)
 	}
 }

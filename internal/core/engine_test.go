@@ -456,7 +456,7 @@ func TestCustomParams(t *testing.T) {
 }
 
 // TestQueryTracePhases checks that every query produces the span tree
-// the -stats table and the slow-query hook consume: the four phases in
+// the -stats table and /debug/lastqueries consume: the four phases in
 // order, per-cluster alignment children, and durations that sum (within
 // slack) to the recorded end-to-end time.
 func TestQueryTracePhases(t *testing.T) {
@@ -557,42 +557,6 @@ func TestDeadlineStopCounter(t *testing.T) {
 	}
 	if got := reg.Histogram("sama_query_seconds", "", nil).Count(); got != 2 {
 		t.Errorf("latency histogram count = %d, want 2", got)
-	}
-}
-
-// TestSlowQueryHook: with a zero-distance threshold every query is
-// "slow"; the hook must receive the finished trace.
-func TestSlowQueryHook(t *testing.T) {
-	var got *obs.Trace
-	e := newTestEngine(t, Options{
-		SlowQueryThreshold: time.Nanosecond,
-		OnSlowQuery:        func(tr *obs.Trace) { got = tr },
-	})
-	_, st, err := e.QueryWithStats(queryQ1(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == nil {
-		t.Fatal("slow-query hook not called")
-	}
-	if got != st.Trace {
-		t.Error("hook received a different trace")
-	}
-	if got.Total <= 0 || len(got.Phases) == 0 {
-		t.Error("hook received an unfinished trace")
-	}
-
-	// Threshold higher than any test query: hook stays silent.
-	called := false
-	e2 := newTestEngine(t, Options{
-		SlowQueryThreshold: time.Hour,
-		OnSlowQuery:        func(*obs.Trace) { called = true },
-	})
-	if _, err := e2.Query(queryQ1(), 3); err != nil {
-		t.Fatal(err)
-	}
-	if called {
-		t.Error("hook fired below threshold")
 	}
 }
 

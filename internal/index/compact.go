@@ -241,13 +241,5 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 		}
 		ix.store.SealCurrentPage()
 	}
-	if ix.logCompact != nil {
-		ix.logCompact.Info("compaction swapped",
-			"copied", cs.Copied,
-			"live", cs.Live,
-			"batches", cs.Batches,
-			"max_pause", cs.MaxPause,
-			"elapsed", time.Since(start))
-	}
 	return cs, nil
 }

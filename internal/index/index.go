@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"slices"
@@ -176,11 +175,6 @@ type Index struct {
 	mSinkLookups  *obs.Counter
 	mLabelLookups *obs.Counter
 	mPathReads    *obs.Counter
-	// Structured event loggers, wired by SetEvents; nil until then (the
-	// logging sites guard for nil).
-	logIndex   *slog.Logger
-	logWAL     *slog.Logger
-	logCompact *slog.Logger
 }
 
 // SetMetrics registers the index's instrumentation in reg: lookup and
@@ -207,15 +201,6 @@ func (ix *Index) SetMetrics(reg *obs.Registry) {
 			defer ix.mu.RUnlock()
 			return float64(ix.diskBytes())
 		})
-}
-
-// SetEvents attaches the structured event log: index, wal, and compact
-// subsystem loggers for inserts, checkpoints and compaction progress.
-// Call before the index starts serving, like SetMetrics.
-func (ix *Index) SetEvents(events *obs.EventLog) {
-	ix.logIndex = events.Logger("index")
-	ix.logWAL = events.Logger("wal")
-	ix.logCompact = events.Logger("compact")
 }
 
 // wrap applies the configured I/O wrapper to the page file.

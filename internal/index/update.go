@@ -104,17 +104,9 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 		ix.applied = lsn
 		if err == nil && ix.checkpointBytes > 0 && ix.wal.Size() >= ix.checkpointBytes {
 			if cerr := ix.checkpointLocked(); cerr != nil {
-				if ix.logWAL != nil {
-					ix.logWAL.Error("auto checkpoint failed", "err", cerr)
-				}
 				return fmt.Errorf("index: auto checkpoint: %w", cerr)
 			}
 		}
-	}
-	// A failed insert is the only one the event log records; a write-heavy
-	// load must not flush the ring's other events out.
-	if err != nil && ix.logIndex != nil {
-		ix.logIndex.Error("insert apply failed", "triples", len(ts), "err", err)
 	}
 	return err
 }

@@ -103,11 +103,6 @@ func (ix *Index) checkpointLocked() error {
 		return fmt.Errorf("index: checkpoint wal: %w", err)
 	}
 	ix.store.SealCurrentPage()
-	if ix.logWAL != nil {
-		ix.logWAL.Info("checkpoint",
-			"applied_lsn", ix.applied,
-			"wal_bytes", ix.wal.Size())
-	}
 	return nil
 }
 

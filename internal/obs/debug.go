@@ -15,13 +15,11 @@ import (
 //	/debug/lastqueries  JSON array of the most recent query traces;
 //	                    ?format=chrome renders them as a Chrome/Perfetto
 //	                    trace instead
-//	/debug/events       structured event ring, newest first (JSON)
 //	/debug/pprof/*      net/http/pprof profiles
 //	/                   plain-text index of the endpoints
 //
-// reg, log and events may be nil; their endpoints then serve empty
-// documents.
-func DebugMux(reg *Registry, log *QueryLog, events *EventLog) *http.ServeMux {
+// reg and log may be nil; their endpoints then serve empty documents.
+func DebugMux(reg *Registry, log *QueryLog) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -46,18 +44,6 @@ func DebugMux(reg *Registry, log *QueryLog, events *EventLog) *http.ServeMux {
 		}
 		enc.Encode(traces)
 	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		evs := events.Snapshot()
-		if evs == nil {
-			evs = []Event{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Events []Event `json:"events"`
-		}{evs})
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -73,7 +59,6 @@ func DebugMux(reg *Registry, log *QueryLog, events *EventLog) *http.ServeMux {
 			"/debug/vars                       expvar JSON\n"+
 			"/debug/lastqueries                recent query traces (JSON)\n"+
 			"/debug/lastqueries?format=chrome  recent traces as Chrome/Perfetto trace\n"+
-			"/debug/events                     structured event ring (JSON)\n"+
 			"/debug/pprof/                     pprof profiles\n")
 	})
 	return mux

@@ -95,13 +95,12 @@ type IOStats struct {
 // Trace is the full observability record of one query execution: the
 // phase span tree plus end-to-end totals, storage attribution, and the
 // partial-result outcome. A trace is mutable while the query runs and
-// must be treated as read-only once published (to the query log ring or
-// a slow-query hook).
+// must be treated as read-only once published to the query log ring.
 type Trace struct {
 	// ID identifies the trace within this process: a per-process random
-	// prefix plus a sequence number. It is what slow-query events and
-	// the Chrome-trace export use to cross-reference a trace in
-	// /debug/lastqueries. IDs are unique per process, not globally.
+	// prefix plus a sequence number. The Chrome-trace export uses it to
+	// cross-reference a trace in /debug/lastqueries. IDs are unique per
+	// process, not globally.
 	ID string `json:"trace_id"`
 	// Query is a bounded description of the query (set by the API layer;
 	// empty for direct engine calls).

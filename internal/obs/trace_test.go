@@ -166,7 +166,33 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	tr.Finish()
 	log.Add(tr)
 
-	srv := httptest.NewServer(DebugMux(reg, log, nil))
+	mux := DebugMux(reg, log)
+	// The mux serves exactly these routes: every probe resolves to the
+	// pattern listed beside it, and a path no route claims (a deleted
+	// endpoint included) falls through to the index's catch-all.
+	routes := map[string]string{
+		"/metrics":             "/metrics",
+		"/debug/vars":          "/debug/vars",
+		"/debug/lastqueries":   "/debug/lastqueries",
+		"/debug/pprof/":        "/debug/pprof/",
+		"/debug/pprof/heap":    "/debug/pprof/",
+		"/debug/pprof/cmdline": "/debug/pprof/cmdline",
+		"/debug/pprof/profile": "/debug/pprof/profile",
+		"/debug/pprof/symbol":  "/debug/pprof/symbol",
+		"/debug/pprof/trace":   "/debug/pprof/trace",
+		"/":                    "/",
+		"/debug/events":        "/",
+		"/debug/":              "/",
+		"/debug/x":             "/",
+		"/nope":                "/",
+	}
+	for path, want := range routes {
+		if _, got := mux.Handler(httptest.NewRequest("GET", path, nil)); got != want {
+			t.Errorf("%s routes to %q, want %q", path, got, want)
+		}
+	}
+
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	get := func(path string) (int, string) {

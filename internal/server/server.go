@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"runtime"
@@ -56,7 +55,8 @@ type Options struct {
 	// MaxTimeout).
 	DefaultTimeout time.Duration
 	// DefaultK is the answer count when ?k is absent (default 10);
-	// MaxK caps it (default 1000).
+	// MaxK caps the count, whether ?k, DefaultK or the query's LIMIT
+	// sets it (default 1000).
 	DefaultK int
 	MaxK     int
 	// MaxBodyBytes bounds the query text (default 1 MiB).
@@ -113,17 +113,16 @@ func (e *BadRequestError) Unwrap() error { return e.Err }
 
 // Backend is the handler's view of the database.
 type Backend struct {
-	// Query executes one SPARQL query under ctx. Wrapping a parse
+	// Query executes one SPARQL query under ctx for k answers (?k or
+	// DefaultK). Whatever else sets the count, a LIMIT in src included,
+	// it returns at most maxK (Options.MaxK) answers. Wrapping a parse
 	// failure in *BadRequestError turns it into a 400. Required.
-	Query func(ctx context.Context, src string, k int) (*QueryOutcome, error)
+	Query func(ctx context.Context, src string, k, maxK int) (*QueryOutcome, error)
 	// Debug, when set, is mounted at /metrics and /debug/ (the
 	// database's DebugHandler).
 	Debug http.Handler
 	// Metrics, when set, receives the request-level metric families.
 	Metrics *obs.Registry
-	// Events, when set, receives the server's structured events (sheds,
-	// drains) under the "server" subsystem.
-	Events *obs.EventLog
 }
 
 // Handler is the query server's http.Handler: routing, admission
@@ -135,7 +134,6 @@ type Handler struct {
 	opts    Options
 	backend Backend
 	met     *obs.ServerMetrics
-	log     *slog.Logger
 
 	// stopCtx is cancelled by CancelInflight to reclaim queries that
 	// outlive the drain deadline.
@@ -156,7 +154,6 @@ func New(b Backend, opts Options) *Handler {
 		opts:    opts,
 		backend: b,
 		met:     obs.NewServerMetrics(b.Metrics),
-		log:     b.Events.Logger("server"),
 	}
 	h.stopCtx, h.stopCancel = context.WithCancel(context.Background())
 	h.met.SetAdmissionFuncs(
@@ -241,9 +238,6 @@ func (h *Handler) parseRequest(w http.ResponseWriter, r *http.Request) (src stri
 		}
 		k = n
 	}
-	if k > h.opts.MaxK {
-		k = h.opts.MaxK
-	}
 	timeout = h.opts.DefaultTimeout
 	if s := r.URL.Query().Get("timeout"); s != "" {
 		d, err := time.ParseDuration(s)
@@ -312,7 +306,7 @@ func (h *Handler) run(ctx context.Context, src string, k int, timeout, queueWait
 	defer cancel()
 	defer context.AfterFunc(h.stopCtx, cancel)()
 
-	out, err := h.backend.Query(ctx, src, k)
+	out, err := h.backend.Query(ctx, src, k, h.opts.MaxK)
 	if err != nil {
 		return nil, err
 	}
@@ -348,9 +342,6 @@ func (h *Handler) shed(w http.ResponseWriter, err error) {
 		reason, msg = obs.ShedClientGone, "client cancelled while queued: "+err.Error()
 	}
 	h.met.Shed(reason).Inc()
-	if h.log != nil {
-		h.log.Warn("request shed", "reason", reason, "err", err)
-	}
 	h.writeErr(w, http.StatusServiceUnavailable, msg)
 }
 
@@ -449,9 +440,7 @@ const stragglerGrace = 2 * time.Second
 // channel closes when the last in-flight query releases its slot.
 // Idempotent.
 func (h *Handler) Drain() <-chan struct{} {
-	if !h.draining.Swap(true) && h.log != nil {
-		h.log.Info("drain started", "inflight", h.Inflight())
-	}
+	h.draining.Store(true)
 	return h.adm.drain()
 }
 

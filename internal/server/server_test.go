@@ -41,7 +41,7 @@ func TestQueryEndpointBasic(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := New(Backend{
 		Metrics: reg,
-		Query: func(ctx context.Context, src string, k int) (*QueryOutcome, error) {
+		Query: func(ctx context.Context, src string, k, _ int) (*QueryOutcome, error) {
 			if src != "SELECT ?x WHERE { ?x <knows> <bob> }" {
 				t.Errorf("backend saw src %q", src)
 			}
@@ -86,7 +86,7 @@ func TestQueryEndpointBasic(t *testing.T) {
 
 func TestQueryValidation(t *testing.T) {
 	h := New(Backend{
-		Query: func(ctx context.Context, src string, k int) (*QueryOutcome, error) {
+		Query: func(ctx context.Context, src string, k, _ int) (*QueryOutcome, error) {
 			switch src {
 			case "bad":
 				return nil, &BadRequestError{Err: fmt.Errorf("parse error at 1")}
@@ -174,8 +174,8 @@ func TestOverloadSheds(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := New(Backend{
 		Metrics: reg,
-		Debug:   obs.DebugMux(reg, nil, nil),
-		Query: func(ctx context.Context, src string, k int) (*QueryOutcome, error) {
+		Debug:   obs.DebugMux(reg, nil),
+		Query: func(ctx context.Context, src string, k, _ int) (*QueryOutcome, error) {
 			n := running.Add(1)
 			defer running.Add(-1)
 			for {
@@ -291,7 +291,7 @@ func TestQueueTimeoutSheds(t *testing.T) {
 	gate := make(chan struct{})
 	h := New(Backend{
 		Metrics: obs.NewRegistry(),
-		Query: func(ctx context.Context, src string, k int) (*QueryOutcome, error) {
+		Query: func(ctx context.Context, src string, k, _ int) (*QueryOutcome, error) {
 			select {
 			case <-gate:
 			case <-ctx.Done():
@@ -317,7 +317,7 @@ func TestQueueTimeoutSheds(t *testing.T) {
 // request is shed at once as queue_full instead of waiting.
 func TestNoQueueShedsWhenSaturated(t *testing.T) {
 	for _, tc := range []struct{ maxQueue, want int }{{0, 4}, {3, 3}, {-1, 0}} {
-		if got := New(Backend{Query: func(context.Context, string, int) (*QueryOutcome, error) { return nil, nil }},
+		if got := New(Backend{Query: func(context.Context, string, int, int) (*QueryOutcome, error) { return nil, nil }},
 			Options{MaxInflight: 2, MaxQueue: tc.maxQueue}).adm.maxQueue; got != tc.want {
 			t.Errorf("MaxQueue %d: queue bound %d, want %d", tc.maxQueue, got, tc.want)
 		}
@@ -327,7 +327,7 @@ func TestNoQueueShedsWhenSaturated(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := New(Backend{
 		Metrics: reg,
-		Query: func(ctx context.Context, src string, k int) (*QueryOutcome, error) {
+		Query: func(ctx context.Context, src string, k, _ int) (*QueryOutcome, error) {
 			select {
 			case <-gate:
 			case <-ctx.Done():
@@ -361,7 +361,7 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	started := make(chan struct{})
 	stopped := make(chan error, 1)
 	h := New(Backend{
-		Query: func(ctx context.Context, src string, k int) (*QueryOutcome, error) {
+		Query: func(ctx context.Context, src string, k, _ int) (*QueryOutcome, error) {
 			close(started)
 			<-ctx.Done()
 			stopped <- ctx.Err()
@@ -401,7 +401,7 @@ func TestDrainReturnsInflightResults(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := New(Backend{
 		Metrics: reg,
-		Query: func(ctx context.Context, src string, k int) (*QueryOutcome, error) {
+		Query: func(ctx context.Context, src string, k, _ int) (*QueryOutcome, error) {
 			<-ctx.Done() // a long query: only the deadline/drain stops it
 			return testOutcome(true), nil
 		},
@@ -468,7 +468,7 @@ func TestDrainReturnsInflightResults(t *testing.T) {
 func TestShutdownRacesInflight(t *testing.T) {
 	h := New(Backend{
 		Metrics: obs.NewRegistry(),
-		Query: func(ctx context.Context, src string, k int) (*QueryOutcome, error) {
+		Query: func(ctx context.Context, src string, k, _ int) (*QueryOutcome, error) {
 			select {
 			case <-time.After(time.Millisecond):
 				return testOutcome(false), nil
@@ -511,7 +511,7 @@ func TestShutdownRacesInflight(t *testing.T) {
 func TestServeListener(t *testing.T) {
 	h := New(Backend{
 		Metrics: obs.NewRegistry(),
-		Query: func(ctx context.Context, src string, k int) (*QueryOutcome, error) {
+		Query: func(ctx context.Context, src string, k, _ int) (*QueryOutcome, error) {
 			return testOutcome(false), nil
 		},
 	}, Options{})

@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,28 +161,41 @@ func TestServeMountsDebugRoutes(t *testing.T) {
 	if !strings.Contains(body, "sama_pool_hits_total") {
 		t.Errorf("metrics body missing pool counters:\n%.300s", body)
 	}
-	if body := httpGet(t, http.DefaultClient, "http://"+srv.Addr()+"/debug/events"); !strings.Contains(body, `"events"`) {
-		t.Errorf("/debug/events is not the event document:\n%.300s", body)
+	if body := httpGet(t, http.DefaultClient, "http://"+srv.Addr()+"/debug/lastqueries"); !strings.HasPrefix(body, "[") {
+		t.Errorf("/debug/lastqueries is not the trace array:\n%.300s", body)
 	}
 }
 
-// TestSlowQueryLogOption checks the public slow-query hook option.
-func TestSlowQueryLogOption(t *testing.T) {
-	var mu sync.Mutex
-	var got []*sama.Trace
-	db := obsTestDB(t, sama.WithSlowQueryLog(time.Nanosecond, func(tr *sama.Trace) {
-		mu.Lock()
-		got = append(got, tr)
-		mu.Unlock()
-	}))
-	if _, err := db.QuerySPARQL(obsTestQuery, 3); err != nil {
-		t.Fatal(err)
+// TestHandlerMaxKCapsEveryK: the server's MaxK bounds the answer count
+// whatever sets it — DefaultK, ?k or the query's LIMIT, which replaces
+// k for library callers.
+func TestHandlerMaxKCapsEveryK(t *testing.T) {
+	db := obsTestDB(t)
+	if res, err := db.QuerySPARQL(obsTestQuery+" LIMIT 5", 1); err != nil || len(res.Answers) < 2 {
+		t.Fatalf("library LIMIT 5 over k=1: %v answers, err %v; want LIMIT to win", len(res.Answers), err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("slow-query hook fired %d times, want 1", len(got))
-	}
-	if got[0].Total <= 0 {
-		t.Error("hook saw an unfinished trace")
+	srv := httptest.NewServer(db.Handler(sama.ServerOptions{MaxK: 1}))
+	defer srv.Close()
+	for _, c := range []struct{ params, src string }{
+		{"", obsTestQuery},
+		{"?k=5", obsTestQuery},
+		{"", obsTestQuery + " LIMIT 5"},
+		{"?k=3", obsTestQuery + " LIMIT 5"},
+		{"", "SELECT DISTINCT ?x ?y WHERE { ?x <sponsor> ?y . ?x <gender> \"Male\" } LIMIT 5"},
+	} {
+		resp, err := srv.Client().Post(srv.URL+"/query"+c.params, "application/sparql-query", strings.NewReader(c.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Answers []json.RawMessage }
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %q: status %d, %v", c.params, c.src, resp.StatusCode, err)
+		}
+		if len(body.Answers) != 1 {
+			t.Errorf("%s %q: %d answers, want MaxK = 1", c.params, c.src, len(body.Answers))
+		}
 	}
 }
 
@@ -269,24 +281,13 @@ func TestPoolStatsDuringConcurrentQueries(t *testing.T) {
 
 // TestMetricsReferenceMatchesRegistry pins the README's metrics
 // reference to the registry: a session that touches every family — a
-// query, a deadline-expired query, a WAL insert and one shed under
-// MaxInflight 1 with no queue — must leave /metrics with
-// exactly the families the table lists, each with the table's type and
-// label names.
+// query, a deadline-expired query, a WAL insert and one shed once the
+// handler drains — must leave /metrics with exactly the families the
+// table lists, each with the table's type and label names.
 func TestMetricsReferenceMatchesRegistry(t *testing.T) {
 	want := readmeMetrics(t)
 
-	// The slow-query hook runs inside the engine call, so holding it
-	// holds the one execution slot.
-	var hold atomic.Bool
-	entered, release := make(chan struct{}), make(chan struct{})
-	db := obsTestDB(t, sama.WithWAL(filepath.Join(t.TempDir(), "wal")),
-		sama.WithSlowQueryLog(time.Nanosecond, func(*sama.Trace) {
-			if hold.CompareAndSwap(true, false) {
-				entered <- struct{}{}
-				<-release
-			}
-		}))
+	db := obsTestDB(t, sama.WithWAL(filepath.Join(t.TempDir(), "wal")))
 	if err := db.Insert([]sama.Triple{{S: sama.NewIRI("NewSen"), P: sama.NewIRI("sponsor"), O: sama.NewIRI("A0056")}}); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,8 @@ func TestMetricsReferenceMatchesRegistry(t *testing.T) {
 		t.Fatalf("deadline-expired query: partial=%v err=%v", res != nil && res.Partial, err)
 	}
 
-	srv := httptest.NewServer(db.Handler(sama.ServerOptions{MaxInflight: 1, MaxQueue: -1}))
+	h := db.Handler(sama.ServerOptions{})
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 	post := func(src string) int {
 		resp, err := srv.Client().Post(srv.URL+"/query?k=5", "application/sparql-query", strings.NewReader(src))
@@ -307,19 +309,19 @@ func TestMetricsReferenceMatchesRegistry(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	hold.Store(true)
-	held := make(chan int, 1)
-	go func() { held <- post(obsTestQuery) }() // holds the one slot in the hook
-	<-entered
-	if code := post(`SELECT ?x WHERE { ?x <gender> "Male" }`); code != http.StatusServiceUnavailable {
-		t.Errorf("a query with the slot held and no queue: status %d, want 503", code)
+	if code := post(obsTestQuery); code != http.StatusOK {
+		t.Errorf("query: status %d, want 200", code)
 	}
-	close(release)
-	if code := <-held; code != http.StatusOK {
-		t.Errorf("held query: status %d, want 200", code)
+	h.Drain()
+	if code := post(obsTestQuery); code != http.StatusServiceUnavailable {
+		t.Errorf("a query after Drain: status %d, want 503", code)
 	}
 
-	got := scrapeFamilies(t, httpGet(t, srv.Client(), srv.URL+"/metrics"))
+	body := httpGet(t, srv.Client(), srv.URL+"/metrics")
+	if v := parseSamples(t, body)[`sama_server_shed_total{reason="draining"}`]; v != 1 {
+		t.Errorf(`sama_server_shed_total{reason="draining"} = %v, want 1`, v)
+	}
+	got := scrapeFamilies(t, body)
 	for name, w := range want {
 		g, ok := got[name]
 		switch {

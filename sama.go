@@ -39,13 +39,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime/debug"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"sama/internal/align"
 	"sama/internal/cache"
@@ -100,8 +100,8 @@ type (
 	StopReason = core.StopReason
 	// Trace is the per-phase observability record of one query: a span
 	// tree (decompose, cluster, search, assemble) with storage-level
-	// I/O attribution. QueryStats.Trace carries it; DB.LastQueries and
-	// the slow-query hook replay it.
+	// I/O attribution. QueryStats.Trace carries it; DB.LastQueries
+	// replays it.
 	Trace = obs.Trace
 	// Span is one timed phase (or sub-phase) inside a Trace.
 	Span = obs.Span
@@ -112,12 +112,6 @@ type (
 	Plan = obs.Plan
 	// PlanNode is one node of an explain Plan.
 	PlanNode = obs.PlanNode
-	// EventLog is the database's structured event log: a ring of
-	// slog-based events from the engine, index, WAL, compaction and
-	// server subsystems (DB.Events, /debug/events).
-	EventLog = obs.EventLog
-	// Event is one structured event as stored in the EventLog.
-	Event = obs.Event
 	// TraceIO is the storage attribution of one query (page reads,
 	// cache hits/misses, transient-fault retries).
 	TraceIO = obs.IOStats
@@ -230,17 +224,6 @@ func WithAlignmentCache(mb int) Option {
 	return func(c *config) { c.engine.AlignCacheMB = mb }
 }
 
-// WithSlowQueryLog installs a slow-query hook: every query whose
-// end-to-end time reaches threshold hands its full Trace to fn,
-// synchronously, after the answers are assembled. The trace is
-// read-only. A threshold ≤ 0 disables the hook.
-func WithSlowQueryLog(threshold time.Duration, fn func(*Trace)) Option {
-	return func(c *config) {
-		c.engine.SlowQueryThreshold = threshold
-		c.engine.OnSlowQuery = fn
-	}
-}
-
 // WithWAL enables the durable write path: every Insert batch is framed
 // into a write-ahead log file in dir and fsynced before any index page
 // is touched, so acknowledged writes survive a crash. Inserts run one
@@ -260,7 +243,6 @@ type DB struct {
 	engine *core.Engine
 	reg    *obs.Registry
 	lastq  *obs.QueryLog
-	events *obs.EventLog
 	closed atomic.Bool
 }
 
@@ -348,17 +330,13 @@ func newDB(st *index.Index, c *config) *DB {
 		reg.CounterFunc("sama_wal_appended_bytes_total", "Bytes ever framed into the WAL, across checkpoints.",
 			wal(func(s storage.WALStats) uint64 { return s.AppendedBytes }))
 	}
-	events := obs.NewEventLog(obs.EventLogSize)
-	st.SetEvents(events)
 	engOpts := c.engine
 	engOpts.Metrics = reg
-	engOpts.Events = events
 	return &DB{
 		store:  st,
 		engine: core.New(st, engOpts),
 		reg:    reg,
 		lastq:  obs.NewQueryLog(obs.QueryLogSize),
-		events: events,
 	}
 }
 
@@ -445,7 +423,13 @@ func (db *DB) QuerySPARQL(src string, k int) (*Result, error) {
 // mid-search the answers found so far are returned with Result.Partial
 // set — the engine's monotone emission order makes that prefix the best
 // answers discovered up to the stop.
-func (db *DB) QuerySPARQLContext(ctx context.Context, src string, k int) (res *Result, err error) {
+func (db *DB) QuerySPARQLContext(ctx context.Context, src string, k int) (*Result, error) {
+	return db.querySPARQL(ctx, src, k, 0)
+}
+
+// querySPARQL is QuerySPARQLContext with an answer cap: maxK > 0 bounds
+// the answer count whether k or the query's LIMIT sets it.
+func (db *DB) querySPARQL(ctx context.Context, src string, k, maxK int) (res *Result, err error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -457,13 +441,21 @@ func (db *DB) QuerySPARQLContext(ctx context.Context, src string, k int) (res *R
 	if parsed.Limit > 0 {
 		k = parsed.Limit
 	}
+	if maxK > 0 && k > maxK {
+		k = maxK
+	}
 	vars := parsed.Select
 	if vars == nil {
 		vars = parsed.Pattern.Vars()
 	}
 	fetch := k
 	if parsed.Distinct && k > 0 {
-		fetch = k * 4 // over-fetch: duplicates collapse under projection
+		// Over-fetch, since duplicates collapse under projection; a LIMIT
+		// near the int range saturates instead of wrapping.
+		fetch = math.MaxInt
+		if k <= math.MaxInt/4 {
+			fetch = k * 4
+		}
 	}
 	answers, stats, err := db.engine.QueryWithStatsContext(ctx, parsed.Pattern, fetch)
 	db.logTrace(stats.Trace, describeQuery(src))
@@ -578,11 +570,6 @@ func (db *DB) Metrics() *MetricsRegistry { return db.reg }
 // first. The traces are read-only.
 func (db *DB) LastQueries() []*Trace { return db.lastq.Snapshot() }
 
-// Events returns the database's structured event log: the 256 most
-// recent events from the engine, index, WAL, compaction and (when
-// serving) server subsystems. Snapshot returns the ring, newest first.
-func (db *DB) Events() *EventLog { return db.events }
-
 // Explain answers the SPARQL query like QuerySPARQLContext and
 // additionally reduces the execution's trace to its deterministic
 // explain plan: per-phase decision counters (candidates retrieved,
@@ -604,12 +591,12 @@ func (db *DB) CacheStats() map[string]CacheStats { return db.engine.CacheStats()
 
 // DebugHandler returns the debug HTTP handler tree: /metrics
 // (Prometheus text), /debug/vars (the stdlib expvar document),
-// /debug/lastqueries (recent traces as JSON), /debug/events (the event
-// ring) and /debug/pprof/* — mountable under any server or httptest.
+// /debug/lastqueries (recent traces as JSON) and /debug/pprof/* —
+// mountable under any server or httptest.
 // DB.Serve mounts it beside /query. Cache and WAL counters not on
 // /metrics are read with CacheStats, WALStats and Recovery.
 func (db *DB) DebugHandler() http.Handler {
-	return obs.DebugMux(db.reg, db.lastq, db.events)
+	return obs.DebugMux(db.reg, db.lastq)
 }
 
 // Handler returns the network query server handler over this database:
@@ -623,8 +610,8 @@ func (db *DB) DebugHandler() http.Handler {
 // partial flag set. Mount it on any server, or use DB.Serve.
 func (db *DB) Handler(opts ServerOptions) *QueryHandler {
 	return server.New(server.Backend{
-		Query: func(ctx context.Context, src string, k int) (*server.QueryOutcome, error) {
-			res, err := db.QuerySPARQLContext(ctx, src, k)
+		Query: func(ctx context.Context, src string, k, maxK int) (*server.QueryOutcome, error) {
+			res, err := db.querySPARQL(ctx, src, k, maxK)
 			if err != nil {
 				// A syntax error is the client's: 400, not 500.
 				var syntaxErr *sparql.Error
@@ -643,7 +630,6 @@ func (db *DB) Handler(opts ServerOptions) *QueryHandler {
 		},
 		Debug:   db.DebugHandler(),
 		Metrics: db.reg,
-		Events:  db.events,
 	}, opts)
 }
 

@@ -323,6 +323,21 @@ func TestQuerySPARQLDistinct(t *testing.T) {
 			t.Error("DISTINCT broke ranking order")
 		}
 	}
+	// A LIMIT whose fourfold over-fetch overflows int fetches as much
+	// as no limit does: 2^62+1 must not wrap to a fetch of 4, whose
+	// answers hold one ?x twice and miss the fourth.
+	const q = `SELECT DISTINCT ?x WHERE { ?x <sponsor> ?y . ?x <gender> "Male" }`
+	all, err := db.QuerySPARQL(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge, err := db.QuerySPARQL(q+" LIMIT 4611686018427387905", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(huge.Answers) != len(all.Answers) {
+		t.Errorf("DISTINCT with LIMIT 2^62+1: %d answers, want the %d of no limit", len(huge.Answers), len(all.Answers))
+	}
 }
 
 func TestInsertIncrementally(t *testing.T) {
