@@ -67,11 +67,13 @@ race-hot:
 # across insert streams and a compaction, the alignment memo against an
 # engine without it and each stale entry's re-confirmation, decided
 # from what the inserts changed, against retrieval and the pre-rank run
-# again; and readers racing a writer through that re-confirmation,
+# again; clusters searched after a compaction renumbered the dictionary,
+# whose answers decode through the term table they were read with; and
+# readers racing a writer through that re-confirmation,
 # which must never serve an answer set older than the inserts they saw
 # complete.
 crash:
-	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestReopenKeepsEarlierInserts|TestInsertEqualsRebuild|TestAlignMemoExactUnderWrites|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers' ./internal/storage ./internal/index ./internal/core
+	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestReopenKeepsEarlierInserts|TestInsertEqualsRebuild|TestAlignMemoExactUnderWrites|TestAssemblyDecodesClustersTermTable|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers' ./internal/storage ./internal/index ./internal/core
 
 # bench-check vets and tests bench/, the benchmark's own module: root
 # ./... patterns skip it, so an API it imports from internal/ could
@@ -147,7 +149,8 @@ knobs:
 # read_after_write shapes), and the cluster phase with nothing memoised
 # and with everything memoised (BenchmarkClusterColdMemo,
 # BenchmarkClusterWarmMemo: the cluster_param shapes over every
-# department of LUBM 10 k), and with every memo entry made stale by an
+# department of LUBM 10 k; the warm one also writes the heap profile of
+# the memo it fills), and with every memo entry made stale by an
 # insert (BenchmarkClusterAfterInsert: read_after_write's Q1–Q10 over
 # LUBM 10 k, one 50-triple insert per lap).
 profile:
@@ -159,10 +162,12 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterColdMemo' -benchtime 10x \
 		-cpuprofile results/cpu_cluster.pprof -o results/bench.test ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterWarmMemo' -benchtime 2000x \
-		-cpuprofile results/cpu_cluster_warm.pprof -o results/bench.test ./internal/core
+		-cpuprofile results/cpu_cluster_warm.pprof -memprofile results/mem_cluster_warm.pprof \
+		-o results/bench.test ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterAfterInsert' -benchtime 200x \
 		-cpuprofile results/cpu_cluster_after_insert.pprof -o results/bench.test ./internal/core
 	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,cluster,cluster_warm,cluster_after_insert}.pprof"
+	@echo "the memo's heap: $(GO) tool pprof -sample_index=inuse_space results/bench.test results/mem_cluster_warm.pprof"
 
 # serve-smoke boots samad end-to-end: random port, example dataset
 # indexed on the fly, one query through the Go client, /readyz and

@@ -50,9 +50,9 @@ func lubmCases(t *testing.T) ([]alignCase, []*align.Alignment) {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
 		for ci, cl := range clusters {
-			for ii, it := range cl.Items {
-				cases = append(cases, alignCase{fmt.Sprintf("%s/%d/%d", q.ID, ci, ii), it.Path, cl.Query})
-				engine = append(engine, it.Alignment)
+			for ii := range cl.Items {
+				cases = append(cases, alignCase{fmt.Sprintf("%s/%d/%d", q.ID, ci, ii), cl.Path(ii), cl.Query})
+				engine = append(engine, cl.Alignment(ii))
 			}
 		}
 	}

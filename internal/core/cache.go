@@ -1,9 +1,13 @@
 package core
 
 import (
+	"slices"
+	"unsafe"
+
 	"sama/internal/cache"
 	"sama/internal/index"
 	"sama/internal/obs"
+	"sama/internal/paths"
 )
 
 // The engine's one cache level, epoch-validated against the index (see
@@ -30,7 +34,10 @@ import (
 // layout, still holds (see buildCluster). Shared by every later hit;
 // read-only by contract.
 type cachedCluster struct {
+	// items are the kept items, runs and binds as in Cluster (exact size).
 	items []ClusterItem
+	runs  []uint32
+	binds []binding
 	// cut is the pre-ranked candidates the items were aligned from,
 	// ascending, and layout the index layout their IDs belong to.
 	cut    []index.PathID
@@ -66,24 +73,51 @@ func (cc *cachedCluster) describe(sp *obs.Span, aligned int) {
 	}
 }
 
-// memoSize estimates the bytes one cluster pins, for the memo's byte
-// budget: 4 per ID of its cut, and per kept item its path and
-// alignment.
-func memoSize(cc *cachedCluster) int {
-	n := 4 * len(cc.cut)
-	for _, item := range cc.items {
-		n += 160 // struct shells
-		for _, t := range item.Path.Nodes {
-			n += len(t.Value) + 48
+// keep stores items, staged in sc for query path q, in three exact-size
+// arrays. The aligner binds a variable to a term of the path, so a
+// binding's ID is the run's at that term (terms decodes the run).
+func (cc *cachedCluster) keep(items []ClusterItem, sc *clusterScratch, q paths.Path, terms index.Terms) {
+	nr, nb := 0, 0
+	for _, it := range items {
+		nr, nb = nr+int(it.run.n), nb+len(sc.als[it.run.at].Subst)
+	}
+	cc.items, cc.runs, cc.binds = make([]ClusterItem, len(items)), make([]uint32, 0, nr), make([]binding, 0, nb)
+	vars := q.Vars()
+	for i, it := range items {
+		run, al := sc.runs[it.run.at], sc.als[it.run.at]
+		it.ops = [8]int32{int32(al.NodeMismatches), int32(al.NodeInsertions), int32(al.EdgeMismatches),
+			int32(al.EdgeInsertions), int32(al.NodeDeletions), int32(al.EdgeDeletions),
+			int32(al.ContextNodes), int32(al.ContextEdges)}
+		it.run.at, it.subst = uint32(len(cc.runs)), span{uint32(len(cc.binds)), uint32(len(al.Subst))}
+		cc.runs = append(cc.runs, run...)
+		for slot, name := range vars {
+			if val, ok := al.Subst[name]; ok {
+				i := slices.IndexFunc(run, func(id uint32) bool { return terms[id] == val })
+				cc.binds = append(cc.binds, binding{uint32(slot), run[i]})
+			}
 		}
-		for _, t := range item.Path.Edges {
-			n += len(t.Value) + 48
-		}
-		for name, v := range item.Alignment.Subst {
-			n += len(name) + len(v.Value) + 64
+		cc.items[i] = it
+	}
+}
+
+// cluster serves the entry to query path q (Preprocessed.Paths[qi])
+// read through r, whose term table decodes the entry's IDs.
+func (cc *cachedCluster) cluster(r backend, qi int, q paths.Path) Cluster {
+	c := Cluster{QueryIndex: qi, Query: q, Items: cc.items, Retrieved: cc.retrieved,
+		runs: cc.runs, binds: cc.binds, vars: q.Vars(), terms: r.Terms(), consts: make([]uint32, len(q.Nodes))}
+	for i, t := range q.Nodes {
+		if id, ok := r.TermID(t); ok { // a variable is in no dictionary
+			c.consts[i] = id + 1
 		}
 	}
-	return n
+	return c
+}
+
+// memoSize is the bytes one entry pins, for the memo's byte budget (the
+// cache adds its key): its shell and four arrays at capacity.
+func memoSize(cc *cachedCluster) int {
+	return int(unsafe.Sizeof(*cc)) + cap(cc.items)*int(unsafe.Sizeof(ClusterItem{})) +
+		cap(cc.runs)*4 + cap(cc.binds)*int(unsafe.Sizeof(binding{})) + cap(cc.cut)*int(unsafe.Sizeof(index.PathID(0)))
 }
 
 // cacheAlign is the memo's value of the metric families' cache label

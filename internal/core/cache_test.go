@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sama/internal/datasets"
 	"sama/internal/index"
@@ -113,8 +114,8 @@ func clusterLines(cs []Cluster) string {
 	var b strings.Builder
 	for _, c := range cs {
 		fmt.Fprintf(&b, "cluster %d retrieved=%d\n", c.QueryIndex, c.Retrieved)
-		for _, it := range c.Items {
-			fmt.Fprintf(&b, "  %d %v %q\n", it.ID, it.Cost(), it.Path.Key())
+		for ii, it := range c.Items {
+			fmt.Fprintf(&b, "  %d %v %q\n", it.ID, it.Cost, c.Path(ii).Key())
 		}
 	}
 	return b.String()
@@ -265,9 +266,9 @@ type failingReads struct {
 
 var errInjected = errors.New("injected read failure")
 
-func (b failingReads) ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, int, error) {
+func (b failingReads) ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, [][]uint32, int, error) {
 	if *b.on {
-		return nil, 0, errInjected
+		return nil, nil, 0, errInjected
 	}
 	return b.backend.ReadPathsBatched(ctx, ids)
 }
@@ -501,6 +502,39 @@ func TestFallbackScanCoversIDRange(t *testing.T) {
 	for i := range ids {
 		if again[i] != ids[i] {
 			t.Fatalf("fallback scan not deterministic: %v vs %v", again, ids)
+		}
+	}
+}
+
+// TestMemoSizeIsFootprint pins the memo's charge to what an entry pins:
+// its shell plus each of its four arrays at capacity times element size
+// — 64 B per item, 4 per term ID, 8 per binding, 4 per cut ID — for the
+// entries a real cluster pass stores, whose item arrays are exactly as
+// long as the items need.
+func TestMemoSizeIsFootprint(t *testing.T) {
+	e := newTestEngine(t, Options{})
+	pre := e.Preprocess(queryQ1())
+	if _, err := e.Cluster(pre); err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range pre.Paths {
+		v, ok := e.alignMemo.Renew(q.Key(), e.idx.Epoch(), nil)
+		if !ok {
+			t.Fatalf("query path %d: no memo entry", qi)
+		}
+		cc := v.(*cachedCluster)
+		runs, binds := 0, 0
+		for _, it := range cc.items {
+			runs, binds = runs+int(it.run.n), binds+int(it.subst.n)
+		}
+		if len(cc.items) == 0 || len(cc.runs) != runs || len(cc.binds) != binds ||
+			cap(cc.items) != len(cc.items) || cap(cc.runs) != runs || cap(cc.binds) != binds {
+			t.Fatalf("query path %d: arrays of %d/%d items, %d/%d IDs (want %d), %d/%d bindings (want %d)",
+				qi, len(cc.items), cap(cc.items), len(cc.runs), cap(cc.runs), runs, len(cc.binds), cap(cc.binds), binds)
+		}
+		want := int(unsafe.Sizeof(cachedCluster{})) + 64*len(cc.items) + 4*runs + 8*binds + 4*cap(cc.cut)
+		if got := memoSize(cc); got != want || cc.size != want {
+			t.Errorf("query path %d: memoSize %d, charged %d; want %d", qi, got, cc.size, want)
 		}
 	}
 }

@@ -14,19 +14,31 @@ import (
 	"sama/internal/rdf"
 )
 
-// ClusterItem is one candidate data path inside a cluster, with its
-// alignment against the cluster's query path. Items are ordered by
-// non-decreasing cost (the paper orders “according to their score with
-// the greater coming first” — scores there are displayed as penalties;
-// the ranking intent, best alignment first, is the same).
+// ClusterItem is one candidate data path inside a cluster with its
+// alignment against the cluster's query path, in dictionary term IDs and
+// pointer-free (Cluster.Path and Cluster.Alignment decode it). Items are
+// ordered by non-decreasing cost (the paper orders “according to their
+// score with the greater coming first” — scores there are displayed as
+// penalties; the ranking intent, best alignment first, is the same).
 type ClusterItem struct {
-	ID        index.PathID
-	Path      paths.Path
-	Alignment *align.Alignment
+	ID   index.PathID
+	Cost float64 // λ(p, q)
+	// ops are the alignment's counters, in align.Alignment's field order;
+	// run addresses the path's term IDs (nodes, then edges) in
+	// Cluster.runs, subst its bindings in Cluster.binds.
+	ops        [8]int32
+	run, subst span
 }
 
-// Cost returns λ(p, q) for this item.
-func (ci ClusterItem) Cost() float64 { return ci.Alignment.Cost }
+// span is the run [at, at+n) of one of a cluster's flat arrays.
+type span struct{ at, n uint32 }
+
+// at returns the span s of a.
+func at[T any](a []T, s span) []T { return a[s.at : s.at+s.n] }
+
+// binding is one variable binding of an item's substitution: the
+// variable's position in its cluster's vars and its term's dictionary ID.
+type binding struct{ slot, term uint32 }
 
 // Cluster groups the candidate data paths for one query path (§5,
 // Clustering).
@@ -36,13 +48,43 @@ type Cluster struct {
 	// Query is the query path this cluster serves.
 	Query paths.Path
 	// Items are the ranked candidates, best (lowest λ) first. Read-only:
-	// the slice and everything it references are shared with the
+	// the slice and the arrays runs and binds are shared with the
 	// alignment memo and with every other query it serves.
 	Items []ClusterItem
 	// Retrieved is the number of candidate paths the index returned for
 	// this cluster before capping — the per-cluster contribution to the
 	// I of Figure 7(a).
 	Retrieved int
+	// runs and binds hold the items' paths and substitutions, a binding's
+	// slot indexing vars = Query.Vars(). terms, the table of the View the
+	// cluster was read in, decodes every ID; consts[i] is 1 + the ID of
+	// Query.Nodes[i], 0 for a variable or a term the dictionary lacks.
+	runs   []uint32
+	binds  []binding
+	vars   []string
+	terms  index.Terms
+	consts []uint32
+}
+
+// run and bindings return item ii's term IDs and its bindings by slot.
+func (c *Cluster) run(ii int) []uint32       { return at(c.runs, c.Items[ii].run) }
+func (c *Cluster) bindings(ii int) []binding { return at(c.binds, c.Items[ii].subst) }
+
+// Path decodes item ii's data path through the cluster's term table.
+func (c *Cluster) Path(ii int) paths.Path { return c.terms.Path(c.run(ii)) }
+
+// Alignment rebuilds item ii's alignment against Query: its cost, its
+// counters and its substitution.
+func (c *Cluster) Alignment(ii int) *align.Alignment {
+	it, o := &c.Items[ii], c.Items[ii].ops
+	al := &align.Alignment{Cost: it.Cost,
+		NodeMismatches: int(o[0]), NodeInsertions: int(o[1]), EdgeMismatches: int(o[2]), EdgeInsertions: int(o[3]),
+		NodeDeletions: int(o[4]), EdgeDeletions: int(o[5]), ContextNodes: int(o[6]), ContextEdges: int(o[7]),
+		Subst: make(rdf.Substitution, it.subst.n)}
+	for _, b := range c.bindings(ii) {
+		al.Subst[c.vars[b.slot]] = c.terms[b.term]
+	}
+	return al
 }
 
 // Cluster retrieves and ranks the candidate data paths for every query
@@ -121,15 +163,21 @@ type clusterScratch struct {
 	counts  []int          // pre-rank: bucket sizes, then fill offsets
 	surv    []index.PathID // pre-rank: one deficit bucket's fingerprint survivors
 	cands   []index.PathID
-	staged  []ClusterItem
+	// staged are the aligned candidates, each one's run.at its position m
+	// in the batched read until keep: runs[m] is its path's term IDs,
+	// als[m] its alignment.
+	staged []ClusterItem
+	runs   [][]uint32
+	als    []*align.Alignment
 }
 
 var clusterScratchPool = sync.Pool{New: func() any { return new(clusterScratch) }}
 
-// release returns the scratch to the pool, the staged items' references
-// to paths and alignments dropped first.
+// release returns the scratch to the pool, its references to the
+// batched read's runs and the alignments dropped first.
 func (sc *clusterScratch) release() {
-	clear(sc.staged)
+	clear(sc.als)
+	sc.runs = nil
 	clusterScratchPool.Put(sc)
 }
 
@@ -160,7 +208,7 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 		if ok {
 			cc := v.(*cachedCluster)
 			cc.describe(sp, 0)
-			return Cluster{QueryIndex: qi, Query: q, Items: cc.items, Retrieved: cc.retrieved}, nil
+			return cc.cluster(r, qi, q), nil
 		}
 	}
 	sc := clusterScratchPool.Get().(*clusterScratch)
@@ -191,7 +239,7 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 	// matches. The full-length items are moved to the front in place.
 	full := 0
 	for i, item := range staged {
-		if item.Path.Length() >= q.Length() {
+		if int(item.run.n+1)/2 >= q.Length() {
 			staged[full], staged[i] = item, staged[full]
 			full++
 		}
@@ -206,7 +254,7 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 		cc.capDropped = len(items) - capN
 		items = items[:capN]
 	}
-	cc.items = slices.Clone(items) // the scratch keeps nothing of it
+	cc.keep(items, sc, q, r.Terms())
 	cc.describe(sp, cc.preranked)
 	sp.Set("batched_pages", int64(pages))
 	// Only a complete build is stored: a cancelled one aligned a prefix.
@@ -215,7 +263,7 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 		cc.size = memoSize(cc)
 		e.alignMemo.Put(key, r.Epoch(), cc, cc.size)
 	}
-	return Cluster{QueryIndex: qi, Query: q, Items: cc.items, Retrieved: cc.retrieved}, nil
+	return cc.cluster(r, qi, q), nil
 }
 
 // reconfirm is the alignment memo's renew step for a stale entry (see
@@ -450,13 +498,7 @@ func bucket(s index.PathSummary, masks []uint64, qlen, maxDeficit int) int {
 // merge scratch, and the result does not depend on the staging order.
 func sortClusterItems(items []ClusterItem) {
 	slices.SortFunc(items, func(a, b ClusterItem) int {
-		if a.Alignment.Cost != b.Alignment.Cost {
-			if a.Alignment.Cost < b.Alignment.Cost {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.ID, b.ID)
+		return cmp.Or(cmp.Compare(a.Cost, b.Cost), cmp.Compare(a.ID, b.ID))
 	})
 }
 
@@ -468,13 +510,13 @@ func sortClusterItems(items []ClusterItem) {
 // cooperative per candidate: entries not yet aligned are left out,
 // yielding a smaller but still best-first cluster.
 func (e *Engine) alignAll(ctx context.Context, r backend, sc *clusterScratch, q paths.Path, ids []index.PathID) ([]ClusterItem, int, error) {
-	ps, pages, err := r.ReadPathsBatched(ctx, ids)
+	ps, runs, pages, err := r.ReadPathsBatched(ctx, ids)
 	if err != nil && ctx.Err() == nil {
 		return nil, pages, err
 	}
 	// On a cancelled batch read, align what was materialised, if anything.
 	al := align.NewGreedy(e.par)
-	staged := sc.staged[:0]
+	sc.staged, sc.runs, sc.als = sc.staged[:0], runs, slices.Grow(sc.als[:0], len(ps))[:len(ps)]
 	for m, p := range ps {
 		if ctx.Err() != nil {
 			break
@@ -482,10 +524,10 @@ func (e *Engine) alignAll(ctx context.Context, r backend, sc *clusterScratch, q 
 		if len(p.Nodes) == 0 {
 			continue // not materialised: batch read was cancelled
 		}
-		staged = append(staged, ClusterItem{ID: ids[m], Path: p, Alignment: al.Align(p, q)})
+		sc.als[m] = al.Align(p, q)
+		sc.staged = append(sc.staged, ClusterItem{ID: ids[m], Cost: sc.als[m].Cost, run: span{uint32(m), uint32(len(runs[m]))}})
 	}
-	sc.staged = staged
-	return staged, pages, nil
+	return sc.staged, pages, nil
 }
 
 // retrievalStep is one step of retrieve's cascade: the live paths whose

@@ -75,8 +75,9 @@ func clusterParamQueries(tb testing.TB, g *rdf.Graph) []goldenQuery {
 // shapes over every department of LUBM 10 k, under the benchmark's
 // thesaurus and a pool a tenth of the index; one iteration is one lap
 // over the 50 queries. It reports the per-cluster time and allocations
-// next to the per-lap ones, and returns the memo's counters.
-func benchClusterLaps(b *testing.B, opts Options, beforeLap func(*Engine)) cache.Stats {
+// next to the per-lap ones, and returns the memo's counters and the
+// items the lap's distinct query paths keep.
+func benchClusterLaps(b *testing.B, opts Options, beforeLap func(*Engine)) (cache.Stats, int) {
 	g := datasets.LUBM{}.Generate(10000, 1)
 	ix, err := index.Build(filepath.Join(b.TempDir(), "lubm"), g,
 		index.Options{Thesaurus: textindex.BenchmarkThesaurus(), PoolPages: 128})
@@ -90,7 +91,8 @@ func benchClusterLaps(b *testing.B, opts Options, beforeLap func(*Engine)) cache
 	for i, gq := range qs {
 		pres[i] = e.Preprocess(gq.q)
 	}
-	lap := func() (built, retrieved int) {
+	kept := map[string]int{} // query-path key → items kept, filled by the warm-up
+	lap := func(warmUp bool) (built, retrieved int) {
 		beforeLap(e)
 		for _, pre := range pres {
 			clusters, err := e.Cluster(pre)
@@ -100,17 +102,20 @@ func benchClusterLaps(b *testing.B, opts Options, beforeLap func(*Engine)) cache
 			built += len(clusters)
 			for _, c := range clusters {
 				retrieved += c.Retrieved
+				if warmUp {
+					kept[c.Query.Key()] = len(c.Items)
+				}
 			}
 		}
 		return built, retrieved
 	}
-	built, retrieved := lap() // warm-up: sizes the pooled scratch, fills the memo
+	built, retrieved := lap(true) // warm-up: sizes the pooled scratch, fills the memo
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lap()
+		lap(false)
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
@@ -119,7 +124,11 @@ func benchClusterLaps(b *testing.B, opts Options, beforeLap func(*Engine)) cache
 	b.ReportMetric(float64(retrieved)/float64(len(qs)), "retrieved/query")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/clusters, "ns/cluster")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/clusters, "allocs/cluster")
-	return e.CacheStats()[cacheAlign]
+	items := 0
+	for _, n := range kept {
+		items += n
+	}
+	return e.CacheStats()[cacheAlign], items
 }
 
 // BenchmarkClusterColdMemo is the cluster phase with the alignment memo
@@ -131,12 +140,16 @@ func BenchmarkClusterColdMemo(b *testing.B) {
 }
 
 // BenchmarkClusterWarmMemo is the same laps with the memo kept, and sized
-// to hold every cluster of a lap, so each build is one memo hit.
+// to hold every cluster of a lap, so each build is one memo hit. It
+// reports the bytes the memo charges per entry and per kept item (`make
+// profile` writes its heap profile too).
 func BenchmarkClusterWarmMemo(b *testing.B) {
-	cs := benchClusterLaps(b, Options{AlignCacheMB: 512}, func(*Engine) {})
+	cs, items := benchClusterLaps(b, Options{AlignCacheMB: 512}, func(*Engine) {})
 	if cs.Evictions > 0 || cs.Hits == 0 {
 		b.Fatalf("the warm laps were not all hits: %+v", cs)
 	}
+	b.ReportMetric(float64(cs.Bytes)/float64(cs.Entries), "memo_B/entry")
+	b.ReportMetric(float64(cs.Bytes)/float64(items), "memo_B/item")
 }
 
 // BenchmarkClusterAfterInsert is read_after_write's shape on the cluster
@@ -213,10 +226,11 @@ func BenchmarkClusterAfterInsert(b *testing.B) {
 // TestWarmClusterAllocatesPerKeptItem is the allocation guard of the
 // cluster memo (the name is from when a warm build still copied the items
 // it kept): a repeated cluster over a sink with 24 000 candidates is one
-// memo lookup, so it may allocate the goroutine, the result slices and
-// the memo key — 400 B in 10 objects — and nothing sized by the
-// candidates it retrieved or the 512 items it kept. The per-candidate
-// memo before it allocated 58 KB here.
+// memo lookup, so it may allocate the goroutine, the result slices, the
+// memo key, the query path's variable names and its constants' term IDs
+// — 512 B in 12 objects — and nothing sized by the candidates it
+// retrieved or the 512 items it kept. The per-candidate memo before it
+// allocated 58 KB here.
 func TestWarmClusterAllocatesPerKeptItem(t *testing.T) {
 	const subjects = 24000
 	g := rdf.NewGraph()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -124,5 +126,58 @@ func TestConcurrentQueryDuringCompaction(t *testing.T) {
 	}
 	if answers[0].Score != refAnswers[0].Score {
 		t.Errorf("top score %v diverges from reference %v", answers[0].Score, refAnswers[0].Score)
+	}
+}
+
+// TestAssemblyDecodesClustersTermTable clusters Q1, compacts the index —
+// which builds a fresh dictionary, renumbering its terms, and starts a
+// new layout — and only then searches the clusters: the answers must be
+// the ones the same clusters give with no compaction in between.
+// Assembly decodes the items' term IDs through the term table of the
+// View the clusters were read in; through the live dictionary it would
+// name other terms.
+func TestAssemblyDecodesClustersTermTable(t *testing.T) {
+	ix, err := index.Build(filepath.Join(t.TempDir(), "fig1"), figure1Graph(), index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+	// CarlaBunes stops being a root: the paths it started are tombstoned,
+	// so the compaction copies the live paths in another term order.
+	if err := ix.InsertTriples([]rdf.Triple{{S: iri("Zed"), P: iri("likes"), O: iri("CarlaBunes")}}); err != nil {
+		t.Fatal(err)
+	}
+	terms := func() (ts []rdf.Term) {
+		ix.View(func(r index.Reader) error { ts = r.Terms(); return nil })
+		return ts
+	}
+	e := New(ix, Options{})
+	ctx := context.Background()
+	pre := e.Preprocess(queryQ1())
+	clusters, err := e.ClusterContext(ctx, pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := func(answers []Answer) []string {
+		out := make([]string, len(answers))
+		for i, a := range answers {
+			out[i] = fingerprint(a)
+		}
+		return out
+	}
+	want := lines(e.SearchContext(ctx, pre, clusters, 10))
+	if len(want) == 0 {
+		t.Fatal("no answers")
+	}
+	before := terms()
+	if _, err := ix.CompactIncremental(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	after := terms()
+	if n := min(len(before), len(after)); slices.Equal(before[:n], after[:n]) {
+		t.Fatal("test setup: the compaction kept every term's ID")
+	}
+	if got := lines(e.SearchContext(ctx, pre, clusters, 10)); !slices.Equal(got, want) {
+		t.Errorf("answers after the compaction:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -136,12 +136,12 @@ func TestClusterQ1MatchesFigure3(t *testing.T) {
 	if len(cl1.Items) != 6 {
 		t.Fatalf("cl1 size = %d, want 6", len(cl1.Items))
 	}
-	if cl1.Items[0].Path.Source().Value != "CarlaBunes" || cl1.Items[0].Cost() != 0 {
-		t.Errorf("cl1 best = %s [%v], want CarlaBunes path at 0", cl1.Items[0].Path, cl1.Items[0].Cost())
+	if cl1.Path(0).Source().Value != "CarlaBunes" || cl1.Items[0].Cost != 0 {
+		t.Errorf("cl1 best = %s [%v], want CarlaBunes path at 0", cl1.Path(0), cl1.Items[0].Cost)
 	}
-	for _, it := range cl1.Items[1:] {
-		if it.Cost() != 1 {
-			t.Errorf("cl1 non-best cost = %v, want 1 (%s)", it.Cost(), it.Path)
+	for ii, it := range cl1.Items[1:] {
+		if it.Cost != 1 {
+			t.Errorf("cl1 non-best cost = %v, want 1 (%s)", it.Cost, cl1.Path(ii+1))
 		}
 	}
 	// cl2 (q2: ?v3-sponsor-?v2-subject-HC): 10 paths; 4 at score 0
@@ -152,7 +152,7 @@ func TestClusterQ1MatchesFigure3(t *testing.T) {
 	}
 	zeros, onePointFives := 0, 0
 	for _, it := range cl2.Items {
-		switch it.Cost() {
+		switch it.Cost {
 		case 0:
 			zeros++
 		case 1.5:
@@ -167,9 +167,9 @@ func TestClusterQ1MatchesFigure3(t *testing.T) {
 	if len(cl3.Items) != 4 {
 		t.Fatalf("cl3 size = %d, want 4", len(cl3.Items))
 	}
-	for _, it := range cl3.Items {
-		if it.Cost() != 0 {
-			t.Errorf("cl3 cost = %v, want 0 (%s)", it.Cost(), it.Path)
+	for ii, it := range cl3.Items {
+		if it.Cost != 0 {
+			t.Errorf("cl3 cost = %v, want 0 (%s)", it.Cost, cl3.Path(ii))
 		}
 	}
 }

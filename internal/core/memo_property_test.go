@@ -168,7 +168,7 @@ func testMemoExactRenumbered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cs[0].Items) != 1 || cs[0].Items[0].ID != 0 || cs[0].Items[0].Path.Length() != 3 {
+	if len(cs[0].Items) != 1 || cs[0].Items[0].ID != 0 || cs[0].Path(0).Length() != 3 {
 		t.Fatalf("test setup: X's cluster after the compaction is\n%s\nwant C-s-A-s-X at ID 0", clusterLines(cs))
 	}
 	p.check(t, "after the compaction", q)

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"sama/internal/align"
+	"sama/internal/index"
 	"sama/internal/obs"
 	"sama/internal/paths"
 	"sama/internal/rdf"
@@ -272,9 +273,9 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 // goldens of TestEquivalenceAcrossEngines):
 //
 //  1. Pair values are the floats align.PsiAligned returns. χa is
-//     evaluated from precompiled binding vectors (interned term IDs per
-//     shared variable, a containment bitmask per shared constant) that
-//     reproduce align.ChiAligned exactly, and ψ/degree are read from
+//     evaluated from precompiled binding vectors (dictionary term IDs
+//     per shared variable, a containment bitmask per shared constant)
+//     that reproduce align.ChiAligned exactly, and ψ/degree are read from
 //     per-pair tables filled by align.PsiFromChi /
 //     align.PsiDegreeFromChi for χa = 0…χQ — the expressions
 //     PsiAligned evaluates, evaluated once. A pair may instead carry a
@@ -307,21 +308,18 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 //     keys can move ranked answers and shows up in the goldens.
 type pairScorer struct {
 	par align.Params
-	eff []Cluster
 	// pairs are the intersection-graph edges whose endpoints both have
 	// an effective cluster, in the deterministic order pre.IG lists them
 	// (ascending query-path index, each undirected edge once).
 	pairs []queryPair
-	// costs[ci][ii] = eff[ci].Items[ii].Cost(), flattened so λ re-sums
-	// stay on a dense array instead of chasing Alignment pointers.
+	// costs[ci][ii] = eff[ci].Items[ii].Cost, flattened so λ re-sums
+	// stay on an array of 8-byte strides (an item is 64 B).
 	costs [][]float64
 	// psiLB = Σ_p bound_p, the precomputed Ψ lower bound; always ≥ the
 	// uniform E·|pairs| when E ≥ 0 (each bound_p = E·χQ/χcap ≥ E).
 	psiLB float64
-	// jt is the join pass's flattened view of every item's substitution,
-	// sharing the interner the binding columns were compiled with (nil
-	// when the query cannot join: fewer than two effective clusters or
-	// no pairs).
+	// jt is the join pass's view of the items' bindings (nil when the
+	// query cannot join: fewer than two effective clusters or no pairs).
 	jt *joinTables
 }
 
@@ -334,13 +332,13 @@ type queryPair struct {
 	// sharedVars are the variable names of χ(qi, qj) in CommonNodes
 	// order (the join pass keys on them in this order).
 	sharedVars []string
-	// varsA[s][ii] is the interned ID of eff[ci].Items[ii]'s binding
-	// for sharedVars[s] (0 = unbound); varsB indexes eff[cj] likewise.
-	// Interned IDs are term-identity (kind-sensitive), matching the
-	// Term equality ChiAligned applies to bindings.
+	// varsA[s][ii] is 1 + the dictionary ID of eff[ci].Items[ii]'s
+	// binding for sharedVars[s] (0 = unbound); varsB indexes eff[cj]
+	// likewise. Dictionary IDs are term identity (kind-sensitive),
+	// matching the Term equality ChiAligned applies to bindings.
 	varsA, varsB [][]uint32
-	// conA[ii] has bit s set when eff[ci].Items[ii]'s path contains the
-	// s-th shared constant; conB likewise. χa's constant contribution
+	// conA[ii] has bit s set when eff[ci].Items[ii]'s path has the s-th
+	// shared constant's node ID; conB likewise. χa's constant contribution
 	// is popcount(conA[ii] & conB[jj]). Nil when the pair shares no
 	// constant, and when chi is set.
 	conA, conB []uint64
@@ -348,8 +346,9 @@ type queryPair struct {
 	// items in place of the binding vectors and masks: the raw label
 	// overlap |χ(pi, pj)| under Options.RawChi, align.ChiAligned for a
 	// pair sharing more than maxSharedConsts constants. Such a pair
-	// takes the uniform floor E as its ψ lower bound.
-	chi func(a, b *ClusterItem) int
+	// takes the uniform floor E as its ψ lower bound. It decodes the
+	// items ii of eff[ci] and jj of eff[cj] through the term table.
+	chi func(ii, jj uint32) int
 	// psiTab[χa] and degTab[χa] are PsiFromChi(χQ, χa) and
 	// PsiDegreeFromChi(χQ, χa) for χa = 0…χQ; nil when chi is set (raw
 	// χ can exceed χQ).
@@ -363,160 +362,103 @@ type queryPair struct {
 // through queryPair.chi.
 const maxSharedConsts = 64
 
-// termInterner assigns stable uint32 IDs to terms under full Term
-// equality (the equality ChiAligned applies to bindings). Keys hash by
-// Value only — one string hash instead of four — with full-term
-// verification inside the bucket, so distinct kinds sharing a label
-// still get distinct IDs.
-type termInterner struct {
-	byValue map[string][]internedTerm
-	// terms[id-1] is the term assigned id, for reverse lookups (the
-	// join pass derives label keys from term IDs).
-	terms []rdf.Term
-	n     uint32
-}
-
-type internedTerm struct {
-	t  rdf.Term
-	id uint32
-}
-
-func (in *termInterner) id(t rdf.Term) uint32 {
-	bucket := in.byValue[t.Value]
-	for _, e := range bucket {
-		if e.t == t {
-			return e.id
-		}
-	}
-	in.n++
-	in.byValue[t.Value] = append(bucket, internedTerm{t: t, id: in.n})
-	in.terms = append(in.terms, t)
-	return in.n
-}
-
 // newPairScorer precompiles the pairwise structure once per search:
 // CommonNodes(qi, qj), χQ, the shared variable list, and per-item
-// binding vectors / containment masks.
+// binding vectors / containment masks, in the order pre.IG lists the
+// pairs.
 func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 	byQueryIndex := make(map[int]int, len(eff))
 	for i, cl := range eff {
 		byQueryIndex[cl.QueryIndex] = i
 	}
-	ps := &pairScorer{par: e.par, eff: eff}
+	ps := &pairScorer{par: e.par}
 
-	// Pass 1: enumerate the pairs and the variable names each cluster
-	// must compile columns for.
-	type pairSeed struct {
-		ci, cj int
-		common []rdf.Term
-	}
-	var seeds []pairSeed
-	needVars := make([][]string, len(eff)) // deduped, per cluster
-	needVar := func(ci int, name string) {
-		for _, n := range needVars[ci] {
-			if n == name {
-				return
-			}
+	// column returns cluster ci's binding column for variable name,
+	// compiled on first use from the items' bindings: dictionary IDs are
+	// one numbering for every cluster, so cross-column comparison is
+	// exact Term equality.
+	cols := make([][][]uint32, len(eff)) // cols[ci][slot]
+	column := func(ci int, name string) []uint32 {
+		cl := &eff[ci]
+		if cols[ci] == nil {
+			cols[ci] = make([][]uint32, len(cl.vars))
 		}
-		needVars[ci] = append(needVars[ci], name)
+		slot := slices.Index(cl.vars, name)
+		if cols[ci][slot] == nil {
+			col := make([]uint32, len(cl.Items))
+			for ii := range cl.Items {
+				for _, b := range cl.bindings(ii) {
+					if int(b.slot) == slot {
+						col[ii] = b.term + 1
+					}
+				}
+			}
+			cols[ci][slot] = col
+		}
+		return cols[ci][slot]
 	}
+
+	// The pairs, their binding columns and constant masks, and their ψ
+	// lower bounds.
+	chiFns := 0
 	for qi, edges := range pre.IG {
 		ci, ok := byQueryIndex[qi]
 		if !ok {
 			continue
 		}
 		for _, edge := range edges {
-			if edge.To < qi {
-				continue
-			}
 			cj, ok := byQueryIndex[edge.To]
-			if !ok {
+			if edge.To < qi || !ok {
 				continue
 			}
 			common := paths.CommonNodes(pre.Paths[qi], pre.Paths[edge.To])
+			pr := queryPair{ci: ci, cj: cj, chiQ: len(common)}
+			var consts []rdf.Term
 			for _, x := range common {
 				if x.Kind == rdf.Var {
-					needVar(ci, x.Value)
-					needVar(cj, x.Value)
+					pr.sharedVars = append(pr.sharedVars, x.Value)
+					pr.varsA = append(pr.varsA, column(ci, x.Value))
+					pr.varsB = append(pr.varsB, column(cj, x.Value))
+				} else {
+					consts = append(consts, x)
 				}
 			}
-			seeds = append(seeds, pairSeed{ci: ci, cj: cj, common: common})
-		}
-	}
-
-	// Pass 2: compile each cluster's binding columns in one sweep over
-	// its items — iterate the (small) substitution map once per item
-	// instead of one lookup per (item, var). One interner for every
-	// binding: equal terms get equal IDs across clusters, so
-	// cross-column comparison is exact Term equality.
-	in := &termInterner{byValue: make(map[string][]internedTerm)}
-	if len(eff) >= 2 && len(seeds) > 0 {
-		ps.jt = newJoinTables(in, eff)
-	}
-	cols := make([]map[string][]uint32, len(eff))
-	for ci := range eff {
-		names := needVars[ci]
-		if len(names) == 0 {
-			continue
-		}
-		items := eff[ci].Items
-		byName := make(map[string][]uint32, len(names))
-		flat := make([]uint32, len(names)*len(items))
-		for s, name := range names {
-			byName[name] = flat[s*len(items) : (s+1)*len(items)]
-		}
-		cols[ci] = byName
-		for ii := range items {
-			for name, val := range items[ii].Alignment.Subst {
-				if col, ok := byName[name]; ok {
-					col[ii] = in.id(val)
+			a, b := &eff[ci], &eff[cj]
+			switch {
+			case e.opts.RawChi:
+				pr.chi = func(ii, jj uint32) int {
+					return len(paths.CommonNodes(a.Path(int(ii)), b.Path(int(jj))))
+				}
+			case len(consts) > maxSharedConsts:
+				pr.chi = func(ii, jj uint32) int {
+					return align.ChiAligned(a.Query, b.Query, a.Alignment(int(ii)).Subst, b.Alignment(int(jj)).Subst,
+						a.Path(int(ii)), b.Path(int(jj)))
 				}
 			}
-		}
-	}
-
-	// Pass 3: assemble the pairs, constant masks, and ψ lower bounds.
-	chiFns := 0
-	for _, sd := range seeds {
-		pr := queryPair{ci: sd.ci, cj: sd.cj, chiQ: len(sd.common)}
-		var consts []rdf.Term
-		for _, x := range sd.common {
-			if x.Kind == rdf.Var {
-				pr.sharedVars = append(pr.sharedVars, x.Value)
-				pr.varsA = append(pr.varsA, cols[sd.ci][x.Value])
-				pr.varsB = append(pr.varsB, cols[sd.cj][x.Value])
+			if pr.chi != nil {
+				chiFns++
 			} else {
-				consts = append(consts, x)
+				pr.psiTab = make([]float64, pr.chiQ+1)
+				pr.degTab = make([]float64, pr.chiQ+1)
+				for chiA := range pr.psiTab {
+					pr.psiTab[chiA] = align.PsiFromChi(pr.chiQ, chiA, e.par)
+					pr.degTab[chiA] = align.PsiDegreeFromChi(pr.chiQ, chiA)
+				}
+				if len(consts) > 0 {
+					// The clusters were read in one View: one ID per constant.
+					ids := make([]uint32, len(consts))
+					for s, x := range consts {
+						ids[s] = a.consts[a.Query.Position(x)-1]
+					}
+					pr.conA, pr.conB = constMasks(a, ids), constMasks(b, ids)
+				}
+				ps.psiLB += pairBound(&pr, e.par, len(a.Items), len(b.Items))
 			}
+			ps.pairs = append(ps.pairs, pr)
 		}
-		switch {
-		case e.opts.RawChi:
-			pr.chi = func(a, b *ClusterItem) int {
-				return len(paths.CommonNodes(a.Path, b.Path))
-			}
-		case len(consts) > maxSharedConsts:
-			qi, qj := eff[sd.ci].Query, eff[sd.cj].Query
-			pr.chi = func(a, b *ClusterItem) int {
-				return align.ChiAligned(qi, qj, a.Alignment.Subst, b.Alignment.Subst, a.Path, b.Path)
-			}
-		}
-		if pr.chi != nil {
-			chiFns++
-		} else {
-			pr.psiTab = make([]float64, pr.chiQ+1)
-			pr.degTab = make([]float64, pr.chiQ+1)
-			for chiA := range pr.psiTab {
-				pr.psiTab[chiA] = align.PsiFromChi(pr.chiQ, chiA, e.par)
-				pr.degTab[chiA] = align.PsiDegreeFromChi(pr.chiQ, chiA)
-			}
-			if len(consts) > 0 {
-				pr.conA = constMasks(eff[sd.ci].Items, consts)
-				pr.conB = constMasks(eff[sd.cj].Items, consts)
-			}
-			ps.psiLB += pairBound(&pr, e.par,
-				len(eff[sd.ci].Items), len(eff[sd.cj].Items))
-		}
-		ps.pairs = append(ps.pairs, pr)
+	}
+	if len(eff) >= 2 && len(ps.pairs) > 0 {
+		ps.jt = newJoinTables(eff)
 	}
 	if chiFns > 0 {
 		// The uniform floor E per χ-function pair, added as one product:
@@ -530,7 +472,7 @@ func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 	for ci := range eff {
 		col := make([]float64, len(eff[ci].Items))
 		for ii := range eff[ci].Items {
-			col[ii] = eff[ci].Items[ii].Cost()
+			col[ii] = eff[ci].Items[ii].Cost
 		}
 		ps.costs[ci] = col
 	}
@@ -538,17 +480,17 @@ func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 }
 
 // constMasks builds the containment bitmask column for one cluster
-// side: bit s of the ii-th mask ⇔ items[ii].Path contains consts[s].
-func constMasks(items []ClusterItem, consts []rdf.Term) []uint64 {
-	masks := make([]uint64, len(items))
-	for ii := range items {
-		var m uint64
-		for s, c := range consts {
-			if items[ii].Path.ContainsNode(c) {
-				m |= 1 << uint(s)
+// side: bit s of the ii-th mask ⇔ item ii's path has a node whose ID is
+// ids[s]−1 (0, a constant the dictionary lacks, is on no path).
+func constMasks(cl *Cluster, ids []uint32) []uint64 {
+	masks := make([]uint64, len(cl.Items))
+	for ii := range cl.Items {
+		nodes := cl.run(ii)[:(cl.Items[ii].run.n+1)/2]
+		for s, id := range ids {
+			if id != 0 && slices.Contains(nodes, id-1) {
+				masks[ii] |= 1 << uint(s)
 			}
 		}
-		masks[ii] = m
 	}
 	return masks
 }
@@ -596,7 +538,7 @@ func (ps *pairScorer) fillPairVals(idx []uint32, pv []float64) {
 		pr := &ps.pairs[pi]
 		ii, jj := idx[pr.ci], idx[pr.cj]
 		if pr.chi != nil {
-			chiA := pr.chi(&ps.eff[pr.ci].Items[ii], &ps.eff[pr.cj].Items[jj])
+			chiA := pr.chi(ii, jj)
 			pv[2*pi], pv[2*pi+1] = align.PsiFromChi(pr.chiQ, chiA, ps.par), align.PsiDegreeFromChi(pr.chiQ, chiA)
 			continue
 		}
@@ -822,28 +764,30 @@ const (
 )
 
 // joinTables is the join pass's compiled view of the clusters: per
-// cluster, every item's bindings of shared variables flattened into
-// parallel (name ID, term ID) arrays and a bitset index over them, so
-// the extension phase's compatibility check is a few word-wide ANDs
-// instead of a scan per item. Term IDs come from the scorer's interner
-// (full Term equality); label IDs (the join key's equivalence is
-// Label() equality) are derived per term ID on demand.
+// cluster, a bitset index over its items' bindings of shared variables,
+// so the extension phase's compatibility check is a few word-wide ANDs
+// instead of a scan per item. Term IDs are the dictionary's (full Term
+// equality); label IDs (the join key's equivalence is Label() equality)
+// are derived per term ID on demand, through the clusters' term table.
 type joinTables struct {
-	in  *termInterner
-	eff []Cluster
+	terms index.Terms
+	eff   []Cluster
 	// cols[ci] is built lazily, the first time a seed is extended into
 	// the cluster — seed keys never need it (they read the scorer's
 	// binding columns), so a query whose seeds all fail key matching, or
-	// that has no cluster outside a seed's pair, flattens nothing.
+	// that has no cluster outside a seed's pair, indexes nothing.
 	cols []joinCol
 	// nameID numbers (from 1) the variables that two or more effective
 	// query paths have. An item's substitution binds only its own query
 	// path's variables, so a binding of any other variable can never
 	// meet a binding from another cluster: the tables leave it out.
 	nameID map[string]int32
-	// labelOf[tid] is the interned Label() of term tid (0 = not yet
-	// derived); labelIDs interns the label strings.
-	labelOf  []uint32
+	// slotName[ci][slot] is the name ID of eff[ci].vars[slot], 0 for a
+	// variable no other cluster has.
+	slotName [][]int32
+	// labelOf[tid] is the interned Label() of the binding-column value
+	// tid (1 + a term ID); labelIDs interns the label strings.
+	labelOf  map[uint32]uint32
 	labelIDs map[string]uint32
 	// bound is the accumulated-bindings scratch shared by the seed
 	// loop: parallel (name ID, term ID), first binding wins.
@@ -854,48 +798,43 @@ type joinTables struct {
 	rowOffs []int
 }
 
-// joinCol is one cluster's flattened substitutions and compatibility
-// index. off[ii]..off[ii+1] indexes item ii's entries in names/terms.
-// The index covers the first n = min(len(Items), maxChecksPerCol)
-// items — the ones extend may take — nw = ⌈n/64⌉ words per row, bit ii
-// of a row standing for item ii:
+// joinCol is one cluster's compatibility index. It covers the first
+// n = min(len(Items), maxChecksPerCol) items — the ones extend may take
+// — nw = ⌈n/64⌉ words per row, bit ii of a row standing for item ii:
 //   - row name−1, for every shared variable, holds the items that do
 //     not bind it;
-//   - keys are the distinct name<<32|term bindings of the n items,
-//     ascending, and keys[i]'s row is len(nameID)+i: the items that
-//     bind the name to that term or not at all.
+//   - keys are the distinct name<<32|term bindings of the n items
+//     (sharedKeys), ascending, and keys[i]'s row is len(nameID)+i: the
+//     items that bind the name to that term or not at all.
 type joinCol struct {
-	off   []int32
-	names []int32
-	terms []uint32
-
 	nw   int
 	keys []uint64
 	rows []uint64
 }
 
-func newJoinTables(in *termInterner, eff []Cluster) *joinTables {
+func newJoinTables(eff []Cluster) *joinTables {
 	jt := &joinTables{
-		in:       in,
+		terms:    eff[0].terms,
 		eff:      eff,
 		cols:     make([]joinCol, len(eff)),
 		nameID:   make(map[string]int32),
+		slotName: make([][]int32, len(eff)),
+		labelOf:  make(map[uint32]uint32),
 		labelIDs: make(map[string]uint32),
 	}
-	first := make(map[string]int) // variable → 1 + the first cluster whose path has it
+	seen := make(map[string]bool) // the variables of an earlier cluster's path
 	for ci := range eff {
-		for _, terms := range [2][]rdf.Term{eff[ci].Query.Nodes, eff[ci].Query.Edges} {
-			for _, x := range terms {
-				if x.Kind != rdf.Var {
-					continue
-				}
-				switch f := first[x.Value]; {
-				case f == 0:
-					first[x.Value] = ci + 1
-				case f != ci+1 && jt.nameID[x.Value] == 0:
-					jt.nameID[x.Value] = int32(len(jt.nameID) + 1)
-				}
+		for _, name := range eff[ci].vars {
+			if seen[name] && jt.nameID[name] == 0 {
+				jt.nameID[name] = int32(len(jt.nameID) + 1)
 			}
+			seen[name] = true
+		}
+	}
+	for ci := range eff {
+		jt.slotName[ci] = make([]int32, len(eff[ci].vars))
+		for s, name := range eff[ci].vars {
+			jt.slotName[ci][s] = jt.nameID[name]
 		}
 	}
 	return jt
@@ -904,27 +843,13 @@ func newJoinTables(in *termInterner, eff []Cluster) *joinTables {
 // ensure builds cluster ci's joinCol unless it is built.
 func (jt *joinTables) ensure(ci int) {
 	col := &jt.cols[ci]
-	if col.off != nil {
+	if col.rows != nil {
 		return
 	}
-	items := jt.eff[ci].Items
-	col.off = make([]int32, len(items)+1)
-	for ii := range items {
-		for name, val := range items[ii].Alignment.Subst {
-			if nid := jt.nameID[name]; nid != 0 {
-				col.names = append(col.names, nid)
-				col.terms = append(col.terms, jt.in.id(val))
-			}
-		}
-		col.off[ii+1] = int32(len(col.names))
-	}
-
-	n, shared := min(len(items), maxChecksPerCol), len(jt.nameID)
+	n, shared := min(len(jt.eff[ci].Items), maxChecksPerCol), len(jt.nameID)
 	col.nw = (n + 63) / 64
-	key := func(t int32) uint64 { return uint64(col.names[t])<<32 | uint64(col.terms[t]) }
-	col.keys = make([]uint64, col.off[n])
-	for t := range col.keys {
-		col.keys[t] = key(int32(t))
+	for ii := 0; ii < n; ii++ {
+		col.keys = jt.sharedKeys(col.keys, ci, ii)
 	}
 	slices.Sort(col.keys)
 	col.keys = slices.Compact(col.keys)
@@ -939,9 +864,11 @@ func (jt *joinTables) ensure(ci int) {
 			}
 		}
 	}
+	var ks []uint64
 	for ii := 0; ii < n; ii++ {
-		for t := col.off[ii]; t < col.off[ii+1]; t++ {
-			row(int(col.names[t]) - 1)[ii/64] &^= 1 << (ii % 64)
+		ks = jt.sharedKeys(ks[:0], ci, ii)
+		for _, k := range ks {
+			row(int(k>>32) - 1)[ii/64] &^= 1 << (ii % 64)
 		}
 	}
 	// Key rows: the name's absent row plus the key's binders.
@@ -949,35 +876,42 @@ func (jt *joinTables) ensure(ci int) {
 		copy(row(shared+i), row(int(k>>32)-1))
 	}
 	for ii := 0; ii < n; ii++ {
-		for t := col.off[ii]; t < col.off[ii+1]; t++ {
-			i, _ := slices.BinarySearch(col.keys, key(t))
+		ks = jt.sharedKeys(ks[:0], ci, ii)
+		for _, k := range ks {
+			i, _ := slices.BinarySearch(col.keys, k)
 			row(shared + i)[ii/64] |= 1 << (ii % 64)
 		}
 	}
 }
 
-// label derives (and caches) the interned Label() of a term ID.
+// sharedKeys appends to dst the name<<32|term key of each binding item ii
+// of cluster ci has for a shared variable.
+func (jt *joinTables) sharedKeys(dst []uint64, ci, ii int) []uint64 {
+	for _, b := range jt.eff[ci].bindings(ii) {
+		if nid := jt.slotName[ci][b.slot]; nid != 0 {
+			dst = append(dst, uint64(nid)<<32|uint64(b.term))
+		}
+	}
+	return dst
+}
+
+// label derives (and caches) the interned Label() of a binding-column
+// value.
 func (jt *joinTables) label(tid uint32) uint32 {
-	if int(tid) >= len(jt.labelOf) {
-		grown := make([]uint32, jt.in.n+1)
-		copy(grown, jt.labelOf)
-		jt.labelOf = grown
-	}
-	if l := jt.labelOf[tid]; l != 0 {
-		return l
-	}
-	s := jt.in.terms[tid-1].Label()
-	l, ok := jt.labelIDs[s]
+	l, ok := jt.labelOf[tid]
 	if !ok {
-		l = uint32(len(jt.labelIDs) + 1)
-		jt.labelIDs[s] = l
+		s := jt.terms[tid-1].Label()
+		if l, ok = jt.labelIDs[s]; !ok {
+			l = uint32(len(jt.labelIDs) + 1)
+			jt.labelIDs[s] = l
+		}
+		jt.labelOf[tid] = l
 	}
-	jt.labelOf[tid] = l
 	return l
 }
 
 // keyFromCols fills the item's label-key vector straight from the
-// scorer's binding columns (vars[s][ii] is the interned binding for the
+// scorer's binding columns (vars[s][ii] is 1 + the binding's ID for the
 // pair's s-th shared variable); false when the item does not bind every
 // shared variable (column 0 ⇔ the variable is absent from the item's
 // substitution).
@@ -990,19 +924,6 @@ func (jt *joinTables) keyFromCols(vars [][]uint32, ii int, kv []uint32) bool {
 		kv[s] = jt.label(tid)
 	}
 	return true
-}
-
-// mergeSubst folds a seed item's shared-variable bindings into the
-// scratch straight from its substitution map, so the two clusters of a
-// seed are flattened only if an extension needs them; first binding
-// wins.
-func (jt *joinTables) mergeSubst(item ClusterItem) {
-	for name, val := range item.Alignment.Subst {
-		if nid := jt.nameID[name]; nid != 0 && !slices.Contains(jt.boundNames, nid) {
-			jt.boundNames = append(jt.boundNames, nid)
-			jt.boundTerms = append(jt.boundTerms, jt.in.id(val))
-		}
-	}
 }
 
 // firstCompatible returns the first of cluster ci's first
@@ -1033,13 +954,13 @@ func (jt *joinTables) firstCompatible(ci int) int {
 	return -1
 }
 
-// merge folds the item's bindings into the scratch, first binding wins.
+// merge folds the shared-variable bindings of item ii of cluster ci
+// into the scratch; first binding wins.
 func (jt *joinTables) merge(ci, ii int) {
-	col := &jt.cols[ci]
-	for t := col.off[ii]; t < col.off[ii+1]; t++ {
-		if !slices.Contains(jt.boundNames, col.names[t]) {
-			jt.boundNames = append(jt.boundNames, col.names[t])
-			jt.boundTerms = append(jt.boundTerms, col.terms[t])
+	for _, b := range jt.eff[ci].bindings(ii) {
+		if nid := jt.slotName[ci][b.slot]; nid != 0 && !slices.Contains(jt.boundNames, nid) {
+			jt.boundNames = append(jt.boundNames, nid)
+			jt.boundTerms = append(jt.boundTerms, b.term)
 		}
 	}
 }
@@ -1144,8 +1065,8 @@ func joinCombos(eff []Cluster, ps *pairScorer) [][]uint32 {
 			idx[probe], idx[build] = uint32(ii), uint32(jj)
 			jt.boundNames = jt.boundNames[:0]
 			jt.boundTerms = jt.boundTerms[:0]
-			jt.mergeSubst(eff[probe].Items[ii])
-			jt.mergeSubst(eff[build].Items[jj])
+			jt.merge(probe, ii)
+			jt.merge(build, jj)
 			for ci := range have {
 				have[ci] = ci == probe || ci == build
 			}
@@ -1179,16 +1100,15 @@ func (e *Engine) missPenalty(pre *Preprocessed, missing []paths.Path, missed map
 	return pen
 }
 
-// buildAnswer materialises one scored combination.
+// buildAnswer materialises one scored combination: its data paths and
+// alignments decoded through the clusters' term table, which is the one
+// of the View they were read in — the live dictionary may have been
+// renumbered since.
 func (e *Engine) buildAnswer(eff []Cluster, idx []uint32, missing []paths.Path, lambda, psi, degree float64) Answer {
 	pairs := make([]align.PairedPath, len(eff))
 	for ci, ii := range idx {
-		item := eff[ci].Items[ii]
-		pairs[ci] = align.PairedPath{
-			Query:     eff[ci].Query,
-			Data:      item.Path,
-			Alignment: item.Alignment,
-		}
+		cl := &eff[ci]
+		pairs[ci] = align.PairedPath{Query: cl.Query, Data: cl.Path(int(ii)), Alignment: cl.Alignment(int(ii))}
 	}
 	ans := Answer{
 		Pairs:   pairs,

@@ -105,9 +105,9 @@ func TestFoldedScoresMatchPaperFormulas(t *testing.T) {
 			chosen := make(map[int]align.PairedPath, len(eff))
 			var wantLambda float64
 			for ci, cl := range eff {
-				item := cl.Items[idx[ci]]
-				chosen[cl.QueryIndex] = align.PairedPath{Query: cl.Query, Data: item.Path, Alignment: item.Alignment}
-				wantLambda += item.Alignment.Cost
+				al := cl.Alignment(int(idx[ci]))
+				chosen[cl.QueryIndex] = align.PairedPath{Query: cl.Query, Data: cl.Path(int(idx[ci])), Alignment: al}
+				wantLambda += al.Cost
 			}
 			ps.fillPairVals(idx, pv)
 			psi, degree := ps.sumPairVals(pv)

@@ -360,8 +360,8 @@ func TestFrontierPopsLikeContainerHeap(t *testing.T) {
 // compatible is the per-item check the join pass's bitset kernel
 // replaced, kept as its oracle: whether the item's whole substitution
 // agrees with the accumulated bindings under full Term identity.
-func compatible(item ClusterItem, bound map[string]rdf.Term) bool {
-	for name, val := range item.Alignment.Subst {
+func compatible(subst rdf.Substitution, bound map[string]rdf.Term) bool {
+	for name, val := range subst {
 		if b, ok := bound[name]; ok && b != val {
 			return false
 		}
@@ -384,24 +384,28 @@ func TestFirstCompatibleMatchesLinearScan(t *testing.T) {
 	term := func() rdf.Term { return iri(fmt.Sprintf("T%d", rng.Intn(6))) }
 	sizes := []int{1, 2, 63, 64, 65, 127, 128, 130, 511, 512, 513, 700}
 	var eff []Cluster
+	tt := &termTable{ids: map[rdf.Term]uint32{}}
 	for ci, n := range sizes {
 		own := fmt.Sprintf("own%d", ci)
-		cl := Cluster{Items: make([]ClusterItem, n), Query: paths.Path{Nodes: []rdf.Term{vr(own)}}}
+		q := paths.Path{Nodes: []rdf.Term{vr(own)}}
 		for _, nm := range names {
-			cl.Query.Nodes = append(cl.Query.Nodes, vr(nm))
+			q.Nodes = append(q.Nodes, vr(nm))
 		}
-		for ii := range cl.Items {
-			s := rdf.Substitution{own: term()}
+		substs := make([]rdf.Substitution, n)
+		for ii := range substs {
+			substs[ii] = rdf.Substitution{own: term()}
 			for _, nm := range names[:4+ci%2] { // "e" only in some clusters, "f" in none
 				if rng.Intn(3) > 0 {
-					s[nm] = term()
+					substs[ii][nm] = term()
 				}
 			}
-			cl.Items[ii].Alignment = &align.Alignment{Subst: s}
 		}
-		eff = append(eff, cl)
+		eff = append(eff, craftCluster(tt, q, substs))
 	}
-	jt := newJoinTables(&termInterner{byValue: map[string][]internedTerm{}}, eff)
+	for ci := range eff {
+		eff[ci].terms = tt.terms
+	}
+	jt := newJoinTables(eff)
 	for ci := range eff {
 		jt.ensure(ci)
 	}
@@ -414,12 +418,12 @@ func TestFirstCompatibleMatchesLinearScan(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				bound[nm] = term()
 				jt.boundNames = append(jt.boundNames, jt.nameID[nm])
-				jt.boundTerms = append(jt.boundTerms, jt.in.id(bound[nm]))
+				jt.boundTerms = append(jt.boundTerms, tt.id(bound[nm]))
 			}
 		}
 		want := -1
 		for ii := 0; ii < min(len(eff[ci].Items), maxChecksPerCol); ii++ {
-			if compatible(eff[ci].Items[ii], bound) {
+			if compatible(eff[ci].Alignment(ii).Subst, bound) {
 				want = ii
 				break
 			}
@@ -441,6 +445,39 @@ func TestFirstCompatibleMatchesLinearScan(t *testing.T) {
 	if none == 0 || firstWord == 0 || laterWord == 0 {
 		t.Error("some outcome never occurred: the check is partly vacuous")
 	}
+}
+
+// termTable interns the terms of hand-made clusters, as the index
+// dictionary does those of stored paths.
+type termTable struct {
+	terms []rdf.Term
+	ids   map[rdf.Term]uint32
+}
+
+func (tt *termTable) id(t rdf.Term) uint32 {
+	id, ok := tt.ids[t]
+	if !ok {
+		id = uint32(len(tt.terms))
+		tt.ids[t], tt.terms = id, append(tt.terms, t)
+	}
+	return id
+}
+
+// craftCluster hand-makes a cluster for query path q whose item ii binds
+// substs[ii] and has an empty path, its term IDs from tt. The caller
+// sets its term table once tt holds every term.
+func craftCluster(tt *termTable, q paths.Path, substs []rdf.Substitution) Cluster {
+	c := Cluster{Query: q, vars: q.Vars(), Items: make([]ClusterItem, len(substs))}
+	for ii, s := range substs {
+		at := len(c.binds)
+		for slot, name := range c.vars {
+			if t, ok := s[name]; ok {
+				c.binds = append(c.binds, binding{uint32(slot), tt.id(t)})
+			}
+		}
+		c.Items[ii].subst = span{uint32(at), uint32(len(c.binds) - at)}
+	}
+	return c
 }
 
 // budgetBoundSearch clusters one query of the LUBM mix (Q11 and Q12 are

@@ -91,11 +91,8 @@ func RunAblationAligner(sys *SamaSystem, queries []workload.Query) ([]AblationRe
 			return nil, err
 		}
 		for _, cl := range clusters {
-			for i, item := range cl.Items {
-				if i >= 50 {
-					break // bounded sample per cluster
-				}
-				pairs = append(pairs, struct{ p, q paths.Path }{item.Path, cl.Query})
+			for i := range min(len(cl.Items), 50) { // bounded sample per cluster
+				pairs = append(pairs, struct{ p, q paths.Path }{cl.Path(i), cl.Query})
 			}
 		}
 	}

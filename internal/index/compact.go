@@ -113,7 +113,7 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 		held := time.Now()
 		err := ix.View(func(r Reader) (err error) {
 			live = r.liveIn(live[:0], lo, min(lo+batch, n))
-			ps, _, err = r.ReadPathsBatched(ctx, live)
+			ps, _, _, err = r.ReadPathsBatched(ctx, live)
 			return err
 		})
 		cs.pause(time.Since(held))

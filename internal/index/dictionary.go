@@ -123,49 +123,73 @@ func appendRecord(buf []byte, ids []uint32) []byte {
 
 // EncodePathDict serialises a path's labels as varint dictionary IDs —
 // node count, node IDs, edge IDs — interning terms d has not seen.
-// Provenance IDs are not stored; they are meaningless outside the
-// building process.
 func EncodePathDict(p paths.Path, d *Dictionary) []byte {
 	ids := d.internPath(make([]uint32, 0, len(p.Nodes)+len(p.Edges)), p)
 	return appendRecord(make([]byte, 0, 1+2*len(ids)), ids)
 }
 
-// DecodePathDict deserialises a record written by EncodePathDict. It is
-// the kernel of every cluster miss: one pass over the record and one
-// allocation, a single term slice cut into nodes and edges, whose
-// strings are the dictionary's.
+// DecodePathDict deserialises a record written by EncodePathDict: one
+// pass over the record and one allocation, a single term slice cut into
+// nodes and edges, whose strings are the dictionary's.
 func DecodePathDict(buf []byte, d *Dictionary) (paths.Path, error) {
-	n, pos := binary.Uvarint(buf)
+	n, pos, err := recordHeader(buf)
+	if err != nil {
+		return paths.Path{}, err
+	}
+	terms := make([]rdf.Term, 2*n-1)
+	if err := d.decodeRecord(buf, pos, terms, nil); err != nil {
+		return paths.Path{}, err
+	}
+	return pathOf(terms, n), nil
+}
+
+// recordHeader reads a record's node count n and returns it with the
+// offset of its first ID.
+func recordHeader(buf []byte) (n, pos int, err error) {
+	count, pos := binary.Uvarint(buf)
 	if pos <= 0 {
-		return paths.Path{}, fmt.Errorf("index: truncated node count")
+		return 0, 0, fmt.Errorf("index: truncated node count")
 	}
 	// An ID takes at least one byte, so a path of more than (rest+1)/2
 	// nodes cannot be in the rest of the record: such a count is corrupt,
 	// and rejected before it sizes an allocation.
-	if n == 0 || n > uint64(len(buf)-pos+1)/2 {
-		return paths.Path{}, fmt.Errorf("index: implausible node count %d in a %d-byte record", n, len(buf))
+	if count == 0 || count > uint64(len(buf)-pos+1)/2 {
+		return 0, 0, fmt.Errorf("index: implausible node count %d in a %d-byte record", count, len(buf))
 	}
-	terms := make([]rdf.Term, 2*n-1)
+	return int(count), pos, nil
+}
+
+// decodeRecord decodes the 2n−1 IDs of a record from pos on into terms
+// and, unless it is nil, ids (both that long).
+func (d *Dictionary) decodeRecord(buf []byte, pos int, terms []rdf.Term, ids []uint32) error {
 	for i := range terms {
 		id, w := binary.Uvarint(buf[pos:])
 		if w <= 0 {
-			return paths.Path{}, fmt.Errorf("index: truncated varint at %d", pos)
+			return fmt.Errorf("index: truncated varint at %d", pos)
 		}
 		// Compared as uint64: narrowed first, ID 2³²+3 would read as term 3.
 		if id >= uint64(len(d.terms)) {
-			return paths.Path{}, fmt.Errorf("index: dictionary id %d out of range (%d terms)", id, len(d.terms))
+			return fmt.Errorf("index: dictionary id %d out of range (%d terms)", id, len(d.terms))
 		}
 		terms[i] = d.terms[id]
+		if ids != nil {
+			ids[i] = uint32(id)
+		}
 		pos += w
 	}
 	if pos != len(buf) {
-		return paths.Path{}, fmt.Errorf("index: %d trailing bytes after path", len(buf)-pos)
+		return fmt.Errorf("index: %d trailing bytes after path", len(buf)-pos)
 	}
+	return nil
+}
+
+// pathOf cuts the 2n−1 terms of a record into its nodes and edges.
+func pathOf(terms []rdf.Term, n int) paths.Path {
 	p := paths.Path{Nodes: terms[:n:n]}
 	if n > 1 {
 		p.Edges = terms[n:]
 	}
-	return p, nil
+	return p
 }
 
 var dictMagic = [4]byte{'S', 'D', 'C', '1'}

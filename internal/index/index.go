@@ -907,40 +907,85 @@ func (ix *Index) records(ctx context.Context, ids []PathID) ([][]byte, int, erro
 }
 
 // ReadPathsBatched materialises the given path IDs in one page-locality
-// read (see records) and returns the pages it visited, whose accesses
-// are charged to the context's I/O tally.
+// read (see records) and returns, beside each path, its record's
+// term-ID run — the dictionary IDs of its nodes, then its edges, which
+// Terms decodes — and the pages it visited, whose accesses are charged
+// to the context's I/O tally. The paths' terms and the runs are cut
+// from one slice each.
 //
-// Results are positional: out[i] is the path for ids[i]. If ctx is
-// cancelled mid-read the context error is returned alongside partial
-// results — paths not yet materialised are left zero (len(Nodes) == 0),
-// which is distinguishable because an indexed path always has at least
-// one node. An out-of-range or tombstoned ID fails the whole batch.
-func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) ([]paths.Path, int, error) {
+// Results are positional: out[i] and runs[i] are those of ids[i]. If
+// ctx is cancelled mid-read the context error is returned alongside
+// partial results — paths not yet materialised are left zero
+// (len(Nodes) == 0), which is distinguishable because an indexed path
+// always has at least one node. An out-of-range or tombstoned ID fails
+// the whole batch.
+func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) (out []paths.Path, runs [][]uint32, pages int, err error) {
 	recs, pages, err := r.ix.records(ctx, ids)
 	if recs == nil {
-		return nil, pages, err
+		return nil, nil, pages, err
 	}
-	out := make([]paths.Path, len(ids))
+	total := 0
 	for i, rec := range recs {
 		if rec == nil { // not read: cancelled mid-read
 			continue
 		}
-		var derr error
-		if out[i], derr = DecodePathDict(rec, r.ix.dict); derr != nil {
-			return nil, pages, fmt.Errorf("index: decode path %d: %w", ids[i], derr)
+		n, _, herr := recordHeader(rec)
+		if herr != nil {
+			return nil, nil, pages, fmt.Errorf("index: decode path %d: %w", ids[i], herr)
 		}
+		total += 2*n - 1
 	}
-	return out, pages, err
+	terms, idRun := make([]rdf.Term, total), make([]uint32, total)
+	out, runs = make([]paths.Path, len(ids)), make([][]uint32, len(ids))
+	for i, rec := range recs {
+		if rec == nil {
+			continue
+		}
+		n, pos, _ := recordHeader(rec)
+		m := 2*n - 1
+		if derr := r.ix.dict.decodeRecord(rec, pos, terms[:m:m], idRun[:m:m]); derr != nil {
+			return nil, nil, pages, fmt.Errorf("index: decode path %d: %w", ids[i], derr)
+		}
+		out[i], runs[i] = pathOf(terms[:m:m], n), idRun[:m:m]
+		terms, idRun = terms[m:], idRun[m:]
+	}
+	return out, runs, pages, err
 }
 
-// ReadPathsBatched is Reader.ReadPathsBatched under its own read lock.
+// ReadPathsBatched is Reader.ReadPathsBatched under its own read lock,
+// without the runs.
 func (ix *Index) ReadPathsBatched(ctx context.Context, ids []PathID) (ps []paths.Path, err error) {
 	err = ix.View(func(r Reader) error {
-		ps, _, err = r.ReadPathsBatched(ctx, ids)
+		ps, _, _, err = r.ReadPathsBatched(ctx, ids)
 		return err
 	})
 	return ps, err
 }
+
+// Terms is a read-only term table: Terms[id] is the term of dictionary
+// ID id.
+type Terms []rdf.Term
+
+// Path decodes a term-ID run as a record holds it — the nodes, then the
+// edges — through the table.
+func (ts Terms) Path(run []uint32) paths.Path {
+	terms := make([]rdf.Term, len(run))
+	for i, id := range run {
+		terms[i] = ts[id]
+	}
+	return pathOf(terms, (len(run)+1)/2)
+}
+
+// Terms returns the dictionary as of this View. It stays valid after
+// the View: within a layout the dictionary only appends (a failed
+// insert truncates it back to its committed length), and a compaction,
+// which renumbers terms, builds a fresh one — so it decodes every ID
+// this View's layout hands out, and no other.
+func (r Reader) Terms() Terms { return slices.Clip(r.ix.dict.terms) }
+
+// TermID returns the dictionary ID of t, interning nothing: false when
+// the dictionary lacks the term, which is then on no stored path.
+func (r Reader) TermID(t rdf.Term) (uint32, bool) { return r.ix.dict.Lookup(t) }
 
 // DropCache empties the buffer pool, returning the index to the
 // cold-cache state of the Figure 6 protocol.

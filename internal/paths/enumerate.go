@@ -118,10 +118,8 @@ func EnumerateFrom(g Graph, root rdf.NodeID, cfg Config) []Path {
 	}
 	emit := func() {
 		p := Path{
-			Nodes:   make([]rdf.Term, len(nodeIDs)),
-			Edges:   make([]rdf.Term, len(edgeIDs)),
-			NodeIDs: append([]rdf.NodeID(nil), nodeIDs...),
-			EdgeIDs: append([]rdf.EdgeID(nil), edgeIDs...),
+			Nodes: make([]rdf.Term, len(nodeIDs)),
+			Edges: make([]rdf.Term, len(edgeIDs)),
 		}
 		for i, id := range nodeIDs {
 			p.Nodes[i] = g.Term(id)

@@ -7,21 +7,17 @@
 package paths
 
 import (
+	"slices"
 	"strings"
 
 	"sama/internal/rdf"
 )
 
 // Path is one source-to-sink path. Nodes holds the node labels in order,
-// Edges the edge labels between them (len(Edges) == len(Nodes)-1). For
-// paths extracted from a graph, NodeIDs and EdgeIDs carry the provenance
-// of each element; paths built synthetically may leave them nil.
+// Edges the edge labels between them (len(Edges) == len(Nodes)-1).
 type Path struct {
 	Nodes []rdf.Term
 	Edges []rdf.Term
-
-	NodeIDs []rdf.NodeID
-	EdgeIDs []rdf.EdgeID
 }
 
 // Length returns the number of nodes in the path, matching the paper's
@@ -102,16 +98,13 @@ func (p Path) Key() string {
 // Clone returns a deep copy of the path.
 func (p Path) Clone() Path {
 	return Path{
-		Nodes:   append([]rdf.Term(nil), p.Nodes...),
-		Edges:   append([]rdf.Term(nil), p.Edges...),
-		NodeIDs: append([]rdf.NodeID(nil), p.NodeIDs...),
-		EdgeIDs: append([]rdf.EdgeID(nil), p.EdgeIDs...),
+		Nodes: append([]rdf.Term(nil), p.Nodes...),
+		Edges: append([]rdf.Term(nil), p.Edges...),
 	}
 }
 
-// Triples materialises the path back into its constituent statements.
-// Synthetic paths without provenance are supported; the terms are used
-// directly.
+// Triples materialises the path back into its constituent statements,
+// one per edge, from the labels alone.
 func (p Path) Triples() []rdf.Triple {
 	ts := make([]rdf.Triple, 0, len(p.Edges))
 	for i, e := range p.Edges {
@@ -213,4 +206,19 @@ func (p Path) FirstConstantFromEnd() (rdf.Term, bool) {
 		}
 	}
 	return rdf.Term{}, false
+}
+
+// Vars returns the names of the path's variables in order of first
+// occurrence, nodes then edges — the order in which the clustering step
+// numbers the bindings of an alignment against the path.
+func (p Path) Vars() []string {
+	var vars []string
+	for _, terms := range [2][]rdf.Term{p.Nodes, p.Edges} {
+		for _, t := range terms {
+			if t.IsVar() && !slices.Contains(vars, t.Value) {
+				vars = append(vars, t.Value)
+			}
+		}
+	}
+	return vars
 }
