@@ -152,7 +152,8 @@ knobs:
 # department of LUBM 10 k; the warm one also writes the heap profile of
 # the memo it fills), and with every memo entry made stale by an
 # insert (BenchmarkClusterAfterInsert: read_after_write's Q1–Q10 over
-# LUBM 10 k, one 50-triple insert per lap).
+# LUBM 10 k, one 50-triple insert per lap); and the index build
+# (BenchmarkBuild: the benchmark's 50 k LUBM base), CPU and allocations.
 profile:
 	@mkdir -p results
 	$(GO) test -run '^$$' -bench 'BenchmarkSearchBudgetBound' -benchtime 20x \
@@ -166,8 +167,12 @@ profile:
 		-o results/bench.test ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterAfterInsert' -benchtime 200x \
 		-cpuprofile results/cpu_cluster_after_insert.pprof -o results/bench.test ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild' -benchtime 5x \
+		-cpuprofile results/cpu_build.pprof -memprofile results/mem_build.pprof \
+		-o results/index.test ./internal/index
 	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,cluster,cluster_warm,cluster_after_insert}.pprof"
 	@echo "the memo's heap: $(GO) tool pprof -sample_index=inuse_space results/bench.test results/mem_cluster_warm.pprof"
+	@echo "the build: $(GO) tool pprof results/index.test results/cpu_build.pprof (allocations: -sample_index=alloc_space results/mem_build.pprof)"
 
 # serve-smoke boots samad end-to-end: random port, example dataset
 # indexed on the fly, one query through the Go client, /readyz and

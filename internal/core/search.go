@@ -83,9 +83,16 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	maxVisits := e.opts.maxCombinations()
 	cancelled := false
 	boundBreak := false
+	// done is closed exactly when ctx.Err() turns non-nil; polling it
+	// takes no lock, where Err takes a cancelCtx's mutex.
+	done := ctx.Done()
 	for frontier.len() > 0 && visited < maxVisits {
-		if ctx.Err() != nil {
+		select {
+		case <-done:
 			cancelled = true
+		default:
+		}
+		if cancelled {
 			break
 		}
 		cLambda, h := frontier.pop()

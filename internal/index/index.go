@@ -79,7 +79,7 @@ type Stats struct {
 	HE int
 	// Paths is the number of indexed source-to-sink paths.
 	Paths int
-	// BuildTime is the wall-clock indexing duration.
+	// BuildTime is the wall-clock indexing duration, path walk included.
 	BuildTime time.Duration
 	// DiskBytes is the on-disk footprint (pages file + metadata file).
 	DiskBytes int64
@@ -145,9 +145,9 @@ type Index struct {
 	// dict interns the terms of every stored path: a record is a varint
 	// sequence of its IDs (see EncodePathDict). It is persisted in the
 	// metadata file, so it always covers the records that file's RIDs
-	// name. idBuf and recBuf are addPath's scratch — one path's term IDs
-	// and its record — used, like every dictionary write, under the
-	// write lock.
+	// name. idBuf and recBuf are addPath's and Build's scratch — one
+	// path's term IDs and its record — used, like every dictionary write,
+	// under the write lock or before the index is shared.
 	dict   *Dictionary
 	idBuf  []uint32
 	recBuf []byte
@@ -218,8 +218,13 @@ func metaPath(base string) string  { return base + ".meta" }
 // base.meta), returning the opened index. An existing index at base is
 // overwritten.
 func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
-	ps := paths.Enumerate(g, opts.pathConfig())
-	start := time.Now() // Stats.BuildTime starts after the enumeration
+	return build(base, g, opts, (*Index).streamPaths)
+}
+
+// build is Build with the step that registers the paths, returning
+// their count, given as fill.
+func build(base string, g *rdf.Graph, opts Options, fill func(*Index) (int, error)) (*Index, error) {
+	start := time.Now()
 	file, err := storage.CreatePageFile(pagesPath(base))
 	if err != nil {
 		return nil, err
@@ -263,16 +268,15 @@ func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
 		file.Close()
 		return nil, err
 	}
-	for _, p := range ps {
-		if err := ix.addPath(p); err != nil {
-			return fail(err)
-		}
+	n, err := fill(ix)
+	if err != nil {
+		return fail(err)
 	}
 	ix.stats = Stats{
 		Triples:   g.EdgeCount(),
 		HV:        g.NodeCount(),
-		HE:        g.EdgeCount() + len(ps),
-		Paths:     len(ps),
+		HE:        g.EdgeCount() + n,
+		Paths:     n,
 		BuildTime: time.Since(start),
 	}
 	if err := ix.pool.Flush(); err != nil {
@@ -283,6 +287,42 @@ func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
 	}
 	ix.stats.DiskBytes = ix.diskBytes()
 	return ix, nil
+}
+
+// streamPaths is Build's fill. It interns each graph node and edge when
+// a path first holds it, which asks the dictionary for the terms in
+// internPath's order: every ID, record and posting is addPath's.
+func (ix *Index) streamPaths() (int, error) {
+	g := ix.graph
+	// nodeIDs[v] and edgeIDs[e] are 1 + the dictionary ID of node v's
+	// term and of edge e's label, 0 until a path first holds them.
+	nodeIDs := make([]uint32, g.NodeCount())
+	edgeIDs := make([]uint32, g.EdgeCount())
+	n := 0
+	err := paths.Stream(g, ix.pathCfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) error {
+		ids := ix.idBuf[:0]
+		for _, v := range nodes {
+			if nodeIDs[v] == 0 {
+				nodeIDs[v] = ix.dict.ID(g.Term(v)) + 1
+			}
+			ids = append(ids, nodeIDs[v]-1)
+		}
+		for _, e := range edges {
+			if edgeIDs[e] == 0 {
+				edgeIDs[e] = ix.dict.ID(g.Edge(e).Label) + 1
+			}
+			ids = append(ids, edgeIDs[e]-1)
+		}
+		ix.idBuf, ix.recBuf = ids, appendRecord(ix.recBuf[:0], ids)
+		rid, err := ix.store.Append(ix.recBuf)
+		if err != nil {
+			return err
+		}
+		ix.commitPath(ids, rid)
+		n++
+		return nil
+	})
+	return n, err
 }
 
 // stagePath interns p's terms, appending their IDs to *ids (see

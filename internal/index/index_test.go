@@ -281,7 +281,7 @@ func TestSummaryLengths(t *testing.T) {
 func TestBuildWithTightPathBudget(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "tight")
 	ix, err := Build(base, figure1Graph(), Options{
-		Paths: paths.Config{MaxPerRoot: 1, MaxLength: 3, Concurrency: 1},
+		Paths: paths.Config{MaxPerRoot: 1, MaxLength: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

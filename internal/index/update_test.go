@@ -384,7 +384,7 @@ func TestTightBudgetUpdate(t *testing.T) {
 	// Updates respect the index's path budget.
 	base := filepath.Join(t.TempDir(), "upd8")
 	ix, err := Build(base, figure1Graph(), Options{
-		Paths: paths.Config{MaxLength: 3, MaxPerRoot: 2, Concurrency: 1},
+		Paths: paths.Config{MaxLength: 3, MaxPerRoot: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 // Package paths implements the path decomposition of §3.2: a path is a
 // sequence of labels from a source to a sink of a data or query graph
-// (Definition 5). The package provides concurrent breadth-first path
-// enumeration with explosion budgets, hub promotion for sourceless
-// graphs, and the node-intersection primitive χ used by the conformity
-// component of the similarity measure.
+// (Definition 5). The package provides depth-first path enumeration
+// with explosion budgets, streamed from parallel walkers, hub promotion
+// for sourceless graphs, and the node-intersection primitive χ used by
+// the conformity component of the similarity measure.
 package paths
 
 import (

@@ -1,0 +1,151 @@
+package paths
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"sama/internal/datasets"
+	"sama/internal/rdf"
+)
+
+// randomGraph draws edges between n nodes over three labels: it has
+// cycles, self-loops and (at these sizes) a few sources.
+func randomGraph(seed int64, n, edges int) *rdf.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := rdf.NewGraph()
+	node := func() rdf.Term { return iri(fmt.Sprintf("n%d", rng.Intn(n))) }
+	for range edges {
+		s, p := node(), iri(fmt.Sprintf("p%d", rng.Intn(3)))
+		g.AddTriple(tr(s, p, node()))
+	}
+	return g
+}
+
+// ringGraph is a sourceless graph: a ring of n nodes with a chord from
+// every third node, so it is rooted at hubs.
+func ringGraph(n int) *rdf.Graph {
+	g := rdf.NewGraph()
+	at := func(i int) rdf.Term { return iri(fmt.Sprintf("r%d", i%n)) }
+	for i := range n {
+		g.AddTriple(tr(at(i), iri("next"), at(i+1)))
+		if i%3 == 0 {
+			g.AddTriple(tr(at(i), iri("skip"), at(i+5)))
+		}
+	}
+	return g
+}
+
+// midRootTotal returns a MaxTotal that cuts g's enumeration under cfg
+// inside a root, after at least one whole root, or 0 if none does.
+func midRootTotal(g Graph, cfg Config) int {
+	total := 0
+	for _, r := range g.PathRoots() {
+		n := len(EnumerateFrom(g, r, cfg))
+		if total > 0 && n >= 2 {
+			return total + 1
+		}
+		total += n
+	}
+	return 0
+}
+
+type streamCase struct {
+	name string
+	g    *rdf.Graph
+	cfg  Config
+}
+
+func streamCases(t *testing.T) []streamCase {
+	lubm := datasets.LUBM{}.Generate(6000, 1)
+	cases := []streamCase{
+		{"figure1", figure1Graph(), Config{}},
+		{"lubm6k", lubm, DefaultConfig},
+		{"sourceless", ringGraph(30), Config{MaxLength: 8}},
+		{"cycles", randomGraph(3, 40, 90), Config{MaxLength: 6}},
+		{"max-per-root", lubm, Config{MaxLength: 12, MaxPerRoot: 3}},
+	}
+	cut := DefaultConfig
+	if cut.MaxTotal = midRootTotal(lubm, cut); cut.MaxTotal == 0 {
+		t.Fatal("no root of LUBM 6k lets MaxTotal cut inside it")
+	}
+	return append(cases, streamCase{"max-total-mid-root", lubm, cut})
+}
+
+func pathOf(g Graph, nodes []rdf.NodeID, edges []rdf.EdgeID) Path {
+	p := Path{}
+	for _, n := range nodes {
+		p.Nodes = append(p.Nodes, g.Term(n))
+	}
+	for _, e := range edges {
+		p.Edges = append(p.Edges, g.Edge(e).Label)
+	}
+	return p
+}
+
+func samePaths(t *testing.T, what string, got, want []Path) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d paths, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key() != want[i].Key() {
+			t.Fatalf("%s: path %d = %s, want %s", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestStreamOrderEqualsEnumerate checks that Stream, at any walker count,
+// and one Walker reused across the roots both give Enumerate's paths in
+// Enumerate's order.
+func TestStreamOrderEqualsEnumerate(t *testing.T) {
+	for _, c := range streamCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			want := Enumerate(c.g, c.cfg)
+			if len(want) == 0 {
+				t.Fatal("case enumerates no path")
+			}
+			var w Walker
+			var walked []Path
+			for _, r := range c.g.PathRoots() {
+				w.WalkFrom(c.g, r, c.cfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) {
+					walked = append(walked, pathOf(c.g, nodes, edges))
+				})
+			}
+			if c.cfg.MaxTotal > 0 {
+				walked = walked[:c.cfg.MaxTotal]
+			}
+			samePaths(t, "reused walker", walked, want)
+			for _, procs := range []int{1, 2, 7} {
+				prev := runtime.GOMAXPROCS(procs)
+				var streamed []Path
+				err := Stream(c.g, c.cfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) error {
+					streamed = append(streamed, pathOf(c.g, nodes, edges))
+					return nil
+				})
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samePaths(t, fmt.Sprintf("Stream with %d walkers", procs), streamed, want)
+			}
+		})
+	}
+}
+
+func TestStreamStopsAtEmitError(t *testing.T) {
+	g := datasets.LUBM{}.Generate(6000, 1)
+	stop := errors.New("stop")
+	seen := 0
+	err := Stream(g, DefaultConfig, func([]rdf.NodeID, []rdf.EdgeID) error {
+		if seen++; seen == 10 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || seen != 10 {
+		t.Fatalf("Stream = %v after %d paths, want stop after 10", err, seen)
+	}
+}

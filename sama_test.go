@@ -221,7 +221,7 @@ func TestOptionsApply(t *testing.T) {
 	db := newTestDB(t,
 		WithParams(Params{A: 2, B: 1, C: 4, D: 2, E: 1}),
 		WithThesaurus(th),
-		WithPathConfig(PathConfig{MaxLength: 8, MaxPerRoot: 100, Concurrency: 2}),
+		WithPathConfig(PathConfig{MaxLength: 8, MaxPerRoot: 100}),
 		WithSearchBudget(64, 1000),
 	)
 	// The thesaurus lets "backer" reach sponsor edges.
