@@ -81,7 +81,7 @@ crash:
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
-# fuzz-smoke runs each of the eleven native fuzz targets — the
+# fuzz-smoke runs each of the twelve native fuzz targets — the
 # path-record decoder, the dictionary reader and the metadata decoder
 # (counts checked against the file size, an accepted file re-encodes to
 # itself) every stored path depends on, the record store's one read
@@ -94,7 +94,9 @@ bench-check:
 # parser front-ends over the shared term
 # scanner (N-Triples: write ∘ read is a fixed point and Turtle reads the
 # same triples; Turtle: only valid triples; SPARQL: only valid patterns,
-# errors positioned inside the input) — for ten seconds on top of its
+# errors positioned inside the input), and the query server's response
+# encoder (the body equals json.Marshal of the wire struct and decodes
+# through it; a non-finite score fails) — for ten seconds on top of its
 # checked-in corpus (testdata/fuzz in its package; the parsers' seeds
 # are the rows of internal/rdf/syntax's agreement table); a crasher it
 # finds is written there and fails every later go test.
@@ -110,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseNTriples -fuzztime 10s ./internal/rdf/ntriples
 	$(GO) test -run '^$$' -fuzz FuzzParseTurtle -fuzztime 10s ./internal/rdf/turtle
 	$(GO) test -run '^$$' -fuzz FuzzParseSPARQL -fuzztime 10s ./internal/sparql
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendResponse$$' -fuzztime 10s ./internal/server
 
 # loc prints non-test and test Go line counts per package directory —
 # the root module's and bench/'s — one line each, so a "non-test lines
@@ -152,8 +155,10 @@ knobs:
 # department of LUBM 10 k; the warm one also writes the heap profile of
 # the memo it fills), and with every memo entry made stale by an
 # insert (BenchmarkClusterAfterInsert: read_after_write's Q1–Q10 over
-# LUBM 10 k, one 50-triple insert per lap); and the index build
-# (BenchmarkBuild: the benchmark's 50 k LUBM base), CPU and allocations.
+# LUBM 10 k, one 50-triple insert per lap); the index build
+# (BenchmarkBuild: the benchmark's 50 k LUBM base), CPU and allocations;
+# and the JSON encode of a response (BenchmarkWriteResponse: one
+# Q10-sized LUBM outcome through the query server's 200 path).
 profile:
 	@mkdir -p results
 	$(GO) test -run '^$$' -bench 'BenchmarkSearchBudgetBound' -benchtime 20x \
@@ -170,9 +175,12 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild' -benchtime 5x \
 		-cpuprofile results/cpu_build.pprof -memprofile results/mem_build.pprof \
 		-o results/index.test ./internal/index
+	$(GO) test -run '^$$' -bench 'BenchmarkWriteResponse' -benchtime 20000x -benchmem \
+		-cpuprofile results/cpu_write_response.pprof -o results/server.test ./internal/server
 	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,cluster,cluster_warm,cluster_after_insert}.pprof"
 	@echo "the memo's heap: $(GO) tool pprof -sample_index=inuse_space results/bench.test results/mem_cluster_warm.pprof"
 	@echo "the build: $(GO) tool pprof results/index.test results/cpu_build.pprof (allocations: -sample_index=alloc_space results/mem_build.pprof)"
+	@echo "the response encode: $(GO) tool pprof results/server.test results/cpu_write_response.pprof"
 
 # serve-smoke boots samad end-to-end: random port, example dataset
 # indexed on the fly, one query through the Go client, /readyz and

@@ -1,7 +1,12 @@
 // Package client is the Go client of the samad query server and the
 // single Go definition of its wire format: the JSON documents exchanged
-// on POST /query are declared here and reused verbatim by the server to
-// encode its responses, so client and server cannot drift apart.
+// on POST /query are declared here. The server encodes its error bodies
+// from these types, and writes each 200 body straight from the engine's
+// answers as the very bytes json.Marshal produces for a QueryResponse —
+// a test oracle and a fuzz target hold it to that, so client and server
+// cannot drift apart. Bodies are compact JSON (no indentation, no
+// trailing newline) sent with a Content-Length; pipe them through jq to
+// read them.
 //
 // The protocol is deliberately plain HTTP + JSON:
 //

@@ -42,10 +42,11 @@ func (e *Engine) SearchContext(ctx context.Context, pre *Preprocessed, clusters 
 }
 
 // searchTraced is SearchContext recording two trace phases: "search"
-// (the Λ-ordered frontier expansion plus the hash-join completion pass)
-// and "assemble" (materialising the surviving combinations into
-// answers). A nil trace records nothing. The invariants that make the
-// ranked answers a function of the clusters alone are on pairScorer.
+// (the Λ-ordered frontier expansion plus the hash-join completion pass
+// that runs beside it) and "assemble" (materialising the surviving
+// combinations into answers). A nil trace records nothing. The
+// invariants that make the ranked answers a function of the clusters
+// alone are on pairScorer.
 func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters []Cluster, k int, tr *obs.Trace) []Answer {
 	sp := tr.Phase("search")
 	eff, missing, missed := splitEffective(clusters)
@@ -57,6 +58,14 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 
 	ps := newPairScorer(e, pre, eff)
 	psiMinU := e.par.E * float64(len(ps.pairs))
+	// done is closed exactly when ctx.Err() turns non-nil; polling it
+	// takes no lock, where Err takes a cancelCtx's mutex.
+	done := ctx.Done()
+	// The join pass reads only the clusters and the scorer's pairs, which
+	// the walk below never writes, and its own tables, which nothing else
+	// touches: it runs beside the walk and is received where it used to
+	// run.
+	joinRes := startJoin(eff, ps, done)
 
 	frontier := getFrontier(len(eff))
 	defer frontierPool.Put(frontier)
@@ -83,9 +92,6 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	maxVisits := e.opts.maxCombinations()
 	cancelled := false
 	boundBreak := false
-	// done is closed exactly when ctx.Err() turns non-nil; polling it
-	// takes no lock, where Err takes a cancelCtx's mutex.
-	done := ctx.Done()
 	for frontier.len() > 0 && visited < maxVisits {
 		select {
 		case <-done:
@@ -164,12 +170,23 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	// leave binding-consistent combinations (the ones with solid forest
 	// edges) beyond the tie-visit horizon when clusters are large.
 	// Construct them directly — a greedy hash-join on the shared query
-	// variables — and let them compete in the ranking. Skipped on
-	// cancellation: the join pass is bounded but not free, and a
-	// cancelled query wants its prefix now.
+	// variables — and let them compete in the ranking. Its combinations
+	// are deduplicated, scored and ranked here, after the walk, in the
+	// order a sequential pass would. Dropped on cancellation, whichever
+	// side saw it: a cancelled query wants its prefix now, and the join
+	// stops at its next seed.
 	joined := 0
+	var combos [][]uint32
+	if joinRes != nil {
+		res := <-joinRes
+		if res.panicked != nil {
+			panic(res.panicked)
+		}
+		combos = res.combos
+		cancelled = cancelled || !res.ok
+	}
 	if !cancelled {
-		for _, idx := range joinCombos(eff, ps) {
+		for _, idx := range combos {
 			if !visitedSet.add(comboKey(idx)) {
 				continue
 			}
@@ -991,6 +1008,35 @@ func (jt *joinTables) extend(eff []Cluster, idx []uint32, have []bool) bool {
 	return true
 }
 
+// joinResult is what the join pass hands back to the search.
+type joinResult struct {
+	combos [][]uint32
+	// ok is false when done closed before the pass finished.
+	ok bool
+	// panicked is a recovered panic of the pass, re-raised on the
+	// search's goroutine so it unwinds the query as it would have there.
+	panicked any
+}
+
+// startJoin runs joinCombos in a goroutine and returns the channel that
+// receives its one result, or nil — and starts nothing — when the query
+// cannot join (ps has no join tables).
+func startJoin(eff []Cluster, ps *pairScorer, done <-chan struct{}) <-chan joinResult {
+	if ps.jt == nil {
+		return nil
+	}
+	ch := make(chan joinResult, 1)
+	go func() {
+		var res joinResult
+		defer func() {
+			res.panicked = recover()
+			ch <- res
+		}()
+		res.combos, res.ok = joinCombos(eff, ps, done)
+	}()
+	return ch
+}
+
 // joinCombos builds combinations whose per-path substitutions agree on
 // the shared query variables: a hash-join over each intersection-graph
 // pair (probe one cluster's shared-variable bindings into the other's),
@@ -1002,16 +1048,13 @@ func (jt *joinTables) extend(eff []Cluster, idx []uint32, have []bool) bool {
 // extension runs on the clusters' bitset indexes (firstCompatible)
 // into one scratch vector, copied out only when it succeeds. Join keys
 // compare bindings by Label(), the compatibility checks by full Term
-// identity.
-func joinCombos(eff []Cluster, ps *pairScorer) [][]uint32 {
-	if ps.jt == nil {
-		return nil
-	}
+// identity. It polls done once per probed item and returns ok = false
+// as soon as done is closed. ps.jt must be non-nil.
+func joinCombos(eff []Cluster, ps *pairScorer, done <-chan struct{}) (out [][]uint32, ok bool) {
 	jt := ps.jt
 	have := make([]bool, len(eff))
 	idx := make([]uint32, len(eff))
 
-	var out [][]uint32
 	var kvArena []uint32
 	var next []int32
 	for pi := range ps.pairs {
@@ -1062,6 +1105,11 @@ func joinCombos(eff []Cluster, ps *pairScorer) [][]uint32 {
 			if seeds >= maxSeedsPerPair || len(out) >= maxTotalSeeds {
 				break
 			}
+			select {
+			case <-done:
+				return nil, false
+			default:
+			}
 			if !jt.keyFromCols(probeVars, ii, kv) {
 				continue
 			}
@@ -1083,7 +1131,7 @@ func joinCombos(eff []Cluster, ps *pairScorer) [][]uint32 {
 			}
 		}
 	}
-	return out
+	return out, true
 }
 
 // missPenalty prices the query paths with empty clusters: each costs its

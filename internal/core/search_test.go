@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"sama/internal/align"
 	"sama/internal/datasets"
@@ -567,6 +569,98 @@ func TestSearchAllocationsDoNotScaleWithVisits(t *testing.T) {
 	if extra := allocs[65536] - allocs[4096]; extra > 512 {
 		t.Errorf("61 440 more visits cost %.0f more allocations (%v); want slab regrowths only", extra, allocs)
 	}
+}
+
+// settledGoroutines waits (up to a second) for the goroutine count to
+// fall to at most n and returns it.
+func settledGoroutines(n int) int {
+	got := runtime.NumGoroutine()
+	for i := 0; i < 100 && got > n; i++ {
+		time.Sleep(10 * time.Millisecond)
+		got = runtime.NumGoroutine()
+	}
+	return got
+}
+
+// TestCancelledSearchJoinsNothing checks the join pass that runs beside
+// the walk under a context cancelled before the search: the walk stops
+// at once, the join's combinations are dropped (joined = 0, as when the
+// pass was skipped), and the join goroutine does not outlive the search.
+func TestCancelledSearchJoinsNothing(t *testing.T) {
+	g := datasets.LUBM{}.Generate(6000, 7)
+	ix, err := index.Build(filepath.Join(t.TempDir(), "lubm"), g, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	e, pre, clusters := budgetBoundSearch(t, ix, Options{}, "Q11")
+	if c := searchCounters(e, pre, clusters, 10); c["joined"] == 0 {
+		t.Fatalf("uncancelled search span %v joins nothing: the check would be vacuous", c)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 20; i++ {
+		tr := obs.NewTrace()
+		e.searchTraced(ctx, pre, clusters, 10, tr)
+		if c := tr.Phases[0].Attrs; c["joined"] != 0 || c["cancelled"] != 1 || c["visited"] != 0 {
+			t.Fatalf("cancelled search span %v, want joined=0 cancelled=1 visited=0", c)
+		}
+	}
+	if n := settledGoroutines(before); n > before {
+		t.Errorf("%d goroutines after the cancelled searches, %d before", n, before)
+	}
+}
+
+// TestJoinStartsOnlyWithTables checks that a search whose query cannot
+// join — a single effective cluster, or clusters with no
+// intersection-graph pair — starts no join goroutine, and that one that
+// can join starts it.
+func TestJoinStartsOnlyWithTables(t *testing.T) {
+	g := datasets.LUBM{}.Generate(3000, 7)
+	ix, err := index.Build(filepath.Join(t.TempDir(), "lubm"), g, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	check := func(name string, e *Engine, pre *Preprocessed, eff []Cluster, want bool) {
+		t.Helper()
+		ps := newPairScorer(e, pre, eff)
+		before := runtime.NumGoroutine()
+		ch := startJoin(eff, ps, nil)
+		if (ch != nil) != want {
+			t.Fatalf("%s: %d clusters, %d pairs: join started %v, want %v", name, len(eff), len(ps.pairs), ch != nil, want)
+		}
+		if ch == nil {
+			if n := runtime.NumGoroutine(); n != before {
+				t.Errorf("%s: %d goroutines after startJoin, %d before", name, n, before)
+			}
+			return
+		}
+		if res := <-ch; !res.ok || res.panicked != nil {
+			t.Errorf("%s: join result ok=%v panicked=%v", name, res.ok, res.panicked)
+		}
+	}
+	for _, id := range []string{"Q1", "Q3", "Q11"} {
+		e, pre, clusters := budgetBoundSearch(t, ix, Options{}, id)
+		eff, _, _ := splitEffective(clusters)
+		check(id, e, pre, eff, id == "Q11")
+	}
+
+	// Two clusters whose query paths share no node: no pair, no join.
+	tt := &termTable{ids: map[rdf.Term]uint32{}}
+	q0 := paths.Path{Nodes: []rdf.Term{vr("a"), iri("x")}, Edges: []rdf.Term{iri("p")}}
+	q1 := paths.Path{Nodes: []rdf.Term{vr("b"), iri("y")}, Edges: []rdf.Term{iri("q")}}
+	eff := []Cluster{
+		craftCluster(tt, q0, []rdf.Substitution{{"a": iri("A")}}),
+		craftCluster(tt, q1, []rdf.Substitution{{"b": iri("B")}}),
+	}
+	eff[1].QueryIndex = 1
+	for ci := range eff {
+		eff[ci].terms = tt.terms
+	}
+	pre := &Preprocessed{Paths: []paths.Path{q0, q1}, IG: make([][]IGEdge, 2)}
+	check("disjoint", newTestEngine(t, Options{}), pre, eff, false)
 }
 
 // BenchmarkSearchBudgetBound times the search phase alone on the two

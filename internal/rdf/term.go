@@ -11,6 +11,7 @@ package rdf
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -103,25 +104,28 @@ func (t Term) Label() string {
 
 // String renders the term in a compact N-Triples-like syntax, useful in
 // error messages and test failures.
-func (t Term) String() string {
+func (t Term) String() string { return string(t.Append(nil)) }
+
+// Append appends the String form of t to dst.
+func (t Term) Append(dst []byte) []byte {
 	switch t.Kind {
 	case IRI:
-		return "<" + t.Value + ">"
+		return append(append(append(dst, '<'), t.Value...), '>')
 	case Literal:
+		dst = strconv.AppendQuote(dst, t.Value)
 		switch {
 		case t.Lang != "":
-			return fmt.Sprintf("%q@%s", t.Value, t.Lang)
+			dst = append(append(dst, '@'), t.Lang...)
 		case t.Datatype != "":
-			return fmt.Sprintf("%q^^<%s>", t.Value, t.Datatype)
-		default:
-			return fmt.Sprintf("%q", t.Value)
+			dst = append(append(append(dst, "^^<"...), t.Datatype...), '>')
 		}
+		return dst
 	case Blank:
-		return "_:" + t.Value
+		return append(append(dst, "_:"...), t.Value...)
 	case Var:
-		return "?" + t.Value
+		return append(append(dst, '?'), t.Value...)
 	default:
-		return fmt.Sprintf("<invalid term kind %d>", t.Kind)
+		return fmt.Appendf(dst, "<invalid term kind %d>", t.Kind)
 	}
 }
 

@@ -17,9 +17,11 @@ func TestTermConstructors(t *testing.T) {
 		{"literal", NewLiteral("Health Care"), Literal, `"Health Care"`},
 		{"typed", NewTypedLiteral("3", "http://www.w3.org/2001/XMLSchema#int"), Literal, `"3"^^<http://www.w3.org/2001/XMLSchema#int>`},
 		{"lang", NewLangLiteral("ciao", "it"), Literal, `"ciao"@it`},
+		{"escaped", NewLiteral("a\"b\\c\n\xff\u2028é"), Literal, `"a\"b\\c\n\xff\u2028é"`},
 		{"blank", NewBlank("b0"), Blank, "_:b0"},
 		{"var", NewVar("v1"), Var, "?v1"},
 		{"var-prefixed", NewVar("?v1"), Var, "?v1"},
+		{"invalid-kind", Term{Kind: 9, Value: "x"}, 9, "<invalid term kind 9>"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -28,6 +30,9 @@ func TestTermConstructors(t *testing.T) {
 			}
 			if got := c.term.String(); got != c.str {
 				t.Errorf("String() = %q, want %q", got, c.str)
+			}
+			if got := string(c.term.Append([]byte("x"))); got != "x"+c.str {
+				t.Errorf("Append(x) = %q, want x%s", got, c.str)
 			}
 		})
 	}

@@ -13,8 +13,10 @@
 // the stragglers' contexts and lets the partial-results machinery
 // unwind them.
 //
-// The wire format is defined once, in package sama/client; this package
-// encodes responses with those exact types.
+// The wire format is defined once, in package sama/client. Error bodies
+// are encoded from its ErrorResponse; a 200 body is encoded straight
+// from the engine's answers into the very bytes json.Marshal writes for
+// its QueryResponse (appendResponse, checked against that oracle).
 package server
 
 import (
@@ -28,6 +30,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -203,14 +206,15 @@ func (h *Handler) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ready\n")
 }
 
-// writeJSON encodes v with the response status, counting the response.
-func (h *Handler) writeJSON(w http.ResponseWriter, status int, v any) {
+// writeBody sends body, a JSON document, with the response status in
+// one write behind a Content-Length header, counting the response.
+func (h *Handler) writeBody(w http.ResponseWriter, status int, body []byte) {
 	h.met.Requests(strconv.Itoa(status)).Inc()
-	w.Header().Set("Content-Type", "application/json")
+	hdr := w.Header()
+	hdr.Set("Content-Type", "application/json")
+	hdr.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body)
 }
 
 // writeErr sends an ErrorResponse; 503s carry the Retry-After backoff
@@ -219,7 +223,32 @@ func (h *Handler) writeErr(w http.ResponseWriter, status int, msg string) {
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
-	h.writeJSON(w, status, client.ErrorResponse{Error: msg})
+	body, _ := json.Marshal(client.ErrorResponse{Error: msg}) // a string always encodes
+	h.writeBody(w, status, body)
+}
+
+// respBufs recycles response buffers across requests; one grown past
+// maxPooledResp (a response far beyond the usual k) is left to the
+// collector instead.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResp = 1 << 20
+
+// writeOutcome is the 200 path: the response is encoded whole into a
+// pooled buffer before the status line goes out, so an outcome that
+// cannot be encoded is a 500, not a 200 cut short.
+func (h *Handler) writeOutcome(w http.ResponseWriter, out *QueryOutcome, queueWait time.Duration, explain bool) {
+	buf := respBufs.Get().(*[]byte)
+	body, err := appendResponse((*buf)[:0], out, queueWait, explain)
+	if err != nil {
+		h.writeErr(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+	} else {
+		h.writeBody(w, http.StatusOK, body)
+	}
+	if cap(body) <= maxPooledResp {
+		*buf = body[:0]
+		respBufs.Put(buf)
+	}
 }
 
 // parseRequest extracts and validates the k / timeout / explain
@@ -291,40 +320,31 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	h.met.Admitted.Inc()
 	h.met.QueueSeconds.Observe(queueWait.Seconds())
 
-	resp, err := h.run(r.Context(), src, k, timeout, queueWait, explain)
-	h.writeResult(w, resp, err)
-	h.met.RequestSeconds.Observe(time.Since(start).Seconds())
-}
-
-// run executes one admitted query and releases its slot before the
-// response is written. The query context combines the client's
-// disconnect signal, the per-request deadline, and the server's
-// straggler reclamation at the drain deadline.
-func (h *Handler) run(ctx context.Context, src string, k int, timeout, queueWait time.Duration, explain bool) (*client.QueryResponse, error) {
-	defer h.adm.release()
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	defer context.AfterFunc(h.stopCtx, cancel)()
-
-	out, err := h.backend.Query(ctx, src, k, h.opts.MaxK)
-	if err != nil {
-		return nil, err
-	}
-	return toWire(out, queueWait, explain), nil
-}
-
-// writeResult writes an execution's answers, or maps its failure to a
-// status: 400 for the caller's fault, 500 otherwise.
-func (h *Handler) writeResult(w http.ResponseWriter, resp *client.QueryResponse, err error) {
+	// The answers, or the failure mapped to a status: 400 for the
+	// caller's fault, 500 otherwise.
+	out, err := h.run(r.Context(), src, k, timeout)
 	var bad *BadRequestError
 	switch {
 	case err == nil:
-		h.writeJSON(w, http.StatusOK, resp)
+		h.writeOutcome(w, out, queueWait, explain)
 	case errors.As(err, &bad):
 		h.writeErr(w, http.StatusBadRequest, bad.Error())
 	default:
 		h.writeErr(w, http.StatusInternalServerError, err.Error())
 	}
+	h.met.RequestSeconds.Observe(time.Since(start).Seconds())
+}
+
+// run executes one admitted query and releases its slot before the
+// response is encoded. The query context combines the client's
+// disconnect signal, the per-request deadline, and the server's
+// straggler reclamation at the drain deadline.
+func (h *Handler) run(ctx context.Context, src string, k int, timeout time.Duration) (*QueryOutcome, error) {
+	defer h.adm.release()
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	defer context.AfterFunc(h.stopCtx, cancel)()
+	return h.backend.Query(ctx, src, k, h.opts.MaxK)
 }
 
 // shed maps an admission failure to a 503 (or notes a vanished client)
@@ -343,92 +363,6 @@ func (h *Handler) shed(w http.ResponseWriter, err error) {
 	}
 	h.met.Shed(reason).Inc()
 	h.writeErr(w, http.StatusServiceUnavailable, msg)
-}
-
-// toWire converts an engine outcome into the shared wire representation.
-// When explain is set and the outcome carries a trace, the response also
-// carries the deterministic explain plan.
-func toWire(out *QueryOutcome, queueWait time.Duration, explain bool) *client.QueryResponse {
-	resp := &client.QueryResponse{
-		Answers:    make([]client.Answer, 0, len(out.Answers)),
-		Vars:       out.Vars,
-		Partial:    out.Partial,
-		StopReason: out.StopReason,
-	}
-	for _, a := range out.Answers {
-		wa := client.Answer{Score: a.Score, Lambda: a.Lambda, Psi: a.Psi, Exact: a.Exact()}
-		if len(out.Vars) > 0 {
-			b := make(map[string]string, len(out.Vars))
-			for _, v := range out.Vars {
-				if t, ok := a.Subst[v]; ok {
-					b[v] = t.String()
-				}
-			}
-			if len(b) > 0 {
-				wa.Bindings = b
-			}
-		}
-		for _, pr := range a.Pairs {
-			wa.Paths = append(wa.Paths, pr.Data.String())
-		}
-		resp.Answers = append(resp.Answers, wa)
-	}
-	resp.Stats = client.Stats{
-		ElapsedNS:  out.Stats.Elapsed.Nanoseconds(),
-		QueueNS:    queueWait.Nanoseconds(),
-		QueryPaths: out.Stats.QueryPaths,
-		Extracted:  out.Stats.Extracted,
-	}
-	if tr := out.Stats.Trace; tr != nil {
-		for _, s := range tr.Phases {
-			resp.Stats.Phases = append(resp.Stats.Phases, client.Phase{
-				Name: s.Name, DurationNS: s.Duration.Nanoseconds(),
-			})
-		}
-		resp.Stats.IO = client.IOStats{
-			PageReads:    tr.IO.PageReads,
-			CacheHits:    tr.IO.CacheHits,
-			CacheMisses:  tr.IO.CacheMisses,
-			Retries:      tr.IO.Retries,
-			BatchedPages: tr.IO.BatchedPages,
-		}
-		if explain {
-			resp.Explain = planToWire(obs.BuildPlan(tr))
-		}
-	}
-	return resp
-}
-
-// planToWire converts the engine's explain plan into the wire mirror.
-// The two types share field order and JSON tags, so the marshaled
-// document is byte-identical to the engine's own.
-func planToWire(p *obs.Plan) *client.ExplainPlan {
-	if p == nil {
-		return nil
-	}
-	return &client.ExplainPlan{
-		Version:    p.Version,
-		Query:      p.Query,
-		Answers:    p.Answers,
-		Partial:    p.Partial,
-		StopReason: p.StopReason,
-		Phases:     planNodesToWire(p.Phases),
-	}
-}
-
-func planNodesToWire(ns []*obs.PlanNode) []*client.ExplainNode {
-	if ns == nil {
-		return nil
-	}
-	out := make([]*client.ExplainNode, 0, len(ns))
-	for _, n := range ns {
-		out = append(out, &client.ExplainNode{
-			Name:     n.Name,
-			Attrs:    n.Attrs,
-			Children: planNodesToWire(n.Children),
-		})
-	}
-	return out
 }
 
 // stragglerGrace bounds the wait for cancelled queries to unwind through
