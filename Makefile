@@ -62,7 +62,10 @@ race-hot:
 # or its read of the affected roots' paths) that leaves the graph the
 # metadata persists as it was; inserts racing Close, each of which
 # lands whole before it or fails with nothing logged; a reopen that
-# keeps earlier inserts, with a WAL and without; an insert stream equal
+# keeps earlier inserts, after a clean close and after a crash; a
+# second handle on an open index, refused by its lock; a database
+# created with no options that keeps an acknowledged insert across a
+# crash; an insert stream equal
 # to a rebuild with one batch re-applied, as replay re-applies it; and,
 # across insert streams and a compaction, the alignment memo against an
 # engine without it and each stale entry's re-confirmation, decided
@@ -73,7 +76,7 @@ race-hot:
 # which must never serve an answer set older than the inserts they saw
 # complete.
 crash:
-	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestReopenKeepsEarlierInserts|TestInsertEqualsRebuild|TestAlignMemoExactUnderWrites|TestAssemblyDecodesClustersTermTable|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers' ./internal/storage ./internal/index ./internal/core
+	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestReopenKeepsEarlierInserts|TestOpenLocksBase|TestDefaultDatabaseSurvivesCrash|TestInsertEqualsRebuild|TestAlignMemoExactUnderWrites|TestAssemblyDecodesClustersTermTable|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers' . ./internal/storage ./internal/index ./internal/core
 
 # bench-check vets and tests bench/, the benchmark's own module: root
 # ./... patterns skip it, so an API it imports from internal/ could

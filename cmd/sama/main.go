@@ -58,15 +58,14 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   sama index -data <graph.nt> -index <base>     build the path index
-             [-wal <dir>]
   sama query -index <base> (-q <sparql> | -sparql <file>) [-k 10] [-cold] [-timeout 0]
              [-stats] [-explain] [-explain-json]
   sama stats -index <base>                      print index statistics
 
--wal enables the durable write path: inserts are acknowledged only
-after the batch is fsynced to a write-ahead log in <dir>, and after a
-crash the next open of the index (query, stats, samad) replays the log
-before it answers.
+Inserts are acknowledged only after the batch is fsynced to the
+write-ahead log <base>.wal, and after a crash the next open of the
+index (query, stats, samad) replays the log before it answers. One
+process at a time may open an index.
 
 For an HTTP endpoint (/query, /metrics, /debug/), use samad.
 `)
@@ -78,7 +77,6 @@ func runIndex(args []string) error {
 	base := fs.String("index", "", "index base path (required)")
 	maxLen := fs.Int("max-path-length", 12, "maximum nodes per indexed path")
 	maxPerRoot := fs.Int("max-paths-per-root", 4096, "path budget per source")
-	walDir := fs.String("wal", "", "enable the write-ahead log in this directory (durable inserts)")
 	fs.Parse(args)
 	if *data == "" || *base == "" {
 		return fmt.Errorf("index: -data and -index are required")
@@ -90,14 +88,9 @@ func runIndex(args []string) error {
 	}
 	fmt.Fprintf(out, "loaded %d triples (%d nodes) in %v\n",
 		g.EdgeCount(), g.NodeCount(), time.Since(start).Round(time.Millisecond))
-	oo := []sama.Option{
+	db, err := sama.Create(*base, g,
 		sama.WithPathConfig(sama.PathConfig{MaxLength: *maxLen, MaxPerRoot: *maxPerRoot}),
-		sama.WithThesaurus(sama.BenchmarkThesaurus()),
-	}
-	if *walDir != "" {
-		oo = append(oo, sama.WithWAL(*walDir))
-	}
-	db, err := sama.Create(*base, g, oo...)
+		sama.WithThesaurus(sama.BenchmarkThesaurus()))
 	if err != nil {
 		return err
 	}

@@ -22,11 +22,11 @@
 // /debug/lastqueries; every shed is counted by reason
 // (sama_server_shed_total).
 // -cache-align-mb sizes the alignment memo, which is on by default and
-// re-confirms an entry an index write made stale. -wal enables the
-// durable write path when the index is built (an existing WAL-enabled
-// index reattaches its log automatically); after a
-// crash, opening the index replays the log before samad serves, and the
-// replay is logged. -data is only read to build an absent index.
+// re-confirms an entry an index write made stale. After a crash,
+// opening the index replays its write-ahead log (<index>.wal) before
+// samad serves, and the replay is logged; samad holds the index's lock
+// until it exits, so no other process opens the index meanwhile.
+// -data is only read to build an absent index.
 // SIGINT/SIGTERM starts a graceful drain: the server
 // stops admitting, finishes in-flight queries up to -drain-timeout,
 // then cancels the stragglers (their clients still receive partial
@@ -109,7 +109,6 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries before cancelling them")
 	poolPages := fs.Int("pool-pages", 0, "buffer pool capacity in 8 KiB pages (0 = library default)")
 	cacheAlignMB := fs.Int("cache-align-mb", 0, "alignment memo budget in MiB: one cached cluster per query-path shape, reused across queries sharing it (0 = default 64, negative = off)")
-	walDir := fs.String("wal", "", "enable the write-ahead log in this directory when building; an existing index reattaches its own WAL automatically")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -124,9 +123,6 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	}
 	if *cacheAlignMB != 0 {
 		opts = append(opts, sama.WithAlignmentCache(*cacheAlignMB))
-	}
-	if *walDir != "" {
-		opts = append(opts, sama.WithWAL(*walDir))
 	}
 	db, err := openOrBuild(*index, *data, opts, logger)
 	if err != nil {

@@ -147,16 +147,15 @@ func TestReopenExistingIndex(t *testing.T) {
 	}
 }
 
-// TestStartupRecovery: a WAL-enabled index with pending records (a
-// simulated crash: durable insert, no close) is replayed by opening it,
-// so samad started without -data logs the replay and serves the crashed
-// insert.
+// TestStartupRecovery: an index with pending log records (a simulated
+// crash: durable insert, files copied without close) is replayed by
+// opening it, so samad started on the copy without -data logs the
+// replay and serves the crashed insert.
 func TestStartupRecovery(t *testing.T) {
 	data, index := writeDataset(t)
-	walDir := filepath.Join(filepath.Dir(index), "wal")
 	logger := log.New(new(bytes.Buffer), "", 0)
 	d, err := startDaemon([]string{"-index", index, "-data", data,
-		"-addr", "127.0.0.1:0", "-wal", walDir}, logger)
+		"-addr", "127.0.0.1:0"}, logger)
 	if err != nil {
 		t.Fatalf("first start: %v", err)
 	}
@@ -164,20 +163,34 @@ func TestStartupRecovery(t *testing.T) {
 		t.Fatalf("first shutdown: %v", err)
 	}
 
-	// The crash: open through the library, insert durably, abandon the
-	// handle without Close.
+	// The crash: open through the library, insert durably, copy the
+	// files without Close.
 	db, err := sama.Open(index)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.Close()
 	if err := db.Insert([]sama.Triple{{
 		S: sama.NewIRI("dave"), P: sama.NewIRI("worksAt"), O: sama.NewIRI("acme"),
 	}}); err != nil {
 		t.Fatal(err)
 	}
+	crashed := filepath.Join(t.TempDir(), "idx")
+	for _, name := range []string{".meta", ".pages", ".wal/wal.log"} {
+		b, err := os.ReadFile(index + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(crashed+name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(crashed+name, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	var logs bytes.Buffer
-	d2, err := startDaemon([]string{"-index", index, "-addr", "127.0.0.1:0"}, log.New(&logs, "", 0))
+	d2, err := startDaemon([]string{"-index", crashed, "-addr", "127.0.0.1:0"}, log.New(&logs, "", 0))
 	if err != nil {
 		t.Fatalf("start on the crashed index: %v", err)
 	}

@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("inserted 2 triples incrementally in %v (no rebuild)\n\n",

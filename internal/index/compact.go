@@ -53,8 +53,8 @@ func (cs *CompactStats) pause(d time.Duration) {
 // lock, which waits for every open View (a query's cluster phase) to
 // end, so no query reads across it: the files are swapped (rename), and
 // the epoch and the layout bump — invalidating every cache entry that
-// names an old PathID. With a WAL the swap doubles as a checkpoint: the
-// new metadata carries the applied watermark and the log is discarded.
+// names an old PathID. The swap doubles as a checkpoint: the new
+// metadata carries the applied watermark and the log is discarded.
 //
 // batch ≤ 0 selects DefaultCompactBatch. On a failure
 // before the final swap starts closing the old file handles, the
@@ -142,9 +142,8 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	next.stats = ix.stats
 	next.stats.Paths = next.livePathsLocked()
 	next.stats.HE = next.stats.Triples + next.stats.Paths
-	// The new metadata must carry the WAL linkage and watermark, so a
-	// crash right after the swap recovers against the compacted files.
-	next.walDir = ix.walDir
+	// The new metadata must carry the watermark, so a crash right after
+	// the swap recovers against the compacted files.
 	next.applied = ix.applied
 	if err := next.pool.Flush(); err != nil {
 		return fail(err)
@@ -193,12 +192,12 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	closeFail := func(cause error) (CompactStats, error) {
 		os.Rename(pagesPath(tmpBase), pagesPath(ix.base))
 		recoverCompactSwap(ix.base)
-		re, rerr := openIndex(ix.base, Options{Paths: ix.pathCfg, Thesaurus: ix.thes, WrapIO: ix.wrapIO}, false)
+		re, rerr := openIndex(ix.base, Options{Paths: ix.pathCfg, Thesaurus: ix.thes, WrapIO: ix.wrapIO})
 		if rerr != nil {
 			return cs, fmt.Errorf("%w (reopening the index files failed too: %v; the index is closed)", cause, rerr)
 		}
 		adopt(re)
-		if ix.wal != nil && re.applied < ix.applied {
+		if re.applied < ix.applied {
 			// The roll-forward fell back to the originals and their meta
 			// predates records the in-memory state had applied. Those
 			// records are still in the WAL — the checkpoint that would
@@ -229,17 +228,15 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	if err := syncDirOf(metaPath(ix.base)); err != nil {
 		return closeFail(fmt.Errorf("index: compact: sync dir: %w", err))
 	}
-	reopened, err := openIndex(ix.base, Options{Paths: ix.pathCfg, Thesaurus: ix.thes, WrapIO: ix.wrapIO}, false)
+	reopened, err := openIndex(ix.base, Options{Paths: ix.pathCfg, Thesaurus: ix.thes, WrapIO: ix.wrapIO})
 	if err != nil {
 		return closeFail(fmt.Errorf("index: compact: reopen: %w", err))
 	}
 	adopt(reopened)
 	cs.Live = ix.livePathsLocked()
-	if ix.wal != nil {
-		if err := ix.wal.Checkpoint(ix.applied); err != nil {
-			return cs, fmt.Errorf("index: compact: wal checkpoint: %w", err)
-		}
-		ix.store.SealCurrentPage()
+	if err := ix.wal.Checkpoint(ix.applied); err != nil {
+		return cs, fmt.Errorf("index: compact: wal checkpoint: %w", err)
 	}
+	ix.store.SealCurrentPage()
 	return cs, nil
 }

@@ -316,14 +316,13 @@ func TestCompactSwapCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestCompactIncrementalWithWAL: compaction on a WAL-enabled index
-// keeps the log linkage — the swap checkpoints, and a crash after it
+// TestCompactIncrementalWithWAL: compaction keeps the log linkage —
+// the swap checkpoints the log, and a crash after it
 // recovers against the compacted files with the same answers.
 func TestCompactIncrementalWithWAL(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "ix")
-	walDir := filepath.Join(dir, "wal")
-	ix, err := Build(base, figure1Graph(), Options{WALDir: walDir, CheckpointBytes: -1})
+	ix, err := Build(base, figure1Graph(), Options{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +336,7 @@ func TestCompactIncrementalWithWAL(t *testing.T) {
 	if cs.Live != ix.LivePaths() {
 		t.Errorf("Live = %d, want %d", cs.Live, ix.LivePaths())
 	}
-	st, ok := ix.WALStats()
-	if !ok {
-		t.Fatal("WAL detached by compaction")
-	}
-	if st.Checkpoints == 0 {
+	if st := ix.WALStats(); st.Checkpoints == 0 {
 		t.Error("compaction swap did not checkpoint the WAL")
 	}
 	// Insert after the swap, then crash: the record must replay against
@@ -353,10 +348,10 @@ func TestCompactIncrementalWithWAL(t *testing.T) {
 	}
 	want := livePathKeys(t, ix)
 	wantGraph := graphOrder(ix.Graph())
-	cb, cw := crashClone(t, base, walDir)
+	cb := crashClone(t, base)
 	ix.Close()
 
-	re, err := Open(cb, Options{WALDir: cw})
+	re, err := Open(cb, Options{})
 	if err != nil {
 		t.Fatalf("Open after compact+crash: %v", err)
 	}
@@ -463,7 +458,7 @@ func TestCompactIncrementalReadFaultKeepsOriginal(t *testing.T) {
 	if err := ix.InsertTriples([]rdf.Triple{{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("A8000")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Flush(); err != nil {
+	if err := ix.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	files := func() string {

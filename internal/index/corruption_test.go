@@ -59,9 +59,9 @@ func TestOpenRejectsCorruptMagic(t *testing.T) {
 // TestOpenRejectsOlderMetaVersion pins the version check: metadata
 // stamped with an earlier format version (SAMAIDX3/4 predate persisted
 // signatures, SAMAIDX5 could hold inline-string records, SAMAIDX6 holds
-// no data graph) is refused
-// with an error that names the version found and says what to do about
-// it.
+// no data graph, SAMAIDX7 could name a log elsewhere than base.wal) is
+// refused with an error that names the version found and says what to
+// do about it.
 func TestOpenRejectsOlderMetaVersion(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "old")
 	meta := buildAndClose(t, base, Options{})
@@ -69,7 +69,7 @@ func TestOpenRejectsOlderMetaVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{'3', '4', '5', '6'} {
+	for _, v := range []byte{'3', '4', '5', '6', '7'} {
 		raw[7] = v
 		if err := os.WriteFile(meta, raw, 0o644); err != nil {
 			t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 	"sama/internal/rdf"
 )
 
-// The crash matrix kills a WAL-enabled index at every stage of the
+// The crash matrix kills an index at every stage of the
 // write path — before the WAL append, mid-append (torn record), during
 // the commit fsync, after the acknowledged insert, at both
 // half-checkpoint states, inside the checkpoint's log rewrite, and
@@ -30,28 +30,23 @@ import (
 // recovers: nothing live points at such a record, and the reopened
 // index answers every lookup like a fresh build of its reopened graph.
 
-// crashRig is one WAL-enabled index under crash testing plus the
+// crashRig is one index under crash testing plus the
 // consistent states recovery is allowed to land in.
 type crashRig struct {
-	base, walDir string
-	ix           *Index
-	preKeys      []string // live paths before the test batch
-	postKeys     []string // live paths after the test batch
+	base     string
+	ix       *Index
+	preKeys  []string // live paths before the test batch
+	postKeys []string // live paths after the test batch
 }
 
-// newCrashRig builds a figure-1 index with a WAL (manual checkpoints
-// only, so the test controls exactly what is on disk) and records the
+// newCrashRig builds a figure-1 index (manual checkpoints only, so the test controls exactly what is on disk) and records the
 // pre-insert answer state. syncHook, when non-nil, interposes on every
 // WAL fsync.
 func newCrashRig(t *testing.T, syncHook func() error) *crashRig {
 	t.Helper()
 	dir := t.TempDir()
-	r := &crashRig{
-		base:   filepath.Join(dir, "ix"),
-		walDir: filepath.Join(dir, "wal"),
-	}
+	r := &crashRig{base: filepath.Join(dir, "ix")}
 	ix, err := Build(r.base, figure1Graph(), Options{
-		WALDir:          r.walDir,
 		CheckpointBytes: -1,
 		WALSyncHook:     syncHook,
 	})
@@ -83,16 +78,16 @@ const walFile = "wal.log"
 
 // recoverClone opens a crash snapshot, which recovers it, returning the
 // recovered answer state.
-func recoverClone(t *testing.T, base, walDir string) []string {
+func recoverClone(t *testing.T, base string) []string {
 	t.Helper()
-	return livePathKeys(t, recoverCloneIndex(t, base, walDir))
+	return livePathKeys(t, recoverCloneIndex(t, base))
 }
 
 // recoverCloneIndex is recoverClone returning the recovered index,
 // which stays open until the test ends.
-func recoverCloneIndex(t *testing.T, base, walDir string) *Index {
+func recoverCloneIndex(t *testing.T, base string) *Index {
 	t.Helper()
-	re, err := Open(base, Options{WALDir: walDir, CheckpointBytes: -1})
+	re, err := Open(base, Options{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatalf("open crash snapshot: %v", err)
 	}
@@ -151,9 +146,9 @@ func pathKeys(t *testing.T, ix *Index, ids []PathID) []string {
 func TestCrashMatrixBeforeWALAppend(t *testing.T) {
 	r := newCrashRig(t, nil)
 	// Kill before the append: the batch left no trace anywhere.
-	cb, cw := crashClone(t, r.base, r.walDir)
+	cb := crashClone(t, r.base)
 	r.insertBatch(t)
-	if got := recoverClone(t, cb, cw); !equalKeys(got, r.preKeys) {
+	if got := recoverClone(t, cb); !equalKeys(got, r.preKeys) {
 		t.Fatalf("recovered state is not the pre-insert state: %d vs %d paths", len(got), len(r.preKeys))
 	}
 }
@@ -164,12 +159,12 @@ func TestCrashMatrixDuringWALAppend(t *testing.T) {
 	// snapshot's log — the on-disk picture of a crash that
 	// caught the kernel mid-write. The unacknowledged batch must be
 	// truncated away, never half-replayed.
-	var snapBase, snapWAL string
+	var snapBase string
 	var armed atomic.Bool
 	var r *crashRig
 	hook := func() error {
 		if armed.CompareAndSwap(true, false) {
-			snapBase, snapWAL = crashClone(t, r.base, r.walDir)
+			snapBase = crashClone(t, r.base)
 		}
 		return nil
 	}
@@ -181,7 +176,7 @@ func TestCrashMatrixDuringWALAppend(t *testing.T) {
 	}
 	// Tear: chop a few bytes off the log so the record's frame is
 	// incomplete.
-	log := filepath.Join(snapWAL, walFile)
+	log := filepath.Join(walPath(snapBase), walFile)
 	info, err := os.Stat(log)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +184,7 @@ func TestCrashMatrixDuringWALAppend(t *testing.T) {
 	if err := os.Truncate(log, info.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	got := recoverClone(t, snapBase, snapWAL)
+	got := recoverClone(t, snapBase)
 	if !equalKeys(got, r.preKeys) {
 		t.Fatalf("torn append not rolled back: %d vs %d paths", len(got), len(r.preKeys))
 	}
@@ -199,12 +194,12 @@ func TestCrashMatrixDuringCommitFsync(t *testing.T) {
 	// Kill during the fsync: the record bytes are fully written but not
 	// yet acknowledged. Recovery may land on either side of the batch —
 	// both are consistent — but never between.
-	var snapBase, snapWAL string
+	var snapBase string
 	var armed atomic.Bool
 	var r *crashRig
 	hook := func() error {
 		if armed.CompareAndSwap(true, false) {
-			snapBase, snapWAL = crashClone(t, r.base, r.walDir)
+			snapBase = crashClone(t, r.base)
 		}
 		return nil
 	}
@@ -214,7 +209,7 @@ func TestCrashMatrixDuringCommitFsync(t *testing.T) {
 	if snapBase == "" {
 		t.Fatal("sync hook never fired")
 	}
-	got := recoverClone(t, snapBase, snapWAL)
+	got := recoverClone(t, snapBase)
 	if !equalKeys(got, r.preKeys) && !equalKeys(got, r.postKeys) {
 		t.Fatalf("recovered state is neither pre (%d paths) nor post (%d): got %d",
 			len(r.preKeys), len(r.postKeys), len(got))
@@ -226,8 +221,8 @@ func TestCrashMatrixAfterAcknowledgedInsert(t *testing.T) {
 	// recovery MUST surface it — durability is the whole contract.
 	r := newCrashRig(t, nil)
 	r.insertBatch(t)
-	cb, cw := crashClone(t, r.base, r.walDir)
-	if got := recoverClone(t, cb, cw); !equalKeys(got, r.postKeys) {
+	cb := crashClone(t, r.base)
+	if got := recoverClone(t, cb); !equalKeys(got, r.postKeys) {
 		t.Fatalf("acknowledged insert lost: %d vs %d paths", len(got), len(r.postKeys))
 	}
 }
@@ -241,11 +236,11 @@ func TestCrashMatrixMidCheckpoint(t *testing.T) {
 	// files of a pre-checkpoint and a post-checkpoint snapshot.
 	r := newCrashRig(t, nil)
 	r.insertBatch(t)
-	preB, preW := crashClone(t, r.base, r.walDir) // checkpoint not started
+	preB := crashClone(t, r.base) // checkpoint not started
 	if err := r.ix.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	postB, _ := crashClone(t, r.base, r.walDir) // checkpoint complete
+	postB := crashClone(t, r.base) // checkpoint complete
 
 	t.Run("after-page-flush-before-meta", func(t *testing.T) {
 		// Pages flushed, nothing else: the batch's records are in the
@@ -262,24 +257,22 @@ func TestCrashMatrixMidCheckpoint(t *testing.T) {
 		if bytes.Equal(pre, post) {
 			t.Fatal("the checkpoint flushed no page: this is not the state it claims to be")
 		}
-		dir := t.TempDir()
-		base, wal := filepath.Join(dir, "ix"), filepath.Join(dir, "wal")
+		base := filepath.Join(t.TempDir(), "ix")
 		copyTree(t, pagesPath(postB), pagesPath(base))
 		copyTree(t, metaPath(preB), metaPath(base))
-		copyTree(t, preW, wal)
-		if got := recoverClone(t, base, wal); !equalKeys(got, r.postKeys) {
+		copyTree(t, walPath(preB), walPath(base))
+		if got := recoverClone(t, base); !equalKeys(got, r.postKeys) {
 			t.Fatalf("mid-checkpoint (pages flushed) lost the batch: %d vs %d paths", len(got), len(r.postKeys))
 		}
 	})
 	t.Run("after-meta-before-truncate", func(t *testing.T) {
 		// Metadata committed, the log's rewrite lost: records at or
 		// below the watermark are skipped on replay, not applied twice.
-		dir := t.TempDir()
-		base, wal := filepath.Join(dir, "ix"), filepath.Join(dir, "wal")
+		base := filepath.Join(t.TempDir(), "ix")
 		copyTree(t, pagesPath(postB), pagesPath(base))
 		copyTree(t, metaPath(postB), metaPath(base))
-		copyTree(t, preW, wal) // the untruncated, pre-checkpoint log
-		if got := recoverClone(t, base, wal); !equalKeys(got, r.postKeys) {
+		copyTree(t, walPath(preB), walPath(base)) // the untruncated, pre-checkpoint log
+		if got := recoverClone(t, base); !equalKeys(got, r.postKeys) {
 			t.Fatalf("mid-checkpoint (meta committed) diverged: %d vs %d paths", len(got), len(r.postKeys))
 		}
 	})
@@ -292,12 +285,12 @@ func TestCrashMatrixDuringLogRewrite(t *testing.T) {
 	// temporary in any state of being written, or the new log. Each
 	// must recover the post-insert state, and the next insert must get
 	// the LSN after the applied one.
-	var snapBase, snapWAL string
+	var snapBase string
 	var armed atomic.Bool
 	var r *crashRig
 	hook := func() error {
 		if armed.CompareAndSwap(true, false) {
-			snapBase, snapWAL = crashClone(t, r.base, r.walDir)
+			snapBase = crashClone(t, r.base)
 		}
 		return nil
 	}
@@ -311,37 +304,37 @@ func TestCrashMatrixDuringLogRewrite(t *testing.T) {
 	if snapBase == "" {
 		t.Fatal("the checkpoint's log rewrite never synced")
 	}
-	postB, postW := crashClone(t, r.base, r.walDir)
-	tmp, err := os.ReadFile(filepath.Join(snapWAL, walFile+".tmp"))
+	postB := crashClone(t, r.base)
+	tmp, err := os.ReadFile(filepath.Join(walPath(snapBase), walFile+".tmp"))
 	if err != nil || len(tmp) == 0 {
 		t.Fatalf("no fresh header in the temporary at the kill point (err=%v)", err)
 	}
 	for _, c := range []struct {
-		name      string
-		base, wal string
-		tmp       []byte // the temporary's contents; nil = none
+		name string
+		base string
+		tmp  []byte // the temporary's contents; nil = none
 	}{
-		{"old-log", snapBase, snapWAL, nil},
-		{"old-log-empty-temporary", snapBase, snapWAL, []byte{}},
-		{"old-log-short-temporary", snapBase, snapWAL, tmp[:len(tmp)/2]},
-		{"old-log-whole-temporary", snapBase, snapWAL, tmp},
-		{"new-log", postB, postW, nil},
+		{"old-log", snapBase, nil},
+		{"old-log-empty-temporary", snapBase, []byte{}},
+		{"old-log-short-temporary", snapBase, tmp[:len(tmp)/2]},
+		{"old-log-whole-temporary", snapBase, tmp},
+		{"new-log", postB, nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			base, wal := filepath.Join(dir, "ix"), filepath.Join(dir, "wal")
+			base := filepath.Join(t.TempDir(), "ix")
+			wal := walPath(base)
 			copyTree(t, pagesPath(c.base), pagesPath(base))
 			copyTree(t, metaPath(c.base), metaPath(base))
 			if err := os.Mkdir(wal, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			copyTree(t, filepath.Join(c.wal, walFile), filepath.Join(wal, walFile))
+			copyTree(t, filepath.Join(walPath(c.base), walFile), filepath.Join(wal, walFile))
 			if c.tmp != nil {
 				if err := os.WriteFile(filepath.Join(wal, walFile+".tmp"), c.tmp, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			re := recoverCloneIndex(t, base, wal)
+			re := recoverCloneIndex(t, base)
 			if got := livePathKeys(t, re); !equalKeys(got, r.postKeys) {
 				t.Fatalf("recovered %d paths, want the post-insert %d", len(got), len(r.postKeys))
 			}
@@ -351,7 +344,7 @@ func TestCrashMatrixDuringLogRewrite(t *testing.T) {
 			if err := re.InsertTriples([]rdf.Triple{{S: iri("AfterRewrite"), P: iri("sponsor"), O: iri("A0056")}}); err != nil {
 				t.Fatal(err)
 			}
-			if st, _ := re.WALStats(); st.LastLSN != applied+1 {
+			if st := re.WALStats(); st.LastLSN != applied+1 {
 				t.Fatalf("the next insert got LSN %d, want %d", st.LastLSN, applied+1)
 			}
 			if names, _ := filepath.Glob(filepath.Join(wal, "*")); len(names) != 1 {
@@ -376,11 +369,11 @@ func TestCrashMatrixMidCompaction(t *testing.T) {
 	t.Run("during-copy-phase", func(t *testing.T) {
 		// Phase 1 writes only <base>.compact.pages; a kill there leaves
 		// the original files authoritative and the temporary is garbage.
-		cb, cw := crashClone(t, r.base, r.walDir)
+		cb := crashClone(t, r.base)
 		if err := os.WriteFile(pagesPath(cb+".compact"), []byte("partial compaction output"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got := recoverClone(t, cb, cw); !equalKeys(got, r.postKeys) {
+		if got := recoverClone(t, cb); !equalKeys(got, r.postKeys) {
 			t.Fatalf("mid-copy crash diverged: %d vs %d paths", len(got), len(r.postKeys))
 		}
 		if _, err := os.Stat(pagesPath(cb + ".compact")); !os.IsNotExist(err) {
@@ -400,14 +393,14 @@ func TestCrashMatrixMidCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := livePathKeys(t, r.ix)
-		cb, cw := crashClone(t, r.base, r.walDir)
+		cb := crashClone(t, r.base)
 		if err := os.Rename(metaPath(cb), metaPath(cb+".compact")); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(metaPath(cb), oldMeta, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got := recoverClone(t, cb, cw); !equalKeys(got, want) {
+		if got := recoverClone(t, cb); !equalKeys(got, want) {
 			t.Fatalf("post-commit compaction crash diverged: %d vs %d paths", len(got), len(want))
 		}
 	})
@@ -418,8 +411,8 @@ func TestCrashMatrixMidCompaction(t *testing.T) {
 func TestCrashMatrixTornTailMetrics(t *testing.T) {
 	r := newCrashRig(t, nil)
 	r.insertBatch(t)
-	cb, cw := crashClone(t, r.base, r.walDir)
-	log := filepath.Join(cw, walFile)
+	cb := crashClone(t, r.base)
+	log := filepath.Join(walPath(cb), walFile)
 	info, err := os.Stat(log)
 	if err != nil {
 		t.Fatal(err)
@@ -427,14 +420,13 @@ func TestCrashMatrixTornTailMetrics(t *testing.T) {
 	if err := os.Truncate(log, info.Size()-2); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(cb, Options{WALDir: cw})
+	re, err := Open(cb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	st, ok := re.WALStats()
-	if !ok || !st.TornTailRepaired {
-		t.Fatalf("torn tail repair not reported: ok=%v stats=%+v", ok, st)
+	if st := re.WALStats(); !st.TornTailRepaired {
+		t.Fatalf("torn tail repair not reported: stats=%+v", st)
 	}
 	if rs := re.Recovery(); !rs.TornTailRepaired || rs.Records != 0 {
 		t.Errorf("Recovery() = %+v, want the torn tail repaired and nothing replayed", rs)

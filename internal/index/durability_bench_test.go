@@ -8,17 +8,16 @@ import (
 	"sama/internal/datasets"
 )
 
-// crashedWALIndex builds a 2 000-triple LUBM index with a WAL, inserts
+// crashedWALIndex builds a 2 000-triple LUBM index, inserts
 // 40 batches of 25 unseen triples without ever checkpointing, and
-// abandons the handle — every batch is pending in the log — returning
-// the index reopened, which replays them, with the replay statistics.
+// copies its files — every batch is pending in the log — returning the
+// copy opened, which replays them, with the replay statistics.
 func crashedWALIndex(b *testing.B) (*Index, RecoveryStats) {
 	b.Helper()
 	const baseTriples, batchSize, batches = 2_000, 25, 40
-	dir := b.TempDir()
-	base := filepath.Join(dir, "ix")
+	base := filepath.Join(b.TempDir(), "ix")
 	ix, err := Build(base, datasets.LUBM{}.Generate(baseTriples, 1), Options{
-		WALDir: filepath.Join(dir, "wal"), CheckpointBytes: -1,
+		CheckpointBytes: -1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -29,10 +28,11 @@ func crashedWALIndex(b *testing.B) (*Index, RecoveryStats) {
 			b.Fatal(err)
 		}
 	}
-	re, err := Open(base, Options{})
+	re, err := Open(crashClone(b, base), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	ix.Close()
 	return re, re.Recovery()
 }
 

@@ -129,34 +129,28 @@ func FuzzReadDictionary(f *testing.F) {
 }
 
 // FuzzReadMeta feeds arbitrary bytes to the metadata decoder Open runs,
-// seeded with the metadata of a Figure 1 build, after one insert, without
-// a WAL and with one. It must never panic; whether it accepts or
-// rejects, it must not allocate more than a fixed multiple of the input
-// (give or take a fixed slack), whatever counts the input claims; and
-// metadata it accepts must survive encode ∘ decode byte for byte.
+// seeded with the metadata of a Figure 1 build after one logged insert.
+// It must never panic; whether it accepts or rejects, it must not
+// allocate more than a fixed multiple of the input (give or take a
+// fixed slack), whatever counts the input claims; and metadata it
+// accepts must survive encode ∘ decode byte for byte.
 func FuzzReadMeta(f *testing.F) {
-	for _, wal := range []bool{false, true} {
-		dir := f.TempDir()
-		base, opts := filepath.Join(dir, "ix"), Options{}
-		if wal {
-			opts.WALDir = filepath.Join(dir, "wal")
-		}
-		ix, err := Build(base, figure1Graph(), opts)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if err := ix.InsertTriples(walTestTriples); err != nil {
-			f.Fatal(err)
-		}
-		if err := ix.Close(); err != nil {
-			f.Fatal(err)
-		}
-		raw, err := os.ReadFile(metaPath(base))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
+	base := filepath.Join(f.TempDir(), "ix")
+	ix, err := Build(base, figure1Graph(), Options{})
+	if err != nil {
+		f.Fatal(err)
 	}
+	if err := ix.InsertTriples(walTestTriples); err != nil {
+		f.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(metaPath(base))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
 	decode := func(data []byte) (*Index, error) {
 		ix := new(Index)
 		return ix, ix.decodeMeta(bufio.NewReader(bytes.NewReader(data)), int64(len(data)), nil)

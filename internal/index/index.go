@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"syscall"
 	"time"
 
 	"sama/internal/obs"
@@ -37,15 +38,9 @@ type Options struct {
 	// a storage.FaultInjector between the pool and the disk. The
 	// wrapper persists across Compact.
 	WrapIO func(storage.PageIO) storage.PageIO
-	// WALDir enables the durable write path: each insert is logged to
-	// the write-ahead log file in this directory, and fsynced, before
-	// any page is touched, and Open replays the log's unapplied suffix.
-	// An index built with a WAL records the directory in its metadata,
-	// so later Opens reattach it even when the option is left empty.
-	WALDir string
 	// CheckpointBytes triggers an automatic checkpoint after an insert
 	// once the WAL reaches this size (0: DefaultCheckpointBytes;
-	// negative: only explicit Checkpoint/Flush/Close checkpoint).
+	// negative: only explicit Checkpoint/Close checkpoint).
 	CheckpointBytes int64
 	// WALSyncHook interposes on the WAL's fsyncs (an append's commit,
 	// a checkpoint's fresh header), like WrapIO does for page I/O — the
@@ -88,8 +83,8 @@ type Stats struct {
 // Index is the opened, queryable path index. It is safe for concurrent
 // use: a query's cluster phase reads one consistent state through the
 // Reader of one View, which holds the read lock for the whole phase.
-// The writers — InsertTriples, CompactIncremental, Checkpoint, Flush
-// and Close — run one at a time under the writer lock, and each takes
+// The writers — InsertTriples, CompactIncremental, Checkpoint and
+// Close — run one at a time under the writer lock, and each takes
 // the write lock, which waits for open Views, only to mutate (page I/O
 // is additionally serialised by the buffer pool's own lock).
 type Index struct {
@@ -159,14 +154,13 @@ type Index struct {
 	thes    *textindex.Thesaurus
 	wrapIO  func(storage.PageIO) storage.PageIO
 	stats   Stats
-	// Durable write path state (nil/zero without a WAL): wal is the
-	// log, walDir its directory (persisted in the metadata), applied
-	// the LSN of the last record applied — every one below it is too,
-	// and under the writer lock it is the log's last LSN, so a
-	// checkpoint discards the whole log — and recovery is what Open
-	// replayed.
+	// Write path state: wal is the log at walPath(base), applied the
+	// LSN of the last record applied — every one below it is too, and
+	// under the writer lock it is the log's last LSN, so a checkpoint
+	// discards the whole log — and recovery is what Open replayed. lock
+	// holds <base>.lock (see lockBase) until Close, which sets it nil.
 	wal             *storage.WAL
-	walDir          string
+	lock            *os.File
 	checkpointBytes int64
 	applied         uint64
 	recovery        RecoveryStats
@@ -213,10 +207,28 @@ func wrapPageIO(file *storage.PageFile, wrap func(storage.PageIO) storage.PageIO
 
 func pagesPath(base string) string { return base + ".pages" }
 func metaPath(base string) string  { return base + ".meta" }
+func walPath(base string) string   { return base + ".wal" }
+
+// lockBase takes an exclusive, non-blocking flock on <base>.lock, which
+// keeps a second handle — in this process or another — off an open
+// index: its checkpoint would rewrite the log under the first's appends.
+// The file is never renamed, so the lock holds across checkpoints and
+// the compaction swap.
+func lockBase(base string) (*os.File, error) {
+	f, err := os.OpenFile(base+".lock", os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("index: %s is already open: %w", base, err)
+	}
+	return f, nil
+}
 
 // Build indexes the data graph g into files at base (base.pages and
-// base.meta), returning the opened index. An existing index at base is
-// overwritten.
+// base.meta), returning the opened index, and restarts the write-ahead
+// log at base.wal. An existing index at base is overwritten.
 func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
 	return build(base, g, opts, (*Index).streamPaths)
 }
@@ -225,13 +237,26 @@ func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
 // their count, given as fill.
 func build(base string, g *rdf.Graph, opts Options, fill func(*Index) (int, error)) (*Index, error) {
 	start := time.Now()
+	lock, err := lockBase(base)
+	if err != nil {
+		return nil, err
+	}
+	wal, err := storage.OpenWAL(walPath(base), storage.WALOptions{SyncHook: opts.WALSyncHook})
+	if err != nil {
+		lock.Close()
+		return nil, err
+	}
 	file, err := storage.CreatePageFile(pagesPath(base))
 	if err != nil {
+		wal.Close()
+		lock.Close()
 		return nil, err
 	}
 	ix := &Index{
 		base:            base,
 		file:            file,
+		wal:             wal,
+		lock:            lock,
 		pool:            storage.NewBufferPool(wrapPageIO(file, opts.WrapIO), opts.PoolPages),
 		sinks:           textindex.New(opts.Thesaurus),
 		labels:          textindex.New(opts.Thesaurus),
@@ -240,33 +265,20 @@ func build(base string, g *rdf.Graph, opts Options, fill func(*Index) (int, erro
 		pathCfg:         opts.pathConfig(),
 		thes:            opts.Thesaurus,
 		wrapIO:          opts.WrapIO,
-		walDir:          opts.WALDir,
 		checkpointBytes: opts.checkpointBytes(),
 		dict:            NewDictionary(),
 	}
 	ix.store = storage.NewRecordStore(ix.pool)
-	if ix.walDir != "" {
-		// A fresh build restarts history: any older log describes an
-		// index these files just replaced.
-		w, err := storage.OpenWAL(ix.walDir, storage.WALOptions{SyncHook: opts.WALSyncHook})
-		if err != nil {
-			file.Close()
-			return nil, err
-		}
-		if err := w.Reset(1); err != nil {
-			w.Close()
-			file.Close()
-			return nil, err
-		}
-		ix.wal = w
-	}
-
 	fail := func(err error) (*Index, error) {
-		if ix.wal != nil {
-			ix.wal.Close()
-		}
+		wal.Close()
 		file.Close()
+		lock.Close()
 		return nil, err
+	}
+	// A fresh build restarts history: any older log describes an index
+	// these files just replaced.
+	if err := wal.Reset(1); err != nil {
+		return fail(err)
 	}
 	n, err := fill(ix)
 	if err != nil {
@@ -371,16 +383,30 @@ func (ix *Index) addPath(p paths.Path) error {
 
 // Open loads an index previously written by Build. The pages stay on
 // disk (reads go through a fresh, cold buffer pool); the lookup tables
-// and the data graph are loaded into memory. If the metadata records a
-// WAL (or opts.WALDir names one), the log is scanned — a torn tail is
-// truncated, never replayed — the records after the applied watermark
-// are applied in LSN order, and a checkpoint makes them durable; if any
-// of that fails, so does Open. Temporary files from a crashed compaction
-// are resolved first: a swap that reached its commit point is
-// completed, anything earlier is discarded.
+// and the data graph are loaded into memory. The log at base.wal is
+// scanned — a torn tail is truncated, never replayed — the records
+// after the applied watermark are applied in LSN order, and a
+// checkpoint makes them durable; if any of that fails, so does Open.
+// Temporary files from a crashed compaction are resolved first: a swap
+// that reached its commit point is completed, anything earlier is
+// discarded.
 func Open(base string, opts Options) (*Index, error) {
+	lock, err := lockBase(base)
+	if err != nil {
+		return nil, err
+	}
 	recoverCompactSwap(base)
-	return openIndex(base, opts, true)
+	ix, err := openIndex(base, opts)
+	if err == nil {
+		if err = ix.openWAL(opts); err == nil {
+			ix.lock = lock
+			return ix, nil
+		}
+		ix.file.Close()
+		err = fmt.Errorf("index: open %s: %w", base, err)
+	}
+	lock.Close()
+	return nil, err
 }
 
 // recoverCompactSwap resolves <base>.compact.* leftovers from a
@@ -405,12 +431,10 @@ func recoverCompactSwap(base string) {
 	os.Remove(metaPath(tmp))
 }
 
-// openIndex is Open minus the crash-leftover cleanup, with the WAL
-// attachment and its replay optional: CompactIncremental reopens the
-// swapped files through it with attachWAL=false, because the index's
-// WAL handle is already open and stays valid across the swap (opening
-// the log twice would double-own the log file).
-func openIndex(base string, opts Options, attachWAL bool) (*Index, error) {
+// openIndex is Open minus the lock, the crash-leftover cleanup and the
+// log: CompactIncremental reopens the swapped files through it, because
+// the index's lock and log stay valid across the swap.
+func openIndex(base string, opts Options) (*Index, error) {
 	file, err := storage.OpenPageFile(pagesPath(base))
 	if err != nil {
 		return nil, err
@@ -429,25 +453,14 @@ func openIndex(base string, opts Options, attachWAL bool) (*Index, error) {
 		file.Close()
 		return nil, fmt.Errorf("index: open %s: %w", base, err)
 	}
-	if opts.WALDir != "" {
-		ix.walDir = opts.WALDir // explicit option wins over the metadata
-	}
-	if attachWAL && ix.walDir != "" {
-		if err := ix.openWAL(opts); err != nil {
-			file.Close()
-			return nil, fmt.Errorf("index: open %s: %w", base, err)
-		}
-	}
 	ix.stats.DiskBytes = ix.diskBytes()
 	return ix, nil
 }
 
-// metaMagic is the metadata format ("SAMAIDX7"), the only one readMeta
+// metaMagic is the metadata format ("SAMAIDX8"), the only one readMeta
 // accepts: the last byte is the version, and an index written under
 // another one has to be rebuilt from its data.
-var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '7'}
-
-const metaFlagWAL = 1
+var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '8'}
 
 // writeMeta persists the metadata atomically: the bytes go to a temp
 // file, are fsynced, and replace the old metadata with a rename — a
@@ -480,10 +493,9 @@ func (ix *Index) writeMeta() error {
 	return syncDirOf(metaPath(ix.base))
 }
 
-// encodeMeta writes the metadata to w and flushes it. When the index
-// has a WAL the applied LSN watermark and the WAL directory ride along,
-// so a reopen knows where replay starts and reattaches the log without
-// being told. The dictionary and the data graph ride in the same file,
+// encodeMeta writes the metadata to w and flushes it. The applied LSN
+// watermark comes first, so a reopen knows where replay starts. The
+// dictionary and the data graph ride in the same file,
 // behind the same rename, as the RIDs whose records the dictionary
 // decodes: no crash can pair one checkpoint's RIDs with another's
 // dictionary, or the paths of one graph with another graph.
@@ -505,14 +517,7 @@ func (ix *Index) encodeMeta(w *bufio.Writer) error {
 	var tmp [binary.MaxVarintLen64]byte
 	wu := func(v uint64) { w.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
 	w.Write(metaMagic[:])
-	if ix.walDir != "" {
-		wu(metaFlagWAL)
-		wu(ix.applied)
-		wu(uint64(len(ix.walDir)))
-		w.WriteString(ix.walDir)
-	} else {
-		wu(0)
-	}
+	wu(ix.applied)
 	for _, v := range []uint64{
 		uint64(ix.stats.Triples), uint64(ix.stats.HV), uint64(ix.stats.HE),
 		uint64(ix.stats.Paths), uint64(ix.stats.BuildTime),
@@ -616,12 +621,7 @@ func (ix *Index) decodeMeta(r *bufio.Reader, limit int64, thes *textindex.Thesau
 		return fmt.Errorf("bad meta magic %q", magic)
 	}
 	m := &metaReader{r: r, limit: limit}
-	if m.uvarint()&metaFlagWAL != 0 {
-		ix.applied = m.uvarint()
-		dir := make([]byte, m.count(1, "WAL directory byte"))
-		m.read(dir)
-		ix.walDir = string(dir)
-	}
+	ix.applied = m.uvarint()
 	ix.stats = Stats{
 		Triples:   int(m.uvarint()),
 		HV:        int(m.uvarint()),
@@ -1034,39 +1034,25 @@ func (ix *Index) DropCache() error { return ix.pool.DropCache() }
 // PoolStats exposes the buffer pool counters.
 func (ix *Index) PoolStats() storage.PoolStats { return ix.pool.Stats() }
 
-// Close flushes the pages and metadata and closes the index files.
-// With a WAL this is a full checkpoint first, so a clean shutdown
-// reopens with nothing to replay; if the checkpoint fails (a poisoned
-// sync, say) the metadata is NOT advanced — the WAL keeps the records
-// and the next Open replays them. Close is idempotent: a second call
-// closes already-closed files, which the storage layer reports as
-// success.
+// Close checkpoints and closes the index files, then releases the
+// lock, so a clean shutdown reopens with nothing to replay; if the
+// checkpoint fails (a poisoned sync, say) the metadata is NOT advanced
+// — the WAL keeps the records and the next Open replays them. Close is
+// idempotent: a second call returns nil.
 func (ix *Index) Close() error {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.wal != nil {
-		firstErr := ix.checkpointLocked()
-		if err := ix.wal.Close(); err != nil && firstErr == nil {
+	if ix.lock == nil {
+		return nil
+	}
+	firstErr := ix.checkpointLocked()
+	for _, c := range []io.Closer{ix.wal, ix.pool, ix.file, ix.lock} {
+		if err := c.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if err := ix.pool.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := ix.file.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		return firstErr
 	}
-	if err := ix.writeMeta(); err != nil {
-		ix.pool.Close()
-		ix.file.Close()
-		return err
-	}
-	if err := ix.pool.Close(); err != nil {
-		ix.file.Close()
-		return err
-	}
-	return ix.file.Close()
+	ix.lock = nil
+	return firstErr
 }

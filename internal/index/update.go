@@ -66,14 +66,14 @@ func (ix *Index) livePathsLocked() int {
 // is undone to what it was, so the next metadata write cannot persist a
 // graph the index does not match.
 //
-// With a WAL the batch is logged and fsynced before any page is
-// touched. The insert holds the writer lock across the append and the
-// apply, so concurrent inserters take turns, each paying its own fsync,
-// and an insert racing Close either lands whole before it or fails
-// with nothing logged. A batch whose log record is durable but whose
-// apply failed is in commit limbo: the caller saw an error and the
-// index skipped it, but a crash before the next checkpoint will replay
-// it — like a timed-out commit, it may land anyway.
+// The batch is logged and fsynced before any page is touched. The
+// insert holds the writer lock across the append and the apply, so
+// concurrent inserters take turns, each paying its own fsync, and an
+// insert racing Close either lands whole before it or fails with
+// nothing logged. A batch whose log record is durable but whose apply
+// failed is in commit limbo: the caller saw an error and the index
+// skipped it, but a crash before the next checkpoint will replay it —
+// like a timed-out commit, it may land anyway.
 func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 	if len(ts) == 0 {
 		return nil
@@ -87,25 +87,20 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
 	// Log outside the index lock, so queries do not wait for the fsync.
-	var lsn uint64
-	if ix.wal != nil {
-		var err error
-		if lsn, err = ix.wal.Append(encodeTriples(ts)); err != nil {
-			return fmt.Errorf("index: wal append: %w", err)
-		}
+	lsn, err := ix.wal.Append(encodeTriples(ts))
+	if err != nil {
+		return fmt.Errorf("index: wal append: %w", err)
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	err := ix.applyTriplesLocked(ts)
-	if ix.wal != nil {
-		// Count even a failed apply as applied: the record is durable
-		// regardless, and a checkpoint discards the whole log, so its
-		// watermark must reach the last record.
-		ix.applied = lsn
-		if err == nil && ix.checkpointBytes > 0 && ix.wal.Size() >= ix.checkpointBytes {
-			if cerr := ix.checkpointLocked(); cerr != nil {
-				return fmt.Errorf("index: auto checkpoint: %w", cerr)
-			}
+	err = ix.applyTriplesLocked(ts)
+	// Count even a failed apply as applied: the record is durable
+	// regardless, and a checkpoint discards the whole log, so its
+	// watermark must reach the last record.
+	ix.applied = lsn
+	if err == nil && ix.checkpointBytes > 0 && ix.wal.Size() >= ix.checkpointBytes {
+		if cerr := ix.checkpointLocked(); cerr != nil {
+			return fmt.Errorf("index: auto checkpoint: %w", cerr)
 		}
 	}
 	return err
@@ -386,30 +381,4 @@ func (ix *Index) oldPathsFrom(g *rdf.Graph, starts []rdf.NodeID) (oldPaths, erro
 		}
 	}
 	return old, nil
-}
-
-// Flush persists the metadata (postings, tombstones, statistics) and
-// the dirty pages. With a WAL this is a full checkpoint: the applied
-// watermark becomes durable and the log is discarded.
-// Close also flushes.
-func (ix *Index) Flush() error {
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.wal != nil {
-		if err := ix.checkpointLocked(); err != nil {
-			return err
-		}
-		ix.stats.DiskBytes = ix.diskBytes()
-		return nil
-	}
-	if err := ix.pool.Flush(); err != nil {
-		return err
-	}
-	if err := ix.writeMeta(); err != nil {
-		return err
-	}
-	ix.stats.DiskBytes = ix.diskBytes()
-	return nil
 }

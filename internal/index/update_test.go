@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -240,19 +241,16 @@ func TestInsertTriplesPersistsAcrossReopen(t *testing.T) {
 // TestReopenKeepsEarlierInserts: Build, insert T, Close, Open, insert U
 // on T's subject. The reopened index has the graph T went into, so T's
 // path stays and the live paths are a rebuild's of the final graph —
-// without a WAL, and with one on a crash clone taken once U is
+// after a clean Close and Open, and on a crash clone taken once U is
 // acknowledged, so U lives only in the log.
 func TestReopenKeepsEarlierInserts(t *testing.T) {
 	tT := rdf.Triple{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("Z0001")}
 	tU := rdf.Triple{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("Z0002")}
-	for _, name := range []string{"no-wal", "wal-crash"} {
+	for _, name := range []string{"clean-close", "wal-crash"} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			base, walDir := filepath.Join(dir, "ix"), ""
-			if name == "wal-crash" {
-				walDir = filepath.Join(dir, "wal")
-			}
-			ix, err := Build(base, figure1Graph(), Options{WALDir: walDir})
+			base := filepath.Join(dir, "ix")
+			ix, err := Build(base, figure1Graph(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,12 +267,15 @@ func TestReopenKeepsEarlierInserts(t *testing.T) {
 			if err := re.InsertTriples([]rdf.Triple{tU}); err != nil {
 				t.Fatalf("insert after reopen: %v", err)
 			}
-			if walDir != "" {
-				cb, cw := crashClone(t, base, walDir)
-				re.Close()
-				if re, err = Open(cb, Options{WALDir: cw}); err != nil {
-					t.Fatal(err)
-				}
+			reopen := base
+			if name == "wal-crash" {
+				reopen = crashClone(t, base)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if re, err = Open(reopen, Options{}); err != nil {
+				t.Fatal(err)
 			}
 			defer re.Close()
 			ends := 0
@@ -349,23 +350,35 @@ func TestInsertTriplesHubGraphRebuilds(t *testing.T) {
 	}
 }
 
-func TestUpdatedIndexStillAnswersViaFlush(t *testing.T) {
+// TestCheckpointRefreshesDiskBytes: after inserts and a Checkpoint,
+// Stats().DiskBytes is the size of the two index files the checkpoint
+// wrote (the log is left out), and the index answers the inserts.
+func TestCheckpointRefreshesDiskBytes(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "upd7")
 	ix, err := Build(base, figure1Graph(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
+	built := ix.Stats().DiskBytes
 	if err := ix.InsertTriples([]rdf.Triple{
 		{S: iri("NewPerson"), P: iri("gender"), O: lit("Male")},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Flush(); err != nil {
+	if err := ix.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Stats().DiskBytes <= 0 {
-		t.Error("Flush did not refresh disk stats")
+	var files int64
+	for _, name := range []string{pagesPath(base), metaPath(base)} {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files += fi.Size()
+	}
+	if got := ix.Stats().DiskBytes; got != files || got == built {
+		t.Errorf("DiskBytes after a checkpoint = %d, want the files' %d (build time: %d)", got, files, built)
 	}
 	males := ix.PathsBySink("male")
 	found := false

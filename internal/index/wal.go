@@ -8,9 +8,9 @@ import (
 	"sama/internal/storage"
 )
 
-// This file holds the index side of the durable write path: the triple
-// batch codec the WAL records use, the checkpoint protocol, and the
-// replay Open runs.
+// This file holds the index side of the write path: the triple batch
+// codec the WAL records use, the checkpoint protocol, and the replay
+// Open runs.
 //
 // The invariant everything here maintains: at any instant the on-disk
 // state (pages + metadata checkpoint, which carries the data graph) plus
@@ -85,20 +85,19 @@ func decodeTriples(data []byte) ([]rdf.Triple, error) {
 //     checkpointed (no longer replayable) records are never rewritten —
 //     a torn page write can then only hit records the WAL can restore.
 //
-// A crash between any two steps is safe: before 2 the old metadata
-// still pairs with the old log; after 2 the new metadata pairs with
-// either the old log, whose records the watermark skips, or the fresh
-// one.
+// Stats().DiskBytes is refreshed after step 2; the log is left out of
+// it, being transient. A crash between any two steps is safe: before 2
+// the old metadata still pairs with the old log; after 2 the new
+// metadata pairs with either the old log, whose records the watermark
+// skips, or the fresh one.
 func (ix *Index) checkpointLocked() error {
-	if ix.wal == nil {
-		return nil
-	}
 	if err := ix.pool.Flush(); err != nil {
 		return fmt.Errorf("index: checkpoint flush: %w", err)
 	}
 	if err := ix.writeMeta(); err != nil {
 		return fmt.Errorf("index: checkpoint meta: %w", err)
 	}
+	ix.stats.DiskBytes = ix.diskBytes()
 	if err := ix.wal.Checkpoint(ix.applied); err != nil {
 		return fmt.Errorf("index: checkpoint wal: %w", err)
 	}
@@ -107,7 +106,8 @@ func (ix *Index) checkpointLocked() error {
 }
 
 // Checkpoint forces a checkpoint: pages and metadata are made durable
-// and the WAL's records are discarded. A no-op without a WAL.
+// and the WAL's records are discarded. It is the one way to persist
+// the index short of Close.
 func (ix *Index) Checkpoint() error {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
@@ -131,24 +131,16 @@ type RecoveryStats struct {
 	Replay time.Duration `json:"replay_ns"`
 }
 
-// Recovery returns what Open replayed from the WAL (zero without one).
+// Recovery returns what Open replayed from the WAL (zero after Build
+// or a clean Close).
 func (ix *Index) Recovery() RecoveryStats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.recovery
 }
 
-// WALStats returns a snapshot of the WAL counters; ok is false when
-// the index has no WAL.
-func (ix *Index) WALStats() (st storage.WALStats, ok bool) {
-	ix.mu.RLock()
-	w := ix.wal
-	ix.mu.RUnlock()
-	if w == nil {
-		return storage.WALStats{}, false
-	}
-	return w.Stats(), true
-}
+// WALStats returns a snapshot of the WAL counters.
+func (ix *Index) WALStats() storage.WALStats { return ix.wal.Stats() }
 
 // openWAL attaches the log during Open and replays it: the log is
 // scanned (a torn tail is truncated, never replayed), its LSNs are
@@ -156,7 +148,7 @@ func (ix *Index) WALStats() (st storage.WALStats, ok bool) {
 // are applied to the metadata's graph in LSN order, and a checkpoint
 // makes the result durable.
 func (ix *Index) openWAL(opts Options) error {
-	w, err := storage.OpenWAL(ix.walDir, storage.WALOptions{
+	w, err := storage.OpenWAL(walPath(ix.base), storage.WALOptions{
 		MinNextLSN: ix.applied + 1,
 		SyncHook:   opts.WALSyncHook,
 	})

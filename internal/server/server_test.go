@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -309,6 +310,61 @@ func TestQueueTimeoutSheds(t *testing.T) {
 	_, err := c.Query(context.Background(), "queued", client.QueryOptions{})
 	if !client.IsOverloaded(err) {
 		t.Fatalf("queued query = %v, want 503 after queue timeout", err)
+	}
+}
+
+// TestQueueWaitMetric: a request queued behind a held slot waits until
+// the slot frees, and sama_server_queue_wait_seconds observes each
+// admitted request's wait — the queued one's at least the hold.
+func TestQueueWaitMetric(t *testing.T) {
+	gate := make(chan struct{})
+	reg := obs.NewRegistry()
+	h := New(Backend{
+		Metrics: reg,
+		Debug:   obs.DebugMux(reg, nil),
+		Query: func(ctx context.Context, src string, k, _ int) (*QueryOutcome, error) {
+			if src == "blocker" {
+				<-gate
+			}
+			return testOutcome(false), nil
+		},
+	}, Options{MaxInflight: 1, MaxQueue: 1, QueueTimeout: 10 * time.Second})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	c := client.New(ts.URL)
+
+	blocked := make(chan *client.QueryResponse, 1)
+	go func() {
+		resp, _ := c.Query(context.Background(), "blocker", client.QueryOptions{})
+		blocked <- resp
+	}()
+	waitFor(t, func() bool { return h.Inflight() == 1 })
+	queued := make(chan *client.QueryResponse, 1)
+	go func() {
+		resp, _ := c.Query(context.Background(), "queued", client.QueryOptions{})
+		queued <- resp
+	}()
+	waitFor(t, func() bool { _, q := h.adm.counts(); return q == 1 })
+	const hold = 30 * time.Millisecond
+	time.Sleep(hold)
+	close(gate)
+	first, second := <-blocked, <-queued
+	if first == nil || second == nil {
+		t.Fatal("a request failed")
+	}
+	if second.Stats.QueueNS < hold.Nanoseconds() {
+		t.Fatalf("the queued request waited %v, less than the %v hold", time.Duration(second.Stats.QueueNS), hold)
+	}
+	text, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := metricValue(t, text, "sama_server_queue_wait_seconds_count"); v != 2 {
+		t.Errorf("sama_server_queue_wait_seconds_count = %g, want 2", v)
+	}
+	want := time.Duration(first.Stats.QueueNS + second.Stats.QueueNS).Seconds()
+	if v := metricValue(t, text, "sama_server_queue_wait_seconds_sum"); math.Abs(v-want) > 1e-6 {
+		t.Errorf("sama_server_queue_wait_seconds_sum = %g, want the responses' %g", v, want)
 	}
 }
 

@@ -148,6 +148,127 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
+// scrape returns the samples db's /metrics serves.
+func scrape(t *testing.T, db *sama.DB) map[string]float64 {
+	t.Helper()
+	srv := httptest.NewServer(db.DebugHandler())
+	defer srv.Close()
+	return parseSamples(t, httpGet(t, srv.Client(), srv.URL+"/metrics"))
+}
+
+// TestCacheInvalidationsMetric: an insert that adds a path to a cached
+// cluster's candidates makes its memo entry stale, re-confirmation
+// refuses it, and sama_cache_invalidations_total counts the refusal.
+func TestCacheInvalidationsMetric(t *testing.T) {
+	db := obsTestDB(t)
+	if _, err := db.QuerySPARQL(obsTestQuery, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert([]sama.Triple{
+		{S: sama.NewIRI("NewSen"), P: sama.NewIRI("sponsor"), O: sama.NewIRI("B1432")},
+		{S: sama.NewIRI("NewSen"), P: sama.NewIRI("gender"), O: sama.NewLiteral("Male")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.QuerySPARQL(obsTestQuery, 5); err != nil {
+		t.Fatal(err)
+	}
+	want := db.CacheStats()["align"].Invalidations
+	if want == 0 {
+		t.Fatal("re-confirmation refused no stale entry; the test needs an insert that changes a cut")
+	}
+	if got := scrape(t, db)[`sama_cache_invalidations_total{cache="align"}`]; got != float64(want) {
+		t.Errorf("sama_cache_invalidations_total = %v, want %d", got, want)
+	}
+}
+
+// TestExtractedPathsMetric: sama_extracted_paths_total is the sum, over
+// the queries run, of the candidates each cluster retrieved (the
+// explain plan's align[i] retrieved).
+func TestExtractedPathsMetric(t *testing.T) {
+	db := obsTestDB(t, sama.WithAlignmentCache(-1))
+	var want int64
+	for _, q := range []string{obsTestQuery, `SELECT ?x WHERE { ?x <subject> "Health Care" }`} {
+		_, plan, err := db.Explain(context.Background(), q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ph := range plan.Phases {
+			if ph.Name != "cluster" {
+				continue
+			}
+			for _, c := range ph.Children {
+				want += c.Attrs["retrieved"]
+			}
+		}
+	}
+	if want == 0 {
+		t.Fatal("the plans retrieved no candidate")
+	}
+	if got := scrape(t, db)["sama_extracted_paths_total"]; got != float64(want) {
+		t.Errorf("sama_extracted_paths_total = %v, want the plans' %d", got, want)
+	}
+}
+
+// TestIndexDiskBytesMetric: after inserts and a checkpoint,
+// sama_index_disk_bytes is the size of the two index files, the log
+// left out.
+func TestIndexDiskBytesMetric(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "db")
+	db, err := sama.Create(base, sama.NewGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 20; i++ {
+		s := sama.NewIRI("s" + strconv.Itoa(i))
+		if err := db.Insert([]sama.Triple{{S: s, P: sama.NewIRI("p"), O: sama.NewLiteral("o")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, name := range []string{base + ".pages", base + ".meta"} {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += fi.Size()
+	}
+	if got := scrape(t, db)["sama_index_disk_bytes"]; got != float64(want) {
+		t.Errorf("sama_index_disk_bytes = %v, want the files' %d", got, want)
+	}
+}
+
+// TestPoolEvictionsMetric: a query whose candidates span several pages
+// evicts from a one-page pool, and sama_pool_evictions_total reads the
+// pool's own counter.
+func TestPoolEvictionsMetric(t *testing.T) {
+	g := sama.NewGraph()
+	for i := 0; i < 3000; i++ {
+		s := sama.NewIRI("sen" + strconv.Itoa(i))
+		g.AddTriple(sama.Triple{S: s, P: sama.NewIRI("gender"), O: sama.NewLiteral("Male")})
+		g.AddTriple(sama.Triple{S: s, P: sama.NewIRI("sponsor"), O: sama.NewIRI("bill" + strconv.Itoa(i))})
+	}
+	db, err := sama.Create(filepath.Join(t.TempDir(), "db"), g, sama.WithPoolPages(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.QuerySPARQL(obsTestQuery, 5); err != nil {
+		t.Fatal(err)
+	}
+	want := db.PoolStats().Evictions
+	if want == 0 {
+		t.Fatal("a one-page pool evicted nothing")
+	}
+	if got := scrape(t, db)["sama_pool_evictions_total"]; got != float64(want) {
+		t.Errorf("sama_pool_evictions_total = %v, want %d", got, want)
+	}
+}
+
 // TestServeMountsDebugRoutes: the query server's one listener also
 // serves the debug tree, so nothing needs a second listener for it.
 func TestServeMountsDebugRoutes(t *testing.T) {
@@ -281,13 +402,13 @@ func TestPoolStatsDuringConcurrentQueries(t *testing.T) {
 
 // TestMetricsReferenceMatchesRegistry pins the README's metrics
 // reference to the registry: a session that touches every family — a
-// query, a deadline-expired query, a WAL insert and one shed once the
+// query, a deadline-expired query, an insert and one shed once the
 // handler drains — must leave /metrics with exactly the families the
 // table lists, each with the table's type and label names.
 func TestMetricsReferenceMatchesRegistry(t *testing.T) {
 	want := readmeMetrics(t)
 
-	db := obsTestDB(t, sama.WithWAL(filepath.Join(t.TempDir(), "wal")))
+	db := obsTestDB(t)
 	if err := db.Insert([]sama.Triple{{S: sama.NewIRI("NewSen"), P: sama.NewIRI("sponsor"), O: sama.NewIRI("A0056")}}); err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@ func TestOperationsAfterCloseReturnErrClosed(t *testing.T) {
 	if err := db.Insert([]Triple{{S: NewIRI("a"), P: NewIRI("b"), O: NewIRI("c")}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Insert after Close: %v, want ErrClosed", err)
 	}
-	if err := db.Flush(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Flush after Close: %v, want ErrClosed", err)
+	if err := db.Checkpoint(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Checkpoint after Close: %v, want ErrClosed", err)
 	}
 	if _, err := db.CompactIncremental(context.Background(), 0); !errors.Is(err, ErrClosed) {
 		t.Errorf("CompactIncremental after Close: %v, want ErrClosed", err)

@@ -184,7 +184,6 @@ type config struct {
 	poolPages int
 	thesaurus *textindex.Thesaurus
 	engine    core.Options
-	walDir    string
 }
 
 // WithParams sets the similarity coefficients. Every weight must be
@@ -227,16 +226,10 @@ func WithAlignmentCache(mb int) Option {
 	return func(c *config) { c.engine.AlignCacheMB = mb }
 }
 
-// WithWAL enables the durable write path: every Insert batch is framed
-// into a write-ahead log file in dir and fsynced before any index page
-// is touched, so acknowledged writes survive a crash. Inserts run one
-// at a time, each paying its own fsync; queries do not wait for it. A
-// database created with a WAL records dir in its metadata; later Opens
-// reattach the log without the option and, after a crash, replay the
-// records it holds past the last checkpoint before returning.
-// Checkpoints (once the log reaches 16 MiB after an insert, or explicit
-// via Checkpoint/Flush/Close) discard the whole log.
-func WithWAL(dir string) Option { return func(c *config) { c.walDir = dir } }
+// WithWAL does nothing: every database logs its inserts to
+// basePath.wal (see Create). It is kept only because the benchmark
+// harness still passes it.
+func WithWAL(string) Option { return func(*config) {} }
 
 // DB is an opened Sama database: a disk-resident path index plus the
 // query engine over it. Every DB owns a metrics registry and a ring of
@@ -262,7 +255,11 @@ func buildConfig(opts []Option) (*config, error) {
 
 // Create indexes the data graph into files at basePath (basePath.pages
 // and basePath.meta), overwriting any existing index, and returns the
-// opened database.
+// opened database. Each Insert is fsynced to the write-ahead log at
+// basePath.wal before it is applied, so an acknowledged one survives a
+// crash; a checkpoint (once the log reaches 16 MiB, or Checkpoint, or
+// Close) discards the log. Until Close, basePath.lock fails a second
+// Create or Open of basePath, in this process or another.
 func Create(basePath string, g *Graph, opts ...Option) (*DB, error) {
 	c, err := buildConfig(opts)
 	if err != nil {
@@ -272,7 +269,6 @@ func Create(basePath string, g *Graph, opts ...Option) (*DB, error) {
 		Paths:     c.pathCfg,
 		PoolPages: c.poolPages,
 		Thesaurus: c.thesaurus,
-		WALDir:    c.walDir,
 	})
 	if err != nil {
 		return nil, err
@@ -281,8 +277,8 @@ func Create(basePath string, g *Graph, opts ...Option) (*DB, error) {
 }
 
 // Open loads a previously created index from basePath.meta and
-// basePath.pages. With a write-ahead log, the batches it holds past the
-// last checkpoint are replayed first (DB.Recovery reports them); if the
+// basePath.pages. The batches basePath.wal holds past the last
+// checkpoint are replayed first (DB.Recovery reports them); if the
 // replay fails, so does Open.
 func Open(basePath string, opts ...Option) (*DB, error) {
 	c, err := buildConfig(opts)
@@ -292,7 +288,6 @@ func Open(basePath string, opts ...Option) (*DB, error) {
 	idx, err := index.Open(basePath, index.Options{
 		PoolPages: c.poolPages,
 		Thesaurus: c.thesaurus,
-		WALDir:    c.walDir,
 	})
 	if err != nil {
 		// Older builds wrote a sharded layout as basePath.shards/ with no
@@ -322,17 +317,15 @@ func newDB(st *index.Index, c *config) *DB {
 		pool(func(s storage.PoolStats) uint64 { return s.Misses }))
 	reg.CounterFunc("sama_pool_evictions_total", "Buffer pool frame evictions.",
 		pool(func(s storage.PoolStats) uint64 { return s.Evictions }))
-	if _, ok := st.WALStats(); ok {
-		wal := func(get func(storage.WALStats) uint64) func() uint64 {
-			return func() uint64 { ws, _ := st.WALStats(); return get(ws) }
-		}
-		reg.CounterFunc("sama_wal_appends_total", "WAL records appended.",
-			wal(func(s storage.WALStats) uint64 { return s.Appends }))
-		reg.CounterFunc("sama_wal_syncs_total", "WAL commit fsyncs.",
-			wal(func(s storage.WALStats) uint64 { return s.Syncs }))
-		reg.CounterFunc("sama_wal_appended_bytes_total", "Bytes ever framed into the WAL, across checkpoints.",
-			wal(func(s storage.WALStats) uint64 { return s.AppendedBytes }))
+	wal := func(get func(storage.WALStats) uint64) func() uint64 {
+		return func() uint64 { return get(st.WALStats()) }
 	}
+	reg.CounterFunc("sama_wal_appends_total", "WAL records appended.",
+		wal(func(s storage.WALStats) uint64 { return s.Appends }))
+	reg.CounterFunc("sama_wal_syncs_total", "WAL commit fsyncs.",
+		wal(func(s storage.WALStats) uint64 { return s.Syncs }))
+	reg.CounterFunc("sama_wal_appended_bytes_total", "Bytes ever framed into the WAL, across checkpoints.",
+		wal(func(s storage.WALStats) uint64 { return s.AppendedBytes }))
 	engOpts := c.engine
 	engOpts.Metrics = reg
 	return &DB{
@@ -506,9 +499,8 @@ func dedupeByProjection(answers []Answer, vars []string, k int) []Answer {
 
 // Insert adds statements to the database incrementally: the data graph
 // grows and only the affected index paths are re-enumerated (the §7
-// index-update mechanism). Call Flush (or Close) to persist the updated
-// metadata and graph; with a WAL the batch is durable when Insert
-// returns.
+// index-update mechanism). The batch is durable when Insert returns;
+// Checkpoint (or Close) folds the log into the index files.
 func (db *DB) Insert(triples []Triple) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -519,19 +511,11 @@ func (db *DB) Insert(triples []Triple) error {
 	return db.store.InsertTriples(triples)
 }
 
-// Flush persists dirty pages and metadata without closing.
-func (db *DB) Flush() error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	return db.store.Flush()
-}
-
 // CompactIncremental rewrites the index files keeping only live paths,
 // reclaiming the space tombstoned by Insert. Live paths are copied in
 // batches of batchSize (0 means a default); queries run between steps,
-// each pause one short reader-lock hold, while Insert, Checkpoint and
-// Flush wait for the whole compaction. The returned stats report the
+// each pause one short reader-lock hold, while Insert and Checkpoint
+// wait for the whole compaction. The returned stats report the
 // batch count, pause distribution and the worst pause.
 func (db *DB) CompactIncremental(ctx context.Context, batchSize int) (CompactStats, error) {
 	if db.closed.Load() {
@@ -541,8 +525,8 @@ func (db *DB) CompactIncremental(ctx context.Context, batchSize int) (CompactSta
 }
 
 // Checkpoint persists the indexed state (pages, then the metadata with
-// the data graph) and truncates the write-ahead log up to it. A no-op
-// without a WAL.
+// the data graph) and truncates the write-ahead log up to it: the one
+// way to persist short of Close.
 func (db *DB) Checkpoint() error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -551,12 +535,12 @@ func (db *DB) Checkpoint() error {
 }
 
 // Recovery reports what Open replayed from the write-ahead log: zero
-// after a clean shutdown or without a WAL.
+// after a clean shutdown.
 func (db *DB) Recovery() RecoveryStats { return db.store.Recovery() }
 
-// WALStats returns the write-ahead log's counters; ok is false when the
-// database was opened without a WAL.
-func (db *DB) WALStats() (WALStats, bool) { return db.store.WALStats() }
+// WALStats returns the write-ahead log's counters. ok is always true: it
+// is kept only because the benchmark harness still reads it.
+func (db *DB) WALStats() (st WALStats, ok bool) { return db.store.WALStats(), true }
 
 // Stats returns the index build statistics (Table 1's measurements).
 func (db *DB) Stats() IndexStats { return db.store.Stats() }
@@ -655,7 +639,8 @@ func (db *DB) DropCache() error {
 	return db.store.DropCache()
 }
 
-// Close flushes and closes the index files. Close is idempotent: the
+// Close checkpoints and closes the index files, releasing the base
+// path for the next Open. Close is idempotent: the
 // second and later calls return nil. Queries issued after Close return
 // ErrClosed.
 func (db *DB) Close() error {

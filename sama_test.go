@@ -364,7 +364,7 @@ func TestInsertIncrementally(t *testing.T) {
 	if err := db.Insert(inserted); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// The query above filled the alignment memo and the insert left it
