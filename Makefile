@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet build bins test race race-hot crash bench-check fuzz-smoke loc knobs profile serve-smoke
+.PHONY: check fmt vet build bins test race race-hot crash bench-check bench-smoke fuzz-smoke loc knobs profile serve-smoke
 
 # check is the tier-1 gate: formatting, static analysis, a full build
 # (packages and both binaries), the race-enabled test suite with an
 # extra race pass over the concurrency-hot packages, the
-# crash-recovery matrix, the benchmark module's own vet and tests, and
-# a ten-second run of each native fuzz target. CI and pre-commit both
-# run this.
-check: fmt vet build bins race race-hot crash bench-check fuzz-smoke
+# crash-recovery matrix, the benchmark module's own vet and tests, one
+# lap of every benchmark, and a ten-second run of each native fuzz
+# target. CI and pre-commit both run this.
+check: fmt vet build bins race race-hot crash bench-check bench-smoke fuzz-smoke
 
 fmt:
 	@files=$$(gofmt -l .); \
@@ -63,7 +63,8 @@ race-hot:
 # metadata persists as it was; inserts racing Close, each of which
 # lands whole before it or fails with nothing logged; a reopen that
 # keeps earlier inserts, after a clean close and after a crash; a
-# second handle on an open index, refused by its lock; a database
+# second handle on an open index, refused by its lock; a failed open
+# of a path with no index, which leaves no lock file behind; a database
 # created with no options that keeps an acknowledged insert across a
 # crash; an insert stream equal
 # to a rebuild with one batch re-applied, as replay re-applies it; and,
@@ -76,13 +77,20 @@ race-hot:
 # which must never serve an answer set older than the inserts they saw
 # complete.
 crash:
-	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestReopenKeepsEarlierInserts|TestOpenLocksBase|TestDefaultDatabaseSurvivesCrash|TestInsertEqualsRebuild|TestAlignMemoExactUnderWrites|TestAssemblyDecodesClustersTermTable|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers' . ./internal/storage ./internal/index ./internal/core
+	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestReopenKeepsEarlierInserts|TestOpenLocksBase|TestOpenMissingBaseLeavesNoLock|TestDefaultDatabaseSurvivesCrash|TestInsertEqualsRebuild|TestAlignMemoExactUnderWrites|TestAssemblyDecodesClustersTermTable|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers' . ./internal/storage ./internal/index ./internal/core
 
 # bench-check vets and tests bench/, the benchmark's own module: root
 # ./... patterns skip it, so an API it imports from internal/ could
 # otherwise be deleted unnoticed.
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
+# bench-smoke runs every benchmark of the root module once, so one that
+# no longer builds or whose own guards fail (a warm memo that is not all
+# hits, a recorded walk that is not the search's) fails the gate instead
+# of waiting for the next profile. bench/ has its own module and gate.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # fuzz-smoke runs each of the twelve native fuzz targets — the
 # path-record decoder, the dictionary reader and the metadata decoder
@@ -152,7 +160,9 @@ knobs:
 # is busiest (BenchmarkSearchBudgetBound: Q11/Q12 over LUBM 10 k,
 # clustered once, searched to the visit budget) and on the small
 # lattices (BenchmarkSearchMix: Q1–Q10, the cluster_param and
-# read_after_write shapes), and the cluster phase with nothing memoised
+# read_after_write shapes), three of its layers apart on Q11's recorded
+# walk (BenchmarkSearchLayers: the visited set, pair scoring, the top-k
+# list), and the cluster phase with nothing memoised
 # and with everything memoised (BenchmarkClusterColdMemo,
 # BenchmarkClusterWarmMemo: the cluster_param shapes over every
 # department of LUBM 10 k; the warm one also writes the heap profile of
@@ -168,6 +178,8 @@ profile:
 		-cpuprofile results/cpu_search.pprof -o results/bench.test ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkSearchMix' -benchtime 200x \
 		-cpuprofile results/cpu_search_mix.pprof -o results/bench.test ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkSearchLayers' -benchtime 20x \
+		-cpuprofile results/cpu_search_layers.pprof -o results/bench.test ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterColdMemo' -benchtime 10x \
 		-cpuprofile results/cpu_cluster.pprof -o results/bench.test ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterWarmMemo' -benchtime 2000x \
@@ -180,7 +192,7 @@ profile:
 		-o results/index.test ./internal/index
 	$(GO) test -run '^$$' -bench 'BenchmarkWriteResponse' -benchtime 20000x -benchmem \
 		-cpuprofile results/cpu_write_response.pprof -o results/server.test ./internal/server
-	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,cluster,cluster_warm,cluster_after_insert}.pprof"
+	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,search_layers,cluster,cluster_warm,cluster_after_insert}.pprof"
 	@echo "the memo's heap: $(GO) tool pprof -sample_index=inuse_space results/bench.test results/mem_cluster_warm.pprof"
 	@echo "the build: $(GO) tool pprof results/index.test results/cpu_build.pprof (allocations: -sample_index=alloc_space results/mem_build.pprof)"
 	@echo "the response encode: $(GO) tool pprof results/server.test results/cpu_write_response.pprof"

@@ -12,9 +12,9 @@ func (g *GreedyAligner) AlignOps(p, q paths.Path, log *[]Op) *Alignment {
 // and reports whether the window tie-break recorded operations into
 // the aligner's scratch, i.e. whether two anchors tied on cost.
 func (g *GreedyAligner) AlignTied(p, q paths.Path) (*Alignment, bool) {
-	g.ops = g.ops[:0]
+	g.tie.ops = g.tie.ops[:0]
 	al := g.Align(p, q)
-	return al, len(g.ops) > 0
+	return al, len(g.tie.ops) > 0
 }
 
 // PaperPairs are the worked examples of §4.3 and Figure 3 as (p, q)

@@ -50,9 +50,8 @@ type GreedyAligner struct {
 	// one Align computes each path's pairs exactly once instead of once
 	// per anchor.
 	pp, qp []pair
-	// ops is the op log the window tie-break records into when the
-	// caller did not ask for one.
-	ops []Op
+	// tie is the window tie-break's scratch.
+	tie tieScratch
 }
 
 // NewGreedy returns a GreedyAligner with the given parameters.
@@ -85,7 +84,7 @@ func (g *GreedyAligner) alignOps(p, q paths.Path, log *[]Op) *Alignment {
 	costAt := func(t int) float64 {
 		return g.costPairs(p.Nodes[t], q.Sink(), g.pp[len(g.pp)-t:], g.qp)
 	}
-	return alignBestWindow(core, costAt, p, q, g.Params, log, &g.ops)
+	return alignBestWindow(core, costAt, p, q, g.Params, log, &g.tie)
 }
 
 // alignAnchored is the sink-to-sink backward scan (allocating variant;
@@ -242,6 +241,14 @@ func minf(a, b float64) float64 {
 	return b
 }
 
+// tieScratch is alignBestWindow's tie-break scratch, kept by a
+// long-lived aligner: the op log the tied windows record into when the
+// caller did not ask for one, and the query path's stemmed labels.
+type tieScratch struct {
+	ops   []Op
+	stems queryStems
+}
+
 // alignBestWindow tries the sink-to-sink anchoring and every interior
 // anchor (query sink at position t of p; p's suffix past t is free
 // context) and returns the cheapest alignment. core(t, log) aligns q
@@ -264,9 +271,9 @@ func minf(a, b float64) float64 {
 //
 // The winner's operations are appended to *log when log is non-nil.
 // Only the tie-break reads operations itself: when anchors tie and the
-// caller passed no log, the tied windows record into *tie (scratch,
+// caller passed no log, the tied windows record into tie.ops (scratch,
 // overwritten); an untied alignment emits nothing.
-func alignBestWindow(core func(t int, log *[]Op) *Alignment, costAt func(t int) float64, p, q paths.Path, par Params, log, tie *[]Op) *Alignment {
+func alignBestWindow(core func(t int, log *[]Op) *Alignment, costAt func(t int) float64, p, q paths.Path, par Params, log *[]Op, tie *tieScratch) *Alignment {
 	last := len(p.Nodes) - 1
 	if len(q.Nodes) == 0 || len(p.Nodes) < 2 {
 		return core(last, log)
@@ -291,8 +298,8 @@ func alignBestWindow(core func(t int, log *[]Op) *Alignment, costAt func(t int) 
 	}
 	ops, base := log, 0
 	if ops == nil && len(ties) > 0 {
-		*tie = (*tie)[:0]
-		ops = tie
+		tie.ops = tie.ops[:0]
+		ops = &tie.ops
 	}
 	if ops != nil {
 		base = len(*ops)
@@ -304,11 +311,12 @@ func alignBestWindow(core func(t int, log *[]Op) *Alignment, costAt func(t int) 
 		// teaches ↔ type). The best window's operations sit at the end
 		// of *ops from base on; each tied window records behind them
 		// and either replaces them or is dropped.
-		bestAffinity := windowAffinity((*ops)[base:])
+		tie.stems.use(q)
+		bestAffinity := windowAffinity((*ops)[base:], &tie.stems)
 		for _, t := range ties {
 			mark := len(*ops)
 			alt := core(t, ops)
-			if a := windowAffinity((*ops)[mark:]); a > bestAffinity {
+			if a := windowAffinity((*ops)[mark:], &tie.stems); a > bestAffinity {
 				best, bestT, bestAffinity = alt, t, a
 				*ops = append((*ops)[:base], (*ops)[mark:]...)
 			} else {

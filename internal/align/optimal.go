@@ -31,7 +31,7 @@ func (o *OptimalAligner) alignOps(p, q paths.Path, log *[]Op) *Alignment {
 		trimmed := paths.Path{Nodes: p.Nodes[:t+1], Edges: p.Edges[:t]}
 		return o.alignAnchored(trimmed, q, log)
 	}
-	var tie []Op
+	var tie tieScratch
 	return alignBestWindow(core, func(t int) float64 { return core(t, nil).Cost }, p, q, o.Params, log, &tie)
 }
 

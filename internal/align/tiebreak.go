@@ -1,8 +1,10 @@
 package align
 
 import (
+	"slices"
 	"strings"
 
+	"sama/internal/paths"
 	"sama/internal/rdf"
 	"sama/internal/textindex"
 )
@@ -20,14 +22,43 @@ func stem(tok string) string {
 	return tok
 }
 
-// tokenRelated reports whether two labels share a stemmed token.
-func tokenRelated(a, b rdf.Term) bool {
-	at := map[string]bool{}
-	for _, tok := range textindex.Tokenize(a.Label()) {
-		at[stem(tok)] = true
+// queryStems holds the stemmed tokens of one query path's labels, each
+// tokenised on first use: the window tie-break compares every mismatch
+// of every tied window with its query label, and an aligner aligns many
+// data paths against one query path.
+type queryStems struct {
+	q     paths.Path
+	terms []rdf.Term
+	stems [][]string
+}
+
+// use makes q the query path the cache holds stems for, dropping them
+// when q is another one.
+func (qs *queryStems) use(q paths.Path) {
+	if !slices.Equal(qs.q.Nodes, q.Nodes) || !slices.Equal(qs.q.Edges, q.Edges) {
+		*qs = queryStems{q: q, terms: qs.terms[:0], stems: qs.stems[:0]}
 	}
-	for _, tok := range textindex.Tokenize(b.Label()) {
-		if at[stem(tok)] {
+}
+
+// of returns the stems of label, one of the query path's labels.
+func (qs *queryStems) of(label rdf.Term) []string {
+	if i := slices.Index(qs.terms, label); i >= 0 {
+		return qs.stems[i]
+	}
+	var st []string
+	for _, tok := range textindex.Tokenize(label.Label()) {
+		st = append(st, stem(tok))
+	}
+	qs.terms = append(qs.terms, label)
+	qs.stems = append(qs.stems, st)
+	return st
+}
+
+// tokenRelated reports whether the data label p shares a stemmed token
+// with the query label whose stems are qStems.
+func tokenRelated(qStems []string, p rdf.Term) bool {
+	for _, tok := range textindex.Tokenize(p.Label()) {
+		if slices.Contains(qStems, stem(tok)) {
 			return true
 		}
 	}
@@ -39,13 +70,13 @@ func tokenRelated(a, b rdf.Term) bool {
 // labels share a stemmed token. Equal-cost window anchorings are ranked
 // by this — aligning “teaches” against “teacherOf” (related) beats
 // aligning it against “type” (unrelated) even though λ prices both as
-// one edge mismatch.
-func windowAffinity(ops []Op) int {
+// one edge mismatch. qs holds the query path's stems.
+func windowAffinity(ops []Op, qs *queryStems) int {
 	score := 0
 	for _, op := range ops {
 		switch op.Kind {
 		case OpEdgeMismatch, OpNodeMismatch:
-			if tokenRelated(op.Q, op.P) {
+			if tokenRelated(qs.of(op.Q), op.P) {
 				score++
 			}
 		}

@@ -74,15 +74,12 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	start := frontier.alloc()
 	clear(frontier.vec(start)) // the all-best combination
 	frontier.push(ps.comboLambda(frontier.vec(start))+basePenalty, start)
-	visitedSet.add(comboKey(frontier.vec(start)))
+	visitedSet.addVec(frontier.vec(start))
 
 	rl := resultList{k: k}
-	// pv is the search's one pair-value vector: the heap orders by λ
-	// alone, so a combination's Ψ is scored when it is popped (or built
-	// by the join pass), never for one that is only pushed.
-	pv := make([]float64, 2*len(ps.pairs))
-	// terms[ci] is the popped combination's key term of cluster ci;
+	// terms[ci] is the popped combination's word-key term of cluster ci;
 	// fresh[ci] says its ci-successor entered the visited set.
+	last := len(eff) - 1
 	terms := make([]uint64, len(eff))
 	fresh := make([]bool, len(eff))
 
@@ -126,18 +123,28 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 		}
 		visited++
 
-		// A successor's key is its parent's with one cluster's term
-		// swapped. All successors are offered to the visited set, in
-		// cluster order, before any is pushed: the set's table is
-		// megabytes, and back-to-back probes overlap their cache misses.
+		// A successor's word key is its parent's with one cluster's term
+		// swapped (the last cluster's term changes only when its bump
+		// crosses a multiple of 64), and its bit is the parent's unless
+		// the last cluster moved. All successors are offered to the
+		// visited set, in cluster order, before any is pushed, so
+		// back-to-back probes overlap their cache misses.
 		key := uint64(0)
 		for ci, ii := range frontier.vec(h) {
+			if ci == last {
+				ii >>= 6
+			}
 			terms[ci] = keyTerm(ci, ii)
 			key += terms[ci]
 		}
+		bit := frontier.vec(h)[last] & 63
 		for ci, ii := range frontier.vec(h) {
+			next, b := ii+1, bit
+			if ci == last {
+				next, b = (ii+1)>>6, (ii+1)&63
+			}
 			fresh[ci] = int(ii)+1 < len(eff[ci].Items) &&
-				visitedSet.add(key-terms[ci]+keyTerm(ci, ii+1))
+				visitedSet.add(key-terms[ci]+keyTerm(ci, next), b)
 		}
 		// The slab may grow while successors are allocated, so every
 		// vector is re-sliced from its handle after alloc.
@@ -156,8 +163,7 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 		}
 
 		idx := frontier.vec(h)
-		ps.fillPairVals(idx, pv)
-		psi, degree := ps.sumPairVals(pv)
+		psi, degree := ps.score(idx)
 		rl.add(idx, cLambda, psi, degree)
 		frontier.release(h)
 	}
@@ -187,12 +193,11 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	}
 	if !cancelled {
 		for _, idx := range combos {
-			if !visitedSet.add(comboKey(idx)) {
+			if !visitedSet.addVec(idx) {
 				continue
 			}
 			joined++
-			ps.fillPairVals(idx, pv)
-			psi, degree := ps.sumPairVals(pv)
+			psi, degree := ps.score(idx)
 			rl.add(idx, ps.comboLambda(idx)+basePenalty, psi, degree)
 		}
 	}
@@ -269,6 +274,13 @@ func (rl *resultList) worst() float64 {
 // — into the vector of the entry it displaces once the list is full.
 func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 	score := lambda + psi
+	if rl.k > 0 && len(rl.results) >= rl.k {
+		// The cases where the search below finds pos ≥ k, decided
+		// against the k-th entry alone.
+		if w := &rl.results[rl.k-1]; score > w.score || score == w.score && degree <= w.degree {
+			return
+		}
+	}
 	pos := sort.Search(len(rl.results), func(i int) bool {
 		if rl.results[i].score != score {
 			return rl.results[i].score > score
@@ -278,7 +290,7 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 	var own []uint32
 	if rl.k > 0 && len(rl.results) >= rl.k {
 		if pos >= rl.k {
-			return
+			return // past the check above only with a NaN in play
 		}
 		own = rl.results[rl.k-1].idx[:0]
 		rl.results = rl.results[:rl.k-1]
@@ -305,12 +317,12 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 //     PsiAligned evaluates, evaluated once. A pair may instead carry a
 //     χ function (queryPair.chi) feeding the two primitives directly.
 //  2. Sums are folded in canonical order: Ψ and degree over the pairs in
-//     pair order starting from zero (fillPairVals into one scratch
-//     vector, then sumPairVals), λ over the clusters in cluster order
-//     over a flat cost array. Nothing is adjusted by ±delta from a
-//     parent: float addition is not associative, and on non-dyadic pair
-//     values (χa = 3 gives ψ = E·χQ/3) a running sum drifts ulps away
-//     from the canonical fold. The heap orders by λ alone, so (ψ,
+//     pair order starting from zero, each pair added as it is evaluated
+//     (score), λ over the clusters in cluster order over a flat cost
+//     array. Nothing is adjusted by ±delta from a parent: float
+//     addition is not associative, and on non-dyadic pair values (χa =
+//     3 gives ψ = E·χQ/3) a running sum drifts ulps away from the
+//     canonical fold. The heap orders by λ alone, so (ψ,
 //     degree) are folded once per combination, when it is popped or
 //     joined — a combination that is only ever pushed costs no pair
 //     evaluation.
@@ -326,10 +338,12 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 //  4. The visit order is deterministic. The (λ, handle) heap orders by
 //     λ alone with container/heap's sift algorithm and strict
 //     comparisons, successors push in cluster order, and the visited
-//     set keys 64-bit comboKey values. Among equal-λ combinations the
+//     set is exact up to a 64-bit key collision: a combination is one
+//     bit of a word keyed by comboKey of its vector with the last index
+//     shifted right by 6 (visitWord). Among equal-λ combinations the
 //     heap layout decides which are visited before the tie horizon
-//     closes, so any change to the sift, the push order or the dedup
-//     keys can move ranked answers and shows up in the goldens.
+//     closes, so any change to the sift, the push order or the visited
+//     set's answers can move ranked answers and shows up in the goldens.
 type pairScorer struct {
 	par align.Params
 	// pairs are the intersection-graph edges whose endpoints both have
@@ -553,17 +567,20 @@ func pairBound(pr *queryPair, par align.Params, nA, nB int) float64 {
 	return align.PsiFromChi(pr.chiQ, chiCap, par)
 }
 
-// fillPairVals scores every pair of the combination into pv
-// (interleaved ψ, degree): per pair an allocation-free array comparison
-// reproducing ChiAligned and two table reads, unless the pair carries
-// its own χ function.
-func (ps *pairScorer) fillPairVals(idx []uint32, pv []float64) {
+// score folds the combination's ψ and degree from zero in pair order —
+// the canonical fold of invariant 2 — evaluating each pair as it goes:
+// an allocation-free array comparison reproducing ChiAligned and two
+// table reads, unless the pair carries its own χ function (whose values
+// are rounded by conversion before they are added, as a stored pair
+// value was).
+func (ps *pairScorer) score(idx []uint32) (psi, degree float64) {
 	for pi := range ps.pairs {
 		pr := &ps.pairs[pi]
 		ii, jj := idx[pr.ci], idx[pr.cj]
 		if pr.chi != nil {
 			chiA := pr.chi(ii, jj)
-			pv[2*pi], pv[2*pi+1] = align.PsiFromChi(pr.chiQ, chiA, ps.par), align.PsiDegreeFromChi(pr.chiQ, chiA)
+			psi += float64(align.PsiFromChi(pr.chiQ, chiA, ps.par))
+			degree += float64(align.PsiDegreeFromChi(pr.chiQ, chiA))
 			continue
 		}
 		chiA := 0
@@ -575,16 +592,8 @@ func (ps *pairScorer) fillPairVals(idx []uint32, pv []float64) {
 		if pr.conA != nil {
 			chiA += bits.OnesCount64(pr.conA[ii] & pr.conB[jj])
 		}
-		pv[2*pi], pv[2*pi+1] = pr.psiTab[chiA], pr.degTab[chiA]
-	}
-}
-
-// sumPairVals folds pv in pair order from zero — the canonical fold of
-// invariant 2.
-func (ps *pairScorer) sumPairVals(pv []float64) (psi, degree float64) {
-	for pi := range ps.pairs {
-		psi += pv[2*pi]
-		degree += pv[2*pi+1]
+		psi += pr.psiTab[chiA]
+		degree += pr.degTab[chiA]
 	}
 	return psi, degree
 }
@@ -708,18 +717,22 @@ func (q *comboFrontier) down(i0, n int) {
 	}
 }
 
-// u64Set is an open-addressing membership set over the frontier's
-// 64-bit combination keys (comboKey), without per-insert hashing of the
-// already mixed key.
+// u64Set is the search's visited set: an open-addressing table of
+// 64-bit words, each holding 64 combinations that differ only in the
+// last cluster's low 6 index bits (visitWord), probed by the already
+// mixed word key without further hashing and grown at three-quarters
+// load. A slot with no bit set is empty, so word key 0 needs no special
+// case.
 type u64Set struct {
-	slots   []uint64
-	mask    uint64
-	n       int
-	hasZero bool
+	slots []visitSlot
+	mask  uint64
+	n     int
 }
 
+type visitSlot struct{ key, bits uint64 }
+
 func newU64Set() *u64Set {
-	return &u64Set{slots: make([]uint64, 1024), mask: 1023}
+	return &u64Set{slots: make([]visitSlot, 1024), mask: 1023}
 }
 
 // u64SetPool recycles visited sets across searches: a recycled set
@@ -732,32 +745,37 @@ func getU64Set() *u64Set {
 	s := u64SetPool.Get().(*u64Set)
 	clear(s.slots)
 	s.n = 0
-	s.hasZero = false
 	return s
 }
 
-// add inserts k and reports whether it was absent.
-func (s *u64Set) add(k uint64) bool {
-	if k == 0 {
-		if s.hasZero {
-			return false
-		}
-		s.hasZero = true
-		return true
-	}
-	if 2*(s.n+1) > len(s.slots) {
+// visitWord is v's place in the visited set: the word key comboKey of v
+// with its last index shifted right by 6, and that index's low 6 bits.
+func visitWord(v []uint32) (key uint64, bit uint32) {
+	last := len(v) - 1
+	return comboKey(v[:last]) + keyTerm(last, v[last]>>6), v[last] & 63
+}
+
+// addVec adds the combination v and reports whether it was absent.
+func (s *u64Set) addVec(v []uint32) bool { return s.add(visitWord(v)) }
+
+// add sets bit b of word k and reports whether it was clear.
+func (s *u64Set) add(k uint64, b uint32) bool {
+	if 4*(s.n+1) > 3*len(s.slots) {
 		s.grow()
 	}
+	m := uint64(1) << (b & 63)
 	i := k & s.mask
 	for {
-		v := s.slots[i]
-		if v == 0 {
-			s.slots[i] = k
+		sl := &s.slots[i]
+		if sl.bits == 0 {
+			sl.key, sl.bits = k, m
 			s.n++
 			return true
 		}
-		if v == k {
-			return false
+		if sl.key == k {
+			fresh := sl.bits&m == 0
+			sl.bits |= m
+			return fresh
 		}
 		i = (i + 1) & s.mask
 	}
@@ -765,14 +783,14 @@ func (s *u64Set) add(k uint64) bool {
 
 func (s *u64Set) grow() {
 	old := s.slots
-	s.slots = make([]uint64, 2*len(old))
+	s.slots = make([]visitSlot, 2*len(old))
 	s.mask = uint64(len(s.slots) - 1)
 	for _, v := range old {
-		if v == 0 {
+		if v.bits == 0 {
 			continue
 		}
-		i := v & s.mask
-		for s.slots[i] != 0 {
+		i := v.key & s.mask
+		for s.slots[i].bits != 0 {
 			i = (i + 1) & s.mask
 		}
 		s.slots[i] = v
@@ -1178,11 +1196,11 @@ func (e *Engine) buildAnswer(eff []Cluster, idx []uint32, missing []paths.Path, 
 }
 
 // comboKey is the 64-bit identity of a uint32 vector: the wrapping sum
-// of keyTerm(i, v[i]) over its positions. The visited set identifies a
-// combination by the key of its index vector; the join pass buckets
-// label-key vectors by it. Being a sum, a successor's key is its
-// parent's minus the bumped cluster's old term plus its new one — O(1)
-// per successor instead of a pass over the vector.
+// of keyTerm(i, v[i]) over its positions. The visited set keys its
+// words by it (visitWord); the join pass buckets label-key vectors by
+// it. Being a sum, a successor's key is its parent's minus the bumped
+// cluster's old term plus its new one — O(1) per successor instead of a
+// pass over the vector.
 func comboKey(v []uint32) uint64 {
 	var k uint64
 	for i, x := range v {

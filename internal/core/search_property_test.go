@@ -84,7 +84,6 @@ func TestFoldedScoresMatchPaperFormulas(t *testing.T) {
 		}
 
 		idx := make([]uint32, len(eff))
-		pv := make([]float64, 2*len(ps.pairs))
 		for step := 0; step < 200; step++ {
 			// Bump a random cluster that still has a successor.
 			ci := rng.Intn(len(eff))
@@ -109,8 +108,7 @@ func TestFoldedScoresMatchPaperFormulas(t *testing.T) {
 				chosen[cl.QueryIndex] = align.PairedPath{Query: cl.Query, Data: cl.Path(int(idx[ci])), Alignment: al}
 				wantLambda += al.Cost
 			}
-			ps.fillPairVals(idx, pv)
-			psi, degree := ps.sumPairVals(pv)
+			psi, degree := ps.score(idx)
 			wantPsi, wantDeg := paperConformity(pre, chosen, e.Params(), false)
 			if psi != wantPsi || degree != wantDeg {
 				t.Fatalf("round %d step %d: folded (ψ %v, deg %v) != formulas (ψ %v, deg %v) at idx %v",

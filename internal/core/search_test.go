@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sama/internal/align"
 	"sama/internal/datasets"
@@ -214,15 +215,19 @@ func TestWideSharedConstantsSingleSearchPhase(t *testing.T) {
 	}
 }
 
-// TestComboKeySuccessor replays seeded random successor walks — the
-// moves of the frontier loop, including bumps onto the cluster-size
-// bound — and checks that the key derived in O(1) from the parent's
-// (minus the bumped cluster's old term, plus its new one) equals the
-// key computed from scratch over the successor's vector.
-func TestComboKeySuccessor(t *testing.T) {
+// TestVisitedWordsSuccessor replays seeded random successor walks over
+// 1–9 clusters — the moves of the frontier loop, with bumps that cross
+// every multiple of 64 of the last cluster's index and bumps onto the
+// cluster-size bound — and checks the visited set at each step: the
+// (word, bit) the loop derives in O(1) from the parent's equals
+// visitWord's from scratch, and the set's add answers over the walk
+// equal those of an exact set of the vectors.
+func TestVisitedWordsSuccessor(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for walk := 0; walk < 200; walk++ {
+	crossed := map[uint32]bool{} // the multiples of 64 a last-cluster bump reached
+	for walk := 0; walk < 400; walk++ {
 		v := make([]uint32, 1+rng.Intn(9))
+		last := len(v) - 1
 		for ci := range v {
 			switch rng.Intn(4) {
 			case 0:
@@ -231,22 +236,84 @@ func TestComboKeySuccessor(t *testing.T) {
 				v[ci] = uint32(rng.Intn(maxCandidatesBound - 1))
 			}
 		}
-		key := comboKey(v)
-		for step := 0; step < 64; step++ {
-			ci := rng.Intn(len(v))
+		if walk < 64 {
+			// Start just below the walk's own multiple of 64, so the
+			// first bumps of the last cluster cross it.
+			v[last] = uint32(walk)<<14 + 62
+		}
+		set := newU64Set()
+		seen := map[string]bool{}
+		check := func(step int, got bool) {
+			t.Helper()
+			k := fmt.Sprint(v)
+			if want := !seen[k]; got != want {
+				t.Fatalf("walk %d step %d: add(%v) = %v, an exact set says %v", walk, step, v, got, want)
+			}
+			seen[k] = true
+		}
+		check(-1, set.addVec(v))
+		key, bit := visitWord(v)
+		for step := 0; step < 96; step++ {
+			ci := last
+			if rng.Intn(3) == 0 {
+				ci = rng.Intn(len(v))
+			}
 			if v[ci]+1 >= maxCandidatesBound {
 				continue
 			}
-			next := key - keyTerm(ci, v[ci]) + keyTerm(ci, v[ci]+1)
-			if next == key {
-				t.Fatalf("walk %d: bumping %d of %v keeps the key", walk, ci, v)
+			// The loop's derivation: swap cluster ci's word term; the bit
+			// moves only with the last cluster.
+			old, next, b := v[ci], v[ci]+1, bit
+			if ci == last {
+				old, next, b = v[ci]>>6, (v[ci]+1)>>6, (v[ci]+1)&63
 			}
+			nk := key - keyTerm(ci, old) + keyTerm(ci, next)
 			v[ci]++
-			if want := comboKey(v); next != want {
-				t.Fatalf("walk %d step %d: derived key %#x, from scratch %#x (%v)", walk, step, next, want, v)
+			if ci == last && v[ci]&63 == 0 {
+				crossed[v[ci]] = true
 			}
-			key = next
+			if wk, wb := visitWord(v); nk != wk || b != wb {
+				t.Fatalf("walk %d step %d: derived (%#x, %d), from scratch (%#x, %d) (%v)", walk, step, nk, b, wk, wb, v)
+			}
+			check(step, set.add(nk, b))
+			// Re-offer an earlier vector now and then: the set must say
+			// it is present.
+			if rng.Intn(4) == 0 {
+				v[ci]--
+				check(step, set.addVec(v))
+				v[ci]++
+			}
+			key, bit = nk, b
 		}
+	}
+	if len(crossed) < 64 {
+		t.Fatalf("the walks crossed %d distinct multiples of 64, want at least 64", len(crossed))
+	}
+	// Every multiple of 64 below the cluster-size bound, crossed from
+	// its predecessor under a random prefix.
+	for m := uint32(64); m < maxCandidatesBound; m += 64 {
+		v := make([]uint32, 1+rng.Intn(9))
+		for ci := range v {
+			v[ci] = uint32(rng.Intn(maxCandidatesBound))
+		}
+		last := len(v) - 1
+		v[last] = m - 1
+		key, _ := visitWord(v)
+		nk := key - keyTerm(last, (m-1)>>6) + keyTerm(last, m>>6)
+		v[last] = m
+		if wk, wb := visitWord(v); nk != wk || wb != 0 {
+			t.Fatalf("crossing %d: derived (%#x, 0), from scratch (%#x, %d) (%v)", m, nk, wk, wb, v)
+		}
+	}
+	// Word key 0, driven directly: each bit is fresh once.
+	set := newU64Set()
+	for b := uint32(0); b < 64; b++ {
+		if !set.add(0, b) || set.add(0, b) {
+			t.Fatalf("word key 0 bit %d: not fresh exactly once", b)
+		}
+	}
+	if set.n != 1 {
+		t.Fatalf("word key 0's 64 bits fill %d words, want 1", set.n)
 	}
 	// Distinct vectors key apart (spot check, not a collision proof).
 	if comboKey([]uint32{1, 0}) == comboKey([]uint32{0, 1}) {
@@ -732,4 +799,133 @@ func BenchmarkSearchMix(b *testing.B) {
 			e.Search(m.pre, m.clusters, 10)
 		}
 	}
+}
+
+// layerWalk is one recorded budget-bound walk of the search loop: the
+// popped vectors in order (flat, stride len(eff)) with their λ, and the
+// (word, bit) probes their successors offered to the visited set, in
+// the loop's order.
+type layerWalk struct {
+	stride int
+	pops   []uint32
+	lambda []float64
+	probes []visitProbe
+}
+
+type visitProbe struct {
+	key uint64
+	bit uint32
+}
+
+func (w *layerWalk) vec(i int) []uint32 { return w.pops[i*w.stride : (i+1)*w.stride] }
+
+// layerSink keeps BenchmarkSearchLayers' scoring from being optimised
+// away.
+var layerSink float64
+
+// recordWalk replays the frontier loop's pops and pushes for budget
+// visits. The termination bounds only ever end a walk, so up to a
+// search that stops at its budget the pops are the search's own.
+func recordWalk(e *Engine, pre *Preprocessed, clusters []Cluster, budget int) (*pairScorer, *layerWalk) {
+	eff, missing, missed := splitEffective(clusters)
+	basePenalty := e.missPenalty(pre, missing, missed)
+	ps := newPairScorer(e, pre, eff)
+	w := &layerWalk{stride: len(eff)}
+	q := getFrontier(len(eff))
+	set := newU64Set()
+	start := q.alloc()
+	clear(q.vec(start))
+	q.push(ps.comboLambda(q.vec(start))+basePenalty, start)
+	set.addVec(q.vec(start))
+	next := make([]uint32, len(eff))
+	for len(w.lambda) < budget && q.len() > 0 {
+		lam, h := q.pop()
+		w.pops = append(w.pops, q.vec(h)...)
+		w.lambda = append(w.lambda, lam)
+		var fresh []int
+		for ci := range eff {
+			if int(q.vec(h)[ci])+1 >= len(eff[ci].Items) {
+				continue
+			}
+			copy(next, q.vec(h))
+			next[ci]++
+			key, bit := visitWord(next)
+			w.probes = append(w.probes, visitProbe{key, bit})
+			if set.add(key, bit) {
+				fresh = append(fresh, ci)
+			}
+		}
+		for _, ci := range fresh {
+			nh := q.alloc()
+			copy(q.vec(nh), q.vec(h))
+			q.vec(nh)[ci]++
+			q.push(ps.comboLambda(q.vec(nh))+basePenalty, nh)
+		}
+		q.release(h)
+	}
+	return ps, w
+}
+
+// BenchmarkSearchLayers times three layers of the search loop apart on
+// Q11's budget-bound walk over LUBM 10 k (library defaults), recorded
+// once outside the timer: visited replays the walk's successor probes
+// into a recycled visited set (ns per probe, and the table's bytes),
+// score folds Ψ and degree for each popped combination, and topk ranks
+// the scored pops into a top-10 list (ns per combination). `make
+// profile` profiles this benchmark.
+func BenchmarkSearchLayers(b *testing.B) {
+	g := datasets.LUBM{}.Generate(10000, 1)
+	ix, err := index.Build(filepath.Join(b.TempDir(), "lubm"), g, index.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	e, pre, clusters := budgetBoundSearch(b, ix, Options{}, "Q11")
+	c := searchCounters(e, pre, clusters, 10)
+	ps, w := recordWalk(e, pre, clusters, e.opts.maxCombinations())
+	if c["budget_stop"] != 1 || int64(len(w.lambda)) != c["visited"] {
+		b.Fatalf("recorded %d pops; the search span is %v, want a budget stop at as many visits", len(w.lambda), c)
+	}
+	psi := make([]float64, len(w.lambda))
+	degree := make([]float64, len(w.lambda))
+	for i := range w.lambda {
+		psi[i], degree[i] = ps.score(w.vec(i))
+	}
+	perOp := func(b *testing.B, n int, unit string) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), unit)
+	}
+
+	b.Run("visited", func(b *testing.B) {
+		var s *u64Set
+		for i := 0; i < b.N; i++ {
+			s = getU64Set()
+			for _, p := range w.probes {
+				s.add(p.key, p.bit)
+			}
+			u64SetPool.Put(s)
+		}
+		perOp(b, len(w.probes), "ns/probe")
+		b.ReportMetric(float64(len(s.slots))*float64(unsafe.Sizeof(visitSlot{})), "table_B")
+		b.ReportMetric(float64(s.n), "words")
+	})
+	b.Run("score", func(b *testing.B) {
+		var sum float64
+		for i := 0; i < b.N; i++ {
+			for j := range w.lambda {
+				psi, _ := ps.score(w.vec(j))
+				sum += psi
+			}
+		}
+		perOp(b, len(w.lambda), "ns/combination")
+		layerSink = sum
+	})
+	b.Run("topk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rl := resultList{k: 10}
+			for j, lam := range w.lambda {
+				rl.add(w.vec(j), lam, psi[j], degree[j])
+			}
+		}
+		perOp(b, len(w.lambda), "ns/combination")
+	})
 }

@@ -213,17 +213,31 @@ func walPath(base string) string   { return base + ".wal" }
 // keeps a second handle — in this process or another — off an open
 // index: its checkpoint would rewrite the log under the first's appends.
 // The file is never renamed, so the lock holds across checkpoints and
-// the compaction swap.
-func lockBase(base string) (*os.File, error) {
-	f, err := os.OpenFile(base+".lock", os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+// the compaction swap. created reports that the call made the file, which
+// a failed Open removes again; a file removed that way between this
+// call's open and its flock is not the one the path names, so the call
+// locks the path's file afresh.
+func lockBase(base string) (f *os.File, created bool, err error) {
+	path := base + ".lock"
+	for {
+		_, statErr := os.Stat(path)
+		if f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644); err != nil {
+			return nil, false, err
+		}
+		if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+			f.Close()
+			return nil, false, fmt.Errorf("index: %s is already open: %w", base, err)
+		}
+		held, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, false, err
+		}
+		if named, err := os.Stat(path); err == nil && os.SameFile(held, named) {
+			return f, os.IsNotExist(statErr), nil
+		}
 		f.Close()
-		return nil, fmt.Errorf("index: %s is already open: %w", base, err)
 	}
-	return f, nil
 }
 
 // Build indexes the data graph g into files at base (base.pages and
@@ -237,7 +251,7 @@ func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
 // their count, given as fill.
 func build(base string, g *rdf.Graph, opts Options, fill func(*Index) (int, error)) (*Index, error) {
 	start := time.Now()
-	lock, err := lockBase(base)
+	lock, _, err := lockBase(base)
 	if err != nil {
 		return nil, err
 	}
@@ -391,7 +405,7 @@ func (ix *Index) addPath(p paths.Path) error {
 // that reached its commit point is completed, anything earlier is
 // discarded.
 func Open(base string, opts Options) (*Index, error) {
-	lock, err := lockBase(base)
+	lock, created, err := lockBase(base)
 	if err != nil {
 		return nil, err
 	}
@@ -404,6 +418,10 @@ func Open(base string, opts Options) (*Index, error) {
 		}
 		ix.file.Close()
 		err = fmt.Errorf("index: open %s: %w", base, err)
+	}
+	if created {
+		// Removed under the flock, so no other handle holds this file.
+		os.Remove(base + ".lock")
 	}
 	lock.Close()
 	return nil, err

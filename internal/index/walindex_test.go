@@ -217,6 +217,39 @@ func TestOpenLocksBase(t *testing.T) {
 	}
 }
 
+// TestOpenMissingBaseLeavesNoLock: an Open of a path with no index fails
+// and takes away the lock file it created, so the directory is as it
+// was and a later Build there succeeds; a failed Open of an existing
+// index keeps the lock file it found.
+func TestOpenMissingBaseLeavesNoLock(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "ix")
+	if re, err := Open(base, Options{}); err == nil {
+		re.Close()
+		t.Fatal("Open of a fresh path succeeded")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("after a failed Open the directory holds %v (err %v), want nothing", entries, err)
+	}
+	ix, err := Build(base, figure1Graph(), Options{})
+	if err != nil {
+		t.Fatalf("Build after a failed Open: %v", err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(metaPath(base)); err != nil {
+		t.Fatal(err)
+	}
+	if re, err := Open(base, Options{}); err == nil {
+		re.Close()
+		t.Fatal("Open without the metadata succeeded")
+	}
+	if _, err := os.Stat(base + ".lock"); err != nil {
+		t.Fatalf("a failed Open of an existing index took its lock file: %v", err)
+	}
+}
+
 // TestInsertTriplesAllOrNothing: a mid-insert storage fault must leave
 // the index answering exactly as before — no half-applied tombstones, no
 // phantom paths, no epoch bump — and the data graph as it was, so that
