@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet build bins test race race-hot crash bench-check bench-smoke fuzz-smoke loc knobs profile serve-smoke
+.PHONY: check fmt vet build bins test race race-hot crash gates-check bench-check bench-smoke fuzz-smoke loc knobs profile serve-smoke
 
 # check is the tier-1 gate: formatting, static analysis, a full build
 # (packages and both binaries), the race-enabled test suite with an
 # extra race pass over the concurrency-hot packages, the
-# crash-recovery matrix, the benchmark module's own vet and tests, one
+# crash-recovery matrix, a check that every test and fuzz target those
+# gates name still exists, the benchmark module's own vet and tests, one
 # lap of every benchmark, and a ten-second run of each native fuzz
 # target. CI and pre-commit both run this.
-check: fmt vet build bins race race-hot crash bench-check bench-smoke fuzz-smoke
+check: fmt vet build bins race race-hot crash gates-check bench-check bench-smoke fuzz-smoke
 
 fmt:
 	@files=$$(gofmt -l .); \
@@ -61,23 +62,47 @@ race-hot:
 # leaves the original files as they were; a failed insert (its staging
 # or its read of the affected roots' paths) that leaves the graph the
 # metadata persists as it was; inserts racing Close, each of which
-# lands whole before it or fails with nothing logged; a reopen that
-# keeps earlier inserts, after a clean close and after a crash; a
-# second handle on an open index, refused by its lock; a failed open
-# of a path with no index, which leaves no lock file behind; a database
-# created with no options that keeps an acknowledged insert across a
-# crash; an insert stream equal
-# to a rebuild with one batch re-applied, as replay re-applies it; and,
-# across insert streams and a compaction, the alignment memo against an
-# engine without it and each stale entry's re-confirmation, decided
-# from what the inserts changed, against retrieval and the pre-rank run
-# again; clusters searched after a compaction renumbered the dictionary,
-# whose answers decode through the term table they were read with; and
-# readers racing a writer through that re-confirmation,
-# which must never serve an answer set older than the inserts they saw
-# complete.
+# lands whole before it or fails with nothing logged; a second handle
+# on an open index, refused by its lock; a failed open of a path with
+# no index, which leaves no lock file behind; a database created with
+# no options that keeps an acknowledged insert across a crash; the
+# write path's model (TestWritePathModel), a seeded state machine that
+# draws inserts (fresh LUBM stream batches, re-applied batches, batches
+# that make a root a non-root, batches failing under a page-read fault
+# or validation), queries, checkpoints, compactions, reopens and crash
+# copies, and after each checks the live records against a fresh build
+# of its model graph (limbo batches dropped by a checkpoint, replayed by
+# a crash), the alignment memo's clusters and answers against an engine
+# without it, each stale entry's re-confirmation against retrieval and
+# the pre-rank run again, and an insert's delta and a layout's bumps
+# through the Reader, with its scripted cases, one per branch of the
+# re-confirmation and a compaction that renumbers a stale cut's IDs;
+# clusters searched after a compaction renumbered the dictionary, whose
+# answers decode through the term table they were read with; and
+# readers racing a writer through that re-confirmation, which must
+# never serve an answer set older than the inserts they saw complete.
+CRASH_RUN = TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestOpenLocksBase|TestOpenMissingBaseLeavesNoLock|TestDefaultDatabaseSurvivesCrash|TestWritePathModel|TestAlignMemoExactUnderWrites|TestAssemblyDecodesClustersTermTable|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers
+CRASH_PKGS = . ./internal/storage ./internal/index ./internal/core
+
 crash:
-	$(GO) test -count=1 -run 'TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestReopenKeepsEarlierInserts|TestOpenLocksBase|TestOpenMissingBaseLeavesNoLock|TestDefaultDatabaseSurvivesCrash|TestInsertEqualsRebuild|TestAlignMemoExactUnderWrites|TestAssemblyDecodesClustersTermTable|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers' . ./internal/storage ./internal/index ./internal/core
+	$(GO) test -count=1 -run '$(CRASH_RUN)' $(CRASH_PKGS)
+
+# gates-check fails when a gate names a test that is gone: go test -run
+# and -fuzz pass quietly on a pattern that matches nothing. Every
+# alternative of crash's -run pattern must match a test that go test
+# -list finds in crash's packages, and every fuzz-smoke pattern a fuzz
+# target of its package; the message names each stale entry.
+gates-check:
+	@fail=0; \
+	listed=$$($(GO) test -list '.' $(CRASH_PKGS) | grep '^Test') || exit 1; \
+	for name in $$(echo '$(CRASH_RUN)' | tr '|' ' '); do \
+		echo "$$listed" | grep -Eq "$$name" || { echo "gates-check: crash runs $$name, which matches no test in $(CRASH_PKGS)"; fail=1; }; \
+	done; \
+	for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; pat=$${t#*:}; \
+		$(GO) test -list "$$pat" $$pkg | grep -q '^Fuzz' || { echo "gates-check: fuzz-smoke runs $$pat, which matches no fuzz target in $$pkg"; fail=1; }; \
+	done; \
+	exit $$fail
 
 # bench-check vets and tests bench/, the benchmark's own module: root
 # ./... patterns skip it, so an API it imports from internal/ could
@@ -111,19 +136,19 @@ bench-smoke:
 # checked-in corpus (testdata/fuzz in its package; the parsers' seeds
 # are the rows of internal/rdf/syntax's agreement table); a crasher it
 # finds is written there and fails every later go test.
+FUZZ_TARGETS = ./internal/index:^FuzzDecodePathDict$$ ./internal/index:^FuzzReadDictionary$$ \
+	./internal/index:^FuzzReadMeta$$ ./internal/index:^FuzzDecodePath$$ \
+	./internal/storage:FuzzOpenWAL ./internal/storage:^FuzzRecordRead$$ \
+	./internal/textindex:FuzzPostingsSeekGE ./internal/textindex:FuzzIntersectAmong \
+	./internal/rdf/ntriples:FuzzParseNTriples ./internal/rdf/turtle:FuzzParseTurtle \
+	./internal/sparql:FuzzParseSPARQL ./internal/server:^FuzzAppendResponse$$
+
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodePathDict$$' -fuzztime 10s ./internal/index
-	$(GO) test -run '^$$' -fuzz '^FuzzReadDictionary$$' -fuzztime 10s ./internal/index
-	$(GO) test -run '^$$' -fuzz '^FuzzReadMeta$$' -fuzztime 10s ./internal/index
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodePath$$' -fuzztime 10s ./internal/index
-	$(GO) test -run '^$$' -fuzz FuzzOpenWAL -fuzztime 10s ./internal/storage
-	$(GO) test -run '^$$' -fuzz '^FuzzRecordRead$$' -fuzztime 10s ./internal/storage
-	$(GO) test -run '^$$' -fuzz FuzzPostingsSeekGE -fuzztime 10s ./internal/textindex
-	$(GO) test -run '^$$' -fuzz FuzzIntersectAmong -fuzztime 10s ./internal/textindex
-	$(GO) test -run '^$$' -fuzz FuzzParseNTriples -fuzztime 10s ./internal/rdf/ntriples
-	$(GO) test -run '^$$' -fuzz FuzzParseTurtle -fuzztime 10s ./internal/rdf/turtle
-	$(GO) test -run '^$$' -fuzz FuzzParseSPARQL -fuzztime 10s ./internal/sparql
-	$(GO) test -run '^$$' -fuzz '^FuzzAppendResponse$$' -fuzztime 10s ./internal/server
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; pat=$${t#*:}; \
+		echo "$(GO) test -run '^\$$' -fuzz '$$pat' -fuzztime 10s $$pkg"; \
+		$(GO) test -run '^$$' -fuzz "$$pat" -fuzztime 10s $$pkg || exit 1; \
+	done
 
 # loc prints non-test and test Go line counts per package directory —
 # the root module's and bench/'s — one line each, so a "non-test lines
@@ -160,9 +185,10 @@ knobs:
 # is busiest (BenchmarkSearchBudgetBound: Q11/Q12 over LUBM 10 k,
 # clustered once, searched to the visit budget) and on the small
 # lattices (BenchmarkSearchMix: Q1–Q10, the cluster_param and
-# read_after_write shapes), three of its layers apart on Q11's recorded
-# walk (BenchmarkSearchLayers: the visited set, pair scoring, the top-k
-# list), and the cluster phase with nothing memoised
+# read_after_write shapes), its layers apart (BenchmarkSearchLayers: the
+# visited set, pair scoring and the top-k list on Q11's recorded walk,
+# and the join pass on Q11 and on Q1–Q10), and the cluster phase with
+# nothing memoised
 # and with everything memoised (BenchmarkClusterColdMemo,
 # BenchmarkClusterWarmMemo: the cluster_param shapes over every
 # department of LUBM 10 k; the warm one also writes the heap profile of

@@ -866,13 +866,16 @@ func recordWalk(e *Engine, pre *Preprocessed, clusters []Cluster, budget int) (*
 	return ps, w
 }
 
-// BenchmarkSearchLayers times three layers of the search loop apart on
-// Q11's budget-bound walk over LUBM 10 k (library defaults), recorded
+// BenchmarkSearchLayers times layers of the search apart over LUBM 10 k
+// (library defaults). Three replay Q11's budget-bound walk, recorded
 // once outside the timer: visited replays the walk's successor probes
 // into a recycled visited set (ns per probe, and the table's bytes),
 // score folds Ψ and degree for each popped combination, and topk ranks
-// the scored pops into a top-10 list (ns per combination). `make
-// profile` profiles this benchmark.
+// the scored pops into a top-10 list (ns per combination). Two time the
+// join pass that runs beside the walk, on pair scorers built outside
+// the timer: join is joinCombos over Q11's clusters (ns per pass, and
+// the combinations it builds), join_mix the same over those of Q1–Q10
+// that join, summed per lap. `make profile` profiles this benchmark.
 func BenchmarkSearchLayers(b *testing.B) {
 	g := datasets.LUBM{}.Generate(10000, 1)
 	ix, err := index.Build(filepath.Join(b.TempDir(), "lubm"), g, index.Options{})
@@ -894,7 +897,6 @@ func BenchmarkSearchLayers(b *testing.B) {
 	perOp := func(b *testing.B, n int, unit string) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), unit)
 	}
-
 	b.Run("visited", func(b *testing.B) {
 		var s *u64Set
 		for i := 0; i < b.N; i++ {
@@ -928,4 +930,36 @@ func BenchmarkSearchLayers(b *testing.B) {
 		}
 		perOp(b, len(w.lambda), "ns/combination")
 	})
+	// The join passes, their pair scorers built outside the timer: Q11's,
+	// and those of Q1–Q10 that join.
+	joins := map[string][]func() int{}
+	for _, q := range workload.LUBMQueries()[:11] {
+		qpre := e.Preprocess(q.Pattern)
+		qcs, err := e.Cluster(qpre)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eff, _, _ := splitEffective(qcs)
+		if ps := newPairScorer(e, qpre, eff); ps.jt != nil {
+			name := map[bool]string{true: "join", false: "join_mix"}[q.ID == "Q11"]
+			joins[name] = append(joins[name], func() int { out, _ := joinCombos(eff, ps, nil); return len(out) })
+		}
+	}
+	if len(joins["join"]) != 1 || len(joins["join_mix"]) == 0 {
+		b.Fatalf("%d join passes for Q11 and %d for Q1–Q10; the benchmark needs both", len(joins["join"]), len(joins["join_mix"]))
+	}
+	for _, run := range [][2]string{{"join", "ns/pass"}, {"join_mix", "ns/lap"}} {
+		name, unit := run[0], run[1]
+		b.Run(name, func(b *testing.B) {
+			combos := 0
+			for i := 0; i < b.N; i++ {
+				combos = 0
+				for _, pass := range joins[name] {
+					combos += pass()
+				}
+			}
+			perOp(b, 1, unit)
+			b.ReportMetric(float64(combos), "combos")
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -169,7 +170,7 @@ func TestCompactIncrementalContextCancel(t *testing.T) {
 	if _, err := ix.CompactIncremental(ctx, 1); err == nil {
 		t.Fatal("cancelled compaction reported success")
 	}
-	if got := livePathKeys(t, ix); !equalKeys(got, want) {
+	if got := livePathKeys(t, ix); !slices.Equal(got, want) {
 		t.Fatal("cancelled compaction changed the index")
 	}
 	// The failed pass released the writer lock and left the files
@@ -231,7 +232,7 @@ func TestCompactIncrementalConcurrentInserts(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ref.Close()
-			if want := livePathKeys(t, ref); !equalKeys(got, want) {
+			if want := livePathKeys(t, ref); !slices.Equal(got, want) {
 				t.Fatalf("after concurrent compact+insert: %d live paths, reference enumerates %d",
 					len(got), len(want))
 			}
@@ -273,7 +274,7 @@ func TestCompactSwapCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := livePathKeys(t, re); !equalKeys(got, want) {
+	if got := livePathKeys(t, re); !slices.Equal(got, want) {
 		t.Fatal("pre-commit crash recovery changed the answers")
 	}
 	if re.NumPaths() != preSlots {
@@ -308,7 +309,7 @@ func TestCompactSwapCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re2.Close()
-	if got := livePathKeys(t, re2); !equalKeys(got, want) {
+	if got := livePathKeys(t, re2); !slices.Equal(got, want) {
 		t.Fatal("post-commit crash recovery changed the answers")
 	}
 	if re2.NumPaths() != postSlots {
@@ -356,7 +357,7 @@ func TestCompactIncrementalWithWAL(t *testing.T) {
 		t.Fatalf("Open after compact+crash: %v", err)
 	}
 	defer re.Close()
-	if got := livePathKeys(t, re); !equalKeys(got, want) {
+	if got := livePathKeys(t, re); !slices.Equal(got, want) {
 		t.Fatalf("answers diverge after compact+crash+recover: %d vs %d paths", len(got), len(want))
 	}
 	if got := graphOrder(re.Graph()); got != wantGraph {
@@ -412,7 +413,7 @@ func TestCompactIncrementalPostCloseFailureReopens(t *testing.T) {
 		t.Fatalf("recovery reopen failed: %v", err)
 	}
 	// The stays-usable contract: same answers from the reopened files.
-	if got := livePathKeys(t, ix); !equalKeys(got, want) {
+	if got := livePathKeys(t, ix); !slices.Equal(got, want) {
 		t.Fatalf("answers diverge after recovered swap failure: %d vs %d paths", len(got), len(want))
 	}
 	if ix.Epoch() == epoch {
@@ -422,7 +423,7 @@ func TestCompactIncrementalPostCloseFailureReopens(t *testing.T) {
 	if _, err := ix.CompactIncremental(context.Background(), 0); err != nil {
 		t.Fatalf("retry after recovered failure: %v", err)
 	}
-	if got := livePathKeys(t, ix); !equalKeys(got, want) {
+	if got := livePathKeys(t, ix); !slices.Equal(got, want) {
 		t.Fatal("retried compaction changed the answer surface")
 	}
 	if err := ix.InsertTriples([]rdf.Triple{
@@ -499,13 +500,13 @@ func TestCompactIncrementalReadFaultKeepsOriginal(t *testing.T) {
 			t.Errorf("failed compaction left %s behind (%v)", tmp, err)
 		}
 	}
-	if got := livePathKeys(t, ix); !equalKeys(got, keys) {
+	if got := livePathKeys(t, ix); !slices.Equal(got, keys) {
 		t.Fatal("index answers differently after the failed compaction")
 	}
 	if _, err := ix.CompactIncremental(context.Background(), 2); err != nil {
 		t.Fatalf("compaction after the fault cleared: %v", err)
 	}
-	if got := livePathKeys(t, ix); !equalKeys(got, keys) {
+	if got := livePathKeys(t, ix); !slices.Equal(got, keys) {
 		t.Fatal("retried compaction changed the answer surface")
 	}
 }

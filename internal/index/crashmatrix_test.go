@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -99,15 +100,15 @@ func recoverCloneIndex(t *testing.T, base string) *Index {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if recovered, want := livePathKeys(t, re), livePathKeys(t, fresh); !equalKeys(recovered, want) {
+	if recovered, want := livePathKeys(t, re), livePathKeys(t, fresh); !slices.Equal(recovered, want) {
 		t.Fatalf("recovered index holds %d live paths, a fresh build of its graph %d", len(recovered), len(want))
 	}
 	for _, term := range fresh.dict.terms {
 		label := term.Label()
-		if got, want := pathKeys(t, re, re.PathsBySink(label)), pathKeys(t, fresh, fresh.PathsBySink(label)); !equalKeys(got, want) {
+		if got, want := pathKeys(t, re, re.PathsBySink(label)), pathKeys(t, fresh, fresh.PathsBySink(label)); !slices.Equal(got, want) {
 			t.Errorf("PathsBySink(%q): recovered %v, fresh build %v", label, got, want)
 		}
-		if got, want := pathKeys(t, re, re.PathsByLabel(label)), pathKeys(t, fresh, fresh.PathsByLabel(label)); !equalKeys(got, want) {
+		if got, want := pathKeys(t, re, re.PathsByLabel(label)), pathKeys(t, fresh, fresh.PathsByLabel(label)); !slices.Equal(got, want) {
 			t.Errorf("PathsByLabel(%q): recovered %v, fresh build %v", label, got, want)
 		}
 	}
@@ -148,7 +149,7 @@ func TestCrashMatrixBeforeWALAppend(t *testing.T) {
 	// Kill before the append: the batch left no trace anywhere.
 	cb := crashClone(t, r.base)
 	r.insertBatch(t)
-	if got := recoverClone(t, cb); !equalKeys(got, r.preKeys) {
+	if got := recoverClone(t, cb); !slices.Equal(got, r.preKeys) {
 		t.Fatalf("recovered state is not the pre-insert state: %d vs %d paths", len(got), len(r.preKeys))
 	}
 }
@@ -185,7 +186,7 @@ func TestCrashMatrixDuringWALAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := recoverClone(t, snapBase)
-	if !equalKeys(got, r.preKeys) {
+	if !slices.Equal(got, r.preKeys) {
 		t.Fatalf("torn append not rolled back: %d vs %d paths", len(got), len(r.preKeys))
 	}
 }
@@ -210,7 +211,7 @@ func TestCrashMatrixDuringCommitFsync(t *testing.T) {
 		t.Fatal("sync hook never fired")
 	}
 	got := recoverClone(t, snapBase)
-	if !equalKeys(got, r.preKeys) && !equalKeys(got, r.postKeys) {
+	if !slices.Equal(got, r.preKeys) && !slices.Equal(got, r.postKeys) {
 		t.Fatalf("recovered state is neither pre (%d paths) nor post (%d): got %d",
 			len(r.preKeys), len(r.postKeys), len(got))
 	}
@@ -222,7 +223,7 @@ func TestCrashMatrixAfterAcknowledgedInsert(t *testing.T) {
 	r := newCrashRig(t, nil)
 	r.insertBatch(t)
 	cb := crashClone(t, r.base)
-	if got := recoverClone(t, cb); !equalKeys(got, r.postKeys) {
+	if got := recoverClone(t, cb); !slices.Equal(got, r.postKeys) {
 		t.Fatalf("acknowledged insert lost: %d vs %d paths", len(got), len(r.postKeys))
 	}
 }
@@ -261,7 +262,7 @@ func TestCrashMatrixMidCheckpoint(t *testing.T) {
 		copyTree(t, pagesPath(postB), pagesPath(base))
 		copyTree(t, metaPath(preB), metaPath(base))
 		copyTree(t, walPath(preB), walPath(base))
-		if got := recoverClone(t, base); !equalKeys(got, r.postKeys) {
+		if got := recoverClone(t, base); !slices.Equal(got, r.postKeys) {
 			t.Fatalf("mid-checkpoint (pages flushed) lost the batch: %d vs %d paths", len(got), len(r.postKeys))
 		}
 	})
@@ -272,7 +273,7 @@ func TestCrashMatrixMidCheckpoint(t *testing.T) {
 		copyTree(t, pagesPath(postB), pagesPath(base))
 		copyTree(t, metaPath(postB), metaPath(base))
 		copyTree(t, walPath(preB), walPath(base)) // the untruncated, pre-checkpoint log
-		if got := recoverClone(t, base); !equalKeys(got, r.postKeys) {
+		if got := recoverClone(t, base); !slices.Equal(got, r.postKeys) {
 			t.Fatalf("mid-checkpoint (meta committed) diverged: %d vs %d paths", len(got), len(r.postKeys))
 		}
 	})
@@ -335,7 +336,7 @@ func TestCrashMatrixDuringLogRewrite(t *testing.T) {
 				}
 			}
 			re := recoverCloneIndex(t, base)
-			if got := livePathKeys(t, re); !equalKeys(got, r.postKeys) {
+			if got := livePathKeys(t, re); !slices.Equal(got, r.postKeys) {
 				t.Fatalf("recovered %d paths, want the post-insert %d", len(got), len(r.postKeys))
 			}
 			if rs := re.Recovery(); rs.Records != 0 {
@@ -373,7 +374,7 @@ func TestCrashMatrixMidCompaction(t *testing.T) {
 		if err := os.WriteFile(pagesPath(cb+".compact"), []byte("partial compaction output"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got := recoverClone(t, cb); !equalKeys(got, r.postKeys) {
+		if got := recoverClone(t, cb); !slices.Equal(got, r.postKeys) {
 			t.Fatalf("mid-copy crash diverged: %d vs %d paths", len(got), len(r.postKeys))
 		}
 		if _, err := os.Stat(pagesPath(cb + ".compact")); !os.IsNotExist(err) {
@@ -400,7 +401,7 @@ func TestCrashMatrixMidCompaction(t *testing.T) {
 		if err := os.WriteFile(metaPath(cb), oldMeta, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got := recoverClone(t, cb); !equalKeys(got, want) {
+		if got := recoverClone(t, cb); !slices.Equal(got, want) {
 			t.Fatalf("post-commit compaction crash diverged: %d vs %d paths", len(got), len(want))
 		}
 	})
@@ -431,7 +432,7 @@ func TestCrashMatrixTornTailMetrics(t *testing.T) {
 	if rs := re.Recovery(); !rs.TornTailRepaired || rs.Records != 0 {
 		t.Errorf("Recovery() = %+v, want the torn tail repaired and nothing replayed", rs)
 	}
-	if got := livePathKeys(t, re); !equalKeys(got, r.preKeys) {
+	if got := livePathKeys(t, re); !slices.Equal(got, r.preKeys) {
 		t.Fatalf("torn batch half-applied: %d vs %d paths", len(got), len(r.preKeys))
 	}
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestSummariesRaceCompaction(t *testing.T) {
 		// so the path is re-indexed under a new ID and the old one
 		// tombstoned.
 		if err := ix.InsertTriples([]rdf.Triple{
-			{S: iri("A900" + itoaTest(i)), P: iri("aTo"), O: iri("A900" + itoaTest(i+1))},
+			{S: iri("A900" + strconv.Itoa(i)), P: iri("aTo"), O: iri("A900" + strconv.Itoa(i+1))},
 		}); err != nil {
 			t.Errorf("insert: %v", err)
 			break

@@ -2,14 +2,12 @@ package index
 
 import (
 	"context"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
+	"strconv"
 	"testing"
 
-	"sama/internal/datasets"
 	"sama/internal/obs"
 	"sama/internal/paths"
 	"sama/internal/rdf"
@@ -99,18 +97,6 @@ func TestCompressedIndexEndToEnd(t *testing.T) {
 			t.Errorf("path %d unreadable after reopen: %v", id, err)
 		}
 	}
-}
-
-func itoaTest(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }
 
 func TestInsertTriplesIncremental(t *testing.T) {
@@ -238,70 +224,6 @@ func TestInsertTriplesPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestReopenKeepsEarlierInserts: Build, insert T, Close, Open, insert U
-// on T's subject. The reopened index has the graph T went into, so T's
-// path stays and the live paths are a rebuild's of the final graph —
-// after a clean Close and Open, and on a crash clone taken once U is
-// acknowledged, so U lives only in the log.
-func TestReopenKeepsEarlierInserts(t *testing.T) {
-	tT := rdf.Triple{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("Z0001")}
-	tU := rdf.Triple{S: iri("CarlaBunes"), P: iri("sponsor"), O: iri("Z0002")}
-	for _, name := range []string{"clean-close", "wal-crash"} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			base := filepath.Join(dir, "ix")
-			ix, err := Build(base, figure1Graph(), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ix.InsertTriples([]rdf.Triple{tT}); err != nil {
-				t.Fatal(err)
-			}
-			if err := ix.Close(); err != nil {
-				t.Fatal(err)
-			}
-			re, err := Open(base, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := re.InsertTriples([]rdf.Triple{tU}); err != nil {
-				t.Fatalf("insert after reopen: %v", err)
-			}
-			reopen := base
-			if name == "wal-crash" {
-				reopen = crashClone(t, base)
-			}
-			if err := re.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if re, err = Open(reopen, Options{}); err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			ends := 0
-			for _, id := range re.PathsBySink("Z0001") {
-				if p, err := pathByID(re, id); err == nil && p.Sink() == iri("Z0001") {
-					ends++
-				}
-			}
-			if ends != 1 {
-				t.Errorf("%d live paths end at Z0001, want 1", ends)
-			}
-			final := figure1Graph()
-			final.AddTriple(tT)
-			final.AddTriple(tU)
-			ref, err := Build(filepath.Join(dir, "ref"), final, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-			if got, want := livePathKeys(t, re), livePathKeys(t, ref); !equalKeys(got, want) {
-				t.Errorf("reopened index holds %d live paths, a build of the final graph %d", len(got), len(want))
-			}
-		})
-	}
-}
-
 func TestInsertTriplesRejectsInvalid(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "upd5")
 	ix, err := Build(base, figure1Graph(), Options{})
@@ -424,170 +346,6 @@ func TestTightBudgetUpdate(t *testing.T) {
 	}
 }
 
-// TestInsertEqualsRebuild: after a stream of LUBM insert batches of
-// random sizes the live paths are, as a multiset of records, the paths
-// a fresh Build over the same graph indexes: among other things, a root
-// that a new triple points at starts no path any more. One batch re-applies an
-// earlier one — what WAL replay does — and must change nothing: every
-// path it re-enumerates is unchanged, so it keeps its ID, nothing is
-// staged and nothing is tombstoned.
-func TestInsertEqualsRebuild(t *testing.T) {
-	ts := datasets.LUBM{}.Generate(8000, 5).Triples()
-	const base = 6000
-	g := rdf.NewGraph()
-	for _, tr := range ts[:base] {
-		g.AddTriple(tr)
-	}
-	ix, err := Build(filepath.Join(t.TempDir(), "ins"), g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	rng := rand.New(rand.NewSource(5))
-	var batches [][]rdf.Triple
-	for lo := base; lo < len(ts); {
-		hi := min(lo+20+rng.Intn(100), len(ts))
-		batches = append(batches, ts[lo:hi])
-		lo = hi
-	}
-	replay := 3 + rng.Intn(len(batches)-3) // re-applies batch replay-3 after batch replay-1
-	tombstoned := false
-	for i, batch := range batches {
-		if i == replay {
-			paths, live := ix.NumPaths(), ix.LivePaths()
-			if err := ix.InsertTriples(batches[i-3]); err != nil {
-				t.Fatal(err)
-			}
-			if ix.NumPaths() != paths || ix.LivePaths() != live {
-				t.Fatalf("re-applying batch %d: %d paths, %d live; want %d and %d unchanged",
-					i-3, ix.NumPaths(), ix.LivePaths(), paths, live)
-			}
-		}
-		if err := ix.InsertTriples(batch); err != nil {
-			t.Fatal(err)
-		}
-		tombstoned = tombstoned || ix.LivePaths() < ix.NumPaths()
-	}
-	fresh, err := Build(filepath.Join(t.TempDir(), "fresh"), ix.Graph().Clone(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	got, want := livePathKeys(t, ix), livePathKeys(t, fresh)
-	if !equalKeys(got, want) {
-		t.Errorf("after %d batches: %d live paths, a fresh build has %d", len(batches), len(got), len(want))
-		for i := 0; i < len(got) && i < len(want); i++ {
-			if got[i] != want[i] {
-				t.Fatalf("first difference at %d:\n  insert: %q\n  build:  %q", i, got[i], want[i])
-			}
-		}
-	}
-	// Every tombstone here is a root an object became: batches whose new
-	// triples hang below indexed roots.
-	if !tombstoned {
-		t.Error("no batch changed an indexed path; the test needs some to")
-	}
-}
-
-// TestInsertDeltaInvariants pins what re-confirming a stale memo entry
-// reads of the inserts since its watermark: an insert's new IDs are
-// exactly [old NumPaths, new NumPaths), all live; the log since the
-// watermark is exactly the paths live before it and dead after, each
-// once; a tombstoned path still matches its postings; a kept path's
-// summary is unchanged; and the compaction swap empties the log and
-// bumps the layout.
-func TestInsertDeltaInvariants(t *testing.T) {
-	ts := datasets.LUBM{}.Generate(8000, 5).Triples()
-	const base, batch = 6000, 50
-	g := rdf.NewGraph()
-	for _, tr := range ts[:base] {
-		g.AddTriple(tr)
-	}
-	ix, err := Build(filepath.Join(t.TempDir(), "delta"), g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	view := func(fn func(Reader)) { ix.View(func(r Reader) error { fn(r); return nil }) }
-	summary := func(r Reader, id PathID) PathSummary {
-		sums, err := r.SummariesInto(new(Scratch), []PathID{id})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sums[0]
-	}
-	// sinks holds every path's sink label, read while it was live.
-	sinks := map[PathID]string{}
-	readSinks := func(from int) {
-		for id := PathID(from); int(id) < ix.NumPaths(); id++ {
-			p, err := pathByID(ix, id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sinks[id] = p.Sink().Label()
-		}
-	}
-	readSinks(0) // a fresh build has no tombstone
-	logged := 0
-	for lo := base; lo+batch <= len(ts); lo += batch {
-		var w0 Watermark
-		live := map[PathID]PathSummary{}
-		view(func(r Reader) {
-			w0 = r.Watermark()
-			for id := PathID(0); int(id) < w0.Paths; id++ {
-				if r.Live(id) {
-					live[id] = summary(r, id)
-				}
-			}
-		})
-		if err := ix.InsertTriples(ts[lo : lo+batch]); err != nil {
-			t.Fatal(err)
-		}
-		readSinks(w0.Paths)
-		view(func(r Reader) {
-			w1 := r.Watermark()
-			for id := PathID(w0.Paths); int(id) < w1.Paths; id++ {
-				got := r.PostingsFrom(nil, Sinks, sinks[id], PathID(w0.Paths))
-				if !r.Live(id) || !slices.Contains(got, id) || got[0] < PathID(w0.Paths) {
-					t.Fatalf("new path %d: live %v; its sink's postings from %d are %v", id, r.Live(id), w0.Paths, got)
-				}
-			}
-			died := map[PathID]bool{}
-			for _, id := range r.ix.tombs[w0.Tombs:w1.Tombs] {
-				if _, was := live[id]; !was || died[id] || r.Live(id) {
-					t.Fatalf("logged %d: live before %v, logged before %v, live now %v", id, was, died[id], r.Live(id))
-				}
-				died[id] = true
-				if got := r.TombstonedSince(w0, Sinks, sinks[id]); !slices.Contains(got, id) {
-					t.Fatalf("tombstoned %d is not among its sink's tombstones since the insert: %v", id, got)
-				}
-			}
-			for id, sum := range live {
-				if !r.Live(id) && !died[id] {
-					t.Fatalf("path %d died without a log entry", id)
-				}
-				if r.Live(id) && summary(r, id) != sum {
-					t.Fatalf("kept path %d's summary changed from %+v to %+v", id, sum, summary(r, id))
-				}
-			}
-			logged += len(died)
-		})
-	}
-	if logged == 0 {
-		t.Fatal("no insert tombstoned a path; the test needs some to")
-	}
-	var layout uint64
-	view(func(r Reader) { layout = r.Layout() })
-	if _, err := ix.CompactIncremental(context.Background(), 0); err != nil {
-		t.Fatal(err)
-	}
-	view(func(r Reader) {
-		if w := r.Watermark(); w.Tombs != 0 || r.Layout() != layout+1 {
-			t.Errorf("after the compaction: %d tombstones logged, layout %d; want none and %d", w.Tombs, r.Layout(), layout+1)
-		}
-	})
-}
-
 func TestInsertReadsSharedSourceListOnce(t *testing.T) {
 	// Twenty roots whose IRIs differ only in the namespace share one
 	// normalised label ("student"), and one insert below the node they
@@ -595,7 +353,7 @@ func TestInsertReadsSharedSourceListOnce(t *testing.T) {
 	// term, so each root's path is read once: 20 path reads, where a
 	// label-keyed list read once per root would cost 400.
 	const depts = 20
-	student := func(d int) rdf.Term { return iri("http://x/dept" + itoaTest(d) + "/student") }
+	student := func(d int) rdf.Term { return iri("http://x/dept" + strconv.Itoa(d) + "/student") }
 	g := rdf.NewGraph()
 	for d := 0; d < depts; d++ {
 		g.AddTriple(rdf.Triple{S: student(d), P: iri("takes"), O: iri("http://x/course")})

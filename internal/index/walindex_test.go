@@ -73,98 +73,9 @@ func crashClone(t testing.TB, base string) string {
 	return cloneBase
 }
 
-func equalKeys(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 var walTestTriples = []rdf.Triple{
 	{S: iri("NewSenator"), P: iri("sponsor"), O: iri("B1432")},
 	{S: iri("NewSenator"), P: iri("gender"), O: lit("Female")},
-}
-
-// TestWALDurabilityAcrossCrash: an acknowledged insert survives a kill
-// with no checkpoint — Open replays it.
-func TestWALDurabilityAcrossCrash(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "ix")
-	ix, err := Build(base, figure1Graph(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.InsertTriples(walTestTriples); err != nil {
-		t.Fatal(err)
-	}
-	want := livePathKeys(t, ix)
-
-	// Kill: no Checkpoint, no Close — only what Build wrote plus the WAL.
-	cb := crashClone(t, base)
-	ix.Close()
-
-	re, err := Open(cb, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if rs := re.Recovery(); rs.Records != 1 || rs.Triples != len(walTestTriples) {
-		t.Fatalf("recovery stats = %+v, want 1 record / %d triples", rs, len(walTestTriples))
-	}
-	if got := livePathKeys(t, re); !equalKeys(got, want) {
-		t.Fatalf("answers after crash+recover diverge:\n got %d paths\nwant %d paths", len(got), len(want))
-	}
-	// The reopened index accepts writes.
-	if err := re.InsertTriples([]rdf.Triple{
-		{S: iri("Another"), P: iri("sponsor"), O: iri("A0056")},
-	}); err != nil {
-		t.Fatalf("insert after recover: %v", err)
-	}
-}
-
-// TestWALCleanCloseNeedsNoReplay: a checkpointed (cleanly closed) index
-// reopens with nothing to replay, its graph holding the inserts.
-func TestWALCleanCloseNeedsNoReplay(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "ix")
-	ix, err := Build(base, figure1Graph(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.InsertTriples(walTestTriples); err != nil {
-		t.Fatal(err)
-	}
-	want := livePathKeys(t, ix)
-	if err := ix.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(base, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if rs := re.Recovery(); rs.Records != 0 {
-		t.Fatalf("replayed %d records after clean close, want 0", rs.Records)
-	}
-	if got, want := re.Graph().EdgeCount(), figure1Graph().EdgeCount()+len(walTestTriples); got != want {
-		t.Fatalf("reopened graph has %d edges, want %d", got, want)
-	}
-	if got := livePathKeys(t, re); !equalKeys(got, want) {
-		t.Fatal("answers after clean close + reopen diverge")
-	}
-	// The reopened graph is complete: inserting more triples that hang
-	// off the inserted ones works.
-	if err := re.InsertTriples([]rdf.Triple{
-		{S: iri("Third"), P: iri("sponsor"), O: iri("NewSenator")},
-	}); err != nil {
-		t.Fatalf("insert after reopen: %v", err)
-	}
 }
 
 // TestOpenLocksBase: while one handle has a base open — across its
@@ -296,7 +207,7 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	if got := ix.LivePaths(); got != live {
 		t.Fatalf("failed insert changed live paths: %d -> %d", live, got)
 	}
-	if got := livePathKeys(t, ix); !equalKeys(got, want) {
+	if got := livePathKeys(t, ix); !slices.Equal(got, want) {
 		t.Fatal("failed insert changed the answer surface")
 	}
 	if got := graphOrder(ix.Graph()); got != graph {
@@ -369,7 +280,7 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	if got, want := livePathKeys(t, re), livePathKeys(t, ref); !equalKeys(got, want) {
+	if got, want := livePathKeys(t, re), livePathKeys(t, ref); !slices.Equal(got, want) {
 		t.Fatalf("reopened index after a failed insert: %d live paths, a rebuild without the batch %d", len(got), len(want))
 	}
 	if got, want := graphOrder(re.Graph()), graphOrder(rebuilt); got != want {
@@ -453,7 +364,7 @@ func testInsertAllOrNothingAffectedRootPage(t *testing.T) {
 	if state() != want {
 		t.Fatal("failed insert changed the records, postings, tombstones or graph")
 	}
-	if got := livePathKeys(t, ix); !equalKeys(got, keys) {
+	if got := livePathKeys(t, ix); !slices.Equal(got, keys) {
 		t.Fatal("failed insert changed the answer surface")
 	}
 }
@@ -528,7 +439,7 @@ func testInsertAllOrNothingMixed(t *testing.T) {
 		t.Fatalf("failed insert changed the index: epoch %d→%d, paths %d→%d, live %d→%d, terms %d→%d",
 			epoch, ix.Epoch(), paths, ix.NumPaths(), live, ix.LivePaths(), terms, ix.dict.Len())
 	}
-	if !equalKeys(livePathKeys(t, ix), want) {
+	if !slices.Equal(livePathKeys(t, ix), want) {
 		t.Fatal("failed insert changed the answer surface")
 	}
 	if graphOrder(ix.Graph()) != graph {
@@ -617,7 +528,7 @@ func TestWALAutoCheckpointTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := livePathKeys(t, re); !equalKeys(got, want) {
+	if got := livePathKeys(t, re); !slices.Equal(got, want) {
 		t.Fatal("answers after checkpointed crash diverge")
 	}
 }
@@ -780,7 +691,7 @@ func TestWALCheckpointDuringInsertCommit(t *testing.T) {
 	if rs := re.Recovery(); rs.Records != 0 {
 		t.Fatalf("replayed %d records after the checkpoint, want 0", rs.Records)
 	}
-	if got := livePathKeys(t, re); !equalKeys(got, want) {
+	if got := livePathKeys(t, re); !slices.Equal(got, want) {
 		t.Fatal("answers after the checkpoint + crash diverge")
 	}
 }
