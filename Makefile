@@ -42,7 +42,7 @@ race:
 # per-query-path cluster goroutines (one alignment memo, one I/O tally
 # and one index View shared by all of a query's clusters), admission
 # against client disconnects, the writer lock inserts, checkpoints and
-# incremental compaction share, the registry's and the trace ring's
+# compaction share, the registry's and the trace ring's
 # concurrent writers and the signature pre-rank's probe-mask lookups
 # interleave — a
 # second -count pass varies goroutine scheduling beyond what one ./...
@@ -58,8 +58,8 @@ race-hot:
 # recovered by Open alone; the WAL file's scan (a torn tail truncated,
 # a damaged record before a well-formed one refused), its whole-log
 # checkpoint and its replay up to the last acknowledged LSN; the compaction
-# swap's crash window, and a copy that cannot read a record, which
-# leaves the original files as they were; a failed insert (its staging
+# swap's crash window, and a rebuild whose pages cannot be written,
+# which leaves the original files as they were; a failed insert (its staging
 # or its read of the affected roots' paths) that leaves the graph the
 # metadata persists as it was; inserts racing Close, each of which
 # lands whole before it or fails with nothing logged; a second handle
@@ -163,7 +163,8 @@ loc:
 # knobs prints the number of independently settable values on each
 # configuration surface — public With* options, flags of the two
 # binaries, exported fields of the three Options structs and the fields
-# of the public config they feed, the Go client's exported fields, and
+# of the public config they feed, the path budget's fields, the Go
+# client's exported fields, and
 # the HTTP routes the debug mux and the query server register — one
 # line each, so "options did not grow" is one diff of this output.
 knobs:
@@ -176,6 +177,8 @@ knobs:
 		printf '%-34s %3d\n' "$$(basename $$(dirname $$f)).Options exported fields" \
 			$$(awk '/^type Options struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n+0}' $$f); \
 	done
+	@printf '%-34s %3d\n' 'paths.Config fields' \
+		$$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n+0}' internal/paths/enumerate.go)
 	@printf '%-34s %3d\n' 'client.Client exported fields' \
 		$$(awk '/^type Client struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n+0}' client/client.go)
 	@printf '%-34s %3d\n' 'HTTP routes' $$(cat internal/obs/debug.go internal/server/server.go | grep -c 'mux\.Handle')

@@ -14,9 +14,9 @@ import (
 )
 
 // TestConcurrentQueryDuringCompaction hammers an engine with queries
-// and inserts while incremental compactions run with a one-path batch
-// size, maximising the interleavings between the compaction's short
-// lock windows and everything else. Invariants checked on every
+// and inserts while compactions run back to back, interleaving their
+// rebuilds, which take no index lock, and their swaps, which take the
+// write lock, with everything else. Invariants checked on every
 // query: no error, and a non-empty ranked answer list whose top
 // answer names a senator — an in-flight query sees either the
 // pre-compaction state or the post-swap state, never a torn one.
@@ -66,8 +66,8 @@ func TestConcurrentQueryDuringCompaction(t *testing.T) {
 	}
 
 	// Writer: keeps tombstoning and re-enumerating CarlaBunes paths.
-	// The iteration cap bounds index growth so the eight batch-1
-	// compactions below finish promptly even when race instrumentation
+	// The iteration cap bounds index growth so the eight compactions
+	// below finish promptly even when race instrumentation
 	// slows every insert; without it a slow run snowballs (bigger
 	// index -> slower compaction -> more inserts).
 	wg.Add(1)
@@ -91,9 +91,9 @@ func TestConcurrentQueryDuringCompaction(t *testing.T) {
 		}
 	}()
 
-	// Foreground: back-to-back incremental compactions, smallest batch.
+	// Foreground: back-to-back compactions.
 	for i := 0; i < 8; i++ {
-		cs, err := ix.CompactIncremental(context.Background(), 1)
+		cs, err := ix.Compact(context.Background())
 		if err != nil {
 			close(stop)
 			wg.Wait()
@@ -143,7 +143,8 @@ func TestAssemblyDecodesClustersTermTable(t *testing.T) {
 	}
 	t.Cleanup(func() { ix.Close() })
 	// CarlaBunes stops being a root: the paths it started are tombstoned,
-	// so the compaction copies the live paths in another term order.
+	// and Zed's, which a rebuild streams last, hold their terms, so the
+	// compaction interns them in another order.
 	if err := ix.InsertTriples([]rdf.Triple{{S: iri("Zed"), P: iri("likes"), O: iri("CarlaBunes")}}); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestAssemblyDecodesClustersTermTable(t *testing.T) {
 		t.Fatal("no answers")
 	}
 	before := terms()
-	if _, err := ix.CompactIncremental(ctx, 0); err != nil {
+	if _, err := ix.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
 	after := terms()

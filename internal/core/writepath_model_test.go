@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"io/fs"
@@ -97,11 +99,10 @@ type command struct {
 	batch   []rdf.Triple // insert
 	fault   uint64       // faulted insert: the page reads that pass before one fails
 	queries []int        // query: indices into the pool
-	size    int          // compact: the batch size (0: the default)
 }
 
 func (c command) String() string {
-	return fmt.Sprintf("%s %s batch=%d fault=%d queries=%v size=%d", cmdNames[c.kind], c.how, len(c.batch), c.fault, c.queries, c.size)
+	return fmt.Sprintf("%s %s batch=%d fault=%d queries=%v", cmdNames[c.kind], c.how, len(c.batch), c.fault, c.queries)
 }
 
 // writeModel drives one index and its engines through commands and
@@ -277,7 +278,7 @@ func (m *writeModel) draw(rng *rand.Rand) command {
 	case w < 80:
 		return command{kind: cmdCheckpoint}
 	case w < 86:
-		return command{kind: cmdCompact, size: []int{0, 50, 700, 5000}[rng.Intn(4)]}
+		return command{kind: cmdCompact}
 	case w < 92:
 		return command{kind: cmdReopen}
 	}
@@ -339,10 +340,11 @@ func (m *writeModel) run(c command) {
 		m.checkpointed()
 	case cmdCompact:
 		layout := inView(m.pair.memo, backend.Layout)
-		_, err := m.ix.CompactIncremental(context.Background(), c.size)
+		_, err := m.ix.Compact(context.Background())
 		noErr(m.t, err)
 		m.checkpointed()
 		m.checkLayoutBump(label, layout)
+		m.checkRebuilt(label)
 	case cmdReopen, cmdCrash:
 		// Close checkpoints; a crash copy's Open replays the log since
 		// the last checkpoint, limbo batches included.
@@ -574,6 +576,50 @@ func (m *writeModel) checkRecords() {
 			m.t.Fatalf("after %q: the index's graph has %v, the model's does not", after, tr)
 		}
 	}
+}
+
+// checkRebuilt checks that the compaction wrote the files Build writes
+// for the index's graph under the model's budget: the same pages, and
+// the same metadata but for the build time and the applied LSN.
+func (m *writeModel) checkRebuilt(label string) {
+	m.t.Helper()
+	opts := m.iopts
+	opts.WrapIO = nil // the model's fault injector stays the index's
+	base := m.newBase()
+	fresh, err := index.Build(base, m.ix.Graph().Clone(), opts)
+	noErr(m.t, err)
+	defer fresh.Close()
+	for _, ext := range []string{".pages", ".meta"} {
+		got, err := os.ReadFile(m.base + ext)
+		noErr(m.t, err)
+		want, err := os.ReadFile(base + ext)
+		noErr(m.t, err)
+		if ext == ".meta" {
+			got, want = withoutStamps(m.t, got), withoutStamps(m.t, want)
+		}
+		if !bytes.Equal(got, want) {
+			m.t.Fatalf("%s: the compacted %s differs from a fresh build's", label, ext)
+		}
+	}
+}
+
+// withoutStamps zeroes, in the bytes of an index's metadata, the two
+// header varints a compaction and a fresh build of one graph differ in:
+// the applied LSN, right after the 8-byte magic, and the build time,
+// after the four counts that follow it.
+func withoutStamps(t *testing.T, meta []byte) []byte {
+	out, rest := slices.Clone(meta[:8]), meta[8:]
+	for i := range 6 {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			t.Fatalf("metadata header varint %d does not decode", i)
+		}
+		if i == 0 || i == 5 {
+			v = 0
+		}
+		out, rest = binary.AppendUvarint(out, v), rest[n:]
+	}
+	return append(out, rest...)
 }
 
 // runScript runs a scripted model: a hand-made graph, query pool and

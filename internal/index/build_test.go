@@ -20,19 +20,21 @@ import (
 )
 
 // sequentialBuild is the reference Build: EnumerateFrom per root, in
-// root order, cut at MaxTotal, each path registered through addPath.
+// root order, each path registered through stagePath and commitPath, as
+// an insert registers it.
 func sequentialBuild(t *testing.T, base string, g *rdf.Graph, opts Options) *Index {
 	t.Helper()
 	ix, err := build(base, g, opts, func(ix *Index) (int, error) {
 		n := 0
+		var ids []uint32
 		for _, root := range g.PathRoots() {
-			for _, p := range paths.EnumerateFrom(g, root, ix.pathCfg) {
-				if ix.pathCfg.MaxTotal > 0 && n == ix.pathCfg.MaxTotal {
-					return n, nil
-				}
-				if err := ix.addPath(p); err != nil {
+			for _, p := range paths.EnumerateFrom(g, root, ix.opts.Paths) {
+				ids = ids[:0]
+				rid, err := ix.stagePath(&ids, p)
+				if err != nil {
 					return n, err
 				}
+				ix.commitPath(ids, rid)
 				n++
 			}
 		}
@@ -44,12 +46,15 @@ func sequentialBuild(t *testing.T, base string, g *rdf.Graph, opts Options) *Ind
 	return ix
 }
 
-// metaBytes is the index's metadata with Stats.BuildTime zeroed: the one
-// field two builds of one graph may differ in.
+// metaBytes is the index's metadata with Stats.BuildTime and the applied
+// LSN zeroed: the fields two builds of one graph, or a build and a
+// compaction, may differ in.
 func metaBytes(t *testing.T, ix *Index) []byte {
 	t.Helper()
+	buildTime, applied := ix.stats.BuildTime, ix.applied
+	ix.stats.BuildTime, ix.applied = 0, 0
+	defer func() { ix.stats.BuildTime, ix.applied = buildTime, applied }()
 	var buf bytes.Buffer
-	ix.stats.BuildTime = 0
 	if err := ix.encodeMeta(bufio.NewWriter(&buf)); err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +93,6 @@ func ringGraph(n int) *rdf.Graph {
 // one, on every shape the stream has a branch for.
 func TestStreamedBuildEqualsSequential(t *testing.T) {
 	lubm := datasets.LUBM{}.Generate(6000, 1)
-	// cut is a MaxTotal that stops inside a root, after at least one.
-	cut := paths.DefaultConfig
-	for _, root := range lubm.PathRoots() {
-		n := len(paths.EnumerateFrom(lubm, root, cut))
-		if cut.MaxTotal > 0 && n >= 2 {
-			cut.MaxTotal++
-			break
-		}
-		cut.MaxTotal += n
-	}
 	cases := []struct {
 		name string
 		g    *rdf.Graph
@@ -107,7 +102,7 @@ func TestStreamedBuildEqualsSequential(t *testing.T) {
 		{"sourceless", ringGraph(30), Options{Paths: paths.Config{MaxLength: 8}}},
 		{"cycles", randomGraph(3, 40, 90), Options{Paths: paths.Config{MaxLength: 6}}},
 		{"max-per-root", lubm, Options{Paths: paths.Config{MaxLength: 12, MaxPerRoot: 3}}},
-		{"max-total-mid-root", lubm, Options{Paths: cut}},
+		{"one-per-root", lubm, Options{Paths: paths.Config{MaxLength: 12, MaxPerRoot: 1}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

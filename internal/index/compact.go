@@ -5,158 +5,79 @@ import (
 	"fmt"
 	"os"
 	"time"
-
-	"sama/internal/paths"
-	"sama/internal/storage"
-	"sama/internal/textindex"
 )
 
-// DefaultCompactBatch is the number of live paths copied per bounded
-// step of an incremental compaction.
-const DefaultCompactBatch = 1024
-
-// CompactStats reports what an incremental compaction did. Pauses is
-// the distribution queries care about: every entry is one interval the
-// compaction held an index lock (read locks for the batch copies, the
-// write lock for the final swap), which is exactly how long a
-// concurrent query could have been stalled. Writers wait for the whole
-// compaction instead (Elapsed).
+// CompactStats reports what a compaction did. Pause is what queries see
+// of it: the one interval it holds the index's write lock, the swap,
+// which is how long a concurrent query could have been stalled. Writers
+// wait for the whole compaction instead (Elapsed).
 type CompactStats struct {
 	// Live is the number of paths in the compacted index.
 	Live int `json:"live"`
-	// Copied is the number of paths the batch steps copied.
-	Copied int `json:"copied"`
-	// Batches is the number of bounded copy steps.
-	Batches int `json:"batches"`
-	// Pauses are the individual lock-hold durations; MaxPause is their
-	// maximum (the worst single stall the compaction induced).
-	Pauses   []time.Duration `json:"-"`
-	MaxPause time.Duration   `json:"max_pause_ns"`
+	// Pause is the swap's write-lock hold.
+	Pause time.Duration `json:"pause_ns"`
 	// Elapsed is the whole compaction's wall-clock time.
 	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
-func (cs *CompactStats) pause(d time.Duration) {
-	cs.Pauses = append(cs.Pauses, d)
-	if d > cs.MaxPause {
-		cs.MaxPause = d
-	}
-}
-
-// CompactIncremental rewrites the index files keeping only live paths,
-// reclaiming the space held by tombstoned records. It holds the writer
-// lock throughout, so inserts and checkpoints wait for it and nothing
-// changes the paths it copies. The copy works in bounded steps under
-// short read locks — batch live paths are materialised per step, the
-// lock released between steps — so queries keep reading the
-// pre-compaction state throughout. Only the final swap takes the write
-// lock, which waits for every open View (a query's cluster phase) to
-// end, so no query reads across it: the files are swapped (rename), and
-// the epoch and the layout bump — invalidating every cache entry that
-// names an old PathID. The swap doubles as a checkpoint: the new
-// metadata carries the applied watermark and the log is discarded.
+// Compact rewrites the index files as Build writes them for the index's
+// graph and path budget, reclaiming the space held by tombstoned
+// records: the compacted files are those a fresh build of the graph
+// writes, every path renumbered in the build's order, with the original
+// build time and the applied watermark. It holds the writer lock
+// throughout, so inserts and checkpoints wait for it and the graph holds
+// still; the rebuild reads the graph, no page of the old index, and
+// takes no index lock, so queries keep reading the pre-compaction state
+// throughout. Only the swap takes the write lock, which waits for every
+// open View (a query's cluster phase) to end, so no query reads across
+// it: the old handles are closed, the files swapped (rename) and
+// reopened, and the epoch and the layout bump — invalidating every cache
+// entry that names an old PathID. The swap doubles as a checkpoint: the
+// new metadata carries the applied watermark and the log is discarded.
 //
-// batch ≤ 0 selects DefaultCompactBatch. On a failure
-// before the final swap starts closing the old file handles, the
-// original files remain intact and the index is untouched. A failure
-// during the swap itself (closing the old pool or pages file, either
-// rename, or the reopen) is recovered by rolling the swap forward:
-// the new files are complete and synced before teardown begins, so
-// the renames are finished, the new files reopened and adopted, and
-// the index stays usable — the error is still returned. Only if that
-// recovery reopen also fails is the index left closed, and the error
-// says so explicitly.
-func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactStats, err error) {
+// On a failure before the swap starts closing the old file handles — a
+// cancelled ctx included — the original files remain intact and the
+// index is untouched. A failure during the swap itself (closing the old
+// pool or pages file, either rename, or the reopen) is recovered by
+// rolling the swap forward: the new files are complete and synced
+// before teardown begins, so the renames are finished, the new files
+// reopened and adopted, and the index stays usable — the error is still
+// returned. Only if that recovery reopen also fails is the index left
+// closed, and the error says so explicitly.
+func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 	start := time.Now()
-	if batch <= 0 {
-		batch = DefaultCompactBatch
-	}
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
-	// Only writers change the index, so under the writer lock its path
-	// count holds still.
-	n := len(ix.rids)
+	defer func() { cs.Elapsed = time.Since(start) }()
 
+	// The rebuild: only writers change the graph, the stats and the
+	// watermark, so under the writer lock they hold still.
 	tmpBase := ix.base + ".compact"
-	file, err := storage.CreatePageFile(pagesPath(tmpBase))
+	next, err := writeIndex(tmpBase, ix.graph, ix.opts,
+		func(nx *Index) (int, error) { return nx.streamPaths(ctx) },
+		func(nx *Index) {
+			// The watermark makes a crash right after the swap recover
+			// against the compacted files.
+			nx.stats.BuildTime, nx.applied = ix.stats.BuildTime, ix.applied
+		})
+	if err == nil {
+		err = next.file.Close()
+	}
 	if err != nil {
-		return cs, err
-	}
-	next := &Index{
-		base:    tmpBase,
-		file:    file,
-		pool:    storage.NewBufferPool(wrapPageIO(file, ix.wrapIO), 0),
-		sinks:   textindex.New(ix.thes),
-		labels:  textindex.New(ix.thes),
-		sources: make(map[uint32][]PathID),
-		pathCfg: ix.pathCfg,
-		dict:    NewDictionary(),
-	}
-	next.store = storage.NewRecordStore(next.pool)
-	fail := func(err error) (CompactStats, error) {
-		file.Close()
 		os.Remove(pagesPath(tmpBase))
 		os.Remove(metaPath(tmpBase))
 		os.Remove(metaPath(tmpBase) + ".tmp")
-		return cs, err
+		return cs, fmt.Errorf("index: compact: %w", err)
 	}
 
-	// The copy: each step reads up to `batch` live paths in one batched
-	// read under a read lock, then appends them to the new files with no
-	// index lock held.
-	var live []PathID
-	for lo := 0; lo < n; lo += batch {
-		if err := ctx.Err(); err != nil {
-			return fail(err)
-		}
-		var ps []paths.Path
-		held := time.Now()
-		err := ix.View(func(r Reader) (err error) {
-			live = r.liveIn(live[:0], lo, min(lo+batch, n))
-			ps, _, _, err = r.ReadPathsBatched(ctx, live)
-			return err
-		})
-		cs.pause(time.Since(held))
-		cs.Batches++
-		if err != nil {
-			return fail(fmt.Errorf("index: compact: %w", err))
-		}
-		for i, p := range ps {
-			if err := next.addPath(p); err != nil {
-				return fail(fmt.Errorf("index: compact: rewrite path %d: %w", live[i], err))
-			}
-		}
-		cs.Copied += len(live)
-	}
-
-	// The swap, under the write lock: persist the new files and adopt
-	// them.
+	// The swap, under the write lock: adopt the new files.
 	held := time.Now()
 	ix.mu.Lock()
 	defer func() {
 		ix.mu.Unlock()
-		cs.pause(time.Since(held))
-		cs.Elapsed = time.Since(start)
+		cs.Pause = time.Since(held)
 	}()
-	next.graph = ix.graph
-	next.stats = ix.stats
-	next.stats.Paths = next.livePathsLocked()
-	next.stats.HE = next.stats.Triples + next.stats.Paths
-	// The new metadata must carry the watermark, so a crash right after
-	// the swap recovers against the compacted files.
-	next.applied = ix.applied
-	if err := next.pool.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := next.writeMeta(); err != nil {
-		return fail(err)
-	}
-	if err := file.Close(); err != nil {
-		return fail(err)
-	}
-
-	// Past this point the old handles are being torn down, so fail's
-	// delete-the-temporaries cleanup is no longer enough. adopt swaps
+	// Past this point the old handles are being torn down. adopt swaps
 	// the reopened state in field by field: ix.mu is held and must not
 	// be overwritten, and the WAL handle and watermark survive the
 	// swap. The epoch and layout bumps ride along — compaction
@@ -192,7 +113,7 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	closeFail := func(cause error) (CompactStats, error) {
 		os.Rename(pagesPath(tmpBase), pagesPath(ix.base))
 		recoverCompactSwap(ix.base)
-		re, rerr := openIndex(ix.base, Options{Paths: ix.pathCfg, Thesaurus: ix.thes, WrapIO: ix.wrapIO})
+		re, rerr := openIndex(ix.base, ix.opts)
 		if rerr != nil {
 			return cs, fmt.Errorf("%w (reopening the index files failed too: %v; the index is closed)", cause, rerr)
 		}
@@ -228,7 +149,7 @@ func (ix *Index) CompactIncremental(ctx context.Context, batch int) (cs CompactS
 	if err := syncDirOf(metaPath(ix.base)); err != nil {
 		return closeFail(fmt.Errorf("index: compact: sync dir: %w", err))
 	}
-	reopened, err := openIndex(ix.base, Options{Paths: ix.pathCfg, Thesaurus: ix.thes, WrapIO: ix.wrapIO})
+	reopened, err := openIndex(ix.base, ix.opts)
 	if err != nil {
 		return closeFail(fmt.Errorf("index: compact: reopen: %w", err))
 	}

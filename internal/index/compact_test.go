@@ -1,7 +1,9 @@
 package index
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,8 +12,11 @@ import (
 	"strings"
 	"testing"
 
+	"sama/internal/datasets"
+	"sama/internal/paths"
 	"sama/internal/rdf"
 	"sama/internal/storage"
+	"sama/internal/textindex"
 )
 
 // livePathKeys collects the canonical keys of every live path.
@@ -57,7 +62,7 @@ func TestCompactPreservesLivePaths(t *testing.T) {
 	beforeSize := ix.Stats().DiskBytes
 	total := ix.NumPaths()
 
-	if _, err := ix.CompactIncremental(context.Background(), 0); err != nil {
+	if _, err := ix.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after := livePathKeys(t, ix)
@@ -101,7 +106,7 @@ func TestCompactCompressedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := livePathKeys(t, ix)
-	if _, err := ix.CompactIncremental(context.Background(), 0); err != nil {
+	if _, err := ix.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after := livePathKeys(t, ix)
@@ -135,25 +140,16 @@ func TestCompactIncrementalStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	liveBefore := ix.LivePaths()
-	cs, err := ix.CompactIncremental(context.Background(), 2)
+	cs, err := ix.Compact(context.Background())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cs.Batches < 2 {
-		t.Errorf("batch=2 over %d paths ran %d batches, want several", liveBefore, cs.Batches)
 	}
 	if cs.Live != liveBefore {
 		t.Errorf("Live = %d, want %d", cs.Live, liveBefore)
 	}
-	if cs.Copied != liveBefore {
-		t.Errorf("Copied = %d, want the %d live paths", cs.Copied, liveBefore)
-	}
-	// One pause per batch plus the final write-locked swap.
-	if len(cs.Pauses) != cs.Batches+1 {
-		t.Errorf("pauses = %d, want batches+1 = %d", len(cs.Pauses), cs.Batches+1)
-	}
-	if cs.MaxPause <= 0 || cs.Elapsed < cs.MaxPause {
-		t.Errorf("MaxPause %v / Elapsed %v inconsistent", cs.MaxPause, cs.Elapsed)
+	// The swap is one interval of the whole compaction.
+	if cs.Pause <= 0 || cs.Elapsed < cs.Pause {
+		t.Errorf("Pause %v / Elapsed %v inconsistent", cs.Pause, cs.Elapsed)
 	}
 }
 
@@ -167,7 +163,7 @@ func TestCompactIncrementalContextCancel(t *testing.T) {
 	want := livePathKeys(t, ix)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ix.CompactIncremental(ctx, 1); err == nil {
+	if _, err := ix.Compact(ctx); err == nil {
 		t.Fatal("cancelled compaction reported success")
 	}
 	if got := livePathKeys(t, ix); !slices.Equal(got, want) {
@@ -175,17 +171,17 @@ func TestCompactIncrementalContextCancel(t *testing.T) {
 	}
 	// The failed pass released the writer lock and left the files
 	// intact: a retry succeeds.
-	if _, err := ix.CompactIncremental(context.Background(), 0); err != nil {
+	if _, err := ix.Compact(context.Background()); err != nil {
 		t.Fatalf("compaction after cancelled pass: %v", err)
 	}
 }
 
-// TestCompactIncrementalConcurrentInserts runs fine-grained
-// compactions back to back beside a stream of inserts and checks the
-// final live path set is exactly what the final graph enumerates. The
-// writer lock serialises the two — an insert waits for a running
-// compaction, which copies everything inserted before it — so every
-// insert lands whole before a copy or after a swap, never lost or
+// TestCompactIncrementalConcurrentInserts runs compactions back to back
+// beside a stream of inserts and checks the final live path set is
+// exactly what the final graph enumerates. The writer lock serialises
+// the two — an insert waits for a running compaction, which rebuilds
+// from a graph holding everything inserted before it — so every insert
+// lands whole before a rebuild or after a swap, never lost or
 // duplicated.
 func TestCompactIncrementalConcurrentInserts(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "race")
@@ -213,7 +209,7 @@ func TestCompactIncrementalConcurrentInserts(t *testing.T) {
 		}
 	}()
 	for {
-		if _, err := ix.CompactIncremental(context.Background(), 1); err != nil {
+		if _, err := ix.Compact(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -222,7 +218,7 @@ func TestCompactIncrementalConcurrentInserts(t *testing.T) {
 				t.Fatal(insertErr)
 			}
 			// One final pass over the quiesced index.
-			if _, err := ix.CompactIncremental(context.Background(), 1); err != nil {
+			if _, err := ix.Compact(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			got := livePathKeys(t, ix)
@@ -291,7 +287,7 @@ func TestCompactSwapCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := re.CompactIncremental(context.Background(), 0); err != nil {
+	if _, err := re.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	postSlots := re.NumPaths()
@@ -330,7 +326,7 @@ func TestCompactIncrementalWithWAL(t *testing.T) {
 	if err := ix.InsertTriples(walTestTriples); err != nil {
 		t.Fatal(err)
 	}
-	cs, err := ix.CompactIncremental(context.Background(), 4)
+	cs, err := ix.Compact(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +398,7 @@ func TestCompactIncrementalPostCloseFailureReopens(t *testing.T) {
 	epoch := ix.Epoch()
 
 	fi.Inject(storage.Fault{Op: storage.OpSync, Kind: storage.Transient, Times: 1})
-	_, err = ix.CompactIncremental(context.Background(), 0)
+	_, err = ix.Compact(context.Background())
 	if err == nil {
 		t.Fatal("compaction with a failing old-pool sync succeeded")
 	}
@@ -420,7 +416,7 @@ func TestCompactIncrementalPostCloseFailureReopens(t *testing.T) {
 		t.Error("adopting reopened files must bump the epoch")
 	}
 	// And the failure was transient from the caller's view: retry works.
-	if _, err := ix.CompactIncremental(context.Background(), 0); err != nil {
+	if _, err := ix.Compact(context.Background()); err != nil {
 		t.Fatalf("retry after recovered failure: %v", err)
 	}
 	if got := livePathKeys(t, ix); !slices.Equal(got, want) {
@@ -433,22 +429,22 @@ func TestCompactIncrementalPostCloseFailureReopens(t *testing.T) {
 	}
 }
 
-// TestCompactIncrementalReadFaultKeepsOriginal: a permanent read fault
-// on a page holding a record the copy phase reads fails the compaction
-// before the swap, with the original files byte for byte as they were,
-// no temporaries left behind, and the index still answering; once the
-// fault clears, a retry compacts.
-func TestCompactIncrementalReadFaultKeepsOriginal(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "rfault")
-	// Only the original page file is wrapped: the compaction's own file
-	// reuses its page IDs.
-	var fi *storage.FaultInjector
+// TestCompactWriteFaultKeepsOriginal: a permanent write fault on the
+// compaction's new pages file fails the compaction before the swap, with
+// the original files byte for byte as they were, no temporaries left
+// behind, and the index still answering; a retry, whose files write,
+// compacts.
+func TestCompactWriteFaultKeepsOriginal(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "wfault")
+	// The second page file WrapIO sees is the first compaction's.
+	files := 0
 	ix, err := Build(base, figure1Graph(), Options{
 		WrapIO: func(io storage.PageIO) storage.PageIO {
-			if fi != nil {
+			if files++; files != 2 {
 				return io
 			}
-			fi = storage.NewFaultInjector(io)
+			fi := storage.NewFaultInjector(io)
+			fi.Inject(storage.Fault{Op: storage.OpWrite, Kind: storage.Permanent})
 			return fi
 		},
 	})
@@ -462,7 +458,7 @@ func TestCompactIncrementalReadFaultKeepsOriginal(t *testing.T) {
 	if err := ix.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	files := func() string {
+	onDisk := func() string {
 		t.Helper()
 		pages, err := os.ReadFile(pagesPath(base))
 		if err != nil {
@@ -474,39 +470,166 @@ func TestCompactIncrementalReadFaultKeepsOriginal(t *testing.T) {
 		}
 		return string(pages) + string(meta)
 	}
-	want, keys := files(), livePathKeys(t, ix)
-	var page storage.PageID
-	for id := range ix.rids {
-		if ix.Live(PathID(id)) {
-			page = ix.rids[id].Page
-			break
-		}
-	}
-	if err := ix.DropCache(); err != nil {
-		t.Fatal(err)
-	}
+	want, keys, epoch := onDisk(), livePathKeys(t, ix), ix.Epoch()
 
-	fi.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.Permanent, Page: page})
-	_, err = ix.CompactIncremental(context.Background(), 2)
-	fi.Clear()
-	if err == nil || !strings.Contains(err.Error(), "index: compact") {
-		t.Fatalf("compaction with an unreadable record page: err = %v, want a failed copy", err)
+	_, err = ix.Compact(context.Background())
+	if !errors.Is(err, storage.ErrPermanent) || !strings.Contains(err.Error(), "index: compact") {
+		t.Fatalf("compaction whose pages do not write: err = %v, want the injected fault", err)
 	}
-	if files() != want {
+	if onDisk() != want {
 		t.Fatal("failed compaction changed the original files")
 	}
-	for _, tmp := range []string{pagesPath(base + ".compact"), metaPath(base + ".compact")} {
+	for _, tmp := range []string{pagesPath(base + ".compact"), metaPath(base + ".compact"), metaPath(base+".compact") + ".tmp"} {
 		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 			t.Errorf("failed compaction left %s behind (%v)", tmp, err)
 		}
 	}
-	if got := livePathKeys(t, ix); !slices.Equal(got, keys) {
+	if got := livePathKeys(t, ix); !slices.Equal(got, keys) || ix.Epoch() != epoch {
 		t.Fatal("index answers differently after the failed compaction")
 	}
-	if _, err := ix.CompactIncremental(context.Background(), 2); err != nil {
-		t.Fatalf("compaction after the fault cleared: %v", err)
+	if _, err := ix.Compact(context.Background()); err != nil {
+		t.Fatalf("compaction whose files write: %v", err)
 	}
 	if got := livePathKeys(t, ix); !slices.Equal(got, keys) {
 		t.Fatal("retried compaction changed the answer surface")
+	}
+}
+
+// TestCompactEqualsBuild: a compacted index is Build of its graph under
+// its budget — the same pages, byte for byte, and the same metadata but
+// for the build time and the applied LSN — after streamed inserts, after
+// hub-rooted ones on a sourceless graph, and with a budget of its own,
+// reopened without it before the compaction. Each case first gives a
+// root early in root order a new out-edge: the insert appends the
+// root's new path after every other, where a build puts it among the
+// root's paths.
+func TestCompactEqualsBuild(t *testing.T) {
+	stream := datasets.LUBM{}.Generate(8000, 1).Triples()
+	lubm, err := rdf.NewGraphFromTriples(stream[:6000])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batches [][]rdf.Triple
+	for lo := 6000; lo < 6600; lo += 50 {
+		batches = append(batches, stream[lo:lo+50])
+	}
+	var ring [][]rdf.Triple
+	for i := range 6 {
+		ring = append(ring, []rdf.Triple{{S: iri(fmt.Sprintf("r%d", 5*i)), P: iri("jump"), O: iri(fmt.Sprintf("r%d", 7*i+3))}})
+	}
+	budget := paths.Config{MaxLength: 5, MaxPerRoot: 64}
+	for _, c := range []struct {
+		name    string
+		g       *rdf.Graph
+		opts    Options
+		batches [][]rdf.Triple
+		reopen  bool
+	}{
+		{"lubm6k-streamed", lubm, Options{Thesaurus: textindex.BenchmarkThesaurus()}, batches, false},
+		{"sourceless-hub-rooted", ringGraph(30), Options{Paths: paths.Config{MaxLength: 8}}, ring, false},
+		{"own-budget-reopened", lubm.Clone(), Options{Paths: budget}, batches, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base := filepath.Join(dir, "ix")
+			ix, err := Build(base, c.g, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			roots, cfg := c.g.PathRoots(), ix.opts.Paths
+			for _, r := range roots[:len(roots)-1] {
+				if cfg.MaxPerRoot == 0 || len(paths.EnumerateFrom(c.g, r, cfg)) < cfg.MaxPerRoot {
+					if err := ix.InsertTriples([]rdf.Triple{{S: c.g.Term(r), P: iri("grows"), O: iri("leaf")}}); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+			half := len(c.batches) / 2
+			for _, b := range c.batches[:half] {
+				if err := ix.InsertTriples(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.reopen {
+				if err := ix.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if ix, err = Open(base, Options{Thesaurus: c.opts.Thesaurus}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer ix.Close()
+			for _, b := range c.batches[half:] {
+				if err := ix.InsertTriples(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ix.LivePaths() == ix.NumPaths() {
+				t.Fatal("test setup: the inserts tombstoned nothing")
+			}
+			if _, err := ix.Compact(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Build(filepath.Join(dir, "fresh"), ix.Graph().Clone(), c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			got, err := os.ReadFile(pagesPath(base))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(pagesPath(fresh.base))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Error(".pages differ from a fresh build's")
+			}
+			if !bytes.Equal(metaBytes(t, ix), metaBytes(t, fresh)) {
+				t.Error("the metadata differs from a fresh build's (build time and applied LSN aside)")
+			}
+		})
+	}
+}
+
+// TestCompactKeepsPoolSize: the compacted index reads through a pool of
+// the size the index was built with, so a full read of more pages than
+// it holds evicts after the swap as it did before.
+func TestCompactKeepsPoolSize(t *testing.T) {
+	const pool = 4
+	stream := datasets.LUBM{}.Generate(3000, 1).Triples()
+	g, err := rdf.NewGraphFromTriples(stream[:2000])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(filepath.Join(t.TempDir(), "pool"), g, Options{PoolPages: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if err := ix.InsertTriples(stream[2000:2100]); err != nil {
+		t.Fatal(err)
+	}
+	evictions := func() uint64 {
+		t.Helper()
+		if err := ix.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		before := ix.PoolStats().Evictions
+		readAllLive(t, ix)
+		return ix.PoolStats().Evictions - before
+	}
+	if n := evictions(); n == 0 {
+		t.Fatalf("test setup: a full read of %d pages through a %d-page pool evicted nothing", ix.file.NumPages(), pool)
+	}
+	if _, err := ix.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Every page but the file's header holds a live record.
+	pages := ix.file.NumPages()
+	if n := evictions(); n < uint64(pages-pool-1) {
+		t.Errorf("after the compaction a full read of %d pages evicted %d times; a %d-page pool evicts at least %d", pages, n, pool, pages-pool-1)
 	}
 }

@@ -356,7 +356,7 @@ func TestCrashMatrixDuringLogRewrite(t *testing.T) {
 }
 
 func TestCrashMatrixMidCompaction(t *testing.T) {
-	// Kill during an incremental compaction, at both sides of the
+	// Kill during a compaction, at both sides of the
 	// swap's commit point. The WAL-specific states (pre-commit
 	// temporaries discarded, post-commit meta rename completed) are
 	// synthesised the same way TestCompactSwapCrashRecovery does for
@@ -368,8 +368,9 @@ func TestCrashMatrixMidCompaction(t *testing.T) {
 	}
 
 	t.Run("during-copy-phase", func(t *testing.T) {
-		// Phase 1 writes only <base>.compact.pages; a kill there leaves
-		// the original files authoritative and the temporary is garbage.
+		// The rebuild writes the copy to <base>.compact.pages first; a
+		// kill there leaves the original files authoritative and the
+		// temporary is garbage.
 		cb := crashClone(t, r.base)
 		if err := os.WriteFile(pagesPath(cb+".compact"), []byte("partial compaction output"), 0o644); err != nil {
 			t.Fatal(err)
@@ -390,7 +391,7 @@ func TestCrashMatrixMidCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.ix.CompactIncremental(context.Background(), 0); err != nil {
+		if _, err := r.ix.Compact(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		want := livePathKeys(t, r.ix)

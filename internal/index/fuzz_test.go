@@ -153,7 +153,7 @@ func FuzzReadMeta(f *testing.F) {
 	f.Add(raw)
 	decode := func(data []byte) (*Index, error) {
 		ix := new(Index)
-		return ix, ix.decodeMeta(bufio.NewReader(bytes.NewReader(data)), int64(len(data)), nil)
+		return ix, ix.decodeMeta(bufio.NewReader(bytes.NewReader(data)), int64(len(data)))
 	}
 	encode := func(t *testing.T, ix *Index) []byte {
 		var buf bytes.Buffer

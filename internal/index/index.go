@@ -27,6 +27,9 @@ type PathID uint32
 // Options configures index construction and opening.
 type Options struct {
 	// Paths bounds the path enumeration (zero value: paths.DefaultConfig).
+	// Only Build reads it: the metadata records the budget, and an
+	// opened index inserts, replays and compacts under the one it was
+	// built with.
 	Paths paths.Config
 	// PoolPages is the buffer pool capacity in pages (0: storage default).
 	PoolPages int
@@ -35,8 +38,8 @@ type Options struct {
 	Thesaurus *textindex.Thesaurus
 	// WrapIO, when set, wraps the page file's I/O before the buffer
 	// pool is created — the hook fault-injection tests use to interpose
-	// a storage.FaultInjector between the pool and the disk. The
-	// wrapper persists across Compact.
+	// a storage.FaultInjector between the pool and the disk. Compact
+	// wraps the files it writes and reopens with it too.
 	WrapIO func(storage.PageIO) storage.PageIO
 	// CheckpointBytes triggers an automatic checkpoint after an insert
 	// once the WAL reaches this size (0: DefaultCheckpointBytes;
@@ -83,7 +86,7 @@ type Stats struct {
 // Index is the opened, queryable path index. It is safe for concurrent
 // use: a query's cluster phase reads one consistent state through the
 // Reader of one View, which holds the read lock for the whole phase.
-// The writers — InsertTriples, CompactIncremental, Checkpoint and
+// The writers — InsertTriples, Compact, Checkpoint and
 // Close — run one at a time under the writer lock, and each takes
 // the write lock, which waits for open Views, only to mutate (page I/O
 // is additionally serialised by the buffer pool's own lock).
@@ -140,30 +143,31 @@ type Index struct {
 	// dict interns the terms of every stored path: a record is a varint
 	// sequence of its IDs (see EncodePathDict). It is persisted in the
 	// metadata file, so it always covers the records that file's RIDs
-	// name. idBuf and recBuf are addPath's and Build's scratch — one
-	// path's term IDs and its record — used, like every dictionary write,
-	// under the write lock or before the index is shared.
+	// name. idBuf and recBuf are the scratch of an insert's staging and of
+	// Build — one path's term IDs and its record — used, like every
+	// dictionary write, under the write lock or before the index is
+	// shared.
 	dict   *Dictionary
 	idBuf  []uint32
 	recBuf []byte
 	// graph is the indexed data graph, which InsertTriples re-enumerates
 	// the affected paths of: Build retains the one it indexed, and the
 	// metadata carries it, in the dictionary's term IDs, for Open.
-	graph   *rdf.Graph
-	pathCfg paths.Config
-	thes    *textindex.Thesaurus
-	wrapIO  func(storage.PageIO) storage.PageIO
-	stats   Stats
+	graph *rdf.Graph
+	// opts is what the index was built or opened with, Paths the budget
+	// the metadata records: the compaction swap and its roll-forward
+	// reopen the files with them.
+	opts  Options
+	stats Stats
 	// Write path state: wal is the log at walPath(base), applied the
 	// LSN of the last record applied — every one below it is too, and
 	// under the writer lock it is the log's last LSN, so a checkpoint
 	// discards the whole log — and recovery is what Open replayed. lock
 	// holds <base>.lock (see lockBase) until Close, which sets it nil.
-	wal             *storage.WAL
-	lock            *os.File
-	checkpointBytes int64
-	applied         uint64
-	recovery        RecoveryStats
+	wal      *storage.WAL
+	lock     *os.File
+	applied  uint64
+	recovery RecoveryStats
 	// Observability counters, wired by SetMetrics; nil-safe no-ops
 	// until then (obs handles are nil-safe by contract).
 	mSinkLookups  *obs.Counter
@@ -244,7 +248,7 @@ func lockBase(base string) (f *os.File, created bool, err error) {
 // base.meta), returning the opened index, and restarts the write-ahead
 // log at base.wal. An existing index at base is overwritten.
 func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
-	return build(base, g, opts, (*Index).streamPaths)
+	return build(base, g, opts, func(ix *Index) (int, error) { return ix.streamPaths(context.TODO()) })
 }
 
 // build is Build with the step that registers the paths, returning
@@ -260,72 +264,78 @@ func build(base string, g *rdf.Graph, opts Options, fill func(*Index) (int, erro
 		lock.Close()
 		return nil, err
 	}
-	file, err := storage.CreatePageFile(pagesPath(base))
+	// A fresh build restarts history: any older log describes an index
+	// these files replace.
+	err = wal.Reset(1)
+	var ix *Index
+	if err == nil {
+		opts.Paths = opts.pathConfig()
+		ix, err = writeIndex(base, g, opts, fill, func(ix *Index) { ix.stats.BuildTime = time.Since(start) })
+	}
 	if err != nil {
 		wal.Close()
 		lock.Close()
+		return nil, err
+	}
+	ix.wal, ix.lock = wal, lock
+	return ix, nil
+}
+
+// writeIndex writes the files at base that index g's paths within
+// opts.Paths: it creates the pages file, registers the paths through
+// fill, lets stamp set what the metadata carries beyond them (the build
+// time, the applied LSN), flushes the pages and writes the metadata. It
+// returns the index open on the files, with no lock or log. Build and
+// Compact both write through it, so a compacted index is the one a
+// fresh build of its graph gives.
+func writeIndex(base string, g *rdf.Graph, opts Options, fill func(*Index) (int, error), stamp func(*Index)) (*Index, error) {
+	file, err := storage.CreatePageFile(pagesPath(base))
+	if err != nil {
 		return nil, err
 	}
 	ix := &Index{
-		base:            base,
-		file:            file,
-		wal:             wal,
-		lock:            lock,
-		pool:            storage.NewBufferPool(wrapPageIO(file, opts.WrapIO), opts.PoolPages),
-		sinks:           textindex.New(opts.Thesaurus),
-		labels:          textindex.New(opts.Thesaurus),
-		sources:         make(map[uint32][]PathID),
-		graph:           g,
-		pathCfg:         opts.pathConfig(),
-		thes:            opts.Thesaurus,
-		wrapIO:          opts.WrapIO,
-		checkpointBytes: opts.checkpointBytes(),
-		dict:            NewDictionary(),
+		base:    base,
+		file:    file,
+		pool:    storage.NewBufferPool(wrapPageIO(file, opts.WrapIO), opts.PoolPages),
+		sinks:   textindex.New(opts.Thesaurus),
+		labels:  textindex.New(opts.Thesaurus),
+		sources: make(map[uint32][]PathID),
+		graph:   g,
+		opts:    opts,
+		dict:    NewDictionary(),
 	}
 	ix.store = storage.NewRecordStore(ix.pool)
-	fail := func(err error) (*Index, error) {
-		wal.Close()
-		file.Close()
-		lock.Close()
-		return nil, err
-	}
-	// A fresh build restarts history: any older log describes an index
-	// these files just replaced.
-	if err := wal.Reset(1); err != nil {
-		return fail(err)
-	}
 	n, err := fill(ix)
+	if err == nil {
+		ix.stats = Stats{Triples: g.EdgeCount(), HV: g.NodeCount(), HE: g.EdgeCount() + n, Paths: n}
+		stamp(ix)
+		if err = ix.pool.Flush(); err == nil {
+			err = ix.writeMeta()
+		}
+	}
 	if err != nil {
-		return fail(err)
-	}
-	ix.stats = Stats{
-		Triples:   g.EdgeCount(),
-		HV:        g.NodeCount(),
-		HE:        g.EdgeCount() + n,
-		Paths:     n,
-		BuildTime: time.Since(start),
-	}
-	if err := ix.pool.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := ix.writeMeta(); err != nil {
-		return fail(err)
+		file.Close()
+		return nil, err
 	}
 	ix.stats.DiskBytes = ix.diskBytes()
 	return ix, nil
 }
 
-// streamPaths is Build's fill. It interns each graph node and edge when
-// a path first holds it, which asks the dictionary for the terms in
-// internPath's order: every ID, record and posting is addPath's.
-func (ix *Index) streamPaths() (int, error) {
+// streamPaths is Build's fill, stopped by ctx. It interns each graph
+// node and edge when a path first holds it, which asks the dictionary
+// for the terms in internPath's order: every ID, record and posting is
+// the one stagePath and commitPath would give the path.
+func (ix *Index) streamPaths(ctx context.Context) (int, error) {
 	g := ix.graph
 	// nodeIDs[v] and edgeIDs[e] are 1 + the dictionary ID of node v's
 	// term and of edge e's label, 0 until a path first holds them.
 	nodeIDs := make([]uint32, g.NodeCount())
 	edgeIDs := make([]uint32, g.EdgeCount())
 	n := 0
-	err := paths.Stream(g, ix.pathCfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) error {
+	err := paths.Stream(g, ix.opts.Paths, func(nodes []rdf.NodeID, edges []rdf.EdgeID) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		ids := ix.idBuf[:0]
 		for _, v := range nodes {
 			if nodeIDs[v] == 0 {
@@ -365,9 +375,9 @@ func (ix *Index) stagePath(ids *[]uint32, p paths.Path) (storage.RID, error) {
 // stagePath interned its terms to, in the in-memory tables. Pure
 // memory: it cannot fail, which is what lets the insert path stage
 // every disk append first and commit atomically after. It is the one
-// line every registration route — build, insert, WAL replay, compaction
-// copy — maintains the summaries and postings through, reading each
-// label's analysed form from the dictionary.
+// line every registration route — build (and so compaction), insert,
+// WAL replay — maintains the summaries and postings through, reading
+// each label's analysed form from the dictionary.
 func (ix *Index) commitPath(ids []uint32, rid storage.RID) {
 	id := uint32(len(ix.rids))
 	ix.rids = append(ix.rids, rid)
@@ -383,16 +393,6 @@ func (ix *Index) commitPath(ids []uint32, rid storage.RID) {
 		ix.labels.AddAnalysed(a, id)
 	}
 	ix.sigs = append(ix.sigs, sig)
-}
-
-func (ix *Index) addPath(p paths.Path) error {
-	ix.idBuf = ix.idBuf[:0]
-	rid, err := ix.stagePath(&ix.idBuf, p)
-	if err != nil {
-		return err
-	}
-	ix.commitPath(ix.idBuf, rid)
-	return nil
 }
 
 // Open loads an index previously written by Build. The pages stay on
@@ -412,7 +412,7 @@ func Open(base string, opts Options) (*Index, error) {
 	recoverCompactSwap(base)
 	ix, err := openIndex(base, opts)
 	if err == nil {
-		if err = ix.openWAL(opts); err == nil {
+		if err = ix.openWAL(); err == nil {
 			ix.lock = lock
 			return ix, nil
 		}
@@ -450,24 +450,22 @@ func recoverCompactSwap(base string) {
 }
 
 // openIndex is Open minus the lock, the crash-leftover cleanup and the
-// log: CompactIncremental reopens the swapped files through it, because
-// the index's lock and log stay valid across the swap.
+// log: Compact reopens the swapped files through it, because the
+// index's lock and log stay valid across the swap. The path budget is
+// the metadata's, whatever opts.Paths says.
 func openIndex(base string, opts Options) (*Index, error) {
 	file, err := storage.OpenPageFile(pagesPath(base))
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{
-		base:            base,
-		file:            file,
-		pool:            storage.NewBufferPool(wrapPageIO(file, opts.WrapIO), opts.PoolPages),
-		pathCfg:         opts.pathConfig(),
-		thes:            opts.Thesaurus,
-		wrapIO:          opts.WrapIO,
-		checkpointBytes: opts.checkpointBytes(),
+		base: base,
+		file: file,
+		pool: storage.NewBufferPool(wrapPageIO(file, opts.WrapIO), opts.PoolPages),
+		opts: opts,
 	}
 	ix.store = storage.NewRecordStore(ix.pool)
-	if err := ix.readMeta(opts.Thesaurus); err != nil {
+	if err := ix.readMeta(); err != nil {
 		file.Close()
 		return nil, fmt.Errorf("index: open %s: %w", base, err)
 	}
@@ -475,10 +473,10 @@ func openIndex(base string, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-// metaMagic is the metadata format ("SAMAIDX8"), the only one readMeta
+// metaMagic is the metadata format ("SAMAIDX9"), the only one readMeta
 // accepts: the last byte is the version, and an index written under
 // another one has to be rebuilt from its data.
-var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '8'}
+var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '9'}
 
 // writeMeta persists the metadata atomically: the bytes go to a temp
 // file, are fsynced, and replace the old metadata with a rename — a
@@ -512,11 +510,12 @@ func (ix *Index) writeMeta() error {
 }
 
 // encodeMeta writes the metadata to w and flushes it. The applied LSN
-// watermark comes first, so a reopen knows where replay starts. The
-// dictionary and the data graph ride in the same file,
-// behind the same rename, as the RIDs whose records the dictionary
-// decodes: no crash can pair one checkpoint's RIDs with another's
-// dictionary, or the paths of one graph with another graph.
+// watermark comes first, so a reopen knows where replay starts, and the
+// path budget follows the stats, so the reopen enumerates as the build
+// did. The dictionary and the data graph ride in the same file, behind
+// the same rename, as the RIDs whose records the dictionary decodes: no
+// crash can pair one checkpoint's RIDs with another's dictionary, or the
+// paths of one graph with another graph.
 func (ix *Index) encodeMeta(w *bufio.Writer) error {
 	// Every graph term is interned first, so the graph can be written in
 	// dictionary IDs: a term no live path uses — an edge past MaxPerRoot,
@@ -539,6 +538,7 @@ func (ix *Index) encodeMeta(w *bufio.Writer) error {
 	for _, v := range []uint64{
 		uint64(ix.stats.Triples), uint64(ix.stats.HV), uint64(ix.stats.HE),
 		uint64(ix.stats.Paths), uint64(ix.stats.BuildTime),
+		uint64(ix.opts.Paths.MaxLength), uint64(ix.opts.Paths.MaxPerRoot),
 	} {
 		wu(v)
 	}
@@ -609,7 +609,7 @@ func syncDirOf(path string) error {
 	return d.Sync()
 }
 
-func (ix *Index) readMeta(thes *textindex.Thesaurus) error {
+func (ix *Index) readMeta() error {
 	f, err := os.Open(metaPath(ix.base))
 	if err != nil {
 		return err
@@ -619,14 +619,15 @@ func (ix *Index) readMeta(thes *textindex.Thesaurus) error {
 	if err != nil {
 		return err
 	}
-	return ix.decodeMeta(bufio.NewReader(f), fi.Size(), thes)
+	return ix.decodeMeta(bufio.NewReader(f), fi.Size())
 }
 
 // decodeMeta reads metadata written by encodeMeta from a source of at
 // most limit bytes: every count is checked against what that many bytes
 // can hold before it sizes an allocation, as ReadDictionary does, and
-// every ID against what it names.
-func (ix *Index) decodeMeta(r *bufio.Reader, limit int64, thes *textindex.Thesaurus) error {
+// every ID against what it names. The postings are read with
+// ix.opts.Thesaurus, and ix.opts.Paths is set to the recorded budget.
+func (ix *Index) decodeMeta(r *bufio.Reader, limit int64) error {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return err
@@ -646,6 +647,10 @@ func (ix *Index) decodeMeta(r *bufio.Reader, limit int64, thes *textindex.Thesau
 		HE:        int(m.uvarint()),
 		Paths:     int(m.uvarint()),
 		BuildTime: time.Duration(m.uvarint()),
+	}
+	ix.opts.Paths = paths.Config{MaxLength: int(m.uvarint()), MaxPerRoot: int(m.uvarint())}
+	if ix.opts.Paths.MaxLength < 0 || ix.opts.Paths.MaxPerRoot < 0 {
+		m.fail("implausible path budget %+v", ix.opts.Paths)
 	}
 	// A path takes at least three bytes: its RID, length and signature.
 	n := m.count(3, "path")
@@ -671,10 +676,10 @@ func (ix *Index) decodeMeta(r *bufio.Reader, limit int64, thes *textindex.Thesau
 		return m.err
 	}
 	var err error
-	if ix.sinks, err = textindex.ReadFrom(r, thes, limit); err != nil {
+	if ix.sinks, err = textindex.ReadFrom(r, ix.opts.Thesaurus, limit); err != nil {
 		return err
 	}
-	if ix.labels, err = textindex.ReadFrom(r, thes, limit); err != nil {
+	if ix.labels, err = textindex.ReadFrom(r, ix.opts.Thesaurus, limit); err != nil {
 		return err
 	}
 	if ix.dict, err = ReadDictionary(r, limit); err != nil {
@@ -838,16 +843,6 @@ func (r Reader) Live(id PathID) bool { return int(id) < len(r.ix.deleted) && !r.
 // Live is Reader.Live under its own read lock.
 func (ix *Index) Live(id PathID) bool {
 	return locked(ix, func(r Reader) bool { return r.Live(id) })
-}
-
-// liveIn appends to dst the live IDs in [lo, hi).
-func (r Reader) liveIn(dst []PathID, lo, hi int) []PathID {
-	for id := PathID(lo); int(id) < hi; id++ {
-		if r.Live(id) {
-			dst = append(dst, id)
-		}
-	}
-	return dst
 }
 
 // checkLive rejects an ID that is out of range or tombstoned. The

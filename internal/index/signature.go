@@ -49,7 +49,7 @@ func (ix *Index) Summaries(ids []PathID) (sums []PathSummary, err error) {
 // path whose summary signature shares no bit with the mask cannot be
 // returned by PathsByLabel(label).
 func (r Reader) LabelProbeMask(label string) uint64 {
-	return textindex.ProbeMask(r.ix.thes, label)
+	return textindex.ProbeMask(r.ix.opts.Thesaurus, label)
 }
 
 // PathsByAllLabels returns the IDs of the live paths containing ALL of

@@ -43,7 +43,7 @@ func TestAccessorsSurviveShrunkIDSpace(t *testing.T) {
 		t.Fatal("Summaries(tombstoned) accepted a tombstoned ID")
 	}
 
-	if _, err := ix.CompactIncremental(context.Background(), 0); err != nil {
+	if _, err := ix.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after := ix.NumPaths()
@@ -81,9 +81,8 @@ func TestAccessorsSurviveShrunkIDSpace(t *testing.T) {
 }
 
 // TestSummariesRaceCompaction hammers the summary batch with
-// pre-captured (increasingly stale) IDs while one-path incremental
-// compactions and re-enumerating inserts churn the ID
-// space. Every call must either answer or reject the batch — no panic,
+// pre-captured (increasingly stale) IDs while compactions and
+// re-enumerating inserts churn the ID space. Every call must either answer or reject the batch — no panic,
 // no torn read. Run under -race (make check does) this also pins the
 // lock discipline of Summaries against the compaction swap.
 func TestSummariesRaceCompaction(t *testing.T) {
@@ -128,7 +127,7 @@ func TestSummariesRaceCompaction(t *testing.T) {
 			t.Errorf("insert: %v", err)
 			break
 		}
-		if _, err := ix.CompactIncremental(context.Background(), 1); err != nil {
+		if _, err := ix.Compact(context.Background()); err != nil {
 			t.Errorf("compaction %d: %v", i, err)
 			break
 		}

@@ -98,7 +98,7 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 	// regardless, and a checkpoint discards the whole log, so its
 	// watermark must reach the last record.
 	ix.applied = lsn
-	if err == nil && ix.checkpointBytes > 0 && ix.wal.Size() >= ix.checkpointBytes {
+	if limit := ix.opts.checkpointBytes(); err == nil && limit > 0 && ix.wal.Size() >= limit {
 		if cerr := ix.checkpointLocked(); cerr != nil {
 			return fmt.Errorf("index: auto checkpoint: %w", cerr)
 		}
@@ -176,7 +176,7 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 	var ids []uint32
 	terms := ix.dict.Len()
 	for _, root := range roots {
-		for _, p := range paths.EnumerateFrom(g, root, ix.pathCfg) {
+		for _, p := range paths.EnumerateFrom(g, root, ix.opts.Paths) {
 			if ix.unchanged(&old, p) {
 				continue
 			}

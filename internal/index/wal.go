@@ -147,10 +147,10 @@ func (ix *Index) WALStats() storage.WALStats { return ix.wal.Stats() }
 // kept above the metadata's watermark, the records past the watermark
 // are applied to the metadata's graph in LSN order, and a checkpoint
 // makes the result durable.
-func (ix *Index) openWAL(opts Options) error {
+func (ix *Index) openWAL() error {
 	w, err := storage.OpenWAL(walPath(ix.base), storage.WALOptions{
 		MinNextLSN: ix.applied + 1,
-		SyncHook:   opts.WALSyncHook,
+		SyncHook:   ix.opts.WALSyncHook,
 	})
 	if err != nil {
 		return err

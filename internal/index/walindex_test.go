@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"sama/internal/datasets"
+	"sama/internal/paths"
 	"sama/internal/rdf"
 	"sama/internal/storage"
 )
@@ -112,7 +114,7 @@ func TestOpenLocksBase(t *testing.T) {
 	if err := ix.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.CompactIncremental(context.Background(), 0); err != nil {
+	if _, err := ix.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	second("checkpointed and compacted")
@@ -757,4 +759,60 @@ func TestInsertRacingCloseIsAllOrNothing(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d inserts landed before Close", landed.Load(), writers*inserts)
+}
+
+// TestOpenKeepsPathBudget: the metadata records the build's path
+// budget, so an index reopened without it inserts under it, and so does
+// the replay of a crashed copy's log.
+func TestOpenKeepsPathBudget(t *testing.T) {
+	budget := paths.Config{MaxLength: 3, MaxPerRoot: 4096}
+	stream := datasets.LUBM{}.Generate(3000, 1).Triples()
+	g, err := rdf.NewGraphFromTriples(stream[:2000])
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "ix")
+	ix, err := Build(base, g, Options{Paths: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	longest := func(what string, ix *Index) {
+		t.Helper()
+		n := 0
+		for id, l := range ix.lens {
+			if ix.Live(PathID(id)) {
+				n = max(n, int(l))
+			}
+		}
+		if n != budget.MaxLength {
+			t.Errorf("%s: the longest live path has %d nodes, want the budget's %d", what, n, budget.MaxLength)
+		}
+	}
+	if err := ix.InsertTriples(stream[2000:2200]); err != nil {
+		t.Fatal(err)
+	}
+	longest("built", ix)
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ix, err = Open(base, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if got := ix.opts.Paths; got != budget {
+		t.Fatalf("reopened with budget %+v, want the build's %+v", got, budget)
+	}
+	if err := ix.InsertTriples(stream[2200:2400]); err != nil {
+		t.Fatal(err)
+	}
+	longest("reopened", ix)
+	re, err := Open(crashClone(t, base), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rs := re.Recovery(); rs.Records == 0 {
+		t.Fatal("test setup: the crashed copy replayed nothing")
+	}
+	longest("replayed", re)
 }

@@ -16,8 +16,6 @@ type Config struct {
 	// MaxPerRoot bounds the number of paths enumerated from each
 	// source/hub (0 = unbounded).
 	MaxPerRoot int
-	// MaxTotal bounds the total number of paths returned (0 = unbounded).
-	MaxTotal int
 }
 
 // DefaultConfig is the budget used by the indexer: it keeps path counts
@@ -43,9 +41,6 @@ func Enumerate(g Graph, cfg Config) []Path {
 	var out []Path
 	for _, root := range g.PathRoots() {
 		out = append(out, EnumerateFrom(g, root, cfg)...)
-		if cfg.MaxTotal > 0 && len(out) >= cfg.MaxTotal {
-			return out[:cfg.MaxTotal]
-		}
 	}
 	return out
 }
@@ -199,7 +194,6 @@ func Stream(g Graph, cfg Config, emit func(nodes []rdf.NodeID, edges []rdf.EdgeI
 		}
 		wg.Wait()
 	}()
-	total := 0
 	for i := range roots {
 		r := &runs[i%window]
 		<-r.ready
@@ -209,9 +203,6 @@ func Stream(g Graph, cfg Config, emit func(nodes []rdf.NodeID, edges []rdf.EdgeI
 				return err
 			}
 			nodes, edges = nodes[n:], edges[n-1:]
-			if total++; total == cfg.MaxTotal {
-				return nil
-			}
 		}
 		if i+window < len(roots) {
 			jobs <- i + window

@@ -209,8 +209,8 @@ func TestEnumerateCycleOnlyGraphUsesHubs(t *testing.T) {
 
 func TestEnumerateBudgets(t *testing.T) {
 	g := figure1Graph()
-	if got := Enumerate(g, Config{MaxTotal: 3}); len(got) != 3 {
-		t.Errorf("MaxTotal: got %d", len(got))
+	if got := Enumerate(g, Config{MaxPerRoot: 1}); len(got) != len(g.PathRoots()) {
+		t.Errorf("MaxPerRoot 1: got %d paths from %d roots", len(got), len(g.PathRoots()))
 	}
 	all := Enumerate(g, Config{})
 	maxLen := 0

@@ -42,8 +42,8 @@ func TestOperationsAfterCloseReturnErrClosed(t *testing.T) {
 	if err := db.Checkpoint(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Checkpoint after Close: %v, want ErrClosed", err)
 	}
-	if _, err := db.CompactIncremental(context.Background(), 0); !errors.Is(err, ErrClosed) {
-		t.Errorf("CompactIncremental after Close: %v, want ErrClosed", err)
+	if _, err := db.Compact(context.Background()); !errors.Is(err, ErrClosed) {
+		t.Errorf("Compact after Close: %v, want ErrClosed", err)
 	}
 	if err := db.DropCache(); !errors.Is(err, ErrClosed) {
 		t.Errorf("DropCache after Close: %v, want ErrClosed", err)

@@ -139,8 +139,8 @@ type (
 	// (DB.Recovery): records, triples, whether a torn tail was repaired,
 	// and how long it took.
 	RecoveryStats = index.RecoveryStats
-	// CompactStats reports what an incremental compaction did,
-	// including every lock-hold pause it induced on concurrent work.
+	// CompactStats reports what a compaction did: the live paths it
+	// kept, its one write-lock pause (the swap) and its wall time.
 	CompactStats = index.CompactStats
 )
 
@@ -191,7 +191,9 @@ type config struct {
 // selects DefaultParams.
 func WithParams(p Params) Option { return func(c *config) { c.engine.Params = p } }
 
-// WithPathConfig bounds the path enumeration at indexing time.
+// WithPathConfig bounds the path enumeration of Create. The index
+// records the budget, and every later insert, replay and compaction
+// keeps to it: Open ignores the option.
 func WithPathConfig(pc PathConfig) Option { return func(c *config) { c.pathCfg = pc } }
 
 // WithPoolPages sets the buffer pool capacity in 8 KiB pages.
@@ -511,17 +513,16 @@ func (db *DB) Insert(triples []Triple) error {
 	return db.store.InsertTriples(triples)
 }
 
-// CompactIncremental rewrites the index files keeping only live paths,
-// reclaiming the space tombstoned by Insert. Live paths are copied in
-// batches of batchSize (0 means a default); queries run between steps,
-// each pause one short reader-lock hold, while Insert and Checkpoint
-// wait for the whole compaction. The returned stats report the
-// batch count, pause distribution and the worst pause.
-func (db *DB) CompactIncremental(ctx context.Context, batchSize int) (CompactStats, error) {
+// Compact rewrites the index files as Create would write them for the
+// current data graph, reclaiming the space tombstoned by Insert. Queries
+// run on while the files are rebuilt and pause only for the swap, one
+// write-lock hold; Insert and Checkpoint wait for the whole compaction.
+// The returned stats report the live paths, the pause and the wall time.
+func (db *DB) Compact(ctx context.Context) (CompactStats, error) {
 	if db.closed.Load() {
 		return CompactStats{}, ErrClosed
 	}
-	return db.store.CompactIncremental(ctx, batchSize)
+	return db.store.Compact(ctx)
 }
 
 // Checkpoint persists the indexed state (pages, then the metadata with
