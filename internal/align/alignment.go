@@ -114,6 +114,15 @@ type Alignment struct {
 	// occurrences are free labeling modifications (ω(×) = 0, as fixed in
 	// the proof of Theorem 1), so they do not contribute to Cost.
 	Subst rdf.Substitution
+	// Bound says where in p each binding of Subst was made, in order.
+	Bound []Binding
+}
+
+// Binding is a variable's binding position: p.Nodes[At], or p.Edges[At].
+type Binding struct {
+	Var  string
+	Edge bool
+	At   int
 }
 
 func (al *Alignment) addCost(p Params) {
@@ -133,16 +142,10 @@ func (al *Alignment) Perfect() bool {
 		al.NodeDeletions == 0 && al.EdgeDeletions == 0
 }
 
-// record applies one operation to the counters and, for binds, the
-// substitution, and appends it to log when log is non-nil.
+// record applies one operation to the counters, and appends it to log
+// when log is non-nil.
 func (al *Alignment) record(log *[]Op, kind OpKind, q, p rdf.Term) {
 	switch kind {
-	case OpBind:
-		if q.Kind == rdf.Var {
-			if _, ok := al.Subst[q.Value]; !ok {
-				al.Subst[q.Value] = p
-			}
-		}
 	case OpNodeMismatch:
 		al.NodeMismatches++
 	case OpEdgeMismatch:
@@ -163,6 +166,26 @@ func (al *Alignment) record(log *[]Op, kind OpKind, q, p rdf.Term) {
 	if log != nil {
 		*log = append(*log, Op{Kind: kind, Q: q, P: p})
 	}
+}
+
+// step records the pairing of the query element q with the data element
+// p at at: a variable q is bound there unless an earlier step bound it.
+func (al *Alignment) step(log *[]Op, kind OpKind, q, p rdf.Term, at Binding) {
+	if kind == OpBind {
+		if _, ok := al.Subst[q.Value]; !ok {
+			al.Subst[q.Value] = p
+			at.Var = q.Value
+			al.Bound = append(al.Bound, at)
+		}
+	}
+	al.record(log, kind, q, p)
+}
+
+// pairUp records the pairing of the data pair dp with the query pair
+// qp: the edges, then the nodes.
+func (al *Alignment) pairUp(log *[]Op, dp, qp pair) {
+	al.step(log, edgeStep(dp.edge, qp.edge), qp.edge, dp.edge, Binding{Edge: true, At: dp.at})
+	al.step(log, nodeStep(dp.node, qp.node), qp.node, dp.node, Binding{At: dp.at})
 }
 
 // nodeStep classifies the pairing of a data node label against a query

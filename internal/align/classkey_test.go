@@ -2,9 +2,9 @@ package align
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"sama/internal/datasets"
@@ -13,47 +13,47 @@ import (
 	"sama/internal/workload"
 )
 
-// classKey is a data path's class for one query path: its edge labels,
-// and each node label projected onto the query path's constants — the
-// one it equals, and the ones it is token-related to (tokenRelated, as
-// the window tie-break asks it). Both aligners read a data label only
-// through these, so equal keys must mean equal alignments.
-func classKey(p, q paths.Path) string {
-	var consts []rdf.Term
-	for _, terms := range [2][]rdf.Term{q.Nodes, q.Edges} {
-		for _, t := range terms {
-			if t.Kind != rdf.Var {
-				consts = append(consts, t)
+// internPaths numbers the terms of ps as a dictionary does, in first-use
+// order, and returns each path's term-ID run (nodes, then edges), the
+// table that decodes them, and the IDs of q's constants — nodes, then
+// edges — as alignAll passes them to AppendClassKey.
+func internPaths(ps []paths.Path, q paths.Path) (runs [][]uint32, terms []rdf.Term, consts []uint32) {
+	ids := map[rdf.Term]uint32{}
+	for _, p := range ps {
+		var run []uint32
+		for _, t := range slices.Concat(p.Nodes, p.Edges) {
+			id, ok := ids[t]
+			if !ok {
+				id = uint32(len(terms))
+				ids[t], terms = id, append(terms, t)
 			}
+			run = append(run, id)
+		}
+		runs = append(runs, run)
+	}
+	for _, t := range slices.Concat(q.Nodes, q.Edges) {
+		if t.IsConstant() {
+			id, ok := ids[t]
+			if !ok {
+				id = math.MaxUint32
+			}
+			consts = append(consts, id)
 		}
 	}
-	var qs queryStems
-	qs.use(q)
-	var b strings.Builder
-	for i, n := range p.Nodes {
-		if i > 0 {
-			fmt.Fprintf(&b, " -%v- ", p.Edges[i-1])
-		}
-		b.WriteString("[")
-		for ci, c := range consts {
-			switch {
-			case n == c:
-				fmt.Fprintf(&b, "=%d", ci)
-			case tokenRelated(qs.of(c), n):
-				fmt.Fprintf(&b, "~%d", ci)
-			}
-		}
-		b.WriteString("]")
-	}
-	return b.String()
+	return runs, terms, consts
 }
 
-// TestClassKeyDeterminesAlignment: two data paths with equal class keys
-// against a query path get equal Cost, the same eight counters, the
-// same operation kinds, and a Subst that maps onto the other's by
-// position — under both aligners and random valid Params, over seeded
-// random short paths with shared tokens and over the paths of a LUBM
-// 10 k graph against the LUBM query paths.
+// TestClassKeyDeterminesAlignment: two data paths of the same class
+// against a query path — equal AppendClassKey keys, and equal
+// AppendTieKey keys too when the class's first member broke a window
+// tie, as alignAll decides it — get equal Cost, the same eight
+// counters, the same operation kinds, and their bindings at the same
+// positions (Bound), each one's own term there — under the greedy
+// aligner, and under the optimal one with the tie key always added,
+// for random valid Params, over seeded random short paths with shared
+// tokens (some with an edge label that is also one of the path's node
+// terms, which a query edge variable may bind) and over the paths of a
+// LUBM 10 k graph against the LUBM query paths.
 func TestClassKeyDeterminesAlignment(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	params := []Params{DefaultParams}
@@ -92,6 +92,11 @@ func TestClassKeyDeterminesAlignment(t *testing.T) {
 				p.Edges = append(p.Edges, e)
 			}
 		}
+		// An edge label that is also a node term of the path: the term
+		// sits at two positions, and only one of them was bound.
+		if nd := p.Nodes[rng.Intn(n)]; !vars && n > 1 && nd.Kind == rdf.IRI && rng.Intn(3) == 0 {
+			p.Edges[rng.Intn(n-1)] = nd
+		}
 		return p
 	}
 	var groups int
@@ -121,33 +126,57 @@ func TestClassKeyDeterminesAlignment(t *testing.T) {
 	}
 }
 
-// checkClasses groups ps by class key against q and checks each
-// member's alignment against its class's first member's, under both
-// aligners. It returns the number of classes with two or more members.
+// checkClasses groups ps into classes against q as alignAll does — by
+// class key, then by tie key within a class whose first member tied —
+// and checks each member's alignment against its class's first
+// member's under the greedy aligner; under the optimal one the tie key
+// always joins the class key. It returns the number of classes with two
+// or more members.
 func checkClasses(t *testing.T, q paths.Path, ps []paths.Path, par Params) int {
 	t.Helper()
-	classes := map[string][]paths.Path{}
-	for _, p := range ps {
-		k := classKey(p, q)
-		if len(classes[k]) < 6 {
-			classes[k] = append(classes[k], p)
+	runs, terms, consts := internPaths(ps, q)
+	g := NewGreedy(par)
+	related := func(id uint32) uint64 { return g.Related(q, terms[id]) }
+	coarse := map[string][]int{}
+	for i, run := range runs {
+		if k := string(AppendClassKey(nil, run, consts)); len(coarse[k]) < 8 {
+			coarse[k] = append(coarse[k], i)
 		}
 	}
 	shared := 0
-	for _, members := range classes {
-		if len(members) < 2 {
-			continue
+	for _, members := range coarse {
+		g.Align(ps[members[0]], q)
+		tied := g.Tied()
+		greedy, optimal := map[string][]int{}, map[string][]int{}
+		for _, i := range members {
+			if g.Align(ps[i], q); g.Tied() != tied {
+				t.Fatalf("query path %v: %v and %v share a class key, but only one broke a window tie", q, ps[members[0]], ps[i])
+			}
+			k := AppendTieKey(AppendClassKey(nil, runs[i], consts), runs[i], related)
+			optimal[string(k)] = append(optimal[string(k)], i)
+			if !tied {
+				k = AppendClassKey(nil, runs[i], consts)
+			}
+			greedy[string(k)] = append(greedy[string(k)], i)
 		}
-		shared++
-		for name, al := range map[string]opsAligner{"greedy": NewGreedy(par), "optimal": NewOptimal(par)} {
-			var ops0 []Op
-			a0 := al.alignOps(members[0], q, &ops0)
-			for _, p := range members[1:] {
-				var ops []Op
-				a := al.alignOps(p, q, &ops)
-				if msg := sameAlignment(a0, a, ops0, ops, members[0], p); msg != "" {
-					t.Fatalf("%s under %+v, query path %v:\n  %v\n  %v\nshare the class key %s but %s",
-						name, par, q, members[0], p, classKey(p, q), msg)
+		for name, classes := range map[string]map[string][]int{"greedy": greedy, "optimal": optimal} {
+			al := map[string]opsAligner{"greedy": g, "optimal": NewOptimal(par)}[name]
+			for _, class := range classes {
+				if len(class) < 2 {
+					continue
+				}
+				if name == "greedy" {
+					shared++
+				}
+				var ops0 []Op
+				p0 := ps[class[0]]
+				a0 := al.alignOps(p0, q, &ops0)
+				for _, i := range class[1:] {
+					var ops []Op
+					a := al.alignOps(ps[i], q, &ops)
+					if msg := sameAlignment(a0, a, ops0, ops, p0, ps[i]); msg != "" {
+						t.Fatalf("%s under %+v, query path %v:\n  %v\n  %v\nare of one class but %s", name, par, q, p0, ps[i], msg)
+					}
 				}
 			}
 		}
@@ -156,9 +185,9 @@ func checkClasses(t *testing.T, q paths.Path, ps []paths.Path, par Params) int {
 }
 
 // sameAlignment says how the alignments a and b of the data paths pa and
-// pb differ, "" when they do not: cost, counters, operation kinds, or a
-// binding of b that is not the term at a position where a's binding
-// sits in pa.
+// pb differ, "" when they do not: cost, counters, operation kinds, or
+// binding positions, or a binding that is not the path's term at its
+// position.
 func sameAlignment(a, b *Alignment, opsA, opsB []Op, pa, pb paths.Path) string {
 	counters := func(al *Alignment) [8]int {
 		return [8]int{al.NodeMismatches, al.NodeInsertions, al.EdgeMismatches, al.EdgeInsertions,
@@ -178,20 +207,24 @@ func sameAlignment(a, b *Alignment, opsA, opsB []Op, pa, pb paths.Path) string {
 		return fmt.Sprintf("counters %v and %v", counters(a), counters(b))
 	case !slices.Equal(kinds(opsA), kinds(opsB)):
 		return fmt.Sprintf("operations %v and %v", kinds(opsA), kinds(opsB))
-	case len(a.Subst) != len(b.Subst):
-		return fmt.Sprintf("substitutions %v and %v", a.Subst, b.Subst)
+	case !slices.Equal(a.Bound, b.Bound):
+		return fmt.Sprintf("bindings at %v and %v", a.Bound, b.Bound)
 	}
-	for v, ta := range a.Subst {
-		tb, ok := b.Subst[v]
-		mapped := false
-		for i, n := range pa.Nodes {
-			mapped = mapped || n == ta && pb.Nodes[i] == tb
+	for _, x := range []struct {
+		al *Alignment
+		p  paths.Path
+	}{{a, pa}, {b, pb}} {
+		if len(x.al.Subst) != len(x.al.Bound) {
+			return fmt.Sprintf("substitution %v bound at %v", x.al.Subst, x.al.Bound)
 		}
-		for i, e := range pa.Edges {
-			mapped = mapped || e == ta && pb.Edges[i] == tb
-		}
-		if !ok || !mapped {
-			return fmt.Sprintf("?%s bound to %v and %v, which no position pairs", v, ta, tb)
+		for _, bd := range x.al.Bound {
+			at := x.p.Nodes
+			if bd.Edge {
+				at = x.p.Edges
+			}
+			if at[bd.At] != x.al.Subst[bd.Var] {
+				return fmt.Sprintf("?%s bound to %v, but %v sits at %+v", bd.Var, x.al.Subst[bd.Var], at[bd.At], bd)
+			}
 		}
 	}
 	return ""

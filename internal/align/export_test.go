@@ -8,15 +8,6 @@ func (g *GreedyAligner) AlignOps(p, q paths.Path, log *[]Op) *Alignment {
 	return g.alignOps(p, q, log)
 }
 
-// AlignTied aligns with no caller-supplied log — the engine's call —
-// and reports whether the window tie-break recorded operations into
-// the aligner's scratch, i.e. whether two anchors tied on cost.
-func (g *GreedyAligner) AlignTied(p, q paths.Path) (*Alignment, bool) {
-	g.tie.ops = g.tie.ops[:0]
-	al := g.Align(p, q)
-	return al, len(g.tie.ops) > 0
-}
-
 // PaperPairs are the worked examples of §4.3 and Figure 3 as (p, q)
 // pairs: every Figure 3 data path against every query path.
 func PaperPairs() [][2]paths.Path {

@@ -173,14 +173,17 @@ func TestAlignCasesGolden(t *testing.T) {
 		var ops []align.Op
 		logged := g.AlignOps(c.p, c.q, &ops)
 		lines[i] = goldenLine(c, logged, ops)
-		bare, tie := g.AlignTied(c.p, c.q)
-		if tie {
+		bare := g.Align(c.p, c.q) // the engine's call: no log
+		if g.Tied() {
 			tied++
 		}
 		if !reflect.DeepEqual(bare, logged) {
 			t.Errorf("%s: alignment without a log = %+v, with one = %+v", c.id, bare, logged)
 		}
-		if k := i - len(align.PaperPairs()); k >= 0 && k < len(engine) && !reflect.DeepEqual(engine[k], logged) {
+		// The engine keeps an item's bindings by term, not by position.
+		unplaced := *logged
+		unplaced.Bound = nil
+		if k := i - len(align.PaperPairs()); k >= 0 && k < len(engine) && !reflect.DeepEqual(engine[k], &unplaced) {
 			t.Errorf("%s: engine's alignment = %+v, a fresh one = %+v", c.id, engine[k], logged)
 		}
 	}

@@ -5,13 +5,15 @@ import (
 	"sama/internal/rdf"
 )
 
-// pair is one (edge, node) step of a path read backwards from the sink.
+// pair is one (edge, node) step of a path read backwards from the sink,
+// and at the index of both in the path's Edges and Nodes.
 // The path l1-e1-l2-…-e(k-1)-lk is viewed as the sink node lk followed by
 // the backward pairs (e(k-1), l(k-1)), …, (e1, l1). Aligning two paths
 // anchored at their sinks then reduces to aligning two pair sequences,
 // which keeps node↔node and edge↔edge pairings by construction.
 type pair struct {
 	edge, node rdf.Term
+	at         int
 }
 
 // backwardPairs returns the (edge, node) pairs of p from the sink toward
@@ -25,7 +27,7 @@ func backwardPairs(p paths.Path) []pair {
 func backwardPairsInto(dst []pair, p paths.Path) []pair {
 	k := len(p.Nodes)
 	for t := k - 2; t >= 0; t-- {
-		dst = append(dst, pair{edge: p.Edges[t], node: p.Nodes[t]})
+		dst = append(dst, pair{edge: p.Edges[t], node: p.Nodes[t], at: t})
 	}
 	return dst
 }
@@ -70,6 +72,7 @@ func (g *GreedyAligner) Align(p, q paths.Path) *Alignment { return g.alignOps(p,
 // alignOps is Align that also appends the returned alignment's
 // operation sequence to *log when log is non-nil.
 func (g *GreedyAligner) alignOps(p, q paths.Path, log *[]Op) *Alignment {
+	g.tie.tied = false
 	if len(p.Nodes) == 0 || len(q.Nodes) == 0 {
 		return g.alignAnchored(p, q, log)
 	}
@@ -79,7 +82,7 @@ func (g *GreedyAligner) alignOps(p, q paths.Path, log *[]Op) *Alignment {
 	// pairs are exactly the last t entries of the full pair sequence —
 	// each anchor reuses the one scratch fill above.
 	core := func(t int, log *[]Op) *Alignment {
-		return g.alignPairs(p.Nodes[t], q.Sink(), g.pp[len(g.pp)-t:], g.qp, log)
+		return g.alignPairs(pair{node: p.Nodes[t], at: t}, q.Sink(), g.pp[len(g.pp)-t:], g.qp, log)
 	}
 	costAt := func(t int) float64 {
 		return g.costPairs(p.Nodes[t], q.Sink(), g.pp[len(g.pp)-t:], g.qp)
@@ -110,18 +113,18 @@ func (g *GreedyAligner) alignAnchored(p, q paths.Path, log *[]Op) *Alignment {
 		al.addCost(par)
 		return al
 	}
-	return g.alignPairs(p.Sink(), q.Sink(), backwardPairs(p), backwardPairs(q), log)
+	return g.alignPairs(pair{node: p.Sink(), at: len(p.Nodes) - 1}, q.Sink(), backwardPairs(p), backwardPairs(q), log)
 }
 
 // alignPairs runs the §4.3 backward scan over precomputed pair
-// sequences, anchored at the given sink labels, emitting the operations
-// into log when it is non-nil.
-func (g *GreedyAligner) alignPairs(pSink, qSink rdf.Term, pp, qp []pair, log *[]Op) *Alignment {
+// sequences, anchored at the data node sink.node (at sink.at) and the
+// query sink qSink, emitting the operations into log when it is non-nil.
+func (g *GreedyAligner) alignPairs(sink pair, qSink rdf.Term, pp, qp []pair, log *[]Op) *Alignment {
 	par := g.Params
-	al := &Alignment{Subst: rdf.Substitution{}}
+	al := &Alignment{Subst: rdf.Substitution{}, Bound: make([]Binding, 0, 2*len(qp)+1)}
 
 	// Anchor at the sinks.
-	al.record(log, nodeStep(pSink, qSink), qSink, pSink)
+	al.step(log, nodeStep(sink.node, qSink), qSink, sink.node, Binding{At: sink.at})
 
 	i, j := 0, 0
 	indel := par.B + par.D // cost of inserting a (edge, node) pair into q
@@ -142,8 +145,7 @@ func (g *GreedyAligner) alignPairs(pSink, qSink rdf.Term, pp, qp []pair, log *[]
 		default:
 			sub := pairCost(pp[i], qp[j], par)
 			if sub == 0 {
-				al.record(log, edgeStep(pp[i].edge, qp[j].edge), qp[j].edge, pp[i].edge)
-				al.record(log, nodeStep(pp[i].node, qp[j].node), qp[j].node, pp[i].node)
+				al.pairUp(log, pp[i], qp[j])
 				i++
 				j++
 				continue
@@ -172,8 +174,7 @@ func (g *GreedyAligner) alignPairs(pSink, qSink rdf.Term, pp, qp []pair, log *[]
 				al.record(log, OpNodeDelete, qp[j].node, rdf.Term{})
 				j++
 			default:
-				al.record(log, edgeStep(pp[i].edge, qp[j].edge), qp[j].edge, pp[i].edge)
-				al.record(log, nodeStep(pp[i].node, qp[j].node), qp[j].node, pp[i].node)
+				al.pairUp(log, pp[i], qp[j])
 				i++
 				j++
 			}
@@ -243,10 +244,12 @@ func minf(a, b float64) float64 {
 
 // tieScratch is alignBestWindow's tie-break scratch, kept by a
 // long-lived aligner: the op log the tied windows record into when the
-// caller did not ask for one, and the query path's stemmed labels.
+// caller did not ask for one, the query path's stemmed labels, and
+// whether the last alignment broke a tie.
 type tieScratch struct {
 	ops   []Op
 	stems queryStems
+	tied  bool
 }
 
 // alignBestWindow tries the sink-to-sink anchoring and every interior
@@ -297,7 +300,8 @@ func alignBestWindow(core func(t int, log *[]Op) *Alignment, costAt func(t int) 
 		bestCost, bestT, ties = c, t, ties[:0]
 	}
 	ops, base := log, 0
-	if ops == nil && len(ties) > 0 {
+	tie.tied = len(ties) > 0
+	if ops == nil && tie.tied {
 		tie.ops = tie.ops[:0]
 		ops = &tie.ops
 	}
@@ -305,7 +309,7 @@ func alignBestWindow(core func(t int, log *[]Op) *Alignment, costAt func(t int) 
 		base = len(*ops)
 	}
 	best := core(bestT, ops)
-	if len(ties) > 0 {
+	if tie.tied {
 		// Equal price: prefer the window whose mismatches are
 		// token-related to the query (teaches ↔ teacherOf beats
 		// teaches ↔ type). The best window's operations sit at the end

@@ -103,13 +103,12 @@ func (o *OptimalAligner) alignAnchored(p, q paths.Path, log *[]Op) *Alignment {
 	}
 
 	// Emit ops in scan order: sink anchor first, then pairs backwards.
-	al.record(log, nodeStep(p.Sink(), q.Sink()), q.Sink(), p.Sink())
+	al.step(log, nodeStep(p.Sink(), q.Sink()), q.Sink(), p.Sink(), Binding{At: len(p.Nodes) - 1})
 	pi, qi := 0, 0
 	for k := len(rev) - 1; k >= 0; k-- {
 		switch rev[k].kind {
 		case 0:
-			al.record(log, edgeStep(pp[pi].edge, qp[qi].edge), qp[qi].edge, pp[pi].edge)
-			al.record(log, nodeStep(pp[pi].node, qp[qi].node), qp[qi].node, pp[pi].node)
+			al.pairUp(log, pp[pi], qp[qi])
 			pi++
 			qi++
 		case 1:

@@ -45,13 +45,19 @@ func (qs *queryStems) of(label rdf.Term) []string {
 	if i := slices.Index(qs.terms, label); i >= 0 {
 		return qs.stems[i]
 	}
-	var st []string
-	for _, tok := range textindex.Tokenize(label.Label()) {
-		st = append(st, stem(tok))
-	}
+	st := stems(label.Label())
 	qs.terms = append(qs.terms, label)
 	qs.stems = append(qs.stems, st)
 	return st
+}
+
+// stems returns the stemmed tokens of a label.
+func stems(label string) []string {
+	toks := textindex.Tokenize(label)
+	for i, tok := range toks {
+		toks[i] = stem(tok)
+	}
+	return toks
 }
 
 // tokenRelated reports whether the data label p shares a stemmed token

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"sama/internal/align"
 	"sama/internal/cache"
 	"sama/internal/index"
 	"sama/internal/obs"
@@ -55,15 +56,16 @@ type cachedCluster struct {
 }
 
 // describe sets the cluster pass's decision counters on sp: candidates
-// cut by and surviving the pre-rank, how many of the survivors this pass
-// aligned itself (all on a miss, none on a hit), the shorter-path
+// cut by and surviving the pre-rank, the survivors the memo served
+// (all on a hit, none on a miss), the greedy alignments this pass ran
+// (one per class of the cut on a miss, none on a hit), the shorter-path
 // fallback, and candidates dropped by the cluster cap.
-func (cc *cachedCluster) describe(sp *obs.Span, aligned int) {
+func (cc *cachedCluster) describe(sp *obs.Span, memoHits, aligned int) {
 	if cut := cc.retrieved - cc.preranked; cut > 0 {
 		sp.Set("sig_rejected", int64(cut))
 	}
 	sp.Set("preranked", int64(cc.preranked))
-	sp.Set("memo_hits", int64(cc.preranked-aligned))
+	sp.Set("memo_hits", int64(memoHits))
 	sp.Set("aligned", int64(aligned))
 	if cc.shorterFallback > 0 {
 		sp.Set("shorter_fallback", int64(cc.shorterFallback))
@@ -74,9 +76,9 @@ func (cc *cachedCluster) describe(sp *obs.Span, aligned int) {
 }
 
 // keep stores items, staged in sc for query path q, in three exact-size
-// arrays. The aligner binds a variable to a term of the path, so a
-// binding's ID is the run's at that term (terms decodes the run).
-func (cc *cachedCluster) keep(items []ClusterItem, sc *clusterScratch, q paths.Path, terms index.Terms) {
+// arrays. A binding's ID is the item's run's at the position its
+// alignment, which may be its class representative's, bound it at.
+func (cc *cachedCluster) keep(items []ClusterItem, sc *clusterScratch, q paths.Path) {
 	nr, nb := 0, 0
 	for _, it := range items {
 		nr, nb = nr+int(it.run.n), nb+len(sc.als[it.run.at].Subst)
@@ -91,9 +93,12 @@ func (cc *cachedCluster) keep(items []ClusterItem, sc *clusterScratch, q paths.P
 		it.run.at, it.subst = uint32(len(cc.runs)), span{uint32(len(cc.binds)), uint32(len(al.Subst))}
 		cc.runs = append(cc.runs, run...)
 		for slot, name := range vars {
-			if val, ok := al.Subst[name]; ok {
-				i := slices.IndexFunc(run, func(id uint32) bool { return terms[id] == val })
-				cc.binds = append(cc.binds, binding{uint32(slot), run[i]})
+			if i := slices.IndexFunc(al.Bound, func(b align.Binding) bool { return b.Var == name }); i >= 0 {
+				at := al.Bound[i].At
+				if al.Bound[i].Edge {
+					at += (len(run) + 1) / 2
+				}
+				cc.binds = append(cc.binds, binding{uint32(slot), run[at]})
 			}
 		}
 		cc.items[i] = it

@@ -15,7 +15,6 @@ import (
 	"sama/internal/datasets"
 	"sama/internal/index"
 	"sama/internal/obs"
-	"sama/internal/paths"
 	"sama/internal/rdf"
 	"sama/internal/textindex"
 )
@@ -158,8 +157,8 @@ func TestAlignMemoReuse(t *testing.T) {
 	}
 	want := firstAlignAttrs(t, "cold", cold.Plan())
 	got := firstAlignAttrs(t, "warm", warm.Plan())
-	if want["memo_hits"] != 0 || want["aligned"] != want["preranked"] || want["batched_pages"] == 0 {
-		t.Errorf("cold align[0] = %v, want no hits, everything aligned, pages read", want)
+	if want["memo_hits"] != 0 || want["aligned"] < 1 || want["aligned"] > want["preranked"] || want["batched_pages"] == 0 {
+		t.Errorf("cold align[0] = %v, want no hits, 1 ≤ aligned ≤ preranked, pages read", want)
 	}
 	if got["memo_hits"] != got["preranked"] || got["aligned"] != 0 {
 		t.Errorf("warm align[0] = %v, want memo_hits = preranked and aligned = 0", got)
@@ -266,9 +265,9 @@ type failingReads struct {
 
 var errInjected = errors.New("injected read failure")
 
-func (b failingReads) ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, [][]uint32, int, error) {
+func (b failingReads) ReadPathsBatched(ctx context.Context, ids []index.PathID) ([][]uint32, int, error) {
 	if *b.on {
-		return nil, nil, 0, errInjected
+		return nil, 0, errInjected
 	}
 	return b.backend.ReadPathsBatched(ctx, ids)
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -165,18 +166,36 @@ type clusterScratch struct {
 	cands   []index.PathID
 	// staged are the aligned candidates, each one's run.at its position m
 	// in the batched read until keep: runs[m] is its path's term IDs,
-	// als[m] its alignment.
+	// als[m] its alignment (its class representative's).
 	staged []ClusterItem
 	runs   [][]uint32
 	als    []*align.Alignment
+	// alignAll's class table: the query path's constants' term IDs, the
+	// key being built, the classes by key, node terms' Related by ID.
+	consts  []uint32
+	key     []byte
+	classes map[string]class
+	related map[uint32]uint64
 }
 
-var clusterScratchPool = sync.Pool{New: func() any { return new(clusterScratch) }}
+// class is a cut's class: its first member's alignment, and whether
+// it broke a window tie (its members then split by tie key).
+type class struct {
+	al   *align.Alignment
+	tied bool
+}
+
+var clusterScratchPool = sync.Pool{New: func() any {
+	return &clusterScratch{classes: map[string]class{}, related: map[uint32]uint64{}}
+}}
 
 // release returns the scratch to the pool, its references to the
-// batched read's runs and the alignments dropped first.
+// batched read's runs and the alignments, and its class table, dropped
+// first.
 func (sc *clusterScratch) release() {
 	clear(sc.als)
+	clear(sc.classes)
+	clear(sc.related)
 	sc.runs = nil
 	clusterScratchPool.Put(sc)
 }
@@ -207,7 +226,7 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 		})
 		if ok {
 			cc := v.(*cachedCluster)
-			cc.describe(sp, 0)
+			cc.describe(sp, cc.preranked, 0)
 			return cc.cluster(r, qi, q), nil
 		}
 	}
@@ -226,7 +245,7 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 	slices.Sort(cut)
 	cc := &cachedCluster{retrieved: len(ids), preranked: len(cut), layout: r.Layout(),
 		mark: r.Watermark(), step: step, boundary: boundary}
-	staged, pages, err := e.alignAll(ctx, r, sc, q, cut)
+	staged, pages, aligned, err := e.alignAll(ctx, r, sc, q, cut)
 	if err != nil {
 		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
 	}
@@ -254,8 +273,8 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 		cc.capDropped = len(items) - capN
 		items = items[:capN]
 	}
-	cc.keep(items, sc, q, r.Terms())
-	cc.describe(sp, cc.preranked)
+	cc.keep(items, sc, q)
+	cc.describe(sp, 0, aligned)
 	sp.Set("batched_pages", int64(pages))
 	// Only a complete build is stored: a cancelled one aligned a prefix.
 	if e.alignMemo != nil && ctx.Err() == nil {
@@ -502,32 +521,74 @@ func sortClusterItems(items []ClusterItem) {
 	})
 }
 
-// alignAll materialises the pre-ranked candidates in a single
-// page-locality batched read and aligns them one by one into sc.staged.
-// It returns the pages the read counted itself visiting: a diff of the
-// query's tally, which sibling clusters charge concurrently, would make
-// the plan's batched_pages nondeterministic. Cancellation is
-// cooperative per candidate: entries not yet aligned are left out,
-// yielding a smaller but still best-first cluster.
-func (e *Engine) alignAll(ctx context.Context, r backend, sc *clusterScratch, q paths.Path, ids []index.PathID) ([]ClusterItem, int, error) {
-	ps, runs, pages, err := r.ReadPathsBatched(ctx, ids)
+// alignAll reads the pre-ranked candidates' term-ID runs in one
+// page-locality batched read and aligns them into sc.staged, once per
+// class of the cut (align.AppendClassKey): a class's first candidate is
+// decoded and aligned, and the others take its alignment, their
+// bindings read at its positions in their own runs (keep). A class
+// whose first candidate broke a window tie is split by tie keys, each
+// term's relation computed once per build; past 64 constants every
+// candidate is a class. It returns the pages the read counted itself
+// visiting — a diff of the query's tally, which sibling clusters charge
+// concurrently, would make batched_pages nondeterministic — and the
+// alignments it ran. Cancellation is cooperative per candidate: entries
+// not yet aligned are left out, a smaller but still best-first cluster.
+func (e *Engine) alignAll(ctx context.Context, r backend, sc *clusterScratch, q paths.Path, ids []index.PathID) ([]ClusterItem, int, int, error) {
+	runs, pages, err := r.ReadPathsBatched(ctx, ids)
 	if err != nil && ctx.Err() == nil {
-		return nil, pages, err
+		return nil, pages, 0, err
 	}
-	// On a cancelled batch read, align what was materialised, if anything.
-	al := align.NewGreedy(e.par)
-	sc.staged, sc.runs, sc.als = sc.staged[:0], runs, slices.Grow(sc.als[:0], len(ps))[:len(ps)]
-	for m, p := range ps {
+	// On a cancelled batch read, align what was read, if anything.
+	terms, al, aligned := r.Terms(), align.NewGreedy(e.par), 0
+	sc.consts = sc.consts[:0]
+	for _, t := range slices.Concat(q.Nodes, q.Edges) {
+		if t.IsConstant() {
+			id, ok := r.TermID(t)
+			if !ok {
+				id = math.MaxUint32 // on no path
+			}
+			sc.consts = append(sc.consts, id)
+		}
+	}
+	related := func(id uint32) uint64 {
+		rel, ok := sc.related[id]
+		if !ok {
+			rel = al.Related(q, terms[id])
+			sc.related[id] = rel
+		}
+		return rel
+	}
+	sc.staged, sc.runs, sc.als = sc.staged[:0], runs, slices.Grow(sc.als[:0], len(runs))[:len(runs)]
+	for m, run := range runs {
 		if ctx.Err() != nil {
 			break
 		}
-		if len(p.Nodes) == 0 {
-			continue // not materialised: batch read was cancelled
+		if run == nil {
+			continue // not read: batch read was cancelled
 		}
-		sc.als[m] = al.Align(p, q)
-		sc.staged = append(sc.staged, ClusterItem{ID: ids[m], Cost: sc.als[m].Cost, run: span{uint32(m), uint32(len(runs[m]))}})
+		c, found, split := class{}, false, false
+		if len(sc.consts) <= 64 {
+			sc.key = align.AppendClassKey(sc.key[:0], run, sc.consts)
+			if c, found = sc.classes[string(sc.key)]; found && c.tied {
+				sc.key, split = align.AppendTieKey(sc.key, run, related), true
+				c, found = sc.classes[string(sc.key)]
+			}
+		}
+		if !found {
+			c = class{al.Align(terms.Path(run), q), al.Tied()}
+			aligned++
+			if len(sc.consts) <= 64 {
+				if c.tied && !split {
+					sc.classes[string(sc.key)] = c
+					sc.key = align.AppendTieKey(sc.key, run, related)
+				}
+				sc.classes[string(sc.key)] = c
+			}
+		}
+		sc.als[m] = c.al
+		sc.staged = append(sc.staged, ClusterItem{ID: ids[m], Cost: c.al.Cost, run: span{uint32(m), uint32(len(run))}})
 	}
-	return sc.staged, pages, nil
+	return sc.staged, pages, aligned, nil
 }
 
 // retrievalStep is one step of retrieve's cascade: the live paths whose

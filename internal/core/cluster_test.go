@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -76,8 +77,11 @@ func clusterParamQueries(tb testing.TB, g *rdf.Graph) []goldenQuery {
 // thesaurus and a pool a tenth of the index; one iteration is one lap
 // over the 50 queries. It reports the per-cluster time and allocations
 // next to the per-lap ones, and returns the memo's counters and the
-// items the lap's distinct query paths keep.
-func benchClusterLaps(b *testing.B, opts Options, beforeLap func(*Engine)) (cache.Stats, int) {
+// items the lap's distinct query paths keep. A cold lap purges the memo
+// first and reads each cluster's explain counters: it reports the greedy
+// alignments per cluster, and fails when a lap ran one per candidate,
+// as if no two candidates of a cut shared a class.
+func benchClusterLaps(b *testing.B, opts Options, cold bool) (cache.Stats, int) {
 	g := datasets.LUBM{}.Generate(10000, 1)
 	ix, err := index.Build(filepath.Join(b.TempDir(), "lubm"), g,
 		index.Options{Thesaurus: textindex.BenchmarkThesaurus(), PoolPages: 128})
@@ -92,10 +96,22 @@ func benchClusterLaps(b *testing.B, opts Options, beforeLap func(*Engine)) (cach
 		pres[i] = e.Preprocess(gq.q)
 	}
 	kept := map[string]int{} // query-path key → items kept, filled by the warm-up
+	aligned := 0
 	lap := func(warmUp bool) (built, retrieved int) {
-		beforeLap(e)
+		if cold {
+			e.DropCaches()
+		}
+		lapAligned, candidates := 0, 0
 		for _, pre := range pres {
-			clusters, err := e.Cluster(pre)
+			var sp *obs.Span // records nothing when nil
+			if cold {
+				sp = obs.NewTrace().Phase("cluster")
+			}
+			var clusters []Cluster
+			err := e.view(func(r backend) (err error) {
+				clusters, err = e.clusterTraced(context.Background(), r, pre, sp)
+				return err
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -106,6 +122,18 @@ func benchClusterLaps(b *testing.B, opts Options, beforeLap func(*Engine)) (cach
 					kept[c.Query.Key()] = len(c.Items)
 				}
 			}
+			if cold {
+				for _, ch := range sp.Children {
+					lapAligned += int(ch.Attrs["aligned"])
+					candidates += int(ch.Attrs["preranked"])
+				}
+			}
+		}
+		if cold && lapAligned >= candidates {
+			b.Fatalf("a cold lap ran %d alignments for %d candidates: one per candidate", lapAligned, candidates)
+		}
+		if !warmUp {
+			aligned += lapAligned
 		}
 		return built, retrieved
 	}
@@ -124,6 +152,9 @@ func benchClusterLaps(b *testing.B, opts Options, beforeLap func(*Engine)) (cach
 	b.ReportMetric(float64(retrieved)/float64(len(qs)), "retrieved/query")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/clusters, "ns/cluster")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/clusters, "allocs/cluster")
+	if cold {
+		b.ReportMetric(float64(aligned)/clusters, "alignments/cluster")
+	}
 	items := 0
 	for _, n := range kept {
 		items += n
@@ -136,7 +167,7 @@ func benchClusterLaps(b *testing.B, opts Options, beforeLap func(*Engine)) (cach
 // cut, page reads, decode and alignment all run. `make profile` profiles
 // it and its warm sibling.
 func BenchmarkClusterColdMemo(b *testing.B) {
-	benchClusterLaps(b, Options{}, (*Engine).DropCaches)
+	benchClusterLaps(b, Options{}, true)
 }
 
 // BenchmarkClusterWarmMemo is the same laps with the memo kept, and sized
@@ -144,7 +175,7 @@ func BenchmarkClusterColdMemo(b *testing.B) {
 // reports the bytes the memo charges per entry and per kept item (`make
 // profile` writes its heap profile too).
 func BenchmarkClusterWarmMemo(b *testing.B) {
-	cs, items := benchClusterLaps(b, Options{AlignCacheMB: 512}, func(*Engine) {})
+	cs, items := benchClusterLaps(b, Options{AlignCacheMB: 512}, false)
 	if cs.Evictions > 0 || cs.Hits == 0 {
 		b.Fatalf("the warm laps were not all hits: %+v", cs)
 	}

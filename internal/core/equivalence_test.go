@@ -92,7 +92,8 @@ type goldenQuery struct {
 // renders one plan line plus one line per ranked answer. Running each
 // query exactly once matters: the alignment memo carries over between
 // queries sharing path shapes, so the memo_hits counters are a function
-// of the sequence.
+// of the sequence. Every align[i] node's counters are checked on the
+// way (checkAlignCounters).
 func goldenLines(t *testing.T, e *Engine, qs []goldenQuery, k int) ([]string, []*obs.Plan) {
 	t.Helper()
 	var lines []string
@@ -104,12 +105,31 @@ func goldenLines(t *testing.T, e *Engine, qs []goldenQuery, k int) ([]string, []
 		}
 		plan := st.Plan()
 		plans = append(plans, plan)
+		for _, ph := range plan.Phases {
+			for _, c := range ph.Children {
+				if ph.Name == "cluster" {
+					checkAlignCounters(t, gq.id+" "+c.Name, c.Attrs)
+				}
+			}
+		}
 		lines = append(lines, fmt.Sprintf("%s plan %s", gq.id, planCounters(plan)))
 		for i, a := range answers {
 			lines = append(lines, fmt.Sprintf("%s #%d %s", gq.id, i, fingerprint(a)))
 		}
 	}
 	return lines, plans
+}
+
+// checkAlignCounters checks an align[i] node's memo and alignment
+// counters: a miss has memo_hits = 0 and 1 ≤ aligned ≤ preranked, a hit
+// memo_hits = preranked and aligned = 0.
+func checkAlignCounters(t *testing.T, id string, a map[string]int64) {
+	t.Helper()
+	miss := a["memo_hits"] == 0 && a["aligned"] >= 1 && a["aligned"] <= a["preranked"]
+	hit := a["memo_hits"] == a["preranked"] && a["aligned"] == 0
+	if !miss && !hit {
+		t.Errorf("%s: %v, want memo_hits = 0 and 1 ≤ aligned ≤ preranked, or memo_hits = preranked and aligned = 0", id, a)
+	}
 }
 
 // checkGolden compares the lines to testdata/<name>, reporting the
@@ -241,11 +261,7 @@ func TestCraftedClustersMatchGoldens(t *testing.T) {
 			e := New(ix, Options{MaxCandidatesPerCluster: tc.cap})
 			lines, plans := goldenLines(t, e, []goldenQuery{{"crafted", q}}, tc.k)
 			checkGolden(t, tc.golden, lines)
-			a := firstAlignAttrs(t, tc.name, plans[0])
-			if a["aligned"] != a["preranked"]-a["memo_hits"] {
-				t.Errorf("aligned = %d, want preranked − memo_hits = %d − %d",
-					a["aligned"], a["preranked"], a["memo_hits"])
-			}
+			checkAlignCounters(t, tc.name, firstAlignAttrs(t, tc.name, plans[0]))
 		})
 	}
 }

@@ -460,9 +460,10 @@ func (m *writeModel) insert(label string, c command) {
 		for id := w0.Paths; id < w1.Paths; id++ {
 			fresh = append(fresh, index.PathID(id))
 		}
-		ps, _, _, err := r.ReadPathsBatched(context.Background(), fresh) // fails on a dead ID
+		runs, _, err := r.ReadPathsBatched(context.Background(), fresh) // fails on a dead ID
 		noErr(m.t, err)
-		for i, p := range ps {
+		for i, run := range runs {
+			p := r.Terms().Path(run)
 			if got := r.PostingsFrom(nil, index.Sinks, p.Sink().Label(), index.PathID(w0.Paths)); !slices.Contains(got, fresh[i]) {
 				m.t.Fatalf("%s: new path %d is not among its sink's postings from %d: %v", label, fresh[i], w0.Paths, got)
 			}
@@ -544,10 +545,11 @@ func (m *writeModel) checkRecords() {
 				m.got.add(m.hashes[id], -1)
 			}
 		}
-		ps, _, _, err := r.ReadPathsBatched(context.Background(), ids)
+		runs, _, err := r.ReadPathsBatched(context.Background(), ids)
 		m.recs = append(m.recs, make([]paths.Path, r.NumPaths()-len(m.recs))...)
 		m.hashes = append(m.hashes, make([]uint64, r.NumPaths()-len(m.hashes))...)
-		for i, p := range ps {
+		for i, run := range runs {
+			p := r.Terms().Path(run)
 			m.recs[ids[i]], m.hashes[ids[i]] = p, pathHash(p)
 			m.got.add(m.hashes[ids[i]], 1)
 		}

@@ -73,7 +73,7 @@ func TestReadPathsBatchedChargesTally(t *testing.T) {
 	ctx := storage.WithTally(context.Background(), &tally)
 	var pages int
 	if err := ix.View(func(r Reader) (err error) {
-		_, _, pages, err = r.ReadPathsBatched(ctx, ids)
+		_, pages, err = r.ReadPathsBatched(ctx, ids)
 		return err
 	}); err != nil {
 		t.Fatal(err)

@@ -30,15 +30,18 @@ type CompactStats struct {
 // takes no index lock, so queries keep reading the pre-compaction state
 // throughout. Only the swap takes the write lock, which waits for every
 // open View (a query's cluster phase) to end, so no query reads across
-// it: the old handles are closed, the files swapped (rename) and
-// reopened, and the epoch and the layout bump — invalidating every cache
-// entry that names an old PathID. The swap doubles as a checkpoint: the
-// new metadata carries the applied watermark and the log is discarded.
+// it: the old handles are closed, the rebuilt files renamed into place
+// and the rebuilt index adopted as it is — its pages handle survives the
+// rename, and its tables are the ones the new metadata holds, so nothing
+// is read back — and the epoch and the layout bump, invalidating every
+// cache entry that names an old PathID. The swap doubles as a
+// checkpoint: the new metadata carries the applied watermark and the
+// log is discarded.
 //
 // On a failure before the swap starts closing the old file handles — a
 // cancelled ctx included — the original files remain intact and the
 // index is untouched. A failure during the swap itself (closing the old
-// pool or pages file, either rename, or the reopen) is recovered by
+// pool or pages file, either rename, or the directory sync) is recovered by
 // rolling the swap forward: the new files are complete and synced
 // before teardown begins, so the renames are finished, the new files
 // reopened and adopted, and the index stays usable — the error is still
@@ -60,9 +63,6 @@ func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 			// against the compacted files.
 			nx.stats.BuildTime, nx.applied = ix.stats.BuildTime, ix.applied
 		})
-	if err == nil {
-		err = next.file.Close()
-	}
 	if err != nil {
 		os.Remove(pagesPath(tmpBase))
 		os.Remove(metaPath(tmpBase))
@@ -78,9 +78,9 @@ func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 		cs.Pause = time.Since(held)
 	}()
 	// Past this point the old handles are being torn down. adopt swaps
-	// the reopened state in field by field: ix.mu is held and must not
-	// be overwritten, and the WAL handle and watermark survive the
-	// swap. The epoch and layout bumps ride along — compaction
+	// the rebuilt (or, on a failure, reopened) state in field by field:
+	// ix.mu is held and must not be overwritten, and the WAL handle and
+	// watermark survive the swap. The epoch and layout bumps ride along — compaction
 	// renumbers PathIDs, so any cache entry naming one is garbage now
 	// (and when a failure reopens the ORIGINAL files the bumps are merely
 	// redundant).
@@ -93,6 +93,7 @@ func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 		ix.sigs = re.sigs
 		ix.sinks = re.sinks
 		ix.labels = re.labels
+		ix.labelLists = re.labelLists
 		ix.sources = re.sources
 		ix.deleted = re.deleted
 		ix.tombs = re.tombs
@@ -111,6 +112,7 @@ func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 	// the roll-forward rename fails too does recoverCompactSwap fall back
 	// to the originals.
 	closeFail := func(cause error) (CompactStats, error) {
+		next.file.Close()
 		os.Rename(pagesPath(tmpBase), pagesPath(ix.base))
 		recoverCompactSwap(ix.base)
 		re, rerr := openIndex(ix.base, ix.opts)
@@ -140,7 +142,7 @@ func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 	}
 	// The pages rename is the swap's commit point: recoverCompactSwap
 	// finishes the meta rename if a crash lands between the two.
-	if err := os.Rename(pagesPath(tmpBase), pagesPath(ix.base)); err != nil {
+	if err := next.file.Rename(pagesPath(ix.base)); err != nil {
 		return closeFail(fmt.Errorf("index: compact: swap pages: %w", err))
 	}
 	if err := os.Rename(metaPath(tmpBase), metaPath(ix.base)); err != nil {
@@ -149,11 +151,7 @@ func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 	if err := syncDirOf(metaPath(ix.base)); err != nil {
 		return closeFail(fmt.Errorf("index: compact: sync dir: %w", err))
 	}
-	reopened, err := openIndex(ix.base, ix.opts)
-	if err != nil {
-		return closeFail(fmt.Errorf("index: compact: reopen: %w", err))
-	}
-	adopt(reopened)
+	adopt(next)
 	cs.Live = ix.livePathsLocked()
 	if err := ix.wal.Checkpoint(ix.applied); err != nil {
 		return cs, fmt.Errorf("index: compact: wal checkpoint: %w", err)

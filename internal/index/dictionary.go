@@ -137,7 +137,7 @@ func DecodePathDict(buf []byte, d *Dictionary) (paths.Path, error) {
 		return paths.Path{}, err
 	}
 	terms := make([]rdf.Term, 2*n-1)
-	if err := d.decodeRecord(buf, pos, terms, nil); err != nil {
+	if err := d.decodeRecord(buf, pos, len(terms), terms, nil); err != nil {
 		return paths.Path{}, err
 	}
 	return pathOf(terms, n), nil
@@ -159,10 +159,10 @@ func recordHeader(buf []byte) (n, pos int, err error) {
 	return int(count), pos, nil
 }
 
-// decodeRecord decodes the 2n−1 IDs of a record from pos on into terms
-// and, unless it is nil, ids (both that long).
-func (d *Dictionary) decodeRecord(buf []byte, pos int, terms []rdf.Term, ids []uint32) error {
-	for i := range terms {
+// decodeRecord decodes the m = 2n−1 IDs of a record from pos on into
+// terms and ids, each m long unless it is nil.
+func (d *Dictionary) decodeRecord(buf []byte, pos, m int, terms []rdf.Term, ids []uint32) error {
+	for i := range m {
 		id, w := binary.Uvarint(buf[pos:])
 		if w <= 0 {
 			return fmt.Errorf("index: truncated varint at %d", pos)
@@ -171,7 +171,9 @@ func (d *Dictionary) decodeRecord(buf []byte, pos int, terms []rdf.Term, ids []u
 		if id >= uint64(len(d.terms)) {
 			return fmt.Errorf("index: dictionary id %d out of range (%d terms)", id, len(d.terms))
 		}
-		terms[i] = d.terms[id]
+		if terms != nil {
+			terms[i] = d.terms[id]
+		}
 		if ids != nil {
 			ids[i] = uint32(id)
 		}

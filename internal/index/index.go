@@ -114,6 +114,11 @@ type Index struct {
 	// constant label against the paths containing it.
 	sinks  *textindex.Index
 	labels *textindex.Index
+	// labelLists[id] are the labels postings term id's label is added to,
+	// resolved at the term's first commit (nil before): commitPath adds
+	// through them instead of looking each key up by string. They belong
+	// to labels, and are dropped with it.
+	labelLists [][]*textindex.Postings
 	// sources maps a source term's dictionary ID to the paths starting
 	// there, tombstoned included, ascending: an insert reads the paths of
 	// the roots it affects through it.
@@ -377,7 +382,8 @@ func (ix *Index) stagePath(ids *[]uint32, p paths.Path) (storage.RID, error) {
 // every disk append first and commit atomically after. It is the one
 // line every registration route — build (and so compaction), insert,
 // WAL replay — maintains the summaries and postings through, reading
-// each label's analysed form from the dictionary.
+// each label's analysed form from the dictionary and its label postings
+// through labelLists.
 func (ix *Index) commitPath(ids []uint32, rid storage.RID) {
 	id := uint32(len(ix.rids))
 	ix.rids = append(ix.rids, rid)
@@ -388,9 +394,15 @@ func (ix *Index) commitPath(ids []uint32, rid storage.RID) {
 	ix.sources[ids[0]] = append(ix.sources[ids[0]], PathID(id))
 	var sig uint64
 	for _, term := range ids {
+		if int(term) >= len(ix.labelLists) {
+			ix.labelLists = append(ix.labelLists, make([][]*textindex.Postings, int(term)+1-len(ix.labelLists))...)
+		}
 		a := ix.dict.analysedTerm(term)
+		if ix.labelLists[term] == nil {
+			ix.labelLists[term] = ix.labels.Lists(a)
+		}
 		sig |= a.Sig
-		ix.labels.AddAnalysed(a, id)
+		ix.labels.AddTo(ix.labelLists[term], id)
 	}
 	ix.sigs = append(ix.sigs, sig)
 }
@@ -959,23 +971,21 @@ func (ix *Index) records(ctx context.Context, ids []PathID) ([][]byte, int, erro
 	return recs, pages, err
 }
 
-// ReadPathsBatched materialises the given path IDs in one page-locality
-// read (see records) and returns, beside each path, its record's
-// term-ID run — the dictionary IDs of its nodes, then its edges, which
-// Terms decodes — and the pages it visited, whose accesses are charged
-// to the context's I/O tally. The paths' terms and the runs are cut
-// from one slice each.
+// ReadPathsBatched reads the records of the given path IDs in one
+// page-locality read (see records) and returns each one's term-ID run —
+// the dictionary IDs of its nodes, then its edges, which Terms decodes —
+// and the pages it visited, whose accesses are charged to the context's
+// I/O tally. The runs are cut from one slice; no term is decoded.
 //
-// Results are positional: out[i] and runs[i] are those of ids[i]. If
-// ctx is cancelled mid-read the context error is returned alongside
-// partial results — paths not yet materialised are left zero
-// (len(Nodes) == 0), which is distinguishable because an indexed path
-// always has at least one node. An out-of-range or tombstoned ID fails
-// the whole batch.
-func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) (out []paths.Path, runs [][]uint32, pages int, err error) {
+// Results are positional: runs[i] is that of ids[i]. If ctx is
+// cancelled mid-read the context error is returned alongside partial
+// results — runs not yet read are left nil, which is distinguishable
+// because an indexed path always has at least one node. An
+// out-of-range or tombstoned ID fails the whole batch.
+func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) (runs [][]uint32, pages int, err error) {
 	recs, pages, err := r.ix.records(ctx, ids)
 	if recs == nil {
-		return nil, nil, pages, err
+		return nil, pages, err
 	}
 	total := 0
 	for i, rec := range recs {
@@ -984,32 +994,51 @@ func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) (out []paths
 		}
 		n, _, herr := recordHeader(rec)
 		if herr != nil {
-			return nil, nil, pages, fmt.Errorf("index: decode path %d: %w", ids[i], herr)
+			return nil, pages, fmt.Errorf("index: decode path %d: %w", ids[i], herr)
 		}
 		total += 2*n - 1
 	}
-	terms, idRun := make([]rdf.Term, total), make([]uint32, total)
-	out, runs = make([]paths.Path, len(ids)), make([][]uint32, len(ids))
+	idRun := make([]uint32, total)
+	runs = make([][]uint32, len(ids))
 	for i, rec := range recs {
 		if rec == nil {
 			continue
 		}
 		n, pos, _ := recordHeader(rec)
 		m := 2*n - 1
-		if derr := r.ix.dict.decodeRecord(rec, pos, terms[:m:m], idRun[:m:m]); derr != nil {
-			return nil, nil, pages, fmt.Errorf("index: decode path %d: %w", ids[i], derr)
+		if derr := r.ix.dict.decodeRecord(rec, pos, m, nil, idRun[:m:m]); derr != nil {
+			return nil, pages, fmt.Errorf("index: decode path %d: %w", ids[i], derr)
 		}
-		out[i], runs[i] = pathOf(terms[:m:m], n), idRun[:m:m]
-		terms, idRun = terms[m:], idRun[m:]
+		runs[i], idRun = idRun[:m:m], idRun[m:]
 	}
-	return out, runs, pages, err
+	return runs, pages, err
 }
 
 // ReadPathsBatched is Reader.ReadPathsBatched under its own read lock,
-// without the runs.
+// each run decoded into its path (a zero path where the read was
+// cancelled), the paths' terms cut from one slice.
 func (ix *Index) ReadPathsBatched(ctx context.Context, ids []PathID) (ps []paths.Path, err error) {
 	err = ix.View(func(r Reader) error {
-		ps, _, _, err = r.ReadPathsBatched(ctx, ids)
+		var runs [][]uint32
+		runs, _, err = r.ReadPathsBatched(ctx, ids)
+		if runs == nil {
+			return err
+		}
+		total, terms := 0, r.Terms()
+		for _, run := range runs {
+			total += len(run)
+		}
+		flat := make([]rdf.Term, 0, total)
+		ps = make([]paths.Path, len(ids))
+		for i, run := range runs {
+			if run != nil {
+				at := len(flat)
+				for _, id := range run {
+					flat = append(flat, terms[id])
+				}
+				ps[i] = pathOf(flat[at:len(flat):len(flat)], (len(run)+1)/2)
+			}
+		}
 		return err
 	})
 	return ps, err

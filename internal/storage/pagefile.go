@@ -181,6 +181,18 @@ func (pf *PageFile) Size() int64 {
 // Path returns the file path.
 func (pf *PageFile) Path() string { return pf.path }
 
+// Rename moves the file to path, which Path and the sync-poison errors
+// name from then on; the open handle stays valid.
+func (pf *PageFile) Rename(path string) error {
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	if err := os.Rename(pf.path, path); err != nil {
+		return err
+	}
+	pf.path = path
+	return nil
+}
+
 // Sync flushes the file to stable storage. A failure poisons the
 // file — see the PageFile doc comment — and is returned again by
 // every subsequent Write, Sync, and Close.

@@ -80,6 +80,27 @@ func (ix *Index) AddAnalysed(a *Analysed, doc uint32) {
 	ix.docs++
 }
 
+// Lists returns the postings lists AddAnalysed adds a document to for a
+// label analysed as a — its exact key's, then each token's — creating
+// the missing ones. A caller that indexes one label under many documents
+// resolves them once and adds through AddTo.
+func (ix *Index) Lists(a *Analysed) []*Postings {
+	lists := make([]*Postings, 0, 1+len(a.Tokens))
+	lists = append(lists, postingFor(ix.exact, a.Key))
+	for _, tok := range a.Tokens {
+		lists = append(lists, postingFor(ix.tokens, tok))
+	}
+	return lists
+}
+
+// AddTo is AddAnalysed through the lists Lists returned for the label.
+func (ix *Index) AddTo(lists []*Postings, doc uint32) {
+	for _, p := range lists {
+		p.Add(doc)
+	}
+	ix.docs++
+}
+
 func postingFor(m map[string]*Postings, key string) *Postings {
 	p := m[key]
 	if p == nil {
