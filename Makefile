@@ -39,8 +39,9 @@ race:
 
 # race-hot re-runs the packages where the alignment memo's
 # re-confirmation of entries an insert made stale, the
-# per-query-path cluster goroutines (one alignment memo, one I/O tally
-# and one index View shared by all of a query's clusters), admission
+# per-query-path cluster goroutines (one alignment memo and one index
+# View shared by all of a query's clusters, each returning its own
+# read's page counts), admission
 # against client disconnects, the writer lock inserts, checkpoints and
 # compaction share, the registry's and the trace ring's
 # concurrent writers and the signature pre-rank's probe-mask lookups
@@ -164,7 +165,8 @@ loc:
 # configuration surface — public With* options, flags of the two
 # binaries, exported fields of the three Options structs and the fields
 # of the public config they feed, the path budget's fields, the Go
-# client's exported fields, and
+# client's exported fields, the exported Set* methods of the root
+# module's non-test files (setters that reconfigure a live object), and
 # the HTTP routes the debug mux and the query server register — one
 # line each, so "options did not grow" is one diff of this output.
 knobs:
@@ -181,6 +183,8 @@ knobs:
 		$$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n+0}' internal/paths/enumerate.go)
 	@printf '%-34s %3d\n' 'client.Client exported fields' \
 		$$(awk '/^type Client struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n+0}' client/client.go)
+	@printf '%-34s %3d\n' 'exported Set* methods' \
+		$$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -exec cat {} + | grep -cE '^func \([^)]*\) Set[A-Z]')
 	@printf '%-34s %3d\n' 'HTTP routes' $$(cat internal/obs/debug.go internal/server/server.go | grep -c 'mux\.Handle')
 
 # profile captures one CPU profile per phase into results/, keeping the

@@ -62,11 +62,6 @@ type IOStats struct {
 	PageReads   uint64 `json:"page_reads"`
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	Retries     uint64 `json:"retries"`
-	// BatchedPages counts pages touched through the engine's
-	// page-locality batched reads; it equals PageReads, since the engine
-	// reads every page that way.
-	BatchedPages uint64 `json:"batched_pages"`
 }
 
 // ExplainPlan is the deterministic explain plan returned when the

@@ -16,6 +16,7 @@ import (
 	"sama/internal/index"
 	"sama/internal/obs"
 	"sama/internal/rdf"
+	"sama/internal/storage"
 	"sama/internal/textindex"
 )
 
@@ -265,9 +266,9 @@ type failingReads struct {
 
 var errInjected = errors.New("injected read failure")
 
-func (b failingReads) ReadPathsBatched(ctx context.Context, ids []index.PathID) ([][]uint32, int, error) {
+func (b failingReads) ReadPathsBatched(ctx context.Context, ids []index.PathID) ([][]uint32, storage.Reads, error) {
 	if *b.on {
-		return nil, 0, errInjected
+		return nil, storage.Reads{}, errInjected
 	}
 	return b.backend.ReadPathsBatched(ctx, ids)
 }
@@ -390,9 +391,10 @@ func TestCacheMetricsExposed(t *testing.T) {
 
 // TestIOAttributionConcurrent pins the per-query I/O fix: N identical
 // queries running at once must each report exactly the page accesses of
-// a solo run. The pre-fix implementation diffed the pool's global
-// counters around the query, so concurrent traffic bled into every
-// trace.
+// a solo run, which are the pages its clusters' batched reads visited
+// (each align[i]'s batched_pages). An earlier implementation diffed the
+// pool's global counters around the query, so concurrent traffic bled
+// into every trace.
 func TestIOAttributionConcurrent(t *testing.T) {
 	// Memo off: every run must actually read pages for the attribution
 	// comparison to be non-trivial.
@@ -409,15 +411,11 @@ func TestIOAttributionConcurrent(t *testing.T) {
 	if solo == 0 {
 		t.Fatal("solo query read no pages")
 	}
-	// Cluster builds materialise candidates through ReadPathsBatched, so
-	// this test also pins the batched path's tally attribution.
-	if st.Trace.IO.BatchedPages == 0 {
-		t.Fatalf("solo query did not exercise batched reads: %+v", st.Trace.IO)
-	}
 
 	const workers = 8
 	var wg sync.WaitGroup
 	got := make([]obs.IOStats, workers)
+	batched := make([]int64, workers)
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -429,6 +427,13 @@ func TestIOAttributionConcurrent(t *testing.T) {
 				return
 			}
 			got[w] = st.Trace.IO
+			for _, ph := range st.Plan().Phases {
+				if ph.Name == "cluster" {
+					for _, al := range ph.Children {
+						batched[w] += al.Attrs["batched_pages"]
+					}
+				}
+			}
 		}(w)
 	}
 	wg.Wait()
@@ -439,6 +444,10 @@ func TestIOAttributionConcurrent(t *testing.T) {
 		if got[w].PageReads != solo {
 			t.Errorf("worker %d attributed %d page reads, want exactly %d (solo)",
 				w, got[w].PageReads, solo)
+		}
+		if int64(got[w].PageReads) != batched[w] {
+			t.Errorf("worker %d attributed %d page reads, want its plan's %d batched pages",
+				w, got[w].PageReads, batched[w])
 		}
 		if got[w].PageReads != got[w].CacheHits+got[w].CacheMisses {
 			t.Errorf("worker %d: reads %d != hits %d + misses %d",

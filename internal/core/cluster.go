@@ -13,6 +13,7 @@ import (
 	"sama/internal/obs"
 	"sama/internal/paths"
 	"sama/internal/rdf"
+	"sama/internal/storage"
 )
 
 // ClusterItem is one candidate data path inside a cluster with its
@@ -65,6 +66,9 @@ type Cluster struct {
 	vars   []string
 	terms  index.Terms
 	consts []uint32
+	// reads is the page work of the batched read this cluster was built
+	// from; a memo hit read nothing.
+	reads storage.Reads
 }
 
 // run and bindings return item ii's term IDs and its bindings by slot.
@@ -214,9 +218,10 @@ func (sc *clusterScratch) release() {
 // read nothing else — and within one layout no ID's record changes.
 // Otherwise retrieval and the pre-rank pick the cut, which is
 // materialised in one page-locality batched read and aligned in one
-// loop (alignAll). sp, when non-nil, receives the pass's decision
-// counters for the explain plan (cachedCluster.describe) and, when it
-// aligned, the pages the batched read touched.
+// loop (alignAll), whose page work the cluster keeps. sp, when non-nil,
+// receives the pass's decision counters for the explain plan
+// (cachedCluster.describe) and, when it aligned, the pages the batched
+// read touched.
 func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Path, sp *obs.Span) (Cluster, error) {
 	var key string
 	if e.alignMemo != nil {
@@ -245,7 +250,7 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 	slices.Sort(cut)
 	cc := &cachedCluster{retrieved: len(ids), preranked: len(cut), layout: r.Layout(),
 		mark: r.Watermark(), step: step, boundary: boundary}
-	staged, pages, aligned, err := e.alignAll(ctx, r, sc, q, cut)
+	staged, reads, aligned, err := e.alignAll(ctx, r, sc, q, cut)
 	if err != nil {
 		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
 	}
@@ -275,14 +280,16 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 	}
 	cc.keep(items, sc, q)
 	cc.describe(sp, 0, aligned)
-	sp.Set("batched_pages", int64(pages))
+	sp.Set("batched_pages", int64(reads.Pages))
 	// Only a complete build is stored: a cancelled one aligned a prefix.
 	if e.alignMemo != nil && ctx.Err() == nil {
 		cc.cut = slices.Clone(cut)
 		cc.size = memoSize(cc)
 		e.alignMemo.Put(key, r.Epoch(), cc, cc.size)
 	}
-	return cc.cluster(r, qi, q), nil
+	c := cc.cluster(r, qi, q)
+	c.reads = reads
+	return c, nil
 }
 
 // reconfirm is the alignment memo's renew step for a stale entry (see
@@ -528,15 +535,13 @@ func sortClusterItems(items []ClusterItem) {
 // bindings read at its positions in their own runs (keep). A class
 // whose first candidate broke a window tie is split by tie keys, each
 // term's relation computed once per build; past 64 constants every
-// candidate is a class. It returns the pages the read counted itself
-// visiting — a diff of the query's tally, which sibling clusters charge
-// concurrently, would make batched_pages nondeterministic — and the
+// candidate is a class. It returns the read's page work and the
 // alignments it ran. Cancellation is cooperative per candidate: entries
 // not yet aligned are left out, a smaller but still best-first cluster.
-func (e *Engine) alignAll(ctx context.Context, r backend, sc *clusterScratch, q paths.Path, ids []index.PathID) ([]ClusterItem, int, int, error) {
-	runs, pages, err := r.ReadPathsBatched(ctx, ids)
+func (e *Engine) alignAll(ctx context.Context, r backend, sc *clusterScratch, q paths.Path, ids []index.PathID) ([]ClusterItem, storage.Reads, int, error) {
+	runs, reads, err := r.ReadPathsBatched(ctx, ids)
 	if err != nil && ctx.Err() == nil {
-		return nil, pages, 0, err
+		return nil, reads, 0, err
 	}
 	// On a cancelled batch read, align what was read, if anything.
 	terms, al, aligned := r.Terms(), align.NewGreedy(e.par), 0
@@ -588,7 +593,7 @@ func (e *Engine) alignAll(ctx context.Context, r backend, sc *clusterScratch, q 
 		sc.als[m] = c.al
 		sc.staged = append(sc.staged, ClusterItem{ID: ids[m], Cost: c.al.Cost, run: span{uint32(m), uint32(len(run))}})
 	}
-	return sc.staged, pages, aligned, nil
+	return sc.staged, reads, aligned, nil
 }
 
 // retrievalStep is one step of retrieve's cascade: the live paths whose

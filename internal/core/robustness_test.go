@@ -180,7 +180,11 @@ func buildFaultyEngine(t *testing.T) (*Engine, *storage.FaultInjector) {
 	return New(ix, Options{AlignCacheMB: -1}), inj
 }
 
-func TestTransientReadFaultDuringClusteringIsRetried(t *testing.T) {
+// TestTransientReadFaultDuringClusteringFailsThenHeals: a transient
+// page fault fails the query that meets it, with an error naming the
+// page and the path being read; once the fault has healed, the same
+// query returns the baseline answers.
+func TestTransientReadFaultDuringClusteringFailsThenHeals(t *testing.T) {
 	e, inj := buildFaultyEngine(t)
 	baseline, err := e.Query(queryQ1(), 3)
 	if err != nil {
@@ -189,20 +193,30 @@ func TestTransientReadFaultDuringClusteringIsRetried(t *testing.T) {
 	if err := e.Index().DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	// Every page read during clustering fails twice before succeeding —
-	// within the pool's retry budget.
-	inj.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.Transient, Times: 2})
+	inj.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.Transient, Page: 1})
+
+	_, err = e.Query(queryQ1(), 3)
+	if !errors.Is(err, storage.ErrTransient) {
+		t.Fatalf("query under a transient fault = %v, want an error unwrapping to ErrTransient", err)
+	}
+	if !strings.Contains(err.Error(), "page 1") || !strings.Contains(err.Error(), "read path") {
+		t.Errorf("error %q does not name the failed page and the path being read", err)
+	}
+	if inj.Fired() != 1 {
+		t.Errorf("injector fired %d times, want once", inj.Fired())
+	}
 
 	answers, err := e.Query(queryQ1(), 3)
 	if err != nil {
-		t.Fatalf("query with transient faults failed: %v", err)
+		t.Fatalf("query after the fault healed: %v", err)
 	}
-	if len(answers) != len(baseline) || answers[0].Score != baseline[0].Score {
-		t.Errorf("degraded run differs: %d answers best %.4f, want %d best %.4f",
-			len(answers), answers[0].Score, len(baseline), baseline[0].Score)
+	if len(answers) != len(baseline) {
+		t.Fatalf("healed run: %d answers, want the baseline's %d", len(answers), len(baseline))
 	}
-	if inj.Fired() == 0 {
-		t.Error("injector never fired")
+	for i := range answers {
+		if got, want := fingerprint(answers[i]), fingerprint(baseline[i]); got != want {
+			t.Errorf("healed run, answer %d:\n got %s\nwant %s", i, got, want)
+		}
 	}
 }
 

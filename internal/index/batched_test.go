@@ -69,18 +69,21 @@ func TestReadPathsBatchedChargesTally(t *testing.T) {
 	for i := range ids {
 		ids[i] = PathID(i)
 	}
-	var tally storage.IOTally
-	ctx := storage.WithTally(context.Background(), &tally)
-	var pages int
+	if err := ix.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	base := ix.PoolStats()
+	var n storage.Reads
 	if err := ix.View(func(r Reader) (err error) {
-		_, pages, err = r.ReadPathsBatched(ctx, ids)
+		_, n, err = r.ReadPathsBatched(context.Background(), ids)
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if pages == 0 || tally.Hits()+tally.Misses() != uint64(pages) {
-		t.Errorf("batched read visited %d pages and charged %d page accesses to the context tally; want as many, > 0",
-			pages, tally.Hits()+tally.Misses())
+	st := ix.PoolStats()
+	want := storage.Reads{Pages: int(st.Hits + st.Misses - base.Hits - base.Misses), Misses: int(st.Misses - base.Misses)}
+	if n != want || n.Misses == 0 {
+		t.Errorf("cold batched read returned %+v; want the pool's %+v, with misses", n, want)
 	}
 	// Each decoded path is counted once.
 	if n := reg.Counter("sama_index_path_reads_total", "").Value(); n != uint64(len(ids)) {

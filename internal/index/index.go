@@ -942,24 +942,24 @@ func (ix *Index) appendLive(dst []PathID, ps []uint32) []PathID {
 // reads, in one storage.Read: the index's one way from page to record,
 // run under the caller's lock. Results are positional, and on a
 // cancelled ctx the records not read are nil beside the context error
-// (see storage.Read); the int result is the pages visited. An
+// (see storage.Read); the Reads result is the read's page work. An
 // out-of-range or tombstoned ID, or a record that fails to read, fails
 // the whole call with an error naming the path.
-func (ix *Index) records(ctx context.Context, ids []PathID) ([][]byte, int, error) {
+func (ix *Index) records(ctx context.Context, ids []PathID) ([][]byte, storage.Reads, error) {
 	rids := make([]storage.RID, len(ids))
 	for i, id := range ids {
 		if err := ix.checkLive(id); err != nil {
-			return nil, 0, err
+			return nil, storage.Reads{}, err
 		}
 		rids[i] = ix.rids[id]
 	}
-	recs, pages, err := ix.store.Read(ctx, rids)
+	recs, reads, err := ix.store.Read(ctx, rids)
 	if recs == nil {
 		var re *storage.RecordError
 		if errors.As(err, &re) {
-			return nil, pages, fmt.Errorf("index: read path %d: %w", ids[re.Index], re.Err)
+			return nil, reads, fmt.Errorf("index: read path %d: %w", ids[re.Index], re.Err)
 		}
-		return nil, pages, fmt.Errorf("index: read paths: %w", err)
+		return nil, reads, fmt.Errorf("index: read paths: %w", err)
 	}
 	read := 0
 	for _, rec := range recs {
@@ -968,24 +968,24 @@ func (ix *Index) records(ctx context.Context, ids []PathID) ([][]byte, int, erro
 		}
 	}
 	ix.mPathReads.Add(uint64(read))
-	return recs, pages, err
+	return recs, reads, err
 }
 
 // ReadPathsBatched reads the records of the given path IDs in one
 // page-locality read (see records) and returns each one's term-ID run —
 // the dictionary IDs of its nodes, then its edges, which Terms decodes —
-// and the pages it visited, whose accesses are charged to the context's
-// I/O tally. The runs are cut from one slice; no term is decoded.
+// and the read's page work: the pages it visited and the misses among
+// them. The runs are cut from one slice; no term is decoded.
 //
 // Results are positional: runs[i] is that of ids[i]. If ctx is
 // cancelled mid-read the context error is returned alongside partial
 // results — runs not yet read are left nil, which is distinguishable
 // because an indexed path always has at least one node. An
 // out-of-range or tombstoned ID fails the whole batch.
-func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) (runs [][]uint32, pages int, err error) {
-	recs, pages, err := r.ix.records(ctx, ids)
+func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) (runs [][]uint32, reads storage.Reads, err error) {
+	recs, reads, err := r.ix.records(ctx, ids)
 	if recs == nil {
-		return nil, pages, err
+		return nil, reads, err
 	}
 	total := 0
 	for i, rec := range recs {
@@ -994,7 +994,7 @@ func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) (runs [][]ui
 		}
 		n, _, herr := recordHeader(rec)
 		if herr != nil {
-			return nil, pages, fmt.Errorf("index: decode path %d: %w", ids[i], herr)
+			return nil, reads, fmt.Errorf("index: decode path %d: %w", ids[i], herr)
 		}
 		total += 2*n - 1
 	}
@@ -1007,11 +1007,11 @@ func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) (runs [][]ui
 		n, pos, _ := recordHeader(rec)
 		m := 2*n - 1
 		if derr := r.ix.dict.decodeRecord(rec, pos, m, nil, idRun[:m:m]); derr != nil {
-			return nil, pages, fmt.Errorf("index: decode path %d: %w", ids[i], derr)
+			return nil, reads, fmt.Errorf("index: decode path %d: %w", ids[i], derr)
 		}
 		runs[i], idRun = idRun[:m:m], idRun[m:]
 	}
-	return runs, pages, err
+	return runs, reads, err
 }
 
 // ReadPathsBatched is Reader.ReadPathsBatched under its own read lock,

@@ -39,7 +39,7 @@ func explainTestTrace() *Trace {
 	sp.Set("answers", 5)
 	sp.End()
 	tr.Answers = 5
-	tr.IO = IOStats{PageReads: 12, CacheHits: 9, CacheMisses: 3, BatchedPages: 4}
+	tr.IO = IOStats{PageReads: 12, CacheHits: 9, CacheMisses: 3}
 	tr.Finish()
 	return tr
 }

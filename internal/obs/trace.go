@@ -72,10 +72,9 @@ func (s *Span) Set(key string, v int64) {
 	s.Attrs[key] = v
 }
 
-// IOStats attributes storage-level work to one query: the buffer pool
-// counter deltas observed across the query's execution. Under
-// concurrent queries the pool is shared, so the attribution is
-// approximate — a query may absorb a neighbour's traffic.
+// IOStats is the storage-level work of one query: the sum of what its
+// clusters' batched reads returned, so concurrent queries never absorb
+// each other's traffic.
 type IOStats struct {
 	// PageReads is the number of logical page accesses (hits + misses).
 	PageReads uint64 `json:"page_reads"`
@@ -83,13 +82,6 @@ type IOStats struct {
 	// is one physical read.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	// Retries counts transient-fault retry attempts absorbed by the
-	// pool's retry policy during the query.
-	Retries uint64 `json:"retries"`
-	// BatchedPages counts pages touched through page-locality batched
-	// reads: the engine reads every page that way, so it equals
-	// PageReads.
-	BatchedPages uint64 `json:"batched_pages"`
 }
 
 // Trace is the full observability record of one query execution: the
@@ -207,8 +199,8 @@ func (t *Trace) WriteTable(w io.Writer) {
 	for _, s := range t.Phases {
 		walk(s, 0)
 	}
-	fmt.Fprintf(tw, "io\t\treads=%d hits=%d misses=%d retries=%d batched_pages=%d\n",
-		t.IO.PageReads, t.IO.CacheHits, t.IO.CacheMisses, t.IO.Retries, t.IO.BatchedPages)
+	fmt.Fprintf(tw, "io\t\treads=%d hits=%d misses=%d\n",
+		t.IO.PageReads, t.IO.CacheHits, t.IO.CacheMisses)
 	detail := fmt.Sprintf("answers=%d", t.Answers)
 	if t.Partial {
 		detail += fmt.Sprintf(" partial=%q", t.StopReason)

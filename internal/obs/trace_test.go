@@ -97,7 +97,7 @@ func TestTraceWriteTable(t *testing.T) {
 		"phase", "duration", "detail",
 		"decompose", "paths=3",
 		"cluster", "align[0]",
-		"reads=10 hits=8 misses=2 retries=0",
+		"reads=10 hits=8 misses=2\n",
 		"total", "answers=5", `partial="deadline exceeded"`,
 	} {
 		if !strings.Contains(out, want) {

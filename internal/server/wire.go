@@ -131,8 +131,6 @@ func appendResponse(dst []byte, out *QueryOutcome, queueWait time.Duration, expl
 	dst = strconv.AppendUint(append(dst, `,"io":{"page_reads":`...), ioStats.PageReads, 10)
 	dst = strconv.AppendUint(append(dst, `,"cache_hits":`...), ioStats.CacheHits, 10)
 	dst = strconv.AppendUint(append(dst, `,"cache_misses":`...), ioStats.CacheMisses, 10)
-	dst = strconv.AppendUint(append(dst, `,"retries":`...), ioStats.Retries, 10)
-	dst = strconv.AppendUint(append(dst, `,"batched_pages":`...), ioStats.BatchedPages, 10)
 	dst = append(dst, "}}"...)
 	if explain && tr != nil {
 		plan, err := json.Marshal(obs.BuildPlan(tr))

@@ -68,13 +68,7 @@ func toWire(out *QueryOutcome, queueWait time.Duration, explain bool) *client.Qu
 				Name: s.Name, DurationNS: s.Duration.Nanoseconds(),
 			})
 		}
-		resp.Stats.IO = client.IOStats{
-			PageReads:    tr.IO.PageReads,
-			CacheHits:    tr.IO.CacheHits,
-			CacheMisses:  tr.IO.CacheMisses,
-			Retries:      tr.IO.Retries,
-			BatchedPages: tr.IO.BatchedPages,
-		}
+		resp.Stats.IO = client.IOStats(tr.IO)
 		if explain {
 			resp.Explain = planToWire(obs.BuildPlan(tr))
 		}

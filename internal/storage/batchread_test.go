@@ -52,12 +52,12 @@ func TestReadBatchTallyMatchesIndividualReads(t *testing.T) {
 		req[i] = rids[j]
 		wantShuf[i] = want[j]
 	}
-	got, npages, err := rs.Read(context.Background(), req)
+	got, n, err := rs.Read(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if npages <= 0 {
-		t.Errorf("npages = %d, want > 0", npages)
+	if n.Pages <= 0 {
+		t.Errorf("read visited %d pages, want > 0", n.Pages)
 	}
 	for i := range req {
 		if got[i] == nil {
@@ -119,15 +119,20 @@ func TestReadBatchTallyEmptyRecordIsNonNil(t *testing.T) {
 func TestReadBatchTallyTallyAgreesWithSerialReads(t *testing.T) {
 	rs, rids, _ := batchFixture(t, 150)
 
-	var serial IOTally
+	var serial Reads
 	for _, rid := range rids {
-		if _, _, err := rs.Read(WithTally(context.Background(), &serial), []RID{rid}); err != nil {
+		_, n, err := rs.Read(context.Background(), []RID{rid})
+		if err != nil {
 			t.Fatal(err)
 		}
+		serial = serial.Add(n)
 	}
 
-	var batch IOTally
-	got, npages, err := rs.Read(WithTally(context.Background(), &batch), rids)
+	if err := rs.pool.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	base := rs.pool.Stats()
+	got, batch, err := rs.Read(context.Background(), rids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,17 +141,16 @@ func TestReadBatchTallyTallyAgreesWithSerialReads(t *testing.T) {
 			t.Fatalf("record %d not read", i)
 		}
 	}
-	// The batch charges each page it visits once per round; one record
-	// at a time re-charges a page for every record on it. Batched page
-	// accesses must therefore be strictly fewer while still being
-	// attributed exactly: each visit, and nothing else, to our tally.
-	serialReads := serial.Hits() + serial.Misses()
-	batchReads := batch.Hits() + batch.Misses()
-	if batchReads >= serialReads {
-		t.Errorf("batched page reads %d not below serial %d", batchReads, serialReads)
+	// The batch visits each page once per round; one record at a time
+	// revisits a page for every record on it. Batched page accesses must
+	// therefore be strictly fewer while still being counted exactly: the
+	// read returns every access and miss the pool saw, and nothing else.
+	if batch.Pages >= serial.Pages {
+		t.Errorf("batched page reads %d not below serial %d", batch.Pages, serial.Pages)
 	}
-	if int(batchReads) != npages {
-		t.Errorf("tally page reads %d, want the %d visits", batchReads, npages)
+	st := rs.pool.Stats()
+	if want := (Reads{Pages: int(st.Hits + st.Misses - base.Hits - base.Misses), Misses: int(st.Misses - base.Misses)}); batch != want || batch.Misses == 0 {
+		t.Errorf("cold read returned %+v, want the pool's %+v with misses", batch, want)
 	}
 }
 
@@ -338,9 +342,11 @@ func TestReadFailsSlotPastThePage(t *testing.T) {
 // FuzzRecordRead reads RIDs the input names (three bytes each: page,
 // slot) from a store whose first page is the input's, beside the
 // store's well-formed records. The read must not panic or hang; a
-// failure must be a *RecordError; and every well-formed record must
-// round-trip, duplicates included, also through a read cancelled at an
-// input-chosen point, which leaves an entry nil or whole.
+// failure must be a *RecordError; every read's Reads must count no
+// more misses than pages, and a whole read at least the distinct pages
+// its records start on; and every well-formed record must round-trip,
+// duplicates included, also through a read cancelled at an input-chosen
+// point, which leaves an entry nil or whole.
 func FuzzRecordRead(f *testing.F) {
 	f.Add(selfLinkedPage, []byte{1, 0, 0})
 	f.Add(wideSlotCountPage, []byte{1, 0, 0, 1, 0x88, 0x13})
@@ -358,24 +364,40 @@ func FuzzRecordRead(f *testing.F) {
 				}
 			}
 		}
-		got, _, err := rs.Read(context.Background(), req)
+		checkReads := func(n Reads) {
+			t.Helper()
+			if n.Misses < 0 || n.Misses > n.Pages {
+				t.Fatalf("read returned %+v: misses outside [0, pages]", n)
+			}
+		}
+		got, n, err := rs.Read(context.Background(), req)
 		if err != nil {
 			t.Fatalf("well-formed records: %v", err)
 		}
 		check(got, false)
+		checkReads(n)
+		firsts := map[PageID]bool{}
+		for _, rid := range req {
+			firsts[rid.Page] = true
+		}
+		if n.Pages < len(firsts) {
+			t.Fatalf("read visited %d pages, want at least the %d its records start on", n.Pages, len(firsts))
+		}
 
 		ctx := &cancelAfter{context.Background(), len(named) % 8}
-		got, _, err = rs.Read(ctx, req)
+		got, n, err = rs.Read(ctx, req)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled read: %v", err)
 		}
 		check(got, err != nil)
+		checkReads(n)
 
 		mixed := req
 		for ; len(named) >= 3; named = named[3:] {
 			mixed = append(mixed, RID{Page: PageID(int(named[0]) % (npages + 2)), Slot: binary.LittleEndian.Uint16(named[1:3])})
 		}
-		got, _, err = rs.Read(context.Background(), mixed)
+		got, n, err = rs.Read(context.Background(), mixed)
+		checkReads(n)
 		if err != nil {
 			var re *RecordError
 			if !errors.As(err, &re) || got != nil {

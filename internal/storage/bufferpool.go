@@ -2,31 +2,26 @@ package storage
 
 import (
 	"container/list"
-	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// PoolStats is a snapshot of the buffer pool counters; used by the
-// cold/warm cache experiments, by capacity tuning, and by the
-// observability layer's per-query I/O attribution.
+// PoolStats is a snapshot of the buffer pool counters, fleet-wide
+// since the pool opened; used by the cold/warm cache experiments and by
+// capacity tuning. A query's own page work is the Reads its reads
+// return, not a diff of these.
 type PoolStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
 	Flushes   uint64
-	// Retries counts transient I/O errors absorbed by the retry policy
-	// (each is one extra attempt, not one failed operation).
-	Retries uint64
 }
 
 // poolCounters are the live counters behind PoolStats. They are
 // atomics so Stats can snapshot them without taking the pool lock —
-// metric scrapes and per-query attribution read them while concurrent
-// queries fault pages in.
+// metric scrapes read them while concurrent queries fault pages in.
 type poolCounters struct {
-	hits, misses, evictions, flushes, retries atomic.Uint64
+	hits, misses, evictions, flushes atomic.Uint64
 }
 
 func (c *poolCounters) snapshot() PoolStats {
@@ -35,7 +30,6 @@ func (c *poolCounters) snapshot() PoolStats {
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
 		Flushes:   c.flushes.Load(),
-		Retries:   c.retries.Load(),
 	}
 }
 
@@ -53,11 +47,8 @@ func (s PoolStats) HitRate() float64 {
 // defines the cache temperature: DropCache empties it (cold), repeated
 // traffic warms it. BufferPool is safe for concurrent use.
 //
-// I/O errors that unwrap to ErrTransient are retried a bounded number
-// of times with exponential backoff before surfacing, so hiccups in the
-// underlying store degrade to latency instead of failed queries. The
-// backoff sleeps while holding the pool lock — transient faults are
-// expected to be rare and short.
+// An I/O error fails the operation that met it; the pool does not
+// retry.
 type BufferPool struct {
 	mu       sync.Mutex
 	file     PageIO
@@ -66,9 +57,6 @@ type BufferPool struct {
 	lru      *list.List // front = most recent
 	stats    poolCounters
 	closed   bool
-
-	retries int           // extra attempts after a transient failure
-	backoff time.Duration // first retry delay, doubled per attempt
 }
 
 type frame struct {
@@ -79,12 +67,6 @@ type frame struct {
 
 // DefaultPoolPages is the default pool capacity (pages).
 const DefaultPoolPages = 1024
-
-// Default retry policy for transient I/O errors.
-const (
-	DefaultIORetries = 3
-	DefaultIOBackoff = 100 * time.Microsecond
-)
 
 // NewBufferPool returns a pool of the given capacity (in pages) over
 // file. Capacity must be at least 1; 0 selects DefaultPoolPages.
@@ -97,37 +79,18 @@ func NewBufferPool(file PageIO, capacity int) *BufferPool {
 		capacity: capacity,
 		frames:   make(map[PageID]*list.Element, capacity),
 		lru:      list.New(),
-		retries:  DefaultIORetries,
-		backoff:  DefaultIOBackoff,
 	}
 }
 
-// SetRetryPolicy overrides the transient-fault retry policy: retries
-// extra attempts, the first after backoff, doubling each time.
-// retries ≤ 0 disables retrying.
-func (bp *BufferPool) SetRetryPolicy(retries int, backoff time.Duration) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	bp.retries = retries
-	bp.backoff = backoff
+// Reads counts the page work of one read: the frames it handed to its
+// caller, and how many of those it faulted in from the file.
+type Reads struct {
+	Pages, Misses int
 }
 
-// retryIO runs op, retrying transient failures per the pool's policy.
-// Retries are charged to the global counters and, when non-nil, to the
-// caller's per-operation tally. Caller holds bp.mu.
-func (bp *BufferPool) retryIO(t *IOTally, op func() error) error {
-	err := op()
-	delay := bp.backoff
-	for attempt := 0; attempt < bp.retries && errors.Is(err, ErrTransient); attempt++ {
-		bp.stats.retries.Add(1)
-		t.addRetry()
-		if delay > 0 {
-			time.Sleep(delay)
-			delay *= 2
-		}
-		err = op()
-	}
-	return err
+// Add returns the sum of r and o.
+func (r Reads) Add(o Reads) Reads {
+	return Reads{r.Pages + o.Pages, r.Misses + o.Misses}
 }
 
 // Update applies fn to the cached content of page id and marks it
@@ -139,7 +102,7 @@ func (bp *BufferPool) Update(id PageID, fn func(page []byte) error) error {
 	if bp.closed {
 		return ErrClosed
 	}
-	fr, err := bp.frame(id, nil)
+	fr, _, err := bp.frame(id)
 	if err != nil {
 		return err
 	}
@@ -153,26 +116,31 @@ func (bp *BufferPool) Update(id PageID, fn func(page []byte) error) error {
 // View is the pool's one read: it applies fn to read-only views of the
 // given pages, in order, under a single lock acquisition — one lock
 // round trip and one LRU pass per page group instead of one per record.
-// Accesses are charged to the global counters and to t (nil counts
-// nothing). fn must not retain the page slice; any data it needs after
-// the call must be copied out. An fn error aborts the pass and is
-// returned verbatim.
-func (bp *BufferPool) View(t *IOTally, ids []PageID, fn func(i int, page []byte) error) error {
+// It returns the frames it handed to fn and the misses among them, also
+// when it stops early. fn must not retain the page slice; any data it
+// needs after the call must be copied out. An fn error aborts the pass
+// and is returned verbatim.
+func (bp *BufferPool) View(ids []PageID, fn func(i int, page []byte) error) (Reads, error) {
+	var n Reads
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if bp.closed {
-		return ErrClosed
+		return n, ErrClosed
 	}
 	for i, id := range ids {
-		fr, err := bp.frame(id, t)
+		fr, miss, err := bp.frame(id)
 		if err != nil {
-			return err
+			return n, err
+		}
+		n.Pages++
+		if miss {
+			n.Misses++
 		}
 		if err := fn(i, fr.data[:]); err != nil {
-			return err
+			return n, err
 		}
 	}
-	return nil
+	return n, nil
 }
 
 // Alloc allocates a fresh page in the underlying file and caches its
@@ -188,7 +156,7 @@ func (bp *BufferPool) Alloc() (PageID, error) {
 		return 0, err
 	}
 	if bp.lru.Len() >= bp.capacity {
-		victim, err := bp.evict(nil)
+		victim, err := bp.evict()
 		if err != nil {
 			return 0, err
 		}
@@ -198,39 +166,35 @@ func (bp *BufferPool) Alloc() (PageID, error) {
 	return id, nil
 }
 
-// frame returns the cached frame for id, faulting it in if needed,
-// charging the access to the global counters and the tally (nil counts
-// nothing). Caller holds bp.mu.
+// frame returns the cached frame for id, faulting it in if needed (then
+// miss is true), and counts the access in the global counters. Caller
+// holds bp.mu.
 //
 // A miss below capacity reads into a fresh frame. At capacity it evicts
 // the LRU victim first and reads into the victim's frame, which no page
 // maps to until the read has overwritten it. If that read fails the
 // victim stays evicted and nothing is installed.
-func (bp *BufferPool) frame(id PageID, t *IOTally) (*frame, error) {
+func (bp *BufferPool) frame(id PageID) (fr *frame, miss bool, err error) {
 	if el, ok := bp.frames[id]; ok {
 		bp.stats.hits.Add(1)
-		t.addHit()
 		bp.lru.MoveToFront(el)
-		return el.Value.(*frame), nil
+		return el.Value.(*frame), false, nil
 	}
 	bp.stats.misses.Add(1)
-	t.addMiss()
 	var el *list.Element // the recycled victim; nil below capacity
-	var fr *frame
 	if bp.lru.Len() < bp.capacity {
 		fr = &frame{}
 	} else {
-		var err error
-		if el, err = bp.evict(t); err != nil {
-			return nil, err
+		if el, err = bp.evict(); err != nil {
+			return nil, true, err
 		}
 		fr = el.Value.(*frame)
 	}
-	if err := bp.retryIO(t, func() error { return bp.file.Read(id, fr.data[:]) }); err != nil {
+	if err = bp.file.Read(id, fr.data[:]); err != nil {
 		if el != nil {
 			bp.lru.Remove(el)
 		}
-		return nil, err
+		return nil, true, err
 	}
 	fr.id = id
 	if el == nil {
@@ -239,18 +203,18 @@ func (bp *BufferPool) frame(id PageID, t *IOTally) (*frame, error) {
 		bp.lru.MoveToFront(el)
 	}
 	bp.frames[id] = el
-	return fr, nil
+	return fr, true, nil
 }
 
 // evict flushes the LRU victim if it is dirty and unmaps it, returning
 // its list element — still linked, its frame clean — for the caller to
 // reuse or remove. A failed flush leaves the pool untouched. Caller
 // holds bp.mu with the pool at capacity.
-func (bp *BufferPool) evict(t *IOTally) (*list.Element, error) {
+func (bp *BufferPool) evict() (*list.Element, error) {
 	victim := bp.lru.Back()
 	vf := victim.Value.(*frame)
 	if vf.dirty {
-		if err := bp.retryIO(t, func() error { return bp.file.Write(vf.id, vf.data[:]) }); err != nil {
+		if err := bp.file.Write(vf.id, vf.data[:]); err != nil {
 			return nil, err
 		}
 		vf.dirty = false
@@ -275,7 +239,7 @@ func (bp *BufferPool) flushLocked() error {
 	for el := bp.lru.Front(); el != nil; el = el.Next() {
 		fr := el.Value.(*frame)
 		if fr.dirty {
-			if err := bp.retryIO(nil, func() error { return bp.file.Write(fr.id, fr.data[:]) }); err != nil {
+			if err := bp.file.Write(fr.id, fr.data[:]); err != nil {
 				return err
 			}
 			fr.dirty = false

@@ -21,12 +21,13 @@ type PageIO interface {
 }
 
 // Fault error sentinels. Callers classify injected (and, by convention,
-// real) I/O errors with errors.Is: transient errors are worth retrying,
-// permanent ones are not.
+// real) I/O errors with errors.Is. The buffer pool treats them all
+// alike: the operation that meets one fails.
 var (
-	// ErrTransient marks an I/O error that may succeed when retried
-	// (the storage equivalent of a flaky network read). The buffer pool
-	// retries reads and writes that unwrap to ErrTransient.
+	// ErrTransient marks an I/O error that a later attempt of the same
+	// operation may not meet (the storage equivalent of a flaky network
+	// read). The pool does not retry it; the caller may, once the fault
+	// has healed.
 	ErrTransient = errors.New("transient I/O fault")
 	// ErrPermanent marks an I/O error that will keep failing (bad
 	// sector, truncated file). It is surfaced to the caller immediately.
@@ -64,8 +65,9 @@ func (o Op) String() string {
 type FaultKind int
 
 const (
-	// Transient fails the operation without touching the page; a retry
-	// that falls outside the fault's window succeeds.
+	// Transient fails the operation without touching the page, with
+	// ErrTransient: it heals after Times failures, so an attempt past
+	// the fault's window succeeds.
 	Transient FaultKind = iota
 	// Permanent fails the operation without touching the page, forever
 	// (unless Times bounds it).

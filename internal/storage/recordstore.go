@@ -217,11 +217,11 @@ func (e *RecordError) Unwrap() error { return e.Err }
 // that one lock acquisition. The first round reads every record's first
 // chunk; a record spanning pages (overflow chaining) continues in the
 // next round at the chunk its link names, so a one-chunk record — the
-// common case — is one page visit. Page accesses are charged to the
-// context's tally (TallyFrom).
+// common case — is one page visit.
 //
 // Results are in input order; duplicates are read once per occurrence.
-// The int result is the number of page visits over all rounds. Append
+// The Reads result sums its rounds' Views, also when the read fails or
+// stops early: it is the whole page work of the read. Append
 // writes a record's tail first and each earlier chunk on a page it
 // allocates after the one the chunk links to, so a chain descends in
 // page ID: a link that does not is corrupt — which bounds every chain
@@ -232,18 +232,17 @@ func (e *RecordError) Unwrap() error { return e.Err }
 // fully read are left nil and the context error is returned alongside
 // the others; a nil entry therefore means "not read", while a non-nil
 // empty slice is a genuinely empty record.
-func (rs *RecordStore) Read(ctx context.Context, rids []RID) ([][]byte, int, error) {
+func (rs *RecordStore) Read(ctx context.Context, rids []RID) ([][]byte, Reads, error) {
 	out := make([][]byte, len(rids))
 	todo := make([]chunkRead, len(rids))
 	for i, rid := range rids {
 		todo[i] = chunkRead{idx: i, rid: rid}
 	}
-	t := TallyFrom(ctx)
 	var pages []PageID
-	visits := 0
+	var total Reads
 	for len(todo) > 0 {
 		if ctx.Err() != nil {
-			return unread(out, todo), visits, ctx.Err()
+			return unread(out, todo), total, ctx.Err()
 		}
 		slices.SortFunc(todo, func(a, b chunkRead) int { return cmp.Compare(a.rid.Pack(), b.rid.Pack()) })
 		pages = pages[:0]
@@ -256,11 +255,10 @@ func (rs *RecordStore) Read(ctx context.Context, rids []RID) ([][]byte, int, err
 		// may be rewritten after it is released.
 		var next []chunkRead
 		cur := 0
-		err := rs.pool.View(t, pages, func(i int, p []byte) error {
+		n, err := rs.pool.View(pages, func(i int, p []byte) error {
 			if ctx.Err() != nil {
 				return errBatchStop
 			}
-			visits++
 			for ; cur < len(todo) && todo[cur].rid.Page == pages[i]; cur++ {
 				c := todo[cur]
 				payload, link, err := chunkAt(p, c.rid)
@@ -282,11 +280,12 @@ func (rs *RecordStore) Read(ctx context.Context, rids []RID) ([][]byte, int, err
 			}
 			return nil
 		})
+		total = total.Add(n)
 		if errors.Is(err, errBatchStop) {
 			// A record interrupted mid-chain would be silently truncated:
 			// everything this round did not finish reads as not read.
 			unread(out, todo[cur:])
-			return unread(out, next), visits, ctx.Err()
+			return unread(out, next), total, ctx.Err()
 		}
 		if err != nil {
 			// A page fault surfaces from the pool before fn sees the page;
@@ -296,11 +295,11 @@ func (rs *RecordStore) Read(ctx context.Context, rids []RID) ([][]byte, int, err
 			if !errors.As(err, &re) && cur < len(todo) {
 				err = &RecordError{Index: todo[cur].idx, RID: rids[todo[cur].idx], Err: err}
 			}
-			return nil, visits, err
+			return nil, total, err
 		}
 		todo = next
 	}
-	return out, visits, nil
+	return out, total, nil
 }
 
 // chunkRead is the next chunk Read reads of record idx.

@@ -22,10 +22,11 @@ func newTestFile(t *testing.T) *PageFile {
 
 // getPage copies page id into buf through the pool's one read.
 func getPage(bp *BufferPool, id PageID, buf []byte) error {
-	return bp.View(nil, []PageID{id}, func(_ int, p []byte) error {
+	_, err := bp.View([]PageID{id}, func(_ int, p []byte) error {
 		copy(buf, p)
 		return nil
 	})
+	return err
 }
 
 // putPage overwrites page id with buf through the pool.

@@ -112,8 +112,9 @@ type (
 	Plan = obs.Plan
 	// PlanNode is one node of an explain Plan.
 	PlanNode = obs.PlanNode
-	// TraceIO is the storage attribution of one query (page reads,
-	// cache hits/misses, transient-fault retries).
+	// TraceIO is the storage attribution of one query: the page reads
+	// its clusters' batched reads returned, split into cache hits and
+	// misses.
 	TraceIO = obs.IOStats
 	// MetricsRegistry is the per-DB metrics registry: atomic counters,
 	// gauges and fixed-bucket histograms with Prometheus text
@@ -309,7 +310,7 @@ func newDB(st *index.Index, c *config) *DB {
 	st.SetMetrics(reg)
 	// The pool and the WAL own their counters; expose them as
 	// scrape-time funcs so /metrics never double-counts. Flushes,
-	// retries, checkpoints and the log's size stay in PoolStats/WALStats.
+	// checkpoints and the log's size stay in PoolStats/WALStats.
 	pool := func(get func(storage.PoolStats) uint64) func() uint64 {
 		return func() uint64 { return get(st.PoolStats()) }
 	}
