@@ -74,7 +74,7 @@ race-hot:
 # copies, and after each checks the live records against a fresh build
 # of its model graph (limbo batches dropped by a checkpoint, replayed by
 # a crash), the alignment memo's clusters and answers against an engine
-# without it, each stale entry's re-confirmation against retrieval and
+# that purges its memo before each query, each stale entry's re-confirmation against retrieval and
 # the pre-rank run again, and an insert's delta and a layout's bumps
 # through the Reader, with its scripted cases, one per branch of the
 # re-confirmation and a compaction that renumbers a stale cut's IDs;
@@ -152,14 +152,19 @@ fuzz-smoke:
 	done
 
 # loc prints non-test and test Go line counts per package directory —
-# the root module's and bench/'s — one line each, so a "non-test lines
+# the root module's and bench/'s — one line each, then the root
+# module's totals (everything outside ./bench), so a "non-test lines
 # do not grow" gate is one diff of this output.
+LOC_ROOT = find . -not -path './bench/*' -not -path './.bench_build/*'
 loc:
 	@find . -name '*.go' -not -path './.bench_build/*' -exec dirname {} \; | sort -u | while read -r d; do \
 		nt=$$(find "$$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		t=$$(find "$$d" -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
 		printf '%-28s %6d non-test %6d test\n' "$$d" "$$nt" "$$t"; \
 	done
+	@nt=$$($(LOC_ROOT) -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	t=$$($(LOC_ROOT) -name '*_test.go' -exec cat {} + | wc -l); \
+	printf '%-28s %6d non-test %6d test\n' 'root module (not ./bench)' "$$nt" "$$t"
 
 # knobs prints the number of independently settable values on each
 # configuration surface — public With* options, flags of the two

@@ -21,7 +21,7 @@
 // query's latency is in /metrics (sama_query_seconds) and its trace in
 // /debug/lastqueries; every shed is counted by reason
 // (sama_server_shed_total).
-// -cache-align-mb sizes the alignment memo, which is on by default and
+// The alignment memo is always on, with a 64 MiB budget, and
 // re-confirms an entry an index write made stale. After a crash,
 // opening the index replays its write-ahead log (<index>.wal) before
 // samad serves, and the replay is logged; samad holds the index's lock
@@ -108,7 +108,6 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	maxK := fs.Int("max-k", 1000, "cap on the per-request ?k parameter")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries before cancelling them")
 	poolPages := fs.Int("pool-pages", 0, "buffer pool capacity in 8 KiB pages (0 = library default)")
-	cacheAlignMB := fs.Int("cache-align-mb", 0, "alignment memo budget in MiB: one cached cluster per query-path shape, reused across queries sharing it (0 = default 64, negative = off)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -120,9 +119,6 @@ func startDaemon(args []string, logger *log.Logger) (*daemon, error) {
 	opts := []sama.Option{sama.WithThesaurus(sama.BenchmarkThesaurus())}
 	if *poolPages > 0 {
 		opts = append(opts, sama.WithPoolPages(*poolPages))
-	}
-	if *cacheAlignMB != 0 {
-		opts = append(opts, sama.WithAlignmentCache(*cacheAlignMB))
 	}
 	db, err := openOrBuild(*index, *data, opts, logger)
 	if err != nil {

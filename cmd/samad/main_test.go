@@ -216,29 +216,20 @@ func TestStartupRecovery(t *testing.T) {
 	}
 }
 
-// TestAlignMemoFlag: the alignment memo is on unless -cache-align-mb is
-// negative — the default flag value selects the library default, it
-// does not switch the memo off.
+// TestAlignMemoFlag: the alignment memo is always on; no flag sizes or
+// disables it.
 func TestAlignMemoFlag(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want bool
-	}{
-		{nil, true},
-		{[]string{"-cache-align-mb", "-1"}, false},
-	} {
-		data, index := writeDataset(t)
-		args := append([]string{"-index", index, "-data", data, "-addr", "127.0.0.1:0"}, tc.args...)
-		d, err := startDaemon(args, log.New(new(bytes.Buffer), "", 0))
-		if err != nil {
-			t.Fatalf("startDaemon %v: %v", tc.args, err)
-		}
-		if _, ok := d.db.CacheStats()["align"]; ok != tc.want {
-			t.Errorf("flags %v: align memo present = %v, want %v", tc.args, ok, tc.want)
-		}
-		if err := d.shutdown(); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
+	data, index := writeDataset(t)
+	args := []string{"-index", index, "-data", data, "-addr", "127.0.0.1:0"}
+	d, err := startDaemon(args, log.New(new(bytes.Buffer), "", 0))
+	if err != nil {
+		t.Fatalf("startDaemon: %v", err)
+	}
+	if _, ok := d.db.CacheStats()["align"]; !ok {
+		t.Error("default flags: no align memo")
+	}
+	if err := d.shutdown(); err != nil {
+		t.Errorf("shutdown: %v", err)
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 	"sama/internal/workload"
 )
 
-// internPaths numbers the terms of ps as a dictionary does, in first-use
+// numberPaths numbers the terms of ps as a dictionary does, in first-use
 // order, and returns each path's term-ID run (nodes, then edges), the
 // table that decodes them, and the IDs of q's constants — nodes, then
 // edges — as alignAll passes them to AppendClassKey.
-func internPaths(ps []paths.Path, q paths.Path) (runs [][]uint32, terms []rdf.Term, consts []uint32) {
+func numberPaths(ps []paths.Path, q paths.Path) (runs [][]uint32, terms []rdf.Term, consts []uint32) {
 	ids := map[rdf.Term]uint32{}
 	for _, p := range ps {
 		var run []uint32
@@ -134,7 +134,7 @@ func TestClassKeyDeterminesAlignment(t *testing.T) {
 // or more members.
 func checkClasses(t *testing.T, q paths.Path, ps []paths.Path, par Params) int {
 	t.Helper()
-	runs, terms, consts := internPaths(ps, q)
+	runs, terms, consts := numberPaths(ps, q)
 	g := NewGreedy(par)
 	related := func(id uint32) uint64 { return g.Related(q, terms[id]) }
 	coarse := map[string][]int{}

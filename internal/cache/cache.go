@@ -61,9 +61,7 @@ func (s Stats) HitRate() float64 {
 }
 
 // Cache is an LRU keyed by string with epoch-checked freshness.
-// The zero value is not usable; construct with New. A nil *Cache is
-// valid and behaves as an always-miss cache that stores nothing, so
-// callers can leave caching disabled without guarding every call site.
+// The zero value is not usable; construct with New.
 type Cache struct {
 	maxBytes int64
 
@@ -100,9 +98,6 @@ func New(maxBytes int64) *Cache {
 // stores it) and counts as a hit; a refused one is dropped and counts
 // as one invalidation and a miss.
 func (c *Cache) Renew(key string, epoch uint64, renew func(stale any) (value any, size int, ok bool)) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if !ok {
@@ -144,9 +139,6 @@ func (c *Cache) Renew(key string, epoch uint64, renew func(stale any) (value any
 // on top. The value must be treated as read-only by everyone from here
 // on: hits share it across goroutines.
 func (c *Cache) Put(key string, epoch uint64, value any, size int) {
-	if c == nil {
-		return
-	}
 	charged := int64(size) + int64(len(key)) + entryOverhead
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -181,9 +173,6 @@ func (c *Cache) remove(el *list.Element, en *entry) {
 // fields are read without the lock, so a snapshot taken during
 // concurrent traffic is consistent per field, not across fields.
 func (c *Cache) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
 	st := Stats{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
@@ -198,9 +187,6 @@ func (c *Cache) Stats() Stats {
 
 // Purge drops every entry (counters are kept).
 func (c *Cache) Purge() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.entries = make(map[string]*list.Element)
 	c.lru.Init()

@@ -164,18 +164,6 @@ func TestBoundsAreExact(t *testing.T) {
 	}
 }
 
-func TestNilCacheIsInert(t *testing.T) {
-	var c *Cache
-	c.Put("a", 1, "v", 0)
-	if _, ok := c.Renew("a", 1, keep); ok {
-		t.Fatal("nil cache returned a hit")
-	}
-	if c.Stats() != (Stats{}) {
-		t.Fatal("nil cache reported state")
-	}
-	c.Purge()
-}
-
 func TestPurge(t *testing.T) {
 	c := New(1 << 20)
 	for i := 0; i < 32; i++ {

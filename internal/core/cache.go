@@ -139,7 +139,7 @@ const cacheAlign = "align"
 //
 // Evictions and charged bytes stay in CacheStats.
 func registerCacheMetrics(reg *obs.Registry, name string, c *cache.Cache) {
-	if reg == nil || c == nil {
+	if reg == nil {
 		return
 	}
 	reg.CounterFunc("sama_cache_hits_total",
@@ -157,11 +157,7 @@ func registerCacheMetrics(reg *obs.Registry, name string, c *cache.Cache) {
 }
 
 // CacheStats snapshots the alignment memo's counters under the key
-// "align"; with the memo off the map is empty.
+// "align".
 func (e *Engine) CacheStats() map[string]cache.Stats {
-	out := map[string]cache.Stats{}
-	if e.alignMemo != nil {
-		out[cacheAlign] = e.alignMemo.Stats()
-	}
-	return out
+	return map[string]cache.Stats{cacheAlign: e.alignMemo.Stats()}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 	"unsafe"
 
+	"sama/internal/cache"
 	"sama/internal/datasets"
 	"sama/internal/index"
 	"sama/internal/obs"
@@ -125,7 +126,7 @@ func clusterLines(cs []Cluster) string {
 // a repeat served whole from it — the very items, the explain counters a
 // full hit prints, no batched read.
 func TestAlignMemoReuse(t *testing.T) {
-	e := newTestEngine(t, Options{AlignCacheMB: 4})
+	e := newTestEngine(t, Options{})
 	pre := e.Preprocess(queryQ1())
 	n := uint64(len(pre.Paths))
 	first, err := e.Cluster(pre)
@@ -279,7 +280,7 @@ func (b failingReads) ReadPathsBatched(ctx context.Context, ids []index.PathID) 
 func TestAlignMemoKeepsNothingPartial(t *testing.T) {
 	e := newTestEngine(t, Options{})
 	pre := e.Preprocess(queryQ1())
-	want, err := New(e.idx, Options{AlignCacheMB: -1}).Cluster(pre)
+	want, err := memoFree(e.idx, Options{}).Cluster(pre)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +323,9 @@ func TestAlignMemoKeepsNothingPartial(t *testing.T) {
 // TestAlignMemoEvictionAndOff runs the cluster_param shapes twice
 // through a memo too small to hold them (1 MiB: a 64 KiB slice per shard
 // against ≈ 300 KB clusters, so every store evicts its neighbour) and
-// through an engine with the memo off: a cluster rebuilt after its
-// eviction equals the first build, and both equal the memo-less ones.
+// through an engine whose memo is purged before each query: a cluster
+// rebuilt after its eviction equals the first build, and both equal the
+// cold ones.
 func TestAlignMemoEvictionAndOff(t *testing.T) {
 	g := datasets.LUBM{}.Generate(4000, 3)
 	ix, err := index.Build(filepath.Join(t.TempDir(), "lubm"), g,
@@ -344,13 +346,10 @@ func TestAlignMemoEvictionAndOff(t *testing.T) {
 		}
 		return out
 	}
-	off := New(ix, Options{AlignCacheMB: -1})
-	if _, ok := off.CacheStats()[cacheAlign]; ok {
-		t.Error("AlignCacheMB < 0 still reports an align cache")
-	}
-	want := lap(off)
+	want := lap(memoFree(ix, Options{}))
 
-	small := New(ix, Options{AlignCacheMB: 1})
+	small := New(ix, Options{})
+	small.alignMemo = cache.New(1 << 20)
 	first, again := lap(small), lap(small)
 	cs := small.CacheStats()[cacheAlign]
 	if cs.Evictions == 0 || cs.Misses <= uint64(cs.Entries) {
@@ -358,7 +357,7 @@ func TestAlignMemoEvictionAndOff(t *testing.T) {
 	}
 	for i := range qs {
 		if first[i] != want[i] || again[i] != want[i] {
-			t.Fatalf("%s: clusters differ between memo off, first build and rebuild after eviction", qs[i].id)
+			t.Fatalf("%s: clusters differ between cold builds, first build and rebuild after eviction", qs[i].id)
 		}
 	}
 }
@@ -367,7 +366,7 @@ func TestAlignMemoEvictionAndOff(t *testing.T) {
 // families read one miss, one hit and one entry per query path.
 func TestCacheMetricsExposed(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := newTestEngine(t, Options{AlignCacheMB: 4, Metrics: reg})
+	e := newTestEngine(t, Options{Metrics: reg})
 	n := len(e.Preprocess(queryQ1()).Paths)
 	if _, err := e.Query(queryQ1(), 5); err != nil {
 		t.Fatal(err)
@@ -396,13 +395,15 @@ func TestCacheMetricsExposed(t *testing.T) {
 // pool's global counters around the query, so concurrent traffic bled
 // into every trace.
 func TestIOAttributionConcurrent(t *testing.T) {
-	// Memo off: every run must actually read pages for the attribution
-	// comparison to be non-trivial.
-	e := newTestEngine(t, Options{AlignCacheMB: -1})
+	// Every run starts from an empty memo — the workers each on an
+	// engine of their own — so it actually reads pages and the
+	// attribution comparison is non-trivial.
+	e := newTestEngine(t, Options{})
 	// Warm the pool, then measure one solo execution.
 	if _, err := e.Query(queryQ1(), 5); err != nil {
 		t.Fatal(err)
 	}
+	e.DropCaches()
 	_, st, err := e.QueryWithStats(queryQ1(), 5)
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +422,7 @@ func TestIOAttributionConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			_, st, err := e.QueryWithStats(queryQ1(), 5)
+			_, st, err := New(e.idx, Options{}).QueryWithStats(queryQ1(), 5)
 			if err != nil {
 				errs[w] = err
 				return

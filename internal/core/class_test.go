@@ -45,7 +45,7 @@ func TestClassAlignmentEqualsDirect(t *testing.T) {
 	ix := buildClassIndex(t, "lubm", g, index.Options{Thesaurus: textindex.BenchmarkThesaurus()})
 	items := 0
 	for _, par := range params {
-		items += checkDirect(t, New(ix, Options{Params: par, AlignCacheMB: -1}), qs)
+		items += checkDirect(t, memoFree(ix, Options{Params: par}), qs)
 	}
 	if items < 1000 {
 		t.Errorf("only %d items checked", items)
@@ -69,7 +69,7 @@ func TestClassAlignmentEqualsDirect(t *testing.T) {
 		g    *rdf.Graph
 		q    *rdf.QueryGraph
 	}{{"tied", tied, tq}, {"twice", twice, wq}} {
-		e := New(buildClassIndex(t, c.name, c.g, index.Options{}), Options{AlignCacheMB: -1})
+		e := memoFree(buildClassIndex(t, c.name, c.g, index.Options{}), Options{})
 		if n := checkDirect(t, e, []goldenQuery{{c.name, c.q}}); n < 2 {
 			t.Errorf("%s: %d items checked, want both paths", c.name, n)
 		}

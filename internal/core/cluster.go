@@ -223,17 +223,14 @@ func (sc *clusterScratch) release() {
 // (cachedCluster.describe) and, when it aligned, the pages the batched
 // read touched.
 func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Path, sp *obs.Span) (Cluster, error) {
-	var key string
-	if e.alignMemo != nil {
-		key = q.Key()
-		v, ok := e.alignMemo.Renew(key, r.Epoch(), func(stale any) (any, int, bool) {
-			return e.reconfirm(r, q, stale.(*cachedCluster))
-		})
-		if ok {
-			cc := v.(*cachedCluster)
-			cc.describe(sp, cc.preranked, 0)
-			return cc.cluster(r, qi, q), nil
-		}
+	key := q.Key()
+	v, ok := e.alignMemo.Renew(key, r.Epoch(), func(stale any) (any, int, bool) {
+		return e.reconfirm(r, q, stale.(*cachedCluster))
+	})
+	if ok {
+		cc := v.(*cachedCluster)
+		cc.describe(sp, cc.preranked, 0)
+		return cc.cluster(r, qi, q), nil
 	}
 	sc := clusterScratchPool.Get().(*clusterScratch)
 	defer sc.release()
@@ -282,7 +279,7 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 	cc.describe(sp, 0, aligned)
 	sp.Set("batched_pages", int64(reads.Pages))
 	// Only a complete build is stored: a cancelled one aligned a prefix.
-	if e.alignMemo != nil && ctx.Err() == nil {
+	if ctx.Err() == nil {
 		cc.cut = slices.Clone(cut)
 		cc.size = memoSize(cc)
 		e.alignMemo.Put(key, r.Epoch(), cc, cc.size)

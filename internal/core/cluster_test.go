@@ -80,8 +80,9 @@ func clusterParamQueries(tb testing.TB, g *rdf.Graph) []goldenQuery {
 // items the lap's distinct query paths keep. A cold lap purges the memo
 // first and reads each cluster's explain counters: it reports the greedy
 // alignments per cluster, and fails when a lap ran one per candidate,
-// as if no two candidates of a cut shared a class.
-func benchClusterLaps(b *testing.B, opts Options, cold bool) (cache.Stats, int) {
+// as if no two candidates of a cut shared a class. The memo's budget is
+// memoBytes.
+func benchClusterLaps(b *testing.B, memoBytes int64, cold bool) (cache.Stats, int) {
 	g := datasets.LUBM{}.Generate(10000, 1)
 	ix, err := index.Build(filepath.Join(b.TempDir(), "lubm"), g,
 		index.Options{Thesaurus: textindex.BenchmarkThesaurus(), PoolPages: 128})
@@ -89,7 +90,8 @@ func benchClusterLaps(b *testing.B, opts Options, cold bool) (cache.Stats, int) 
 		b.Fatal(err)
 	}
 	defer ix.Close()
-	e := New(ix, opts)
+	e := New(ix, Options{})
+	e.alignMemo = cache.New(memoBytes)
 	qs := clusterParamQueries(b, g)
 	pres := make([]*Preprocessed, len(qs))
 	for i, gq := range qs {
@@ -167,7 +169,7 @@ func benchClusterLaps(b *testing.B, opts Options, cold bool) (cache.Stats, int) 
 // cut, page reads, decode and alignment all run. `make profile` profiles
 // it and its warm sibling.
 func BenchmarkClusterColdMemo(b *testing.B) {
-	benchClusterLaps(b, Options{}, true)
+	benchClusterLaps(b, alignMemoBytes, true)
 }
 
 // BenchmarkClusterWarmMemo is the same laps with the memo kept, and sized
@@ -175,7 +177,7 @@ func BenchmarkClusterColdMemo(b *testing.B) {
 // reports the bytes the memo charges per entry and per kept item (`make
 // profile` writes its heap profile too).
 func BenchmarkClusterWarmMemo(b *testing.B) {
-	cs, items := benchClusterLaps(b, Options{AlignCacheMB: 512}, false)
+	cs, items := benchClusterLaps(b, 512<<20, false)
 	if cs.Evictions > 0 || cs.Hits == 0 {
 		b.Fatalf("the warm laps were not all hits: %+v", cs)
 	}

@@ -49,17 +49,6 @@ type Options struct {
 	// shared nodes (class sinks) mask binding disagreements, breaking
 	// the RR = 1 property on type-annotated data.
 	RawChi bool
-	// AlignCacheMB sizes the alignment memo: one entry per query path —
-	// the whole ranked cluster of aligned data paths it produced — kept
-	// under this byte budget (MiB), short-circuiting buildCluster's
-	// retrieval, disk reads and alignments across queries sharing path
-	// shapes. Entries are epoch-checked: one stored before a write is
-	// served again only when the writes since leave its pre-rank cut
-	// unchanged, so answers are identical with the memo on or off. An
-	// entry is charged what it pins (memoSize), ≈ 115 B per kept item on
-	// LUBM. 0 takes the default (defaultAlignCacheMB); negative disables
-	// the memo entirely.
-	AlignCacheMB int
 	// Metrics, when set, receives the engine's fleet-wide counters:
 	// queries executed, end-to-end latency histogram, extracted paths,
 	// and partial/stop-reason counters. Nil disables metric recording
@@ -107,18 +96,12 @@ func (o Options) maxCombinations() int {
 	return o.MaxCombinations
 }
 
-// defaultAlignCacheMB is the alignment memo's byte budget when
-// Options.AlignCacheMB is zero. The memo is exact (entries are
-// epoch-checked against the backend), so it defaults on; a negative
-// option value turns it off.
-const defaultAlignCacheMB = 64
-
-func (o Options) alignCacheMB() int {
-	if o.AlignCacheMB == 0 {
-		return defaultAlignCacheMB
-	}
-	return o.AlignCacheMB
-}
+// alignMemoBytes is the alignment memo's byte budget. The memo is
+// exact — entries are epoch-checked, and one stored before a write is
+// served again only when the writes since leave its pre-rank cut
+// unchanged — so answers are the same whatever the budget. An entry is
+// charged what it pins (memoSize), ≈ 115 B per kept item on LUBM.
+const alignMemoBytes = 64 << 20
 
 // backend is the read surface the cluster phase works through: the
 // method set of the index.Reader of the query's one View (the search
@@ -158,8 +141,10 @@ type Engine struct {
 	opts Options
 	par  align.Params
 	met  *engineMetrics
-	// alignMemo is the alignment memo (see cache.go); nil when
-	// AlignCacheMB is negative.
+	// alignMemo is the alignment memo (see cache.go): one entry per
+	// query path, the whole ranked cluster of aligned data paths it
+	// produced, short-circuiting buildCluster's retrieval, disk reads and
+	// alignments across queries sharing path shapes.
 	alignMemo *cache.Cache
 }
 
@@ -175,10 +160,7 @@ type engineMetrics struct {
 
 // New returns an engine over the index.
 func New(idx *index.Index, opts Options) *Engine {
-	e := &Engine{idx: idx, opts: opts, par: opts.params()}
-	if mb := opts.alignCacheMB(); mb > 0 {
-		e.alignMemo = cache.New(int64(mb) << 20)
-	}
+	e := &Engine{idx: idx, opts: opts, par: opts.params(), alignMemo: cache.New(alignMemoBytes)}
 	registerCacheMetrics(opts.Metrics, cacheAlign, e.alignMemo)
 	if reg := opts.Metrics; reg != nil {
 		e.met = &engineMetrics{

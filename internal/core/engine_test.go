@@ -81,6 +81,19 @@ func newTestEngine(t *testing.T, opts Options) *Engine {
 	return New(ix, opts)
 }
 
+// memoFree returns an engine over ix whose alignment memo is purged at
+// the start of every View, so each query it answers builds every cluster
+// cold: the reference the memo's clusters and answers are checked
+// against.
+func memoFree(ix *index.Index, opts Options) *Engine {
+	e := New(ix, opts)
+	e.wrap = func(r backend) backend {
+		e.DropCaches()
+		return r
+	}
+	return e
+}
+
 func TestPreprocessQ1(t *testing.T) {
 	e := newTestEngine(t, Options{})
 	pre := e.Preprocess(queryQ1())

@@ -174,10 +174,10 @@ func buildFaultyEngine(t *testing.T) (*Engine, *storage.FaultInjector) {
 	if inj == nil {
 		t.Fatal("WrapIO hook never invoked")
 	}
-	// The alignment memo (on by default) would satisfy the repeat query
-	// without touching storage; these tests exist to drive the read path
-	// through faults, so it is disabled.
-	return New(ix, Options{AlignCacheMB: -1}), inj
+	// The alignment memo would satisfy the repeat query without touching
+	// storage; these tests exist to drive the read path through faults,
+	// so it is purged before each query.
+	return memoFree(ix, Options{}), inj
 }
 
 // TestTransientReadFaultDuringClusteringFailsThenHeals: a transient

@@ -29,8 +29,9 @@ import (
 // batches logged since the last checkpoint — a failed one is in commit
 // limbo (DESIGN §10), dropped by a checkpoint, replayed by a crash — and
 // after each command checks the records against a fresh build of the
-// model graph (checkRecords), a memo engine's answers against a
-// memo-less one's and every re-confirmation against a re-pick (query),
+// model graph (checkRecords), a memo engine's answers against those of
+// one whose memo is purged before each query, every re-confirmation
+// against a re-pick (query),
 // and an insert's delta and layout (insert). A failed run logs its
 // command trace; its subtest names the seed.
 func TestWritePathModel(t *testing.T) {
@@ -696,10 +697,7 @@ func decide(t *testing.T, e *Engine, label string, q paths.Path) (kind string) {
 type memoPair struct{ memo, plain *Engine }
 
 func newMemoPair(ix *index.Index, opts Options) memoPair {
-	p := memoPair{memo: New(ix, opts)}
-	opts.AlignCacheMB = -1
-	p.plain = New(ix, opts)
-	return p
+	return memoPair{memo: New(ix, opts), plain: memoFree(ix, opts)}
 }
 
 // check runs q on both engines — its clusters, then its top 10 — and
@@ -712,7 +710,7 @@ func (p memoPair) check(t *testing.T, label string, q *rdf.QueryGraph) {
 	wantCs, err := p.plain.Cluster(pre)
 	noErr(t, err)
 	if g, w := clusterLines(gotCs), clusterLines(wantCs); g != w {
-		t.Fatalf("%s: the memo engine's clusters differ:\n%s\nwithout the memo:\n%s", label, g, w)
+		t.Fatalf("%s: the memo engine's clusters differ:\n%s\nbuilt cold:\n%s", label, g, w)
 	}
 	got, err := p.memo.Query(q, 10)
 	noErr(t, err)

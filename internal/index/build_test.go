@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,24 +20,24 @@ import (
 	"sama/internal/textindex"
 )
 
-// sequentialBuild is the reference Build: EnumerateFrom per root, in
-// root order, each path registered through stagePath and commitPath, as
-// an insert registers it.
+// sequentialBuild is the reference Build: Enumerate's paths, one by
+// one, each interned term by term (nodes, then edges), appended as a
+// record and committed.
 func sequentialBuild(t *testing.T, base string, g *rdf.Graph, opts Options) *Index {
 	t.Helper()
 	ix, err := build(base, g, opts, func(ix *Index) (int, error) {
 		n := 0
-		var ids []uint32
-		for _, root := range g.PathRoots() {
-			for _, p := range paths.EnumerateFrom(g, root, ix.opts.Paths) {
-				ids = ids[:0]
-				rid, err := ix.stagePath(&ids, p)
-				if err != nil {
-					return n, err
-				}
-				ix.commitPath(ids, rid)
-				n++
+		for _, p := range paths.Enumerate(g, ix.opts.Paths) {
+			var ids []uint32
+			for _, term := range append(slices.Clone(p.Nodes), p.Edges...) {
+				ids = append(ids, ix.dict.ID(term))
 			}
+			rid, err := ix.store.Append(appendRecord(nil, ids))
+			if err != nil {
+				return n, err
+			}
+			ix.commitPath(ids, rid)
+			n++
 		}
 		return n, nil
 	})

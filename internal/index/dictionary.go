@@ -81,38 +81,9 @@ func (d *Dictionary) analysedTerm(id uint32) *textindex.Analysed {
 	return &d.analysed[id]
 }
 
-// internPath appends to ids the IDs of p's terms in record order — the
-// nodes, then the edges — interning each on first sight.
-func (d *Dictionary) internPath(ids []uint32, p paths.Path) []uint32 {
-	for _, n := range p.Nodes {
-		ids = append(ids, d.ID(n))
-	}
-	for _, e := range p.Edges {
-		ids = append(ids, d.ID(e))
-	}
-	return ids
-}
-
-// lookupPath is internPath for a path that must not intern: it appends
-// p's term IDs to ids, or returns ids as given and false at the first
-// term the dictionary does not hold.
-func (d *Dictionary) lookupPath(ids []uint32, p paths.Path) ([]uint32, bool) {
-	from := len(ids)
-	for _, terms := range [2][]rdf.Term{p.Nodes, p.Edges} {
-		for _, t := range terms {
-			id, ok := d.ids[t]
-			if !ok {
-				return ids[:from], false
-			}
-			ids = append(ids, id)
-		}
-	}
-	return ids, true
-}
-
 // appendRecord appends the record of a path whose terms interned to ids
-// (2n−1 of them, see internPath): the node count n, then every ID, all
-// varints.
+// (2n−1 of them: the nodes, then the edges): the node count n, then
+// every ID, all varints.
 func appendRecord(buf []byte, ids []uint32) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ids)+1)/2)
 	for _, id := range ids {
@@ -124,7 +95,13 @@ func appendRecord(buf []byte, ids []uint32) []byte {
 // EncodePathDict serialises a path's labels as varint dictionary IDs —
 // node count, node IDs, edge IDs — interning terms d has not seen.
 func EncodePathDict(p paths.Path, d *Dictionary) []byte {
-	ids := d.internPath(make([]uint32, 0, len(p.Nodes)+len(p.Edges)), p)
+	ids := make([]uint32, 0, len(p.Nodes)+len(p.Edges))
+	for _, t := range p.Nodes {
+		ids = append(ids, d.ID(t))
+	}
+	for _, t := range p.Edges {
+		ids = append(ids, d.ID(t))
+	}
 	return appendRecord(make([]byte, 0, 1+2*len(ids)), ids)
 }
 

@@ -93,7 +93,7 @@ func FuzzDecodePathDict(f *testing.F) {
 func FuzzReadDictionary(f *testing.F) {
 	d := NewDictionary()
 	for _, p := range paths.Enumerate(figure1Graph(), paths.DefaultConfig) {
-		d.internPath(nil, p)
+		EncodePathDict(p, d)
 	}
 	d.ID(rdf.NewLangLiteral("ciao", "it"))
 	d.ID(rdf.NewTypedLiteral("5", "int"))

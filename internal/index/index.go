@@ -148,13 +148,9 @@ type Index struct {
 	// dict interns the terms of every stored path: a record is a varint
 	// sequence of its IDs (see EncodePathDict). It is persisted in the
 	// metadata file, so it always covers the records that file's RIDs
-	// name. idBuf and recBuf are the scratch of an insert's staging and of
-	// Build — one path's term IDs and its record — used, like every
-	// dictionary write, under the write lock or before the index is
-	// shared.
-	dict   *Dictionary
-	idBuf  []uint32
-	recBuf []byte
+	// name. Like every dictionary write, interning happens under the
+	// write lock or before the index is shared.
+	dict *Dictionary
 	// graph is the indexed data graph, which InsertTriples re-enumerates
 	// the affected paths of: Build retains the one it indexed, and the
 	// metadata carries it, in the dictionary's term IDs, for Open.
@@ -326,22 +322,42 @@ func writeIndex(base string, g *rdf.Graph, opts Options, fill func(*Index) (int,
 	return ix, nil
 }
 
-// streamPaths is Build's fill, stopped by ctx. It interns each graph
-// node and edge when a path first holds it, which asks the dictionary
-// for the terms in internPath's order: every ID, record and posting is
-// the one stagePath and commitPath would give the path.
+// streamPaths is Build's fill, stopped by ctx: it appends and commits
+// every path the graph's roots start.
 func (ix *Index) streamPaths(ctx context.Context) (int, error) {
+	n := 0
+	err := ix.walkPaths(ctx, ix.graph.PathRoots(), func(ids []uint32, rec []byte) error {
+		rid, err := ix.store.Append(rec)
+		if err != nil {
+			return err
+		}
+		ix.commitPath(ids, rid)
+		n++
+		return nil
+	})
+	return n, err
+}
+
+// walkPaths is the one route from the graph to records: it streams the
+// paths of the graph from roots (see paths.Stream), stopped by ctx, and
+// calls fn with each path's term IDs — the nodes, then the edges, each
+// graph node and edge interned when a path first holds it — and its
+// record, both valid until fn returns. Build, Compact and every insert
+// register paths through it, so a term's ID depends only on the order
+// the walk first meets it in.
+func (ix *Index) walkPaths(ctx context.Context, roots []rdf.NodeID, fn func(ids []uint32, rec []byte) error) error {
 	g := ix.graph
 	// nodeIDs[v] and edgeIDs[e] are 1 + the dictionary ID of node v's
 	// term and of edge e's label, 0 until a path first holds them.
 	nodeIDs := make([]uint32, g.NodeCount())
 	edgeIDs := make([]uint32, g.EdgeCount())
-	n := 0
-	err := paths.Stream(g, ix.opts.Paths, func(nodes []rdf.NodeID, edges []rdf.EdgeID) error {
+	var ids []uint32
+	var rec []byte
+	return paths.Stream(g, roots, ix.opts.Paths, func(nodes []rdf.NodeID, edges []rdf.EdgeID) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ids := ix.idBuf[:0]
+		ids = ids[:0]
 		for _, v := range nodes {
 			if nodeIDs[v] == 0 {
 				nodeIDs[v] = ix.dict.ID(g.Term(v)) + 1
@@ -354,30 +370,13 @@ func (ix *Index) streamPaths(ctx context.Context) (int, error) {
 			}
 			ids = append(ids, edgeIDs[e]-1)
 		}
-		ix.idBuf, ix.recBuf = ids, appendRecord(ix.recBuf[:0], ids)
-		rid, err := ix.store.Append(ix.recBuf)
-		if err != nil {
-			return err
-		}
-		ix.commitPath(ids, rid)
-		n++
-		return nil
+		rec = appendRecord(rec[:0], ids)
+		return fn(ids, rec)
 	})
-	return n, err
-}
-
-// stagePath interns p's terms, appending their IDs to *ids (see
-// Dictionary.internPath), and appends p's record to the record store.
-// Nothing refers to either until commitPath registers the path.
-func (ix *Index) stagePath(ids *[]uint32, p paths.Path) (storage.RID, error) {
-	from := len(*ids)
-	*ids = ix.dict.internPath(*ids, p)
-	ix.recBuf = appendRecord(ix.recBuf[:0], (*ids)[from:])
-	return ix.store.Append(ix.recBuf)
 }
 
 // commitPath registers an already-appended path, given as the IDs
-// stagePath interned its terms to, in the in-memory tables. Pure
+// walkPaths interned its terms to, in the in-memory tables. Pure
 // memory: it cannot fail, which is what lets the insert path stage
 // every disk append first and commit atomically after. It is the one
 // line every registration route — build (and so compaction), insert,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"sama/internal/paths"
 	"sama/internal/rdf"
 	"sama/internal/storage"
 	"sama/internal/textindex"
@@ -110,7 +109,8 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 // mutation comes first, then everything that can fail — reading the
 // affected roots' indexed paths and the record-store staging — and only
 // then the in-memory commit, which cannot fail; a failure undoes the
-// graph mutation. WAL replay calls this too: re-applying a batch
+// graph mutation. The affected roots' paths reach their records through
+// walkPaths, the route Build takes. WAL replay calls this too: re-applying a batch
 // re-enumerates the same roots into the same records, so it keeps every
 // ID and stages nothing.
 func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
@@ -161,13 +161,14 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 	}
 
 	// Stage: append every new path to the record store before touching
-	// the in-memory tables; a path old holds unchanged is not new. A
-	// failure here aborts with the index unchanged — the appended bytes
-	// are unreferenced orphans in an append-only store, reclaimed by the
-	// next compaction, and the terms staging interned are forgotten
-	// again, or the next metadata write would persist a dictionary no
-	// record needs. ids holds every staged path's term IDs back to back;
-	// end is where one path's stop.
+	// the in-memory tables; a path whose record old holds is that path,
+	// unchanged, and not new. Its terms are in the dictionary already, so
+	// interning it added none. A failure here aborts with the index
+	// unchanged — the appended bytes are unreferenced orphans in an
+	// append-only store, reclaimed by the next compaction, and the terms
+	// staging interned are forgotten again, or the next metadata write
+	// would persist a dictionary no record needs. ids holds every staged
+	// path's term IDs back to back; end is where one path's stop.
 	type stagedPath struct {
 		end int
 		rid storage.RID
@@ -175,18 +176,21 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 	var staged []stagedPath
 	var ids []uint32
 	terms := ix.dict.Len()
-	for _, root := range roots {
-		for _, p := range paths.EnumerateFrom(g, root, ix.opts.Paths) {
-			if ix.unchanged(&old, p) {
-				continue
-			}
-			rid, err := ix.stagePath(&ids, p)
-			if err != nil {
-				ix.dict.truncate(terms)
-				return fmt.Errorf("index: stage path: %w", err)
-			}
-			staged = append(staged, stagedPath{end: len(ids), rid: rid})
+	err = ix.walkPaths(context.TODO(), roots, func(p []uint32, rec []byte) error {
+		if old.match(rec) {
+			return nil
 		}
+		rid, err := ix.store.Append(rec)
+		if err != nil {
+			return fmt.Errorf("index: stage path: %w", err)
+		}
+		ids = append(ids, p...)
+		staged = append(staged, stagedPath{end: len(ids), rid: rid})
+		return nil
+	})
+	if err != nil {
+		ix.dict.truncate(terms)
+		return err
 	}
 
 	// Commit: pure memory from here on. The epoch bumps only now, so a
@@ -323,22 +327,6 @@ func (o *oldPaths) match(rec []byte) bool {
 		delete(o.byRec, o.rec(i))
 	}
 	return ok
-}
-
-// unchanged reports whether p is an indexed path of old, byte for byte,
-// which then keeps its ID. p is encoded through dictionary lookups that
-// intern nothing: a path with a term the dictionary lacks cannot match.
-func (ix *Index) unchanged(old *oldPaths, p paths.Path) bool {
-	if len(old.byRec) == 0 {
-		return false
-	}
-	ids, ok := ix.dict.lookupPath(ix.idBuf[:0], p)
-	ix.idBuf = ids
-	if !ok {
-		return false
-	}
-	ix.recBuf = appendRecord(ix.recBuf[:0], ids)
-	return old.match(ix.recBuf)
 }
 
 // oldPathsFrom returns the live paths whose source term is one of the

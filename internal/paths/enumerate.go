@@ -38,29 +38,20 @@ type Graph interface {
 // sourceless, §3.2). The result is deterministic: paths are grouped by
 // root in root-ID order, and within one root follow edge insertion order.
 func Enumerate(g Graph, cfg Config) []Path {
+	var w Walker
 	var out []Path
 	for _, root := range g.PathRoots() {
-		out = append(out, EnumerateFrom(g, root, cfg)...)
+		w.WalkFrom(g, root, cfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) {
+			p := Path{Nodes: make([]rdf.Term, len(nodes)), Edges: make([]rdf.Term, len(edges))}
+			for i, id := range nodes {
+				p.Nodes[i] = g.Term(id)
+			}
+			for i, id := range edges {
+				p.Edges[i] = g.Edge(id).Label
+			}
+			out = append(out, p)
+		})
 	}
-	return out
-}
-
-// EnumerateFrom returns the paths of g starting at root, in edge
-// insertion order, within the cfg budgets (see Walker.WalkFrom).
-func EnumerateFrom(g Graph, root rdf.NodeID, cfg Config) []Path {
-	w := walkers.Get().(*Walker)
-	defer walkers.Put(w)
-	var out []Path
-	w.WalkFrom(g, root, cfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) {
-		p := Path{Nodes: make([]rdf.Term, len(nodes)), Edges: make([]rdf.Term, len(edges))}
-		for i, id := range nodes {
-			p.Nodes[i] = g.Term(id)
-		}
-		for i, id := range edges {
-			p.Edges[i] = g.Edge(id).Label
-		}
-		out = append(out, p)
-	})
 	return out
 }
 
@@ -72,9 +63,6 @@ type Walker struct {
 	edges  []rdf.EdgeID
 	onPath []bool
 }
-
-// walkers spares each EnumerateFrom a fresh graph-sized set of marks.
-var walkers = sync.Pool{New: func() any { return new(Walker) }}
 
 type frame struct {
 	node     rdf.NodeID
@@ -147,13 +135,13 @@ func (w *Walker) WalkFrom(g Graph, root rdf.NodeID, cfg Config, emit func(nodes 
 
 const streamWindow = 4 // Stream's read-ahead: roots per walker
 
-// Stream calls emit with the paths Enumerate(g, cfg) returns, in the same
-// order, as node and edge IDs valid until emit returns. GOMAXPROCS
-// walkers walk the roots at most a window of roots ahead of emit, so the
-// paths are never all held at once. The first error emit returns stops
-// the stream and is returned; no walker is left running.
-func Stream(g Graph, cfg Config, emit func(nodes []rdf.NodeID, edges []rdf.EdgeID) error) error {
-	roots := g.PathRoots()
+// Stream calls emit with the paths of g from each of roots in turn —
+// Enumerate's paths, in its order, when roots is g.PathRoots() — as node
+// and edge IDs valid until emit returns. GOMAXPROCS walkers walk the
+// roots at most a window of roots ahead of emit, so the paths are never
+// all held at once. The first error emit returns stops the stream and is
+// returned; no walker is left running.
+func Stream(g Graph, roots []rdf.NodeID, cfg Config, emit func(nodes []rdf.NodeID, edges []rdf.EdgeID) error) error {
 	workers := min(runtime.GOMAXPROCS(0), len(roots))
 	window := streamWindow * workers
 	// runs[i%window] holds root i's paths back to back, lens their sizes.

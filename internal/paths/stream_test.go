@@ -81,9 +81,9 @@ func samePaths(t *testing.T, what string, got, want []Path) {
 	}
 }
 
-// TestStreamOrderEqualsEnumerate checks that Stream, at any walker count,
-// and one Walker reused across the roots both give Enumerate's paths in
-// Enumerate's order.
+// TestStreamOrderEqualsEnumerate checks that Stream over the path roots,
+// at any walker count, gives Enumerate's paths in Enumerate's order, and
+// over every other root gives just those roots' paths, in that order.
 func TestStreamOrderEqualsEnumerate(t *testing.T) {
 	for _, c := range streamCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -91,27 +91,38 @@ func TestStreamOrderEqualsEnumerate(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatal("case enumerates no path")
 			}
-			var w Walker
-			var walked []Path
-			for _, r := range c.g.PathRoots() {
-				w.WalkFrom(c.g, r, c.cfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) {
-					walked = append(walked, pathOf(c.g, nodes, edges))
-				})
-			}
-			samePaths(t, "reused walker", walked, want)
-			for _, procs := range []int{1, 2, 7} {
-				prev := runtime.GOMAXPROCS(procs)
+			stream := func(roots []rdf.NodeID) []Path {
 				var streamed []Path
-				err := Stream(c.g, c.cfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) error {
+				err := Stream(c.g, roots, c.cfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) error {
 					streamed = append(streamed, pathOf(c.g, nodes, edges))
 					return nil
 				})
-				runtime.GOMAXPROCS(prev)
 				if err != nil {
 					t.Fatal(err)
 				}
+				return streamed
+			}
+			for _, procs := range []int{1, 2, 7} {
+				prev := runtime.GOMAXPROCS(procs)
+				streamed := stream(c.g.PathRoots())
+				runtime.GOMAXPROCS(prev)
 				samePaths(t, fmt.Sprintf("Stream with %d walkers", procs), streamed, want)
 			}
+			var some []rdf.NodeID
+			chosen := make(map[rdf.Term]bool)
+			for i, r := range c.g.PathRoots() {
+				if i%2 == 1 {
+					some = append(some, r)
+					chosen[c.g.Term(r)] = true
+				}
+			}
+			var theirs []Path
+			for _, p := range want {
+				if chosen[p.Nodes[0]] {
+					theirs = append(theirs, p)
+				}
+			}
+			samePaths(t, "Stream over every other root", stream(some), theirs)
 		})
 	}
 }
@@ -120,7 +131,7 @@ func TestStreamStopsAtEmitError(t *testing.T) {
 	g := datasets.LUBM{}.Generate(6000, 1)
 	stop := errors.New("stop")
 	seen := 0
-	err := Stream(g, DefaultConfig, func([]rdf.NodeID, []rdf.EdgeID) error {
+	err := Stream(g, g.PathRoots(), DefaultConfig, func([]rdf.NodeID, []rdf.EdgeID) error {
 		if seen++; seen == 10 {
 			return stop
 		}

@@ -2,6 +2,7 @@ package textindex
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
 )
@@ -51,10 +52,10 @@ func (p *Postings) lastValue() uint32 {
 	return p.skips[len(p.skips)-1].last
 }
 
-// Add inserts doc, keeping the list sorted and deduplicated. Documents
-// are typically added in increasing order, which appends to the tail in
-// O(1) amortised; an out-of-order insert decodes, splices, and
-// re-encodes the whole list.
+// Add appends doc, which must not be below the last document added:
+// O(1) amortised on the tail. Adding the last document again is a
+// no-op; a lower one panics. Every writer adds in ascending order —
+// paths commit in ID order, and ReadFrom reads a list in order.
 func (p *Postings) Add(doc uint32) {
 	if p.n > 0 {
 		last := p.lastValue()
@@ -62,8 +63,7 @@ func (p *Postings) Add(doc uint32) {
 			return
 		}
 		if doc < last {
-			p.insertSlow(doc)
-			return
+			panic(fmt.Sprintf("textindex: posting %d added after %d", doc, last))
 		}
 	}
 	p.tail = append(p.tail, doc)
@@ -91,28 +91,6 @@ func (p *Postings) flushTail() {
 		prev = v
 	}
 	p.tail = p.tail[:0]
-}
-
-// insertSlow splices doc into the middle of the list: decode, insert,
-// re-encode. Rare — only incremental updates adding an old document
-// under a new label reach it.
-func (p *Postings) insertSlow(doc uint32) {
-	vals := p.AppendTo(make([]uint32, 0, p.n+1))
-	i := sort.Search(len(vals), func(i int) bool { return vals[i] >= doc })
-	if i < len(vals) && vals[i] == doc {
-		return
-	}
-	vals = append(vals, 0)
-	copy(vals[i+1:], vals[i:])
-	vals[i] = doc
-	*p = Postings{}
-	for _, v := range vals {
-		p.tail = append(p.tail, v)
-		p.n++
-		if len(p.tail) == postingsBlockLen {
-			p.flushTail()
-		}
-	}
 }
 
 // AppendTo decodes every document onto dst and returns it. Nil-safe.

@@ -51,24 +51,33 @@ func TestPostingsAcrossBlocks(t *testing.T) {
 // TestPostingsOutOfOrder pins the slow splice path: inserts below the
 // current maximum must land sorted and deduplicated even once blocks
 // have been flushed.
+// TestPostingsOutOfOrder: sorted adds with repeats keep each document
+// once, and a document below the last one added panics.
 func TestPostingsOutOfOrder(t *testing.T) {
 	var p Postings
 	rng := rand.New(rand.NewSource(42))
-	seen := map[uint32]struct{}{}
-	for i := 0; i < 4*postingsBlockLen; i++ {
-		v := uint32(rng.Intn(1000))
+	docs := make([]uint32, 4*postingsBlockLen)
+	for i := range docs {
+		docs[i] = uint32(rng.Intn(1000))
+	}
+	sort.Slice(docs, func(i, j int) bool { return docs[i] < docs[j] })
+	var want []uint32
+	for _, v := range docs {
 		p.Add(v)
 		p.Add(v) // duplicate adds are no-ops
-		seen[v] = struct{}{}
+		if len(want) == 0 || want[len(want)-1] != v {
+			want = append(want, v)
+		}
 	}
-	want := make([]uint32, 0, len(seen))
-	for v := range seen {
-		want = append(want, v)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	if got := p.AppendTo(nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("out-of-order adds: got %v want %v", got, want)
+		t.Fatalf("sorted adds: got %v want %v", got, want)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("adding a document below the last one did not panic")
+		}
+	}()
+	p.Add(want[len(want)-1] - 1)
 }
 
 // TestLookupIntersect checks the leapfrog intersection against the
@@ -212,7 +221,9 @@ func TestIntersectAmongEqualsDefinition(t *testing.T) {
 		// one document; the rest are random thirds.
 		sized := map[string]int{"Department0": 64, "worksFor": 128, "Teacher": 130, "Dept7": 1}
 		for label, n := range sized {
-			for _, d := range rng.Perm(docs)[:n] {
+			perm := rng.Perm(docs)[:n]
+			sort.Ints(perm)
+			for _, d := range perm {
 				ix.Add(label, uint32(d))
 			}
 		}

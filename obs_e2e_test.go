@@ -184,11 +184,15 @@ func TestCacheInvalidationsMetric(t *testing.T) {
 
 // TestExtractedPathsMetric: sama_extracted_paths_total is the sum, over
 // the queries run, of the candidates each cluster retrieved (the
-// explain plan's align[i] retrieved).
+// explain plan's align[i] retrieved). The memo is purged before each
+// query, so every cluster retrieves.
 func TestExtractedPathsMetric(t *testing.T) {
-	db := obsTestDB(t, sama.WithAlignmentCache(-1))
+	db := obsTestDB(t)
 	var want int64
 	for _, q := range []string{obsTestQuery, `SELECT ?x WHERE { ?x <subject> "Health Care" }`} {
+		if err := db.DropCache(); err != nil {
+			t.Fatal(err)
+		}
 		_, plan, err := db.Explain(context.Background(), q, 5)
 		if err != nil {
 			t.Fatal(err)

@@ -212,23 +212,6 @@ func WithSearchBudget(maxCandidatesPerCluster, maxCombinations int) Option {
 	}
 }
 
-// WithAlignmentCache sizes the alignment memo: one entry per query-path
-// shape — the ranked cluster of aligned data paths it produced — kept
-// up to a byte budget of mb MiB (LRU) and reused by every query that
-// decomposes into the same path, skipping retrieval, the pre-rank, the
-// disk read and the edit-cost computation. Entries are epoch-checked:
-// after an Insert a stale entry is decided from the paths added and
-// tombstoned since the watermark it was confirmed at, and served again
-// only if retrieval and the pre-rank would now pick the cut it aligned,
-// so answers are identical with the memo on or off. An entry costs
-// 64 B per kept data path, 4 B per term on it, 8 B per binding and 4 B
-// per pre-ranked candidate (≈ 115 B a path, ≈ 60 KB a 512-path cluster
-// on LUBM), so the default 64 MiB holds about a thousand such clusters. mb = 0 keeps the
-// default (on, 64 MiB); mb < 0 disables it.
-func WithAlignmentCache(mb int) Option {
-	return func(c *config) { c.engine.AlignCacheMB = mb }
-}
-
 // WithWAL does nothing: every database logs its inserts to
 // basePath.wal (see Create). It is kept only because the benchmark
 // harness still passes it.
@@ -574,8 +557,8 @@ func (db *DB) Explain(ctx context.Context, src string, k int) (*Result, *Plan, e
 }
 
 // CacheStats returns a live snapshot of the alignment memo's counters
-// under the key "align"; with the memo off (WithAlignmentCache(-1)) the
-// map is empty.
+// under the key "align". The memo is always on, with a 64 MiB budget;
+// DropCache empties it.
 func (db *DB) CacheStats() map[string]CacheStats { return db.engine.CacheStats() }
 
 // DebugHandler returns the debug HTTP handler tree: /metrics
