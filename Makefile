@@ -118,7 +118,7 @@ bench-check:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# fuzz-smoke runs each of the twelve native fuzz targets — the
+# fuzz-smoke runs each of the thirteen native fuzz targets — the
 # path-record decoder, the dictionary reader and the metadata decoder
 # (counts checked against the file size, an accepted file re-encodes to
 # itself) every stored path depends on, the record store's one read
@@ -133,16 +133,20 @@ bench-smoke:
 # same triples; Turtle: only valid triples; SPARQL: only valid patterns,
 # errors positioned inside the input), and the query server's response
 # encoder (the body equals json.Marshal of the wire struct and decodes
-# through it; a non-finite score fails) — for ten seconds on top of its
-# checked-in corpus (testdata/fuzz in its package; the parsers' seeds
-# are the rows of internal/rdf/syntax's agreement table); a crasher it
-# finds is written there and fails every later go test.
+# through it and through client.Query alike; a non-finite score fails),
+# and the Go client's response decoder (over arbitrary bytes, the value
+# json.Unmarshal gives, or an error exactly when it errs) — for ten
+# seconds on top of its checked-in corpus (testdata/fuzz in its
+# package; the parsers' seeds are the rows of internal/rdf/syntax's
+# agreement table); a crasher it finds is written there and fails every
+# later go test.
 FUZZ_TARGETS = ./internal/index:^FuzzDecodePathDict$$ ./internal/index:^FuzzReadDictionary$$ \
 	./internal/index:^FuzzReadMeta$$ ./internal/index:^FuzzDecodePath$$ \
 	./internal/storage:FuzzOpenWAL ./internal/storage:^FuzzRecordRead$$ \
 	./internal/textindex:FuzzPostingsSeekGE ./internal/textindex:FuzzIntersectAmong \
 	./internal/rdf/ntriples:FuzzParseNTriples ./internal/rdf/turtle:FuzzParseTurtle \
-	./internal/sparql:FuzzParseSPARQL ./internal/server:^FuzzAppendResponse$$
+	./internal/sparql:FuzzParseSPARQL ./internal/server:^FuzzAppendResponse$$ \
+	./client:^FuzzDecodeResponse$$
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -208,8 +212,11 @@ knobs:
 # insert (BenchmarkClusterAfterInsert: read_after_write's Q1–Q10 over
 # LUBM 10 k, one 50-triple insert per lap); the index build
 # (BenchmarkBuild: the benchmark's 50 k LUBM base), CPU and allocations;
-# and the JSON encode of a response (BenchmarkWriteResponse: one
-# Q10-sized LUBM outcome through the query server's 200 path).
+# the JSON encode of a response (BenchmarkWriteResponse: one Q10-sized
+# LUBM outcome through the query server's 200 path), and its decode in
+# the Go client (BenchmarkDecodeResponse: that body through client.Query
+# over an in-memory transport, and through json.NewDecoder for
+# reference).
 profile:
 	@mkdir -p results
 	$(GO) test -run '^$$' -bench 'BenchmarkSearchBudgetBound' -benchtime 20x \
@@ -230,10 +237,12 @@ profile:
 		-o results/index.test ./internal/index
 	$(GO) test -run '^$$' -bench 'BenchmarkWriteResponse' -benchtime 20000x -benchmem \
 		-cpuprofile results/cpu_write_response.pprof -o results/server.test ./internal/server
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeResponse' -benchtime 20000x -benchmem \
+		-cpuprofile results/cpu_decode_response.pprof -o results/server.test ./internal/server
 	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,search_layers,cluster,cluster_warm,cluster_after_insert}.pprof"
 	@echo "the memo's heap: $(GO) tool pprof -sample_index=inuse_space results/bench.test results/mem_cluster_warm.pprof"
 	@echo "the build: $(GO) tool pprof results/index.test results/cpu_build.pprof (allocations: -sample_index=alloc_space results/mem_build.pprof)"
-	@echo "the response encode: $(GO) tool pprof results/server.test results/cpu_write_response.pprof"
+	@echo "the response encode and decode: $(GO) tool pprof results/server.test results/cpu_{write,decode}_response.pprof"
 
 # serve-smoke boots samad end-to-end: random port, example dataset
 # indexed on the fly, one query through the Go client, /readyz and

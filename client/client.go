@@ -8,6 +8,10 @@
 // trailing newline) sent with a Content-Length; pipe them through jq to
 // read them.
 //
+// Query decodes a 200 body by hand. json.Unmarshal is its oracle: the
+// same value for every body, an error exactly when it errs (bytes after
+// the value included); FuzzDecodeResponse checks it on arbitrary bytes.
+//
 // The protocol is deliberately plain HTTP + JSON:
 //
 //	POST /query?k=10&timeout=2s     body: SPARQL text
@@ -209,11 +213,11 @@ func (c *Client) Query(ctx context.Context, sparql string, opts QueryOptions) (*
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeError(resp)
 	}
-	var out QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	out, err := readResponse(resp)
+	if err != nil {
 		return nil, fmt.Errorf("samad: decoding response: %w", err)
 	}
-	return &out, nil
+	return out, nil
 }
 
 // decodeError turns a non-200 response into a *StatusError, preferring

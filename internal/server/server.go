@@ -255,11 +255,12 @@ func (h *Handler) writeOutcome(w http.ResponseWriter, out *QueryOutcome, queueWa
 // parameters and the SPARQL body. A non-nil error has already been
 // written to w.
 func (h *Handler) parseRequest(w http.ResponseWriter, r *http.Request) (src string, k int, timeout time.Duration, explain, ok bool) {
+	params := r.URL.Query()
 	k = h.opts.DefaultK
-	if s := r.URL.Query().Get("explain"); s != "" && s != "0" && !strings.EqualFold(s, "false") {
+	if s := params.Get("explain"); s != "" && s != "0" && !strings.EqualFold(s, "false") {
 		explain = true
 	}
-	if s := r.URL.Query().Get("k"); s != "" {
+	if s := params.Get("k"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n <= 0 {
 			h.writeErr(w, http.StatusBadRequest, fmt.Sprintf("invalid k %q: want a positive integer", s))
@@ -268,7 +269,7 @@ func (h *Handler) parseRequest(w http.ResponseWriter, r *http.Request) (src stri
 		k = n
 	}
 	timeout = h.opts.DefaultTimeout
-	if s := r.URL.Query().Get("timeout"); s != "" {
+	if s := params.Get("timeout"); s != "" {
 		d, err := time.ParseDuration(s)
 		if err != nil || d <= 0 {
 			h.writeErr(w, http.StatusBadRequest, fmt.Sprintf("invalid timeout %q: want a positive Go duration like 500ms", s))

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -106,8 +108,34 @@ func planNodesToWire(ns []*obs.PlanNode) []*client.ExplainNode {
 	return out
 }
 
+// bodyTransport is an in-memory http.RoundTripper that answers every
+// request 200 with its bytes behind their Content-Length.
+type bodyTransport []byte
+
+func (b bodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	return &http.Response{
+		StatusCode:    http.StatusOK,
+		Header:        http.Header{"Content-Type": {"application/json"}},
+		ContentLength: int64(len(b)),
+		Body:          io.NopCloser(bytes.NewReader(b)),
+		Request:       req,
+	}, nil
+}
+
+// bodyClient is a Go client whose every query gets body as its 200
+// response, through bodyTransport.
+func bodyClient(body []byte) *client.Client {
+	c := client.New("http://samad.invalid")
+	c.HTTP = &http.Client{Transport: bodyTransport(body)}
+	return c
+}
+
 // checkOracle fails unless appendResponse writes exactly json.Marshal of
-// toWire for out, or fails exactly when it does.
+// toWire for out, or fails exactly when it does, and unless client.Query
+// decodes the body into what json.Unmarshal makes of it.
 func checkOracle(t *testing.T, name string, out *QueryOutcome, queueWait time.Duration, explain bool) []byte {
 	t.Helper()
 	want, werr := json.Marshal(toWire(out, queueWait, explain))
@@ -127,6 +155,17 @@ func checkOracle(t *testing.T, name string, out *QueryOutcome, queueWait time.Du
 	got = got[len("prefix"):]
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s: encoded body differs from json.Marshal:\n got: %s\nwant: %s", name, got, want)
+	}
+	var unmarshalled client.QueryResponse
+	if err := json.Unmarshal(got, &unmarshalled); err != nil {
+		t.Fatalf("%s: json.Unmarshal of the body: %v", name, err)
+	}
+	decoded, err := bodyClient(got).Query(context.Background(), "SELECT ?x WHERE { ?x <p> ?y }", client.QueryOptions{})
+	if err != nil {
+		t.Fatalf("%s: client.Query: %v", name, err)
+	}
+	if !reflect.DeepEqual(*decoded, unmarshalled) {
+		t.Errorf("%s: client.Query decodes\n%+v\njson.Unmarshal\n%+v", name, *decoded, unmarshalled)
 	}
 	return got
 }
@@ -391,4 +430,40 @@ func BenchmarkWriteResponse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.writeOutcome(w, out, time.Millisecond, false)
 	}
+}
+
+// BenchmarkDecodeResponse times the client's decode layer on its own:
+// the Q10 LUBM body BenchmarkWriteResponse encodes, through client.Query
+// over an in-memory transport (hand), and the same bytes through
+// json.NewDecoder, the decoder Query used before (json).
+func BenchmarkDecodeResponse(b *testing.B) {
+	outs, _ := lubmOutcomes(b)
+	body, err := appendResponse(nil, outs["Q10"], time.Millisecond, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("hand", func(b *testing.B) {
+		c := bodyClient(body)
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			resp, err := c.Query(context.Background(), "SELECT ?x WHERE { ?x <p> ?y }", client.QueryOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(resp.Answers) != len(outs["Q10"].Answers) {
+				b.Fatalf("decoded %d answers, want %d", len(resp.Answers), len(outs["Q10"].Answers))
+			}
+		}
+	})
+	b.Run("json", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var resp client.QueryResponse
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
