@@ -212,6 +212,9 @@ knobs:
 # insert (BenchmarkClusterAfterInsert: read_after_write's Q1–Q10 over
 # LUBM 10 k, one 50-triple insert per lap); the index build
 # (BenchmarkBuild: the benchmark's 50 k LUBM base), CPU and allocations;
+# a checkpoint after one insert (BenchmarkCheckpoint: that base, one
+# 50-triple insert per op outside the timer, reporting ms/op and the
+# metadata's size, meta_B);
 # the JSON encode of a response (BenchmarkWriteResponse: one Q10-sized
 # LUBM outcome through the query server's 200 path), and its decode in
 # the Go client (BenchmarkDecodeResponse: that body through client.Query
@@ -235,6 +238,8 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild' -benchtime 5x \
 		-cpuprofile results/cpu_build.pprof -memprofile results/mem_build.pprof \
 		-o results/index.test ./internal/index
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchtime 20x \
+		-cpuprofile results/cpu_checkpoint.pprof -o results/index.test ./internal/index
 	$(GO) test -run '^$$' -bench 'BenchmarkWriteResponse' -benchtime 20000x -benchmem \
 		-cpuprofile results/cpu_write_response.pprof -o results/server.test ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodeResponse' -benchtime 20000x -benchmem \
@@ -242,6 +247,7 @@ profile:
 	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,search_layers,cluster,cluster_warm,cluster_after_insert}.pprof"
 	@echo "the memo's heap: $(GO) tool pprof -sample_index=inuse_space results/bench.test results/mem_cluster_warm.pprof"
 	@echo "the build: $(GO) tool pprof results/index.test results/cpu_build.pprof (allocations: -sample_index=alloc_space results/mem_build.pprof)"
+	@echo "the checkpoint: $(GO) tool pprof results/index.test results/cpu_checkpoint.pprof"
 	@echo "the response encode and decode: $(GO) tool pprof results/server.test results/cpu_{write,decode}_response.pprof"
 
 # serve-smoke boots samad end-to-end: random port, example dataset

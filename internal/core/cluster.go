@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -174,6 +173,11 @@ type clusterScratch struct {
 	staged []ClusterItem
 	runs   [][]uint32
 	als    []*align.Alignment
+	// selectClusterItems' distinct costs, ascending, their groups' next
+	// slots, and the kept items.
+	costs []float64
+	offs  []int
+	kept  []ClusterItem
 	// alignAll's class table: the query path's constants' term IDs, the
 	// key being built, the classes by key, node terms' Related by ID.
 	consts  []uint32
@@ -214,8 +218,8 @@ func (sc *clusterScratch) release() {
 // the entry's (reconfirm): its items are served and stored again at r's
 // epoch with the new retrieval count (the plan reads as a hit's). That
 // is exact: the items are a function of the cut's records alone —
-// alignment, the full-length filter, the (cost, ID) sort and the cap
-// read nothing else — and within one layout no ID's record changes.
+// alignment, the full-length filter and the (cost, ID) selection read
+// nothing else — and within one layout no ID's record changes.
 // Otherwise retrieval and the pre-rank pick the cut, which is
 // materialised in one page-locality batched read and aligned in one
 // loop (alignAll), whose page work the cluster keeps. sp, when non-nil,
@@ -242,8 +246,8 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 	if err != nil {
 		return Cluster{}, fmt.Errorf("core: cluster for query path %d: %w", qi, err)
 	}
-	// Ascending, for reconfirm's binary search; alignAll's result does not
-	// depend on the order (sortClusterItems).
+	// Ascending, for reconfirm's binary search and for
+	// selectClusterItems, which needs the items in ID order.
 	slices.Sort(cut)
 	cc := &cachedCluster{retrieved: len(ids), preranked: len(cut), layout: r.Layout(),
 		mark: r.Watermark(), step: step, boundary: boundary}
@@ -270,12 +274,9 @@ func (e *Engine) buildCluster(ctx context.Context, r backend, qi int, q paths.Pa
 		items = staged
 		cc.shorterFallback = len(staged)
 	}
-	sortClusterItems(items)
-	if capN := e.opts.maxCandidates(); len(items) > capN {
-		cc.capDropped = len(items) - capN
-		items = items[:capN]
-	}
-	cc.keep(items, sc, q)
+	capN := e.opts.maxCandidates()
+	cc.capDropped = max(len(items)-capN, 0)
+	cc.keep(selectClusterItems(sc, items, capN), sc, q)
 	cc.describe(sp, 0, aligned)
 	sp.Set("batched_pages", int64(reads.Pages))
 	// Only a complete build is stored: a cancelled one aligned a prefix.
@@ -515,14 +516,36 @@ func bucket(s index.PathSummary, masks []uint64, qlen, maxDeficit int) int {
 	return missing*(maxDeficit+1) + deficit
 }
 
-// sortClusterItems orders a cluster's items by non-decreasing cost,
-// ties by ID. Unstable sort on purpose: IDs are unique, so (cost, ID)
-// is a strict total order — stability buys nothing, pdqsort saves the
-// merge scratch, and the result does not depend on the staging order.
-func sortClusterItems(items []ClusterItem) {
-	slices.SortFunc(items, func(a, b ClusterItem) int {
-		return cmp.Or(cmp.Compare(a.Cost, b.Cost), cmp.Compare(a.ID, b.ID))
-	})
+// selectClusterItems returns, in sc.kept, the first capN of items in
+// (cost, ID) order. items arrive in ascending ID order — the cut is
+// sorted, alignAll stages in cut order, and the full-length partition
+// keeps its head in order — so (cost, ID) order is items grouped
+// stably by cost. The costs are few (members of a class share one), so
+// one pass counts items per distinct cost and a second places each
+// item at its group's next slot, skipping those past the cap.
+func selectClusterItems(sc *clusterScratch, items []ClusterItem, capN int) []ClusterItem {
+	costs, offs := sc.costs[:0], sc.offs[:0]
+	for _, it := range items {
+		c, found := slices.BinarySearch(costs, it.Cost)
+		if !found {
+			costs, offs = slices.Insert(costs, c, it.Cost), slices.Insert(offs, c, 0)
+		}
+		offs[c]++
+	}
+	for c, at := 0, 0; c < len(offs); c++ {
+		offs[c], at = at, at+offs[c]
+	}
+	n := min(len(items), capN)
+	kept := slices.Grow(sc.kept[:0], n)[:n]
+	for _, it := range items {
+		c, _ := slices.BinarySearch(costs, it.Cost)
+		if offs[c] < n {
+			kept[offs[c]] = it
+		}
+		offs[c]++
+	}
+	sc.costs, sc.offs, sc.kept = costs, offs, kept
+	return kept
 }
 
 // alignAll reads the pre-ranked candidates' term-ID runs in one

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -162,6 +166,41 @@ func benchClusterLaps(b *testing.B, memoBytes int64, cold bool) (cache.Stats, in
 		items += n
 	}
 	return e.CacheStats()[cacheAlign], items
+}
+
+// TestSelectClusterItemsEqualsSortAndCap checks selectClusterItems
+// against the sort it replaced: on random ID-ascending items — the order
+// buildCluster stages them in — with few distinct costs (ties, ±0) or
+// many, the first capN items by (cost, ID) are the selection's, in the
+// same order, whatever capN.
+func TestSelectClusterItemsEqualsSortAndCap(t *testing.T) {
+	sortAndCap := func(items []ClusterItem, capN int) []ClusterItem {
+		items = slices.Clone(items)
+		slices.SortFunc(items, func(a, b ClusterItem) int {
+			return cmp.Or(cmp.Compare(a.Cost, b.Cost), cmp.Compare(a.ID, b.ID))
+		})
+		return items[:min(len(items), capN)]
+	}
+	rng := rand.New(rand.NewSource(1))
+	sc := new(clusterScratch)
+	for trial := range 2000 {
+		levels := []float64{0, math.Copysign(0, -1), 1, 1.5, 2, 7.25}[:1+rng.Intn(6)]
+		items := make([]ClusterItem, rng.Intn(80))
+		id := index.PathID(0)
+		for i := range items {
+			id += index.PathID(1 + rng.Intn(3))
+			cost := levels[rng.Intn(len(levels))]
+			if trial%5 == 0 {
+				cost = rng.Float64() // every cost its own group
+			}
+			items[i] = ClusterItem{ID: id, Cost: cost, run: span{uint32(i), 1}}
+		}
+		capN := 1 + rng.Intn(len(items)+2)
+		want := sortAndCap(items, capN)
+		if got := selectClusterItems(sc, items, capN); !slices.Equal(got, want) {
+			t.Fatalf("trial %d, cap %d:\n got %v\nwant %v", trial, capN, got, want)
+		}
+	}
 }
 
 // BenchmarkClusterColdMemo is the cluster phase with the alignment memo

@@ -3,8 +3,11 @@ package index
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,7 +63,8 @@ func TestOpenRejectsCorruptMagic(t *testing.T) {
 // stamped with an earlier format version (SAMAIDX3/4 predate persisted
 // signatures, SAMAIDX5 could hold inline-string records, SAMAIDX6 holds
 // no data graph, SAMAIDX7 could name a log elsewhere than base.wal,
-// SAMAIDX8 holds no path budget) is refused with an error that names
+// SAMAIDX8 holds no path budget, SAMAIDX9 spells its dictionary out
+// term by term in ID order) is refused with an error that names
 // the version found and says what to do about it.
 func TestOpenRejectsOlderMetaVersion(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "old")
@@ -69,7 +73,7 @@ func TestOpenRejectsOlderMetaVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{'3', '4', '5', '6', '7', '8'} {
+	for _, v := range []byte{'3', '4', '5', '6', '7', '8', '9'} {
 		raw[7] = v
 		if err := os.WriteFile(meta, raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -140,6 +144,114 @@ func TestReadDictionaryErrors(t *testing.T) {
 	bad := append([]byte("XXXX"), good[4:]...)
 	if _, err := ReadDictionary(bufio.NewReader(bytes.NewReader(bad)), int64(len(bad))); err == nil {
 		t.Error("bad dictionary magic accepted")
+	}
+}
+
+// TestReadDictionaryRejectsEntries feeds ReadDictionary hand-made
+// sections that WriteTo never writes: each must fail with an error that
+// names the entry at fault (or, for the count, the count).
+func TestReadDictionaryRejectsEntries(t *testing.T) {
+	// entry spells one IRI entry: shared < 0 starts a block (no shared
+	// prefix length); id is spelled as given, so a test can overlong it.
+	entry := func(shared int, rest string, id ...byte) []byte {
+		b := []byte{byte(rdf.IRI)}
+		if shared >= 0 {
+			b = binary.AppendUvarint(b, uint64(shared))
+		}
+		return append(appendString(b, rest), id...)
+	}
+	section := func(count uint64, entries ...[]byte) []byte {
+		return slices.Concat(append([][]byte{dictMagic[:], binary.AppendUvarint(nil, count)}, entries...)...)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want []string
+	}{
+		{"keys descending", section(2, entry(-1, "b", 0), entry(0, "a", 1)), []string{"entry 1", "not above"}},
+		{"key repeated", section(2, entry(-1, "b", 0), entry(1, "", 1)), []string{"entry 1", "not above"}},
+		{"ID repeated", section(2, entry(-1, "a", 0), entry(0, "b", 0)), []string{"entry 1", "repeated or out of range"}},
+		{"ID out of range", section(2, entry(-1, "a", 2), entry(0, "b", 0)), []string{"entry 0", "repeated or out of range"}},
+		{"ID overlong", section(1, entry(-1, "a", 0x80, 0)), []string{"entry 0", "overlong"}},
+		{"shared prefix too long", section(2, entry(-1, "a", 0), entry(2, "b", 1)), []string{"entry 1", "longer than the previous value"}},
+		{"shared prefix not the longest", section(2, entry(-1, "ab", 0), entry(0, "ac", 1)), []string{"entry 1", "not the longest"}},
+		{"count beyond the file", section(1000, entry(-1, "a", 0)), []string{"implausible dictionary entry count 1000"}},
+		{"length beyond the file", section(1, entry(-1, "a", 0)[:1], binary.AppendUvarint(nil, 1000)), []string{"entry 0", "length 1000 beyond"}},
+		{"entries cut short", section(2, entry(-1, "a", 0)), []string{"entry 1"}},
+	} {
+		_, err := ReadDictionary(bufio.NewReader(bytes.NewReader(tc.data)), int64(len(tc.data)))
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q lacks %q", tc.name, err, want)
+			}
+		}
+	}
+}
+
+// TestDictionarySectionIsSorted checks the section's order against the
+// IDs the terms were interned under. Interning the same terms in two
+// orders gives the same key sequence in WriteTo's output, each key with
+// its own ID; and a dictionary written at a checkpoint, grown, and
+// written again — a failed insert rolled back in between — writes the
+// bytes of one that interned everything at once.
+func TestDictionarySectionIsSorted(t *testing.T) {
+	var terms []rdf.Term
+	for i := range 40 {
+		terms = append(terms, iri(fmt.Sprintf("http://ex.org/p%d", i*7%40)), rdf.NewLangLiteral(fmt.Sprintf("v%d", i%9), "en"))
+	}
+	terms = append(terms, rdf.NewLiteral("v1"), rdf.NewTypedLiteral("v1", "int"), rdf.NewLangLiteral("v1", "de"), rdf.NewBlank("b"))
+	write := func(d *Dictionary) []byte {
+		var buf bytes.Buffer
+		if _, err := d.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	keys := func(d *Dictionary) []rdf.Term {
+		section := write(d)
+		back, err := ReadDictionary(bufio.NewReader(bytes.NewReader(section)), int64(len(section)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ks []rdf.Term
+		for _, id := range back.order {
+			ks = append(ks, back.terms[id])
+			if want, _ := d.Lookup(back.terms[id]); want != id {
+				t.Errorf("%s: section ID %d, interned as %d", back.terms[id], id, want)
+			}
+		}
+		return ks
+	}
+	forward, backward := NewDictionary(), NewDictionary()
+	for i := range terms {
+		forward.ID(terms[i])
+		backward.ID(terms[len(terms)-1-i])
+	}
+	fk, bk := keys(forward), keys(backward)
+	if !slices.Equal(fk, bk) {
+		t.Fatalf("key sequences differ:\n%v\n%v", fk, bk)
+	}
+	if !slices.IsSortedFunc(fk, compareTerms) || len(fk) != forward.Len() {
+		t.Fatalf("section keys not sorted or not all there: %v", fk)
+	}
+
+	grown := NewDictionary()
+	half := len(terms) / 2
+	for _, term := range terms[:half] {
+		grown.ID(term)
+	}
+	grown.ID(iri("rolled-back"))
+	write(grown)
+	grown.truncate(grown.Len() - 1)
+	for _, term := range terms[half:] {
+		grown.ID(term)
+	}
+	if !bytes.Equal(write(grown), write(forward)) {
+		t.Error("a dictionary written twice differs from one written once")
 	}
 }
 

@@ -2,9 +2,12 @@ package index
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"sama/internal/paths"
 	"sama/internal/rdf"
@@ -20,6 +23,10 @@ import (
 type Dictionary struct {
 	ids   map[rdf.Term]uint32
 	terms []rdf.Term
+	// order is the IDs of terms[:len(order)] in the section's (Kind,
+	// Value, Datatype, Lang) order, as last read or written: WriteTo
+	// sorts only the terms interned since and merges them in.
+	order []uint32
 	// analysed[i] is textindex.Analyse(terms[i].Label()): a prefix of
 	// terms, extended by analysedTerm as the write path asks, so a label
 	// is normalised, tokenised and fingerprinted once per term rather
@@ -68,6 +75,9 @@ func (d *Dictionary) truncate(n int) {
 		delete(d.ids, t)
 	}
 	d.terms = d.terms[:n]
+	if len(d.order) > n {
+		d.order = slices.DeleteFunc(d.order, func(id uint32) bool { return id >= uint32(n) })
+	}
 	if len(d.analysed) > n {
 		d.analysed = d.analysed[:n]
 	}
@@ -171,11 +181,51 @@ func pathOf(terms []rdf.Term, n int) paths.Path {
 	return p
 }
 
-var dictMagic = [4]byte{'S', 'D', 'C', '1'}
+var dictMagic = [4]byte{'S', 'D', 'C', '2'}
+
+// dictBlock is the number of entries in a front-coded block of the
+// dictionary section. A block's first entry spells its Value in full,
+// so a reader can start at any block.
+const dictBlock = 16
+
+// compareTerms orders terms by (Kind, Value, Datatype, Lang), the order
+// of the dictionary section.
+func compareTerms(a, b rdf.Term) int {
+	return cmp.Or(cmp.Compare(a.Kind, b.Kind), strings.Compare(a.Value, b.Value),
+		strings.Compare(a.Datatype, b.Datatype), strings.Compare(a.Lang, b.Lang))
+}
+
+// sortTail merges the terms interned since the last WriteTo or
+// ReadDictionary into d.order: only they are sorted, so a checkpoint
+// after an insert never sorts the whole dictionary again.
+func (d *Dictionary) sortTail() {
+	n := len(d.order)
+	tail := make([]uint32, 0, len(d.terms)-n)
+	for id := n; id < len(d.terms); id++ {
+		tail = append(tail, uint32(id))
+	}
+	less := func(a, b uint32) int { return compareTerms(d.terms[a], d.terms[b]) }
+	slices.SortFunc(tail, less)
+	// Merge from the back, into the room the tail makes.
+	d.order = append(d.order, tail...)
+	for i, j, k := n-1, len(tail)-1, len(d.order)-1; j >= 0; k-- {
+		if i >= 0 && less(d.order[i], tail[j]) > 0 {
+			d.order[k], i = d.order[i], i-1
+		} else {
+			d.order[k], j = tail[j], j-1
+		}
+	}
+}
 
 // WriteTo serialises the dictionary: the magic, the term count, then
-// every term spelled out as appendTerm does.
+// one entry per term in (Kind, Value, Datatype, Lang) order, front-coded
+// in blocks of dictBlock. An entry is the term's kind; its Value —
+// spelled in full at the start of a block, elsewhere as the length of
+// the prefix it shares with the previous Value and the rest; a
+// literal's datatype and language; and the term's ID. The order only
+// shares prefixes: IDs stay as interned.
 func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
+	d.sortTail()
 	bw := bufio.NewWriter(w)
 	var n int64
 	write := func(p []byte) error {
@@ -184,14 +234,29 @@ func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
 		return err
 	}
 	buf := binary.AppendUvarint(append([]byte(nil), dictMagic[:]...), uint64(len(d.terms)))
-	if err := write(buf); err != nil {
-		return n, err
-	}
-	for _, t := range d.terms {
-		buf = appendTerm(buf[:0], t)
+	prev := ""
+	for i, id := range d.order {
+		t := d.terms[id]
+		buf = append(buf, byte(t.Kind))
+		shared := 0
+		if i%dictBlock != 0 {
+			for shared < min(len(prev), len(t.Value)) && prev[shared] == t.Value[shared] {
+				shared++
+			}
+			buf = binary.AppendUvarint(buf, uint64(shared))
+		}
+		buf = appendString(buf, t.Value[shared:])
+		if t.Kind == rdf.Literal {
+			buf = appendString(appendString(buf, t.Datatype), t.Lang)
+		}
+		buf = binary.AppendUvarint(buf, uint64(id))
 		if err := write(buf); err != nil {
 			return n, err
 		}
+		buf, prev = buf[:0], t.Value
+	}
+	if err := write(buf); err != nil {
+		return n, err
 	}
 	return n, bw.Flush()
 }
@@ -199,7 +264,10 @@ func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
 // ReadDictionary deserialises a dictionary written by WriteTo from a
 // source of at most limit bytes (the metadata file's size): a term
 // count or string length beyond what that many bytes can hold is
-// corrupt, and is rejected before it sizes an allocation.
+// corrupt, and is rejected before it sizes an allocation. It accepts
+// only what WriteTo writes — keys strictly ascending, every ID below
+// the count once, the longest shared prefix, the shortest varints — and
+// names the entry it rejects.
 func ReadDictionary(r *bufio.Reader, limit int64) (*Dictionary, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -208,51 +276,43 @@ func ReadDictionary(r *bufio.Reader, limit int64) (*Dictionary, error) {
 	if magic != dictMagic {
 		return nil, fmt.Errorf("index: bad dictionary magic %q", magic)
 	}
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	// A term takes at least two bytes: its kind and a length.
-	if count > uint64(limit)/2 {
-		return nil, fmt.Errorf("index: implausible dictionary size %d in %d bytes", count, limit)
-	}
-	rs := func() (string, error) {
-		l, err := binary.ReadUvarint(r)
-		if err != nil {
-			return "", err
+	m := &metaReader{r: r, limit: limit}
+	// An entry takes at least three bytes: its kind, a length and its ID.
+	count := m.count(3, "dictionary entry")
+	d := &Dictionary{ids: make(map[rdf.Term]uint32, count), terms: make([]rdf.Term, count), order: make([]uint32, count)}
+	seen := make([]bool, count)
+	var prev rdf.Term
+	for i := range d.order {
+		var kind [1]byte
+		m.read(kind[:])
+		t, shared := rdf.Term{Kind: rdf.TermKind(kind[0])}, uint64(0)
+		if i%dictBlock != 0 {
+			if shared = m.uvarint(); shared > uint64(len(prev.Value)) {
+				m.fail("shared prefix %d is longer than the previous value (%d bytes)", shared, len(prev.Value))
+				shared = 0
+			}
 		}
-		if l > uint64(limit) {
-			return "", fmt.Errorf("index: implausible dictionary string length %d in %d bytes", l, limit)
-		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	d := NewDictionary()
-	for i := uint64(0); i < count; i++ {
-		kind, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		t := rdf.Term{Kind: rdf.TermKind(kind)}
-		if t.Value, err = rs(); err != nil {
-			return nil, err
-		}
+		t.Value = m.str(prev.Value[:shared])
 		if t.Kind == rdf.Literal {
-			if t.Datatype, err = rs(); err != nil {
-				return nil, err
-			}
-			if t.Lang, err = rs(); err != nil {
-				return nil, err
-			}
+			t.Datatype, t.Lang = m.str(""), m.str("")
 		}
-		// A repeated term would take the first one's ID and shift every
-		// later ID down by one.
-		if d.ID(t) != uint32(i) {
-			return nil, fmt.Errorf("index: dictionary term %d (%s) repeats an earlier one", i, t)
+		id := m.uvarint()
+		switch {
+		case i%dictBlock != 0 && int(shared) < min(len(prev.Value), len(t.Value)) && prev.Value[shared] == t.Value[shared]:
+			m.fail("shared prefix %d is not the longest", shared)
+		case i > 0 && compareTerms(prev, t) >= 0:
+			m.fail("%s is not above the previous key %s", t, prev)
+		case id >= uint64(count) || seen[id]:
+			m.fail("ID %d is repeated or out of range (%d terms)", id, count)
 		}
+		if m.err != nil {
+			return nil, fmt.Errorf("index: dictionary entry %d: %w", i, m.err)
+		}
+		seen[id] = true
+		d.terms[id], d.ids[t], d.order[i], prev = t, uint32(id), uint32(id), t
+	}
+	if m.err != nil {
+		return nil, fmt.Errorf("index: dictionary: %w", m.err)
 	}
 	return d, nil
 }

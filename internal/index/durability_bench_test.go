@@ -2,10 +2,13 @@ package index
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"sama/internal/datasets"
+	"sama/internal/rdf"
+	"sama/internal/textindex"
 )
 
 // crashedWALIndex builds a 2 000-triple LUBM index, inserts
@@ -65,4 +68,46 @@ func BenchmarkCompactPause(b *testing.B) {
 		ix.Close()
 	}
 	b.ReportMetric(pauseNS/float64(b.N), "pause-ns")
+}
+
+// BenchmarkCheckpoint times a checkpoint after one insert: the
+// benchmark's 50 k-triple LUBM base (BenchmarkBuild's) under the
+// benchmark thesaurus, then per op one 50-triple insert from the next
+// 5 000 generated triples, outside the timer, and Checkpoint inside it.
+// A run past 100 ops re-applies the batches from the start, which
+// changes no path. It reports the checkpoint's ms/op and the metadata
+// it leaves (meta_B).
+func BenchmarkCheckpoint(b *testing.B) {
+	const base, batch = 50000, 50
+	ts := datasets.LUBM{}.Generate(55000, 1).Triples()
+	g, err := rdf.NewGraphFromTriples(ts[:base])
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := Build(filepath.Join(b.TempDir(), "bench"), g,
+		Options{Thesaurus: textindex.BenchmarkThesaurus(), CheckpointBytes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	stream := ts[base:]
+	b.ResetTimer()
+	for i := range b.N {
+		b.StopTimer()
+		at := i % (len(stream) / batch) * batch
+		if err := ix.InsertTriples(stream[at : at+batch]); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := ix.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	fi, err := os.Stat(metaPath(ix.base))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+	b.ReportMetric(float64(fi.Size()), "meta_B")
 }

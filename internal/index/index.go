@@ -484,10 +484,10 @@ func openIndex(base string, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-// metaMagic is the metadata format ("SAMAIDX9"), the only one readMeta
+// metaMagic is the metadata format ("SAMAIDXA"), the only one readMeta
 // accepts: the last byte is the version, and an index written under
 // another one has to be rebuilt from its data.
-var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', '9'}
+var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', 'A'}
 
 // writeMeta persists the metadata atomically: the bytes go to a temp
 // file, are fsynced, and replace the old metadata with a rename — a
@@ -717,13 +717,40 @@ func (m *metaReader) fail(format string, args ...any) {
 	}
 }
 
+// uvarint reads a varint as binary.ReadUvarint does, but refuses a
+// spelling longer than binary.AppendUvarint's: the metadata a reader
+// accepts is the metadata its tables encode to.
 func (m *metaReader) uvarint() uint64 {
-	if m.err != nil {
-		return 0
+	var x uint64
+	for i := 0; m.err == nil; i++ {
+		var b byte
+		if b, m.err = m.r.ReadByte(); m.err != nil {
+			break
+		}
+		if i > 0 && b == 0 || i == binary.MaxVarintLen64-1 && b > 1 {
+			m.fail("overlong varint")
+			break
+		}
+		x |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			return x
+		}
 	}
-	v, err := binary.ReadUvarint(m.r)
-	m.err = err
-	return v
+	return 0
+}
+
+// str reads a length-prefixed string and returns it after prefix.
+func (m *metaReader) str(prefix string) string {
+	l := m.uvarint()
+	if l > uint64(m.limit) {
+		m.fail("string length %d beyond the %d bytes", l, m.limit)
+	}
+	if m.err != nil {
+		return ""
+	}
+	b := make([]byte, len(prefix)+int(l))
+	m.read(b[copy(b, prefix):])
+	return string(b)
 }
 
 func (m *metaReader) read(b []byte) {
