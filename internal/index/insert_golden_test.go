@@ -1,7 +1,9 @@
 package index
 
 import (
+	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -18,7 +20,8 @@ var updateInsertGolden = flag.Bool("update", false, "rewrite testdata/insert_str
 
 // TestInsertStreamGolden pins the bytes inserts leave: the sha256 of
 // .pages and of the metadata (BuildTime and the applied LSN zeroed)
-// after each leg's inserts and a checkpoint, against
+// after each leg's inserts and a checkpoint, and of the records alone
+// (recordsDigest: the same whatever page a record sits on), against
 // testdata/insert_stream.golden. The legs are a 2 000-triple LUBM base
 // taking 40 batches of 25 unseen triples (and a crash copy of it, which
 // Open replays), and a sourceless ring that takes a hub-rooted insert,
@@ -34,7 +37,7 @@ func TestInsertStreamGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&got, "%s pages %x meta %x\n", leg, sha256.Sum256(pages), sha256.Sum256(metaBytes(t, ix)))
+		fmt.Fprintf(&got, "%s pages %x meta %x records %x\n", leg, sha256.Sum256(pages), sha256.Sum256(metaBytes(t, ix)), recordsDigest(t, ix))
 	}
 	insert := func(ix *Index, ts []rdf.Triple) {
 		t.Helper()
@@ -88,4 +91,27 @@ func TestInsertStreamGolden(t *testing.T) {
 	if got.String() != string(want) {
 		t.Errorf("inserts' files differ from %s:\ngot:\n%swant:\n%s", golden, got.String(), want)
 	}
+}
+
+// recordsDigest is the sha256 of every path's record, in path-ID order
+// and each behind its length, followed by the tombstone bitmap: what the
+// index stores, independent of the page layout that stores it.
+func recordsDigest(t *testing.T, ix *Index) [sha256.Size]byte {
+	t.Helper()
+	recs, _, err := ix.store.Read(context.Background(), ix.rids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for _, rec := range recs {
+		buf = binary.AppendUvarint(buf, uint64(len(rec)))
+		buf = append(buf, rec...)
+	}
+	bitmap := make([]byte, (len(ix.deleted)+7)/8)
+	for i, del := range ix.deleted {
+		if del {
+			bitmap[i/8] |= 1 << (i % 8)
+		}
+	}
+	return sha256.Sum256(append(buf, bitmap...))
 }
