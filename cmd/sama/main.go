@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"sama"
+	"sama/internal/index"
 )
 
 // out is where subcommands print their results; tests swap it for a
@@ -75,7 +76,7 @@ func runIndex(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	data := fs.String("data", "", "N-Triples input file (required)")
 	base := fs.String("index", "", "index base path (required)")
-	maxLen := fs.Int("max-path-length", 12, "maximum nodes per indexed path")
+	maxLen := fs.Int("max-path-length", 12, fmt.Sprintf("maximum nodes per indexed path, 1 to %d", index.MaxPathLength))
 	maxPerRoot := fs.Int("max-paths-per-root", 4096, "path budget per source")
 	fs.Parse(args)
 	if *data == "" || *base == "" {

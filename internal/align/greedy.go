@@ -186,19 +186,26 @@ func (g *GreedyAligner) alignPairs(sink pair, qSink rdf.Term, pp, qp []pair, log
 
 // costPairs prices the §4.3 backward scan without materialising it: the
 // branch structure mirrors alignPairs decision for decision, but only
-// the λ contribution accumulates — no counters, no substitution map, no
-// allocation at all. The window sweep prices every anchor with this and
-// materialises an Alignment only for the winners.
+// the operation counts accumulate — no substitution map, no allocation
+// at all — and addCost prices them, so the price is bit-identical to
+// the Cost alignPairs reports. A zero-cost pairing is not counted: any
+// mismatch in it weighs 0. The window sweep prices every anchor with
+// this and materialises an Alignment only for the winners.
 func (g *GreedyAligner) costPairs(pSink, qSink rdf.Term, pp, qp []pair) float64 {
 	par := g.Params
-	cost := nodeStepCost(pSink, qSink, par)
+	var n Alignment // counts only
+	if nodeStep(pSink, qSink) == OpNodeMismatch {
+		n.NodeMismatches++
+	}
+	// ins and del count the (edge, node) pairs inserted and deleted.
+	ins, del := 0, 0
 	i, j := 0, 0
 	indel := par.B + par.D
 	drop := par.A + par.C
 	for i < len(pp) || j < len(qp) {
 		switch {
 		case i >= len(pp):
-			cost += drop // the remaining query pair is unmet
+			del++ // the remaining query pair is unmet
 			j++
 		case j >= len(qp):
 			i++ // surplus before the query's source: free context
@@ -220,19 +227,27 @@ func (g *GreedyAligner) costPairs(pSink, qSink rdf.Term, pp, qp []pair) float64 
 			}
 			switch {
 			case insertWins:
-				cost += indel
+				ins++
 				i++
 			case dropWins:
-				cost += drop
+				del++
 				j++
 			default:
-				cost += sub
+				if edgeStep(pp[i].edge, qp[j].edge) == OpEdgeMismatch {
+					n.EdgeMismatches++
+				}
+				if nodeStep(pp[i].node, qp[j].node) == OpNodeMismatch {
+					n.NodeMismatches++
+				}
 				i++
 				j++
 			}
 		}
 	}
-	return cost
+	n.NodeInsertions, n.EdgeInsertions = ins, ins
+	n.NodeDeletions, n.EdgeDeletions = del, del
+	n.addCost(par)
+	return n.Cost
 }
 
 func minf(a, b float64) float64 {

@@ -3,15 +3,19 @@ package index
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"sama/internal/paths"
 	"sama/internal/rdf"
+	"sama/internal/storage"
 )
 
 // buildAndClose builds an index at base and closes it, returning the
@@ -64,8 +68,9 @@ func TestOpenRejectsCorruptMagic(t *testing.T) {
 // signatures, SAMAIDX5 could hold inline-string records, SAMAIDX6 holds
 // no data graph, SAMAIDX7 could name a log elsewhere than base.wal,
 // SAMAIDX8 holds no path budget, SAMAIDX9 spells its dictionary out
-// term by term in ID order) is refused with an error that names
-// the version found and says what to do about it.
+// term by term in ID order, SAMAIDXA's records may span pages) is
+// refused with an error that names the version found and says what to
+// do about it.
 func TestOpenRejectsOlderMetaVersion(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "old")
 	meta := buildAndClose(t, base, Options{})
@@ -73,7 +78,7 @@ func TestOpenRejectsOlderMetaVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{'3', '4', '5', '6', '7', '8', '9'} {
+	for _, v := range []byte{'3', '4', '5', '6', '7', '8', '9', 'A'} {
 		raw[7] = v
 		if err := os.WriteFile(meta, raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -295,6 +300,64 @@ func TestTombstoneBitmapPersistence(t *testing.T) {
 		}
 		if _, err := pathByID(back, id); err == nil {
 			t.Errorf("tombstoned path %d readable", id)
+		}
+	}
+}
+
+// TestPathBudgetFitsOneRecord: a path of MaxPathLength nodes whose every
+// term ID takes five varint bytes (2³²−1) makes a record one store slot
+// holds, and one node more would not; Build refuses a budget of 0 or
+// MaxPathLength+1 nodes, or a negative MaxPerRoot, before it touches the
+// index at its base, which Open still takes; and decodeMeta refuses such
+// a recorded budget.
+func TestPathBudgetFitsOneRecord(t *testing.T) {
+	worst := func(n int) []byte {
+		ids := make([]uint32, 2*n-1)
+		for i := range ids {
+			ids[i] = math.MaxUint32
+		}
+		return appendRecord(nil, ids)
+	}
+	if rec := worst(MaxPathLength + 1); len(rec) <= storage.MaxRecord {
+		t.Errorf("a worst-case path of %d nodes takes %d bytes, within the %d of a slot: MaxPathLength is not the largest budget",
+			MaxPathLength+1, len(rec), storage.MaxRecord)
+	}
+	rec := worst(MaxPathLength)
+	pf, err := storage.CreatePageFile(filepath.Join(t.TempDir(), "worst.pages"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	rs := storage.NewRecordStore(storage.NewBufferPool(pf, 4))
+	rid, err := rs.Append(rec)
+	if err != nil {
+		t.Fatalf("a worst-case path of %d nodes (%d bytes): %v", MaxPathLength, len(rec), err)
+	}
+	if got, _, err := rs.Read(context.Background(), []storage.RID{rid}); err != nil || !bytes.Equal(got[0], rec) {
+		t.Fatalf("the worst-case record did not read back: %v", err)
+	}
+
+	base := filepath.Join(t.TempDir(), "ix")
+	buildAndClose(t, base, Options{})
+	bad := []paths.Config{{MaxLength: 0, MaxPerRoot: 4096}, {MaxLength: MaxPathLength + 1}, {MaxLength: 12, MaxPerRoot: -1}}
+	for _, c := range bad {
+		if ix, err := Build(base, figure1Graph(), Options{Paths: c}); err == nil {
+			ix.Close()
+			t.Fatalf("Build took the budget %+v", c)
+		}
+	}
+	ix, err := Open(base, Options{})
+	if err != nil {
+		t.Fatalf("Open after the refused builds: %v", err)
+	}
+	defer ix.Close()
+	budget := ix.opts.Paths
+	defer func() { ix.opts.Paths = budget }()
+	for _, c := range bad {
+		ix.opts.Paths = c
+		raw := metaBytes(t, ix)
+		if err := new(Index).decodeMeta(bufio.NewReader(bytes.NewReader(raw)), int64(len(raw))); err == nil {
+			t.Errorf("metadata recording the budget %+v decoded", c)
 		}
 	}
 }

@@ -26,10 +26,10 @@ type PathID uint32
 
 // Options configures index construction and opening.
 type Options struct {
-	// Paths bounds the path enumeration (zero value: paths.DefaultConfig).
-	// Only Build reads it: the metadata records the budget, and an
-	// opened index inserts, replays and compacts under the one it was
-	// built with.
+	// Paths bounds the path enumeration (zero value: paths.DefaultConfig);
+	// see checkPathBudget for what Build takes. Only Build reads it:
+	// the metadata records the budget, and an opened index inserts,
+	// replays and compacts under the one it was built with.
 	Paths paths.Config
 	// PoolPages is the buffer pool capacity in pages (0: storage default).
 	PoolPages int
@@ -63,6 +63,23 @@ func (o Options) pathConfig() paths.Config {
 		return paths.DefaultConfig
 	}
 	return o.Paths
+}
+
+// MaxPathLength is the largest path budget (paths.Config.MaxLength) an
+// index takes: the most nodes n whose worst-case record — a two-byte
+// varint count, then 2n−1 term IDs of five varint bytes each — fits one
+// record slot, 2 + 5(2n−1) ≤ storage.MaxRecord. Within it no path can
+// fail its append, which would fail an insert after its batch was
+// logged, and so every replay of the batch.
+const MaxPathLength = (storage.MaxRecord + 3) / 10
+
+// checkPathBudget refuses a path budget whose MaxLength lies outside
+// [1, MaxPathLength] or whose MaxPerRoot is negative.
+func checkPathBudget(c paths.Config) error {
+	if c.MaxLength < 1 || c.MaxLength > MaxPathLength || c.MaxPerRoot < 0 {
+		return fmt.Errorf("path budget %+v: MaxLength must lie in [1, %d] and MaxPerRoot not below 0", c, MaxPathLength)
+	}
+	return nil
 }
 
 // Stats describes a built index; the Table 1 experiment reports these
@@ -256,6 +273,10 @@ func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
 // their count, given as fill.
 func build(base string, g *rdf.Graph, opts Options, fill func(*Index) (int, error)) (*Index, error) {
 	start := time.Now()
+	opts.Paths = opts.pathConfig()
+	if err := checkPathBudget(opts.Paths); err != nil {
+		return nil, fmt.Errorf("index: build %s: %w", base, err)
+	}
 	lock, _, err := lockBase(base)
 	if err != nil {
 		return nil, err
@@ -270,7 +291,6 @@ func build(base string, g *rdf.Graph, opts Options, fill func(*Index) (int, erro
 	err = wal.Reset(1)
 	var ix *Index
 	if err == nil {
-		opts.Paths = opts.pathConfig()
 		ix, err = writeIndex(base, g, opts, fill, func(ix *Index) { ix.stats.BuildTime = time.Since(start) })
 	}
 	if err != nil {
@@ -388,7 +408,7 @@ func (ix *Index) commitPath(ids []uint32, rid storage.RID) {
 	ix.rids = append(ix.rids, rid)
 	ix.deleted = append(ix.deleted, false)
 	n := (len(ids) + 1) / 2 // nodes; the other n−1 are the edges
-	ix.lens = append(ix.lens, uint16(min(n, 0xffff)))
+	ix.lens = append(ix.lens, uint16(n))
 	ix.sinks.AddAnalysed(ix.dict.analysedTerm(ids[n-1]), id)
 	ix.sources[ids[0]] = append(ix.sources[ids[0]], PathID(id))
 	var sig uint64
@@ -484,10 +504,10 @@ func openIndex(base string, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-// metaMagic is the metadata format ("SAMAIDXA"), the only one readMeta
+// metaMagic is the metadata format ("SAMAIDXB"), the only one readMeta
 // accepts: the last byte is the version, and an index written under
 // another one has to be rebuilt from its data.
-var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', 'A'}
+var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', 'B'}
 
 // writeMeta persists the metadata atomically: the bytes go to a temp
 // file, are fsynced, and replace the old metadata with a rename — a
@@ -660,8 +680,8 @@ func (ix *Index) decodeMeta(r *bufio.Reader, limit int64) error {
 		BuildTime: time.Duration(m.uvarint()),
 	}
 	ix.opts.Paths = paths.Config{MaxLength: int(m.uvarint()), MaxPerRoot: int(m.uvarint())}
-	if ix.opts.Paths.MaxLength < 0 || ix.opts.Paths.MaxPerRoot < 0 {
-		m.fail("implausible path budget %+v", ix.opts.Paths)
+	if err := checkPathBudget(ix.opts.Paths); err != nil {
+		m.fail("%v", err)
 	}
 	// A path takes at least three bytes: its RID, length and signature.
 	n := m.count(3, "path")

@@ -10,7 +10,7 @@ import (
 // the node count and the 64-bit label fingerprint, both answered from
 // memory with zero postings probes and zero disk reads.
 type PathSummary struct {
-	// Len is the path's node count (saturated at 0xffff, like lens).
+	// Len is the path's node count (at most MaxPathLength).
 	Len uint16
 	// Sig ORs textindex.SigBits over every node and edge label of the
 	// path (commitPath computes it). sig & probeMask == 0 proves the path

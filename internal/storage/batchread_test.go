@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// batchFixture appends n small records plus one multi-page overflow
-// record and returns the store with everything needed to read back.
+// batchFixture appends n small records and returns the store with
+// everything needed to read back.
 func batchFixture(t *testing.T, n int) (*RecordStore, []RID, [][]byte) {
 	t.Helper()
 	pf := newTestFile(t)
@@ -28,16 +28,6 @@ func batchFixture(t *testing.T, n int) (*RecordStore, []RID, [][]byte) {
 		rids = append(rids, rid)
 		want = append(want, data)
 	}
-	big := make([]byte, PageSize*2+311)
-	for i := range big {
-		big[i] = byte(i * 13)
-	}
-	rid, err := rs.Append(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rids = append(rids, rid)
-	want = append(want, big)
 	return rs, rids, want
 }
 
@@ -75,8 +65,7 @@ func TestReadBatchTallyEmptyAndDuplicates(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty batch: got %d results, err %v", len(got), err)
 	}
-	// Duplicate RIDs each get an independent copy, the multi-page record
-	// too.
+	// Duplicate RIDs each get an independent copy.
 	last := len(rids) - 1
 	req := []RID{rids[3], rids[3], rids[7], rids[last], rids[last]}
 	got, _, err = rs.Read(context.Background(), req)
@@ -141,7 +130,7 @@ func TestReadBatchTallyTallyAgreesWithSerialReads(t *testing.T) {
 			t.Fatalf("record %d not read", i)
 		}
 	}
-	// The batch visits each page once per round; one record at a time
+	// The batch visits each page once; one record at a time
 	// revisits a page for every record on it. Batched page accesses must
 	// therefore be strictly fewer while still being counted exactly: the
 	// read returns every access and miss the pool saw, and nothing else.
@@ -170,7 +159,7 @@ func (c *cancelAfter) Err() error {
 }
 
 func TestReadBatchTallyCancelledContext(t *testing.T) {
-	rs, rids, want := batchFixture(t, 100)
+	rs, rids, want := batchFixture(t, 300)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	got, _, err := rs.Read(ctx, rids)
@@ -183,25 +172,23 @@ func TestReadBatchTallyCancelledContext(t *testing.T) {
 		}
 	}
 
-	// Cancelled between the first round and the second: every one-chunk
-	// record is read, and the multi-page one, only its first chunk read,
-	// is left nil rather than returned truncated.
-	firstPages := map[PageID]bool{}
-	for _, rid := range rids {
-		firstPages[rid.Page] = true
+	// Cancelled after the first page: the records on it are read, every
+	// other one is left nil.
+	first := rids[0].Page
+	if rids[len(rids)-1].Page == first {
+		t.Fatal("fixture fits one page")
 	}
-	got, _, err = rs.Read(&cancelAfter{context.Background(), 1 + len(firstPages)}, rids)
+	got, _, err = rs.Read(&cancelAfter{context.Background(), 2}, rids)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	last := len(rids) - 1
-	for i := range rids[:last] {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("one-chunk record %d not read before the cancellation", i)
+	for i, rid := range rids {
+		if rid.Page == first && !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("record %d on the first page not read before the cancellation", i)
 		}
-	}
-	if got[last] != nil {
-		t.Fatalf("multi-page record returned %d of its %d bytes", len(got[last]), len(want[last]))
+		if rid.Page != first && got[i] != nil {
+			t.Fatalf("record %d on page %d read after the cancellation", i, rid.Page)
+		}
 	}
 }
 
@@ -244,8 +231,9 @@ func (m *memPages) Sync() error { return nil }
 
 // craftedStore returns a store whose page 1 holds page (truncated or
 // zero-padded to PageSize), written with pool.Update, followed by
-// well-formed records: small ones, an empty one and one spanning three
-// pages. It returns those records' RIDs and contents.
+// well-formed records on pages of their own: small ones, an empty one
+// and one of MaxRecord bytes. It returns those records' RIDs and
+// contents.
 func craftedStore(t testing.TB, page []byte) (*RecordStore, []RID, [][]byte) {
 	t.Helper()
 	bp := NewBufferPool(&memPages{}, 64)
@@ -260,7 +248,7 @@ func craftedStore(t testing.TB, page []byte) (*RecordStore, []RID, [][]byte) {
 		t.Fatal(err)
 	}
 	rs := NewRecordStore(bp)
-	want := [][]byte{nil, bytes.Repeat([]byte{0xb1}, 2*PageSize+311)}
+	want := [][]byte{nil, bytes.Repeat([]byte{0xb1}, MaxRecord)}
 	for i := 0; i < 30; i++ {
 		want = append(want, bytes.Repeat([]byte{byte(i)}, 1+i*37))
 	}
@@ -274,26 +262,24 @@ func craftedStore(t testing.TB, page []byte) (*RecordStore, []RID, [][]byte) {
 	return rs, rids, want
 }
 
-// pageWithChunk returns a page holding one chunk, "loop", in slot 0,
-// linked to next, under the given slot count.
-func pageWithChunk(slots uint16, next RID) []byte {
+// pageWithRecord returns a page holding one record, "page", in slot 0,
+// under the given slot count.
+func pageWithRecord(slots uint16) []byte {
 	p := make([]byte, PageSize)
-	off := uint16(PageSize - chunkHdrSize - 4)
+	off := uint16(PageSize - 4)
 	setSlotCount(p, slots)
 	setFreeEnd(p, off)
-	setSlotEntry(p, 0, off, chunkHdrSize+4)
-	binary.LittleEndian.PutUint32(p[off:], uint32(next.Page))
-	binary.LittleEndian.PutUint16(p[off+4:], next.Slot)
-	copy(p[off+chunkHdrSize:], "loop")
+	setSlotEntry(p, 0, off, 4)
+	copy(p[off:], "page")
 	return p
 }
 
-// Two crafted pages, each one on-disk defect: a chunk linked to itself,
-// and a slot count (0xffff) that admits slots whose table entries lie
-// past the page.
+// Two crafted pages: a well-formed one, and one on-disk defect, a slot
+// count (0xffff) that admits slots whose table entries lie past the
+// page.
 var (
-	selfLinkedPage    = pageWithChunk(1, RID{Page: 1, Slot: 0})
-	wideSlotCountPage = pageWithChunk(0xffff, RID{})
+	oneRecordPage     = pageWithRecord(1)
+	wideSlotCountPage = pageWithRecord(0xffff)
 )
 
 // readWithin runs rs.Read, failing the test if it does not return within
@@ -311,17 +297,6 @@ func readWithin(t *testing.T, rs *RecordStore, rids []RID) error {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Read did not return")
 		return nil
-	}
-}
-
-// TestReadFailsChainThatRevisitsAPage: a chunk whose link points back
-// into its own chain fails its record instead of looping forever.
-func TestReadFailsChainThatRevisitsAPage(t *testing.T) {
-	rs, rids, _ := craftedStore(t, selfLinkedPage)
-	err := readWithin(t, rs, append([]RID{{Page: 1, Slot: 0}}, rids...))
-	var re *RecordError
-	if !errors.As(err, &re) || re.Index != 0 {
-		t.Fatalf("self-linked chunk: err = %v, want a *RecordError naming record 0", err)
 	}
 }
 
@@ -343,12 +318,12 @@ func TestReadFailsSlotPastThePage(t *testing.T) {
 // slot) from a store whose first page is the input's, beside the
 // store's well-formed records. The read must not panic or hang; a
 // failure must be a *RecordError; every read's Reads must count no
-// more misses than pages, and a whole read at least the distinct pages
-// its records start on; and every well-formed record must round-trip,
+// more misses than pages, and a whole read exactly the distinct pages
+// its RIDs name; and every well-formed record must round-trip,
 // duplicates included, also through a read cancelled at an input-chosen
 // point, which leaves an entry nil or whole.
 func FuzzRecordRead(f *testing.F) {
-	f.Add(selfLinkedPage, []byte{1, 0, 0})
+	f.Add(oneRecordPage, []byte{1, 0, 0})
 	f.Add(wideSlotCountPage, []byte{1, 0, 0, 1, 0x88, 0x13})
 	f.Add([]byte{}, []byte{0, 0, 0, 9, 1, 0})
 	f.Fuzz(func(t *testing.T, page, named []byte) {
@@ -370,19 +345,23 @@ func FuzzRecordRead(f *testing.F) {
 				t.Fatalf("read returned %+v: misses outside [0, pages]", n)
 			}
 		}
+		checkWhole := func(n Reads, rids []RID) {
+			t.Helper()
+			named := map[PageID]bool{}
+			for _, rid := range rids {
+				named[rid.Page] = true
+			}
+			if n.Pages != len(named) {
+				t.Fatalf("read visited %d pages, want the %d its RIDs name", n.Pages, len(named))
+			}
+		}
 		got, n, err := rs.Read(context.Background(), req)
 		if err != nil {
 			t.Fatalf("well-formed records: %v", err)
 		}
 		check(got, false)
 		checkReads(n)
-		firsts := map[PageID]bool{}
-		for _, rid := range req {
-			firsts[rid.Page] = true
-		}
-		if n.Pages < len(firsts) {
-			t.Fatalf("read visited %d pages, want at least the %d its records start on", n.Pages, len(firsts))
-		}
+		checkWhole(n, req)
 
 		ctx := &cancelAfter{context.Background(), len(named) % 8}
 		got, n, err = rs.Read(ctx, req)
@@ -406,6 +385,7 @@ func FuzzRecordRead(f *testing.F) {
 			return
 		}
 		check(got, false)
+		checkWhole(n, mixed)
 		for i := len(req); i < len(mixed); i++ {
 			if got[i] == nil {
 				t.Fatalf("record %d (%v) left nil by a read that succeeded", i, mixed[i])

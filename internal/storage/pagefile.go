@@ -1,7 +1,7 @@
 // Package storage implements the disk substrate the index is built on:
 // a page file with fixed-size pages, an LRU buffer pool with cold/warm
-// cache control, and a slotted-page record store with overflow chaining
-// for variable-length records.
+// cache control, and a slotted-page record store for variable-length
+// records of up to one page.
 //
 // The paper assumes “that the graph cannot fit in memory and can only be
 // stored on disk” (§6.1) and stores its index in HyperGraphDB; this

@@ -340,33 +340,33 @@ func TestRecordStoreSmallRecords(t *testing.T) {
 	}
 }
 
-func TestRecordStoreOverflow(t *testing.T) {
+// TestRecordStoreMaxRecord: a record of MaxRecord bytes, appended after
+// a small one, fills a fresh page of its own and reads back whole; one
+// byte more is refused, and the refusal allocates no page.
+func TestRecordStoreMaxRecord(t *testing.T) {
 	pf := newTestFile(t)
-	bp := NewBufferPool(pf, 16)
-	rs := NewRecordStore(bp)
-	// A record spanning several pages.
-	big := make([]byte, PageSize*3+137)
-	for i := range big {
-		big[i] = byte(i * 7)
+	rs := NewRecordStore(NewBufferPool(pf, 4))
+	small, err := rs.Append([]byte("x"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	big := bytes.Repeat([]byte{0xa5}, MaxRecord)
 	rid, err := rs.Append(big)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("a record of MaxRecord = %d bytes: %v", MaxRecord, err)
 	}
-	got, err := readOne(rs, rid)
-	if err != nil {
-		t.Fatal(err)
+	if rid.Page == small.Page || rid.Slot != 0 {
+		t.Errorf("the MaxRecord-byte record landed at %v, want slot 0 of a page after %v's", rid, small)
 	}
-	if !bytes.Equal(got, big) {
-		t.Errorf("overflow record mismatch: %d bytes vs %d", len(got), len(big))
+	if got, err := readOne(rs, rid); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("read back %d bytes, %v; want the %d appended", len(got), err, len(big))
 	}
-	// Small records still work after a big one.
-	rid2, err := rs.Append([]byte("after"))
-	if err != nil {
-		t.Fatal(err)
+	size := pf.Size()
+	if _, err := rs.Append(make([]byte, MaxRecord+1)); err == nil {
+		t.Fatalf("a record of MaxRecord+1 = %d bytes was appended", MaxRecord+1)
 	}
-	if got, _ := readOne(rs, rid2); string(got) != "after" {
-		t.Error("small record after overflow broken")
+	if pf.Size() != size {
+		t.Errorf("the refused append grew the file from %d to %d bytes", size, pf.Size())
 	}
 }
 
@@ -446,9 +446,6 @@ func TestRIDPackUnpack(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-	if !(RID{}).IsZero() || (RID{Page: 1}).IsZero() {
-		t.Error("IsZero wrong")
 	}
 	if (RID{Page: 3, Slot: 4}).String() != "rid(3:4)" {
 		t.Error("String wrong")

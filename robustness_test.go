@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -96,6 +97,34 @@ const bigQuery = `SELECT ?x WHERE {
 	?v3 <gender> "Male"
 }`
 
+// deadlineAtCheckpoint is a context whose deadline lands inside the
+// query by construction: Err lets the engine's entry check pass, and at
+// every later checkpoint waits until the deadline has passed and then
+// reports context.DeadlineExceeded, closing Done with it. A timer's
+// deadline lands wherever the clock puts it — after a fast query has
+// finished, or late under load.
+type deadlineAtCheckpoint struct {
+	context.Context // Background, for Value
+	deadline        time.Time
+	calls           atomic.Int32
+	once            sync.Once
+	done            chan struct{}
+}
+
+func (c *deadlineAtCheckpoint) Deadline() (time.Time, bool) { return c.deadline, true }
+func (c *deadlineAtCheckpoint) Done() <-chan struct{}       { return c.done }
+
+func (c *deadlineAtCheckpoint) Err() error {
+	if c.calls.Add(1) == 1 {
+		return nil
+	}
+	c.once.Do(func() {
+		time.Sleep(time.Until(c.deadline))
+		close(c.done)
+	})
+	return context.DeadlineExceeded
+}
+
 func TestDeadlineQueryReturnsQuicklyWithSortedPrefix(t *testing.T) {
 	db := largeSyntheticDB(t)
 
@@ -111,9 +140,8 @@ func TestDeadlineQueryReturnsQuicklyWithSortedPrefix(t *testing.T) {
 	if err := db.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
 	start := time.Now()
+	ctx := &deadlineAtCheckpoint{Context: context.Background(), deadline: start.Add(time.Millisecond), done: make(chan struct{})}
 	res, err := db.QuerySPARQLContext(ctx, bigQuery, 25)
 	elapsed := time.Since(start)
 	if err != nil {

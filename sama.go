@@ -192,9 +192,11 @@ type config struct {
 // selects DefaultParams.
 func WithParams(p Params) Option { return func(c *config) { c.engine.Params = p } }
 
-// WithPathConfig bounds the path enumeration of Create. The index
-// records the budget, and every later insert, replay and compaction
-// keeps to it: Open ignores the option.
+// WithPathConfig bounds the path enumeration of Create: MaxLength must
+// lie in [1, 818], so that every path is one record of one page, and
+// MaxPerRoot (0: no bound) must not be negative. The index records the
+// budget, and every later insert, replay and compaction keeps to it:
+// Open ignores the option.
 func WithPathConfig(pc PathConfig) Option { return func(c *config) { c.pathCfg = pc } }
 
 // WithPoolPages sets the buffer pool capacity in 8 KiB pages.

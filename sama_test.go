@@ -234,6 +234,24 @@ func TestOptionsApply(t *testing.T) {
 	}
 }
 
+// TestPathBudgetRange: Create takes a path budget of 1 to 818 nodes,
+// the range WithPathConfig documents, and refuses 0 and 819.
+func TestPathBudgetRange(t *testing.T) {
+	g, err := LoadNTriples(strings.NewReader(govtrackNT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 818, 819} {
+		db, err := Create(filepath.Join(t.TempDir(), "db"), g, WithPathConfig(PathConfig{MaxLength: n, MaxPerRoot: 64}))
+		if ok := n >= 1 && n <= 818; (err == nil) != ok {
+			t.Errorf("a budget of %d nodes: err = %v, want refused: %v", n, err, !ok)
+		}
+		if err == nil {
+			db.Close()
+		}
+	}
+}
+
 func TestInvalidParamsRejected(t *testing.T) {
 	g, err := LoadNTriples(strings.NewReader(govtrackNT))
 	if err != nil {
