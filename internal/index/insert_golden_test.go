@@ -20,8 +20,9 @@ var updateInsertGolden = flag.Bool("update", false, "rewrite testdata/insert_str
 
 // TestInsertStreamGolden pins the bytes inserts leave: the sha256 of
 // .pages and of the metadata (BuildTime and the applied LSN zeroed)
-// after each leg's inserts and a checkpoint, and of the records alone
-// (recordsDigest: the same whatever page a record sits on), against
+// after each leg's inserts and a checkpoint, of the records alone
+// (recordsDigest: the same whatever page a record sits on), and of what
+// they say (idsDigest: the same whatever bytes spell it), against
 // testdata/insert_stream.golden. The legs are a 2 000-triple LUBM base
 // taking 40 batches of 25 unseen triples (and a crash copy of it, which
 // Open replays), and a sourceless ring that takes a hub-rooted insert,
@@ -37,7 +38,7 @@ func TestInsertStreamGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&got, "%s pages %x meta %x records %x\n", leg, sha256.Sum256(pages), sha256.Sum256(metaBytes(t, ix)), recordsDigest(t, ix))
+		fmt.Fprintf(&got, "%s pages %x meta %x records %x ids %x\n", leg, sha256.Sum256(pages), sha256.Sum256(metaBytes(t, ix)), recordsDigest(t, ix), idsDigest(t, ix))
 	}
 	insert := func(ix *Index, ts []rdf.Triple) {
 		t.Helper()
@@ -98,20 +99,57 @@ func TestInsertStreamGolden(t *testing.T) {
 // index stores, independent of the page layout that stores it.
 func recordsDigest(t *testing.T, ix *Index) [sha256.Size]byte {
 	t.Helper()
+	var buf []byte
+	for _, rec := range allRecords(t, ix) {
+		buf = binary.AppendUvarint(buf, uint64(len(rec)))
+		buf = append(buf, rec...)
+	}
+	return sha256.Sum256(append(buf, tombstoneBitmap(ix)...))
+}
+
+// idsDigest is the sha256 of every path's term IDs as a record decodes
+// to them — its length, then the nodes' IDs and the edges' — in path-ID
+// order, followed by the tombstone bitmap: what the records say,
+// independent of how they spell it.
+func idsDigest(t *testing.T, ix *Index) [sha256.Size]byte {
+	t.Helper()
+	var buf []byte
+	for id, rec := range allRecords(t, ix) {
+		n, pos, err := recordHeader(rec)
+		if err != nil {
+			t.Fatalf("path %d: %v", id, err)
+		}
+		ids := make([]uint32, 2*n-1)
+		if err := ix.dict.decodeRecord(rec, pos, len(ids), nil, ids); err != nil {
+			t.Fatalf("path %d: %v", id, err)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(ids)))
+		for _, term := range ids {
+			buf = binary.AppendUvarint(buf, uint64(term))
+		}
+	}
+	return sha256.Sum256(append(buf, tombstoneBitmap(ix)...))
+}
+
+// allRecords reads every path's record, tombstoned included, in path-ID
+// order.
+func allRecords(t *testing.T, ix *Index) [][]byte {
+	t.Helper()
 	recs, _, err := ix.store.Read(context.Background(), ix.rids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf []byte
-	for _, rec := range recs {
-		buf = binary.AppendUvarint(buf, uint64(len(rec)))
-		buf = append(buf, rec...)
-	}
+	return recs
+}
+
+// tombstoneBitmap is the tombstones as the metadata stores them, one
+// byte per 8 paths.
+func tombstoneBitmap(ix *Index) []byte {
 	bitmap := make([]byte, (len(ix.deleted)+7)/8)
 	for i, del := range ix.deleted {
 		if del {
 			bitmap[i/8] |= 1 << (i % 8)
 		}
 	}
-	return sha256.Sum256(append(buf, bitmap...))
+	return bitmap
 }
