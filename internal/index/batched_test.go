@@ -3,11 +3,17 @@ package index
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
+	"path/filepath"
+	"slices"
 	"testing"
 
+	"sama/internal/datasets"
 	"sama/internal/obs"
 	"sama/internal/paths"
+	"sama/internal/rdf"
 	"sama/internal/storage"
+	"sama/internal/textindex"
 )
 
 // TestReadPathsBatchedMatchesPath reads every path back and compares it
@@ -95,8 +101,8 @@ func TestReadPathsBatchedChargesTally(t *testing.T) {
 // the record decoder makes one allocation (the term slice; the strings
 // are the dictionary's), and ReadPathsBatched adds five per call to what
 // the record store's batched read allocates, whatever the number of
-// paths — the RID slice, the paths, the runs, and the one term slice and
-// one ID slice every path's are cut from.
+// paths — the store's ID slice, the paths, the runs, and the one term
+// slice and one ID slice every path's are cut from.
 func TestDecodePathAllocations(t *testing.T) {
 	ix := buildTestIndex(t, Options{})
 	ids := make([]PathID, ix.NumPaths())
@@ -104,22 +110,18 @@ func TestDecodePathAllocations(t *testing.T) {
 		ids[i] = PathID(i)
 	}
 	ctx := context.Background()
-	recs, _, err := ix.store.Read(ctx, ix.rids)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := allRecords(t, ix)
 	for i, rec := range recs {
-		rid := ix.rids[i]
 		if n := testing.AllocsPerRun(100, func() {
 			if _, err := DecodePathDict(rec, ix.dict); err != nil {
 				t.Fatal(err)
 			}
 		}); n > 1 {
-			t.Errorf("DecodePathDict: %v allocations for the record at %v, want at most 1", n, rid)
+			t.Errorf("DecodePathDict: %v allocations for the record of path %d, want at most 1", n, i)
 		}
 	}
 	read := testing.AllocsPerRun(100, func() {
-		if _, _, err := ix.store.Read(ctx, ix.rids); err != nil {
+		if _, _, err := ix.store.Read(ctx, storeIDs(ix)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -132,4 +134,45 @@ func TestDecodePathAllocations(t *testing.T) {
 		t.Errorf("ReadPathsBatched: %v allocations for %d paths, want at most %v (the batched read's %v, five per call)",
 			batched, len(ids), most, read)
 	}
+}
+
+// BenchmarkRecordRead times the index's one read from page to record on
+// the benchmark's 50 k-triple LUBM base (BenchmarkBuild's): per op, one
+// records call of 1 024 random live path IDs, ascending — the read a
+// cluster makes when its memo entry is cold. Its pages stay in the pool,
+// as the whole page file fits it. It reports ns/record and the pages a
+// read visits (pages/op).
+func BenchmarkRecordRead(b *testing.B) {
+	ts := datasets.LUBM{}.Generate(55000, 1).Triples()[:50000]
+	g, err := rdf.NewGraphFromTriples(ts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := Build(filepath.Join(b.TempDir(), "bench"), g, Options{Thesaurus: textindex.BenchmarkThesaurus()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	const perRead, reads = 1024, 64
+	rng := rand.New(rand.NewPCG(1, 2))
+	batches := make([][]PathID, reads)
+	for i := range batches {
+		for _, j := range rng.Perm(ix.NumPaths())[:perRead] {
+			batches[i] = append(batches[i], PathID(j))
+		}
+		slices.Sort(batches[i])
+	}
+	ctx := context.Background()
+	pages := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		_, n, err := ix.records(ctx, batches[i%reads])
+		if err != nil {
+			b.Fatal(err)
+		}
+		pages += n.Pages
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perRead), "ns/record")
+	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 }

@@ -88,7 +88,6 @@ func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 		ix.file = re.file
 		ix.pool = re.pool
 		ix.store = re.store
-		ix.rids = re.rids
 		ix.lens = re.lens
 		ix.sigs = re.sigs
 		ix.sinks = re.sinks

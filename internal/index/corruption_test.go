@@ -68,7 +68,8 @@ func TestOpenRejectsCorruptMagic(t *testing.T) {
 // signatures, SAMAIDX5 could hold inline-string records, SAMAIDX6 holds
 // no data graph, SAMAIDX7 could name a log elsewhere than base.wal,
 // SAMAIDX8 holds no path budget, SAMAIDX9 spells its dictionary out
-// term by term in ID order, SAMAIDXA's records may span pages) is
+// term by term in ID order, SAMAIDXA's records may span pages, SAMAIDXB
+// names each record by its page and slot) is
 // refused with an error that names the version found and says what to
 // do about it.
 func TestOpenRejectsOlderMetaVersion(t *testing.T) {
@@ -78,7 +79,7 @@ func TestOpenRejectsOlderMetaVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{'3', '4', '5', '6', '7', '8', '9', 'A'} {
+	for _, v := range []byte{'3', '4', '5', '6', '7', '8', '9', 'A', 'B'} {
 		raw[7] = v
 		if err := os.WriteFile(meta, raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -328,12 +329,12 @@ func TestPathBudgetFitsOneRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pf.Close()
-	rs := storage.NewRecordStore(storage.NewBufferPool(pf, 4))
+	rs := storage.NewRecordStore(storage.NewBufferPool(pf, 4), nil, 0)
 	rid, err := rs.Append(rec)
 	if err != nil {
 		t.Fatalf("a worst-case path of %d nodes (%d bytes): %v", MaxPathLength, len(rec), err)
 	}
-	if got, _, err := rs.Read(context.Background(), []storage.RID{rid}); err != nil || !bytes.Equal(got[0], rec) {
+	if got, _, err := rs.Read(context.Background(), []uint32{rid}); err != nil || !bytes.Equal(got[0], rec) {
 		t.Fatalf("the worst-case record did not read back: %v", err)
 	}
 
@@ -356,7 +357,7 @@ func TestPathBudgetFitsOneRecord(t *testing.T) {
 	for _, c := range bad {
 		ix.opts.Paths = c
 		raw := metaBytes(t, ix)
-		if err := new(Index).decodeMeta(bufio.NewReader(bytes.NewReader(raw)), int64(len(raw))); err == nil {
+		if err := new(Index).decodeMeta(bufio.NewReader(bytes.NewReader(raw)), int64(len(raw)), ix.file.NumPages()); err == nil {
 			t.Errorf("metadata recording the budget %+v decoded", c)
 		}
 	}

@@ -92,18 +92,23 @@ func (d *Dictionary) analysedTerm(id uint32) *textindex.Analysed {
 }
 
 // appendRecord appends the record of a path whose terms interned to ids
-// (2n−1 of them: the nodes, then the edges): the node count n, then
-// every ID, all varints.
+// (2n−1 of them: the nodes, then the edges): every ID as a varint, laid
+// out along the path — node, edge, node, …, node — so that the paths of
+// one root, which the walk emits in pre-order, share byte prefixes that
+// a page front-codes. The record holds no count: its varints are 2n−1.
 func appendRecord(buf []byte, ids []uint32) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ids)+1)/2)
-	for _, id := range ids {
+	n := (len(ids) + 1) / 2
+	for i, id := range ids[:n] {
 		buf = binary.AppendUvarint(buf, uint64(id))
+		if i+1 < n {
+			buf = binary.AppendUvarint(buf, uint64(ids[n+i]))
+		}
 	}
 	return buf
 }
 
 // EncodePathDict serialises a path's labels as varint dictionary IDs —
-// node count, node IDs, edge IDs — interning terms d has not seen.
+// node, edge, node, …, node — interning terms d has not seen.
 func EncodePathDict(p paths.Path, d *Dictionary) []byte {
 	ids := make([]uint32, 0, len(p.Nodes)+len(p.Edges))
 	for _, t := range p.Nodes {
@@ -119,44 +124,49 @@ func EncodePathDict(p paths.Path, d *Dictionary) []byte {
 // pass over the record and one allocation, a single term slice cut into
 // nodes and edges, whose strings are the dictionary's.
 func DecodePathDict(buf []byte, d *Dictionary) (paths.Path, error) {
-	n, pos, err := recordHeader(buf)
+	n, err := recordNodes(buf)
 	if err != nil {
 		return paths.Path{}, err
 	}
 	terms := make([]rdf.Term, 2*n-1)
-	if err := d.decodeRecord(buf, pos, len(terms), terms, nil); err != nil {
+	if err := d.decodeRecord(buf, n, terms, nil); err != nil {
 		return paths.Path{}, err
 	}
 	return pathOf(terms, n), nil
 }
 
-// recordHeader reads a record's node count n and returns it with the
-// offset of its first ID.
-func recordHeader(buf []byte) (n, pos int, err error) {
-	count, pos := binary.Uvarint(buf)
-	if pos <= 0 {
-		return 0, 0, fmt.Errorf("index: truncated node count")
+// recordNodes returns a record's node count n: it counts the record's
+// 2n−1 varints by their last bytes, so the count sizes no allocation
+// beyond what the record's bytes can fill.
+func recordNodes(buf []byte) (int, error) {
+	m := 0
+	for _, b := range buf {
+		if b < 0x80 {
+			m++
+		}
 	}
-	// An ID takes at least one byte, so a path of more than (rest+1)/2
-	// nodes cannot be in the rest of the record: such a count is corrupt,
-	// and rejected before it sizes an allocation.
-	if count == 0 || count > uint64(len(buf)-pos+1)/2 {
-		return 0, 0, fmt.Errorf("index: implausible node count %d in a %d-byte record", count, len(buf))
+	if m%2 == 0 || buf[len(buf)-1] >= 0x80 {
+		return 0, fmt.Errorf("index: a %d-byte record of %d whole varints is no path", len(buf), m)
 	}
-	return int(count), pos, nil
+	return (m + 1) / 2, nil
 }
 
-// decodeRecord decodes the m = 2n−1 IDs of a record from pos on into
-// terms and ids, each m long unless it is nil.
-func (d *Dictionary) decodeRecord(buf []byte, pos, m int, terms []rdf.Term, ids []uint32) error {
-	for i := range m {
+// decodeRecord decodes the 2n−1 IDs of a record into terms and ids, each
+// 2n−1 long unless it is nil, in the order nodes, then edges.
+func (d *Dictionary) decodeRecord(buf []byte, n int, terms []rdf.Term, ids []uint32) error {
+	pos := 0
+	for j := range 2*n - 1 {
 		id, w := binary.Uvarint(buf[pos:])
 		if w <= 0 {
-			return fmt.Errorf("index: truncated varint at %d", pos)
+			return fmt.Errorf("index: truncated or overlong varint at %d", pos)
 		}
 		// Compared as uint64: narrowed first, ID 2³²+3 would read as term 3.
 		if id >= uint64(len(d.terms)) {
 			return fmt.Errorf("index: dictionary id %d out of range (%d terms)", id, len(d.terms))
+		}
+		i := j / 2 // node j/2, or edge j/2 after the n nodes
+		if j%2 == 1 {
+			i += n
 		}
 		if terms != nil {
 			terms[i] = d.terms[id]
@@ -166,10 +176,7 @@ func (d *Dictionary) decodeRecord(buf []byte, pos, m int, terms []rdf.Term, ids 
 		}
 		pos += w
 	}
-	if pos != len(buf) {
-		return fmt.Errorf("index: %d trailing bytes after path", len(buf)-pos)
-	}
-	return nil
+	return nil // recordNodes counted every byte into one of the varints
 }
 
 // pathOf cuts the 2n−1 terms of a record into its nodes and edges.

@@ -64,17 +64,26 @@ func FuzzDecodePathDict(f *testing.F) {
 		if err != nil {
 			return
 		}
-		n, pos := binary.Uvarint(buf)
-		terms := append(append([]rdf.Term(nil), p.Nodes...), p.Edges...)
-		if uint64(len(p.Nodes)) != n || uint64(len(terms)) != 2*n-1 {
-			t.Fatalf("record says %d nodes, decoded %d nodes and %d edges", n, len(p.Nodes), len(p.Edges))
+		// The record spells the path along its length: node, edge, …, node.
+		var along []rdf.Term
+		for i, node := range p.Nodes {
+			if along = append(along, node); i < len(p.Edges) {
+				along = append(along, p.Edges[i])
+			}
 		}
-		for i, term := range terms {
+		if len(p.Edges) != len(p.Nodes)-1 {
+			t.Fatalf("decoded %d nodes and %d edges", len(p.Nodes), len(p.Edges))
+		}
+		pos := 0
+		for i, term := range along {
 			id, w := binary.Uvarint(buf[pos:])
-			pos += w
-			if id >= uint64(d.Len()) || d.terms[id] != term {
+			if w <= 0 || id >= uint64(d.Len()) || d.terms[id] != term {
 				t.Fatalf("term %d: record spells ID %d, decoded %v (dictionary holds %d terms)", i, id, term, d.Len())
 			}
+			pos += w
+		}
+		if pos != len(buf) {
+			t.Fatalf("decoded %d of the record's %d bytes", pos, len(buf))
 		}
 		back, err := DecodePathDict(EncodePathDict(p, d), d)
 		if err != nil {
@@ -130,11 +139,14 @@ func FuzzReadDictionary(f *testing.F) {
 }
 
 // FuzzReadMeta feeds arbitrary bytes to the metadata decoder Open runs,
-// seeded with the metadata of a Figure 1 build after one logged insert.
-// It must never panic; whether it accepts or rejects, it must not
-// allocate more than a fixed multiple of the input (give or take a
-// fixed slack), whatever counts the input claims; and metadata it
-// accepts must survive encode ∘ decode byte for byte.
+// seeded with the metadata of a Figure 1 build after one logged insert,
+// for that build's pages file. It must never panic; whether it accepts
+// or rejects, it must not allocate more than a fixed multiple of the
+// input (give or take a fixed slack), whatever counts the input claims;
+// metadata it accepts must name only records the directory places — its
+// runs strictly ascending, the first at ID 0, the last at an ID below
+// the path count, every page inside the file past its header — and must
+// survive encode ∘ decode byte for byte.
 func FuzzReadMeta(f *testing.F) {
 	base := filepath.Join(f.TempDir(), "ix")
 	ix, err := Build(base, figure1Graph(), Options{})
@@ -144,6 +156,7 @@ func FuzzReadMeta(f *testing.F) {
 	if err := ix.InsertTriples(walTestTriples); err != nil {
 		f.Fatal(err)
 	}
+	pages := ix.file.NumPages()
 	if err := ix.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -154,7 +167,7 @@ func FuzzReadMeta(f *testing.F) {
 	f.Add(raw)
 	decode := func(data []byte) (*Index, error) {
 		ix := new(Index)
-		return ix, ix.decodeMeta(bufio.NewReader(bytes.NewReader(data)), int64(len(data)))
+		return ix, ix.decodeMeta(bufio.NewReader(bytes.NewReader(data)), int64(len(data)), pages)
 	}
 	encode := func(t *testing.T, ix *Index) []byte {
 		var buf bytes.Buffer
@@ -176,6 +189,16 @@ func FuzzReadMeta(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		dir := ix.store.Directory()
+		for i, r := range dir {
+			if i == 0 && r.First != 0 || i > 0 && (r.Page <= dir[i-1].Page || r.First <= dir[i-1].First) ||
+				r.Page == 0 || int(r.Page) >= pages || int(r.First) >= ix.NumPaths() {
+				t.Fatalf("directory run %d of %v is out of order or out of range (%d paths, %d pages)", i, dir, ix.NumPaths(), pages)
+			}
+		}
+		if (len(dir) == 0) != (ix.NumPaths() == 0) {
+			t.Fatalf("%d directory runs for %d paths", len(dir), ix.NumPaths())
 		}
 		once := encode(t, ix)
 		back, err := decode(once)

@@ -66,12 +66,12 @@ func (o Options) pathConfig() paths.Config {
 }
 
 // MaxPathLength is the largest path budget (paths.Config.MaxLength) an
-// index takes: the most nodes n whose worst-case record — a two-byte
-// varint count, then 2n−1 term IDs of five varint bytes each — fits one
-// record slot, 2 + 5(2n−1) ≤ storage.MaxRecord. Within it no path can
-// fail its append, which would fail an insert after its batch was
-// logged, and so every replay of the batch.
-const MaxPathLength = (storage.MaxRecord + 3) / 10
+// index takes: the most nodes n whose worst-case record — 2n−1 term IDs
+// of five varint bytes each — fits one record slot, 5(2n−1) ≤
+// storage.MaxRecord. Within it no path can fail its append, which would
+// fail an insert after its batch was logged, and so every replay of the
+// batch.
+const MaxPathLength = (storage.MaxRecord + 5) / 10
 
 // checkPathBudget refuses a path budget whose MaxLength lies outside
 // [1, MaxPathLength] or whose MaxPerRoot is negative.
@@ -113,13 +113,13 @@ type Index struct {
 	// whole compaction, Close. Records are therefore applied in LSN
 	// order, and no append is in flight during a checkpoint or a swap.
 	// Queries never take it, so they never wait for an fsync.
-	wmu   sync.Mutex
-	mu    sync.RWMutex
-	base  string
-	file  *storage.PageFile
-	pool  *storage.BufferPool
+	wmu  sync.Mutex
+	mu   sync.RWMutex
+	base string
+	file *storage.PageFile
+	pool *storage.BufferPool
+	// store holds every path's record under its path ID.
 	store *storage.RecordStore
-	rids  []storage.RID
 	// lens caches each path's node count so the engine can pre-rank
 	// candidates without touching disk.
 	lens []uint16
@@ -163,10 +163,10 @@ type Index struct {
 	// the tombstone log.
 	layout uint64
 	// dict interns the terms of every stored path: a record is a varint
-	// sequence of its IDs (see EncodePathDict). It is persisted in the
-	// metadata file, so it always covers the records that file's RIDs
-	// name. Like every dictionary write, interning happens under the
-	// write lock or before the index is shared.
+	// sequence of its IDs (see appendRecord). It is persisted in the
+	// metadata file, so it always covers the records that file's
+	// directory names. Like every dictionary write, interning happens
+	// under the write lock or before the index is shared.
 	dict *Dictionary
 	// graph is the indexed data graph, which InsertTriples re-enumerates
 	// the affected paths of: Build retains the one it indexed, and the
@@ -325,7 +325,7 @@ func writeIndex(base string, g *rdf.Graph, opts Options, fill func(*Index) (int,
 		opts:    opts,
 		dict:    NewDictionary(),
 	}
-	ix.store = storage.NewRecordStore(ix.pool)
+	ix.store = storage.NewRecordStore(ix.pool, nil, 0)
 	n, err := fill(ix)
 	if err == nil {
 		ix.stats = Stats{Triples: g.EdgeCount(), HV: g.NodeCount(), HE: g.EdgeCount() + n, Paths: n}
@@ -347,11 +347,10 @@ func writeIndex(base string, g *rdf.Graph, opts Options, fill func(*Index) (int,
 func (ix *Index) streamPaths(ctx context.Context) (int, error) {
 	n := 0
 	err := ix.walkPaths(ctx, ix.graph.PathRoots(), func(ids []uint32, rec []byte) error {
-		rid, err := ix.store.Append(rec)
-		if err != nil {
+		if _, err := ix.store.Append(rec); err != nil {
 			return err
 		}
-		ix.commitPath(ids, rid)
+		ix.commitPath(ids)
 		n++
 		return nil
 	})
@@ -402,10 +401,10 @@ func (ix *Index) walkPaths(ctx context.Context, roots []rdf.NodeID, fn func(ids 
 // line every registration route — build (and so compaction), insert,
 // WAL replay — maintains the summaries and postings through, reading
 // each label's analysed form from the dictionary and its label postings
-// through labelLists.
-func (ix *Index) commitPath(ids []uint32, rid storage.RID) {
-	id := uint32(len(ix.rids))
-	ix.rids = append(ix.rids, rid)
+// through labelLists. Its path ID is the next one, which is the ID the
+// record store handed its record.
+func (ix *Index) commitPath(ids []uint32) {
+	id := uint32(len(ix.lens))
 	ix.deleted = append(ix.deleted, false)
 	n := (len(ids) + 1) / 2 // nodes; the other n−1 are the edges
 	ix.lens = append(ix.lens, uint16(n))
@@ -495,7 +494,6 @@ func openIndex(base string, opts Options) (*Index, error) {
 		pool: storage.NewBufferPool(wrapPageIO(file, opts.WrapIO), opts.PoolPages),
 		opts: opts,
 	}
-	ix.store = storage.NewRecordStore(ix.pool)
 	if err := ix.readMeta(); err != nil {
 		file.Close()
 		return nil, fmt.Errorf("index: open %s: %w", base, err)
@@ -504,10 +502,10 @@ func openIndex(base string, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-// metaMagic is the metadata format ("SAMAIDXB"), the only one readMeta
+// metaMagic is the metadata format ("SAMAIDXC"), the only one readMeta
 // accepts: the last byte is the version, and an index written under
 // another one has to be rebuilt from its data.
-var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', 'B'}
+var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', 'C'}
 
 // writeMeta persists the metadata atomically: the bytes go to a temp
 // file, are fsynced, and replace the old metadata with a rename — a
@@ -544,9 +542,10 @@ func (ix *Index) writeMeta() error {
 // watermark comes first, so a reopen knows where replay starts, and the
 // path budget follows the stats, so the reopen enumerates as the build
 // did. The dictionary and the data graph ride in the same file, behind
-// the same rename, as the RIDs whose records the dictionary decodes: no
-// crash can pair one checkpoint's RIDs with another's dictionary, or the
-// paths of one graph with another graph.
+// the same rename, as the record store's directory, which names the
+// pages of the records the dictionary decodes: no crash can pair one
+// checkpoint's records with another's dictionary, or the paths of one
+// graph with another graph.
 func (ix *Index) encodeMeta(w *bufio.Writer) error {
 	// Every graph term is interned first, so the graph can be written in
 	// dictionary IDs: a term no live path uses — an edge past MaxPerRoot,
@@ -573,9 +572,16 @@ func (ix *Index) encodeMeta(w *bufio.Writer) error {
 	} {
 		wu(v)
 	}
-	wu(uint64(len(ix.rids)))
-	for _, rid := range ix.rids {
-		wu(rid.Pack())
+	wu(uint64(len(ix.lens)))
+	// The directory: each run's page and first path ID, as deltas from
+	// the previous run's.
+	dir := ix.store.Directory()
+	wu(uint64(len(dir)))
+	var last storage.Run
+	for _, r := range dir {
+		wu(uint64(r.Page - last.Page))
+		wu(uint64(r.First - last.First))
+		last = r
 	}
 	for _, l := range ix.lens {
 		wu(uint64(l))
@@ -650,15 +656,16 @@ func (ix *Index) readMeta() error {
 	if err != nil {
 		return err
 	}
-	return ix.decodeMeta(bufio.NewReader(f), fi.Size())
+	return ix.decodeMeta(bufio.NewReader(f), fi.Size(), ix.file.NumPages())
 }
 
 // decodeMeta reads metadata written by encodeMeta from a source of at
-// most limit bytes: every count is checked against what that many bytes
-// can hold before it sizes an allocation, as ReadDictionary does, and
-// every ID against what it names. The postings are read with
-// ix.opts.Thesaurus, and ix.opts.Paths is set to the recorded budget.
-func (ix *Index) decodeMeta(r *bufio.Reader, limit int64) error {
+// most limit bytes, for a pages file of the given page count: every
+// count is checked against what that many bytes can hold before it sizes
+// an allocation, as ReadDictionary does, and every ID against what it
+// names. The postings are read with ix.opts.Thesaurus, ix.opts.Paths is
+// set to the recorded budget, and ix.store opened over ix.pool.
+func (ix *Index) decodeMeta(r *bufio.Reader, limit int64, pages int) error {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return err
@@ -683,12 +690,9 @@ func (ix *Index) decodeMeta(r *bufio.Reader, limit int64) error {
 	if err := checkPathBudget(ix.opts.Paths); err != nil {
 		m.fail("%v", err)
 	}
-	// A path takes at least three bytes: its RID, length and signature.
-	n := m.count(3, "path")
-	ix.rids = make([]storage.RID, n)
-	for i := range ix.rids {
-		ix.rids[i] = storage.UnpackRID(m.uvarint())
-	}
+	// A path takes at least two bytes: its length and its signature.
+	n := m.count(2, "path")
+	ix.store = storage.NewRecordStore(ix.pool, m.directory(n, pages), uint32(n))
 	ix.lens = make([]uint16, n)
 	for i := range ix.lens {
 		ix.lens[i] = uint16(m.uvarint())
@@ -812,6 +816,29 @@ func (m *metaReader) term(d *Dictionary) rdf.Term {
 	return d.terms[id]
 }
 
+// directory reads the record store's runs written by encodeMeta, for n
+// paths in a pages file of the given page count: the first at ID 0,
+// each above the last in page and in first ID, every page inside the
+// file past its header page and every first ID below n.
+func (m *metaReader) directory(n, pages int) []storage.Run {
+	k := m.count(2, "directory run")
+	if (k == 0) != (n == 0) {
+		m.fail("%d directory runs for %d paths", k, n)
+	}
+	dir := make([]storage.Run, 0, k)
+	var last storage.Run
+	for i := 0; i < k && m.err == nil; i++ {
+		page := m.id(uint64(last.Page), i == 0, pages, "directory page")
+		first := m.id(uint64(last.First), i == 0, n, "directory run")
+		if i == 0 && (page == 0 || first != 0) {
+			m.fail("the directory starts at page %d, ID %d: want a page past the header, ID 0", page, first)
+		}
+		last = storage.Run{Page: storage.PageID(page), First: uint32(first)}
+		dir = append(dir, last)
+	}
+	return dir
+}
+
 // sources reads the source postings written by encodeMeta.
 func (m *metaReader) sources(npaths int, d *Dictionary) map[uint32][]PathID {
 	k := m.count(2, "source")
@@ -890,7 +917,7 @@ func locked[T any](ix *Index, read func(Reader) T) T {
 
 // NumPaths returns the number of indexed paths, tombstoned included
 // (IDs run from 0 to NumPaths-1; check Live before reading).
-func (r Reader) NumPaths() int { return len(r.ix.rids) }
+func (r Reader) NumPaths() int { return len(r.ix.lens) }
 
 // NumPaths is Reader.NumPaths under its own read lock.
 func (ix *Index) NumPaths() int { return locked(ix, Reader.NumPaths) }
@@ -907,7 +934,7 @@ func (ix *Index) Live(id PathID) bool {
 // caller holds ix.mu.
 func (ix *Index) checkLive(id PathID) error {
 	if !(Reader{ix}).Live(id) {
-		return fmt.Errorf("index: path %d is out of range (%d paths) or tombstoned", id, len(ix.rids))
+		return fmt.Errorf("index: path %d is out of range (%d paths) or tombstoned", id, len(ix.lens))
 	}
 	return nil
 }
@@ -992,14 +1019,14 @@ func (ix *Index) appendLive(dst []PathID, ps []uint32) []PathID {
 // out-of-range or tombstoned ID, or a record that fails to read, fails
 // the whole call with an error naming the path.
 func (ix *Index) records(ctx context.Context, ids []PathID) ([][]byte, storage.Reads, error) {
-	rids := make([]storage.RID, len(ids))
+	sids := make([]uint32, len(ids))
 	for i, id := range ids {
 		if err := ix.checkLive(id); err != nil {
 			return nil, storage.Reads{}, err
 		}
-		rids[i] = ix.rids[id]
+		sids[i] = uint32(id)
 	}
-	recs, reads, err := ix.store.Read(ctx, rids)
+	recs, reads, err := ix.store.Read(ctx, sids)
 	if recs == nil {
 		var re *storage.RecordError
 		if errors.As(err, &re) {
@@ -1038,7 +1065,7 @@ func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) (runs [][]ui
 		if rec == nil { // not read: cancelled mid-read
 			continue
 		}
-		n, _, herr := recordHeader(rec)
+		n, herr := recordNodes(rec)
 		if herr != nil {
 			return nil, reads, fmt.Errorf("index: decode path %d: %w", ids[i], herr)
 		}
@@ -1050,9 +1077,9 @@ func (r Reader) ReadPathsBatched(ctx context.Context, ids []PathID) (runs [][]ui
 		if rec == nil {
 			continue
 		}
-		n, pos, _ := recordHeader(rec)
+		n, _ := recordNodes(rec)
 		m := 2*n - 1
-		if derr := r.ix.dict.decodeRecord(rec, pos, m, nil, idRun[:m:m]); derr != nil {
+		if derr := r.ix.dict.decodeRecord(rec, n, nil, idRun[:m:m]); derr != nil {
 			return nil, reads, fmt.Errorf("index: decode path %d: %w", ids[i], derr)
 		}
 		runs[i], idRun = idRun[:m:m], idRun[m:]

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -8,12 +9,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"sama/internal/datasets"
 	"sama/internal/paths"
 	"sama/internal/rdf"
+	"sama/internal/storage"
 )
 
 var updateInsertGolden = flag.Bool("update", false, "rewrite testdata/insert_stream.golden")
@@ -115,12 +118,12 @@ func idsDigest(t *testing.T, ix *Index) [sha256.Size]byte {
 	t.Helper()
 	var buf []byte
 	for id, rec := range allRecords(t, ix) {
-		n, pos, err := recordHeader(rec)
+		n, err := recordNodes(rec)
 		if err != nil {
 			t.Fatalf("path %d: %v", id, err)
 		}
 		ids := make([]uint32, 2*n-1)
-		if err := ix.dict.decodeRecord(rec, pos, len(ids), nil, ids); err != nil {
+		if err := ix.dict.decodeRecord(rec, n, nil, ids); err != nil {
 			t.Fatalf("path %d: %v", id, err)
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(ids)))
@@ -135,11 +138,29 @@ func idsDigest(t *testing.T, ix *Index) [sha256.Size]byte {
 // order.
 func allRecords(t *testing.T, ix *Index) [][]byte {
 	t.Helper()
-	recs, _, err := ix.store.Read(context.Background(), ix.rids)
+	recs, _, err := ix.store.Read(context.Background(), storeIDs(ix))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return recs
+}
+
+// storeIDs is every path ID, tombstoned included, as the record store
+// takes it.
+func storeIDs(ix *Index) []uint32 {
+	ids := make([]uint32, ix.NumPaths())
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return ids
+}
+
+// pathPage returns the page holding the record of path id: that of the
+// last directory run starting at or before it.
+func pathPage(ix *Index, id PathID) storage.PageID {
+	dir := ix.store.Directory()
+	i, _ := slices.BinarySearchFunc(dir, uint32(id)+1, func(r storage.Run, t uint32) int { return cmp.Compare(r.First, t) })
+	return dir[i-1].Page
 }
 
 // tombstoneBitmap is the tombstones as the metadata stores them, one

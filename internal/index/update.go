@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"sama/internal/rdf"
-	"sama/internal/storage"
 	"sama/internal/textindex"
 )
 
@@ -164,31 +163,28 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 	// the in-memory tables; a path whose record old holds is that path,
 	// unchanged, and not new. Its terms are in the dictionary already, so
 	// interning it added none. A failure here aborts with the index
-	// unchanged — the appended bytes are unreferenced orphans in an
-	// append-only store, reclaimed by the next compaction, and the terms
-	// staging interned are forgotten again, or the next metadata write
-	// would persist a dictionary no record needs. ids holds every staged
-	// path's term IDs back to back; end is where one path's stop.
-	type stagedPath struct {
-		end int
-		rid storage.RID
-	}
-	var staged []stagedPath
+	// unchanged: the store forgets the records staged — their bytes are
+	// orphans in an append-only store, reclaimed by the next compaction,
+	// and their IDs are handed out again — and the terms staging interned
+	// are forgotten too, or the next metadata write would persist a
+	// dictionary no record needs. ids holds every staged path's term IDs
+	// back to back; ends[i] is where the i-th one's stop.
+	var ends []int
 	var ids []uint32
-	terms := ix.dict.Len()
+	terms, npaths := ix.dict.Len(), len(ix.lens)
 	err = ix.walkPaths(context.TODO(), roots, func(p []uint32, rec []byte) error {
 		if old.match(rec) {
 			return nil
 		}
-		rid, err := ix.store.Append(rec)
-		if err != nil {
+		if _, err := ix.store.Append(rec); err != nil {
 			return fmt.Errorf("index: stage path: %w", err)
 		}
 		ids = append(ids, p...)
-		staged = append(staged, stagedPath{end: len(ids), rid: rid})
+		ends = append(ends, len(ids))
 		return nil
 	})
 	if err != nil {
+		ix.store.Truncate(npaths)
 		ix.dict.truncate(terms)
 		return err
 	}
@@ -214,9 +210,9 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 		}
 	}
 	from := 0
-	for _, s := range staged {
-		ix.commitPath(ids[from:s.end], s.rid)
-		from = s.end
+	for _, end := range ends {
+		ix.commitPath(ids[from:end])
+		from = end
 	}
 	ix.stats.Triples = g.EdgeCount()
 	ix.stats.HV = g.NodeCount()
@@ -232,7 +228,7 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 type Watermark struct{ Paths, Tombs int }
 
 // Watermark returns the present point of the layout's insert history.
-func (r Reader) Watermark() Watermark { return Watermark{len(r.ix.rids), len(r.ix.tombs)} }
+func (r Reader) Watermark() Watermark { return Watermark{len(r.ix.lens), len(r.ix.tombs)} }
 
 // Field selects one of the two label postings: path sinks, or every
 // label on a path.

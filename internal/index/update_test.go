@@ -39,19 +39,37 @@ func TestCompressedRoundTrip(t *testing.T) {
 
 func TestDecodePathDictErrors(t *testing.T) {
 	d := NewDictionary()
-	good := EncodePathDict(paths.Path{
-		Nodes: []rdf.Term{iri("a"), iri("b")},
-		Edges: []rdf.Term{iri("p")},
-	}, d)
+	whole := paths.Path{
+		Nodes: []rdf.Term{iri("a"), iri("b"), iri("c")},
+		Edges: []rdf.Term{iri("p"), iri("q")},
+	}
+	good := EncodePathDict(whole, d)
+	// A record holds no count: cut after an odd number of its one-byte
+	// IDs, it is the path's prefix, and elsewhere no path.
 	for cut := 0; cut < len(good); cut++ {
-		if _, err := DecodePathDict(good[:cut], d); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
+		p, err := DecodePathDict(good[:cut], d)
+		if cut%2 == 0 {
+			if err == nil {
+				t.Errorf("truncation at %d accepted", cut)
+			}
+			continue
+		}
+		n := (cut + 1) / 2
+		want := paths.Path{Nodes: whole.Nodes[:n]}
+		if n > 1 {
+			want.Edges = whole.Edges[:n-1]
+		}
+		if err != nil || !reflect.DeepEqual(p, want) {
+			t.Errorf("truncation at %d: %v, %v; want the %d-node prefix", cut, p, err, n)
 		}
 	}
 	if _, err := DecodePathDict(append(good, 9), d); err == nil {
 		t.Error("trailing byte accepted")
 	}
-	if _, err := DecodePathDict([]byte{0}, d); err == nil {
+	if _, err := DecodePathDict(append(good, 0x81), d); err == nil {
+		t.Error("trailing partial varint accepted")
+	}
+	if _, err := DecodePathDict([]byte{}, d); err == nil {
 		t.Error("zero-node path accepted")
 	}
 	// Unknown ID.

@@ -305,9 +305,88 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	if got := ix.dict.Len(); got != terms+4 {
 		t.Fatalf("retried inserts interned %d terms, want 4 (A9999, FreshRoot, backs, FreshBill)", got-terms)
 	}
+	requireReopenedEqualsBuild(t, ix)
 
 	t.Run("mixed", testInsertAllOrNothingMixed)
 	t.Run("affected-root-page", testInsertAllOrNothingAffectedRootPage)
+	t.Run("stage-spans-pages", testInsertAllOrNothingStageSpansPages)
+}
+
+// requireReopenedEqualsBuild checkpoints ix, opens a copy of its files
+// and requires the copy's live paths — every record read back by its
+// path ID and its term IDs decoded — to be those of a fresh Build of the
+// same triples.
+func requireReopenedEqualsBuild(t *testing.T, ix *Index) {
+	t.Helper()
+	if err := ix.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(crashClone(t, ix.base), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	g := rdf.NewGraph()
+	for _, tr := range ix.Graph().Triples() {
+		g.AddTriple(tr)
+	}
+	ref, err := Build(filepath.Join(t.TempDir(), "ref"), g, Options{Paths: ix.opts.Paths})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if got, want := livePathKeys(t, re), livePathKeys(t, ref); !slices.Equal(got, want) {
+		t.Fatalf("reopened index: %d live paths differ from a fresh build's %d", len(got), len(want))
+	}
+}
+
+// testInsertAllOrNothingStageSpansPages fails staging after it filled
+// the page open for appends and a fresh one: with a pool of one page,
+// opening a third evicts the second, whose write fails. The store must
+// forget the staged records and the run it opened for them, so that the
+// retry's paths read back under their own IDs after a checkpoint and a
+// reopen.
+func testInsertAllOrNothingStageSpansPages(t *testing.T) {
+	var fi *storage.FaultInjector
+	ix, err := Build(filepath.Join(t.TempDir(), "ix"), figure1Graph(), Options{
+		PoolPages: 1,
+		WrapIO: func(io storage.PageIO) storage.PageIO {
+			fi = storage.NewFaultInjector(io)
+			return fi
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	var batch []rdf.Triple
+	for i := range 2500 {
+		batch = append(batch, rdf.Triple{S: iri(fmt.Sprintf("FreshRoot%d", i)), P: iri("backs"), O: iri(fmt.Sprintf("FreshBill%d", i))})
+	}
+	if err := ix.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	paths, pages, runs := ix.NumPaths(), ix.file.NumPages(), len(ix.store.Directory())
+	fi.Inject(storage.Fault{Op: storage.OpWrite, Kind: storage.Permanent, AfterN: 1})
+	err = ix.InsertTriples(batch)
+	fi.Clear()
+	if err == nil || !strings.Contains(err.Error(), "stage path") {
+		t.Fatalf("insert under a write fault on the second eviction: err = %v, want a staging failure", err)
+	}
+	if ix.file.NumPages() < pages+2 {
+		t.Fatalf("staging allocated %d pages before failing; the test needs it to open a run and fail on the next", ix.file.NumPages()-pages)
+	}
+	if ix.NumPaths() != paths || ix.store.Len() != paths || len(ix.store.Directory()) != runs {
+		t.Fatalf("failed staging left %d paths, %d store IDs and %d runs; want %d, %d and %d",
+			ix.NumPaths(), ix.store.Len(), len(ix.store.Directory()), paths, paths, runs)
+	}
+	if err := ix.InsertTriples(batch); err != nil {
+		t.Fatalf("retry after fault cleared: %v", err)
+	}
+	if got := ix.NumPaths() - paths; got != len(batch) {
+		t.Fatalf("retry staged %d paths, want %d", got, len(batch))
+	}
+	requireReopenedEqualsBuild(t, ix)
 }
 
 // testInsertAllOrNothingAffectedRootPage fails the batched read of the
@@ -331,7 +410,7 @@ func testInsertAllOrNothingAffectedRootPage(t *testing.T) {
 		if p, err := pathByID(ix, PathID(id)); err != nil {
 			t.Fatal(err)
 		} else if p.Source() == iri("CarlaBunes") {
-			page = ix.rids[id].Page
+			page = pathPage(ix, PathID(id))
 		}
 	}
 	if page == 0 {
@@ -380,7 +459,7 @@ func testInsertAllOrNothingMixed(t *testing.T) {
 	// the page holding JeffRyser's and F0's records, so the fault below
 	// fails the append without failing the reads that verify them.
 	g := figure1Graph()
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 3000; i++ {
 		g.AddTriple(rdf.Triple{S: iri(fmt.Sprintf("F%d", i)), P: iri("p"), O: iri(fmt.Sprintf("G%d", i))})
 	}
 	var fi *storage.FaultInjector
@@ -412,9 +491,9 @@ func testInsertAllOrNothingMixed(t *testing.T) {
 		return out
 	}
 	jeff, f0 := idsFrom("JeffRyser"), idsFrom("F0")
-	appendPage := ix.rids[len(ix.rids)-1].Page
+	appendPage := pathPage(ix, PathID(ix.NumPaths()-1))
 	for _, id := range append(slices.Clone(jeff), f0...) {
-		if ix.rids[id].Page == appendPage {
+		if pathPage(ix, id) == appendPage {
 			t.Fatalf("path %d is on the append page %d; the test needs it elsewhere", id, appendPage)
 		}
 	}
@@ -457,6 +536,7 @@ func testInsertAllOrNothingMixed(t *testing.T) {
 	if got := ix.LivePaths() - live; got != 1 {
 		t.Errorf("retry added %d live paths, want 1", got)
 	}
+	requireReopenedEqualsBuild(t, ix)
 	for _, id := range jeff {
 		if !ix.Live(id) {
 			t.Errorf("JeffRyser's unchanged path %d lost its ID", id)

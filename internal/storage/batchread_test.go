@@ -10,17 +10,17 @@ import (
 	"time"
 )
 
-// batchFixture appends n small records and returns the store with
-// everything needed to read back.
-func batchFixture(t *testing.T, n int) (*RecordStore, []RID, [][]byte) {
+// batchFixture appends n small records, runs of seven of which share
+// prefixes, and returns the store with everything needed to read back.
+func batchFixture(t *testing.T, n int) (*RecordStore, []uint32, [][]byte) {
 	t.Helper()
 	pf := newTestFile(t)
 	bp := NewBufferPool(pf, 64)
-	rs := NewRecordStore(bp)
-	var rids []RID
+	rs := NewRecordStore(bp, nil, 0)
+	var rids []uint32
 	var want [][]byte
 	for i := 0; i < n; i++ {
-		data := bytes.Repeat([]byte{byte(i + 1)}, (i%97)+1)
+		data := append(bytes.Repeat([]byte{byte(i/7 + 1)}, i%97), byte(i))
 		rid, err := rs.Append(data)
 		if err != nil {
 			t.Fatal(err)
@@ -35,7 +35,7 @@ func TestReadBatchTallyMatchesIndividualReads(t *testing.T) {
 	rs, rids, want := batchFixture(t, 200)
 	// Shuffle the request order deterministically so the page sort in
 	// Read actually has work to do.
-	req := make([]RID, len(rids))
+	req := make([]uint32, len(rids))
 	wantShuf := make([][]byte, len(rids))
 	for i := range rids {
 		j := (i*61 + 17) % len(rids)
@@ -65,9 +65,9 @@ func TestReadBatchTallyEmptyAndDuplicates(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty batch: got %d results, err %v", len(got), err)
 	}
-	// Duplicate RIDs each get an independent copy.
+	// Duplicate IDs each get an independent copy.
 	last := len(rids) - 1
-	req := []RID{rids[3], rids[3], rids[7], rids[last], rids[last]}
+	req := []uint32{rids[3], rids[3], rids[7], rids[last], rids[last]}
 	got, _, err = rs.Read(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -87,12 +87,12 @@ func TestReadBatchTallyEmptyAndDuplicates(t *testing.T) {
 func TestReadBatchTallyEmptyRecordIsNonNil(t *testing.T) {
 	pf := newTestFile(t)
 	bp := NewBufferPool(pf, 8)
-	rs := NewRecordStore(bp)
+	rs := NewRecordStore(bp, nil, 0)
 	rid, err := rs.Append(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := rs.Read(context.Background(), []RID{rid})
+	got, _, err := rs.Read(context.Background(), []uint32{rid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestReadBatchTallyTallyAgreesWithSerialReads(t *testing.T) {
 
 	var serial Reads
 	for _, rid := range rids {
-		_, n, err := rs.Read(context.Background(), []RID{rid})
+		_, n, err := rs.Read(context.Background(), []uint32{rid})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func (c *cancelAfter) Err() error {
 }
 
 func TestReadBatchTallyCancelledContext(t *testing.T) {
-	rs, rids, want := batchFixture(t, 300)
+	rs, rids, want := batchFixture(t, 2000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	got, _, err := rs.Read(ctx, rids)
@@ -174,8 +174,8 @@ func TestReadBatchTallyCancelledContext(t *testing.T) {
 
 	// Cancelled after the first page: the records on it are read, every
 	// other one is left nil.
-	first := rids[0].Page
-	if rids[len(rids)-1].Page == first {
+	first, _ := locate(rs, rids[0])
+	if last, _ := locate(rs, rids[len(rids)-1]); last == first {
 		t.Fatal("fixture fits one page")
 	}
 	got, _, err = rs.Read(&cancelAfter{context.Background(), 2}, rids)
@@ -183,23 +183,23 @@ func TestReadBatchTallyCancelledContext(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	for i, rid := range rids {
-		if rid.Page == first && !bytes.Equal(got[i], want[i]) {
+		page, _ := locate(rs, rid)
+		if page == first && !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("record %d on the first page not read before the cancellation", i)
 		}
-		if rid.Page != first && got[i] != nil {
-			t.Fatalf("record %d on page %d read after the cancellation", i, rid.Page)
+		if page != first && got[i] != nil {
+			t.Fatalf("record %d on page %d read after the cancellation", i, page)
 		}
 	}
 }
 
 func TestReadBatchTallyRejectsCorruptRID(t *testing.T) {
 	rs, rids, _ := batchFixture(t, 5)
-	bad := append([]RID{}, rids...)
-	bad = append(bad, RID{Page: rids[0].Page, Slot: 999})
+	bad := append(append([]uint32{}, rids...), 999)
 	_, _, err := rs.Read(context.Background(), bad)
 	var re *RecordError
 	if !errors.As(err, &re) || re.Index != len(bad)-1 {
-		t.Fatalf("corrupt RID: err = %v, want a *RecordError naming record %d", err, len(bad)-1)
+		t.Fatalf("ID past the records: err = %v, want a *RecordError naming record %d", err, len(bad)-1)
 	}
 }
 
@@ -229,12 +229,16 @@ func (m *memPages) Write(id PageID, buf []byte) error {
 
 func (m *memPages) Sync() error { return nil }
 
+// craftedIDs is the number of IDs craftedStore's first page is the
+// run of: IDs 0 to craftedIDs−1 name its slots, whatever it holds.
+const craftedIDs = 64
+
 // craftedStore returns a store whose page 1 holds page (truncated or
-// zero-padded to PageSize), written with pool.Update, followed by
-// well-formed records on pages of their own: small ones, an empty one
-// and one of MaxRecord bytes. It returns those records' RIDs and
-// contents.
-func craftedStore(t testing.TB, page []byte) (*RecordStore, []RID, [][]byte) {
+// zero-padded to PageSize), written with pool.Update and named by the
+// run of IDs 0 to craftedIDs−1, followed by well-formed records on pages
+// of their own: small ones sharing prefixes, an empty one and one of
+// MaxRecord bytes. It returns those records' IDs and contents.
+func craftedStore(t testing.TB, page []byte) (*RecordStore, []uint32, [][]byte) {
 	t.Helper()
 	bp := NewBufferPool(&memPages{}, 64)
 	id, err := bp.Alloc()
@@ -247,95 +251,178 @@ func craftedStore(t testing.TB, page []byte) (*RecordStore, []RID, [][]byte) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rs := NewRecordStore(bp)
+	rs := NewRecordStore(bp, []Run{{Page: 1, First: 0}}, craftedIDs)
 	want := [][]byte{nil, bytes.Repeat([]byte{0xb1}, MaxRecord)}
 	for i := 0; i < 30; i++ {
-		want = append(want, bytes.Repeat([]byte{byte(i)}, 1+i*37))
+		want = append(want, append(bytes.Repeat([]byte{0xc0}, i*37), byte(i)))
 	}
-	rids := make([]RID, len(want))
+	ids := make([]uint32, len(want))
 	for i, data := range want {
-		if rids[i], err = rs.Append(data); err != nil {
+		if ids[i], err = rs.Append(data); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want[0] = []byte{} // read back as a non-nil empty record
-	return rs, rids, want
+	return rs, ids, want
 }
 
-// pageWithRecord returns a page holding one record, "page", in slot 0,
-// under the given slot count.
-func pageWithRecord(slots uint16) []byte {
+// craftPage returns a page starting at ID first whose entries are the
+// given bytes, each a shared count and the rest, taken as they are.
+func craftPage(first uint32, entries ...[]byte) []byte {
 	p := make([]byte, PageSize)
-	off := uint16(PageSize - 4)
-	setSlotCount(p, slots)
-	setFreeEnd(p, off)
-	setSlotEntry(p, 0, off, 4)
-	copy(p[off:], "page")
+	binary.LittleEndian.PutUint16(p[0:2], uint16(len(entries)))
+	binary.LittleEndian.PutUint32(p[2:6], first)
+	at := pageHdrSize
+	for i, e := range entries {
+		at += copy(p[at:], e)
+		setEntryEnd(p, i, at)
+	}
 	return p
 }
 
-// Two crafted pages: a well-formed one, and one on-disk defect, a slot
-// count (0xffff) that admits slots whose table entries lie past the
-// page.
+func setEntryEnd(p []byte, slot, end int) {
+	binary.LittleEndian.PutUint16(p[PageSize-endSize*(slot+1):], uint16(end))
+}
+
+// restartPage is a run of restartEvery+1 records, "r0" to "r16", the
+// last of which, a restart, shares one byte with the one before.
+func restartPage() []byte {
+	entries := [][]byte{[]byte("\x00r0")}
+	for i := 1; i < restartEvery; i++ {
+		entries = append(entries, []byte(fmt.Sprintf("\x01%d", i)))
+	}
+	return craftPage(0, append(entries, []byte("\x0116"))...)
+}
+
+// The crafted pages: a well-formed one, and one per on-disk defect a
+// read must fail on.
 var (
-	oneRecordPage     = pageWithRecord(1)
-	wideSlotCountPage = pageWithRecord(0xffff)
+	// Records "page" and "pager", the second front-coded.
+	twoRecordPage = craftPage(0, []byte("\x00page"), []byte("\x04r"))
+	// A record count (0xffff) whose end offsets would overrun the page.
+	wideSlotCountPage = func() []byte {
+		p := craftPage(0, []byte("\x00page"))
+		binary.LittleEndian.PutUint16(p[0:2], 0xffff)
+		return p
+	}()
+	// The second record shares 9 bytes of the 4-byte first.
+	sharedTooLongPage = craftPage(0, []byte("\x00page"), []byte("\x09r"))
+	// The second record ends before the first.
+	endsDescendPage = func() []byte {
+		p := craftPage(0, []byte("\x00page"), []byte("\x04r"))
+		setEntryEnd(p, 1, pageHdrSize+2)
+		return p
+	}()
+	// The second record ends inside the end offsets.
+	endPastPagePage = func() []byte {
+		p := craftPage(0, []byte("\x00page"), []byte("\x04r"))
+		setEntryEnd(p, 1, PageSize-1)
+		return p
+	}()
+	// The page says it starts at ID 5, where its run starts at 0.
+	firstIDPage = craftPage(5, []byte("\x00page"))
+	// Slot 16, a restart, shares a byte.
+	restartSharesPage = restartPage()
 )
+
+// TestReadRejectsCorruptPages: each defect of a crafted page fails the
+// read of the record it spoils with a *RecordError naming it, while the
+// well-formed records before it read back.
+func TestReadRejectsCorruptPages(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		page   []byte
+		good   map[uint32]string
+		failed uint32
+	}{
+		{"slot-past-the-records", twoRecordPage, map[uint32]string{0: "page", 1: "pager"}, 2},
+		{"count-overruns-the-page", wideSlotCountPage, nil, 0},
+		{"shared-count-too-long", sharedTooLongPage, map[uint32]string{0: "page"}, 1},
+		{"ends-descend", endsDescendPage, map[uint32]string{0: "page"}, 1},
+		{"end-past-the-page", endPastPagePage, map[uint32]string{0: "page"}, 1},
+		{"id-below-the-page", firstIDPage, nil, 0},
+		{"restart-shares", restartSharesPage, map[uint32]string{0: "r0", 15: "r15"}, restartEvery},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rs, _, _ := craftedStore(t, c.page)
+			for id, want := range c.good {
+				if got, err := readWithin(t, rs, []uint32{id}); err != nil || string(got[0]) != want {
+					t.Fatalf("ID %d read %q, %v; want %q", id, got, err, want)
+				}
+			}
+			_, err := readWithin(t, rs, []uint32{c.failed})
+			var re *RecordError
+			if !errors.As(err, &re) || re.ID != c.failed {
+				t.Fatalf("ID %d: err = %v, want a *RecordError naming it", c.failed, err)
+			}
+		})
+	}
+}
 
 // readWithin runs rs.Read, failing the test if it does not return within
 // a few seconds.
-func readWithin(t *testing.T, rs *RecordStore, rids []RID) error {
+func readWithin(t *testing.T, rs *RecordStore, ids []uint32) ([][]byte, error) {
 	t.Helper()
-	done := make(chan error, 1)
+	type result struct {
+		recs [][]byte
+		err  error
+	}
+	done := make(chan result, 1)
 	go func() {
-		_, _, err := rs.Read(context.Background(), rids)
-		done <- err
+		recs, _, err := rs.Read(context.Background(), ids)
+		done <- result{recs, err}
 	}()
 	select {
-	case err := <-done:
-		return err
+	case r := <-done:
+		return r.recs, r.err
 	case <-time.After(5 * time.Second):
 		t.Fatal("Read did not return")
-		return nil
+		return nil, nil
 	}
 }
 
-// TestReadFailsSlotPastThePage: a slot the slot count admits but whose
-// table entry lies past the page fails its record instead of panicking.
+// TestReadFailsSlotPastThePage: an ID whose slot the page's record count
+// admits, but whose end offset would lie past the page, fails its record
+// instead of panicking.
 func TestReadFailsSlotPastThePage(t *testing.T) {
-	rs, rids, _ := craftedStore(t, wideSlotCountPage)
-	if err := readWithin(t, rs, []RID{{Page: 1, Slot: 0}}); err != nil {
+	rs, rids, _ := craftedStore(t, twoRecordPage)
+	if _, err := readWithin(t, rs, []uint32{0}); err != nil {
 		t.Fatalf("slot 0 of the crafted page: %v", err)
 	}
-	err := readWithin(t, rs, append(rids, RID{Page: 1, Slot: 5000}))
+	rs, rids, _ = craftedStore(t, wideSlotCountPage)
+	_, err := readWithin(t, rs, append(rids, craftedIDs-1))
 	var re *RecordError
 	if !errors.As(err, &re) || re.Index != len(rids) {
-		t.Fatalf("slot 5000: err = %v, want a *RecordError naming record %d", err, len(rids))
+		t.Fatalf("slot %d: err = %v, want a *RecordError naming record %d", craftedIDs-1, err, len(rids))
 	}
 }
 
-// FuzzRecordRead reads RIDs the input names (three bytes each: page,
-// slot) from a store whose first page is the input's, beside the
-// store's well-formed records. The read must not panic or hang; a
-// failure must be a *RecordError; every read's Reads must count no
-// more misses than pages, and a whole read exactly the distinct pages
-// its RIDs name; and every well-formed record must round-trip,
-// duplicates included, also through a read cancelled at an input-chosen
-// point, which leaves an entry nil or whole.
+// FuzzRecordRead reads IDs the input names (two bytes each) from a store
+// whose first page is the input's, beside the store's well-formed
+// records. The read must not panic or hang; a failure must be a
+// *RecordError; every read's Reads must count no more misses than pages,
+// and a whole read exactly the distinct pages its IDs' runs name; and
+// every well-formed record must round-trip, duplicates included, also
+// through a read cancelled at an input-chosen point, which leaves an
+// entry nil or whole. The seeds are the crafted pages, each of whose
+// defects must fail the read (TestReadRejectsCorruptPages).
 func FuzzRecordRead(f *testing.F) {
-	f.Add(oneRecordPage, []byte{1, 0, 0})
-	f.Add(wideSlotCountPage, []byte{1, 0, 0, 1, 0x88, 0x13})
-	f.Add([]byte{}, []byte{0, 0, 0, 9, 1, 0})
+	f.Add(twoRecordPage, []byte{0, 0, 1, 0})
+	f.Add(wideSlotCountPage, []byte{0, 0, 63, 0})
+	f.Add([]byte{}, []byte{0, 0, 9, 1})
+	for _, p := range [][]byte{sharedTooLongPage, endsDescendPage, endPastPagePage, firstIDPage} {
+		f.Add(p, []byte{0, 0, 1, 0})
+	}
+	f.Add(restartSharesPage, []byte{15, 0, 16, 0})
 	f.Fuzz(func(t *testing.T, page, named []byte) {
 		rs, rids, want := craftedStore(t, page)
-		npages := len(rs.pool.file.(*memPages).pages)
-		req := append(append([]RID{}, rids...), rids[1], rids[len(rids)-1])
+		req := append(append([]uint32{}, rids...), rids[1], rids[len(rids)-1])
 		wantReq := append(append([][]byte{}, want...), want[1], want[len(want)-1])
 		check := func(got [][]byte, nilOK bool) {
 			t.Helper()
 			for i, w := range wantReq {
 				if !(nilOK && got[i] == nil) && !bytes.Equal(got[i], w) {
-					t.Fatalf("record %d (%v): read %d bytes, want %d", i, req[i], len(got[i]), len(w))
+					t.Fatalf("record %d (ID %d): read %d bytes, want %d", i, req[i], len(got[i]), len(w))
 				}
 			}
 		}
@@ -345,14 +432,15 @@ func FuzzRecordRead(f *testing.F) {
 				t.Fatalf("read returned %+v: misses outside [0, pages]", n)
 			}
 		}
-		checkWhole := func(n Reads, rids []RID) {
+		checkWhole := func(n Reads, ids []uint32) {
 			t.Helper()
 			named := map[PageID]bool{}
-			for _, rid := range rids {
-				named[rid.Page] = true
+			for _, id := range ids {
+				page, _ := locate(rs, id)
+				named[page] = true
 			}
 			if n.Pages != len(named) {
-				t.Fatalf("read visited %d pages, want the %d its RIDs name", n.Pages, len(named))
+				t.Fatalf("read visited %d pages, want the %d its IDs' runs name", n.Pages, len(named))
 			}
 		}
 		got, n, err := rs.Read(context.Background(), req)
@@ -372,8 +460,8 @@ func FuzzRecordRead(f *testing.F) {
 		checkReads(n)
 
 		mixed := req
-		for ; len(named) >= 3; named = named[3:] {
-			mixed = append(mixed, RID{Page: PageID(int(named[0]) % (npages + 2)), Slot: binary.LittleEndian.Uint16(named[1:3])})
+		for ; len(named) >= 2; named = named[2:] {
+			mixed = append(mixed, uint32(binary.LittleEndian.Uint16(named))%uint32(rs.Len()+2))
 		}
 		got, n, err = rs.Read(context.Background(), mixed)
 		checkReads(n)
@@ -388,7 +476,7 @@ func FuzzRecordRead(f *testing.F) {
 		checkWhole(n, mixed)
 		for i := len(req); i < len(mixed); i++ {
 			if got[i] == nil {
-				t.Fatalf("record %d (%v) left nil by a read that succeeded", i, mixed[i])
+				t.Fatalf("record %d (ID %d) left nil by a read that succeeded", i, mixed[i])
 			}
 		}
 	})

@@ -102,7 +102,7 @@ func TestFaultInjectorSync(t *testing.T) {
 }
 
 // TestRecordStoreSealCurrentPage: after sealing, appends land on a
-// fresh page and earlier RIDs stay readable.
+// fresh page and earlier IDs stay readable.
 func TestRecordStoreSealCurrentPage(t *testing.T) {
 	pf, err := CreatePageFile(filepath.Join(t.TempDir(), "pages"))
 	if err != nil {
@@ -110,7 +110,7 @@ func TestRecordStoreSealCurrentPage(t *testing.T) {
 	}
 	pool := NewBufferPool(pf, 8)
 	defer pool.Close()
-	rs := NewRecordStore(pool)
+	rs := NewRecordStore(pool, nil, 0)
 
 	r1, err := rs.Append([]byte("first"))
 	if err != nil {
@@ -121,11 +121,12 @@ func TestRecordStoreSealCurrentPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Page == r2.Page {
-		t.Fatalf("append after seal landed on the same page %d", r1.Page)
+	p1, _ := locate(rs, r1)
+	if p2, _ := locate(rs, r2); p1 == p2 {
+		t.Fatalf("append after seal landed on the same page %d", p1)
 	}
 	for _, c := range []struct {
-		rid  RID
+		rid  uint32
 		want string
 	}{{r1, "first"}, {r2, "second"}} {
 		got, err := readOne(rs, c.rid)

@@ -7,146 +7,240 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 )
 
-// RID is a record identifier: the page and slot of the record.
-type RID struct {
-	Page PageID
-	Slot uint16
+// Run is one entry of a record store's directory: the records from ID
+// First up to the next run's First sit on Page, in slots 0, 1, 2, ….
+type Run struct {
+	Page  PageID
+	First uint32
 }
 
-// Pack encodes the RID into a uint64 for storage inside other records.
-func (r RID) Pack() uint64 { return uint64(r.Page)<<16 | uint64(r.Slot) }
-
-// UnpackRID decodes a packed RID.
-func UnpackRID(v uint64) RID {
-	return RID{Page: PageID(v >> 16), Slot: uint16(v & 0xffff)}
-}
-
-func (r RID) String() string { return fmt.Sprintf("rid(%d:%d)", r.Page, r.Slot) }
-
-// Slotted page layout:
+// Front-coded page layout:
 //
-//	[0:2)  uint16 slot count
-//	[2:4)  uint16 freeEnd — offset of the lowest byte used by record data
-//	[4:..) slot table, 4 bytes per slot: uint16 data offset, uint16 length
-//	[... : PageSize) record data, growing downward from the end
+//	[0:2)  uint16 record count n
+//	[2:6)  uint32 the ID of the record in slot 0
+//	[6:e)  the records' entries, one after another, growing upward
+//	[PageSize−2n : PageSize)  the entries' end offsets, slot i's at PageSize−2(i+1)
 //
-// A record is one slot on one page: its bytes are the slot's data.
+// An entry is a varint, the count of leading bytes its record shares
+// with the previous record on the page, then the rest of the record.
+// At slot 0 and every restartEvery slots the count is 0 — the record is
+// spelled in full — so a read decodes forward from the nearest restart,
+// at most restartEvery−1 entries before the one it wants.
 const (
-	pageHdrSize = 4
-	slotSize    = 4
+	pageHdrSize  = 6
+	endSize      = 2
+	restartEvery = 16
 )
 
 // MaxRecord is the largest record Append stores: what a fresh page
-// holds after its header and one slot.
-const MaxRecord = PageSize - pageHdrSize - slotSize
+// holds after its header, one end offset and the shared count 0.
+const MaxRecord = PageSize - pageHdrSize - endSize - 1
 
-func pageSlotCount(p []byte) uint16   { return binary.LittleEndian.Uint16(p[0:2]) }
-func pageFreeEnd(p []byte) uint16     { return binary.LittleEndian.Uint16(p[2:4]) }
-func setSlotCount(p []byte, n uint16) { binary.LittleEndian.PutUint16(p[0:2], n) }
-func setFreeEnd(p []byte, n uint16)   { binary.LittleEndian.PutUint16(p[2:4], n) }
-
-func slotEntry(p []byte, slot uint16) (off, length uint16) {
-	base := pageHdrSize + int(slot)*slotSize
-	return binary.LittleEndian.Uint16(p[base : base+2]), binary.LittleEndian.Uint16(p[base+2 : base+4])
+func pageCount(p []byte) int    { return int(binary.LittleEndian.Uint16(p[0:2])) }
+func pageFirst(p []byte) uint32 { return binary.LittleEndian.Uint32(p[2:6]) }
+func entryEnd(p []byte, slot int) int {
+	at := PageSize - endSize*(slot+1)
+	return int(binary.LittleEndian.Uint16(p[at : at+endSize]))
 }
 
-func setSlotEntry(p []byte, slot, off, length uint16) {
-	base := pageHdrSize + int(slot)*slotSize
-	binary.LittleEndian.PutUint16(p[base:base+2], off)
-	binary.LittleEndian.PutUint16(p[base+2:base+4], length)
+// entryStart returns where slot's entry begins: where the previous one
+// ends, or after the header.
+func entryStart(p []byte, slot int) int {
+	if slot == 0 {
+		return pageHdrSize
+	}
+	return entryEnd(p, slot-1)
 }
 
 // RecordStore stores variable-length byte records of at most MaxRecord
-// bytes in slotted pages through a BufferPool. Records are immutable
-// once appended. Appends are not safe for concurrent use (the index
-// serialises its writers); reads are, serialised by the pool's lock.
+// bytes in front-coded pages through a BufferPool, and addresses each by
+// its ID: Append hands out 0, 1, 2, … and puts each record in the slot
+// after its predecessor's, or in slot 0 of a fresh page, which opens a
+// run of the directory. Records are immutable once appended. Appends
+// are not safe for concurrent use, nor with reads (the index serialises
+// its writers, and its readers wait for them); reads are, serialised by
+// the pool's lock.
 type RecordStore struct {
-	pool    *BufferPool
-	current PageID // page open for appends; 0 = none
+	pool *BufferPool
+	dir  []Run
+	// count is the number of IDs handed out: the next Append's ID.
+	count uint32
+	// current is the page open for appends (0: none), last the record
+	// in its last slot, which the next one on the page is coded against.
+	current PageID
+	last    []byte
 }
 
-// NewRecordStore returns a store over pool. A fresh store begins
-// appending into a new page on first use; reopening a store over an
-// existing file only requires the RIDs to remain valid, which they do
-// (appends then go to fresh pages).
-func NewRecordStore(pool *BufferPool) *RecordStore {
-	return &RecordStore{pool: pool}
+// NewRecordStore returns a store over pool holding count records at the
+// runs of dir: nil and 0 for a fresh store, the directory and count an
+// earlier store had committed when reopening one. Appends begin on a
+// fresh page, so slots no run covers — records appended after the
+// directory was taken — stay unnamed, and their IDs are handed out
+// again.
+func NewRecordStore(pool *BufferPool, dir []Run, count uint32) *RecordStore {
+	return &RecordStore{pool: pool, dir: dir, count: count}
 }
+
+// Len returns the number of IDs handed out.
+func (rs *RecordStore) Len() int { return int(rs.count) }
+
+// Directory returns the store's runs, ascending in page and in first ID.
+// The slice is the store's: read it before the next Append or Truncate.
+func (rs *RecordStore) Directory() []Run { return rs.dir }
 
 // SealCurrentPage closes the page open for appends, so the next
 // Append goes to a freshly allocated page. The index calls it after a
 // checkpoint: pages holding only checkpointed (no longer replayable)
 // records are never rewritten afterwards, which keeps a torn page
 // write from destroying records the WAL can no longer restore.
-func (rs *RecordStore) SealCurrentPage() { rs.current = 0 }
+func (rs *RecordStore) SealCurrentPage() { rs.current, rs.last = 0, rs.last[:0] }
+
+// Truncate forgets every record from ID n on: the next Append hands out
+// n, and the runs opened at or after it leave the directory. No page is
+// rewritten. The current page is sealed, so the forgotten records' slots
+// stay after the last remembered record on their page, which takes no
+// further appends, and the pages opened for them are named by no run.
+func (rs *RecordStore) Truncate(n int) {
+	rs.dir = rs.dir[:sort.Search(len(rs.dir), func(i int) bool { return rs.dir[i].First >= uint32(n) })]
+	rs.count = uint32(n)
+	rs.SealCurrentPage()
+}
 
 // errPageFull is put's answer when the record does not fit the page.
 var errPageFull = errors.New("storage: record does not fit the page")
 
 // Append stores data in one slot — on the current page if it fits,
-// else on a fresh page — and returns its RID. A record of more than
+// else on a fresh page — and returns its ID. A record of more than
 // MaxRecord bytes fits no page and is refused.
-func (rs *RecordStore) Append(data []byte) (RID, error) {
+func (rs *RecordStore) Append(data []byte) (uint32, error) {
 	if len(data) > MaxRecord {
-		return RID{}, fmt.Errorf("storage: a record of %d bytes exceeds the %d a page holds", len(data), MaxRecord)
+		return 0, fmt.Errorf("storage: a record of %d bytes exceeds the %d a page holds", len(data), MaxRecord)
 	}
+	err := errPageFull
 	if rs.current != 0 {
-		rid, err := rs.put(rs.current, false, data)
-		if !errors.Is(err, errPageFull) {
-			return rid, err
+		err = rs.put(data)
+	}
+	if errors.Is(err, errPageFull) {
+		page, aerr := rs.pool.Alloc()
+		if aerr != nil {
+			return 0, aerr
 		}
+		rs.current, rs.last = page, rs.last[:0]
+		err = rs.put(data)
 	}
-	id, err := rs.pool.Alloc()
 	if err != nil {
-		return RID{}, err
+		return 0, err
 	}
-	rs.current = id
-	return rs.put(id, true, data)
+	return rs.count - 1, nil
 }
 
-// put writes data into a free slot of page, which holds no slot yet if
-// it is fresh. A record that does not fit fails with errPageFull, and
-// then, as on any error of Update's function, the page is left as it
-// was and not marked dirty.
-func (rs *RecordStore) put(page PageID, fresh bool, data []byte) (RID, error) {
-	var rid RID
-	err := rs.pool.Update(page, func(p []byte) error {
-		slot, freeEnd := pageSlotCount(p), int(pageFreeEnd(p))
-		if fresh {
-			slot, freeEnd = 0, PageSize
+// put writes data into the next slot of the current page, coded against
+// the record before it unless the slot is a restart, and hands it the
+// next ID; a page's first record opens a run. A record that does not fit
+// fails with errPageFull, and then, as on any error of Update's
+// function, the page is left as it was and not marked dirty.
+func (rs *RecordStore) put(data []byte) error {
+	opens := false
+	err := rs.pool.Update(rs.current, func(p []byte) error {
+		n := pageCount(p)
+		shared := 0
+		if n%restartEvery != 0 {
+			for shared < min(len(rs.last), len(data)) && rs.last[shared] == data[shared] {
+				shared++
+			}
 		}
-		off := freeEnd - len(data)
-		if off < pageHdrSize+int(slot+1)*slotSize {
+		var head [binary.MaxVarintLen64]byte
+		w := binary.PutUvarint(head[:], uint64(shared))
+		at := entryStart(p, n)
+		end := at + w + len(data) - shared
+		if end > PageSize-endSize*(n+1) {
 			return errPageFull
 		}
-		copy(p[off:freeEnd], data)
-		setSlotEntry(p, slot, uint16(off), uint16(len(data)))
-		setSlotCount(p, slot+1)
-		setFreeEnd(p, uint16(off))
-		rid = RID{Page: page, Slot: slot}
+		copy(p[at+copy(p[at:], head[:w]):], data[shared:])
+		binary.LittleEndian.PutUint16(p[PageSize-endSize*(n+1):], uint16(end))
+		binary.LittleEndian.PutUint16(p[0:2], uint16(n+1))
+		if opens = n == 0; opens {
+			binary.LittleEndian.PutUint32(p[2:6], rs.count)
+		}
 		return nil
 	})
-	return rid, err
+	if err != nil {
+		return err
+	}
+	if opens {
+		rs.dir = append(rs.dir, Run{Page: rs.current, First: rs.count})
+	}
+	rs.last = append(rs.last[:0], data...)
+	rs.count++
+	return nil
 }
 
-// recordAt returns the bytes of rid's record on its page p. It trusts no
-// byte of the page: a slot past the slot count or whose table entry lies
-// beyond the page, and a slot entry whose record does not fit the page,
-// are errors.
-func recordAt(p []byte, rid RID) ([]byte, error) {
-	if n := pageSlotCount(p); rid.Slot >= n {
-		return nil, fmt.Errorf("storage: %v: slot beyond slot count %d", rid, n)
+// checkPage refuses a page whose record count overruns it, or which
+// does not start at its run's first ID.
+func checkPage(p []byte, first uint32) error {
+	if n := pageCount(p); pageHdrSize+endSize*n > PageSize {
+		return fmt.Errorf("storage: record count %d overruns the page", n)
 	}
-	if pageHdrSize+(int(rid.Slot)+1)*slotSize > PageSize {
-		return nil, fmt.Errorf("storage: %v: slot table entry beyond the page", rid)
+	if f := pageFirst(p); f != first {
+		return fmt.Errorf("storage: the page starts at ID %d, its run at %d", f, first)
 	}
-	off, length := slotEntry(p, rid.Slot)
-	if int(off)+int(length) > PageSize {
-		return nil, fmt.Errorf("storage: %v: corrupt slot entry", rid)
+	return nil
+}
+
+// record decodes slot's record on page p, whose record count checkPage
+// has passed, into a slice of its own. It copies the rest of the slot's
+// entry, then walks back through the entries before it, each filling the
+// bytes its record shares with the next that it spells itself, until the
+// record's first byte is filled — at the latest at the slot's restart,
+// which shares nothing. It trusts no byte it reads: a slot past the
+// record count, an entry out of order or past the page, a truncated
+// shared count, one longer than the previous record and a restart that
+// shares anything are errors.
+func record(p []byte, slot int) ([]byte, error) {
+	n := pageCount(p)
+	if slot >= n {
+		return nil, fmt.Errorf("storage: slot %d beyond the page's %d records", slot, n)
 	}
-	return p[off : off+length], nil
+	end := entryEnd(p, slot)
+	if end > PageSize-endSize*n {
+		return nil, fmt.Errorf("storage: slot %d: entry ends at %d, past the page's records", slot, end)
+	}
+	var out []byte
+	// out[:need] is still to fill; next is the shared count of entry i+1.
+	need, next := 0, 0
+	for i := slot; i == slot || need > 0; i-- {
+		at := entryStart(p, i)
+		if at < pageHdrSize || at >= end {
+			return nil, fmt.Errorf("storage: slot %d: entry [%d, %d) out of order", i, at, end)
+		}
+		s, w := uint64(p[at]), 1
+		if s >= 0x80 { // a count of 128 bytes or more: rare
+			s, w = binary.Uvarint(p[at:end])
+		}
+		switch {
+		case w <= 0 || s > MaxRecord:
+			return nil, fmt.Errorf("storage: slot %d: bad shared count", i)
+		case i%restartEvery == 0 && s != 0:
+			return nil, fmt.Errorf("storage: slot %d: a restart shares %d bytes", i, s)
+		}
+		shared, rest := int(s), p[at+w:end]
+		switch {
+		case i == slot:
+			out = make([]byte, shared+len(rest))
+			copy(out[shared:], rest)
+			need = shared
+		case next > shared+len(rest):
+			return nil, fmt.Errorf("storage: slot %d: shares %d bytes of a %d-byte record", i+1, next, shared+len(rest))
+		case shared < need:
+			copy(out[shared:need], rest)
+			need = shared
+		}
+		next, end = shared, at
+	}
+	return out, nil
 }
 
 // errBatchStop aborts a View pass early without surfacing a storage
@@ -154,68 +248,86 @@ func recordAt(p []byte, rid RID) ([]byte, error) {
 var errBatchStop = errors.New("storage: batch read stopped")
 
 // RecordError attributes a read failure to one input record, so callers
-// holding higher-level names for the records (the index knows which
-// PathID each RID backs) can report which one failed instead of an
-// anonymous whole-batch error.
+// holding higher-level names for the records can report which one
+// failed instead of an anonymous whole-batch error.
 type RecordError struct {
-	// Index is the record's position in the input RID slice.
+	// Index is the record's position in the input ID slice.
 	Index int
-	// RID is the failing record.
-	RID RID
+	// ID is the failing record.
+	ID uint32
 	// Err is the underlying failure.
 	Err error
 }
 
 func (e *RecordError) Error() string {
-	return fmt.Sprintf("record %d (%v): %v", e.Index, e.RID, e.Err)
+	return fmt.Sprintf("record %d (ID %d): %v", e.Index, e.ID, e.Err)
 }
 
 func (e *RecordError) Unwrap() error { return e.Err }
 
-// Read reads the records at rids in one page-locality pass: it sorts
-// them by (page, slot), visits each distinct page once through one pool
-// View, and copies out every record resident on it under that one lock
-// acquisition.
+// Read reads the records with the given IDs in one page-locality pass:
+// it sorts them, which sorts them by (page, slot), visits each distinct
+// page once through one pool View, and decodes every record wanted on it
+// under that one lock acquisition.
 //
 // Results are in input order; duplicates are read once per occurrence.
 // The Reads result is the View's page work, also when the read fails or
-// stops early. A slot the page cannot hold fails the read with a
-// *RecordError, as does a page the pool cannot read, and the results
-// are then nil. If ctx is cancelled before the read or between two
-// pages, the records not yet read are left nil and the context error is
-// returned alongside the others; a nil entry therefore means "not
-// read", while a non-nil empty slice is a genuinely empty record.
-func (rs *RecordStore) Read(ctx context.Context, rids []RID) ([][]byte, Reads, error) {
-	out := make([][]byte, len(rids))
+// stops early. An ID no run or slot holds, or a page that does not
+// decode, fails the read with a *RecordError, as does a page the pool
+// cannot read, and the results are then nil. If ctx is cancelled before
+// the read or between two pages, the records not yet read are left nil
+// and the context error is returned alongside the others; a nil entry
+// therefore means "not read", while a non-nil empty slice is a genuinely
+// empty record.
+func (rs *RecordStore) Read(ctx context.Context, ids []uint32) ([][]byte, Reads, error) {
+	out := make([][]byte, len(ids))
 	if err := ctx.Err(); err != nil {
 		return out, Reads{}, err
 	}
-	order := make([]int, len(rids)) // input positions in (page, slot) order
+	order := make([]int, len(ids)) // input positions in ID order
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(rids[a].Pack(), rids[b].Pack()) })
-	var pages []PageID
-	for _, i := range order {
-		if n := len(pages); n == 0 || pages[n-1] != rids[i].Page {
-			pages = append(pages, rids[i].Page)
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(ids[a], ids[b]) })
+	// runs[k] is the run of the k-th page to visit, ends[k] where its
+	// records end in order.
+	var runs, ends []int
+	r := -1 // the run holding the ID at hand: the last not above it
+	for k, i := range order {
+		for r+1 < len(rs.dir) && rs.dir[r+1].First <= ids[i] {
+			r++
 		}
+		if r < 0 || ids[i] >= rs.count {
+			return nil, Reads{}, &RecordError{Index: i, ID: ids[i], Err: fmt.Errorf("storage: no run holds ID %d (%d records)", ids[i], rs.count)}
+		}
+		if len(runs) == 0 || runs[len(runs)-1] != r {
+			runs = append(runs, r)
+			ends = append(ends, k)
+		}
+		ends[len(ends)-1] = k + 1
+	}
+	pages := make([]PageID, len(runs))
+	for k, r := range runs {
+		pages[k] = rs.dir[r].Page
 	}
 	// The copies happen under the pool lock, because frames may be
 	// rewritten after it is released.
 	cur := 0
-	n, err := rs.pool.View(pages, func(pi int, p []byte) error {
+	n, err := rs.pool.View(pages, func(k int, p []byte) error {
 		if ctx.Err() != nil {
 			return errBatchStop
 		}
-		for ; cur < len(order) && rids[order[cur]].Page == pages[pi]; cur++ {
+		first := rs.dir[runs[k]].First
+		if err := checkPage(p, first); err != nil {
+			return &RecordError{Index: order[cur], ID: ids[order[cur]], Err: err}
+		}
+		for ; cur < ends[k]; cur++ {
 			i := order[cur]
-			rec, err := recordAt(p, rids[i])
+			rec, err := record(p, int(ids[i]-first))
 			if err != nil {
-				return &RecordError{Index: i, RID: rids[i], Err: err}
+				return &RecordError{Index: i, ID: ids[i], Err: err}
 			}
-			out[i] = make([]byte, len(rec))
-			copy(out[i], rec)
+			out[i] = rec
 		}
 		return nil
 	})
@@ -228,7 +340,7 @@ func (rs *RecordStore) Read(ctx context.Context, rids []RID) ([][]byte, Reads, e
 		// failing page's group.
 		var re *RecordError
 		if !errors.As(err, &re) && cur < len(order) {
-			err = &RecordError{Index: order[cur], RID: rids[order[cur]], Err: err}
+			err = &RecordError{Index: order[cur], ID: ids[order[cur]], Err: err}
 		}
 		return nil, n, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -44,13 +45,20 @@ func cachedPages(bp *BufferPool) int {
 	return bp.lru.Len()
 }
 
-// readOne reads the record at rid alone.
-func readOne(rs *RecordStore, rid RID) ([]byte, error) {
-	recs, _, err := rs.Read(context.Background(), []RID{rid})
+// readOne reads the record with the given ID alone.
+func readOne(rs *RecordStore, id uint32) ([]byte, error) {
+	recs, _, err := rs.Read(context.Background(), []uint32{id})
 	if err != nil {
 		return nil, err
 	}
 	return recs[0], nil
+}
+
+// locate returns the page and the slot that hold the record with the
+// given ID.
+func locate(rs *RecordStore, id uint32) (PageID, uint32) {
+	r := rs.dir[sort.Search(len(rs.dir), func(i int) bool { return rs.dir[i].First > id })-1]
+	return r.Page, id - r.First
 }
 
 func TestPageFileAllocReadWrite(t *testing.T) {
@@ -317,8 +325,8 @@ func TestBufferPoolClose(t *testing.T) {
 func TestRecordStoreSmallRecords(t *testing.T) {
 	pf := newTestFile(t)
 	bp := NewBufferPool(pf, 16)
-	rs := NewRecordStore(bp)
-	var rids []RID
+	rs := NewRecordStore(bp, nil, 0)
+	var rids []uint32
 	var want [][]byte
 	for i := 0; i < 100; i++ {
 		data := bytes.Repeat([]byte{byte(i)}, i+1)
@@ -345,7 +353,7 @@ func TestRecordStoreSmallRecords(t *testing.T) {
 // byte more is refused, and the refusal allocates no page.
 func TestRecordStoreMaxRecord(t *testing.T) {
 	pf := newTestFile(t)
-	rs := NewRecordStore(NewBufferPool(pf, 4))
+	rs := NewRecordStore(NewBufferPool(pf, 4), nil, 0)
 	small, err := rs.Append([]byte("x"))
 	if err != nil {
 		t.Fatal(err)
@@ -355,8 +363,9 @@ func TestRecordStoreMaxRecord(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a record of MaxRecord = %d bytes: %v", MaxRecord, err)
 	}
-	if rid.Page == small.Page || rid.Slot != 0 {
-		t.Errorf("the MaxRecord-byte record landed at %v, want slot 0 of a page after %v's", rid, small)
+	smallPage, _ := locate(rs, small)
+	if page, slot := locate(rs, rid); page == smallPage || slot != 0 {
+		t.Errorf("the MaxRecord-byte record landed in slot %d of page %d, want slot 0 of a page after the small one's", slot, page)
 	}
 	if got, err := readOne(rs, rid); err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("read back %d bytes, %v; want the %d appended", len(got), err, len(big))
@@ -373,7 +382,7 @@ func TestRecordStoreMaxRecord(t *testing.T) {
 func TestRecordStoreEmptyRecord(t *testing.T) {
 	pf := newTestFile(t)
 	bp := NewBufferPool(pf, 4)
-	rs := NewRecordStore(bp)
+	rs := NewRecordStore(bp, nil, 0)
 	rid, err := rs.Append(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +404,7 @@ func TestRecordStorePersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp := NewBufferPool(pf, 8)
-	rs := NewRecordStore(bp)
+	rs := NewRecordStore(bp, nil, 0)
 	rid, err := rs.Append([]byte("durable record"))
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +417,7 @@ func TestRecordStorePersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pf2.Close()
-	rs2 := NewRecordStore(NewBufferPool(pf2, 8))
+	rs2 := NewRecordStore(NewBufferPool(pf2, 8), rs.Directory(), uint32(rs.Len()))
 	got, err := readOne(rs2, rid)
 	if err != nil {
 		t.Fatal(err)
@@ -429,33 +438,26 @@ func TestRecordStorePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestRecordStoreRejectsCorruptRID: an ID past the records handed out,
+// and one a directory names but its page does not hold, fail the read.
 func TestRecordStoreRejectsCorruptRID(t *testing.T) {
 	pf := newTestFile(t)
 	bp := NewBufferPool(pf, 4)
-	rs := NewRecordStore(bp)
-	rid, _ := rs.Append([]byte("x"))
-	if _, err := readOne(rs, RID{Page: rid.Page, Slot: 99}); err == nil {
-		t.Error("out-of-range slot accepted")
+	rs := NewRecordStore(bp, nil, 0)
+	id, _ := rs.Append([]byte("x"))
+	if _, err := readOne(rs, id+1); err == nil {
+		t.Error("an ID past the records handed out accepted")
 	}
-}
-
-func TestRIDPackUnpack(t *testing.T) {
-	f := func(page uint32, slot uint16) bool {
-		r := RID{Page: PageID(page & 0xffffff), Slot: slot}
-		return UnpackRID(r.Pack()) == r
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if (RID{Page: 3, Slot: 4}).String() != "rid(3:4)" {
-		t.Error("String wrong")
+	wide := NewRecordStore(bp, rs.Directory(), 99)
+	if _, err := readOne(wide, 50); err == nil {
+		t.Error("a slot past the page's records accepted")
 	}
 }
 
 func TestRecordStoreRoundTripProperty(t *testing.T) {
 	pf := newTestFile(t)
 	bp := NewBufferPool(pf, 32)
-	rs := NewRecordStore(bp)
+	rs := NewRecordStore(bp, nil, 0)
 	f := func(data []byte) bool {
 		rid, err := rs.Append(data)
 		if err != nil {
