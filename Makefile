@@ -122,8 +122,12 @@ bench-smoke:
 # path-record decoder, the dictionary reader and the metadata decoder
 # (counts checked against the file size, an accepted file re-encodes to
 # itself) every stored path depends on, the record store's one read
-# over a crafted page (no panic, no endless chain, well-formed records
-# round-trip), the inline codec the benchmark still times, the WAL's
+# by path ID over a crafted front-coded page (no panic; an end offset
+# out of order or past the page, a shared count longer than the
+# previous record, a restart that shares anything or an ID the page
+# does not hold fails the read; well-formed records round-trip and a
+# read visits each page its IDs' runs name once), the inline codec the
+# benchmark still times, the WAL's
 # open scan (damage with a well-formed next record after it fails the
 # open and leaves the file as it was, any other opens to the
 # well-formed prefix), the compressed postings (decode ∘ encode,
@@ -214,7 +218,9 @@ knobs:
 # (BenchmarkBuild: the benchmark's 50 k LUBM base), CPU and allocations;
 # a checkpoint after one insert (BenchmarkCheckpoint: that base, one
 # 50-triple insert per op outside the timer, reporting ms/op and the
-# metadata's size, meta_B);
+# metadata's size, meta_B); the record read a cold cluster makes
+# (BenchmarkRecordRead: that base, 1 024 random path IDs per op,
+# reporting ns/record and pages/op);
 # the JSON encode of a response (BenchmarkWriteResponse: one Q10-sized
 # LUBM outcome through the query server's 200 path), and its decode in
 # the Go client (BenchmarkDecodeResponse: that body through client.Query
@@ -240,6 +246,8 @@ profile:
 		-o results/index.test ./internal/index
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchtime 20x \
 		-cpuprofile results/cpu_checkpoint.pprof -o results/index.test ./internal/index
+	$(GO) test -run '^$$' -bench 'BenchmarkRecordRead' -benchtime 2000x -benchmem \
+		-cpuprofile results/cpu_record_read.pprof -o results/index.test ./internal/index
 	$(GO) test -run '^$$' -bench 'BenchmarkWriteResponse' -benchtime 20000x -benchmem \
 		-cpuprofile results/cpu_write_response.pprof -o results/server.test ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodeResponse' -benchtime 20000x -benchmem \
@@ -247,7 +255,7 @@ profile:
 	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,search_layers,cluster,cluster_warm,cluster_after_insert}.pprof"
 	@echo "the memo's heap: $(GO) tool pprof -sample_index=inuse_space results/bench.test results/mem_cluster_warm.pprof"
 	@echo "the build: $(GO) tool pprof results/index.test results/cpu_build.pprof (allocations: -sample_index=alloc_space results/mem_build.pprof)"
-	@echo "the checkpoint: $(GO) tool pprof results/index.test results/cpu_checkpoint.pprof"
+	@echo "the checkpoint and the record read: $(GO) tool pprof results/index.test results/cpu_{checkpoint,record_read}.pprof"
 	@echo "the response encode and decode: $(GO) tool pprof results/server.test results/cpu_{write,decode}_response.pprof"
 
 # serve-smoke boots samad end-to-end: random port, example dataset

@@ -155,6 +155,6 @@ func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 	if err := ix.wal.Checkpoint(ix.applied); err != nil {
 		return cs, fmt.Errorf("index: compact: wal checkpoint: %w", err)
 	}
-	ix.store.SealCurrentPage()
+	ix.store.Seal(len(ix.lens))
 	return cs, nil
 }

@@ -821,20 +821,14 @@ func (m *metaReader) term(d *Dictionary) rdf.Term {
 // each above the last in page and in first ID, every page inside the
 // file past its header page and every first ID below n.
 func (m *metaReader) directory(n, pages int) []storage.Run {
-	k := m.count(2, "directory run")
-	if (k == 0) != (n == 0) {
-		m.fail("%d directory runs for %d paths", k, n)
+	dir := make([]storage.Run, m.count(2, "directory run"))
+	var page, first uint64
+	for i := range dir {
+		page, first = m.id(page, i == 0, pages, "directory page"), m.id(first, i == 0, n, "directory run")
+		dir[i] = storage.Run{Page: storage.PageID(page), First: uint32(first)}
 	}
-	dir := make([]storage.Run, 0, k)
-	var last storage.Run
-	for i := 0; i < k && m.err == nil; i++ {
-		page := m.id(uint64(last.Page), i == 0, pages, "directory page")
-		first := m.id(uint64(last.First), i == 0, n, "directory run")
-		if i == 0 && (page == 0 || first != 0) {
-			m.fail("the directory starts at page %d, ID %d: want a page past the header, ID 0", page, first)
-		}
-		last = storage.Run{Page: storage.PageID(page), First: uint32(first)}
-		dir = append(dir, last)
+	if (len(dir) == 0) != (n == 0) || len(dir) > 0 && (dir[0].Page == 0 || dir[0].First != 0) {
+		m.fail("%d directory runs for %d paths: want a first at ID 0 past the header page exactly when there are paths", len(dir), n)
 	}
 	return dir
 }

@@ -184,7 +184,7 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 		return nil
 	})
 	if err != nil {
-		ix.store.Truncate(npaths)
+		ix.store.Seal(npaths)
 		ix.dict.truncate(terms)
 		return err
 	}

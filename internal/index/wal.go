@@ -101,7 +101,7 @@ func (ix *Index) checkpointLocked() error {
 	if err := ix.wal.Checkpoint(ix.applied); err != nil {
 		return fmt.Errorf("index: checkpoint wal: %w", err)
 	}
-	ix.store.SealCurrentPage()
+	ix.store.Seal(len(ix.lens))
 	return nil
 }
 

@@ -116,7 +116,7 @@ func TestRecordStoreSealCurrentPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs.SealCurrentPage()
+	rs.Seal(rs.Len())
 	r2, err := rs.Append([]byte("second"))
 	if err != nil {
 		t.Fatal(err)

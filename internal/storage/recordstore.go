@@ -27,8 +27,7 @@ type Run struct {
 // An entry is a varint, the count of leading bytes its record shares
 // with the previous record on the page, then the rest of the record.
 // At slot 0 and every restartEvery slots the count is 0 — the record is
-// spelled in full — so a read decodes forward from the nearest restart,
-// at most restartEvery−1 entries before the one it wants.
+// spelled in full — so a read needs no entry before the nearest restart.
 const (
 	pageHdrSize  = 6
 	endSize      = 2
@@ -88,25 +87,22 @@ func NewRecordStore(pool *BufferPool, dir []Run, count uint32) *RecordStore {
 func (rs *RecordStore) Len() int { return int(rs.count) }
 
 // Directory returns the store's runs, ascending in page and in first ID.
-// The slice is the store's: read it before the next Append or Truncate.
+// The slice is the store's: read it before the next Append or Seal.
 func (rs *RecordStore) Directory() []Run { return rs.dir }
 
-// SealCurrentPage closes the page open for appends, so the next
-// Append goes to a freshly allocated page. The index calls it after a
-// checkpoint: pages holding only checkpointed (no longer replayable)
-// records are never rewritten afterwards, which keeps a torn page
-// write from destroying records the WAL can no longer restore.
-func (rs *RecordStore) SealCurrentPage() { rs.current, rs.last = 0, rs.last[:0] }
-
-// Truncate forgets every record from ID n on: the next Append hands out
-// n, and the runs opened at or after it leave the directory. No page is
-// rewritten. The current page is sealed, so the forgotten records' slots
-// stay after the last remembered record on their page, which takes no
-// further appends, and the pages opened for them are named by no run.
-func (rs *RecordStore) Truncate(n int) {
+// Seal closes the page open for appends, so the next Append goes to a
+// freshly allocated page, and forgets every record from ID n on: the
+// next Append hands out n, and the runs opened at or after it leave the
+// directory. No page is rewritten. The index seals at its path count
+// after a checkpoint, so pages holding only checkpointed (no longer
+// replayable) records are never rewritten and a torn page write cannot
+// destroy records the WAL can no longer restore; and at its path count
+// from before a failed insert's staging, whose records' slots then stay
+// after the last remembered record on a page that takes no further
+// appends, while the pages opened for them are named by no run.
+func (rs *RecordStore) Seal(n int) {
 	rs.dir = rs.dir[:sort.Search(len(rs.dir), func(i int) bool { return rs.dir[i].First >= uint32(n) })]
-	rs.count = uint32(n)
-	rs.SealCurrentPage()
+	rs.count, rs.current, rs.last = uint32(n), 0, rs.last[:0]
 }
 
 // errPageFull is put's answer when the record does not fit the page.
@@ -178,28 +174,16 @@ func (rs *RecordStore) put(data []byte) error {
 	return nil
 }
 
-// checkPage refuses a page whose record count overruns it, or which
-// does not start at its run's first ID.
-func checkPage(p []byte, first uint32) error {
-	if n := pageCount(p); pageHdrSize+endSize*n > PageSize {
-		return fmt.Errorf("storage: record count %d overruns the page", n)
-	}
-	if f := pageFirst(p); f != first {
-		return fmt.Errorf("storage: the page starts at ID %d, its run at %d", f, first)
-	}
-	return nil
-}
-
-// record decodes slot's record on page p, whose record count checkPage
-// has passed, into a slice of its own. It copies the rest of the slot's
-// entry, then walks back through the entries before it, each filling the
-// bytes its record shares with the next that it spells itself, until the
-// record's first byte is filled — at the latest at the slot's restart,
-// which shares nothing. It trusts no byte it reads: a slot past the
+// record appends slot's record on page p, whose record count Read has
+// checked, to dst. It copies the rest of the slot's entry, then walks
+// back through the entries before it, each filling the bytes its record
+// shares with the next that it spells itself, until the record's first
+// byte is filled — at the latest at the slot's restart, which shares
+// nothing. It trusts no byte it reads: a slot past the
 // record count, an entry out of order or past the page, a truncated
 // shared count, one longer than the previous record and a restart that
 // shares anything are errors.
-func record(p []byte, slot int) ([]byte, error) {
+func record(dst, p []byte, slot int) ([]byte, error) {
 	n := pageCount(p)
 	if slot >= n {
 		return nil, fmt.Errorf("storage: slot %d beyond the page's %d records", slot, n)
@@ -208,7 +192,7 @@ func record(p []byte, slot int) ([]byte, error) {
 	if end > PageSize-endSize*n {
 		return nil, fmt.Errorf("storage: slot %d: entry ends at %d, past the page's records", slot, end)
 	}
-	var out []byte
+	var out []byte // the record, at the end of dst
 	// out[:need] is still to fill; next is the shared count of entry i+1.
 	need, next := 0, 0
 	for i := slot; i == slot || need > 0; i-- {
@@ -229,7 +213,9 @@ func record(p []byte, slot int) ([]byte, error) {
 		shared, rest := int(s), p[at+w:end]
 		switch {
 		case i == slot:
-			out = make([]byte, shared+len(rest))
+			from := len(dst)
+			dst = slices.Grow(dst, shared+len(rest))[:from+shared+len(rest)]
+			out = dst[from:]
 			copy(out[shared:], rest)
 			need = shared
 		case next > shared+len(rest):
@@ -240,7 +226,7 @@ func record(p []byte, slot int) ([]byte, error) {
 		}
 		next, end = shared, at
 	}
-	return out, nil
+	return dst, nil
 }
 
 // errBatchStop aborts a View pass early without surfacing a storage
@@ -270,7 +256,8 @@ func (e *RecordError) Unwrap() error { return e.Err }
 // page once through one pool View, and decodes every record wanted on it
 // under that one lock acquisition.
 //
-// Results are in input order; duplicates are read once per occurrence.
+// Results are in input order, cut from one buffer with their capacity
+// capped; duplicates are read once per occurrence.
 // The Reads result is the View's page work, also when the read fails or
 // stops early. An ID no run or slot holds, or a page that does not
 // decode, fails the read with a *RecordError, as does a page the pool
@@ -301,8 +288,7 @@ func (rs *RecordStore) Read(ctx context.Context, ids []uint32) ([][]byte, Reads,
 			return nil, Reads{}, &RecordError{Index: i, ID: ids[i], Err: fmt.Errorf("storage: no run holds ID %d (%d records)", ids[i], rs.count)}
 		}
 		if len(runs) == 0 || runs[len(runs)-1] != r {
-			runs = append(runs, r)
-			ends = append(ends, k)
+			runs, ends = append(runs, r), append(ends, 0)
 		}
 		ends[len(ends)-1] = k + 1
 	}
@@ -311,30 +297,31 @@ func (rs *RecordStore) Read(ctx context.Context, ids []uint32) ([][]byte, Reads,
 		pages[k] = rs.dir[r].Page
 	}
 	// The copies happen under the pool lock, because frames may be
-	// rewritten after it is released.
+	// rewritten after it is released. They go to one buffer, the records
+	// back to back; stops[i] is where out[i] ends in it once read.
+	buf, stops := make([]byte, 0, 16*len(ids)), make([]int, len(ids))
 	cur := 0
 	n, err := rs.pool.View(pages, func(k int, p []byte) error {
 		if ctx.Err() != nil {
 			return errBatchStop
 		}
-		first := rs.dir[runs[k]].First
-		if err := checkPage(p, first); err != nil {
+		run := rs.dir[runs[k]]
+		if n := pageCount(p); pageHdrSize+endSize*n > PageSize || pageFirst(p) != run.First {
+			err := fmt.Errorf("storage: page %d holds %d records from ID %d, not its run's from %d", run.Page, n, pageFirst(p), run.First)
 			return &RecordError{Index: order[cur], ID: ids[order[cur]], Err: err}
 		}
 		for ; cur < ends[k]; cur++ {
 			i := order[cur]
-			rec, err := record(p, int(ids[i]-first))
-			if err != nil {
+			from := len(buf)
+			var err error
+			if buf, err = record(buf, p, int(ids[i]-run.First)); err != nil {
 				return &RecordError{Index: i, ID: ids[i], Err: err}
 			}
-			out[i] = rec
+			out[i], stops[i] = buf[from:], len(buf) // moved onto buf's last backing below
 		}
 		return nil
 	})
-	if errors.Is(err, errBatchStop) {
-		return out, n, ctx.Err()
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, errBatchStop) {
 		// A page fault surfaces from the pool before fn sees the page;
 		// attribute it to the first unread record, the head of the
 		// failing page's group.
@@ -343,6 +330,14 @@ func (rs *RecordStore) Read(ctx context.Context, ids []uint32) ([][]byte, Reads,
 			err = &RecordError{Index: order[cur], ID: ids[order[cur]], Err: err}
 		}
 		return nil, n, err
+	}
+	for i, rec := range out {
+		if rec != nil {
+			out[i] = buf[stops[i]-len(rec) : stops[i] : stops[i]]
+		}
+	}
+	if err != nil {
+		return out, n, ctx.Err()
 	}
 	return out, n, nil
 }
