@@ -44,7 +44,7 @@ func appendTerm(buf []byte, t rdf.Term) []byte {
 }
 
 // EncodePath serialises a path's labels as inline strings. No index
-// stores this format: records are dictionary-interned (appendRecord).
+// stores this format: records are dictionary-interned (EncodePathDict).
 // EncodePath and DecodePath stay exported only because the frozen
 // benchmark harness (bench/trace.go, index.decode_ns_per_path) and
 // FuzzDecodePath call them.

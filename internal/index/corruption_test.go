@@ -190,6 +190,9 @@ func TestReadDictionaryErrors(t *testing.T) {
 	if _, ok := back.Lookup(iri("zz")); ok {
 		t.Error("unknown term found")
 	}
+	if _, err := back.Term(99); err == nil {
+		t.Error("out-of-range Term accepted")
+	}
 	// Truncations fail.
 	for _, cut := range []int{0, 2, 5, len(good) - 1} {
 		if _, err := ReadDictionary(bufio.NewReader(bytes.NewReader(good[:cut])), int64(cut)); err == nil {

@@ -57,6 +57,14 @@ func (d *Dictionary) Lookup(t rdf.Term) (uint32, bool) {
 	return id, ok
 }
 
+// Term returns the term with the given ID.
+func (d *Dictionary) Term(id uint32) (rdf.Term, error) {
+	if int(id) >= len(d.terms) {
+		return rdf.Term{}, fmt.Errorf("index: dictionary id %d out of range (%d terms)", id, len(d.terms))
+	}
+	return d.terms[id], nil
+}
+
 // Len returns the number of interned terms.
 func (d *Dictionary) Len() int { return len(d.terms) }
 
@@ -97,6 +105,34 @@ func appendRecord(buf []byte, ids []uint32) []byte {
 		}
 	}
 	return buf
+}
+
+// EncodePathDict serialises a path's labels as varint dictionary IDs —
+// node, edge, node, …, node — interning terms d has not seen.
+func EncodePathDict(p paths.Path, d *Dictionary) []byte {
+	ids := make([]uint32, 0, len(p.Nodes)+len(p.Edges))
+	for _, t := range p.Nodes {
+		ids = append(ids, d.ID(t))
+	}
+	for _, t := range p.Edges {
+		ids = append(ids, d.ID(t))
+	}
+	return appendRecord(make([]byte, 0, 1+2*len(ids)), ids)
+}
+
+// DecodePathDict deserialises a record written by EncodePathDict: one
+// pass over the record and one allocation, a single term slice cut into
+// nodes and edges, whose strings are the dictionary's.
+func DecodePathDict(buf []byte, d *Dictionary) (paths.Path, error) {
+	n, err := recordNodes(buf)
+	if err != nil {
+		return paths.Path{}, err
+	}
+	terms := make([]rdf.Term, 2*n-1)
+	if err := d.decodeRecord(buf, n, terms, nil); err != nil {
+		return paths.Path{}, err
+	}
+	return pathOf(terms, n), nil
 }
 
 // recordNodes returns a record's node count n: it counts the record's

@@ -210,32 +210,3 @@ func FuzzReadMeta(f *testing.F) {
 		}
 	})
 }
-
-// EncodePathDict is a path's record, as walkPaths and appendRecord make
-// it, interning terms d has not seen: the record codec over whole paths,
-// which only tests need.
-func EncodePathDict(p paths.Path, d *Dictionary) []byte {
-	ids := make([]uint32, 0, len(p.Nodes)+len(p.Edges))
-	for _, t := range p.Nodes {
-		ids = append(ids, d.ID(t))
-	}
-	for _, t := range p.Edges {
-		ids = append(ids, d.ID(t))
-	}
-	return appendRecord(make([]byte, 0, 1+2*len(ids)), ids)
-}
-
-// DecodePathDict deserialises a record written by EncodePathDict: one
-// pass over the record and one allocation, a single term slice cut into
-// nodes and edges, whose strings are the dictionary's.
-func DecodePathDict(buf []byte, d *Dictionary) (paths.Path, error) {
-	n, err := recordNodes(buf)
-	if err != nil {
-		return paths.Path{}, err
-	}
-	terms := make([]rdf.Term, 2*n-1)
-	if err := d.decodeRecord(buf, n, terms, nil); err != nil {
-		return paths.Path{}, err
-	}
-	return pathOf(terms, n), nil
-}

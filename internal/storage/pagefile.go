@@ -178,8 +178,11 @@ func (pf *PageFile) Size() int64 {
 	return int64(pf.npages) * PageSize
 }
 
-// Rename moves the file to path, which the sync-poison errors name from
-// then on; the open handle stays valid.
+// Path returns the file path.
+func (pf *PageFile) Path() string { return pf.path }
+
+// Rename moves the file to path, which Path and the sync-poison errors
+// name from then on; the open handle stays valid.
 func (pf *PageFile) Rename(path string) error {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
