@@ -179,10 +179,10 @@ func (rs *RecordStore) put(data []byte) error {
 // back through the entries before it, each filling the bytes its record
 // shares with the next that it spells itself, until the record's first
 // byte is filled — at the latest at the slot's restart, which shares
-// nothing. It trusts no byte it reads: a slot past the
-// record count, an entry out of order or past the page, a truncated
-// shared count, one longer than the previous record and a restart that
-// shares anything are errors.
+// nothing. It trusts no byte it reads: a slot past the record count, an
+// entry out of order or past the page, a truncated shared count, one
+// longer than the previous record and a restart that shares anything
+// are errors.
 func record(dst, p []byte, slot int) ([]byte, error) {
 	n := pageCount(p)
 	if slot >= n {
