@@ -28,8 +28,10 @@ var updateInsertGolden = flag.Bool("update", false, "rewrite testdata/insert_str
 // they say (idsDigest: the same whatever bytes spell it), against
 // testdata/insert_stream.golden. The legs are a 2 000-triple LUBM base
 // taking 40 batches of 25 unseen triples (and a crash copy of it, which
-// Open replays), and a sourceless ring that takes a hub-rooted insert,
-// one that gives it a source, and one on the now-sourced graph.
+// Open replays), a sourceless ring that takes a hub-rooted insert,
+// one that gives it a source, and one on the now-sourced graph, and a
+// small graph whose batches add terms no path holds (and a crash copy of
+// it, and the compaction of it).
 func TestInsertStreamGolden(t *testing.T) {
 	var got strings.Builder
 	record := func(leg string, ix *Index) {
@@ -80,6 +82,45 @@ func TestInsertStreamGolden(t *testing.T) {
 	record("ring-sourced", ring)
 	insert(ring, []rdf.Triple{{S: iri("r4"), P: iri("skip"), O: iri("t0")}})
 	record("ring-after", ring)
+
+	// Terms no path holds: under a three-node budget n3 lies beyond every
+	// root, u1 and u2 form a cycle no source reaches, and batches add
+	// more of both, reuse node terms as predicates and a pending predicate
+	// as a node, repeat triples within and across batches, and at last
+	// reach the pending cycle from a root, all with no checkpoint between
+	// them.
+	chain := rdf.NewGraph()
+	for _, tr := range [][3]string{{"r0", "a", "n1"}, {"n1", "b", "n2"}, {"n2", "c", "n3"}, {"r1", "a", "n1"}, {"u1", "loop", "u2"}, {"u2", "loop", "u1"}} {
+		chain.AddTriple(rdf.Triple{S: iri(tr[0]), P: iri(tr[1]), O: iri(tr[2])})
+	}
+	pendBase := filepath.Join(t.TempDir(), "pending")
+	pend, err := Build(pendBase, chain, Options{Paths: paths.Config{MaxLength: 3}, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pend.Close()
+	for _, batch := range [][][3]string{
+		{{"n3", "far", "x1"}, {"v1", "only", "v2"}, {"v2", "only", "v1"}, {"v1", "only", "v2"}, {"r0", "n2", "x2"}, {"u2", "u1", "x6"}},
+		{{"n3", "far", "x1"}, {"r0", "v1", "x3"}, {"only", "a", "x4"}, {"x1", "far", "x5"}},
+		{{"r1", "reach", "v1"}, {"v2", "far", "x7"}, {"r0", "n2", "x2"}},
+	} {
+		var ts []rdf.Triple
+		for _, tr := range batch {
+			ts = append(ts, rdf.Triple{S: iri(tr[0]), P: iri(tr[1]), O: iri(tr[2])})
+		}
+		insert(pend, ts)
+	}
+	pendRe, err := Open(crashClone(t, pendBase), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pendRe.Close()
+	record("pending", pend)
+	record("pending-replayed", pendRe)
+	if _, err := pend.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	record("pending-compacted", pend)
 
 	golden := filepath.Join("testdata", "insert_stream.golden")
 	if *updateInsertGolden {
