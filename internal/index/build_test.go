@@ -165,7 +165,9 @@ func TestBuildFailureStopsWalkers(t *testing.T) {
 
 // BenchmarkBuild times Build of the benchmark's 50 k-triple LUBM base
 // (the first 50 000 of 55 000 generated triples, data seed 1, with the
-// benchmark thesaurus). The graph is built once, outside the timer.
+// benchmark thesaurus). The graph is built once, outside the timer. It
+// also reports graph_B/edge, the heap the index's resident graph of that
+// base takes per edge (see residentGraphBytes).
 func BenchmarkBuild(b *testing.B) {
 	ts := datasets.LUBM{}.Generate(55000, 1).Triples()[:50000]
 	g, err := rdf.NewGraphFromTriples(ts)
@@ -176,12 +178,33 @@ func BenchmarkBuild(b *testing.B) {
 	base := filepath.Join(b.TempDir(), "bench")
 	b.ReportAllocs()
 	b.ResetTimer()
+	var ix *Index
 	for range b.N {
-		ix, err := Build(base, g, opts)
-		if err != nil {
+		if ix, err = Build(base, g, opts); err != nil {
 			b.Fatal(err)
 		}
 		ix.Close()
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(b.N*len(ts))/b.Elapsed().Seconds(), "triples/s")
+	b.ReportMetric(residentGraphBytes(g, ix.dict)/float64(g.EdgeCount()), "graph_B/edge")
+}
+
+// residentGraphBytes is the heap the graph an index keeps of g takes, in
+// the IDs of d, which holds every term of g: the HeapAlloc delta across
+// building it alone, two collections before and two after, with g and d
+// (and the triples g was built from) alive throughout.
+func residentGraphBytes(g *rdf.Graph, d *Dictionary) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ig := graphOf(g)
+	ig.settle(d)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ig)
+	runtime.KeepAlive(d)
+	return float64(after.HeapAlloc) - float64(before.HeapAlloc)
 }

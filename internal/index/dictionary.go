@@ -57,14 +57,6 @@ func (d *Dictionary) Lookup(t rdf.Term) (uint32, bool) {
 	return id, ok
 }
 
-// Term returns the term with the given ID.
-func (d *Dictionary) Term(id uint32) (rdf.Term, error) {
-	if int(id) >= len(d.terms) {
-		return rdf.Term{}, fmt.Errorf("index: dictionary id %d out of range (%d terms)", id, len(d.terms))
-	}
-	return d.terms[id], nil
-}
-
 // Len returns the number of interned terms.
 func (d *Dictionary) Len() int { return len(d.terms) }
 

@@ -168,10 +168,10 @@ type Index struct {
 	// directory names. Like every dictionary write, interning happens
 	// under the write lock or before the index is shared.
 	dict *Dictionary
-	// graph is the indexed data graph, which InsertTriples re-enumerates
-	// the affected paths of: Build retains the one it indexed, and the
-	// metadata carries it, in the dictionary's term IDs, for Open.
-	graph *rdf.Graph
+	// graph is the indexed data graph in term IDs (see idGraph), which
+	// InsertTriples re-enumerates the affected paths of: Build copies the
+	// one it indexed, and the metadata carries it for Open.
+	graph *idGraph
 	// opts is what the index was built or opened with, Paths the budget
 	// the metadata records: the compaction swap and its roll-forward
 	// reopen the files with them.
@@ -271,7 +271,7 @@ func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
 
 // build is Build with the step that registers the paths, returning
 // their count, given as fill.
-func build(base string, g *rdf.Graph, opts Options, fill func(*Index) (int, error)) (*Index, error) {
+func build(base string, src *rdf.Graph, opts Options, fill func(*Index) (int, error)) (*Index, error) {
 	start := time.Now()
 	opts.Paths = opts.pathConfig()
 	if err := checkPathBudget(opts.Paths); err != nil {
@@ -291,7 +291,7 @@ func build(base string, g *rdf.Graph, opts Options, fill func(*Index) (int, erro
 	err = wal.Reset(1)
 	var ix *Index
 	if err == nil {
-		ix, err = writeIndex(base, g, opts, fill, func(ix *Index) { ix.stats.BuildTime = time.Since(start) })
+		ix, err = writeIndex(base, graphOf(src), opts, fill, func(ix *Index) { ix.stats.BuildTime = time.Since(start) })
 	}
 	if err != nil {
 		wal.Close()
@@ -309,7 +309,7 @@ func build(base string, g *rdf.Graph, opts Options, fill func(*Index) (int, erro
 // returns the index open on the files, with no lock or log. Build and
 // Compact both write through it, so a compacted index is the one a
 // fresh build of its graph gives.
-func writeIndex(base string, g *rdf.Graph, opts Options, fill func(*Index) (int, error), stamp func(*Index)) (*Index, error) {
+func writeIndex(base string, g *idGraph, opts Options, fill func(*Index) (int, error), stamp func(*Index)) (*Index, error) {
 	file, err := storage.CreatePageFile(pagesPath(base))
 	if err != nil {
 		return nil, err
@@ -328,7 +328,7 @@ func writeIndex(base string, g *rdf.Graph, opts Options, fill func(*Index) (int,
 	ix.store = storage.NewRecordStore(ix.pool, nil, 0)
 	n, err := fill(ix)
 	if err == nil {
-		ix.stats = Stats{Triples: g.EdgeCount(), HV: g.NodeCount(), HE: g.EdgeCount() + n, Paths: n}
+		ix.stats = Stats{Triples: len(g.from), HV: g.NodeCount(), HE: len(g.from) + n, Paths: n}
 		stamp(ix)
 		if err = ix.pool.Flush(); err == nil {
 			err = ix.writeMeta()
@@ -346,7 +346,7 @@ func writeIndex(base string, g *rdf.Graph, opts Options, fill func(*Index) (int,
 // every path the graph's roots start.
 func (ix *Index) streamPaths(ctx context.Context) (int, error) {
 	n := 0
-	err := ix.walkPaths(ctx, ix.graph.PathRoots(), func(ids []uint32, rec []byte) error {
+	err := ix.walkPaths(ctx, ix.graph.roots(), func(ids []uint32, rec []byte) error {
 		if _, err := ix.store.Append(rec); err != nil {
 			return err
 		}
@@ -360,16 +360,12 @@ func (ix *Index) streamPaths(ctx context.Context) (int, error) {
 // walkPaths is the one route from the graph to records: it streams the
 // paths of the graph from roots (see paths.Stream), stopped by ctx, and
 // calls fn with each path's term IDs — the nodes, then the edges, each
-// graph node and edge interned when a path first holds it — and its
+// term interned when a path first holds it (idGraph.intern) — and its
 // record, both valid until fn returns. Build, Compact and every insert
 // register paths through it, so a term's ID depends only on the order
 // the walk first meets it in.
 func (ix *Index) walkPaths(ctx context.Context, roots []rdf.NodeID, fn func(ids []uint32, rec []byte) error) error {
 	g := ix.graph
-	// nodeIDs[v] and edgeIDs[e] are 1 + the dictionary ID of node v's
-	// term and of edge e's label, 0 until a path first holds them.
-	nodeIDs := make([]uint32, g.NodeCount())
-	edgeIDs := make([]uint32, g.EdgeCount())
 	var ids []uint32
 	var rec []byte
 	return paths.Stream(g, roots, ix.opts.Paths, func(nodes []rdf.NodeID, edges []rdf.EdgeID) error {
@@ -378,16 +374,10 @@ func (ix *Index) walkPaths(ctx context.Context, roots []rdf.NodeID, fn func(ids 
 		}
 		ids = ids[:0]
 		for _, v := range nodes {
-			if nodeIDs[v] == 0 {
-				nodeIDs[v] = ix.dict.ID(g.Term(v)) + 1
-			}
-			ids = append(ids, nodeIDs[v]-1)
+			ids = append(ids, g.intern(ix.dict, g.nodeTerm[v]))
 		}
 		for _, e := range edges {
-			if edgeIDs[e] == 0 {
-				edgeIDs[e] = ix.dict.ID(g.Edge(e).Label) + 1
-			}
-			ids = append(ids, edgeIDs[e]-1)
+			ids = append(ids, g.intern(ix.dict, g.label[e]))
 		}
 		rec = appendRecord(rec[:0], ids)
 		return fn(ids, rec)
@@ -508,30 +498,26 @@ func openIndex(base string, opts Options) (*Index, error) {
 var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', 'C'}
 
 // writeMeta persists the metadata atomically: the bytes go to a temp
-// file, are fsynced, and replace the old metadata with a rename — a
-// crash mid-write leaves the previous (consistent) metadata in place,
-// never a truncated one.
+// file (in 64 KiB writes), are fsynced, and replace the old metadata
+// with a rename — a crash mid-write leaves the previous (consistent)
+// metadata in place, never a truncated one.
 func (ix *Index) writeMeta() error {
 	tmpPath := metaPath(ix.base) + ".tmp"
 	f, err := os.Create(tmpPath)
 	if err != nil {
 		return err
 	}
-	if err := ix.encodeMeta(bufio.NewWriter(f)); err != nil {
-		f.Close()
-		os.Remove(tmpPath)
-		return err
+	err = ix.encodeMeta(bufio.NewWriterSize(f, 1<<16))
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmpPath)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmpPath)
-		return err
+	if err == nil {
+		err = os.Rename(tmpPath, metaPath(ix.base))
 	}
-	if err := os.Rename(tmpPath, metaPath(ix.base)); err != nil {
+	if err != nil {
 		os.Remove(tmpPath)
 		return err
 	}
@@ -547,18 +533,11 @@ func (ix *Index) writeMeta() error {
 // checkpoint's records with another's dictionary, or the paths of one
 // graph with another graph.
 func (ix *Index) encodeMeta(w *bufio.Writer) error {
-	// Every graph term is interned first, so the graph can be written in
+	// The pending terms are interned first, so the graph can be written in
 	// dictionary IDs: a term no live path uses — an edge past MaxPerRoot,
 	// a cycle no source reaches, any term after a compaction — too.
 	g := ix.graph
-	nodeTerms := make([]uint32, g.NodeCount())
-	for n := range nodeTerms {
-		nodeTerms[n] = ix.dict.ID(g.Term(rdf.NodeID(n)))
-	}
-	edgeLabels := make([]uint32, g.EdgeCount())
-	for e := range edgeLabels {
-		edgeLabels[e] = ix.dict.ID(g.Edge(rdf.EdgeID(e)).Label)
-	}
+	g.settle(ix.dict)
 	// A bufio.Writer keeps its first error and reports it from Flush, so
 	// the writes below need no checks of their own.
 	var tmp [binary.MaxVarintLen64]byte
@@ -621,16 +600,15 @@ func (ix *Index) encodeMeta(w *bufio.Writer) error {
 	}
 	// The graph: every node's term in node-ID order, then every edge as
 	// (from, label, to) in edge-ID order, so a reopen has the same IDs.
-	wu(uint64(len(nodeTerms)))
-	for _, term := range nodeTerms {
-		wu(uint64(term))
+	wu(uint64(len(g.nodeTerm)))
+	for _, ref := range g.nodeTerm {
+		wu(uint64(ref - 1))
 	}
-	wu(uint64(len(edgeLabels)))
-	for e, label := range edgeLabels {
-		edge := g.Edge(rdf.EdgeID(e))
-		wu(uint64(edge.From))
-		wu(uint64(label))
-		wu(uint64(edge.To))
+	wu(uint64(len(g.label)))
+	for e, ref := range g.label {
+		wu(uint64(g.from[e]))
+		wu(uint64(ref - 1))
+		wu(uint64(g.to[e]))
 	}
 	return w.Flush()
 }
@@ -805,15 +783,15 @@ func (m *metaReader) id(prev uint64, first bool, bound int, what string) uint64 
 	return prev + d
 }
 
-// term reads a dictionary ID and returns its term. The ID is compared
-// as read: narrowed first, ID 2³²+3 would read as term 3.
-func (m *metaReader) term(d *Dictionary) rdf.Term {
+// term reads a dictionary ID and returns it. The ID is compared as
+// read: narrowed first, ID 2³²+3 would read as term 3.
+func (m *metaReader) term(d *Dictionary) uint32 {
 	id := m.uvarint()
 	if id >= uint64(d.Len()) {
 		m.fail("dictionary id %d out of range (%d terms)", id, d.Len())
-		return rdf.Term{}
+		return 0
 	}
-	return d.terms[id]
+	return uint32(id)
 }
 
 // directory reads the record store's runs written by encodeMeta, for n
@@ -854,15 +832,18 @@ func (m *metaReader) sources(npaths int, d *Dictionary) map[uint32][]PathID {
 	return sources
 }
 
-// graph reads the data graph written by encodeMeta, rebuilding it with
-// the node and edge IDs it was written with.
-func (m *metaReader) graph(d *Dictionary) *rdf.Graph {
-	g := rdf.NewGraph()
+// graph reads the data graph written by encodeMeta straight into the
+// columns, with the node and edge IDs it was written with.
+func (m *metaReader) graph(d *Dictionary) *idGraph {
 	nodes := m.count(1, "node")
+	g := &idGraph{nodeTerm: make([]uint32, 0, nodes), out: make([][]rdf.EdgeID, nodes), in: make([][]rdf.EdgeID, nodes),
+		node: make(map[uint32]rdf.NodeID, nodes), pending: NewDictionary()}
 	for i := 0; i < nodes && m.err == nil; i++ {
-		if t := m.term(d); m.err == nil && g.AddNode(t) != rdf.NodeID(i) {
-			m.fail("graph node %d (%s) repeats an earlier one", i, t)
+		t := m.term(d)
+		if _, dup := g.node[t+1]; dup && m.err == nil {
+			m.fail("graph node %d (%s) repeats an earlier one", i, d.terms[t])
 		}
+		g.node[t+1], g.nodeTerm = rdf.NodeID(i), append(g.nodeTerm, t+1)
 	}
 	edges := m.count(3, "edge")
 	for i := 0; i < edges && m.err == nil; i++ {
@@ -870,7 +851,7 @@ func (m *metaReader) graph(d *Dictionary) *rdf.Graph {
 		if from >= uint64(nodes) || to >= uint64(nodes) {
 			m.fail("graph edge %d joins nodes %d and %d of %d", i, from, to, nodes)
 		}
-		if m.err == nil && g.AddEdge(rdf.NodeID(from), rdf.NodeID(to), label) != rdf.EdgeID(i) {
+		if m.err == nil && !g.addEdge(rdf.NodeID(from), rdf.NodeID(to), label+1) {
 			m.fail("graph edge %d repeats an earlier one", i)
 		}
 	}

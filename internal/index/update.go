@@ -9,11 +9,12 @@ import (
 	"sama/internal/textindex"
 )
 
-// Graph returns the indexed data graph.
+// Graph returns the indexed data graph, with its node and edge IDs,
+// spelt out through the dictionary into a fresh rdf.Graph.
 func (ix *Index) Graph() *rdf.Graph {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.graph
+	return ix.graph.materialise(ix.dict)
 }
 
 // LivePaths returns the number of paths not tombstoned by updates.
@@ -61,8 +62,8 @@ func (ix *Index) livePathsLocked() int {
 // to the dictionary) and the in-memory tables — epoch, tombstones,
 // postings — commit last, in a phase that cannot fail. On
 // error the index answers exactly as before the call, and the data graph
-// is undone to what it was, so the next metadata write cannot persist a
-// graph the index does not match.
+// and its pending terms are truncated to what they were, so the next
+// metadata write cannot persist a graph the index does not match.
 //
 // The batch is logged and fsynced before any page is touched. The
 // insert holds the writer lock across the append and the apply, so
@@ -108,39 +109,37 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 // mutation comes first, then everything that can fail — reading the
 // affected roots' indexed paths and the record-store staging — and only
 // then the in-memory commit, which cannot fail; a failure undoes the
-// graph mutation. The affected roots' paths reach their records through
-// walkPaths, the route Build takes. WAL replay calls this too: re-applying a batch
-// re-enumerates the same roots into the same records, so it keeps every
-// ID and stages nothing.
+// graph mutation and the terms staging interned. The affected roots'
+// paths reach their records through walkPaths, the route Build takes.
+// WAL replay calls this too: re-applying a batch re-enumerates the same
+// roots into the same records, so it keeps every ID and stages nothing.
 func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 	g := ix.graph
-	wasHubRooted := len(g.Sources()) == 0
-	mark := g.Mark()
+	wasHubRooted := len(rdf.Sources(g.out, g.in)) == 0
+	mark := graphMark{len(g.nodeTerm), len(g.from), g.pending.Len(), ix.dict.Len()}
 	defer func() {
 		if err != nil {
-			g.Undo(mark)
+			g.undo(mark, ix.dict)
 		}
 	}()
-	preNodes := g.NodeCount()
 
-	subjects := make(map[rdf.NodeID]struct{})
-	for _, t := range ts {
-		g.AddTriple(t)
-		subjects[g.NodeByTerm(t.S)] = struct{}{}
+	subjects, objects := make([]rdf.NodeID, len(ts)), make([]rdf.NodeID, len(ts))
+	for i, t := range ts {
+		subjects[i], objects[i] = g.addNode(ix.dict, t.S), g.addNode(ix.dict, t.O)
+		g.addEdge(subjects[i], objects[i], g.ref(ix.dict, t.P))
 	}
 
 	var roots []rdf.NodeID
 	var old oldPaths
 	tombAll := false
-	if wasHubRooted || len(g.Sources()) == 0 {
+	if wasHubRooted || len(rdf.Sources(g.out, g.in)) == 0 {
 		// Hub-rooted before or after: recompute everything.
-		roots = g.PathRoots()
+		roots = g.roots()
 		tombAll = true
 	} else {
 		affected := reverseClosure(g, subjects)
-		for _, r := range g.PathRoots() {
-			_, hit := affected[r]
-			if hit || int(r) >= preNodes {
+		for _, r := range g.roots() {
+			if affected[r] || int(r) >= mark.nodes {
 				roots = append(roots, r)
 			}
 		}
@@ -149,12 +148,12 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 		// They are read with the roots' and, since no path re-enumerated
 		// below starts there, matched by none: tombstoned.
 		starts := slices.Clip(roots)
-		for _, t := range ts {
-			if o := g.NodeByTerm(t.O); g.OutDegree(o) > 0 {
+		for _, o := range objects {
+			if len(g.out[o]) > 0 {
 				starts = append(starts, o)
 			}
 		}
-		if old, err = ix.oldPathsFrom(g, starts); err != nil {
+		if old, err = ix.oldPathsFrom(starts); err != nil {
 			return err
 		}
 	}
@@ -165,13 +164,13 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 	// interning it added none. A failure here aborts with the index
 	// unchanged: the store forgets the records staged — their bytes are
 	// orphans in an append-only store, reclaimed by the next compaction,
-	// and their IDs are handed out again — and the terms staging interned
-	// are forgotten too, or the next metadata write would persist a
-	// dictionary no record needs. ids holds every staged path's term IDs
-	// back to back; ends[i] is where the i-th one's stop.
+	// and their IDs are handed out again — and the graph's undo forgets
+	// the terms staging interned too, or the next metadata write would
+	// persist a dictionary no record needs. ids holds every staged path's
+	// term IDs back to back; ends[i] is where the i-th one's stop.
 	var ends []int
 	var ids []uint32
-	terms, npaths := ix.dict.Len(), len(ix.lens)
+	npaths := len(ix.lens)
 	err = ix.walkPaths(context.TODO(), roots, func(p []uint32, rec []byte) error {
 		if old.match(rec) {
 			return nil
@@ -185,7 +184,6 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 	})
 	if err != nil {
 		ix.store.Seal(npaths)
-		ix.dict.truncate(terms)
 		return err
 	}
 
@@ -214,10 +212,10 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 		ix.commitPath(ids[from:end])
 		from = end
 	}
-	ix.stats.Triples = g.EdgeCount()
+	ix.stats.Triples = len(g.from)
 	ix.stats.HV = g.NodeCount()
 	ix.stats.Paths = ix.livePathsLocked()
-	ix.stats.HE = g.EdgeCount() + ix.stats.Paths
+	ix.stats.HE = len(g.from) + ix.stats.Paths
 	return nil
 }
 
@@ -264,27 +262,21 @@ func (r Reader) TombstonedSince(w Watermark, f Field, label string) []PathID {
 	return textindex.IntersectAmong(r.ix.postings(f), ids[:0], ids, []string{label}, len(ids))
 }
 
-// reverseClosure returns every node that can reach one of the seeds
-// (including the seeds), following edges backwards.
-func reverseClosure(g *rdf.Graph, seeds map[rdf.NodeID]struct{}) map[rdf.NodeID]struct{} {
-	out := make(map[rdf.NodeID]struct{}, len(seeds))
-	var queue []rdf.NodeID
-	for s := range seeds {
-		out[s] = struct{}{}
-		queue = append(queue, s)
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, eid := range g.In(n) {
-			from := g.Edge(eid).From
-			if _, seen := out[from]; !seen {
-				out[from] = struct{}{}
-				queue = append(queue, from)
+// reverseClosure marks every node that can reach one of the seeds
+// (including the seeds), following edges backwards; it takes seeds over
+// as its stack.
+func reverseClosure(g *idGraph, seeds []rdf.NodeID) []bool {
+	reach := make([]bool, g.NodeCount())
+	for len(seeds) > 0 {
+		n := seeds[len(seeds)-1]
+		if seeds = seeds[:len(seeds)-1]; !reach[n] {
+			reach[n] = true
+			for _, e := range g.in[n] {
+				seeds = append(seeds, g.from[e])
 			}
 		}
 	}
-	return out
+	return reach
 }
 
 // oldPaths is the multiset an insert matches its re-enumerated paths
@@ -329,13 +321,13 @@ func (o *oldPaths) match(rec []byte) bool {
 // starts', with their records read in one batched read, without
 // mutating anything — the caller applies the tombstones in the commit
 // phase. A read failure aborts the insert instead of silently keeping a
-// stale path alive. A node whose term the dictionary lacks starts no
-// indexed path.
-func (ix *Index) oldPathsFrom(g *rdf.Graph, starts []rdf.NodeID) (oldPaths, error) {
+// stale path alive. A node whose term no path has held starts no indexed
+// path.
+func (ix *Index) oldPathsFrom(starts []rdf.NodeID) (oldPaths, error) {
 	var old oldPaths
 	read := make(map[uint32]bool, len(starts))
 	for _, n := range starts {
-		term, ok := ix.dict.Lookup(g.Term(n))
+		term, ok := ix.dict.Lookup(ix.graph.term(ix.dict, ix.graph.nodeTerm[n]))
 		if !ok || read[term] {
 			continue
 		}

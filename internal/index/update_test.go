@@ -174,8 +174,8 @@ func TestInsertTriplesIncremental(t *testing.T) {
 	if ix.Stats().Paths != after {
 		t.Errorf("stats.Paths = %d, want %d", ix.Stats().Paths, after)
 	}
-	if ix.Stats().Triples != g.EdgeCount() {
-		t.Errorf("stats.Triples = %d, want %d", ix.Stats().Triples, g.EdgeCount())
+	if want := ix.Graph().EdgeCount(); ix.Stats().Triples != want {
+		t.Errorf("stats.Triples = %d, want %d", ix.Stats().Triples, want)
 	}
 }
 

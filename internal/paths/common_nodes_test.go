@@ -84,19 +84,6 @@ func TestCommonNodesSmallDirect(t *testing.T) {
 	}
 }
 
-// TestIntersectsMatchesCommonNodes pins Intersects to |χ| > 0 across
-// the cutoff boundary.
-func TestIntersectsMatchesCommonNodes(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 2000; trial++ {
-		a, b := randomPath(rng, rng.Intn(12)), randomPath(rng, rng.Intn(12))
-		if got, want := Intersects(a, b), len(commonNodesMap(a, b)) > 0; got != want {
-			t.Fatalf("trial %d: Intersects(%v, %v) = %t, want %t",
-				trial, a.Nodes, b.Nodes, got, want)
-		}
-	}
-}
-
 // TestCommonNodesKindSensitivity guards the fast path against label-only
 // comparison: an IRI and a literal with the same label must not match.
 func TestCommonNodesKindSensitivity(t *testing.T) {
@@ -104,8 +91,5 @@ func TestCommonNodesKindSensitivity(t *testing.T) {
 	b := Path{Nodes: []rdf.Term{rdf.NewLiteral("a")}}
 	if got := CommonNodes(a, b); len(got) != 0 {
 		t.Fatalf("IRI a vs literal a: got %v, want empty", got)
-	}
-	if Intersects(a, b) {
-		t.Fatal("IRI a vs literal a: Intersects = true, want false")
 	}
 }

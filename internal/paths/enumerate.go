@@ -1,11 +1,6 @@
 package paths
 
-import (
-	"runtime"
-	"sync"
-
-	"sama/internal/rdf"
-)
+import "sama/internal/rdf"
 
 // Config bounds the path enumeration. Real RDF graphs can contain an
 // exponential number of source-to-sink paths, so production indexing
@@ -23,35 +18,32 @@ type Config struct {
 // generators.
 var DefaultConfig = Config{MaxLength: 12, MaxPerRoot: 4096}
 
-// Graph is the read-only view of a graph the enumerator needs. Both
-// *rdf.Graph and *rdf.QueryGraph satisfy it.
+// Graph is the read-only view of a graph the walker needs: its node
+// count, each node's out-edges and each edge's target. *rdf.Graph
+// satisfies it, and so does the index's graph of term IDs.
 type Graph interface {
 	NodeCount() int
-	Term(rdf.NodeID) rdf.Term
 	Out(rdf.NodeID) []rdf.EdgeID
-	Edge(rdf.EdgeID) rdf.Edge
-	PathRoots() []rdf.NodeID
+	Target(rdf.EdgeID) rdf.NodeID
 }
 
 // Enumerate returns every source-to-sink path of g within the budgets of
 // cfg, traversing from all path roots (sources, or hubs when the graph is
 // sourceless, §3.2). The result is deterministic: paths are grouped by
 // root in root-ID order, and within one root follow edge insertion order.
-func Enumerate(g Graph, cfg Config) []Path {
-	var w Walker
+func Enumerate(g *rdf.Graph, cfg Config) []Path {
 	var out []Path
-	for _, root := range g.PathRoots() {
-		w.WalkFrom(g, root, cfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) {
-			p := Path{Nodes: make([]rdf.Term, len(nodes)), Edges: make([]rdf.Term, len(edges))}
-			for i, id := range nodes {
-				p.Nodes[i] = g.Term(id)
-			}
-			for i, id := range edges {
-				p.Edges[i] = g.Edge(id).Label
-			}
-			out = append(out, p)
-		})
-	}
+	Stream(g, g.PathRoots(), cfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) error {
+		p := Path{Nodes: make([]rdf.Term, len(nodes)), Edges: make([]rdf.Term, len(edges))}
+		for i, id := range nodes {
+			p.Nodes[i] = g.Term(id)
+		}
+		for i, id := range edges {
+			p.Edges[i] = g.Edge(id).Label
+		}
+		out = append(out, p)
+		return nil
+	})
 	return out
 }
 
@@ -96,8 +88,8 @@ func (w *Walker) WalkFrom(g Graph, root rdf.NodeID, cfg Config, emit func(nodes 
 		for len(top.edges) > 0 {
 			eid := top.edges[0]
 			top.edges = top.edges[1:]
-			e := g.Edge(eid)
-			if w.onPath[e.To] {
+			to := g.Target(eid)
+			if w.onPath[to] {
 				continue // breaking a cycle truncates this branch
 			}
 			if cfg.MaxLength > 0 && len(w.nodes) >= cfg.MaxLength {
@@ -105,7 +97,7 @@ func (w *Walker) WalkFrom(g Graph, root rdf.NodeID, cfg Config, emit func(nodes 
 			}
 			w.edges = append(w.edges, eid)
 			top.extended = true
-			push(e.To)
+			push(to)
 			extended = true
 			break
 		}
@@ -133,75 +125,26 @@ func (w *Walker) WalkFrom(g Graph, root rdf.NodeID, cfg Config, emit func(nodes 
 	w.stack, w.nodes, w.edges = w.stack[:0], w.nodes[:0], w.edges[:0]
 }
 
-const streamWindow = 4 // Stream's read-ahead: roots per walker
-
 // Stream calls emit with the paths of g from each of roots in turn —
-// Enumerate's paths, in its order, when roots is g.PathRoots() — as node
-// and edge IDs valid until emit returns. GOMAXPROCS walkers walk the
-// roots at most a window of roots ahead of emit, so the paths are never
-// all held at once. The first error emit returns stops the stream and is
-// returned; no walker is left running.
+// Enumerate's paths, in its order, when roots is g's path roots — as node
+// and edge IDs valid until emit returns. The first error emit returns
+// stops the stream and is returned.
 func Stream(g Graph, roots []rdf.NodeID, cfg Config, emit func(nodes []rdf.NodeID, edges []rdf.EdgeID) error) error {
-	workers := min(runtime.GOMAXPROCS(0), len(roots))
-	window := streamWindow * workers
-	// runs[i%window] holds root i's paths back to back, lens their sizes.
-	type run struct {
-		nodes []rdf.NodeID
-		edges []rdf.EdgeID
-		lens  []int
-		ready chan struct{}
-	}
-	runs := make([]run, window)
-	jobs := make(chan int, window) // root i+window waits for emit to finish root i
-	for i := range runs {
-		runs[i].ready = make(chan struct{}, 1)
-		if i < len(roots) {
-			jobs <- i
-		}
-	}
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var w Walker
-			for i := range jobs {
-				r := &runs[i%window]
-				r.nodes, r.edges, r.lens = r.nodes[:0], r.edges[:0], r.lens[:0]
-				w.WalkFrom(g, roots[i], cfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) {
-					r.nodes, r.edges = append(r.nodes, nodes...), append(r.edges, edges...)
-					r.lens = append(r.lens, len(nodes))
-				})
-				r.ready <- struct{}{}
+	var w Walker
+	var err error
+	for i := 0; i < len(roots) && err == nil; i++ {
+		w.WalkFrom(g, roots[i], cfg, func(nodes []rdf.NodeID, edges []rdf.EdgeID) {
+			if err == nil {
+				err = emit(nodes, edges)
 			}
-		}()
+		})
 	}
-	defer func() {
-		close(jobs)
-		for range jobs { // drop the roots no walker has taken
-		}
-		wg.Wait()
-	}()
-	for i := range roots {
-		r := &runs[i%window]
-		<-r.ready
-		nodes, edges := r.nodes, r.edges
-		for _, n := range r.lens {
-			if err := emit(nodes[:n], edges[:n-1]); err != nil {
-				return err
-			}
-			nodes, edges = nodes[n:], edges[n-1:]
-		}
-		if i+window < len(roots) {
-			jobs <- i + window
-		}
-	}
-	return nil
+	return err
 }
 
 // Decompose returns the paths PQ of a query graph Q (§5, Preprocessing):
 // all paths from each source to any sink, unbudgeted except for cycle
 // breaking. Queries are small, so no explosion control is needed.
 func Decompose(q *rdf.QueryGraph) []Path {
-	return Enumerate(q, Config{})
+	return Enumerate(&q.Graph, Config{})
 }

@@ -1,7 +1,7 @@
 // Package paths implements the path decomposition of §3.2: a path is a
 // sequence of labels from a source to a sink of a data or query graph
 // (Definition 5). The package provides depth-first path enumeration
-// with explosion budgets, streamed from parallel walkers, hub promotion
+// with explosion budgets, streamed root by root, hub promotion
 // for sourceless graphs, and the node-intersection primitive χ used by
 // the conformity component of the similarity measure.
 package paths
@@ -113,11 +113,11 @@ func (p Path) Triples() []rdf.Triple {
 	return ts
 }
 
-// smallPathNodes bounds the linear-scan fast path of CommonNodes and
-// Intersects: when both paths have at most this many nodes, a nested
-// scan beats building the membership map (no allocations, and real
-// paths are short — the extractor's MaxLen defaults keep them well
-// under this). The map path remains for longer synthetic paths.
+// smallPathNodes bounds the linear-scan fast path of CommonNodes: when
+// both paths have at most this many nodes, a nested scan beats building
+// the membership map (no allocations, and real paths are short — the
+// extractor's MaxLen defaults keep them well under this). The map path
+// remains for longer synthetic paths.
 const smallPathNodes = 8
 
 // CommonNodes implements χ: the set of node labels shared by two paths,
@@ -169,30 +169,6 @@ func commonNodesSmall(a, b Path) []rdf.Term {
 		}
 	}
 	return out
-}
-
-// Intersects reports whether two paths share at least one node label.
-func Intersects(a, b Path) bool {
-	if len(a.Nodes) <= smallPathNodes && len(b.Nodes) <= smallPathNodes {
-		for _, n := range a.Nodes {
-			for _, m := range b.Nodes {
-				if m == n {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	inB := make(map[rdf.Term]struct{}, len(b.Nodes))
-	for _, n := range b.Nodes {
-		inB[n] = struct{}{}
-	}
-	for _, n := range a.Nodes {
-		if _, ok := inB[n]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // FirstConstantFromEnd returns the last constant (non-variable) node

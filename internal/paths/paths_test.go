@@ -272,9 +272,6 @@ func TestCommonNodes(t *testing.T) {
 	if got := CommonNodes(q1, q3); len(got) != 0 {
 		t.Errorf("χ(q1,q3) = %v, want empty", got)
 	}
-	if !Intersects(q1, q2) || Intersects(q1, q3) {
-		t.Error("Intersects wrong")
-	}
 }
 
 func TestCommonNodesProperties(t *testing.T) {

@@ -58,7 +58,7 @@ func streamCases() []streamCase {
 	}
 }
 
-func pathOf(g Graph, nodes []rdf.NodeID, edges []rdf.EdgeID) Path {
+func pathOf(g *rdf.Graph, nodes []rdf.NodeID, edges []rdf.EdgeID) Path {
 	p := Path{}
 	for _, n := range nodes {
 		p.Nodes = append(p.Nodes, g.Term(n))

@@ -1,9 +1,6 @@
 package rdf
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NodeID identifies a node within one Graph. IDs are dense, starting at 0,
 // and are assigned in insertion order.
@@ -102,32 +99,6 @@ func (g *Graph) AddTriple(t Triple) EdgeID {
 	return g.AddEdge(s, o, t.P)
 }
 
-// Mark is a point in a graph's history that Undo returns it to.
-type Mark struct{ nodes, edges int }
-
-// Mark returns the graph's current point in its history.
-func (g *Graph) Mark() Mark { return Mark{len(g.nodes), len(g.edges)} }
-
-// Undo removes every node and edge added since m was taken, so the graph
-// equals what it was then: IDs, Out and In order and both lookups. A
-// graph only grows, so this is truncating its tails: an edge is the
-// last of its Out and In lists once every later edge is gone.
-func (g *Graph) Undo(m Mark) {
-	for i := len(g.edges) - 1; i >= m.edges; i-- {
-		e := g.edges[i]
-		delete(g.edgeSet, edgeKey{e.From, e.To, e.Label})
-		g.out[e.From] = g.out[e.From][:len(g.out[e.From])-1]
-		g.in[e.To] = g.in[e.To][:len(g.in[e.To])-1]
-	}
-	clear(g.edges[m.edges:])
-	g.edges = g.edges[:m.edges]
-	for _, t := range g.nodes[m.nodes:] {
-		delete(g.nodeIdx, t)
-	}
-	clear(g.nodes[m.nodes:])
-	g.nodes, g.out, g.in = g.nodes[:m.nodes], g.out[:m.nodes], g.in[:m.nodes]
-}
-
 // NodeCount returns the number of nodes.
 func (g *Graph) NodeCount() int { return len(g.nodes) }
 
@@ -150,6 +121,9 @@ func (g *Graph) NodeByTerm(term Term) NodeID {
 
 // Edge returns the edge with the given ID.
 func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
+
+// Target returns the node edge id enters.
+func (g *Graph) Target(id EdgeID) NodeID { return g.edges[id].To }
 
 // Out returns the IDs of the edges leaving node id. The returned slice is
 // owned by the graph and must not be mutated.
@@ -197,95 +171,67 @@ func (g *Graph) Triples() []Triple {
 
 // Sources returns the nodes with no incoming edges, in ID order. In the
 // paper, sources are the starting points of the path decomposition.
-func (g *Graph) Sources() []NodeID {
+func (g *Graph) Sources() []NodeID { return Sources(g.out, g.in) }
+
+// Sinks returns the nodes with no outgoing edges, in ID order.
+func (g *Graph) Sinks() []NodeID { return Sources(g.in, g.out) }
+
+// PathRoots returns the path starting points of the graph: its sources,
+// or — when the graph is sourceless (e.g. strongly connected) — its hubs.
+func (g *Graph) PathRoots() []NodeID { return PathRoots(g.out, g.in) }
+
+// Sources returns, in ID order, the nodes with out-edges and no
+// in-edges of the graph whose out- and in-edge lists are out and in.
+func Sources(out, in [][]EdgeID) []NodeID {
 	var srcs []NodeID
-	for i := range g.nodes {
-		if len(g.in[i]) == 0 && len(g.out[i]) > 0 {
+	for i := range out {
+		if len(in[i]) == 0 && len(out[i]) > 0 {
 			srcs = append(srcs, NodeID(i))
 		}
 	}
 	return srcs
 }
 
-// Sinks returns the nodes with no outgoing edges, in ID order.
-func (g *Graph) Sinks() []NodeID {
-	var sinks []NodeID
-	for i := range g.nodes {
-		if len(g.out[i]) == 0 && len(g.in[i]) > 0 {
-			sinks = append(sinks, NodeID(i))
-		}
-	}
-	return sinks
-}
-
 // Hubs returns the nodes whose out-degree minus in-degree is maximal
-// (§3.2): when a graph has no source, hubs are promoted to act as path
-// starting points. The result is in ID order and is empty only for the
-// empty graph.
-func (g *Graph) Hubs() []NodeID {
-	if len(g.nodes) == 0 {
+// (§3.2) in the graph whose out- and in-edge lists are out and in: when a
+// graph has no source, hubs are promoted to act as path starting points.
+// The result is in ID order and is empty only for the empty graph.
+func Hubs(out, in [][]EdgeID) []NodeID {
+	if len(out) == 0 {
 		return nil
 	}
-	best := len(g.out[0]) - len(g.in[0])
-	for i := 1; i < len(g.nodes); i++ {
-		if d := len(g.out[i]) - len(g.in[i]); d > best {
-			best = d
-		}
+	best := len(out[0]) - len(in[0])
+	for i := 1; i < len(out); i++ {
+		best = max(best, len(out[i])-len(in[i]))
 	}
 	var hubs []NodeID
-	for i := range g.nodes {
-		if len(g.out[i])-len(g.in[i]) == best {
+	for i := range out {
+		if len(out[i])-len(in[i]) == best {
 			hubs = append(hubs, NodeID(i))
 		}
 	}
 	return hubs
 }
 
-// PathRoots returns the path starting points of the graph: its sources,
-// or — when the graph is sourceless (e.g. strongly connected) — its hubs.
-func (g *Graph) PathRoots() []NodeID {
-	if srcs := g.Sources(); len(srcs) > 0 {
+// PathRoots is Graph.PathRoots over the graph whose out- and in-edge
+// lists are out and in.
+func PathRoots(out, in [][]EdgeID) []NodeID {
+	if srcs := Sources(out, in); len(srcs) > 0 {
 		return srcs
 	}
-	return g.Hubs()
+	return Hubs(out, in)
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph, with its node and edge IDs.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		nodes:   append([]Term(nil), g.nodes...),
-		nodeIdx: make(map[Term]NodeID, len(g.nodeIdx)),
-		edges:   append([]Edge(nil), g.edges...),
-		edgeSet: make(map[edgeKey]EdgeID, len(g.edgeSet)),
-		out:     make([][]EdgeID, len(g.out)),
-		in:      make([][]EdgeID, len(g.in)),
+	c := NewGraph()
+	for _, t := range g.nodes {
+		c.AddNode(t)
 	}
-	for k, v := range g.nodeIdx {
-		c.nodeIdx[k] = v
-	}
-	for k, v := range g.edgeSet {
-		c.edgeSet[k] = v
-	}
-	for i := range g.out {
-		c.out[i] = append([]EdgeID(nil), g.out[i]...)
-	}
-	for i := range g.in {
-		c.in[i] = append([]EdgeID(nil), g.in[i]...)
+	for _, e := range g.edges {
+		c.AddEdge(e.From, e.To, e.Label)
 	}
 	return c
-}
-
-// Subgraph returns a new graph containing only the given edges (and the
-// nodes they touch). Edge IDs are renumbered.
-func (g *Graph) Subgraph(edges []EdgeID) *Graph {
-	sub := NewGraph()
-	sorted := append([]EdgeID(nil), edges...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, id := range sorted {
-		e := g.edges[id]
-		sub.AddTriple(Triple{S: g.nodes[e.From], P: e.Label, O: g.nodes[e.To]})
-	}
-	return sub
 }
 
 // String summarises the graph for debugging.

@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -102,12 +101,12 @@ func TestGraphHubsOnCycle(t *testing.T) {
 	if len(g.Sources()) != 0 {
 		t.Fatalf("cycle should have no sources, got %v", g.Sources())
 	}
-	if len(g.Hubs()) != 3 {
-		t.Errorf("all cycle nodes tie as hubs, got %d", len(g.Hubs()))
+	if len(Hubs(g.out, g.in)) != 3 {
+		t.Errorf("all cycle nodes tie as hubs, got %d", len(Hubs(g.out, g.in)))
 	}
 	// Add an extra out-edge to b: b becomes the unique hub.
 	g.AddTriple(Triple{S: NewIRI("b"), P: NewIRI("q"), O: NewIRI("d")})
-	hubs := g.Hubs()
+	hubs := Hubs(g.out, g.in)
 	if len(hubs) != 1 || g.Label(hubs[0]) != "b" {
 		t.Errorf("hub should be b, got %v", hubs)
 	}
@@ -125,8 +124,8 @@ func TestGraphPathRootsPreferSources(t *testing.T) {
 }
 
 func TestGraphHubsEmpty(t *testing.T) {
-	if hubs := NewGraph().Hubs(); hubs != nil {
-		t.Errorf("empty graph hubs = %v, want nil", hubs)
+	if g := NewGraph(); Hubs(g.out, g.in) != nil {
+		t.Errorf("empty graph hubs = %v, want nil", Hubs(g.out, g.in))
 	}
 }
 
@@ -158,82 +157,6 @@ func TestGraphClone(t *testing.T) {
 	}
 	if !reflect.DeepEqual(g.Triples(), figure1Graph().Triples()) {
 		t.Error("original changed after clone mutation")
-	}
-}
-
-// TestGraphUndo: undoing to a mark leaves the graph equal to a clone
-// taken at the mark, whatever was added since — new nodes, new edges
-// between old nodes, duplicates of old and of new triples — and the
-// graph grows again as the clone would.
-func TestGraphUndo(t *testing.T) {
-	g := figure1Graph()
-	want := g.Clone()
-	m := g.Mark()
-	for _, tr := range []Triple{
-		{S: NewIRI("CarlaBunes"), P: NewIRI("sponsor"), O: NewIRI("A9999")},
-		{S: NewIRI("A9999"), P: NewIRI("aTo"), O: NewIRI("B0532")},
-		{S: NewIRI("CarlaBunes"), P: NewIRI("gender"), O: NewLiteral("Male")},
-		{S: NewIRI("CarlaBunes"), P: NewIRI("sponsor"), O: NewIRI("A0056")}, // already there
-		{S: NewIRI("A9999"), P: NewIRI("aTo"), O: NewIRI("B0532")},          // added above
-		{S: NewIRI("B0532"), P: NewIRI("cites"), O: NewIRI("CarlaBunes")},
-	} {
-		g.AddTriple(tr)
-	}
-	g.AddNode(NewIRI("Lonely"))
-	g.Undo(m)
-	sameGraph(t, g, want)
-	if g.NodeByTerm(NewIRI("A9999")) != InvalidNode || g.NodeByTerm(NewIRI("Lonely")) != InvalidNode {
-		t.Error("an undone node is still found by its term")
-	}
-	again := Triple{S: NewIRI("B0532"), P: NewIRI("cites"), O: NewIRI("CarlaBunes")}
-	g.AddTriple(again)
-	want.AddTriple(again)
-	sameGraph(t, g, want)
-	g.Undo(g.Mark()) // nothing since: a no-op
-	sameGraph(t, g, want)
-}
-
-// sameGraph fails unless got and want have the same nodes and edges
-// under the same IDs, in the same Out and In order.
-func sameGraph(t *testing.T, got, want *Graph) {
-	t.Helper()
-	if got.NodeCount() != want.NodeCount() || got.EdgeCount() != want.EdgeCount() {
-		t.Fatalf("graph has %d nodes and %d edges, want %d and %d",
-			got.NodeCount(), got.EdgeCount(), want.NodeCount(), want.EdgeCount())
-	}
-	for n := NodeID(0); int(n) < want.NodeCount(); n++ {
-		if got.Term(n) != want.Term(n) || got.NodeByTerm(want.Term(n)) != n {
-			t.Errorf("node %d: %v, want %v", n, got.Term(n), want.Term(n))
-		}
-		if !slices.Equal(got.Out(n), want.Out(n)) || !slices.Equal(got.In(n), want.In(n)) {
-			t.Errorf("node %d: out %v in %v, want out %v in %v", n, got.Out(n), got.In(n), want.Out(n), want.In(n))
-		}
-	}
-	for e := EdgeID(0); int(e) < want.EdgeCount(); e++ {
-		if got.Edge(e) != want.Edge(e) {
-			t.Errorf("edge %d: %v, want %v", e, got.Edge(e), want.Edge(e))
-		}
-	}
-	for _, tr := range want.Triples() {
-		if dup := got.AddTriple(tr); int(dup) >= want.EdgeCount() {
-			t.Errorf("triple %v is not found as an edge any more", tr)
-		}
-	}
-}
-
-func TestGraphSubgraph(t *testing.T) {
-	g := figure1Graph()
-	sub := g.Subgraph([]EdgeID{0, 1, 2})
-	if sub.EdgeCount() != 3 {
-		t.Fatalf("subgraph edges = %d, want 3", sub.EdgeCount())
-	}
-	want := []Triple{
-		{S: NewIRI("CarlaBunes"), P: NewIRI("sponsor"), O: NewIRI("A0056")},
-		{S: NewIRI("A0056"), P: NewIRI("aTo"), O: NewIRI("B1432")},
-		{S: NewIRI("B1432"), P: NewIRI("subject"), O: NewLiteral("Health Care")},
-	}
-	if !reflect.DeepEqual(sub.Triples(), want) {
-		t.Errorf("subgraph triples = %v", sub.Triples())
 	}
 }
 
