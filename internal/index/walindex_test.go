@@ -185,7 +185,7 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	want := livePathKeys(t, ix)
 	epoch := ix.Epoch()
 	live := ix.LivePaths()
-	graph := graphOrder(ix.Graph())
+	graph := graphState(ix)
 
 	// Insert a new edge out of an existing root: the update must verify
 	// (read) that root's current paths to keep or tombstone them. With a cold
@@ -212,7 +212,7 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	if got := livePathKeys(t, ix); !slices.Equal(got, want) {
 		t.Fatal("failed insert changed the answer surface")
 	}
-	if got := graphOrder(ix.Graph()); got != graph {
+	if got := graphState(ix); got != graph {
 		t.Fatalf("failed insert changed the graph:\n%s\nwant\n%s", got, graph)
 	}
 
@@ -256,7 +256,7 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	if got := ix.Epoch(); got != epoch {
 		t.Fatalf("failed insert bumped the epoch: %d -> %d", epoch, got)
 	}
-	if got := graphOrder(ix.Graph()); got != graph {
+	if got := graphState(ix); got != graph {
 		t.Fatalf("failed staging changed the graph:\n%s\nwant\n%s", got, graph)
 	}
 
@@ -310,6 +310,7 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	t.Run("mixed", testInsertAllOrNothingMixed)
 	t.Run("affected-root-page", testInsertAllOrNothingAffectedRootPage)
 	t.Run("stage-spans-pages", testInsertAllOrNothingStageSpansPages)
+	t.Run("stage-interns-pending", testInsertAllOrNothingStageInternsPending)
 }
 
 // requireReopenedEqualsBuild checkpoints ix, opens a copy of its files
@@ -337,6 +338,9 @@ func requireReopenedEqualsBuild(t *testing.T, ix *Index) {
 	defer ref.Close()
 	if got, want := livePathKeys(t, re), livePathKeys(t, ref); !slices.Equal(got, want) {
 		t.Fatalf("reopened index: %d live paths differ from a fresh build's %d", len(got), len(want))
+	}
+	if got, want := graphState(re), graphState(ix); got != want {
+		t.Fatalf("reopened graph:\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -366,7 +370,7 @@ func testInsertAllOrNothingStageSpansPages(t *testing.T) {
 	if err := ix.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	paths, pages, runs := ix.NumPaths(), ix.file.NumPages(), len(ix.store.Directory())
+	paths, pages, runs, graph := ix.NumPaths(), ix.file.NumPages(), len(ix.store.Directory()), graphState(ix)
 	fi.Inject(storage.Fault{Op: storage.OpWrite, Kind: storage.Permanent, AfterN: 1})
 	err = ix.InsertTriples(batch)
 	fi.Clear()
@@ -379,6 +383,9 @@ func testInsertAllOrNothingStageSpansPages(t *testing.T) {
 	if ix.NumPaths() != paths || ix.store.Len() != paths || len(ix.store.Directory()) != runs {
 		t.Fatalf("failed staging left %d paths, %d store IDs and %d runs; want %d, %d and %d",
 			ix.NumPaths(), ix.store.Len(), len(ix.store.Directory()), paths, paths, runs)
+	}
+	if got := graphState(ix); got != graph {
+		t.Fatalf("failed staging changed the graph:\n%s\nwant\n%s", got, graph)
 	}
 	if err := ix.InsertTriples(batch); err != nil {
 		t.Fatalf("retry after fault cleared: %v", err)
@@ -498,7 +505,7 @@ func testInsertAllOrNothingMixed(t *testing.T) {
 		}
 	}
 	want, epoch, paths, live := livePathKeys(t, ix), ix.Epoch(), ix.NumPaths(), ix.LivePaths()
-	graph := graphOrder(ix.Graph())
+	graph := graphState(ix)
 
 	// Jeff's two paths re-enumerate unchanged and gain a third; F0's path
 	// is extended by an out-edge on its sink G0.
@@ -523,8 +530,8 @@ func testInsertAllOrNothingMixed(t *testing.T) {
 	if !slices.Equal(livePathKeys(t, ix), want) {
 		t.Fatal("failed insert changed the answer surface")
 	}
-	if graphOrder(ix.Graph()) != graph {
-		t.Fatal("failed insert changed the graph")
+	if got := graphState(ix); got != graph {
+		t.Fatalf("failed insert changed the graph:\n%s\nwant\n%s", got, graph)
 	}
 
 	if err := ix.InsertTriples(batch); err != nil {
@@ -547,6 +554,78 @@ func testInsertAllOrNothingMixed(t *testing.T) {
 			t.Errorf("F0's changed path %d is still live", id)
 		}
 	}
+}
+
+// testInsertAllOrNothingStageInternsPending fails, while staging, a
+// batch whose walk interns terms an earlier insert left pending — an
+// unreached cycle — and adds pending terms of its own: the graph's
+// columns, its pending table with each term's interning, the dictionary
+// and the paths are as found, and the retry, checkpointed and opened as
+// a copy, equals a fresh build.
+func testInsertAllOrNothingStageInternsPending(t *testing.T) {
+	var fi *storage.FaultInjector
+	ix, err := Build(filepath.Join(t.TempDir(), "ix"), figure1Graph(), Options{
+		WrapIO: func(io storage.PageIO) storage.PageIO {
+			fi = storage.NewFaultInjector(io)
+			return fi
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if err := ix.InsertTriples([]rdf.Triple{
+		{S: iri("Q1"), P: iri("loops"), O: iri("Q2")},
+		{S: iri("Q2"), P: iri("loops"), O: iri("Q1")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := ix.graph.pending.Len(); n != 3 {
+		t.Fatalf("an unreached cycle left %d terms pending, want 3", n)
+	}
+	graph, terms, paths, epoch, keys := graphState(ix), ix.dict.Len(), ix.NumPaths(), ix.Epoch(), livePathKeys(t, ix)
+	batch := []rdf.Triple{
+		{S: iri("FreshRoot"), P: iri("reaches"), O: iri("Q1")},
+		{S: iri("FreshRoot"), P: iri("backs"), O: iri("FreshBill")},
+	}
+	if err := ix.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	fi.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.Permanent})
+	err = ix.InsertTriples(batch)
+	fi.Clear()
+	if err == nil || !strings.Contains(err.Error(), "stage path") {
+		t.Fatalf("insert reaching the pending cycle under permanent read faults: err = %v, want a staging failure", err)
+	}
+	if got := graphState(ix); got != graph {
+		t.Fatalf("failed staging changed the graph:\n%s\nwant\n%s", got, graph)
+	}
+	if ix.dict.Len() != terms || ix.NumPaths() != paths || ix.Epoch() != epoch || !slices.Equal(livePathKeys(t, ix), keys) {
+		t.Fatalf("failed staging changed the index: terms %d→%d, paths %d→%d, epoch %d→%d",
+			terms, ix.dict.Len(), paths, ix.NumPaths(), epoch, ix.Epoch())
+	}
+	if err := ix.InsertTriples(batch); err != nil {
+		t.Fatalf("retry after fault cleared: %v", err)
+	}
+	if got := ix.dict.Len() - terms; got != 7 {
+		t.Fatalf("retry interned %d terms, want 7 (FreshRoot, Q1, Q2, FreshBill, reaches, loops, backs)", got)
+	}
+	requireReopenedEqualsBuild(t, ix)
+}
+
+// graphState renders the index's ID graph as a failed insert must leave
+// it: every column — term refs, edges, out- and in-lists — the pending
+// table with each term's interning, and the graph spelt out (Graph).
+func graphState(ix *Index) string {
+	ix.mu.RLock()
+	g := ix.graph
+	var b strings.Builder
+	fmt.Fprintf(&b, "nodes %v\nfrom %v\nto %v\nlabel %v\nout %v\nin %v\npending", g.nodeTerm, g.from, g.to, g.label, g.out, g.in)
+	for i, term := range g.pending.terms {
+		fmt.Fprintf(&b, " %v=%d", term, g.pendingID[i])
+	}
+	ix.mu.RUnlock()
+	return b.String() + "\n" + graphOrder(ix.Graph())
 }
 
 // withoutLSN drops the applied LSN from encoded metadata: a batch whose
