@@ -24,9 +24,10 @@ var updateInsertGolden = flag.Bool("update", false, "rewrite testdata/insert_str
 // TestInsertStreamGolden pins the bytes inserts leave: the sha256 of
 // .pages and of the metadata (BuildTime and the applied LSN zeroed)
 // after each leg's inserts and a checkpoint, of the records alone
-// (recordsDigest: the same whatever page a record sits on), and of what
-// they say (idsDigest: the same whatever bytes spell it), against
-// testdata/insert_stream.golden. The legs are a 2 000-triple LUBM base
+// (recordsDigest: the same whatever page a record sits on), of what
+// they say (idsDigest: the same whatever bytes spell it), and of the
+// terms they name (termsDigest: the same whatever IDs the dictionary
+// gives them), against testdata/insert_stream.golden. The legs are a 2 000-triple LUBM base
 // taking 40 batches of 25 unseen triples (and a crash copy of it, which
 // Open replays), a sourceless ring that takes a hub-rooted insert,
 // one that gives it a source, and one on the now-sourced graph, and a
@@ -43,7 +44,8 @@ func TestInsertStreamGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&got, "%s pages %x meta %x records %x ids %x\n", leg, sha256.Sum256(pages), sha256.Sum256(metaBytes(t, ix)), recordsDigest(t, ix), idsDigest(t, ix))
+		fmt.Fprintf(&got, "%s pages %x meta %x records %x ids %x terms %x\n", leg, sha256.Sum256(pages), sha256.Sum256(metaBytes(t, ix)),
+			recordsDigest(t, ix), idsDigest(t, ix), termsDigest(t, ix))
 	}
 	insert := func(ix *Index, ts []rdf.Triple) {
 		t.Helper()
@@ -157,6 +159,39 @@ func recordsDigest(t *testing.T, ix *Index) [sha256.Size]byte {
 // independent of how they spell it.
 func idsDigest(t *testing.T, ix *Index) [sha256.Size]byte {
 	t.Helper()
+	return decodedDigest(t, ix, func(buf []byte, ids []uint32) []byte {
+		for _, term := range ids {
+			buf = binary.AppendUvarint(buf, uint64(term))
+		}
+		return buf
+	})
+}
+
+// termsDigest is the sha256 of every path's terms — its length, then the
+// nodes' terms and the edges', each its kind and its value, datatype and
+// language behind their lengths — in path-ID order, followed by the
+// tombstone bitmap: what the paths are, independent of the IDs the
+// dictionary gives their terms.
+func termsDigest(t *testing.T, ix *Index) [sha256.Size]byte {
+	t.Helper()
+	return decodedDigest(t, ix, func(buf []byte, ids []uint32) []byte {
+		for _, id := range ids {
+			term := ix.dict.terms[id]
+			buf = append(buf, byte(term.Kind))
+			for _, s := range []string{term.Value, term.Datatype, term.Lang} {
+				buf = binary.AppendUvarint(buf, uint64(len(s)))
+				buf = append(buf, s...)
+			}
+		}
+		return buf
+	})
+}
+
+// decodedDigest is the sha256 of every path's decoded term IDs, in
+// path-ID order, each path its ID count followed by what add appends of
+// its IDs, then the tombstone bitmap.
+func decodedDigest(t *testing.T, ix *Index, add func(buf []byte, ids []uint32) []byte) [sha256.Size]byte {
+	t.Helper()
 	var buf []byte
 	for id, rec := range allRecords(t, ix) {
 		n, err := recordNodes(rec)
@@ -167,10 +202,7 @@ func idsDigest(t *testing.T, ix *Index) [sha256.Size]byte {
 		if err := ix.dict.decodeRecord(rec, n, nil, ids); err != nil {
 			t.Fatalf("path %d: %v", id, err)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(ids)))
-		for _, term := range ids {
-			buf = binary.AppendUvarint(buf, uint64(term))
-		}
+		buf = add(binary.AppendUvarint(buf, uint64(len(ids))), ids)
 	}
 	return sha256.Sum256(append(buf, tombstoneBitmap(ix)...))
 }
