@@ -142,9 +142,9 @@ func TestAssemblyDecodesClustersTermTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
-	// CarlaBunes stops being a root: the paths it started are tombstoned,
-	// and Zed's, which a rebuild streams last, hold their terms, so the
-	// compaction interns them in another order.
+	// The insert interns Zed, then the predicate likes, after every node;
+	// the compaction interns the labels first, so likes moves ahead of
+	// the nodes and renumbers them.
 	if err := ix.InsertTriples([]rdf.Triple{{S: iri("Zed"), P: iri("likes"), O: iri("CarlaBunes")}}); err != nil {
 		t.Fatal(err)
 	}

@@ -199,8 +199,7 @@ func residentGraphBytes(g *rdf.Graph, d *Dictionary) float64 {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	ig := graphOf(g)
-	ig.settle(d)
+	ig := graphOf(g, d)
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)

@@ -56,7 +56,7 @@ func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 	// The rebuild: only writers change the graph, its dictionary, the
 	// stats and the watermark, so under the writer lock they hold still.
 	tmpBase := ix.base + ".compact"
-	next, err := writeIndex(tmpBase, graphOf(ix.graph.materialise(ix.dict)), ix.opts,
+	next, err := writeIndex(tmpBase, ix.graph.materialise(ix.dict), ix.opts,
 		func(nx *Index) (int, error) { return nx.streamPaths(ctx) },
 		func(nx *Index) {
 			// The watermark makes a crash right after the swap recover

@@ -169,7 +169,7 @@ func TestOpenRejectsBadGraph(t *testing.T) {
 		want   string
 	}{
 		{"repeated-node-term", func(c *idGraph) { c.nodeTerm[1] = c.nodeTerm[0] },
-			fmt.Sprintf("graph node 1 (%s) repeats an earlier one", ix.dict.terms[g.nodeTerm[0]-1])},
+			fmt.Sprintf("graph node 1 (%s) repeats an earlier one", ix.dict.terms[g.nodeTerm[0]])},
 		{"endpoint-past-the-nodes", func(c *idGraph) { c.to[2] = n },
 			fmt.Sprintf("graph edge 2 joins nodes %d and %d of %d", g.from[2], n, n)},
 		{"repeated-edge", func(c *idGraph) { c.from[1], c.to[1], c.label[1] = c.from[0], c.to[0], c.label[0] },

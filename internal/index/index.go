@@ -162,11 +162,12 @@ type Index struct {
 	// some IDs can outlive an epoch, but not a layout. Each bump empties
 	// the tombstone log.
 	layout uint64
-	// dict interns the terms of every stored path: a record is a varint
-	// sequence of its IDs (see appendRecord). It is persisted in the
-	// metadata file, so it always covers the records that file's
-	// directory names. Like every dictionary write, interning happens
-	// under the write lock or before the index is shared.
+	// dict interns the terms of the data graph, and so of every stored
+	// path: a record is a varint sequence of its IDs (see appendRecord),
+	// and the graph keeps its terms in them (see graphOf). It is
+	// persisted in the metadata file, so it always covers the records
+	// that file's directory names. Like every dictionary write, interning
+	// happens under the write lock or before the index is shared.
 	dict *Dictionary
 	// graph is the indexed data graph in term IDs (see idGraph), which
 	// InsertTriples re-enumerates the affected paths of: Build copies the
@@ -291,7 +292,7 @@ func build(base string, src *rdf.Graph, opts Options, fill func(*Index) (int, er
 	err = wal.Reset(1)
 	var ix *Index
 	if err == nil {
-		ix, err = writeIndex(base, graphOf(src), opts, fill, func(ix *Index) { ix.stats.BuildTime = time.Since(start) })
+		ix, err = writeIndex(base, src, opts, fill, func(ix *Index) { ix.stats.BuildTime = time.Since(start) })
 	}
 	if err != nil {
 		wal.Close()
@@ -302,14 +303,15 @@ func build(base string, src *rdf.Graph, opts Options, fill func(*Index) (int, er
 	return ix, nil
 }
 
-// writeIndex writes the files at base that index g's paths within
-// opts.Paths: it creates the pages file, registers the paths through
+// writeIndex writes the files at base that index src's paths within
+// opts.Paths: it copies src into a fresh dictionary and ID graph (see
+// graphOf), creates the pages file, registers the paths through
 // fill, lets stamp set what the metadata carries beyond them (the build
 // time, the applied LSN), flushes the pages and writes the metadata. It
 // returns the index open on the files, with no lock or log. Build and
 // Compact both write through it, so a compacted index is the one a
 // fresh build of its graph gives.
-func writeIndex(base string, g *idGraph, opts Options, fill func(*Index) (int, error), stamp func(*Index)) (*Index, error) {
+func writeIndex(base string, src *rdf.Graph, opts Options, fill func(*Index) (int, error), stamp func(*Index)) (*Index, error) {
 	file, err := storage.CreatePageFile(pagesPath(base))
 	if err != nil {
 		return nil, err
@@ -321,14 +323,14 @@ func writeIndex(base string, g *idGraph, opts Options, fill func(*Index) (int, e
 		sinks:   textindex.New(opts.Thesaurus),
 		labels:  textindex.New(opts.Thesaurus),
 		sources: make(map[uint32][]PathID),
-		graph:   g,
 		opts:    opts,
 		dict:    NewDictionary(),
 	}
+	ix.graph = graphOf(src, ix.dict)
 	ix.store = storage.NewRecordStore(ix.pool, nil, 0)
 	n, err := fill(ix)
 	if err == nil {
-		ix.stats = Stats{Triples: len(g.from), HV: g.NodeCount(), HE: len(g.from) + n, Paths: n}
+		ix.stats = Stats{Triples: src.EdgeCount(), HV: src.NodeCount(), HE: src.EdgeCount() + n, Paths: n}
 		stamp(ix)
 		if err = ix.pool.Flush(); err == nil {
 			err = ix.writeMeta()
@@ -359,11 +361,9 @@ func (ix *Index) streamPaths(ctx context.Context) (int, error) {
 
 // walkPaths is the one route from the graph to records: it streams the
 // paths of the graph from roots (see paths.Stream), stopped by ctx, and
-// calls fn with each path's term IDs — the nodes, then the edges, each
-// term interned when a path first holds it (idGraph.intern) — and its
-// record, both valid until fn returns. Build, Compact and every insert
-// register paths through it, so a term's ID depends only on the order
-// the walk first meets it in.
+// calls fn with each path's term IDs — the nodes, then the edges, as the
+// graph holds them — and its record, both valid until fn returns. Build,
+// Compact and every insert register paths through it.
 func (ix *Index) walkPaths(ctx context.Context, roots []rdf.NodeID, fn func(ids []uint32, rec []byte) error) error {
 	g := ix.graph
 	var ids []uint32
@@ -374,25 +374,25 @@ func (ix *Index) walkPaths(ctx context.Context, roots []rdf.NodeID, fn func(ids 
 		}
 		ids = ids[:0]
 		for _, v := range nodes {
-			ids = append(ids, g.intern(ix.dict, g.nodeTerm[v]))
+			ids = append(ids, g.nodeTerm[v])
 		}
 		for _, e := range edges {
-			ids = append(ids, g.intern(ix.dict, g.label[e]))
+			ids = append(ids, g.label[e])
 		}
 		rec = appendRecord(rec[:0], ids)
 		return fn(ids, rec)
 	})
 }
 
-// commitPath registers an already-appended path, given as the IDs
-// walkPaths interned its terms to, in the in-memory tables. Pure
-// memory: it cannot fail, which is what lets the insert path stage
-// every disk append first and commit atomically after. It is the one
-// line every registration route — build (and so compaction), insert,
-// WAL replay — maintains the summaries and postings through, reading
-// each label's analysed form from the dictionary and its label postings
-// through labelLists. Its path ID is the next one, which is the ID the
-// record store handed its record.
+// commitPath registers an already-appended path, given as its term IDs
+// (see walkPaths), in the in-memory tables. Pure memory: it cannot fail,
+// which is what lets the insert path stage every disk append first and
+// commit atomically after. It is the one line every registration route
+// — build (and so compaction), insert, WAL replay — maintains the
+// summaries and postings through, reading each label's analysed form
+// from the dictionary and its label postings through labelLists. Its
+// path ID is the next one, which is the ID the record store handed its
+// record.
 func (ix *Index) commitPath(ids []uint32) {
 	id := uint32(len(ix.lens))
 	ix.deleted = append(ix.deleted, false)
@@ -533,11 +533,7 @@ func (ix *Index) writeMeta() error {
 // checkpoint's records with another's dictionary, or the paths of one
 // graph with another graph.
 func (ix *Index) encodeMeta(w *bufio.Writer) error {
-	// The pending terms are interned first, so the graph can be written in
-	// dictionary IDs: a term no live path uses — an edge past MaxPerRoot,
-	// a cycle no source reaches, any term after a compaction — too.
 	g := ix.graph
-	g.settle(ix.dict)
 	// A bufio.Writer keeps its first error and reports it from Flush, so
 	// the writes below need no checks of their own.
 	var tmp [binary.MaxVarintLen64]byte
@@ -601,13 +597,13 @@ func (ix *Index) encodeMeta(w *bufio.Writer) error {
 	// The graph: every node's term in node-ID order, then every edge as
 	// (from, label, to) in edge-ID order, so a reopen has the same IDs.
 	wu(uint64(len(g.nodeTerm)))
-	for _, ref := range g.nodeTerm {
-		wu(uint64(ref - 1))
+	for _, id := range g.nodeTerm {
+		wu(uint64(id))
 	}
 	wu(uint64(len(g.label)))
-	for e, ref := range g.label {
+	for e, id := range g.label {
 		wu(uint64(g.from[e]))
-		wu(uint64(ref - 1))
+		wu(uint64(id))
 		wu(uint64(g.to[e]))
 	}
 	return w.Flush()
@@ -837,13 +833,13 @@ func (m *metaReader) sources(npaths int, d *Dictionary) map[uint32][]PathID {
 func (m *metaReader) graph(d *Dictionary) *idGraph {
 	nodes := m.count(1, "node")
 	g := &idGraph{nodeTerm: make([]uint32, 0, nodes), out: make([][]rdf.EdgeID, nodes), in: make([][]rdf.EdgeID, nodes),
-		node: make(map[uint32]rdf.NodeID, nodes), pending: NewDictionary()}
+		node: make(map[uint32]rdf.NodeID, nodes)}
 	for i := 0; i < nodes && m.err == nil; i++ {
 		t := m.term(d)
-		if _, dup := g.node[t+1]; dup && m.err == nil {
+		if _, dup := g.node[t]; dup && m.err == nil {
 			m.fail("graph node %d (%s) repeats an earlier one", i, d.terms[t])
 		}
-		g.node[t+1], g.nodeTerm = rdf.NodeID(i), append(g.nodeTerm, t+1)
+		g.node[t], g.nodeTerm = rdf.NodeID(i), append(g.nodeTerm, t)
 	}
 	edges := m.count(3, "edge")
 	for i := 0; i < edges && m.err == nil; i++ {
@@ -851,7 +847,7 @@ func (m *metaReader) graph(d *Dictionary) *idGraph {
 		if from >= uint64(nodes) || to >= uint64(nodes) {
 			m.fail("graph edge %d joins nodes %d and %d of %d", i, from, to, nodes)
 		}
-		if m.err == nil && !g.addEdge(rdf.NodeID(from), rdf.NodeID(to), label+1) {
+		if m.err == nil && !g.addEdge(rdf.NodeID(from), rdf.NodeID(to), label) {
 			m.fail("graph edge %d repeats an earlier one", i)
 		}
 	}

@@ -41,9 +41,9 @@ func (ix *Index) livePathsLocked() int {
 // procedure:
 //
 //  1. add the triples to the data graph;
-//  2. compute the reverse closure of the new subjects — every node that
-//     can reach one of them — and intersect it with the graph's path
-//     roots, adding roots created by the new triples themselves;
+//  2. take the sources of the reverse closure of the new subjects — the
+//     path roots that reach one of them, among them the roots the new
+//     triples created;
 //  3. re-enumerate the paths from the affected roots; one whose record
 //     equals that of an indexed path starting at an affected root is
 //     that path, unchanged, and keeps its ID;
@@ -58,11 +58,10 @@ func (ix *Index) livePathsLocked() int {
 //
 // The insert is all-or-nothing with respect to the index: the affected
 // paths are staged to the record store first (a failure there leaves
-// only unreferenced bytes behind, and un-interns the terms it had added
-// to the dictionary) and the in-memory tables — epoch, tombstones,
-// postings — commit last, in a phase that cannot fail. On
+// only unreferenced bytes behind) and the in-memory tables — epoch,
+// tombstones, postings — commit last, in a phase that cannot fail. On
 // error the index answers exactly as before the call, and the data graph
-// and its pending terms are truncated to what they were, so the next
+// and the dictionary are truncated to what they were, so the next
 // metadata write cannot persist a graph the index does not match.
 //
 // The batch is logged and fsynced before any page is touched. The
@@ -109,40 +108,39 @@ func (ix *Index) InsertTriples(ts []rdf.Triple) error {
 // mutation comes first, then everything that can fail — reading the
 // affected roots' indexed paths and the record-store staging — and only
 // then the in-memory commit, which cannot fail; a failure undoes the
-// graph mutation and the terms staging interned. The affected roots'
-// paths reach their records through walkPaths, the route Build takes.
+// graph mutation and the terms it interned. The affected roots' paths
+// reach their records through walkPaths, the route Build takes.
 // WAL replay calls this too: re-applying a batch re-enumerates the same
 // roots into the same records, so it keeps every ID and stages nothing.
 func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 	g := ix.graph
-	wasHubRooted := len(rdf.Sources(g.out, g.in)) == 0
-	mark := graphMark{len(g.nodeTerm), len(g.from), g.pending.Len(), ix.dict.Len()}
+	wasHubRooted := !g.hasSource()
+	mark := graphMark{len(g.nodeTerm), len(g.from), ix.dict.Len()}
 	defer func() {
 		if err != nil {
 			g.undo(mark, ix.dict)
 		}
 	}()
 
+	// A new term takes the next ID: a triple's subject, then its object,
+	// then its predicate.
 	subjects, objects := make([]rdf.NodeID, len(ts)), make([]rdf.NodeID, len(ts))
 	for i, t := range ts {
 		subjects[i], objects[i] = g.addNode(ix.dict, t.S), g.addNode(ix.dict, t.O)
-		g.addEdge(subjects[i], objects[i], g.ref(ix.dict, t.P))
+		g.addEdge(subjects[i], objects[i], ix.dict.ID(t.P))
 	}
 
 	var roots []rdf.NodeID
 	var old oldPaths
 	tombAll := false
-	if wasHubRooted || len(rdf.Sources(g.out, g.in)) == 0 {
+	if wasHubRooted || !g.hasSource() {
 		// Hub-rooted before or after: recompute everything.
 		roots = g.roots()
 		tombAll = true
 	} else {
-		affected := reverseClosure(g, subjects)
-		for _, r := range g.roots() {
-			if affected[r] || int(r) >= mark.nodes {
-				roots = append(roots, r)
-			}
-		}
+		// The graph's roots are its sources, and the affected ones those
+		// that reach a batch subject, among them every new root.
+		roots = affectedRoots(g, subjects)
 		// A batch object with out-edges may have been a root: it has an
 		// in-edge now, so it is none, and the paths it started are stale.
 		// They are read with the roots' and, since no path re-enumerated
@@ -160,14 +158,13 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 
 	// Stage: append every new path to the record store before touching
 	// the in-memory tables; a path whose record old holds is that path,
-	// unchanged, and not new. Its terms are in the dictionary already, so
-	// interning it added none. A failure here aborts with the index
+	// unchanged, and not new. A failure here aborts with the index
 	// unchanged: the store forgets the records staged — their bytes are
 	// orphans in an append-only store, reclaimed by the next compaction,
 	// and their IDs are handed out again — and the graph's undo forgets
-	// the terms staging interned too, or the next metadata write would
-	// persist a dictionary no record needs. ids holds every staged path's
-	// term IDs back to back; ends[i] is where the i-th one's stop.
+	// the terms the batch interned too, or the next metadata write would
+	// persist a graph the index does not match. ids holds every staged
+	// path's term IDs back to back; ends[i] is where the i-th one's stop.
 	var ends []int
 	var ids []uint32
 	npaths := len(ix.lens)
@@ -262,21 +259,28 @@ func (r Reader) TombstonedSince(w Watermark, f Field, label string) []PathID {
 	return textindex.IntersectAmong(r.ix.postings(f), ids[:0], ids, []string{label}, len(ids))
 }
 
-// reverseClosure marks every node that can reach one of the seeds
-// (including the seeds), following edges backwards; it takes seeds over
-// as its stack.
-func reverseClosure(g *idGraph, seeds []rdf.NodeID) []bool {
-	reach := make([]bool, g.NodeCount())
+// affectedRoots returns, ascending, the sources of the reverse closure
+// of the seeds: the nodes with no in-edge that reach one of the seeds
+// (or are one), following edges backwards. Every seed has an out-edge,
+// and so has every node the closure reaches. It takes seeds over as its
+// stack and sizes nothing by the graph.
+func affectedRoots(g *idGraph, seeds []rdf.NodeID) []rdf.NodeID {
+	reach := make(map[rdf.NodeID]bool, len(seeds))
+	var roots []rdf.NodeID
 	for len(seeds) > 0 {
 		n := seeds[len(seeds)-1]
 		if seeds = seeds[:len(seeds)-1]; !reach[n] {
 			reach[n] = true
+			if len(g.in[n]) == 0 {
+				roots = append(roots, n)
+			}
 			for _, e := range g.in[n] {
 				seeds = append(seeds, g.from[e])
 			}
 		}
 	}
-	return reach
+	slices.Sort(roots)
+	return roots
 }
 
 // oldPaths is the multiset an insert matches its re-enumerated paths
@@ -321,14 +325,13 @@ func (o *oldPaths) match(rec []byte) bool {
 // starts', with their records read in one batched read, without
 // mutating anything — the caller applies the tombstones in the commit
 // phase. A read failure aborts the insert instead of silently keeping a
-// stale path alive. A node whose term no path has held starts no indexed
-// path.
+// stale path alive.
 func (ix *Index) oldPathsFrom(starts []rdf.NodeID) (oldPaths, error) {
 	var old oldPaths
 	read := make(map[uint32]bool, len(starts))
 	for _, n := range starts {
-		term, ok := ix.dict.Lookup(ix.graph.term(ix.dict, ix.graph.nodeTerm[n]))
-		if !ok || read[term] {
+		term := ix.graph.nodeTerm[n]
+		if read[term] {
 			continue
 		}
 		read[term] = true

@@ -310,7 +310,7 @@ func TestInsertTriplesAllOrNothing(t *testing.T) {
 	t.Run("mixed", testInsertAllOrNothingMixed)
 	t.Run("affected-root-page", testInsertAllOrNothingAffectedRootPage)
 	t.Run("stage-spans-pages", testInsertAllOrNothingStageSpansPages)
-	t.Run("stage-interns-pending", testInsertAllOrNothingStageInternsPending)
+	t.Run("stage-truncates-terms", testInsertAllOrNothingStageTruncatesTerms)
 }
 
 // requireReopenedEqualsBuild checkpoints ix, opens a copy of its files
@@ -556,13 +556,13 @@ func testInsertAllOrNothingMixed(t *testing.T) {
 	}
 }
 
-// testInsertAllOrNothingStageInternsPending fails, while staging, a
-// batch whose walk interns terms an earlier insert left pending — an
-// unreached cycle — and adds pending terms of its own: the graph's
-// columns, its pending table with each term's interning, the dictionary
-// and the paths are as found, and the retry, checkpointed and opened as
-// a copy, equals a fresh build.
-func testInsertAllOrNothingStageInternsPending(t *testing.T) {
+// testInsertAllOrNothingStageTruncatesTerms fails, while staging, a
+// batch that reaches a cycle an earlier insert left unreached and whose
+// graph additions intern terms of their own: the graph's columns, the
+// dictionary and the paths are as found, the retry interns the batch's
+// terms from the term count found on, subject, object, predicate, and,
+// checkpointed and opened as a copy, equals a fresh build.
+func testInsertAllOrNothingStageTruncatesTerms(t *testing.T) {
 	var fi *storage.FaultInjector
 	ix, err := Build(filepath.Join(t.TempDir(), "ix"), figure1Graph(), Options{
 		WrapIO: func(io storage.PageIO) storage.PageIO {
@@ -574,14 +574,15 @@ func testInsertAllOrNothingStageInternsPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
+	before := ix.dict.Len()
 	if err := ix.InsertTriples([]rdf.Triple{
 		{S: iri("Q1"), P: iri("loops"), O: iri("Q2")},
 		{S: iri("Q2"), P: iri("loops"), O: iri("Q1")},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if n := ix.graph.pending.Len(); n != 3 {
-		t.Fatalf("an unreached cycle left %d terms pending, want 3", n)
+	if n := ix.dict.Len() - before; n != 3 {
+		t.Fatalf("an unreached cycle interned %d terms, want 3 (Q1, Q2, loops)", n)
 	}
 	graph, terms, paths, epoch, keys := graphState(ix), ix.dict.Len(), ix.NumPaths(), ix.Epoch(), livePathKeys(t, ix)
 	batch := []rdf.Triple{
@@ -607,25 +608,23 @@ func testInsertAllOrNothingStageInternsPending(t *testing.T) {
 	if err := ix.InsertTriples(batch); err != nil {
 		t.Fatalf("retry after fault cleared: %v", err)
 	}
-	if got := ix.dict.Len() - terms; got != 7 {
-		t.Fatalf("retry interned %d terms, want 7 (FreshRoot, Q1, Q2, FreshBill, reaches, loops, backs)", got)
+	// Subject, object, predicate: FreshRoot, reaches; FreshBill, backs.
+	want := []rdf.Term{iri("FreshRoot"), iri("reaches"), iri("FreshBill"), iri("backs")}
+	if got := ix.dict.terms[terms:]; !slices.Equal(got, want) {
+		t.Fatalf("retry interned %v, want %v", got, want)
 	}
 	requireReopenedEqualsBuild(t, ix)
 }
 
 // graphState renders the index's ID graph as a failed insert must leave
-// it: every column — term refs, edges, out- and in-lists — the pending
-// table with each term's interning, and the graph spelt out (Graph).
+// it: every column — term IDs, edges, out- and in-lists — and the graph
+// spelt out (Graph).
 func graphState(ix *Index) string {
 	ix.mu.RLock()
 	g := ix.graph
-	var b strings.Builder
-	fmt.Fprintf(&b, "nodes %v\nfrom %v\nto %v\nlabel %v\nout %v\nin %v\npending", g.nodeTerm, g.from, g.to, g.label, g.out, g.in)
-	for i, term := range g.pending.terms {
-		fmt.Fprintf(&b, " %v=%d", term, g.pendingID[i])
-	}
+	cols := fmt.Sprintf("nodes %v\nfrom %v\nto %v\nlabel %v\nout %v\nin %v\n", g.nodeTerm, g.from, g.to, g.label, g.out, g.in)
 	ix.mu.RUnlock()
-	return b.String() + "\n" + graphOrder(ix.Graph())
+	return cols + graphOrder(ix.Graph())
 }
 
 // withoutLSN drops the applied LSN from encoded metadata: a batch whose
