@@ -79,10 +79,13 @@ race-hot:
 # through the Reader, with its scripted cases, one per branch of the
 # re-confirmation and a compaction that renumbers a stale cut's IDs;
 # clusters searched after a compaction renumbered the dictionary, whose
-# answers decode through the term table they were read with; and
-# readers racing a writer through that re-confirmation, which must
-# never serve an answer set older than the inserts they saw complete.
-CRASH_RUN = TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestOpenLocksBase|TestOpenMissingBaseLeavesNoLock|TestDefaultDatabaseSurvivesCrash|TestWritePathModel|TestAlignMemoExactUnderWrites|TestAssemblyDecodesClustersTermTable|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers
+# answers decode through the term table they were read with; readers
+# racing a writer through that re-confirmation, which must never serve
+# an answer set older than the inserts they saw complete; and the
+# replays that must give a crash copy the live index's term IDs, pages,
+# records and graph (the insert-stream golden's replayed legs, and the
+# graph of a crash copy, a checkpointed copy and a compaction).
+CRASH_RUN = TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestOpenLocksBase|TestOpenMissingBaseLeavesNoLock|TestDefaultDatabaseSurvivesCrash|TestWritePathModel|TestAlignMemoExactUnderWrites|TestAssemblyDecodesClustersTermTable|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers|TestInsertStreamGolden|TestGraphParity
 CRASH_PKGS = . ./internal/storage ./internal/index ./internal/core
 
 crash:
