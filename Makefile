@@ -207,8 +207,9 @@ knobs:
 # test binary next to them for symbolisation: the search phase where it
 # is busiest (BenchmarkSearchBudgetBound: Q11/Q12 over LUBM 10 k,
 # clustered once, searched to the visit budget) and on the small
-# lattices (BenchmarkSearchMix: Q1–Q10, the cluster_param and
-# read_after_write shapes), its layers apart (BenchmarkSearchLayers: the
+# lattices (BenchmarkSearchMix: Q1–Q10, the read_after_write shapes,
+# and the cluster_param band's department-bound P5 and P6 shapes), its
+# layers apart (BenchmarkSearchLayers: the
 # visited set, pair scoring and the top-k list on Q11's recorded walk,
 # and the join pass on Q11 and on Q1–Q10), and the cluster phase with
 # nothing memoised

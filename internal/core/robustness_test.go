@@ -77,11 +77,11 @@ func TestQueryContextDeadlineReason(t *testing.T) {
 	}
 }
 
-// TestSearchContextMidCancelPrefix cancels the combination search after
-// a fixed number of frontier iterations and checks the truncated result
-// against the full run: the prefix must stay sorted by score, and every
-// rank can only be as good as or worse than the full run's same rank
-// (the full run has seen strictly more combinations).
+// TestSearchContextMidCancelPrefix runs the search under budgetCtx
+// contexts and checks each result against the full run: sorted by
+// score, and no rank better than the full run's same rank. The walk
+// polls only Done, which budgetCtx leaves nil, so every run here is a
+// whole search; TestSearchCancelledMidWalk cancels a walk for real.
 func TestSearchContextMidCancelPrefix(t *testing.T) {
 	e := newTestEngine(t, Options{})
 	pre := e.Preprocess(queryQ1())

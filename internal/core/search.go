@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sama/internal/align"
 	"sama/internal/index"
@@ -23,16 +25,17 @@ import (
 //
 // Early termination is sound: under the alignment-aware χ, χa ≤ |χ(qi,
 // qj)|, so every matched intersection-graph pair contributes ψ ≥ e
-// (pairBound tightens that per pair). Once the frontier's Λ plus that Ψ
-// lower bound exceeds the k-th best total, no unseen combination can
-// improve the result set. k ≤ 0 returns every combination visited
-// (within the MaxCombinations budget).
+// (pairBound tightens that per pair, and caps each pair's degree). Once
+// the frontier's Λ plus that Ψ lower bound exceeds the k-th best total,
+// or equals it while the k-th entry's degree reaches the degree cap, no
+// unseen combination can improve the result set. k ≤ 0 returns every
+// combination visited (within the MaxCombinations budget).
 func (e *Engine) Search(pre *Preprocessed, clusters []Cluster, k int) []Answer {
 	return e.SearchContext(context.Background(), pre, clusters, k)
 }
 
 // SearchContext is Search under a context. The frontier loop checks the
-// context every iteration: on cancellation it stops expanding and
+// context every 64 visits: on cancellation it stops expanding and
 // returns the answers ranked so far. Because combinations are visited
 // in non-decreasing Λ order and the result list is kept sorted by full
 // score, the truncated result is a valid best-so-far prefix in
@@ -78,10 +81,12 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 
 	rl := resultList{k: k}
 	// terms[ci] is the popped combination's word-key term of cluster ci;
-	// fresh[ci] says its ci-successor entered the visited set.
+	// fresh[ci] says its ci-successor entered the visited set; prefix[ci]
+	// is comboLambda's partial sum before cluster ci.
 	last := len(eff) - 1
 	terms := make([]uint64, len(eff))
 	fresh := make([]bool, len(eff))
+	prefix := make([]float64, len(eff))
 
 	visited := 0
 	tieVisits := 0
@@ -90,26 +95,29 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	cancelled := false
 	boundBreak := false
 	for frontier.len() > 0 && visited < maxVisits {
-		select {
-		case <-done:
-			cancelled = true
-		default:
-		}
-		if cancelled {
-			break
+		if visited&63 == 0 {
+			select {
+			case <-done:
+				cancelled = true
+			default:
+			}
+			if cancelled {
+				break
+			}
 		}
 		cLambda, h := frontier.pop()
 		if w := rl.worst(); w >= 0 {
-			if cLambda+ps.psiLB > w {
-				// Tighter bound: this combo — and, pops being in
-				// non-decreasing λ, every later one — scores > w.
+			if tight := cLambda + ps.psiLB; tight > w || tight == w && rl.results[k-1].degree >= ps.degUB {
+				// A proof: this combo — and, pops being in non-decreasing
+				// λ, every unseen one, walked or joined — scores > w, or
+				// = w with a degree no higher than the k-th's.
 				boundBreak = true
 				break
 			}
 			lb := cLambda + psiMinU
 			if lb > w {
-				// Uniform bound, kept for pathological params where
-				// psiLB < psiMinU (negative E).
+				// Uniform bound: psiLB folds the per-pair bounds, which can
+				// land an ulp below the product E·|pairs|.
 				break
 			}
 			if lb == w {
@@ -129,22 +137,25 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 		// the last cluster moved. All successors are offered to the
 		// visited set, in cluster order, before any is pushed, so
 		// back-to-back probes overlap their cache misses.
-		key := uint64(0)
-		for ci, ii := range frontier.vec(h) {
+		vec := frontier.vec(h)
+		key, sum := uint64(0), 0.0
+		for ci, ii := range vec {
+			prefix[ci] = sum
+			sum += ps.costs[ci][ii]
 			if ci == last {
 				ii >>= 6
 			}
-			terms[ci] = keyTerm(ci, ii)
+			terms[ci] = ps.keys[ci][ii]
 			key += terms[ci]
 		}
-		bit := frontier.vec(h)[last] & 63
-		for ci, ii := range frontier.vec(h) {
+		bit := vec[last] & 63
+		for ci, ii := range vec {
 			next, b := ii+1, bit
 			if ci == last {
 				next, b = (ii+1)>>6, (ii+1)&63
 			}
 			fresh[ci] = int(ii)+1 < len(eff[ci].Items) &&
-				visitedSet.add(key-terms[ci]+keyTerm(ci, next), b)
+				visitedSet.add(key-terms[ci]+ps.keys[ci][next], b)
 		}
 		// The slab may grow while successors are allocated, so every
 		// vector is re-sliced from its handle after alloc.
@@ -156,7 +167,7 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 			next := frontier.vec(nh)
 			copy(next, frontier.vec(h))
 			next[ci]++
-			frontier.push(ps.comboLambda(next)+basePenalty, nh)
+			frontier.push(ps.bumpLambda(next, prefix, ci)+basePenalty, nh)
 		}
 		if n := frontier.len(); n > frontierPeak {
 			frontierPeak = n
@@ -180,25 +191,27 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	// are deduplicated, scored and ranked here, after the walk, in the
 	// order a sequential pass would. Dropped on cancellation, whichever
 	// side saw it: a cancelled query wants its prefix now, and the join
-	// stops at its next seed.
+	// stops at its next seed. Dropped, and the pass told to quit, on a
+	// bound break: the proof covers them.
 	joined := 0
-	var combos [][]uint32
 	if joinRes != nil {
+		if boundBreak {
+			ps.jt.quit.Store(true)
+		}
 		res := <-joinRes
 		if res.panicked != nil {
 			panic(res.panicked)
 		}
-		combos = res.combos
-		cancelled = cancelled || !res.ok
-	}
-	if !cancelled {
-		for _, idx := range combos {
-			if !visitedSet.addVec(idx) {
-				continue
+		cancelled = cancelled || !res.ok && !boundBreak
+		if !cancelled && !boundBreak {
+			for _, idx := range res.combos {
+				if !visitedSet.addVec(idx) {
+					continue
+				}
+				joined++
+				psi, degree := ps.score(idx)
+				rl.add(idx, ps.comboLambda(idx)+basePenalty, psi, degree)
 			}
-			joined++
-			psi, degree := ps.score(idx)
-			rl.add(idx, ps.comboLambda(idx)+basePenalty, psi, degree)
 		}
 	}
 	sp.Set("visited", int64(visited))
@@ -327,14 +340,14 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 //     joined — a combination that is only ever pushed costs no pair
 //     evaluation.
 //  3. The termination bound only skips guaranteed rejects. psiLB = Σ_p
-//     bound_p is a sound lower bound on any combination's Ψ (see
-//     pairBound), so a popped combo with λ + psiLB > worst has score >
-//     worst — visiting it would score it and discard it; pops are in
-//     non-decreasing λ, so every later combo is also a reject and the
-//     loop can break. Combinations that tie the k-th score are never
-//     skipped: such a combo has λ + Ψ = worst and Ψ ≥ psiLB, hence λ +
-//     psiLB ≤ worst. The tie horizon (maxTieVisits) is counted against
-//     the uniform bound E·|pairs|, after the tight check.
+//     bound_p is a sound lower bound on any combination's Ψ and degUB
+//     an upper bound on its degree (see pairBound), so a popped combo
+//     with λ + psiLB > worst, or = worst while the k-th degree is ≥
+//     degUB, is one add rejects; pops are in non-decreasing λ, so every
+//     later or joined combo is too and the loop can break. A tie that
+//     could still win on degree is never skipped. The tie horizon
+//     (maxTieVisits) is counted against the uniform bound E·|pairs|,
+//     after the tight check.
 //  4. The visit order is deterministic. The (λ, handle) heap orders by
 //     λ alone with container/heap's sift algorithm and strict
 //     comparisons, successors push in cluster order, and the visited
@@ -354,8 +367,14 @@ type pairScorer struct {
 	// stay on an array of 8-byte strides (an item is 64 B).
 	costs [][]float64
 	// psiLB = Σ_p bound_p, the precomputed Ψ lower bound; always ≥ the
-	// uniform E·|pairs| when E ≥ 0 (each bound_p = E·χQ/χcap ≥ E).
-	psiLB float64
+	// uniform E·|pairs| when E ≥ 0 (each bound_p = E·χQ/χcap ≥ E), up to
+	// the ulps of folding it. degUB = Σ_p degTab[χcap], folded beside it,
+	// is the highest degree any combination can reach; +Inf when a pair
+	// scores through a χ function.
+	psiLB, degUB float64
+	// keys[ci][ii] = keyTerm(ci, ii), the visited set's word-key terms;
+	// the last cluster's column is indexed by ii>>6 (visitWord).
+	keys [][]uint64
 	// jt is the join pass's view of the items' bindings (nil when the
 	// query cannot join: fewer than two effective clusters or no pairs).
 	jt *joinTables
@@ -490,7 +509,9 @@ func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 					}
 					pr.conA, pr.conB = constMasks(a, ids), constMasks(b, ids)
 				}
-				ps.psiLB += pairBound(&pr, e.par, len(a.Items), len(b.Items))
+				chiCap := pairBound(&pr, len(a.Items), len(b.Items))
+				ps.psiLB += pr.psiTab[chiCap]
+				ps.degUB += pr.degTab[chiCap]
 			}
 			ps.pairs = append(ps.pairs, pr)
 		}
@@ -504,15 +525,25 @@ func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 		// bit — the uniform bound, which is the only one raw χ admits
 		// (it can exceed χQ, so no per-pair cap holds).
 		ps.psiLB += e.par.E * float64(chiFns)
+		ps.degUB = math.Inf(1)
 	}
 
 	ps.costs = make([][]float64, len(eff))
+	ps.keys = make([][]uint64, len(eff))
 	for ci := range eff {
 		col := make([]float64, len(eff[ci].Items))
 		for ii := range eff[ci].Items {
 			col[ii] = eff[ci].Items[ii].Cost
 		}
 		ps.costs[ci] = col
+		n := len(col)
+		if ci == len(eff)-1 {
+			n = (n + 63) / 64
+		}
+		ps.keys[ci] = make([]uint64, n)
+		for x := range ps.keys[ci] {
+			ps.keys[ci][x] = keyTerm(ci, uint32(x))
+		}
 	}
 	return ps
 }
@@ -533,13 +564,14 @@ func constMasks(cl *Cluster, ids []uint32) []uint64 {
 	return masks
 }
 
-// pairBound computes the pair's ψ lower bound: χa(ii, jj) ≤
+// pairBound computes the pair's χ ceiling: χa(ii, jj) ≤
 // min(cap_i(ii), cap_j(jj)) ≤ χcap := min(max_ii cap_i, max_jj cap_j),
 // where an item's cap counts the pair's shared variables it binds plus
 // the shared constants its path contains. ψ is non-increasing in χa
-// (ψ(0) = E·χQ ≥ E·χQ/χa for any χa ≥ 1), so ψ ≥ PsiFromChi(χQ, χcap)
-// for every item pair — the per-pair bound summed into psiLB.
-func pairBound(pr *queryPair, par align.Params, nA, nB int) float64 {
+// (ψ(0) = E·χQ ≥ E·χQ/χa for any χa ≥ 1) and the degree χa/χQ
+// non-decreasing, so ψ ≥ psiTab[χcap] and degree ≤ degTab[χcap] for
+// every item pair — the per-pair bounds folded into psiLB and degUB.
+func pairBound(pr *queryPair, nA, nB int) int {
 	maxCap := func(vars [][]uint32, con []uint64, n int) int {
 		best := 0
 		for ii := 0; ii < n; ii++ {
@@ -560,11 +592,7 @@ func pairBound(pr *queryPair, par align.Params, nA, nB int) float64 {
 	}
 	capA := maxCap(pr.varsA, pr.conA, nA)
 	capB := maxCap(pr.varsB, pr.conB, nB)
-	chiCap := capA
-	if capB < chiCap {
-		chiCap = capB
-	}
-	return align.PsiFromChi(pr.chiQ, chiCap, par)
+	return min(capA, capB)
 }
 
 // score folds the combination's ψ and degree from zero in pair order —
@@ -604,6 +632,17 @@ func (ps *pairScorer) comboLambda(idx []uint32) float64 {
 	var sum float64
 	for ci, ii := range idx {
 		sum += ps.costs[ci][ii]
+	}
+	return sum
+}
+
+// bumpLambda is comboLambda(v) for a successor v whose cluster ci was
+// bumped, folded on from prefix[ci] — the parent's partial sum before
+// cluster ci — so its additions, and its bits, are comboLambda's.
+func (ps *pairScorer) bumpLambda(v []uint32, prefix []float64, ci int) float64 {
+	sum := prefix[ci]
+	for j := ci; j < len(v); j++ {
+		sum += ps.costs[j][v[j]]
 	}
 	return sum
 }
@@ -838,6 +877,9 @@ type joinTables struct {
 	// rowOffs is firstCompatible's scratch: the offsets of the rows it
 	// intersects.
 	rowOffs []int
+	// quit is set by the search on a bound break: the pass stops at its
+	// next probed item.
+	quit atomic.Bool
 }
 
 // joinCol is one cluster's compatibility index. It covers the first
@@ -1066,8 +1108,8 @@ func startJoin(eff []Cluster, ps *pairScorer, done <-chan struct{}) <-chan joinR
 // extension runs on the clusters' bitset indexes (firstCompatible)
 // into one scratch vector, copied out only when it succeeds. Join keys
 // compare bindings by Label(), the compatibility checks by full Term
-// identity. It polls done once per probed item and returns ok = false
-// as soon as done is closed. ps.jt must be non-nil.
+// identity. It polls done and jt.quit once per probed item and returns
+// ok = false as soon as either is set. ps.jt must be non-nil.
 func joinCombos(eff []Cluster, ps *pairScorer, done <-chan struct{}) (out [][]uint32, ok bool) {
 	jt := ps.jt
 	have := make([]bool, len(eff))
@@ -1127,6 +1169,9 @@ func joinCombos(eff []Cluster, ps *pairScorer, done <-chan struct{}) (out [][]ui
 			case <-done:
 				return nil, false
 			default:
+			}
+			if jt.quit.Load() {
+				return nil, false
 			}
 			if !jt.keyFromCols(probeVars, ii, kv) {
 				continue

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -18,6 +19,7 @@ import (
 	"sama/internal/obs"
 	"sama/internal/paths"
 	"sama/internal/rdf"
+	"sama/internal/textindex"
 	"sama/internal/workload"
 )
 
@@ -679,6 +681,161 @@ func TestCancelledSearchJoinsNothing(t *testing.T) {
 	}
 }
 
+// TestSearchCancelledMidWalk cancels a budget-bound Q11 walk from a
+// timer, doubling the delay until the cancel lands inside the walk: the
+// span shows cancelled=1 after some visits and fewer than the full
+// run's. The walk polls done every 64 visits, so it stops at a multiple
+// of 64. The prefix must be score-ordered and no better than the full
+// run at any rank: the full run ranked every combination it did.
+func TestSearchCancelledMidWalk(t *testing.T) {
+	g := datasets.LUBM{}.Generate(6000, 7)
+	ix, err := index.Build(filepath.Join(t.TempDir(), "lubm"), g, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	e, pre, clusters := budgetBoundSearch(t, ix, Options{}, "Q11")
+	trFull := obs.NewTrace()
+	full := e.searchTraced(context.Background(), pre, clusters, 10, trFull)
+	fc := trFull.Phases[0].Attrs
+	if fc["budget_stop"] != 1 {
+		t.Fatalf("uncancelled search span %v, want a budget stop", fc)
+	}
+	for delay := 20 * time.Microsecond; delay < time.Second; delay *= 2 {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(delay, cancel)
+		tr := obs.NewTrace()
+		prefix := e.searchTraced(ctx, pre, clusters, 10, tr)
+		timer.Stop()
+		cancel()
+		c := tr.Phases[0].Attrs
+		if c["cancelled"] != 1 || c["visited"] == 0 || c["visited"] >= fc["visited"] {
+			continue
+		}
+		t.Logf("cancelled after %v: span %v", delay, c)
+		if c["visited"]%64 != 0 {
+			t.Errorf("the walk stopped after %d visits, want a multiple of 64", c["visited"])
+		}
+		sortedByScore(t, prefix)
+		if len(prefix) > len(full) {
+			t.Fatalf("the prefix has %d answers, the full run %d", len(prefix), len(full))
+		}
+		for i := range prefix {
+			if prefix[i].Score < full[i].Score {
+				t.Errorf("prefix[%d].Score = %v beats the full run's %v", i, prefix[i].Score, full[i].Score)
+			}
+		}
+		return
+	}
+	t.Fatal("no delay landed the cancel inside the walk")
+}
+
+// TestProvenStopRejectsTheRest checks the bound break against the walk
+// it cuts short, over LUBM 10 k under the benchmark's thesaurus: Q1–Q10
+// and the cluster_param shapes over every department, at k = 10. Every
+// search whose span reports bound_break is replayed (recordWalk) past
+// its stop, up to the horizon the loop has without the break — the
+// uniform bound, the tie horizon, the visit budget — and its join pass
+// is run whole. The top k at the stop must be the search's answers, and
+// resultList.add must reject every further pop and every joined
+// combination the walk had not visited.
+func TestProvenStopRejectsTheRest(t *testing.T) {
+	g := datasets.LUBM{}.Generate(10000, 1)
+	ix, err := index.Build(filepath.Join(t.TempDir(), "lubm"), g,
+		index.Options{Thesaurus: textindex.BenchmarkThesaurus()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	e := New(ix, Options{})
+	defer e.Close()
+	qs := clusterParamQueries(t, g)
+	for _, q := range workload.LUBMQueries()[:10] {
+		qs = append(qs, goldenQuery{id: q.ID, q: q.Pattern})
+	}
+	same := func(a, b []scored) bool {
+		return slices.EqualFunc(a, b, func(x, y scored) bool {
+			return x.score == y.score && x.degree == y.degree && slices.Equal(x.idx, y.idx)
+		})
+	}
+	proofs, pops, joined := 0, 0, 0
+	for _, gq := range qs {
+		pre := e.Preprocess(gq.q)
+		clusters, err := e.Cluster(pre)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTrace()
+		answers := e.searchTraced(context.Background(), pre, clusters, 10, tr)
+		c := tr.Phases[0].Attrs
+		if c["bound_break"] != 1 {
+			continue
+		}
+		proofs++
+		stop := int(c["visited"])
+		ps, w := recordWalk(e, pre, clusters, e.opts.maxCombinations())
+		psiMinU := e.par.E * float64(len(ps.pairs))
+		rl := resultList{k: 10}
+		var frozen []scored
+		seen := newU64Set()
+		tieVisits := 0
+		for i, lam := range w.lambda {
+			if i == stop {
+				for _, s := range rl.results {
+					s.idx = slices.Clone(s.idx)
+					frozen = append(frozen, s)
+				}
+				if len(frozen) != len(answers) {
+					t.Fatalf("%s: %d answers, %d ranked at the stop", gq.id, len(answers), len(frozen))
+				}
+				for r, a := range answers {
+					if a.Score != frozen[r].score || a.Degree != frozen[r].degree {
+						t.Fatalf("%s #%d: answer (%v, %v), ranked at the stop (%v, %v)",
+							gq.id, r, a.Score, a.Degree, frozen[r].score, frozen[r].degree)
+					}
+				}
+			}
+			if wk := rl.worst(); wk >= 0 {
+				if lb := lam + psiMinU; lb > wk {
+					break
+				} else if lb == wk {
+					if tieVisits++; tieVisits > maxTieVisits {
+						break
+					}
+				}
+			}
+			psi, degree := ps.score(w.vec(i))
+			rl.add(w.vec(i), lam, psi, degree)
+			if i < stop {
+				seen.addVec(w.vec(i))
+			} else if pops++; !same(rl.results, frozen) {
+				t.Fatalf("%s: pop %d (stop at %d) entered the top k", gq.id, i, stop)
+			}
+		}
+		if ps.jt == nil {
+			continue
+		}
+		eff, missing, missed := splitEffective(clusters)
+		basePenalty := e.missPenalty(pre, missing, missed)
+		combos, _ := joinCombos(eff, ps, nil)
+		for _, idx := range combos {
+			if !seen.addVec(idx) {
+				continue
+			}
+			joined++
+			psi, degree := ps.score(idx)
+			rl.add(idx, ps.comboLambda(idx)+basePenalty, psi, degree)
+			if !same(rl.results, frozen) {
+				t.Fatalf("%s: joined combination %v entered the top k", gq.id, idx)
+			}
+		}
+	}
+	t.Logf("%d of %d searches proved; %d pops and %d joined combinations past a stop rejected", proofs, len(qs), pops, joined)
+	if proofs == 0 || pops == 0 || joined == 0 {
+		t.Fatal("vacuous: no proof stop cut a walk or a join short")
+	}
+}
+
 // TestJoinStartsOnlyWithTables checks that a search whose query cannot
 // join — a single effective cluster, or clusters with no
 // intersection-graph pair — starts no join goroutine, and that one that
@@ -760,45 +917,60 @@ func BenchmarkSearchBudgetBound(b *testing.B) {
 }
 
 // BenchmarkSearchMix times the search phase alone on the small
-// lattices: Q1–Q10 of the LUBM mix over LUBM 10 k under library
-// defaults, clustered once outside the timer, each searched at k = 10
-// per lap — the query shapes of the cluster_param and read_after_write
-// workloads. `make profile` profiles this benchmark.
+// lattices, each searched at k = 10 per lap, clustered once outside the
+// timer: Q1–Q10 of the LUBM mix over LUBM 10 k under library defaults
+// (the query shapes of read_after_write), and the cluster_param band's
+// P5 and P6 shapes over every department of LUBM 10 k under the
+// benchmark's thesaurus. It reports the visits per lap. `make profile`
+// profiles this benchmark.
 func BenchmarkSearchMix(b *testing.B) {
 	g := datasets.LUBM{}.Generate(10000, 1)
-	ix, err := index.Build(filepath.Join(b.TempDir(), "lubm"), g, index.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ix.Close()
-	e := New(ix, Options{})
-	defer e.Close()
 	type clustered struct {
+		e        *Engine
 		pre      *Preprocessed
 		clusters []Cluster
 	}
 	var mix []clustered
-	for _, q := range workload.LUBMQueries() {
-		if q.ID == "Q11" || q.ID == "Q12" {
-			continue
-		}
-		pre := e.Preprocess(q.Pattern)
-		clusters, err := e.Cluster(pre)
+	add := func(opts index.Options, qs []goldenQuery) {
+		ix, err := index.Build(filepath.Join(b.TempDir(), "lubm"), g, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mix = append(mix, clustered{pre, clusters})
+		b.Cleanup(func() { ix.Close() })
+		e := New(ix, Options{})
+		b.Cleanup(e.Close)
+		for _, q := range qs {
+			pre := e.Preprocess(q.q)
+			clusters, err := e.Cluster(pre)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mix = append(mix, clustered{e, pre, clusters})
+		}
 	}
-	if len(mix) != 10 {
-		b.Fatalf("the mix has %d queries besides Q11 and Q12, want 10", len(mix))
+	var lubm, dept []goldenQuery
+	for _, q := range workload.LUBMQueries()[:10] {
+		lubm = append(lubm, goldenQuery{id: q.ID, q: q.Pattern})
+	}
+	for _, q := range clusterParamQueries(b, g) {
+		if strings.HasPrefix(q.id, "P5 ") || strings.HasPrefix(q.id, "P6 ") {
+			dept = append(dept, q)
+		}
+	}
+	add(index.Options{}, lubm)
+	add(index.Options{Thesaurus: textindex.BenchmarkThesaurus()}, dept)
+	visited := int64(0)
+	for _, m := range mix {
+		visited += searchCounters(m.e, m.pre, m.clusters, 10)["visited"]
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range mix {
-			e.Search(m.pre, m.clusters, 10)
+			m.e.Search(m.pre, m.clusters, 10)
 		}
 	}
+	b.ReportMetric(float64(visited), "visited/lap")
 }
 
 // layerWalk is one recorded budget-bound walk of the search loop: the
