@@ -6,7 +6,7 @@ GO ?= go
 # (packages and both binaries), the race-enabled test suite with an
 # extra race pass over the concurrency-hot packages, the
 # crash-recovery matrix, a check that every test and fuzz target those
-# gates name still exists, the benchmark module's own vet and tests, one
+# gates and the design docs name still exists, the benchmark module's own vet and tests, one
 # lap of every benchmark, and a ten-second run of each native fuzz
 # target. CI and pre-commit both run this.
 check: fmt vet build bins race race-hot crash gates-check bench-check bench-smoke fuzz-smoke
@@ -94,10 +94,21 @@ crash:
 # gates-check fails when a gate names a test that is gone: go test -run
 # and -fuzz pass quietly on a pattern that matches nothing. Every
 # alternative of crash's -run pattern must match a test that go test
-# -list finds in crash's packages, and every fuzz-smoke pattern a fuzz
-# target of its package; the message names each stale entry.
+# -list finds in crash's packages, every fuzz-smoke pattern a fuzz
+# target of its package, and every Test…, Benchmark… or Fuzz… name
+# (the prefix, then an upper-case letter) that DESIGN.md or the verify
+# notes put in backticks must begin the name of a func of the tree (as
+# a -run pattern, TestWAL names every TestWAL… test); the message names
+# each stale entry.
+GATED_DOCS = DESIGN.md .claude/skills/verify/SKILL.md
 gates-check:
 	@fail=0; \
+	defined=$$(find . -name '*.go' -not -path './.bench_build/*' -exec grep -hoE '^func (Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' {} + | cut -d' ' -f2); \
+	for doc in $(GATED_DOCS); do \
+		for name in $$(tr '\n' ' ' < $$doc | grep -o '`[^`]*`' | grep -oE '\<(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' | sort -u); do \
+			echo "$$defined" | grep -q "^$$name" || { echo "gates-check: $$doc names $$name, which begins no func of the tree"; fail=1; }; \
+		done; \
+	done; \
 	listed=$$($(GO) test -list '.' $(CRASH_PKGS) | grep '^Test') || exit 1; \
 	for name in $$(echo '$(CRASH_RUN)' | tr '|' ' '); do \
 		echo "$$listed" | grep -Eq "$$name" || { echo "gates-check: crash runs $$name, which matches no test in $(CRASH_PKGS)"; fail=1; }; \

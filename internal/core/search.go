@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"sama/internal/align"
-	"sama/internal/index"
 	"sama/internal/obs"
 	"sama/internal/paths"
 	"sama/internal/rdf"
@@ -46,8 +45,9 @@ func (e *Engine) SearchContext(ctx context.Context, pre *Preprocessed, clusters 
 
 // searchTraced is SearchContext recording two trace phases: "search"
 // (the Λ-ordered frontier expansion plus the hash-join completion pass
-// that runs beside it) and "assemble" (materialising the surviving
-// combinations into answers). A nil trace records nothing. The
+// that runs beside it, both reading the pair scorer's binding columns)
+// and "assemble" (materialising the surviving combinations into
+// answers). A nil trace records nothing. The
 // invariants that make the ranked answers a function of the clusters
 // alone are on pairScorer.
 func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters []Cluster, k int, tr *obs.Trace) []Answer {
@@ -64,10 +64,10 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	// done is closed exactly when ctx.Err() turns non-nil; polling it
 	// takes no lock, where Err takes a cancelCtx's mutex.
 	done := ctx.Done()
-	// The join pass reads only the clusters and the scorer's pairs, which
-	// the walk below never writes, and its own tables, which nothing else
-	// touches: it runs beside the walk and is received where it used to
-	// run.
+	// The join pass reads only the clusters and the scorer's pairs and
+	// columns, which the walk below never writes, and writes only its own
+	// bound scratch: it runs beside the walk and is received where it
+	// used to run.
 	joinRes := startJoin(eff, ps, done)
 
 	frontier := getFrontier(len(eff))
@@ -375,8 +375,9 @@ type pairScorer struct {
 	// keys[ci][ii] = keyTerm(ci, ii), the visited set's word-key terms;
 	// the last cluster's column is indexed by ii>>6 (visitWord).
 	keys [][]uint64
-	// jt is the join pass's view of the items' bindings (nil when the
-	// query cannot join: fewer than two effective clusters or no pairs).
+	// jt files the binding columns by shared variable for the join pass
+	// (nil when the query cannot join: fewer than two effective clusters
+	// or no pairs).
 	jt *joinTables
 }
 
@@ -386,13 +387,11 @@ type queryPair struct {
 	ci, cj int
 	// chiQ = |χ(qi, qj)|.
 	chiQ int
-	// sharedVars are the variable names of χ(qi, qj) in CommonNodes
-	// order (the join pass keys on them in this order).
-	sharedVars []string
 	// varsA[s][ii] is 1 + the dictionary ID of eff[ci].Items[ii]'s
-	// binding for sharedVars[s] (0 = unbound); varsB indexes eff[cj]
-	// likewise. Dictionary IDs are term identity (kind-sensitive),
-	// matching the Term equality ChiAligned applies to bindings.
+	// binding for the s-th shared variable of χ(qi, qj) in CommonNodes
+	// order (0 = unbound); varsB indexes eff[cj] likewise. Dictionary IDs
+	// are term identity (kind-sensitive), matching the Term equality
+	// ChiAligned applies to bindings; the join pass keys on them too.
 	varsA, varsB [][]uint32
 	// conA[ii] has bit s set when eff[ci].Items[ii]'s path has the s-th
 	// shared constant's node ID; conB likewise. χa's constant contribution
@@ -420,9 +419,9 @@ type queryPair struct {
 const maxSharedConsts = 64
 
 // newPairScorer precompiles the pairwise structure once per search:
-// CommonNodes(qi, qj), χQ, the shared variable list, and per-item
-// binding vectors / containment masks, in the order pre.IG lists the
-// pairs.
+// CommonNodes(qi, qj), χQ, and per-item binding vectors / containment
+// masks, in the order pre.IG lists the pairs, and the join pass's
+// tables over the same binding vectors.
 func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 	byQueryIndex := make(map[int]int, len(eff))
 	for i, cl := range eff {
@@ -473,7 +472,6 @@ func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 			var consts []rdf.Term
 			for _, x := range common {
 				if x.Kind == rdf.Var {
-					pr.sharedVars = append(pr.sharedVars, x.Value)
 					pr.varsA = append(pr.varsA, column(ci, x.Value))
 					pr.varsB = append(pr.varsB, column(cj, x.Value))
 				} else {
@@ -517,7 +515,7 @@ func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 		}
 	}
 	if len(eff) >= 2 && len(ps.pairs) > 0 {
-		ps.jt = newJoinTables(eff)
+		ps.jt = newJoinTables(eff, column)
 	}
 	if chiFns > 0 {
 		// The uniform floor E per χ-function pair, added as one product:
@@ -844,207 +842,75 @@ const (
 	maxChecksPerCol = 512
 )
 
-// joinTables is the join pass's compiled view of the clusters: per
-// cluster, a bitset index over its items' bindings of shared variables,
-// so the extension phase's compatibility check is a few word-wide ANDs
-// instead of a scan per item. Term IDs are the dictionary's (full Term
-// equality); label IDs (the join key's equivalence is Label() equality)
-// are derived per term ID on demand, through the clusters' term table.
+// joinTables is the join pass's view of the clusters: the scorer's
+// binding columns, filed by shared variable, and the bindings a seed
+// has accumulated. A variable is shared when two or more effective
+// query paths have it. An item's substitution binds only its own query
+// path's variables, so no other binding can ever meet one from another
+// cluster: the tables leave them out.
 type joinTables struct {
-	terms index.Terms
-	eff   []Cluster
-	// cols[ci] is built lazily, the first time a seed is extended into
-	// the cluster — seed keys never need it (they read the scorer's
-	// binding columns), so a query whose seeds all fail key matching, or
-	// that has no cluster outside a seed's pair, indexes nothing.
-	cols []joinCol
-	// nameID numbers (from 1) the variables that two or more effective
-	// query paths have. An item's substitution binds only its own query
-	// path's variables, so a binding of any other variable can never
-	// meet a binding from another cluster: the tables leave it out.
-	nameID map[string]int32
-	// slotName[ci][slot] is the name ID of eff[ci].vars[slot], 0 for a
-	// variable no other cluster has.
-	slotName [][]int32
-	// labelOf[tid] is the interned Label() of the binding-column value
-	// tid (1 + a term ID); labelIDs interns the label strings.
-	labelOf  map[uint32]uint32
-	labelIDs map[string]uint32
-	// bound is the accumulated-bindings scratch shared by the seed
-	// loop: parallel (name ID, term ID), first binding wins.
-	boundNames []int32
-	boundTerms []uint32
-	// rowOffs is firstCompatible's scratch: the offsets of the rows it
-	// intersects.
-	rowOffs []int
-	// quit is set by the search on a bound break: the pass stops at its
-	// next probed item.
+	// cols[ci][v] is cluster ci's binding column for shared variable v
+	// (1 + the item's term ID, 0 = unbound), nil when ci's query path
+	// lacks v.
+	cols [][][]uint32
+	// bound[v] is 1 + the term ID of the seed's first binding of shared
+	// variable v, 0 while it has none; cleared per seed.
+	bound []uint32
+	// quit is set by the search on a bound break: the pass stops before
+	// its next pair's build or probed item.
 	quit atomic.Bool
 }
 
-// joinCol is one cluster's compatibility index. It covers the first
-// n = min(len(Items), maxChecksPerCol) items — the ones extend may take
-// — nw = ⌈n/64⌉ words per row, bit ii of a row standing for item ii:
-//   - row name−1, for every shared variable, holds the items that do
-//     not bind it;
-//   - keys are the distinct name<<32|term bindings of the n items
-//     (sharedKeys), ascending, and keys[i]'s row is len(nameID)+i: the
-//     items that bind the name to that term or not at all.
-type joinCol struct {
-	nw   int
-	keys []uint64
-	rows []uint64
-}
-
-func newJoinTables(eff []Cluster) *joinTables {
-	jt := &joinTables{
-		terms:    eff[0].terms,
-		eff:      eff,
-		cols:     make([]joinCol, len(eff)),
-		nameID:   make(map[string]int32),
-		slotName: make([][]int32, len(eff)),
-		labelOf:  make(map[uint32]uint32),
-		labelIDs: make(map[string]uint32),
-	}
-	seen := make(map[string]bool) // the variables of an earlier cluster's path
+// newJoinTables numbers the shared variables and takes each cluster's
+// column for each through column. A shared node variable puts an
+// intersection-graph edge between each two of its clusters, so the
+// scorer compiled its columns already; only a shared edge variable's
+// are compiled here.
+func newJoinTables(eff []Cluster, column func(ci int, name string) []uint32) *joinTables {
+	var names []string
 	for ci := range eff {
 		for _, name := range eff[ci].vars {
-			if seen[name] && jt.nameID[name] == 0 {
-				jt.nameID[name] = int32(len(jt.nameID) + 1)
+			if !slices.Contains(names, name) && slices.ContainsFunc(eff[ci+1:], func(c Cluster) bool {
+				return slices.Contains(c.vars, name)
+			}) {
+				names = append(names, name)
 			}
-			seen[name] = true
 		}
 	}
+	jt := &joinTables{cols: make([][][]uint32, len(eff)), bound: make([]uint32, len(names))}
 	for ci := range eff {
-		jt.slotName[ci] = make([]int32, len(eff[ci].vars))
-		for s, name := range eff[ci].vars {
-			jt.slotName[ci][s] = jt.nameID[name]
+		jt.cols[ci] = make([][]uint32, len(names))
+		for v, name := range names {
+			if slices.Contains(eff[ci].vars, name) {
+				jt.cols[ci][v] = column(ci, name)
+			}
 		}
 	}
 	return jt
 }
 
-// ensure builds cluster ci's joinCol unless it is built.
-func (jt *joinTables) ensure(ci int) {
-	col := &jt.cols[ci]
-	if col.rows != nil {
-		return
-	}
-	n, shared := min(len(jt.eff[ci].Items), maxChecksPerCol), len(jt.nameID)
-	col.nw = (n + 63) / 64
-	for ii := 0; ii < n; ii++ {
-		col.keys = jt.sharedKeys(col.keys, ci, ii)
-	}
-	slices.Sort(col.keys)
-	col.keys = slices.Compact(col.keys)
-	col.rows = make([]uint64, (shared+len(col.keys))*col.nw)
-	row := func(r int) []uint64 { return col.rows[r*col.nw : (r+1)*col.nw] }
-	// Absent rows: every item below n, less the name's binders.
-	for r := 0; r < shared; r++ {
-		for w := range row(r) {
-			row(r)[w] = ^uint64(0)
-			if rem := n - 64*w; rem < 64 {
-				row(r)[w] = 1<<rem - 1
+// firstCompatible returns the first of cluster ci's first
+// min(n, maxChecksPerCol) items whose bindings agree with the
+// accumulated ones under full Term identity, or -1.
+func (jt *joinTables) firstCompatible(ci, n int) int {
+next:
+	for ii := range min(n, maxChecksPerCol) {
+		for v, col := range jt.cols[ci] {
+			if col != nil && col[ii] != 0 && jt.bound[v] != 0 && col[ii] != jt.bound[v] {
+				continue next
 			}
 		}
-	}
-	var ks []uint64
-	for ii := 0; ii < n; ii++ {
-		ks = jt.sharedKeys(ks[:0], ci, ii)
-		for _, k := range ks {
-			row(int(k>>32) - 1)[ii/64] &^= 1 << (ii % 64)
-		}
-	}
-	// Key rows: the name's absent row plus the key's binders.
-	for i, k := range col.keys {
-		copy(row(shared+i), row(int(k>>32)-1))
-	}
-	for ii := 0; ii < n; ii++ {
-		ks = jt.sharedKeys(ks[:0], ci, ii)
-		for _, k := range ks {
-			i, _ := slices.BinarySearch(col.keys, k)
-			row(shared + i)[ii/64] |= 1 << (ii % 64)
-		}
-	}
-}
-
-// sharedKeys appends to dst the name<<32|term key of each binding item ii
-// of cluster ci has for a shared variable.
-func (jt *joinTables) sharedKeys(dst []uint64, ci, ii int) []uint64 {
-	for _, b := range jt.eff[ci].bindings(ii) {
-		if nid := jt.slotName[ci][b.slot]; nid != 0 {
-			dst = append(dst, uint64(nid)<<32|uint64(b.term))
-		}
-	}
-	return dst
-}
-
-// label derives (and caches) the interned Label() of a binding-column
-// value.
-func (jt *joinTables) label(tid uint32) uint32 {
-	l, ok := jt.labelOf[tid]
-	if !ok {
-		s := jt.terms[tid-1].Label()
-		if l, ok = jt.labelIDs[s]; !ok {
-			l = uint32(len(jt.labelIDs) + 1)
-			jt.labelIDs[s] = l
-		}
-		jt.labelOf[tid] = l
-	}
-	return l
-}
-
-// keyFromCols fills the item's label-key vector straight from the
-// scorer's binding columns (vars[s][ii] is 1 + the binding's ID for the
-// pair's s-th shared variable); false when the item does not bind every
-// shared variable (column 0 ⇔ the variable is absent from the item's
-// substitution).
-func (jt *joinTables) keyFromCols(vars [][]uint32, ii int, kv []uint32) bool {
-	for s := range vars {
-		tid := vars[s][ii]
-		if tid == 0 {
-			return false
-		}
-		kv[s] = jt.label(tid)
-	}
-	return true
-}
-
-// firstCompatible returns the first of cluster ci's first
-// maxChecksPerCol items whose substitution agrees with the accumulated
-// bindings under full Term identity, or -1: the lowest set bit of the
-// intersection of one row per bound name — the name's key row when
-// some item binds it to the bound term, its absent row otherwise.
-func (jt *joinTables) firstCompatible(ci int) int {
-	col := &jt.cols[ci]
-	offs := jt.rowOffs[:0]
-	for b, bn := range jt.boundNames {
-		r := int(bn) - 1
-		if i, ok := slices.BinarySearch(col.keys, uint64(bn)<<32|uint64(jt.boundTerms[b])); ok {
-			r = len(jt.nameID) + i
-		}
-		offs = append(offs, r*col.nw)
-	}
-	jt.rowOffs = offs
-	for w := 0; w < col.nw; w++ {
-		acc := ^uint64(0)
-		for _, o := range offs {
-			acc &= col.rows[o+w]
-		}
-		if acc != 0 {
-			return 64*w + bits.TrailingZeros64(acc)
-		}
+		return ii
 	}
 	return -1
 }
 
 // merge folds the shared-variable bindings of item ii of cluster ci
-// into the scratch; first binding wins.
+// into the accumulated ones; first binding wins.
 func (jt *joinTables) merge(ci, ii int) {
-	for _, b := range jt.eff[ci].bindings(ii) {
-		if nid := jt.slotName[ci][b.slot]; nid != 0 && !slices.Contains(jt.boundNames, nid) {
-			jt.boundNames = append(jt.boundNames, nid)
-			jt.boundTerms = append(jt.boundTerms, b.term)
+	for v, col := range jt.cols[ci] {
+		if col != nil && jt.bound[v] == 0 {
+			jt.bound[v] = col[ii]
 		}
 	}
 }
@@ -1057,13 +923,23 @@ func (jt *joinTables) extend(eff []Cluster, idx []uint32, have []bool) bool {
 		if have[ci] {
 			continue
 		}
-		jt.ensure(ci)
-		found := jt.firstCompatible(ci)
+		found := jt.firstCompatible(ci, len(eff[ci].Items))
 		if found < 0 {
 			return false
 		}
 		idx[ci] = uint32(found)
 		jt.merge(ci, found)
+	}
+	return true
+}
+
+// joinKey gathers item ii's key from a pair side's binding columns
+// into kv; false when the item leaves a shared variable unbound.
+func joinKey(vars [][]uint32, ii int, kv []uint32) bool {
+	for s := range vars {
+		if kv[s] = vars[s][ii]; kv[s] == 0 {
+			return false
+		}
 	}
 	return true
 }
@@ -1100,20 +976,27 @@ func startJoin(eff []Cluster, ps *pairScorer, done <-chan struct{}) <-chan joinR
 // joinCombos builds combinations whose per-path substitutions agree on
 // the shared query variables: a hash-join over each intersection-graph
 // pair (probe one cluster's shared-variable bindings into the other's),
-// with each match greedily extended to the remaining clusters. It runs
-// on the scorer's precompiled pair structure: binding keys are
-// label-interned uint32 vectors keyed by comboKey with exact vector
-// verification on both build and probe (no per-item string assembly,
-// and key collisions cannot merge distinct keys), and the greedy
-// extension runs on the clusters' bitset indexes (firstCompatible)
-// into one scratch vector, copied out only when it succeeds. Join keys
-// compare bindings by Label(), the compatibility checks by full Term
-// identity. It polls done and jt.quit once per probed item and returns
-// ok = false as soon as either is set. ps.jt must be non-nil.
+// with each match greedily extended to the remaining clusters. Its keys
+// are the scorer's binding columns read across a pair's shared
+// variables — term identity, as χa compares them — bucketed by
+// comboKey with exact vector verification on both build and probe (key
+// collisions cannot merge distinct keys); the greedy extension
+// (firstCompatible) compares the same IDs, into one scratch vector
+// copied out only when it succeeds. It polls done and jt.quit before
+// each pair's build and once per probed item, and returns ok = false as
+// soon as either is set. ps.jt must be non-nil.
 func joinCombos(eff []Cluster, ps *pairScorer, done <-chan struct{}) (out [][]uint32, ok bool) {
 	jt := ps.jt
 	have := make([]bool, len(eff))
 	idx := make([]uint32, len(eff))
+	stopped := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+		}
+		return jt.quit.Load()
+	}
 
 	var kvArena []uint32
 	var next []int32
@@ -1122,9 +1005,12 @@ func joinCombos(eff []Cluster, ps *pairScorer, done <-chan struct{}) (out [][]ui
 			break
 		}
 		pr := &ps.pairs[pi]
-		nv := len(pr.sharedVars)
+		nv := len(pr.varsA)
 		if nv == 0 {
 			continue
+		}
+		if stopped() {
+			return nil, false
 		}
 		// Build side: the smaller cluster of the pair; first item per
 		// key wins (items are cost-sorted).
@@ -1135,7 +1021,7 @@ func joinCombos(eff []Cluster, ps *pairScorer, done <-chan struct{}) (out [][]ui
 			buildVars, probeVars = probeVars, buildVars
 		}
 		// head[comboKey] is 1 + the build item heading the chain of
-		// distinct label keys with that comboKey; next links the chain.
+		// distinct keys with that comboKey; next links the chain.
 		nb := len(eff[build].Items)
 		head := make(map[uint64]int32, nb)
 		if len(kvArena) < nv*nb {
@@ -1154,7 +1040,7 @@ func joinCombos(eff []Cluster, ps *pairScorer, done <-chan struct{}) (out [][]ui
 		}
 		for ii := 0; ii < nb; ii++ {
 			kv := kvArena[ii*nv : (ii+1)*nv]
-			if jt.keyFromCols(buildVars, ii, kv) && find(kv) < 0 {
+			if joinKey(buildVars, ii, kv) && find(kv) < 0 {
 				h := comboKey(kv)
 				next[ii], head[h] = head[h], int32(ii+1)
 			}
@@ -1165,15 +1051,10 @@ func joinCombos(eff []Cluster, ps *pairScorer, done <-chan struct{}) (out [][]ui
 			if seeds >= maxSeedsPerPair || len(out) >= maxTotalSeeds {
 				break
 			}
-			select {
-			case <-done:
-				return nil, false
-			default:
-			}
-			if jt.quit.Load() {
+			if stopped() {
 				return nil, false
 			}
-			if !jt.keyFromCols(probeVars, ii, kv) {
+			if !joinKey(probeVars, ii, kv) {
 				continue
 			}
 			jj := find(kv)
@@ -1181,8 +1062,7 @@ func joinCombos(eff []Cluster, ps *pairScorer, done <-chan struct{}) (out [][]ui
 				continue
 			}
 			idx[probe], idx[build] = uint32(ii), uint32(jj)
-			jt.boundNames = jt.boundNames[:0]
-			jt.boundTerms = jt.boundTerms[:0]
+			clear(jt.bound)
 			jt.merge(probe, ii)
 			jt.merge(build, jj)
 			for ci := range have {

@@ -428,96 +428,6 @@ func TestFrontierPopsLikeContainerHeap(t *testing.T) {
 	}
 }
 
-// compatible is the per-item check the join pass's bitset kernel
-// replaced, kept as its oracle: whether the item's whole substitution
-// agrees with the accumulated bindings under full Term identity.
-func compatible(subst rdf.Substitution, bound map[string]rdf.Term) bool {
-	for name, val := range subst {
-		if b, ok := bound[name]; ok && b != val {
-			return false
-		}
-	}
-	return true
-}
-
-// TestFirstCompatibleMatchesLinearScan checks the bitset kernel against
-// the linear scan of compatible over random clusters: substitutions
-// over a few shared variables with some absent from some items (and
-// from whole clusters), bound variables no item binds, one variable
-// only the cluster's own query path has (which no other cluster can
-// bind, so the tables leave it out), a small term pool so bindings
-// agree often, and cluster sizes on both sides of the 64-bit word and
-// of maxChecksPerCol. found is the first compatible item below
-// min(n, maxChecksPerCol), as extend scanned.
-func TestFirstCompatibleMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	names := []string{"a", "b", "c", "d", "e", "f"}
-	term := func() rdf.Term { return iri(fmt.Sprintf("T%d", rng.Intn(6))) }
-	sizes := []int{1, 2, 63, 64, 65, 127, 128, 130, 511, 512, 513, 700}
-	var eff []Cluster
-	tt := &termTable{ids: map[rdf.Term]uint32{}}
-	for ci, n := range sizes {
-		own := fmt.Sprintf("own%d", ci)
-		q := paths.Path{Nodes: []rdf.Term{vr(own)}}
-		for _, nm := range names {
-			q.Nodes = append(q.Nodes, vr(nm))
-		}
-		substs := make([]rdf.Substitution, n)
-		for ii := range substs {
-			substs[ii] = rdf.Substitution{own: term()}
-			for _, nm := range names[:4+ci%2] { // "e" only in some clusters, "f" in none
-				if rng.Intn(3) > 0 {
-					substs[ii][nm] = term()
-				}
-			}
-		}
-		eff = append(eff, craftCluster(tt, q, substs))
-	}
-	for ci := range eff {
-		eff[ci].terms = tt.terms
-	}
-	jt := newJoinTables(eff)
-	for ci := range eff {
-		jt.ensure(ci)
-	}
-	var none, firstWord, laterWord int
-	for trial := 0; trial < 3000; trial++ {
-		ci := rng.Intn(len(eff))
-		bound := map[string]rdf.Term{}
-		jt.boundNames, jt.boundTerms = jt.boundNames[:0], jt.boundTerms[:0]
-		for _, nm := range names {
-			if rng.Intn(2) == 0 {
-				bound[nm] = term()
-				jt.boundNames = append(jt.boundNames, jt.nameID[nm])
-				jt.boundTerms = append(jt.boundTerms, tt.id(bound[nm]))
-			}
-		}
-		want := -1
-		for ii := 0; ii < min(len(eff[ci].Items), maxChecksPerCol); ii++ {
-			if compatible(eff[ci].Alignment(ii).Subst, bound) {
-				want = ii
-				break
-			}
-		}
-		if got := jt.firstCompatible(ci); got != want {
-			t.Fatalf("trial %d, cluster of %d items, bound %v: kernel found %d, linear scan %d",
-				trial, len(eff[ci].Items), bound, got, want)
-		}
-		switch {
-		case want < 0:
-			none++
-		case want < 64:
-			firstWord++
-		default:
-			laterWord++
-		}
-	}
-	t.Logf("found none %d, in the first word %d, in a later word %d", none, firstWord, laterWord)
-	if none == 0 || firstWord == 0 || laterWord == 0 {
-		t.Error("some outcome never occurred: the check is partly vacuous")
-	}
-}
-
 // termTable interns the terms of hand-made clusters, as the index
 // dictionary does those of stored paths.
 type termTable struct {
@@ -885,6 +795,39 @@ func TestJoinStartsOnlyWithTables(t *testing.T) {
 	}
 	pre := &Preprocessed{Paths: []paths.Path{q0, q1}, IG: make([][]IGEdge, 2)}
 	check("disjoint", newTestEngine(t, Options{}), pre, eff, false)
+}
+
+// TestJoinKeysOnTermIdentity checks that the join pass keys its hash
+// join by term identity, as χa compares bindings: two clusters share ?x,
+// the smaller (build) one binds it to the IRI <k> and then to the
+// literal "k" — one Label() — and the larger one's first item binds the
+// literal. Every joined combination must then score χa = χQ on every
+// pair: a key by label would seed the literal with the IRI, χa = 0.
+func TestJoinKeysOnTermIdentity(t *testing.T) {
+	tt := &termTable{ids: map[rdf.Term]uint32{}}
+	q0 := paths.Path{Nodes: []rdf.Term{vr("x"), iri("a")}, Edges: []rdf.Term{iri("p")}}
+	q1 := paths.Path{Nodes: []rdf.Term{vr("x"), iri("b")}, Edges: []rdf.Term{iri("q")}}
+	eff := []Cluster{
+		craftCluster(tt, q0, []rdf.Substitution{{"x": iri("k")}, {"x": lit("k")}}),
+		craftCluster(tt, q1, []rdf.Substitution{{"x": lit("k")}, {"x": iri("z")}, {"x": lit("z")}}),
+	}
+	for ci := range eff {
+		eff[ci].QueryIndex, eff[ci].terms = ci, tt.terms
+	}
+	pre := &Preprocessed{Paths: []paths.Path{q0, q1}, IG: [][]IGEdge{{{To: 1, Chi: 1}}, {{To: 0, Chi: 1}}}}
+	ps := newPairScorer(newTestEngine(t, Options{}), pre, eff)
+	if ps.jt == nil {
+		t.Fatal("the two clusters cannot join: the check would be vacuous")
+	}
+	combos, ok := joinCombos(eff, ps, nil)
+	if !ok || len(combos) == 0 {
+		t.Fatalf("join returned %d combinations, ok=%v; want some", len(combos), ok)
+	}
+	for _, idx := range combos {
+		if _, degree := ps.score(idx); degree != float64(len(ps.pairs)) {
+			t.Errorf("joined combination %v has degree %v, want %d (χa = χQ on every pair)", idx, degree, len(ps.pairs))
+		}
+	}
 }
 
 // BenchmarkSearchBudgetBound times the search phase alone on the two

@@ -441,22 +441,12 @@ func (w *WAL) Reset(firstLSN uint64) error {
 	return w.rewriteLocked(max(firstLSN, 1))
 }
 
-// LastLSN returns the highest LSN assigned so far (0 = none).
-func (w *WAL) LastLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nextLSN - 1
-}
-
 // Size returns the size of the log file.
 func (w *WAL) Size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.size
 }
-
-// Dir returns the log's directory.
-func (w *WAL) Dir() string { return w.dir }
 
 // Stats returns a snapshot of the log's counters.
 func (w *WAL) Stats() WALStats {

@@ -237,7 +237,7 @@ func TestWALCorruptionBeforeTailFailsOpen(t *testing.T) {
 	}
 	if w, err := OpenWAL(dir, WALOptions{}); !errors.Is(err, ErrWALCorrupt) {
 		if err == nil {
-			t.Logf("replayed %d records, last LSN %d", len(collectWAL(t, w, 0)), w.LastLSN())
+			t.Logf("replayed %d records, last LSN %d", len(collectWAL(t, w, 0)), w.Stats().LastLSN)
 			w.Close()
 		}
 		t.Fatalf("open over a damaged record 3 of 10: err=%v, want ErrWALCorrupt", err)
