@@ -96,11 +96,12 @@ crash:
 # alternative of crash's -run pattern must match a test that go test
 # -list finds in crash's packages, every fuzz-smoke pattern a fuzz
 # target of its package, and every Test…, Benchmark… or Fuzz… name
-# (the prefix, then an upper-case letter) that DESIGN.md or the verify
-# notes put in backticks must begin the name of a func of the tree (as
+# (the prefix, then an upper-case letter) that DESIGN.md, README.md,
+# EXPERIMENTS.md or the verify notes put in backticks must begin the
+# name of a func of the tree (as
 # a -run pattern, TestWAL names every TestWAL… test); the message names
 # each stale entry.
-GATED_DOCS = DESIGN.md .claude/skills/verify/SKILL.md
+GATED_DOCS = DESIGN.md README.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
 gates-check:
 	@fail=0; \
 	defined=$$(find . -name '*.go' -not -path './.bench_build/*' -exec grep -hoE '^func (Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' {} + | cut -d' ' -f2); \
@@ -221,7 +222,8 @@ knobs:
 # lattices (BenchmarkSearchMix: Q1–Q10, the read_after_write shapes,
 # and the cluster_param band's department-bound P5 and P6 shapes), its
 # layers apart (BenchmarkSearchLayers: the
-# visited set, pair scoring and the top-k list on Q11's recorded walk,
+# frontier, the visited set, pair scoring and the top-k list on Q11's
+# recorded walk,
 # and the join pass on Q11 and on Q1–Q10), and the cluster phase with
 # nothing memoised
 # and with everything memoised (BenchmarkClusterColdMemo,

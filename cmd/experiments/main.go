@@ -43,7 +43,7 @@ func main() {
 	fs.IntVar(&opt.triples, "triples", 60_000, "LUBM scale for the query experiments")
 	fs.Int64Var(&opt.seed, "seed", 1, "dataset generator seed")
 	fs.IntVar(&opt.runs, "runs", 10, "timed runs per measurement")
-	fs.StringVar(&opt.dir, "dir", "", "scratch directory for index files (default: temp)")
+	fs.StringVar(&opt.dir, "dir", "", "scratch directory for index files, created if absent (default: temp)")
 	if cmd == "-h" || cmd == "--help" || cmd == "help" {
 		usage()
 		return
@@ -58,6 +58,8 @@ func main() {
 		}
 		opt.dir = dir
 		cleanup = cl
+	} else if err := os.MkdirAll(opt.dir, 0o755); err != nil {
+		fatal(err)
 	}
 	defer cleanup()
 
@@ -106,7 +108,7 @@ flags:
   -triples N   LUBM scale for the query experiments (default 60000)
   -seed N      generator seed (default 1)
   -runs N      timed runs per measurement (default 10)
-  -dir PATH    scratch directory for index files
+  -dir PATH    scratch directory for index files (created if absent)
 `)
 }
 

@@ -74,10 +74,9 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	defer frontierPool.Put(frontier)
 	visitedSet := getU64Set()
 	defer u64SetPool.Put(visitedSet)
-	start := frontier.alloc()
-	clear(frontier.vec(start)) // the all-best combination
-	frontier.push(ps.comboLambda(frontier.vec(start))+basePenalty, start)
-	visitedSet.addVec(frontier.vec(start))
+	start := make([]uint32, len(eff)) // the all-best combination
+	frontier.push(ps.comboLambda(start)+basePenalty, -1, 0)
+	visitedSet.addVec(start)
 
 	rl := resultList{k: k}
 	// terms[ci] is the popped combination's word-key term of cluster ci;
@@ -105,7 +104,7 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 				break
 			}
 		}
-		cLambda, h := frontier.pop()
+		cLambda, parent, bumped := frontier.pop()
 		if w := rl.worst(); w >= 0 {
 			if tight := cLambda + ps.psiLB; tight > w || tight == w && rl.results[k-1].degree >= ps.degUB {
 				// A proof: this combo — and, pops being in non-decreasing
@@ -130,6 +129,7 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 			}
 		}
 		visited++
+		vec := frontier.record(parent, bumped)
 
 		// A successor's word key is its parent's with one cluster's term
 		// swapped (the last cluster's term changes only when its bump
@@ -137,7 +137,6 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 		// the last cluster moved. All successors are offered to the
 		// visited set, in cluster order, before any is pushed, so
 		// back-to-back probes overlap their cache misses.
-		vec := frontier.vec(h)
 		key, sum := uint64(0), 0.0
 		for ci, ii := range vec {
 			prefix[ci] = sum
@@ -157,26 +156,19 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 			fresh[ci] = int(ii)+1 < len(eff[ci].Items) &&
 				visitedSet.add(key-terms[ci]+ps.keys[ci][next], b)
 		}
-		// The slab may grow while successors are allocated, so every
-		// vector is re-sliced from its handle after alloc.
+		// A successor's entry names this pop and its bumped cluster; its
+		// vector is written only if it is popped.
 		for ci := range eff {
-			if !fresh[ci] {
-				continue
+			if fresh[ci] {
+				frontier.push(ps.successorLambda(vec, prefix, ci, cLambda, basePenalty), int32(visited-1), int32(ci))
 			}
-			nh := frontier.alloc()
-			next := frontier.vec(nh)
-			copy(next, frontier.vec(h))
-			next[ci]++
-			frontier.push(ps.bumpLambda(next, prefix, ci)+basePenalty, nh)
 		}
 		if n := frontier.len(); n > frontierPeak {
 			frontierPeak = n
 		}
 
-		idx := frontier.vec(h)
-		psi, degree := ps.score(idx)
-		rl.add(idx, cLambda, psi, degree)
-		frontier.release(h)
+		psi, degree := ps.score(vec)
+		rl.add(vec, cLambda, psi, degree)
 	}
 	// A break leaves visited below the budget (it precedes the
 	// increment), so this is exactly "combinations were left unvisited
@@ -335,10 +327,13 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 //     array. Nothing is adjusted by ±delta from a parent: float
 //     addition is not associative, and on non-dyadic pair values (χa =
 //     3 gives ψ = E·χQ/3) a running sum drifts ulps away from the
-//     canonical fold. The heap orders by λ alone, so (ψ,
-//     degree) are folded once per combination, when it is popped or
-//     joined — a combination that is only ever pushed costs no pair
-//     evaluation.
+//     canonical fold. A successor takes its parent's λ only when the
+//     bumped cost has the same bits — the same operands in the same
+//     order, so the same fold, not a correction of it — and else folds
+//     on from the parent's prefix before the bumped cluster
+//     (successorLambda). The heap orders by λ alone, so (ψ, degree) are
+//     folded once per combination, when it is popped or joined — a
+//     combination that is only ever pushed costs no pair evaluation.
 //  3. The termination bound only skips guaranteed rejects. psiLB = Σ_p
 //     bound_p is a sound lower bound on any combination's Ψ and degUB
 //     an upper bound on its degree (see pairBound), so a popped combo
@@ -348,8 +343,8 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 //     could still win on degree is never skipped. The tie horizon
 //     (maxTieVisits) is counted against the uniform bound E·|pairs|,
 //     after the tight check.
-//  4. The visit order is deterministic. The (λ, handle) heap orders by
-//     λ alone with container/heap's sift algorithm and strict
+//  4. The visit order is deterministic. The (λ, parent, ci) heap
+//     orders by λ alone with container/heap's sift algorithm and strict
 //     comparisons, successors push in cluster order, and the visited
 //     set is exact up to a 64-bit key collision: a combination is one
 //     bit of a word keyed by comboKey of its vector with the last index
@@ -634,74 +629,69 @@ func (ps *pairScorer) comboLambda(idx []uint32) float64 {
 	return sum
 }
 
-// bumpLambda is comboLambda(v) for a successor v whose cluster ci was
-// bumped, folded on from prefix[ci] — the parent's partial sum before
-// cluster ci — so its additions, and its bits, are comboLambda's.
-func (ps *pairScorer) bumpLambda(v []uint32, prefix []float64, ci int) float64 {
-	sum := prefix[ci]
-	for j := ci; j < len(v); j++ {
-		sum += ps.costs[j][v[j]]
+// successorLambda is comboLambda(v) + base for v = vec with cluster ci
+// bumped, given lam, vec's own, and prefix[ci], vec's partial sum
+// before cluster ci: the same bits either way (invariant 2).
+func (ps *pairScorer) successorLambda(vec []uint32, prefix []float64, ci int, lam, base float64) float64 {
+	col, ii := ps.costs[ci], vec[ci]
+	if math.Float64bits(col[ii+1]) == math.Float64bits(col[ii]) {
+		return lam
 	}
-	return sum
+	sum := prefix[ci] + col[ii+1]
+	for j := ci + 1; j < len(vec); j++ {
+		sum += ps.costs[j][vec[j]]
+	}
+	return sum + base
 }
 
 // comboFrontier is the Λ-ordered priority queue of the search, held in
-// flat pointer-free slices: handle h's index vector is
-// idx[h*stride:(h+1)*stride], and the heap holds (λ, handle) entries
-// ordered with container/heap's exact sift algorithm (strict less on
-// λ), so a comparison reads the two entries it compares and nothing
-// else, the collector has nothing to scan, and a recycled frontier
-// (frontierPool) makes a steady-state search allocation-free up to the
-// slices' high-water mark.
+// flat pointer-free slices. A heap entry (λ, parent, ci) is pop number
+// parent's combination with cluster ci bumped (parent −1: the all-best
+// start); a popped one is written once, as the next row of the
+// append-only pop log (record). The heap is ordered with container/heap's
+// exact sift (strict less on λ), so a comparison reads the two entries
+// it compares, the collector has nothing to scan, and a recycled
+// frontier (frontierPool) makes a steady-state search allocation-free
+// up to the slices' high-water mark.
 type comboFrontier struct {
 	stride int
-	idx    []uint32
-	free   []int32
+	log    []uint32
 	heap   []frontierEntry
 }
 
 type frontierEntry struct {
-	lam float64
-	h   int32
+	lam        float64
+	parent, ci int32
 }
 
 // frontierPool recycles frontiers across searches, as u64SetPool does
-// the visited set: a recycled frontier keeps its slabs' capacity.
+// the visited set: a recycled frontier keeps its slices' capacity.
 var frontierPool = sync.Pool{New: func() any { return new(comboFrontier) }}
 
 // getFrontier returns an empty frontier over stride-long index vectors.
 func getFrontier(stride int) *comboFrontier {
 	q := frontierPool.Get().(*comboFrontier)
 	q.stride = stride
-	q.idx, q.free, q.heap = q.idx[:0], q.free[:0], q.heap[:0]
+	q.log, q.heap = q.log[:0], q.heap[:0]
 	return q
 }
 
 func (q *comboFrontier) len() int { return len(q.heap) }
 
-// vec is handle h's index vector. It aliases the slab: alloc may move
-// the slab, so a vector is re-sliced from its handle after every alloc.
-func (q *comboFrontier) vec(h int32) []uint32 {
-	o := int(h) * q.stride
-	return q.idx[o : o+q.stride : o+q.stride]
-}
-
-// alloc returns a handle — a released one, or a fresh one at the end
-// of the slab. Either way its vector holds stale values (the slab is
-// recycled) until the caller overwrites it.
-func (q *comboFrontier) alloc() int32 {
-	if n := len(q.free); n > 0 {
-		h := q.free[n-1]
-		q.free = q.free[:n-1]
-		return h
+// record appends the popped entry's combination to the pop log and
+// returns it; the row aliases the log, which the next record may move.
+func (q *comboFrontier) record(parent, ci int32) []uint32 {
+	n := len(q.log)
+	q.log = slices.Grow(q.log, q.stride)[:n+q.stride]
+	row := q.log[n:]
+	if parent < 0 {
+		clear(row)
+		return row
 	}
-	h := int32(len(q.idx) / q.stride)
-	q.idx = slices.Grow(q.idx, q.stride)[:len(q.idx)+q.stride]
-	return h
+	copy(row, q.log[int(parent)*q.stride:])
+	row[ci]++
+	return row
 }
-
-// release returns a popped handle to the free list.
-func (q *comboFrontier) release(h int32) { q.free = append(q.free, h) }
 
 func (q *comboFrontier) less(i, j int) bool { return q.heap[i].lam < q.heap[j].lam }
 
@@ -710,18 +700,18 @@ func (q *comboFrontier) swap(i, j int) { q.heap[i], q.heap[j] = q.heap[j], q.hea
 // push and pop are container/heap.Push / container/heap.Pop on the
 // entry slice, comparison for comparison: the heap layout, and with it
 // the pop order among equal-λ entries, is part of invariant 4.
-func (q *comboFrontier) push(lam float64, h int32) {
-	q.heap = append(q.heap, frontierEntry{lam: lam, h: h})
+func (q *comboFrontier) push(lam float64, parent, ci int32) {
+	q.heap = append(q.heap, frontierEntry{lam: lam, parent: parent, ci: ci})
 	q.up(len(q.heap) - 1)
 }
 
-func (q *comboFrontier) pop() (lam float64, h int32) {
+func (q *comboFrontier) pop() (lam float64, parent, ci int32) {
 	n := len(q.heap) - 1
 	q.swap(0, n)
 	q.down(0, n)
 	top := q.heap[n]
 	q.heap = q.heap[:n]
-	return top.lam, top.h
+	return top.lam, top.parent, top.ci
 }
 
 func (q *comboFrontier) up(j int) {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -323,65 +324,6 @@ func TestVisitedWordsSuccessor(t *testing.T) {
 	}
 }
 
-// TestFrontierSlabsKeepLiveVectors drives the frontier's slab through
-// alloc / release / regrow rounds and checks that every live handle
-// still reads back the vector written to it — across slab growth (which
-// moves the backing array) and handle reuse — and that an index at the
-// cluster-size bound round-trips.
-func TestFrontierSlabsKeepLiveVectors(t *testing.T) {
-	const stride = 5
-	q := &comboFrontier{stride: stride} // not pooled: the slab must start empty
-	rng := rand.New(rand.NewSource(17))
-	live := map[int32][stride]uint32{}
-	check := func(when string) {
-		t.Helper()
-		for h, want := range live {
-			if got := q.vec(h); !slices.Equal(got, want[:]) {
-				t.Fatalf("%s: handle %d reads %v, want %v", when, h, got, want)
-			}
-		}
-	}
-	for round := 0; round < 5; round++ {
-		slab := cap(q.idx)
-		for i := 0; i < 500<<round; i++ {
-			h := q.alloc()
-			if _, dup := live[h]; dup {
-				t.Fatalf("round %d: alloc returned live handle %d", round, h)
-			}
-			var vec [stride]uint32
-			for j := range vec {
-				vec[j] = uint32(rng.Intn(maxCandidatesBound))
-			}
-			vec[rng.Intn(stride)] = maxCandidatesBound - 1
-			copy(q.vec(h), vec[:])
-			live[h] = vec
-		}
-		if cap(q.idx) == slab {
-			t.Fatalf("round %d: the index slab did not grow", round)
-		}
-		check(fmt.Sprintf("round %d after growth", round))
-		released := 0
-		for h := range live {
-			if released*3 < len(live) {
-				q.release(h)
-				delete(live, h)
-				released++
-			}
-		}
-		// Released handles come back before the slab grows again.
-		entries := len(q.idx)
-		for i := 0; i < released; i++ {
-			h := q.alloc()
-			clear(q.vec(h))
-			live[h] = [stride]uint32{}
-		}
-		if len(q.idx) != entries {
-			t.Fatalf("round %d: slab grew by %d vectors with %d handles on the free list", round, (len(q.idx)-entries)/stride, released)
-		}
-		check(fmt.Sprintf("round %d after reuse", round))
-	}
-}
-
 // refHeap is container/heap's view of the frontier's entries: the
 // oracle for comboFrontier's sift.
 type refHeap []frontierEntry
@@ -400,8 +342,9 @@ func (r *refHeap) Pop() any {
 // TestFrontierPopsLikeContainerHeap drives the frontier's heap and
 // container/heap through the same random push/pop sequences over a
 // handful of λ values — so nearly every comparison is a tie — and
-// checks that every pop returns the same (λ, handle): equal-λ entries
-// come out in container/heap's order, the layout invariant 4 rests on.
+// checks that every pop returns the same (λ, parent, ci): equal-λ
+// entries come out in container/heap's order, the layout invariant 4
+// rests on.
 func TestFrontierPopsLikeContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for seq := 0; seq < 50; seq++ {
@@ -410,16 +353,16 @@ func TestFrontierPopsLikeContainerHeap(t *testing.T) {
 		next := int32(0)
 		for op := 0; op < 4000; op++ {
 			if ref.Len() == 0 || rng.Intn(5) < 3 {
-				e := frontierEntry{lam: float64(rng.Intn(1 + seq%6)), h: next}
+				e := frontierEntry{lam: float64(rng.Intn(1 + seq%6)), parent: next, ci: int32(rng.Intn(7))}
 				next++
-				q.push(e.lam, e.h)
+				q.push(e.lam, e.parent, e.ci)
 				heap.Push(&ref, e)
 				continue
 			}
-			lam, h := q.pop()
+			lam, parent, ci := q.pop()
 			want := heap.Pop(&ref).(frontierEntry)
-			if lam != want.lam || h != want.h {
-				t.Fatalf("sequence %d op %d: popped (%v, %d), container/heap pops (%v, %d)", seq, op, lam, h, want.lam, want.h)
+			if got := (frontierEntry{lam, parent, ci}); got != want {
+				t.Fatalf("sequence %d op %d: popped %+v, container/heap pops %+v", seq, op, got, want)
 			}
 		}
 		if !slices.Equal(q.heap, ref) {
@@ -523,11 +466,11 @@ func TestSearchBudgetGolden(t *testing.T) {
 }
 
 // TestSearchAllocationsDoNotScaleWithVisits is the allocation guard of
-// the slab frontier: the same budget-bound query searched to 4 096 and
-// to 65 536 visits may differ by slab regrowths (a pooled frontier can
-// be dropped by the collector, and append regrows a slab a few dozen
-// times on the way up), not by anything per visited or pushed
-// combination.
+// the frontier: the same budget-bound query searched to 4 096 and to
+// 65 536 visits may differ by regrowths of the heap and the pop log (a
+// pooled frontier can be dropped by the collector, and append regrows a
+// slice a few dozen times on the way up), not by anything per visited
+// or pushed combination.
 func TestSearchAllocationsDoNotScaleWithVisits(t *testing.T) {
 	g := datasets.LUBM{}.Generate(6000, 7)
 	ix, err := index.Build(filepath.Join(t.TempDir(), "lubm"), g, index.Options{})
@@ -546,7 +489,7 @@ func TestSearchAllocationsDoNotScaleWithVisits(t *testing.T) {
 	}
 	t.Logf("allocations per search: %v", allocs)
 	if extra := allocs[65536] - allocs[4096]; extra > 512 {
-		t.Errorf("61 440 more visits cost %.0f more allocations (%v); want slab regrowths only", extra, allocs)
+		t.Errorf("61 440 more visits cost %.0f more allocations (%v); want slice regrowths only", extra, allocs)
 	}
 }
 
@@ -640,14 +583,57 @@ func TestSearchCancelledMidWalk(t *testing.T) {
 	t.Fatal("no delay landed the cancel inside the walk")
 }
 
+// checkWalkRows checks every pop of a recorded walk against its
+// definition: its λ has the bits of comboLambda(vec) + basePenalty, the
+// canonical fold, and its vector is its parent pop's plus exactly one
+// bump (the start's is all zeros). It returns the number of pops whose
+// λ the walk reused from their parent, bits unchanged.
+func checkWalkRows(t *testing.T, id string, ps *pairScorer, w *layerWalk, basePenalty float64) (reused int) {
+	t.Helper()
+	for i, lam := range w.lambda {
+		vec := w.vec(i)
+		if want := ps.comboLambda(vec) + basePenalty; math.Float64bits(lam) != math.Float64bits(want) {
+			t.Fatalf("%s pop %d %v: λ %v (%#x), comboLambda gives %v (%#x)", id, i, vec, lam, math.Float64bits(lam), want, math.Float64bits(want))
+		}
+		p := int(w.parent[i])
+		if p < 0 {
+			if i != 0 || slices.ContainsFunc(vec, func(x uint32) bool { return x != 0 }) {
+				t.Fatalf("%s pop %d %v: no parent, want the all-zero start at pop 0", id, i, vec)
+			}
+			continue
+		}
+		if p >= i {
+			t.Fatalf("%s pop %d: parent pop %d is not earlier", id, i, p)
+		}
+		bumps := 0
+		for ci, ii := range vec {
+			switch ii {
+			case w.vec(p)[ci]:
+			case w.vec(p)[ci] + 1:
+				bumps++
+			default:
+				bumps = 2
+			}
+		}
+		if bumps != 1 {
+			t.Fatalf("%s pop %d %v: not its parent pop %d %v plus one bump", id, i, vec, p, w.vec(p))
+		}
+		if lam == w.lambda[p] {
+			reused++
+		}
+	}
+	return reused
+}
+
 // TestProvenStopRejectsTheRest checks the bound break against the walk
 // it cuts short, over LUBM 10 k under the benchmark's thesaurus: Q1–Q10
 // and the cluster_param shapes over every department, at k = 10. Every
 // search whose span reports bound_break is replayed (recordWalk) past
 // its stop, up to the horizon the loop has without the break — the
 // uniform bound, the tie horizon, the visit budget — and its join pass
-// is run whole. The top k at the stop must be the search's answers, and
-// resultList.add must reject every further pop and every joined
+// is run whole. Every recorded pop must be what it stands for
+// (checkWalkRows), the top k at the stop must be the search's answers,
+// and resultList.add must reject every further pop and every joined
 // combination the walk had not visited.
 func TestProvenStopRejectsTheRest(t *testing.T) {
 	g := datasets.LUBM{}.Generate(10000, 1)
@@ -668,7 +654,30 @@ func TestProvenStopRejectsTheRest(t *testing.T) {
 			return x.score == y.score && x.degree == y.degree && slices.Equal(x.idx, y.idx)
 		})
 	}
-	proofs, pops, joined := 0, 0, 0
+	// A crafted walk first: its first cluster has two adjacent costs an
+	// ulp apart, which a tolerance would call equal, so a successor that
+	// reused its parent's λ on anything but equal bits shows.
+	tt := &termTable{ids: map[rdf.Term]uint32{}}
+	q0 := paths.Path{Nodes: []rdf.Term{vr("a"), iri("x")}, Edges: []rdf.Term{iri("p")}}
+	q1 := paths.Path{Nodes: []rdf.Term{vr("b"), iri("y")}, Edges: []rdf.Term{iri("q")}}
+	crafted := []Cluster{
+		craftCluster(tt, q0, make([]rdf.Substitution, 4)),
+		craftCluster(tt, q1, make([]rdf.Substitution, 2)),
+	}
+	for ci, costs := range [][]float64{{0, 0.3, math.Nextafter(0.3, 1), 0.5}, {0, 0.5}} {
+		crafted[ci].QueryIndex, crafted[ci].terms = ci, tt.terms
+		for ii, cost := range costs {
+			crafted[ci].Items[ii].Cost = cost
+		}
+	}
+	craftedPre := &Preprocessed{Paths: []paths.Path{q0, q1}, IG: make([][]IGEdge, 2)}
+	ps, w := recordWalk(e, craftedPre, crafted, e.opts.maxCombinations())
+	if len(w.lambda) != 8 {
+		t.Fatalf("the crafted walk popped %d combinations, want all 8", len(w.lambda))
+	}
+	checkWalkRows(t, "crafted", ps, w, 0)
+
+	proofs, pops, joined, rows, reused := 0, 0, 0, 0, 0
 	for _, gq := range qs {
 		pre := e.Preprocess(gq.q)
 		clusters, err := e.Cluster(pre)
@@ -684,6 +693,10 @@ func TestProvenStopRejectsTheRest(t *testing.T) {
 		proofs++
 		stop := int(c["visited"])
 		ps, w := recordWalk(e, pre, clusters, e.opts.maxCombinations())
+		eff, missing, missed := splitEffective(clusters)
+		basePenalty := e.missPenalty(pre, missing, missed)
+		rows += len(w.lambda)
+		reused += checkWalkRows(t, gq.id, ps, w, basePenalty)
 		psiMinU := e.par.E * float64(len(ps.pairs))
 		rl := resultList{k: 10}
 		var frozen []scored
@@ -725,8 +738,6 @@ func TestProvenStopRejectsTheRest(t *testing.T) {
 		if ps.jt == nil {
 			continue
 		}
-		eff, missing, missed := splitEffective(clusters)
-		basePenalty := e.missPenalty(pre, missing, missed)
 		combos, _ := joinCombos(eff, ps, nil)
 		for _, idx := range combos {
 			if !seen.addVec(idx) {
@@ -740,9 +751,10 @@ func TestProvenStopRejectsTheRest(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of %d searches proved; %d pops and %d joined combinations past a stop rejected", proofs, len(qs), pops, joined)
-	if proofs == 0 || pops == 0 || joined == 0 {
-		t.Fatal("vacuous: no proof stop cut a walk or a join short")
+	t.Logf("%d of %d searches proved; %d recorded pops checked, %d with their parent's λ; %d pops and %d joined combinations past a stop rejected",
+		proofs, len(qs), rows, reused, pops, joined)
+	if proofs == 0 || pops == 0 || joined == 0 || reused == 0 || reused == rows {
+		t.Fatal("vacuous: no proof stop cut a walk or a join short, or no walk both reused and folded λ")
 	}
 }
 
@@ -917,14 +929,19 @@ func BenchmarkSearchMix(b *testing.B) {
 }
 
 // layerWalk is one recorded budget-bound walk of the search loop: the
-// popped vectors in order (flat, stride len(eff)) with their λ, and the
-// (word, bit) probes their successors offered to the visited set, in
-// the loop's order.
+// frontier's pop log (the popped vectors in order, stride len(eff)) with
+// each pop's λ and parent pop (−1 for the start), the (word, bit) probes
+// their successors offered to the visited set, in the loop's order, and
+// the frontier's pushes — the start's, then each pop's (npush[i] of
+// them) in order.
 type layerWalk struct {
 	stride int
 	pops   []uint32
 	lambda []float64
+	parent []int32
 	probes []visitProbe
+	pushes []frontierEntry
+	npush  []int
 }
 
 type visitProbe struct {
@@ -939,54 +956,63 @@ func (w *layerWalk) vec(i int) []uint32 { return w.pops[i*w.stride : (i+1)*w.str
 var layerSink float64
 
 // recordWalk replays the frontier loop's pops and pushes for budget
-// visits. The termination bounds only ever end a walk, so up to a
-// search that stops at its budget the pops are the search's own.
+// visits, on a comboFrontier and its pop log, each successor's λ from
+// successorLambda as the loop has it. The termination bounds only ever
+// end a walk, so up to a search that stops at its budget the pops are
+// the search's own.
 func recordWalk(e *Engine, pre *Preprocessed, clusters []Cluster, budget int) (*pairScorer, *layerWalk) {
 	eff, missing, missed := splitEffective(clusters)
 	basePenalty := e.missPenalty(pre, missing, missed)
 	ps := newPairScorer(e, pre, eff)
 	w := &layerWalk{stride: len(eff)}
-	q := getFrontier(len(eff))
+	q := &comboFrontier{stride: len(eff)} // not pooled: the log is the walk's record
 	set := newU64Set()
-	start := q.alloc()
-	clear(q.vec(start))
-	q.push(ps.comboLambda(q.vec(start))+basePenalty, start)
-	set.addVec(q.vec(start))
+	start := make([]uint32, len(eff))
+	w.pushes = append(w.pushes, frontierEntry{ps.comboLambda(start) + basePenalty, -1, 0})
+	q.push(w.pushes[0].lam, -1, 0)
+	set.addVec(start)
 	next := make([]uint32, len(eff))
+	prefix := make([]float64, len(eff))
 	for len(w.lambda) < budget && q.len() > 0 {
-		lam, h := q.pop()
-		w.pops = append(w.pops, q.vec(h)...)
+		lam, parent, bumped := q.pop()
+		vec := q.record(parent, bumped)
 		w.lambda = append(w.lambda, lam)
-		var fresh []int
+		w.parent = append(w.parent, parent)
+		sum := 0.0
+		for ci, ii := range vec {
+			prefix[ci] = sum
+			sum += ps.costs[ci][ii]
+		}
+		n := len(w.pushes)
 		for ci := range eff {
-			if int(q.vec(h)[ci])+1 >= len(eff[ci].Items) {
+			if int(vec[ci])+1 >= len(eff[ci].Items) {
 				continue
 			}
-			copy(next, q.vec(h))
+			copy(next, vec)
 			next[ci]++
 			key, bit := visitWord(next)
 			w.probes = append(w.probes, visitProbe{key, bit})
 			if set.add(key, bit) {
-				fresh = append(fresh, ci)
+				w.pushes = append(w.pushes, frontierEntry{ps.successorLambda(vec, prefix, ci, lam, basePenalty), int32(len(w.lambda) - 1), int32(ci)})
 			}
 		}
-		for _, ci := range fresh {
-			nh := q.alloc()
-			copy(q.vec(nh), q.vec(h))
-			q.vec(nh)[ci]++
-			q.push(ps.comboLambda(q.vec(nh))+basePenalty, nh)
+		for _, en := range w.pushes[n:] {
+			q.push(en.lam, en.parent, en.ci)
 		}
-		q.release(h)
+		w.npush = append(w.npush, len(w.pushes)-n)
 	}
+	w.pops = q.log
 	return ps, w
 }
 
 // BenchmarkSearchLayers times layers of the search apart over LUBM 10 k
-// (library defaults). Three replay Q11's budget-bound walk, recorded
-// once outside the timer: visited replays the walk's successor probes
-// into a recycled visited set (ns per probe, and the table's bytes),
-// score folds Ψ and degree for each popped combination, and topk ranks
-// the scored pops into a top-10 list (ns per combination). Two time the
+// (library defaults). Four replay Q11's budget-bound walk, recorded
+// once outside the timer: frontier replays the walk's pushes and pops
+// through a recycled comboFrontier, each pop recorded into its pop log
+// (ns per pop), visited replays the walk's successor probes into a
+// recycled visited set (ns per probe, and the table's bytes), score
+// folds Ψ and degree for each popped combination, and topk ranks the
+// scored pops into a top-10 list (ns per combination). Two time the
 // join pass that runs beside the walk, on pair scorers built outside
 // the timer: join is joinCombos over Q11's clusters (ns per pass, and
 // the combinations it builds), join_mix the same over those of Q1–Q10
@@ -1012,6 +1038,23 @@ func BenchmarkSearchLayers(b *testing.B) {
 	perOp := func(b *testing.B, n int, unit string) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), unit)
 	}
+	b.Run("frontier", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			q := getFrontier(w.stride)
+			q.push(w.pushes[0].lam, w.pushes[0].parent, w.pushes[0].ci)
+			off := 1
+			for _, n := range w.npush {
+				_, parent, ci := q.pop()
+				q.record(parent, ci)
+				for _, en := range w.pushes[off : off+n] {
+					q.push(en.lam, en.parent, en.ci)
+				}
+				off += n
+			}
+			frontierPool.Put(q)
+		}
+		perOp(b, len(w.lambda), "ns/pop")
+	})
 	b.Run("visited", func(b *testing.B) {
 		var s *u64Set
 		for i := 0; i < b.N; i++ {
