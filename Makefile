@@ -163,6 +163,7 @@ FUZZ_TARGETS = ./internal/index:^FuzzDecodePathDict$$ ./internal/index:^FuzzRead
 	./internal/index:^FuzzReadMeta$$ ./internal/index:^FuzzDecodePath$$ \
 	./internal/storage:FuzzOpenWAL ./internal/storage:^FuzzRecordRead$$ \
 	./internal/textindex:FuzzPostingsSeekGE ./internal/textindex:FuzzIntersectAmong \
+	./internal/textindex:FuzzReadPostings \
 	./internal/rdf/ntriples:FuzzParseNTriples ./internal/rdf/turtle:FuzzParseTurtle \
 	./internal/sparql:FuzzParseSPARQL ./internal/server:^FuzzAppendResponse$$ \
 	./client:^FuzzDecodeResponse$$
@@ -237,7 +238,10 @@ knobs:
 # 50-triple insert per op outside the timer, reporting ms/op and the
 # metadata's size, meta_B); the record read a cold cluster makes
 # (BenchmarkRecordRead: that base, 1 024 random path IDs per op,
-# reporting ns/record and pages/op);
+# reporting ns/record and pages/op); the postings layer
+# (BenchmarkPostings: that base's publication, type and graduatecourse
+# label lists, reporting AppendTo ns/doc, leapfrog ns/cand and Contains
+# ns/probe);
 # the JSON encode of a response (BenchmarkWriteResponse: one Q10-sized
 # LUBM outcome through the query server's 200 path), and its decode in
 # the Go client (BenchmarkDecodeResponse: that body through client.Query
@@ -265,6 +269,8 @@ profile:
 		-cpuprofile results/cpu_checkpoint.pprof -o results/index.test ./internal/index
 	$(GO) test -run '^$$' -bench 'BenchmarkRecordRead' -benchtime 2000x -benchmem \
 		-cpuprofile results/cpu_record_read.pprof -o results/index.test ./internal/index
+	$(GO) test -run '^$$' -bench 'BenchmarkPostings' -benchtime 2000x \
+		-cpuprofile results/cpu_postings.pprof -o results/textindex.test ./internal/textindex
 	$(GO) test -run '^$$' -bench 'BenchmarkWriteResponse' -benchtime 20000x -benchmem \
 		-cpuprofile results/cpu_write_response.pprof -o results/server.test ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodeResponse' -benchtime 20000x -benchmem \
@@ -273,6 +279,7 @@ profile:
 	@echo "the memo's heap: $(GO) tool pprof -sample_index=inuse_space results/bench.test results/mem_cluster_warm.pprof"
 	@echo "the build: $(GO) tool pprof results/index.test results/cpu_build.pprof (allocations: -sample_index=alloc_space results/mem_build.pprof)"
 	@echo "the checkpoint and the record read: $(GO) tool pprof results/index.test results/cpu_{checkpoint,record_read}.pprof"
+	@echo "the postings: $(GO) tool pprof results/textindex.test results/cpu_postings.pprof"
 	@echo "the response encode and decode: $(GO) tool pprof results/server.test results/cpu_{write,decode}_response.pprof"
 
 # serve-smoke boots samad end-to-end: random port, example dataset

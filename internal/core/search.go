@@ -749,9 +749,14 @@ func (q *comboFrontier) down(i0, n int) {
 // last cluster's low 6 index bits (visitWord), probed by the already
 // mixed word key without further hashing and grown at three-quarters
 // load. A slot with no bit set is empty, so word key 0 needs no special
-// case.
+// case. Every search starts in first, the small table; one that
+// outgrows it moves into large, the largest table a search of this set
+// has grown to, and only a search that outgrows that too allocates a
+// larger one.
 type u64Set struct {
 	slots []visitSlot
+	first []visitSlot
+	large []visitSlot
 	mask  uint64
 	n     int
 }
@@ -759,20 +764,33 @@ type u64Set struct {
 type visitSlot struct{ key, bits uint64 }
 
 func newU64Set() *u64Set {
-	return &u64Set{slots: make([]visitSlot, 1024), mask: 1023}
+	s := &u64Set{first: make([]visitSlot, 1024)}
+	s.use(s.first)
+	return s
 }
 
-// u64SetPool recycles visited sets across searches: a recycled set
-// keeps its grown capacity, so steady-state queries never pay the
-// rehash cascade from the initial size (clearing is a sequential
-// memclr, far cheaper than rehashing the same entries).
+// u64SetPool recycles visited sets across searches with the large table
+// they hold, so steady-state queries never pay the rehash cascade from
+// the initial size, while a small search after a large one clears and
+// probes only the small table.
 var u64SetPool = sync.Pool{New: func() any { return newU64Set() }}
 
 func getU64Set() *u64Set {
 	s := u64SetPool.Get().(*u64Set)
-	clear(s.slots)
-	s.n = 0
+	s.reset()
 	return s
+}
+
+// reset empties the set into its small table, keeping the large one.
+func (s *u64Set) reset() {
+	s.use(s.first)
+	s.n = 0
+}
+
+// use makes the cleared table t the set's table.
+func (s *u64Set) use(t []visitSlot) {
+	clear(t)
+	s.slots, s.mask = t, uint64(len(t)-1)
 }
 
 // visitWord is v's place in the visited set: the word key comboKey of v
@@ -810,8 +828,10 @@ func (s *u64Set) add(k uint64, b uint32) bool {
 
 func (s *u64Set) grow() {
 	old := s.slots
-	s.slots = make([]visitSlot, 2*len(old))
-	s.mask = uint64(len(s.slots) - 1)
+	if len(s.large) <= len(old) {
+		s.large = make([]visitSlot, 2*len(old))
+	}
+	s.use(s.large)
 	for _, v := range old {
 		if v.bits == 0 {
 			continue

@@ -218,6 +218,45 @@ func TestWideSharedConstantsSingleSearchPhase(t *testing.T) {
 	}
 }
 
+// TestVisitedSetRestartsSmall: a visited set that a large search grew
+// starts the next search in its small table — what a small search
+// after a large one clears and probes — and grows back into the large
+// table it kept without allocating, answering add exactly as a fresh
+// set each time.
+func TestVisitedSetRestartsSmall(t *testing.T) {
+	s := newU64Set()
+	small := len(s.slots)
+	fill := func(words uint64) {
+		for k := uint64(1); k <= words; k++ {
+			for b := uint32(0); b < 2; b++ {
+				if !s.add(k*0x9e3779b97f4a7c15, b) {
+					t.Fatalf("word %d bit %d: add reported a fresh entry as present", k, b)
+				}
+			}
+			if s.add(k*0x9e3779b97f4a7c15, 0) {
+				t.Fatalf("word %d: add reported a present entry as fresh", k)
+			}
+		}
+	}
+	fill(20000)
+	large := len(s.slots)
+	if large <= small {
+		t.Fatalf("20 000 words fit the small table of %d slots", small)
+	}
+	for _, words := range []uint64{100, 20000} {
+		s.reset()
+		if len(s.slots) != small || s.n != 0 {
+			t.Fatalf("after reset: %d slots, %d words; want %d slots, none", len(s.slots), s.n, small)
+		}
+		if allocs := testing.AllocsPerRun(1, func() { s.reset(); fill(words) }); allocs != 0 {
+			t.Errorf("%d words after a reset: %.0f allocations, want none", words, allocs)
+		}
+		if want := map[bool]int{false: small, true: large}[words > 700]; len(s.slots) != want {
+			t.Errorf("%d words after a reset: %d slots, want %d", words, len(s.slots), want)
+		}
+	}
+}
+
 // TestVisitedWordsSuccessor replays seeded random successor walks over
 // 1–9 clusters — the moves of the frontier loop, with bumps that cross
 // every multiple of 64 of the last cluster's index and bumps onto the
@@ -867,6 +906,44 @@ func BenchmarkSearchBudgetBound(b *testing.B) {
 			b.ReportMetric(float64(c["visited"]), "visited")
 			b.ReportMetric(float64(c["joined"]), "joined")
 			b.ReportMetric(float64(c["frontier_peak"]), "frontier_peak")
+		})
+	}
+}
+
+// BenchmarkSearchAfterBudgetBound times Q9's search over the benchmark's
+// 50 k LUBM base (library defaults, k = 10, clustered once outside the
+// timer) alone and right after an untimed Q11 searched to its visit
+// budget, whose visited table is the largest of the mix: what a small
+// search pays for the state a large one left behind.
+func BenchmarkSearchAfterBudgetBound(b *testing.B) {
+	ts := datasets.LUBM{}.Generate(55000, 1).Triples()[:50000]
+	g, err := rdf.NewGraphFromTriples(ts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := index.Build(filepath.Join(b.TempDir(), "lubm"), g, index.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	e9, pre9, clusters9 := budgetBoundSearch(b, ix, Options{}, "Q9")
+	e11, pre11, clusters11 := budgetBoundSearch(b, ix, Options{}, "Q11")
+	for _, after := range []bool{false, true} {
+		name := "Q9"
+		if after {
+			name = "Q9_after_Q11"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if after {
+					b.StopTimer()
+					e11.Search(pre11, clusters11, 10)
+					b.StartTimer()
+				}
+				if len(e9.Search(pre9, clusters9, 10)) == 0 {
+					b.Fatal("no answers")
+				}
+			}
 		})
 	}
 }

@@ -69,7 +69,8 @@ func TestOpenRejectsCorruptMagic(t *testing.T) {
 // no data graph, SAMAIDX7 could name a log elsewhere than base.wal,
 // SAMAIDX8 holds no path budget, SAMAIDX9 spells its dictionary out
 // term by term in ID order, SAMAIDXA's records may span pages, SAMAIDXB
-// names each record by its page and slot) is
+// names each record by its page and slot, SAMAIDXC writes each postings
+// list as one delta stream) is
 // refused with an error that names the version found and says what to
 // do about it.
 func TestOpenRejectsOlderMetaVersion(t *testing.T) {
@@ -79,7 +80,7 @@ func TestOpenRejectsOlderMetaVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{'3', '4', '5', '6', '7', '8', '9', 'A', 'B'} {
+	for _, v := range []byte{'3', '4', '5', '6', '7', '8', '9', 'A', 'B', 'C'} {
 		raw[7] = v
 		if err := os.WriteFile(meta, raw, 0o644); err != nil {
 			t.Fatal(err)

@@ -492,10 +492,10 @@ func openIndex(base string, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-// metaMagic is the metadata format ("SAMAIDXC"), the only one readMeta
+// metaMagic is the metadata format ("SAMAIDXD"), the only one readMeta
 // accepts: the last byte is the version, and an index written under
 // another one has to be rebuilt from its data.
-var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', 'C'}
+var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', 'D'}
 
 // writeMeta persists the metadata atomically: the bytes go to a temp
 // file (in 64 KiB writes), are fsynced, and replace the old metadata

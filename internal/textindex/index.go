@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"slices"
 	"sort"
@@ -272,11 +273,17 @@ func union2(out, a, b []uint32) []uint32 {
 // TermCount returns the number of distinct exact keys in the index.
 func (ix *Index) TermCount() int { return len(ix.exact) }
 
-// indexMagic identifies a serialised index stream.
-var indexMagic = [4]byte{'S', 'T', 'X', '1'}
+// indexMagic identifies a serialised index stream. STX1 streams, whose
+// lists were one delta stream each, are refused.
+var indexMagic = [4]byte{'S', 'T', 'X', '2'}
 
 // WriteTo serialises the index (not the thesaurus, which is code-level
-// configuration) in a compact binary format.
+// configuration) in a compact binary format: the exact keys, then the
+// token keys, each sorted and followed by its list, then the document
+// count. A list is a uvarint head: 2n for a list of n documents written
+// out — its blocks as held (see flushTail), then the tail's deltas —
+// and 2r+1 for a list equal to that of key r, the first key of the
+// stream to hold it (keys count from 0 across both maps).
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
@@ -288,37 +295,31 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	if err := write(indexMagic[:]); err != nil {
 		return n, err
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		return write(scratch[:binary.PutUvarint(scratch[:], v)])
-	}
+	var buf []byte
+	var lists []*Postings // every key's list, in stream order
+	written := newWrittenLists()
 	writeMap := func(m map[string]*Postings) error {
 		keys := make([]string, 0, len(m))
 		for k := range m {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		if err := writeUvarint(uint64(len(keys))); err != nil {
+		if err := write(binary.AppendUvarint(buf[:0], uint64(len(keys)))); err != nil {
 			return err
 		}
-		var wire []byte
 		for _, k := range keys {
-			if err := writeUvarint(uint64(len(k))); err != nil {
-				return err
-			}
-			if err := write([]byte(k)); err != nil {
-				return err
-			}
 			ps := m[k]
-			if err := writeUvarint(uint64(ps.Len())); err != nil {
-				return err
+			buf = binary.AppendUvarint(buf[:0], uint64(len(k)))
+			buf = append(buf, k...)
+			if r := written.find(lists, ps); r >= 0 {
+				buf = binary.AppendUvarint(buf, 2*uint64(r)+1)
+			} else {
+				written.file(len(lists))
+				buf = binary.AppendUvarint(buf, 2*uint64(ps.Len()))
+				buf = append(buf, written.wire...)
 			}
-			// The in-memory blocks already hold the globally-chained
-			// delta stream this format has always used; the tail is
-			// delta-encoded behind them. Byte-identical to the
-			// uncompressed writer.
-			wire = ps.appendWire(wire[:0])
-			if err := write(wire); err != nil {
+			lists = append(lists, ps)
+			if err := write(buf); err != nil {
 				return err
 			}
 		}
@@ -330,16 +331,51 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	if err := writeMap(ix.tokens); err != nil {
 		return n, err
 	}
-	if err := writeUvarint(uint64(ix.docs)); err != nil {
+	if err := write(binary.AppendUvarint(buf[:0], uint64(ix.docs))); err != nil {
 		return n, err
 	}
 	return n, bw.Flush()
 }
 
+// writtenLists files the lists a stream writes out by the hash of
+// their bytes, so that a later equal list is found and written, or
+// read, as a reference to the first.
+type writtenLists struct {
+	seed   maphash.Seed
+	byHash map[uint64][]int // key numbers
+	h      uint64
+	wire   []byte // the bytes of the list last looked up
+}
+
+func newWrittenLists() *writtenLists {
+	return &writtenLists{seed: maphash.MakeSeed(), byHash: map[uint64][]int{}}
+}
+
+// find returns the number of the key whose list, written out and
+// filed, equals p (lists holds the lists by key number), or −1.
+func (w *writtenLists) find(lists []*Postings, p *Postings) int {
+	w.wire = p.appendWire(w.wire[:0])
+	w.h = maphash.Bytes(w.seed, w.wire)
+	for _, r := range w.byHash[w.h] {
+		if lists[r].equal(p) {
+			return r
+		}
+	}
+	return -1
+}
+
+// file files the list last looked up as key num's.
+func (w *writtenLists) file(num int) { w.byHash[w.h] = append(w.byHash[w.h], num) }
+
 // ReadFrom deserialises an index written by WriteTo from a source of at
 // most limit bytes: a key count or key length beyond what that many
 // bytes can hold is corrupt, and is rejected before it sizes an
-// allocation. The thesaurus is attached by the caller via New.
+// allocation. It accepts only what WriteTo writes — keys ascending,
+// varints in their shortest spelling, each block in the form flushTail
+// picks, and a reference for every list equal to an earlier key's, to
+// the first such key — and names the key whose list it refuses. A
+// referring key's list shares the blocks of the list it names (see
+// share). The thesaurus is attached by the caller via New.
 func ReadFrom(r io.Reader, thes *Thesaurus, limit int64) (*Index, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -349,43 +385,68 @@ func ReadFrom(r io.Reader, thes *Thesaurus, limit int64) (*Index, error) {
 	if magic != indexMagic {
 		return nil, fmt.Errorf("textindex: bad magic %q", magic)
 	}
-	readMap := func() (map[string]*Postings, error) {
-		nkeys, err := binary.ReadUvarint(br)
+	lr := listReader{r: br}
+	var lists []*Postings // every key's list in stream order, nil for a reference
+	written := newWrittenLists()
+	readList := func() (*Postings, error) {
+		lr.raw = lr.raw[:0]
+		head, err := lr.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		// A key takes at least two bytes: its length and its posting count.
+		if head%2 == 1 {
+			ref := head / 2
+			if ref >= uint64(len(lists)) || lists[ref] == nil {
+				return nil, fmt.Errorf("refers to key %d, which is no earlier list written out", ref)
+			}
+			lists = append(lists, nil)
+			return lists[ref].share(), nil
+		}
+		ps, err := lr.list(head / 2)
+		if err != nil {
+			return nil, err
+		}
+		if r := written.find(lists, ps); r >= 0 {
+			return nil, fmt.Errorf("writes out the list of key %d instead of referring to it", r)
+		}
+		written.file(len(lists))
+		lists = append(lists, ps)
+		return ps, nil
+	}
+	readMap := func() (map[string]*Postings, error) {
+		nkeys, err := lr.uvarint()
+		if err != nil {
+			return nil, fmt.Errorf("key count: %w", err)
+		}
+		// A key takes at least two bytes: its length and its list head.
 		if nkeys > uint64(limit)/2 {
 			return nil, fmt.Errorf("implausible key count %d in %d bytes", nkeys, limit)
 		}
 		m := make(map[string]*Postings, nkeys)
+		prev := ""
 		for i := uint64(0); i < nkeys; i++ {
-			klen, err := binary.ReadUvarint(br)
+			// Every refusal names the key, by number (see WriteTo) and,
+			// once read, by name.
+			num := len(lists)
+			klen, err := lr.uvarint()
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("key %d: %w", num, err)
 			}
 			if klen > uint64(limit) {
-				return nil, fmt.Errorf("implausible key length %d in %d bytes", klen, limit)
+				return nil, fmt.Errorf("key %d: implausible length %d in %d bytes", num, klen, limit)
 			}
 			kb := make([]byte, klen)
 			if _, err := io.ReadFull(br, kb); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("key %d: %w", num, err)
 			}
-			np, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
+			key := string(kb)
+			if i > 0 && key <= prev {
+				return nil, fmt.Errorf("key %d %q: follows %q", num, key, prev)
 			}
-			ps := &Postings{}
-			prev := uint64(0)
-			for j := uint64(0); j < np; j++ {
-				d, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, err
-				}
-				prev += d
-				ps.Add(uint32(prev)) // ascending: stays on the O(1) append path
+			prev = key
+			if m[key], err = readList(); err != nil {
+				return nil, fmt.Errorf("key %d %q: %w", num, key, err)
 			}
-			m[string(kb)] = ps
 		}
 		return m, nil
 	}
@@ -397,7 +458,7 @@ func ReadFrom(r io.Reader, thes *Thesaurus, limit int64) (*Index, error) {
 	if ix.tokens, err = readMap(); err != nil {
 		return nil, fmt.Errorf("textindex: read token map: %w", err)
 	}
-	docs, err := binary.ReadUvarint(br)
+	docs, err := lr.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("textindex: read doc count: %w", err)
 	}

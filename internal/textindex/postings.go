@@ -1,9 +1,15 @@
 package textindex
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -12,12 +18,21 @@ import (
 // skip table stays ~1.5% of the decoded size.
 const postingsBlockLen = 64
 
+// A full block is stored in one of two forms, named by its first byte.
+// blockDeltas is the documents' deltas, each from the one before (the
+// first from the previous block's last), as uvarints. blockBitmap is the
+// first document's delta and last−first as uvarints, then a bitmap of
+// last−first+1 bits, least significant first, whose bit i says whether
+// first+i is in the block. flushTail picks the shorter form.
+const (
+	blockDeltas = 0
+	blockBitmap = 1
+)
+
 // postingsSkip is one skip-pointer entry: where block i's bytes start
-// and which document range it covers. prev is the last document of the
-// preceding block (0 for the first), i.e. the delta base, so a block
-// can be decoded without touching its predecessors while the
-// concatenated blocks still form one globally-chained delta stream —
-// byte-identical to the serialised wire format.
+// (its form byte) and which document range it covers. prev is the last
+// document of the preceding block (0 for the first), i.e. the delta
+// base, so a block can be decoded without touching its predecessors.
 type postingsSkip struct {
 	prev  uint32
 	first uint32
@@ -25,11 +40,11 @@ type postingsSkip struct {
 	off   uint32
 }
 
-// Postings is a sorted, deduplicated document list stored as
-// delta-varint blocks with a skip table, plus a small uncompressed
-// append tail. Membership tests binary-search the skip table and scan
-// one block; iteration supports SeekGE for galloping intersection.
-// The zero value is an empty list.
+// Postings is a sorted, deduplicated document list stored as blocks of
+// deltas or bitmaps with a skip table, plus a small uncompressed append
+// tail. Membership tests binary-search the skip table and read one
+// block; iteration supports SeekGE for galloping intersection. The
+// zero value is an empty list.
 type Postings struct {
 	enc   []byte
 	skips []postingsSkip
@@ -73,24 +88,71 @@ func (p *Postings) Add(doc uint32) {
 	}
 }
 
-// flushTail compresses the full tail into one block.
+// flushTail compresses the full tail into one block, in whichever form
+// is shorter; a tie keeps the deltas.
 func (p *Postings) flushTail() {
 	prev := uint32(0)
 	if n := len(p.skips); n > 0 {
 		prev = p.skips[n-1].last
 	}
-	p.skips = append(p.skips, postingsSkip{
-		prev:  prev,
-		first: p.tail[0],
-		last:  p.tail[len(p.tail)-1],
-		off:   uint32(len(p.enc)),
-	})
-	var buf [binary.MaxVarintLen32]byte
+	first, last := p.tail[0], p.tail[len(p.tail)-1]
+	p.skips = append(p.skips, postingsSkip{prev: prev, first: first, last: last, off: uint32(len(p.enc))})
+	deltas, d := 1, prev
 	for _, v := range p.tail {
-		p.enc = append(p.enc, buf[:binary.PutUvarint(buf[:], uint64(v-prev))]...)
-		prev = v
+		deltas += uvarintLen(v - d)
+		d = v
+	}
+	span := last - first
+	if bitmap := 1 + uvarintLen(first-prev) + uvarintLen(span) + int(span/8) + 1; bitmap < deltas {
+		p.enc = append(p.enc, blockBitmap)
+		p.enc = binary.AppendUvarint(p.enc, uint64(first-prev))
+		p.enc = binary.AppendUvarint(p.enc, uint64(span))
+		bm := len(p.enc)
+		p.enc = append(p.enc, make([]byte, span/8+1)...)
+		for _, v := range p.tail {
+			i := v - first
+			p.enc[bm+int(i/8)] |= 1 << (i % 8)
+		}
+	} else {
+		p.enc = append(p.enc, blockDeltas)
+		p.enc = appendDeltas(p.enc, prev, p.tail)
 	}
 	p.tail = p.tail[:0]
+}
+
+func uvarintLen(v uint32) int { return (bits.Len32(v|1) + 6) / 7 }
+
+// appendDeltas appends each document's delta from the one before it,
+// the first's from prev, as uvarints.
+func appendDeltas(dst []byte, prev uint32, docs []uint32) []byte {
+	for _, v := range docs {
+		dst = binary.AppendUvarint(dst, uint64(v-prev))
+		prev = v
+	}
+	return dst
+}
+
+// bitmap returns the bitmap of block sk, or nil if the block is
+// deltas.
+func (p *Postings) bitmap(sk postingsSkip) []byte {
+	off := int(sk.off)
+	if p.enc[off] != blockBitmap {
+		return nil
+	}
+	off += 1 + uvarintLen(sk.first-sk.prev) + uvarintLen(sk.last-sk.first)
+	return p.enc[off : off+int((sk.last-sk.first)/8)+1]
+}
+
+// nextBit returns the index of the first bit of bm set at or after i,
+// which the caller knows exists.
+func nextBit(bm []byte, i uint32) uint32 {
+	k := i / 8
+	if b := bm[k] >> (i % 8); b != 0 {
+		return i + uint32(bits.TrailingZeros8(b))
+	}
+	for k++; bm[k] == 0; k++ {
+	}
+	return 8*k + uint32(bits.TrailingZeros8(bm[k]))
 }
 
 // AppendTo decodes every document onto dst and returns it. Nil-safe.
@@ -98,19 +160,45 @@ func (p *Postings) AppendTo(dst []uint32) []uint32 {
 	if p == nil {
 		return dst
 	}
-	off, prev := 0, uint32(0)
-	for i := 0; i < len(p.skips)*postingsBlockLen; i++ {
-		d, m := binary.Uvarint(p.enc[off:])
-		off += m
-		prev += uint32(d)
-		dst = append(dst, prev)
+	for _, sk := range p.skips {
+		if bm := p.bitmap(sk); bm != nil {
+			dst = appendBitmap(dst, sk.first, bm)
+			continue
+		}
+		off, prev := int(sk.off)+1, sk.prev
+		for i := 0; i < postingsBlockLen; i++ {
+			d, m := binary.Uvarint(p.enc[off:])
+			off += m
+			prev += uint32(d)
+			dst = append(dst, prev)
+		}
 	}
 	return append(dst, p.tail...)
 }
 
+// appendBitmap appends first+i for every bit i set in bm, eight bytes
+// at a time.
+func appendBitmap(dst []uint32, first uint32, bm []byte) []uint32 {
+	base := first
+	for len(bm) >= 8 {
+		for w := binary.LittleEndian.Uint64(bm); w != 0; w &= w - 1 {
+			dst = append(dst, base+uint32(bits.TrailingZeros64(w)))
+		}
+		bm, base = bm[8:], base+64
+	}
+	for _, b := range bm {
+		for ; b != 0; b &= b - 1 {
+			dst = append(dst, base+uint32(bits.TrailingZeros8(b)))
+		}
+		base += 8
+	}
+	return dst
+}
+
 // Contains reports whether doc is in the list: a binary search over the
 // skip table picks the one block whose range covers doc, and only that
-// block's ≤ postingsBlockLen deltas are scanned. Nil-safe.
+// block is read — one bit of a bitmap, or ≤ postingsBlockLen deltas.
+// Nil-safe.
 func (p *Postings) Contains(doc uint32) bool {
 	if p == nil || p.n == 0 {
 		return false
@@ -124,7 +212,11 @@ func (p *Postings) Contains(doc uint32) bool {
 		return false
 	}
 	sk := p.skips[i]
-	off, prev := int(sk.off), sk.prev
+	if bm := p.bitmap(sk); bm != nil {
+		j := doc - sk.first
+		return bm[j/8]&(1<<(j%8)) != 0
+	}
+	off, prev := int(sk.off)+1, sk.prev
 	for j := 0; j < postingsBlockLen; j++ {
 		d, m := binary.Uvarint(p.enc[off:])
 		off += m
@@ -136,32 +228,173 @@ func (p *Postings) Contains(doc uint32) bool {
 	return false
 }
 
-// appendWire appends the list's globally-chained delta stream to dst —
-// exactly the per-document deltas WriteTo has always serialised, so the
-// compressed in-memory layout leaves the wire format untouched.
+// appendWire appends the list as WriteTo stores it: the blocks as they
+// are held, then the tail's deltas chained on from the last block.
 func (p *Postings) appendWire(dst []byte) []byte {
 	dst = append(dst, p.enc...)
 	prev := uint32(0)
 	if n := len(p.skips); n > 0 {
 		prev = p.skips[n-1].last
 	}
-	var buf [binary.MaxVarintLen32]byte
-	for _, v := range p.tail {
-		dst = append(dst, buf[:binary.PutUvarint(buf[:], uint64(v-prev))]...)
-		prev = v
+	return appendDeltas(dst, prev, p.tail)
+}
+
+// equal reports whether p and q hold the same documents: the blocks
+// are a function of the documents, so equal lists are equal bytes.
+func (p *Postings) equal(q *Postings) bool {
+	return p.n == q.n && bytes.Equal(p.enc, q.enc) && slices.Equal(p.tail, q.tail)
+}
+
+// share returns a list of p's documents that shares p's blocks. Its
+// blocks are capped at their length, so its first flush reallocates
+// them and p's appends land past what it reads; its tail, which a
+// flush rewrites in place, is its own. Adding to either list never
+// changes the other.
+func (p *Postings) share() *Postings {
+	return &Postings{enc: slices.Clip(p.enc), skips: slices.Clip(p.skips), tail: slices.Clone(p.tail), n: p.n}
+}
+
+// listReader reads the lists of a stream written by WriteTo, refusing
+// any spelling WriteTo would not have written.
+type listReader struct {
+	r   *bufio.Reader
+	raw []byte // the current block's bytes as read
+}
+
+// readByte reads one byte and keeps it in raw.
+func (lr *listReader) readByte() (byte, error) {
+	b, err := lr.r.ReadByte()
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	return dst
+	lr.raw = append(lr.raw, b)
+	return b, err
+}
+
+// uvarint reads a uvarint in its shortest spelling.
+func (lr *listReader) uvarint() (uint64, error) {
+	var x uint64
+	for i := 0; ; i++ {
+		b, err := lr.readByte()
+		if err != nil {
+			return 0, err
+		}
+		if i > 0 && b == 0 || i == binary.MaxVarintLen64-1 && b > 1 {
+			return 0, errors.New("overlong varint")
+		}
+		x |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			return x, nil
+		}
+	}
+}
+
+// doc reads a document's delta from prev: above prev unless it is the
+// list's first document (p empty), and within uint32.
+func (lr *listReader) doc(p *Postings, prev uint32) (uint32, error) {
+	d, err := lr.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if d == 0 && p.n > 0 || d > uint64(math.MaxUint32-prev) {
+		return 0, fmt.Errorf("document %d: delta %d from %d", p.n, d, prev)
+	}
+	return prev + uint32(d), nil
+}
+
+// list reads a list of n documents written out by appendWire: its full
+// blocks, each of which must re-encode to the bytes read, then its tail.
+func (lr *listReader) list(n uint64) (*Postings, error) {
+	p := &Postings{}
+	prev := uint32(0)
+	for b := uint64(0); b < n/postingsBlockLen; b++ {
+		lr.raw = lr.raw[:0]
+		form, err := lr.readByte()
+		if err != nil {
+			return nil, err
+		}
+		off := len(p.enc)
+		switch form {
+		case blockDeltas:
+			for range postingsBlockLen {
+				if prev, err = lr.doc(p, prev); err != nil {
+					return nil, err
+				}
+				p.Add(prev)
+			}
+		case blockBitmap:
+			if err := lr.bitmapBlock(p, prev); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, fmt.Errorf("block %d: form %d", b, form)
+		}
+		if !bytes.Equal(p.enc[off:], lr.raw) {
+			return nil, fmt.Errorf("block %d is not in the form its documents take", b)
+		}
+		prev = p.lastValue()
+	}
+	lr.raw = lr.raw[:0]
+	for range n % postingsBlockLen {
+		var err error
+		if prev, err = lr.doc(p, prev); err != nil {
+			return nil, err
+		}
+		p.Add(prev)
+	}
+	return p, nil
+}
+
+// maxBlockBytes bounds a block's encoding: a tag and 64 uvarints of at
+// most five bytes. A bitmap is only chosen when it is shorter than the
+// deltas, so a longer one is refused before it is read.
+const maxBlockBytes = 1 + postingsBlockLen*binary.MaxVarintLen32
+
+// bitmapBlock reads the rest of a bitmap block after prev and adds its
+// documents to p.
+func (lr *listReader) bitmapBlock(p *Postings, prev uint32) error {
+	first, err := lr.doc(p, prev)
+	if err != nil {
+		return err
+	}
+	span, err := lr.uvarint()
+	if err != nil {
+		return err
+	}
+	if span > uint64(math.MaxUint32-first) || span/8+1 > maxBlockBytes {
+		return fmt.Errorf("bitmap over %d IDs from %d", span+1, first)
+	}
+	at := len(lr.raw)
+	for range span/8 + 1 {
+		if _, err := lr.readByte(); err != nil {
+			return err
+		}
+	}
+	if lr.raw[len(lr.raw)-1]>>(span%8+1) != 0 {
+		return fmt.Errorf("bitmap sets a bit past document %d", first+uint32(span))
+	}
+	var docs [postingsBlockLen]uint32
+	got := appendBitmap(docs[:0], first, lr.raw[at:])
+	if len(got) != postingsBlockLen {
+		return fmt.Errorf("bitmap holds %d documents", len(got))
+	}
+	for _, d := range got {
+		p.Add(d)
+	}
+	return nil
 }
 
 // postingsIter iterates one list in ascending order with forward-only
 // SeekGE: seeks past the current block binary-search the skip table
-// (the galloping step), then scan at most one block's deltas.
+// (the galloping step), then read one block: a bit scan of a bitmap or
+// at most one block's deltas.
 type postingsIter struct {
 	p    *Postings
 	bi   int    // current block; == len(skips) means the tail
-	pos  int    // documents consumed from the current block
+	pos  int    // documents consumed from a delta block; 0 = not entered
 	off  int    // byte offset of the next unread delta
 	prev uint32 // last decoded value (valid when pos > 0)
+	bm   []byte // the current block's bitmap once entered, nil for deltas
 	ti   int    // next tail position once bi passes the blocks
 	cur  uint32
 	has  bool
@@ -194,7 +427,13 @@ func (it *postingsIter) SeekGE(v uint32) (uint32, bool) {
 			continue
 		}
 		if it.pos == 0 {
-			it.off, it.prev = int(sk.off), sk.prev
+			it.off, it.prev, it.bm = int(sk.off)+1, sk.prev, p.bitmap(sk)
+		}
+		if it.bm != nil {
+			// v ≤ last, whose bit is set: the scan ends in the block.
+			it.pos = 1
+			it.cur, it.has = sk.first+nextBit(it.bm, max(v, sk.first)-sk.first), true
+			return it.cur, true
 		}
 		for it.pos < postingsBlockLen {
 			d, m := binary.Uvarint(p.enc[it.off:])

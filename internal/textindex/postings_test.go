@@ -1,9 +1,14 @@
 package textindex
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"regexp"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -336,6 +341,270 @@ func FuzzIntersectAmong(f *testing.F) {
 			if got := IntersectAmong(ix, []uint32{}, cands, labels, lim); !reflect.DeepEqual(got, want) {
 				t.Fatalf("IntersectAmong(%v, %v, limit %d) = %v, want %v", cands, labels, lim, got, want)
 			}
+		}
+	})
+}
+
+// codecList draws an ascending document list from start out of segments
+// that fill whole blocks — dense runs (gaps 1–3: bitmap blocks), sparse
+// stretches (gaps up to 5 000: delta blocks), and single blocks of 64
+// evenly spread documents whose span sits at the switch-over — then a
+// tail of 0–63 documents. A switch-over block follows its predecessor by
+// a one-byte delta and has one-byte gaps, so its deltas take 65 bytes
+// and its bitmap 5 + span/8: a span of 479 is a bitmap, 480 the tie,
+// which keeps the deltas. forms maps each switch-over block's index to
+// the form flushTail must pick.
+func codecList(rng *rand.Rand, start uint32) (docs []uint32, forms map[int]byte) {
+	forms = map[int]byte{}
+	cur := start
+	add := func(gap uint32) {
+		cur += gap
+		docs = append(docs, cur)
+	}
+	add(0)
+	for seg := rng.Intn(6); seg >= 0; seg-- {
+		// Fill the current block up with dense or sparse documents, then
+		// add whole blocks of the segment's kind.
+		maxGap := uint32(3)
+		switch rng.Intn(3) {
+		case 1:
+			maxGap = 5000
+		case 2:
+			for len(docs)%postingsBlockLen != 0 {
+				add(1 + uint32(rng.Intn(3)))
+			}
+			span := uint32(478 + rng.Intn(4))
+			forms[len(docs)/postingsBlockLen] = blockDeltas
+			if span < 480 {
+				forms[len(docs)/postingsBlockLen] = blockBitmap
+			}
+			first := cur + 1 + uint32(rng.Intn(100))
+			for i := uint32(0); i < postingsBlockLen; i++ {
+				docs = append(docs, first+(i*span+31)/63)
+			}
+			cur = docs[len(docs)-1]
+			continue
+		}
+		for n := rng.Intn(3*postingsBlockLen) + 1; n > 0 || len(docs)%postingsBlockLen != 0; n-- {
+			add(1 + uint32(rng.Intn(int(maxGap))))
+		}
+	}
+	for n := rng.Intn(postingsBlockLen); n > 0; n-- {
+		add(1 + uint32(rng.Intn(200)))
+	}
+	return docs, forms
+}
+
+// postingsOf adds docs to a fresh list.
+func postingsOf(docs []uint32) *Postings {
+	p := &Postings{}
+	for _, d := range docs {
+		p.Add(d)
+	}
+	return p
+}
+
+// checkAgainstOracle compares p with its documents want: AppendTo, Len,
+// Contains around every document and between them, a full Next walk and
+// a monotone SeekGE walk of random strides.
+func checkAgainstOracle(t *testing.T, rng *rand.Rand, name string, p *Postings, want []uint32) {
+	t.Helper()
+	if got := p.AppendTo(nil); !slices.Equal(got, want) || p.Len() != len(want) {
+		t.Fatalf("%s: AppendTo = %d documents, Len %d, want %d", name, len(got), p.Len(), len(want))
+	}
+	for i, d := range want {
+		if !p.Contains(d) {
+			t.Fatalf("%s: Contains(%d) = false for document %d", name, d, i)
+		}
+		if d > 0 && (i == 0 || want[i-1] != d-1) && p.Contains(d-1) {
+			t.Fatalf("%s: Contains(%d) = true", name, d-1)
+		}
+	}
+	it := newPostingsIter(p)
+	for i := 0; ; i++ {
+		d, ok := it.Next()
+		if ok != (i < len(want)) || ok && d != want[i] {
+			t.Fatalf("%s: Next %d = %d, %v", name, i, d, ok)
+		}
+		if !ok {
+			break
+		}
+	}
+	it = newPostingsIter(p)
+	for v := uint64(0); v <= uint64(math.MaxUint32); v += 1 + uint64(rng.Intn(40)) {
+		j, _ := slices.BinarySearch(want, uint32(v))
+		got, ok := it.SeekGE(uint32(v))
+		if ok != (j < len(want)) || ok && got != want[j] {
+			t.Fatalf("%s: SeekGE(%d) = %d, %v; want index %d of %d", name, v, got, ok, j, len(want))
+		}
+		if !ok {
+			break
+		}
+		if rng.Intn(4) == 0 { // jump on to a document or just past one
+			v = uint64(want[j+rng.Intn(len(want)-j)]) - uint64(rng.Intn(2))
+		}
+	}
+}
+
+// TestPostingsCodecAgainstOracle checks the block codec against a plain
+// []uint32: lists of dense runs, sparse stretches and switch-over
+// blocks, as added and as read back, through Contains, Next, SeekGE,
+// AppendTo and the leapfrog, then Add after ReadFrom on lists read as
+// references to one another. Both block forms occur, and each
+// switch-over block takes the form its size says.
+func TestPostingsCodecAgainstOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	forms := map[byte]int{}
+	var lists [][]uint32
+	for trial := 0; trial < 60; trial++ {
+		want, switches := codecList(rng, uint32(rng.Intn(100)))
+		if trial%10 == 9 { // end on the last document ID
+			shift := math.MaxUint32 - want[len(want)-1]
+			for i := range want {
+				want[i] += shift
+			}
+		}
+		p := postingsOf(want)
+		for i, sk := range p.skips {
+			form := p.enc[sk.off]
+			forms[form]++
+			if f, ok := switches[i]; ok && f != form {
+				t.Fatalf("trial %d: switch-over block %d (span %d) took form %d, want %d", trial, i, sk.last-sk.first, form, f)
+			}
+		}
+		checkAgainstOracle(t, rng, fmt.Sprintf("trial %d", trial), p, want)
+		lists = append(lists, want)
+	}
+	if forms[blockDeltas] == 0 || forms[blockBitmap] == 0 {
+		t.Fatalf("block forms drawn: %v, want both", forms)
+	}
+
+	// The leapfrog: candidates against two unions of two lists each.
+	found := 0
+	for trial := 0; trial+4 <= len(lists); trial += 4 {
+		a, b, c, d := lists[trial], lists[trial+1], lists[trial+2], lists[trial+3]
+		if a[0] > 1<<31 || b[0] > 1<<31 || c[0] > 1<<31 || d[0] > 1<<31 {
+			continue
+		}
+		in := func(l []uint32, v uint32) bool { _, ok := slices.BinarySearch(l, v); return ok }
+		var cands, want []uint32
+		for v := uint32(0); v < 40000; v++ {
+			if rng.Intn(3) > 0 {
+				cands = append(cands, v)
+				if (in(a, v) || in(b, v)) && (in(c, v) || in(d, v)) {
+					want = append(want, v)
+				}
+			}
+		}
+		found += len(want)
+		for _, limit := range []int{1, 7, math.MaxInt} {
+			rest := []*unionIter{
+				newUnionIter([]*Postings{postingsOf(a), postingsOf(b)}),
+				newUnionIter([]*Postings{postingsOf(c), postingsOf(d)}),
+			}
+			got := leapfrog[uint32](nil, &sliceIter[uint32]{cands}, rest, limit)
+			if w := want[:min(limit, len(want))]; !slices.Equal(got, w) {
+				t.Fatalf("lists %d–%d: leapfrog at limit %d = %d documents, want %d", trial, trial+3, limit, len(got), len(w))
+			}
+		}
+	}
+
+	if found == 0 {
+		t.Fatal("every leapfrog drawn is empty: the check is vacuous")
+	}
+
+	// Add after ReadFrom: "b" and "c" equal "a", so they are written as
+	// references and read back sharing its blocks; adding to any of the
+	// three must leave the others as they were.
+	ix := New(nil)
+	keys := []string{"a", "b", "c", "d"}
+	want := map[string][]uint32{"a": lists[0], "b": lists[0], "c": lists[0], "d": lists[1]}
+	for _, k := range keys {
+		ix.exact[k] = postingsOf(want[k])
+	}
+	ix.tokens["a"] = postingsOf(lists[0])
+	want["token a"] = lists[0]
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	wrote := slices.Clone(buf.Bytes())
+	back, err := ReadFrom(&buf, nil, int64(len(wrote)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if _, err := back.WriteTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), wrote) {
+		t.Fatal("the read index writes other bytes")
+	}
+	list := func(k string) *Postings {
+		if k == "token a" {
+			return back.tokens["a"]
+		}
+		return back.exact[k]
+	}
+	if len(lists[0]) >= postingsBlockLen && &list("a").enc[0] != &list("b").enc[0] {
+		t.Fatal(`"b" does not share the blocks of "a"`)
+	}
+	for round, k := range []string{"b", "a", "token a", "c", "a"} {
+		n := []int{5, 70, 130, 64, 1}[round]
+		next := want[k][len(want[k])-1]
+		grown := slices.Clone(want[k])
+		for i := 0; i < n && next < math.MaxUint32-10; i++ {
+			next += 1 + uint32(rng.Intn(9))
+			list(k).Add(next)
+			grown = append(grown, next)
+		}
+		want[k] = grown
+		for _, o := range append(keys, "token a") {
+			checkAgainstOracle(t, rng, fmt.Sprintf("after adding to %q, %q", k, o), list(o), want[o])
+		}
+	}
+}
+
+// FuzzReadPostings reads a textindex stream: an accepted one re-encodes
+// to exactly the bytes it read, and a refused one names what it refused
+// — the magic, a key count, the document count, or the key, by number
+// and, once read, by name.
+func FuzzReadPostings(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	ix := New(nil)
+	for i, k := range []string{"dense", "mixed", "same", "sparse"} {
+		docs, _ := codecList(rng, uint32(i))
+		if k == "same" {
+			docs = ix.exact["dense"].AppendTo(nil)
+		}
+		ix.exact[k] = postingsOf(docs)
+	}
+	ix.tokens["dense"] = postingsOf(ix.exact["mixed"].AppendTo(nil))
+	ix.tokens["short"] = postingsOf([]uint32{0, 3, 9})
+	var seed bytes.Buffer
+	if _, err := ix.WriteTo(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add(seed.Bytes()[:seed.Len()/2])
+	refusal := regexp.MustCompile(`^textindex: (bad magic|read magic|read doc count|read (exact|token) map: (key count|implausible key count|key \d+( "(?:[^"\\]|\\.)*")?:))`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		br := bufio.NewReader(src)
+		ix, err := ReadFrom(br, nil, int64(len(data)))
+		if err != nil {
+			if !refusal.MatchString(err.Error()) {
+				t.Fatalf("refusal names no key: %v", err)
+			}
+			return
+		}
+		read := len(data) - src.Len() - br.Buffered()
+		var out bytes.Buffer
+		if _, err := ix.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data[:read]) {
+			t.Fatalf("accepted %q, which re-encodes to %q", data[:read], out.Bytes())
 		}
 	})
 }

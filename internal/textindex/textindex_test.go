@@ -2,6 +2,7 @@ package textindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"sort"
 	"strings"
@@ -239,12 +240,16 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 	if _, err := ReadFrom(bytes.NewReader(nil), nil, 0); err == nil {
 		t.Error("empty stream accepted")
 	}
+	// A stream of the format before bitmap blocks is refused.
+	if _, err := ReadFrom(bytes.NewReader([]byte("STX1\x00\x00\x00")), nil, 7); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("STX1 stream: err = %v, want a bad magic", err)
+	}
 	// A key count or key length taken on trust would size gigabytes.
 	for _, tail := range [][]byte{
 		{0xff, 0xff, 0xff, 0xff, 0x0f},    // 2³² keys
 		{1, 0xff, 0xff, 0xff, 0xff, 0x0f}, // one key of 2³² bytes
 	} {
-		data := append([]byte("STX1"), tail...)
+		data := append(indexMagic[:], tail...)
 		if _, err := ReadFrom(bytes.NewReader(data), nil, int64(len(data))); err == nil || !strings.Contains(err.Error(), "implausible") {
 			t.Errorf("stream %q: err = %v, want an implausible size", data, err)
 		}
@@ -255,5 +260,81 @@ func TestLookupEmptyIndex(t *testing.T) {
 	ix := New(nil)
 	if got := ix.Lookup("anything"); len(got) != 0 {
 		t.Errorf("empty index Lookup = %v", got)
+	}
+}
+
+// TestReadFromRefusesWhatWriteToNeverWrites feeds ReadFrom streams that
+// differ from a written one in one way each: every one is refused with
+// an error that names the key and says what is wrong, and the written
+// stream itself reads.
+func TestReadFromRefusesWhatWriteToNeverWrites(t *testing.T) {
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	// entry is a key and its list: a head, then the list's bytes.
+	entry := func(key string, head uint64, body ...[]byte) []byte {
+		e := append(uv(uint64(len(key))), key...)
+		e = append(e, uv(head)...)
+		for _, b := range body {
+			e = append(e, b...)
+		}
+		return e
+	}
+	stream := func(entries ...[]byte) []byte {
+		s := append(indexMagic[:], uv(uint64(len(entries)))...)
+		for _, e := range entries {
+			s = append(s, e...)
+		}
+		return append(s, 0, 0) // no token keys, no documents
+	}
+	deltas := func(gaps ...uint64) []byte {
+		var b []byte
+		for _, g := range gaps {
+			b = append(b, uv(g)...)
+		}
+		return b
+	}
+	repeat := func(gap uint64, n int) []uint64 {
+		g := make([]uint64, n)
+		for i := range g {
+			g[i] = gap
+		}
+		return g
+	}
+	// A block of 64 documents 8 apart takes 65 bytes as deltas and 68 as
+	// a bitmap; 64 consecutive ones take 65 and 11.
+	spread := append([]byte{blockDeltas}, deltas(repeat(8, 64)...)...)
+	full := append([]byte{blockBitmap, 1, 63}, bytes.Repeat([]byte{0xff}, 8)...)
+	ok := stream(entry("a", 2*64, spread), entry("b", 2*2, deltas(3, 4)), entry("c", 2*0+1))
+	if _, err := ReadFrom(bytes.NewReader(ok), nil, int64(len(ok))); err != nil {
+		t.Fatalf("a well-formed stream is refused: %v", err)
+	}
+	bitmapOf := func(first, span uint64, bm []byte) []byte {
+		return append(append([]byte{blockBitmap}, append(uv(first), uv(span)...)...), bm...)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"a run as deltas", stream(entry("a", 2*64, append([]byte{blockDeltas}, deltas(repeat(1, 64)...)...))), `key 0 "a": block 0 is not in the form`},
+		{"a spread run as a bitmap", stream(entry("a", 2*64, bitmapOf(8, 504, bytes.Repeat([]byte{1}, 64)))), `key 0 "a": block 0 is not in the form`},
+		{"a bitmap of 63", stream(entry("a", 2*64, bitmapOf(1, 63, append(bytes.Repeat([]byte{0xff}, 7), 0x7f)))), `key 0 "a": bitmap holds 63 documents`},
+		{"a bitmap past its span", stream(entry("a", 2*64, bitmapOf(1, 60, bytes.Repeat([]byte{0xff}, 8)))), `key 0 "a": bitmap sets a bit past document 61`},
+		{"a bitmap longer than deltas could be", stream(entry("a", 2*64, bitmapOf(1, 1<<20, nil))), `key 0 "a": bitmap over 1048577 IDs from 1`},
+		{"an unknown form", stream(entry("a", 2*64, []byte{2})), `key 0 "a": block 0: form 2`},
+		{"a repeated document", stream(entry("a", 2*2, deltas(5, 0))), `key 0 "a": document 1: delta 0 from 5`},
+		{"a document past uint32", stream(entry("a", 2*2, deltas(5, 1<<32))), `key 0 "a": document 1: delta 4294967296 from 5`},
+		{"an overlong head", stream(append(entry("a", 0)[:2], 0x80, 0x00)), `key 0 "a": overlong varint`},
+		{"a list written out twice", stream(entry("a", 2*64, full), entry("b", 2*64, full)), `key 1 "b": writes out the list of key 0`},
+		{"a reference forward", stream(entry("a", 2*1+1), entry("b", 0)), `key 0 "a": refers to key 1`},
+		{"a reference to a reference", stream(entry("a", 0), entry("b", 2*0+1), entry("c", 2*1+1)), `key 2 "c": refers to key 1`},
+		{"keys out of order", stream(entry("b", 0), entry("a", 2*0+1)), `key 1 "a": follows "b"`},
+		{"a repeated key", stream(entry("a", 0), entry("a", 2*0+1)), `key 1 "a": follows "a"`},
+		{"a cut key", stream(entry("a", 0))[:6], `key 0: EOF`},
+		{"a cut list", stream(entry("a", 0))[:7], `key 0 "a": unexpected EOF`},
+	} {
+		_, err := ReadFrom(bytes.NewReader(c.data), nil, int64(len(c.data)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }

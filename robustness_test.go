@@ -175,6 +175,98 @@ func TestDeadlineQueryReturnsQuicklyWithSortedPrefix(t *testing.T) {
 	}
 }
 
+// deadlineInWalk is a context whose deadline lands in the search's
+// walk: Err reports nothing until the deadline fires, so the cluster
+// phase runs whole, and the deadline is a timer of delay started by the
+// first Done call — the search's, just before its walk, which polls the
+// channel every 64 visits.
+type deadlineInWalk struct {
+	context.Context // Background, for Value
+	delay           time.Duration
+	once            sync.Once
+	fired           atomic.Bool
+	done            chan struct{}
+}
+
+func (c *deadlineInWalk) Done() <-chan struct{} {
+	c.once.Do(func() {
+		time.AfterFunc(c.delay, func() {
+			c.fired.Store(true)
+			close(c.done)
+		})
+	})
+	return c.done
+}
+
+func (c *deadlineInWalk) Err() error {
+	if c.fired.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestDeadlineInWalkReturnsSortedPrefix lands a deadline inside the walk
+// (the cluster phase passes whole): the query returns a non-empty
+// prefix, in score order and no better than the full run's at any rank,
+// marked Partial with StopDeadline, and its search span shows the walk
+// cut at a poll. A timer lands wherever the clock puts it, so the delay
+// doubles from 20 µs while the deadline fires before the walk's first
+// poll and halves while it fires after the walk. At k = 1 000 the walk
+// runs ≈ 240 000 visits, long enough for the runtime to preempt it and
+// run the timer when there is one P.
+func TestDeadlineInWalkReturnsSortedPrefix(t *testing.T) {
+	const k = 1000
+	db := largeSyntheticDB(t)
+	full, err := db.QuerySPARQL(bigQuery, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := func(res *Result) map[string]int64 {
+		for _, sp := range res.Stats.Trace.Phases {
+			if sp.Name == "search" {
+				return sp.Attrs
+			}
+		}
+		t.Fatal("no search span in the trace")
+		return nil
+	}
+	fullVisited := search(full)["visited"]
+	delay := 20 * time.Microsecond
+	for attempt := 0; attempt < 40; attempt++ {
+		ctx := &deadlineInWalk{Context: context.Background(), delay: delay, done: make(chan struct{})}
+		res, err := db.QuerySPARQLContext(ctx, bigQuery, k)
+		if err != nil {
+			t.Fatalf("deadline query errored: %v", err)
+		}
+		sp := search(res)
+		switch v := sp["visited"]; {
+		case sp["cancelled"] == 1 && v == 0: // before the first poll
+			delay *= 2
+			continue
+		case sp["cancelled"] == 0 || v%64 != 0 || v >= fullVisited: // after the walk
+			delay = max(delay/2, time.Microsecond)
+			continue
+		}
+		t.Logf("deadline after %v: span %v of a %d-visit walk", delay, sp, fullVisited)
+		if !res.Partial || res.StopReason != StopDeadline {
+			t.Errorf("Partial = %v, StopReason = %q; want true, %q", res.Partial, res.StopReason, StopDeadline)
+		}
+		if len(res.Answers) == 0 {
+			t.Fatal("a deadline inside the walk returned no answers")
+		}
+		for i := range res.Answers {
+			if i > 0 && res.Answers[i].Score < res.Answers[i-1].Score {
+				t.Fatalf("partial answers out of order at %d: %.4f < %.4f", i, res.Answers[i].Score, res.Answers[i-1].Score)
+			}
+			if i < len(full.Answers) && res.Answers[i].Score < full.Answers[i].Score-1e-9 {
+				t.Errorf("partial[%d].Score=%.6f beats full[%d].Score=%.6f", i, res.Answers[i].Score, i, full.Answers[i].Score)
+			}
+		}
+		return
+	}
+	t.Fatal("no deadline of 40 landed inside the walk")
+}
+
 func TestConcurrentQueriesDuringInserts(t *testing.T) {
 	db := newTestDB(t)
 	const (
