@@ -82,14 +82,7 @@ func runIndex(args []string) error {
 	if *data == "" || *base == "" {
 		return fmt.Errorf("index: -data and -index are required")
 	}
-	start := time.Now()
-	g, err := sama.LoadGraphFile(*data) // .ttl/.turtle or N-Triples
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "loaded %d triples (%d nodes) in %v\n",
-		g.EdgeCount(), g.NodeCount(), time.Since(start).Round(time.Millisecond))
-	db, err := sama.Create(*base, g,
+	db, err := sama.CreateFromFile(*base, *data, // .ttl/.turtle or N-Triples
 		sama.WithPathConfig(sama.PathConfig{MaxLength: *maxLen, MaxPerRoot: *maxPerRoot}),
 		sama.WithThesaurus(sama.BenchmarkThesaurus()))
 	if err != nil {

@@ -162,18 +162,13 @@ func queueOption(flag int) int {
 func openOrBuild(index, data string, opts []sama.Option, logger *log.Logger) (*sama.DB, error) {
 	if _, err := os.Stat(index + ".meta"); err != nil && data != "" {
 		logger.Printf("index %s not found: building from %s", index, data)
-		g, err := sama.LoadGraphFile(data)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		db, err := sama.Create(index, g, opts...)
+		db, err := sama.CreateFromFile(index, data, opts...)
 		if err != nil {
 			return nil, err
 		}
 		st := db.Stats()
 		logger.Printf("indexed %d triples into %d paths in %v",
-			st.Triples, st.Paths, time.Since(start).Round(time.Millisecond))
+			st.Triples, st.Paths, st.BuildTime.Round(time.Millisecond))
 		return db, nil
 	}
 	db, err := sama.Open(index, opts...)

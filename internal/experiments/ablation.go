@@ -200,8 +200,9 @@ func RunInsertAblation(dir string, triples int, seed int64) ([]AblationResult, e
 	}
 	incr := time.Since(start)
 
+	ts := append(g.Triples(), batch...)
 	start = time.Now()
-	rebuilt, err := index.Build(filepath.Join(dir, "rebuild"), idx.Graph(), index.Options{})
+	rebuilt, err := index.BuildFrom(filepath.Join(dir, "rebuild"), rdf.Stream(ts), index.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -51,6 +51,7 @@ type System interface {
 type SamaSystem struct {
 	idx    *index.Index
 	engine *core.Engine
+	g      *rdf.Graph
 }
 
 // NewSamaSystem indexes g under dir and returns the system. The paper's
@@ -66,6 +67,7 @@ func NewSamaSystem(dir string, g *rdf.Graph) (*SamaSystem, error) {
 	return &SamaSystem{
 		idx:    idx,
 		engine: core.New(idx, core.Options{Params: align.DefaultParams}),
+		g:      g,
 	}, nil
 }
 
@@ -91,8 +93,8 @@ func (s *SamaSystem) Run(q workload.Query, k int) ([]RunResult, error) {
 	return out, nil
 }
 
-// Graph returns the indexed data graph (retained by the index build).
-func (s *SamaSystem) Graph() *rdf.Graph { return s.idx.Graph() }
+// Graph returns the data graph the system indexed.
+func (s *SamaSystem) Graph() *rdf.Graph { return s.g }
 
 // ColdStart implements System by dropping the engine's alignment memo
 // and the buffer pool: the next Run reads its pages from disk again.

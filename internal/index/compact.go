@@ -55,8 +55,12 @@ func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 
 	// The rebuild: only writers change the graph, its dictionary, the
 	// stats and the watermark, so under the writer lock they hold still.
+	// Its graph is the index's renumbered by Build's ID rule, so every
+	// ID stays unless an insert brought a new predicate; it shares the
+	// edge columns and lists, which the swap hands over.
 	tmpBase := ix.base + ".compact"
-	next, err := writeIndex(tmpBase, ix.graph.materialise(ix.dict), ix.opts,
+	g := *ix.graph
+	next, err := writeIndex(tmpBase, &g, g.renumber(ix.dict), ix.opts,
 		func(nx *Index) (int, error) { return nx.streamPaths(ctx) },
 		func(nx *Index) {
 			// The watermark makes a crash right after the swap recover

@@ -495,9 +495,10 @@ func TestCompactWriteFaultKeepsOriginal(t *testing.T) {
 	}
 }
 
-// TestCompactEqualsBuild: a compacted index is Build of its graph under
-// its budget — the same pages, byte for byte, and the same metadata but
-// for the build time and the applied LSN — after streamed inserts, after
+// TestCompactEqualsBuild: a compacted index is the streaming build of
+// the triples it was built from and then took, in that order, under its
+// budget — the same pages, byte for byte, and the same metadata but for
+// the build time and the applied LSN — after streamed inserts, after
 // hub-rooted ones on a sourceless graph, and with a budget of its own,
 // reopened without it before the compaction. Each case first gives a
 // root early in root order a new out-edge: the insert appends the
@@ -536,23 +537,27 @@ func TestCompactEqualsBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			applied := c.g.Triples()
+			insert := func(b []rdf.Triple) {
+				t.Helper()
+				if err := ix.InsertTriples(b); err != nil {
+					t.Fatal(err)
+				}
+				applied = append(applied, b...)
+			}
 			roots, cfg := c.g.PathRoots(), ix.opts.Paths
 			for _, r := range roots[:len(roots)-1] {
 				var w paths.Walker
 				n := 0
 				w.WalkFrom(c.g, r, cfg, func([]rdf.NodeID, []rdf.EdgeID) { n++ })
 				if cfg.MaxPerRoot == 0 || n < cfg.MaxPerRoot {
-					if err := ix.InsertTriples([]rdf.Triple{{S: c.g.Term(r), P: iri("grows"), O: iri("leaf")}}); err != nil {
-						t.Fatal(err)
-					}
+					insert([]rdf.Triple{{S: c.g.Term(r), P: iri("grows"), O: iri("leaf")}})
 					break
 				}
 			}
 			half := len(c.batches) / 2
 			for _, b := range c.batches[:half] {
-				if err := ix.InsertTriples(b); err != nil {
-					t.Fatal(err)
-				}
+				insert(b)
 			}
 			if c.reopen {
 				if err := ix.Close(); err != nil {
@@ -564,9 +569,7 @@ func TestCompactEqualsBuild(t *testing.T) {
 			}
 			defer ix.Close()
 			for _, b := range c.batches[half:] {
-				if err := ix.InsertTriples(b); err != nil {
-					t.Fatal(err)
-				}
+				insert(b)
 			}
 			if ix.LivePaths() == ix.NumPaths() {
 				t.Fatal("test setup: the inserts tombstoned nothing")
@@ -574,7 +577,7 @@ func TestCompactEqualsBuild(t *testing.T) {
 			if _, err := ix.Compact(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := Build(filepath.Join(dir, "fresh"), ix.Graph().Clone(), c.opts)
+			fresh, err := BuildFrom(filepath.Join(dir, "fresh"), rdf.Stream(applied), c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

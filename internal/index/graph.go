@@ -5,8 +5,7 @@ import "sama/internal/rdf"
 // idGraph is the indexed data graph in term IDs, the graph InsertTriples
 // re-enumerates the affected paths of. A node's term and an edge's label
 // are dictionary IDs, interned when the graph first holds the term (see
-// graphOf and applyTriplesLocked), so the walk reads a path's IDs
-// straight from the columns.
+// addTriple), so the walk reads a path's IDs straight from the columns.
 type idGraph struct {
 	nodeTerm []uint32 // per node, its term's ID
 	from, to []rdf.NodeID
@@ -15,29 +14,51 @@ type idGraph struct {
 	node     map[uint32]rdf.NodeID // the node whose term's ID is the key
 }
 
-// graphOf returns the graph of src in the IDs of d, with its node and
-// edge IDs, interning into d first every edge label in edge order, then
-// every node's term in node order — for a graph built from triples, each
-// edge's subject and object in edge order. The labels, the few terms
-// every path repeats, take the shortest IDs. Build copies the graph it
-// indexes through it, and Compact the index's graph, spelt out through
-// the old dictionary.
-func graphOf(src *rdf.Graph, d *Dictionary) *idGraph {
-	n, m := src.NodeCount(), src.EdgeCount()
+// newIDGraph returns an empty graph, with room for n nodes and m edges,
+// and an empty dictionary with room for n terms.
+func newIDGraph(n, m int) (*idGraph, *Dictionary) {
 	g := &idGraph{nodeTerm: make([]uint32, 0, n), from: make([]rdf.NodeID, 0, m), to: make([]rdf.NodeID, 0, m), label: make([]uint32, 0, m),
 		out: make([][]rdf.EdgeID, 0, n), in: make([][]rdf.EdgeID, 0, n), node: make(map[uint32]rdf.NodeID, n)}
-	labels := make([]uint32, m)
-	for e := range rdf.EdgeID(m) {
-		labels[e] = d.ID(src.Edge(e).Label)
+	return g, &Dictionary{ids: make(map[rdf.Term]uint32, n), terms: make([]rdf.Term, 0, n)}
+}
+
+// addTriple adds t to the graph, interning into d its subject, then its
+// object, then its predicate as it first holds them, and returns the
+// subject's and the object's nodes. Build, every insert and WAL replay
+// add their triples through it.
+func (g *idGraph) addTriple(d *Dictionary, t rdf.Triple) (s, o rdf.NodeID) {
+	s, o = g.addNode(d, t.S), g.addNode(d, t.O)
+	g.addEdge(s, o, d.ID(t.P))
+	return s, o
+}
+
+// renumber returns a fresh dictionary of the graph's terms by the ID
+// rule — the edge labels first, in edge order, so that the few terms
+// every path repeats take the shortest IDs, then the node terms, in node
+// order — and points the graph at new term columns and a new node map in
+// its IDs. It writes neither old nor the columns and map it replaces, so
+// Compact renumbers a shallow copy of the index's graph while the index
+// serves queries from the original.
+func (g *idGraph) renumber(old *Dictionary) *Dictionary {
+	d := &Dictionary{ids: make(map[rdf.Term]uint32, old.Len()), terms: make([]rdf.Term, 0, old.Len())}
+	next := make([]uint32, old.Len()) // an old ID's new ID plus one, 0 before it has one
+	move := func(id uint32) uint32 {
+		if next[id] == 0 {
+			next[id] = d.ID(old.terms[id]) + 1
+		}
+		return next[id] - 1
 	}
-	for v := range rdf.NodeID(n) {
-		g.addNode(d, src.Term(v))
+	label, nodeTerm := make([]uint32, len(g.label)), make([]uint32, len(g.nodeTerm))
+	for e, id := range g.label {
+		label[e] = move(id)
 	}
-	for e := range rdf.EdgeID(m) {
-		x := src.Edge(e)
-		g.addEdge(x.From, x.To, labels[e])
+	g.node = make(map[uint32]rdf.NodeID, len(nodeTerm))
+	for v, id := range g.nodeTerm {
+		nodeTerm[v] = move(id)
+		g.node[nodeTerm[v]] = rdf.NodeID(v)
 	}
-	return g
+	g.label, g.nodeTerm = label, nodeTerm
+	return d
 }
 
 // NodeCount, Out and Target are what paths.Stream walks.
@@ -107,16 +128,4 @@ func (g *idGraph) undo(m graphMark, d *Dictionary) {
 	}
 	g.nodeTerm, g.out, g.in = g.nodeTerm[:m.nodes], g.out[:m.nodes], g.in[:m.nodes]
 	d.truncate(m.terms)
-}
-
-// materialise returns the graph in terms, with its node and edge IDs.
-func (g *idGraph) materialise(d *Dictionary) *rdf.Graph {
-	r := rdf.NewGraph()
-	for _, id := range g.nodeTerm {
-		r.AddNode(d.terms[id])
-	}
-	for e, id := range g.label {
-		r.AddEdge(g.from[e], g.to[e], d.terms[id])
-	}
-	return r
 }

@@ -164,14 +164,14 @@ type Index struct {
 	layout uint64
 	// dict interns the terms of the data graph, and so of every stored
 	// path: a record is a varint sequence of its IDs (see appendRecord),
-	// and the graph keeps its terms in them (see graphOf). It is
+	// and the graph keeps its terms in them (see idGraph). It is
 	// persisted in the metadata file, so it always covers the records
 	// that file's directory names. Like every dictionary write, interning
 	// happens under the write lock or before the index is shared.
 	dict *Dictionary
 	// graph is the indexed data graph in term IDs (see idGraph), which
-	// InsertTriples re-enumerates the affected paths of: Build copies the
-	// one it indexed, and the metadata carries it for Open.
+	// InsertTriples re-enumerates the affected paths of: Build interns the
+	// triples it indexes into it, and the metadata carries it for Open.
 	graph *idGraph
 	// opts is what the index was built or opened with, Paths the budget
 	// the metadata records: the compaction swap and its roll-forward
@@ -263,21 +263,42 @@ func lockBase(base string) (f *os.File, created bool, err error) {
 	}
 }
 
-// Build indexes the data graph g into files at base (base.pages and
-// base.meta), returning the opened index, and restarts the write-ahead
-// log at base.wal. An existing index at base is overwritten.
+// Build is BuildFrom over g's edges in edge order: it indexes the graph
+// of g's triples, so a node added by AddNode alone, with no edge, is not
+// held (no caller in this module adds one).
 func Build(base string, g *rdf.Graph, opts Options) (*Index, error) {
-	return build(base, g, opts, func(ix *Index) (int, error) { return ix.streamPaths(context.TODO()) })
+	e := 0
+	return build(base, g.NodeCount(), g.EdgeCount(), func() (rdf.Triple, error) {
+		if e == g.EdgeCount() {
+			return rdf.Triple{}, io.EOF
+		}
+		x := g.Edge(rdf.EdgeID(e))
+		e++
+		return rdf.Triple{S: g.Term(x.From), P: x.Label, O: g.Term(x.To)}, nil
+	}, opts)
 }
 
-// build is Build with the step that registers the paths, returning
-// their count, given as fill.
-func build(base string, src *rdf.Graph, opts Options, fill func(*Index) (int, error)) (*Index, error) {
+// BuildFrom indexes the triples next returns (see rdf.Each) into files
+// at base (base.pages and base.meta), returning the opened index, and
+// restarts the log at base.wal. It interns the whole stream before it
+// touches base: an index already there is overwritten only by a stream
+// that does not fail.
+func BuildFrom(base string, next func() (rdf.Triple, error), opts Options) (*Index, error) {
+	return build(base, 0, 0, next, opts)
+}
+
+// build is BuildFrom with room for n nodes and m edges made up front.
+func build(base string, n, m int, next func() (rdf.Triple, error), opts Options) (*Index, error) {
 	start := time.Now()
 	opts.Paths = opts.pathConfig()
 	if err := checkPathBudget(opts.Paths); err != nil {
 		return nil, fmt.Errorf("index: build %s: %w", base, err)
 	}
+	g, d := newIDGraph(n, m)
+	if err := rdf.Each(next, func(t rdf.Triple) { g.addTriple(d, t) }); err != nil {
+		return nil, fmt.Errorf("index: build %s: %w", base, err)
+	}
+	d = g.renumber(d)
 	lock, _, err := lockBase(base)
 	if err != nil {
 		return nil, err
@@ -292,7 +313,8 @@ func build(base string, src *rdf.Graph, opts Options, fill func(*Index) (int, er
 	err = wal.Reset(1)
 	var ix *Index
 	if err == nil {
-		ix, err = writeIndex(base, src, opts, fill, func(ix *Index) { ix.stats.BuildTime = time.Since(start) })
+		ix, err = writeIndex(base, g, d, opts, func(ix *Index) (int, error) { return ix.streamPaths(context.TODO()) },
+			func(ix *Index) { ix.stats.BuildTime = time.Since(start) })
 	}
 	if err != nil {
 		wal.Close()
@@ -303,15 +325,14 @@ func build(base string, src *rdf.Graph, opts Options, fill func(*Index) (int, er
 	return ix, nil
 }
 
-// writeIndex writes the files at base that index src's paths within
-// opts.Paths: it copies src into a fresh dictionary and ID graph (see
-// graphOf), creates the pages file, registers the paths through
-// fill, lets stamp set what the metadata carries beyond them (the build
-// time, the applied LSN), flushes the pages and writes the metadata. It
-// returns the index open on the files, with no lock or log. Build and
-// Compact both write through it, so a compacted index is the one a
-// fresh build of its graph gives.
-func writeIndex(base string, src *rdf.Graph, opts Options, fill func(*Index) (int, error), stamp func(*Index)) (*Index, error) {
+// writeIndex writes the files at base that index the paths of g, in the
+// IDs of d, within opts.Paths: it creates the pages file, registers the
+// paths through fill, lets stamp set what the metadata carries beyond
+// them (the build time, the applied LSN), flushes the pages and writes
+// the metadata. It returns the index open on the files, with no lock or
+// log. Build and Compact both write through it, so a compacted index is
+// the one a fresh build of its graph gives.
+func writeIndex(base string, g *idGraph, d *Dictionary, opts Options, fill func(*Index) (int, error), stamp func(*Index)) (*Index, error) {
 	file, err := storage.CreatePageFile(pagesPath(base))
 	if err != nil {
 		return nil, err
@@ -324,13 +345,13 @@ func writeIndex(base string, src *rdf.Graph, opts Options, fill func(*Index) (in
 		labels:  textindex.New(opts.Thesaurus),
 		sources: make(map[uint32][]PathID),
 		opts:    opts,
-		dict:    NewDictionary(),
+		dict:    d,
+		graph:   g,
 	}
-	ix.graph = graphOf(src, ix.dict)
 	ix.store = storage.NewRecordStore(ix.pool, nil, 0)
 	n, err := fill(ix)
 	if err == nil {
-		ix.stats = Stats{Triples: src.EdgeCount(), HV: src.NodeCount(), HE: src.EdgeCount() + n, Paths: n}
+		ix.stats = Stats{Triples: len(g.from), HV: len(g.nodeTerm), HE: len(g.from) + n, Paths: n}
 		stamp(ix)
 		if err = ix.pool.Flush(); err == nil {
 			err = ix.writeMeta()

@@ -14,7 +14,14 @@ import (
 func (ix *Index) Graph() *rdf.Graph {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.graph.materialise(ix.dict)
+	g, r := ix.graph, rdf.NewGraph()
+	for _, id := range g.nodeTerm {
+		r.AddNode(ix.dict.terms[id])
+	}
+	for e, id := range g.label {
+		r.AddEdge(g.from[e], g.to[e], ix.dict.terms[id])
+	}
+	return r
 }
 
 // LivePaths returns the number of paths not tombstoned by updates.
@@ -122,12 +129,9 @@ func (ix *Index) applyTriplesLocked(ts []rdf.Triple) (err error) {
 		}
 	}()
 
-	// A new term takes the next ID: a triple's subject, then its object,
-	// then its predicate.
 	subjects, objects := make([]rdf.NodeID, len(ts)), make([]rdf.NodeID, len(ts))
 	for i, t := range ts {
-		subjects[i], objects[i] = g.addNode(ix.dict, t.S), g.addNode(ix.dict, t.O)
-		g.addEdge(subjects[i], objects[i], ix.dict.ID(t.P))
+		subjects[i], objects[i] = g.addTriple(ix.dict, t)
 	}
 
 	var roots []rdf.NodeID

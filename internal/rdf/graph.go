@@ -1,6 +1,9 @@
 package rdf
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 // NodeID identifies a node within one Graph. IDs are dense, starting at 0,
 // and are assigned in insertion order.
@@ -51,15 +54,46 @@ func NewGraph() *Graph {
 
 // NewGraphFromTriples builds a graph from a slice of triples, validating
 // each with Triple.Valid.
-func NewGraphFromTriples(triples []Triple) (*Graph, error) {
+func NewGraphFromTriples(triples []Triple) (*Graph, error) { return ReadGraph(Stream(triples)) }
+
+// ReadGraph builds a graph of the triples next returns (see Each).
+func ReadGraph(next func() (Triple, error)) (*Graph, error) {
 	g := NewGraph()
-	for i, t := range triples {
-		if err := t.Valid(); err != nil {
-			return nil, fmt.Errorf("triple %d: %w", i, err)
-		}
-		g.AddTriple(t)
+	if err := Each(next, func(t Triple) { g.AddTriple(t) }); err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// Each calls fn with every triple next returns before io.EOF, checked
+// with Triple.Valid first. It stops at next's first error, which it
+// returns as it is, or at the first triple that is not valid, which it
+// names by its position in the stream.
+func Each(next func() (Triple, error), fn func(Triple)) error {
+	for i := 0; ; i++ {
+		t, err := next()
+		switch {
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return err
+		case t.Valid() != nil:
+			return fmt.Errorf("triple %d: %w", i, t.Valid())
+		}
+		fn(t)
+	}
+}
+
+// Stream returns a stream of ts, one triple per call and io.EOF after
+// the last.
+func Stream(ts []Triple) func() (Triple, error) {
+	return func() (t Triple, err error) {
+		if len(ts) == 0 {
+			return t, io.EOF
+		}
+		t, ts = ts[0], ts[1:]
+		return t, nil
+	}
 }
 
 // AddNode inserts a node labelled by term and returns its ID; if the term

@@ -112,39 +112,16 @@ func (r *Reader) term() (rdf.Term, error) {
 
 // ReadAll parses every triple in r until EOF.
 func ReadAll(r io.Reader) ([]rdf.Triple, error) {
-	rd := NewReader(r)
 	var out []rdf.Triple
-	for {
-		t, err := rd.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
+	if err := rdf.Each(NewReader(r).Next, func(t rdf.Triple) { out = append(out, t) }); err != nil {
+		return nil, err
 	}
+	return out, nil
 }
 
 // ParseString parses an N-Triples document held in a string.
 func ParseString(s string) ([]rdf.Triple, error) {
 	return ReadAll(strings.NewReader(s))
-}
-
-// ReadGraph parses the stream and accumulates it into a data graph.
-func ReadGraph(r io.Reader) (*rdf.Graph, error) {
-	rd := NewReader(r)
-	g := rdf.NewGraph()
-	for {
-		t, err := rd.Next()
-		if err == io.EOF {
-			return g, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		g.AddTriple(t)
-	}
 }
 
 // Writer serialises triples in N-Triples format.

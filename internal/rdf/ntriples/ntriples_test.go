@@ -150,7 +150,7 @@ func TestReadGraph(t *testing.T) {
 <b> <p> <c> .
 <a> <p> <b> .
 `
-	g, err := ReadGraph(strings.NewReader(doc))
+	g, err := rdf.ReadGraph(NewReader(strings.NewReader(doc)).Next)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,16 +74,3 @@ func document(s *syntax.Scanner) ([]rdf.Triple, error) {
 func ParseString(s string) ([]rdf.Triple, error) {
 	return Parse(strings.NewReader(s))
 }
-
-// ReadGraph parses a Turtle document into a data graph.
-func ReadGraph(r io.Reader) (*rdf.Graph, error) {
-	ts, err := Parse(r)
-	if err != nil {
-		return nil, err
-	}
-	g := rdf.NewGraph()
-	for _, t := range ts {
-		g.AddTriple(t)
-	}
-	return g, nil
-}

@@ -101,12 +101,16 @@ _:b1 ex:p _:b2 .`)
 }
 
 func TestReadGraph(t *testing.T) {
-	g, err := ReadGraph(strings.NewReader(`
+	ts, err := ParseString(`
 @prefix ex: <http://ex.org/> .
 ex:a ex:p ex:b .
 ex:b ex:p ex:c .
 ex:a ex:p ex:b .
-`))
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := rdf.NewGraphFromTriples(ts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -249,15 +249,39 @@ func buildConfig(opts []Option) (*config, error) {
 // Close) discards the log. Until Close, basePath.lock fails a second
 // Create or Open of basePath, in this process or another.
 func Create(basePath string, g *Graph, opts ...Option) (*DB, error) {
+	return create(opts, func(o index.Options) (*index.Index, error) { return index.Build(basePath, g, o) })
+}
+
+// CreateFromFile is Create over the triples of the RDF file at dataPath,
+// parsed by its extension: .ttl/.turtle as Turtle, anything else as
+// N-Triples, which streams into the index with no Graph in between. The
+// whole file is read before basePath is touched, so one that fails to
+// parse leaves an index already there as it was.
+func CreateFromFile(basePath, dataPath string, opts ...Option) (*DB, error) {
+	f, err := os.Open(dataPath)
+	if err != nil {
+		return nil, fmt.Errorf("sama: %w", err)
+	}
+	defer f.Close()
+	next := ntriples.NewReader(f).Next
+	if ext := strings.ToLower(filepath.Ext(dataPath)); ext == ".ttl" || ext == ".turtle" {
+		ts, err := turtle.Parse(f)
+		if err != nil {
+			return nil, err
+		}
+		next = rdf.Stream(ts)
+	}
+	return create(opts, func(o index.Options) (*index.Index, error) { return index.BuildFrom(basePath, next, o) })
+}
+
+// create returns the database over the index build writes under the
+// options' path budget, pool size and thesaurus.
+func create(opts []Option, build func(index.Options) (*index.Index, error)) (*DB, error) {
 	c, err := buildConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := index.Build(basePath, g, index.Options{
-		Paths:     c.pathCfg,
-		PoolPages: c.poolPages,
-		Thesaurus: c.thesaurus,
-	})
+	idx, err := build(index.Options{Paths: c.pathCfg, PoolPages: c.poolPages, Thesaurus: c.thesaurus})
 	if err != nil {
 		return nil, err
 	}
@@ -649,7 +673,7 @@ func ParseSPARQL(src string) (*QueryGraph, error) {
 
 // LoadNTriples parses an N-Triples stream into a data graph.
 func LoadNTriples(r io.Reader) (*Graph, error) {
-	return ntriples.ReadGraph(r)
+	return rdf.ReadGraph(ntriples.NewReader(r).Next)
 }
 
 // LoadNTriplesFile parses an N-Triples file into a data graph.
@@ -659,28 +683,16 @@ func LoadNTriplesFile(path string) (*Graph, error) {
 		return nil, fmt.Errorf("sama: %w", err)
 	}
 	defer f.Close()
-	return ntriples.ReadGraph(f)
+	return LoadNTriples(f)
 }
 
 // LoadTurtle parses a Turtle stream into a data graph.
 func LoadTurtle(r io.Reader) (*Graph, error) {
-	return turtle.ReadGraph(r)
-}
-
-// LoadGraphFile loads an RDF file, selecting the parser by extension:
-// .ttl/.turtle → Turtle, anything else → N-Triples.
-func LoadGraphFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
+	ts, err := turtle.Parse(r)
 	if err != nil {
-		return nil, fmt.Errorf("sama: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".ttl", ".turtle":
-		return turtle.ReadGraph(f)
-	default:
-		return ntriples.ReadGraph(f)
-	}
+	return rdf.NewGraphFromTriples(ts)
 }
 
 // WriteNTriples serialises a data graph in N-Triples format.

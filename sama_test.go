@@ -535,29 +535,28 @@ ex:alice ex:knows ex:bob ; ex:age 30 .`
 		t.Errorf("turtle triples = %d, want 2", g.EdgeCount())
 	}
 	dir := t.TempDir()
-	ttlPath := filepath.Join(dir, "g.ttl")
-	if err := os.WriteFile(ttlPath, []byte(ttl), 0o644); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		path, data string
+		triples    int
+	}{
+		{filepath.Join(dir, "g.ttl"), ttl, 2},
+		{filepath.Join(dir, "g.nt"), "<a> <p> <b> .\n", 1},
+	} {
+		if err := os.WriteFile(c.path, []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := CreateFromFile(filepath.Join(dir, "idx"), c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.Stats().Triples; got != c.triples {
+			t.Errorf("CreateFromFile(%s) triples = %d, want %d", filepath.Base(c.path), got, c.triples)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	g2, err := LoadGraphFile(ttlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.EdgeCount() != 2 {
-		t.Errorf("LoadGraphFile(.ttl) triples = %d", g2.EdgeCount())
-	}
-	ntPath := filepath.Join(dir, "g.nt")
-	if err := os.WriteFile(ntPath, []byte("<a> <p> <b> .\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	g3, err := LoadGraphFile(ntPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g3.EdgeCount() != 1 {
-		t.Errorf("LoadGraphFile(.nt) triples = %d", g3.EdgeCount())
-	}
-	if _, err := LoadGraphFile(filepath.Join(dir, "missing.ttl")); err == nil {
+	if _, err := CreateFromFile(filepath.Join(dir, "idx"), filepath.Join(dir, "missing.ttl")); err == nil {
 		t.Error("missing file accepted")
 	}
 }
