@@ -84,8 +84,12 @@ race-hot:
 # an answer set older than the inserts they saw complete; and the
 # replays that must give a crash copy the live index's term IDs, pages,
 # records and graph (the insert-stream golden's replayed legs, and the
-# graph of a crash copy, a checkpointed copy and a compaction).
-CRASH_RUN = TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestOpenLocksBase|TestOpenMissingBaseLeavesNoLock|TestDefaultDatabaseSurvivesCrash|TestWritePathModel|TestAlignMemoExactUnderWrites|TestAssemblyDecodesClustersTermTable|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers|TestInsertStreamGolden|TestGraphParity
+# graph of a crash copy, a checkpointed copy and a compaction); and the
+# path signatures a reopened index derives from its label postings,
+# which must equal those the writing process computed (after a build,
+# a crash copy's replay, a checkpoint of tombstoning inserts and a
+# compaction).
+CRASH_RUN = TestCrashMatrix|TestWAL|TestCompact|TestPageFileSync|TestInsertTriplesAllOrNothing|TestInsertRacingCloseIsAllOrNothing|TestOpenLocksBase|TestOpenMissingBaseLeavesNoLock|TestDefaultDatabaseSurvivesCrash|TestWritePathModel|TestAlignMemoExactUnderWrites|TestAssemblyDecodesClustersTermTable|TestReconfirmFromChangesEqualsRepick|TestConcurrentInsertsServeNoStaleAnswers|TestInsertStreamGolden|TestGraphParity|TestDerivedSignaturesEqualCommitted
 CRASH_PKGS = . ./internal/storage ./internal/index ./internal/core
 
 crash:
@@ -135,8 +139,8 @@ bench-smoke:
 
 # fuzz-smoke runs each of the thirteen native fuzz targets — the
 # path-record decoder, the dictionary reader and the metadata decoder
-# (counts checked against the file size, an accepted file re-encodes to
-# itself) every stored path depends on, the record store's one read
+# (counts checked against the file size, every accepted path given a
+# non-zero signature, an accepted file re-encodes to itself) every stored path depends on, the record store's one read
 # by path ID over a crafted front-coded page (no panic; an end offset
 # out of order or past the page, a shared count longer than the
 # previous record, a restart that shares anything or an ID the page
@@ -236,7 +240,10 @@ knobs:
 # (BenchmarkBuild: the benchmark's 50 k LUBM base), CPU and allocations;
 # a checkpoint after one insert (BenchmarkCheckpoint: that base, one
 # 50-triple insert per op outside the timer, reporting ms/op and the
-# metadata's size, meta_B); the record read a cold cluster makes
+# metadata's size, meta_B); the open of that base's files
+# (BenchmarkOpen: ms/op, and derive_share, the share of it the path
+# signatures' derivation from the label postings takes); the record
+# read a cold cluster makes
 # (BenchmarkRecordRead: that base, 1 024 random path IDs per op,
 # reporting ns/record and pages/op); the postings layer
 # (BenchmarkPostings: that base's publication, type and graduatecourse
@@ -267,6 +274,8 @@ profile:
 		-o results/index.test ./internal/index
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchtime 20x \
 		-cpuprofile results/cpu_checkpoint.pprof -o results/index.test ./internal/index
+	$(GO) test -run '^$$' -bench 'BenchmarkOpen' -benchtime 20x \
+		-cpuprofile results/cpu_open.pprof -o results/index.test ./internal/index
 	$(GO) test -run '^$$' -bench 'BenchmarkRecordRead' -benchtime 2000x -benchmem \
 		-cpuprofile results/cpu_record_read.pprof -o results/index.test ./internal/index
 	$(GO) test -run '^$$' -bench 'BenchmarkPostings' -benchtime 2000x \
@@ -278,7 +287,7 @@ profile:
 	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu_{search,search_mix,search_layers,cluster,cluster_warm,cluster_after_insert}.pprof"
 	@echo "the memo's heap: $(GO) tool pprof -sample_index=inuse_space results/bench.test results/mem_cluster_warm.pprof"
 	@echo "the build: $(GO) tool pprof results/index.test results/cpu_build.pprof (allocations: -sample_index=alloc_space results/mem_build.pprof)"
-	@echo "the checkpoint and the record read: $(GO) tool pprof results/index.test results/cpu_{checkpoint,record_read}.pprof"
+	@echo "the checkpoint, the open and the record read: $(GO) tool pprof results/index.test results/cpu_{checkpoint,open,record_read}.pprof"
 	@echo "the postings: $(GO) tool pprof results/textindex.test results/cpu_postings.pprof"
 	@echo "the response encode and decode: $(GO) tool pprof results/server.test results/cpu_{write,decode}_response.pprof"
 

@@ -16,6 +16,7 @@ import (
 	"sama/internal/paths"
 	"sama/internal/rdf"
 	"sama/internal/storage"
+	"sama/internal/textindex"
 )
 
 // buildAndClose builds an index at base and closes it, returning the
@@ -70,7 +71,7 @@ func TestOpenRejectsCorruptMagic(t *testing.T) {
 // SAMAIDX8 holds no path budget, SAMAIDX9 spells its dictionary out
 // term by term in ID order, SAMAIDXA's records may span pages, SAMAIDXB
 // names each record by its page and slot, SAMAIDXC writes each postings
-// list as one delta stream) is
+// list as one delta stream, SAMAIDXD stores each path's signature) is
 // refused with an error that names the version found and says what to
 // do about it.
 func TestOpenRejectsOlderMetaVersion(t *testing.T) {
@@ -80,7 +81,7 @@ func TestOpenRejectsOlderMetaVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{'3', '4', '5', '6', '7', '8', '9', 'A', 'B', 'C'} {
+	for _, v := range []byte{'3', '4', '5', '6', '7', '8', '9', 'A', 'B', 'C', 'D'} {
 		raw[7] = v
 		if err := os.WriteFile(meta, raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -184,6 +185,61 @@ func TestOpenRejectsBadGraph(t *testing.T) {
 			ix.graph = &bad
 			raw := metaBytes(t, ix)
 			ix.graph = g
+			err := new(Index).decodeMeta(bufio.NewReader(bytes.NewReader(raw)), int64(len(raw)), pages)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("decoding: err = %v, want %q", err, c.want)
+			}
+			copied := crashClone(t, base)
+			if err := os.WriteFile(metaPath(copied), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if re, err := Open(copied, Options{}); err == nil || !strings.Contains(err.Error(), c.want) {
+				if re != nil {
+					re.Close()
+				}
+				t.Fatalf("Open: err = %v, want %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestOpenRejectsBadLabelPostings: the signatures are derived from the
+// label postings, so metadata whose postings name a path past the path
+// count, or hold no key of some path, is refused with the message naming
+// the key or the path, by the decoder and by Open.
+func TestOpenRejectsBadLabelPostings(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "labels")
+	buildAndClose(t, base, Options{})
+	ix, err := Open(base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	n, pages := ix.NumPaths(), ix.file.NumPages()
+	cases := []struct {
+		name   string
+		mutate func()
+		want   string
+	}{
+		{"path-past-the-count", func() { ix.labels.Add("stray", uint32(n)) },
+			fmt.Sprintf(`label postings: textindex: key "stray" holds document %d of %d`, n, n)},
+		{"path-no-key-holds", func() { ix.lens, ix.deleted = append(ix.lens, 1), append(ix.deleted, false) },
+			fmt.Sprintf("label postings hold no key of path %d", n)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// The case mutates a copy of the label postings, not the index's.
+			labels, lens, deleted := ix.labels, ix.lens, ix.deleted
+			var buf bytes.Buffer
+			if _, err := ix.labels.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if ix.labels, err = textindex.ReadFrom(&buf, nil, int64(buf.Len())); err != nil {
+				t.Fatal(err)
+			}
+			c.mutate()
+			raw := metaBytes(t, ix)
+			ix.labels, ix.lens, ix.deleted = labels, lens, deleted
 			err := new(Index).decodeMeta(bufio.NewReader(bytes.NewReader(raw)), int64(len(raw)), pages)
 			if err == nil || err.Error() != c.want {
 				t.Fatalf("decoding: err = %v, want %q", err, c.want)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"sama/internal/datasets"
 	"sama/internal/rdf"
@@ -130,4 +131,37 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
 	b.ReportMetric(float64(fi.Size()), "meta_B")
+}
+
+// BenchmarkOpen times Open of the benchmark's 50 k base (see
+// benchmarkBase), each opened index closed again outside the timer. It
+// reports Open's ms/op and the share of it the signature derivation
+// takes (derive_share: KeySignatures over the opened label postings,
+// timed again outside the timer).
+func BenchmarkOpen(b *testing.B) {
+	ix, _ := benchmarkBase(b)
+	base := crashClone(b, ix.base)
+	opts := Options{Thesaurus: textindex.BenchmarkThesaurus()}
+	var derive time.Duration
+	b.ResetTimer()
+	for range b.N {
+		re, err := Open(base, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		start := time.Now()
+		if _, err := re.labels.KeySignatures(len(re.lens)); err != nil {
+			b.Fatal(err)
+		}
+		derive += time.Since(start)
+		if err := re.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	ms := float64(b.Elapsed().Nanoseconds()) / 1e6 / float64(b.N)
+	b.ReportMetric(ms, "ms/op")
+	b.ReportMetric(float64(derive.Nanoseconds())/1e6/float64(b.N)/ms, "derive_share")
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -145,8 +146,9 @@ func FuzzReadDictionary(f *testing.F) {
 // input (give or take a fixed slack), whatever counts the input claims;
 // metadata it accepts must name only records the directory places — its
 // runs strictly ascending, the first at ID 0, the last at an ID below
-// the path count, every page inside the file past its header — and must
-// survive encode ∘ decode byte for byte.
+// the path count, every page inside the file past its header — must give
+// every path a non-zero signature, derived from the label postings, and
+// must survive encode ∘ decode byte for byte.
 func FuzzReadMeta(f *testing.F) {
 	base := filepath.Join(f.TempDir(), "ix")
 	ix, err := Build(base, figure1Graph(), Options{})
@@ -199,6 +201,9 @@ func FuzzReadMeta(f *testing.F) {
 		}
 		if (len(dir) == 0) != (ix.NumPaths() == 0) {
 			t.Fatalf("%d directory runs for %d paths", len(dir), ix.NumPaths())
+		}
+		if len(ix.sigs) != ix.NumPaths() || slices.Contains(ix.sigs, 0) {
+			t.Fatalf("%d paths accepted with signatures %x", ix.NumPaths(), ix.sigs)
 		}
 		once := encode(t, ix)
 		back, err := decode(once)

@@ -36,15 +36,20 @@ func (g *idGraph) addTriple(d *Dictionary, t rdf.Triple) (s, o rdf.NodeID) {
 // rule — the edge labels first, in edge order, so that the few terms
 // every path repeats take the shortest IDs, then the node terms, in node
 // order — and points the graph at new term columns and a new node map in
-// its IDs. It writes neither old nor the columns and map it replaces, so
-// Compact renumbers a shallow copy of the index's graph while the index
-// serves queries from the original.
+// its IDs. The dictionary shares old's analysed labels, which no one
+// writes, for a prefix of its IDs; it writes neither old nor the columns
+// and map it replaces, so Compact renumbers a shallow copy of the index's
+// graph while the index serves queries from the original.
 func (g *idGraph) renumber(old *Dictionary) *Dictionary {
-	d := &Dictionary{ids: make(map[rdf.Term]uint32, old.Len()), terms: make([]rdf.Term, 0, old.Len())}
+	d := &Dictionary{ids: make(map[rdf.Term]uint32, old.Len()), terms: make([]rdf.Term, 0, old.Len()),
+		analysed: append(old.analysed[:0:0], old.analysed...)[:0]} // room to take over old's
 	next := make([]uint32, old.Len()) // an old ID's new ID plus one, 0 before it has one
 	move := func(id uint32) uint32 {
 		if next[id] == 0 {
 			next[id] = d.ID(old.terms[id]) + 1
+			if int(id) < len(old.analysed) && len(d.analysed)+1 == d.Len() {
+				d.analysed = append(d.analysed, old.analysed[id])
+			}
 		}
 		return next[id] - 1
 	}

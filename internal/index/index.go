@@ -513,10 +513,10 @@ func openIndex(base string, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-// metaMagic is the metadata format ("SAMAIDXD"), the only one readMeta
+// metaMagic is the metadata format ("SAMAIDXE"), the only one readMeta
 // accepts: the last byte is the version, and an index written under
 // another one has to be rebuilt from its data.
-var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', 'D'}
+var metaMagic = [8]byte{'S', 'A', 'M', 'A', 'I', 'D', 'X', 'E'}
 
 // writeMeta persists the metadata atomically: the bytes go to a temp
 // file (in 64 KiB writes), are fsynced, and replace the old metadata
@@ -581,9 +581,6 @@ func (ix *Index) encodeMeta(w *bufio.Writer) error {
 	}
 	for _, l := range ix.lens {
 		wu(uint64(l))
-	}
-	for _, s := range ix.sigs {
-		wu(s)
 	}
 	// Tombstone bitmap, one byte per 8 paths.
 	bitmap := make([]byte, (len(ix.deleted)+7)/8)
@@ -685,16 +682,12 @@ func (ix *Index) decodeMeta(r *bufio.Reader, limit int64, pages int) error {
 	if err := checkPathBudget(ix.opts.Paths); err != nil {
 		m.fail("%v", err)
 	}
-	// A path takes at least two bytes: its length and its signature.
-	n := m.count(2, "path")
+	// A path takes at least one byte: its length.
+	n := m.count(1, "path")
 	ix.store = storage.NewRecordStore(ix.pool, m.directory(n, pages), uint32(n))
 	ix.lens = make([]uint16, n)
 	for i := range ix.lens {
 		ix.lens[i] = uint16(m.uvarint())
-	}
-	ix.sigs = make([]uint64, n)
-	for i := range ix.sigs {
-		ix.sigs[i] = m.uvarint()
 	}
 	bitmap := make([]byte, (n+7)/8)
 	m.read(bitmap)
@@ -711,6 +704,11 @@ func (ix *Index) decodeMeta(r *bufio.Reader, limit int64, pages int) error {
 	}
 	if ix.labels, err = textindex.ReadFrom(r, ix.opts.Thesaurus, limit); err != nil {
 		return err
+	}
+	if ix.sigs, err = ix.labels.KeySignatures(n); err != nil {
+		return fmt.Errorf("label postings: %w", err)
+	} else if id := slices.Index(ix.sigs, 0); id >= 0 {
+		return fmt.Errorf("label postings hold no key of path %d", id)
 	}
 	if ix.dict, err = ReadDictionary(r, limit); err != nil {
 		return err

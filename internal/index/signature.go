@@ -13,10 +13,10 @@ type PathSummary struct {
 	// Len is the path's node count (at most MaxPathLength).
 	Len uint16
 	// Sig ORs textindex.SigBits over every node and edge label of the
-	// path (commitPath computes it). sig & probeMask == 0 proves the path
-	// cannot match the probed label at any precision level (exact, token,
-	// or thesaurus expansion); a shared bit proves nothing — the error is
-	// one-sided.
+	// path (commitPath computes it, Open derives it from the label
+	// postings). sig & probeMask == 0 proves the path cannot match the
+	// probed label at any precision level (exact, token, or thesaurus
+	// expansion); a shared bit proves nothing — the error is one-sided.
 	Sig uint64
 }
 

@@ -314,7 +314,6 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 			if r := written.find(lists, ps); r >= 0 {
 				buf = binary.AppendUvarint(buf, 2*uint64(r)+1)
 			} else {
-				written.file(len(lists))
 				buf = binary.AppendUvarint(buf, 2*uint64(ps.Len()))
 				buf = append(buf, written.wire...)
 			}
@@ -337,35 +336,33 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// writtenLists files the lists a stream writes out by the hash of
-// their bytes, so that a later equal list is found and written, or
-// read, as a reference to the first.
+// writtenLists files lists by the hash of their bytes, so that a later
+// equal list is found: a stream writes or reads it as a reference to the
+// first, and KeySignatures walks it once.
 type writtenLists struct {
 	seed   maphash.Seed
-	byHash map[uint64][]int // key numbers
-	h      uint64
-	wire   []byte // the bytes of the list last looked up
+	byHash map[uint64][]int // list numbers
+	wire   []byte           // the bytes of the list last looked up
 }
 
 func newWrittenLists() *writtenLists {
 	return &writtenLists{seed: maphash.MakeSeed(), byHash: map[uint64][]int{}}
 }
 
-// find returns the number of the key whose list, written out and
-// filed, equals p (lists holds the lists by key number), or −1.
+// find returns the number of the filed list equal to p (lists holds
+// the lists by number: a stream numbers them by key), or else files p
+// as number len(lists), which the caller gives it, and returns −1.
 func (w *writtenLists) find(lists []*Postings, p *Postings) int {
 	w.wire = p.appendWire(w.wire[:0])
-	w.h = maphash.Bytes(w.seed, w.wire)
-	for _, r := range w.byHash[w.h] {
+	h := maphash.Bytes(w.seed, w.wire)
+	for _, r := range w.byHash[h] {
 		if lists[r].equal(p) {
 			return r
 		}
 	}
+	w.byHash[h] = append(w.byHash[h], len(lists))
 	return -1
 }
-
-// file files the list last looked up as key num's.
-func (w *writtenLists) file(num int) { w.byHash[w.h] = append(w.byHash[w.h], num) }
 
 // ReadFrom deserialises an index written by WriteTo from a source of at
 // most limit bytes: a key count or key length beyond what that many
@@ -409,7 +406,6 @@ func ReadFrom(r io.Reader, thes *Thesaurus, limit int64) (*Index, error) {
 		if r := written.find(lists, ps); r >= 0 {
 			return nil, fmt.Errorf("writes out the list of key %d instead of referring to it", r)
 		}
-		written.file(len(lists))
 		lists = append(lists, ps)
 		return ps, nil
 	}

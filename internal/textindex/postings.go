@@ -161,19 +161,25 @@ func (p *Postings) AppendTo(dst []uint32) []uint32 {
 		return dst
 	}
 	for _, sk := range p.skips {
-		if bm := p.bitmap(sk); bm != nil {
-			dst = appendBitmap(dst, sk.first, bm)
-			continue
-		}
-		off, prev := int(sk.off)+1, sk.prev
-		for i := 0; i < postingsBlockLen; i++ {
-			d, m := binary.Uvarint(p.enc[off:])
-			off += m
-			prev += uint32(d)
-			dst = append(dst, prev)
-		}
+		dst = p.appendBlock(dst, sk)
 	}
 	return append(dst, p.tail...)
+}
+
+func (p *Postings) appendBlock(dst []uint32, sk postingsSkip) []uint32 {
+	if bm := p.bitmap(sk); bm != nil {
+		return appendBitmap(dst, sk.first, bm)
+	}
+	off, prev := int(sk.off)+1, sk.prev
+	for range postingsBlockLen {
+		d, m := uint64(p.enc[off]), 1 // most deltas take one byte
+		if d >= 0x80 {
+			d, m = binary.Uvarint(p.enc[off:])
+		}
+		off, prev = off+m, prev+uint32(d)
+		dst = append(dst, prev)
+	}
+	return dst
 }
 
 // appendBitmap appends first+i for every bit i set in bm, eight bytes
@@ -634,8 +640,42 @@ func SigBit(key string) uint64 {
 // SigBits returns the signature bits of one label: exactly the bits of
 // the keys Add indexes it under (the normalised exact key plus its
 // multi-character tokens), so deriving signatures from the posting maps
-// and computing them from labels agree bit for bit.
+// (KeySignatures) and computing them from labels agree bit for bit.
 func SigBits(label string) uint64 { return Analyse(label).Sig }
+
+// KeySignatures returns, for each document below n, the OR of SigBit
+// over every key whose list holds it, walking each distinct list once;
+// it refuses a list holding a document at or past n, naming its key.
+func (ix *Index) KeySignatures(n int) ([]uint64, error) {
+	var lists []*Postings
+	var keyBits []uint64 // per list, the bits of its keys
+	distinct := newWrittenLists()
+	for _, m := range []map[string]*Postings{ix.exact, ix.tokens} {
+		for key, p := range m {
+			if p.n > 0 && uint64(p.lastValue()) >= uint64(n) {
+				return nil, fmt.Errorf("textindex: key %q holds document %d of %d", key, p.lastValue(), n)
+			}
+			i := distinct.find(lists, p)
+			if i < 0 {
+				i, lists, keyBits = len(lists), append(lists, p), append(keyBits, 0)
+			}
+			keyBits[i] |= SigBit(key)
+		}
+	}
+	sigs := make([]uint64, n)
+	var block [postingsBlockLen]uint32
+	for i, p := range lists {
+		for _, sk := range p.skips {
+			for _, doc := range p.appendBlock(block[:0], sk) {
+				sigs[doc] |= keyBits[i]
+			}
+		}
+		for _, doc := range p.tail {
+			sigs[doc] |= keyBits[i]
+		}
+	}
+	return sigs, nil
+}
 
 // ProbeMask returns the signature bits of every key a Lookup for label
 // would consult under the thesaurus: the normalised exact key plus each

@@ -190,6 +190,79 @@ func TestProbeMaskSoundness(t *testing.T) {
 	}
 }
 
+// TestSigBitsMatchesDerivation pins the invariant the path index derives
+// its signatures by: a label's SigBits equals what KeySignatures derives
+// for a document indexed under that label alone, over edge labels (empty,
+// one-character tokens, a token equal to the key, IRIs, literal values
+// with non-ASCII letters) and random ones; and over many documents of
+// several labels each, written and read back so that equal lists share
+// their blocks, and dense enough for bitmap blocks, a document's derived
+// signature is the OR of its labels' SigBits.
+func TestSigBitsMatchesDerivation(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	const alphabet = "aZq7_ -#/:.xÉé"
+	randomLabel := func() string {
+		r := []rune(alphabet)
+		var b []rune
+		for range rng.Intn(12) {
+			b = append(b, r[rng.Intn(len(r))])
+		}
+		return string(b)
+	}
+	labels := []string{"", "x", "a b c", "B1432", "b", "Professor", "professor professor", "http://ex.org/a#worksFor",
+		"http://www.Department0.University0.edu/", "ciao", "Grüße aus Köln", "x1 y2", "_", "#"}
+	for range 200 {
+		labels = append(labels, randomLabel())
+	}
+	for _, l := range labels {
+		ix := New(nil)
+		ix.Add(l, 0)
+		sigs, err := ix.KeySignatures(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := SigBits(l); got != sigs[0] {
+			t.Errorf("SigBits(%q) = %x, derived %x", l, got, sigs[0])
+		}
+	}
+
+	const docs = 3000
+	ix := New(nil)
+	want := make([]uint64, docs)
+	for doc := range uint32(docs) {
+		for range 1 + rng.Intn(3) {
+			l := labels[rng.Intn(12)]
+			if rng.Intn(4) == 0 {
+				l = labels[rng.Intn(len(labels))]
+			}
+			ix.Add(l, doc)
+			want[doc] |= SigBits(l)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadFrom(&buf, nil, int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*Index{ix, back} {
+		got, err := x.KeySignatures(docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for doc := range want {
+			if got[doc] != want[doc] {
+				t.Fatalf("document %d: derived %x, its labels' SigBits %x", doc, got[doc], want[doc])
+			}
+		}
+	}
+	if _, err := back.KeySignatures(docs - 1); err == nil {
+		t.Error("KeySignatures took lists holding a document past its count")
+	}
+}
+
 // intersectAmongRef is IntersectAmong's definition, spelled with the
 // naive per-label union: the first limit candidates every label matches.
 func intersectAmongRef(ix *Index, cands []uint32, labels []string, limit int) []uint32 {
