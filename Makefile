@@ -225,10 +225,11 @@ knobs:
 # is busiest (BenchmarkSearchBudgetBound: Q11/Q12 over LUBM 10 k,
 # clustered once, searched to the visit budget) and on the small
 # lattices (BenchmarkSearchMix: Q1–Q10, the read_after_write shapes,
-# and the cluster_param band's department-bound P5 and P6 shapes), its
-# layers apart (BenchmarkSearchLayers: the
-# frontier, the visited set, pair scoring and the top-k list on Q11's
-# recorded walk,
+# and the cluster_param band's department-bound P2, P5, P6 and P10
+# shapes, none of which carries χa words), its layers apart
+# (BenchmarkSearchLayers: the frontier, the visited set, the walk's
+# scoring — each pop's χa word carried from its parent and folded
+# through the memo — and the top-k list on Q11's recorded walk,
 # and the join pass on Q11 and on Q1–Q10), and the cluster phase with
 # nothing memoised
 # and with everything memoised (BenchmarkClusterColdMemo,

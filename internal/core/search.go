@@ -70,7 +70,7 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 	// used to run.
 	joinRes := startJoin(eff, ps, done)
 
-	frontier := getFrontier(len(eff))
+	frontier := getFrontier(len(eff), ps.words)
 	defer frontierPool.Put(frontier)
 	visitedSet := getU64Set()
 	defer u64SetPool.Put(visitedSet)
@@ -129,7 +129,8 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 			}
 		}
 		visited++
-		vec := frontier.record(parent, bumped)
+		row := frontier.record(parent, bumped)
+		vec := row[:len(eff)]
 
 		// A successor's word key is its parent's with one cluster's term
 		// swapped (the last cluster's term changes only when its bump
@@ -167,7 +168,7 @@ func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters [
 			frontierPeak = n
 		}
 
-		psi, degree := ps.score(vec)
+		psi, degree := ps.popScore(&frontier.memo, row, parent, bumped)
 		rl.add(vec, cLambda, psi, degree)
 	}
 	// A break leaves visited below the budget (it precedes the
@@ -334,6 +335,12 @@ func (rl *resultList) add(idx []uint32, lambda, psi, degree float64) {
 //     (successorLambda). The heap orders by λ alone, so (ψ, degree) are
 //     folded once per combination, when it is popped or joined — a
 //     combination that is only ever pushed costs no pair evaluation.
+//     A walk that carries (carry) folds a pop's (ψ, degree) from its
+//     χa word, one field per pair, which its pop-log row takes from its
+//     parent's with only the bumped cluster's pairs evaluated again: the
+//     word's fields are the χa values score evaluates, and its fold is
+//     score's — from zero, in pair order, through the same tables — read
+//     through a memo keyed by the whole word (popScore).
 //  3. The termination bound only skips guaranteed rejects. psiLB = Σ_p
 //     bound_p is a sound lower bound on any combination's Ψ and degUB
 //     an upper bound on its degree (see pairBound), so a popped combo
@@ -370,6 +377,17 @@ type pairScorer struct {
 	// keys[ci][ii] = keyTerm(ci, ii), the visited set's word-key terms;
 	// the last cluster's column is indexed by ii>>6 (visitWord).
 	keys [][]uint64
+	// touch[ci] lists, in pair order, the pairs with an end on cluster ci:
+	// the ones a bump of ci can change.
+	touch [][]int32
+	// carry says the walk scores a pop from its parent's χa word
+	// (popScore): no pair scores through a χ function, the pairs' fields
+	// fit 64 bits, and no cluster touches more than half the pairs — a
+	// bump then leaves at least as many pairs as it evaluates. words is
+	// the uint32s the word takes after a pop-log row's vector: 1 or 2
+	// when the walk carries, else 0.
+	carry bool
+	words int
 	// jt files the binding columns by shared variable for the join pass
 	// (nil when the query cannot join: fewer than two effective clusters
 	// or no pairs).
@@ -404,6 +422,9 @@ type queryPair struct {
 	// PsiDegreeFromChi(χQ, χa) for χa = 0…χQ; nil when chi is set (raw
 	// χ can exceed χQ).
 	psiTab, degTab []float64
+	// χa's field in a χa word: bits.Len(χQ) bits (mask) from bit shift.
+	shift uint
+	mask  uint64
 }
 
 // maxSharedConsts bounds the constant-containment bitmask width. The
@@ -521,6 +542,32 @@ func newPairScorer(e *Engine, pre *Preprocessed, eff []Cluster) *pairScorer {
 		ps.degUB = math.Inf(1)
 	}
 
+	// The pairs each cluster touches, the χa word's fields in pair order,
+	// and the carry rule.
+	ps.touch = make([][]int32, len(eff))
+	flat := make([]int32, 0, 2*len(ps.pairs))
+	for ci := range eff {
+		at := len(flat)
+		for pi, pr := range ps.pairs {
+			if pr.ci == ci || pr.cj == ci {
+				flat = append(flat, int32(pi))
+			}
+		}
+		ps.touch[ci] = flat[at:]
+	}
+	width := uint(0)
+	for pi := range ps.pairs {
+		pr := &ps.pairs[pi]
+		n := uint(bits.Len(uint(pr.chiQ)))
+		pr.shift, pr.mask = width, 1<<n-1
+		width += n
+	}
+	ps.carry = chiFns == 0 && len(ps.pairs) > 0 && width <= 64 &&
+		!slices.ContainsFunc(ps.touch, func(t []int32) bool { return 2*len(t) > len(ps.pairs) })
+	if ps.carry {
+		ps.words = max(1, int(width+31)/32)
+	}
+
 	ps.costs = make([][]float64, len(eff))
 	ps.keys = make([][]uint64, len(eff))
 	for ci := range eff {
@@ -604,18 +651,98 @@ func (ps *pairScorer) score(idx []uint32) (psi, degree float64) {
 			degree += float64(align.PsiDegreeFromChi(pr.chiQ, chiA))
 			continue
 		}
-		chiA := 0
-		for s := range pr.varsA {
-			if a := pr.varsA[s][ii]; a != 0 && a == pr.varsB[s][jj] {
-				chiA++
-			}
-		}
-		if pr.conA != nil {
-			chiA += bits.OnesCount64(pr.conA[ii] & pr.conB[jj])
-		}
+		chiA := pr.chiA(ii, jj)
 		psi += pr.psiTab[chiA]
 		degree += pr.degTab[chiA]
 	}
+	return psi, degree
+}
+
+// chiA is χa of items ii and jj of a pair with no χ function: the
+// shared variables both bind to one term, plus the shared constants both
+// paths contain.
+func (pr *queryPair) chiA(ii, jj uint32) int {
+	n := 0
+	for s := range pr.varsA {
+		if a := pr.varsA[s][ii]; a != 0 && a == pr.varsB[s][jj] {
+			n++
+		}
+	}
+	if pr.conA != nil {
+		n += bits.OnesCount64(pr.conA[ii] & pr.conB[jj])
+	}
+	return n
+}
+
+// chiWord is the χa word of the combination idx, built whole: χa of
+// each pair in its field.
+func (ps *pairScorer) chiWord(idx []uint32) uint64 {
+	var w uint64
+	for pi := range ps.pairs {
+		pr := &ps.pairs[pi]
+		w |= uint64(pr.chiA(idx[pr.ci], idx[pr.cj])) << pr.shift
+	}
+	return w
+}
+
+// popScore returns (ψ, degree) of the combination in row, the pop-log
+// row record just wrote for a pop of parent with cluster bumped. When
+// the walk carries, the row's χa word follows its vector: record copied
+// the parent's, and only the pairs on the bumped cluster are evaluated
+// again (the start's word is built whole); the word is folded through
+// memo. Otherwise it is score.
+func (ps *pairScorer) popScore(memo *psiMemo, row []uint32, parent, bumped int32) (psi, degree float64) {
+	vec, ws := row[:len(ps.costs)], row[len(ps.costs):]
+	if !ps.carry {
+		return ps.score(vec)
+	}
+	var w uint64
+	if parent < 0 {
+		w = ps.chiWord(vec)
+	} else {
+		w = uint64(ws[0])
+		if len(ws) > 1 {
+			w |= uint64(ws[1]) << 32
+		}
+		for _, pi := range ps.touch[bumped] {
+			pr := &ps.pairs[pi]
+			w = w&^(pr.mask<<pr.shift) | uint64(pr.chiA(vec[pr.ci], vec[pr.cj]))<<pr.shift
+		}
+	}
+	ws[0] = uint32(w)
+	if len(ws) > 1 {
+		ws[1] = uint32(w >> 32)
+	}
+	return memo.fold(ps, w)
+}
+
+// psiMemo holds the folds of recent χa words: 256 direct-mapped slots,
+// each keyed by the whole word (memoSlot picks the slot).
+type psiMemo [256]struct {
+	word        uint64
+	psi, degree float64
+	set         bool
+}
+
+// memoSlot is the χa word w's slot in a psiMemo: its top byte after a
+// multiplicative hash.
+func memoSlot(w uint64) uint8 { return uint8(w * 0x9e3779b97f4a7c15 >> 56) }
+
+// fold returns the canonical fold of the χa word w — ψ and degree from
+// zero, in pair order, through each pair's tables: score's additions
+// on score's operands — from its memo slot when that holds w.
+func (m *psiMemo) fold(ps *pairScorer, w uint64) (psi, degree float64) {
+	s := &m[memoSlot(w)]
+	if s.set && s.word == w {
+		return s.psi, s.degree
+	}
+	for pi := range ps.pairs {
+		pr := &ps.pairs[pi]
+		chiA := w >> pr.shift & pr.mask
+		psi += pr.psiTab[chiA]
+		degree += pr.degTab[chiA]
+	}
+	s.word, s.psi, s.degree, s.set = w, psi, degree, true
 	return psi, degree
 }
 
@@ -648,15 +775,17 @@ func (ps *pairScorer) successorLambda(vec []uint32, prefix []float64, ci int, la
 // flat pointer-free slices. A heap entry (λ, parent, ci) is pop number
 // parent's combination with cluster ci bumped (parent −1: the all-best
 // start); a popped one is written once, as the next row of the
-// append-only pop log (record). The heap is ordered with container/heap's
-// exact sift (strict less on λ), so a comparison reads the two entries
-// it compares, the collector has nothing to scan, and a recycled
-// frontier (frontierPool) makes a steady-state search allocation-free
-// up to the slices' high-water mark.
+// append-only pop log (record): its vector, then the χa word of a walk
+// that carries (pairScorer.popScore), whose memo the frontier holds too.
+// The heap is ordered with container/heap's exact sift (strict less on
+// λ), so a comparison reads the two entries it compares, the collector
+// has nothing to scan, and a recycled frontier (frontierPool) makes a
+// steady-state search allocation-free up to the slices' high-water mark.
 type comboFrontier struct {
-	stride int
-	log    []uint32
-	heap   []frontierEntry
+	stride, width int
+	log           []uint32
+	heap          []frontierEntry
+	memo          psiMemo
 }
 
 type frontierEntry struct {
@@ -668,27 +797,37 @@ type frontierEntry struct {
 // the visited set: a recycled frontier keeps its slices' capacity.
 var frontierPool = sync.Pool{New: func() any { return new(comboFrontier) }}
 
-// getFrontier returns an empty frontier over stride-long index vectors.
-func getFrontier(stride int) *comboFrontier {
+// getFrontier returns an empty frontier over stride-long index vectors,
+// each followed by words uint32s of χa word in its pop-log row; its memo
+// is cleared when there are any.
+func getFrontier(stride, words int) *comboFrontier {
 	q := frontierPool.Get().(*comboFrontier)
-	q.stride = stride
-	q.log, q.heap = q.log[:0], q.heap[:0]
+	q.reset(stride, words)
 	return q
+}
+
+func (q *comboFrontier) reset(stride, words int) {
+	q.stride, q.width = stride, stride+words
+	q.log, q.heap = q.log[:0], q.heap[:0]
+	if words > 0 {
+		clear(q.memo[:])
+	}
 }
 
 func (q *comboFrontier) len() int { return len(q.heap) }
 
-// record appends the popped entry's combination to the pop log and
+// record appends the popped entry's row to the pop log — its parent's
+// row with cluster ci bumped, the parent's χa word included — and
 // returns it; the row aliases the log, which the next record may move.
 func (q *comboFrontier) record(parent, ci int32) []uint32 {
 	n := len(q.log)
-	q.log = slices.Grow(q.log, q.stride)[:n+q.stride]
+	q.log = slices.Grow(q.log, q.width)[:n+q.width]
 	row := q.log[n:]
 	if parent < 0 {
 		clear(row)
 		return row
 	}
-	copy(row, q.log[int(parent)*q.stride:])
+	copy(row, q.log[int(parent)*q.width:])
 	row[ci]++
 	return row
 }

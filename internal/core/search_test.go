@@ -624,15 +624,27 @@ func TestSearchCancelledMidWalk(t *testing.T) {
 
 // checkWalkRows checks every pop of a recorded walk against its
 // definition: its λ has the bits of comboLambda(vec) + basePenalty, the
-// canonical fold, and its vector is its parent pop's plus exactly one
-// bump (the start's is all zeros). It returns the number of pops whose
-// λ the walk reused from their parent, bits unchanged.
+// canonical fold; its (ψ, degree) have the bits of score(vec), and on a
+// walk that carries its χa word is the one chiWord builds from scratch
+// (a walk that does not carries no word); and its vector is its parent
+// pop's plus exactly one bump (the start's is all zeros). It returns the
+// number of pops whose λ the walk reused from their parent, bits
+// unchanged.
 func checkWalkRows(t *testing.T, id string, ps *pairScorer, w *layerWalk, basePenalty float64) (reused int) {
 	t.Helper()
+	if words := w.width - w.stride; words != ps.words || ps.carry != (words > 0) {
+		t.Fatalf("%s: %d words a row, the scorer has %d (carry %v)", id, words, ps.words, ps.carry)
+	}
 	for i, lam := range w.lambda {
 		vec := w.vec(i)
 		if want := ps.comboLambda(vec) + basePenalty; math.Float64bits(lam) != math.Float64bits(want) {
 			t.Fatalf("%s pop %d %v: λ %v (%#x), comboLambda gives %v (%#x)", id, i, vec, lam, math.Float64bits(lam), want, math.Float64bits(want))
+		}
+		if want := ps.chiWord(vec); ps.carry && w.word(i) != want {
+			t.Fatalf("%s pop %d %v: χa word %#x, built from scratch %#x", id, i, vec, w.word(i), want)
+		}
+		if psi, degree := ps.score(vec); math.Float64bits(w.psi[i]) != math.Float64bits(psi) || math.Float64bits(w.degree[i]) != math.Float64bits(degree) {
+			t.Fatalf("%s pop %d %v: (ψ, degree) (%v, %v), score gives (%v, %v)", id, i, vec, w.psi[i], w.degree[i], psi, degree)
 		}
 		p := int(w.parent[i])
 		if p < 0 {
@@ -797,6 +809,122 @@ func TestProvenStopRejectsTheRest(t *testing.T) {
 	}
 }
 
+// ringClusters crafts clusters for the carry: n clusters on a ring,
+// each neighbour's query path sharing three variables with it (χQ = 3, a
+// 2-bit field of the χa word), so each cluster touches 2 of the n pairs.
+// Every item binds each of its variables to one of two terms drawn from
+// rng, so a pair's χa ranges over 0…3, and its cost is a quarter of its
+// rank.
+func ringClusters(n, items int, rng *rand.Rand) (*Preprocessed, []Cluster) {
+	tt := &termTable{ids: map[rdf.Term]uint32{}}
+	shared := func(i int) []rdf.Term {
+		i = (i + n) % n
+		return []rdf.Term{vr(fmt.Sprint("r", i, "a")), vr(fmt.Sprint("r", i, "b")), vr(fmt.Sprint("r", i, "c"))}
+	}
+	pre := &Preprocessed{IG: make([][]IGEdge, n)}
+	clusters := make([]Cluster, n)
+	for i := range clusters {
+		nodes := append(shared(i-1), shared(i)...)
+		edges := make([]rdf.Term, len(nodes)-1)
+		for x := range edges {
+			edges[x] = iri("p")
+		}
+		q := paths.Path{Nodes: nodes, Edges: edges}
+		substs := make([]rdf.Substitution, items)
+		for ii := range substs {
+			substs[ii] = rdf.Substitution{}
+			for _, x := range nodes {
+				substs[ii][x.Value] = iri(fmt.Sprint("t", rng.Intn(2)))
+			}
+		}
+		clusters[i] = craftCluster(tt, q, substs)
+		clusters[i].QueryIndex = i
+		for ii := range clusters[i].Items {
+			clusters[i].Items[ii].Cost = float64(ii) / 4
+		}
+		pre.Paths = append(pre.Paths, q)
+		pre.IG[i] = []IGEdge{{To: (i + 1) % n, Chi: 3}, {To: (i + n - 1) % n, Chi: 3}}
+	}
+	for i := range clusters {
+		clusters[i].terms = tt.terms
+	}
+	return pre, clusters
+}
+
+// TestCarriedScoresEqualScore is the pop-by-pop oracle of the carry:
+// every pop of a recorded walk, scored by the walk's own popScore, must
+// have the χa word chiWord builds from scratch and the (ψ, degree) bits
+// of score (checkWalkRows). It walks Q1–Q12 over LUBM 10 k under library
+// defaults, which fall on both sides of the carry rule, Q11 under
+// Options.RawChi (χ functions: no carry), and crafted rings: six
+// clusters of four items, whose 4 096 combinations put distinct words
+// with distinct folds on one memo slot; twenty clusters, a 40-bit word
+// in two uint32s; and thirty-three, 66 bits, too wide to carry.
+func TestCarriedScoresEqualScore(t *testing.T) {
+	g := datasets.LUBM{}.Generate(10000, 1)
+	ix, err := index.Build(filepath.Join(t.TempDir(), "lubm"), g, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	check := func(id string, e *Engine, pre *Preprocessed, clusters []Cluster, budget int) (*pairScorer, *layerWalk) {
+		t.Helper()
+		ps, w := recordWalk(e, pre, clusters, budget)
+		eff, missing, missed := splitEffective(clusters)
+		checkWalkRows(t, id, ps, w, e.missPenalty(pre, missing, missed))
+		touched := 0
+		for ci := range eff {
+			touched = max(touched, len(ps.touch[ci]))
+		}
+		t.Logf("%s: %d pops, %d clusters, %d pairs, at most %d on a cluster, carry %v", id, len(w.lambda), len(eff), len(ps.pairs), touched, ps.carry)
+		return ps, w
+	}
+	sides := map[bool]int{}
+	for _, q := range workload.LUBMQueries() {
+		e, pre, clusters := budgetBoundSearch(t, ix, Options{}, q.ID)
+		ps, _ := check(q.ID, e, pre, clusters, e.opts.maxCombinations())
+		sides[ps.carry]++
+	}
+	if sides[true] == 0 || sides[false] == 0 {
+		t.Fatalf("Q1–Q12 carry on %d walks and not on %d: both sides of the rule must be walked", sides[true], sides[false])
+	}
+	e, pre, clusters := budgetBoundSearch(t, ix, Options{RawChi: true}, "Q11")
+	if ps, _ := check("Q11 raw", e, pre, clusters, 4096); ps.carry {
+		t.Fatal("a walk whose pairs score through χ functions carries")
+	}
+
+	e = newTestEngine(t, Options{})
+	rng := rand.New(rand.NewSource(5))
+	pre, clusters = ringClusters(6, 4, rng)
+	ps, w := check("ring 6", e, pre, clusters, 1<<20)
+	if !ps.carry || ps.words != 1 || len(w.lambda) != 4096 {
+		t.Fatalf("ring 6: carry %v in %d words over %d pops, want a one-word carry over all 4 096", ps.carry, ps.words, len(w.lambda))
+	}
+	// Two distinct words with distinct folds on one slot: a memo keyed by
+	// its slot alone would hand the second the first one's fold.
+	first := map[uint8]int{} // a memo slot's first pop
+	collided := false
+	for i := range w.lambda {
+		f, ok := first[memoSlot(w.word(i))]
+		if !ok {
+			first[memoSlot(w.word(i))] = i
+			continue
+		}
+		collided = collided || w.word(f) != w.word(i) && (w.psi[f] != w.psi[i] || w.degree[f] != w.degree[i])
+	}
+	if !collided {
+		t.Fatal("ring 6: no two words of the walk share a memo slot")
+	}
+	pre, clusters = ringClusters(20, 2, rng)
+	if ps, _ := check("ring 20", e, pre, clusters, 4096); !ps.carry || ps.words != 2 {
+		t.Fatalf("ring 20: carry %v in %d words, want a two-word carry", ps.carry, ps.words)
+	}
+	pre, clusters = ringClusters(33, 2, rng)
+	if ps, _ := check("ring 33", e, pre, clusters, 4096); ps.carry {
+		t.Fatal("ring 33: a 66-bit word carries")
+	}
+}
+
 // TestJoinStartsOnlyWithTables checks that a search whose query cannot
 // join — a single effective cluster, or clusters with no
 // intersection-graph pair — starts no join goroutine, and that one that
@@ -952,9 +1080,10 @@ func BenchmarkSearchAfterBudgetBound(b *testing.B) {
 // lattices, each searched at k = 10 per lap, clustered once outside the
 // timer: Q1–Q10 of the LUBM mix over LUBM 10 k under library defaults
 // (the query shapes of read_after_write), and the cluster_param band's
-// P5 and P6 shapes over every department of LUBM 10 k under the
-// benchmark's thesaurus. It reports the visits per lap. `make profile`
-// profiles this benchmark.
+// P2, P5, P6 and P10 shapes over every department of LUBM 10 k under
+// the benchmark's thesaurus — P2 and P10 walk to the tie horizon, and
+// none of these walks carries χa words (pairScorer.carry). It reports
+// the visits per lap. `make profile` profiles this benchmark.
 func BenchmarkSearchMix(b *testing.B) {
 	g := datasets.LUBM{}.Generate(10000, 1)
 	type clustered struct {
@@ -985,7 +1114,7 @@ func BenchmarkSearchMix(b *testing.B) {
 		lubm = append(lubm, goldenQuery{id: q.ID, q: q.Pattern})
 	}
 	for _, q := range clusterParamQueries(b, g) {
-		if strings.HasPrefix(q.id, "P5 ") || strings.HasPrefix(q.id, "P6 ") {
+		if sh, _, _ := strings.Cut(q.id, " "); slices.Contains([]string{"P2", "P5", "P6", "P10"}, sh) {
 			dept = append(dept, q)
 		}
 	}
@@ -1006,19 +1135,21 @@ func BenchmarkSearchMix(b *testing.B) {
 }
 
 // layerWalk is one recorded budget-bound walk of the search loop: the
-// frontier's pop log (the popped vectors in order, stride len(eff)) with
-// each pop's λ and parent pop (−1 for the start), the (word, bit) probes
-// their successors offered to the visited set, in the loop's order, and
-// the frontier's pushes — the start's, then each pop's (npush[i] of
-// them) in order.
+// frontier's pop log (the popped rows in order, width long: the vector,
+// stride len(eff), then a carrying walk's χa word) with each pop's λ,
+// parent pop (−1 for the start), bumped cluster and the (ψ, degree) the
+// walk's popScore gave it, the (word, bit) probes their successors
+// offered to the visited set, in the loop's order, and the frontier's
+// pushes — the start's, then each pop's (npush[i] of them) in order.
 type layerWalk struct {
-	stride int
-	pops   []uint32
-	lambda []float64
-	parent []int32
-	probes []visitProbe
-	pushes []frontierEntry
-	npush  []int
+	stride, width  int
+	pops           []uint32
+	lambda         []float64
+	parent, bumped []int32
+	psi, degree    []float64
+	probes         []visitProbe
+	pushes         []frontierEntry
+	npush          []int
 }
 
 type visitProbe struct {
@@ -1026,7 +1157,17 @@ type visitProbe struct {
 	bit uint32
 }
 
-func (w *layerWalk) vec(i int) []uint32 { return w.pops[i*w.stride : (i+1)*w.stride] }
+func (w *layerWalk) vec(i int) []uint32 { return w.pops[i*w.width : i*w.width+w.stride] }
+
+// word is pop i's χa word as its row holds it (0 when the walk does not
+// carry).
+func (w *layerWalk) word(i int) uint64 {
+	var x uint64
+	for j, u := range w.pops[i*w.width+w.stride : (i+1)*w.width] {
+		x |= uint64(u) << (32 * j)
+	}
+	return x
+}
 
 // layerSink keeps BenchmarkSearchLayers' scoring from being optimised
 // away.
@@ -1034,15 +1175,16 @@ var layerSink float64
 
 // recordWalk replays the frontier loop's pops and pushes for budget
 // visits, on a comboFrontier and its pop log, each successor's λ from
-// successorLambda as the loop has it. The termination bounds only ever
-// end a walk, so up to a search that stops at its budget the pops are
-// the search's own.
+// successorLambda and each pop's (ψ, degree) from popScore as the loop
+// has them. The termination bounds only ever end a walk, so up to a
+// search that stops at its budget the pops are the search's own.
 func recordWalk(e *Engine, pre *Preprocessed, clusters []Cluster, budget int) (*pairScorer, *layerWalk) {
 	eff, missing, missed := splitEffective(clusters)
 	basePenalty := e.missPenalty(pre, missing, missed)
 	ps := newPairScorer(e, pre, eff)
-	w := &layerWalk{stride: len(eff)}
-	q := &comboFrontier{stride: len(eff)} // not pooled: the log is the walk's record
+	q := new(comboFrontier) // not pooled: the log is the walk's record
+	q.reset(len(eff), ps.words)
+	w := &layerWalk{stride: q.stride, width: q.width}
 	set := newU64Set()
 	start := make([]uint32, len(eff))
 	w.pushes = append(w.pushes, frontierEntry{ps.comboLambda(start) + basePenalty, -1, 0})
@@ -1052,9 +1194,14 @@ func recordWalk(e *Engine, pre *Preprocessed, clusters []Cluster, budget int) (*
 	prefix := make([]float64, len(eff))
 	for len(w.lambda) < budget && q.len() > 0 {
 		lam, parent, bumped := q.pop()
-		vec := q.record(parent, bumped)
+		row := q.record(parent, bumped)
+		vec := row[:len(eff)]
+		psi, degree := ps.popScore(&q.memo, row, parent, bumped)
 		w.lambda = append(w.lambda, lam)
 		w.parent = append(w.parent, parent)
+		w.bumped = append(w.bumped, bumped)
+		w.psi = append(w.psi, psi)
+		w.degree = append(w.degree, degree)
 		sum := 0.0
 		for ci, ii := range vec {
 			prefix[ci] = sum
@@ -1088,8 +1235,10 @@ func recordWalk(e *Engine, pre *Preprocessed, clusters []Cluster, budget int) (*
 // through a recycled comboFrontier, each pop recorded into its pop log
 // (ns per pop), visited replays the walk's successor probes into a
 // recycled visited set (ns per probe, and the table's bytes), score
-// folds Ψ and degree for each popped combination, and topk ranks the
-// scored pops into a top-10 list (ns per combination). Two time the
+// scores each pop as the walk does — its parent's χa word carried over
+// the bumped cluster's pairs and folded through the memo (ns per pop) —
+// and topk ranks the scored pops into a top-10 list (ns per
+// combination). Two time the
 // join pass that runs beside the walk, on pair scorers built outside
 // the timer: join is joinCombos over Q11's clusters (ns per pass, and
 // the combinations it builds), join_mix the same over those of Q1–Q10
@@ -1107,17 +1256,15 @@ func BenchmarkSearchLayers(b *testing.B) {
 	if c["budget_stop"] != 1 || int64(len(w.lambda)) != c["visited"] {
 		b.Fatalf("recorded %d pops; the search span is %v, want a budget stop at as many visits", len(w.lambda), c)
 	}
-	psi := make([]float64, len(w.lambda))
-	degree := make([]float64, len(w.lambda))
-	for i := range w.lambda {
-		psi[i], degree[i] = ps.score(w.vec(i))
+	if !ps.carry {
+		b.Fatal("Q11's walk does not carry: score would time the from-scratch fold")
 	}
 	perOp := func(b *testing.B, n int, unit string) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), unit)
 	}
 	b.Run("frontier", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			q := getFrontier(w.stride)
+			q := getFrontier(w.stride, w.width-w.stride)
 			q.push(w.pushes[0].lam, w.pushes[0].parent, w.pushes[0].ci)
 			off := 1
 			for _, n := range w.npush {
@@ -1146,21 +1293,31 @@ func BenchmarkSearchLayers(b *testing.B) {
 		b.ReportMetric(float64(s.n), "words")
 	})
 	b.Run("score", func(b *testing.B) {
+		// Each pop's row takes its parent's χa word, as record copies it,
+		// and popScore carries it over the bumped cluster's pairs and
+		// folds it through a memo cleared per walk.
+		rows := slices.Clone(w.pops)
+		var memo psiMemo
 		var sum float64
 		for i := 0; i < b.N; i++ {
-			for j := range w.lambda {
-				psi, _ := ps.score(w.vec(j))
+			clear(memo[:])
+			for j, p := range w.parent {
+				row := rows[j*w.width : (j+1)*w.width]
+				if p >= 0 {
+					copy(row[w.stride:], rows[int(p)*w.width+w.stride:(int(p)+1)*w.width])
+				}
+				psi, _ := ps.popScore(&memo, row, p, w.bumped[j])
 				sum += psi
 			}
 		}
-		perOp(b, len(w.lambda), "ns/combination")
+		perOp(b, len(w.lambda), "ns/pop")
 		layerSink = sum
 	})
 	b.Run("topk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rl := resultList{k: 10}
 			for j, lam := range w.lambda {
-				rl.add(w.vec(j), lam, psi[j], degree[j])
+				rl.add(w.vec(j), lam, w.psi[j], w.degree[j])
 			}
 		}
 		perOp(b, len(w.lambda), "ns/combination")

@@ -83,8 +83,9 @@ func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 	}()
 	// Past this point the old handles are being torn down. adopt swaps
 	// the rebuilt (or, on a failure, reopened) state in field by field:
-	// ix.mu is held and must not be overwritten, and the WAL handle and
-	// watermark survive the swap. The epoch and layout bumps ride along — compaction
+	// ix.mu is held and must not be overwritten, the WAL handle and the
+	// applied watermark survive the swap, and the durable one is the
+	// adopted metadata's. The epoch and layout bumps ride along — compaction
 	// renumbers PathIDs, so any cache entry naming one is garbage now
 	// (and when a failure reopens the ORIGINAL files the bumps are merely
 	// redundant).
@@ -102,6 +103,7 @@ func (ix *Index) Compact(ctx context.Context) (cs CompactStats, err error) {
 		ix.tombs = re.tombs
 		ix.dict = re.dict
 		ix.graph = re.graph
+		ix.durable = re.durable
 		ix.stats = re.stats
 		ix.stats.DiskBytes = ix.diskBytes()
 		ix.epoch++

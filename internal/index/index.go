@@ -181,11 +181,14 @@ type Index struct {
 	// Write path state: wal is the log at walPath(base), applied the
 	// LSN of the last record applied — every one below it is too, and
 	// under the writer lock it is the log's last LSN, so a checkpoint
-	// discards the whole log — and recovery is what Open replayed. lock
-	// holds <base>.lock (see lockBase) until Close, which sets it nil.
+	// discards the whole log — durable the watermark the metadata file
+	// holds (Close checkpoints only when applied is past it), and
+	// recovery is what Open replayed. lock holds <base>.lock (see
+	// lockBase) until Close, which sets it nil.
 	wal      *storage.WAL
 	lock     *os.File
 	applied  uint64
+	durable  uint64
 	recovery RecoveryStats
 	// Observability counters, wired by SetMetrics; nil-safe no-ops
 	// until then (obs handles are nil-safe by contract).
@@ -542,7 +545,11 @@ func (ix *Index) writeMeta() error {
 		os.Remove(tmpPath)
 		return err
 	}
-	return syncDirOf(metaPath(ix.base))
+	if err := syncDirOf(metaPath(ix.base)); err != nil {
+		return err
+	}
+	ix.durable = ix.applied
+	return nil
 }
 
 // encodeMeta writes the metadata to w and flushes it. The applied LSN
@@ -671,6 +678,7 @@ func (ix *Index) decodeMeta(r *bufio.Reader, limit int64, pages int) error {
 	}
 	m := &metaReader{r: r, limit: limit}
 	ix.applied = m.uvarint()
+	ix.durable = ix.applied
 	ix.stats = Stats{
 		Triples:   int(m.uvarint()),
 		HV:        int(m.uvarint()),
@@ -1142,8 +1150,10 @@ func (ix *Index) PoolStats() storage.PoolStats { return ix.pool.Stats() }
 // Close checkpoints and closes the index files, then releases the
 // lock, so a clean shutdown reopens with nothing to replay; if the
 // checkpoint fails (a poisoned sync, say) the metadata is NOT advanced
-// — the WAL keeps the records and the next Open replays them. Close is
-// idempotent: a second call returns nil.
+// — the WAL keeps the records and the next Open replays them. An index
+// with nothing applied since its metadata was last written (a
+// read-only session) is closed without a checkpoint: its files are
+// left as they are. Close is idempotent: a second call returns nil.
 func (ix *Index) Close() error {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
@@ -1152,7 +1162,10 @@ func (ix *Index) Close() error {
 	if ix.lock == nil {
 		return nil
 	}
-	firstErr := ix.checkpointLocked()
+	var firstErr error
+	if ix.applied != ix.durable {
+		firstErr = ix.checkpointLocked()
+	}
 	for _, c := range []io.Closer{ix.wal, ix.pool, ix.file, ix.lock} {
 		if err := c.Close(); err != nil && firstErr == nil {
 			firstErr = err

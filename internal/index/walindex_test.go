@@ -922,6 +922,83 @@ func TestInsertRacingCloseIsAllOrNothing(t *testing.T) {
 // TestOpenKeepsPathBudget: the metadata records the build's path
 // budget, so an index reopened without it inserts under it, and so does
 // the replay of a crashed copy's log.
+// TestWALCloseSkipsCleanCheckpoint: closing an index that applied
+// nothing since its metadata was written leaves the files as they are —
+// .meta keeps its bytes and its mtime, after Build's Close and after an
+// Open's — while a Close after an insert still checkpoints it: the
+// reopened index replays nothing and holds the live paths of a fresh
+// build of its triples.
+func TestWALCloseSkipsCleanCheckpoint(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "ix")
+	ix, err := Build(base, figure1Graph(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := func() ([]byte, time.Time) {
+		t.Helper()
+		b, err := os.ReadFile(metaPath(base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(metaPath(base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, info.ModTime()
+	}
+	built, builtAt := meta()
+	for _, step := range []string{"build", "open"} {
+		if step == "open" {
+			if ix, err = Open(base, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A rewrite after this sleep would move the mtime on any
+		// filesystem clock.
+		time.Sleep(20 * time.Millisecond)
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if b, at := meta(); !bytes.Equal(b, built) || !at.Equal(builtAt) {
+			t.Fatalf("%s then Close rewrote .meta: %d bytes at %v, were %d at %v", step, len(b), at, len(built), builtAt)
+		}
+	}
+
+	if ix, err = Open(base, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.InsertTriples(walTestTriples); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := meta(); bytes.Equal(b, built) {
+		t.Fatal("Close after an insert left .meta as built")
+	}
+	re, err := Open(base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rs := re.Recovery(); rs.Records != 0 {
+		t.Fatalf("the reopened index replayed %d records, want 0 after a checkpointing Close", rs.Records)
+	}
+	ts := append(figure1Graph().Triples(), walTestTriples...)
+	g, err := rdf.NewGraphFromTriples(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Build(filepath.Join(t.TempDir(), "ref"), g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if got, want := livePathKeys(t, re), livePathKeys(t, ref); !slices.Equal(got, want) {
+		t.Fatalf("reopened index: live paths %v, a fresh build's %v", got, want)
+	}
+}
+
 func TestOpenKeepsPathBudget(t *testing.T) {
 	budget := paths.Config{MaxLength: 3, MaxPerRoot: 4096}
 	stream := datasets.LUBM{}.Generate(3000, 1).Triples()
